@@ -14,8 +14,8 @@
 //!   task (paying a configurable per-task launch overhead, serialized at
 //!   the driver exactly as in Spark), executors run them, and a stage
 //!   barrier joins everything before the next stage may begin. The
-//!   overhead constants are calibration knobs (see `DESIGN.md`); the
-//!   benchmark harness sweeps them so no conclusion rests on one value.
+//!   overhead constants are calibration knobs; the benchmark harness
+//!   sweeps them so no conclusion rests on one value.
 //!
 //! Both engines implement [`Engine`], so workloads can be written once
 //! per execution model and compared like-for-like.

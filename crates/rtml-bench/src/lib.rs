@@ -1,8 +1,9 @@
 //! Shared plumbing for the experiment binaries (`exp_*`) and criterion
 //! benches that regenerate every quantitative claim in the paper.
 //!
-//! See `DESIGN.md` §5 for the experiment index (E1–E9, A1–A2) and
-//! `EXPERIMENTS.md` for recorded paper-vs-measured results.
+//! The experiment index is the `exp_*` list under "Building and
+//! testing" in `README.md`; each binary prints its own paper-vs-measured
+//! table, and the ones CI gates write a `BENCH_*.json` beside it.
 
 use std::time::Duration;
 

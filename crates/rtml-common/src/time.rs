@@ -103,8 +103,8 @@ pub fn busy_work(duration: Duration) {
 /// CPUs — so an 8-worker cluster completes eight 7 ms kernels in ~7 ms
 /// even on a single-core CI machine, exactly as it would on an 8-core
 /// testbed. This is the substitution that makes the paper's speedup
-/// *shapes* reproducible on arbitrary hardware (see DESIGN.md); use
-/// [`busy_work`] instead when real CPU pressure is the point.
+/// *shapes* reproducible on arbitrary hardware; use [`busy_work`]
+/// instead when real CPU pressure is the point.
 pub fn occupy(duration: Duration) {
     if duration.is_zero() {
         return;

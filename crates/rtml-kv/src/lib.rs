@@ -11,7 +11,8 @@
 //! - atomic read-modify-write (for location sets and state transitions),
 //! - append-only logs (for lineage-ordered event streams),
 //! - per-key publish-subscribe with *current value + subsequent updates*
-//!   semantics (no lost-update window), and
+//!   semantics (no lost-update window), for one key or for many keys on
+//!   one channel, unsubscribing when the [`Subscription`] is dropped, and
 //! - hash sharding for horizontal throughput scaling (requirement R2;
 //!   experiment E7 measures ops/s against the shard count).
 //!
@@ -37,6 +38,7 @@ pub mod tables;
 
 pub use replica::ReplicatedKv;
 pub use segment::SegmentIndex;
+pub use shard::Subscription;
 pub use store::{KvStats, KvStore};
 pub use tables::event_log::EventLog;
 pub use tables::function_table::{FunctionInfo, FunctionTable};

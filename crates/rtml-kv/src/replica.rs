@@ -17,8 +17,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use crossbeam::channel::Receiver;
 
+use crate::shard::Subscription;
 use crate::store::KvStore;
 
 /// A pair of synchronously-replicated control-plane stores.
@@ -95,7 +95,7 @@ impl ReplicatedKv {
 
     /// Subscribes on the active replica (see module docs for failover
     /// semantics).
-    pub fn subscribe(&self, key: Bytes) -> (Option<Bytes>, Receiver<Bytes>) {
+    pub fn subscribe(&self, key: Bytes) -> (Option<Bytes>, Subscription) {
         self.active().subscribe(key)
     }
 }

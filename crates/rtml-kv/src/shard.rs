@@ -9,6 +9,8 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasher, Hasher};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -79,9 +81,91 @@ struct ShardState {
     /// do not rewrite history. Stored as deques so a bounded log can
     /// drop its oldest records in O(1) (ring-buffer retention).
     logs: FnvMap<VecDeque<Bytes>>,
-    /// Per-key subscriber channels. Senders that fail (receiver dropped)
-    /// are pruned on the next notification.
-    subs: FnvMap<Vec<Sender<Bytes>>>,
+    /// Per-key subscribers. An entry lives exactly as long as the
+    /// [`Subscription`] that registered it: dropping the subscription
+    /// removes it, so a shard nobody is blocked on has an empty map and
+    /// writes take the no-subscriber fast path.
+    subs: FnvMap<Vec<Sub>>,
+}
+
+/// One registered subscriber of one key.
+struct Sub {
+    /// The owning [`Subscription`]'s id, for removal on drop.
+    id: u64,
+    tx: SubTx,
+}
+
+/// Where a subscriber's notifications go.
+enum SubTx {
+    /// Single-key subscription: the bare value.
+    Plain(Sender<Bytes>),
+    /// One key of a multi-key subscription: all of its keys share one
+    /// channel, and each value travels tagged with its key's position
+    /// in the subscribe call.
+    Tagged(usize, Sender<(usize, Bytes)>),
+}
+
+impl SubTx {
+    fn send(&self, value: &Bytes) {
+        // A failed send means the receiver is mid-drop; its guard
+        // removes the entry right after.
+        match self {
+            SubTx::Plain(tx) => drop(tx.send(value.clone())),
+            SubTx::Tagged(tag, tx) => drop(tx.send((*tag, value.clone()))),
+        }
+    }
+}
+
+static NEXT_SUBSCRIPTION: AtomicU64 = AtomicU64::new(1);
+
+/// A live subscription: the update channel plus the registration it
+/// stands for. Dereferences to the channel's [`Receiver`]; dropping it
+/// unsubscribes every key it registered (one lock per touched shard), so
+/// a finished waiter leaves nothing behind in the shard.
+///
+/// `T` is [`Bytes`] for a single-key subscription and `(usize, Bytes)` —
+/// the key's position in the subscribe call, then the value — for a
+/// multi-key one ([`crate::store::KvStore::subscribe_many`]).
+pub struct Subscription<T = Bytes> {
+    rx: Receiver<T>,
+    id: u64,
+    registered: Vec<(Arc<Shard>, Vec<Bytes>)>,
+}
+
+impl<T> Subscription<T> {
+    pub(crate) fn new(rx: Receiver<T>) -> Self {
+        Subscription {
+            rx,
+            id: NEXT_SUBSCRIPTION.fetch_add(1, Ordering::Relaxed),
+            registered: Vec::new(),
+        }
+    }
+
+    pub(crate) fn id(&self) -> u64 {
+        self.id
+    }
+
+    /// Records that `keys` were registered on `shard` under this
+    /// subscription's id.
+    pub(crate) fn track(&mut self, shard: Arc<Shard>, keys: Vec<Bytes>) {
+        self.registered.push((shard, keys));
+    }
+}
+
+impl<T> std::ops::Deref for Subscription<T> {
+    type Target = Receiver<T>;
+
+    fn deref(&self) -> &Receiver<T> {
+        &self.rx
+    }
+}
+
+impl<T> Drop for Subscription<T> {
+    fn drop(&mut self) {
+        for (shard, keys) in &self.registered {
+            shard.unsubscribe(self.id, keys);
+        }
+    }
 }
 
 /// One independent shard of the control plane.
@@ -343,15 +427,72 @@ impl Shard {
 
     /// Subscribes to a key: returns the current point value and a channel
     /// of subsequent notifications, atomically with respect to writers —
-    /// a writer cannot slip between the read and the registration.
-    pub fn subscribe(&self, key: Bytes) -> (Option<Bytes>, Receiver<Bytes>) {
+    /// a writer cannot slip between the read and the registration. The
+    /// registration ends when the returned [`Subscription`] is dropped.
+    pub fn subscribe(self: &Arc<Self>, key: Bytes) -> (Option<Bytes>, Subscription) {
         self.ops.inc();
         self.locks.inc();
         let (tx, rx) = unbounded();
+        let mut sub = Subscription::new(rx);
+        let current = {
+            let mut st = self.state.lock();
+            let current = st.map.get(&key).cloned();
+            st.subs.entry(key.clone()).or_default().push(Sub {
+                id: sub.id(),
+                tx: SubTx::Plain(tx),
+            });
+            current
+        };
+        sub.track(self.clone(), vec![key]);
+        (current, sub)
+    }
+
+    /// Registers subscription `id` on every `(tag, key)` under a single
+    /// lock acquisition and returns the keys' current values, in order.
+    /// Later writes to a key arrive on `tx` as `(tag, value)`. The
+    /// shard half of [`crate::store::KvStore::subscribe_many`], which
+    /// owns the [`Subscription`] that undoes this.
+    pub(crate) fn subscribe_tagged(
+        &self,
+        id: u64,
+        keys: &[(usize, Bytes)],
+        tx: &Sender<(usize, Bytes)>,
+    ) -> Vec<Option<Bytes>> {
+        self.ops.add(keys.len() as u64);
+        self.locks.inc();
         let mut st = self.state.lock();
-        let current = st.map.get(&key).cloned();
-        st.subs.entry(key).or_default().push(tx);
-        (current, rx)
+        keys.iter()
+            .map(|(tag, key)| {
+                let current = st.map.get(key).cloned();
+                st.subs.entry(key.clone()).or_default().push(Sub {
+                    id,
+                    tx: SubTx::Tagged(*tag, tx.clone()),
+                });
+                current
+            })
+            .collect()
+    }
+
+    /// Removes subscription `id` from `keys` (one lock acquisition; no
+    /// record is read or written, so it is not counted as an op).
+    fn unsubscribe(&self, id: u64, keys: &[Bytes]) {
+        self.locks.inc();
+        let mut st = self.state.lock();
+        for key in keys {
+            if let Some(subs) = st.subs.get_mut(key) {
+                subs.retain(|sub| sub.id != id);
+                if subs.is_empty() {
+                    st.subs.remove(key);
+                }
+            }
+        }
+    }
+
+    /// Number of live subscriber registrations (one per subscribed key
+    /// per subscription). Leak detector: zero whenever nothing is
+    /// blocked on this shard.
+    pub fn subscriber_count(&self) -> usize {
+        self.state.lock().subs.values().map(Vec::len).sum()
     }
 
     /// Point values whose keys start with `prefix`. Linear scan — intended
@@ -420,10 +561,9 @@ impl Shard {
         if st.subs.is_empty() {
             return;
         }
-        if let Some(senders) = st.subs.get_mut(key) {
-            senders.retain(|tx| tx.send(value.clone()).is_ok());
-            if senders.is_empty() {
-                st.subs.remove(key);
+        if let Some(subs) = st.subs.get(key) {
+            for sub in subs {
+                sub.tx.send(value);
             }
         }
     }
@@ -437,9 +577,13 @@ mod tests {
         Bytes::from_static(s.as_bytes())
     }
 
+    fn shard() -> Arc<Shard> {
+        Arc::new(Shard::new())
+    }
+
     #[test]
     fn get_set_delete() {
-        let s = Shard::new();
+        let s = shard();
         assert_eq!(s.get(b"k".as_ref()), None);
         s.set(b("k"), b("v"));
         assert_eq!(s.get(b"k".as_ref()), Some(b("v")));
@@ -450,7 +594,7 @@ mod tests {
 
     #[test]
     fn set_if_absent_only_once() {
-        let s = Shard::new();
+        let s = shard();
         assert!(s.set_if_absent(b("k"), b("a")));
         assert!(!s.set_if_absent(b("k"), b("b")));
         assert_eq!(s.get(b"k".as_ref()), Some(b("a")));
@@ -458,7 +602,7 @@ mod tests {
 
     #[test]
     fn update_read_modify_write() {
-        let s = Shard::new();
+        let s = shard();
         s.set(b("n"), Bytes::from(vec![1]));
         let new = s.update(b("n"), |cur| {
             let mut v = cur.unwrap().to_vec();
@@ -473,7 +617,7 @@ mod tests {
 
     #[test]
     fn subscribe_sees_current_then_updates() {
-        let s = Shard::new();
+        let s = shard();
         s.set(b("k"), b("v0"));
         let (cur, rx) = s.subscribe(b("k"));
         assert_eq!(cur, Some(b("v0")));
@@ -485,7 +629,7 @@ mod tests {
 
     #[test]
     fn subscribe_before_create() {
-        let s = Shard::new();
+        let s = shard();
         let (cur, rx) = s.subscribe(b("later"));
         assert_eq!(cur, None);
         s.set(b("later"), b("v"));
@@ -493,19 +637,53 @@ mod tests {
     }
 
     #[test]
-    fn dropped_subscribers_are_pruned() {
-        let s = Shard::new();
-        let (_cur, rx) = s.subscribe(b("k"));
-        drop(rx);
+    fn dropping_a_subscription_unsubscribes_without_a_write() {
+        let s = shard();
+        // Notified, then dropped: a sealed record is never written
+        // again, so the drop itself must clean up.
+        for _ in 0..1000 {
+            let (_cur, sub) = s.subscribe(b("k"));
+            s.set(b("k"), b("v"));
+            assert_eq!(sub.recv().unwrap(), b("v"));
+        }
+        assert!(s.state.lock().subs.is_empty());
+        // Never notified at all (a `get` that timed out).
+        for _ in 0..1000 {
+            let (_cur, _sub) = s.subscribe(b("never-written"));
+        }
+        assert!(s.state.lock().subs.is_empty());
+        assert_eq!(s.subscriber_count(), 0);
+    }
+
+    #[test]
+    fn dropping_one_subscription_keeps_the_keys_other_subscribers() {
+        let s = shard();
+        let (_cur, keep) = s.subscribe(b("k"));
+        let (_cur, gone) = s.subscribe(b("k"));
+        drop(gone);
+        assert_eq!(s.subscriber_count(), 1);
         s.set(b("k"), b("v"));
-        // A second write must not panic or leak; sender list is cleaned.
-        s.set(b("k"), b("v2"));
-        assert_eq!(s.state.lock().subs.len(), 0);
+        assert_eq!(keep.recv().unwrap(), b("v"));
+    }
+
+    #[test]
+    fn tagged_subscribers_share_one_channel() {
+        let s = shard();
+        s.set(b("a"), b("a0"));
+        let (tx, rx) = unbounded();
+        let current = s.subscribe_tagged(7, &[(0, b("a")), (5, b("b"))], &tx);
+        assert_eq!(current, vec![Some(b("a0")), None]);
+        s.set(b("b"), b("b1"));
+        s.set(b("a"), b("a1"));
+        assert_eq!(rx.recv().unwrap(), (5, b("b1")));
+        assert_eq!(rx.recv().unwrap(), (0, b("a1")));
+        s.unsubscribe(7, &[b("a"), b("b")]);
+        assert_eq!(s.subscriber_count(), 0);
     }
 
     #[test]
     fn logs_append_and_read() {
-        let s = Shard::new();
+        let s = shard();
         s.append(b("log"), b("r1"));
         s.append(b("log"), b("r2"));
         assert_eq!(s.read_log(b"log".as_ref()), vec![b("r1"), b("r2")]);
@@ -515,7 +693,7 @@ mod tests {
 
     #[test]
     fn log_appends_notify_subscribers() {
-        let s = Shard::new();
+        let s = shard();
         let (_cur, rx) = s.subscribe(b("log"));
         s.append(b("log"), b("rec"));
         assert_eq!(rx.recv().unwrap(), b("rec"));
@@ -523,7 +701,7 @@ mod tests {
 
     #[test]
     fn scan_prefix_filters() {
-        let s = Shard::new();
+        let s = shard();
         s.set(b("a:1"), b("x"));
         s.set(b("a:2"), b("y"));
         s.set(b("b:1"), b("z"));
@@ -535,11 +713,11 @@ mod tests {
 
     #[test]
     fn snapshot_restore_round_trips() {
-        let s = Shard::new();
+        let s = shard();
         s.set(b("k"), b("v"));
         s.append(b("log"), b("r"));
         let (map, logs) = s.snapshot();
-        let t = Shard::new();
+        let t = shard();
         t.restore(map, logs);
         assert_eq!(t.get(b"k".as_ref()), Some(b("v")));
         assert_eq!(t.read_log(b"log".as_ref()), vec![b("r")]);
@@ -547,7 +725,7 @@ mod tests {
 
     #[test]
     fn set_many_commits_all_and_notifies() {
-        let s = Shard::new();
+        let s = shard();
         let (_cur, rx) = s.subscribe(b("k1"));
         s.set_many(vec![(b("k1"), b("v1")), (b("k2"), b("v2"))]);
         assert_eq!(s.get(b"k1".as_ref()), Some(b("v1")));
@@ -557,7 +735,7 @@ mod tests {
 
     #[test]
     fn get_many_is_positional() {
-        let s = Shard::new();
+        let s = shard();
         s.set(b("a"), b("1"));
         s.set(b("c"), b("3"));
         let got = s.get_many(&[b("a"), b("b"), b("c")]);
@@ -566,7 +744,7 @@ mod tests {
 
     #[test]
     fn update_many_applies_per_key() {
-        let s = Shard::new();
+        let s = shard();
         s.set(b("n"), Bytes::from(vec![1]));
         let bump: fn(Option<&Bytes>) -> Option<Bytes> = |cur| {
             let mut v = cur.map(|b| b.to_vec()).unwrap_or_else(|| vec![8]);
@@ -580,7 +758,7 @@ mod tests {
 
     #[test]
     fn append_many_is_ordered_and_notifies() {
-        let s = Shard::new();
+        let s = shard();
         let (_cur, rx) = s.subscribe(b("log"));
         let dropped = s.append_many(b("log"), vec![b("r1"), b("r2"), b("r3")], None);
         assert!(dropped.is_empty());
@@ -591,7 +769,7 @@ mod tests {
 
     #[test]
     fn bounded_append_drops_oldest() {
-        let s = Shard::new();
+        let s = shard();
         s.append_many(b("log"), vec![b("r1"), b("r2")], Some(4));
         let dropped = s.append_many(b("log"), vec![b("r3"), b("r4"), b("r5")], Some(4));
         assert_eq!(dropped, vec![b("r1")]);
@@ -604,7 +782,7 @@ mod tests {
 
     #[test]
     fn ops_counter_increments() {
-        let s = Shard::new();
+        let s = shard();
         let before = s.ops.get();
         s.set(b("k"), b("v"));
         s.get(b"k".as_ref());

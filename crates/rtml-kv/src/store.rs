@@ -3,9 +3,9 @@
 use std::sync::Arc;
 
 use bytes::Bytes;
-use crossbeam::channel::Receiver;
+use crossbeam::channel::unbounded;
 
-use crate::shard::{fnv1a_64, Shard, FNV_OFFSET};
+use crate::shard::{fnv1a_64, Shard, Subscription, FNV_OFFSET};
 
 /// A hash-sharded, in-memory control-plane store with pub-sub.
 ///
@@ -206,9 +206,61 @@ impl KvStore {
         self.shard_for(key).read_log_range(key, start)
     }
 
-    /// Subscribes to a key: current value plus a stream of updates.
-    pub fn subscribe(&self, key: Bytes) -> (Option<Bytes>, Receiver<Bytes>) {
-        self.shard_for(&key).subscribe(key.clone())
+    /// Subscribes to a key: current value plus a stream of updates,
+    /// which ends (and unregisters) when the [`Subscription`] drops.
+    pub fn subscribe(&self, key: Bytes) -> (Option<Bytes>, Subscription) {
+        self.shards[self.shard_index(&key)].subscribe(key)
+    }
+
+    /// Subscribes to many keys at once: the current value of every key
+    /// (positional, like [`KvStore::get_many`]) plus **one** channel
+    /// carrying every later update as `(position of the key, value)`.
+    /// One lock acquisition per touched shard; each shard's reads and
+    /// registrations are atomic with respect to its writers, so no
+    /// update to any key can fall between its read and its
+    /// registration.
+    pub fn subscribe_many(
+        &self,
+        keys: &[Bytes],
+    ) -> (Vec<Option<Bytes>>, Subscription<(usize, Bytes)>) {
+        let (tx, rx) = unbounded();
+        let mut sub = Subscription::new(rx);
+        if let [key] = keys {
+            // A blocked single `get`: no bucketing.
+            let shard = &self.shards[self.shard_index(key)];
+            let current = shard.subscribe_tagged(sub.id(), &[(0, key.clone())], &tx);
+            sub.track(shard.clone(), vec![key.clone()]);
+            return (current, sub);
+        }
+        let mut buckets: Vec<Vec<(usize, Bytes)>> = vec![Vec::new(); self.shards.len()];
+        for (i, key) in keys.iter().enumerate() {
+            buckets[self.shard_index(key)].push((i, key.clone()));
+        }
+        let mut current = vec![None; keys.len()];
+        for (idx, bucket) in buckets.into_iter().enumerate() {
+            if bucket.is_empty() {
+                continue;
+            }
+            let shard = &self.shards[idx];
+            for ((i, _), value) in bucket
+                .iter()
+                .zip(shard.subscribe_tagged(sub.id(), &bucket, &tx))
+            {
+                current[*i] = value;
+            }
+            sub.track(
+                shard.clone(),
+                bucket.into_iter().map(|(_, key)| key).collect(),
+            );
+        }
+        (current, sub)
+    }
+
+    /// Live subscriber registrations across all shards (see
+    /// [`Shard::subscriber_count`]); zero whenever nothing is blocked
+    /// on the control plane.
+    pub fn subscriber_count(&self) -> usize {
+        self.shards.iter().map(|s| s.subscriber_count()).sum()
     }
 
     /// All point entries whose key starts with `prefix` (tooling path;
@@ -411,6 +463,34 @@ mod tests {
         assert!(cur.is_none());
         kv.set(Bytes::from_static(b"s"), Bytes::from_static(b"x"));
         assert_eq!(&rx.recv().unwrap()[..], b"x");
+    }
+
+    #[test]
+    fn subscribe_many_spans_shards_on_one_channel() {
+        let kv = KvStore::new(4);
+        let keys: Vec<Bytes> = (0..40).map(key).collect();
+        for k in &keys[..10] {
+            kv.set(k.clone(), Bytes::from_static(b"old"));
+        }
+        let (current, sub) = kv.subscribe_many(&keys);
+        for (i, value) in current.iter().enumerate() {
+            assert_eq!(value.is_some(), i < 10);
+        }
+        assert_eq!(kv.subscriber_count(), 40);
+        for (i, k) in keys.iter().enumerate().rev() {
+            kv.set(k.clone(), Bytes::from(vec![i as u8]));
+        }
+        let mut seen: Vec<usize> = (0..40)
+            .map(|_| {
+                let (i, value) = sub.recv().unwrap();
+                assert_eq!(&value[..], &[i as u8]);
+                i
+            })
+            .collect();
+        seen.sort();
+        assert_eq!(seen, (0..40).collect::<Vec<_>>());
+        drop(sub);
+        assert_eq!(kv.subscriber_count(), 0);
     }
 
     #[test]

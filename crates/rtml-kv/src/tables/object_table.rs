@@ -23,6 +23,7 @@ use rtml_common::codec::{decode_from_slice, encode_to_bytes, Codec, Reader, Writ
 use rtml_common::error::Result;
 use rtml_common::ids::{rendezvous_rank, NodeId, ObjectId, TaskId};
 
+use crate::shard::Subscription;
 use crate::store::KvStore;
 
 const PREFIX: &[u8] = b"obj:";
@@ -241,48 +242,66 @@ impl ObjectTable {
         );
     }
 
-    /// Reads the record for `object`, synthesizing the producer from the
-    /// ID when the stored record carries none.
-    pub fn get(&self, object: ObjectId) -> Option<ObjectInfo> {
-        let bytes = self.kv.get(&Self::key(object))?;
-        let mut info: ObjectInfo = decode_from_slice(&bytes).ok()?;
+    /// Decodes a stored record, synthesizing the producer from the ID
+    /// when the record carries none.
+    fn decode(object: ObjectId, bytes: &[u8]) -> Option<ObjectInfo> {
+        let mut info: ObjectInfo = decode_from_slice(bytes).ok()?;
         if info.producer.is_none() {
             info.producer = object.producer_task();
         }
         Some(info)
     }
 
+    /// Reads the record for `object`, synthesizing the producer from the
+    /// ID when the stored record carries none.
+    pub fn get(&self, object: ObjectId) -> Option<ObjectInfo> {
+        Self::decode(object, &self.kv.get(&Self::key(object))?)
+    }
+
     /// Batched point reads: `out[i]` is the record for `objects[i]`,
-    /// with one lock acquisition per touched shard. This is the sweep
-    /// `wait` and `get_many` run per readiness check.
+    /// with one lock acquisition per touched shard.
     pub fn get_many(&self, objects: &[ObjectId]) -> Vec<Option<ObjectInfo>> {
         let keys = super::id_keys_arena(PREFIX, objects.iter().map(|o| o.unique()));
         self.kv
             .get_many(&keys)
             .into_iter()
             .zip(objects)
-            .map(|(b, object)| {
-                let mut info: ObjectInfo = decode_from_slice(&b?).ok()?;
-                if info.producer.is_none() {
-                    info.producer = object.producer_task();
-                }
-                Some(info)
-            })
+            .map(|(b, object)| Self::decode(*object, &b?))
             .collect()
     }
 
     /// Subscribes to the record: current value plus a decoded update
-    /// stream. The subscription is atomic with respect to writers.
+    /// stream. The subscription is atomic with respect to writers and
+    /// ends when the stream is dropped.
     pub fn subscribe(&self, object: ObjectId) -> (Option<ObjectInfo>, ObjectInfoStream) {
         let (cur, rx) = self.kv.subscribe(Self::key(object));
-        let current = cur.and_then(|b| {
-            let mut info: ObjectInfo = decode_from_slice(&b).ok()?;
-            if info.producer.is_none() {
-                info.producer = object.producer_task();
-            }
-            Some(info)
-        });
+        let current = cur.and_then(|b| Self::decode(object, &b));
         (current, ObjectInfoStream { rx })
+    }
+
+    /// Subscribes to the records of many objects at once — what a
+    /// blocked `get_many`/`wait` registers: `out[i]` is the current
+    /// record of `objects[i]`, read atomically with its registration
+    /// (one lock acquisition per touched shard, like
+    /// [`ObjectTable::get_many`]), and every later update of any of
+    /// them arrives on the **one** returned stream as `(object,
+    /// record)`. Dropping the stream unsubscribes all of them.
+    pub fn subscribe_many(
+        &self,
+        objects: &[ObjectId],
+    ) -> (Vec<Option<ObjectInfo>>, ObjectInfoUpdates) {
+        let keys = super::id_keys_arena(PREFIX, objects.iter().map(|o| o.unique()));
+        let (current, sub) = self.kv.subscribe_many(&keys);
+        let current = current
+            .into_iter()
+            .zip(objects)
+            .map(|(b, object)| Self::decode(*object, &b?))
+            .collect();
+        let updates = ObjectInfoUpdates {
+            objects: objects.to_vec(),
+            sub,
+        };
+        (current, updates)
     }
 
     /// Whether a sealed copy of `object` exists anywhere.
@@ -293,7 +312,7 @@ impl ObjectTable {
 
 /// A decoded subscription stream of [`ObjectInfo`] updates.
 pub struct ObjectInfoStream {
-    rx: Receiver<Bytes>,
+    rx: Subscription,
 }
 
 impl ObjectInfoStream {
@@ -326,6 +345,31 @@ impl ObjectInfoStream {
     /// The raw receiver, for `select!` integration.
     pub fn receiver(&self) -> &Receiver<Bytes> {
         &self.rx
+    }
+}
+
+/// The update stream of an [`ObjectTable::subscribe_many`]: every write
+/// to any subscribed record, on one channel.
+pub struct ObjectInfoUpdates {
+    objects: Vec<ObjectId>,
+    sub: Subscription<(usize, Bytes)>,
+}
+
+impl ObjectInfoUpdates {
+    /// The raw channel — block on it, poll it, or `select!` over it —
+    /// whose messages [`ObjectInfoUpdates::decode`] turns into records.
+    /// A raw message leads with the position its object had in the
+    /// `subscribe_many` call.
+    pub fn receiver(&self) -> &Receiver<(usize, Bytes)> {
+        &self.sub
+    }
+
+    /// Decodes one raw message of [`ObjectInfoUpdates::receiver`];
+    /// `None` for an undecodable frame (foreign writes to a subscribed
+    /// key are a bug, but a stuck waiter would be worse).
+    pub fn decode(&self, (index, bytes): (usize, Bytes)) -> Option<(ObjectId, ObjectInfo)> {
+        let object = *self.objects.get(index)?;
+        Some((object, ObjectTable::decode(object, &bytes)?))
     }
 }
 
@@ -524,6 +568,39 @@ mod tests {
         });
         let info = stream.recv_timeout(Duration::from_secs(5)).unwrap();
         assert!(info.sealed);
+    }
+
+    #[test]
+    fn subscribe_many_reports_current_then_updates_on_one_stream() {
+        let kv = KvStore::new(4);
+        let table = ObjectTable::new(kv.clone());
+        let root = TaskId::driver_root(DriverId::from_index(0));
+        let objects: Vec<ObjectId> = (0..32).map(|i| root.child(i).return_object(0)).collect();
+        table.add_location(objects[3], NodeId(1), 8);
+        let (current, updates) = table.subscribe_many(&objects);
+        for (i, info) in current.iter().enumerate() {
+            assert_eq!(info.is_some(), i == 3);
+        }
+        assert_eq!(current[3].as_ref().unwrap().producer, Some(root.child(3)));
+        assert!(updates.receiver().try_recv().is_err());
+        for object in objects.iter().rev() {
+            table.add_location(*object, NodeId(2), 16);
+        }
+        // One writer, one channel: updates arrive in write order,
+        // whichever shards the records live on.
+        for (i, object) in objects.iter().enumerate().rev() {
+            let raw = updates
+                .receiver()
+                .recv_timeout(Duration::from_secs(5))
+                .unwrap();
+            assert_eq!(raw.0, i);
+            let (updated, info) = updates.decode(raw).unwrap();
+            assert_eq!(updated, *object);
+            assert!(info.locations.contains(&NodeId(2)));
+            assert_eq!(info.producer, object.producer_task());
+        }
+        drop(updates);
+        assert_eq!(kv.subscriber_count(), 0);
     }
 
     #[test]

@@ -9,13 +9,13 @@
 use std::sync::Arc;
 
 use bytes::Bytes;
-use crossbeam::channel::Receiver;
 
 use rtml_common::codec::{decode_from_slice, encode_to_bytes};
 use rtml_common::ids::TaskId;
 use rtml_common::task::{TaskSpec, TaskState};
 
 use crate::segment::{self, SegmentIndex};
+use crate::shard::Subscription;
 use crate::store::KvStore;
 
 const SPEC_PREFIX: &[u8] = b"tspec:";
@@ -265,7 +265,7 @@ impl TaskCensus {
 
 /// A decoded subscription stream of [`TaskState`] transitions.
 pub struct TaskStateStream {
-    rx: Receiver<Bytes>,
+    rx: Subscription,
 }
 
 impl TaskStateStream {

@@ -201,10 +201,19 @@ struct Routing {
     egress_busy: HashMap<NodeId, Instant>,
 }
 
+/// The delay heap and the pump's shutdown flag live under **one** mutex,
+/// the one the pump waits on: a sender pushes under it and the pump
+/// decides to sleep under it, so a frame queued while the pump is
+/// between "nothing is due" and "wait" cannot miss its wake-up.
 struct DelayQueue {
-    heap: Mutex<BinaryHeap<Reverse<PendingDelivery>>>,
+    state: Mutex<DelayState>,
     wakeup: Condvar,
-    shutdown: Mutex<bool>,
+}
+
+#[derive(Default)]
+struct DelayState {
+    heap: BinaryHeap<Reverse<PendingDelivery>>,
+    shutdown: bool,
 }
 
 /// The shared fabric. Cheap to clone via `Arc`; see crate docs.
@@ -224,9 +233,8 @@ impl Fabric {
     /// Creates a fabric and starts its delivery pump thread.
     pub fn new(config: FabricConfig) -> Arc<Self> {
         let queue = Arc::new(DelayQueue {
-            heap: Mutex::new(BinaryHeap::new()),
+            state: Mutex::new(DelayState::default()),
             wakeup: Condvar::new(),
-            shutdown: Mutex::new(false),
         });
         let fault_seed = config.faults.seed;
         let fabric = Arc::new(Fabric {
@@ -520,7 +528,7 @@ impl Fabric {
             frames,
         };
         {
-            let mut heap = self.queue.heap.lock();
+            let heap = &mut self.queue.state.lock().heap;
             if let Some(dup_seq) = dup_seq {
                 heap.push(Reverse(PendingDelivery {
                     due,
@@ -546,83 +554,73 @@ impl Fabric {
     }
 
     fn pump_loop(queue: Arc<DelayQueue>, fabric: std::sync::Weak<Fabric>) {
+        let mut state = queue.state.lock();
         loop {
-            // Collect due deliveries and compute the next deadline.
+            // Collect due deliveries; with none, sleep until the next
+            // deadline or a new frame — still holding the lock the
+            // senders push under, so no push can fall in between.
+            let now = Instant::now();
             let mut due_now = Vec::new();
-            let next_due: Option<Instant>;
+            while state
+                .heap
+                .peek()
+                .is_some_and(|Reverse(head)| head.due <= now)
             {
-                let mut heap = queue.heap.lock();
-                let now = Instant::now();
-                while let Some(Reverse(head)) = heap.peek() {
-                    if head.due <= now {
-                        let Reverse(item) = heap.pop().expect("peeked");
-                        due_now.push(item);
-                    } else {
-                        break;
-                    }
-                }
-                next_due = heap.peek().map(|Reverse(p)| p.due);
+                let Reverse(item) = state.heap.pop().expect("peeked");
+                due_now.push(item);
             }
-
-            if !due_now.is_empty() {
-                let Some(fabric) = fabric.upgrade() else {
+            if due_now.is_empty() {
+                if state.shutdown {
                     return;
-                };
-                // Resolve each destination mailbox once per flush: frames
-                // due together for the same endpoint share the lookup.
-                let mut resolved: HashMap<NetAddress, Option<Sender<Delivery>>> = HashMap::new();
-                for item in due_now {
-                    let tx = resolved.entry(item.to).or_insert_with(|| {
-                        let routing = fabric.routing.lock();
-                        routing.endpoints.get(&item.to).map(|(_, tx)| tx.clone())
-                    });
-                    match tx {
-                        Some(tx) => {
-                            for frame in item.frames {
-                                if tx.send(frame).is_ok() {
-                                    fabric.stats.delivered.inc();
-                                } else {
-                                    fabric.stats.dropped.inc();
-                                }
-                            }
-                        }
-                        None => fabric.stats.dropped.add(item.frames.len() as u64),
+                }
+                match state.heap.peek().map(|Reverse(head)| head.due) {
+                    Some(deadline) => {
+                        queue.wakeup.wait_for(&mut state, deadline - now);
                     }
+                    None => queue.wakeup.wait(&mut state),
                 }
                 continue;
             }
 
-            // Nothing due: sleep until the next deadline or a new message.
-            let mut shutdown = queue.shutdown.lock();
-            if *shutdown {
+            drop(state);
+            let Some(fabric) = fabric.upgrade() else {
                 return;
-            }
-            match next_due {
-                Some(deadline) => {
-                    let now = Instant::now();
-                    if deadline > now {
-                        queue.wakeup.wait_for(&mut shutdown, deadline - now);
+            };
+            // Resolve each destination mailbox once per flush: frames
+            // due together for the same endpoint share the lookup.
+            let mut resolved: HashMap<NetAddress, Option<Sender<Delivery>>> = HashMap::new();
+            for item in due_now {
+                let tx = resolved.entry(item.to).or_insert_with(|| {
+                    let routing = fabric.routing.lock();
+                    routing.endpoints.get(&item.to).map(|(_, tx)| tx.clone())
+                });
+                match tx {
+                    Some(tx) => {
+                        for frame in item.frames {
+                            if tx.send(frame).is_ok() {
+                                fabric.stats.delivered.inc();
+                            } else {
+                                fabric.stats.dropped.inc();
+                            }
+                        }
                     }
-                }
-                None => {
-                    queue.wakeup.wait(&mut shutdown);
+                    None => fabric.stats.dropped.add(item.frames.len() as u64),
                 }
             }
-            if *shutdown {
-                return;
-            }
+            drop(fabric);
+            state = queue.state.lock();
         }
     }
 
     /// Number of messages queued but not yet delivered.
     pub fn in_flight(&self) -> usize {
-        self.queue.heap.lock().len()
+        self.queue.state.lock().heap.len()
     }
 }
 
 impl Drop for Fabric {
     fn drop(&mut self) {
-        *self.queue.shutdown.lock() = true;
+        self.queue.state.lock().shutdown = true;
         self.queue.wakeup.notify_all();
         if let Some(handle) = self.pump.lock().take() {
             // The pump itself may drop the last `Arc<Fabric>` (it
@@ -1147,5 +1145,28 @@ mod tests {
         drop(a);
         drop(b);
         drop(fabric); // Must not hang.
+    }
+
+    #[test]
+    fn a_send_racing_the_pump_going_to_sleep_is_never_stranded() {
+        // One cross-node message at a time, each sent the moment the
+        // previous one arrives — i.e. right as the pump finds its heap
+        // empty and goes to sleep. A push in that window used to miss
+        // the wake-up and sit until some later send (a few times in
+        // 220 000); with nothing else sending, that is a 1 s timeout.
+        let fabric = fabric_with_latency(1);
+        let a = fabric.register(NodeId(0), "a");
+        let b = fabric.register(NodeId(1), "b");
+        let payload = Bytes::from_static(b"x");
+        for i in 0..200_000u32 {
+            fabric
+                .send(a.address(), b.address(), payload.clone())
+                .unwrap();
+            assert!(
+                b.receiver().recv_timeout(Duration::from_secs(1)).is_ok(),
+                "message {i} was stranded in the delay queue"
+            );
+        }
+        assert_eq!(fabric.in_flight(), 0);
     }
 }

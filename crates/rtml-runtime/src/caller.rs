@@ -440,27 +440,27 @@ impl Caller {
                 return envelope::open_value(&bytes, producer);
             }
         }
-        let _guard = BlockGuard::enter(&self.inner);
-        let (bytes, producer) = fetch::ensure_local_with_producer(
-            &self.inner.services,
-            &self.inner.recon,
-            self.inner.home,
-            fut.id(),
-            deadline,
-        )?;
+        let bytes = self.get_raw_until(fut.id(), deadline)?;
+        let producer = fut.id().producer_task().unwrap_or(TaskId::NIL);
         envelope::open_value(&bytes, producer)
     }
 
     /// Blocks until **every** future's value is available, and returns
     /// the values in input order (duplicates allowed).
     ///
-    /// The batched `get`: local hits resolve immediately; the distinct
-    /// missing objects are grouped by holder and each group is pulled as
-    /// **one** coalesced `FetchMany` request (answered by one chunked
-    /// reply stream), instead of one blocking round trip per object.
-    /// Objects the fast path cannot deliver fall back to the plain
-    /// `get` path per object — including lineage reconstruction (R6) —
-    /// exactly as [`Caller::get`] would.
+    /// The batched `get`, and the same engine as [`Caller::get`] (which
+    /// is the batch of one): local hits resolve immediately; the
+    /// distinct missing objects are registered with **one** object-table
+    /// subscription, and as each seals it joins the pending group of the
+    /// node holding it. A holder is sent one coalesced `FetchMany` at a
+    /// time (answered by one chunked reply stream); whatever seals on it
+    /// while that request is in flight rides in the next one, so a batch
+    /// still executing is pulled in a handful of requests per holder —
+    /// concurrently across holders, overlapping the execution — rather
+    /// than one round trip per object. Objects already sealed at call
+    /// time go in the first request. Unreachable holders, lost copies
+    /// and lineage reconstruction (R6) are handled per object exactly as
+    /// [`Caller::get`] would.
     pub fn get_many<T: Codec>(&self, futs: &[ObjectRef<T>]) -> Result<Vec<T>> {
         self.get_many_timeout(futs, self.inner.services.tuning.default_get_timeout)
     }
@@ -490,7 +490,7 @@ impl Caller {
     pub fn get_many_raw(&self, ids: &[ObjectId], timeout: Duration) -> Result<Vec<bytes::Bytes>> {
         let deadline = Instant::now() + timeout;
         let _guard = BlockGuard::enter(&self.inner);
-        fetch::ensure_local_many(
+        fetch::ensure_local(
             &self.inner.services,
             &self.inner.recon,
             self.inner.home,
@@ -501,15 +501,19 @@ impl Caller {
 
     /// Raw `get`: sealed envelope bytes of an object by ID.
     pub fn get_raw(&self, object: ObjectId, timeout: Duration) -> Result<bytes::Bytes> {
-        let deadline = Instant::now() + timeout;
+        self.get_raw_until(object, Instant::now() + timeout)
+    }
+
+    fn get_raw_until(&self, object: ObjectId, deadline: Instant) -> Result<bytes::Bytes> {
         let _guard = BlockGuard::enter(&self.inner);
-        fetch::ensure_local(
+        let mut bytes = fetch::ensure_local(
             &self.inner.services,
             &self.inner.recon,
             self.inner.home,
-            object,
+            &[object],
             deadline,
-        )
+        )?;
+        Ok(bytes.pop().expect("one object in, one value out"))
     }
 
     /// Blocks until `num_ready` of `futs` have completed or `timeout`
@@ -695,9 +699,9 @@ impl Driver {
         self.caller.submit_batch(f, args)
     }
 
-    /// Blocks on many futures at once, fetching the missing ones with
-    /// one coalesced request per holding node — the batched counterpart
-    /// of [`Caller::get`]; see [`Caller::get_many`].
+    /// Blocks on many futures at once, pulling the remote ones in
+    /// coalesced per-holder requests as they seal — the batched
+    /// counterpart of [`Caller::get`]; see [`Caller::get_many`].
     pub fn get_many<T: Codec>(&self, futs: &[ObjectRef<T>]) -> Result<Vec<T>> {
         self.caller.get_many(futs)
     }

@@ -24,6 +24,16 @@ use rtml_common::task::TaskState;
 use crate::envelope;
 use crate::services::Services;
 
+/// The stuck-task backstop's memory.
+struct Watch {
+    /// task -> (state when first seen, when first seen).
+    seen: HashMap<TaskId, (TaskState, Instant)>,
+    /// Size at which entries whose task has moved on are pruned; doubled
+    /// past whatever survives, so pruning stays O(1) reads per insert
+    /// however many producers are legitimately in flight at once.
+    prune_at: usize,
+}
+
 /// Deduplicating lineage-replay coordinator. One per cluster.
 pub struct ReconstructionManager {
     services: Arc<Services>,
@@ -38,8 +48,8 @@ pub struct ReconstructionManager {
     /// ([`crate::services::RuntimeTuning::reconstruction_cap`]).
     cap: usize,
     /// Producers observed blocking a consumer, for the stuck-task
-    /// backstop: task -> (state when first seen, when first seen).
-    watch: Mutex<HashMap<TaskId, (TaskState, Instant)>>,
+    /// backstop.
+    watch: Mutex<Watch>,
     /// A watched producer wedged in the *same* pre-running state this
     /// long (its queue message swallowed by a partition, its spill
     /// placement dropped on the wire) is declared lost and replayed.
@@ -61,7 +71,10 @@ impl ReconstructionManager {
             inflight: Mutex::new(HashSet::new()),
             active: Mutex::new(HashSet::new()),
             cap,
-            watch: Mutex::new(HashMap::new()),
+            watch: Mutex::new(Watch {
+                seen: HashMap::new(),
+                prune_at: 256,
+            }),
             stuck_after,
             reconstructions: Counter::new(),
             deferred: Counter::new(),
@@ -159,19 +172,20 @@ impl ReconstructionManager {
     fn note_inflight(&self, task: TaskId, state: TaskState) {
         let wedged = {
             let mut watch = self.watch.lock();
-            if watch.len() > 256 {
+            if watch.seen.len() > watch.prune_at {
                 let services = &self.services;
-                watch.retain(|t, _| {
+                watch.seen.retain(|t, _| {
                     matches!(
                         services.tasks.get_state(*t),
                         Some(TaskState::Submitted | TaskState::Queued(_) | TaskState::Spilled)
                     )
                 });
+                watch.prune_at = (2 * watch.seen.len()).max(256);
             }
-            match watch.get_mut(&task) {
+            match watch.seen.get_mut(&task) {
                 Some((seen, since)) if *seen == state => since.elapsed() >= self.stuck_after,
                 _ => {
-                    watch.insert(task, (state.clone(), Instant::now()));
+                    watch.seen.insert(task, (state.clone(), Instant::now()));
                     false
                 }
             }
@@ -179,7 +193,7 @@ impl ReconstructionManager {
         if !wedged {
             return;
         }
-        self.watch.lock().remove(&task);
+        self.watch.lock().seen.remove(&task);
         // Narrow the race: only declare Lost if the state is still the
         // one we watched wedge.
         if self.services.tasks.get_state(task) == Some(state) {

@@ -291,10 +291,11 @@ fn seal(
 }
 
 /// Resolves argument bytes, propagating upstream errors. All `ObjectRef`
-/// arguments resolve through one batched [`fetch::ensure_local_many`]:
-/// by dispatch time they are normally local (the scheduler gated on
-/// arrival and prefetched), and any that slipped away (eviction race)
-/// are re-fetched grouped by holder instead of one round trip each.
+/// arguments resolve through one batched [`fetch::ensure_local`]: by
+/// dispatch time they are normally local (the scheduler gated on
+/// arrival and prefetched) and the call is a store sweep, and any that
+/// slipped away (eviction race) are re-fetched grouped by holder
+/// instead of one round trip each.
 fn resolve_args(
     services: &Arc<Services>,
     recon: &Arc<ReconstructionManager>,
@@ -313,7 +314,7 @@ fn resolve_args(
     let resolved = if refs.is_empty() {
         Vec::new()
     } else {
-        fetch::ensure_local_many(services, recon, id.node, &refs, deadline).map_err(|e| {
+        fetch::ensure_local(services, recon, id.node, &refs, deadline).map_err(|e| {
             Error::TaskFailed {
                 task: spec.task_id,
                 message: format!("failed to resolve arguments: {e}"),

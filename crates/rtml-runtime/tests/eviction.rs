@@ -1,5 +1,5 @@
 //! Eviction + reconstruction interplay: bounded stores must not lose
-//! data that lineage can rebuild (DESIGN.md §7).
+//! data that lineage can rebuild (`ARCHITECTURE.md`, "Fault tolerance").
 
 use std::time::Duration;
 

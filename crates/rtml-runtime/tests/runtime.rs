@@ -549,3 +549,165 @@ fn kill_worker_on_dead_node_errors() {
     assert_eq!(err, Error::NodeDown(NodeId(1)));
     cluster.shutdown();
 }
+
+#[test]
+fn get_many_of_an_executing_batch_fetches_in_batches_not_per_object() {
+    // The burst shape: a batch is submitted and `get_many` is called at
+    // once, while nothing has sealed yet. Remote results must arrive in
+    // a handful of coalesced requests, not one round trip each. Half
+    // the batch is pinned to node 1 so at least 128 results are remote
+    // whatever spill and steal decide about the rest.
+    let cluster = Cluster::start(ClusterConfig {
+        nodes: vec![
+            NodeConfig::cpu_only(2),
+            NodeConfig::cpu_only(2).with_custom("far", 2.0),
+        ],
+        ..ClusterConfig::default()
+    })
+    .unwrap();
+    let inc = cluster.register_fn1("burst_inc", |x: u64| Ok(x + 1));
+    let driver = cluster.driver();
+    let far = TaskOptions::resources(Resources::cpu(1.0).with_custom("far", 1.0));
+    let submit = |args: &[u64]| {
+        let mut futs = driver.submit_many(&inc, &args[..128]).unwrap();
+        futs.extend(
+            driver
+                .submit_batch_opts(&inc, &args[128..], far.clone())
+                .unwrap(),
+        );
+        futs
+    };
+    let args: Vec<u64> = (0..256).map(|i| i * 7).collect();
+    // One warm-up round so worker start-up is not part of the picture.
+    driver.get_many(&submit(&args)).unwrap();
+
+    let agent = cluster.services().fetch_agent(NodeId(0)).unwrap();
+    let requests_before = agent.stats().requests_sent.get();
+    let fetched_before = agent.stats().objects_fetched.get();
+    let values = driver.get_many(&submit(&args)).unwrap();
+    let expect: Vec<u64> = args.iter().map(|x| x + 1).collect();
+    assert_eq!(values, expect);
+    let requests = agent.stats().requests_sent.get() - requests_before;
+    let fetched = agent.stats().objects_fetched.get() - fetched_before;
+    assert!(fetched >= 128, "only {fetched} results were remote");
+    // A request leaves when the previous one to that holder is answered,
+    // so the count follows how long the round takes: ~10 in a release
+    // build, up to ~40 in a debug build sharing its cores with other
+    // tests. One round trip per result would be `requests == fetched`.
+    assert!(
+        requests * 3 <= fetched,
+        "{requests} fetch requests for {fetched} remote results"
+    );
+    assert_eq!(cluster.services().kv.subscriber_count(), 0);
+    cluster.shutdown();
+}
+
+#[test]
+fn wait_costs_control_plane_reads_linear_in_the_batch() {
+    // 255 futures complete early, one sleeps: `wait` for all of them
+    // stays blocked across hundreds of notifications and many poll
+    // slices. Its own control-plane traffic must be the subscription
+    // plus a few nudges for the straggler — not a re-read of the whole
+    // batch per wake-up or per slice. Stealing and telemetry are off so
+    // the idle cluster itself is quiet (~300 kv ops/s instead of ~15k).
+    let mut config = ClusterConfig::local(2, 2).without_telemetry();
+    config.stealing.enabled = false;
+    let cluster = Cluster::start(config).unwrap();
+    let nap = cluster.register_fn1("wait_nap", |ms: u64| {
+        std::thread::sleep(Duration::from_millis(ms));
+        Ok(ms)
+    });
+    let driver = cluster.driver();
+    let n = 256usize;
+    let mut args = vec![0u64; n];
+    args[n - 1] = 300;
+    let futs = driver.submit_many(&nap, &args).unwrap();
+    // Everything but the straggler has finished (and stopped writing to
+    // the control plane) before the measured window opens.
+    let (ready, _) = driver.wait(&futs, n - 1, Duration::from_secs(20));
+    assert!(ready.len() >= n - 1);
+    std::thread::sleep(Duration::from_millis(50));
+
+    let kv = cluster.services().kv.clone();
+    let before = kv.stats().total_ops();
+    let (ready, pending) = driver.wait(&futs, n, Duration::from_secs(20));
+    let ops = kv.stats().total_ops() - before;
+    assert_eq!((ready.len(), pending.len()), (n, 0));
+    assert!(ops <= 8 * n as u64, "wait on {n} futures cost {ops} kv ops");
+
+    // Count mode stops at the count and leaves nothing registered.
+    let (ready, pending) = driver.wait(&futs, 10, Duration::from_secs(20));
+    assert!(ready.len() >= 10);
+    assert_eq!(ready.len() + pending.len(), n);
+    assert_eq!(kv.subscriber_count(), 0);
+    for node in [NodeId(0), NodeId(1)] {
+        assert_eq!(
+            cluster.services().store(node).unwrap().local_waiter_count(),
+            0
+        );
+    }
+    cluster.shutdown();
+}
+
+#[test]
+fn blocked_gets_leave_no_subscribers_behind() {
+    let cluster = small_cluster();
+    let inc = cluster.register_fn1("leak_inc", |x: u64| Ok(x + 1));
+    let driver = cluster.driver();
+    for i in 0..2000u64 {
+        let fut = driver.submit1(&inc, i).unwrap();
+        assert_eq!(driver.get(&fut).unwrap(), i + 1);
+    }
+    // A get that gives up must clean up too.
+    let nap = cluster.register_fn0("leak_nap", || {
+        std::thread::sleep(Duration::from_millis(100));
+        Ok(1u64)
+    });
+    let slow = driver.submit0(&nap).unwrap();
+    assert!(matches!(
+        driver.get_timeout(&slow, Duration::from_millis(5)),
+        Err(Error::Timeout)
+    ));
+    assert_eq!(driver.get(&slow).unwrap(), 1);
+    assert_eq!(cluster.services().kv.subscriber_count(), 0);
+    for node in [NodeId(0), NodeId(1)] {
+        assert_eq!(
+            cluster.services().store(node).unwrap().local_waiter_count(),
+            0
+        );
+    }
+    cluster.shutdown();
+}
+
+#[test]
+fn reconstruction_nudges_stay_linear_in_the_producers_in_flight() {
+    // A blocked `get_many` nudges reconstruction for its whole batch, so
+    // the stuck-task backstop may be watching thousands of legitimately
+    // in-flight producers at once. Pruning its watch list must not
+    // re-read every watched task's state on every nudge.
+    let mut config = ClusterConfig::local(1, 1).without_telemetry();
+    config.stealing.enabled = false;
+    let cluster = Cluster::start(config).unwrap();
+    let nap = cluster.register_fn1("nudge_nap", |ms: u64| {
+        std::thread::sleep(Duration::from_millis(ms));
+        Ok(ms)
+    });
+    let driver = cluster.driver();
+    // The first task holds the only worker; the rest sit queued.
+    let n = 1024usize;
+    let mut args = vec![0u64; n];
+    args[0] = 400;
+    let futs = driver.submit_many(&nap, &args).unwrap();
+    std::thread::sleep(Duration::from_millis(50));
+
+    let recon = rtml_runtime::ReconstructionManager::new(cluster.services().clone());
+    let kv = cluster.services().kv.clone();
+    let before = kv.stats().total_ops();
+    for fut in &futs {
+        recon.handle_missing(fut.id());
+    }
+    let ops = kv.stats().total_ops() - before;
+    assert!(ops <= 16 * n as u64, "{n} nudges cost {ops} kv ops");
+    assert_eq!(driver.get_many(&futs).unwrap(), args);
+    cluster.shutdown();
+}

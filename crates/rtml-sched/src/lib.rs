@@ -38,7 +38,7 @@ pub use global::{
     GlobalRoutes, GlobalScheduler, GlobalSchedulerConfig, GlobalSchedulerHandle, GlobalStats,
 };
 pub use local::{
-    fetch_group_commit, LocalScheduler, LocalSchedulerConfig, LocalSchedulerHandle,
+    commit_fetched, fetch_group_commit, LocalScheduler, LocalSchedulerConfig, LocalSchedulerHandle,
     LocalSchedulerStats, SchedServices,
 };
 pub use msg::{load_key, LoadReport, LocalMsg, WorkerCommand, WorkerHandle};

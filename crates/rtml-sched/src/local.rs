@@ -34,7 +34,7 @@ use rtml_common::resources::Resources;
 use rtml_common::task::{TaskSpec, TaskState};
 use rtml_kv::{EventLog, KvStore, ObjectTable, TaskTable};
 use rtml_net::{Fabric, NetAddress};
-use rtml_store::{FetchAgent, ObjectStore, TransferDirectory};
+use rtml_store::{FetchAgent, FetchResult, ObjectStore, TransferDirectory};
 
 use crate::msg::{load_key, LoadReport, LocalMsg, WorkerCommand, WorkerHandle};
 use crate::policy::{choose_victim, PolicyState};
@@ -1494,12 +1494,12 @@ fn prefetch_group(
 }
 
 /// Fetches one holder's group of objects through `agent` and commits
-/// the outcome to the object table as group commits: one
-/// `add_location_many` for everything now local, one deduplicated
-/// `remove_location_many` for the eviction fallout. Returns the
-/// per-object results in group order. This is the one fetch-and-commit
-/// choreography shared by the scheduler's dispatch-time prefetch and
-/// the runtime's batched `get_many`.
+/// the outcome to the object table ([`commit_fetched`]). Returns the
+/// per-object results in group order. The blocking fetch-and-commit
+/// shared by the scheduler's dispatch-time prefetch, its per-object
+/// resolver and replication pulls; the runtime's `get` engine issues
+/// [`FetchAgent::request_many`] itself and commits with the same
+/// function.
 pub fn fetch_group_commit(
     objects: &ObjectTable,
     agent: &FetchAgent,
@@ -1507,14 +1507,23 @@ pub fn fetch_group_commit(
     holder: NodeId,
     me: NodeId,
     timeout: Duration,
-) -> Vec<(
-    ObjectId,
-    rtml_common::error::Result<(bytes::Bytes, rtml_store::PutOutcome)>,
-)> {
-    let results = agent.fetch_many(group, holder, timeout);
+) -> Vec<(ObjectId, FetchResult)> {
+    let results: Vec<(ObjectId, FetchResult)> = group
+        .iter()
+        .copied()
+        .zip(agent.fetch_many(group, holder, timeout))
+        .collect();
+    commit_fetched(objects, me, &results);
+    results
+}
+
+/// Commits a set of fetch outcomes on node `me` to the object table as
+/// group commits: one `add_location_many` for everything now local,
+/// one deduplicated `remove_location_many` for the eviction fallout.
+pub fn commit_fetched(objects: &ObjectTable, me: NodeId, results: &[(ObjectId, FetchResult)]) {
     let mut located: Vec<(ObjectId, u64)> = Vec::new();
     let mut evicted_all: Vec<ObjectId> = Vec::new();
-    for (object, result) in group.iter().zip(&results) {
+    for (object, result) in results {
         if let Ok((data, outcome)) = result {
             located.push((*object, data.len() as u64));
             evicted_all.extend(outcome.evicted.iter().copied());
@@ -1528,7 +1537,6 @@ pub fn fetch_group_commit(
         evicted_all.dedup();
         objects.remove_location_many(&evicted_all, me);
     }
-    group.iter().copied().zip(results).collect()
 }
 
 /// Watches one missing object until it is sealed into the local store.
@@ -1537,7 +1545,11 @@ pub fn fetch_group_commit(
 /// local (the store's seal listener wakes the scheduler) or when the
 /// control plane shuts down.
 fn resolve_object(services: SchedServices, object: ObjectId, me: NodeId, fetch_timeout: Duration) {
-    let local_rx = services.store.subscribe_local(object);
+    // The store holds the only sender, so a cleared store (node crash)
+    // disconnects the channel and ends this thread.
+    let (local_tx, local_rx) = crossbeam::channel::unbounded();
+    let _local = services.store.subscribe_local_many(&[object], &local_tx);
+    drop(local_tx);
     let (mut pending_info, stream) = services.objects.subscribe(object);
     loop {
         if services.store.contains(object) {

@@ -46,8 +46,10 @@ pub use replicate::{
     SweepReport,
 };
 pub use store::{
-    ObjectStore, PutOutcome, ReplicaProbe, StoreConfig, StoreStats, DEFAULT_CHUNK_BYTES,
+    LocalSealGuard, ObjectStore, PutOutcome, ReplicaProbe, StoreConfig, StoreStats,
+    DEFAULT_CHUNK_BYTES,
 };
 pub use transfer::{
-    fetch_object, FetchAgent, FetchStats, TransferDirectory, TransferService, TransferStats,
+    fetch_object, FetchAgent, FetchResult, FetchStats, TransferDirectory, TransferService,
+    TransferStats,
 };

@@ -4,7 +4,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::Sender;
 use parking_lot::{Condvar, Mutex, RwLock};
 
 use rtml_common::error::{Error, Result};
@@ -58,7 +58,11 @@ struct StoreState {
     /// evictable on demand.
     pinned_bytes: u64,
     access_clock: u64,
-    waiters: HashMap<ObjectId, Vec<Sender<()>>>,
+    /// Per-object local-seal subscribers, `(subscription id, sender)`.
+    /// An entry goes when the object seals here, when the
+    /// [`LocalSealGuard`] that registered it drops, or on `clear`.
+    waiters: HashMap<ObjectId, Vec<(u64, Sender<ObjectId>)>>,
+    next_subscription: u64,
     seal_listeners: Vec<Sender<ObjectId>>,
 }
 
@@ -254,8 +258,8 @@ impl ObjectStore {
 
         // Wake blocked readers and notify seal listeners.
         if let Some(waiters) = st.waiters.remove(&object) {
-            for tx in waiters {
-                let _ = tx.send(());
+            for (_, tx) in waiters {
+                let _ = tx.send(object);
             }
         }
         st.seal_listeners.retain(|tx| tx.send(object).is_ok());
@@ -314,17 +318,43 @@ impl ObjectStore {
         }
     }
 
-    /// Returns a channel signalled once when `object` seals locally. If it
-    /// is already present the channel fires immediately.
-    pub fn subscribe_local(&self, object: ObjectId) -> Receiver<()> {
-        let (tx, rx) = unbounded();
+    /// Asks for each of `objects` to be announced on `tx` (by id, once)
+    /// when it seals locally; objects already present are announced
+    /// immediately. One lock acquisition for the whole set, and every
+    /// object shares the caller's one channel. The registration lasts
+    /// until the returned guard drops, so a waiter that gives up (or is
+    /// satisfied some other way) leaves nothing behind. [`clear`]
+    /// (node crash) drops the registered senders: a caller that keeps
+    /// no sender of its own sees the channel disconnect.
+    ///
+    /// [`clear`]: ObjectStore::clear
+    pub fn subscribe_local_many(
+        &self,
+        objects: &[ObjectId],
+        tx: &Sender<ObjectId>,
+    ) -> LocalSealGuard<'_> {
         let mut st = self.state.lock();
-        if st.objects.contains_key(&object) {
-            let _ = tx.send(());
-        } else {
-            st.waiters.entry(object).or_default().push(tx);
+        st.next_subscription += 1;
+        let id = st.next_subscription;
+        let mut waiting = Vec::new();
+        for &object in objects {
+            if st.objects.contains_key(&object) {
+                let _ = tx.send(object);
+            } else {
+                st.waiters.entry(object).or_default().push((id, tx.clone()));
+                waiting.push(object);
+            }
         }
-        rx
+        LocalSealGuard {
+            store: self,
+            id,
+            waiting,
+        }
+    }
+
+    /// Number of local-seal registrations currently held (leak detector).
+    pub fn local_waiter_count(&self) -> usize {
+        self.state.lock().waiters.values().map(Vec::len).sum()
     }
 
     /// Pins an object, excluding it from eviction while pinned. Returns
@@ -453,9 +483,35 @@ impl ObjectStore {
     }
 }
 
+/// Scope of an [`ObjectStore::subscribe_local_many`] registration:
+/// dropping it withdraws whatever has not fired yet.
+pub struct LocalSealGuard<'a> {
+    store: &'a ObjectStore,
+    id: u64,
+    waiting: Vec<ObjectId>,
+}
+
+impl Drop for LocalSealGuard<'_> {
+    fn drop(&mut self) {
+        if self.waiting.is_empty() {
+            return;
+        }
+        let mut st = self.store.state.lock();
+        for object in &self.waiting {
+            if let Some(waiters) = st.waiters.get_mut(object) {
+                waiters.retain(|(id, _)| *id != self.id);
+                if waiters.is_empty() {
+                    st.waiters.remove(object);
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crossbeam::channel::unbounded;
     use rtml_common::ids::{DriverId, TaskId};
     use std::sync::Arc;
     use std::time::Duration;
@@ -645,19 +701,44 @@ mod tests {
     }
 
     #[test]
-    fn subscribe_local_fires_immediately_if_present() {
+    fn subscribe_local_many_announces_present_and_later_seals_on_one_channel() {
         let s = store(1024);
         s.put(obj(1), Bytes::from_static(b"x")).unwrap();
-        let rx = s.subscribe_local(obj(1));
-        assert!(rx.recv_timeout(Duration::from_millis(100)).is_ok());
+        let (tx, rx) = unbounded();
+        let _guard = s.subscribe_local_many(&[obj(1), obj(2), obj(3)], &tx);
+        assert_eq!(rx.try_recv(), Ok(obj(1)));
+        assert!(rx.try_recv().is_err());
+        s.put(obj(3), Bytes::from_static(b"z")).unwrap();
+        s.put(obj(2), Bytes::from_static(b"y")).unwrap();
+        assert_eq!(rx.try_recv(), Ok(obj(3)));
+        assert_eq!(rx.try_recv(), Ok(obj(2)));
+        assert_eq!(s.local_waiter_count(), 0);
     }
 
     #[test]
-    fn subscribe_local_fires_on_seal() {
+    fn local_seal_guard_withdraws_unfired_registrations() {
         let s = store(1024);
-        let rx = s.subscribe_local(obj(1));
-        s.put(obj(1), Bytes::from_static(b"x")).unwrap();
-        assert!(rx.recv_timeout(Duration::from_millis(100)).is_ok());
+        let (tx, _rx) = unbounded();
+        let guard = s.subscribe_local_many(&[obj(1), obj(2)], &tx);
+        let other = s.subscribe_local_many(&[obj(2)], &tx);
+        assert_eq!(s.local_waiter_count(), 3);
+        drop(guard);
+        assert_eq!(s.local_waiter_count(), 1);
+        drop(other);
+        assert_eq!(s.local_waiter_count(), 0);
+    }
+
+    #[test]
+    fn clear_disconnects_local_seal_channels() {
+        let s = store(1024);
+        let (tx, rx) = unbounded();
+        let _guard = s.subscribe_local_many(&[obj(1)], &tx);
+        drop(tx);
+        s.clear();
+        assert_eq!(
+            rx.recv_timeout(Duration::from_secs(1)),
+            Err(crossbeam::channel::RecvTimeoutError::Disconnected)
+        );
     }
 
     #[test]

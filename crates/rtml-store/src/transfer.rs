@@ -9,9 +9,12 @@
 //!   fabric's bandwidth model, and **coalescing** a request for K
 //!   objects into one reply stream;
 //! - a [`FetchAgent`] (client side) with one persistent reply endpoint
-//!   for the node's entire lifetime. [`FetchAgent::fetch_many`] groups K
-//!   objects into a single request frame per holder and
-//!   **single-flights** concurrent fetches of the same object: the
+//!   for the node's entire lifetime. [`FetchAgent::request_many`] groups
+//!   K objects into a single request frame per holder, returns without
+//!   blocking, and answers per object on the caller's channel (so one
+//!   waiter can have requests out to several holders at once);
+//!   [`FetchAgent::fetch_many`] is that request plus the wait. Both
+//!   **single-flight** concurrent fetches of the same object: the
 //!   second caller waits on the in-flight transfer instead of issuing a
 //!   duplicate.
 //!
@@ -32,9 +35,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::{unbounded, Sender};
 use parking_lot::{Mutex, RwLock};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use rtml_common::codec::{decode_from_slice, encode_to_bytes, Codec, Reader, Writer};
 use rtml_common::error::{Error, Result};
@@ -376,11 +379,24 @@ pub struct FetchStats {
 /// How long an unsolicited (orphan) reassembly buffer is retained.
 const ORPHAN_TTL: Duration = Duration::from_secs(5);
 
+/// Outcome of fetching one object: its sealed bytes and what the local
+/// put did (whether it inserted, what it evicted).
+pub type FetchResult = Result<(Bytes, PutOutcome)>;
+
 struct InFlight {
-    waiters: Vec<Sender<Result<(Bytes, PutOutcome)>>>,
+    /// The `done` channel of every request waiting on this transfer.
+    waiters: Vec<Sender<(ObjectId, FetchResult)>>,
     chunks: Vec<Option<Bytes>>,
     received: u32,
     expires_at: Instant,
+}
+
+impl InFlight {
+    fn answer(self, object: ObjectId, result: FetchResult) {
+        for w in self.waiters {
+            let _ = w.send((object, result.clone()));
+        }
+    }
 }
 
 struct AgentInner {
@@ -448,98 +464,90 @@ impl FetchAgent {
 
     /// Pulls one object from `holder` into the local store; see
     /// [`FetchAgent::fetch_many`].
-    pub fn fetch_one(
-        &self,
-        object: ObjectId,
-        holder: NodeId,
-        timeout: Duration,
-    ) -> Result<(Bytes, PutOutcome)> {
+    pub fn fetch_one(&self, object: ObjectId, holder: NodeId, timeout: Duration) -> FetchResult {
         self.fetch_many(&[object], holder, timeout)
             .pop()
             .expect("one object in, one result out")
     }
 
-    /// Pulls `objects` from `holder` into the local store, blocking up
-    /// to `timeout`. Returns one result per input position, in order.
+    /// The non-blocking half of [`FetchAgent::fetch_many`]: starts
+    /// pulling `objects` from `holder` and returns at once. Each input
+    /// position is answered by exactly one `(object, result)` message
+    /// on `done` — immediately for objects already local or a holder
+    /// that is not in the directory, otherwise when the transfer
+    /// completes or the holder reports the object missing. A transfer
+    /// lost on the wire (partition, dead holder) answers nothing; the
+    /// caller bounds its own wait, and `timeout` is how long this
+    /// request counts as in flight before a later one for the same
+    /// object re-requests instead of joining it.
     ///
     /// All objects that actually need requesting travel as **one**
     /// request frame; the holder answers with one chunked reply stream.
-    /// Objects already local resolve immediately; objects already in
-    /// flight (from any caller on this node) join the existing transfer
-    /// instead of issuing a duplicate.
-    pub fn fetch_many(
+    /// Objects already in flight (from any caller on this node) join
+    /// the existing transfer instead of issuing a duplicate. A caller
+    /// may pass the same `done` to requests toward different holders
+    /// and collect all of them from one channel.
+    pub fn request_many(
         &self,
         objects: &[ObjectId],
         holder: NodeId,
         timeout: Duration,
-    ) -> Vec<Result<(Bytes, PutOutcome)>> {
+        done: &Sender<(ObjectId, FetchResult)>,
+    ) {
         let inner = &self.inner;
         let Some(remote) = inner.directory.lookup(holder) else {
-            return objects
-                .iter()
-                .map(|_| Err(Error::NodeDown(holder)))
-                .collect();
+            for &object in objects {
+                let _ = done.send((object, Err(Error::NodeDown(holder))));
+            }
+            return;
         };
-        let deadline = Instant::now() + timeout;
-        let mut results: Vec<Option<Result<(Bytes, PutOutcome)>>> = vec![None; objects.len()];
-        let mut receivers: Vec<Option<Receiver<Result<(Bytes, PutOutcome)>>>> =
-            Vec::with_capacity(objects.len());
-        receivers.resize_with(objects.len(), || None);
+        let now = Instant::now();
+        let deadline = now + timeout;
         let mut to_request: Vec<ObjectId> = Vec::new();
-        let mut requested: HashSet<ObjectId> = HashSet::new();
         {
             let mut fl = inner.in_flight.lock();
-            let now = Instant::now();
             // Reap transfers that died without an answer (holder gone
             // mid-stream, dropped partition traffic): entries past their
             // deadline plus a grace period will never complete, and
             // nothing else removes them once their waiters time out.
             fl.retain(|_, entry| now < entry.expires_at + ORPHAN_TTL);
-            for (i, &object) in objects.iter().enumerate() {
+            for &object in objects {
                 if let Some(bytes) = inner.store.get(object) {
-                    results[i] = Some(Ok((
-                        bytes,
-                        PutOutcome {
-                            inserted: false,
-                            evicted: Vec::new(),
-                        },
-                    )));
+                    let hit = PutOutcome {
+                        inserted: false,
+                        evicted: Vec::new(),
+                    };
+                    let _ = done.send((object, Ok((bytes, hit))));
                     continue;
                 }
-                let (tx, rx) = unbounded();
                 match fl.get_mut(&object) {
                     Some(entry) if entry.expires_at > now => {
                         // Single flight: join the in-flight transfer.
-                        entry.waiters.push(tx);
+                        entry.waiters.push(done.clone());
                         inner.stats.duplicates_suppressed.inc();
                     }
                     Some(entry) => {
                         // The previous request apparently got lost
                         // (partition, dead holder): refresh and
                         // re-request, keeping earlier waiters attached.
-                        entry.waiters.push(tx);
+                        entry.waiters.push(done.clone());
                         entry.expires_at = deadline;
-                        if requested.insert(object) {
-                            to_request.push(object);
-                        }
+                        to_request.push(object);
                     }
                     None => {
                         fl.insert(
                             object,
                             InFlight {
-                                waiters: vec![tx],
+                                waiters: vec![done.clone()],
                                 chunks: Vec::new(),
                                 received: 0,
                                 expires_at: deadline,
                             },
                         );
-                        if requested.insert(object) {
-                            to_request.push(object);
-                        }
+                        to_request.push(object);
                         inner.stats.transfers.inc();
                     }
                 }
-                receivers[i] = Some(rx);
             }
         }
 
@@ -559,28 +567,50 @@ impl FetchAgent {
                 let mut fl = inner.in_flight.lock();
                 for object in to_request {
                     if let Some(entry) = fl.remove(&object) {
-                        for w in entry.waiters {
-                            let _ = w.send(Err(Error::NodeDown(holder)));
-                        }
+                        entry.answer(object, Err(Error::NodeDown(holder)));
                     }
                 }
             }
         }
+    }
 
-        for (i, rx) in receivers.into_iter().enumerate() {
-            let Some(rx) = rx else { continue };
+    /// Pulls `objects` from `holder` into the local store, blocking up
+    /// to `timeout`. Returns one result per input position, in order
+    /// (duplicates allowed). This is [`FetchAgent::request_many`] plus
+    /// the wait for its answers.
+    pub fn fetch_many(
+        &self,
+        objects: &[ObjectId],
+        holder: NodeId,
+        timeout: Duration,
+    ) -> Vec<FetchResult> {
+        let deadline = Instant::now() + timeout;
+        let (done, answers) = unbounded();
+        self.request_many(objects, holder, timeout, &done);
+        drop(done);
+        // Answers arrive by id, one per input position.
+        let mut positions: HashMap<ObjectId, Vec<usize>> = HashMap::new();
+        for (i, &object) in objects.iter().enumerate().rev() {
+            positions.entry(object).or_default().push(i);
+        }
+        let mut results: Vec<Option<FetchResult>> = vec![None; objects.len()];
+        for _ in 0..objects.len() {
             let remaining = deadline.saturating_duration_since(Instant::now());
-            results[i] = Some(match rx.recv_timeout(remaining) {
-                Ok(result) => result,
-                Err(_) => {
-                    inner.stats.timeouts.inc();
-                    Err(Error::Timeout)
-                }
-            });
+            let Ok((object, result)) = answers.recv_timeout(remaining) else {
+                break;
+            };
+            if let Some(i) = positions.get_mut(&object).and_then(Vec::pop) {
+                results[i] = Some(result);
+            }
         }
         results
             .into_iter()
-            .map(|r| r.expect("every position filled"))
+            .map(|r| {
+                r.unwrap_or_else(|| {
+                    self.inner.stats.timeouts.inc();
+                    Err(Error::Timeout)
+                })
+            })
             .collect()
     }
 
@@ -654,27 +684,17 @@ fn agent_loop(inner: Arc<AgentInner>, endpoint: rtml_net::Endpoint) {
                         buf.extend_from_slice(chunk.as_ref().expect("all chunks received"));
                     }
                     let bytes = Bytes::from(buf);
-                    match inner.store.put(object, bytes.clone()) {
-                        Ok(outcome) => {
-                            inner.stats.objects_fetched.inc();
-                            for w in &entry.waiters {
-                                let _ = w.send(Ok((bytes.clone(), outcome.clone())));
-                            }
-                        }
-                        Err(err) => {
-                            for w in &entry.waiters {
-                                let _ = w.send(Err(err.clone()));
-                            }
-                        }
+                    let result = inner.store.put(object, bytes.clone());
+                    if result.is_ok() {
+                        inner.stats.objects_fetched.inc();
                     }
+                    entry.answer(object, result.map(|outcome| (bytes, outcome)));
                 }
             }
             TransferMsg::Missing { object } => {
                 inner.stats.misses.inc();
                 if let Some(entry) = inner.in_flight.lock().remove(&object) {
-                    for w in entry.waiters {
-                        let _ = w.send(Err(Error::ObjectNotFound(object)));
-                    }
+                    entry.answer(object, Err(Error::ObjectNotFound(object)));
                 }
             }
             TransferMsg::Request { .. } => inner.stats.decode_errors.inc(),
@@ -1037,6 +1057,52 @@ mod tests {
         assert_eq!(s0.stats().requests.get(), 1);
         assert_eq!(agent.stats().requests_sent.get(), 1);
         assert_eq!(s0.stats().objects_served.get(), 16);
+    }
+
+    #[test]
+    fn request_many_returns_at_once_and_answers_on_the_callers_channel() {
+        let (fabric, directory, store0, store1, s0, _s1) = setup(20_000); // 20 ms per hop
+        let objects: Vec<ObjectId> = (0..8).map(obj).collect();
+        for &o in &objects[..6] {
+            store0.put(o, Bytes::from(vec![1u8; 32])).unwrap();
+        }
+        store1.put(objects[0], Bytes::from(vec![1u8; 32])).unwrap();
+        let agent = FetchAgent::spawn(fabric.clone(), store1.clone(), directory.clone());
+        let (done, answers) = unbounded();
+        let start = Instant::now();
+        agent.request_many(&objects[..4], NodeId(0), Duration::from_secs(5), &done);
+        // A second request while the first is in flight: its own frame,
+        // same channel; the overlapping object joins the first transfer.
+        agent.request_many(&objects[3..], NodeId(0), Duration::from_secs(5), &done);
+        assert!(
+            start.elapsed() < Duration::from_millis(20),
+            "request blocked"
+        );
+        // The local hit is answered before anything crosses the wire.
+        let (first, result) = answers.try_recv().unwrap();
+        assert_eq!(first, objects[0]);
+        assert!(!result.unwrap().1.inserted);
+        let mut fetched = 0;
+        let mut missing = 0;
+        for _ in 0..8 {
+            match answers.recv_timeout(Duration::from_secs(5)).unwrap() {
+                (_, Ok((data, _))) => {
+                    assert_eq!(data.len(), 32);
+                    fetched += 1;
+                }
+                (object, Err(err)) => {
+                    assert_eq!(err, Error::ObjectNotFound(object));
+                    missing += 1;
+                }
+            }
+        }
+        // objects[3] was asked for twice and answered twice.
+        assert_eq!((fetched, missing), (6, 2));
+        assert!(start.elapsed() >= Duration::from_millis(40));
+        assert_eq!(agent.stats().requests_sent.get(), 2);
+        assert_eq!(agent.stats().duplicates_suppressed.get(), 1);
+        assert_eq!(s0.stats().objects_served.get(), 5);
+        assert_eq!(agent.in_flight_len(), 0);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! A deterministic arcade-style environment.
 //!
-//! Substitute for the Atari emulator in the paper's §4.2 experiment (see
-//! DESIGN.md). What the experiment measures is *system overhead around
-//! many ~7 ms simulation tasks*, so the requirements on the environment
-//! are: a real per-step CPU cost, observation/reward outputs that depend
+//! Substitute for the Atari emulator in the paper's §4.2 experiment.
+//! What the experiment measures is *system overhead around many ~7 ms
+//! simulation tasks*, so the requirements on the environment are: a
+//! real per-step CPU cost, observation/reward outputs that depend
 //! deterministically on the action sequence, and cheap reseeding for
 //! parallel rollouts. This implementation provides exactly that: a
 //! 64-bit mixing state machine (so replays are bit-identical) plus a

@@ -2,7 +2,7 @@
 //!
 //! | Module | Paper reference | What it models |
 //! |---|---|---|
-//! | [`atari`] | §4.2 | A deterministic arcade-style environment with a real per-frame CPU cost (the ALE substitute; see DESIGN.md substitutions) |
+//! | [`atari`] | §4.2 | A deterministic arcade-style environment with a real per-frame CPU cost (the ALE substitute; its module docs say what is kept) |
 //! | [`policy`] | §4.2 | A linear policy whose batched evaluation runs a real matrix product, faster on a "GPU" (a resource-gated speedup) |
 //! | [`rl`] | §4.2 | The RL training loop that yields the 63x comparison: serial vs BSP vs rtml, plus the `wait`-pipelined variant (E6) |
 //! | [`mcts`] | Fig. 2b | Monte Carlo tree search with dynamically created simulation tasks (R3) |

@@ -1,11 +1,11 @@
 //! A linear policy with device-dependent batched evaluation.
 //!
-//! Stands in for the paper's GPU-evaluated neural-network policy (see
-//! DESIGN.md substitutions). The policy is a real `obs_dim × n_actions`
-//! weight matrix: `act` computes a genuine matrix-vector product, and
-//! batched evaluation additionally pays a configurable kernel cost that
-//! a [`Device::Gpu`] divides by its speedup — giving the scheduler a
-//! true heterogeneity decision (R4) without real CUDA.
+//! Stands in for the paper's GPU-evaluated neural-network policy. The
+//! policy is a real `obs_dim × n_actions` weight matrix: `act` computes
+//! a genuine matrix-vector product, and batched evaluation additionally
+//! pays a configurable kernel cost that a [`Device::Gpu`] divides by its
+//! speedup — giving the scheduler a true heterogeneity decision (R4)
+//! without real CUDA.
 
 use std::time::Duration;
 

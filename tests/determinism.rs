@@ -294,11 +294,16 @@ fn global_sharding_changes_who_places_never_what_runs() {
     // shards must produce bit-identical checksums: sharding partitions
     // the placement keyspace (who decides), never values or results.
     // Aggressive spill forces every submission through the global
-    // scheduler so the shards actually arbitrate placement.
+    // scheduler so the shards actually arbitrate placement. Rollouts
+    // take ~1 ms (slept, not spun), so each iteration's burst of eight
+    // finds the two local workers busy and spills most of itself
+    // whatever the machine's timing — with free rollouts the spill
+    // count was a race (0–14 of 27 tasks) and "more than one shard
+    // placed" failed a few runs in a hundred.
     let config = RlConfig {
         rollouts: 8,
         frames_per_task: 4,
-        frame_cost: Duration::ZERO,
+        frame_cost: Duration::from_micros(250),
         iterations: 3,
         policy_kernel_cost: Duration::ZERO,
         ..RlConfig::default()

@@ -980,3 +980,72 @@ proptest! {
         }
     }
 }
+
+// ---- the get/wait engine ---------------------------------------------
+
+proptest! {
+    /// `get_many` over any mix of futures — sealed in the caller's
+    /// store, sealed on the other node, still executing, failed, and
+    /// repeated — returns exactly what a `get` loop over the same
+    /// futures returns, in input order, and fails with the same first
+    /// error.
+    #[test]
+    fn get_many_matches_the_per_future_get_loop(
+        kinds in proptest::collection::vec((0u8..5, any::<u16>()), 1..24),
+    ) {
+        use rtml::prelude::*;
+        use std::time::Duration;
+
+        let cluster = Cluster::start(ClusterConfig {
+            nodes: vec![
+                NodeConfig::cpu_only(2),
+                NodeConfig::cpu_only(2).with_custom("far", 64.0),
+            ],
+            ..ClusterConfig::default()
+        })
+        .unwrap();
+        let far = || TaskOptions::resources(Resources::cpu(1.0).with_custom("far", 1.0));
+        let echo = cluster.register_fn1("pg_echo", |x: i64| Ok(x));
+        let late = cluster.register_fn1("pg_late", |x: i64| {
+            std::thread::sleep(Duration::from_millis(3));
+            Ok(x)
+        });
+        let fail = cluster.register_fn1("pg_fail", |x: i64| -> Result<i64> {
+            Err(Error::InvalidArgument(format!("refused {x}")))
+        });
+        let driver = cluster.driver();
+
+        let mut query: Vec<ObjectRef<i64>> = Vec::new();
+        let mut settled: Vec<ObjectRef<i64>> = Vec::new();
+        for (i, &(kind, pick)) in kinds.iter().enumerate() {
+            let x = i as i64 * 1000 + pick as i64;
+            let fut = match kind {
+                // Sealed in the caller's own store.
+                0 => driver.put(&x).unwrap(),
+                // Sealed on the other node before the call.
+                1 => {
+                    let fut = driver.submit1_opts(&echo, x, far()).unwrap();
+                    settled.push(fut);
+                    fut
+                }
+                // Seals (somewhere) while the call is blocked.
+                2 => driver.submit1(&late, x).unwrap(),
+                // An error envelope, on the other node.
+                3 => driver.submit1_opts(&fail, x, far()).unwrap(),
+                // A future already in the batch.
+                _ if !query.is_empty() => query[pick as usize % query.len()],
+                _ => driver.put(&x).unwrap(),
+            };
+            query.push(fut);
+        }
+        // `wait` counts completion without fetching, so these stay remote.
+        let (ready, _) = driver.wait(&settled, settled.len(), Duration::from_secs(20));
+        prop_assert_eq!(ready.len(), settled.len());
+
+        let batched = driver.get_many(&query);
+        let looped: Result<Vec<i64>> = query.iter().map(|f| driver.get(f)).collect();
+        prop_assert_eq!(batched, looped);
+        prop_assert_eq!(cluster.services().kv.subscriber_count(), 0);
+        cluster.shutdown();
+    }
+}
