@@ -9,7 +9,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 
 use rtml_common::ids::{DriverId, NodeId, TaskId};
 use rtml_net::{Fabric, FabricConfig, LatencyModel};
-use rtml_store::{fetch_object, ObjectStore, StoreConfig, TransferDirectory, TransferService};
+use rtml_store::{FetchAgent, ObjectStore, StoreConfig, TransferDirectory, TransferService};
 
 fn object(i: u64) -> rtml_common::ids::ObjectId {
     TaskId::driver_root(DriverId::from_index(42))
@@ -63,7 +63,7 @@ fn bench_store(c: &mut Criterion) {
             ..StoreConfig::default()
         }));
         let _svc0 = TransferService::spawn(fabric.clone(), src.clone(), &directory);
-        let _svc1 = TransferService::spawn(fabric.clone(), dst.clone(), &directory);
+        let agent = FetchAgent::spawn(fabric.clone(), dst.clone(), directory.clone());
         src.put(object(9), Bytes::from(vec![1u8; size_kb * 1024]))
             .unwrap();
         group.throughput(Throughput::Bytes((size_kb * 1024) as u64));
@@ -73,15 +73,9 @@ fn bench_store(c: &mut Criterion) {
             |b, _| {
                 b.iter(|| {
                     dst.delete(object(9));
-                    fetch_object(
-                        &fabric,
-                        &directory,
-                        &dst,
-                        object(9),
-                        &[NodeId(0)],
-                        Duration::from_secs(5),
-                    )
-                    .unwrap()
+                    agent
+                        .fetch_one(object(9), NodeId(0), Duration::from_secs(5))
+                        .unwrap()
                 })
             },
         );

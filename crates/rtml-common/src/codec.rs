@@ -89,16 +89,8 @@ impl Writer {
     }
 
     /// Appends a LEB128 varint.
-    pub fn put_varint(&mut self, mut v: u64) {
-        loop {
-            let byte = (v & 0x7f) as u8;
-            v >>= 7;
-            if v == 0 {
-                self.buf.push(byte);
-                return;
-            }
-            self.buf.push(byte | 0x80);
-        }
+    pub fn put_varint(&mut self, v: u64) {
+        write_varint(v, |byte| self.buf.push(byte));
     }
 
     /// Appends a zig-zag encoded signed varint.
@@ -118,15 +110,46 @@ impl Writer {
     }
 }
 
+/// LEB128-encodes `v`, one byte at a time, into `put`.
+#[inline]
+fn write_varint(mut v: u64, mut put: impl FnMut(u8)) {
+    loop {
+        let byte = (v & 0x7f) as u8;
+        v >>= 7;
+        if v == 0 {
+            put(byte);
+            return;
+        }
+        put(byte | 0x80);
+    }
+}
+
 /// Source buffer for decoding; a cursor over a byte slice.
+///
+/// A reader built with [`Reader::over`] also knows the [`Bytes`] it
+/// reads from, so byte strings decode as windows of that buffer
+/// ([`Reader::take_shared`]) instead of copies.
 pub struct Reader<'a> {
     buf: &'a [u8],
+    /// The buffer `buf` is the tail of, when the caller has one.
+    backing: Option<&'a Bytes>,
 }
 
 impl<'a> Reader<'a> {
-    /// Creates a reader over `buf`.
+    /// Creates a reader over `buf`. Byte strings decoded through it are
+    /// copied out; prefer [`Reader::over`] when the input is a `Bytes`.
     pub fn new(buf: &'a [u8]) -> Self {
-        Reader { buf }
+        Reader { buf, backing: None }
+    }
+
+    /// Creates a reader over a shared buffer: every `Bytes` decoded
+    /// through it is a zero-copy [`Bytes::slice`] of `bytes` and keeps
+    /// that buffer alive.
+    pub fn over(bytes: &'a Bytes) -> Self {
+        Reader {
+            buf: bytes.as_slice(),
+            backing: Some(bytes),
+        }
     }
 
     /// Bytes remaining to be read.
@@ -215,6 +238,23 @@ impl<'a> Reader<'a> {
         let len = self.take_varint()? as usize;
         self.advance(len)
     }
+
+    /// Reads a length-prefixed byte string as an owned `Bytes`: a window
+    /// of the backing buffer when the reader has one (windows at or
+    /// below the inline cap re-inline, so small records hold no
+    /// reference), a copy otherwise.
+    pub fn take_shared(&mut self) -> Result<Bytes> {
+        let head = self.take_bytes()?;
+        Ok(match self.backing {
+            Some(backing) => {
+                // `buf` is always a tail of `backing`, so the string just
+                // read ends where the unread remainder begins.
+                let end = backing.len() - self.buf.len();
+                backing.slice(end - head.len()..end)
+            }
+            None => Bytes::copy_from_slice(head),
+        })
+    }
 }
 
 /// A value that can be serialized to and from the rtml wire format.
@@ -242,6 +282,34 @@ pub fn encode_to_bytes<T: Codec>(value: &T) -> Bytes {
     w.into_bytes()
 }
 
+/// Encodes `tag` followed by `value` as a nested, length-prefixed byte
+/// string — byte for byte what `w.put_u8(tag)` then
+/// `encode_to_bytes(value).encode(w)` produce — in **one pass**. The
+/// value is encoded once, straight behind room reserved for the longest
+/// header, and the header is written right-aligned into that room once
+/// the length is known; the result is a window that starts at the
+/// header. This is how a value is sealed into an envelope without
+/// encoding it and then copying the encoding.
+pub fn encode_nested_to_bytes<T: Codec>(tag: u8, value: &T) -> Bytes {
+    // Tag byte plus the longest varint.
+    const HEADER_MAX: usize = 1 + 10;
+    let mut w = Writer::with_capacity(64);
+    w.put_raw(&[0; HEADER_MAX]);
+    value.encode(&mut w);
+    let mut buf = w.into_vec();
+    let mut header = [0u8; HEADER_MAX];
+    header[0] = tag;
+    let mut header_len = 1;
+    write_varint((buf.len() - HEADER_MAX) as u64, |byte| {
+        header[header_len] = byte;
+        header_len += 1;
+    });
+    let start = HEADER_MAX - header_len;
+    buf[start..HEADER_MAX].copy_from_slice(&header[..header_len]);
+    let end = buf.len();
+    Bytes::from(buf).slice(start..end)
+}
+
 /// Encodes a batch of values into **one** shared arena allocation and
 /// returns a per-value zero-copy window ([`Bytes::slice`]) into it.
 ///
@@ -265,7 +333,17 @@ pub fn encode_batch_to_bytes<T: Codec>(values: &[T], hint_per_value: usize) -> V
 
 /// Decodes a value from a byte slice, requiring full consumption.
 pub fn decode_from_slice<T: Codec>(buf: &[u8]) -> Result<T> {
-    let mut r = Reader::new(buf);
+    decode_fully(Reader::new(buf))
+}
+
+/// Decodes a value from a shared buffer, requiring full consumption.
+/// Same result as [`decode_from_slice`], but every `Bytes` inside the
+/// value is a window of `bytes` rather than a copy of it.
+pub fn decode_from_bytes<T: Codec>(bytes: &Bytes) -> Result<T> {
+    decode_fully(Reader::over(bytes))
+}
+
+fn decode_fully<T: Codec>(mut r: Reader<'_>) -> Result<T> {
     let value = T::decode(&mut r)?;
     if !r.is_empty() {
         return Err(Error::Codec(format!(
@@ -381,7 +459,7 @@ impl Codec for Bytes {
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(Bytes::copy_from_slice(r.take_bytes()?))
+        r.take_shared()
     }
 }
 

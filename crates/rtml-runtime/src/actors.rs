@@ -21,13 +21,13 @@ use std::sync::Arc;
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Sender};
 
-use rtml_common::codec::{encode_to_bytes, Codec};
+use rtml_common::codec::Codec;
 use rtml_common::error::{Error, Result};
 use rtml_common::event::{Component, Event, EventKind};
 use rtml_common::ids::{ActorId, DriverId, NodeId, ObjectId, TaskId, WorkerId};
 use rtml_common::task::TaskState;
 
-use crate::envelope::{self, Envelope};
+use crate::envelope;
 use crate::object_ref::ObjectRef;
 use crate::services::Services;
 
@@ -35,6 +35,7 @@ enum ActorMsg {
     Call {
         task: TaskId,
         object: ObjectId,
+        /// Runs the method and seals its result.
         f: Box<dyn FnOnce(&mut dyn std::any::Any) -> Result<Bytes> + Send>,
     },
     Stop,
@@ -104,7 +105,7 @@ impl<S: Send + 'static> ActorHandle<S> {
                                     })
                                 });
                             let (bytes, final_state) = match result {
-                                Ok(raw) => (Envelope::Value(raw).seal(), TaskState::Finished),
+                                Ok(sealed) => (sealed, TaskState::Finished),
                                 Err(e) => (
                                     envelope::seal_error(&e.to_string()),
                                     TaskState::Failed(e.to_string()),
@@ -179,7 +180,7 @@ impl<S: Send + 'static> ActorHandle<S> {
                 .downcast_mut::<S>()
                 .ok_or_else(|| Error::InvalidArgument("actor state type mismatch".into()))?;
             let value = f(state)?;
-            Ok(encode_to_bytes(&value))
+            Ok(envelope::seal_value(&value))
         });
         self.tx
             .send(ActorMsg::Call {

@@ -399,6 +399,10 @@ impl Caller {
     /// future for it. Unlike task returns, `put` objects carry no lineage
     /// (losing every copy is unrecoverable — documented paper-faithful
     /// behaviour).
+    ///
+    /// The value is copied once, as it is encoded behind the envelope
+    /// header; the store keeps that buffer, and every later `get` or
+    /// task argument on this node is a view of it.
     pub fn put<T: Codec>(&self, value: &T) -> Result<ObjectRef<T>> {
         let inner = &self.inner;
         let counter = inner.put_counter.fetch_add(1, Ordering::Relaxed);
@@ -426,6 +430,12 @@ impl Caller {
 
     /// Blocks until the future's value is available (default deadline
     /// from the cluster tuning), fetching or reconstructing as needed.
+    ///
+    /// A [`bytes::Bytes`] in the result (the result itself, or a field
+    /// of it) is a view of the local store's buffer, not a copy: it
+    /// stays valid after the object is evicted and keeps that buffer's
+    /// memory alive until dropped. Every other type decodes into an
+    /// owned value.
     pub fn get<T: Codec>(&self, fut: &ObjectRef<T>) -> Result<T> {
         self.get_timeout(fut, self.inner.services.tuning.default_get_timeout)
     }
@@ -460,7 +470,9 @@ impl Caller {
     /// than one round trip per object. Objects already sealed at call
     /// time go in the first request. Unreachable holders, lost copies
     /// and lineage reconstruction (R6) are handled per object exactly as
-    /// [`Caller::get`] would.
+    /// [`Caller::get`] would. As there, `Bytes` values are views of the
+    /// local store's buffers — one buffer per object, so dropping one
+    /// value never keeps another's memory alive.
     pub fn get_many<T: Codec>(&self, futs: &[ObjectRef<T>]) -> Result<Vec<T>> {
         self.get_many_timeout(futs, self.inner.services.tuning.default_get_timeout)
     }

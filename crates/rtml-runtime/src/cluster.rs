@@ -705,6 +705,13 @@ macro_rules! cluster_register {
     ($name:ident, $name_ctx:ident, $reg:ident, $reg_ctx:ident, $token:ident, [$($ty:ident),*]) => {
         impl Cluster {
             /// Registers a typed remote function cluster-wide.
+            ///
+            /// A [`bytes::Bytes`] argument (or `Bytes` field of one) is
+            /// a view of the executing node's stored copy of the object,
+            /// not a copy of it: it stays valid — and keeps that buffer
+            /// alive — even if the object is evicted while the task
+            /// runs. Other argument types decode into owned values. The
+            /// result is copied once, as it is sealed.
             pub fn $name<$($ty: Codec + 'static,)* R: Codec + 'static>(
                 &self,
                 name: &str,
@@ -716,7 +723,9 @@ macro_rules! cluster_register {
             }
 
             /// Registers a typed remote function that receives the
-            /// [`TaskContext`] (for nested submissions).
+            /// [`TaskContext`] (for nested submissions). Arguments and
+            /// result are handled as for the context-free form: `Bytes`
+            /// arguments are views of the store's buffer.
             pub fn $name_ctx<$($ty: Codec + 'static,)* R: Codec + 'static>(
                 &self,
                 name: &str,

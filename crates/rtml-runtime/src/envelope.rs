@@ -10,7 +10,9 @@
 
 use bytes::Bytes;
 
-use rtml_common::codec::{decode_from_slice, encode_to_bytes, Codec, Reader, Writer};
+use rtml_common::codec::{
+    decode_from_bytes, encode_nested_to_bytes, encode_to_bytes, Codec, Reader, Writer,
+};
 use rtml_common::error::{Error, Result};
 use rtml_common::ids::TaskId;
 
@@ -23,15 +25,18 @@ pub enum Envelope {
     Error(String),
 }
 
+const TAG_VALUE: u8 = 0;
+const TAG_ERROR: u8 = 1;
+
 impl Codec for Envelope {
     fn encode(&self, w: &mut Writer) {
         match self {
             Envelope::Value(bytes) => {
-                w.put_u8(0);
+                w.put_u8(TAG_VALUE);
                 bytes.encode(w);
             }
             Envelope::Error(message) => {
-                w.put_u8(1);
+                w.put_u8(TAG_ERROR);
                 message.encode(w);
             }
         }
@@ -39,27 +44,24 @@ impl Codec for Envelope {
 
     fn decode(r: &mut Reader<'_>) -> Result<Self> {
         Ok(match r.take_u8()? {
-            0 => Envelope::Value(Bytes::decode(r)?),
-            1 => Envelope::Error(String::decode(r)?),
+            TAG_VALUE => Envelope::Value(Bytes::decode(r)?),
+            TAG_ERROR => Envelope::Error(String::decode(r)?),
             other => return Err(Error::Codec(format!("invalid Envelope tag {other}"))),
         })
     }
 }
 
 impl Envelope {
-    /// Wraps an encodable value.
-    pub fn of_value<T: Codec>(value: &T) -> Envelope {
-        Envelope::Value(encode_to_bytes(value))
-    }
-
-    /// Serializes this envelope to store bytes.
+    /// Serializes this envelope to store bytes. A value that is not yet
+    /// encoded seals in one pass through [`seal_value`] instead.
     pub fn seal(&self) -> Bytes {
         encode_to_bytes(self)
     }
 
-    /// Parses an envelope from store bytes.
-    pub fn open(bytes: &[u8]) -> Result<Envelope> {
-        decode_from_slice(bytes)
+    /// Parses an envelope from store bytes. A value's bytes are a window
+    /// of `bytes`, not a copy.
+    pub fn open(bytes: &Bytes) -> Result<Envelope> {
+        decode_from_bytes(bytes)
     }
 
     /// Extracts the raw value bytes or surfaces the propagated error.
@@ -74,9 +76,11 @@ impl Envelope {
     }
 }
 
-/// Convenience: seal a value directly to store bytes.
+/// Seals a value directly to store bytes — the bytes of
+/// `Envelope::Value(encode_to_bytes(value)).seal()`, with the value
+/// encoded once, straight behind the envelope header.
 pub fn seal_value<T: Codec>(value: &T) -> Bytes {
-    Envelope::of_value(value).seal()
+    encode_nested_to_bytes(TAG_VALUE, value)
 }
 
 /// Convenience: seal an error directly to store bytes.
@@ -84,10 +88,11 @@ pub fn seal_error(message: &str) -> Bytes {
     Envelope::Error(message.to_string()).seal()
 }
 
-/// Opens store bytes and decodes the value inside.
-pub fn open_value<T: Codec>(bytes: &[u8], producer: TaskId) -> Result<T> {
+/// Opens store bytes and decodes the value inside. Any `Bytes` in the
+/// value is a window of `bytes` and keeps that buffer alive.
+pub fn open_value<T: Codec>(bytes: &Bytes, producer: TaskId) -> Result<T> {
     let raw = Envelope::open(bytes)?.into_value_bytes(producer)?;
-    decode_from_slice(&raw)
+    decode_from_bytes(&raw)
 }
 
 #[cfg(test)]
@@ -124,7 +129,32 @@ mod tests {
 
     #[test]
     fn garbage_is_rejected() {
-        assert!(Envelope::open(&[9, 9, 9]).is_err());
+        assert!(Envelope::open(&Bytes::from_static(&[9, 9, 9])).is_err());
+    }
+
+    #[test]
+    fn one_pass_seal_matches_the_two_step_encoding() {
+        // Every varint width of the length prefix, and the inline cap.
+        for len in [0usize, 1, 20, 24, 100, 127, 128, 16_383, 16_384, 1 << 20] {
+            let value = Bytes::from(vec![7u8; len]);
+            let two_step = Envelope::Value(encode_to_bytes(&value)).seal();
+            assert_eq!(seal_value(&value), two_step, "payload of {len} bytes");
+        }
+        assert_eq!(
+            seal_value(&(7u64, String::from("x"))),
+            Envelope::Value(encode_to_bytes(&(7u64, String::from("x")))).seal()
+        );
+    }
+
+    #[test]
+    fn opened_bytes_are_a_window_of_the_sealed_buffer() {
+        let payload = Bytes::from(vec![3u8; 4096]);
+        let sealed = seal_value(&payload);
+        let back: Bytes = open_value(&sealed, TaskId::NIL).unwrap();
+        assert_eq!(back, payload);
+        let sealed_range = sealed.as_ptr_range();
+        assert!(sealed_range.contains(&back.as_ptr()));
+        assert!(back.as_ptr_range().end <= sealed_range.end);
     }
 
     #[test]

@@ -20,20 +20,26 @@ use std::sync::Arc;
 use bytes::Bytes;
 use parking_lot::RwLock;
 
-use rtml_common::codec::{decode_from_slice, encode_to_bytes, Codec};
+use rtml_common::codec::{decode_from_bytes, Codec};
 use rtml_common::error::{Error, Result};
 use rtml_common::ids::FunctionId;
 
 use crate::caller::TaskContext;
+use crate::envelope::{seal_value, Envelope};
 
 /// The raw callable form: value-encoded args in, value-encoded returns
 /// out. The [`TaskContext`] allows nested submissions (R3).
 pub type RawTaskFn = Arc<dyn Fn(&TaskContext, &[Bytes]) -> Result<Vec<Bytes>> + Send + Sync>;
 
+/// What a worker invokes: value-encoded args in, **sealed** return
+/// envelopes out, ready for the store. Typed functions seal their result
+/// in one pass; raw ones are wrapped to seal what they return.
+pub type SealedTaskFn = Arc<dyn Fn(&TaskContext, &[Bytes]) -> Result<Vec<Bytes>> + Send + Sync>;
+
 struct Registered {
     name: String,
     arity: u32,
-    f: RawTaskFn,
+    f: SealedTaskFn,
 }
 
 /// Process-wide registry of executable task functions.
@@ -51,6 +57,20 @@ impl FunctionRegistry {
     /// Registers a raw function under `name`. Re-registration replaces
     /// the callable (useful for process-restart simulations).
     pub fn register_raw(&self, name: &str, arity: u32, f: RawTaskFn) -> FunctionId {
+        self.register_sealed(
+            name,
+            arity,
+            Arc::new(move |ctx, args: &[Bytes]| {
+                let returns = f(ctx, args)?;
+                Ok(returns
+                    .into_iter()
+                    .map(|raw| Envelope::Value(raw).seal())
+                    .collect())
+            }),
+        )
+    }
+
+    fn register_sealed(&self, name: &str, arity: u32, f: SealedTaskFn) -> FunctionId {
         let id = FunctionId::from_name(name);
         self.fns.write().insert(
             id,
@@ -64,7 +84,7 @@ impl FunctionRegistry {
     }
 
     /// Looks up the callable for `id`.
-    pub fn get(&self, id: FunctionId) -> Option<RawTaskFn> {
+    pub fn get(&self, id: FunctionId) -> Option<SealedTaskFn> {
         self.fns.read().get(&id).map(|r| r.f.clone())
     }
 
@@ -89,12 +109,14 @@ impl FunctionRegistry {
     }
 }
 
-/// Decodes argument `idx` for a function named `name`.
+/// Decodes argument `idx` for a function named `name`. A `Bytes` inside
+/// the argument is a window of the buffer it arrived in (for a future,
+/// the store's own copy of the object).
 fn arg<T: Codec>(name: &str, args: &[Bytes], idx: usize) -> Result<T> {
     let bytes = args
         .get(idx)
         .ok_or_else(|| Error::InvalidArgument(format!("{name}: missing argument {idx}")))?;
-    decode_from_slice(bytes)
+    decode_from_bytes(bytes)
         .map_err(|e| Error::InvalidArgument(format!("{name}: argument {idx}: {e}")))
 }
 
@@ -132,13 +154,13 @@ macro_rules! typed_func {
                 f: impl Fn($($ty),*) -> Result<R> + Send + Sync + 'static,
             ) -> $token<$($ty,)* R> {
                 let owned = name.to_string();
-                let id = self.register_raw(
+                let id = self.register_sealed(
                     name,
                     $arity,
                     Arc::new(move |_ctx, args: &[Bytes]| {
                         let _ = (&owned, args);
                         let result = f($(arg::<$ty>(&owned, args, $idx)?),*)?;
-                        Ok(vec![encode_to_bytes(&result)])
+                        Ok(vec![seal_value(&result)])
                     }),
                 );
                 $token { id, _marker: PhantomData }
@@ -152,13 +174,13 @@ macro_rules! typed_func {
                 f: impl Fn(&TaskContext $(, $ty)*) -> Result<R> + Send + Sync + 'static,
             ) -> $token<$($ty,)* R> {
                 let owned = name.to_string();
-                let id = self.register_raw(
+                let id = self.register_sealed(
                     name,
                     $arity,
                     Arc::new(move |ctx, args: &[Bytes]| {
                         let _ = (&owned, args);
                         let result = f(ctx $(, arg::<$ty>(&owned, args, $idx)?)*)?;
-                        Ok(vec![encode_to_bytes(&result)])
+                        Ok(vec![seal_value(&result)])
                     }),
                 );
                 $token { id, _marker: PhantomData }
@@ -191,6 +213,7 @@ typed_func!(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rtml_common::codec::{decode_from_slice, encode_to_bytes};
 
     #[test]
     fn register_and_invoke_raw() {

@@ -137,6 +137,7 @@ fn execute_task(
     );
     let started = Instant::now();
 
+    // On success, one sealed envelope per return object.
     let outcome = resolve_args(services, recon, id, spec).and_then(|raw_args| {
         let func = services
             .registry
@@ -166,9 +167,8 @@ fn execute_task(
     let exec_micros = started.elapsed().as_micros() as u64;
     match outcome {
         Ok(results) if results.len() == spec.num_returns as usize => {
-            for (i, raw) in results.into_iter().enumerate() {
-                let object = task.return_object(i as u32);
-                seal(services, node, object, Envelope::Value(raw).seal());
+            for (i, sealed) in results.into_iter().enumerate() {
+                seal(services, node, task.return_object(i as u32), sealed);
             }
             services.tasks.set_state(task, &TaskState::Finished);
             services.events.append(

@@ -1,10 +1,57 @@
 //! Eviction + reconstruction interplay: bounded stores must not lose
 //! data that lineage can rebuild (`ARCHITECTURE.md`, "Fault tolerance").
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicIsize, Ordering};
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
+use bytes::Bytes;
 use rtml_common::error::Error;
-use rtml_runtime::{Cluster, ClusterConfig, NodeConfig};
+use rtml_common::ids::NodeId;
+use rtml_common::resources::Resources;
+use rtml_runtime::{Cluster, ClusterConfig, NodeConfig, TaskOptions};
+
+/// Buffer sizes only `stored_objects_pin_only_their_own_frame` allocates
+/// (no other test here comes within 60 KB of them), so live buffers of
+/// this size can be counted exactly while the other tests run.
+const TRACKED: std::ops::Range<usize> = 200_000..200_100;
+static TRACKED_LIVE: AtomicIsize = AtomicIsize::new(0);
+
+/// The system allocator, counting the live allocations in [`TRACKED`].
+struct CountTracked;
+
+fn track(size: usize, delta: isize) {
+    if TRACKED.contains(&size) {
+        TRACKED_LIVE.fetch_add(delta, Ordering::Relaxed);
+    }
+}
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the counter touches no allocator state.
+unsafe impl GlobalAlloc for CountTracked {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        track(layout.size(), 1);
+        // SAFETY: the caller's obligations are passed on as they are.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        track(layout.size(), -1);
+        // SAFETY: `ptr` came from `System` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        track(layout.size(), -1);
+        track(new_size, 1);
+        // SAFETY: as for `dealloc`, and `new_size` is the caller's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountTracked = CountTracked;
 
 fn tiny_store_cluster(capacity: u64) -> Cluster {
     Cluster::start(ClusterConfig {
@@ -43,6 +90,93 @@ fn evicted_objects_are_rebuilt_by_lineage() {
         report.evictions > 0,
         "expected evictions with a 450 KB store and 12 x 100 KB objects"
     );
+    cluster.shutdown();
+}
+
+#[test]
+fn evicted_argument_stays_readable_by_the_task_holding_it() {
+    let capacity = 1 << 20;
+    let cluster = tiny_store_cluster(capacity);
+    // The task meets the driver twice: once holding its argument, and
+    // again after the driver has had the store evict that object.
+    let holding = Arc::new(Barrier::new(2));
+    let evicted = Arc::new(Barrier::new(2));
+    let (holding2, evicted2) = (holding.clone(), evicted.clone());
+    let sum = cluster.register_fn1("sum_after_eviction", move |data: Bytes| {
+        holding2.wait();
+        evicted2.wait();
+        Ok(data.iter().map(|&b| b as u64).sum::<u64>())
+    });
+    let driver = cluster.driver();
+    let store = driver.services().store(NodeId(0)).unwrap();
+
+    let payload: Vec<u8> = (0..512 * 1024u32).map(|i| (i % 251) as u8).collect();
+    let expect: u64 = payload.iter().map(|&b| b as u64).sum();
+    let object = driver.put(&Bytes::from(payload)).unwrap();
+    let fut = driver.submit1(&sum, object).unwrap();
+    holding.wait();
+
+    // Two 400 KiB fillers do not fit beside the 512 KiB object.
+    let fillers: Vec<_> = (0..2u8)
+        .map(|i| driver.put(&Bytes::from(vec![i; 400 * 1024])).unwrap())
+        .collect();
+    assert!(!store.contains(object.id()), "argument was not evicted");
+    // The accounting let go of the object at eviction, although the
+    // task still keeps its buffer alive.
+    let filler_bytes: u64 = fillers
+        .iter()
+        .map(|f| store.get(f.id()).unwrap().len() as u64)
+        .sum();
+    assert_eq!(store.used_bytes(), filler_bytes);
+
+    evicted.wait();
+    assert_eq!(driver.get(&fut).unwrap(), expect);
+    cluster.shutdown();
+}
+
+#[test]
+fn stored_objects_pin_only_their_own_frame() {
+    // Eight objects produced on node 1 and pulled to the driver's node
+    // by one `get_many` — one coalesced reply stream. Each must land in
+    // a buffer of its own: deleting seven of them frees seven buffers,
+    // which an arena-encoded reply (one buffer, eight windows) would not.
+    let cluster = Cluster::start(ClusterConfig {
+        nodes: vec![
+            NodeConfig::cpu_only(2),
+            NodeConfig::cpu_only(2).with_custom("away", 8.0),
+        ],
+        ..ClusterConfig::default()
+    })
+    .unwrap();
+    let make = cluster.register_fn1("make_tracked", |i: u64| {
+        Ok(Bytes::from(vec![i as u8; TRACKED.start]))
+    });
+    let driver = cluster.driver();
+    let away = TaskOptions::resources(Resources::cpu(1.0).with_custom("away", 1.0));
+    let futs: Vec<_> = (0..8u64)
+        .map(|i| driver.submit1_opts(&make, i, away.clone()).unwrap())
+        .collect();
+    let values = driver.get_many(&futs).unwrap();
+    assert!(values.iter().zip(0u8..).all(|(v, i)| v[..] == [i; 200_000]));
+    drop(values);
+
+    let store = driver.services().store(NodeId(0)).unwrap();
+    assert!(futs.iter().all(|f| store.contains(f.id())));
+    let before = TRACKED_LIVE.load(Ordering::Relaxed);
+    for fut in &futs[1..] {
+        assert!(store.delete(fut.id()));
+    }
+    // The fetch agent's thread may still be dropping its own handle on
+    // the frame it answered last; nothing else holds one.
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while before - TRACKED_LIVE.load(Ordering::Relaxed) != 7 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "deleting 7 objects freed {} buffers",
+            before - TRACKED_LIVE.load(Ordering::Relaxed)
+        );
+        std::thread::yield_now();
+    }
     cluster.shutdown();
 }
 

@@ -3,6 +3,7 @@
 
 use std::time::{Duration, Instant};
 
+use bytes::Bytes;
 use rtml_common::error::Error;
 use rtml_common::ids::{NodeId, WorkerId};
 use rtml_common::resources::Resources;
@@ -148,6 +149,65 @@ fn nested_tasks_build_dynamic_graphs() {
     let fut = driver.submit1(&fanout, 5).unwrap();
     // 10*(0+1+2+3+4) = 100.
     assert_eq!(driver.get(&fut).unwrap(), 100);
+    cluster.shutdown();
+}
+
+/// Whether `inner` is a window of `outer`'s buffer.
+fn is_window_of(inner: std::ops::Range<u64>, outer: &Bytes) -> bool {
+    let outer = outer.as_ptr_range();
+    outer.start as u64 <= inner.start && inner.end <= outer.end as u64
+}
+
+#[test]
+fn bytes_arguments_and_results_are_views_of_the_stores_buffers() {
+    let cluster = Cluster::start(ClusterConfig {
+        nodes: vec![
+            NodeConfig::cpu_only(2).with_custom("home", 8.0),
+            NodeConfig::cpu_only(2).with_custom("away", 8.0),
+        ],
+        ..ClusterConfig::default()
+    })
+    .unwrap();
+    let on = |resource| TaskOptions::resources(Resources::cpu(1.0).with_custom(resource, 1.0));
+    let store = |node| cluster.services().store(node).unwrap();
+    // Reports where it ran and where its argument's bytes live.
+    let locate = cluster.register_fn1_ctx("locate", |ctx, data: Bytes| {
+        let at = data.as_ptr() as u64;
+        Ok((ctx.worker().node.0, at, at + data.len() as u64))
+    });
+    let make = cluster.register_fn1("make_4k", |i: u64| Ok(Bytes::from(vec![i as u8; 4096])));
+    let driver = cluster.driver();
+
+    // Sealed just under 1 MiB: four 256 KiB chunks on the wire. The
+    // task's argument is a window of its node's stored copy, both where
+    // the object was put and where it had to be fetched and assembled.
+    let object = driver.put(&Bytes::from(vec![7u8; (1 << 20) - 64])).unwrap();
+    for (resource, node) in [("home", NodeId(0)), ("away", NodeId(1))] {
+        let located = driver.submit1_opts(&locate, object, on(resource)).unwrap();
+        let (ran_on, start, end) = driver.get(&located).unwrap();
+        assert_eq!(NodeId(ran_on), node);
+        assert_eq!(end - start, (1 << 20) - 64);
+        let stored = store(node).get(object.id()).unwrap();
+        assert_eq!(stored.len().div_ceil(256 * 1024), 4);
+        assert!(is_window_of(start..end, &stored), "copied on {node:?}");
+    }
+
+    // A single-chunk result fetched by the driver: the value is a window
+    // of what the driver's node stored, which is the frame that arrived
+    // (not the producer's buffer, and not a reassembled copy).
+    let fut = driver.submit1_opts(&make, 9u64, on("away")).unwrap();
+    let value = driver.get(&fut).unwrap();
+    assert_eq!(value, Bytes::from(vec![9u8; 4096]));
+    let at = value.as_ptr() as u64;
+    let window = at..at + value.len() as u64;
+    assert!(is_window_of(
+        window.clone(),
+        &store(NodeId(0)).get(fut.id()).unwrap()
+    ));
+    assert!(!is_window_of(
+        window,
+        &store(NodeId(1)).get(fut.id()).unwrap()
+    ));
     cluster.shutdown();
 }
 

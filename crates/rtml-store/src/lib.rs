@@ -25,8 +25,9 @@
 //! ([`StoreConfig::chunk_bytes`]) and coalescing multi-object requests
 //! into one reply stream — while a per-node [`transfer::FetchAgent`]
 //! issues requests from one persistent endpoint, reassembles chunks,
-//! and single-flights concurrent fetches of the same object. The
-//! standalone [`transfer::fetch_object`] remains for one-shot use.
+//! and single-flights concurrent fetches of the same object. Received
+//! frames are decoded in place: an object that arrives as one chunk is
+//! stored as a window of its frame, never copied out of it.
 //!
 //! Hot objects are handled by [`replicate`], the replication plane: the
 //! transfer service counts per-object remote-read demand, and a
@@ -50,6 +51,5 @@ pub use store::{
     DEFAULT_CHUNK_BYTES,
 };
 pub use transfer::{
-    fetch_object, FetchAgent, FetchResult, FetchStats, TransferDirectory, TransferService,
-    TransferStats,
+    FetchAgent, FetchResult, FetchStats, TransferDirectory, TransferService, TransferStats,
 };

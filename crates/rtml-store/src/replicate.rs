@@ -505,15 +505,9 @@ mod tests {
         // Serve-loop demand recording, checked before the agent exists
         // (an agent's sweeps would drain the counter underneath us).
         svc0.stats().enable_demand_tracking();
-        crate::transfer::fetch_object(
-            &fabric,
-            &directory,
-            &store1,
-            obj(7),
-            &[NodeId(0)],
-            Duration::from_secs(5),
-        )
-        .unwrap();
+        crate::transfer::FetchAgent::spawn(fabric.clone(), store1.clone(), directory.clone())
+            .fetch_one(obj(7), NodeId(0), Duration::from_secs(5))
+            .unwrap();
         assert_eq!(svc0.stats().demand_of(obj(7)), 1);
 
         let agent = ReplicationAgent::spawn(NodeId(0), policy, svc0.stats().clone(), hooks);

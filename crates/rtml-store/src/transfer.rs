@@ -23,13 +23,13 @@
 //! total, payload }`, and `Missing { object }`. A response to a
 //! K-object request is one [`rtml_net::Fabric::send_chunks`] stream:
 //! a single propagation-delay sample plus the bandwidth term for the
-//! total size, delivered as ⌈size/chunk⌉ frames per object and
-//! reassembled at the receiver.
+//! total size, delivered as ⌈size/chunk⌉ frames per object.
 //!
-//! [`fetch_object`] remains as the standalone one-shot form (tests,
-//! benches): it registers an ephemeral reply endpoint whose
-//! registration is scoped to an RAII guard, so it cannot leak on any
-//! exit path.
+//! Frames are decoded over the `Bytes` they arrived in
+//! ([`rtml_common::codec::decode_from_bytes`]), so a chunk's payload is
+//! a window of its frame, not a copy. An object that arrives as one
+//! chunk is sealed into the store as that window; a multi-chunk object
+//! is assembled once, in the only reassembly loop there is.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -39,7 +39,7 @@ use crossbeam::channel::{unbounded, Sender};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 
-use rtml_common::codec::{decode_from_slice, encode_to_bytes, Codec, Reader, Writer};
+use rtml_common::codec::{decode_from_bytes, encode_to_bytes, Codec, Reader, Writer};
 use rtml_common::error::{Error, Result};
 use rtml_common::ids::{NodeId, ObjectId};
 use rtml_common::metrics::Counter;
@@ -123,8 +123,11 @@ impl Codec for TransferMsg {
 /// byte-identical to `TransferMsg::Chunk`'s `Codec::encode`; a test
 /// asserts the equivalence.
 fn encode_chunk_frame(object: ObjectId, index: u32, total: u32, payload: &[u8]) -> Bytes {
-    // Tag + object id + two u32s + varint length prefix.
-    let mut w = Writer::with_capacity(1 + 16 + 4 + 4 + 10 + payload.len());
+    // Tag, object id (two 16-byte ids, a tag, a varint counter), two
+    // u32s and the varint length prefix: sized so the frame is never
+    // reallocated, which would double the buffer every receiver keeps.
+    const HEADER_MAX: usize = 1 + (16 + 16 + 1 + 10) + 4 + 4 + 10;
+    let mut w = Writer::with_capacity(HEADER_MAX + payload.len());
     w.put_u8(1);
     object.encode(&mut w);
     w.put_u32(index);
@@ -259,7 +262,7 @@ impl TransferService {
             .name(format!("rtml-transfer-{node}"))
             .spawn(move || {
                 while let Ok(delivery) = endpoint.receiver().recv() {
-                    let msg = match decode_from_slice::<TransferMsg>(&delivery.payload) {
+                    let msg = match decode_from_bytes::<TransferMsg>(&delivery.payload) {
                         Ok(msg) => msg,
                         Err(_) => {
                             stats2.decode_errors.inc();
@@ -366,13 +369,13 @@ pub struct FetchStats {
     pub duplicates_suppressed: Counter,
     /// Chunk frames received.
     pub chunks_received: Counter,
-    /// Objects fully reassembled and sealed locally.
+    /// Objects fully received and sealed locally.
     pub objects_fetched: Counter,
     /// `Missing` answers (holder no longer had the object).
     pub misses: Counter,
     /// Waits that gave up before the transfer completed.
     pub timeouts: Counter,
-    /// Undecodable or misrouted frames received.
+    /// Undecodable, misrouted or out-of-bounds frames received.
     pub decode_errors: Counter,
 }
 
@@ -404,15 +407,18 @@ struct AgentInner {
     store: Arc<ObjectStore>,
     directory: Arc<TransferDirectory>,
     address: NetAddress,
+    /// Most chunks an object that fits the store can arrive in; a chunk
+    /// header claiming more is corrupt and is dropped before anything
+    /// is allocated for it.
+    max_chunks: usize,
     in_flight: Mutex<HashMap<ObjectId, InFlight>>,
     stats: FetchStats,
 }
 
 /// Per-node fetch client: one persistent reply endpoint, coalesced
 /// multi-object requests, chunk reassembly, and single-flighted
-/// concurrent fetches. This replaces the ephemeral-endpoint-per-fetch
-/// protocol: steady-state fetching registers **zero** new fabric
-/// endpoints.
+/// concurrent fetches. Steady-state fetching registers **zero** new
+/// fabric endpoints.
 pub struct FetchAgent {
     inner: Arc<AgentInner>,
     handle: Mutex<Option<std::thread::JoinHandle<()>>>,
@@ -427,8 +433,10 @@ impl FetchAgent {
     ) -> FetchAgent {
         let node = store.node();
         let endpoint = fabric.register(node, "fetch-agent");
+        let max_chunks = store.capacity_bytes().div_ceil(store.chunk_bytes()).max(1);
         let inner = Arc::new(AgentInner {
             address: endpoint.address(),
+            max_chunks: usize::try_from(max_chunks).unwrap_or(usize::MAX),
             fabric,
             store,
             directory,
@@ -631,7 +639,9 @@ impl Drop for FetchAgent {
 
 fn agent_loop(inner: Arc<AgentInner>, endpoint: rtml_net::Endpoint) {
     while let Ok(delivery) = endpoint.receiver().recv() {
-        let msg = match decode_from_slice::<TransferMsg>(&delivery.payload) {
+        // Decoded over the frame itself: a chunk's payload is a window
+        // of `delivery.payload`.
+        let msg = match decode_from_bytes::<TransferMsg>(&delivery.payload) {
             Ok(msg) => msg,
             Err(_) => {
                 inner.stats.decode_errors.inc();
@@ -648,7 +658,7 @@ fn agent_loop(inner: Arc<AgentInner>, endpoint: rtml_net::Endpoint) {
                 inner.stats.chunks_received.inc();
                 let total = total.max(1) as usize;
                 let index = index as usize;
-                if index >= total {
+                if index >= total || total > inner.max_chunks {
                     inner.stats.decode_errors.inc();
                     continue;
                 }
@@ -670,20 +680,20 @@ fn agent_loop(inner: Arc<AgentInner>, endpoint: rtml_net::Endpoint) {
                     entry.received += 1;
                 }
                 if entry.received as usize == total {
-                    let entry = fl.remove(&object).expect("entry present");
+                    let mut entry = fl.remove(&object).expect("entry present");
+                    // One chunk is the object: seal the window of the
+                    // frame it arrived in. Several are joined once.
+                    let bytes = if total == 1 {
+                        entry.chunks[0].take().expect("all chunks received")
+                    } else {
+                        let chunks = || entry.chunks.iter().flatten();
+                        let mut buf = Vec::with_capacity(chunks().map(Bytes::len).sum());
+                        chunks().for_each(|chunk| buf.extend_from_slice(chunk));
+                        Bytes::from(buf)
+                    };
                     // Seal while still holding the in-flight lock: a
                     // concurrent fetch_many either finds this entry or
                     // finds the object in the store — never neither.
-                    let size = entry
-                        .chunks
-                        .iter()
-                        .map(|c| c.as_ref().expect("all chunks received").len())
-                        .sum();
-                    let mut buf = Vec::with_capacity(size);
-                    for chunk in &entry.chunks {
-                        buf.extend_from_slice(chunk.as_ref().expect("all chunks received"));
-                    }
-                    let bytes = Bytes::from(buf);
                     let result = inner.store.put(object, bytes.clone());
                     if result.is_ok() {
                         inner.stats.objects_fetched.inc();
@@ -700,122 +710,6 @@ fn agent_loop(inner: Arc<AgentInner>, endpoint: rtml_net::Endpoint) {
             TransferMsg::Request { .. } => inner.stats.decode_errors.inc(),
         }
     }
-}
-
-/// Pulls `object` from one of `holders` into `local`, blocking up to
-/// `timeout` per attempted holder.
-///
-/// The standalone one-shot form of the protocol (tests, benches): it
-/// registers an **ephemeral** reply endpoint scoped to an RAII guard —
-/// unregistration is unconditional on every exit path, so repeated
-/// calls leave the fabric's endpoint table exactly as they found it.
-/// Runtime components use the per-node [`FetchAgent`] instead, which
-/// keeps one persistent endpoint and single-flights duplicates.
-///
-/// Holder choice uses the same deterministic rendezvous ranking of
-/// `(object, reader)` as the agent paths — not simply the first listed
-/// location — so one-shot readers of a replicated object spread across
-/// holders too, and remaining holders are retried in rank order when
-/// one is unreachable.
-///
-/// On success the object is sealed into `local`; the outcome reports any
-/// evictions the insertion caused. Fails with the **last** holder's
-/// error: [`Error::ObjectNotFound`] if no holder had the object and
-/// [`Error::Timeout`] if the request or response was lost (e.g. a
-/// partition) or too slow.
-pub fn fetch_object(
-    fabric: &Arc<Fabric>,
-    directory: &TransferDirectory,
-    local: &ObjectStore,
-    object: ObjectId,
-    holders: &[NodeId],
-    timeout: Duration,
-) -> Result<(Bytes, PutOutcome)> {
-    let me = local.node();
-    let ranked = rtml_common::ids::rendezvous_rank(
-        object,
-        me.0 as u64,
-        holders.iter().copied().filter(|n| *n != me),
-    );
-    let mut last_err = Error::ObjectNotFound(object);
-    for holder in ranked {
-        match fetch_object_from(fabric, directory, local, object, holder, timeout) {
-            Ok(done) => return Ok(done),
-            Err(err) => last_err = err,
-        }
-    }
-    Err(last_err)
-}
-
-/// One attempt of [`fetch_object`] against a specific holder.
-fn fetch_object_from(
-    fabric: &Arc<Fabric>,
-    directory: &TransferDirectory,
-    local: &ObjectStore,
-    object: ObjectId,
-    holder: NodeId,
-    timeout: Duration,
-) -> Result<(Bytes, PutOutcome)> {
-    let remote = directory.lookup(holder).ok_or(Error::NodeDown(holder))?;
-    // Ephemeral reply endpoint for this fetch; the guard unregisters it
-    // no matter how this function returns.
-    let reply = fabric.register_guarded(local.node(), "fetch-reply");
-    let request = TransferMsg::Request {
-        objects: vec![object],
-        reply_to: reply.address().as_u64(),
-    };
-    fabric.send(reply.address(), remote, encode_to_bytes(&request))?;
-
-    let deadline = Instant::now() + timeout;
-    let mut chunks: Vec<Option<Bytes>> = Vec::new();
-    let mut received = 0usize;
-    let data = loop {
-        let now = Instant::now();
-        if now >= deadline {
-            return Err(Error::Timeout);
-        }
-        let Ok(delivery) = reply.receiver().recv_timeout(deadline - now) else {
-            return Err(Error::Timeout);
-        };
-        match decode_from_slice::<TransferMsg>(&delivery.payload) {
-            Ok(TransferMsg::Chunk {
-                object: got,
-                index,
-                total,
-                payload,
-            }) if got == object => {
-                let total = total.max(1) as usize;
-                let index = index as usize;
-                if index >= total {
-                    continue;
-                }
-                if chunks.len() != total {
-                    chunks = vec![None; total];
-                    received = 0;
-                }
-                if chunks[index].is_none() {
-                    chunks[index] = Some(payload);
-                    received += 1;
-                }
-                if received == total {
-                    let mut buf =
-                        Vec::with_capacity(chunks.iter().map(|c| c.as_ref().unwrap().len()).sum());
-                    for chunk in &chunks {
-                        buf.extend_from_slice(chunk.as_ref().unwrap());
-                    }
-                    break Bytes::from(buf);
-                }
-            }
-            Ok(TransferMsg::Missing { object: got }) if got == object => {
-                return Err(Error::ObjectNotFound(object));
-            }
-            // Stale or foreign frame; keep waiting.
-            _ => continue,
-        }
-    };
-
-    let outcome = local.put(object, data.clone())?;
-    Ok((data, outcome))
 }
 
 #[cfg(test)]
@@ -892,7 +786,7 @@ mod tests {
         ];
         for msg in msgs {
             let bytes = encode_to_bytes(&msg);
-            let back: TransferMsg = decode_from_slice(&bytes).unwrap();
+            let back: TransferMsg = decode_from_bytes(&bytes).unwrap();
             assert_eq!(msg, back);
         }
     }
@@ -901,15 +795,10 @@ mod tests {
     fn fetch_moves_object() {
         let (fabric, directory, store0, store1, _s0, _s1) = setup(100);
         store0.put(obj(1), Bytes::from_static(b"payload")).unwrap();
-        let (data, outcome) = fetch_object(
-            &fabric,
-            &directory,
-            &store1,
-            obj(1),
-            &[NodeId(0)],
-            Duration::from_secs(5),
-        )
-        .unwrap();
+        let agent = FetchAgent::spawn(fabric.clone(), store1.clone(), directory.clone());
+        let (data, outcome) = agent
+            .fetch_one(obj(1), NodeId(0), Duration::from_secs(5))
+            .unwrap();
         assert_eq!(&data[..], b"payload");
         assert!(outcome.inserted);
         assert!(store1.contains(obj(1)));
@@ -918,110 +807,59 @@ mod tests {
     }
 
     #[test]
-    fn fetch_missing_object_errors() {
-        let (fabric, directory, _store0, store1, s0, _s1) = setup(0);
-        let err = fetch_object(
-            &fabric,
-            &directory,
-            &store1,
-            obj(9),
-            &[NodeId(0)],
-            Duration::from_secs(5),
-        )
-        .unwrap_err();
-        assert_eq!(err, Error::ObjectNotFound(obj(9)));
-        assert_eq!(s0.stats().misses.get(), 1);
-    }
-
-    #[test]
-    fn fetch_from_unknown_node_errors() {
-        let (fabric, directory, _store0, store1, _s0, _s1) = setup(0);
-        let err = fetch_object(
-            &fabric,
-            &directory,
-            &store1,
-            obj(1),
-            &[NodeId(7)],
-            Duration::from_secs(1),
-        )
-        .unwrap_err();
-        assert_eq!(err, Error::NodeDown(NodeId(7)));
-    }
-
-    #[test]
-    fn fetch_times_out_under_partition() {
-        let (fabric, directory, store0, store1, _s0, _s1) = setup(0);
-        store0.put(obj(1), Bytes::from_static(b"x")).unwrap();
-        fabric.partition(NodeId(0), NodeId(1));
-        let err = fetch_object(
-            &fabric,
-            &directory,
-            &store1,
-            obj(1),
-            &[NodeId(0)],
-            Duration::from_millis(50),
-        )
-        .unwrap_err();
-        assert_eq!(err, Error::Timeout);
-    }
-
-    #[test]
     fn fetch_pays_fabric_latency() {
         let (fabric, directory, store0, store1, _s0, _s1) = setup(5_000); // 5 ms per hop
         store0.put(obj(1), Bytes::from_static(b"x")).unwrap();
+        let agent = FetchAgent::spawn(fabric.clone(), store1.clone(), directory.clone());
         let start = std::time::Instant::now();
-        fetch_object(
-            &fabric,
-            &directory,
-            &store1,
-            obj(1),
-            &[NodeId(0)],
-            Duration::from_secs(5),
-        )
-        .unwrap();
+        agent
+            .fetch_one(obj(1), NodeId(0), Duration::from_secs(5))
+            .unwrap();
         // Request + response = 2 hops ≥ 10 ms.
         assert!(start.elapsed() >= Duration::from_millis(10));
     }
 
     #[test]
-    fn ephemeral_fetch_endpoints_never_leak() {
-        // Regression for the fetch-reply endpoint leak: success, miss,
-        // and timeout paths must all leave the endpoint table unchanged.
+    fn single_chunk_object_is_stored_as_a_window_of_its_frame() {
         let (fabric, directory, store0, store1, _s0, _s1) = setup(0);
-        store0.put(obj(1), Bytes::from_static(b"x")).unwrap();
-        let base = fabric.endpoint_count();
-        for _ in 0..16 {
-            fetch_object(
-                &fabric,
-                &directory,
-                &store1,
-                obj(1),
-                &[NodeId(0)],
-                Duration::from_secs(5),
-            )
+        let payload: Vec<u8> = (0..4096u32).map(|i| (i % 251) as u8).collect();
+        store0.put(obj(1), Bytes::from(payload.clone())).unwrap();
+        let agent = FetchAgent::spawn(fabric.clone(), store1.clone(), directory.clone());
+        let (data, _) = agent
+            .fetch_one(obj(1), NodeId(0), Duration::from_secs(5))
             .unwrap();
-            store1.delete(obj(1));
-            let _ = fetch_object(
-                &fabric,
-                &directory,
-                &store1,
-                obj(9),
-                &[NodeId(0)],
-                Duration::from_secs(5),
-            )
-            .unwrap_err();
+        assert_eq!(data.as_slice(), &payload[..]);
+        // The store holds the very buffer the caller was answered with,
+        // and that buffer is not the sender's.
+        let stored = store1.get(obj(1)).unwrap();
+        assert_eq!(stored.as_ptr(), data.as_ptr());
+        assert_ne!(stored.as_ptr(), store0.get(obj(1)).unwrap().as_ptr());
+    }
+
+    #[test]
+    fn forged_chunk_count_is_dropped_before_allocating() {
+        // Store capacity 1 MiB at 256-byte chunks: no real object
+        // arrives in more than 4096 chunks.
+        let (fabric, directory, store0, store1, _s0, _s1) = setup_chunked(0, 256);
+        let agent = FetchAgent::spawn(fabric.clone(), store1.clone(), directory.clone());
+        let probe = fabric.register_guarded(NodeId(0), "probe");
+        for total in [u32::MAX, 4097] {
+            let forged = encode_chunk_frame(obj(1), 0, total, b"x");
+            fabric
+                .send(probe.address(), agent.address(), forged)
+                .unwrap();
         }
-        fabric.partition(NodeId(0), NodeId(1));
-        let _ = fetch_object(
-            &fabric,
-            &directory,
-            &store1,
-            obj(1),
-            &[NodeId(0)],
-            Duration::from_millis(20),
-        )
-        .unwrap_err();
-        assert_eq!(fabric.endpoint_count(), base);
+        // The agent is alive, tracked nothing for the forged frames, and
+        // a normal multi-chunk fetch of the same object still completes.
+        let payload = Bytes::from(vec![5u8; 1000]);
+        store0.put(obj(1), payload.clone()).unwrap();
+        let (data, _) = agent
+            .fetch_one(obj(1), NodeId(0), Duration::from_secs(5))
+            .unwrap();
+        assert_eq!(data, payload);
+        assert_eq!(agent.stats().decode_errors.get(), 2);
+        assert_eq!(agent.stats().chunks_received.get(), 2 + 4);
+        assert_eq!(agent.in_flight_len(), 0);
     }
 
     #[test]
@@ -1169,7 +1007,7 @@ mod tests {
 
     #[test]
     fn agent_reports_missing_and_unknown_holder() {
-        let (fabric, directory, _store0, store1, _s0, _s1) = setup(0);
+        let (fabric, directory, _store0, store1, s0, _s1) = setup(0);
         let agent = FetchAgent::spawn(fabric.clone(), store1.clone(), directory.clone());
         assert_eq!(
             agent
@@ -1178,6 +1016,7 @@ mod tests {
             Error::ObjectNotFound(obj(9))
         );
         assert_eq!(agent.stats().misses.get(), 1);
+        assert_eq!(s0.stats().misses.get(), 1);
         assert_eq!(
             agent
                 .fetch_one(obj(9), NodeId(42), Duration::from_secs(1))
@@ -1229,12 +1068,22 @@ mod tests {
         let (fabric, directory, store0, store1, _s0, _s1) = setup(0);
         let agent = FetchAgent::spawn(fabric.clone(), store1.clone(), directory.clone());
         let base = fabric.endpoint_count();
+        // Success, miss and timeout paths all leave the endpoint table
+        // exactly as they found it.
         for i in 0..32 {
             store0.put(obj(i), Bytes::from_static(b"x")).unwrap();
             agent
                 .fetch_one(obj(i), NodeId(0), Duration::from_secs(5))
                 .unwrap();
+            agent
+                .fetch_one(obj(1000 + i), NodeId(0), Duration::from_secs(5))
+                .unwrap_err();
         }
+        fabric.partition(NodeId(0), NodeId(1));
+        store0.put(obj(99), Bytes::from_static(b"x")).unwrap();
+        agent
+            .fetch_one(obj(99), NodeId(0), Duration::from_millis(20))
+            .unwrap_err();
         assert_eq!(fabric.endpoint_count(), base);
         agent.shutdown();
         assert_eq!(fabric.endpoint_count(), base - 1);
@@ -1250,15 +1099,9 @@ mod tests {
             .send(probe.address(), remote, Bytes::from_static(b"\xff garbage"))
             .unwrap();
         // The service must survive garbage and keep serving.
-        let (data, _) = fetch_object(
-            &fabric,
-            &directory,
-            &store1,
-            obj(1),
-            &[NodeId(0)],
-            Duration::from_secs(5),
-        )
-        .unwrap();
+        let (data, _) = FetchAgent::spawn(fabric.clone(), store1.clone(), directory.clone())
+            .fetch_one(obj(1), NodeId(0), Duration::from_secs(5))
+            .unwrap();
         assert_eq!(&data[..], b"x");
         assert_eq!(s0.stats().decode_errors.get(), 1);
     }
@@ -1271,15 +1114,9 @@ mod tests {
         let (fabric, directory, store0, store1, _s0, _s1) = setup_chunked(0, 64);
         let payload = Bytes::from(vec![9u8; 512]);
         store0.put(obj(1), payload.clone()).unwrap();
-        let (data, _) = fetch_object(
-            &fabric,
-            &directory,
-            &store1,
-            obj(1),
-            &[NodeId(0)],
-            Duration::from_secs(5),
-        )
-        .unwrap();
+        let (data, _) = FetchAgent::spawn(fabric.clone(), store1.clone(), directory.clone())
+            .fetch_one(obj(1), NodeId(0), Duration::from_secs(5))
+            .unwrap();
         assert_eq!(data, payload);
         // The pin was released after the serve: the object is evictable
         // again under pressure.

@@ -1,5 +1,6 @@
 //! Failure-matrix tests: the R6 story under adversarial timing.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use rtml::common::error::Error;
@@ -95,27 +96,28 @@ fn killing_replica_holders_leaves_reads_and_lineage_correct() {
     let expect = vec![7u8; 32 * 1024];
     assert_eq!(driver.get(&fut).unwrap(), expect);
 
-    // Drive remote demand with one-shot reads into a scratch store
-    // outside the cluster (a streaming consumer that keeps nothing), so
-    // no cluster node becomes a holder before the plane acts and every
-    // replica pull seals fresh bytes.
+    // Drive remote demand with reads into a scratch store outside the
+    // cluster (a streaming consumer that keeps nothing), so no cluster
+    // node becomes a holder before the plane acts and every replica
+    // pull seals fresh bytes.
     let services = cluster.services().clone();
     let hot = fut.id();
-    let scratch = rtml::store::ObjectStore::new(rtml::store::StoreConfig {
+    let scratch = Arc::new(rtml::store::ObjectStore::new(rtml::store::StoreConfig {
         node: NodeId(99),
         ..rtml::store::StoreConfig::default()
-    });
+    }));
+    let reader = rtml::store::FetchAgent::spawn(
+        services.fabric.clone(),
+        scratch.clone(),
+        services.directory.clone(),
+    );
     for _ in 0..2 {
-        rtml::store::fetch_object(
-            &services.fabric,
-            &services.directory,
-            &scratch,
-            hot,
-            &[NodeId(0)],
-            Duration::from_secs(5),
-        )
-        .unwrap();
+        reader
+            .fetch_one(hot, NodeId(0), Duration::from_secs(5))
+            .unwrap();
+        scratch.delete(hot);
     }
+    reader.shutdown();
     // Cross the threshold atomically with a scheduler-style fan-in hint
     // (trickled reads decay per sweep by design; a handful of post-kill
     // reads later in this test must NOT re-trigger the plane and race

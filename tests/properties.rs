@@ -3,12 +3,13 @@
 use bytes::Bytes;
 use proptest::prelude::*;
 
-use rtml::common::codec::{decode_from_slice, encode_to_bytes};
+use rtml::common::codec::{decode_from_bytes, decode_from_slice, encode_to_bytes, Codec, Writer};
 use rtml::common::ids::FunctionId;
 use rtml::common::ids::{DriverId, NodeId, ObjectId, TaskId, UniqueId};
 use rtml::common::resources::Resources;
 use rtml::common::task::{ArgSpec, TaskSpec, TaskState};
 use rtml::kv::{KvStore, TaskTable};
+use rtml::runtime::Envelope;
 use rtml::sched::SchedWire;
 use rtml::store::{ObjectStore, StoreConfig};
 
@@ -18,25 +19,40 @@ fn obj(i: u64) -> ObjectId {
         .return_object(0)
 }
 
+/// Decodes `bytes` both ways — over the plain slice (byte strings are
+/// copied out) and over the shared buffer (byte strings are windows of
+/// it) — and checks the two agree: both fail, or both yield values that
+/// encode alike (bitwise, so NaNs compare).
+fn decode_both<T: Codec>(bytes: &Bytes) -> rtml::common::error::Result<T> {
+    let from_slice = decode_from_slice::<T>(bytes);
+    let from_bytes = decode_from_bytes::<T>(bytes);
+    match (&from_slice, &from_bytes) {
+        (Ok(a), Ok(b)) => assert_eq!(encode_to_bytes(a), encode_to_bytes(b)),
+        (Err(_), Err(_)) => {}
+        _ => panic!("slice and shared-buffer decode disagree on {bytes:?}"),
+    }
+    from_bytes
+}
+
 proptest! {
     // ---- codec round-trips -----------------------------------------
 
     #[test]
     fn codec_u64_round_trips(v in any::<u64>()) {
         let bytes = encode_to_bytes(&v);
-        prop_assert_eq!(decode_from_slice::<u64>(&bytes).unwrap(), v);
+        prop_assert_eq!(decode_both::<u64>(&bytes).unwrap(), v);
     }
 
     #[test]
     fn codec_i64_round_trips(v in any::<i64>()) {
         let bytes = encode_to_bytes(&v);
-        prop_assert_eq!(decode_from_slice::<i64>(&bytes).unwrap(), v);
+        prop_assert_eq!(decode_both::<i64>(&bytes).unwrap(), v);
     }
 
     #[test]
     fn codec_f64_round_trips_bitwise(v in any::<f64>()) {
         let bytes = encode_to_bytes(&v);
-        let back = decode_from_slice::<f64>(&bytes).unwrap();
+        let back = decode_both::<f64>(&bytes).unwrap();
         prop_assert_eq!(back.to_bits(), v.to_bits());
     }
 
@@ -44,13 +60,13 @@ proptest! {
     fn codec_string_round_trips(v in ".{0,64}") {
         let owned = v.to_string();
         let bytes = encode_to_bytes(&owned);
-        prop_assert_eq!(decode_from_slice::<String>(&bytes).unwrap(), owned);
+        prop_assert_eq!(decode_both::<String>(&bytes).unwrap(), owned);
     }
 
     #[test]
     fn codec_vec_round_trips(v in proptest::collection::vec(any::<u32>(), 0..64)) {
         let bytes = encode_to_bytes(&v);
-        prop_assert_eq!(decode_from_slice::<Vec<u32>>(&bytes).unwrap(), v);
+        prop_assert_eq!(decode_both::<Vec<u32>>(&bytes).unwrap(), v);
     }
 
     #[test]
@@ -61,7 +77,7 @@ proptest! {
         )
     ) {
         let bytes = encode_to_bytes(&v);
-        let back: Vec<(u64, Vec<f32>)> = decode_from_slice(&bytes).unwrap();
+        let back: Vec<(u64, Vec<f32>)> = decode_both(&bytes).unwrap();
         prop_assert_eq!(back.len(), v.len());
         for (a, b) in back.iter().zip(&v) {
             prop_assert_eq!(a.0, b.0);
@@ -75,7 +91,7 @@ proptest! {
     #[test]
     fn codec_option_round_trips(v in proptest::option::of(any::<i32>())) {
         let bytes = encode_to_bytes(&v);
-        prop_assert_eq!(decode_from_slice::<Option<i32>>(&bytes).unwrap(), v);
+        prop_assert_eq!(decode_both::<Option<i32>>(&bytes).unwrap(), v);
     }
 
     #[test]
@@ -84,8 +100,54 @@ proptest! {
         // Any strict prefix must fail to decode.
         let cut = bytes.len() / 2;
         if cut < bytes.len() {
-            prop_assert!(decode_from_slice::<Vec<u64>>(&bytes[..cut]).is_err());
+            prop_assert!(decode_both::<Vec<u64>>(&bytes.slice(0..cut)).is_err());
         }
+    }
+
+    #[test]
+    fn codec_byte_strings_decode_alike_from_slice_and_shared_buffer(
+        payloads in proptest::collection::vec(
+            proptest::collection::vec(any::<u8>(), 0..96),
+            0..6,
+        ),
+        n in any::<u64>(),
+    ) {
+        // Payloads straddle the inline cap, so both the re-inlined and
+        // the windowed form of a decoded `Bytes` are exercised.
+        let all: Vec<Bytes> = payloads.iter().cloned().map(Bytes::from).collect();
+        let first = all.first().cloned();
+        let bytes = encode_to_bytes(&all);
+        prop_assert_eq!(decode_both::<Vec<Bytes>>(&bytes).unwrap(), all);
+        let bytes = encode_to_bytes(&first);
+        prop_assert_eq!(decode_both::<Option<Bytes>>(&bytes).unwrap(), first.clone());
+        let pair = (n, first.clone().unwrap_or_default());
+        let bytes = encode_to_bytes(&pair);
+        prop_assert_eq!(decode_both::<(u64, Bytes)>(&bytes).unwrap(), pair.clone());
+        for envelope in [Envelope::Value(pair.1), Envelope::Error(format!("task {n} failed"))] {
+            let bytes = envelope.seal();
+            prop_assert_eq!(decode_both::<Envelope>(&bytes).unwrap(), envelope);
+        }
+    }
+
+    #[test]
+    fn codec_rejects_bad_length_prefixes(
+        payload in proptest::collection::vec(any::<u8>(), 1..96),
+        extra in 1u64..1_000_000,
+    ) {
+        let bytes = encode_to_bytes(&Bytes::from(payload.clone()));
+        // Truncated: the prefix promises more than what is left.
+        prop_assert!(decode_both::<Bytes>(&bytes.slice(0..bytes.len() - 1)).is_err());
+        // Over-long: a prefix larger than the whole input, up to one
+        // that does not even fit a u64.
+        for claimed in [payload.len() as u64 + extra, u64::MAX] {
+            let mut w = Writer::new();
+            w.put_varint(claimed);
+            w.put_raw(&payload);
+            prop_assert!(decode_both::<Bytes>(&w.into_bytes()).is_err());
+        }
+        let mut overlong = vec![0xffu8; 10];
+        overlong.extend_from_slice(&payload);
+        prop_assert!(decode_both::<Bytes>(&Bytes::from(overlong)).is_err());
     }
 
     // ---- identifier discipline --------------------------------------
@@ -154,7 +216,7 @@ proptest! {
     ) {
         let r = Resources::new(c, g).with_custom("x", custom);
         let bytes = encode_to_bytes(&r);
-        prop_assert_eq!(decode_from_slice::<Resources>(&bytes).unwrap(), r);
+        prop_assert_eq!(decode_both::<Resources>(&bytes).unwrap(), r);
     }
 
     // ---- task specs --------------------------------------------------
@@ -187,7 +249,7 @@ proptest! {
             actor: None,
         };
         let bytes = encode_to_bytes(&spec);
-        prop_assert_eq!(decode_from_slice::<TaskSpec>(&bytes).unwrap(), spec);
+        prop_assert_eq!(decode_both::<TaskSpec>(&bytes).unwrap(), spec);
     }
 
     // ---- batch wire messages -----------------------------------------
@@ -221,7 +283,7 @@ proptest! {
             SchedWire::SpillBatch(specs)
         };
         let bytes = encode_to_bytes(&msg);
-        prop_assert_eq!(decode_from_slice::<SchedWire>(&bytes).unwrap(), msg);
+        prop_assert_eq!(decode_both::<SchedWire>(&bytes).unwrap(), msg);
     }
 
     #[test]
@@ -232,7 +294,7 @@ proptest! {
             .collect();
         let bytes = encode_to_bytes(&SchedWire::SpillBatch(specs));
         // Any strict prefix must fail to decode.
-        prop_assert!(decode_from_slice::<SchedWire>(&bytes[..bytes.len() - 1]).is_err());
+        prop_assert!(decode_both::<SchedWire>(&bytes.slice(0..bytes.len() - 1)).is_err());
     }
 
     #[test]
@@ -247,7 +309,7 @@ proptest! {
             _ => TaskState::Lost,
         };
         let bytes = encode_to_bytes(&state);
-        prop_assert_eq!(decode_from_slice::<TaskState>(&bytes).unwrap(), state);
+        prop_assert_eq!(decode_both::<TaskState>(&bytes).unwrap(), state);
     }
 
     // ---- KV store ----------------------------------------------------
