@@ -45,6 +45,12 @@ impl Counter {
         self.value.fetch_add(n, Ordering::Relaxed);
     }
 
+    /// Takes back `n` of what was added (a count that turned out not to
+    /// hold). Never more than was added.
+    pub fn sub(&self, n: u64) {
+        self.value.fetch_sub(n, Ordering::Relaxed);
+    }
+
     /// Current value.
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)

@@ -1,13 +1,12 @@
 //! The message fabric: registration, routed delivery, delays, partitions.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
-use std::sync::Arc;
+use std::collections::{HashMap, HashSet};
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use rtml_common::error::{Error, Result};
 use rtml_common::ids::NodeId;
@@ -60,11 +59,12 @@ pub struct Delivery {
 }
 
 /// A registered endpoint: an address plus the receiving side of its
-/// mailbox.
+/// mailbox. Dropping it unregisters the address.
 pub struct Endpoint {
     address: NetAddress,
     node: NodeId,
     rx: Receiver<Delivery>,
+    fabric: Weak<Fabric>,
 }
 
 impl Endpoint {
@@ -84,25 +84,11 @@ impl Endpoint {
     }
 }
 
-/// An endpoint registration scoped to a guard: dropping the guard
-/// unregisters the endpoint from its fabric. See
-/// [`Fabric::register_guarded`].
-pub struct EndpointGuard {
-    endpoint: Endpoint,
-    fabric: Arc<Fabric>,
-}
-
-impl std::ops::Deref for EndpointGuard {
-    type Target = Endpoint;
-
-    fn deref(&self) -> &Endpoint {
-        &self.endpoint
-    }
-}
-
-impl Drop for EndpointGuard {
+impl Drop for Endpoint {
     fn drop(&mut self) {
-        self.fabric.unregister(self.endpoint.address());
+        if let Some(fabric) = self.fabric.upgrade() {
+            fabric.unregister(self.address);
+        }
     }
 }
 
@@ -111,9 +97,13 @@ impl Drop for EndpointGuard {
 pub struct FabricStats {
     /// Messages accepted by `send`.
     pub sent: Counter,
-    /// Messages delivered to a live mailbox.
+    /// Messages that reached a live mailbox (cross-node ones wait there,
+    /// invisible, until they are due).
     pub delivered: Counter,
-    /// Messages dropped by partitions or dead mailboxes.
+    /// Messages dropped: partitioned, dropped by the fault plan, sent to
+    /// a mailbox whose receiver is gone, or still waiting in a mailbox
+    /// when [`Fabric::unregister`] severed it (those move here from
+    /// `delivered`).
     pub dropped: Counter,
     /// Total payload bytes accepted.
     pub bytes: Counter,
@@ -154,41 +144,13 @@ enum FrameKind {
     Chunked,
 }
 
-/// One scheduled wire crossing: a frame of one or more messages to the
-/// same destination that share a single delay sample. Batched sends are
-/// the fabric-level face of the end-to-end batching discipline — N
-/// queued messages to one destination cost one hop, not N.
-struct PendingDelivery {
-    due: Instant,
-    seq: u64,
-    to: NetAddress,
-    frames: Vec<Delivery>,
-}
-
-impl PartialEq for PendingDelivery {
-    fn eq(&self, other: &Self) -> bool {
-        self.due == other.due && self.seq == other.seq
-    }
-}
-impl Eq for PendingDelivery {}
-impl PartialOrd for PendingDelivery {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for PendingDelivery {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Earliest due first; seq breaks ties to preserve send order.
-        (self.due, self.seq).cmp(&(other.due, other.seq))
-    }
-}
-
 #[derive(Default)]
 struct Routing {
-    endpoints: HashMap<NetAddress, (NodeId, Sender<Delivery>)>,
+    /// Each endpoint's node and the one sender of its mailbox, shared so
+    /// that a send holds the mailbox without touching its lock.
+    endpoints: HashMap<NetAddress, (NodeId, Arc<Sender<Delivery>>)>,
     partitions: HashSet<(NodeId, NodeId)>,
     next_address: u64,
-    next_seq: u64,
     jitter_state: u64,
     /// Dedicated RNG state for the fault plan, separate from
     /// `jitter_state` so enabling faults never perturbs the latency
@@ -201,62 +163,32 @@ struct Routing {
     egress_busy: HashMap<NodeId, Instant>,
 }
 
-/// The delay heap and the pump's shutdown flag live under **one** mutex,
-/// the one the pump waits on: a sender pushes under it and the pump
-/// decides to sleep under it, so a frame queued while the pump is
-/// between "nothing is due" and "wait" cannot miss its wake-up.
-struct DelayQueue {
-    state: Mutex<DelayState>,
-    wakeup: Condvar,
-}
-
-#[derive(Default)]
-struct DelayState {
-    heap: BinaryHeap<Reverse<PendingDelivery>>,
-    shutdown: bool,
-}
-
 /// The shared fabric. Cheap to clone via `Arc`; see crate docs.
 pub struct Fabric {
     config: FabricConfig,
     routing: Mutex<Routing>,
-    queue: Arc<DelayQueue>,
     /// Traffic counters.
     pub stats: FabricStats,
-    pump: Mutex<Option<std::thread::JoinHandle<()>>>,
     /// Creation instant; the fault plan's schedule windows are
     /// evaluated against time elapsed since this epoch.
     epoch: Instant,
 }
 
 impl Fabric {
-    /// Creates a fabric and starts its delivery pump thread.
+    /// Creates a fabric. It runs no thread: a cross-node message waits
+    /// out its delay in the destination mailbox.
     pub fn new(config: FabricConfig) -> Arc<Self> {
-        let queue = Arc::new(DelayQueue {
-            state: Mutex::new(DelayState::default()),
-            wakeup: Condvar::new(),
-        });
         let fault_seed = config.faults.seed;
-        let fabric = Arc::new(Fabric {
+        Arc::new(Fabric {
             config,
             routing: Mutex::new(Routing {
                 jitter_state: 0x243f6a8885a308d3,
                 fault_state: fault_seed ^ 0x9e3779b97f4a7c15,
                 ..Routing::default()
             }),
-            queue,
             stats: FabricStats::default(),
-            pump: Mutex::new(None),
             epoch: Instant::now(),
-        });
-        let pump_fabric = Arc::downgrade(&fabric);
-        let queue2 = fabric.queue.clone();
-        let handle = std::thread::Builder::new()
-            .name("rtml-net-pump".into())
-            .spawn(move || Self::pump_loop(queue2, pump_fabric))
-            .expect("spawn fabric pump");
-        *fabric.pump.lock() = Some(handle);
-        fabric
+        })
     }
 
     /// Registers the fabric's traffic counters on `registry` under the
@@ -294,25 +226,20 @@ impl Fabric {
         registry.register_value("fabric.injected_gray", move || f.stats.injected_gray.get());
     }
 
-    /// Registers an endpoint on `node`. The `name` is only for debugging.
-    pub fn register(&self, node: NodeId, _name: &str) -> Endpoint {
+    /// Registers an endpoint on `node`; it stays registered until it is
+    /// dropped or [`Fabric::unregister`]ed. The `name` is only for
+    /// debugging.
+    pub fn register(self: &Arc<Self>, node: NodeId, _name: &str) -> Endpoint {
         let (tx, rx) = unbounded();
         let mut routing = self.routing.lock();
         routing.next_address += 1;
         let address = NetAddress(routing.next_address);
-        routing.endpoints.insert(address, (node, tx));
-        Endpoint { address, node, rx }
-    }
-
-    /// Registers an endpoint whose registration is scoped to the returned
-    /// guard: dropping the guard unregisters it unconditionally, on every
-    /// exit path. Short-lived endpoints must use this — a `register`
-    /// paired with a manual `unregister` leaks the mailbox on any early
-    /// return between the two.
-    pub fn register_guarded(self: &Arc<Self>, node: NodeId, name: &str) -> EndpointGuard {
-        EndpointGuard {
-            endpoint: self.register(node, name),
-            fabric: self.clone(),
+        routing.endpoints.insert(address, (node, Arc::new(tx)));
+        Endpoint {
+            address,
+            node,
+            rx,
+            fabric: Arc::downgrade(self),
         }
     }
 
@@ -322,10 +249,16 @@ impl Fabric {
         self.routing.lock().endpoints.len()
     }
 
-    /// Removes an endpoint (its mailbox closes; queued messages to it are
-    /// dropped at delivery time).
+    /// Severs a live endpoint (node kill, scheduler shutdown): its
+    /// mailbox closes once the messages already due are drained, and
+    /// those not yet due are dropped. Idempotent.
     pub fn unregister(&self, address: NetAddress) {
-        self.routing.lock().endpoints.remove(&address);
+        let Some((_, mailbox)) = self.routing.lock().endpoints.remove(&address) else {
+            return;
+        };
+        let severed = mailbox.discard_pending() as u64;
+        self.stats.delivered.sub(severed);
+        self.stats.dropped.add(severed);
     }
 
     /// Partitions traffic between two nodes (both directions).
@@ -351,8 +284,10 @@ impl Fabric {
     ///
     /// Same-node messages are delivered immediately (shared-memory path).
     /// Cross-node messages pay the configured latency plus a
-    /// size/bandwidth term and are delivered asynchronously by the pump
-    /// thread, in send order for equal delays.
+    /// size/bandwidth term: they go straight into the destination
+    /// mailbox stamped with their due time and stay invisible to the
+    /// receiver until then, becoming visible in due-time order (send
+    /// order for equal due times).
     ///
     /// Returns [`Error::Disconnected`] if either address is unregistered.
     /// Partitioned messages are silently dropped, like a real network.
@@ -394,14 +329,15 @@ impl Fabric {
         kind: FrameKind,
     ) -> Result<()> {
         let mut routing = self.routing.lock();
-        let (from_node, _) = *routing
+        let from_node = routing
             .endpoints
             .get(&from)
-            .ok_or(Error::Disconnected("fabric sender"))?;
-        let (to_node, tx) = routing
+            .ok_or(Error::Disconnected("fabric sender"))?
+            .0;
+        let (to_node, mailbox) = routing
             .endpoints
             .get(&to)
-            .cloned()
+            .map(|(node, mailbox)| (*node, mailbox.clone()))
             .ok_or(Error::Disconnected("fabric receiver"))?;
 
         if payloads.is_empty() {
@@ -423,18 +359,15 @@ impl Fabric {
         }
 
         let sent_at_nanos = rtml_common::time::now_nanos();
-        let frames: Vec<Delivery> = payloads
-            .into_iter()
-            .map(|payload| Delivery {
-                from,
-                payload,
-                sent_at_nanos,
-            })
-            .collect();
+        let frames = payloads.into_iter().map(|payload| Delivery {
+            from,
+            payload,
+            sent_at_nanos,
+        });
 
         if from_node == to_node {
             drop(routing);
-            self.deliver_frames(&tx, frames);
+            self.deliver(&mailbox, frames, None);
             return Ok(());
         }
 
@@ -475,16 +408,6 @@ impl Fabric {
             .wrapping_mul(6364136223846793005)
             .wrapping_add(1442695040888963407);
         let entropy = routing.jitter_state;
-        routing.next_seq += 1;
-        let seq = routing.next_seq;
-        // A duplicated frame gets its own sequence number so the pair
-        // stays ordered behind the original in the delay queue.
-        let dup_seq = if fault.duplicate {
-            routing.next_seq += 1;
-            Some(routing.next_seq)
-        } else {
-            None
-        };
 
         // Bandwidth models a *serialized* egress link, not just a
         // size-proportional delay: a frame cannot start transmitting
@@ -513,121 +436,35 @@ impl Fabric {
         drop(routing);
 
         let due = departs + self.config.latency.sample(entropy) + fault.extra_delay();
-        if due <= now {
-            if dup_seq.is_some() {
-                self.deliver_frames(&tx, frames.clone());
-            }
-            self.deliver_frames(&tx, frames);
-            return Ok(());
+        if fault.duplicate {
+            // Both copies arrive back to back: equal due times are
+            // received in send order.
+            let frames: Vec<Delivery> = frames.collect();
+            self.deliver(&mailbox, frames.iter().cloned(), Some(due));
+            self.deliver(&mailbox, frames.into_iter(), Some(due));
+        } else {
+            self.deliver(&mailbox, frames, Some(due));
         }
-
-        let pending = PendingDelivery {
-            due,
-            seq,
-            to,
-            frames,
-        };
-        {
-            let heap = &mut self.queue.state.lock().heap;
-            if let Some(dup_seq) = dup_seq {
-                heap.push(Reverse(PendingDelivery {
-                    due,
-                    seq: dup_seq,
-                    to,
-                    frames: pending.frames.clone(),
-                }));
-            }
-            heap.push(Reverse(pending));
-        }
-        self.queue.wakeup.notify_one();
         Ok(())
     }
 
-    fn deliver_frames(&self, tx: &Sender<Delivery>, frames: Vec<Delivery>) {
+    /// Hands `frames` to `mailbox`: visible at once, or parked there until
+    /// `due`.
+    fn deliver(
+        &self,
+        mailbox: &Sender<Delivery>,
+        frames: impl Iterator<Item = Delivery>,
+        due: Option<Instant>,
+    ) {
         for frame in frames {
-            if tx.send(frame).is_ok() {
+            let sent = match due {
+                Some(due) => mailbox.send_at(frame, due),
+                None => mailbox.send(frame),
+            };
+            if sent.is_ok() {
                 self.stats.delivered.inc();
             } else {
                 self.stats.dropped.inc();
-            }
-        }
-    }
-
-    fn pump_loop(queue: Arc<DelayQueue>, fabric: std::sync::Weak<Fabric>) {
-        let mut state = queue.state.lock();
-        loop {
-            // Collect due deliveries; with none, sleep until the next
-            // deadline or a new frame — still holding the lock the
-            // senders push under, so no push can fall in between.
-            let now = Instant::now();
-            let mut due_now = Vec::new();
-            while state
-                .heap
-                .peek()
-                .is_some_and(|Reverse(head)| head.due <= now)
-            {
-                let Reverse(item) = state.heap.pop().expect("peeked");
-                due_now.push(item);
-            }
-            if due_now.is_empty() {
-                if state.shutdown {
-                    return;
-                }
-                match state.heap.peek().map(|Reverse(head)| head.due) {
-                    Some(deadline) => {
-                        queue.wakeup.wait_for(&mut state, deadline - now);
-                    }
-                    None => queue.wakeup.wait(&mut state),
-                }
-                continue;
-            }
-
-            drop(state);
-            let Some(fabric) = fabric.upgrade() else {
-                return;
-            };
-            // Resolve each destination mailbox once per flush: frames
-            // due together for the same endpoint share the lookup.
-            let mut resolved: HashMap<NetAddress, Option<Sender<Delivery>>> = HashMap::new();
-            for item in due_now {
-                let tx = resolved.entry(item.to).or_insert_with(|| {
-                    let routing = fabric.routing.lock();
-                    routing.endpoints.get(&item.to).map(|(_, tx)| tx.clone())
-                });
-                match tx {
-                    Some(tx) => {
-                        for frame in item.frames {
-                            if tx.send(frame).is_ok() {
-                                fabric.stats.delivered.inc();
-                            } else {
-                                fabric.stats.dropped.inc();
-                            }
-                        }
-                    }
-                    None => fabric.stats.dropped.add(item.frames.len() as u64),
-                }
-            }
-            drop(fabric);
-            state = queue.state.lock();
-        }
-    }
-
-    /// Number of messages queued but not yet delivered.
-    pub fn in_flight(&self) -> usize {
-        self.queue.state.lock().heap.len()
-    }
-}
-
-impl Drop for Fabric {
-    fn drop(&mut self) {
-        self.queue.state.lock().shutdown = true;
-        self.queue.wakeup.notify_all();
-        if let Some(handle) = self.pump.lock().take() {
-            // The pump itself may drop the last `Arc<Fabric>` (it
-            // upgrades its Weak per delivery batch); joining oneself
-            // would deadlock, so detach in that case.
-            if handle.thread().id() != std::thread::current().id() {
-                let _ = handle.join();
             }
         }
     }
@@ -867,24 +704,111 @@ mod tests {
     }
 
     #[test]
-    fn endpoint_guard_unregisters_on_drop() {
+    fn endpoint_unregisters_on_drop() {
         let fabric = fabric_with_latency(0);
         let base = fabric.endpoint_count();
+        let a = fabric.register(NodeId(0), "a");
         {
-            let guard = fabric.register_guarded(NodeId(0), "ephemeral");
-            assert_eq!(fabric.endpoint_count(), base + 1);
-            // The guard is a usable endpoint.
-            let a = fabric.register(NodeId(0), "a");
+            let ephemeral = fabric.register(NodeId(0), "ephemeral");
+            assert_eq!(fabric.endpoint_count(), base + 2);
             fabric
-                .send(a.address(), guard.address(), Bytes::from_static(b"x"))
+                .send(a.address(), ephemeral.address(), Bytes::from_static(b"x"))
                 .unwrap();
-            assert!(guard
+            assert!(ephemeral
                 .receiver()
                 .recv_timeout(Duration::from_secs(1))
                 .is_ok());
-            fabric.unregister(a.address());
         }
+        assert_eq!(fabric.endpoint_count(), base + 1);
+        // Severing by hand first is fine: the drop finds nothing to do.
+        fabric.unregister(a.address());
+        fabric.unregister(a.address());
         assert_eq!(fabric.endpoint_count(), base);
+        drop(a);
+        assert_eq!(fabric.endpoint_count(), base);
+    }
+
+    #[test]
+    fn a_frame_due_earlier_overtakes_a_bulk_stream_sent_before_it() {
+        // 1 MiB at 50 MB/s occupies node 0's egress link for ~21 ms; the
+        // small frame leaves node 1 later but is due ~20 ms earlier.
+        let fabric = Fabric::new(FabricConfig {
+            latency: LatencyModel::Constant(Duration::from_millis(1)),
+            bandwidth_bytes_per_sec: Some(50_000_000),
+            ..FabricConfig::default()
+        });
+        let bulk = fabric.register(NodeId(0), "bulk");
+        let small = fabric.register(NodeId(1), "small");
+        let dest = fabric.register(NodeId(2), "dest");
+        let chunks: Vec<Bytes> = (0..16u8).map(|i| Bytes::from(vec![i; 64 * 1024])).collect();
+        fabric
+            .send_chunks(bulk.address(), dest.address(), chunks)
+            .unwrap();
+        fabric
+            .send(small.address(), dest.address(), Bytes::from(vec![0xff; 64]))
+            .unwrap();
+        let recv = || {
+            dest.receiver()
+                .recv_timeout(Duration::from_secs(5))
+                .unwrap()
+        };
+        let first = recv();
+        assert_eq!(first.from, small.address());
+        assert_eq!(first.payload.len(), 64);
+        // The stream itself stays in order.
+        for i in 0..16u8 {
+            let chunk = recv();
+            assert_eq!(chunk.from, bulk.address());
+            assert_eq!(chunk.payload[0], i);
+        }
+    }
+
+    /// The calling thread's timer slack, where Linux exposes it.
+    #[cfg(target_os = "linux")]
+    fn timer_slack_ns() -> Option<u64> {
+        let task = std::fs::read_link("/proc/thread-self").ok()?;
+        let file = std::path::Path::new("/proc")
+            .join(task.file_name()?)
+            .join("timerslack_ns");
+        std::fs::read_to_string(file).ok()?.trim().parse().ok()
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_hop_costs_little_more_than_its_latency() {
+        let hop = Duration::from_micros(100);
+        let fabric = fabric_with_latency(100);
+        let a = fabric.register(NodeId(0), "a");
+        let b = fabric.register(NodeId(1), "b");
+        // Other tests share the cores: the best of three rounds counts.
+        let mut medians = Vec::new();
+        for _ in 0..3 {
+            let mut overshoots: Vec<Duration> = (0..200)
+                .map(|_| {
+                    let start = Instant::now();
+                    fabric
+                        .send(a.address(), b.address(), Bytes::from_static(b"x"))
+                        .unwrap();
+                    b.receiver().recv().unwrap();
+                    let took = start.elapsed();
+                    assert!(took >= hop, "received {took:?} after sending");
+                    took - hop
+                })
+                .collect();
+            // This thread waited out the due times, so it asked for
+            // precise timers on the first one.
+            if timer_slack_ns() != Some(1) {
+                eprintln!("skipped: the thread's timer slack could not be set to 1 ns");
+                return;
+            }
+            overshoots.sort();
+            medians.push(overshoots[overshoots.len() / 2]);
+        }
+        let best = medians.iter().min().expect("three rounds");
+        assert!(
+            *best < Duration::from_micros(45),
+            "median overshoot per round: {medians:?}"
+        );
     }
 
     #[test]
@@ -1135,25 +1059,33 @@ mod tests {
     }
 
     #[test]
-    fn shutdown_on_drop_joins_pump() {
-        let fabric = fabric_with_latency(1000);
+    fn dropping_a_fabric_with_frames_in_flight_is_prompt_and_leaves_no_thread() {
+        let fabric = fabric_with_latency(5_000_000); // 5 s
         let a = fabric.register(NodeId(0), "a");
         let b = fabric.register(NodeId(1), "b");
         fabric
             .send(a.address(), b.address(), Bytes::from_static(b"x"))
             .unwrap();
+        let start = Instant::now();
+        drop(fabric);
+        // The endpoints outlive their fabric; dropping them is inert.
         drop(a);
         drop(b);
-        drop(fabric); // Must not hang.
+        assert!(start.elapsed() < Duration::from_secs(1));
+        #[cfg(target_os = "linux")]
+        for task in std::fs::read_dir("/proc/self/task").unwrap() {
+            let name = std::fs::read_to_string(task.unwrap().path().join("comm"));
+            assert!(!name.unwrap_or_default().starts_with("rtml-net"));
+        }
     }
 
     #[test]
-    fn a_send_racing_the_pump_going_to_sleep_is_never_stranded() {
+    fn one_at_a_time_sends_are_never_stranded() {
         // One cross-node message at a time, each sent the moment the
-        // previous one arrives — i.e. right as the pump finds its heap
-        // empty and goes to sleep. A push in that window used to miss
-        // the wake-up and sit until some later send (a few times in
-        // 220 000); with nothing else sending, that is a 1 s timeout.
+        // previous one arrives — i.e. right as the receiver finds its
+        // mailbox empty and goes to sleep. A send in that window must
+        // still wake it; with nothing else sending, a missed wake-up is
+        // a 1 s timeout.
         let fabric = fabric_with_latency(1);
         let a = fabric.register(NodeId(0), "a");
         let b = fabric.register(NodeId(1), "b");
@@ -1164,9 +1096,9 @@ mod tests {
                 .unwrap();
             assert!(
                 b.receiver().recv_timeout(Duration::from_secs(1)).is_ok(),
-                "message {i} was stranded in the delay queue"
+                "message {i} was stranded in the mailbox"
             );
         }
-        assert_eq!(fabric.in_flight(), 0);
+        assert_eq!(fabric.stats.delivered.get(), 200_000);
     }
 }

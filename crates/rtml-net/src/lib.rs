@@ -20,6 +20,10 @@
 //!   [`FabricStats`] so experiments can assert what was injected.
 //! - Delivery ordering is FIFO per (sender, receiver) pair under constant
 //!   latency, matching a TCP-like transport.
+//! - **No delivery thread.** A cross-node message goes straight into the
+//!   destination mailbox stamped with its due time and is invisible
+//!   there until then; the thread blocked on the mailbox waits the delay
+//!   out, so a hop costs one wake-up on top of what is configured.
 //!
 //! [`NodeId`]: rtml_common::ids::NodeId
 //!

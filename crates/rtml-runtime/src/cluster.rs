@@ -497,16 +497,12 @@ impl Cluster {
             }
         }
 
-        // Tell every global-scheduler shard via an ephemeral,
-        // RAII-guarded endpoint (unregistered on every exit path): each
-        // shard holds its own replica of the node table, so each must
-        // hear the death.
+        // Tell every global-scheduler shard via an ephemeral endpoint:
+        // each shard holds its own replica of the node table, so each
+        // must hear the death.
         if let Some(global) = self.global.lock().as_ref() {
             let from_node = self.services.any_alive().unwrap_or(NodeId(0));
-            let endpoint = self
-                .services
-                .fabric
-                .register_guarded(from_node, "node-down");
+            let endpoint = self.services.fabric.register(from_node, "node-down");
             let frame = rtml_common::codec::encode_to_bytes(&SchedWire::NodeDown { node });
             for target in global.routes().all() {
                 let _ = self

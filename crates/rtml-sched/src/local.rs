@@ -2145,10 +2145,15 @@ mod tests {
         handle.submit(spec.clone());
         let got = recv_run(&worker_rx);
         assert_eq!(got.task_id, spec.task_id);
-        // The object must now be local and the table updated.
+        // The object must now be local. The fetching thread commits the
+        // new location after the store has sealed it, so the dispatch
+        // can come first.
         assert!(store0.contains(dep));
-        let info = objects.get(dep).unwrap();
-        assert!(info.locations.contains(&NodeId(0)));
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !objects.get(dep).unwrap().locations.contains(&NodeId(0)) {
+            assert!(Instant::now() < deadline, "location never committed");
+            std::thread::yield_now();
+        }
         handle.shutdown();
     }
 

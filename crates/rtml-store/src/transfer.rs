@@ -842,7 +842,7 @@ mod tests {
         // arrives in more than 4096 chunks.
         let (fabric, directory, store0, store1, _s0, _s1) = setup_chunked(0, 256);
         let agent = FetchAgent::spawn(fabric.clone(), store1.clone(), directory.clone());
-        let probe = fabric.register_guarded(NodeId(0), "probe");
+        let probe = fabric.register(NodeId(0), "probe");
         for total in [u32::MAX, 4097] {
             let forged = encode_chunk_frame(obj(1), 0, total, b"x");
             fabric
@@ -1094,7 +1094,7 @@ mod tests {
         let (fabric, directory, store0, store1, s0, _s1) = setup(0);
         store0.put(obj(1), Bytes::from_static(b"x")).unwrap();
         let remote = directory.lookup(NodeId(0)).unwrap();
-        let probe = fabric.register_guarded(NodeId(1), "probe");
+        let probe = fabric.register(NodeId(1), "probe");
         fabric
             .send(probe.address(), remote, Bytes::from_static(b"\xff garbage"))
             .unwrap();

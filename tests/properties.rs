@@ -1043,6 +1043,37 @@ proptest! {
     }
 }
 
+// ---- due-time mailboxes ----------------------------------------------
+
+proptest! {
+    /// Whatever order frames are handed to one mailbox in, and by
+    /// whichever sender, they come out sorted by (due time, send order),
+    /// and none comes out before it is due.
+    #[test]
+    fn mailbox_order_is_due_time_then_send_order(
+        sends in proptest::collection::vec((0u64..2000, 0usize..3), 1..32),
+    ) {
+        use std::time::{Duration, Instant};
+
+        let (tx, rx) = crossbeam::channel::unbounded();
+        let senders = [tx.clone(), tx.clone(), tx];
+        let base = Instant::now();
+        let mut expected = Vec::new();
+        for (seq, &(offset_us, sender)) in sends.iter().enumerate() {
+            let due = base + Duration::from_micros(offset_us);
+            senders[sender].send_at((due, seq), due).unwrap();
+            expected.push((due, seq));
+        }
+        expected.sort();
+        for want in expected {
+            let got = rx.recv_timeout(Duration::from_secs(5)).unwrap();
+            prop_assert!(Instant::now() >= got.0, "received before its due time");
+            prop_assert_eq!(got, want);
+        }
+        prop_assert!(rx.try_recv().is_err());
+    }
+}
+
 // ---- the get/wait engine ---------------------------------------------
 
 proptest! {
