@@ -193,6 +193,24 @@ impl Resources {
         Some(out)
     }
 
+    /// How many tasks demanding `demand` run side by side within `self`
+    /// — a node's slots for that task shape. `u64::MAX` for a demand of
+    /// nothing, `0` when `demand` does not fit.
+    pub fn slots_for(&self, demand: &Resources) -> u64 {
+        let mut slots = u64::MAX;
+        let mut fit = |have: u64, want: u64| {
+            if want > 0 {
+                slots = slots.min(have / want);
+            }
+        };
+        fit(self.cpu_milli, demand.cpu_milli);
+        fit(self.gpu_milli, demand.gpu_milli);
+        for (name, want) in &demand.custom {
+            fit(self.custom_milli(name), *want);
+        }
+        slots
+    }
+
     /// Total demand expressed as a single scalar, used for load heuristics.
     /// GPUs are weighted heavier than CPUs because they are scarcer.
     pub fn scalar_weight(&self) -> u64 {
@@ -293,6 +311,24 @@ mod tests {
         assert!(node.fits(&Resources::none().with_custom("lidar", 2.0)));
         assert!(!node.fits(&Resources::none().with_custom("lidar", 2.5)));
         assert!(!node.fits(&Resources::none().with_custom("radar", 0.5)));
+    }
+
+    #[test]
+    fn slots_are_the_scarcest_component() {
+        let node = Resources::new(4.0, 1.0).with_custom("lidar", 2.0);
+        assert_eq!(node.slots_for(&Resources::cpu(1.0)), 4);
+        assert_eq!(node.slots_for(&Resources::cpu(1.5)), 2);
+        assert_eq!(node.slots_for(&Resources::new(1.0, 0.5)), 2);
+        assert_eq!(
+            node.slots_for(&Resources::cpu(0.5).with_custom("lidar", 2.0)),
+            1
+        );
+        assert_eq!(node.slots_for(&Resources::gpu(2.0)), 0);
+        assert_eq!(
+            node.slots_for(&Resources::none().with_custom("radar", 1.0)),
+            0
+        );
+        assert_eq!(node.slots_for(&Resources::none()), u64::MAX);
     }
 
     #[test]

@@ -11,7 +11,10 @@
 //! with a single [`crate::store::KvStore::get_many`] sweep. Entries are
 //! versioned by the load report's `at_nanos`; a digest entry only counts
 //! while its version matches the reader's current report (a fresh report
-//! already includes those placements in the queue it observed).
+//! already includes those placements in the queue it observed). Next to
+//! each counter rides what those placements made *inbound* to the node:
+//! the placed tasks' dependencies, which placement counts as present
+//! there for the next task that needs them.
 //!
 //! This is deliberately *eventually* consistent — a shard may act on a
 //! digest one batch stale. Placement stays deterministic because a
@@ -24,7 +27,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 
 use rtml_common::codec::{decode_from_slice, encode_to_bytes};
-use rtml_common::ids::NodeId;
+use rtml_common::ids::{NodeId, ObjectId};
 use rtml_common::impl_codec_struct;
 
 use crate::store::KvStore;
@@ -39,12 +42,17 @@ pub struct DigestEntry {
     pub version: u64,
     /// Tasks placed onto `node` since that report.
     pub placed: u64,
+    /// Dependencies of those tasks: objects that are on `node` or on
+    /// their way there, so placement counts them as present for the
+    /// next task that needs them. Bounded by the publisher.
+    pub inbound: Vec<ObjectId>,
 }
 
 impl_codec_struct!(DigestEntry {
     node,
     version,
-    placed
+    placed,
+    inbound
 });
 
 /// One shard's full digest: its placements-since-report for every node it
@@ -109,6 +117,7 @@ impl LoadDigestTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rtml_common::ids::{DriverId, TaskId};
 
     fn digest(node: u32, version: u64, placed: u64) -> LoadDigest {
         LoadDigest {
@@ -116,6 +125,7 @@ mod tests {
                 node: NodeId(node),
                 version,
                 placed,
+                inbound: Vec::new(),
             }],
         }
     }
@@ -163,11 +173,15 @@ mod tests {
                     node: NodeId(0),
                     version: u64::MAX,
                     placed: 42,
+                    inbound: vec![TaskId::driver_root(DriverId::from_index(1))
+                        .child(3)
+                        .return_object(0)],
                 },
                 DigestEntry {
                     node: NodeId(7),
                     version: 0,
                     placed: 0,
+                    inbound: Vec::new(),
                 },
             ],
         };

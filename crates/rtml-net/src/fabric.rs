@@ -1,6 +1,6 @@
 //! The message fabric: registration, routed delivery, delays, partitions.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
@@ -113,14 +113,16 @@ pub struct FabricStats {
     pub coalesced: Counter,
     /// Frames that crossed the wire as part of a chunked stream (a
     /// [`Fabric::send_chunks`] call): pieces of one logical transfer
-    /// that pipelined over the link — one propagation-delay sample, the
-    /// bandwidth term for the stream's total size.
+    /// that pipelined over the link — one propagation-delay sample, each
+    /// chunk due when its own bytes have crossed.
     pub chunk_frames: Counter,
-    /// Total nanoseconds frames spent queued behind earlier traffic on
-    /// their source node's egress link (only accrues when a bandwidth is
-    /// configured). This is the fan-in hot-spot signal: K concurrent
-    /// reads of one object from one holder serialize on that holder's
-    /// link, and this counter is where the waiting shows up.
+    /// Total nanoseconds sends spent queued on their source node's
+    /// egress link before their first byte left (only accrues when a
+    /// bandwidth is configured): a chunk stream behind everything the
+    /// link had accepted, any other frame behind the chunk on the wire.
+    /// This is the fan-in hot-spot signal: K concurrent reads of one
+    /// object from one holder serialize on that holder's link, and this
+    /// counter is where the waiting shows up.
     pub egress_wait_nanos: Counter,
     /// Messages silently dropped by the fault plan (injected drops and
     /// scheduled partition windows; also counted in `dropped`).
@@ -156,11 +158,21 @@ struct Routing {
     /// `jitter_state` so enabling faults never perturbs the latency
     /// jitter stream (and a fault-free run stays byte-identical).
     fault_state: u64,
-    /// Per-node egress link occupancy: the instant each node's outbound
-    /// link finishes serializing everything already accepted. Only
-    /// maintained when a bandwidth is configured — with infinite
-    /// bandwidth frames never contend and the map stays empty.
-    egress_busy: HashMap<NodeId, Instant>,
+    /// Per-node egress link occupancy. Only maintained when a bandwidth
+    /// is configured — with infinite bandwidth frames never contend and
+    /// the map stays empty.
+    egress: HashMap<NodeId, Egress>,
+}
+
+/// One node's outbound link: a serialized queue in which bulk waits its
+/// turn and everything else waits for the chunk on the wire.
+struct Egress {
+    /// The instant the link finishes serializing everything accepted.
+    busy: Instant,
+    /// When each chunk frame still on the link finishes leaving,
+    /// ascending: the points at which a frame that is not part of a
+    /// stream may cut in.
+    chunk_ends: VecDeque<Instant>,
 }
 
 /// The shared fabric. Cheap to clone via `Arc`; see crate docs.
@@ -310,13 +322,19 @@ impl Fabric {
     }
 
     /// Sends the pieces of **one logical transfer** (e.g. a chunked
-    /// object) as a pipelined stream: like [`Fabric::send_batch`], the
-    /// stream pays a single propagation-delay sample plus the bandwidth
-    /// term for its total size, and the receiver observes one
-    /// [`Delivery`] per chunk, in order. Counted separately
-    /// ([`FabricStats::chunk_frames`]) so experiments can distinguish
-    /// "messages that shared a hop" from "frames of one streamed
-    /// object".
+    /// object) as a pipelined stream: the stream draws a single
+    /// propagation-delay sample and occupies the egress link for its
+    /// total size, like [`Fabric::send_batch`], but each chunk is due
+    /// when *its own* bytes have crossed — the last exactly when the
+    /// whole batch would be — so the receiver can work on (or pass on)
+    /// the head of an object while its tail is still on the wire. The
+    /// receiver observes one [`Delivery`] per chunk, in order. Streams
+    /// queue behind everything the link has accepted; a frame that is
+    /// not part of a stream waits only for the chunk on the wire, so a
+    /// control message can pass the bulk it refers to. Counted
+    /// separately ([`FabricStats::chunk_frames`]) so experiments can
+    /// distinguish "messages that shared a hop" from "frames of one
+    /// streamed object".
     pub fn send_chunks(&self, from: NetAddress, to: NetAddress, chunks: Vec<Bytes>) -> Result<()> {
         self.send_frames(from, to, chunks, FrameKind::Chunked)
     }
@@ -359,15 +377,17 @@ impl Fabric {
         }
 
         let sent_at_nanos = rtml_common::time::now_nanos();
-        let frames = payloads.into_iter().map(|payload| Delivery {
+        let frame = |payload: Bytes| Delivery {
             from,
             payload,
             sent_at_nanos,
-        });
+        };
 
         if from_node == to_node {
             drop(routing);
-            self.deliver(&mailbox, frames, None);
+            for payload in payloads {
+                self.deliver(&mailbox, frame(payload), None);
+            }
             return Ok(());
         }
 
@@ -410,63 +430,101 @@ impl Fabric {
         let entropy = routing.jitter_state;
 
         // Bandwidth models a *serialized* egress link, not just a
-        // size-proportional delay: a frame cannot start transmitting
+        // size-proportional delay: a stream cannot start transmitting
         // until everything the node already accepted has drained, so
         // concurrent transfers out of one node queue behind each other.
-        // This is the fan-in hot-spot replication exists to spread —
-        // with infinite bandwidth the term (and the queueing) vanishes.
+        // This is the fan-in hot-spot relaying and replication exist to
+        // spread — with infinite bandwidth the term (and the queueing)
+        // vanishes. A frame's last byte leaves at `starts` plus the wire
+        // time of what leaves with or before it.
         let now = Instant::now();
-        let mut departs = now;
-        if let Some(bw) = self.config.bandwidth_bytes_per_sec {
-            if bw > 0 {
-                let xfer_nanos = (total_bytes as u128 * 1_000_000_000u128 / bw as u128) as u64;
-                let link_free = routing
-                    .egress_busy
-                    .get(&from_node)
-                    .copied()
-                    .unwrap_or(now)
-                    .max(now);
-                self.stats
-                    .egress_wait_nanos
-                    .add(link_free.duration_since(now).as_nanos() as u64);
-                departs = link_free + Duration::from_nanos(xfer_nanos);
-                routing.egress_busy.insert(from_node, departs);
+        let bandwidth = self.config.bandwidth_bytes_per_sec.filter(|bw| *bw > 0);
+        let wire = |bytes: u64| match bandwidth {
+            Some(bw) => {
+                Duration::from_nanos((bytes as u128 * 1_000_000_000u128 / bw as u128) as u64)
             }
+            None => Duration::ZERO,
+        };
+        let mut starts = now;
+        if bandwidth.is_some() {
+            let egress = routing.egress.entry(from_node).or_insert(Egress {
+                busy: now,
+                chunk_ends: VecDeque::new(),
+            });
+            while egress.chunk_ends.front().is_some_and(|end| *end <= now) {
+                egress.chunk_ends.pop_front();
+            }
+            starts = match (kind, egress.chunk_ends.front().copied()) {
+                // Cut in behind the chunk on the wire; the chunks still
+                // queued leave that much later.
+                (FrameKind::Single | FrameKind::Batch, Some(slot)) => {
+                    let shift = wire(total_bytes);
+                    egress.chunk_ends.iter_mut().for_each(|end| *end += shift);
+                    slot
+                }
+                _ => egress.busy.max(now),
+            };
+            self.stats
+                .egress_wait_nanos
+                .add(starts.duration_since(now).as_nanos() as u64);
+            if kind == FrameKind::Chunked {
+                let mut sent = 0u64;
+                egress.chunk_ends.extend(payloads.iter().map(|payload| {
+                    sent += payload.len() as u64;
+                    starts + wire(sent)
+                }));
+            }
+            egress.busy = egress.busy.max(starts) + wire(total_bytes);
         }
         drop(routing);
 
-        let due = departs + self.config.latency.sample(entropy) + fault.extra_delay();
-        if fault.duplicate {
-            // Both copies arrive back to back: equal due times are
-            // received in send order.
-            let frames: Vec<Delivery> = frames.collect();
-            self.deliver(&mailbox, frames.iter().cloned(), Some(due));
-            self.deliver(&mailbox, frames.into_iter(), Some(due));
-        } else {
-            self.deliver(&mailbox, frames, Some(due));
+        let flight = self.config.latency.sample(entropy) + fault.extra_delay();
+        let mut sent = 0u64;
+        for payload in payloads {
+            // A chunk is due when its own bytes have crossed; anything
+            // else when the whole frame has.
+            sent += payload.len() as u64;
+            let crossed = match kind {
+                FrameKind::Chunked => sent,
+                _ => total_bytes,
+            };
+            let due = Some(starts + wire(crossed) + flight);
+            if fault.duplicate {
+                // Both copies arrive back to back: equal due times are
+                // received in send order.
+                self.deliver(&mailbox, frame(payload.clone()), due);
+            }
+            self.deliver(&mailbox, frame(payload), due);
         }
         Ok(())
     }
 
-    /// Hands `frames` to `mailbox`: visible at once, or parked there until
+    /// Hands `frame` to `mailbox`: visible at once, or parked there until
     /// `due`.
-    fn deliver(
-        &self,
-        mailbox: &Sender<Delivery>,
-        frames: impl Iterator<Item = Delivery>,
-        due: Option<Instant>,
-    ) {
-        for frame in frames {
-            let sent = match due {
-                Some(due) => mailbox.send_at(frame, due),
-                None => mailbox.send(frame),
-            };
-            if sent.is_ok() {
-                self.stats.delivered.inc();
-            } else {
-                self.stats.dropped.inc();
-            }
+    fn deliver(&self, mailbox: &Sender<Delivery>, frame: Delivery, due: Option<Instant>) {
+        let sent = match due {
+            Some(due) => mailbox.send_at(frame, due),
+            None => mailbox.send(frame),
+        };
+        if sent.is_ok() {
+            self.stats.delivered.inc();
+        } else {
+            self.stats.dropped.inc();
         }
+    }
+
+    /// The node `address` is registered on, if it still is.
+    pub fn node_of(&self, address: NetAddress) -> Option<NodeId> {
+        self.routing.lock().endpoints.get(&address).map(|e| e.0)
+    }
+
+    /// How long `node`'s egress link needs to drain what it has accepted
+    /// so far; zero without a configured bandwidth.
+    pub fn egress_backlog(&self, node: NodeId) -> Duration {
+        let busy = self.routing.lock().egress.get(&node).map(|e| e.busy);
+        busy.map_or(Duration::ZERO, |busy| {
+            busy.saturating_duration_since(Instant::now())
+        })
     }
 }
 
@@ -701,6 +759,85 @@ mod tests {
         assert!(elapsed < Duration::from_millis(100), "elapsed {elapsed:?}");
         assert_eq!(fabric.stats.chunk_frames.get(), 8);
         assert_eq!(fabric.stats.coalesced.get(), 0);
+    }
+
+    /// 10 MB/s, 1 ms hops: a 50 KB chunk occupies the link for 5 ms.
+    fn slow_link() -> Arc<Fabric> {
+        Fabric::new(FabricConfig {
+            latency: LatencyModel::Constant(Duration::from_millis(1)),
+            bandwidth_bytes_per_sec: Some(10_000_000),
+            ..FabricConfig::default()
+        })
+    }
+
+    #[test]
+    fn each_chunk_is_due_when_its_own_bytes_have_crossed() {
+        let fabric = slow_link();
+        let a = fabric.register(NodeId(0), "a");
+        let b = fabric.register(NodeId(1), "b");
+        let chunks: Vec<Bytes> = (0..4u8).map(|i| Bytes::from(vec![i; 50_000])).collect();
+        let start = Instant::now();
+        fabric
+            .send_chunks(a.address(), b.address(), chunks)
+            .unwrap();
+        // The link is taken for the stream's total, as for one frame.
+        let backlog = fabric.egress_backlog(NodeId(0));
+        assert!(backlog > Duration::from_millis(19) && backlog <= Duration::from_millis(20));
+        assert_eq!(fabric.egress_backlog(NodeId(1)), Duration::ZERO);
+        let mut arrivals = Vec::new();
+        for i in 0..4u8 {
+            let chunk = b.receiver().recv_timeout(Duration::from_secs(5)).unwrap();
+            assert_eq!(chunk.payload[0], i);
+            arrivals.push(start.elapsed());
+        }
+        // Chunk i is due at (i + 1) x 5 ms + 1 ms; the last exactly when
+        // the whole stream would have been.
+        for (i, at) in arrivals.iter().enumerate() {
+            let due = Duration::from_millis(5 * (i as u64 + 1) + 1);
+            assert!(*at >= due, "chunk {i} arrived at {at:?}, due {due:?}");
+        }
+        assert!(
+            arrivals[0] < Duration::from_millis(11),
+            "the first chunk waited for later ones: {arrivals:?}"
+        );
+        assert_eq!(fabric.stats.egress_wait_nanos.get(), 0);
+    }
+
+    #[test]
+    fn a_small_frame_waits_for_the_chunk_on_the_wire_not_the_stream() {
+        let fabric = slow_link();
+        let a = fabric.register(NodeId(0), "a");
+        let b = fabric.register(NodeId(1), "b");
+        let chunks: Vec<Bytes> = (0..4u8).map(|i| Bytes::from(vec![i; 50_000])).collect();
+        fabric
+            .send_chunks(a.address(), b.address(), chunks)
+            .unwrap();
+        for _ in 0..2 {
+            fabric
+                .send(a.address(), b.address(), Bytes::from(vec![0xff; 64]))
+                .unwrap();
+        }
+        let waited = Duration::from_nanos(fabric.stats.egress_wait_nanos.get());
+        assert!(
+            waited > Duration::from_millis(8) && waited < Duration::from_millis(11),
+            "two frames each waited out one 5 ms chunk, not the 20 ms stream: {waited:?}"
+        );
+        // A second stream queues behind all of the first.
+        fabric
+            .send_chunks(a.address(), b.address(), vec![Bytes::from(vec![9; 64])])
+            .unwrap();
+        let queued = Duration::from_nanos(fabric.stats.egress_wait_nanos.get()) - waited;
+        assert!(queued > Duration::from_millis(18), "{queued:?}");
+        let order: Vec<u8> = (0..7)
+            .map(|_| {
+                b.receiver()
+                    .recv_timeout(Duration::from_secs(5))
+                    .unwrap()
+                    .payload[0]
+            })
+            .collect();
+        // Both small frames cut in behind chunk 0, one after the other.
+        assert_eq!(order, vec![0, 0xff, 0xff, 1, 2, 3, 9]);
     }
 
     #[test]

@@ -19,7 +19,12 @@
 //!   timed partition windows, with injection counters in
 //!   [`FabricStats`] so experiments can assert what was injected.
 //! - Delivery ordering is FIFO per (sender, receiver) pair under constant
-//!   latency, matching a TCP-like transport.
+//!   latency, matching a TCP-like transport — with one exception when a
+//!   bandwidth is configured: the egress link is a serialized queue in
+//!   which a chunk stream ([`Fabric::send_chunks`], each chunk due when
+//!   its own bytes have crossed) waits its turn, while any other frame
+//!   waits only for the chunk on the wire, so a small control message
+//!   passes the bulk queued ahead of it.
 //! - **No delivery thread.** A cross-node message goes straight into the
 //!   destination mailbox stamped with its due time and is invisible
 //!   there until then; the thread blocked on the mailbox waits the delay

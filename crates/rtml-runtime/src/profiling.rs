@@ -291,22 +291,36 @@ impl ProfileReport {
             rtml_common::ids::ObjectId,
             rtml_common::ids::NodeId,
         )> = std::collections::HashSet::new();
+        let mut fed_by: HashMap<(rtml_common::ids::ObjectId, NodeId), NodeId> = HashMap::new();
         for event in events {
             match &event.kind {
                 EventKind::ObjectSealed { .. } => report.seals += 1,
                 EventKind::ObjectEvicted { .. } => report.evictions += 1,
+                EventKind::TransferStarted { object, from, to } => {
+                    fed_by.insert((*object, *to), *from);
+                }
                 EventKind::TransferFinished { object, to, micros } => {
                     report.transfers += 1;
                     if prefetched.remove(&(*object, *to)) {
                         report.prefetch_hits += 1;
                     }
+                    // Who fed the bytes — the holder, or a relay still
+                    // receiving them itself: following the labels back
+                    // from node to node reads off a relay chain.
+                    let from = fed_by.remove(&(*object, *to));
                     report.spans.push(PlaneSpan {
                         plane: "transfer",
                         node: *to,
                         end_nanos: event.at_nanos,
                         micros: *micros,
-                        label: format!("{object}"),
-                        args: Vec::new(),
+                        label: match from {
+                            Some(from) => format!("{object} from node-{}", from.0),
+                            None => format!("{object}"),
+                        },
+                        args: from
+                            .map(|from| ("from", u64::from(from.0)))
+                            .into_iter()
+                            .collect(),
                     });
                 }
                 EventKind::PrefetchIssued { object, node } => {
@@ -832,8 +846,17 @@ mod tests {
                     node: n,
                 },
             },
-            // o1 lands on the requesting node; o2's transfer completes
-            // on a different node (not a hit for n).
+            // o1 lands on the requesting node, relayed by node 5; o2's
+            // transfer completes on a different node (not a hit for n).
+            Event {
+                at_nanos: 2,
+                component: Component::FetchAgent,
+                kind: EventKind::TransferStarted {
+                    object: o1,
+                    from: NodeId(5),
+                    to: n,
+                },
+            },
             Event {
                 at_nanos: 3,
                 component: Component::ObjectStore,
@@ -858,6 +881,9 @@ mod tests {
         assert_eq!(report.prefetch_hits, 1);
         assert!((report.prefetch_hit_rate() - 0.5).abs() < 1e-9);
         assert_eq!(report.transfers, 2);
+        // A transfer span names who fed it, when the log says.
+        let labels: Vec<&str> = report.spans.iter().map(|s| s.label.as_str()).collect();
+        assert_eq!(labels, [format!("{o1} from node-5"), format!("{o2}")]);
     }
 
     #[test]

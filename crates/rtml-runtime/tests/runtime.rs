@@ -208,6 +208,23 @@ fn bytes_arguments_and_results_are_views_of_the_stores_buffers() {
         window,
         &store(NodeId(1)).get(fut.id()).unwrap()
     ));
+
+    // A 256 KiB result is sealed a few envelope bytes over one chunk.
+    // The sliver rides in the same frame, so the block is still one
+    // frame on the wire and the value a window of it.
+    let make_block = cluster.register_fn1("make_256k", |i: u64| {
+        Ok(Bytes::from(vec![i as u8; 256 << 10]))
+    });
+    let agent = cluster.services().fetch_agent(NodeId(0)).unwrap();
+    let received = agent.stats().chunks_received.get();
+    let fut = driver.submit1_opts(&make_block, 5u64, on("away")).unwrap();
+    let value = driver.get(&fut).unwrap();
+    assert_eq!(value, Bytes::from(vec![5u8; 256 << 10]));
+    let stored = store(NodeId(0)).get(fut.id()).unwrap();
+    assert!(stored.len() > 256 << 10);
+    assert_eq!(agent.stats().chunks_received.get() - received, 1);
+    let at = value.as_ptr() as u64;
+    assert!(is_window_of(at..at + value.len() as u64, &stored));
     cluster.shutdown();
 }
 

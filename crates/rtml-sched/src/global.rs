@@ -55,6 +55,10 @@ use crate::wire::SchedWire;
 /// (guards against local/global ping-pong on stale state).
 const MAX_HOPS: u32 = 8;
 
+/// Most objects remembered as inbound to one node between two of its
+/// load reports; dependencies beyond that simply earn no credit.
+const MAX_INBOUND: usize = 64;
+
 /// Static configuration for the global scheduler.
 #[derive(Clone, Debug)]
 pub struct GlobalSchedulerConfig {
@@ -400,50 +404,63 @@ impl GlobalCore {
 
     /// The effective load view for one batch: reachable nodes' reports
     /// with this shard's own and every sibling's placed-since-report
-    /// counters folded in (version-matched — a newer report already
-    /// includes them).
+    /// counters and inbound objects folded in (version-matched — a newer
+    /// report already includes them).
     fn effective_view(&self) -> LoadView {
         let mut effective: FastMap<NodeId, LoadReport> = fast_map_with_capacity(self.loads.len());
         for (node, report) in &self.loads {
-            if !self.scheds.contains_key(node) {
-                continue;
-            }
-            let mut report = report.clone();
-            if let Some(entry) = self.placed_since.get(node) {
-                if entry.version == report.at_nanos {
-                    report.ready = report.ready.saturating_add(entry.placed as u32);
-                }
-            }
-            effective.insert(*node, report);
-        }
-        if self.num_shards > 1 {
-            for digest in self.digests.sweep(self.shard, self.num_shards as u32) {
-                for entry in digest.entries {
-                    if let Some(report) = effective.get_mut(&entry.node) {
-                        if entry.version == report.at_nanos {
-                            report.ready = report.ready.saturating_add(entry.placed as u32);
-                        }
-                    }
-                }
+            if self.scheds.contains_key(node) {
+                effective.insert(*node, report.clone());
             }
         }
-        LoadView::build(effective, DEFAULT_TOP_K)
+        let siblings = match self.num_shards {
+            1 => Vec::new(),
+            k => self.digests.sweep(self.shard, k as u32),
+        };
+        let live: Vec<&DigestEntry> = siblings
+            .iter()
+            .flat_map(|digest| &digest.entries)
+            .chain(self.placed_since.values())
+            .filter(|entry| {
+                let report = effective.get(&entry.node);
+                report.is_some_and(|report| report.at_nanos == entry.version)
+            })
+            .collect();
+        for entry in &live {
+            let report = effective.get_mut(&entry.node).expect("filtered above");
+            report.ready = report.ready.saturating_add(entry.placed as u32);
+        }
+        let mut view = LoadView::build(effective, DEFAULT_TOP_K);
+        for entry in live {
+            for object in &entry.inbound {
+                view.note_inbound(entry.node, *object);
+            }
+        }
+        view
     }
 
     /// Records a placement in this shard's digest, keyed to the load
-    /// report it was decided against.
-    fn note_placed(&mut self, node: NodeId) {
+    /// report it was decided against: one more task queued on `node`,
+    /// and its dependencies inbound there.
+    fn note_placed(&mut self, node: NodeId, spec: &TaskSpec) {
         let version = self.loads.get(&node).map(|l| l.at_nanos).unwrap_or(0);
         let entry = self.placed_since.entry(node).or_insert(DigestEntry {
             node,
             version,
             placed: 0,
+            inbound: Vec::new(),
         });
         if entry.version != version {
             entry.version = version;
             entry.placed = 0;
+            entry.inbound.clear();
         }
         entry.placed += 1;
+        for object in spec.dependencies() {
+            if entry.inbound.len() < MAX_INBOUND && !entry.inbound.contains(&object) {
+                entry.inbound.push(object);
+            }
+        }
     }
 
     /// Publishes this shard's digest as one group-committed kv write so
@@ -495,7 +512,7 @@ impl GlobalCore {
                             node,
                         },
                     });
-                    self.note_placed(node);
+                    self.note_placed(node, &spec);
                     groups.entry(node).or_default().push(spec);
                 }
                 None => self.park(spec, hops),
@@ -762,13 +779,77 @@ mod tests {
         objects.add_location(dep, NodeId(2), 1 << 20);
 
         let n1 = fake_node(&r, NodeId(1), 0, Resources::cpu(4.0));
-        let n2 = fake_node(&r, NodeId(2), 5, Resources::cpu(4.0));
+        let n2 = fake_node(&r, NodeId(2), 3, Resources::cpu(4.0));
         std::thread::sleep(Duration::from_millis(20));
         let mut spec = task(0, Resources::cpu(1.0));
         spec.args = vec![rtml_common::task::ArgSpec::ObjectRef(dep)];
         spill(&r, &n1, spec);
         let placed = expect_place(&n2);
         assert_eq!(placed.dependency_count(), 1);
+        r.handle.shutdown();
+    }
+
+    #[test]
+    fn a_spilled_burst_fills_every_first_wave_before_any_second() {
+        // 4 nodes x 4 slots. Node 0 holds the burst's 1 MiB dependency
+        // and reports 13 queued (its own share of the burst); the other
+        // 19 tasks spill one at a time against frozen load reports.
+        let mut r = rig(PlacementPolicy::LocalityAware);
+        let objects = ObjectTable::new(r.kv.clone());
+        let root = TaskId::driver_root(DriverId::from_index(0));
+        let dep = root.child(999).return_object(0);
+        objects.add_location(dep, NodeId(0), 1 << 20);
+        let nodes: Vec<rtml_net::Endpoint> = (0..4)
+            .map(|n| {
+                fake_node(
+                    &r,
+                    NodeId(n),
+                    if n == 0 { 13 } else { 0 },
+                    Resources::cpu(4.0),
+                )
+            })
+            .collect();
+        std::thread::sleep(Duration::from_millis(20));
+        let mut placed_on: Vec<usize> = Vec::new();
+        for i in 0..19 {
+            let mut spec = task(i, Resources::cpu(1.0));
+            spec.args = vec![rtml_common::task::ArgSpec::ObjectRef(dep)];
+            spill(&r, &nodes[0], spec);
+            let deadline = std::time::Instant::now() + Duration::from_secs(5);
+            let node = 'placed: loop {
+                for (n, endpoint) in nodes.iter().enumerate() {
+                    while let Ok(d) = endpoint.receiver().try_recv() {
+                        if let Ok(SchedWire::Place { .. }) = decode_from_slice(&d.payload) {
+                            break 'placed n;
+                        }
+                    }
+                }
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "spill {i} never placed"
+                );
+                std::thread::yield_now();
+            };
+            placed_on.push(node);
+        }
+        let count =
+            |upto: usize, node: usize| placed_on[..upto].iter().filter(|n| **n == node).count();
+        // The holder is three waves deep: nothing returns to it. Each
+        // idle node's first wave fills in turn — the object is inbound
+        // there after its first task — so all three are fetching by the
+        // ninth placement, and none starts a second wave before every
+        // one has a first.
+        assert_eq!(count(19, 0), 0, "{placed_on:?}");
+        for node in 1..4 {
+            assert!(
+                count(9, node) >= 1,
+                "node {node} idle after 9 placements: {placed_on:?}"
+            );
+            assert_eq!(count(12, node), 4, "{placed_on:?}");
+        }
+        let totals: Vec<usize> = (1..4).map(|node| count(19, node)).collect();
+        let spread = totals.iter().max().unwrap() - totals.iter().min().unwrap();
+        assert!(spread <= 4, "more than a wave apart: {totals:?}");
         r.handle.shutdown();
     }
 

@@ -3,13 +3,16 @@
 //! One instance runs per node as a dedicated thread. It owns three task
 //! collections:
 //!
-//! - `waiting`: tasks with unsatisfied dataflow dependencies. For each
-//!   missing object a **resolver** watches the object table, fetches the
-//!   object from a remote holder as soon as a copy exists (updating the
-//!   object table), and asks the runtime's reconstruction hook for help
-//!   if the object has been lost. When the object seals locally the task
-//!   moves to `ready` — the paper's "tasks become available for execution
-//!   if and only if their dependencies have finished executing".
+//! - `waiting`: tasks with unsatisfied dataflow dependencies. A missing
+//!   object the table already locates is requested from its holder in
+//!   the loop turn that queued the task (one non-blocking request frame
+//!   per holder; the answers come back on a channel the loop selects
+//!   on). For any other a **resolver** watches the object table, fetches
+//!   the object as soon as a copy exists, and asks the runtime's
+//!   reconstruction hook for help if the object has been lost. When the
+//!   object seals locally the task moves to `ready` — the paper's "tasks
+//!   become available for execution if and only if their dependencies
+//!   have finished executing".
 //! - `ready`: runnable tasks awaiting a worker and resources. Dispatch is
 //!   first-fit: a small CPU task may overtake a GPU task that is waiting
 //!   for a free GPU (heterogeneity, R4).
@@ -252,6 +255,7 @@ impl LocalScheduler {
 
         let (seal_tx, seal_rx) = unbounded();
         services.store.add_seal_listener(seal_tx);
+        let (fetch_tx, fetch_rx) = unbounded();
 
         let join = std::thread::Builder::new()
             .name(format!("rtml-lsched-{node}"))
@@ -268,6 +272,8 @@ impl LocalScheduler {
                     waiting: FastMap::default(),
                     watchers: FastMap::default(),
                     resolving: FastSet::default(),
+                    inbound: FastMap::default(),
+                    fetch_tx,
                     task_pins: FastMap::default(),
                     running: BTreeMap::new(),
                     released: FastSet::default(),
@@ -290,7 +296,7 @@ impl LocalScheduler {
                     core.add_worker(w);
                 }
                 core.announce();
-                core.run(rx, endpoint, seal_rx);
+                core.run(rx, endpoint, seal_rx, fetch_rx);
             })
             .expect("spawn local scheduler");
 
@@ -308,6 +314,7 @@ enum Incoming {
     Local(LocalMsg),
     Net(bytes::Bytes),
     Seal(ObjectId),
+    Fetched(ObjectId, FetchResult),
     Tick,
     /// The mailbox is momentarily idle and staged batches exist: index
     /// one (the deferred half of pipelined ingest).
@@ -330,9 +337,15 @@ struct Core {
     waiting: FastMap<TaskId, (TaskSpec, usize)>,
     /// missing object → tasks waiting on it.
     watchers: FastMap<ObjectId, Vec<TaskId>>,
-    /// objects with an active resolver (a prefetch in flight or a
+    /// objects with an active resolver (a request in flight or a
     /// watcher thread).
     resolving: FastSet<ObjectId>,
+    /// objects requested from a holder and not yet answered, with when
+    /// the request frame left (nanos since process epoch).
+    inbound: FastMap<ObjectId, u64>,
+    /// Where the fetch agent answers those requests; `run` holds the
+    /// other end.
+    fetch_tx: Sender<(ObjectId, FetchResult)>,
     /// Dependencies pinned on behalf of a task from the moment they
     /// arrive until the task completes, so LRU eviction cannot drop a
     /// fetched/prefetched argument between arrival and execution.
@@ -403,38 +416,43 @@ impl Core {
         rx: Receiver<LocalMsg>,
         endpoint: rtml_net::Endpoint,
         seal_rx: Receiver<ObjectId>,
+        fetch_rx: Receiver<(ObjectId, FetchResult)>,
     ) {
         loop {
             // With staged batches pending, never sleep: take whatever
             // message is already here, else index one staged batch
             // immediately. With none, the usual timed idle tick.
-            let incoming = if self.staging.is_empty() {
-                crossbeam::channel::select! {
-                    recv(rx) -> m => m.map(Incoming::Local).unwrap_or(Incoming::Closed),
-                    recv(endpoint.receiver()) -> d => d
-                        .map(|d| Incoming::Net(d.payload))
-                        .unwrap_or(Incoming::Closed),
-                    recv(seal_rx) -> o => o.map(Incoming::Seal).unwrap_or(Incoming::Closed),
-                    default(self.config.load_interval) => Incoming::Tick,
-                }
-            } else {
-                crossbeam::channel::select! {
-                    recv(rx) -> m => m.map(Incoming::Local).unwrap_or(Incoming::Closed),
-                    recv(endpoint.receiver()) -> d => d
-                        .map(|d| Incoming::Net(d.payload))
-                        .unwrap_or(Incoming::Closed),
-                    recv(seal_rx) -> o => o.map(Incoming::Seal).unwrap_or(Incoming::Closed),
-                    default(Duration::ZERO) => Incoming::Drain,
-                }
+            let (idle_for, idle) = match self.staging.is_empty() {
+                true => (self.config.load_interval, Incoming::Tick),
+                false => (Duration::ZERO, Incoming::Drain),
+            };
+            let incoming = crossbeam::channel::select! {
+                recv(rx) -> m => m.map(Incoming::Local).unwrap_or(Incoming::Closed),
+                recv(endpoint.receiver()) -> d => d
+                    .map(|d| Incoming::Net(d.payload))
+                    .unwrap_or(Incoming::Closed),
+                recv(seal_rx) -> o => o.map(Incoming::Seal).unwrap_or(Incoming::Closed),
+                recv(fetch_rx) -> f => f
+                    .map(|(object, result)| Incoming::Fetched(object, result))
+                    .unwrap_or(Incoming::Closed),
+                default(idle_for) => idle,
             };
             match incoming {
                 Incoming::Local(LocalMsg::Shutdown) | Incoming::Closed => break,
                 Incoming::Local(msg) => self.on_local(msg),
                 Incoming::Net(payload) => self.on_net(payload),
                 Incoming::Seal(object) => self.on_sealed(object),
+                Incoming::Fetched(object, result) => {
+                    // Whatever else was answered meanwhile rides the same
+                    // group commit.
+                    let mut answers = vec![(object, result)];
+                    answers.extend(fetch_rx.try_iter());
+                    self.on_fetched(answers);
+                }
                 Incoming::Tick => {}
                 Incoming::Drain => self.flush_one_staged(),
             }
+            self.expire_inbound();
             self.dispatch();
             self.maybe_steal();
             self.maybe_publish_load();
@@ -534,6 +552,20 @@ impl Core {
         if !self.staging.is_empty() {
             return;
         }
+        // Work is already here, short only of inputs that are on the
+        // wire: tasks waiting on a requested object will take the idle
+        // workers when it lands. Asking for more now would only move
+        // tasks (and a second copy of their inputs) to a node that
+        // cannot start them any sooner.
+        let about_to_run: usize = self
+            .inbound
+            .keys()
+            .filter_map(|object| self.watchers.get(object))
+            .map(Vec::len)
+            .sum();
+        if about_to_run >= self.idle.len() {
+            return;
+        }
         if let Some(inflight) = &self.steal_inflight {
             if Instant::now() < inflight.deadline {
                 return;
@@ -562,8 +594,10 @@ impl Core {
         self.last_steal = Instant::now();
         let me = self.config.node;
         // The load reports every scheduler already mirrors into the kv
-        // store (ROADMAP item: "using the load reports already
-        // published") — one prefix scan, no extra protocol.
+        // store, read by key for the nodes the transfer directory lists
+        // (every live node has a transfer service): one batched point
+        // read, whose cost does not grow with what else the control
+        // plane holds.
         // Reports older than a few heartbeat periods are ghosts: the
         // publisher is dead, partitioned, or wedged, and a steal
         // request at it would only burn a timeout. Live schedulers
@@ -577,12 +611,24 @@ impl Core {
             .max(Duration::from_millis(100))
             .as_nanos() as u64;
         let now_nanos = rtml_common::time::now_nanos();
+        let peers: Vec<bytes::Bytes> = self
+            .services
+            .directory
+            .nodes()
+            .into_iter()
+            .filter(|node| *node != me)
+            .map(load_key)
+            .collect();
+        if peers.is_empty() {
+            return;
+        }
         let candidates: Vec<LoadReport> = self
             .services
             .kv
-            .scan_prefix(b"load:")
+            .get_many(&peers)
             .into_iter()
-            .filter_map(|(_, bytes)| decode_from_slice::<LoadReport>(&bytes).ok())
+            .flatten()
+            .filter_map(|bytes| decode_from_slice::<LoadReport>(&bytes).ok())
             .filter(|report| {
                 report.node != me
                     && report.ready > cfg.min_backlog
@@ -1099,16 +1145,17 @@ impl Core {
     /// With prefetch on, objects the table already locates are grouped
     /// by holder (rendezvous-ranked, so different objects of a
     /// replicated set pull from different holders) and requested
-    /// **now**, while their tasks are still queued — one coalesced
-    /// `FetchMany` per holder, transfer overlapped with queueing,
-    /// dispatch still gated on arrival. Admission is budgeted **and
-    /// prioritized**: the batch is scanned in submission order, so
-    /// dependencies of tasks nearest the head of the ready queue claim
-    /// the unpinned-capacity budget first. An object larger than the
-    /// whole headroom is skipped outright (counted in
-    /// [`LocalSchedulerStats::prefetch_skipped_capacity`]); one that
-    /// fits alone but lost the budget to higher-priority dependencies
-    /// is deferred (counted in
+    /// **now**, in this loop turn, while their tasks are still queued —
+    /// one non-blocking [`FetchAgent::request_many`] per holder,
+    /// transfer overlapped with queueing, dispatch still gated on
+    /// arrival; the answers come back to [`Core::on_fetched`].
+    /// Admission is budgeted **and prioritized**: the batch is scanned
+    /// in submission order, so dependencies of tasks nearest the head of
+    /// the ready queue claim the unpinned-capacity budget first. An
+    /// object larger than the whole headroom is skipped outright
+    /// (counted in [`LocalSchedulerStats::prefetch_skipped_capacity`]);
+    /// one that fits alone but lost the budget to higher-priority
+    /// dependencies is deferred (counted in
     /// [`LocalSchedulerStats::prefetch_deferred_priority`]). Both
     /// resolve reactively. Objects with no live copy (producer still
     /// running, or lost) get the patient per-object watcher, which also
@@ -1175,15 +1222,26 @@ impl Core {
         for (holder, entries) in &hints {
             (self.services.replicate_hint)(*holder, entries);
         }
+        let sent_at_nanos = rtml_common::time::now_nanos();
+        for (holder, group) in &groups {
+            self.services.agent.request_many(
+                group,
+                *holder,
+                self.config.fetch_timeout,
+                &self.fetch_tx,
+            );
+            for object in group {
+                self.inbound.insert(*object, sent_at_nanos);
+            }
+        }
         if !groups.is_empty() {
-            let at_nanos = rtml_common::time::now_nanos();
             self.services.events.append_many(
                 me,
                 groups
                     .values()
                     .flatten()
                     .map(|object| Event {
-                        at_nanos,
+                        at_nanos: sent_at_nanos,
                         component: Component::LocalScheduler,
                         kind: EventKind::PrefetchIssued {
                             object: *object,
@@ -1193,15 +1251,66 @@ impl Core {
                     .collect(),
             );
         }
-        for (holder, group) in groups {
-            let services = self.services.clone();
-            let fetch_timeout = self.config.fetch_timeout;
-            std::thread::Builder::new()
-                .name(format!("rtml-prefetch-{me}"))
-                .spawn(move || prefetch_group(services, group, holder, me, fetch_timeout))
-                .expect("spawn prefetch");
-        }
         for object in unlocated {
+            self.spawn_watcher(object);
+        }
+    }
+
+    /// Answers to this scheduler's dependency requests: the new
+    /// locations (and any eviction fallout) go to the object table as
+    /// one group commit, each transfer that sealed new bytes is logged
+    /// from the moment its request left, and an object the holder could
+    /// not deliver (died, evicted it) falls back to the patient
+    /// per-object watcher so retry and lineage reconstruction still
+    /// happen. The tasks themselves were already woken by the seal.
+    fn on_fetched(&mut self, answers: Vec<(ObjectId, FetchResult)>) {
+        let me = self.config.node;
+        commit_fetched(&self.services.objects, me, &answers);
+        let at_nanos = rtml_common::time::now_nanos();
+        let mut events = Vec::new();
+        for (object, result) in answers {
+            let Some(sent_at_nanos) = self.inbound.remove(&object) else {
+                // Given up on already; its watcher has it.
+                continue;
+            };
+            match result {
+                // Only fetches that actually sealed new bytes here are
+                // transfers; local hits moved nothing over the wire.
+                Ok((_, fetched)) if fetched.inserted => {
+                    events.extend(transfer_events(
+                        object,
+                        fetched.from,
+                        me,
+                        sent_at_nanos,
+                        at_nanos,
+                    ));
+                }
+                Ok(_) => {}
+                Err(_) => self.spawn_watcher(object),
+            }
+        }
+        if !events.is_empty() {
+            self.services.events.append_many(me, events);
+        }
+    }
+
+    /// Gives up on requests nothing has answered within the fetch
+    /// timeout (lost on the wire: a partition, a dead holder or relay)
+    /// and hands their objects to the per-object watcher.
+    fn expire_inbound(&mut self) {
+        if self.inbound.is_empty() {
+            return;
+        }
+        let overdue = rtml_common::time::now_nanos()
+            .saturating_sub(self.config.fetch_timeout.as_nanos() as u64);
+        let expired: Vec<ObjectId> = self
+            .inbound
+            .iter()
+            .filter(|(_, sent_at_nanos)| **sent_at_nanos <= overdue)
+            .map(|(object, _)| *object)
+            .collect();
+        for object in expired {
+            self.inbound.remove(&object);
             self.spawn_watcher(object);
         }
     }
@@ -1426,80 +1535,41 @@ impl Core {
     }
 }
 
-/// Fetches one holder's group of prefetched objects through the node's
-/// [`FetchAgent`]: a single coalesced `FetchMany` request, one chunked
-/// reply stream, group-committed location updates. Objects the fast
-/// path cannot deliver (holder died, miss, timeout) fall back to the
-/// patient per-object watcher so retry and lineage reconstruction still
-/// happen.
-fn prefetch_group(
-    services: SchedServices,
-    objects: Vec<ObjectId>,
-    holder: NodeId,
-    me: NodeId,
-    fetch_timeout: Duration,
-) {
-    let started = Instant::now();
-    let results = fetch_group_commit(
-        &services.objects,
-        &services.agent,
-        &objects,
-        holder,
-        me,
-        fetch_timeout,
-    );
-    let micros = started.elapsed().as_micros() as u64;
-    let at_nanos = rtml_common::time::now_nanos();
-    let mut events = Vec::new();
-    let mut failed = Vec::new();
-    for (object, result) in results {
-        match result {
-            // Only fetches that actually sealed new bytes here are
-            // transfers; local hits and joins of another caller's
-            // in-flight transfer moved nothing over the wire.
-            Ok((_, outcome)) if outcome.inserted => {
-                events.push(Event {
-                    at_nanos,
-                    component: Component::FetchAgent,
-                    kind: EventKind::TransferStarted {
-                        object,
-                        from: holder,
-                        to: me,
-                    },
-                });
-                events.push(Event {
-                    at_nanos,
-                    component: Component::FetchAgent,
-                    kind: EventKind::TransferFinished {
-                        object,
-                        to: me,
-                        micros,
-                    },
-                });
-            }
-            Ok(_) => {}
-            Err(_) => failed.push(object),
-        }
-    }
-    if !events.is_empty() {
-        services.events.append_many(me, events);
-    }
-    for object in failed {
-        let services = services.clone();
-        std::thread::Builder::new()
-            .name(format!("rtml-resolver-{me}"))
-            .spawn(move || resolve_object(services, object, me, fetch_timeout))
-            .expect("spawn resolver");
-    }
+/// The event pair of one completed transfer onto `to`: started when the
+/// request left, fed by `from` — the holder asked, or the relay it
+/// handed the request to.
+fn transfer_events(
+    object: ObjectId,
+    from: NodeId,
+    to: NodeId,
+    sent_at_nanos: u64,
+    at_nanos: u64,
+) -> [Event; 2] {
+    [
+        Event {
+            at_nanos: sent_at_nanos,
+            component: Component::FetchAgent,
+            kind: EventKind::TransferStarted { object, from, to },
+        },
+        Event {
+            at_nanos,
+            component: Component::FetchAgent,
+            kind: EventKind::TransferFinished {
+                object,
+                to,
+                micros: at_nanos.saturating_sub(sent_at_nanos) / 1_000,
+            },
+        },
+    ]
 }
 
 /// Fetches one holder's group of objects through `agent` and commits
 /// the outcome to the object table ([`commit_fetched`]). Returns the
 /// per-object results in group order. The blocking fetch-and-commit
-/// shared by the scheduler's dispatch-time prefetch, its per-object
-/// resolver and replication pulls; the runtime's `get` engine issues
-/// [`FetchAgent::request_many`] itself and commits with the same
-/// function.
+/// shared by the scheduler's per-object resolver and replication pulls;
+/// the scheduler's dispatch-time requests and the runtime's `get` engine
+/// issue [`FetchAgent::request_many`] themselves and commit with the
+/// same function.
 pub fn fetch_group_commit(
     objects: &ObjectTable,
     agent: &FetchAgent,
@@ -1573,7 +1643,7 @@ fn resolve_object(services: SchedServices, object: ObjectId, me: NodeId, fetch_t
                 // to the timed wait below — never to reconstruction.
             } else if info.is_available() {
                 if let Some(holder) = info.fetch_holder(object, me) {
-                    let started = Instant::now();
+                    let sent_at_nanos = rtml_common::time::now_nanos();
                     let (_, result) = fetch_group_commit(
                         &services.objects,
                         &services.agent,
@@ -1585,36 +1655,19 @@ fn resolve_object(services: SchedServices, object: ObjectId, me: NodeId, fetch_t
                     .pop()
                     .expect("one object in, one result out");
                     match result {
-                        Ok((_, outcome)) => {
+                        Ok((_, fetched)) => {
                             // Log the transfer only if this fetch sealed
                             // new bytes (not a local hit or a join of an
                             // in-flight transfer logged elsewhere).
-                            if outcome.inserted {
-                                let at_nanos = rtml_common::time::now_nanos();
-                                let micros = started.elapsed().as_micros() as u64;
-                                services.events.append_many(
+                            if fetched.inserted {
+                                let events = transfer_events(
+                                    object,
+                                    fetched.from,
                                     me,
-                                    vec![
-                                        Event {
-                                            at_nanos,
-                                            component: Component::FetchAgent,
-                                            kind: EventKind::TransferStarted {
-                                                object,
-                                                from: holder,
-                                                to: me,
-                                            },
-                                        },
-                                        Event {
-                                            at_nanos,
-                                            component: Component::FetchAgent,
-                                            kind: EventKind::TransferFinished {
-                                                object,
-                                                to: me,
-                                                micros,
-                                            },
-                                        },
-                                    ],
+                                    sent_at_nanos,
+                                    rtml_common::time::now_nanos(),
                                 );
+                                services.events.append_many(me, events.to_vec());
                             }
                             return;
                         }
@@ -2172,6 +2225,14 @@ mod tests {
     /// A node-0 scheduler plus a remote node-7 store holding
     /// dependencies, with configurable prefetch and local capacity.
     fn remote_dep_rig(prefetch: bool, local_capacity: u64) -> RemoteDepRig {
+        let config = LocalSchedulerConfig {
+            prefetch,
+            ..LocalSchedulerConfig::default()
+        };
+        remote_dep_rig_with(config, local_capacity)
+    }
+
+    fn remote_dep_rig_with(config: LocalSchedulerConfig, local_capacity: u64) -> RemoteDepRig {
         let kv = KvStore::new(2);
         let fabric = Fabric::new(FabricConfig::default());
         let directory = TransferDirectory::new();
@@ -2211,10 +2272,7 @@ mod tests {
         let (worker_tx, worker_rx) = unbounded();
         let worker_id = WorkerId::new(NodeId(0), 0);
         let handle = LocalScheduler::spawn(
-            LocalSchedulerConfig {
-                prefetch,
-                ..LocalSchedulerConfig::default()
-            },
+            config,
             services.clone(),
             vec![WorkerHandle {
                 id: worker_id,
@@ -2261,6 +2319,98 @@ mod tests {
         for dep in &deps {
             assert!(r.store_local.contains(*dep));
         }
+        // Each transfer is logged as started when the request left —
+        // before it finished — and fed by the holder.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let events = loop {
+            let events = r.services.events.read_all();
+            let finished = |e: &&Event| matches!(e.kind, EventKind::TransferFinished { .. });
+            if events.iter().filter(finished).count() == deps.len() {
+                break events;
+            }
+            assert!(Instant::now() < deadline, "transfers never logged");
+            std::thread::sleep(Duration::from_millis(2));
+        };
+        for dep in &deps {
+            let at = |wanted: fn(&EventKind) -> Option<ObjectId>| {
+                let event = events.iter().find(|e| wanted(&e.kind) == Some(*dep));
+                event.expect("logged").at_nanos
+            };
+            let started = at(|kind| match kind {
+                EventKind::TransferStarted { object, from, to } => {
+                    assert_eq!((*from, *to), (NodeId(7), NodeId(0)));
+                    Some(*object)
+                }
+                _ => None,
+            });
+            let finished = at(|kind| match kind {
+                EventKind::TransferFinished { object, .. } => Some(*object),
+                _ => None,
+            });
+            assert!(started < finished);
+        }
+        r.handle.shutdown();
+    }
+
+    #[test]
+    fn a_request_lost_on_the_wire_falls_back_to_the_watcher() {
+        // The request leaves in the loop turn that queues the task and
+        // vanishes in a partition. Nothing ever answers it: after the
+        // fetch timeout the scheduler hands the object to the patient
+        // watcher, which fetches it once the link is back.
+        let mut r = remote_dep_rig_with(
+            LocalSchedulerConfig {
+                fetch_timeout: Duration::from_millis(30),
+                ..LocalSchedulerConfig::default()
+            },
+            1 << 20,
+        );
+        let dep = TaskId::driver_root(DriverId::from_index(0))
+            .child(250)
+            .return_object(0);
+        r.store_remote.put(dep, Bytes::from(vec![4u8; 48])).unwrap();
+        r.services.objects.add_location(dep, NodeId(7), 48);
+        r.services.fabric.partition(NodeId(0), NodeId(7));
+        let spec = spec_with(vec![ArgSpec::ObjectRef(dep)], 0);
+        r.handle.submit(spec.clone());
+        assert!(r
+            .worker_rx
+            .recv_timeout(Duration::from_millis(100))
+            .is_err());
+        assert_eq!(r.remote_service.stats().requests.get(), 0);
+        let issued = |r: &RemoteDepRig| {
+            let events = r.services.events.read_all();
+            let is_issue = |e: &&Event| matches!(e.kind, EventKind::PrefetchIssued { .. });
+            events.iter().filter(is_issue).count()
+        };
+        assert_eq!(issued(&r), 1);
+        r.services.fabric.heal(NodeId(0), NodeId(7));
+        let got = recv_run(&r.worker_rx);
+        assert_eq!(got.task_id, spec.task_id);
+        assert!(r.store_local.contains(dep));
+        // The transfer is logged from the moment its request left, and
+        // names who fed it.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let (started, finished) = loop {
+            let events = r.services.events.read_all();
+            let started = events.iter().find_map(|e| match e.kind {
+                EventKind::TransferStarted { from, to, .. } => Some((e.at_nanos, from, to)),
+                _ => None,
+            });
+            let finished = events.iter().find_map(|e| match e.kind {
+                EventKind::TransferFinished { micros, .. } => Some((e.at_nanos, micros)),
+                _ => None,
+            });
+            if let (Some(started), Some(finished)) = (started, finished) {
+                break (started, finished);
+            }
+            assert!(Instant::now() < deadline, "transfer never logged");
+            std::thread::sleep(Duration::from_millis(2));
+        };
+        assert_eq!((started.1, started.2), (NodeId(7), NodeId(0)));
+        assert!(started.0 < finished.0, "started stamped at the end");
+        assert_eq!((finished.0 - started.0) / 1_000, finished.1);
+        assert_eq!(issued(&r), 1);
         r.handle.shutdown();
     }
 
@@ -2393,7 +2543,12 @@ mod tests {
 
     /// A kv-published load report for a fake loaded peer, pointing the
     /// steal plane at `endpoint`.
-    fn publish_fake_load(r: &Rig, node: NodeId, ready: u32, endpoint: &rtml_net::Endpoint) {
+    fn publish_fake_load(
+        services: &SchedServices,
+        node: NodeId,
+        ready: u32,
+        endpoint: &rtml_net::Endpoint,
+    ) {
         let report = LoadReport {
             node,
             sched_address: endpoint.address().as_u64(),
@@ -2405,7 +2560,9 @@ mod tests {
             total: Resources::cpu(4.0),
             at_nanos: rtml_common::time::now_nanos(),
         };
-        r.services.kv.set(load_key(node), encode_to_bytes(&report));
+        services.kv.set(load_key(node), encode_to_bytes(&report));
+        // Thieves look for victims among the nodes the directory lists.
+        services.directory.insert(node, endpoint.address());
     }
 
     #[test]
@@ -2419,7 +2576,7 @@ mod tests {
             ..LocalSchedulerConfig::default()
         });
         let victim = r.services.fabric.register(NodeId(7), "fake-victim");
-        publish_fake_load(&r, NodeId(7), 50, &victim);
+        publish_fake_load(&r.services, NodeId(7), 50, &victim);
         // The idle thief must ask the loaded peer for a batch, naming
         // its full spare capacity.
         let reply_address = loop {
@@ -2476,6 +2633,59 @@ mod tests {
     }
 
     #[test]
+    fn a_thief_whose_waiting_tasks_cover_its_idle_workers_does_not_steal() {
+        // One worker, idle. Its one task waits on an object that was
+        // requested from node 7 the moment the task was queued — and
+        // cannot arrive: the request vanished in a partition.
+        let mut r = remote_dep_rig(true, 1 << 20);
+        let dep = TaskId::driver_root(DriverId::from_index(0))
+            .child(600)
+            .return_object(0);
+        r.store_remote.put(dep, Bytes::from(vec![3u8; 64])).unwrap();
+        r.services.objects.add_location(dep, NodeId(7), 64);
+        r.services.fabric.partition(NodeId(0), NodeId(7));
+        let spec = spec_with(vec![ArgSpec::ObjectRef(dep)], 0);
+        r.handle.submit(spec.clone());
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while r.services.agent.in_flight_len() == 0 {
+            assert!(Instant::now() < deadline, "dependency never requested");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // A deep victim appears. The waiting task will take the idle
+        // worker when its input lands: no request goes out.
+        let victim = r.services.fabric.register(NodeId(9), "fake-victim");
+        publish_fake_load(&r.services, NodeId(9), 50, &victim);
+        assert!(victim
+            .receiver()
+            .recv_timeout(Duration::from_millis(100))
+            .is_err());
+        assert_eq!(r.handle.stats().steal.attempts.get(), 0);
+        // The input arrives some other way, the task runs and finishes:
+        // idle with nothing waiting, the scheduler steals (from a report
+        // fresh enough not to pass for a ghost's).
+        publish_fake_load(&r.services, NodeId(9), 50, &victim);
+        r.store_local.put(dep, Bytes::from(vec![3u8; 64])).unwrap();
+        let got = recv_run(&r.worker_rx);
+        assert_eq!(got.task_id, spec.task_id);
+        r.handle
+            .sender()
+            .send(LocalMsg::WorkerDone {
+                worker: r.worker_id,
+                task: spec.task_id,
+            })
+            .unwrap();
+        let request = victim
+            .receiver()
+            .recv_timeout(Duration::from_secs(5))
+            .expect("steal request");
+        assert!(matches!(
+            decode_from_slice::<SchedWire>(&request.payload),
+            Ok(SchedWire::StealRequest { .. })
+        ));
+        r.handle.shutdown();
+    }
+
+    #[test]
     fn stale_or_dead_victims_do_not_wedge_the_steal_loop() {
         // Satellite regression: a victim that never answers (killed
         // mid-request), answers empty (queue drained), or whose
@@ -2490,7 +2700,7 @@ mod tests {
             ..LocalSchedulerConfig::default()
         });
         let victim = r.services.fabric.register(NodeId(7), "fake-victim");
-        publish_fake_load(&r, NodeId(7), 50, &victim);
+        publish_fake_load(&r.services, NodeId(7), 50, &victim);
         let stats = r.handle.stats().clone();
         // 1) Silence: the thief must time out and attempt again.
         let deadline = Instant::now() + Duration::from_secs(5);

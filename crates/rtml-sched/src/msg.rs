@@ -116,11 +116,12 @@ pub struct LoadReport {
 }
 
 impl LoadReport {
-    /// Backlog pressure used by load-based placement: runnable plus
-    /// running work, normalized per idle worker would be fancier; queue
-    /// depth is what the paper's threshold policy needs.
+    /// Everything a task placed here now would queue behind: runnable,
+    /// running, and waiting work — the last includes tasks already
+    /// placed here whose inputs are still inbound, which will take a
+    /// slot as surely as the runnable ones.
     pub fn queue_depth(&self) -> u32 {
-        self.ready + self.running
+        self.ready + self.waiting + self.running
     }
 }
 
@@ -152,8 +153,9 @@ impl Codec for LoadReport {
     }
 }
 
-/// Key under which a node's load report is mirrored into the KV store
-/// (for debugging tools; the scheduling path uses fabric messages).
+/// Key under which a node's load report is mirrored into the KV store:
+/// read by key by idle peers looking for a steal victim, the health
+/// tracker and debugging tools (placement uses fabric messages).
 pub fn load_key(node: NodeId) -> bytes::Bytes {
     bytes::Bytes::from(format!("load:{}", node.0))
 }
@@ -179,7 +181,7 @@ mod tests {
         let bytes = encode_to_bytes(&report);
         let back: LoadReport = decode_from_slice(&bytes).unwrap();
         assert_eq!(report, back);
-        assert_eq!(report.queue_depth(), 9);
+        assert_eq!(report.queue_depth(), 11);
     }
 
     #[test]

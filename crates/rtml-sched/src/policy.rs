@@ -6,15 +6,40 @@
 //! is that design; the alternatives are ablation baselines (experiment
 //! A2).
 //!
+//! `LocalityAware` ranks a candidate by two things, in this order:
+//!
+//! 1. **waves ahead** — how many full waves of the node's own slots the
+//!    task would wait behind: everything queued there (ready, waiting,
+//!    running, placed since the report) divided by how many tasks of
+//!    this shape the node runs side by side;
+//! 2. **missing bytes** — the argument bytes that would have to move
+//!    there, an object counting as present where it is sealed *or
+//!    inbound*: a task needing it was placed there since the node's
+//!    last report ([`LoadView::note_inbound`]), so it will have
+//!    arrived, once, before any task placed now can start.
+//!
+//! Exact ties are spread by a per-task hash. Time first, bytes second:
+//! a wave is a task's run time, a transfer is paid once per *node*, and
+//! both used to be folded into one scalar that charged every task the
+//! full transfer and priced a queue slot at a fixed 64 KiB — so a
+//! megabyte argument glued a burst to its holder until that node was 16
+//! tasks deeper than an idle one, while the idle nodes learned of the
+//! burst only by stealing. Under the ranking above the first task of a
+//! burst goes to an idle node, the next ones follow it there (the
+//! object is inbound) until its first wave is full, then the next idle
+//! node's wave fills — every node that will run part of the burst
+//! starts fetching within the burst's first placements, and no node is
+//! given a second wave before every node has a first.
+//!
 //! Placement for the paper policies ([`PlacementPolicy::LocalityAware`],
 //! [`PlacementPolicy::LeastLoaded`]) is a **pure function** of the task
-//! spec and the [`LoadView`] snapshot: no optimistic per-task state is
-//! mutated between decisions. That purity is what lets the global
-//! scheduler shard its keyspace — splitting one batch across K shards
-//! that share a load view cannot change any task's placement. Equal-cost
-//! candidates are spread by a deterministic per-task FNV hash instead of
-//! a sequential load bump, so a burst of equal tasks still fans out
-//! across equal nodes, identically on every run.
+//! spec, the [`LoadView`] snapshot and the object table: no optimistic
+//! per-task state is mutated between decisions. That purity is what
+//! lets the global scheduler shard its keyspace — splitting one batch
+//! across K shards that share a load view cannot change any task's
+//! placement. Equal candidates are spread by a deterministic per-task
+//! FNV hash instead of a sequential load bump, so a burst of equal
+//! tasks still fans out across equal nodes, identically on every run.
 
 use rtml_common::collections::{fast_map_with_capacity, fnv1a_64, FastMap, FixedReverseHeap};
 use rtml_common::ids::{NodeId, ObjectId, TaskId};
@@ -22,11 +47,6 @@ use rtml_common::task::TaskSpec;
 use rtml_kv::ObjectTable;
 
 use crate::msg::LoadReport;
-
-/// Queue-depth price in transfer bytes: one queued task costs as much as
-/// moving this many argument bytes. Doubles as the cost band width within
-/// which equal-ish candidates are spread by task hash.
-pub const QUEUE_PENALTY_BYTES: u128 = 64 * 1024;
 
 /// Default bound on the per-batch candidate set: placement considers the
 /// k least-loaded nodes (plus every dependency holder) instead of
@@ -36,9 +56,9 @@ pub const DEFAULT_TOP_K: usize = 16;
 /// How the global scheduler picks a node for a spilled task.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PlacementPolicy {
-    /// Maximize the number of argument bytes already resident on the
-    /// chosen node; break near-ties by a deterministic per-task hash.
-    /// The paper's design.
+    /// Fewest full waves of queued work ahead of the task, then fewest
+    /// argument bytes to move (sealed or inbound counts as there); ties
+    /// by a deterministic per-task hash. The paper's design.
     LocalityAware,
     /// Pick among the fitting nodes with the shallowest queues.
     LeastLoaded,
@@ -97,6 +117,9 @@ pub struct LoadView {
     reports: FastMap<NodeId, LoadReport>,
     /// Least-loaded nodes by `(queue_depth, node)`, ascending.
     top_k: Vec<NodeId>,
+    /// Nodes each object is on its way to (see
+    /// [`LoadView::note_inbound`]).
+    inbound: FastMap<ObjectId, Vec<NodeId>>,
 }
 
 impl LoadView {
@@ -107,7 +130,28 @@ impl LoadView {
             heap.push((l.queue_depth(), l.node));
         }
         let top_k = heap.into_sorted_vec().into_iter().map(|(_, n)| n).collect();
-        LoadView { reports, top_k }
+        LoadView {
+            reports,
+            top_k,
+            inbound: FastMap::default(),
+        }
+    }
+
+    /// Records that `object` is inbound to `node`: a task that needs it
+    /// was placed there since the node's load report, so the node has
+    /// asked for it (or already holds it) and placement counts it as
+    /// present. Part of the snapshot: noted while the view is built,
+    /// never during a batch.
+    pub fn note_inbound(&mut self, node: NodeId, object: ObjectId) {
+        let nodes = self.inbound.entry(object).or_default();
+        if !nodes.contains(&node) {
+            nodes.push(node);
+        }
+    }
+
+    /// The nodes `object` is inbound to.
+    fn inbound(&self, object: ObjectId) -> &[NodeId] {
+        self.inbound.get(&object).map_or(&[], Vec::as_slice)
     }
 
     /// Convenience constructor from a plain report list (tests, pure
@@ -157,16 +201,13 @@ fn spread_hash(task: TaskId, node: NodeId) -> u64 {
     fnv1a_64(&buf)
 }
 
-/// Among scored candidates, takes the minimum cost `m` and picks — by
-/// spread hash — one candidate with cost in `[m, m + band)`. The band
-/// treats near-equal costs as equal so hash spreading can act on them;
-/// outside the band, strictly cheaper always wins.
-fn pick_in_band(costs: &[(u128, NodeId)], task: TaskId, band: u128) -> Option<NodeId> {
-    let min = costs.iter().map(|(c, _)| *c).min()?;
-    let limit = min.saturating_add(band.max(1));
-    costs
+/// Among ranked candidates, one of the best-ranked — which one is the
+/// spread hash's pick, so strictly better always wins and equals share.
+fn pick_spread<R: Ord + Copy>(ranked: &[(R, NodeId)], task: TaskId) -> Option<NodeId> {
+    let best = ranked.iter().map(|(rank, _)| *rank).min()?;
+    ranked
         .iter()
-        .filter(|(c, _)| *c < limit)
+        .filter(|(rank, _)| *rank == best)
         .min_by_key(|(_, n)| (spread_hash(task, *n), *n))
         .map(|(_, n)| *n)
 }
@@ -188,74 +229,67 @@ impl PlacementPolicy {
     ) -> Option<NodeId> {
         match self {
             PlacementPolicy::LocalityAware => {
-                // Estimated placement cost per node: the bytes that would
-                // have to move there, plus a queue penalty that prices one
-                // queued task at QUEUE_PENALTY_BYTES of transfer. Small
-                // arguments therefore do not glue tasks to a busy node,
-                // while large ones do — "object locality and resource
-                // availability" (§3.2.2) in one scalar.
                 let deps: Vec<ObjectId> = spec.dependencies().collect();
-                let mut local_bytes: FastMap<NodeId, u64> = fast_map_with_capacity(deps.len());
+                let mut present: FastMap<NodeId, u64> = fast_map_with_capacity(deps.len());
                 let mut total_bytes: u64 = 0;
                 // One group-committed table sweep for the whole argument
                 // list instead of a point read per dependency. Every
                 // holder of a dependency is credited its size, so a
                 // replicated hot input widens the set of nodes that look
-                // local — replication improves placement for free.
-                for info in objects.get_many(&deps).into_iter().flatten() {
+                // local — replication improves placement for free — and
+                // so is every node it is inbound to.
+                for (dep, info) in deps.iter().zip(objects.get_many(&deps)) {
+                    let Some(info) = info else { continue };
                     total_bytes += info.size;
-                    for node in &info.locations {
-                        *local_bytes.entry(*node).or_insert(0) += info.size;
+                    let inbound = view.inbound(*dep);
+                    let there = info
+                        .locations
+                        .iter()
+                        .chain(inbound.iter().filter(|n| !info.locations.contains(n)));
+                    for node in there {
+                        *present.entry(*node).or_insert(0) += info.size;
                     }
                 }
-                // Candidates: the k least-loaded nodes plus every
-                // dependency holder (a holder outside the top-k must stay
-                // eligible or locality glue breaks for busy holders).
-                let mut costs: Vec<(u128, NodeId)> = Vec::new();
-                let push = |l: &LoadReport, costs: &mut Vec<(u128, NodeId)>| {
+                // (full waves ahead, bytes to move) per candidate.
+                let mut ranked: Vec<((u64, u64), NodeId)> = Vec::new();
+                let push = |l: &LoadReport, ranked: &mut Vec<((u64, u64), NodeId)>| {
                     if l.total.fits(&spec.resources) {
-                        let local = local_bytes.get(&l.node).copied().unwrap_or(0);
-                        let missing = total_bytes.saturating_sub(local) as u128;
-                        let cost = missing + l.queue_depth() as u128 * QUEUE_PENALTY_BYTES;
-                        costs.push((cost, l.node));
+                        let slots = l.total.slots_for(&spec.resources).max(1);
+                        let waves = u64::from(l.queue_depth()) / slots;
+                        let there = present.get(&l.node).copied().unwrap_or(0);
+                        ranked.push(((waves, total_bytes.saturating_sub(there)), l.node));
                     }
                 };
+                // Candidates: the k least-loaded nodes plus every node
+                // holding or awaiting a dependency (one outside the
+                // top-k must stay eligible or a busy holder could never
+                // win its wave on locality).
                 for l in view.top_k() {
-                    push(l, &mut costs);
+                    push(l, &mut ranked);
                 }
-                for (node, _) in &local_bytes {
-                    if !costs.iter().any(|(_, n)| n == node) {
+                for node in present.keys() {
+                    if !ranked.iter().any(|(_, n)| n == node) {
                         if let Some(l) = view.get(*node) {
-                            push(l, &mut costs);
+                            push(l, &mut ranked);
                         }
                     }
                 }
-                if costs.is_empty() {
+                if ranked.is_empty() {
                     // Nothing in the bounded candidate set fits (e.g. a
                     // GPU task while every GPU node is busy enough to
                     // fall out of the top-k): full scan.
                     for l in view.all() {
-                        push(l, &mut costs);
+                        push(l, &mut ranked);
                     }
                 }
-                pick_in_band(&costs, spec.task_id, QUEUE_PENALTY_BYTES)
+                pick_spread(&ranked, spec.task_id)
             }
             PlacementPolicy::LeastLoaded => {
-                let mut costs: Vec<(u128, NodeId)> = view
-                    .top_k()
-                    .filter(|l| l.total.fits(&spec.resources))
-                    .map(|l| (l.queue_depth() as u128, l.node))
-                    .collect();
-                if costs.is_empty() {
-                    costs = view
-                        .all()
-                        .filter(|l| l.total.fits(&spec.resources))
-                        .map(|l| (l.queue_depth() as u128, l.node))
-                        .collect();
+                let mut ranked = fitting_depths(spec, view.top_k());
+                if ranked.is_empty() {
+                    ranked = fitting_depths(spec, view.all());
                 }
-                // Band of one queue slot: only exactly-equal depths are
-                // spread by hash.
-                pick_in_band(&costs, spec.task_id, 1)
+                pick_spread(&ranked, spec.task_id)
             }
             PlacementPolicy::RoundRobin => {
                 let fitting = sorted_fitting(spec, view);
@@ -278,6 +312,17 @@ impl PlacementPolicy {
             }
         }
     }
+}
+
+/// `(queue depth, node)` of the `reports` whose node fits `spec`.
+fn fitting_depths<'a>(
+    spec: &TaskSpec,
+    reports: impl Iterator<Item = &'a LoadReport>,
+) -> Vec<(u32, NodeId)> {
+    reports
+        .filter(|l| l.total.fits(&spec.resources))
+        .map(|l| (l.queue_depth(), l.node))
+        .collect()
 }
 
 /// Fitting nodes in ascending node order — the stable indexable list the
@@ -407,11 +452,12 @@ mod tests {
         let objects = ObjectTable::new(kv);
         let root = TaskId::driver_root(DriverId::from_index(0));
         let dep = root.child(9).return_object(0);
-        // A large argument lives on busy node 0.
+        // A large argument lives on node 0, which is busier than node 1
+        // but still within its first wave of four slots.
         objects.add_location(dep, NodeId(0), 1_000_000);
 
         let v = view([
-            load(0, 10, Resources::cpu(4.0)),
+            load(0, 3, Resources::cpu(4.0)),
             load(1, 0, Resources::cpu(4.0)),
         ]);
         let spec = cpu_task(vec![ArgSpec::ObjectRef(dep)]);
@@ -420,39 +466,128 @@ mod tests {
             PlacementPolicy::LocalityAware.place(&spec, &v, &objects, &mut state),
             Some(NodeId(0))
         );
-        // Without the dependency, the same policy prefers the idle node.
+        // Without the dependency the two are equals within a wave, and
+        // a burst of such tasks is shared between them by hash.
+        let picks: std::collections::BTreeSet<NodeId> = (0..16)
+            .map(|i| {
+                let spec = TaskSpec::simple(root.child(i), FunctionId::from_name("f"), vec![]);
+                PlacementPolicy::LocalityAware
+                    .place(&spec, &v, &objects, &mut state)
+                    .unwrap()
+            })
+            .collect();
+        assert_eq!(picks.len(), 2);
+    }
+
+    #[test]
+    fn a_full_wave_ahead_outweighs_locality() {
+        // The same argument, but its holder already has a full wave
+        // queued: the task would start a run time later there, which no
+        // single transfer costs. The idle node wins — once it has been
+        // given the object's first task, the following ones find the
+        // object inbound and join it until its own wave is full.
+        let objects = ObjectTable::new(KvStore::new(1));
+        let root = TaskId::driver_root(DriverId::from_index(0));
+        let dep = root.child(9).return_object(0);
+        objects.add_location(dep, NodeId(0), 1_000_000);
+        let reports = [
+            load(0, 4, Resources::cpu(4.0)),
+            load(1, 0, Resources::cpu(4.0)),
+            load(2, 0, Resources::cpu(4.0)),
+        ];
+        let spec = cpu_task(vec![ArgSpec::ObjectRef(dep)]);
+        let mut state = PolicyState::new(1);
+        let first = PlacementPolicy::LocalityAware
+            .place(&spec, &view(reports.clone()), &objects, &mut state)
+            .unwrap();
+        assert_ne!(first, NodeId(0));
+        let other = NodeId(3 - first.0);
+        // Three tasks placed there since its report: one slot left in
+        // its first wave, and the object on its way.
+        let mut folded = reports.clone();
+        folded[first.0 as usize].ready = 3;
+        let mut v = view(folded.clone());
+        v.note_inbound(first, dep);
+        for i in 0..16 {
+            let spec = TaskSpec::simple(
+                root.child(100 + i),
+                FunctionId::from_name("f"),
+                vec![ArgSpec::ObjectRef(dep)],
+            );
+            assert_eq!(
+                PlacementPolicy::LocalityAware.place(&spec, &v, &objects, &mut state),
+                Some(first)
+            );
+        }
+        // Its wave full, the next idle node's begins.
+        folded[first.0 as usize].ready = 4;
+        let mut v = view(folded);
+        v.note_inbound(first, dep);
+        assert_eq!(
+            PlacementPolicy::LocalityAware.place(&spec, &v, &objects, &mut state),
+            Some(other)
+        );
+    }
+
+    #[test]
+    fn waves_count_the_slots_that_fit_the_tasks_shape() {
+        // Eight queued tasks are two waves for a 1-cpu task on a 4-cpu
+        // node but one wave on an 8-cpu node — and four waves for a
+        // task that needs two cpus of the small one.
+        let objects = ObjectTable::new(KvStore::new(1));
+        let v = view([
+            load(0, 8, Resources::cpu(4.0)),
+            load(1, 15, Resources::cpu(8.0)),
+        ]);
+        let mut state = PolicyState::new(1);
         assert_eq!(
             PlacementPolicy::LocalityAware.place(&cpu_task(vec![]), &v, &objects, &mut state),
+            Some(NodeId(1))
+        );
+        let v = view([
+            load(0, 8, Resources::cpu(4.0)),
+            load(1, 12, Resources::cpu(8.0)),
+        ]);
+        let mut wide = cpu_task(vec![]);
+        wide.resources = Resources::cpu(2.0);
+        assert_eq!(
+            PlacementPolicy::LocalityAware.place(&wide, &v, &objects, &mut state),
             Some(NodeId(1))
         );
     }
 
     #[test]
     fn replicated_input_lets_locality_pick_the_idle_holder() {
-        // A large input resident only on busy node 0 glues the task
-        // there (moving the bytes would cost more than the queue).
-        // Once a replica exists on idle node 1, both nodes look local
-        // and the shallower queue wins — replication widens placement.
+        // A large input resident only on node 0 draws the task there
+        // while node 0 is within a wave of the idle nodes. Once a
+        // replica exists on idle node 1 both look local, tasks are
+        // shared between the two holders — replication widens placement
+        // — and node 2, which would have to fetch, gets none.
         let kv = KvStore::new(1);
         let objects = ObjectTable::new(kv);
         let root = TaskId::driver_root(DriverId::from_index(0));
         let dep = root.child(9).return_object(0);
         objects.add_location(dep, NodeId(0), 1_000_000);
         let v = view([
-            load(0, 10, Resources::cpu(4.0)),
+            load(0, 3, Resources::cpu(4.0)),
             load(1, 0, Resources::cpu(4.0)),
+            load(2, 0, Resources::cpu(4.0)),
         ]);
-        let spec = cpu_task(vec![ArgSpec::ObjectRef(dep)]);
         let mut state = PolicyState::new(1);
-        assert_eq!(
-            PlacementPolicy::LocalityAware.place(&spec, &v, &objects, &mut state),
-            Some(NodeId(0))
-        );
+        let mut place = |i: u64| {
+            let spec = TaskSpec::simple(
+                root.child(i),
+                FunctionId::from_name("f"),
+                vec![ArgSpec::ObjectRef(dep)],
+            );
+            PlacementPolicy::LocalityAware
+                .place(&spec, &v, &objects, &mut state)
+                .unwrap()
+        };
+        assert!((0..16).all(|i| place(i) == NodeId(0)));
         objects.add_location(dep, NodeId(1), 1_000_000);
-        assert_eq!(
-            PlacementPolicy::LocalityAware.place(&spec, &v, &objects, &mut state),
-            Some(NodeId(1))
-        );
+        let picks: std::collections::BTreeSet<NodeId> = (0..16).map(place).collect();
+        assert_eq!(picks, [NodeId(0), NodeId(1)].into_iter().collect());
     }
 
     #[test]
@@ -694,8 +829,9 @@ mod tests {
     #[test]
     fn dependency_holder_outside_top_k_stays_eligible() {
         // k = 1 selects idle node 1; the 1 MB input lives on node 0
-        // whose queue keeps it out of the top-k. Locality must still
-        // win: the holder is appended to the candidate set.
+        // whose queue keeps it out of the top-k (but within the same
+        // wave). Locality must still win: the holder is appended to the
+        // candidate set.
         let kv = KvStore::new(1);
         let objects = ObjectTable::new(kv);
         let root = TaskId::driver_root(DriverId::from_index(0));
@@ -703,7 +839,7 @@ mod tests {
         objects.add_location(dep, NodeId(0), 1_000_000);
         let v = LoadView::from_reports(
             [
-                load(0, 10, Resources::cpu(4.0)),
+                load(0, 3, Resources::cpu(4.0)),
                 load(1, 0, Resources::cpu(4.0)),
             ],
             1,

@@ -6,9 +6,11 @@
 //! decided once, at ingest: a burst submitted to one node under a lax
 //! spill rule drains serially while every other core idles. Stealing
 //! inverts the flow: an **idle** local scheduler (empty ready queue,
-//! spare resources) consults the load reports every node already
-//! publishes to the kv store, picks a victim whose backlog exceeds
-//! [`StealConfig::min_backlog`], and sends a single
+//! spare resources) reads the load reports every node already
+//! publishes to the kv store — by key, for the nodes the transfer
+//! directory lists, never by scanning the control plane — picks a
+//! victim whose backlog exceeds [`StealConfig::min_backlog`], and sends
+//! a single
 //! [`crate::wire::SchedWire::StealRequest`] over the fabric. The victim
 //! answers with one [`crate::wire::SchedWire::StealGrant`] batch of
 //! not-yet-dispatched ready tasks — never one message per task — after
@@ -16,6 +18,12 @@
 //! (`record_many` with `Queued(thief)`), so a thief crash after the
 //! grant is recovered by the same lineage replay that covers any other
 //! lost queue.
+//!
+//! Idle is not enough: a scheduler whose tasks *waiting on inbound
+//! data* (an object it has requested and that has not arrived yet)
+//! already cover its idle workers sends no request. That work starts the
+//! moment its input lands; stealing more would move tasks, and another
+//! copy of their inputs, to a node that cannot run them any sooner.
 //!
 //! Locality: the victim scores its ready candidates by the bytes of
 //! their dependencies already resident on the thief (one batched

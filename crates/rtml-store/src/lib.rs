@@ -24,10 +24,15 @@
 //! simulated fabric — chunking large objects into size-capped frames
 //! ([`StoreConfig::chunk_bytes`]) and coalescing multi-object requests
 //! into one reply stream — while a per-node [`transfer::FetchAgent`]
-//! issues requests from one persistent endpoint, reassembles chunks,
-//! and single-flights concurrent fetches of the same object. Received
-//! frames are decoded in place: an object that arrives as one chunk is
-//! stored as a window of its frame, never copied out of it.
+//! issues requests from one persistent endpoint, assembles chunks in
+//! place as they arrive, and single-flights concurrent fetches of the
+//! same object. Received frames are decoded in place: an object that
+//! arrives as one chunk is stored as a window of its frame, never
+//! copied out of it. An object a node has asked for but not yet sealed
+//! is kept in its store's unsealed table, from which the node's service
+//! **relays** it: a holder streaming a hot object hands later readers
+//! down a chain of earlier ones, each passing chunks on as they arrive,
+//! so the object leaves its holder once.
 //!
 //! Hot objects are handled by [`replicate`], the replication plane: the
 //! transfer service counts per-object remote-read demand, and a
@@ -51,5 +56,6 @@ pub use store::{
     DEFAULT_CHUNK_BYTES,
 };
 pub use transfer::{
-    FetchAgent, FetchResult, FetchStats, TransferDirectory, TransferService, TransferStats,
+    chunk_frames, FetchAgent, FetchResult, FetchStats, Fetched, TransferDirectory, TransferService,
+    TransferStats,
 };

@@ -101,6 +101,11 @@ pub struct PutOutcome {
 pub struct ObjectStore {
     config: StoreConfig,
     state: Mutex<StoreState>,
+    /// Objects created on this node but not yet sealed: requested by
+    /// its fetch agent, perhaps partly received. Here rather than in
+    /// the agent because the node's transfer service relays from it
+    /// (see [`crate::transfer`]). Never locked while `state` is held.
+    pub(crate) unsealed: Mutex<HashMap<ObjectId, crate::transfer::Unsealed>>,
     sealed_cv: Condvar,
     replica_probe: RwLock<Option<ReplicaProbe>>,
     /// Operation counters.
@@ -113,6 +118,7 @@ impl ObjectStore {
         ObjectStore {
             config,
             state: Mutex::new(StoreState::default()),
+            unsealed: Mutex::new(HashMap::new()),
             sealed_cv: Condvar::new(),
             replica_probe: RwLock::new(None),
             stats: StoreStats::default(),
@@ -158,6 +164,13 @@ impl ObjectStore {
     /// Whether the store holds no objects.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Number of objects created here but not yet sealed (transfers in
+    /// flight, or stranded and awaiting the reap); their buffers are not
+    /// part of [`ObjectStore::used_bytes`]. Leak detector.
+    pub fn unsealed_len(&self) -> usize {
+        self.unsealed.lock().len()
     }
 
     /// Registers a channel that receives the ID of every object sealed
@@ -465,9 +478,11 @@ impl ObjectStore {
         }
     }
 
-    /// Drops every object (node crash), returning the IDs that were held
-    /// so the caller can erase their locations from the object table.
+    /// Drops every object, sealed or not (node crash), returning the IDs
+    /// of the sealed ones so the caller can erase their locations from
+    /// the object table.
     pub fn clear(&self) -> Vec<ObjectId> {
+        self.unsealed.lock().clear();
         let mut st = self.state.lock();
         let ids: Vec<ObjectId> = st.objects.keys().copied().collect();
         st.objects.clear();

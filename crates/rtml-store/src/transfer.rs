@@ -20,16 +20,52 @@
 //!
 //! The wire protocol is three message types, encoded with the rtml
 //! codec: `Request { objects, reply_to }`, `Chunk { object, index,
-//! total, payload }`, and `Missing { object }`. A response to a
+//! total, size, payload }`, and `Missing { object }`. A response to a
 //! K-object request is one [`rtml_net::Fabric::send_chunks`] stream:
-//! a single propagation-delay sample plus the bandwidth term for the
-//! total size, delivered as ⌈size/chunk⌉ frames per object.
+//! a single propagation-delay sample, each chunk due when its own bytes
+//! have crossed, [`chunk_frames`] frames per object.
+//!
+//! # Receiving: in place, in order
 //!
 //! Frames are decoded over the `Bytes` they arrived in
 //! ([`rtml_common::codec::decode_from_bytes`]), so a chunk's payload is
 //! a window of its frame, not a copy. An object that arrives as one
-//! chunk is sealed into the store as that window; a multi-chunk object
-//! is assembled once, in the only reassembly loop there is.
+//! chunk is sealed into the store as that window. A multi-chunk object
+//! is assembled while it arrives: its first chunk allocates the
+//! destination once, at the exact size the chunk header names, and each
+//! chunk is appended as soon as everything before it has been — so when
+//! the last chunk lands only its own copy is left to do. Duplicated and
+//! reordered frames are absorbed by index.
+//!
+//! # Relaying: a hot object leaves its origin once
+//!
+//! Between [`FetchAgent::request_many`] and the seal an object is
+//! *created, not yet sealed* on the reading node. That state lives in
+//! the node's [`ObjectStore`] (the unsealed table, Plasma's create/seal
+//! split) because both halves of the node need it: the agent fills it,
+//! and the node's transfer service **relays from it**. Two rules make a
+//! broadcast spread in one wave instead of N pulls from the origin:
+//!
+//! - a service asked for a multi-chunk object it is still streaming to
+//!   an earlier reader (its egress link has not drained that stream)
+//!   hands the request on, unchanged, to that reader's node, and
+//!   remembers the new reader as the latest — a chain in arrival order.
+//!   Only earlier readers are ever named, so the chain has no cycle;
+//! - a service asked for an object its node is still receiving sends
+//!   the chunk frames it already has and registers the reader
+//!   downstream; the agent passes every later frame on as it arrives,
+//!   byte-identical, before copying it.
+//!
+//! A node with a sealed copy serves as always. A relay whose own fetch
+//! is answered `Missing` passes that on; one that goes silent (killed,
+//! partitioned) leaves its readers to their own timeout and the
+//! caller's holder-by-holder retry, and whatever chunks did arrive stay
+//! in the reader's entry, so the retry only has to fill the gaps. This
+//! is the fine-grained pipelining of Hoplite (Zhuang et al., SIGCOMM
+//! '21) reduced to a chain; the sweep-driven [`crate::replicate`] plane
+//! still decides which *extra* nodes get a copy of an object that stays
+//! hot for many sweeps — relaying only shortens the path to nodes that
+//! asked.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -37,6 +73,7 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Sender};
 use parking_lot::{Mutex, RwLock};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use rtml_common::codec::{decode_from_bytes, encode_to_bytes, Codec, Reader, Writer};
@@ -51,18 +88,20 @@ use crate::store::{ObjectStore, PutOutcome};
 #[derive(Clone, Debug, PartialEq, Eq)]
 enum TransferMsg {
     /// "Send me these objects; reply to this address." K objects from
-    /// one holder travel as one request frame.
+    /// one holder travel as one request frame. A service that hands a
+    /// request on sends the same message, `reply_to` untouched.
     Request {
         objects: Vec<ObjectId>,
         reply_to: u64,
     },
     /// One size-capped piece of an object's payload. `total` is the
-    /// number of chunks the object was split into; the receiver
-    /// reassembles once all have arrived.
+    /// number of chunks the object was split into and `size` its length
+    /// in bytes; the receiver appends chunks in index order.
     Chunk {
         object: ObjectId,
         index: u32,
         total: u32,
+        size: u64,
         payload: Bytes,
     },
     /// The holder no longer has the object (evicted or crashed between
@@ -82,12 +121,14 @@ impl Codec for TransferMsg {
                 object,
                 index,
                 total,
+                size,
                 payload,
             } => {
                 w.put_u8(1);
                 object.encode(w);
                 w.put_u32(*index);
                 w.put_u32(*total);
+                w.put_varint(*size);
                 payload.encode(w);
             }
             TransferMsg::Missing { object } => {
@@ -107,6 +148,7 @@ impl Codec for TransferMsg {
                 object: ObjectId::decode(r)?,
                 index: r.take_u32()?,
                 total: r.take_u32()?,
+                size: r.take_varint()?,
                 payload: Bytes::decode(r)?,
             },
             2 => TransferMsg::Missing {
@@ -122,25 +164,53 @@ impl Codec for TransferMsg {
 /// force (one memcpy instead of two on the serving hot path). Must stay
 /// byte-identical to `TransferMsg::Chunk`'s `Codec::encode`; a test
 /// asserts the equivalence.
-fn encode_chunk_frame(object: ObjectId, index: u32, total: u32, payload: &[u8]) -> Bytes {
+fn encode_chunk_frame(
+    object: ObjectId,
+    index: u32,
+    total: u32,
+    size: u64,
+    payload: &[u8],
+) -> Bytes {
     // Tag, object id (two 16-byte ids, a tag, a varint counter), two
-    // u32s and the varint length prefix: sized so the frame is never
-    // reallocated, which would double the buffer every receiver keeps.
-    const HEADER_MAX: usize = 1 + (16 + 16 + 1 + 10) + 4 + 4 + 10;
+    // u32s, the size and the varint length prefix: sized so the frame is
+    // never reallocated, which would double the buffer every receiver
+    // keeps.
+    const HEADER_MAX: usize = 1 + (16 + 16 + 1 + 10) + 4 + 4 + 10 + 10;
     let mut w = Writer::with_capacity(HEADER_MAX + payload.len());
     w.put_u8(1);
     object.encode(&mut w);
     w.put_u32(index);
     w.put_u32(total);
+    w.put_varint(size);
     w.put_bytes(payload);
     w.into_bytes()
 }
 
+/// A tail shorter than this share of a chunk rides in the last full
+/// frame instead of a frame of its own.
+const TAIL_SHARE: usize = 16;
+
+/// How many frames an object of `size` bytes leaves a store in:
+/// ⌈size / chunk⌉, except that a tail under a sixteenth of a chunk is
+/// absorbed by the frame before it. A sealed value is its payload plus
+/// at most 11 envelope bytes, so without the exception a 256 KiB block
+/// would travel as a frame and a sliver — and lose its place as a
+/// window of one received frame.
+pub fn chunk_frames(size: usize, chunk_bytes: usize) -> usize {
+    let chunk_bytes = chunk_bytes.max(1);
+    let (full, tail) = (size / chunk_bytes, size % chunk_bytes);
+    if full > 0 && tail < chunk_bytes / TAIL_SHARE {
+        full
+    } else {
+        full + usize::from(tail > 0 || full == 0)
+    }
+}
+
 /// Maps each node to its transfer-service fabric address. Shared by all
-/// nodes; populated during cluster construction.
-#[derive(Default)]
+/// nodes; populated during cluster construction. Cloning shares the map.
+#[derive(Clone, Default)]
 pub struct TransferDirectory {
-    map: RwLock<HashMap<NodeId, NetAddress>>,
+    map: Arc<RwLock<HashMap<NodeId, NetAddress>>>,
 }
 
 impl TransferDirectory {
@@ -163,6 +233,13 @@ impl TransferDirectory {
     pub fn remove(&self, node: NodeId) {
         self.map.write().remove(&node);
     }
+
+    /// Every node currently listed, ascending.
+    pub fn nodes(&self) -> Vec<NodeId> {
+        let mut nodes: Vec<NodeId> = self.map.read().keys().copied().collect();
+        nodes.sort_unstable();
+        nodes
+    }
 }
 
 /// Server-side transfer counters, one set per [`TransferService`].
@@ -170,15 +247,23 @@ impl TransferDirectory {
 pub struct TransferStats {
     /// Request frames served (each may name many objects).
     pub requests: Counter,
-    /// Objects served (payload found and streamed back).
+    /// Objects served from a sealed copy (payload found and streamed
+    /// back).
     pub objects_served: Counter,
+    /// Objects whose request was handed on to the earlier reader this
+    /// service was still streaming them to.
+    pub handed_on: Counter,
+    /// Objects answered from a copy this node was still receiving: the
+    /// frames it had, with the rest passed on by its fetch agent.
+    pub relayed: Counter,
     /// Requested objects the store no longer had.
     pub misses: Counter,
     /// Undecodable or misrouted frames received.
     pub decode_errors: Counter,
     /// Reply streams the fabric refused (requester gone).
     pub send_failures: Counter,
-    /// Chunk frames emitted.
+    /// Chunk frames emitted by this service (a relay's catch-up frames
+    /// included; frames its agent passes on later are counted there).
     pub chunks_sent: Counter,
     /// Whether per-object demand tracking is on. Enabled by the
     /// replication plane; off by default so nodes without a
@@ -243,6 +328,157 @@ pub struct TransferService {
     stats: Arc<TransferStats>,
 }
 
+/// The reader a service last streamed (or handed) an object to, and
+/// when its own egress link will have drained that stream.
+struct Streaming {
+    reader: NodeId,
+    until: Instant,
+}
+
+struct ServiceLoop {
+    fabric: Arc<Fabric>,
+    store: Arc<ObjectStore>,
+    directory: TransferDirectory,
+    address: NetAddress,
+    stats: Arc<TransferStats>,
+    /// Multi-chunk objects still leaving this node's egress link.
+    streaming: HashMap<ObjectId, Streaming>,
+}
+
+impl ServiceLoop {
+    fn serve(&mut self, objects: Vec<ObjectId>, reply_to: u64) {
+        self.stats.requests.inc();
+        let reader = NetAddress::from_u64(reply_to);
+        let chunk_bytes = self.store.chunk_bytes() as usize;
+        let now = Instant::now();
+        self.streaming.retain(|_, s| s.until > now);
+        // One reply stream for the whole request: all chunks of all
+        // objects share a single propagation-delay sample.
+        let mut frames = Vec::new();
+        let mut streamed = Vec::new();
+        for object in objects {
+            if self.hand_on(object, reader) {
+                continue;
+            }
+            if let Some(have) = self.relay(object, reader) {
+                self.stats.relayed.inc();
+                self.stats.record_read(object);
+                self.stats.chunks_sent.add(have.len() as u64);
+                frames.extend(have);
+                continue;
+            }
+            // Pin across lookup + snapshot so a concurrent put's LRU
+            // sweep cannot evict the object between "decide to serve"
+            // and "copy bytes".
+            let pinned = self.store.pin(object);
+            match self.store.get(object) {
+                Some(data) => {
+                    self.stats.objects_served.inc();
+                    self.stats.record_read(object);
+                    let data = data.as_slice();
+                    let total = chunk_frames(data.len(), chunk_bytes);
+                    for index in 0..total {
+                        let a = index * chunk_bytes;
+                        let b = match index + 1 == total {
+                            true => data.len(),
+                            false => a + chunk_bytes,
+                        };
+                        frames.push(encode_chunk_frame(
+                            object,
+                            index as u32,
+                            total as u32,
+                            data.len() as u64,
+                            &data[a..b],
+                        ));
+                    }
+                    self.stats.chunks_sent.add(total as u64);
+                    if total > 1 {
+                        streamed.push(object);
+                    }
+                }
+                None => {
+                    self.stats.misses.inc();
+                    frames.push(encode_to_bytes(&TransferMsg::Missing { object }));
+                }
+            }
+            if pinned {
+                self.store.unpin(object);
+            }
+        }
+        if self
+            .fabric
+            .send_chunks(self.address, reader, frames)
+            .is_err()
+        {
+            self.stats.send_failures.inc();
+        } else if !streamed.is_empty() {
+            if let Some(reader) = self.fabric.node_of(reader) {
+                let until = Instant::now() + self.fabric.egress_backlog(self.store.node());
+                for object in streamed {
+                    self.streaming.insert(object, Streaming { reader, until });
+                }
+            }
+        }
+    }
+
+    /// Hands a request for `object` on to the earlier reader it is
+    /// still being streamed to. A single-chunk object is never handed
+    /// on: with nothing to pipeline, a relay only adds a hop.
+    fn hand_on(&mut self, object: ObjectId, reader: NetAddress) -> bool {
+        let Some(stream) = self.streaming.get_mut(&object) else {
+            return false;
+        };
+        // Asked only now: a request that finds nothing streaming never
+        // takes the fabric's routing lock for it.
+        let reader_node = self.fabric.node_of(reader);
+        if Some(stream.reader) == reader_node {
+            return false;
+        }
+        let Some(earlier) = self.directory.lookup(stream.reader) else {
+            return false;
+        };
+        let request = TransferMsg::Request {
+            objects: vec![object],
+            reply_to: reader.as_u64(),
+        };
+        if self
+            .fabric
+            .send(self.address, earlier, encode_to_bytes(&request))
+            .is_err()
+        {
+            return false;
+        }
+        self.stats.handed_on.inc();
+        self.stats.record_read(object);
+        if let Some(node) = reader_node {
+            stream.reader = node;
+        }
+        true
+    }
+
+    /// If this node is still receiving `object`, registers `reader`
+    /// downstream of it and returns the chunk frames received so far.
+    fn relay(&self, object: ObjectId, reader: NetAddress) -> Option<Vec<Bytes>> {
+        let mut unsealed = self.store.unsealed.lock();
+        // An entry past its deadline is a transfer that died: better an
+        // honest `Missing` than a reader waiting on it.
+        let entry = unsealed
+            .get_mut(&object)
+            .filter(|entry| entry.expires_at > Instant::now())?;
+        if !entry.downstream.contains(&reader) {
+            entry.downstream.push(reader);
+        }
+        Some(
+            entry
+                .chunks
+                .iter()
+                .flatten()
+                .map(|chunk| chunk.frame.clone())
+                .collect(),
+        )
+    }
+}
+
 impl TransferService {
     /// Spawns the service thread for `store` and registers it in
     /// `directory`.
@@ -256,69 +492,26 @@ impl TransferService {
         let address = endpoint.address();
         directory.insert(node, address);
         let stats = Arc::new(TransferStats::default());
-        let stats2 = stats.clone();
-        let fabric2 = fabric.clone();
+        let mut service = ServiceLoop {
+            fabric: fabric.clone(),
+            store,
+            directory: directory.clone(),
+            address,
+            stats: stats.clone(),
+            streaming: HashMap::new(),
+        };
         let handle = std::thread::Builder::new()
             .name(format!("rtml-transfer-{node}"))
             .spawn(move || {
                 while let Ok(delivery) = endpoint.receiver().recv() {
-                    let msg = match decode_from_bytes::<TransferMsg>(&delivery.payload) {
-                        Ok(msg) => msg,
-                        Err(_) => {
-                            stats2.decode_errors.inc();
-                            continue;
+                    match decode_from_bytes::<TransferMsg>(&delivery.payload) {
+                        Ok(TransferMsg::Request { objects, reply_to }) => {
+                            service.serve(objects, reply_to)
                         }
-                    };
-                    let TransferMsg::Request { objects, reply_to } = msg else {
                         // Chunk/Missing frames belong to agents, not
                         // services; count the misroute rather than
                         // dropping it silently.
-                        stats2.decode_errors.inc();
-                        continue;
-                    };
-                    stats2.requests.inc();
-                    let chunk_bytes = store.chunk_bytes() as usize;
-                    // One reply stream for the whole request: all chunks
-                    // of all objects share a single propagation-delay
-                    // sample and pay bandwidth on their total size.
-                    let mut frames = Vec::new();
-                    for object in objects {
-                        // Pin across lookup + snapshot so a concurrent
-                        // put's LRU sweep cannot evict the object
-                        // between "decide to serve" and "copy bytes".
-                        let pinned = store.pin(object);
-                        match store.get(object) {
-                            Some(data) => {
-                                stats2.objects_served.inc();
-                                stats2.record_read(object);
-                                let data = data.as_slice();
-                                let total = (data.len().div_ceil(chunk_bytes)).max(1) as u32;
-                                for index in 0..total {
-                                    let a = index as usize * chunk_bytes;
-                                    let b = (a + chunk_bytes).min(data.len());
-                                    frames.push(encode_chunk_frame(
-                                        object,
-                                        index,
-                                        total,
-                                        &data[a..b],
-                                    ));
-                                    stats2.chunks_sent.inc();
-                                }
-                            }
-                            None => {
-                                stats2.misses.inc();
-                                frames.push(encode_to_bytes(&TransferMsg::Missing { object }));
-                            }
-                        }
-                        if pinned {
-                            store.unpin(object);
-                        }
-                    }
-                    if fabric2
-                        .send_chunks(address, NetAddress::from_u64(reply_to), frames)
-                        .is_err()
-                    {
-                        stats2.send_failures.inc();
+                        Ok(_) | Err(_) => service.stats.decode_errors.inc(),
                     }
                 }
             })
@@ -369,6 +562,8 @@ pub struct FetchStats {
     pub duplicates_suppressed: Counter,
     /// Chunk frames received.
     pub chunks_received: Counter,
+    /// Chunk frames passed on to a reader downstream of this node.
+    pub chunks_forwarded: Counter,
     /// Objects fully received and sealed locally.
     pub objects_fetched: Counter,
     /// `Missing` answers (holder no longer had the object).
@@ -382,19 +577,70 @@ pub struct FetchStats {
 /// How long an unsolicited (orphan) reassembly buffer is retained.
 const ORPHAN_TTL: Duration = Duration::from_secs(5);
 
-/// Outcome of fetching one object: its sealed bytes and what the local
-/// put did (whether it inserted, what it evicted).
-pub type FetchResult = Result<(Bytes, PutOutcome)>;
-
-struct InFlight {
-    /// The `done` channel of every request waiting on this transfer.
-    waiters: Vec<Sender<(ObjectId, FetchResult)>>,
-    chunks: Vec<Option<Bytes>>,
-    received: u32,
-    expires_at: Instant,
+/// How a fetched object got here.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Fetched {
+    /// Whether this fetch sealed new bytes locally (false: a local hit).
+    pub inserted: bool,
+    /// Objects the local put evicted to make room; the caller must drop
+    /// their locations from the object table.
+    pub evicted: Vec<ObjectId>,
+    /// The node whose egress link fed the bytes: the holder asked, the
+    /// relay it handed the request to, or this node for a local hit.
+    pub from: NodeId,
 }
 
-impl InFlight {
+/// Outcome of fetching one object: its sealed bytes and how they got
+/// here.
+pub type FetchResult = Result<(Bytes, Fetched)>;
+
+/// One received chunk: the frame exactly as it arrived (what a relay
+/// passes on) and the payload window inside it.
+pub(crate) struct Chunk {
+    frame: Bytes,
+    payload: Bytes,
+}
+
+/// An object created on this node but not yet sealed: requested by the
+/// node's fetch agent, perhaps partly received, perhaps being relayed.
+/// Kept in the node's [`ObjectStore`] so the transfer service sees it.
+pub(crate) struct Unsealed {
+    /// The `done` channel of every request waiting on this transfer.
+    waiters: Vec<Sender<(ObjectId, FetchResult)>>,
+    expires_at: Instant,
+    /// Chunks received so far, by index.
+    chunks: Vec<Option<Chunk>>,
+    /// The object's length in bytes, as the chunk headers name it.
+    size: usize,
+    /// Where a multi-chunk object is assembled: allocated once, at the
+    /// object's exact size, and appended to in index order. `None`
+    /// before the first chunk and while a thread has it out for a copy.
+    dest: Option<Vec<u8>>,
+    /// Chunks appended to `dest` so far.
+    copied: usize,
+    /// A thread is appending to `dest` outside the lock.
+    copying: bool,
+    /// Reply addresses of readers downstream of this node.
+    downstream: Vec<NetAddress>,
+    /// The node that fed the first chunk.
+    upstream: Option<NodeId>,
+}
+
+impl Unsealed {
+    fn new(expires_at: Instant) -> Unsealed {
+        Unsealed {
+            waiters: Vec::new(),
+            expires_at,
+            chunks: Vec::new(),
+            size: 0,
+            dest: None,
+            copied: 0,
+            copying: false,
+            downstream: Vec::new(),
+            upstream: None,
+        }
+    }
+
     fn answer(self, object: ObjectId, result: FetchResult) {
         for w in self.waiters {
             let _ = w.send((object, result.clone()));
@@ -411,14 +657,13 @@ struct AgentInner {
     /// header claiming more is corrupt and is dropped before anything
     /// is allocated for it.
     max_chunks: usize,
-    in_flight: Mutex<HashMap<ObjectId, InFlight>>,
     stats: FetchStats,
 }
 
 /// Per-node fetch client: one persistent reply endpoint, coalesced
-/// multi-object requests, chunk reassembly, and single-flighted
-/// concurrent fetches. Steady-state fetching registers **zero** new
-/// fabric endpoints.
+/// multi-object requests, in-place chunk reassembly, relaying, and
+/// single-flighted concurrent fetches. Steady-state fetching registers
+/// **zero** new fabric endpoints.
 pub struct FetchAgent {
     inner: Arc<AgentInner>,
     handle: Mutex<Option<std::thread::JoinHandle<()>>>,
@@ -440,7 +685,6 @@ impl FetchAgent {
             fabric,
             store,
             directory,
-            in_flight: Mutex::new(HashMap::new()),
             stats: FetchStats::default(),
         });
         let inner2 = inner.clone();
@@ -464,10 +708,10 @@ impl FetchAgent {
         self.inner.address
     }
 
-    /// Number of transfers currently tracked (in flight, or stranded and
-    /// awaiting the reap in the next `fetch_many`).
+    /// Number of transfers currently tracked on this node (in flight, or
+    /// stranded and awaiting the reap in the next `fetch_many`).
     pub fn in_flight_len(&self) -> usize {
-        self.inner.in_flight.lock().len()
+        self.inner.store.unsealed_len()
     }
 
     /// Pulls one object from `holder` into the local store; see
@@ -484,17 +728,18 @@ impl FetchAgent {
     /// on `done` — immediately for objects already local or a holder
     /// that is not in the directory, otherwise when the transfer
     /// completes or the holder reports the object missing. A transfer
-    /// lost on the wire (partition, dead holder) answers nothing; the
-    /// caller bounds its own wait, and `timeout` is how long this
-    /// request counts as in flight before a later one for the same
-    /// object re-requests instead of joining it.
+    /// lost on the wire (partition, dead holder or relay) answers
+    /// nothing; the caller bounds its own wait, and `timeout` is how
+    /// long this request counts as in flight before a later one for the
+    /// same object re-requests instead of joining it.
     ///
     /// All objects that actually need requesting travel as **one**
-    /// request frame; the holder answers with one chunked reply stream.
-    /// Objects already in flight (from any caller on this node) join
-    /// the existing transfer instead of issuing a duplicate. A caller
-    /// may pass the same `done` to requests toward different holders
-    /// and collect all of them from one channel.
+    /// request frame; the holder answers with one chunked reply stream,
+    /// or hands a hot object's request on to a node already receiving
+    /// it. Objects already in flight (from any caller on this node)
+    /// join the existing transfer instead of issuing a duplicate. A
+    /// caller may pass the same `done` to requests toward different
+    /// holders and collect all of them from one channel.
     pub fn request_many(
         &self,
         objects: &[ObjectId],
@@ -513,22 +758,23 @@ impl FetchAgent {
         let deadline = now + timeout;
         let mut to_request: Vec<ObjectId> = Vec::new();
         {
-            let mut fl = inner.in_flight.lock();
+            let mut unsealed = inner.store.unsealed.lock();
             // Reap transfers that died without an answer (holder gone
             // mid-stream, dropped partition traffic): entries past their
             // deadline plus a grace period will never complete, and
             // nothing else removes them once their waiters time out.
-            fl.retain(|_, entry| now < entry.expires_at + ORPHAN_TTL);
+            unsealed.retain(|_, entry| entry.copying || now < entry.expires_at + ORPHAN_TTL);
             for &object in objects {
                 if let Some(bytes) = inner.store.get(object) {
-                    let hit = PutOutcome {
+                    let hit = Fetched {
                         inserted: false,
                         evicted: Vec::new(),
+                        from: inner.store.node(),
                     };
                     let _ = done.send((object, Ok((bytes, hit))));
                     continue;
                 }
-                match fl.get_mut(&object) {
+                match unsealed.get_mut(&object) {
                     Some(entry) if entry.expires_at > now => {
                         // Single flight: join the in-flight transfer.
                         entry.waiters.push(done.clone());
@@ -536,22 +782,17 @@ impl FetchAgent {
                     }
                     Some(entry) => {
                         // The previous request apparently got lost
-                        // (partition, dead holder): refresh and
-                        // re-request, keeping earlier waiters attached.
+                        // (partition, dead holder or relay): refresh
+                        // and re-request, keeping earlier waiters and
+                        // whatever chunks did arrive.
                         entry.waiters.push(done.clone());
                         entry.expires_at = deadline;
                         to_request.push(object);
                     }
                     None => {
-                        fl.insert(
-                            object,
-                            InFlight {
-                                waiters: vec![done.clone()],
-                                chunks: Vec::new(),
-                                received: 0,
-                                expires_at: deadline,
-                            },
-                        );
+                        let mut entry = Unsealed::new(deadline);
+                        entry.waiters.push(done.clone());
+                        unsealed.insert(object, entry);
                         to_request.push(object);
                         inner.stats.transfers.inc();
                     }
@@ -572,9 +813,9 @@ impl FetchAgent {
             {
                 // The holder's endpoint is gone: fail everything we just
                 // put in flight toward it.
-                let mut fl = inner.in_flight.lock();
+                let mut unsealed = inner.store.unsealed.lock();
                 for object in to_request {
-                    if let Some(entry) = fl.remove(&object) {
+                    if let Some(entry) = unsealed.remove(&object) {
                         entry.answer(object, Err(Error::NodeDown(holder)));
                     }
                 }
@@ -638,77 +879,185 @@ impl Drop for FetchAgent {
 }
 
 fn agent_loop(inner: Arc<AgentInner>, endpoint: rtml_net::Endpoint) {
+    // The node behind each sender seen so far (an address is never
+    // reused): naming a chunk's upstream takes the fabric's routing lock
+    // once per sender, not once per object.
+    let mut senders: HashMap<NetAddress, Option<NodeId>> = HashMap::new();
     while let Ok(delivery) = endpoint.receiver().recv() {
         // Decoded over the frame itself: a chunk's payload is a window
         // of `delivery.payload`.
-        let msg = match decode_from_bytes::<TransferMsg>(&delivery.payload) {
-            Ok(msg) => msg,
-            Err(_) => {
-                inner.stats.decode_errors.inc();
-                continue;
-            }
-        };
-        match msg {
-            TransferMsg::Chunk {
+        match decode_from_bytes::<TransferMsg>(&delivery.payload) {
+            Ok(TransferMsg::Chunk {
                 object,
                 index,
                 total,
+                size,
                 payload,
-            } => {
+            }) => {
                 inner.stats.chunks_received.inc();
+                let from = *senders
+                    .entry(delivery.from)
+                    .or_insert_with(|| inner.fabric.node_of(delivery.from));
+                let chunk = Chunk {
+                    frame: delivery.payload,
+                    payload,
+                };
                 let total = total.max(1) as usize;
-                let index = index as usize;
-                if index >= total || total > inner.max_chunks {
+                let size = usize::try_from(size).unwrap_or(usize::MAX);
+                if index as usize >= total
+                    || total > inner.max_chunks
+                    || size as u64 > inner.store.capacity_bytes()
+                    || !inner.on_chunk(from, object, index as usize, total, size, chunk)
+                {
                     inner.stats.decode_errors.inc();
-                    continue;
-                }
-                let mut fl = inner.in_flight.lock();
-                let entry = fl.entry(object).or_insert_with(|| InFlight {
-                    // Unsolicited data (a request we gave up on): still
-                    // reassemble — sealing the bytes is useful work.
-                    waiters: Vec::new(),
-                    chunks: Vec::new(),
-                    received: 0,
-                    expires_at: Instant::now() + ORPHAN_TTL,
-                });
-                if entry.chunks.len() != total {
-                    entry.chunks = vec![None; total];
-                    entry.received = 0;
-                }
-                if entry.chunks[index].is_none() {
-                    entry.chunks[index] = Some(payload);
-                    entry.received += 1;
-                }
-                if entry.received as usize == total {
-                    let mut entry = fl.remove(&object).expect("entry present");
-                    // One chunk is the object: seal the window of the
-                    // frame it arrived in. Several are joined once.
-                    let bytes = if total == 1 {
-                        entry.chunks[0].take().expect("all chunks received")
-                    } else {
-                        let chunks = || entry.chunks.iter().flatten();
-                        let mut buf = Vec::with_capacity(chunks().map(Bytes::len).sum());
-                        chunks().for_each(|chunk| buf.extend_from_slice(chunk));
-                        Bytes::from(buf)
-                    };
-                    // Seal while still holding the in-flight lock: a
-                    // concurrent fetch_many either finds this entry or
-                    // finds the object in the store — never neither.
-                    let result = inner.store.put(object, bytes.clone());
-                    if result.is_ok() {
-                        inner.stats.objects_fetched.inc();
-                    }
-                    entry.answer(object, result.map(|outcome| (bytes, outcome)));
                 }
             }
-            TransferMsg::Missing { object } => {
+            Ok(TransferMsg::Missing { object }) => {
                 inner.stats.misses.inc();
-                if let Some(entry) = inner.in_flight.lock().remove(&object) {
+                let entry = inner.store.unsealed.lock().remove(&object);
+                if let Some(entry) = entry {
+                    // Readers downstream hear it from here: their
+                    // request never reached anyone else.
+                    for reader in &entry.downstream {
+                        let _ = inner
+                            .fabric
+                            .send(inner.address, *reader, delivery.payload.clone());
+                    }
                     entry.answer(object, Err(Error::ObjectNotFound(object)));
                 }
             }
-            TransferMsg::Request { .. } => inner.stats.decode_errors.inc(),
+            Ok(TransferMsg::Request { .. }) | Err(_) => inner.stats.decode_errors.inc(),
         }
+    }
+}
+
+impl AgentInner {
+    /// Takes one chunk of `object` (bounds already checked), fed by
+    /// node `from`: records it, passes it on downstream, appends
+    /// whatever has become contiguous to the destination, and seals the
+    /// object when that was the last of it. Returns `false` for a chunk
+    /// that contradicts what already arrived.
+    fn on_chunk(
+        &self,
+        from: Option<NodeId>,
+        object: ObjectId,
+        index: usize,
+        total: usize,
+        size: usize,
+        chunk: Chunk,
+    ) -> bool {
+        let mut unsealed = self.store.unsealed.lock();
+        let entry = match unsealed.entry(object) {
+            Entry::Occupied(entry) => entry.into_mut(),
+            // A late copy of a chunk of an object already sealed.
+            Entry::Vacant(_) if self.store.contains(object) => return true,
+            // Unsolicited data (a request we gave up on) is still
+            // assembled: sealing the bytes is useful work.
+            Entry::Vacant(slot) => slot.insert(Unsealed::new(Instant::now() + ORPHAN_TTL)),
+        };
+        if entry.chunks.len() != total || entry.size != size {
+            if entry.copying {
+                return false;
+            }
+            entry.chunks = (0..total).map(|_| None).collect();
+            entry.size = size;
+            entry.dest = None;
+            entry.copied = 0;
+        }
+        if entry.chunks[index].is_some() {
+            // A duplicate: nothing new to keep or pass on.
+            return true;
+        }
+        entry.upstream = entry.upstream.or(from);
+        if !entry.downstream.is_empty() {
+            // Pass it on before copying it, the table unlocked: the next
+            // node's copy overlaps this one's.
+            let downstream = entry.downstream.clone();
+            let frame = chunk.frame.clone();
+            entry.chunks[index] = Some(chunk);
+            drop(unsealed);
+            for reader in downstream {
+                if self
+                    .fabric
+                    .send_chunks(self.address, reader, vec![frame.clone()])
+                    .is_ok()
+                {
+                    self.stats.chunks_forwarded.inc();
+                }
+            }
+            unsealed = self.store.unsealed.lock();
+        } else {
+            entry.chunks[index] = Some(chunk);
+        }
+
+        // Append what has become contiguous.
+        loop {
+            let Some(entry) = unsealed.get_mut(&object) else {
+                return true;
+            };
+            if entry.copying || entry.chunks.len() != total || entry.size != size {
+                return true;
+            }
+            if entry.copied == total {
+                break;
+            }
+            let Some(next) = &entry.chunks[entry.copied] else {
+                return true;
+            };
+            if total == 1 {
+                // One chunk is the object: its window is what is sealed.
+                entry.copied = 1;
+                break;
+            }
+            let payload = next.payload.clone();
+            let mut dest = entry
+                .dest
+                .take()
+                .unwrap_or_else(|| Vec::with_capacity(size));
+            if dest.len() + payload.len() > size {
+                unsealed.remove(&object);
+                return false;
+            }
+            // The copy runs with the table unlocked; `copying` keeps
+            // every other thread's hands off `dest` and the entry alive.
+            entry.copying = true;
+            drop(unsealed);
+            dest.extend_from_slice(&payload);
+            unsealed = self.store.unsealed.lock();
+            // Gone (answered `Missing`, node cleared): so is the copy.
+            let Some(entry) = unsealed.get_mut(&object).filter(|e| e.copying) else {
+                return true;
+            };
+            entry.dest = Some(dest);
+            entry.copied += 1;
+            entry.copying = false;
+        }
+        // Seal while still holding the table lock: a concurrent request
+        // either finds this entry or finds the object in the store —
+        // never neither.
+        let mut entry = unsealed.remove(&object).expect("entry present");
+        let bytes = match entry.dest.take() {
+            Some(dest) => Bytes::from(dest),
+            None => entry.chunks[0].take().expect("all chunks received").payload,
+        };
+        let complete = bytes.len() == size;
+        let from = entry.upstream.unwrap_or(self.store.node());
+        let result = match complete {
+            true => self.store.put(object, bytes.clone()),
+            false => Err(Error::Codec(format!(
+                "{object} arrived short of {size} bytes"
+            ))),
+        };
+        if result.is_ok() {
+            self.stats.objects_fetched.inc();
+        }
+        let fetched = result.map(|PutOutcome { inserted, evicted }| Fetched {
+            inserted,
+            evicted,
+            from,
+        });
+        entry.answer(object, fetched.map(|fetched| (bytes, fetched)));
+        complete
     }
 }
 
@@ -780,6 +1129,7 @@ mod tests {
                 object: obj(1),
                 index: 2,
                 total: 7,
+                size: 1 << 40,
                 payload: Bytes::from_static(b"data"),
             },
             TransferMsg::Missing { object: obj(2) },
@@ -844,7 +1194,7 @@ mod tests {
         let agent = FetchAgent::spawn(fabric.clone(), store1.clone(), directory.clone());
         let probe = fabric.register(NodeId(0), "probe");
         for total in [u32::MAX, 4097] {
-            let forged = encode_chunk_frame(obj(1), 0, total, b"x");
+            let forged = encode_chunk_frame(obj(1), 0, total, 1, b"x");
             fabric
                 .send(probe.address(), agent.address(), forged)
                 .unwrap();
@@ -1053,11 +1403,12 @@ mod tests {
     #[test]
     fn chunk_frame_encoding_matches_codec() {
         let payload: Vec<u8> = (0..300u32).map(|i| (i % 256) as u8).collect();
-        let direct = encode_chunk_frame(obj(3), 2, 7, &payload);
+        let direct = encode_chunk_frame(obj(3), 2, 7, 2000, &payload);
         let via_codec = encode_to_bytes(&TransferMsg::Chunk {
             object: obj(3),
             index: 2,
             total: 7,
+            size: 2000,
             payload: Bytes::from(payload),
         });
         assert_eq!(direct, via_codec);
@@ -1104,6 +1455,311 @@ mod tests {
             .unwrap();
         assert_eq!(&data[..], b"x");
         assert_eq!(s0.stats().decode_errors.get(), 1);
+    }
+
+    struct Peer {
+        store: Arc<ObjectStore>,
+        service: TransferService,
+        agent: FetchAgent,
+    }
+
+    /// `n` nodes, each with a store, a service and an agent, on one
+    /// fabric.
+    fn peers(
+        n: u32,
+        config: FabricConfig,
+        chunk_bytes: u64,
+    ) -> (Arc<Fabric>, Arc<TransferDirectory>, Vec<Peer>) {
+        let fabric = Fabric::new(config);
+        let directory = TransferDirectory::new();
+        let peers = (0..n)
+            .map(|node| {
+                let store = Arc::new(ObjectStore::new(StoreConfig {
+                    node: NodeId(node),
+                    capacity_bytes: 16 << 20,
+                    chunk_bytes,
+                }));
+                Peer {
+                    service: TransferService::spawn(fabric.clone(), store.clone(), &directory),
+                    agent: FetchAgent::spawn(fabric.clone(), store.clone(), directory.clone()),
+                    store,
+                }
+            })
+            .collect();
+        (fabric, directory, peers)
+    }
+
+    fn patterned(len: usize) -> Bytes {
+        Bytes::from((0..len).map(|i| (i % 251) as u8).collect::<Vec<u8>>())
+    }
+
+    #[test]
+    fn chunk_frames_absorb_a_sliver_tail() {
+        let chunk = 256 << 10;
+        assert_eq!(chunk_frames(0, chunk), 1);
+        assert_eq!(chunk_frames(chunk - 1, chunk), 1);
+        assert_eq!(chunk_frames(chunk, chunk), 1);
+        // A sealed 256 KiB / 1 MiB value: payload plus 11 envelope bytes.
+        assert_eq!(chunk_frames(chunk + 11, chunk), 1);
+        assert_eq!(chunk_frames((1 << 20) + 11, chunk), 4);
+        // A sixteenth of a chunk is a frame of its own again.
+        assert_eq!(chunk_frames(chunk + chunk / 16 - 1, chunk), 1);
+        assert_eq!(chunk_frames(chunk + chunk / 16, chunk), 2);
+        assert_eq!(chunk_frames(1000, 256), 4);
+        assert_eq!(chunk_frames(7, 1), 7);
+    }
+
+    #[test]
+    fn a_sliver_over_one_chunk_still_arrives_as_one_stored_frame() {
+        let (_fabric, _directory, p) = peers(2, FabricConfig::default(), 256 << 10);
+        let payload = patterned((256 << 10) + 11);
+        p[0].store.put(obj(1), payload.clone()).unwrap();
+        let (data, fetched) = p[1]
+            .agent
+            .fetch_one(obj(1), NodeId(0), Duration::from_secs(5))
+            .unwrap();
+        assert_eq!(data, payload);
+        assert_eq!(fetched.from, NodeId(0));
+        assert_eq!(p[0].service.stats().chunks_sent.get(), 1);
+        assert_eq!(p[1].agent.stats().chunks_received.get(), 1);
+        assert_eq!(p[1].store.get(obj(1)).unwrap().as_ptr(), data.as_ptr());
+    }
+
+    /// 100 us hops, 1 GiB/s links: the ledger's fabric.
+    fn ledger_fabric() -> FabricConfig {
+        FabricConfig {
+            latency: LatencyModel::Constant(Duration::from_micros(100)),
+            bandwidth_bytes_per_sec: Some(1 << 30),
+            ..FabricConfig::default()
+        }
+    }
+
+    #[test]
+    fn three_readers_of_a_hot_object_relay_it_chunk_by_chunk() {
+        // Three readers ask within 100 us. The origin's egress link
+        // carries the object once; the second and third reader are
+        // handed down the chain and fed chunk by chunk while the copy
+        // ahead of them is still arriving. Other tests share the cores:
+        // a round whose requests were not issued within 100 us is not
+        // the scenario, and the time is the best round's.
+        let limit = Duration::from_micros(2800);
+        let (_fabric, _directory, p) = peers(4, ledger_fabric(), 256 << 10);
+        let payload = patterned((1 << 20) + 11);
+        let passed_on = |relay: &Peer| {
+            relay.service.stats().chunks_sent.get() + relay.agent.stats().chunks_forwarded.get()
+        };
+        let mut best = Duration::MAX;
+        let mut rounds = 0;
+        for attempt in 0..40 {
+            let object = obj(attempt);
+            p[0].store.put(object, payload.clone()).unwrap();
+            let before: Vec<u64> = p.iter().map(passed_on).collect();
+            let handed_before = p[0].service.stats().handed_on.get();
+            let (done, answers) = unbounded();
+            let start = Instant::now();
+            for reader in &p[1..] {
+                reader
+                    .agent
+                    .request_many(&[object], NodeId(0), Duration::from_secs(5), &done);
+            }
+            let issued = start.elapsed();
+            let results: Vec<FetchResult> = (0..3)
+                .map(|_| answers.recv_timeout(Duration::from_secs(5)).unwrap().1)
+                .collect();
+            let took = start.elapsed();
+            let mut fed_by = Vec::new();
+            for result in results {
+                let (data, fetched) = result.unwrap();
+                assert_eq!(data, payload);
+                assert!(fetched.inserted);
+                fed_by.push(fetched.from);
+            }
+            for peer in &p {
+                assert_eq!(peer.agent.in_flight_len(), 0);
+                assert!(peer.store.delete(object));
+            }
+            if issued > Duration::from_micros(100) {
+                continue;
+            }
+            rounds += 1;
+            best = best.min(took);
+            // A chain in arrival order: each fed by the reader before it,
+            // and every chunk went down it once — caught up by the
+            // relay's service, or passed on by its agent as it arrived.
+            fed_by.sort();
+            assert_eq!(fed_by, vec![NodeId(0), NodeId(1), NodeId(2)]);
+            assert_eq!(p[0].service.stats().handed_on.get() - handed_before, 2);
+            let sent: Vec<u64> = p
+                .iter()
+                .zip(before)
+                .map(|(p, b)| passed_on(p) - b)
+                .collect();
+            assert_eq!(
+                sent,
+                vec![4, 4, 4, 0],
+                "chunks each node sent of a 4-chunk object"
+            );
+            if best <= limit {
+                break;
+            }
+        }
+        // 1.2 ms for the first copy, a chunk and a hop (0.36 ms) per
+        // relay, the last chunk's copy; three pulls from the origin took
+        // 3.9 ms.
+        assert!(
+            best <= limit,
+            "last reader sealed after {best:?} (best of {rounds} rounds)"
+        );
+    }
+
+    #[test]
+    fn a_reader_whose_relay_goes_silent_completes_from_another_holder() {
+        // 2 MB/s: each 8 KiB chunk of the 64 KiB object takes 4 ms.
+        let config = FabricConfig {
+            latency: LatencyModel::Constant(Duration::from_micros(100)),
+            bandwidth_bytes_per_sec: Some(2_000_000),
+            ..FabricConfig::default()
+        };
+        let (fabric, _directory, p) = peers(3, config, 8 << 10);
+        let endpoints = fabric.endpoint_count();
+        let payload = patterned(64 << 10);
+        p[0].store.put(obj(1), payload.clone()).unwrap();
+        let (done, answers) = unbounded();
+        // Node 1 reads from the origin; node 2 asks next and is handed
+        // on to node 1.
+        p[1].agent
+            .request_many(&[obj(1)], NodeId(0), Duration::from_secs(5), &done);
+        p[2].agent
+            .request_many(&[obj(1)], NodeId(0), Duration::from_millis(150), &done);
+        // Cut the relay off from its reader after its second chunk.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while p[2].agent.stats().chunks_received.get() < 2 {
+            assert!(Instant::now() < deadline, "relay never fed its reader");
+            std::thread::yield_now();
+        }
+        fabric.partition(NodeId(1), NodeId(2));
+        // The relay itself completes; its reader hears nothing more.
+        let (_, first) = answers.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!(first.unwrap().1.from, NodeId(0));
+        assert_eq!(p[0].service.stats().handed_on.get(), 1);
+        assert!(answers.recv_timeout(Duration::from_millis(200)).is_err());
+        let partial = p[2].agent.stats().chunks_received.get();
+        assert!((2..8).contains(&partial), "{partial} chunks before the cut");
+        assert_eq!(p[2].store.unsealed_len(), 1);
+        // The caller's retry, as `holders_ranked` would order it: the
+        // origin again, which by now streams to nobody.
+        let (data, fetched) = p[2]
+            .agent
+            .fetch_one(obj(1), NodeId(0), Duration::from_secs(5))
+            .unwrap();
+        assert_eq!(data, payload);
+        assert_eq!(
+            fetched.from,
+            NodeId(1),
+            "the first bytes came from the relay"
+        );
+        assert!(fetched.inserted);
+        // The earlier waiter is answered by the same transfer.
+        assert!(answers
+            .recv_timeout(Duration::from_secs(5))
+            .unwrap()
+            .1
+            .is_ok());
+        for peer in &p {
+            assert_eq!(peer.agent.in_flight_len(), 0);
+            assert_eq!(peer.store.unsealed_len(), 0);
+            assert_eq!(peer.store.used_bytes(), payload.len() as u64);
+        }
+        assert_eq!(fabric.endpoint_count(), endpoints);
+    }
+
+    #[test]
+    fn a_relay_whose_own_fetch_fails_answers_missing() {
+        let config = FabricConfig {
+            latency: LatencyModel::Constant(Duration::from_millis(2)),
+            ..FabricConfig::default()
+        };
+        let (_fabric, _directory, p) = peers(3, config, 8 << 10);
+        // Node 1 asks node 0 for an object node 0 does not have; until
+        // the `Missing` lands (4 ms) node 1 counts as receiving it, and a
+        // request reaching it meanwhile is registered downstream.
+        let (done, answers) = unbounded();
+        p[1].agent
+            .request_many(&[obj(1)], NodeId(0), Duration::from_secs(5), &done);
+        p[2].agent
+            .request_many(&[obj(1)], NodeId(1), Duration::from_secs(5), &done);
+        for _ in 0..2 {
+            let (_, result) = answers.recv_timeout(Duration::from_secs(5)).unwrap();
+            assert_eq!(result.unwrap_err(), Error::ObjectNotFound(obj(1)));
+        }
+        assert_eq!(p[1].service.stats().relayed.get(), 1);
+        assert_eq!(p[1].service.stats().misses.get(), 0);
+        assert_eq!(p[2].agent.stats().misses.get(), 1);
+        for peer in &p {
+            assert_eq!(peer.store.unsealed_len(), 0);
+        }
+    }
+
+    #[test]
+    fn duplicated_and_reordered_chunks_seal_one_object_once() {
+        // Every stream is delivered twice and half of them draw a 3 ms
+        // spike. A direct stream is one fault decision, so the reordering
+        // happens on the relay hop, where every chunk is passed on as a
+        // stream of its own.
+        use rtml_net::{FaultPlan, LinkFault, LinkMatch};
+        let config = FabricConfig {
+            latency: LatencyModel::Constant(Duration::from_micros(100)),
+            bandwidth_bytes_per_sec: Some(8_000_000),
+            faults: FaultPlan {
+                seed: 0xd0_0b1e,
+                links: vec![LinkFault {
+                    link: LinkMatch::any(),
+                    duplicate_ppm: 1_000_000,
+                    delay_spike_ppm: 500_000,
+                    delay_spike: Duration::from_millis(3),
+                    ..LinkFault::default()
+                }],
+                ..FaultPlan::default()
+            },
+            ..FabricConfig::default()
+        };
+        let (fabric, _directory, p) = peers(3, config, 4 << 10);
+        let payload = patterned(64 << 10);
+        p[0].store.put(obj(1), payload.clone()).unwrap();
+        let (done, answers) = unbounded();
+        for reader in &p[1..] {
+            reader
+                .agent
+                .request_many(&[obj(1)], NodeId(0), Duration::from_secs(5), &done);
+        }
+        for _ in 0..2 {
+            let (_, result) = answers.recv_timeout(Duration::from_secs(5)).unwrap();
+            let (data, fetched) = result.unwrap();
+            assert_eq!(data, payload);
+            assert!(fetched.inserted);
+        }
+        assert!(answers.recv_timeout(Duration::from_millis(50)).is_err());
+        assert!(fabric.stats.injected_dups.get() >= 16);
+        assert!(fabric.stats.injected_delays.get() > 0);
+        // Let the copies still in flight land: a chunk of an object
+        // that is already sealed starts no second assembly.
+        std::thread::sleep(Duration::from_millis(20));
+        for reader in &p[1..] {
+            assert_eq!(reader.agent.stats().objects_fetched.get(), 1);
+            assert_eq!(reader.store.stats.puts.get(), 1);
+            assert_eq!(reader.store.used_bytes(), payload.len() as u64);
+            assert_eq!(reader.store.unsealed_len(), 0);
+        }
+        // Whichever request the origin saw second was handed on (its
+        // duplicate, by then the latest reader's own, was served). The
+        // relay passed on only frames that were new to it.
+        assert_eq!(p[0].service.stats().handed_on.get(), 1);
+        let relayed = p[1..].iter().map(|r| r.service.stats().relayed.get());
+        assert!(relayed.sum::<u64>() >= 1);
+        let forwarded = p[1..]
+            .iter()
+            .map(|r| r.agent.stats().chunks_forwarded.get());
+        assert!((1..=16).contains(&forwarded.sum::<u64>()));
     }
 
     #[test]

@@ -407,15 +407,14 @@ fn submit_striping_changes_who_ingests_never_what_runs() {
 #[test]
 fn striping_changes_who_ingests_never_where_tasks_land() {
     // Placement-neutrality at the task→node map level, not just the
-    // checksum level. Every task drags a 4 MiB dependency resident on
-    // node 0 and `AlwaysSpill` routes every submission through the
-    // global scheduler, so `LocalityAware` placement glues every task
-    // to node 0 with a margin (4 MiB vs at most 24 queued tasks x
-    // `QUEUE_PENALTY_BYTES` = 1.5 MiB) that no load-report timing can
-    // overcome. A never-sealing gate keeps the tasks parked in
-    // `Queued`, so the map is readable at rest. Striping may only move
-    // the spill *source* (the ingest node) — and with width 3 it must
-    // actually spread it.
+    // checksum level. `AlwaysSpill` routes every submission through the
+    // global scheduler, and every task demands a custom resource only
+    // node 0 has (how the ledger's `rtt_remote` pins its tasks), so
+    // placement has one candidate whatever the load reports say at the
+    // moment a spill arrives. A never-sealing gate keeps the tasks
+    // parked in `Queued`, so the map is readable at rest. Striping may
+    // only move the spill *source* (the ingest node) — and with width 3
+    // it must actually spread it.
     use rtml::common::event::EventKind;
     use rtml::common::ids::DriverId;
 
@@ -423,7 +422,12 @@ fn striping_changes_who_ingests_never_where_tasks_land() {
     let run = |striping: usize| {
         let cluster = Cluster::start(
             ClusterConfig {
-                nodes: (0..3).map(|_| NodeConfig::cpu_only(2)).collect(),
+                nodes: (0..3)
+                    .map(|n| match n {
+                        0 => NodeConfig::cpu_only(2).with_custom("pin", 1.0),
+                        _ => NodeConfig::cpu_only(2),
+                    })
+                    .collect(),
                 spill: SpillMode::AlwaysSpill,
                 ..ClusterConfig::default()
             }
@@ -433,6 +437,7 @@ fn striping_changes_who_ingests_never_where_tasks_land() {
         let gated = cluster.register_fn3("gated_map", |x: i64, _dep: Vec<u8>, _gate: i64| Ok(x));
         let driver = cluster.driver();
         let big = driver.put(&vec![7u8; 4 << 20]).unwrap();
+        let pinned = || TaskOptions::resources(Resources::cpu(1.0).with_custom("pin", 1.0));
         // A dependency that never seals: the tasks place but never run.
         let never: ObjectRef<i64> = ObjectRef::typed(
             TaskId::driver_root(DriverId::from_index(u64::MAX))
@@ -440,7 +445,11 @@ fn striping_changes_who_ingests_never_where_tasks_land() {
                 .return_object(0),
         );
         let futs: Vec<ObjectRef<i64>> = (0..TASKS)
-            .map(|i| driver.submit3(&gated, i, &big, &never).unwrap())
+            .map(|i| {
+                driver
+                    .submit3_opts(&gated, i, &big, &never, pinned())
+                    .unwrap()
+            })
             .collect();
 
         // Wait until every task holds a post-placement Queued state.
@@ -488,7 +497,7 @@ fn striping_changes_who_ingests_never_where_tasks_land() {
         "striping moved a task's placement"
     );
     for (i, node) in striped_map.iter().enumerate() {
-        assert_eq!(*node, NodeId(0), "task {i} escaped the locality glue");
+        assert_eq!(*node, NodeId(0), "task {i} escaped its pin");
     }
     assert_eq!(
         unstriped_sources.len(),
