@@ -36,6 +36,13 @@
 //!   holder sends at most 1.5 objects' worth of chunks a round and that
 //!   the last reader has the object sealed within 2.8 ms of the first
 //!   request (three pulls from the holder took 3.9 ms).
+//! - **Result push**: one task at a time, pinned to the other node,
+//!   returning 8 bytes to a blocked `get`. The producer sends the
+//!   result on seal and the reader asks nobody: self-asserted that the
+//!   producer's transfer service serves 0 requests, that exactly 1
+//!   frame a result reaches the submitter's agent, and that the best
+//!   result was resident on the submitter sooner after its seal than
+//!   the two hops any request would have taken.
 //!
 //! Run: `cargo run -p rtml-bench --bin exp_transfer --release`
 //!
@@ -429,6 +436,73 @@ fn measure_broadcast(rounds: usize) -> Broadcast {
     }
 }
 
+struct ResultPush {
+    results: u64,
+    requests_served: u64,
+    frames_per_result: f64,
+    resident_best: Duration,
+    resident_p50: Duration,
+}
+
+/// One-way latency of [`measure_result_push`]'s fabric (the
+/// `ClusterConfig` default, spelled out because the section asserts
+/// against it).
+const PUSH_HOP: Duration = Duration::from_micros(100);
+
+/// `results` remote round trips, one at a time: a task pinned to node 1
+/// by a custom resource, its 8-byte result read by the driver on node 0.
+fn measure_result_push(results: u64) -> ResultPush {
+    let cluster = Cluster::start(ClusterConfig {
+        nodes: vec![
+            NodeConfig::cpu_only(2),
+            NodeConfig::cpu_only(2).with_custom("sink", 1.0),
+        ],
+        latency: LatencyModel::Constant(PUSH_HOP),
+        ..ClusterConfig::default()
+    })
+    .unwrap();
+    let inc = cluster.register_fn1("push_inc", |x: u64| Ok(x + 1));
+    let driver = cluster.driver();
+    let pinned = rtml_runtime::TaskOptions::resources(Resources::cpu(1.0).with_custom("sink", 1.0));
+    for i in 0..results {
+        let fut = driver.submit1_opts(&inc, i, pinned.clone()).unwrap();
+        assert_eq!(driver.get(&fut).unwrap(), i + 1);
+    }
+    // Each arrival is logged by node 0's scheduler, a step behind the
+    // `get` it served: wait for the last.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let report = loop {
+        let report = cluster.profile();
+        if report.transfers as u64 == results {
+            break report;
+        }
+        assert!(Instant::now() < deadline, "pushed arrivals never logged");
+        std::thread::sleep(Duration::from_millis(1));
+    };
+    // A transfer span of a pushed result runs from the moment its frame
+    // left the producer (the seal) to its arrival being committed.
+    let resident: Vec<Duration> = report
+        .spans
+        .iter()
+        .filter(|span| span.plane == "transfer")
+        .map(|span| Duration::from_micros(span.micros))
+        .collect();
+    let frames = cluster
+        .services()
+        .fetch_agent(NodeId(0))
+        .map_or(0, |agent| agent.stats().chunks_received.get());
+    let run = ResultPush {
+        results,
+        requests_served: report.transfer.requests_served,
+        frames_per_result: frames as f64 / results as f64,
+        resident_best: resident.iter().copied().min().unwrap_or_default(),
+        resident_p50: DurationStats::from_samples(&resident).p50,
+    };
+    assert_eq!(report.transfer.pushed, results);
+    cluster.shutdown();
+    run
+}
+
 fn main() {
     let objects: usize = std::env::var("RTML_TRANSFER_OBJECTS")
         .ok()
@@ -607,7 +681,42 @@ fn main() {
         bc.last_sealed_best
     );
 
-    let json = render_json(objects, &cells, &co, &sf, &on, &off, &cb, &bc);
+    // --- result push ------------------------------------------------------
+    let rp = measure_result_push(256);
+    print_table(
+        "E11g: a small result goes to the node that holds its future",
+        &[
+            "results",
+            "requests served by the producer",
+            "frames to the submitter",
+            "seal to resident (best)",
+            "(p50)",
+            "a request's two hops",
+        ],
+        &[vec![
+            rp.results.to_string(),
+            rp.requests_served.to_string(),
+            format!("{:.2} a result", rp.frames_per_result),
+            fmt_duration(rp.resident_best),
+            fmt_duration(rp.resident_p50),
+            fmt_duration(2 * PUSH_HOP),
+        ]],
+    );
+    assert_eq!(
+        rp.requests_served, 0,
+        "the producer was asked for results it had pushed"
+    );
+    assert_eq!(
+        rp.frames_per_result, 1.0,
+        "a pushed result is one frame to the submitter's agent"
+    );
+    assert!(
+        rp.resident_best < 2 * PUSH_HOP,
+        "no pushed result was resident before a request could have returned: best {:?}",
+        rp.resident_best
+    );
+
+    let json = render_json(objects, &cells, &co, &sf, &on, &off, &cb, &bc, &rp);
     let path = "BENCH_transfer.json";
     match std::fs::write(path, &json) {
         Ok(()) => println!("\nwrote {path}"),
@@ -625,6 +734,7 @@ fn render_json(
     off: &PrefetchRun,
     cb: &CopyBudget,
     bc: &Broadcast,
+    rp: &ResultPush,
 ) -> String {
     let mut out = String::from("{\n");
     out.push_str(&format!("  \"objects_per_cell\": {objects},\n"));
@@ -665,12 +775,21 @@ fn render_json(
         us(cb.fetch_4kib),
     ));
     out.push_str(&format!(
-        "  \"broadcast\": {{\"readers\": 3, \"object_bytes\": 1048587, \"rounds\": {}, \"last_sealed_us_best\": {:.1}, \"last_sealed_us_p50\": {:.1}, \"origin_chunks_per_round\": {:.2}, \"handed_on_per_round\": {:.2}}}\n",
+        "  \"broadcast\": {{\"readers\": 3, \"object_bytes\": 1048587, \"rounds\": {}, \"last_sealed_us_best\": {:.1}, \"last_sealed_us_p50\": {:.1}, \"origin_chunks_per_round\": {:.2}, \"handed_on_per_round\": {:.2}}},\n",
         bc.rounds,
         us(bc.last_sealed_best),
         us(bc.last_sealed_p50),
         bc.origin_chunks_per_round,
         bc.handed_on_per_round,
+    ));
+    out.push_str(&format!(
+        "  \"result_push\": {{\"results\": {}, \"requests_served\": {}, \"frames_per_result\": {:.2}, \"hop_us\": {:.0}, \"seal_to_resident_us_best\": {:.1}, \"seal_to_resident_us_p50\": {:.1}}}\n",
+        rp.results,
+        rp.requests_served,
+        rp.frames_per_result,
+        us(PUSH_HOP),
+        us(rp.resident_best),
+        us(rp.resident_p50),
     ));
     out.push_str("}\n");
     out

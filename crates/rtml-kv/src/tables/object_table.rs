@@ -13,6 +13,30 @@
 //! consumers see the same `ObjectInfo` they always did. The explicit
 //! [`ObjectTable::declare`] path remains for producer-less records
 //! (driver `put`s) and for tests.
+//!
+//! # A copy on its way is not a location
+//!
+//! A worker that seals a small result pushes it, unasked, to the node
+//! that holds its future, and names that node in the same commit that
+//! records its own copy ([`ObjectTable::add_location_pushed`] →
+//! [`ObjectInfo::inbound`]). The announcement is **not** a location: the
+//! bytes are on the wire, not in a store, so nothing may be requested
+//! from that node, counted as a replica of the object, or weighed as
+//! locality on account of it — replication, the eviction probe and
+//! placement keep reading [`ObjectInfo::locations`] only. It says one
+//! thing to one audience: a reader *on the announced node* need not ask
+//! anyone. That rule lives in [`ObjectInfo::holders_ranked`] (and so in
+//! [`ObjectInfo::fetch_holder`]), which every reader picks its holder
+//! through: while the announcement is live they offer that node no
+//! holder, the reader completes on the local seal it already listens
+//! for, and once the announcement has expired — it carries the time a
+//! request of the reader's own would have been given — they rank the
+//! holders as if it had never been made. An announcement ends when the
+//! copy lands (the receiver's own `add_location` clears it) or when it
+//! expires; a frame lost on the wire or a node restarted in between
+//! therefore costs that node's readers the wait once, together, and an
+//! expired announcement left in a record is inert. A record without one
+//! encodes to the bytes it always did.
 
 use std::sync::Arc;
 
@@ -20,13 +44,27 @@ use bytes::Bytes;
 use crossbeam::channel::Receiver;
 
 use rtml_common::codec::{decode_from_slice, encode_to_bytes, Codec, Reader, Writer};
-use rtml_common::error::Result;
+use rtml_common::error::{Error, Result};
 use rtml_common::ids::{rendezvous_rank, NodeId, ObjectId, TaskId};
+use rtml_common::metrics::Counter;
+use rtml_common::time::now_nanos;
 
 use crate::shard::Subscription;
 use crate::store::KvStore;
 
 const PREFIX: &[u8] = b"obj:";
+
+/// A copy its producer sent, unasked, to a node that has not sealed it
+/// yet (see the module docs).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Inbound {
+    /// The node the copy was sent to.
+    pub node: NodeId,
+    /// Until when readers on `node` wait for it instead of asking a
+    /// holder (nanos since the process epoch): the seal plus the time a
+    /// request of their own would be given.
+    pub until_nanos: u64,
+}
 
 /// Control-plane record for one object.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -44,9 +82,29 @@ pub struct ObjectInfo {
     pub producer: Option<TaskId>,
     /// Nodes currently holding a sealed copy.
     pub locations: Vec<NodeId>,
+    /// The node a pushed copy is on its way to, until it lands there.
+    /// Not a location; only [`ObjectInfo::holders_ranked`] reads it.
+    pub inbound: Option<Inbound>,
 }
 
 impl ObjectInfo {
+    fn unsealed(producer: Option<TaskId>) -> ObjectInfo {
+        ObjectInfo {
+            size: 0,
+            sealed: false,
+            producer,
+            locations: Vec::new(),
+            inbound: None,
+        }
+    }
+
+    /// Whether a copy pushed by the producer is still expected on
+    /// `local`: announced to it and not yet expired.
+    pub fn awaits_push(&self, local: NodeId) -> bool {
+        self.inbound
+            .is_some_and(|inbound| inbound.node == local && now_nanos() < inbound.until_nanos)
+    }
+
     /// Whether at least one sealed copy exists.
     pub fn is_available(&self) -> bool {
         self.sealed && !self.locations.is_empty()
@@ -68,8 +126,13 @@ impl ObjectInfo {
     /// order when holders turn out to be dead or partitioned. With a
     /// single remote holder this degenerates to exactly the pre-
     /// replication choice.
+    ///
+    /// Empty while a pushed copy is expected on `local`
+    /// ([`ObjectInfo::awaits_push`]): the reader asks nobody and
+    /// completes on the local seal; asked again after the announcement
+    /// has expired, it is handed the holders as usual.
     pub fn holders_ranked(&self, object: ObjectId, local: NodeId) -> Vec<NodeId> {
-        if !self.is_available() {
+        if !self.is_available() || self.awaits_push(local) {
             return Vec::new();
         }
         rendezvous_rank(
@@ -80,20 +143,43 @@ impl ObjectInfo {
     }
 }
 
+/// Bit of the record's flag byte (bit 0 is `sealed`, the byte a `bool`
+/// encodes to) saying an [`Inbound`] follows the locations. A record
+/// without one is byte for byte what it was before announcements
+/// existed — in particular a one-holder result record stays 24 bytes,
+/// the most a `Bytes` keeps inline.
+const HAS_INBOUND: u8 = 2;
+
 impl Codec for ObjectInfo {
     fn encode(&self, w: &mut Writer) {
         w.put_varint(self.size);
-        self.sealed.encode(w);
+        w.put_u8(u8::from(self.sealed) | (u8::from(self.inbound.is_some()) * HAS_INBOUND));
         self.producer.encode(w);
         self.locations.encode(w);
+        if let Some(inbound) = &self.inbound {
+            inbound.node.encode(w);
+            w.put_varint(inbound.until_nanos);
+        }
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self> {
+        let size = r.take_varint()?;
+        let flags = r.take_u8()?;
+        if flags > (1 | HAS_INBOUND) {
+            return Err(Error::Codec(format!("invalid ObjectInfo flags {flags}")));
+        }
         Ok(ObjectInfo {
-            size: r.take_varint()?,
-            sealed: bool::decode(r)?,
+            size,
+            sealed: flags & 1 != 0,
             producer: Option::<TaskId>::decode(r)?,
             locations: Vec::<NodeId>::decode(r)?,
+            inbound: match flags & HAS_INBOUND != 0 {
+                true => Some(Inbound {
+                    node: NodeId::decode(r)?,
+                    until_nanos: r.take_varint()?,
+                }),
+                false => None,
+            },
         })
     }
 }
@@ -102,12 +188,25 @@ impl Codec for ObjectInfo {
 #[derive(Clone)]
 pub struct ObjectTable {
     kv: Arc<KvStore>,
+    /// Shared by every clone of the handle.
+    late_pushes: Arc<Counter>,
 }
 
 impl ObjectTable {
     /// Creates a handle over `kv`.
     pub fn new(kv: Arc<KvStore>) -> Self {
-        ObjectTable { kv }
+        ObjectTable {
+            kv,
+            late_pushes: Arc::default(),
+        }
+    }
+
+    /// Copies that landed on a node only after the announcement naming
+    /// it had expired: its readers had given up on the push and pulled
+    /// (or the push was that late). Counted over this handle and its
+    /// clones.
+    pub fn late_pushes(&self) -> u64 {
+        self.late_pushes.get()
     }
 
     fn key(object: ObjectId) -> Bytes {
@@ -144,12 +243,7 @@ impl ObjectTable {
         // re-declare (reconstruction) pays a decode/re-encode.
         let fresh: Vec<ObjectInfo> = entries
             .iter()
-            .map(|(_, producer)| ObjectInfo {
-                size: 0,
-                sealed: false,
-                producer: *producer,
-                locations: Vec::new(),
-            })
+            .map(|(_, producer)| ObjectInfo::unsealed(*producer))
             .collect();
         let encoded = rtml_common::codec::encode_batch_to_bytes(&fresh, 24);
         self.kv.update_many(
@@ -182,11 +276,26 @@ impl ObjectTable {
         self.add_location_many(&[(object, size)], node);
     }
 
+    /// [`ObjectTable::add_location`] by the producer of a result it has
+    /// also sent, unasked, to `inbound.node`: the announcement rides the
+    /// seal's own commit, so whoever sees the object sealed sees where
+    /// its second copy is headed (see the module docs). A node already
+    /// listed is not announced.
+    pub fn add_location_pushed(&self, object: ObjectId, node: NodeId, size: u64, inbound: Inbound) {
+        self.commit_locations(&[(object, size)], node, Some(inbound));
+    }
+
     /// Batched [`ObjectTable::add_location`]: records that `node` holds
     /// sealed copies of every `(object, size)` pair, one lock
     /// acquisition per touched shard instead of one per object — the
-    /// object-table half of a multi-object fetch completion.
+    /// object-table half of a multi-object fetch completion. A copy
+    /// that was announced to `node` has landed: the announcement goes.
     pub fn add_location_many(&self, entries: &[(ObjectId, u64)], node: NodeId) {
+        self.commit_locations(entries, node, None);
+    }
+
+    fn commit_locations(&self, entries: &[(ObjectId, u64)], node: NodeId, push: Option<Inbound>) {
+        let late_pushes = &*self.late_pushes;
         self.kv.update_many(
             entries
                 .iter()
@@ -196,16 +305,20 @@ impl ObjectTable {
                     let update = move |cur: Option<&Bytes>| {
                         let mut info = cur
                             .and_then(|b| decode_from_slice::<ObjectInfo>(b).ok())
-                            .unwrap_or(ObjectInfo {
-                                size: 0,
-                                sealed: false,
-                                producer,
-                                locations: Vec::new(),
-                            });
+                            .unwrap_or(ObjectInfo::unsealed(producer));
                         info.sealed = true;
                         info.size = size;
                         if !info.locations.contains(&node) {
                             info.locations.push(node);
+                        }
+                        if let Some(landed) = info.inbound.filter(|inbound| inbound.node == node) {
+                            info.inbound = None;
+                            if now_nanos() >= landed.until_nanos {
+                                late_pushes.inc();
+                            }
+                        }
+                        if let Some(push) = push.filter(|p| !info.locations.contains(&p.node)) {
+                            info.inbound = Some(push);
                         }
                         Some(encode_to_bytes(&info))
                     };
@@ -550,6 +663,76 @@ mod tests {
         let info = table.get(obj).unwrap();
         assert!(info.holders_ranked(obj, NodeId(5)).is_empty());
         assert_eq!(info.fetch_holder(obj, NodeId(5)), None);
+    }
+
+    #[test]
+    fn a_pushed_copy_is_announced_to_its_node_only_until_it_lands_or_expires() {
+        let kv = KvStore::new(2);
+        let table = ObjectTable::new(kv);
+        let (obj, _) = ids();
+        let live = Inbound {
+            node: NodeId(0),
+            until_nanos: u64::MAX,
+        };
+        table.add_location_pushed(obj, NodeId(1), 8, live);
+        let info = table.get(obj).unwrap();
+        // Announced, not located.
+        assert_eq!(info.locations, vec![NodeId(1)]);
+        assert_eq!(info.inbound, Some(live));
+        // The announced node asks nobody; any other reader pulls as ever.
+        assert!(info.awaits_push(NodeId(0)));
+        assert!(info.holders_ranked(obj, NodeId(0)).is_empty());
+        assert_eq!(info.fetch_holder(obj, NodeId(0)), None);
+        assert_eq!(info.fetch_holder(obj, NodeId(2)), Some(NodeId(1)));
+        // The copy lands: the receiver's own commit ends the announcement.
+        table.add_location(obj, NodeId(0), 8);
+        let info = table.get(obj).unwrap();
+        assert_eq!(info.locations, vec![NodeId(1), NodeId(0)]);
+        assert_eq!(info.inbound, None);
+        assert_eq!(table.late_pushes(), 0);
+        // A replayed seal does not announce a node that already holds it.
+        table.add_location_pushed(obj, NodeId(1), 8, live);
+        assert_eq!(table.get(obj).unwrap().inbound, None);
+
+        // An expired announcement is inert: the reader pulls at once.
+        let other = ids().1.child(7).return_object(0);
+        let stale = Inbound {
+            node: NodeId(0),
+            until_nanos: 0,
+        };
+        table.add_location_pushed(other, NodeId(1), 8, stale);
+        let info = table.get(other).unwrap();
+        assert!(!info.awaits_push(NodeId(0)));
+        assert_eq!(info.fetch_holder(other, NodeId(0)), Some(NodeId(1)));
+        // Somebody else's location commit leaves an announcement alone.
+        table.add_location(other, NodeId(2), 8);
+        assert_eq!(table.get(other).unwrap().inbound, Some(stale));
+        // The announced node's copy arriving now can only have been
+        // pulled: counted, on every clone of the handle.
+        table.clone().add_location(other, NodeId(0), 8);
+        assert_eq!(table.get(other).unwrap().inbound, None);
+        assert_eq!(table.late_pushes(), 1);
+    }
+
+    #[test]
+    fn a_record_without_an_announcement_stays_inline_sized() {
+        let (obj, task) = ids();
+        let mut info = ObjectInfo::unsealed(Some(task));
+        info.sealed = true;
+        info.size = 8;
+        info.locations.push(NodeId(1));
+        assert_eq!(encode_to_bytes(&info).len(), 24);
+        info.inbound = Some(Inbound {
+            node: NodeId(0),
+            until_nanos: 1 << 40,
+        });
+        let bytes = encode_to_bytes(&info);
+        assert!(bytes.len() > 24);
+        assert_eq!(ObjectTable::decode(obj, &bytes), Some(info));
+        // Flag bits nobody defined are a corrupt record, not a guess.
+        let mut corrupt = bytes.to_vec();
+        corrupt[1] |= 4;
+        assert!(decode_from_slice::<ObjectInfo>(&corrupt).is_err());
     }
 
     #[test]

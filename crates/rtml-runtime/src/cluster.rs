@@ -566,6 +566,7 @@ impl Cluster {
         report.faults.injected_delays = fabric.injected_delays.get();
         report.faults.injected_gray = fabric.injected_gray.get();
         report.faults.reconstructions_deferred = self.recon.deferred.get();
+        report.transfer.late_pushes = self.services.objects.late_pushes();
         let nodes = self.nodes.lock();
         for runtime in nodes.values() {
             let t = runtime.transfer_stats();
@@ -575,11 +576,13 @@ impl Cluster {
             report.transfer.decode_errors += t.decode_errors.get();
             report.transfer.send_failures += t.send_failures.get();
             report.transfer.chunks_sent += t.chunks_sent.get();
+            report.transfer.pushed += t.pushed.get();
             let f = runtime.fetch_stats();
             report.transfer.fetches += f.transfers.get();
             report.transfer.duplicate_fetches_suppressed += f.duplicates_suppressed.get();
             report.transfer.chunks_received += f.chunks_received.get();
             report.transfer.fetch_timeouts += f.timeouts.get();
+            report.transfer.pushes_received += f.pushes_received.get();
             if let Some(r) = runtime.replication_stats() {
                 report.replication.sweeps += r.sweeps.get();
                 report.replication.hot_objects += r.hot_objects.get();

@@ -36,6 +36,26 @@
 //!    [`crate::health::HealthTracker`] evidence recorded per request;
 //!    when a sweep is exhausted the producer is force-replayed.
 //!
+//! **A result already on its way is not asked for.** A worker pushes a
+//! small result to the node that submitted its task and says so in the
+//! commit that publishes the seal (see [`crate::worker`]). The engine
+//! takes no notice of the announcement itself: it picks holders through
+//! [`rtml_kv::ObjectInfo::holders_ranked`], which offers a reader on
+//! the announced node none while the announcement is live, so the
+//! object stays idle — no request leaves — and completes on the local
+//! seal the engine listens for anyway: one fabric hop after the seal
+//! instead of two. Should the frame be lost, the announcement expires
+//! after the `fetch_timeout` a request would have been given, the next
+//! tick's sweep is offered the holders, and the object is pulled as
+//! above. The pushed copy's location is committed by the node's
+//! scheduler, which owns whatever its fetch agent seals with no waiter
+//! left. A request of this engine's can be overtaken too: the local
+//! seal may complete the call a step before the answer is sent. On the
+//! way out the engine therefore closes its answer channel through the
+//! agent ([`rtml_store::FetchAgent::close`]): what was already sent is
+//! committed here, what comes later goes to the scheduler, and nothing
+//! is dropped unread.
+//!
 //! `wait` runs the loop in count mode: it stops at `num_ready`, fetches
 //! nothing, and counts *completion* (sealed anywhere), not residency.
 //!
@@ -342,17 +362,19 @@ impl<'a> Engine<'a> {
         };
 
         let mut next_tick = Instant::now() + POLL_SLICE;
-        loop {
+        let outcome = loop {
             if self.finished() {
-                return Ok(());
+                break Ok(());
             }
             let now = Instant::now();
             if now >= deadline {
-                return Err(Error::Timeout);
+                break Err(Error::Timeout);
             }
             self.expire_requests(now);
             if now >= next_tick {
-                self.tick(&mut unsealed)?;
+                if let Err(node_down) = self.tick(&mut unsealed) {
+                    break Err(node_down);
+                }
                 next_tick = now + POLL_SLICE;
             }
             if let Some(agent) = &agent {
@@ -369,7 +391,7 @@ impl<'a> Engine<'a> {
             crossbeam::channel::select! {
                 recv(updates.receiver()) -> msg => match msg {
                     Ok(raw) => on_update(self, raw),
-                    Err(_) => return Err(Error::ShuttingDown),
+                    Err(_) => break Err(Error::ShuttingDown),
                 },
                 recv(seal_rx) -> msg => {
                     if let Ok(id) = msg {
@@ -394,10 +416,28 @@ impl<'a> Engine<'a> {
             for (id, result) in done_rx.try_iter() {
                 self.on_fetched(id, result);
             }
-            if !self.uncommitted.is_empty() {
-                rtml_sched::commit_fetched(&self.services.objects, self.node, &self.uncommitted);
-                self.uncommitted.clear();
+            self.commit();
+        };
+        // The local seal can let the caller go a step before the answer
+        // to its own request is sent. Closing the channel through the
+        // agent takes every answer sent so far — committed here — and
+        // leaves any later one to the node's scheduler, so none is
+        // dropped unread with the channel.
+        if let Some(agent) = agent.filter(|_| !self.groups.is_empty()) {
+            for (id, result) in agent.close(done_rx) {
+                self.on_fetched(id, result);
             }
+            self.commit();
+        }
+        outcome
+    }
+
+    /// Commits what fetch answers brought to the object table, as one
+    /// group commit.
+    fn commit(&mut self) {
+        if !self.uncommitted.is_empty() {
+            rtml_sched::commit_fetched(&self.services.objects, self.node, &self.uncommitted);
+            self.uncommitted.clear();
         }
     }
 

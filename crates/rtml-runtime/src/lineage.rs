@@ -140,7 +140,14 @@ impl ReconstructionManager {
                 self.seal_missing_as_error(&returns, &message);
             }
             Some(TaskState::Finished) | Some(TaskState::Lost) => {
-                self.resubmit(producer);
+                // The record was read before the state: a producer that
+                // sealed and finished in between looks like one that
+                // finished without leaving a copy. A worker publishes
+                // the location before `Finished`, so a second look at
+                // the record tells the two apart.
+                if !self.services.objects.is_available(object) {
+                    self.resubmit(producer);
+                }
             }
         }
     }

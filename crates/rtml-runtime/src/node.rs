@@ -389,6 +389,7 @@ impl NodeRuntime {
                                 services.clone(),
                                 recon.clone(),
                                 sched.sender(),
+                                sched.stats().clone(),
                                 rx,
                             ),
                             tx,
@@ -404,6 +405,7 @@ impl NodeRuntime {
             let services = services.clone();
             let recon = recon.clone();
             let sched_tx = sched.sender();
+            let sched_stats = sched.stats().clone();
             let max_workers = (config.workers as usize * 4).max(16);
             let mut next_index = config.workers;
             std::thread::Builder::new()
@@ -421,6 +423,7 @@ impl NodeRuntime {
                             services.clone(),
                             recon.clone(),
                             sched_tx.clone(),
+                            sched_stats.clone(),
                             rx,
                         );
                         workers.lock().push((runtime, tx.clone()));
@@ -505,6 +508,8 @@ impl NodeRuntime {
         registry.register_value("transfer.misses", move || stats.misses.get());
         let stats = transfer.stats().clone();
         registry.register_value("transfer.chunks_sent", move || stats.chunks_sent.get());
+        let stats = transfer.stats().clone();
+        registry.register_value("transfer.pushed", move || stats.pushed.get());
 
         // Fetch agent (client side of the data plane).
         let a = agent.clone();
@@ -518,6 +523,10 @@ impl NodeRuntime {
         let a = agent.clone();
         registry.register_value("fetch.objects_fetched", move || {
             a.stats().objects_fetched.get()
+        });
+        let a = agent.clone();
+        registry.register_value("fetch.pushes_received", move || {
+            a.stats().pushes_received.get()
         });
         let a = agent.clone();
         registry.register_value("fetch.timeouts", move || a.stats().timeouts.get());

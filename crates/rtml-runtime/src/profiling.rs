@@ -92,6 +92,15 @@ pub struct TransferPlaneStats {
     pub chunks_received: u64,
     /// Fetch waits that gave up before completion.
     pub fetch_timeouts: u64,
+    /// Small results their producers sent to the submitter's node
+    /// unasked, on seal (frames the fabric accepted).
+    pub pushed: u64,
+    /// Objects fetch agents sealed that nobody on their node had asked
+    /// for: pushed results that arrived.
+    pub pushes_received: u64,
+    /// Copies that landed on a node only after the push announced to it
+    /// had expired: its readers fell back to a pull.
+    pub late_pushes: u64,
 }
 
 /// Aggregated live replication-plane counters (per-node
@@ -535,6 +544,7 @@ impl ProfileReport {
              scheduling latency: p50 {} / p99 {} / max {}\n\
              objects sealed: {}, transfers: {}, evictions: {}\n\
              prefetch: {} issued, {} hits, {} skipped (capacity), {} deferred (priority); duplicates suppressed: {}\n\
+             results pushed on seal: {} sent, {} received, {} pulled after the wait\n\
              replication: {} hot objects, {} replicas created, {} released, {} failures\n\
              steal: {} attempts, {} grants, {} tasks stolen ({:.2} locality), steal-to-run p50 {}\n\
              failures injected: {} workers, {} nodes\n\
@@ -553,6 +563,9 @@ impl ProfileReport {
             self.prefetch_skipped_capacity,
             self.prefetch_deferred_priority,
             self.transfer.duplicate_fetches_suppressed,
+            self.transfer.pushed,
+            self.transfer.pushes_received,
+            self.transfer.late_pushes,
             self.replication.hot_objects,
             self.replication.replicas_created,
             self.replication.replicas_released,

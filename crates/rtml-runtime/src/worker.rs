@@ -7,6 +7,29 @@
 //! [`TaskContext`] (giving the task the full API — dynamic graphs, R3),
 //! seals the results, and reports back.
 //!
+//! # A small result travels with its completion
+//!
+//! The caller of a remotely run task is usually blocked on its result
+//! by the time it seals, and pulling an 8-byte value it is already
+//! waiting for costs two fabric hops (request, reply) where one will
+//! do. So `seal` sends a result of at most
+//! [`rtml_store::PUSH_MAX_BYTES`] to the node that submitted the task —
+//! the node that holds its future — straight from the worker thread, as
+//! the chunk frame a request would have been answered with
+//! ([`rtml_store::push_sealed`]), and names that node in the same
+//! object-table commit that publishes the seal
+//! ([`rtml_kv::ObjectTable::add_location_pushed`]): readers there ask
+//! nobody and complete on the local seal. The pull path is untouched
+//! and remains the fallback — and the rule for everything else.
+//!
+//! A result is pushed **only when nothing is queued behind it** (the
+//! scheduler's [`rtml_sched::LocalSchedulerStats::ready_depth`] gauge
+//! reads zero). A lone frame wakes the receiving agent and the blocked
+//! caller once per result; the results of a burst are better left to
+//! the caller's pull, which moves them in a few batched replies. An
+//! empty ready queue is what the single remote call and the tail of
+//! every wave have in common, and it is an input this node observes.
+//!
 //! Failure semantics:
 //! - An application error or panic seals **error envelopes** for every
 //!   return object, so consumers fail fast and errors propagate along
@@ -24,9 +47,11 @@ use crossbeam::channel::{Receiver, Sender};
 
 use rtml_common::error::{Error, Result};
 use rtml_common::event::{Component, Event, EventKind};
-use rtml_common::ids::WorkerId;
+use rtml_common::ids::{NodeId, ObjectId, WorkerId};
 use rtml_common::task::{ArgSpec, TaskSpec, TaskState};
-use rtml_sched::{LocalMsg, WorkerCommand};
+use rtml_kv::Inbound;
+use rtml_sched::{LocalMsg, LocalSchedulerStats, WorkerCommand};
+use rtml_store::ObjectStore;
 
 use crate::caller::TaskContext;
 use crate::envelope::{self, Envelope};
@@ -49,13 +74,14 @@ impl WorkerRuntime {
         services: Arc<Services>,
         recon: Arc<ReconstructionManager>,
         sched_tx: Sender<LocalMsg>,
+        sched_stats: Arc<LocalSchedulerStats>,
         cmd_rx: Receiver<WorkerCommand>,
     ) -> WorkerRuntime {
         let kill = Arc::new(AtomicBool::new(false));
         let kill2 = kill.clone();
         let join = std::thread::Builder::new()
             .name(format!("rtml-worker-{id}"))
-            .spawn(move || worker_loop(id, services, recon, sched_tx, cmd_rx, kill2))
+            .spawn(move || worker_loop(id, services, recon, sched_tx, &sched_stats, cmd_rx, kill2))
             .expect("spawn worker");
         WorkerRuntime {
             id,
@@ -94,6 +120,7 @@ fn worker_loop(
     services: Arc<Services>,
     recon: Arc<ReconstructionManager>,
     sched_tx: Sender<LocalMsg>,
+    sched_stats: &LocalSchedulerStats,
     cmd_rx: Receiver<WorkerCommand>,
     kill: Arc<AtomicBool>,
 ) {
@@ -104,7 +131,7 @@ fn worker_loop(
                 if kill.load(Ordering::Acquire) {
                     break;
                 }
-                execute_task(id, &services, &recon, &spec, &kill);
+                execute_task(id, &services, &recon, sched_stats, &spec, &kill);
                 if kill.load(Ordering::Acquire) {
                     // Crashed mid-task: no completion report.
                     break;
@@ -122,6 +149,7 @@ fn execute_task(
     id: WorkerId,
     services: &Arc<Services>,
     recon: &Arc<ReconstructionManager>,
+    sched_stats: &LocalSchedulerStats,
     spec: &TaskSpec,
     kill: &AtomicBool,
 ) {
@@ -168,7 +196,8 @@ fn execute_task(
     match outcome {
         Ok(results) if results.len() == spec.num_returns as usize => {
             for (i, sealed) in results.into_iter().enumerate() {
-                seal(services, node, task.return_object(i as u32), sealed);
+                let object = task.return_object(i as u32);
+                seal(services, sched_stats, node, spec, object, sealed);
             }
             services.tasks.set_state(task, &TaskState::Finished);
             services.events.append(
@@ -189,11 +218,11 @@ fn execute_task(
                 results.len(),
                 spec.num_returns
             );
-            fail_task(services, node, spec, &message, id);
+            fail_task(services, sched_stats, node, spec, &message);
         }
         Err(err) => {
             let message = err.to_string();
-            fail_task(services, node, spec, &message, id);
+            fail_task(services, sched_stats, node, spec, &message);
         }
     }
 }
@@ -202,10 +231,10 @@ fn execute_task(
 /// unblock with the propagated error, then records the failure.
 fn fail_task(
     services: &Arc<Services>,
-    node: rtml_common::ids::NodeId,
+    sched_stats: &LocalSchedulerStats,
+    node: NodeId,
     spec: &TaskSpec,
     message: &str,
-    worker: WorkerId,
 ) {
     // State first, then the seals: the seals are what unblock
     // consumers, so anything they (or tools) read afterwards must
@@ -216,7 +245,7 @@ fn fail_task(
     let bytes = envelope::seal_error(message);
     for i in 0..spec.num_returns {
         let object = spec.task_id.return_object(i);
-        seal(services, node, object, bytes.clone());
+        seal(services, sched_stats, node, spec, object, bytes.clone());
     }
     services.events.append(
         node,
@@ -228,20 +257,25 @@ fn fail_task(
             },
         ),
     );
-    let _ = worker;
 }
 
+/// Seals one result of `spec` into `node`'s store and publishes it —
+/// pushed to the submitter's node first when it qualifies (see the
+/// module docs), so that the one commit that makes the seal visible
+/// also says where the second copy is headed.
 fn seal(
     services: &Arc<Services>,
-    node: rtml_common::ids::NodeId,
-    object: rtml_common::ids::ObjectId,
+    sched_stats: &LocalSchedulerStats,
+    node: NodeId,
+    spec: &TaskSpec,
+    object: ObjectId,
     bytes: Bytes,
 ) {
     let Some(store) = services.store(node) else {
         return;
     };
     let len = bytes.len() as u64;
-    match store.put(object, bytes) {
+    match store.put(object, bytes.clone()) {
         Ok(outcome) => {
             // Log the seal before publishing the location: the location
             // is what unblocks consumers' `get`s, so anything they read
@@ -258,7 +292,12 @@ fn seal(
                     },
                 ),
             );
-            services.objects.add_location(object, node, len);
+            match push_to_submitter(services, sched_stats, &store, spec, object, &bytes) {
+                Some(inbound) => services
+                    .objects
+                    .add_location_pushed(object, node, len, inbound),
+                None => services.objects.add_location(object, node, len),
+            }
             if !outcome.evicted.is_empty() {
                 // The whole eviction sweep drops as one group commit.
                 services
@@ -290,6 +329,41 @@ fn seal(
     }
 }
 
+/// Sends a just-sealed result to the node that submitted its task, if
+/// that is another, live node, the result is small and nothing is
+/// queued behind it here. Returns the announcement to publish with the
+/// seal — only for a frame the fabric accepted; one lost on the wire
+/// costs the submitter's readers `fetch_timeout`, the wait they would
+/// give a request of their own, and then they pull.
+fn push_to_submitter(
+    services: &Services,
+    sched_stats: &LocalSchedulerStats,
+    store: &ObjectStore,
+    spec: &TaskSpec,
+    object: ObjectId,
+    bytes: &[u8],
+) -> Option<Inbound> {
+    let to = spec.submitter_node;
+    if to == store.node() || sched_stats.ready_depth.load(Ordering::Relaxed) > 0 {
+        return None;
+    }
+    let stats = services.transfer_stats(store.node())?;
+    rtml_store::push_sealed(
+        &services.fabric,
+        &services.directory,
+        &stats,
+        store,
+        to,
+        object,
+        bytes,
+    )
+    .then(|| Inbound {
+        node: to,
+        until_nanos: rtml_common::time::now_nanos()
+            + services.tuning.fetch_timeout.as_nanos() as u64,
+    })
+}
+
 /// Resolves argument bytes, propagating upstream errors. All `ObjectRef`
 /// arguments resolve through one batched [`fetch::ensure_local`]: by
 /// dispatch time they are normally local (the scheduler gated on
@@ -303,7 +377,7 @@ fn resolve_args(
     spec: &TaskSpec,
 ) -> Result<Vec<Bytes>> {
     let deadline = Instant::now() + services.tuning.default_get_timeout;
-    let refs: Vec<rtml_common::ids::ObjectId> = spec
+    let refs: Vec<ObjectId> = spec
         .args
         .iter()
         .filter_map(|arg| match arg {

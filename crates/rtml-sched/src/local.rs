@@ -12,7 +12,12 @@
 //!   reconstruction hook for help if the object has been lost. When the
 //!   object seals locally the task moves to `ready` — the paper's "tasks
 //!   become available for execution if and only if their dependencies
-//!   have finished executing".
+//!   have finished executing". An object whose producer has pushed it to
+//!   this node (its record announces the copy, so
+//!   [`rtml_kv::ObjectInfo::fetch_holder`] names nobody to ask) is
+//!   simply waited for; the loop also commits the location of whatever
+//!   the node's fetch agent seals with no waiter left to do it
+//!   ([`rtml_store::FetchAgent::deliver_unclaimed_to`]).
 //! - `ready`: runnable tasks awaiting a worker and resources. Dispatch is
 //!   first-fit: a small CPU task may overtake a GPU task that is waiting
 //!   for a free GPU (heterogeneity, R4).
@@ -166,6 +171,13 @@ pub struct LocalSchedulerStats {
     pub prefetch_deferred_priority: rtml_common::metrics::Counter,
     /// Steal-plane counters (thief and victim sides).
     pub steal: StealStats,
+    /// Gauge: tasks in the ready queue as of the scheduler's last
+    /// dispatch pass. The node's workers read it when they seal a
+    /// result: one with nothing queued behind it is pushed to its
+    /// submitter's node, one of a backlog is left to the batched pull
+    /// that moves a burst's results in a few frames. A hint either way
+    /// — it publishes no other data, so it is read and written relaxed.
+    pub ready_depth: std::sync::atomic::AtomicU64,
 }
 
 /// Running handle for a local scheduler.
@@ -256,6 +268,10 @@ impl LocalScheduler {
         let (seal_tx, seal_rx) = unbounded();
         services.store.add_seal_listener(seal_tx);
         let (fetch_tx, fetch_rx) = unbounded();
+        // What the agent seals with nobody left waiting for it (results
+        // pushed here by their producers, replies that outlived their
+        // request) is committed like the answers this loop asked for.
+        services.agent.deliver_unclaimed_to(fetch_tx.clone());
 
         let join = std::thread::Builder::new()
             .name(format!("rtml-lsched-{node}"))
@@ -1256,20 +1272,27 @@ impl Core {
         }
     }
 
-    /// Answers to this scheduler's dependency requests: the new
-    /// locations (and any eviction fallout) go to the object table as
-    /// one group commit, each transfer that sealed new bytes is logged
-    /// from the moment its request left, and an object the holder could
-    /// not deliver (died, evicted it) falls back to the patient
-    /// per-object watcher so retry and lineage reconstruction still
-    /// happen. The tasks themselves were already woken by the seal.
+    /// Answers to this scheduler's dependency requests, and whatever
+    /// the node's fetch agent sealed with nobody waiting for it: the
+    /// new locations (and any eviction fallout) go to the object table
+    /// as one group commit, each transfer that sealed new bytes is
+    /// logged from the moment its request left — a result pushed by its
+    /// producer from the moment its frame did — and an object the
+    /// holder could not deliver (died, evicted it) falls back to the
+    /// patient per-object watcher so retry and lineage reconstruction
+    /// still happen. The tasks themselves were already woken by the
+    /// seal.
     fn on_fetched(&mut self, answers: Vec<(ObjectId, FetchResult)>) {
         let me = self.config.node;
-        commit_fetched(&self.services.objects, me, &answers);
         let at_nanos = rtml_common::time::now_nanos();
+        commit_fetched(&self.services.objects, me, &answers);
         let mut events = Vec::new();
         for (object, result) in answers {
-            let Some(sent_at_nanos) = self.inbound.remove(&object) else {
+            let pushed_at_nanos = result
+                .as_ref()
+                .ok()
+                .and_then(|(_, fetched)| fetched.pushed_at_nanos);
+            let Some(sent_at_nanos) = self.inbound.remove(&object).or(pushed_at_nanos) else {
                 // Given up on already; its watcher has it.
                 continue;
             };
@@ -1446,6 +1469,7 @@ impl Core {
     }
 
     fn dispatch(&mut self) {
+        use std::sync::atomic::Ordering::Relaxed;
         while !self.idle.is_empty() {
             let available = self.config.total_resources.saturating_sub(&self.in_use);
             // First-fit over the ready queue: lets small tasks overtake a
@@ -1454,6 +1478,10 @@ impl Core {
                 break;
             };
             let spec = self.ready.remove(pos).expect("position valid");
+            // Before the worker can seal: what is queued behind the task.
+            self.stats
+                .ready_depth
+                .store(self.ready.len() as u64, Relaxed);
             let worker = self.idle.pop_front().expect("non-empty");
             let Some(worker_tx) = self.workers.get(&worker) else {
                 // Worker vanished between bookkeeping steps; retry.
@@ -1478,6 +1506,9 @@ impl Core {
             }
             self.load_dirty = true;
         }
+        self.stats
+            .ready_depth
+            .store(self.ready.len() as u64, Relaxed);
         // Nested-task deadlock avoidance: runnable work, no idle worker,
         // and at least one worker parked in get/wait -> grow the pool.
         if !self.ready.is_empty()
@@ -2233,8 +2264,16 @@ mod tests {
     }
 
     fn remote_dep_rig_with(config: LocalSchedulerConfig, local_capacity: u64) -> RemoteDepRig {
+        remote_dep_rig_on(FabricConfig::default(), config, local_capacity)
+    }
+
+    fn remote_dep_rig_on(
+        fabric: FabricConfig,
+        config: LocalSchedulerConfig,
+        local_capacity: u64,
+    ) -> RemoteDepRig {
         let kv = KvStore::new(2);
-        let fabric = Fabric::new(FabricConfig::default());
+        let fabric = Fabric::new(fabric);
         let directory = TransferDirectory::new();
         let store_local = Arc::new(ObjectStore::new(StoreConfig {
             node: NodeId(0),
@@ -2411,6 +2450,64 @@ mod tests {
         assert!(started.0 < finished.0, "started stamped at the end");
         assert_eq!((finished.0 - started.0) / 1_000, finished.1);
         assert_eq!(issued(&r), 1);
+        r.handle.shutdown();
+    }
+
+    #[test]
+    fn an_arrival_nobody_waits_for_is_listed_and_its_victims_are_not() {
+        // 20 ms hops against a 5 ms wait: the reply to the request below
+        // cannot land before whoever asked has gone. It is sealed into a
+        // full store all the same, and somebody has to say so.
+        let slow = FabricConfig {
+            latency: rtml_net::LatencyModel::Constant(Duration::from_millis(20)),
+            ..FabricConfig::default()
+        };
+        let mut r = remote_dep_rig_on(slow, LocalSchedulerConfig::default(), 32 << 20);
+        let block = |i: u64| {
+            TaskId::driver_root(DriverId::from_index(0))
+                .child(1000 + i)
+                .return_object(0)
+        };
+        const BLOCK: usize = 256 << 10;
+        for i in 0..128 {
+            r.store_local
+                .put(block(i), Bytes::from(vec![i as u8; BLOCK]))
+                .unwrap();
+            r.services
+                .objects
+                .add_location(block(i), NodeId(0), BLOCK as u64);
+        }
+        let late = block(500);
+        r.store_remote
+            .put(late, Bytes::from(vec![9u8; BLOCK]))
+            .unwrap();
+        r.services
+            .objects
+            .add_location(late, NodeId(7), BLOCK as u64);
+        let gone = r
+            .services
+            .agent
+            .fetch_one(late, NodeId(7), Duration::from_millis(5));
+        assert_eq!(gone.unwrap_err(), rtml_common::error::Error::Timeout);
+
+        // Table locations stay a subset of store residency: the arrival
+        // is listed here, what it evicted no longer is.
+        let listed = |object: ObjectId| {
+            let info = r.services.objects.get(object).expect("declared above");
+            info.locations.contains(&NodeId(0))
+        };
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !(listed(late)
+            && (0..128).all(|i| listed(block(i)) == r.store_local.contains(block(i))))
+        {
+            assert!(
+                Instant::now() < deadline,
+                "the late arrival was never owned"
+            );
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        assert!(r.store_local.contains(late));
+        assert!((0..128).any(|i| !r.store_local.contains(block(i))));
         r.handle.shutdown();
     }
 

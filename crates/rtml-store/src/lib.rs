@@ -56,6 +56,6 @@ pub use store::{
     DEFAULT_CHUNK_BYTES,
 };
 pub use transfer::{
-    chunk_frames, FetchAgent, FetchResult, FetchStats, Fetched, TransferDirectory, TransferService,
-    TransferStats,
+    chunk_frames, push_sealed, FetchAgent, FetchResult, FetchStats, Fetched, TransferDirectory,
+    TransferService, TransferStats, PUSH_MAX_BYTES,
 };

@@ -66,12 +66,43 @@
 //! still decides which *extra* nodes get a copy of an object that stays
 //! hot for many sweeps — relaying only shortens the path to nodes that
 //! asked.
+//!
+//! # Pushing: a small result goes where its future is
+//!
+//! A pull is two hops on its reader's blocking path (request, reply).
+//! For the result of a task submitted from another node, whose caller
+//! is as a rule already blocked on it, the producer can do better:
+//! [`push_sealed`] sends the sealed bytes to the submitter's fetch
+//! agent — the [`TransferDirectory`] lists agents beside services — as
+//! the single `Chunk` frame a request would have been answered with,
+//! one hop after the seal. Only values of at most [`PUSH_MAX_BYTES`]
+//! that fit one chunk are pushed; whether a given result *should* be
+//! (nothing queued behind it on the producing node) is the caller's
+//! rule. The receiving agent needs nothing new: a chunk of an object
+//! nobody asked for has always been assembled and sealed.
+//!
+//! # Somebody owns what nobody asked for
+//!
+//! An object can be sealed here with no one left to tell: it was pushed,
+//! or everyone who requested it has gone (timed out, served by another
+//! holder, satisfied by the local seal a step before the answer). Its
+//! location still has to reach the object table, and whatever its `put`
+//! evicted has to leave it. So an agent has a standing sink
+//! ([`FetchAgent::deliver_unclaimed_to`], the node scheduler's answer
+//! channel): an `Ok` answer that no waiter received is delivered there,
+//! in the form a waiter would have got it, and is committed by the code
+//! that commits the scheduler's own fetches. A requester that leaves
+//! with answers possibly still to come says so with
+//! [`FetchAgent::close`], which takes what has been sent and drops the
+//! channel under the lock arrivals are sealed and answered under: an
+//! answer is then either returned to the requester or meets a channel
+//! that is gone — never one that is merely no longer read.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Sender};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Mutex, RwLock};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -206,11 +237,20 @@ pub fn chunk_frames(size: usize, chunk_bytes: usize) -> usize {
     }
 }
 
-/// Maps each node to its transfer-service fabric address. Shared by all
-/// nodes; populated during cluster construction. Cloning shares the map.
+/// What one node has listed: where requests for its objects go, and
+/// where their replies — and results pushed to it — arrive.
+#[derive(Clone, Copy, Default)]
+struct Listing {
+    service: Option<NetAddress>,
+    agent: Option<NetAddress>,
+}
+
+/// Maps each node to the fabric addresses of its transfer service and
+/// its fetch agent. Shared by all nodes; each component lists itself
+/// when it is spawned. Cloning shares the map.
 #[derive(Clone, Default)]
 pub struct TransferDirectory {
-    map: Arc<RwLock<HashMap<NodeId, NetAddress>>>,
+    map: Arc<RwLock<HashMap<NodeId, Listing>>>,
 }
 
 impl TransferDirectory {
@@ -221,12 +261,22 @@ impl TransferDirectory {
 
     /// Records `node`'s transfer service address.
     pub fn insert(&self, node: NodeId, address: NetAddress) {
-        self.map.write().insert(node, address);
+        self.map.write().entry(node).or_default().service = Some(address);
+    }
+
+    /// Records `node`'s fetch agent address.
+    pub fn insert_agent(&self, node: NodeId, address: NetAddress) {
+        self.map.write().entry(node).or_default().agent = Some(address);
     }
 
     /// Looks up `node`'s transfer service address.
     pub fn lookup(&self, node: NodeId) -> Option<NetAddress> {
-        self.map.read().get(&node).copied()
+        self.map.read().get(&node)?.service
+    }
+
+    /// Looks up `node`'s fetch agent address.
+    pub fn lookup_agent(&self, node: NodeId) -> Option<NetAddress> {
+        self.map.read().get(&node)?.agent
     }
 
     /// Removes a node (when it is killed).
@@ -234,12 +284,59 @@ impl TransferDirectory {
         self.map.write().remove(&node);
     }
 
-    /// Every node currently listed, ascending.
+    /// Every node with a transfer service listed, ascending.
     pub fn nodes(&self) -> Vec<NodeId> {
-        let mut nodes: Vec<NodeId> = self.map.read().keys().copied().collect();
+        let map = self.map.read();
+        let mut nodes: Vec<NodeId> = map
+            .iter()
+            .filter(|(_, listing)| listing.service.is_some())
+            .map(|(node, _)| *node)
+            .collect();
         nodes.sort_unstable();
         nodes
     }
+}
+
+/// The largest sealed result a producer sends to its submitter unasked:
+/// 8 µs of a 1 GiB/s link, against the 100 µs request hop it saves.
+pub const PUSH_MAX_BYTES: usize = 8 * 1024;
+
+/// Sends the sealed bytes of `object`, unasked, from `store`'s node to
+/// the fetch agent of node `to` — the frame a request would have been
+/// answered with, so the receiving agent needs no second code path: it
+/// seals an object nobody asked for as it always has, and hands it to
+/// its standing sink ([`FetchAgent::deliver_unclaimed_to`]) to be
+/// committed. Sent as a lone control frame ([`Fabric::send`]), from the
+/// caller's thread.
+///
+/// Returns whether the fabric accepted the frame — only then may the
+/// caller announce the copy. Nothing is sent for a value over
+/// [`PUSH_MAX_BYTES`] or one a request would have split into several
+/// chunks, or when either end is not listed in `directory` (a dead
+/// node).
+pub fn push_sealed(
+    fabric: &Fabric,
+    directory: &TransferDirectory,
+    stats: &TransferStats,
+    store: &ObjectStore,
+    to: NodeId,
+    object: ObjectId,
+    data: &[u8],
+) -> bool {
+    if data.len() > PUSH_MAX_BYTES || chunk_frames(data.len(), store.chunk_bytes() as usize) != 1 {
+        return false;
+    }
+    let (Some(from), Some(agent)) = (directory.lookup(store.node()), directory.lookup_agent(to))
+    else {
+        return false;
+    };
+    let frame = encode_chunk_frame(object, 0, 1, data.len() as u64, data);
+    let sent = fabric.send(from, agent, frame).is_ok();
+    if sent {
+        stats.pushed.inc();
+        stats.chunks_sent.inc();
+    }
+    sent
 }
 
 /// Server-side transfer counters, one set per [`TransferService`].
@@ -263,8 +360,12 @@ pub struct TransferStats {
     /// Reply streams the fabric refused (requester gone).
     pub send_failures: Counter,
     /// Chunk frames emitted by this service (a relay's catch-up frames
-    /// included; frames its agent passes on later are counted there).
+    /// and pushed results included; frames its agent passes on later
+    /// are counted there).
     pub chunks_sent: Counter,
+    /// Results sent to their submitter's node unasked ([`push_sealed`]):
+    /// frames the fabric accepted, whether or not they arrived.
+    pub pushed: Counter,
     /// Whether per-object demand tracking is on. Enabled by the
     /// replication plane; off by default so nodes without a
     /// [`crate::replicate::ReplicationAgent`] never grow the map.
@@ -566,6 +667,10 @@ pub struct FetchStats {
     pub chunks_forwarded: Counter,
     /// Objects fully received and sealed locally.
     pub objects_fetched: Counter,
+    /// Of those, objects nobody on this node had asked for when their
+    /// first frame arrived: results pushed by their producer (and the
+    /// rare reply that outlived its request's entry).
+    pub pushes_received: Counter,
     /// `Missing` answers (holder no longer had the object).
     pub misses: Counter,
     /// Waits that gave up before the transfer completed.
@@ -588,6 +693,10 @@ pub struct Fetched {
     /// The node whose egress link fed the bytes: the holder asked, the
     /// relay it handed the request to, or this node for a local hit.
     pub from: NodeId,
+    /// For bytes nobody on this node had asked for when their first
+    /// frame arrived (a result its producer pushed), when that frame
+    /// left its sender, in nanos since the process epoch.
+    pub pushed_at_nanos: Option<u64>,
 }
 
 /// Outcome of fetching one object: its sealed bytes and how they got
@@ -595,10 +704,12 @@ pub struct Fetched {
 pub type FetchResult = Result<(Bytes, Fetched)>;
 
 /// One received chunk: the frame exactly as it arrived (what a relay
-/// passes on) and the payload window inside it.
+/// passes on), the payload window inside it, and when the frame left
+/// its sender (nanos since the process epoch).
 pub(crate) struct Chunk {
     frame: Bytes,
     payload: Bytes,
+    sent_at_nanos: u64,
 }
 
 /// An object created on this node but not yet sealed: requested by the
@@ -624,6 +735,9 @@ pub(crate) struct Unsealed {
     downstream: Vec<NetAddress>,
     /// The node that fed the first chunk.
     upstream: Option<NodeId>,
+    /// Set for an entry a frame opened, not a request: when that frame
+    /// left its sender.
+    unasked_at_nanos: Option<u64>,
 }
 
 impl Unsealed {
@@ -638,13 +752,18 @@ impl Unsealed {
             copying: false,
             downstream: Vec::new(),
             upstream: None,
+            unasked_at_nanos: None,
         }
     }
 
-    fn answer(self, object: ObjectId, result: FetchResult) {
+    /// Answers every waiter; whether any of them was still there to
+    /// hear it.
+    fn answer(self, object: ObjectId, result: &FetchResult) -> bool {
+        let mut heard = false;
         for w in self.waiters {
-            let _ = w.send((object, result.clone()));
+            heard |= w.send((object, result.clone())).is_ok();
         }
+        heard
     }
 }
 
@@ -657,6 +776,8 @@ struct AgentInner {
     /// header claiming more is corrupt and is dropped before anything
     /// is allocated for it.
     max_chunks: usize,
+    /// Where objects sealed with no waiter left to answer go.
+    unclaimed: RwLock<Option<Sender<(ObjectId, FetchResult)>>>,
     stats: FetchStats,
 }
 
@@ -678,6 +799,7 @@ impl FetchAgent {
     ) -> FetchAgent {
         let node = store.node();
         let endpoint = fabric.register(node, "fetch-agent");
+        directory.insert_agent(node, endpoint.address());
         let max_chunks = store.capacity_bytes().div_ceil(store.chunk_bytes()).max(1);
         let inner = Arc::new(AgentInner {
             address: endpoint.address(),
@@ -685,6 +807,7 @@ impl FetchAgent {
             fabric,
             store,
             directory,
+            unclaimed: RwLock::new(None),
             stats: FetchStats::default(),
         });
         let inner2 = inner.clone();
@@ -706,6 +829,35 @@ impl FetchAgent {
     /// The agent's persistent reply address.
     pub fn address(&self) -> NetAddress {
         self.inner.address
+    }
+
+    /// Names the standing owner of what nobody is waiting for: an
+    /// object this agent seals with no waiter left to answer — a result
+    /// pushed by its producer, a reply that outlived everyone who asked
+    /// for it — is reported on `sink` like the answer to a request, so
+    /// its location is committed and whatever its `put` evicted is
+    /// dropped from the table. Without a sink such an arrival is stored
+    /// and nobody is told (a bare agent in a test).
+    pub fn deliver_unclaimed_to(&self, sink: Sender<(ObjectId, FetchResult)>) {
+        *self.inner.unclaimed.write() = Some(sink);
+    }
+
+    /// Ends a requester's interest in its answers without orphaning
+    /// one: returns what was sent to `answers` so far and drops the
+    /// channel, atomically with respect to arrivals (which are sealed
+    /// and answered under the lock taken here). An answer is therefore
+    /// either in the returned list, for the caller to commit, or finds
+    /// the channel gone and goes to the standing sink
+    /// ([`FetchAgent::deliver_unclaimed_to`]) — never into a channel
+    /// nobody will read again.
+    pub fn close(
+        &self,
+        answers: Receiver<(ObjectId, FetchResult)>,
+    ) -> Vec<(ObjectId, FetchResult)> {
+        let _sealing = self.inner.store.unsealed.lock();
+        let taken = answers.try_iter().collect();
+        drop(answers);
+        taken
     }
 
     /// Number of transfers currently tracked on this node (in flight, or
@@ -770,6 +922,7 @@ impl FetchAgent {
                         inserted: false,
                         evicted: Vec::new(),
                         from: inner.store.node(),
+                        pushed_at_nanos: None,
                     };
                     let _ = done.send((object, Ok((bytes, hit))));
                     continue;
@@ -816,7 +969,7 @@ impl FetchAgent {
                 let mut unsealed = inner.store.unsealed.lock();
                 for object in to_request {
                     if let Some(entry) = unsealed.remove(&object) {
-                        entry.answer(object, Err(Error::NodeDown(holder)));
+                        entry.answer(object, &Err(Error::NodeDown(holder)));
                     }
                 }
             }
@@ -843,15 +996,21 @@ impl FetchAgent {
             positions.entry(object).or_default().push(i);
         }
         let mut results: Vec<Option<FetchResult>> = vec![None; objects.len()];
-        for _ in 0..objects.len() {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            let Ok((object, result)) = answers.recv_timeout(remaining) else {
-                break;
-            };
+        let mut take = |(object, result): (ObjectId, FetchResult)| {
             if let Some(i) = positions.get_mut(&object).and_then(Vec::pop) {
                 results[i] = Some(result);
             }
+        };
+        for _ in 0..objects.len() {
+            let remaining = deadline.saturating_duration_since(Instant::now());
+            match answers.recv_timeout(remaining) {
+                Ok(answer) => take(answer),
+                Err(_) => break,
+            }
         }
+        // Out of time with answers missing: one sent this instant is
+        // still taken, a later one goes to the sink.
+        self.close(answers).into_iter().for_each(take);
         results
             .into_iter()
             .map(|r| {
@@ -901,6 +1060,7 @@ fn agent_loop(inner: Arc<AgentInner>, endpoint: rtml_net::Endpoint) {
                 let chunk = Chunk {
                     frame: delivery.payload,
                     payload,
+                    sent_at_nanos: delivery.sent_at_nanos,
                 };
                 let total = total.max(1) as usize;
                 let size = usize::try_from(size).unwrap_or(usize::MAX);
@@ -923,7 +1083,7 @@ fn agent_loop(inner: Arc<AgentInner>, endpoint: rtml_net::Endpoint) {
                             .fabric
                             .send(inner.address, *reader, delivery.payload.clone());
                     }
-                    entry.answer(object, Err(Error::ObjectNotFound(object)));
+                    entry.answer(object, &Err(Error::ObjectNotFound(object)));
                 }
             }
             Ok(TransferMsg::Request { .. }) | Err(_) => inner.stats.decode_errors.inc(),
@@ -951,9 +1111,14 @@ impl AgentInner {
             Entry::Occupied(entry) => entry.into_mut(),
             // A late copy of a chunk of an object already sealed.
             Entry::Vacant(_) if self.store.contains(object) => return true,
-            // Unsolicited data (a request we gave up on) is still
-            // assembled: sealing the bytes is useful work.
-            Entry::Vacant(slot) => slot.insert(Unsealed::new(Instant::now() + ORPHAN_TTL)),
+            // Nobody here asked (a result pushed by its producer, a
+            // request given up on long ago): the bytes are assembled
+            // and sealed all the same.
+            Entry::Vacant(slot) => {
+                let entry = slot.insert(Unsealed::new(Instant::now() + ORPHAN_TTL));
+                entry.unasked_at_nanos = Some(chunk.sent_at_nanos);
+                entry
+            }
         };
         if entry.chunks.len() != total || entry.size != size {
             if entry.copying {
@@ -1050,13 +1215,27 @@ impl AgentInner {
         };
         if result.is_ok() {
             self.stats.objects_fetched.inc();
+            if entry.unasked_at_nanos.is_some() {
+                self.stats.pushes_received.inc();
+            }
         }
-        let fetched = result.map(|PutOutcome { inserted, evicted }| Fetched {
-            inserted,
-            evicted,
-            from,
+        let pushed_at_nanos = entry.unasked_at_nanos;
+        let answer = result.map(|PutOutcome { inserted, evicted }| {
+            let fetched = Fetched {
+                inserted,
+                evicted,
+                from,
+                pushed_at_nanos,
+            };
+            (bytes, fetched)
         });
-        entry.answer(object, fetched.map(|fetched| (bytes, fetched)));
+        // Sealed bytes somebody must own: with no waiter left to commit
+        // their location (and drop what they evicted), the sink does.
+        if !entry.answer(object, &answer) && answer.is_ok() {
+            if let Some(sink) = &*self.unclaimed.read() {
+                let _ = sink.send((object, answer));
+            }
+        }
         complete
     }
 }
@@ -1760,6 +1939,154 @@ mod tests {
             .iter()
             .map(|r| r.agent.stats().chunks_forwarded.get());
         assert!((1..=16).contains(&forwarded.sum::<u64>()));
+    }
+
+    #[test]
+    fn a_pushed_result_is_sealed_unasked_and_handed_to_the_sink() {
+        let (fabric, directory, p) = peers(2, ledger_fabric(), 256 << 10);
+        let (sink, arrivals) = unbounded();
+        p[0].agent.deliver_unclaimed_to(sink);
+        let stats = p[1].service.stats();
+        let payload = patterned(PUSH_MAX_BYTES);
+        p[1].store.put(obj(1), payload.clone()).unwrap();
+        let before = rtml_common::time::now_nanos();
+        let push = |to: NodeId, object: ObjectId, data: &[u8]| {
+            push_sealed(&fabric, &directory, stats, &p[1].store, to, object, data)
+        };
+        assert!(push(NodeId(0), obj(1), &payload));
+
+        // It arrives as the one frame a request would have been answered
+        // with, and the sink is told what a requester would have been —
+        // plus when the frame left, since no request marks the start.
+        let (object, answer) = arrivals.recv_timeout(Duration::from_secs(5)).unwrap();
+        let (data, fetched) = answer.unwrap();
+        assert_eq!((object, &data), (obj(1), &payload));
+        assert!(fetched.inserted && fetched.evicted.is_empty());
+        assert_eq!(fetched.from, NodeId(1));
+        let left = fetched.pushed_at_nanos.expect("nobody asked for it");
+        assert!(before <= left && left <= rtml_common::time::now_nanos());
+        assert_eq!(p[0].store.get(obj(1)).unwrap(), payload);
+        assert_eq!((stats.pushed.get(), stats.requests.get()), (1, 0));
+        assert_eq!(p[0].agent.stats().requests_sent.get(), 0);
+        assert_eq!(p[0].agent.stats().chunks_received.get(), 1);
+        assert_eq!(p[0].agent.stats().pushes_received.get(), 1);
+        assert_eq!(p[0].agent.in_flight_len(), 0);
+
+        // One byte over the limit, a value a request would have split,
+        // a node with no agent listed: nothing is sent.
+        assert!(!push(NodeId(0), obj(2), &patterned(PUSH_MAX_BYTES + 1)));
+        assert!(!push(NodeId(9), obj(2), b"x"));
+        directory.remove(NodeId(0));
+        assert!(!push(NodeId(0), obj(2), b"x"));
+        let small_chunks = ObjectStore::new(StoreConfig {
+            node: NodeId(1),
+            capacity_bytes: 1 << 20,
+            chunk_bytes: 1024,
+        });
+        directory.insert_agent(NodeId(0), p[0].agent.address());
+        let split = patterned(4096);
+        assert!(!push_sealed(
+            &fabric,
+            &directory,
+            stats,
+            &small_chunks,
+            NodeId(0),
+            obj(2),
+            &split
+        ));
+        assert_eq!(stats.pushed.get(), 1);
+        assert!(arrivals.try_recv().is_err());
+    }
+
+    #[test]
+    fn a_reply_that_outlives_its_request_goes_to_the_sink_with_its_evictions() {
+        // 20 ms hops against a 5 ms wait: the reply cannot land before
+        // the requester has gone.
+        let slow = FabricConfig {
+            latency: LatencyModel::Constant(Duration::from_millis(20)),
+            ..FabricConfig::default()
+        };
+        let fabric = Fabric::new(slow);
+        let directory = TransferDirectory::new();
+        let store = |node: u32, capacity_bytes: u64| {
+            Arc::new(ObjectStore::new(StoreConfig {
+                node: NodeId(node),
+                capacity_bytes,
+                chunk_bytes: 256 << 10,
+            }))
+        };
+        let (holder, reader) = (store(0, 1 << 20), store(1, 1 << 20));
+        let _service = TransferService::spawn(fabric.clone(), holder.clone(), &directory);
+        let agent = FetchAgent::spawn(fabric.clone(), reader.clone(), directory.clone());
+        let (sink, arrivals) = unbounded();
+        agent.deliver_unclaimed_to(sink);
+        // The reader's store is full: sealing the reply evicts.
+        for i in 0..4 {
+            reader.put(obj(100 + i), patterned(256 << 10)).unwrap();
+        }
+        holder.put(obj(1), patterned(256 << 10)).unwrap();
+        assert_eq!(
+            agent
+                .fetch_one(obj(1), NodeId(0), Duration::from_millis(5))
+                .unwrap_err(),
+            Error::Timeout
+        );
+        let (object, answer) = arrivals.recv_timeout(Duration::from_secs(5)).unwrap();
+        let (_, fetched) = answer.unwrap();
+        assert_eq!(object, obj(1));
+        assert!(fetched.inserted);
+        assert_eq!(fetched.evicted, vec![obj(100)]);
+        // It was asked for, once: not a push.
+        assert_eq!(fetched.pushed_at_nanos, None);
+        assert_eq!(agent.stats().pushes_received.get(), 0);
+        // A waiter that is still there keeps the answer to itself.
+        holder.put(obj(2), patterned(64)).unwrap();
+        agent
+            .fetch_one(obj(2), NodeId(0), Duration::from_secs(5))
+            .unwrap();
+        assert!(arrivals.try_recv().is_err());
+    }
+
+    #[test]
+    fn closing_an_answer_channel_never_orphans_an_arrival() {
+        // A requester may leave before the answer to its own request is
+        // sent — a blocked `get` does, on the local seal. Either way the
+        // arrival is reported exactly once.
+        let slow = FabricConfig {
+            latency: LatencyModel::Constant(Duration::from_millis(10)),
+            ..FabricConfig::default()
+        };
+        let (_fabric, _directory, p) = peers(2, slow, 256 << 10);
+        let (sink, arrivals) = unbounded();
+        p[1].agent.deliver_unclaimed_to(sink);
+        let request = |i: u64| {
+            p[0].store.put(obj(i), patterned(64)).unwrap();
+            let (done, answers) = unbounded();
+            p[1].agent
+                .request_many(&[obj(i)], NodeId(0), Duration::from_secs(5), &done);
+            answers
+        };
+        // It leaves once the object is in the store: the seal and the
+        // answer happen under the lock `close` takes, so the answer is
+        // already there, and the sink hears nothing.
+        for i in 0..5 {
+            let answers = request(i);
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while !p[1].store.contains(obj(i)) {
+                assert!(Instant::now() < deadline, "never arrived");
+                std::thread::yield_now();
+            }
+            let taken = p[1].agent.close(answers);
+            assert!(matches!(taken.as_slice(), [(object, Ok(_))] if *object == obj(i)));
+            assert!(arrivals.try_recv().is_err());
+        }
+        // It leaves before the reply has crossed the fabric: nothing to
+        // take, and the arrival finds the channel gone.
+        let taken = p[1].agent.close(request(9));
+        assert!(taken.is_empty());
+        let (object, answer) = arrivals.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!(object, obj(9));
+        assert!(answer.unwrap().1.inserted);
     }
 
     #[test]

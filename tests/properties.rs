@@ -8,7 +8,7 @@ use rtml::common::ids::FunctionId;
 use rtml::common::ids::{DriverId, NodeId, ObjectId, TaskId, UniqueId};
 use rtml::common::resources::Resources;
 use rtml::common::task::{ArgSpec, TaskSpec, TaskState};
-use rtml::kv::{KvStore, TaskTable};
+use rtml::kv::{Inbound, KvStore, ObjectInfo, TaskTable};
 use rtml::runtime::Envelope;
 use rtml::sched::SchedWire;
 use rtml::store::{ObjectStore, StoreConfig};
@@ -126,6 +126,48 @@ proptest! {
         for envelope in [Envelope::Value(pair.1), Envelope::Error(format!("task {n} failed"))] {
             let bytes = envelope.seal();
             prop_assert_eq!(decode_both::<Envelope>(&bytes).unwrap(), envelope);
+        }
+    }
+
+    #[test]
+    fn object_records_without_an_announcement_encode_as_they_always_did(
+        size in any::<u64>(),
+        sealed in any::<bool>(),
+        producer in proptest::option::of(any::<u64>()),
+        locations in proptest::collection::vec(any::<u32>(), 0..6),
+        inbound in proptest::option::of((any::<u32>(), any::<u64>())),
+    ) {
+        let mut info = ObjectInfo {
+            size,
+            sealed,
+            producer: producer.map(|i| obj(i).producer_task().unwrap()),
+            locations: locations.into_iter().map(NodeId).collect(),
+            inbound: None,
+        };
+        // The encoding before announcements existed, field by field.
+        let mut w = Writer::new();
+        w.put_varint(info.size);
+        info.sealed.encode(&mut w);
+        info.producer.encode(&mut w);
+        info.locations.encode(&mut w);
+        let bytes = encode_to_bytes(&info);
+        prop_assert_eq!(&bytes, &w.into_bytes());
+        prop_assert_eq!(decode_both::<ObjectInfo>(&bytes).unwrap(), info.clone());
+        // One sealed copy of a small result: the 24 bytes a `Bytes`
+        // keeps inline, so the record costs no allocation of its own.
+        if info.size < 128 && info.producer.is_some() && info.locations.len() == 1 {
+            prop_assert_eq!(bytes.len(), 24);
+        }
+        // With an announcement the record is longer, and round-trips;
+        // cut anywhere, it is rejected rather than read as something else.
+        info.inbound = inbound.map(|(node, until_nanos)| Inbound { node: NodeId(node), until_nanos });
+        let announced = encode_to_bytes(&info);
+        prop_assert_eq!(announced.len() > bytes.len(), info.inbound.is_some());
+        prop_assert_eq!(decode_both::<ObjectInfo>(&announced).unwrap(), info.clone());
+        if info.inbound.is_some() {
+            for cut in bytes.len()..announced.len() {
+                prop_assert!(decode_both::<ObjectInfo>(&announced.slice(0..cut)).is_err());
+            }
         }
     }
 
