@@ -12,7 +12,8 @@
 //!   accept stage and a deferred index stage, so the driver's
 //!   marshalling of batch N+1 overlaps the scheduler's ingest of batch
 //!   N. One drain barrier at the end.
-//! - **serialized**: pipelined ingest off, and the driver waits for
+//! - **serialized**: staging depth 0 (a batch is indexed in the loop
+//!   turn that accepted it), and the driver waits for
 //!   each batch to be fully indexed (state `Queued`) before submitting
 //!   the next — no overlap anywhere, the strict back-to-back baseline.
 //!
@@ -153,7 +154,7 @@ fn main() {
         &rows,
     );
     println!(
-        "\n(time from first submit until the local scheduler has queued every\n task; execution is gated out. Serialized = pipelined ingest off and a\n per-batch drain barrier — no driver/ingest overlap. Overlap gain on a\n 1-core host is expected to hover near 1x: there is no second core for\n the ingest stage to run on)"
+        "\n(time from first submit until the local scheduler has queued every\n task; execution is gated out. Serialized = staging depth 0 and a\n per-batch drain barrier — no driver/ingest overlap. Overlap gain on a\n 1-core host is expected to hover near 1x: there is no second core for\n the ingest stage to run on)"
     );
 
     let p4096 = pipelined.iter().find(|m| m.batch == 4096).unwrap();
@@ -209,7 +210,10 @@ fn measure(batch: usize, tasks_per_size: usize, mode: Mode) -> Measurement {
             ..ClusterConfig::local(1, 2)
         }
         .with_event_log_retention(4096)
-        .with_pipelined_submission(mode == Mode::Pipelined),
+        .with_submit_staging_depth(match mode {
+            Mode::Pipelined => ClusterConfig::default().submit_staging_depth,
+            Mode::Serialized => 0,
+        }),
     )
     .unwrap();
     let gated = cluster.register_fn2("gated_submit", |x: u64, _gate: u64| Ok(x));

@@ -16,13 +16,6 @@
 //!   unbatched protocol.
 //! - **Single-flight**: N concurrent `get`s of the same object perform
 //!   exactly 1 transfer; the other N−1 join it.
-//! - **Prefetch**: with dispatch-time prefetch, a batch of tasks whose
-//!   dependencies live on another node pulls them as one coalesced
-//!   `FetchMany` per holder at queue time, so transfer overlaps
-//!   queueing; with prefetch off, every dependency is resolved by its
-//!   own reactive watcher (per-object request frames and threads).
-//!   Reported via `cluster.profile()`: dispatch-to-run latency p50,
-//!   request frames served, and prefetch hit rate.
 //! - **Copy budget**: what handing a 1 MiB object around costs in
 //!   memcpy. Opening a sealed `Bytes` argument and decoding it is a pair
 //!   of windows (no copy; self-asserted < 20 µs, where two 1 MiB copies
@@ -59,11 +52,9 @@ use rtml_bench::{fmt_duration, print_table, DurationStats};
 use rtml_common::codec::encode_to_bytes;
 use rtml_common::ids::{DriverId, NodeId, ObjectId, TaskId};
 use rtml_common::resources::Resources;
-use rtml_common::task::ArgSpec;
 use rtml_net::{Fabric, FabricConfig, LatencyModel};
 use rtml_runtime::envelope::{open_value, seal_value};
-use rtml_runtime::{Cluster, ClusterConfig, NodeConfig, TaskRequest};
-use rtml_sched::SpillMode;
+use rtml_runtime::{Cluster, ClusterConfig, NodeConfig};
 use rtml_store::{
     chunk_frames, FetchAgent, ObjectStore, StoreConfig, TransferDirectory, TransferService,
 };
@@ -213,73 +204,6 @@ fn measure_single_flight(concurrent: usize) -> SingleFlight {
         transfers: agent.stats().transfers.get(),
         duplicates_suppressed: agent.stats().duplicates_suppressed.get(),
     }
-}
-
-struct PrefetchRun {
-    prefetch: bool,
-    dispatch_p50_micros: u64,
-    dispatch_p99_micros: u64,
-    request_frames: u64,
-    prefetches_issued: usize,
-    prefetch_hit_rate: f64,
-}
-
-/// Tasks pinned to node 1 (custom resource) consuming objects resident
-/// on node 0: every dependency is remote, so the consuming scheduler's
-/// data plane does all the work while tasks queue behind one worker.
-fn measure_prefetch(prefetch: bool, tasks: usize, deps_per_task: usize) -> PrefetchRun {
-    let cluster = Cluster::start(ClusterConfig {
-        nodes: vec![
-            NodeConfig::cpu_only(1),
-            NodeConfig::cpu_only(1).with_custom("sink", 64.0),
-        ],
-        latency: LatencyModel::Constant(Duration::from_micros(300)),
-        bandwidth_bytes_per_sec: Some(1 << 30),
-        spill: SpillMode::AlwaysSpill,
-        prefetch,
-        ..ClusterConfig::default()
-    })
-    .unwrap();
-    let consume = cluster.register_fn1("consume", |xs: Bytes| Ok(xs.len() as u64));
-    let driver = cluster.driver();
-
-    // Seed the dependencies on node 0 (the driver's home store).
-    let payload = Bytes::from(vec![3u8; 16 * 1024]);
-    let deps: Vec<_> = (0..tasks * deps_per_task)
-        .map(|_| driver.put(&payload).unwrap())
-        .collect();
-
-    // One submission batch: each task consumes one distinct dependency
-    // group member; all must run on node 1 ("sink" resource).
-    let requests: Vec<TaskRequest> = (0..tasks)
-        .map(|t| TaskRequest {
-            function: consume.id(),
-            args: (0..deps_per_task)
-                .map(|d| ArgSpec::ObjectRef(deps[t * deps_per_task + d].id()))
-                .collect(),
-            num_returns: 1,
-            resources: Resources::cpu(1.0).with_custom("sink", 1.0),
-        })
-        .collect();
-    let futures = driver.submit_raw_batch(requests).unwrap();
-    for returns in &futures {
-        let value: u64 = driver
-            .get(&rtml_runtime::ObjectRef::typed(returns[0]))
-            .unwrap();
-        assert_eq!(value, payload.len() as u64);
-    }
-    let report = cluster.profile();
-    let dispatch = report.dispatch_latency().snapshot();
-    let run = PrefetchRun {
-        prefetch,
-        dispatch_p50_micros: dispatch.p50() / 1_000,
-        dispatch_p99_micros: dispatch.p99() / 1_000,
-        request_frames: report.transfer.requests_served,
-        prefetches_issued: report.prefetches_issued,
-        prefetch_hit_rate: report.prefetch_hit_rate(),
-    };
-    cluster.shutdown();
-    run
 }
 
 struct CopyBudget {
@@ -572,46 +496,6 @@ fn main() {
     );
     assert_eq!(sf.transfers, 1, "concurrent gets must share one transfer");
 
-    // --- prefetch ---------------------------------------------------------
-    let tasks = (objects / 4).clamp(4, 16);
-    let on = measure_prefetch(true, tasks, 8);
-    let off = measure_prefetch(false, tasks, 8);
-    let rows: Vec<Vec<String>> = [&on, &off]
-        .iter()
-        .map(|r| {
-            vec![
-                if r.prefetch { "on" } else { "off" }.to_string(),
-                format!("{} µs", r.dispatch_p50_micros),
-                format!("{} µs", r.dispatch_p99_micros),
-                r.request_frames.to_string(),
-                r.prefetches_issued.to_string(),
-                format!("{:.2}", r.prefetch_hit_rate),
-            ]
-        })
-        .collect();
-    print_table(
-        "E11d: dispatch-time prefetch (remote-dependency tasks)",
-        &[
-            "prefetch",
-            "dispatch p50",
-            "dispatch p99",
-            "request frames",
-            "issued",
-            "hit rate",
-        ],
-        &rows,
-    );
-    assert!(
-        on.request_frames < off.request_frames,
-        "prefetch must coalesce request frames ({} vs {})",
-        on.request_frames,
-        off.request_frames,
-    );
-    println!(
-        "\n(prefetch pulls a batch's dependencies as one FetchMany per holder\n at queue time — {}x fewer request frames than the reactive per-object\n baseline — and overlaps transfer with queueing; hit rate is the share\n of prefetched objects whose transfer landed on the requesting node)",
-        off.request_frames / on.request_frames.max(1),
-    );
-
     // --- copy budget ------------------------------------------------------
     let cb = measure_copy_budget();
     let seal_ratio = cb.seal.as_secs_f64() / cb.encode.as_secs_f64();
@@ -716,7 +600,7 @@ fn main() {
         rp.resident_best
     );
 
-    let json = render_json(objects, &cells, &co, &sf, &on, &off, &cb, &bc, &rp);
+    let json = render_json(objects, &cells, &co, &sf, &cb, &bc, &rp);
     let path = "BENCH_transfer.json";
     match std::fs::write(path, &json) {
         Ok(()) => println!("\nwrote {path}"),
@@ -730,8 +614,6 @@ fn render_json(
     cells: &[MatrixCell],
     co: &Coalescing,
     sf: &SingleFlight,
-    on: &PrefetchRun,
-    off: &PrefetchRun,
     cb: &CopyBudget,
     bc: &Broadcast,
     rp: &ResultPush,
@@ -758,11 +640,6 @@ fn render_json(
     out.push_str(&format!(
         "  \"single_flight\": {{\"concurrent\": {}, \"transfers\": {}, \"duplicates_suppressed\": {}}},\n",
         sf.concurrent, sf.transfers, sf.duplicates_suppressed
-    ));
-    out.push_str(&format!(
-        "  \"prefetch\": {{\"on\": {{\"dispatch_p50_micros\": {}, \"request_frames\": {}, \"hit_rate\": {:.3}}}, \"off\": {{\"dispatch_p50_micros\": {}, \"request_frames\": {}}}}},\n",
-        on.dispatch_p50_micros, on.request_frames, on.prefetch_hit_rate,
-        off.dispatch_p50_micros, off.request_frames,
     ));
     let us = |d: Duration| d.as_secs_f64() * 1e6;
     out.push_str(&format!(

@@ -7,7 +7,7 @@
 //! different shards are concurrent — this is precisely the scaling story
 //! of the paper's §3.2.1.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::{BuildHasher, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -120,22 +120,29 @@ static NEXT_SUBSCRIPTION: AtomicU64 = AtomicU64::new(1);
 
 /// A live subscription: the update channel plus the registration it
 /// stands for. Dereferences to the channel's [`Receiver`]; dropping it
-/// unsubscribes every key it registered (one lock per touched shard), so
-/// a finished waiter leaves nothing behind in the shard.
+/// unsubscribes every key it still has registered (one lock per touched
+/// shard), so a finished waiter leaves nothing behind in the shard.
 ///
 /// `T` is [`Bytes`] for a single-key subscription and `(usize, Bytes)` —
-/// the key's position in the subscribe call, then the value — for a
-/// multi-key one ([`crate::store::KvStore::subscribe_many`]).
+/// the tag its key was registered under, then the value — for a
+/// multi-key one ([`crate::store::KvStore::subscribe_many`]), which can
+/// take more keys and give keys up while it lives
+/// ([`crate::store::KvStore::subscribe_more`],
+/// [`crate::store::KvStore::unsubscribe`]).
 pub struct Subscription<T = Bytes> {
     rx: Receiver<T>,
+    /// Handed to the shards with every key registered later.
+    pub(crate) tx: Sender<T>,
     id: u64,
-    registered: Vec<(Arc<Shard>, Vec<Bytes>)>,
+    /// The keys currently registered, by shard.
+    registered: Vec<(Arc<Shard>, HashSet<Bytes, FnvBuild>)>,
 }
 
 impl<T> Subscription<T> {
-    pub(crate) fn new(rx: Receiver<T>) -> Self {
+    pub(crate) fn new(tx: Sender<T>, rx: Receiver<T>) -> Self {
         Subscription {
             rx,
+            tx,
             id: NEXT_SUBSCRIPTION.fetch_add(1, Ordering::Relaxed),
             registered: Vec::new(),
         }
@@ -147,8 +154,28 @@ impl<T> Subscription<T> {
 
     /// Records that `keys` were registered on `shard` under this
     /// subscription's id.
-    pub(crate) fn track(&mut self, shard: Arc<Shard>, keys: Vec<Bytes>) {
-        self.registered.push((shard, keys));
+    pub(crate) fn track(&mut self, shard: &Arc<Shard>, keys: impl IntoIterator<Item = Bytes>) {
+        let known = self
+            .registered
+            .iter()
+            .position(|(s, _)| Arc::ptr_eq(s, shard));
+        let at = known.unwrap_or_else(|| {
+            self.registered.push((shard.clone(), HashSet::default()));
+            self.registered.len() - 1
+        });
+        self.registered[at].1.extend(keys);
+    }
+
+    /// Withdraws `key` if it is registered on `shard` (one lock
+    /// acquisition, none when it is not).
+    pub(crate) fn untrack(&mut self, shard: &Arc<Shard>, key: &Bytes) {
+        let registered = self
+            .registered
+            .iter_mut()
+            .find(|(s, _)| Arc::ptr_eq(s, shard));
+        if registered.is_some_and(|(_, keys)| keys.remove(key)) {
+            shard.unsubscribe(self.id, [key]);
+        }
     }
 }
 
@@ -163,7 +190,9 @@ impl<T> std::ops::Deref for Subscription<T> {
 impl<T> Drop for Subscription<T> {
     fn drop(&mut self) {
         for (shard, keys) in &self.registered {
-            shard.unsubscribe(self.id, keys);
+            if !keys.is_empty() {
+                shard.unsubscribe(self.id, keys);
+            }
         }
     }
 }
@@ -433,7 +462,7 @@ impl Shard {
         self.ops.inc();
         self.locks.inc();
         let (tx, rx) = unbounded();
-        let mut sub = Subscription::new(rx);
+        let mut sub = Subscription::new(tx.clone(), rx);
         let current = {
             let mut st = self.state.lock();
             let current = st.map.get(&key).cloned();
@@ -443,15 +472,15 @@ impl Shard {
             });
             current
         };
-        sub.track(self.clone(), vec![key]);
+        sub.track(self, [key]);
         (current, sub)
     }
 
     /// Registers subscription `id` on every `(tag, key)` under a single
     /// lock acquisition and returns the keys' current values, in order.
     /// Later writes to a key arrive on `tx` as `(tag, value)`. The
-    /// shard half of [`crate::store::KvStore::subscribe_many`], which
-    /// owns the [`Subscription`] that undoes this.
+    /// shard half of [`crate::store::KvStore::subscribe_more`], which
+    /// tracks the keys in the [`Subscription`] that undoes this.
     pub(crate) fn subscribe_tagged(
         &self,
         id: u64,
@@ -475,7 +504,7 @@ impl Shard {
 
     /// Removes subscription `id` from `keys` (one lock acquisition; no
     /// record is read or written, so it is not counted as an op).
-    fn unsubscribe(&self, id: u64, keys: &[Bytes]) {
+    fn unsubscribe<'a>(&self, id: u64, keys: impl IntoIterator<Item = &'a Bytes>) {
         self.locks.inc();
         let mut st = self.state.lock();
         for key in keys {

@@ -215,45 +215,64 @@ impl KvStore {
     /// Subscribes to many keys at once: the current value of every key
     /// (positional, like [`KvStore::get_many`]) plus **one** channel
     /// carrying every later update as `(position of the key, value)`.
-    /// One lock acquisition per touched shard; each shard's reads and
-    /// registrations are atomic with respect to its writers, so no
-    /// update to any key can fall between its read and its
-    /// registration.
+    /// The subscription may start empty and grow:
+    /// [`KvStore::subscribe_more`] does the registering.
     pub fn subscribe_many(
         &self,
         keys: &[Bytes],
     ) -> (Vec<Option<Bytes>>, Subscription<(usize, Bytes)>) {
         let (tx, rx) = unbounded();
-        let mut sub = Subscription::new(rx);
-        if let [key] = keys {
+        let mut sub = Subscription::new(tx, rx);
+        let tagged: Vec<(usize, Bytes)> = keys.iter().cloned().enumerate().collect();
+        let current = self.subscribe_more(&mut sub, &tagged);
+        (current, sub)
+    }
+
+    /// Registers more `(tag, key)` pairs on a live multi-key
+    /// subscription and returns the keys' current values, in order;
+    /// every later update of a key arrives on the subscription's one
+    /// channel as `(tag, value)`. One lock acquisition per touched
+    /// shard; each shard's reads and registrations are atomic with
+    /// respect to its writers, so no update to any key can fall between
+    /// its read and its registration.
+    pub fn subscribe_more(
+        &self,
+        sub: &mut Subscription<(usize, Bytes)>,
+        keys: &[(usize, Bytes)],
+    ) -> Vec<Option<Bytes>> {
+        let tx = sub.tx.clone();
+        if let [(_, key)] = keys {
             // A blocked single `get`: no bucketing.
             let shard = &self.shards[self.shard_index(key)];
-            let current = shard.subscribe_tagged(sub.id(), &[(0, key.clone())], &tx);
-            sub.track(shard.clone(), vec![key.clone()]);
-            return (current, sub);
+            let current = shard.subscribe_tagged(sub.id(), keys, &tx);
+            sub.track(shard, [key.clone()]);
+            return current;
         }
-        let mut buckets: Vec<Vec<(usize, Bytes)>> = vec![Vec::new(); self.shards.len()];
-        for (i, key) in keys.iter().enumerate() {
-            buckets[self.shard_index(key)].push((i, key.clone()));
+        // Positions in `keys`, by shard.
+        let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
+        for (position, (_, key)) in keys.iter().enumerate() {
+            buckets[self.shard_index(key)].push(position);
         }
         let mut current = vec![None; keys.len()];
-        for (idx, bucket) in buckets.into_iter().enumerate() {
-            if bucket.is_empty() {
+        for (shard, positions) in self.shards.iter().zip(buckets) {
+            if positions.is_empty() {
                 continue;
             }
-            let shard = &self.shards[idx];
-            for ((i, _), value) in bucket
-                .iter()
-                .zip(shard.subscribe_tagged(sub.id(), &bucket, &tx))
-            {
-                current[*i] = value;
+            let bucket: Vec<(usize, Bytes)> = positions.iter().map(|&p| keys[p].clone()).collect();
+            let values = shard.subscribe_tagged(sub.id(), &bucket, &tx);
+            for (position, value) in positions.into_iter().zip(values) {
+                current[position] = value;
             }
-            sub.track(
-                shard.clone(),
-                bucket.into_iter().map(|(_, key)| key).collect(),
-            );
+            sub.track(shard, bucket.into_iter().map(|(_, key)| key));
         }
-        (current, sub)
+        current
+    }
+
+    /// Ends a live subscription's interest in `key`, if it has
+    /// registered it (one lock acquisition). Updates already on the
+    /// channel stay there.
+    pub fn unsubscribe(&self, sub: &mut Subscription<(usize, Bytes)>, key: &Bytes) {
+        sub.untrack(&self.shards[self.shard_index(key)], key);
     }
 
     /// Live subscriber registrations across all shards (see

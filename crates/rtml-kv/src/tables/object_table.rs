@@ -25,13 +25,12 @@
 //! locality on account of it — replication, the eviction probe and
 //! placement keep reading [`ObjectInfo::locations`] only. It says one
 //! thing to one audience: a reader *on the announced node* need not ask
-//! anyone. That rule lives in [`ObjectInfo::holders_ranked`] (and so in
-//! [`ObjectInfo::fetch_holder`]), which every reader picks its holder
-//! through: while the announcement is live they offer that node no
-//! holder, the reader completes on the local seal it already listens
-//! for, and once the announcement has expired — it carries the time a
-//! request of the reader's own would have been given — they rank the
-//! holders as if it had never been made. An announcement ends when the
+//! anyone. That rule lives in [`ObjectInfo::holders_ranked`], which every
+//! reader picks its holder through: while the announcement is live it
+//! offers that node no holder, the reader completes on the local seal it
+//! already listens for, and once the announcement has expired — it
+//! carries the time a request of the reader's own would have been given
+//! — it ranks the holders as if it had never been made. An announcement ends when the
 //! copy lands (the receiver's own `add_location` clears it) or when it
 //! expires; a frame lost on the wire or a node restarted in between
 //! therefore costs that node's readers the wait once, together, and an
@@ -110,20 +109,14 @@ impl ObjectInfo {
         self.sealed && !self.locations.is_empty()
     }
 
-    /// The holder a consumer on `local` should pull `object` from: the
-    /// top of [`ObjectInfo::holders_ranked`]. Deterministic per
-    /// `(object, local)`, so concurrent consumers on one node group
-    /// their fetches identically — while *different* reader nodes of a
-    /// multi-holder (replicated) object fan out across holders instead
-    /// of all funnelling to one.
-    pub fn fetch_holder(&self, object: ObjectId, local: NodeId) -> Option<NodeId> {
-        self.holders_ranked(object, local).into_iter().next()
-    }
-
     /// Every holder of a sealed copy (excluding `local`), ranked by the
     /// shared rendezvous hash of `(object, reader)`: the first entry is
     /// the holder `local` should pull from, and the rest are the retry
-    /// order when holders turn out to be dead or partitioned. With a
+    /// order when holders turn out to be dead or partitioned. The
+    /// ranking is deterministic per `(object, local)`, so concurrent
+    /// consumers on one node group their fetches identically — while
+    /// *different* reader nodes of a multi-holder (replicated) object
+    /// fan out across holders instead of all funnelling to one. With a
     /// single remote holder this degenerates to exactly the pre-
     /// replication choice.
     ///
@@ -224,49 +217,15 @@ impl ObjectTable {
     /// Keeps an existing record's locations if the object was already
     /// declared (reconstruction re-declares).
     pub fn declare(&self, object: ObjectId, producer: Option<TaskId>) {
-        // Preserves existing info; only fills in a missing producer
-        // (reconstruction re-declares). Shares the batched update logic.
-        self.declare_many(&[(object, producer)]);
-    }
-
-    /// Batched [`ObjectTable::declare`]: declares every `(object,
-    /// producer)` pair with one lock acquisition per touched shard
-    /// instead of one per object. This is the object-table half of the
-    /// batched-submission group commit.
-    pub fn declare_many(&self, entries: &[(ObjectId, Option<TaskId>)]) {
-        if entries.is_empty() {
-            return;
-        }
-        // Pre-encode every vacant-case record in one arena allocation:
-        // in the overwhelmingly common case (fresh submission) the
-        // closure just installs the prepared bytes, and only the rare
-        // re-declare (reconstruction) pays a decode/re-encode.
-        let fresh: Vec<ObjectInfo> = entries
-            .iter()
-            .map(|(_, producer)| ObjectInfo::unsealed(*producer))
-            .collect();
-        let encoded = rtml_common::codec::encode_batch_to_bytes(&fresh, 24);
-        self.kv.update_many(
-            entries
-                .iter()
-                .zip(encoded)
-                .map(|((object, producer), fresh_bytes)| {
-                    let producer = *producer;
-                    let update = move |cur: Option<&Bytes>| {
-                        if let Some(bytes) = cur {
-                            if let Ok(mut info) = decode_from_slice::<ObjectInfo>(bytes) {
-                                if info.producer.is_none() {
-                                    info.producer = producer;
-                                }
-                                return Some(encode_to_bytes(&info));
-                            }
-                        }
-                        Some(fresh_bytes)
-                    };
-                    (Self::key(*object), update)
-                })
-                .collect(),
-        );
+        self.kv.update(Self::key(object), |cur| {
+            let mut info = cur
+                .and_then(|bytes| decode_from_slice::<ObjectInfo>(bytes).ok())
+                .unwrap_or(ObjectInfo::unsealed(producer));
+            if info.producer.is_none() {
+                info.producer = producer;
+            }
+            Some(encode_to_bytes(&info))
+        });
     }
 
     /// Records that `node` now holds a sealed copy of `object` of `size`
@@ -355,9 +314,12 @@ impl ObjectTable {
         );
     }
 
-    /// Decodes a stored record, synthesizing the producer from the ID
-    /// when the record carries none.
-    fn decode(object: ObjectId, bytes: &[u8]) -> Option<ObjectInfo> {
+    /// Decodes a stored record of `object` (what a raw message of
+    /// [`ObjectInfoUpdates::receiver`] carries), synthesizing the
+    /// producer from the ID when the record carries none. `None` for an
+    /// undecodable record (foreign writes to an object key are a bug,
+    /// but a stuck waiter would be worse).
+    pub fn decode(object: ObjectId, bytes: &[u8]) -> Option<ObjectInfo> {
         let mut info: ObjectInfo = decode_from_slice(bytes).ok()?;
         if info.producer.is_none() {
             info.producer = object.producer_task();
@@ -392,29 +354,16 @@ impl ObjectTable {
         (current, ObjectInfoStream { rx })
     }
 
-    /// Subscribes to the records of many objects at once — what a
-    /// blocked `get_many`/`wait` registers: `out[i]` is the current
-    /// record of `objects[i]`, read atomically with its registration
-    /// (one lock acquisition per touched shard, like
-    /// [`ObjectTable::get_many`]), and every later update of any of
-    /// them arrives on the **one** returned stream as `(object,
-    /// record)`. Dropping the stream unsubscribes all of them.
-    pub fn subscribe_many(
-        &self,
-        objects: &[ObjectId],
-    ) -> (Vec<Option<ObjectInfo>>, ObjectInfoUpdates) {
-        let keys = super::id_keys_arena(PREFIX, objects.iter().map(|o| o.unique()));
-        let (current, sub) = self.kv.subscribe_many(&keys);
-        let current = current
-            .into_iter()
-            .zip(objects)
-            .map(|(b, object)| Self::decode(*object, &b?))
-            .collect();
-        let updates = ObjectInfoUpdates {
-            objects: objects.to_vec(),
+    /// A stream for the records of many objects at once, empty to begin
+    /// with: [`ObjectInfoUpdates::add`] subscribes it to objects and
+    /// [`ObjectInfoUpdates::retire`] ends their subscriptions while it
+    /// lives; dropping it unsubscribes whatever is left.
+    pub fn updates(&self) -> ObjectInfoUpdates {
+        let (_, sub) = self.kv.subscribe_many(&[]);
+        ObjectInfoUpdates {
+            kv: self.kv.clone(),
             sub,
-        };
-        (current, updates)
+        }
     }
 
     /// Whether a sealed copy of `object` exists anywhere.
@@ -444,45 +393,46 @@ impl ObjectInfoStream {
             }
         }
     }
-
-    /// Non-blocking poll for the next update.
-    pub fn try_recv(&self) -> Option<ObjectInfo> {
-        while let Ok(bytes) = self.rx.try_recv() {
-            if let Ok(info) = decode_from_slice(&bytes) {
-                return Some(info);
-            }
-        }
-        None
-    }
-
-    /// The raw receiver, for `select!` integration.
-    pub fn receiver(&self) -> &Receiver<Bytes> {
-        &self.rx
-    }
 }
 
-/// The update stream of an [`ObjectTable::subscribe_many`]: every write
-/// to any subscribed record, on one channel.
+/// The update stream of an [`ObjectTable::updates`]: every write to any
+/// subscribed record, on one channel.
 pub struct ObjectInfoUpdates {
-    objects: Vec<ObjectId>,
+    kv: Arc<KvStore>,
     sub: Subscription<(usize, Bytes)>,
 }
 
 impl ObjectInfoUpdates {
-    /// The raw channel — block on it, poll it, or `select!` over it —
-    /// whose messages [`ObjectInfoUpdates::decode`] turns into records.
-    /// A raw message leads with the position its object had in the
-    /// `subscribe_many` call.
-    pub fn receiver(&self) -> &Receiver<(usize, Bytes)> {
-        &self.sub
+    /// Subscribes this stream to more records: `out[i]` is the current
+    /// record of `entries[i]`'s object, read atomically with its
+    /// registration (one lock acquisition per touched shard), and its
+    /// later updates arrive tagged with `entries[i].0`. A tag reused
+    /// for another object after [`ObjectInfoUpdates::retire`] may still
+    /// meet an update of the old one on the channel; a caller that
+    /// retires hands out fresh tags.
+    pub fn add(&mut self, entries: &[(usize, ObjectId)]) -> Vec<Option<ObjectInfo>> {
+        let keys = super::id_keys_arena(PREFIX, entries.iter().map(|(_, o)| o.unique()));
+        let tagged: Vec<(usize, Bytes)> = entries.iter().map(|(tag, _)| *tag).zip(keys).collect();
+        self.kv
+            .subscribe_more(&mut self.sub, &tagged)
+            .into_iter()
+            .zip(entries)
+            .map(|(b, (_, object))| ObjectTable::decode(*object, &b?))
+            .collect()
     }
 
-    /// Decodes one raw message of [`ObjectInfoUpdates::receiver`];
-    /// `None` for an undecodable frame (foreign writes to a subscribed
-    /// key are a bug, but a stuck waiter would be worse).
-    pub fn decode(&self, (index, bytes): (usize, Bytes)) -> Option<(ObjectId, ObjectInfo)> {
-        let object = *self.objects.get(index)?;
-        Some((object, ObjectTable::decode(object, &bytes)?))
+    /// Ends the subscription of `object`, if it has one (one lock
+    /// acquisition); the stream lives on for the rest.
+    pub fn retire(&mut self, object: ObjectId) {
+        self.kv
+            .unsubscribe(&mut self.sub, &ObjectTable::key(object));
+    }
+
+    /// The raw channel — block on it, poll it, or `select!` over it. A
+    /// raw message is the tag its object was subscribed under, then the
+    /// encoded record ([`ObjectTable::decode`]).
+    pub fn receiver(&self) -> &Receiver<(usize, Bytes)> {
+        &self.sub
     }
 }
 
@@ -491,6 +441,11 @@ mod tests {
     use super::*;
     use rtml_common::ids::DriverId;
     use std::time::Duration;
+
+    /// The holder a reader on `local` pulls `object` from.
+    fn pick(info: &ObjectInfo, object: ObjectId, local: NodeId) -> Option<NodeId> {
+        info.holders_ranked(object, local).first().copied()
+    }
 
     fn ids() -> (ObjectId, TaskId) {
         let root = TaskId::driver_root(DriverId::from_index(0));
@@ -554,30 +509,6 @@ mod tests {
         let info = table.get(obj).unwrap();
         assert_eq!(info.locations, vec![NodeId(3)]);
         assert_eq!(info.producer, Some(task));
-    }
-
-    #[test]
-    fn declare_many_matches_single_declares() {
-        let kv = KvStore::new(4);
-        let table = ObjectTable::new(kv);
-        let root = TaskId::driver_root(DriverId::from_index(0));
-        let entries: Vec<(ObjectId, Option<TaskId>)> = (0..12)
-            .map(|i| {
-                let task = root.child(i);
-                (task.return_object(0), Some(task))
-            })
-            .collect();
-        // One object already sealed before the batch declaration: its
-        // locations must survive and its producer must be filled in.
-        table.add_location(entries[3].0, NodeId(5), 32);
-        table.declare_many(&entries);
-        for (object, producer) in &entries {
-            let info = table.get(*object).unwrap();
-            assert_eq!(info.producer, *producer);
-        }
-        let sealed = table.get(entries[3].0).unwrap();
-        assert_eq!(sealed.locations, vec![NodeId(5)]);
-        assert!(sealed.sealed);
     }
 
     #[test]
@@ -649,7 +580,7 @@ mod tests {
         // Distinct readers spread over the holder set instead of all
         // funnelling to one node.
         let picks: std::collections::HashSet<NodeId> = (10..40)
-            .map(|reader| info.fetch_holder(obj, NodeId(reader)).unwrap())
+            .map(|reader| pick(&info, obj, NodeId(reader)).unwrap())
             .collect();
         assert!(picks.len() >= 2, "no spread: {picks:?}");
     }
@@ -662,7 +593,7 @@ mod tests {
         table.declare(obj, Some(task));
         let info = table.get(obj).unwrap();
         assert!(info.holders_ranked(obj, NodeId(5)).is_empty());
-        assert_eq!(info.fetch_holder(obj, NodeId(5)), None);
+        assert_eq!(pick(&info, obj, NodeId(5)), None);
     }
 
     #[test]
@@ -682,8 +613,8 @@ mod tests {
         // The announced node asks nobody; any other reader pulls as ever.
         assert!(info.awaits_push(NodeId(0)));
         assert!(info.holders_ranked(obj, NodeId(0)).is_empty());
-        assert_eq!(info.fetch_holder(obj, NodeId(0)), None);
-        assert_eq!(info.fetch_holder(obj, NodeId(2)), Some(NodeId(1)));
+        assert_eq!(pick(&info, obj, NodeId(0)), None);
+        assert_eq!(pick(&info, obj, NodeId(2)), Some(NodeId(1)));
         // The copy lands: the receiver's own commit ends the announcement.
         table.add_location(obj, NodeId(0), 8);
         let info = table.get(obj).unwrap();
@@ -703,7 +634,7 @@ mod tests {
         table.add_location_pushed(other, NodeId(1), 8, stale);
         let info = table.get(other).unwrap();
         assert!(!info.awaits_push(NodeId(0)));
-        assert_eq!(info.fetch_holder(other, NodeId(0)), Some(NodeId(1)));
+        assert_eq!(pick(&info, other, NodeId(0)), Some(NodeId(1)));
         // Somebody else's location commit leaves an announcement alone.
         table.add_location(other, NodeId(2), 8);
         assert_eq!(table.get(other).unwrap().inbound, Some(stale));
@@ -760,7 +691,9 @@ mod tests {
         let root = TaskId::driver_root(DriverId::from_index(0));
         let objects: Vec<ObjectId> = (0..32).map(|i| root.child(i).return_object(0)).collect();
         table.add_location(objects[3], NodeId(1), 8);
-        let (current, updates) = table.subscribe_many(&objects);
+        let mut updates = table.updates();
+        let tagged: Vec<(usize, ObjectId)> = objects.iter().copied().enumerate().collect();
+        let current = updates.add(&tagged);
         for (i, info) in current.iter().enumerate() {
             assert_eq!(info.is_some(), i == 3);
         }
@@ -777,11 +710,17 @@ mod tests {
                 .recv_timeout(Duration::from_secs(5))
                 .unwrap();
             assert_eq!(raw.0, i);
-            let (updated, info) = updates.decode(raw).unwrap();
-            assert_eq!(updated, *object);
+            let info = ObjectTable::decode(*object, &raw.1).unwrap();
             assert!(info.locations.contains(&NodeId(2)));
             assert_eq!(info.producer, object.producer_task());
         }
+        // A retired object's later updates no longer arrive; the rest do.
+        updates.retire(objects[5]);
+        assert_eq!(kv.subscriber_count(), 31);
+        table.add_location(objects[5], NodeId(3), 16);
+        table.add_location(objects[6], NodeId(3), 16);
+        assert_eq!(updates.receiver().try_recv().unwrap().0, 6);
+        assert!(updates.receiver().try_recv().is_err());
         drop(updates);
         assert_eq!(kv.subscriber_count(), 0);
     }

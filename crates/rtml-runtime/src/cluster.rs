@@ -64,19 +64,12 @@ pub struct ClusterConfig {
     /// the bandwidth model (one propagation-delay sample per stream)
     /// instead of one monolithic message.
     pub transfer_chunk_bytes: u64,
-    /// Dispatch-time prefetch: local schedulers proactively pull queued
-    /// tasks' missing dependencies (one coalesced `FetchMany` per
-    /// holder) so transfer overlaps queueing. Changes only *when* bytes
-    /// move, never what runs — ids, placements, and results are
-    /// bit-identical with it on or off.
-    pub prefetch: bool,
     /// Hot-object replication plane: per-node agents watch per-object
     /// remote-read demand and pull objects past
     /// [`rtml_store::ReplicationPolicy::read_threshold`] onto up to
     /// `max_replicas` additional holders, so K readers of a hot object
     /// spread across holders instead of funnelling to the producer.
-    /// Like prefetch, replication changes only *where copies live*,
-    /// never values: checksums are identical with it on or off.
+    /// Replication changes only *where copies live*, never values: checksums are identical with it on or off.
     pub replication: rtml_store::ReplicationPolicy,
     /// Pull-based work stealing: an idle local scheduler (empty ready
     /// queue, spare resources) pulls a batch of ready tasks from a
@@ -109,11 +102,11 @@ pub struct ClusterConfig {
     pub submit_striping: usize,
     /// Pipelined submission ingest in the local schedulers: batches are
     /// accepted synchronously and indexed while the driver marshals the
-    /// next batch. Changes only *when* ingest work happens, never
-    /// values or placements.
-    pub pipelined_submission: bool,
-    /// Staging-ring depth for pipelined ingest: how many accepted
-    /// batches may wait unindexed before an accept forces a flush.
+    /// next batch. This is the staging-ring depth: how many accepted
+    /// batches may wait unindexed before an accept forces a flush; `0`
+    /// indexes every batch in the loop turn that accepted it (the
+    /// serialized baseline). Changes only *when* ingest work happens,
+    /// never values or placements.
     pub submit_staging_depth: usize,
     /// Per-node telemetry sampling: every node's plane counters are
     /// registered on a [`rtml_common::metrics::MetricsRegistry`] and a
@@ -149,7 +142,6 @@ impl Default for ClusterConfig {
             fetch_timeout: Duration::from_secs(2),
             default_get_timeout: Duration::from_secs(30),
             transfer_chunk_bytes: rtml_store::DEFAULT_CHUNK_BYTES,
-            prefetch: true,
             replication: rtml_store::ReplicationPolicy::default(),
             stealing: rtml_sched::StealConfig::default(),
             load_interval: Duration::from_millis(1),
@@ -157,7 +149,6 @@ impl Default for ClusterConfig {
             global_host: 0,
             global_shards: 1,
             submit_striping: 1,
-            pipelined_submission: true,
             submit_staging_depth: 4,
             telemetry: crate::telemetry::TelemetryConfig::default(),
             faults: rtml_net::FaultPlan::default(),
@@ -215,12 +206,6 @@ impl ClusterConfig {
         self
     }
 
-    /// Enables or disables dispatch-time prefetch builder-style.
-    pub fn with_prefetch(mut self, prefetch: bool) -> Self {
-        self.prefetch = prefetch;
-        self
-    }
-
     /// Replaces the replication policy builder-style.
     pub fn with_replication(mut self, replication: rtml_store::ReplicationPolicy) -> Self {
         self.replication = replication;
@@ -242,12 +227,6 @@ impl ClusterConfig {
     /// Sets the driver-side submission stripe width builder-style.
     pub fn with_submit_striping(mut self, nodes: usize) -> Self {
         self.submit_striping = nodes;
-        self
-    }
-
-    /// Enables or disables pipelined submission ingest builder-style.
-    pub fn with_pipelined_submission(mut self, pipelined: bool) -> Self {
-        self.pipelined_submission = pipelined;
         self
     }
 
@@ -348,10 +327,8 @@ impl Cluster {
             fetch_timeout: config.fetch_timeout,
             load_interval: config.load_interval,
             transfer_chunk_bytes: config.transfer_chunk_bytes,
-            prefetch: config.prefetch,
             replication: config.replication.clone(),
             stealing: config.stealing.clone(),
-            pipelined_ingest: config.pipelined_submission,
             staging_depth: config.submit_staging_depth,
             telemetry: config.telemetry.clone(),
             retry: config.retry.clone(),

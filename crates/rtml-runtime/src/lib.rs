@@ -48,7 +48,6 @@ pub mod cluster;
 pub mod critical_path;
 pub mod envelope;
 pub mod fetch;
-pub mod health;
 pub mod lineage;
 pub mod node;
 pub mod object_ref;
@@ -64,7 +63,6 @@ pub use caller::{Caller, Driver, TaskContext, TaskOptions, TaskRequest};
 pub use cluster::{Cluster, ClusterConfig};
 pub use critical_path::{critical_path, CriticalPath};
 pub use envelope::Envelope;
-pub use health::HealthTracker;
 pub use lineage::ReconstructionManager;
 pub use node::NodeConfig;
 pub use object_ref::{IntoArg, ObjectRef};
@@ -72,5 +70,6 @@ pub use profiling::{
     FaultPlaneStats, Incident, PlaneSpan, ProfileReport, TaskProfile, TransferPlaneStats,
 };
 pub use registry::{Func0, Func1, Func2, Func3, Func4, FunctionRegistry};
+pub use rtml_sched::HealthTracker;
 pub use services::Services;
 pub use telemetry::{TelemetryConfig, TelemetrySampler};

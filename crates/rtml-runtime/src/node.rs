@@ -10,7 +10,7 @@ use rtml_common::ids::ObjectId;
 use rtml_common::ids::{NodeId, WorkerId};
 use rtml_common::resources::Resources;
 use rtml_sched::{
-    GlobalRoutes, LocalMsg, LocalScheduler, LocalSchedulerConfig, LocalSchedulerHandle,
+    GlobalRoutes, LocalMsg, LocalScheduler, LocalSchedulerConfig, LocalSchedulerHandle, Replay,
     SchedServices, SpillMode, WorkerCommand, WorkerHandle,
 };
 use rtml_store::{
@@ -98,22 +98,18 @@ pub struct NodeTuning {
     pub load_interval: std::time::Duration,
     /// Maximum payload bytes per transfer frame (object chunking).
     pub transfer_chunk_bytes: u64,
-    /// Dispatch-time prefetch of queued tasks' missing dependencies.
-    pub prefetch: bool,
     /// Hot-object replication plane policy (see
     /// [`rtml_store::replicate`]).
     pub replication: ReplicationPolicy,
     /// Pull-based work-stealing policy (see [`rtml_sched::steal`]).
     pub stealing: rtml_sched::StealConfig,
-    /// Shared retry discipline for replication pulls (see
-    /// [`rtml_common::retry`]).
+    /// Shared retry discipline for replication pulls and the local
+    /// schedulers' dependency resolution (see [`rtml_common::retry`]).
     pub retry: rtml_common::retry::RetryPolicy,
-    /// Pipelined batch ingest in local schedulers: accept batches
-    /// synchronously, index them while the submitter marshals its next
-    /// batch (see [`rtml_sched::LocalSchedulerConfig`]).
-    pub pipelined_ingest: bool,
-    /// Staging-ring depth for pipelined ingest (accepted-but-unindexed
-    /// batches before an accept forces a flush).
+    /// Staging-ring depth for pipelined batch ingest in local
+    /// schedulers: accepted-but-unindexed batches before an accept
+    /// forces a flush, `0` for none (see
+    /// [`rtml_sched::LocalSchedulerConfig::staging_depth`]).
     pub staging_depth: usize,
     /// Per-node telemetry sampling (see [`crate::telemetry`]).
     pub telemetry: crate::telemetry::TelemetryConfig,
@@ -213,16 +209,12 @@ impl NodeRuntime {
                     // runs sleep the same backoff schedule.
                     let seed = (u64::from(from.0) << 32) | u64::from(target.0);
                     let pulled = pull_retry.run(seed, |_attempt| {
-                        let (_, result) = rtml_sched::fetch_group_commit(
-                            &pull_services.objects,
-                            &agent,
-                            &[object],
-                            from,
-                            target,
-                            fetch_timeout,
-                        )
-                        .pop()
-                        .expect("one object in, one result out");
+                        // The blocking fetch-and-commit of one object:
+                        // the replication plane's pull.
+                        let result = agent.fetch_one(object, from, fetch_timeout);
+                        let pulled = [(object, result)];
+                        rtml_sched::commit_fetched(&pull_services.objects, target, &pulled);
+                        let [(_, result)] = pulled;
                         result.map(|(_, outcome)| outcome)
                     });
                     match pulled {
@@ -322,9 +314,14 @@ impl NodeRuntime {
             worker_channels.push((id, tx, rx));
         }
 
+        // Runs on the scheduler thread: kv reads and writes and unbounded
+        // channel sends only (see `SchedServices::reconstruct`).
         let recon_hook = {
             let recon = recon.clone();
-            Arc::new(move |object| recon.handle_missing(object))
+            Arc::new(move |object, how| match how {
+                Replay::Missing => recon.handle_missing(object),
+                Replay::Forced => recon.force_replay(object),
+            })
         };
         let (pool_tx, pool_rx) = unbounded::<()>();
         let request_worker = Arc::new(move || {
@@ -358,6 +355,7 @@ impl NodeRuntime {
             store: store.clone(),
             agent: agent.clone(),
             global,
+            health: services.health.clone(),
             reconstruct: recon_hook,
             request_worker,
             replicate_hint,
@@ -369,9 +367,8 @@ impl NodeRuntime {
                 spill: tuning.spill.clone(),
                 fetch_timeout: tuning.fetch_timeout,
                 load_interval: tuning.load_interval,
-                prefetch: tuning.prefetch,
                 stealing: tuning.stealing.clone(),
-                pipelined_ingest: tuning.pipelined_ingest,
+                retry: tuning.retry.clone(),
                 staging_depth: tuning.staging_depth,
             },
             sched_services,

@@ -14,10 +14,9 @@ use rtml_common::retry::RetryPolicy;
 use rtml_common::task::TaskSpec;
 use rtml_kv::{EventLog, FunctionTable, KvStore, ObjectTable, TaskTable};
 use rtml_net::{Fabric, FabricConfig};
-use rtml_sched::LocalMsg;
+use rtml_sched::{HealthTracker, LocalMsg};
 use rtml_store::{FetchAgent, ObjectStore, TransferDirectory, TransferStats};
 
-use crate::health::HealthTracker;
 use crate::registry::FunctionRegistry;
 
 /// Runtime-wide timing knobs.
@@ -43,7 +42,7 @@ pub struct RuntimeTuning {
     /// stripe failover, and replication pulls.
     pub retry: RetryPolicy,
     /// A peer whose newest load report is older than this is suspect
-    /// (see [`crate::health::HealthTracker`]).
+    /// (see [`rtml_sched::HealthTracker`]).
     pub suspect_after: Duration,
     /// Cap on concurrently in-flight lineage reconstructions, so a
     /// churn burst cannot trigger a reconstruction storm. Deferred

@@ -1,0 +1,189 @@
+//! The scheduler's side of dependency resolution: what only it knows,
+//! kept in front of the shared [`Resolver`](crate::resolve::Resolver)
+//! rather than in a second mechanism.
+//!
+//! The resolver decides whom to ask, when to retry and when to
+//! reconstruct for every object a queued task is short of. The scheduler
+//! loop feeds it and adds, once per turn (`resolve_dependencies`): the
+//! **admission budget** — an
+//! object is requested only while it can become resident without
+//! touching pinned bytes (`capacity − pinned`), claimed in submission
+//! order within a pass; a refused object stays idle in the resolver, not
+//! requested and, a copy existing, not reconstructed, and is offered
+//! again on the next tick —, the **demand hint** to the replication
+//! plane (one coalesced request frame stands for many waiting tasks,
+//! which the holder's counters cannot see from the wire), and the
+//! `PrefetchIssued` and transfer **events**. It also pins every arrived
+//! dependency until its task completes.
+
+use std::time::Instant;
+
+use rtml_common::event::{Component, Event, EventKind};
+use rtml_common::ids::{NodeId, ObjectId, TaskId};
+use rtml_store::FetchResult;
+
+use crate::local::Core;
+
+impl Core {
+    /// Runs the resolver's decisions for this loop turn (see the module
+    /// docs) and announces the requests that left for the first time.
+    pub(crate) fn resolve_dependencies(&mut self) {
+        let me = self.config.node;
+        let (store, stats) = (&self.services.store, &self.stats);
+        // What could become resident by evicting everything evictable.
+        // Pinned bytes are running tasks' arguments — requests must not
+        // thrash against them. Read when the first object is offered.
+        let mut budget: Option<u64> = None;
+        let mut admitted_bytes = 0u64;
+        let mut admit = |_: ObjectId, size: u64, again: bool| {
+            let budget = *budget.get_or_insert_with(|| {
+                let pinned = store.pinned_bytes();
+                store.capacity_bytes().saturating_sub(pinned)
+            });
+            let refused = if size > budget {
+                // Could not become resident even with everything
+                // evictable gone: requesting it would move bytes only
+                // to fail the put.
+                &stats.prefetch_skipped_capacity
+            } else if admitted_bytes + size > budget {
+                // Fits on its own, but objects offered earlier in this
+                // pass claimed the budget first — prioritization under
+                // a tight budget, not a capacity verdict.
+                &stats.prefetch_deferred_priority
+            } else {
+                admitted_bytes += size;
+                return true;
+            };
+            if !again {
+                refused.inc();
+            }
+            false
+        };
+        let reconstruct = &*self.services.reconstruct;
+        let requested = self.resolver.pump(Instant::now(), &mut admit, reconstruct);
+        if requested.is_empty() {
+            return;
+        }
+        let at_nanos = rtml_common::time::now_nanos();
+        let mut events = Vec::new();
+        for (holder, objects) in &requested {
+            // The fan-in beyond the single coalesced request frame
+            // (`waiters - 1`) is what the holder's counters cannot see
+            // from the wire.
+            let hint = |object: &ObjectId| {
+                let fan_in = self.watchers.get(object).map_or(0, Vec::len) as u64;
+                (fan_in > 1).then(|| (*object, fan_in - 1))
+            };
+            let hints: Vec<(ObjectId, u64)> = objects.iter().filter_map(hint).collect();
+            if !hints.is_empty() {
+                (self.services.replicate_hint)(*holder, &hints);
+            }
+            events.extend(objects.iter().map(|object| Event {
+                at_nanos,
+                component: Component::LocalScheduler,
+                kind: EventKind::PrefetchIssued {
+                    object: *object,
+                    node: me,
+                },
+            }));
+        }
+        self.services.events.append_many(me, events);
+    }
+
+    /// Answers to the resolver's requests, and whatever the node's
+    /// fetch agent sealed with nobody waiting for it: the resolver
+    /// takes them all (the new locations and any eviction fallout reach
+    /// the object table as one group commit when this turn's pump runs;
+    /// an object its holder could not deliver goes to the next one), and
+    /// each transfer that sealed new bytes is logged from the moment its
+    /// request left — a result pushed by its producer from the moment
+    /// its frame did. The tasks themselves were already woken by the
+    /// seal.
+    pub(crate) fn on_fetched(&mut self, answers: Vec<(ObjectId, FetchResult)>) {
+        let me = self.config.node;
+        let at_nanos = rtml_common::time::now_nanos();
+        let mut events = Vec::new();
+        for (object, result) in answers {
+            // Only fetches that actually sealed new bytes here are
+            // transfers; local hits moved nothing over the wire.
+            let arrived = match &result {
+                Ok((_, fetched)) if fetched.inserted => {
+                    Some((fetched.from, fetched.pushed_at_nanos))
+                }
+                _ => None,
+            };
+            let requested_at_nanos = self.resolver.on_fetched(object, result);
+            if let Some((from, pushed_at_nanos)) = arrived {
+                if let Some(sent_at_nanos) = requested_at_nanos.or(pushed_at_nanos) {
+                    events.extend(transfer_events(object, from, me, sent_at_nanos, at_nanos));
+                }
+            }
+        }
+        if !events.is_empty() {
+            self.services.events.append_many(me, events);
+        }
+    }
+
+    /// An object sealed in the local store: its waiting tasks are one
+    /// dependency closer to `ready`, and the resolver is done with it.
+    pub(crate) fn on_sealed(&mut self, object: ObjectId) {
+        let Some(tasks) = self.watchers.remove(&object) else {
+            return;
+        };
+        self.resolver.retire(object);
+        for task in tasks {
+            if let Some((_, missing)) = self.waiting.get_mut(&task) {
+                // Pin the arrived dependency on this task's behalf: LRU
+                // eviction must not drop a fetched argument between
+                // arrival and execution. Released at completion
+                // ([`Core::release_pins`]).
+                if self.services.store.pin(object) {
+                    self.task_pins.entry(task).or_default().push(object);
+                }
+                *missing -= 1;
+                if *missing == 0 {
+                    let (spec, _) = self.waiting.remove(&task).expect("present");
+                    self.ready.push_back(spec);
+                }
+            }
+        }
+        self.load_dirty = true;
+    }
+
+    /// Releases every dependency pin held on `task`'s behalf.
+    pub(crate) fn release_pins(&mut self, task: TaskId) {
+        if let Some(objects) = self.task_pins.remove(&task) {
+            for object in objects {
+                self.services.store.unpin(object);
+            }
+        }
+    }
+}
+
+/// The event pair of one completed transfer onto `to`: started when the
+/// request left, fed by `from` — the holder asked, or the relay it
+/// handed the request to.
+fn transfer_events(
+    object: ObjectId,
+    from: NodeId,
+    to: NodeId,
+    sent_at_nanos: u64,
+    at_nanos: u64,
+) -> [Event; 2] {
+    [
+        Event {
+            at_nanos: sent_at_nanos,
+            component: Component::FetchAgent,
+            kind: EventKind::TransferStarted { object, from, to },
+        },
+        Event {
+            at_nanos,
+            component: Component::FetchAgent,
+            kind: EventKind::TransferFinished {
+                object,
+                to,
+                micros: at_nanos.saturating_sub(sent_at_nanos) / 1_000,
+            },
+        },
+    ]
+}

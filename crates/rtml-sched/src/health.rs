@@ -27,9 +27,9 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 
+use crate::msg::{load_key, LoadReport};
 use rtml_common::ids::NodeId;
 use rtml_kv::KvStore;
-use rtml_sched::{load_key, LoadReport};
 
 /// Failures within this window accumulate toward suspicion; the window
 /// also serves as the quarantine period once the threshold is crossed.

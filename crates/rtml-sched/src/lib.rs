@@ -10,7 +10,9 @@
 //!   per-node resource availability, gates tasks on their dataflow
 //!   dependencies (a task is dispatched if and only if every object it
 //!   consumes is sealed in the local store), and dispatches to idle
-//!   workers.
+//!   workers. Getting those objects local is the job of the one
+//!   dependency-resolution engine, [`Resolver`], which the runtime's
+//!   blocking `get`/`wait` run as well.
 //! - When a task's demand can never fit the node, or the local backlog
 //!   exceeds the [`SpillMode`] threshold, the task **spills over** to a
 //!   [`GlobalScheduler`] via the simulated fabric (paying the cross-node
@@ -26,10 +28,13 @@
 //! [`LocalScheduler`]: local::LocalScheduler
 //! [`GlobalScheduler`]: global::GlobalScheduler
 
+mod deps;
 pub mod global;
+pub mod health;
 pub mod local;
 pub mod msg;
 pub mod policy;
+pub mod resolve;
 pub mod spill;
 pub mod steal;
 pub mod wire;
@@ -37,12 +42,13 @@ pub mod wire;
 pub use global::{
     GlobalRoutes, GlobalScheduler, GlobalSchedulerConfig, GlobalSchedulerHandle, GlobalStats,
 };
+pub use health::HealthTracker;
 pub use local::{
-    commit_fetched, fetch_group_commit, LocalScheduler, LocalSchedulerConfig, LocalSchedulerHandle,
-    LocalSchedulerStats, SchedServices,
+    LocalScheduler, LocalSchedulerConfig, LocalSchedulerHandle, LocalSchedulerStats, SchedServices,
 };
 pub use msg::{load_key, LoadReport, LocalMsg, WorkerCommand, WorkerHandle};
 pub use policy::{choose_victim, LoadView, PlacementPolicy, PolicyState, DEFAULT_TOP_K};
+pub use resolve::{commit_fetched, Goal, Replay, Resolver, Wiring, POLL_SLICE};
 pub use spill::SpillMode;
 pub use steal::{plan_steal_grant, StealConfig, StealStats};
 pub use wire::SchedWire;

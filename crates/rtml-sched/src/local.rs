@@ -3,20 +3,16 @@
 //! One instance runs per node as a dedicated thread. It owns three task
 //! collections:
 //!
-//! - `waiting`: tasks with unsatisfied dataflow dependencies. A missing
-//!   object the table already locates is requested from its holder in
-//!   the loop turn that queued the task (one non-blocking request frame
-//!   per holder; the answers come back on a channel the loop selects
-//!   on). For any other a **resolver** watches the object table, fetches
-//!   the object as soon as a copy exists, and asks the runtime's
-//!   reconstruction hook for help if the object has been lost. When the
-//!   object seals locally the task moves to `ready` — the paper's "tasks
+//! - `waiting`: tasks with unsatisfied dataflow dependencies. Their
+//!   distinct missing objects are handed to the scheduler's [`Resolver`]
+//!   — the engine a blocked `get` runs too — in the loop turn that
+//!   queued the tasks; the loop feeds it from the channels it selects on
+//!   and never blocks for it (`deps.rs` has the glue, and what only the
+//!   scheduler knows: the admission budget, demand hints, pins). When an
+//!   object seals locally its tasks move to `ready` — the paper's "tasks
 //!   become available for execution if and only if their dependencies
-//!   have finished executing". An object whose producer has pushed it to
-//!   this node (its record announces the copy, so
-//!   [`rtml_kv::ObjectInfo::fetch_holder`] names nobody to ask) is
-//!   simply waited for; the loop also commits the location of whatever
-//!   the node's fetch agent seals with no waiter left to do it
+//!   have finished executing". The loop also commits the location of
+//!   whatever the node's fetch agent seals with no waiter left to do it
 //!   ([`rtml_store::FetchAgent::deliver_unclaimed_to`]).
 //! - `ready`: runnable tasks awaiting a worker and resources. Dispatch is
 //!   first-fit: a small CPU task may overtake a GPU task that is waiting
@@ -26,7 +22,8 @@
 //! Submissions from same-node workers arrive on an in-process channel
 //! (the latency-critical path, R1); placements from the global scheduler
 //! arrive over the fabric; spill decisions follow the configured
-//! [`SpillMode`].
+//! [`SpillMode`]. The thief and victim halves of work stealing are in
+//! [`crate::steal`].
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
@@ -34,20 +31,23 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 
-use rtml_common::codec::{decode_from_slice, encode_to_bytes, Codec};
-use rtml_common::collections::{fast_map_with_capacity, FastMap, FastSet};
+use rtml_common::codec::{decode_from_slice, encode_to_bytes};
+use rtml_common::collections::{FastMap, FastSet};
 use rtml_common::event::{Component, Event, EventKind};
 use rtml_common::ids::{NodeId, ObjectId, TaskId, WorkerId};
 use rtml_common::resources::Resources;
+use rtml_common::retry::RetryPolicy;
 use rtml_common::task::{TaskSpec, TaskState};
 use rtml_kv::{EventLog, KvStore, ObjectTable, TaskTable};
 use rtml_net::{Fabric, NetAddress};
 use rtml_store::{FetchAgent, FetchResult, ObjectStore, TransferDirectory};
 
+use crate::health::HealthTracker;
 use crate::msg::{load_key, LoadReport, LocalMsg, WorkerCommand, WorkerHandle};
-use crate::policy::{choose_victim, PolicyState};
+use crate::policy::PolicyState;
+use crate::resolve::{Goal, Replay, Resolver, Wiring};
 use crate::spill::SpillMode;
-use crate::steal::{plan_steal_grant, StealConfig, StealStats};
+use crate::steal::{StealConfig, StealInflight, StealStats};
 use crate::wire::SchedWire;
 
 /// Static configuration for one local scheduler.
@@ -63,34 +63,29 @@ pub struct LocalSchedulerConfig {
     pub fetch_timeout: Duration,
     /// Minimum interval between load publications.
     pub load_interval: Duration,
-    /// Dispatch-time prefetch: when a batch of tasks is queued, the
-    /// scheduler groups their missing-but-located dependencies by
-    /// holder and issues one coalesced `FetchMany` per holder
-    /// immediately, so transfer overlaps queueing. When off, every
-    /// missing object is resolved reactively by its own watcher.
-    /// Prefetch changes *when bytes move*, never what runs: dispatch is
-    /// gated on arrival either way, and ids/placements are identical.
-    pub prefetch: bool,
     /// Pull-based work stealing: when this scheduler's ready queue
     /// drains while a peer's kv-published backlog is deep, pull a batch
     /// of the peer's ready tasks over the fabric (see
-    /// [`crate::steal`]). Like prefetch and replication, stealing moves
-    /// *where tasks run*, never values — checksums are identical with
-    /// it on or off.
+    /// [`crate::steal`]). Like replication, stealing moves *where tasks
+    /// run*, never values — checksums are identical with it on or off.
     pub stealing: StealConfig,
+    /// The cluster's retry discipline; its `max_attempts` bounds how
+    /// many holders one sweep of dependency resolution tries before the
+    /// producer is force-replayed.
+    pub retry: RetryPolicy,
     /// Pipelined ingest: batch submissions are *accepted* synchronously
     /// (one mailbox pop, one push onto a staging ring) and *indexed*
     /// (spill decisions, dependency gating, group-committed state
     /// writes) on subsequent loop turns, so the driver's marshalling of
     /// the next batch overlaps this node's ingest of the previous one.
+    /// This is how many accepted-but-unindexed batches may accumulate
+    /// before an accept forces a flush of the oldest (bounds staged
+    /// memory and ingest latency under sustained submission pressure);
+    /// `0` indexes every batch in the loop turn that accepted it.
     /// Staged work drains before the mailbox goes idle and before
     /// shutdown, and every batch is indexed in arrival order, so
-    /// values, placements, and `wait` semantics are unchanged — only
-    /// *when* ingest work happens moves.
-    pub pipelined_ingest: bool,
-    /// How many accepted-but-unindexed batches may accumulate before an
-    /// accept forces a flush of the oldest (bounds staged memory and
-    /// ingest latency under sustained submission pressure).
+    /// values, placements, and `wait` semantics are the same at any
+    /// depth — only *when* ingest work happens moves.
     pub staging_depth: usize,
 }
 
@@ -102,9 +97,8 @@ impl Default for LocalSchedulerConfig {
             spill: SpillMode::default(),
             fetch_timeout: Duration::from_secs(2),
             load_interval: Duration::from_millis(1),
-            prefetch: true,
             stealing: StealConfig::default(),
-            pipelined_ingest: true,
+            retry: RetryPolicy::default(),
             staging_depth: 4,
         }
     }
@@ -135,18 +129,27 @@ pub struct SchedServices {
     /// shard owning their id; node lifecycle and load reports are
     /// broadcast to every shard.
     pub global: crate::global::GlobalRoutes,
-    /// Runtime hook invoked when a watched object appears to be lost
-    /// (has a producer but no live copies). The runtime deduplicates and
-    /// resubmits producing tasks (lineage replay).
-    pub reconstruct: Arc<dyn Fn(ObjectId) + Send + Sync>,
+    /// Peer health view: ranks the holders dependencies are pulled from
+    /// and is told how each request went.
+    pub health: Arc<HealthTracker>,
+    /// Runtime hook into lineage reconstruction, invoked when a watched
+    /// object has no live copy ([`Replay::Missing`]: when first waited
+    /// for and once a tick, which also feeds the runtime's
+    /// stuck-producer backstop) or a whole sweep of its listed holders
+    /// failed to deliver it ([`Replay::Forced`]). The runtime
+    /// deduplicates and resubmits producing tasks. The hook runs **on
+    /// the scheduler thread**: it must not block — control-plane reads
+    /// and writes and unbounded channel sends only.
+    pub reconstruct: Arc<dyn Fn(ObjectId, Replay) + Send + Sync>,
     /// Runtime hook asking the node to grow its worker pool: invoked
     /// when runnable tasks exist, no worker is idle, and at least one
     /// worker is blocked inside `get`/`wait` (nested-task deadlock
     /// avoidance).
     pub request_worker: Arc<dyn Fn() + Send + Sync>,
-    /// Replication-plane hint, invoked at dispatch/prefetch time with
-    /// `(holder, [(object, extra fan-in)])`: a coalesced prefetch issues
-    /// **one** request frame on behalf of many waiting tasks, so the
+    /// Replication-plane hint, invoked when dependencies are first
+    /// requested with `(holder, [(object, extra fan-in)])`: a coalesced
+    /// request is
+    /// **one** frame on behalf of many waiting tasks, so the
     /// holder's per-object demand counters would undercount exactly the
     /// broadcast objects replication exists for. The runtime wires this
     /// to the holder's transfer-service demand counters; defaults to a
@@ -157,17 +160,17 @@ pub struct SchedServices {
 /// Live counters for one local scheduler (beyond the event log).
 #[derive(Debug, Default)]
 pub struct LocalSchedulerStats {
-    /// Dispatch-time prefetches skipped because the object would not
-    /// fit in the store's unpinned capacity headroom (`capacity -
-    /// pinned`): moving bytes early is pointless if they cannot become
-    /// resident, and evicting pinned-adjacent working state to make
-    /// room would be worse. Skipped objects resolve reactively.
+    /// Dependencies not requested when first offered because the object
+    /// would not fit in the store's unpinned capacity headroom
+    /// (`capacity - pinned`): moving bytes is pointless if they cannot
+    /// become resident, and evicting pinned-adjacent working state to
+    /// make room would be worse. Skipped objects are offered again every
+    /// tick and requested once the headroom is there.
     pub prefetch_skipped_capacity: rtml_common::metrics::Counter,
-    /// Dispatch-time prefetches deferred by *prioritization*: the
-    /// object fits the headroom on its own, but dependencies of tasks
-    /// nearer the head of the ready queue consumed the budget first.
-    /// Deferred objects resolve reactively (and retry when the head of
-    /// the queue drains the budget back).
+    /// Dependencies deferred by *prioritization* when first offered:
+    /// the object fits the headroom on its own, but dependencies of
+    /// tasks submitted earlier consumed the pass's budget first.
+    /// Deferred objects are offered again every tick.
     pub prefetch_deferred_priority: rtml_common::metrics::Counter,
     /// Steal-plane counters (thief and victim sides).
     pub steal: StealStats,
@@ -272,6 +275,19 @@ impl LocalScheduler {
         // pushed here by their producers, replies that outlived their
         // request) is committed like the answers this loop asked for.
         services.agent.deliver_unclaimed_to(fetch_tx.clone());
+        let resolver = Resolver::new(
+            Goal::Values,
+            Wiring {
+                node,
+                objects: services.objects.clone(),
+                store: Some(services.store.clone()),
+                agent: Some(services.agent.clone()),
+                answers: fetch_tx,
+                health: services.health.clone(),
+                retry: config.retry.clone(),
+                fetch_timeout: config.fetch_timeout,
+            },
+        );
 
         let join = std::thread::Builder::new()
             .name(format!("rtml-lsched-{node}"))
@@ -287,9 +303,7 @@ impl LocalScheduler {
                     ready: VecDeque::new(),
                     waiting: FastMap::default(),
                     watchers: FastMap::default(),
-                    resolving: FastSet::default(),
-                    inbound: FastMap::default(),
-                    fetch_tx,
+                    resolver,
                     task_pins: FastMap::default(),
                     running: BTreeMap::new(),
                     released: FastSet::default(),
@@ -326,104 +340,78 @@ impl LocalScheduler {
     }
 }
 
-enum Incoming {
-    Local(LocalMsg),
-    Net(bytes::Bytes),
-    Seal(ObjectId),
-    Fetched(ObjectId, FetchResult),
-    Tick,
-    /// The mailbox is momentarily idle and staged batches exist: index
-    /// one (the deferred half of pipelined ingest).
-    Drain,
-    Closed,
-}
-
-struct Core {
-    config: LocalSchedulerConfig,
-    services: SchedServices,
-    address: NetAddress,
-    stats: Arc<LocalSchedulerStats>,
-    workers: FastMap<WorkerId, Sender<WorkerCommand>>,
-    idle: VecDeque<WorkerId>,
+pub(crate) struct Core {
+    pub(crate) config: LocalSchedulerConfig,
+    pub(crate) services: SchedServices,
+    pub(crate) address: NetAddress,
+    pub(crate) stats: Arc<LocalSchedulerStats>,
+    pub(crate) workers: FastMap<WorkerId, Sender<WorkerCommand>>,
+    pub(crate) idle: VecDeque<WorkerId>,
     /// Resources granted to running (non-blocked) tasks. May transiently
     /// exceed the node total when blocked tasks resume.
-    in_use: Resources,
-    ready: VecDeque<TaskSpec>,
+    pub(crate) in_use: Resources,
+    pub(crate) ready: VecDeque<TaskSpec>,
     /// task → (spec, number of distinct objects still missing).
-    waiting: FastMap<TaskId, (TaskSpec, usize)>,
+    pub(crate) waiting: FastMap<TaskId, (TaskSpec, usize)>,
     /// missing object → tasks waiting on it.
-    watchers: FastMap<ObjectId, Vec<TaskId>>,
-    /// objects with an active resolver (a request in flight or a
-    /// watcher thread).
-    resolving: FastSet<ObjectId>,
-    /// objects requested from a holder and not yet answered, with when
-    /// the request frame left (nanos since process epoch).
-    inbound: FastMap<ObjectId, u64>,
-    /// Where the fetch agent answers those requests; `run` holds the
-    /// other end.
-    fetch_tx: Sender<(ObjectId, FetchResult)>,
+    pub(crate) watchers: FastMap<ObjectId, Vec<TaskId>>,
+    /// Resolves the keys of `watchers`: added when an object gets its
+    /// first waiter, retired when it seals here. Its requests are
+    /// answered on the channel `run` holds the other end of.
+    pub(crate) resolver: Resolver,
     /// Dependencies pinned on behalf of a task from the moment they
     /// arrive until the task completes, so LRU eviction cannot drop a
     /// fetched/prefetched argument between arrival and execution.
-    task_pins: FastMap<TaskId, Vec<ObjectId>>,
+    pub(crate) task_pins: FastMap<TaskId, Vec<ObjectId>>,
     /// Ordered by task ID so iteration (e.g. collecting the tasks lost
     /// with a dead worker) is reproducible across runs — `HashMap`
     /// iteration order is seeded per process and would make failure
     /// handling order (and thus the event log) nondeterministic.
-    running: BTreeMap<TaskId, (WorkerId, Resources)>,
+    pub(crate) running: BTreeMap<TaskId, (WorkerId, Resources)>,
     /// Tasks whose grant has been released because they are blocked in
     /// `get`/`wait`.
-    released: FastSet<TaskId>,
+    pub(crate) released: FastSet<TaskId>,
     /// A worker-pool growth request is outstanding.
-    spawn_pending: bool,
-    load_dirty: bool,
-    last_load: Instant,
+    pub(crate) spawn_pending: bool,
+    pub(crate) load_dirty: bool,
+    pub(crate) last_load: Instant,
     /// The outstanding steal request, if any. One request in flight at
     /// a time; a grant from *that* victim (even empty) or the deadline
     /// re-arms the loop, so a dead victim can never wedge it — and a
     /// late grant from a previously timed-out victim cannot cancel a
     /// newer request's deadline.
-    steal_inflight: Option<StealInflight>,
+    pub(crate) steal_inflight: Option<StealInflight>,
     /// Correlation sequence for steal request→grant spans. Thief-local:
     /// with at most one request in flight, `(thief, seq)` identifies a
     /// round trip without widening the wire protocol.
-    steal_seq: u64,
-    last_steal: Instant,
+    pub(crate) steal_seq: u64,
+    pub(crate) last_steal: Instant,
     /// Consecutive fruitless steal attempts (timeouts and empty
     /// grants). Feeds [`StealConfig::retry`]'s backoff so an idle
     /// scheduler facing a partition probes gently instead of hammering
     /// the flat interval; any non-empty grant resets it.
-    steal_failures: u32,
+    pub(crate) steal_failures: u32,
     /// Cached residency hint (bounded sample of locally-resident
     /// objects) with its build time: enumerating the store is O(n), so
     /// the hint is refreshed on a TTL instead of per attempt — it is a
     /// hint, staleness only softens locality scoring.
-    steal_hint: Vec<ObjectId>,
-    steal_hint_at: Instant,
+    pub(crate) steal_hint: Vec<ObjectId>,
+    pub(crate) steal_hint_at: Instant,
     /// Deterministic sampling state for power-of-two victim selection.
-    steal_rng: PolicyState,
+    pub(crate) steal_rng: PolicyState,
     /// Stolen tasks not yet dispatched: grant-arrival instants for the
     /// steal-to-run latency histogram.
-    stolen_pending: FastMap<TaskId, Instant>,
+    pub(crate) stolen_pending: FastMap<TaskId, Instant>,
     /// Accepted-but-unindexed batches (pipelined ingest): each entry is
     /// `(seq, specs, via_global)`, flushed FIFO so indexing order
     /// equals arrival order. The seq correlates each batch's
     /// `BatchStaged`/`BatchIndexed` span events.
-    staging: VecDeque<(u64, Vec<TaskSpec>, bool)>,
+    pub(crate) staging: VecDeque<(u64, Vec<TaskSpec>, bool)>,
     /// Next staging-batch sequence number.
-    staging_seq: u64,
+    pub(crate) staging_seq: u64,
     /// Total tasks across `staging`, reported as `waiting` load so
     /// peers see accepted-but-unindexed backlog.
-    staged_tasks: usize,
-}
-
-/// The thief's outstanding steal request (see `Core::steal_inflight`).
-struct StealInflight {
-    victim: NodeId,
-    deadline: Instant,
-    /// When the request frame left, for the round-trip span.
-    sent_at: Instant,
-    seq: u64,
+    pub(crate) staged_tasks: usize,
 }
 
 impl Core {
@@ -434,41 +422,45 @@ impl Core {
         seal_rx: Receiver<ObjectId>,
         fetch_rx: Receiver<(ObjectId, FetchResult)>,
     ) {
+        let records = self.resolver.updates().clone();
         loop {
             // With staged batches pending, never sleep: take whatever
             // message is already here, else index one staged batch
-            // immediately. With none, the usual timed idle tick.
-            let (idle_for, idle) = match self.staging.is_empty() {
-                true => (self.config.load_interval, Incoming::Tick),
-                false => (Duration::ZERO, Incoming::Drain),
+            // immediately (the deferred half of pipelined ingest). With
+            // none, the usual timed idle tick.
+            let idle_for = match self.staging.is_empty() {
+                true => self.config.load_interval,
+                false => Duration::ZERO,
             };
-            let incoming = crossbeam::channel::select! {
-                recv(rx) -> m => m.map(Incoming::Local).unwrap_or(Incoming::Closed),
-                recv(endpoint.receiver()) -> d => d
-                    .map(|d| Incoming::Net(d.payload))
-                    .unwrap_or(Incoming::Closed),
-                recv(seal_rx) -> o => o.map(Incoming::Seal).unwrap_or(Incoming::Closed),
-                recv(fetch_rx) -> f => f
-                    .map(|(object, result)| Incoming::Fetched(object, result))
-                    .unwrap_or(Incoming::Closed),
-                default(idle_for) => idle,
-            };
-            match incoming {
-                Incoming::Local(LocalMsg::Shutdown) | Incoming::Closed => break,
-                Incoming::Local(msg) => self.on_local(msg),
-                Incoming::Net(payload) => self.on_net(payload),
-                Incoming::Seal(object) => self.on_sealed(object),
-                Incoming::Fetched(object, result) => {
-                    // Whatever else was answered meanwhile rides the same
-                    // group commit.
-                    let mut answers = vec![(object, result)];
+            crossbeam::channel::select! {
+                recv(rx) -> msg => match msg {
+                    Ok(LocalMsg::Shutdown) | Err(_) => break,
+                    Ok(msg) => self.on_local(msg),
+                },
+                recv(endpoint.receiver()) -> delivery => match delivery {
+                    Ok(delivery) => self.on_net(delivery.payload),
+                    Err(_) => break,
+                },
+                recv(seal_rx) -> sealed => match sealed {
+                    Ok(object) => self.on_sealed(object),
+                    // The store was cleared: the node is gone.
+                    Err(_) => break,
+                },
+                // Whatever else was answered or recorded meanwhile rides
+                // the same turn: one group commit, one round of requests.
+                recv(fetch_rx) -> answer => {
+                    let mut answers: Vec<_> = answer.into_iter().collect();
                     answers.extend(fetch_rx.try_iter());
                     self.on_fetched(answers);
                 }
-                Incoming::Tick => {}
-                Incoming::Drain => self.flush_one_staged(),
+                recv(records) -> record => {
+                    for record in record.into_iter().chain(records.try_iter()) {
+                        self.resolver.on_update(record);
+                    }
+                }
+                default(idle_for) => self.flush_one_staged(),
             }
-            self.expire_inbound();
+            self.resolve_dependencies();
             self.dispatch();
             self.maybe_steal();
             self.maybe_publish_load();
@@ -476,7 +468,9 @@ impl Core {
         // Staged submissions must not die with the loop: index them so
         // their specs' states (and any spill decisions) are durable
         // before the drain barrier below.
-        self.flush_staging();
+        while !self.staging.is_empty() {
+            self.flush_one_staged();
+        }
         // Drain: stop workers, deregister from the fabric.
         for (_, tx) in self.workers.drain() {
             let _ = tx.send(WorkerCommand::Stop);
@@ -512,9 +506,8 @@ impl Core {
 
     fn on_local(&mut self, msg: LocalMsg) {
         match msg {
-            LocalMsg::Submit { spec, via_global } => self.on_submit(spec, via_global),
+            LocalMsg::Submit { spec, via_global } => self.on_submit_batch(vec![spec], via_global),
             LocalMsg::SubmitBatch { specs, via_global } => self.on_submit_batch(specs, via_global),
-            LocalMsg::ObjectSealed(object) => self.on_sealed(object),
             LocalMsg::WorkerDone { worker, task } => self.on_worker_done(worker, task),
             LocalMsg::AddWorker(handle) => self.add_worker(handle),
             LocalMsg::RemoveWorker(worker) => self.remove_worker(worker),
@@ -526,12 +519,12 @@ impl Core {
 
     fn on_net(&mut self, payload: bytes::Bytes) {
         match decode_from_slice::<SchedWire>(&payload) {
-            Ok(SchedWire::Place { spec, hops: _ }) => self.on_submit(spec, true),
+            Ok(SchedWire::Place { spec, hops: _ }) => self.on_submit_batch(vec![spec], true),
             Ok(SchedWire::PlaceBatch { specs, hops: _ }) => self.on_submit_batch(specs, true),
             Ok(SchedWire::Spill(spec)) => {
                 // Misdirected spill (we are not a global scheduler);
                 // treat as a local submission rather than dropping work.
-                self.on_submit(spec, false)
+                self.on_submit_batch(vec![spec], false)
             }
             Ok(SchedWire::SpillBatch(specs)) => self.on_submit_batch(specs, false),
             Ok(SchedWire::StealRequest {
@@ -550,366 +543,6 @@ impl Core {
             Ok(SchedWire::StealGrant { victim, tasks }) => self.on_steal_grant(victim, tasks),
             Ok(_) | Err(_) => {}
         }
-    }
-
-    /// Thief side of the steal plane, run once per scheduler-loop turn:
-    /// when the ready queue has drained while workers sit idle, sample
-    /// a victim from the kv-published load reports and ask it for a
-    /// batch. At most one request is in flight; [`StealConfig::timeout`]
-    /// re-arms the loop when a victim dies mid-request.
-    fn maybe_steal(&mut self) {
-        let cfg = &self.config.stealing;
-        if !cfg.enabled || !self.ready.is_empty() || self.idle.is_empty() || self.workers.is_empty()
-        {
-            return;
-        }
-        // Accepted-but-unindexed local work exists: index it before
-        // pulling remote work.
-        if !self.staging.is_empty() {
-            return;
-        }
-        // Work is already here, short only of inputs that are on the
-        // wire: tasks waiting on a requested object will take the idle
-        // workers when it lands. Asking for more now would only move
-        // tasks (and a second copy of their inputs) to a node that
-        // cannot start them any sooner.
-        let about_to_run: usize = self
-            .inbound
-            .keys()
-            .filter_map(|object| self.watchers.get(object))
-            .map(Vec::len)
-            .sum();
-        if about_to_run >= self.idle.len() {
-            return;
-        }
-        if let Some(inflight) = &self.steal_inflight {
-            if Instant::now() < inflight.deadline {
-                return;
-            }
-            // Victim never answered (died, or the request was lost —
-            // a partition can swallow the request or the grant):
-            // declare the request dead and try someone else.
-            self.steal_inflight = None;
-            self.stats.steal.timeouts.inc();
-            self.steal_failures = self.steal_failures.saturating_add(1);
-        }
-        // Consecutive fruitless attempts back the re-arm pause off
-        // exponentially (seeded per node, so the schedule is
-        // reproducible); any non-empty grant snaps it back to the flat
-        // interval.
-        let pause = if self.steal_failures == 0 {
-            cfg.interval
-        } else {
-            let attempt = (self.steal_failures - 1).min(16);
-            cfg.interval
-                .max(cfg.retry.backoff(attempt, u64::from(self.config.node.0)))
-        };
-        if self.last_steal.elapsed() < pause {
-            return;
-        }
-        self.last_steal = Instant::now();
-        let me = self.config.node;
-        // The load reports every scheduler already mirrors into the kv
-        // store, read by key for the nodes the transfer directory lists
-        // (every live node has a transfer service): one batched point
-        // read, whose cost does not grow with what else the control
-        // plane holds.
-        // Reports older than a few heartbeat periods are ghosts: the
-        // publisher is dead, partitioned, or wedged, and a steal
-        // request at it would only burn a timeout. Live schedulers
-        // republish at least every `load_interval * 16` (the heartbeat
-        // branch of `maybe_publish_load`), so 64 intervals of silence
-        // is decisive, not jitter.
-        let stale_nanos = self
-            .config
-            .load_interval
-            .saturating_mul(64)
-            .max(Duration::from_millis(100))
-            .as_nanos() as u64;
-        let now_nanos = rtml_common::time::now_nanos();
-        let peers: Vec<bytes::Bytes> = self
-            .services
-            .directory
-            .nodes()
-            .into_iter()
-            .filter(|node| *node != me)
-            .map(load_key)
-            .collect();
-        if peers.is_empty() {
-            return;
-        }
-        let candidates: Vec<LoadReport> = self
-            .services
-            .kv
-            .get_many(&peers)
-            .into_iter()
-            .flatten()
-            .filter_map(|bytes| decode_from_slice::<LoadReport>(&bytes).ok())
-            .filter(|report| {
-                report.node != me
-                    && report.ready > cfg.min_backlog
-                    && now_nanos.saturating_sub(report.at_nanos) <= stale_nanos
-            })
-            .collect();
-        if candidates.is_empty() {
-            return;
-        }
-        // Residency hint: a bounded, deterministic sample of what is
-        // already local here, for the victim's locality scoring (and
-        // our own tiebreak below). Enumerating the store is O(n), so
-        // the hint is rebuilt on a TTL — several times the attempt
-        // interval — rather than per attempt, and partial selection
-        // keeps the rebuild at O(n + cap·log cap), not a full sort.
-        if self.steal_hint_at.elapsed() >= cfg.interval.saturating_mul(16) {
-            let mut hint = self.services.store.list();
-            let cap = cfg.hint_objects;
-            if hint.len() > cap && cap > 0 {
-                hint.select_nth_unstable(cap);
-            }
-            hint.truncate(cap);
-            hint.sort_unstable();
-            self.steal_hint = hint;
-            self.steal_hint_at = Instant::now();
-        }
-        let hint = self.steal_hint.clone();
-        let Some(victim) = choose_victim(
-            &candidates,
-            &hint,
-            &self.services.objects,
-            &mut self.steal_rng,
-        ) else {
-            return;
-        };
-        let request = SchedWire::StealRequest {
-            thief: me,
-            reply_address: self.address.as_u64(),
-            capacity: self.config.total_resources.saturating_sub(&self.in_use),
-            max_tasks: cfg.max_tasks as u32,
-            local_objects_hint: hint,
-        };
-        self.stats.steal.attempts.inc();
-        let sent = self.services.fabric.send(
-            self.address,
-            NetAddress::from_u64(victim.sched_address),
-            encode_to_bytes(&request),
-        );
-        if sent.is_ok() {
-            let seq = self.steal_seq;
-            self.steal_seq += 1;
-            self.steal_inflight = Some(StealInflight {
-                victim: victim.node,
-                deadline: Instant::now() + cfg.timeout,
-                sent_at: Instant::now(),
-                seq,
-            });
-            // Open the request→grant span (closed by StealRoundTrip
-            // when this victim's answer arrives).
-            self.services.events.append(
-                me,
-                Event::now(
-                    Component::LocalScheduler,
-                    EventKind::StealRequested {
-                        thief: me,
-                        victim: victim.node,
-                        seq,
-                    },
-                ),
-            );
-        }
-        // Send refused: the victim's endpoint is gone (stale report from
-        // a dead node). No request is in flight, so the next turn simply
-        // samples again.
-    }
-
-    /// Victim side: answer a steal request with one granted batch —
-    /// possibly empty, when the queue drained since the thief read our
-    /// load report (the stale-victim answer; the thief must never be
-    /// left waiting on silence while we are alive).
-    fn on_steal_request(
-        &mut self,
-        thief: NodeId,
-        reply_address: u64,
-        capacity: Resources,
-        max_tasks: usize,
-        hint: Vec<ObjectId>,
-    ) {
-        let me = self.config.node;
-        let granted: Vec<TaskSpec> = if !self.config.stealing.enabled || self.ready.is_empty() {
-            Vec::new()
-        } else {
-            // Score every ready candidate by the bytes of its
-            // dependencies already resident on the thief: one batched
-            // `get_many` sweep over the distinct dependencies (the same
-            // grouping discipline as dispatch-time prefetch), never a
-            // point probe per object.
-            let mut distinct: Vec<ObjectId> = Vec::new();
-            let mut seen: FastSet<ObjectId> = FastSet::default();
-            for spec in &self.ready {
-                for dep in spec.dependencies() {
-                    if seen.insert(dep) {
-                        distinct.push(dep);
-                    }
-                }
-            }
-            let hint: FastSet<ObjectId> = hint.into_iter().collect();
-            let mut thief_bytes: FastMap<ObjectId, u64> = FastMap::default();
-            if !distinct.is_empty() {
-                let infos = self.services.objects.get_many(&distinct);
-                for (dep, info) in distinct.into_iter().zip(infos) {
-                    let (size, located) = info
-                        .as_ref()
-                        .map(|i| (i.size.max(1), i.locations.contains(&thief)))
-                        .unwrap_or((1, false));
-                    if located || hint.contains(&dep) {
-                        thief_bytes.insert(dep, size);
-                    }
-                }
-            }
-            let candidates: Vec<(Resources, u64)> = self
-                .ready
-                .iter()
-                .map(|spec| {
-                    let local: u64 = spec
-                        .dependencies()
-                        .map(|dep| thief_bytes.get(&dep).copied().unwrap_or(0))
-                        .sum();
-                    (spec.resources.clone(), local)
-                })
-                .collect();
-            let picks = plan_steal_grant(&candidates, &capacity, max_tasks);
-            // Remove back-to-front so earlier indices stay valid, then
-            // restore the preference order for the grant itself.
-            let mut by_index: Vec<usize> = picks.clone();
-            by_index.sort_unstable_by(|a, b| b.cmp(a));
-            let mut extracted: FastMap<usize, TaskSpec> = fast_map_with_capacity(by_index.len());
-            for idx in by_index {
-                let spec = self.ready.remove(idx).expect("plan indices are in range");
-                extracted.insert(idx, spec);
-            }
-            picks
-                .into_iter()
-                .map(|idx| extracted.remove(&idx).expect("extracted above"))
-                .collect()
-        };
-        let granted_ids: Vec<TaskId> = granted.iter().map(|spec| spec.task_id).collect();
-        if !granted.is_empty() {
-            for spec in &granted {
-                // The task leaves this node: its dependency pins and any
-                // steal-latency bookkeeping go with it.
-                self.release_pins(spec.task_id);
-                self.stolen_pending.remove(&spec.task_id);
-            }
-            // Ownership transfer, crash-consistent: the specs and their
-            // `Queued(thief)` states are group-committed to the task
-            // table BEFORE the grant frame leaves, so a thief that dies
-            // with the batch is repaired like any other lost queue
-            // (states on the dead node become `Lost`, lineage replays).
-            self.services
-                .tasks
-                .record_many(&granted, &TaskState::Queued(thief));
-            self.load_dirty = true;
-        }
-        let grant = SchedWire::StealGrant {
-            victim: me,
-            tasks: granted,
-        };
-        let sent = self.services.fabric.send(
-            self.address,
-            NetAddress::from_u64(reply_address),
-            encode_to_bytes(&grant),
-        );
-        if sent.is_err() {
-            // The thief vanished before the grant left (its endpoint is
-            // gone) — but ownership is already committed as
-            // `Queued(thief)`, and a node killed *before* this commit
-            // landed has already run its one-shot task-table repair.
-            // Take the batch back: the same batched ingest re-records
-            // `Queued(me)` and re-gates dependencies, so the work is
-            // never stranded on a ghost. Nothing was logged or counted
-            // yet, so the event log never claims a transfer that was
-            // undone.
-            if let SchedWire::StealGrant { tasks, .. } = grant {
-                if !tasks.is_empty() {
-                    self.on_submit_batch(tasks, true);
-                }
-            }
-        } else if !granted_ids.is_empty() {
-            // Stats and the durable TaskStolen records reflect grants
-            // that actually left. (A send that succeeds but dies in
-            // flight is the thief-crash case the task-table repair and
-            // lineage replay already cover.)
-            let at_nanos = rtml_common::time::now_nanos();
-            self.services.events.append_many(
-                me,
-                granted_ids
-                    .iter()
-                    .map(|task| Event {
-                        at_nanos,
-                        component: Component::LocalScheduler,
-                        kind: EventKind::TaskStolen {
-                            task: *task,
-                            from: me,
-                            to: thief,
-                        },
-                    })
-                    .collect(),
-            );
-            self.stats.steal.tasks_granted.add(granted_ids.len() as u64);
-        }
-    }
-
-    /// Thief side: a grant arrived. Empty grants re-arm the steal loop
-    /// (stale victim); non-empty ones ingest exactly like a global
-    /// placement batch (one spill/dependency scan, no re-spill), with
-    /// per-task arrival stamps for the steal-to-run histogram.
-    fn on_steal_grant(&mut self, victim: NodeId, tasks: Vec<TaskSpec>) {
-        // Only the grant we are actually waiting on re-arms the loop: a
-        // late answer from a victim we already timed out must not
-        // cancel the deadline of the newer in-flight request.
-        if self
-            .steal_inflight
-            .as_ref()
-            .is_some_and(|inflight| inflight.victim == victim)
-        {
-            let inflight = self.steal_inflight.take().expect("checked above");
-            // Close the request→grant span. Empty grants close it too
-            // (tasks = 0): a wasted round trip is exactly what the
-            // trace should show.
-            self.services.events.append(
-                self.config.node,
-                Event::now(
-                    Component::LocalScheduler,
-                    EventKind::StealRoundTrip {
-                        thief: self.config.node,
-                        victim,
-                        seq: inflight.seq,
-                        tasks: tasks.len() as u32,
-                        micros: inflight.sent_at.elapsed().as_micros() as u64,
-                    },
-                ),
-            );
-        }
-        if tasks.is_empty() {
-            self.stats.steal.empty_grants.inc();
-            self.steal_failures = self.steal_failures.saturating_add(1);
-            return;
-        }
-        self.steal_failures = 0;
-        self.stats.steal.grants.inc();
-        self.stats.steal.tasks_stolen.add(tasks.len() as u64);
-        let now = Instant::now();
-        for spec in &tasks {
-            // Locality scoring working end to end: the stolen task's
-            // dependencies are already here.
-            if spec
-                .dependencies()
-                .any(|dep| self.services.store.contains(dep))
-            {
-                self.stats.steal.locality_hits.inc();
-            }
-            self.stolen_pending.insert(spec.task_id, now);
-        }
-        self.on_submit_batch(tasks, true);
     }
 
     fn add_worker(&mut self, handle: WorkerHandle) {
@@ -965,11 +598,6 @@ impl Core {
         self.load_dirty = true;
     }
 
-    /// Single-task ingest: a batch of one.
-    fn on_submit(&mut self, spec: TaskSpec, via_global: bool) {
-        self.on_submit_batch(vec![spec], via_global);
-    }
-
     /// Batch ingest: the same decisions as N sequential single
     /// submissions, but with one spill/dependency scan over the batch,
     /// one group-committed state write, one event-log append, and (when
@@ -980,17 +608,15 @@ impl Core {
     /// which must not spill again (except when the node genuinely can
     /// never satisfy the demand — stale capacity information).
     ///
-    /// With pipelined ingest on, this is only the cheap *accept* stage:
-    /// the batch lands on the staging ring and the expensive *index*
-    /// stage ([`Core::ingest_batch`]) runs on a later loop turn — while
-    /// the submitter is already marshalling its next batch. Batches
-    /// flush FIFO, so indexing order (and thus every spill decision and
-    /// state write) is identical to the serialized path.
-    fn on_submit_batch(&mut self, specs: Vec<TaskSpec>, via_global: bool) {
-        if !self.config.pipelined_ingest {
-            self.ingest_batch(specs, via_global);
-            return;
-        }
+    /// This is only the cheap *accept* stage: the batch lands on the
+    /// staging ring and the expensive *index* stage
+    /// ([`Core::ingest_batch`]) runs on a later loop turn — while the
+    /// submitter is already marshalling its next batch — or, once more
+    /// than [`LocalSchedulerConfig::staging_depth`] batches are staged
+    /// (always, at depth 0), in this one. Batches flush FIFO, so
+    /// indexing order (and thus every spill decision and state write)
+    /// is the same at any depth.
+    pub(crate) fn on_submit_batch(&mut self, specs: Vec<TaskSpec>, via_global: bool) {
         let seq = self.staging_seq;
         self.staging_seq += 1;
         self.staged_tasks += specs.len();
@@ -1011,7 +637,7 @@ impl Core {
         );
         self.staging.push_back((seq, specs, via_global));
         self.load_dirty = true;
-        if self.staging.len() > self.config.staging_depth.max(1) {
+        if self.staging.len() > self.config.staging_depth {
             self.flush_one_staged();
         }
     }
@@ -1040,14 +666,6 @@ impl Core {
         }
     }
 
-    /// Indexes every staged batch, FIFO — the drain barrier used before
-    /// shutdown.
-    fn flush_staging(&mut self) {
-        while !self.staging.is_empty() {
-            self.flush_one_staged();
-        }
-    }
-
     /// The index stage of batch ingest: spill decisions, dependency
     /// gating, group-committed state writes, event appends, and missing
     /// dependency resolution for one batch.
@@ -1063,8 +681,8 @@ impl Core {
         // object store's lock, and batches overwhelmingly share
         // dependencies (fan-out from one input), so one lookup per
         // *distinct* object replaces one lock round trip per task. An
-        // object sealing mid-batch is caught downstream (the watcher
-        // path re-checks presence before resolving).
+        // object sealing mid-batch is caught downstream: its seal is
+        // already queued for this loop.
         let mut present_cache: FastMap<ObjectId, bool> = FastMap::default();
         for spec in specs {
             let must_spill = if via_global {
@@ -1119,338 +737,32 @@ impl Core {
                     })
                     .collect(),
             );
-            // Gate each task on its dependencies, collecting the batch's
-            // distinct unresolved objects so the whole set resolves as
-            // one prefetch pass (one FetchMany per holder) instead of
-            // one reactive watcher per object.
+            // Gate each task on its dependencies, collecting the
+            // objects nobody here waited for yet, in submission order,
+            // so the resolver takes the batch's whole set at once (one
+            // table registration; one request per holder when this
+            // turn's pump runs).
             let mut unresolved: Vec<ObjectId> = Vec::new();
-            let mut unresolved_seen: FastSet<ObjectId> = FastSet::default();
             for (spec, missing) in accepted {
                 if missing.is_empty() {
                     self.ready.push_back(spec);
                 } else {
                     let count = missing.len();
                     for object in missing {
-                        self.watchers.entry(object).or_default().push(spec.task_id);
-                        // Dedup before the presence re-check so each
-                        // distinct object pays at most one store lock
-                        // round trip per batch (the re-check catches
-                        // objects sealed since the gating scan above).
-                        if !self.resolving.contains(&object)
-                            && unresolved_seen.insert(object)
-                            && !self.services.store.contains(object)
-                        {
+                        let waiters = self.watchers.entry(object).or_default();
+                        if waiters.is_empty() {
                             unresolved.push(object);
                         }
+                        waiters.push(spec.task_id);
                     }
                     self.waiting.insert(spec.task_id, (spec, count));
                 }
             }
-            if !unresolved.is_empty() {
-                self.resolve_missing(unresolved);
-            }
+            self.resolver.add(&unresolved);
             self.load_dirty = true;
         }
         if !spilled.is_empty() {
             self.spill_batch(spilled);
-        }
-    }
-
-    /// Starts resolution for a batch's distinct missing dependencies.
-    ///
-    /// With prefetch on, objects the table already locates are grouped
-    /// by holder (rendezvous-ranked, so different objects of a
-    /// replicated set pull from different holders) and requested
-    /// **now**, in this loop turn, while their tasks are still queued —
-    /// one non-blocking [`FetchAgent::request_many`] per holder,
-    /// transfer overlapped with queueing, dispatch still gated on
-    /// arrival; the answers come back to [`Core::on_fetched`].
-    /// Admission is budgeted **and prioritized**: the batch is scanned
-    /// in submission order, so dependencies of tasks nearest the head of
-    /// the ready queue claim the unpinned-capacity budget first. An
-    /// object larger than the whole headroom is skipped outright
-    /// (counted in [`LocalSchedulerStats::prefetch_skipped_capacity`]);
-    /// one that fits alone but lost the budget to higher-priority
-    /// dependencies is deferred (counted in
-    /// [`LocalSchedulerStats::prefetch_deferred_priority`]). Both
-    /// resolve reactively. Objects with no live copy (producer still
-    /// running, or lost) get the patient per-object watcher, which also
-    /// triggers lineage reconstruction. With prefetch off, everything
-    /// takes the watcher path — the reactive, per-object baseline.
-    fn resolve_missing(&mut self, objects: Vec<ObjectId>) {
-        for object in &objects {
-            self.resolving.insert(*object);
-        }
-        if !self.config.prefetch {
-            for object in objects {
-                self.spawn_watcher(object);
-            }
-            return;
-        }
-        let me = self.config.node;
-        let infos = self.services.objects.get_many(&objects);
-        // Prefetch admission budget: what could become resident by
-        // evicting everything evictable. Pinned bytes are running
-        // tasks' arguments — prefetch must not thrash against them.
-        let budget = self
-            .services
-            .store
-            .capacity_bytes()
-            .saturating_sub(self.services.store.pinned_bytes());
-        let mut admitted_bytes = 0u64;
-        let mut groups: BTreeMap<NodeId, Vec<ObjectId>> = BTreeMap::new();
-        let mut hints: BTreeMap<NodeId, Vec<(ObjectId, u64)>> = BTreeMap::new();
-        let mut unlocated: Vec<ObjectId> = Vec::new();
-        for (object, info) in objects.into_iter().zip(infos) {
-            let located = info
-                .as_ref()
-                .and_then(|i| i.fetch_holder(object, me).map(|h| (h, i.size)));
-            let Some((holder, size)) = located else {
-                unlocated.push(object);
-                continue;
-            };
-            // Demand travels whether or not we prefetch: the fan-in
-            // beyond the single coalesced request frame (`waiters - 1`)
-            // is what the holder's counters cannot see from the wire.
-            let fan_in = self.watchers.get(&object).map_or(0, |w| w.len() as u64);
-            if fan_in > 1 {
-                hints.entry(holder).or_default().push((object, fan_in - 1));
-            }
-            if size > budget {
-                // Could not become resident even with everything
-                // evictable gone: prefetching would move bytes only to
-                // fail the put.
-                self.stats.prefetch_skipped_capacity.inc();
-                unlocated.push(object);
-            } else if admitted_bytes + size > budget {
-                // Fits on its own, but dependencies of tasks nearer the
-                // head of the ready queue (the batch is scanned in
-                // submission order) consumed the budget first —
-                // prioritization under a tight budget, not a capacity
-                // verdict. Resolves reactively.
-                self.stats.prefetch_deferred_priority.inc();
-                unlocated.push(object);
-            } else {
-                admitted_bytes += size;
-                groups.entry(holder).or_default().push(object);
-            }
-        }
-        for (holder, entries) in &hints {
-            (self.services.replicate_hint)(*holder, entries);
-        }
-        let sent_at_nanos = rtml_common::time::now_nanos();
-        for (holder, group) in &groups {
-            self.services.agent.request_many(
-                group,
-                *holder,
-                self.config.fetch_timeout,
-                &self.fetch_tx,
-            );
-            for object in group {
-                self.inbound.insert(*object, sent_at_nanos);
-            }
-        }
-        if !groups.is_empty() {
-            self.services.events.append_many(
-                me,
-                groups
-                    .values()
-                    .flatten()
-                    .map(|object| Event {
-                        at_nanos: sent_at_nanos,
-                        component: Component::LocalScheduler,
-                        kind: EventKind::PrefetchIssued {
-                            object: *object,
-                            node: me,
-                        },
-                    })
-                    .collect(),
-            );
-        }
-        for object in unlocated {
-            self.spawn_watcher(object);
-        }
-    }
-
-    /// Answers to this scheduler's dependency requests, and whatever
-    /// the node's fetch agent sealed with nobody waiting for it: the
-    /// new locations (and any eviction fallout) go to the object table
-    /// as one group commit, each transfer that sealed new bytes is
-    /// logged from the moment its request left — a result pushed by its
-    /// producer from the moment its frame did — and an object the
-    /// holder could not deliver (died, evicted it) falls back to the
-    /// patient per-object watcher so retry and lineage reconstruction
-    /// still happen. The tasks themselves were already woken by the
-    /// seal.
-    fn on_fetched(&mut self, answers: Vec<(ObjectId, FetchResult)>) {
-        let me = self.config.node;
-        let at_nanos = rtml_common::time::now_nanos();
-        commit_fetched(&self.services.objects, me, &answers);
-        let mut events = Vec::new();
-        for (object, result) in answers {
-            let pushed_at_nanos = result
-                .as_ref()
-                .ok()
-                .and_then(|(_, fetched)| fetched.pushed_at_nanos);
-            let Some(sent_at_nanos) = self.inbound.remove(&object).or(pushed_at_nanos) else {
-                // Given up on already; its watcher has it.
-                continue;
-            };
-            match result {
-                // Only fetches that actually sealed new bytes here are
-                // transfers; local hits moved nothing over the wire.
-                Ok((_, fetched)) if fetched.inserted => {
-                    events.extend(transfer_events(
-                        object,
-                        fetched.from,
-                        me,
-                        sent_at_nanos,
-                        at_nanos,
-                    ));
-                }
-                Ok(_) => {}
-                Err(_) => self.spawn_watcher(object),
-            }
-        }
-        if !events.is_empty() {
-            self.services.events.append_many(me, events);
-        }
-    }
-
-    /// Gives up on requests nothing has answered within the fetch
-    /// timeout (lost on the wire: a partition, a dead holder or relay)
-    /// and hands their objects to the per-object watcher.
-    fn expire_inbound(&mut self) {
-        if self.inbound.is_empty() {
-            return;
-        }
-        let overdue = rtml_common::time::now_nanos()
-            .saturating_sub(self.config.fetch_timeout.as_nanos() as u64);
-        let expired: Vec<ObjectId> = self
-            .inbound
-            .iter()
-            .filter(|(_, sent_at_nanos)| **sent_at_nanos <= overdue)
-            .map(|(object, _)| *object)
-            .collect();
-        for object in expired {
-            self.inbound.remove(&object);
-            self.spawn_watcher(object);
-        }
-    }
-
-    /// Spawns the per-object watcher thread. The caller is responsible
-    /// for the `resolving` bookkeeping.
-    fn spawn_watcher(&self, object: ObjectId) {
-        let services = self.services.clone();
-        let node = self.config.node;
-        let fetch_timeout = self.config.fetch_timeout;
-        std::thread::Builder::new()
-            .name(format!("rtml-resolver-{node}"))
-            .spawn(move || resolve_object(services, object, node, fetch_timeout))
-            .expect("spawn resolver");
-    }
-
-    /// Forwards a whole batch of spilling tasks to the global scheduler
-    /// as one frame (`Spill` for a single task, `SpillBatch` otherwise):
-    /// one state group commit, one event append, one fabric hop.
-    fn spill_batch(&mut self, specs: Vec<TaskSpec>) {
-        let node = self.config.node;
-        let ids: Vec<TaskId> = specs.iter().map(|s| s.task_id).collect();
-        self.services
-            .tasks
-            .set_states_many(&ids, &TaskState::Spilled);
-        let at_nanos = rtml_common::time::now_nanos();
-        self.services.events.append_many(
-            node,
-            specs
-                .iter()
-                .map(|s| Event {
-                    at_nanos,
-                    component: Component::LocalScheduler,
-                    kind: EventKind::TaskSpilled {
-                        task: s.task_id,
-                        from: node,
-                    },
-                })
-                .collect(),
-        );
-        // Partition the batch by owning global shard (the FNV-64 task
-        // keyspace split) and send one coalesced frame per shard. With
-        // one shard this degenerates to the old single-frame path.
-        let routes = self.services.global.clone();
-        let num_shards = routes.num_shards();
-        let mut groups: Vec<Vec<TaskSpec>> = vec![Vec::new(); num_shards];
-        for spec in specs {
-            groups[routes.shard_of(spec.task_id)].push(spec);
-        }
-        for (shard, group) in groups.into_iter().enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            let msg = if group.len() == 1 {
-                SchedWire::Spill(group[0].clone())
-            } else {
-                SchedWire::SpillBatch(group.clone())
-            };
-            // Pre-size the frame: ~96 bytes per spec avoids the doubling
-            // series on large spilled bursts.
-            let mut w = rtml_common::codec::Writer::with_capacity(32 + 96 * group.len());
-            msg.encode(&mut w);
-            if self
-                .services
-                .fabric
-                .send(self.address, routes.address_of(shard), w.into_bytes())
-                .is_err()
-            {
-                // No global scheduler (shutdown race). Keep whatever work
-                // this node can possibly run rather than losing it.
-                for spec in group {
-                    if self.config.total_resources.fits(&spec.resources) {
-                        self.services
-                            .tasks
-                            .set_state(spec.task_id, &TaskState::Queued(node));
-                        self.ready.push_back(spec);
-                    } else {
-                        self.services
-                            .tasks
-                            .set_state(spec.task_id, &TaskState::Lost);
-                    }
-                }
-            }
-        }
-        self.load_dirty = true;
-    }
-
-    fn on_sealed(&mut self, object: ObjectId) {
-        self.resolving.remove(&object);
-        let Some(tasks) = self.watchers.remove(&object) else {
-            return;
-        };
-        for task in tasks {
-            if let Some((_, missing)) = self.waiting.get_mut(&task) {
-                // Pin the arrived dependency on this task's behalf: LRU
-                // eviction must not drop a fetched/prefetched argument
-                // between arrival and execution. Released at
-                // completion ([`Core::release_pins`]).
-                if self.services.store.pin(object) {
-                    self.task_pins.entry(task).or_default().push(object);
-                }
-                *missing -= 1;
-                if *missing == 0 {
-                    let (spec, _) = self.waiting.remove(&task).expect("present");
-                    self.ready.push_back(spec);
-                }
-            }
-        }
-        self.load_dirty = true;
-    }
-
-    /// Releases every dependency pin held on `task`'s behalf.
-    fn release_pins(&mut self, task: TaskId) {
-        if let Some(objects) = self.task_pins.remove(&task) {
-            for object in objects {
-                self.services.store.unpin(object);
-            }
         }
     }
 
@@ -1565,186 +877,6 @@ impl Core {
         self.last_load = Instant::now();
     }
 }
-
-/// The event pair of one completed transfer onto `to`: started when the
-/// request left, fed by `from` — the holder asked, or the relay it
-/// handed the request to.
-fn transfer_events(
-    object: ObjectId,
-    from: NodeId,
-    to: NodeId,
-    sent_at_nanos: u64,
-    at_nanos: u64,
-) -> [Event; 2] {
-    [
-        Event {
-            at_nanos: sent_at_nanos,
-            component: Component::FetchAgent,
-            kind: EventKind::TransferStarted { object, from, to },
-        },
-        Event {
-            at_nanos,
-            component: Component::FetchAgent,
-            kind: EventKind::TransferFinished {
-                object,
-                to,
-                micros: at_nanos.saturating_sub(sent_at_nanos) / 1_000,
-            },
-        },
-    ]
-}
-
-/// Fetches one holder's group of objects through `agent` and commits
-/// the outcome to the object table ([`commit_fetched`]). Returns the
-/// per-object results in group order. The blocking fetch-and-commit
-/// shared by the scheduler's per-object resolver and replication pulls;
-/// the scheduler's dispatch-time requests and the runtime's `get` engine
-/// issue [`FetchAgent::request_many`] themselves and commit with the
-/// same function.
-pub fn fetch_group_commit(
-    objects: &ObjectTable,
-    agent: &FetchAgent,
-    group: &[ObjectId],
-    holder: NodeId,
-    me: NodeId,
-    timeout: Duration,
-) -> Vec<(ObjectId, FetchResult)> {
-    let results: Vec<(ObjectId, FetchResult)> = group
-        .iter()
-        .copied()
-        .zip(agent.fetch_many(group, holder, timeout))
-        .collect();
-    commit_fetched(objects, me, &results);
-    results
-}
-
-/// Commits a set of fetch outcomes on node `me` to the object table as
-/// group commits: one `add_location_many` for everything now local,
-/// one deduplicated `remove_location_many` for the eviction fallout.
-pub fn commit_fetched(objects: &ObjectTable, me: NodeId, results: &[(ObjectId, FetchResult)]) {
-    let mut located: Vec<(ObjectId, u64)> = Vec::new();
-    let mut evicted_all: Vec<ObjectId> = Vec::new();
-    for (object, result) in results {
-        if let Ok((data, outcome)) = result {
-            located.push((*object, data.len() as u64));
-            evicted_all.extend(outcome.evicted.iter().copied());
-        }
-    }
-    if !located.is_empty() {
-        objects.add_location_many(&located, me);
-    }
-    if !evicted_all.is_empty() {
-        evicted_all.sort();
-        evicted_all.dedup();
-        objects.remove_location_many(&evicted_all, me);
-    }
-}
-
-/// Watches one missing object until it is sealed into the local store.
-///
-/// Runs on its own short-lived thread. Terminates when the object becomes
-/// local (the store's seal listener wakes the scheduler) or when the
-/// control plane shuts down.
-fn resolve_object(services: SchedServices, object: ObjectId, me: NodeId, fetch_timeout: Duration) {
-    // The store holds the only sender, so a cleared store (node crash)
-    // disconnects the channel and ends this thread.
-    let (local_tx, local_rx) = crossbeam::channel::unbounded();
-    let _local = services.store.subscribe_local_many(&[object], &local_tx);
-    drop(local_tx);
-    let (mut pending_info, stream) = services.objects.subscribe(object);
-    loop {
-        if services.store.contains(object) {
-            return;
-        }
-        let info = pending_info.take().or_else(|| services.objects.get(object));
-        if let Some(info) = info {
-            // Same capacity headroom check as the prefetch admission
-            // guard: while the object provably cannot become resident
-            // (store capacity minus pinned bytes), fetching it would
-            // move the full payload over the fabric only to fail the
-            // put and retry — wait for the headroom instead of
-            // hammering the holder's egress link every poll slice.
-            let fits = info.size
-                <= services
-                    .store
-                    .capacity_bytes()
-                    .saturating_sub(services.store.pinned_bytes());
-            if info.is_available() && !fits {
-                // Copies exist; only residency is blocked. Fall through
-                // to the timed wait below — never to reconstruction.
-            } else if info.is_available() {
-                if let Some(holder) = info.fetch_holder(object, me) {
-                    let sent_at_nanos = rtml_common::time::now_nanos();
-                    let (_, result) = fetch_group_commit(
-                        &services.objects,
-                        &services.agent,
-                        &[object],
-                        holder,
-                        me,
-                        fetch_timeout,
-                    )
-                    .pop()
-                    .expect("one object in, one result out");
-                    match result {
-                        Ok((_, fetched)) => {
-                            // Log the transfer only if this fetch sealed
-                            // new bytes (not a local hit or a join of an
-                            // in-flight transfer logged elsewhere).
-                            if fetched.inserted {
-                                let events = transfer_events(
-                                    object,
-                                    fetched.from,
-                                    me,
-                                    sent_at_nanos,
-                                    rtml_common::time::now_nanos(),
-                                );
-                                services.events.append_many(me, events.to_vec());
-                            }
-                            return;
-                        }
-                        Err(_) => {
-                            // Holder unreachable or object gone; fall
-                            // through and wait for table changes.
-                        }
-                    }
-                }
-            } else if object.producer_task().is_some() || info.producer.is_some() {
-                // No live copy but we know the producer (embedded in the
-                // ID, or recorded in the table): ask the runtime to
-                // replay lineage (idempotent; the hook deduplicates).
-                (services.reconstruct)(object);
-            }
-        } else if object.producer_task().is_some() {
-            // No record at all. Submission writes no object records, so
-            // this is the ordinary in-flight look — and also what a
-            // producer that died before sealing looks like. The replay
-            // hook derives the producer from the ID and no-ops while
-            // the task is in flight.
-            (services.reconstruct)(object);
-        }
-        // Block until the table changes, the object seals locally, or a
-        // poll interval passes (covers lost notifications and retries).
-        crossbeam::channel::select! {
-            recv(local_rx) -> msg => {
-                if msg.is_ok() {
-                    return;
-                }
-                // Store dropped: node is gone, give up.
-                return;
-            }
-            recv(stream.receiver()) -> msg => {
-                match msg {
-                    Ok(bytes) => {
-                        pending_info = decode_from_slice(&bytes).ok();
-                    }
-                    Err(_) => return, // control plane gone
-                }
-            }
-            default(Duration::from_millis(20)) => {}
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1793,7 +925,8 @@ mod tests {
             store,
             agent,
             global: crate::global::GlobalRoutes::single(global_endpoint.address()),
-            reconstruct: Arc::new(|_| {}),
+            health: HealthTracker::new(kv.clone(), Duration::from_millis(100)),
+            reconstruct: Arc::new(|_, _| {}),
             request_worker: Arc::new(|| {}),
             replicate_hint: Arc::new(|_, _| {}),
         };
@@ -2205,7 +1338,8 @@ mod tests {
             store: store0.clone(),
             agent,
             global: crate::global::GlobalRoutes::single(global.address()),
-            reconstruct: Arc::new(|_| {}),
+            health: HealthTracker::new(kv.clone(), Duration::from_millis(100)),
+            reconstruct: Arc::new(|_, _| {}),
             request_worker: Arc::new(|| {}),
             replicate_hint: Arc::new(|_, _| {}),
         };
@@ -2254,13 +1388,9 @@ mod tests {
     }
 
     /// A node-0 scheduler plus a remote node-7 store holding
-    /// dependencies, with configurable prefetch and local capacity.
-    fn remote_dep_rig(prefetch: bool, local_capacity: u64) -> RemoteDepRig {
-        let config = LocalSchedulerConfig {
-            prefetch,
-            ..LocalSchedulerConfig::default()
-        };
-        remote_dep_rig_with(config, local_capacity)
+    /// dependencies, with configurable local capacity.
+    fn remote_dep_rig(local_capacity: u64) -> RemoteDepRig {
+        remote_dep_rig_with(LocalSchedulerConfig::default(), local_capacity)
     }
 
     fn remote_dep_rig_with(config: LocalSchedulerConfig, local_capacity: u64) -> RemoteDepRig {
@@ -2304,7 +1434,8 @@ mod tests {
             store: store_local.clone(),
             agent,
             global: crate::global::GlobalRoutes::single(global.address()),
-            reconstruct: Arc::new(|_| {}),
+            health: HealthTracker::new(kv.clone(), Duration::from_millis(100)),
+            reconstruct: Arc::new(|_, _| {}),
             request_worker: Arc::new(|| {}),
             replicate_hint: Arc::new(|_, _| {}),
         };
@@ -2333,7 +1464,7 @@ mod tests {
 
     #[test]
     fn prefetch_coalesces_batch_dependencies_into_one_request() {
-        let mut r = remote_dep_rig(true, 1 << 20);
+        let mut r = remote_dep_rig(1 << 20);
         let deps: Vec<ObjectId> = (0..8)
             .map(|i| {
                 TaskId::driver_root(DriverId::from_index(0))
@@ -2392,11 +1523,13 @@ mod tests {
     }
 
     #[test]
-    fn a_request_lost_on_the_wire_falls_back_to_the_watcher() {
+    fn a_request_lost_on_the_wire_is_given_up_on_and_a_later_sweep_fetches() {
         // The request leaves in the loop turn that queues the task and
         // vanishes in a partition. Nothing ever answers it: after the
-        // fetch timeout the scheduler hands the object to the patient
-        // watcher, which fetches it once the link is back.
+        // fetch timeout the resolver gives up on it, finds the sweep of
+        // the one holder exhausted, asks for the producer's replay and
+        // starts a new sweep on the next tick — so the object is fetched
+        // once the link is back. Only the first request is announced.
         let mut r = remote_dep_rig_with(
             LocalSchedulerConfig {
                 fetch_timeout: Duration::from_millis(30),
@@ -2512,37 +1645,14 @@ mod tests {
     }
 
     #[test]
-    fn prefetch_off_falls_back_to_per_object_watchers() {
-        let mut r = remote_dep_rig(false, 1 << 20);
-        let deps: Vec<ObjectId> = (0..4)
-            .map(|i| {
-                TaskId::driver_root(DriverId::from_index(0))
-                    .child(200 + i)
-                    .return_object(0)
-            })
-            .collect();
-        for &dep in &deps {
-            r.store_remote.put(dep, Bytes::from(vec![1u8; 16])).unwrap();
-            r.services.objects.add_location(dep, NodeId(7), 16);
-        }
-        let args: Vec<ArgSpec> = deps.iter().map(|d| ArgSpec::ObjectRef(*d)).collect();
-        let spec = spec_with(args, 0);
-        r.handle.submit(spec.clone());
-        let got = recv_run(&r.worker_rx);
-        assert_eq!(got.task_id, spec.task_id);
-        // The reactive baseline pays one request frame per object.
-        assert_eq!(r.remote_service.stats().requests.get(), 4);
-        r.handle.shutdown();
-    }
-
-    #[test]
     fn prefetch_admission_guard_skips_objects_beyond_unpinned_capacity() {
         // Store: 256 bytes, 200 of them pinned (a running task's
         // argument). A 64-byte remote dependency does not fit in the
-        // 56-byte unpinned headroom: prefetch must skip it (counted),
-        // and the reactive watcher must still deliver the task once the
-        // pin releases — the guard defers bytes, never work.
-        let mut r = remote_dep_rig(true, 256);
+        // 56-byte unpinned headroom: it must not be requested (counted
+        // once, however many ticks offer it again), and the task must
+        // still run once the pin releases — the guard defers bytes,
+        // never work.
+        let mut r = remote_dep_rig(256);
         let resident = TaskId::driver_root(DriverId::from_index(0))
             .child(400)
             .return_object(0);
@@ -2573,11 +1683,14 @@ mod tests {
             .filter(|e| matches!(e.kind, EventKind::PrefetchIssued { .. }))
             .count();
         assert_eq!(issued, 0);
-        // While the headroom is missing, no bytes move at all: the
-        // watcher waits instead of fetch-and-fail-the-put hammering.
+        // While the headroom is missing, no bytes move at all — the
+        // object waits instead of fetch-and-fail-the-put hammering —
+        // and a copy exists, so nobody is asked to reconstruct it.
         std::thread::sleep(Duration::from_millis(80));
         assert_eq!(r.remote_service.stats().requests.get(), 0);
-        // Free the headroom: the watcher path resolves and the task runs.
+        assert_eq!(r.handle.stats().prefetch_skipped_capacity.get(), 1);
+        // Free the headroom: the next tick's offer is admitted and the
+        // task runs.
         r.store_local.unpin(resident);
         let got = recv_run(&r.worker_rx);
         assert_eq!(got.task_id, spec.task_id);
@@ -2592,7 +1705,7 @@ mod tests {
         // Local store fits ~4 x 64B. The fetched dependency must survive
         // eviction pressure while its task is queued/running, and become
         // evictable once the task completes.
-        let mut r = remote_dep_rig(true, 256);
+        let mut r = remote_dep_rig(256);
         let dep = TaskId::driver_root(DriverId::from_index(0))
             .child(300)
             .return_object(0);
@@ -2734,7 +1847,7 @@ mod tests {
         // One worker, idle. Its one task waits on an object that was
         // requested from node 7 the moment the task was queued — and
         // cannot arrive: the request vanished in a partition.
-        let mut r = remote_dep_rig(true, 1 << 20);
+        let mut r = remote_dep_rig(1 << 20);
         let dep = TaskId::driver_root(DriverId::from_index(0))
             .child(600)
             .return_object(0);
@@ -3068,9 +2181,9 @@ mod tests {
     fn prefetch_prioritizes_head_of_queue_under_tight_budget() {
         // 256-byte store, two 150-byte remote dependencies: the batch
         // head's dependency claims the prefetch budget; the second fits
-        // alone but is deferred (prioritization, not capacity) and
-        // resolves reactively once the head task completes.
-        let mut r = remote_dep_rig(true, 256);
+        // alone but is deferred (prioritization, not capacity) and is
+        // requested once the head task has completed.
+        let mut r = remote_dep_rig(256);
         let dep = |i: u64| {
             TaskId::driver_root(DriverId::from_index(0))
                 .child(500 + i)
@@ -3111,6 +2224,96 @@ mod tests {
         r.handle.shutdown();
     }
 
+    /// A quiet scheduler (no ticks, no heartbeats in the test's window)
+    /// given one batch of `n` tasks, each gated on its own object that
+    /// no one has produced yet. Returns once every object is registered
+    /// with the resolver.
+    fn gated_batch(n: u64) -> (Rig, Vec<ObjectId>, usize, u64) {
+        let r = rig(LocalSchedulerConfig {
+            load_interval: Duration::from_secs(3600),
+            spill: SpillMode::NeverSpill,
+            ..LocalSchedulerConfig::default()
+        });
+        // Let the scheduler announce itself before counting.
+        while r.services.kv.get(&load_key(NodeId(0))).is_none() {
+            std::thread::yield_now();
+        }
+        let subscribers = r.services.kv.subscriber_count();
+        let locks = r.services.kv.stats().total_locks();
+        let deps: Vec<ObjectId> = (0..n)
+            .map(|i| {
+                TaskId::driver_root(DriverId::from_index(0))
+                    .child(7000 + i)
+                    .return_object(0)
+            })
+            .collect();
+        let specs = deps.iter().enumerate();
+        r.handle.submit_batch(
+            specs
+                .map(|(i, dep)| spec_with(vec![ArgSpec::ObjectRef(*dep)], i as u64))
+                .collect(),
+        );
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while r.services.kv.subscriber_count() < subscribers + n as usize {
+            assert!(Instant::now() < deadline, "dependencies never registered");
+            std::thread::yield_now();
+        }
+        (r, deps, subscribers, locks)
+    }
+
+    #[test]
+    fn a_batch_of_unmet_dependencies_registers_once_per_kv_shard_and_starts_no_thread() {
+        let (mut r, _, _, locks_before) = gated_batch(64);
+        // What ingesting the batch took from the control plane: the
+        // tasks' state commit and the 64 registrations, each at most one
+        // lock per kv shard, plus three event appends (batch staged,
+        // tasks queued, batch indexed) — not one lock, let alone four,
+        // per object.
+        let shards = r.services.kv.stats().locks_per_shard.len() as u64;
+        let locks = r.services.kv.stats().total_locks() - locks_before;
+        assert!(locks <= 2 * shards + 3, "{locks} kv locks for one batch");
+        // And nobody was hired to watch them. (The name such threads
+        // had, in two halves: a search for it should only ever find code
+        // that starts one.)
+        let watcher = concat!("rtml-", "resolver");
+        if let Ok(threads) = std::fs::read_dir("/proc/self/task") {
+            let names =
+                threads.filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok());
+            let watchers: Vec<String> = names.filter(|n| n.starts_with(watcher)).collect();
+            assert!(watchers.is_empty(), "watcher threads: {watchers:?}");
+        }
+        r.handle.shutdown();
+    }
+
+    #[test]
+    fn sealed_dependencies_leave_no_registration_behind() {
+        let (r, deps, subscribers_before, _) = gated_batch(64);
+        // The scheduler hears of local seals through its one listener:
+        // nothing is registered with the store per object.
+        assert_eq!(r.services.store.local_waiter_count(), 0);
+        for dep in &deps {
+            r.services
+                .store
+                .put(*dep, Bytes::from_static(b"v"))
+                .unwrap();
+        }
+        let _first = recv_run(&r.worker_rx);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while r.services.kv.subscriber_count() != subscribers_before {
+            assert!(
+                Instant::now() < deadline,
+                "registrations outlived the seals"
+            );
+            std::thread::yield_now();
+        }
+        assert_eq!(r.services.store.local_waiter_count(), 0);
+        // A scheduler that dies with dependencies pending takes its
+        // registrations with it.
+        let (mut r, _, subscribers_before, _) = gated_batch(8);
+        r.handle.shutdown();
+        assert_eq!(r.services.kv.subscriber_count(), subscribers_before);
+    }
+
     #[test]
     fn resolver_triggers_reconstruction_for_lost_object() {
         let kv = KvStore::new(2);
@@ -3140,7 +2343,8 @@ mod tests {
             store,
             agent,
             global: crate::global::GlobalRoutes::single(global.address()),
-            reconstruct: Arc::new(move |obj| {
+            health: HealthTracker::new(kv.clone(), Duration::from_millis(100)),
+            reconstruct: Arc::new(move |obj, _| {
                 let _ = hook_tx.send(obj);
             }),
             request_worker: Arc::new(|| {}),

@@ -4,7 +4,7 @@ use crossbeam::channel::Sender;
 
 use rtml_common::codec::{Codec, Reader, Writer};
 use rtml_common::error::Result;
-use rtml_common::ids::{NodeId, ObjectId, TaskId, WorkerId};
+use rtml_common::ids::{NodeId, TaskId, WorkerId};
 use rtml_common::resources::Resources;
 use rtml_common::task::TaskSpec;
 
@@ -49,9 +49,6 @@ pub enum LocalMsg {
         /// Whether the global scheduler placed these tasks here.
         via_global: bool,
     },
-    /// An object was sealed into this node's store (from a local worker,
-    /// a completed fetch, or a reconstruction) — re-evaluate waiters.
-    ObjectSealed(ObjectId),
     /// A worker finished its task (successfully or not) and is idle.
     WorkerDone {
         /// The worker, now idle.

@@ -9,8 +9,14 @@
 //! paper critiques); never spilling is pure node-local execution; the
 //! hybrid threshold is the paper's proposal.
 
+use rtml_common::codec::Codec;
+use rtml_common::event::{Component, Event, EventKind};
+use rtml_common::ids::TaskId;
 use rtml_common::resources::Resources;
-use rtml_common::task::TaskSpec;
+use rtml_common::task::{TaskSpec, TaskState};
+
+use crate::local::Core;
+use crate::wire::SchedWire;
 
 /// The spillover decision rule.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -54,6 +60,80 @@ impl SpillMode {
             SpillMode::AlwaysSpill => true,
             SpillMode::NeverSpill => false,
         }
+    }
+}
+
+/// The scheduler's side of a spill decision.
+impl Core {
+    /// Forwards a whole batch of spilling tasks to the global scheduler
+    /// as one frame (`Spill` for a single task, `SpillBatch` otherwise):
+    /// one state group commit, one event append, one fabric hop.
+    pub(crate) fn spill_batch(&mut self, specs: Vec<TaskSpec>) {
+        let node = self.config.node;
+        let ids: Vec<TaskId> = specs.iter().map(|s| s.task_id).collect();
+        self.services
+            .tasks
+            .set_states_many(&ids, &TaskState::Spilled);
+        let at_nanos = rtml_common::time::now_nanos();
+        self.services.events.append_many(
+            node,
+            specs
+                .iter()
+                .map(|s| Event {
+                    at_nanos,
+                    component: Component::LocalScheduler,
+                    kind: EventKind::TaskSpilled {
+                        task: s.task_id,
+                        from: node,
+                    },
+                })
+                .collect(),
+        );
+        // Partition the batch by owning global shard (the FNV-64 task
+        // keyspace split) and send one coalesced frame per shard. With
+        // one shard this degenerates to the old single-frame path.
+        let routes = self.services.global.clone();
+        let num_shards = routes.num_shards();
+        let mut groups: Vec<Vec<TaskSpec>> = vec![Vec::new(); num_shards];
+        for spec in specs {
+            groups[routes.shard_of(spec.task_id)].push(spec);
+        }
+        for (shard, group) in groups.into_iter().enumerate() {
+            if group.is_empty() {
+                continue;
+            }
+            let msg = if group.len() == 1 {
+                SchedWire::Spill(group[0].clone())
+            } else {
+                SchedWire::SpillBatch(group.clone())
+            };
+            // Pre-size the frame: ~96 bytes per spec avoids the doubling
+            // series on large spilled bursts.
+            let mut w = rtml_common::codec::Writer::with_capacity(32 + 96 * group.len());
+            msg.encode(&mut w);
+            if self
+                .services
+                .fabric
+                .send(self.address, routes.address_of(shard), w.into_bytes())
+                .is_err()
+            {
+                // No global scheduler (shutdown race). Keep whatever work
+                // this node can possibly run rather than losing it.
+                for spec in group {
+                    if self.config.total_resources.fits(&spec.resources) {
+                        self.services
+                            .tasks
+                            .set_state(spec.task_id, &TaskState::Queued(node));
+                        self.ready.push_back(spec);
+                    } else {
+                        self.services
+                            .tasks
+                            .set_state(spec.task_id, &TaskState::Lost);
+                    }
+                }
+            }
+        }
+        self.load_dirty = true;
     }
 }
 

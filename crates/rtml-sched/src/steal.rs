@@ -33,10 +33,21 @@
 //! *selection* on the thief side is power-of-two-choices with a
 //! shared-working-set locality tiebreak ([`crate::policy::choose_victim`]).
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
+use rtml_common::codec::{decode_from_slice, encode_to_bytes};
+use rtml_common::collections::{fast_map_with_capacity, FastMap, FastSet};
+use rtml_common::event::{Component, Event, EventKind};
+use rtml_common::ids::{NodeId, ObjectId, TaskId};
 use rtml_common::metrics::{Counter, Histogram};
 use rtml_common::resources::Resources;
+use rtml_common::task::{TaskSpec, TaskState};
+use rtml_net::NetAddress;
+
+use crate::local::Core;
+use crate::msg::{load_key, LoadReport};
+use crate::policy::choose_victim;
+use crate::wire::SchedWire;
 
 /// When (and how hard) an idle local scheduler steals.
 #[derive(Clone, Debug)]
@@ -162,6 +173,379 @@ pub fn plan_steal_grant(
         }
     }
     picks
+}
+
+/// The thief's outstanding steal request (see `Core::steal_inflight`).
+pub(crate) struct StealInflight {
+    pub(crate) victim: NodeId,
+    pub(crate) deadline: Instant,
+    /// When the request frame left, for the round-trip span.
+    pub(crate) sent_at: Instant,
+    pub(crate) seq: u64,
+}
+
+/// The scheduler half of the steal plane: the thief's request loop and
+/// the victim's answer.
+impl Core {
+    /// Thief side of the steal plane, run once per scheduler-loop turn:
+    /// when the ready queue has drained while workers sit idle, sample
+    /// a victim from the kv-published load reports and ask it for a
+    /// batch. At most one request is in flight; [`StealConfig::timeout`]
+    /// re-arms the loop when a victim dies mid-request.
+    pub(crate) fn maybe_steal(&mut self) {
+        let cfg = &self.config.stealing;
+        if !cfg.enabled || !self.ready.is_empty() || self.idle.is_empty() || self.workers.is_empty()
+        {
+            return;
+        }
+        // Accepted-but-unindexed local work exists: index it before
+        // pulling remote work.
+        if !self.staging.is_empty() {
+            return;
+        }
+        // Work is already here, short only of inputs that are on the
+        // wire: tasks waiting on a requested object will take the idle
+        // workers when it lands. Asking for more now would only move
+        // tasks (and a second copy of their inputs) to a node that
+        // cannot start them any sooner.
+        let about_to_run: usize = self
+            .resolver
+            .in_flight()
+            .filter_map(|(object, _)| self.watchers.get(&object))
+            .map(Vec::len)
+            .sum();
+        if about_to_run >= self.idle.len() {
+            return;
+        }
+        if let Some(inflight) = &self.steal_inflight {
+            if Instant::now() < inflight.deadline {
+                return;
+            }
+            // Victim never answered (died, or the request was lost —
+            // a partition can swallow the request or the grant):
+            // declare the request dead and try someone else.
+            self.steal_inflight = None;
+            self.stats.steal.timeouts.inc();
+            self.steal_failures = self.steal_failures.saturating_add(1);
+        }
+        // Consecutive fruitless attempts back the re-arm pause off
+        // exponentially (seeded per node, so the schedule is
+        // reproducible); any non-empty grant snaps it back to the flat
+        // interval.
+        let pause = if self.steal_failures == 0 {
+            cfg.interval
+        } else {
+            let attempt = (self.steal_failures - 1).min(16);
+            cfg.interval
+                .max(cfg.retry.backoff(attempt, u64::from(self.config.node.0)))
+        };
+        if self.last_steal.elapsed() < pause {
+            return;
+        }
+        self.last_steal = Instant::now();
+        let me = self.config.node;
+        // The load reports every scheduler already mirrors into the kv
+        // store, read by key for the nodes the transfer directory lists
+        // (every live node has a transfer service): one batched point
+        // read, whose cost does not grow with what else the control
+        // plane holds.
+        // Reports older than a few heartbeat periods are ghosts: the
+        // publisher is dead, partitioned, or wedged, and a steal
+        // request at it would only burn a timeout. Live schedulers
+        // republish at least every `load_interval * 16` (the heartbeat
+        // branch of `maybe_publish_load`), so 64 intervals of silence
+        // is decisive, not jitter.
+        let stale_nanos = self
+            .config
+            .load_interval
+            .saturating_mul(64)
+            .max(Duration::from_millis(100))
+            .as_nanos() as u64;
+        let now_nanos = rtml_common::time::now_nanos();
+        let peers: Vec<bytes::Bytes> = self
+            .services
+            .directory
+            .nodes()
+            .into_iter()
+            .filter(|node| *node != me)
+            .map(load_key)
+            .collect();
+        if peers.is_empty() {
+            return;
+        }
+        let candidates: Vec<LoadReport> = self
+            .services
+            .kv
+            .get_many(&peers)
+            .into_iter()
+            .flatten()
+            .filter_map(|bytes| decode_from_slice::<LoadReport>(&bytes).ok())
+            .filter(|report| {
+                report.node != me
+                    && report.ready > cfg.min_backlog
+                    && now_nanos.saturating_sub(report.at_nanos) <= stale_nanos
+            })
+            .collect();
+        if candidates.is_empty() {
+            return;
+        }
+        // Residency hint: a bounded, deterministic sample of what is
+        // already local here, for the victim's locality scoring (and
+        // our own tiebreak below). Enumerating the store is O(n), so
+        // the hint is rebuilt on a TTL — several times the attempt
+        // interval — rather than per attempt, and partial selection
+        // keeps the rebuild at O(n + cap·log cap), not a full sort.
+        if self.steal_hint_at.elapsed() >= cfg.interval.saturating_mul(16) {
+            let mut hint = self.services.store.list();
+            let cap = cfg.hint_objects;
+            if hint.len() > cap && cap > 0 {
+                hint.select_nth_unstable(cap);
+            }
+            hint.truncate(cap);
+            hint.sort_unstable();
+            self.steal_hint = hint;
+            self.steal_hint_at = Instant::now();
+        }
+        let hint = self.steal_hint.clone();
+        let Some(victim) = choose_victim(
+            &candidates,
+            &hint,
+            &self.services.objects,
+            &mut self.steal_rng,
+        ) else {
+            return;
+        };
+        let request = SchedWire::StealRequest {
+            thief: me,
+            reply_address: self.address.as_u64(),
+            capacity: self.config.total_resources.saturating_sub(&self.in_use),
+            max_tasks: cfg.max_tasks as u32,
+            local_objects_hint: hint,
+        };
+        self.stats.steal.attempts.inc();
+        let sent = self.services.fabric.send(
+            self.address,
+            NetAddress::from_u64(victim.sched_address),
+            encode_to_bytes(&request),
+        );
+        if sent.is_ok() {
+            let seq = self.steal_seq;
+            self.steal_seq += 1;
+            self.steal_inflight = Some(StealInflight {
+                victim: victim.node,
+                deadline: Instant::now() + cfg.timeout,
+                sent_at: Instant::now(),
+                seq,
+            });
+            // Open the request→grant span (closed by StealRoundTrip
+            // when this victim's answer arrives).
+            self.services.events.append(
+                me,
+                Event::now(
+                    Component::LocalScheduler,
+                    EventKind::StealRequested {
+                        thief: me,
+                        victim: victim.node,
+                        seq,
+                    },
+                ),
+            );
+        }
+        // Send refused: the victim's endpoint is gone (stale report from
+        // a dead node). No request is in flight, so the next turn simply
+        // samples again.
+    }
+
+    /// Victim side: answer a steal request with one granted batch —
+    /// possibly empty, when the queue drained since the thief read our
+    /// load report (the stale-victim answer; the thief must never be
+    /// left waiting on silence while we are alive).
+    pub(crate) fn on_steal_request(
+        &mut self,
+        thief: NodeId,
+        reply_address: u64,
+        capacity: Resources,
+        max_tasks: usize,
+        hint: Vec<ObjectId>,
+    ) {
+        let me = self.config.node;
+        let granted: Vec<TaskSpec> = if !self.config.stealing.enabled || self.ready.is_empty() {
+            Vec::new()
+        } else {
+            // Score every ready candidate by the bytes of its
+            // dependencies already resident on the thief: one batched
+            // `get_many` sweep over the distinct dependencies (the same
+            // grouping discipline as dispatch-time prefetch), never a
+            // point probe per object.
+            let mut distinct: Vec<ObjectId> = Vec::new();
+            let mut seen: FastSet<ObjectId> = FastSet::default();
+            for spec in &self.ready {
+                for dep in spec.dependencies() {
+                    if seen.insert(dep) {
+                        distinct.push(dep);
+                    }
+                }
+            }
+            let hint: FastSet<ObjectId> = hint.into_iter().collect();
+            let mut thief_bytes: FastMap<ObjectId, u64> = FastMap::default();
+            if !distinct.is_empty() {
+                let infos = self.services.objects.get_many(&distinct);
+                for (dep, info) in distinct.into_iter().zip(infos) {
+                    let (size, located) = info
+                        .as_ref()
+                        .map(|i| (i.size.max(1), i.locations.contains(&thief)))
+                        .unwrap_or((1, false));
+                    if located || hint.contains(&dep) {
+                        thief_bytes.insert(dep, size);
+                    }
+                }
+            }
+            let candidates: Vec<(Resources, u64)> = self
+                .ready
+                .iter()
+                .map(|spec| {
+                    let local: u64 = spec
+                        .dependencies()
+                        .map(|dep| thief_bytes.get(&dep).copied().unwrap_or(0))
+                        .sum();
+                    (spec.resources.clone(), local)
+                })
+                .collect();
+            let picks = plan_steal_grant(&candidates, &capacity, max_tasks);
+            // Remove back-to-front so earlier indices stay valid, then
+            // restore the preference order for the grant itself.
+            let mut by_index: Vec<usize> = picks.clone();
+            by_index.sort_unstable_by(|a, b| b.cmp(a));
+            let mut extracted: FastMap<usize, TaskSpec> = fast_map_with_capacity(by_index.len());
+            for idx in by_index {
+                let spec = self.ready.remove(idx).expect("plan indices are in range");
+                extracted.insert(idx, spec);
+            }
+            picks
+                .into_iter()
+                .map(|idx| extracted.remove(&idx).expect("extracted above"))
+                .collect()
+        };
+        let granted_ids: Vec<TaskId> = granted.iter().map(|spec| spec.task_id).collect();
+        if !granted.is_empty() {
+            for spec in &granted {
+                // The task leaves this node: its dependency pins and any
+                // steal-latency bookkeeping go with it.
+                self.release_pins(spec.task_id);
+                self.stolen_pending.remove(&spec.task_id);
+            }
+            // Ownership transfer, crash-consistent: the specs and their
+            // `Queued(thief)` states are group-committed to the task
+            // table BEFORE the grant frame leaves, so a thief that dies
+            // with the batch is repaired like any other lost queue
+            // (states on the dead node become `Lost`, lineage replays).
+            self.services
+                .tasks
+                .record_many(&granted, &TaskState::Queued(thief));
+            self.load_dirty = true;
+        }
+        let grant = SchedWire::StealGrant {
+            victim: me,
+            tasks: granted,
+        };
+        let sent = self.services.fabric.send(
+            self.address,
+            NetAddress::from_u64(reply_address),
+            encode_to_bytes(&grant),
+        );
+        if sent.is_err() {
+            // The thief vanished before the grant left (its endpoint is
+            // gone) — but ownership is already committed as
+            // `Queued(thief)`, and a node killed *before* this commit
+            // landed has already run its one-shot task-table repair.
+            // Take the batch back: the same batched ingest re-records
+            // `Queued(me)` and re-gates dependencies, so the work is
+            // never stranded on a ghost. Nothing was logged or counted
+            // yet, so the event log never claims a transfer that was
+            // undone.
+            if let SchedWire::StealGrant { tasks, .. } = grant {
+                if !tasks.is_empty() {
+                    self.on_submit_batch(tasks, true);
+                }
+            }
+        } else if !granted_ids.is_empty() {
+            // Stats and the durable TaskStolen records reflect grants
+            // that actually left. (A send that succeeds but dies in
+            // flight is the thief-crash case the task-table repair and
+            // lineage replay already cover.)
+            let at_nanos = rtml_common::time::now_nanos();
+            self.services.events.append_many(
+                me,
+                granted_ids
+                    .iter()
+                    .map(|task| Event {
+                        at_nanos,
+                        component: Component::LocalScheduler,
+                        kind: EventKind::TaskStolen {
+                            task: *task,
+                            from: me,
+                            to: thief,
+                        },
+                    })
+                    .collect(),
+            );
+            self.stats.steal.tasks_granted.add(granted_ids.len() as u64);
+        }
+    }
+
+    /// Thief side: a grant arrived. Empty grants re-arm the steal loop
+    /// (stale victim); non-empty ones ingest exactly like a global
+    /// placement batch (one spill/dependency scan, no re-spill), with
+    /// per-task arrival stamps for the steal-to-run histogram.
+    pub(crate) fn on_steal_grant(&mut self, victim: NodeId, tasks: Vec<TaskSpec>) {
+        // Only the grant we are actually waiting on re-arms the loop: a
+        // late answer from a victim we already timed out must not
+        // cancel the deadline of the newer in-flight request.
+        if self
+            .steal_inflight
+            .as_ref()
+            .is_some_and(|inflight| inflight.victim == victim)
+        {
+            let inflight = self.steal_inflight.take().expect("checked above");
+            // Close the request→grant span. Empty grants close it too
+            // (tasks = 0): a wasted round trip is exactly what the
+            // trace should show.
+            self.services.events.append(
+                self.config.node,
+                Event::now(
+                    Component::LocalScheduler,
+                    EventKind::StealRoundTrip {
+                        thief: self.config.node,
+                        victim,
+                        seq: inflight.seq,
+                        tasks: tasks.len() as u32,
+                        micros: inflight.sent_at.elapsed().as_micros() as u64,
+                    },
+                ),
+            );
+        }
+        if tasks.is_empty() {
+            self.stats.steal.empty_grants.inc();
+            self.steal_failures = self.steal_failures.saturating_add(1);
+            return;
+        }
+        self.steal_failures = 0;
+        self.stats.steal.grants.inc();
+        self.stats.steal.tasks_stolen.add(tasks.len() as u64);
+        let now = Instant::now();
+        for spec in &tasks {
+            // Locality scoring working end to end: the stolen task's
+            // dependencies are already here.
+            if spec
+                .dependencies()
+                .any(|dep| self.services.store.contains(dep))
+            {
+                self.stats.steal.locality_hits.inc();
+            }
+            self.stolen_pending.insert(spec.task_id, now);
+        }
+        self.on_submit_batch(tasks, true);
+    }
 }
 
 #[cfg(test)]

@@ -31,35 +31,6 @@ fn identical_clusters_produce_identical_results() {
 }
 
 #[test]
-fn prefetch_changes_when_bytes_move_never_what_runs() {
-    // The same workload with dispatch-time prefetch on vs off must
-    // produce bit-identical checksums: prefetch only overlaps transfer
-    // with queueing, it never changes ids, placements, or results.
-    let config = RlConfig {
-        rollouts: 6,
-        frames_per_task: 4,
-        frame_cost: Duration::ZERO,
-        iterations: 3,
-        policy_kernel_cost: Duration::ZERO,
-        ..RlConfig::default()
-    };
-    let run = |prefetch: bool| {
-        let cluster = Cluster::start(
-            ClusterConfig::local(2, 3)
-                .with_latency(LatencyModel::Constant(Duration::from_micros(200)))
-                .with_prefetch(prefetch),
-        )
-        .unwrap();
-        let funcs = RlFuncs::register(&cluster);
-        let driver = cluster.driver();
-        let result = rl::run_rtml(&config, &driver, &funcs, false).unwrap();
-        cluster.shutdown();
-        (result.checksum, result.total_reward_bits)
-    };
-    assert_eq!(run(true), run(false));
-}
-
-#[test]
 fn replication_changes_where_copies_live_never_what_runs() {
     // The same workload with the replication plane fully off vs
     // aggressively on (every remote read makes an object hot) must
@@ -513,8 +484,8 @@ fn striping_changes_who_ingests_never_where_tasks_land() {
 #[test]
 fn determinism_matrix_over_planes_and_shard_counts() {
     // The full safety matrix for the sharded scheduler: {stealing,
-    // replication, prefetch} x {on, off} x K in {1, 4} — every
-    // combination must produce the same bit-identical result. The
+    // replication} x {on, off} x K in {1, 4} — every combination must
+    // produce the same bit-identical result. The
     // planes may change where tasks run and where bytes live; none may
     // change what runs.
     let config = RlConfig {
@@ -525,7 +496,7 @@ fn determinism_matrix_over_planes_and_shard_counts() {
         policy_kernel_cost: Duration::ZERO,
         ..RlConfig::default()
     };
-    let run = |stealing: bool, replication: bool, prefetch: bool, shards: usize| {
+    let run = |stealing: bool, replication: bool, shards: usize| {
         let steal = if stealing {
             StealConfig {
                 enabled: true,
@@ -556,7 +527,6 @@ fn determinism_matrix_over_planes_and_shard_counts() {
                 ..ClusterConfig::default()
             }
             .with_latency(LatencyModel::Constant(Duration::from_micros(100)))
-            .with_prefetch(prefetch)
             .with_stealing(steal)
             .with_replication(replicate)
             .with_global_shards(shards),
@@ -568,21 +538,19 @@ fn determinism_matrix_over_planes_and_shard_counts() {
         cluster.shutdown();
         (result.checksum, result.total_reward_bits)
     };
-    let reference = run(false, false, false, 1);
+    let reference = run(false, false, 1);
     for stealing in [false, true] {
         for replication in [false, true] {
-            for prefetch in [false, true] {
-                for shards in [1usize, 4] {
-                    if !stealing && !replication && !prefetch && shards == 1 {
-                        continue; // the reference itself
-                    }
-                    let got = run(stealing, replication, prefetch, shards);
-                    assert_eq!(
-                        got, reference,
-                        "matrix cell diverged: stealing={stealing} \
-                         replication={replication} prefetch={prefetch} K={shards}"
-                    );
+            for shards in [1usize, 4] {
+                if !stealing && !replication && shards == 1 {
+                    continue; // the reference itself
                 }
+                let got = run(stealing, replication, shards);
+                assert_eq!(
+                    got, reference,
+                    "matrix cell diverged: stealing={stealing} \
+                     replication={replication} K={shards}"
+                );
             }
         }
     }

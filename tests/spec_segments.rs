@@ -147,8 +147,9 @@ fn striped_submission_survives_stripe_target_loss() {
     cluster.shutdown();
 }
 
-/// The same loss window with pipelining disabled: the config knob must
-/// not change the durability story, only the overlap.
+/// The same loss window with staging depth 0 (every batch indexed in the
+/// loop turn that accepted it): the depth must not change the durability
+/// story, only the overlap.
 #[test]
 fn serialized_submission_survives_node_loss_too() {
     let config = ClusterConfig {
@@ -157,7 +158,7 @@ fn serialized_submission_survives_node_loss_too() {
         ..ClusterConfig::default()
     }
     .with_submit_striping(3)
-    .with_pipelined_submission(false);
+    .with_submit_staging_depth(0);
     let cluster = Cluster::start(config).unwrap();
     let f = cluster.register_fn1("seg_add7", |x: i64| Ok(x + 7));
     let driver = cluster.driver();
