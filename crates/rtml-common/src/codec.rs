@@ -310,27 +310,6 @@ pub fn encode_nested_to_bytes<T: Codec>(tag: u8, value: &T) -> Bytes {
     Bytes::from(buf).slice(start..end)
 }
 
-/// Encodes a batch of values into **one** shared arena allocation and
-/// returns a per-value zero-copy window ([`Bytes::slice`]) into it.
-///
-/// Group-commit paths (task-table `record_many`, spill-batch wire frames)
-/// used to pay one allocation per record; with the arena the whole batch
-/// is a single allocation plus reference-counted views, and records small
-/// enough to inline (≤ the `Bytes` inline cap) stay allocation-free.
-/// `hint_per_value` pre-sizes the arena (bytes per record); an undershoot
-/// only costs a doubling, not correctness.
-pub fn encode_batch_to_bytes<T: Codec>(values: &[T], hint_per_value: usize) -> Vec<Bytes> {
-    let mut w = Writer::with_capacity(values.len().saturating_mul(hint_per_value));
-    let mut spans = Vec::with_capacity(values.len());
-    for v in values {
-        let start = w.len();
-        v.encode(&mut w);
-        spans.push(start..w.len());
-    }
-    let arena = w.into_bytes();
-    spans.into_iter().map(|s| arena.slice(s)).collect()
-}
-
 /// Decodes a value from a byte slice, requiring full consumption.
 pub fn decode_from_slice<T: Codec>(buf: &[u8]) -> Result<T> {
     decode_fully(Reader::new(buf))
@@ -677,29 +656,6 @@ mod tests {
             b: "s".into(),
             c: vec![1.0, 2.0],
         });
-    }
-
-    #[test]
-    fn batch_arena_encoding_round_trips_and_shares_storage() {
-        let values: Vec<String> = (0..8)
-            .map(|i| format!("value-{i}-{}", "x".repeat(40)))
-            .collect();
-        let encoded = encode_batch_to_bytes(&values, 48);
-        assert_eq!(encoded.len(), values.len());
-        for (bytes, value) in encoded.iter().zip(&values) {
-            let back: String = decode_from_slice(bytes).unwrap();
-            assert_eq!(&back, value);
-        }
-        // Large records all point into the same arena allocation.
-        let first = encoded[0].as_slice().as_ptr() as usize;
-        let second = encoded[1].as_slice().as_ptr() as usize;
-        assert!(second > first && second - first < 4096);
-        // Matches the per-value encoder byte-for-byte.
-        for (bytes, value) in encoded.iter().zip(&values) {
-            assert_eq!(bytes.as_slice(), encode_to_bytes(value).as_slice());
-        }
-        // Empty batch is fine.
-        assert!(encode_batch_to_bytes::<u64>(&[], 8).is_empty());
     }
 
     #[test]

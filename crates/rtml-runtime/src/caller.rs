@@ -18,6 +18,7 @@ use rtml_common::ids::{DriverId, FunctionId, NodeId, ObjectId, TaskId, WorkerId}
 use rtml_common::resources::Resources;
 use rtml_common::task::{ArgSpec, TaskSpec, TaskState};
 use rtml_common::time::now_nanos;
+use rtml_sched::RunQueue;
 
 use crate::envelope;
 use crate::fetch;
@@ -83,10 +84,10 @@ struct CallerInner {
     home: NodeId,
     current_task: TaskId,
     component: Component,
-    /// Set for worker contexts: lets blocking calls report to the local
-    /// scheduler so the task's resources are released while parked
+    /// Set for worker contexts: the node's run queue, which blocking
+    /// calls hand the task's resources back to while they are parked
     /// (nested-task deadlock avoidance).
-    worker: Option<WorkerId>,
+    queue: Option<Arc<RunQueue>>,
     child_counter: AtomicU64,
     put_counter: AtomicU64,
     /// Counts driver submission batches for round-robin striping
@@ -94,42 +95,25 @@ struct CallerInner {
     batch_counter: AtomicU64,
 }
 
-/// RAII guard bracketing a blocking section with WorkerBlocked /
-/// WorkerUnblocked notifications to the local scheduler.
+/// RAII guard bracketing a blocking section: the running task's grant
+/// goes back to the node's run queue on entry and is re-taken on exit.
 struct BlockGuard<'a> {
     inner: &'a CallerInner,
-    notified: bool,
 }
 
 impl<'a> BlockGuard<'a> {
     fn enter(inner: &'a CallerInner) -> BlockGuard<'a> {
-        let mut notified = false;
-        if let Some(worker) = inner.worker {
-            if let Some(tx) = inner.services.sched_sender(worker.node) {
-                notified = tx
-                    .send(rtml_sched::LocalMsg::WorkerBlocked {
-                        worker,
-                        task: inner.current_task,
-                    })
-                    .is_ok();
-            }
+        if let Some(queue) = &inner.queue {
+            queue.blocked(inner.current_task);
         }
-        BlockGuard { inner, notified }
+        BlockGuard { inner }
     }
 }
 
 impl Drop for BlockGuard<'_> {
     fn drop(&mut self) {
-        if !self.notified {
-            return;
-        }
-        if let Some(worker) = self.inner.worker {
-            if let Some(tx) = self.inner.services.sched_sender(worker.node) {
-                let _ = tx.send(rtml_sched::LocalMsg::WorkerUnblocked {
-                    worker,
-                    task: self.inner.current_task,
-                });
-            }
+        if let Some(queue) = &self.inner.queue {
+            queue.unblocked(self.inner.current_task);
         }
     }
 }
@@ -149,16 +133,16 @@ impl Caller {
         current_task: TaskId,
         component: Component,
     ) -> Caller {
-        Caller::with_worker(services, recon, home, current_task, component, None)
+        Caller::on_queue(services, recon, home, current_task, component, None)
     }
 
-    pub(crate) fn with_worker(
+    pub(crate) fn on_queue(
         services: Arc<Services>,
         recon: Arc<ReconstructionManager>,
         home: NodeId,
         current_task: TaskId,
         component: Component,
-        worker: Option<WorkerId>,
+        queue: Option<Arc<RunQueue>>,
     ) -> Caller {
         Caller {
             inner: Arc::new(CallerInner {
@@ -167,7 +151,7 @@ impl Caller {
                 home,
                 current_task,
                 component,
-                worker,
+                queue,
                 child_counter: AtomicU64::new(0),
                 put_counter: AtomicU64::new(0),
                 batch_counter: AtomicU64::new(0),
@@ -741,16 +725,10 @@ impl TaskContext {
         recon: Arc<ReconstructionManager>,
         task: TaskId,
         worker: WorkerId,
+        queue: Option<Arc<RunQueue>>,
     ) -> TaskContext {
         TaskContext {
-            caller: Caller::with_worker(
-                services,
-                recon,
-                worker.node,
-                task,
-                Component::Worker,
-                Some(worker),
-            ),
+            caller: Caller::on_queue(services, recon, worker.node, task, Component::Worker, queue),
             worker,
         }
     }
@@ -790,7 +768,7 @@ pub mod test_support {
         );
         let recon = ReconstructionManager::new(services.clone());
         let root = TaskId::driver_root(DriverId::from_index(u64::MAX));
-        let ctx = TaskContext::new(services, recon, root, WorkerId::new(NodeId(0), 0));
+        let ctx = TaskContext::new(services, recon, root, WorkerId::new(NodeId(0), 0), None);
         f(&ctx)
     }
 }

@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use crossbeam::channel::{unbounded, Sender};
+use crossbeam::channel::unbounded;
 
 use rtml_common::event::{Component, Event, EventKind};
 use rtml_common::ids::ObjectId;
@@ -11,7 +11,7 @@ use rtml_common::ids::{NodeId, WorkerId};
 use rtml_common::resources::Resources;
 use rtml_sched::{
     GlobalRoutes, LocalMsg, LocalScheduler, LocalSchedulerConfig, LocalSchedulerHandle, Replay,
-    SchedServices, SpillMode, WorkerCommand, WorkerHandle,
+    SchedServices, SpillMode,
 };
 use rtml_store::{
     FetchAgent, ObjectStore, ReplicaView, ReplicationAgent, ReplicationHooks, ReplicationPolicy,
@@ -128,7 +128,7 @@ pub struct NodeRuntime {
     sched: LocalSchedulerHandle,
     /// Shared with the pool-manager thread, which appends on-demand
     /// workers (nested-task deadlock avoidance).
-    workers: Arc<parking_lot::Mutex<Vec<(WorkerRuntime, Sender<WorkerCommand>)>>>,
+    workers: Arc<parking_lot::Mutex<Vec<WorkerRuntime>>>,
     /// Every plane's live counters, registered once at build time.
     registry: Arc<rtml_common::metrics::MetricsRegistry>,
     /// The telemetry sampler, when the plane is on.
@@ -304,16 +304,6 @@ impl NodeRuntime {
             None
         };
 
-        // Worker channels first: the scheduler needs the handles.
-        let mut worker_channels = Vec::new();
-        let mut handles = Vec::new();
-        for index in 0..config.workers {
-            let (tx, rx) = unbounded();
-            let id = WorkerId::new(node, index);
-            handles.push(WorkerHandle { id, tx: tx.clone() });
-            worker_channels.push((id, tx, rx));
-        }
-
         // Runs on the scheduler thread: kv reads and writes and unbounded
         // channel sends only (see `SchedServices::reconstruct`).
         let recon_hook = {
@@ -360,6 +350,9 @@ impl NodeRuntime {
             request_worker,
             replicate_hint,
         };
+        let worker_ids: Vec<WorkerId> = (0..config.workers)
+            .map(|index| WorkerId::new(node, index))
+            .collect();
         let sched = LocalScheduler::spawn(
             LocalSchedulerConfig {
                 node,
@@ -372,61 +365,44 @@ impl NodeRuntime {
                 staging_depth: tuning.staging_depth,
             },
             sched_services,
-            handles,
+            worker_ids.clone(),
         );
 
-        let workers: Arc<parking_lot::Mutex<Vec<(WorkerRuntime, Sender<WorkerCommand>)>>> =
-            Arc::new(parking_lot::Mutex::new(
-                worker_channels
-                    .into_iter()
-                    .map(|(id, tx, rx)| {
-                        (
-                            WorkerRuntime::spawn(
-                                id,
-                                services.clone(),
-                                recon.clone(),
-                                sched.sender(),
-                                sched.stats().clone(),
-                                rx,
-                            ),
-                            tx,
-                        )
-                    })
-                    .collect(),
-            ));
+        // The scheduler attached them to its run queue before `spawn`
+        // returned, so no thread can come up unknown to it.
+        let spawn_worker = {
+            let (services, recon) = (services.clone(), recon.clone());
+            move |id, queue| WorkerRuntime::spawn(id, services.clone(), recon.clone(), queue)
+        };
+        let workers: Vec<WorkerRuntime> = worker_ids
+            .into_iter()
+            .map(|id| spawn_worker(id, sched.queue().clone()))
+            .collect();
+        let workers = Arc::new(parking_lot::Mutex::new(workers));
 
-        // Pool manager: grows the worker pool on scheduler request, up
-        // to a cap. Exits when the scheduler (and its request hook) die.
+        // Pool manager: grows the worker pool on the run queue's
+        // request, up to a cap. Exits when the queue (and with it the
+        // request hook) is gone — so it must not keep the queue alive.
         {
             let workers = workers.clone();
-            let services = services.clone();
-            let recon = recon.clone();
-            let sched_tx = sched.sender();
-            let sched_stats = sched.stats().clone();
+            let queue = Arc::downgrade(sched.queue());
             let max_workers = (config.workers as usize * 4).max(16);
             let mut next_index = config.workers;
             std::thread::Builder::new()
                 .name(format!("rtml-pool-{node}"))
                 .spawn(move || {
                     while pool_rx.recv().is_ok() {
+                        let Some(queue) = queue.upgrade() else {
+                            break;
+                        };
                         if workers.lock().len() >= max_workers {
                             continue;
                         }
-                        let (tx, rx) = unbounded();
                         let id = WorkerId::new(node, next_index);
                         next_index += 1;
-                        let runtime = WorkerRuntime::spawn(
-                            id,
-                            services.clone(),
-                            recon.clone(),
-                            sched_tx.clone(),
-                            sched_stats.clone(),
-                            rx,
-                        );
-                        workers.lock().push((runtime, tx.clone()));
-                        let _ = sched_tx.send(rtml_sched::LocalMsg::AddWorker(
-                            rtml_sched::WorkerHandle { id, tx },
-                        ));
+                        // Known to the queue before its thread exists.
+                        queue.attach(id);
+                        workers.lock().push(spawn_worker(id, queue));
                     }
                 })
                 .expect("spawn pool manager");
@@ -623,13 +599,13 @@ impl NodeRuntime {
     /// existed.
     pub fn kill_worker(&mut self, worker: WorkerId) -> bool {
         let mut workers = self.workers.lock();
-        let Some((runtime, tx)) = workers.iter_mut().find(|(w, _)| w.id == worker) else {
+        let Some(runtime) = workers.iter_mut().find(|w| w.id == worker) else {
             return false;
         };
         runtime.kill();
         runtime.detach();
-        // Unblock the thread if it is idle in recv().
-        let _ = tx.send(WorkerCommand::Stop);
+        // The scheduler detaches it from the run queue, which wakes the
+        // thread if it is parked there, and marks what it had taken lost.
         let _ = self.sched.sender().send(LocalMsg::RemoveWorker(worker));
         true
     }
@@ -644,10 +620,11 @@ impl NodeRuntime {
         // already see the kill flag, so it discards its in-flight task
         // (crash semantics) instead of publishing a Failed state the
         // task-table repair would mistake for an application error.
-        for (runtime, tx) in self.workers.lock().iter_mut() {
+        // (Parked workers wake when the scheduler closes its run queue
+        // below.)
+        for runtime in self.workers.lock().iter_mut() {
             runtime.kill();
             runtime.detach();
-            let _ = tx.send(WorkerCommand::Stop);
         }
         // Stop routing new work here; the replication agent dies with
         // the node (replica copies it created live on in other stores
@@ -696,12 +673,11 @@ impl NodeRuntime {
         if let Some(sampler) = &self.sampler {
             sampler.shutdown();
         }
-        // The scheduler's shutdown sends Stop to its registered workers.
+        // The scheduler's shutdown closes its run queue: every worker
+        // finishes what it is running and exits.
         self.sched.shutdown();
         services.kv.delete(&rtml_sched::load_key(self.node));
-        for (runtime, tx) in self.workers.lock().iter_mut() {
-            // Belt and braces for workers the scheduler no longer knows.
-            let _ = tx.send(WorkerCommand::Stop);
+        for runtime in self.workers.lock().iter_mut() {
             runtime.join();
         }
         services.directory.remove(self.node);

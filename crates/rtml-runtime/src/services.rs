@@ -311,12 +311,6 @@ impl Services {
             })
     }
 
-    /// Direct channel to `node`'s local scheduler (used by worker
-    /// contexts to report blocked/unblocked transitions).
-    pub fn sched_sender(&self, node: NodeId) -> Option<Sender<LocalMsg>> {
-        self.router.read().get(&node).cloned()
-    }
-
     /// Nodes currently routable.
     pub fn alive_nodes(&self) -> Vec<NodeId> {
         let mut nodes: Vec<NodeId> = self.router.read().keys().copied().collect();

@@ -1,11 +1,14 @@
 //! Worker threads: where tasks actually run.
 //!
-//! A worker receives [`WorkerCommand::Run`] from its local scheduler,
-//! resolves the task's arguments from the node's object store (they are
-//! local by the time the scheduler dispatches, modulo rare races that the
-//! fetch path covers), invokes the registered function with a
-//! [`TaskContext`] (giving the task the full API — dynamic graphs, R3),
-//! seals the results, and reports back.
+//! A worker takes its own next task from the node's run queue
+//! ([`RunQueue::next`]: the call that hands back the finished task's
+//! resources and pins also first-fits the next one, and sleeps only when
+//! nothing fits), resolves the task's arguments from the node's object
+//! store (they are local by the time the scheduler queues the task,
+//! modulo rare races that the fetch path covers), invokes the registered
+//! function with a [`TaskContext`] (giving the task the full API —
+//! dynamic graphs, R3) and seals the results. The scheduler thread is not
+//! on that path: it hears from a worker only when the queue runs dry.
 //!
 //! # A small result travels with its completion
 //!
@@ -23,7 +26,7 @@
 //! and remains the fallback — and the rule for everything else.
 //!
 //! A result is pushed **only when nothing is queued behind it** (the
-//! scheduler's [`rtml_sched::LocalSchedulerStats::ready_depth`] gauge
+//! run queue's [`rtml_sched::LocalSchedulerStats::ready_depth`] gauge
 //! reads zero). A lone frame wakes the receiving agent and the blocked
 //! caller once per result; the results of a burst are better left to
 //! the caller's pull, which moves them in a few batched replies. An
@@ -35,22 +38,22 @@
 //!   return object, so consumers fail fast and errors propagate along
 //!   dataflow edges.
 //! - A worker killed by failure injection discards all effects of its
-//!   in-flight task (no seals, no completion message) — exactly what a
-//!   process crash would look like to the rest of the system.
+//!   in-flight task (no seals, and the task is never handed back to the
+//!   queue as finished: it stays under the worker until the scheduler
+//!   detaches it and marks the task lost) — exactly what a process crash
+//!   would look like to the rest of the system.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use bytes::Bytes;
-use crossbeam::channel::{Receiver, Sender};
-
 use rtml_common::error::{Error, Result};
 use rtml_common::event::{Component, Event, EventKind};
 use rtml_common::ids::{NodeId, ObjectId, WorkerId};
 use rtml_common::task::{ArgSpec, TaskSpec, TaskState};
 use rtml_kv::Inbound;
-use rtml_sched::{LocalMsg, LocalSchedulerStats, WorkerCommand};
+use rtml_sched::{LocalSchedulerStats, RunQueue};
 use rtml_store::ObjectStore;
 
 use crate::caller::TaskContext;
@@ -68,20 +71,19 @@ pub struct WorkerRuntime {
 }
 
 impl WorkerRuntime {
-    /// Spawns a worker thread.
+    /// Spawns a worker thread taking from `queue`, which `id` must
+    /// already be attached to.
     pub fn spawn(
         id: WorkerId,
         services: Arc<Services>,
         recon: Arc<ReconstructionManager>,
-        sched_tx: Sender<LocalMsg>,
-        sched_stats: Arc<LocalSchedulerStats>,
-        cmd_rx: Receiver<WorkerCommand>,
+        queue: Arc<RunQueue>,
     ) -> WorkerRuntime {
         let kill = Arc::new(AtomicBool::new(false));
         let kill2 = kill.clone();
         let join = std::thread::Builder::new()
             .name(format!("rtml-worker-{id}"))
-            .spawn(move || worker_loop(id, services, recon, sched_tx, &sched_stats, cmd_rx, kill2))
+            .spawn(move || worker_loop(id, services, recon, queue, kill2))
             .expect("spawn worker");
         WorkerRuntime {
             id,
@@ -101,7 +103,7 @@ impl WorkerRuntime {
         self.kill.load(Ordering::Acquire)
     }
 
-    /// Joins the worker thread (after a `Stop` command or kill).
+    /// Joins the worker thread (after the queue closed, or a kill).
     pub fn join(&mut self) {
         if let Some(handle) = self.join.take() {
             let _ = handle.join();
@@ -119,29 +121,20 @@ fn worker_loop(
     id: WorkerId,
     services: Arc<Services>,
     recon: Arc<ReconstructionManager>,
-    sched_tx: Sender<LocalMsg>,
-    sched_stats: &LocalSchedulerStats,
-    cmd_rx: Receiver<WorkerCommand>,
+    queue: Arc<RunQueue>,
     kill: Arc<AtomicBool>,
 ) {
-    while let Ok(cmd) = cmd_rx.recv() {
-        match cmd {
-            WorkerCommand::Stop => break,
-            WorkerCommand::Run(spec) => {
-                if kill.load(Ordering::Acquire) {
-                    break;
-                }
-                execute_task(id, &services, &recon, sched_stats, &spec, &kill);
-                if kill.load(Ordering::Acquire) {
-                    // Crashed mid-task: no completion report.
-                    break;
-                }
-                let _ = sched_tx.send(LocalMsg::WorkerDone {
-                    worker: id,
-                    task: spec.task_id,
-                });
-            }
+    let mut finished = None;
+    while let Some(spec) = queue.next(id, finished) {
+        if kill.load(Ordering::Acquire) {
+            break;
         }
+        execute_task(id, &services, &recon, &queue, &spec, &kill);
+        if kill.load(Ordering::Acquire) {
+            // Crashed mid-task: it is never reported finished.
+            break;
+        }
+        finished = Some(spec.task_id);
     }
 }
 
@@ -149,10 +142,11 @@ fn execute_task(
     id: WorkerId,
     services: &Arc<Services>,
     recon: &Arc<ReconstructionManager>,
-    sched_stats: &LocalSchedulerStats,
+    queue: &Arc<RunQueue>,
     spec: &TaskSpec,
     kill: &AtomicBool,
 ) {
+    let sched_stats = queue.stats();
     let node = id.node;
     let task = spec.task_id;
     services.tasks.set_state(task, &TaskState::Running(id));
@@ -171,7 +165,13 @@ fn execute_task(
             .registry
             .get(spec.function)
             .ok_or(Error::FunctionNotFound(spec.function))?;
-        let ctx = TaskContext::new(services.clone(), recon.clone(), task, id);
+        let ctx = TaskContext::new(
+            services.clone(),
+            recon.clone(),
+            task,
+            id,
+            Some(queue.clone()),
+        );
         let result =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| func(&ctx, &raw_args)));
         match result {
@@ -185,7 +185,7 @@ fn execute_task(
 
     if kill.load(Ordering::Acquire) || services.store(node).is_none() {
         // Simulated crash — or the node was detached under us while we
-        // ran (kill_node racing a dispatched task). Either way: discard
+        // ran (kill_node racing a taken task). Either way: discard
         // all results and state updates. Publishing a Failed state here
         // would mask the node death as an application error and exempt
         // the task from the Lost-state repair that replays it.
@@ -366,7 +366,7 @@ fn push_to_submitter(
 
 /// Resolves argument bytes, propagating upstream errors. All `ObjectRef`
 /// arguments resolve through one batched [`fetch::ensure_local`]: by
-/// dispatch time they are normally local (the scheduler gated on
+/// the time the task is taken they are normally local (the scheduler gated on
 /// arrival and prefetched) and the call is a store sweep, and any that
 /// slipped away (eviction race) are re-fetched grouped by holder
 /// instead of one round trip each.

@@ -575,7 +575,16 @@ fn profile_report_covers_run() {
     for fut in &futs {
         driver.get(fut).unwrap();
     }
-    let report = cluster.profile();
+    // A local `get` wakes on the store's seal, a step before the worker
+    // logs it: give the last task's `ObjectSealed` a moment to land.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let report = loop {
+        let report = cluster.profile();
+        if report.seals >= 10 || Instant::now() > deadline {
+            break report;
+        }
+        std::thread::yield_now();
+    };
     assert!(
         report.tasks.len() >= 10,
         "profile saw {}",

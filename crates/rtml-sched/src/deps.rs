@@ -14,15 +14,16 @@
 //! plane (one coalesced request frame stands for many waiting tasks,
 //! which the holder's counters cannot see from the wire), and the
 //! `PrefetchIssued` and transfer **events**. It also pins every arrived
-//! dependency until its task completes.
+//! dependency on its task's behalf; the pins ride with the task onto the
+//! run queue and are released by the worker that finishes it.
 
 use std::time::Instant;
 
 use rtml_common::event::{Component, Event, EventKind};
-use rtml_common::ids::{NodeId, ObjectId, TaskId};
+use rtml_common::ids::{NodeId, ObjectId};
 use rtml_store::FetchResult;
 
-use crate::local::Core;
+use crate::local::{Core, Waiting};
 
 impl Core {
     /// Runs the resolver's decisions for this loop turn (see the module
@@ -125,38 +126,31 @@ impl Core {
     }
 
     /// An object sealed in the local store: its waiting tasks are one
-    /// dependency closer to `ready`, and the resolver is done with it.
+    /// dependency closer to runnable, and the resolver is done with it.
     pub(crate) fn on_sealed(&mut self, object: ObjectId) {
         let Some(tasks) = self.watchers.remove(&object) else {
             return;
         };
         self.resolver.retire(object);
+        let mut runnable = Vec::new();
         for task in tasks {
-            if let Some((_, missing)) = self.waiting.get_mut(&task) {
-                // Pin the arrived dependency on this task's behalf: LRU
-                // eviction must not drop a fetched argument between
-                // arrival and execution. Released at completion
-                // ([`Core::release_pins`]).
-                if self.services.store.pin(object) {
-                    self.task_pins.entry(task).or_default().push(object);
-                }
-                *missing -= 1;
-                if *missing == 0 {
-                    let (spec, _) = self.waiting.remove(&task).expect("present");
-                    self.ready.push_back(spec);
-                }
+            let Some(waiting) = self.waiting.get_mut(&task) else {
+                continue;
+            };
+            // Pin the arrived dependency on this task's behalf: LRU
+            // eviction must not drop a fetched argument between arrival
+            // and execution. Released by the run queue where the task
+            // finishes (or leaves the node unrun).
+            if self.services.store.pin(object) {
+                waiting.pins.push(object);
+            }
+            waiting.missing -= 1;
+            if waiting.missing == 0 {
+                let Waiting { spec, pins, .. } = self.waiting.remove(&task).expect("present");
+                runnable.push(self.runnable(spec, pins));
             }
         }
-        self.load_dirty = true;
-    }
-
-    /// Releases every dependency pin held on `task`'s behalf.
-    pub(crate) fn release_pins(&mut self, task: TaskId) {
-        if let Some(objects) = self.task_pins.remove(&task) {
-            for object in objects {
-                self.services.store.unpin(object);
-            }
-        }
+        self.queue.push(runnable);
     }
 }
 

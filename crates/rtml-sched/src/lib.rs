@@ -9,8 +9,9 @@
 //!   directly (an in-process channel — no network hop). It tracks
 //!   per-node resource availability, gates tasks on their dataflow
 //!   dependencies (a task is dispatched if and only if every object it
-//!   consumes is sealed in the local store), and dispatches to idle
-//!   workers. Getting those objects local is the job of the one
+//!   consumes is sealed in the local store), and pushes what is runnable
+//!   onto the node's [`RunQueue`], from which the node's workers take
+//!   their own next task. Getting those objects local is the job of the one
 //!   dependency-resolution engine, [`Resolver`], which the runtime's
 //!   blocking `get`/`wait` run as well.
 //! - When a task's demand can never fit the node, or the local backlog
@@ -35,6 +36,7 @@ pub mod local;
 pub mod msg;
 pub mod policy;
 pub mod resolve;
+pub mod runq;
 pub mod spill;
 pub mod steal;
 pub mod wire;
@@ -46,9 +48,10 @@ pub use health::HealthTracker;
 pub use local::{
     LocalScheduler, LocalSchedulerConfig, LocalSchedulerHandle, LocalSchedulerStats, SchedServices,
 };
-pub use msg::{load_key, LoadReport, LocalMsg, WorkerCommand, WorkerHandle};
+pub use msg::{load_key, LoadReport, LocalMsg};
 pub use policy::{choose_victim, LoadView, PlacementPolicy, PolicyState, DEFAULT_TOP_K};
 pub use resolve::{commit_fetched, Goal, Replay, Resolver, Wiring, POLL_SLICE};
+pub use runq::{QueueLoad, RunQueue, Runnable, StealCandidate};
 pub use spill::SpillMode;
 pub use steal::{plan_steal_grant, StealConfig, StealStats};
 pub use wire::SchedWire;

@@ -1,7 +1,12 @@
 //! The per-node local scheduler (paper §3.2.2, Figure 3).
 //!
-//! One instance runs per node as a dedicated thread. It owns three task
-//! collections:
+//! One instance runs per node as a dedicated thread. It keeps what only
+//! it knows — ingest, spill, dependency gating, steal, load reports —
+//! and *pushes* what became runnable onto the node's [`RunQueue`], which
+//! it shares with the node's workers. A worker takes its own next task
+//! from there; the scheduler hears from one only when it runs dry
+//! ([`LocalMsg::WorkerIdle`]), so a burst costs this loop a message per
+//! worker, not a turn per task.
 //!
 //! - `waiting`: tasks with unsatisfied dataflow dependencies. Their
 //!   distinct missing objects are handed to the scheduler's [`Resolver`]
@@ -9,15 +14,16 @@
 //!   queued the tasks; the loop feeds it from the channels it selects on
 //!   and never blocks for it (`deps.rs` has the glue, and what only the
 //!   scheduler knows: the admission budget, demand hints, pins). When an
-//!   object seals locally its tasks move to `ready` — the paper's "tasks
+//!   object seals locally its tasks are pushed onto the run queue, the
+//!   dependencies pinned for them riding along — the paper's "tasks
 //!   become available for execution if and only if their dependencies
 //!   have finished executing". The loop also commits the location of
 //!   whatever the node's fetch agent seals with no waiter left to do it
 //!   ([`rtml_store::FetchAgent::deliver_unclaimed_to`]).
-//! - `ready`: runnable tasks awaiting a worker and resources. Dispatch is
-//!   first-fit: a small CPU task may overtake a GPU task that is waiting
-//!   for a free GPU (heterogeneity, R4).
-//! - `running`: tasks on workers, with their resource grants.
+//! - the run queue ([`crate::runq`]): runnable tasks awaiting a worker
+//!   and resources, the tasks on workers with their resource grants, and
+//!   the worker pool. Taking is first-fit: a small CPU task may overtake
+//!   a GPU task that is waiting for a free GPU (heterogeneity, R4).
 //!
 //! Submissions from same-node workers arrive on an in-process channel
 //! (the latency-critical path, R1); placements from the global scheduler
@@ -25,14 +31,15 @@
 //! [`SpillMode`]. The thief and victim halves of work stealing are in
 //! [`crate::steal`].
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
+use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 
 use rtml_common::codec::{decode_from_slice, encode_to_bytes};
-use rtml_common::collections::{FastMap, FastSet};
+use rtml_common::collections::FastMap;
 use rtml_common::event::{Component, Event, EventKind};
 use rtml_common::ids::{NodeId, ObjectId, TaskId, WorkerId};
 use rtml_common::resources::Resources;
@@ -43,9 +50,10 @@ use rtml_net::{Fabric, NetAddress};
 use rtml_store::{FetchAgent, FetchResult, ObjectStore, TransferDirectory};
 
 use crate::health::HealthTracker;
-use crate::msg::{load_key, LoadReport, LocalMsg, WorkerCommand, WorkerHandle};
+use crate::msg::{load_key, LoadReport, LocalMsg};
 use crate::policy::PolicyState;
 use crate::resolve::{Goal, Replay, Resolver, Wiring};
+use crate::runq::{RunQueue, Runnable};
 use crate::spill::SpillMode;
 use crate::steal::{StealConfig, StealInflight, StealStats};
 use crate::wire::SchedWire;
@@ -141,10 +149,11 @@ pub struct SchedServices {
     /// the scheduler thread**: it must not block — control-plane reads
     /// and writes and unbounded channel sends only.
     pub reconstruct: Arc<dyn Fn(ObjectId, Replay) + Send + Sync>,
-    /// Runtime hook asking the node to grow its worker pool: invoked
-    /// when runnable tasks exist, no worker is idle, and at least one
-    /// worker is blocked inside `get`/`wait` (nested-task deadlock
-    /// avoidance).
+    /// Runtime hook asking the node to grow its worker pool: invoked by
+    /// the run queue, from whichever thread made it true, when runnable
+    /// tasks exist, no worker is idle, and at least one worker is
+    /// blocked inside `get`/`wait` (nested-task deadlock avoidance). The
+    /// node attaches the new worker to the queue, then starts it.
     pub request_worker: Arc<dyn Fn() + Send + Sync>,
     /// Replication-plane hint, invoked when dependencies are first
     /// requested with `(holder, [(object, extra fan-in)])`: a coalesced
@@ -174,13 +183,19 @@ pub struct LocalSchedulerStats {
     pub prefetch_deferred_priority: rtml_common::metrics::Counter,
     /// Steal-plane counters (thief and victim sides).
     pub steal: StealStats,
-    /// Gauge: tasks in the ready queue as of the scheduler's last
-    /// dispatch pass. The node's workers read it when they seal a
-    /// result: one with nothing queued behind it is pushed to its
+    /// Gauge: tasks in the ready queue, written by the run queue inside
+    /// every critical section that pushes or takes — exact, not "as of
+    /// the last dispatch pass". The node's workers read it when they
+    /// seal a result: one with nothing queued behind it is pushed to its
     /// submitter's node, one of a backlog is left to the batched pull
-    /// that moves a burst's results in a few frames. A hint either way
-    /// — it publishes no other data, so it is read and written relaxed.
+    /// that moves a burst's results in a few frames. It publishes no
+    /// other data, so it is read and written relaxed.
     pub ready_depth: std::sync::atomic::AtomicU64,
+    /// Times a worker found nothing to take and went idle. Each is one
+    /// [`LocalMsg::WorkerIdle`] to the scheduler — the only message a
+    /// worker sends it — so a burst moves this by about the number of
+    /// workers, not of tasks.
+    pub worker_parks: rtml_common::metrics::Counter,
 }
 
 /// Running handle for a local scheduler.
@@ -189,6 +204,7 @@ pub struct LocalSchedulerHandle {
     address: NetAddress,
     node: NodeId,
     stats: Arc<LocalSchedulerStats>,
+    queue: Arc<RunQueue>,
     join: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -212,6 +228,13 @@ impl LocalSchedulerHandle {
     /// The scheduler's live counters (shared with its thread).
     pub fn stats(&self) -> &Arc<LocalSchedulerStats> {
         &self.stats
+    }
+
+    /// The node's run queue: workers take their tasks from it, the pool
+    /// manager attaches workers to it, blocking calls hand grants back
+    /// through it.
+    pub fn queue(&self) -> &Arc<RunQueue> {
+        &self.queue
     }
 
     /// Submits a task from this node (driver/worker path).
@@ -252,14 +275,16 @@ pub struct LocalScheduler;
 impl LocalScheduler {
     /// Spawns a local scheduler thread for `config.node`.
     ///
-    /// `workers` are the node's initial worker pool; more can be attached
-    /// later with [`LocalMsg::AddWorker`]. The scheduler registers its
-    /// fabric endpoint, announces itself to the global scheduler
-    /// (`NodeUp`), and publishes an initial load report.
+    /// `workers` are the node's initial worker pool, attached to the run
+    /// queue before this returns — so their threads, started after it,
+    /// can never find themselves unknown; more can be attached later
+    /// with [`RunQueue::attach`]. The scheduler registers its fabric
+    /// endpoint, announces itself to the global scheduler (`NodeUp`),
+    /// and publishes an initial load report.
     pub fn spawn(
         config: LocalSchedulerConfig,
         services: SchedServices,
-        workers: Vec<WorkerHandle>,
+        workers: Vec<WorkerId>,
     ) -> LocalSchedulerHandle {
         let (tx, rx) = unbounded();
         let endpoint = services.fabric.register(config.node, "local-sched");
@@ -267,6 +292,17 @@ impl LocalScheduler {
         let node = config.node;
         let stats = Arc::new(LocalSchedulerStats::default());
         let stats2 = stats.clone();
+        let queue = Arc::new(RunQueue::new(
+            config.total_resources.clone(),
+            services.store.clone(),
+            stats.clone(),
+            tx.clone(),
+            services.request_worker.clone(),
+        ));
+        for worker in workers {
+            queue.attach(worker);
+        }
+        let queue2 = queue.clone();
 
         let (seal_tx, seal_rx) = unbounded();
         services.store.add_seal_listener(seal_tx);
@@ -297,18 +333,11 @@ impl LocalScheduler {
                     services,
                     address,
                     stats: stats2,
-                    workers: FastMap::default(),
-                    idle: VecDeque::new(),
-                    in_use: Resources::none(),
-                    ready: VecDeque::new(),
+                    queue: queue2,
                     waiting: FastMap::default(),
                     watchers: FastMap::default(),
                     resolver,
-                    task_pins: FastMap::default(),
-                    running: BTreeMap::new(),
-                    released: FastSet::default(),
-                    spawn_pending: false,
-                    load_dirty: true,
+                    published: None,
                     last_load: Instant::now() - Duration::from_secs(1),
                     steal_inflight: None,
                     steal_seq: 0,
@@ -322,9 +351,6 @@ impl LocalScheduler {
                     staging_seq: 0,
                     staged_tasks: 0,
                 };
-                for w in workers {
-                    core.add_worker(w);
-                }
                 core.announce();
                 core.run(rx, endpoint, seal_rx, fetch_rx);
             })
@@ -335,9 +361,21 @@ impl LocalScheduler {
             address,
             node,
             stats,
+            queue,
             join: Some(join),
         }
     }
+}
+
+/// A task gated on its dependencies.
+pub(crate) struct Waiting {
+    pub(crate) spec: TaskSpec,
+    /// Distinct objects still missing.
+    pub(crate) missing: usize,
+    /// Dependencies that arrived and were pinned on the task's behalf,
+    /// so LRU eviction cannot drop a fetched argument between arrival
+    /// and execution. They go onto the run queue with the task.
+    pub(crate) pins: Vec<ObjectId>,
 }
 
 pub(crate) struct Core {
@@ -345,35 +383,21 @@ pub(crate) struct Core {
     pub(crate) services: SchedServices,
     pub(crate) address: NetAddress,
     pub(crate) stats: Arc<LocalSchedulerStats>,
-    pub(crate) workers: FastMap<WorkerId, Sender<WorkerCommand>>,
-    pub(crate) idle: VecDeque<WorkerId>,
-    /// Resources granted to running (non-blocked) tasks. May transiently
-    /// exceed the node total when blocked tasks resume.
-    pub(crate) in_use: Resources,
-    pub(crate) ready: VecDeque<TaskSpec>,
-    /// task → (spec, number of distinct objects still missing).
-    pub(crate) waiting: FastMap<TaskId, (TaskSpec, usize)>,
+    /// Runnable and running tasks and the worker pool, shared with the
+    /// workers. This loop only pushes onto it and reads it.
+    pub(crate) queue: Arc<RunQueue>,
+    /// Tasks short of a dependency.
+    pub(crate) waiting: FastMap<TaskId, Waiting>,
     /// missing object → tasks waiting on it.
     pub(crate) watchers: FastMap<ObjectId, Vec<TaskId>>,
     /// Resolves the keys of `watchers`: added when an object gets its
     /// first waiter, retired when it seals here. Its requests are
     /// answered on the channel `run` holds the other end of.
     pub(crate) resolver: Resolver,
-    /// Dependencies pinned on behalf of a task from the moment they
-    /// arrive until the task completes, so LRU eviction cannot drop a
-    /// fetched/prefetched argument between arrival and execution.
-    pub(crate) task_pins: FastMap<TaskId, Vec<ObjectId>>,
-    /// Ordered by task ID so iteration (e.g. collecting the tasks lost
-    /// with a dead worker) is reproducible across runs — `HashMap`
-    /// iteration order is seeded per process and would make failure
-    /// handling order (and thus the event log) nondeterministic.
-    pub(crate) running: BTreeMap<TaskId, (WorkerId, Resources)>,
-    /// Tasks whose grant has been released because they are blocked in
-    /// `get`/`wait`.
-    pub(crate) released: FastSet<TaskId>,
-    /// A worker-pool growth request is outstanding.
-    pub(crate) spawn_pending: bool,
-    pub(crate) load_dirty: bool,
+    /// The load report last published. Workers take and finish tasks
+    /// without telling this loop, so a report goes out when the node's
+    /// load *reads* different, not when the loop did something.
+    pub(crate) published: Option<LoadReport>,
     pub(crate) last_load: Instant,
     /// The outstanding steal request, if any. One request in flight at
     /// a time; a grant from *that* victim (even empty) or the deadline
@@ -399,8 +423,8 @@ pub(crate) struct Core {
     pub(crate) steal_hint_at: Instant,
     /// Deterministic sampling state for power-of-two victim selection.
     pub(crate) steal_rng: PolicyState,
-    /// Stolen tasks not yet dispatched: grant-arrival instants for the
-    /// steal-to-run latency histogram.
+    /// Stolen tasks not yet on the run queue: grant-arrival instants for
+    /// the steal-to-run latency histogram, which go there with the task.
     pub(crate) stolen_pending: FastMap<TaskId, Instant>,
     /// Accepted-but-unindexed batches (pipelined ingest): each entry is
     /// `(seq, specs, via_global)`, flushed FIFO so indexing order
@@ -461,19 +485,17 @@ impl Core {
                 default(idle_for) => self.flush_one_staged(),
             }
             self.resolve_dependencies();
-            self.dispatch();
             self.maybe_steal();
             self.maybe_publish_load();
         }
+        // Nothing is taken from here on: the workers wake and exit, and
+        // what is queued stays `Queued(node)` for the kill repair.
+        self.queue.close();
         // Staged submissions must not die with the loop: index them so
         // their specs' states (and any spill decisions) are durable
-        // before the drain barrier below.
+        // before the fabric endpoint goes.
         while !self.staging.is_empty() {
             self.flush_one_staged();
-        }
-        // Drain: stop workers, deregister from the fabric.
-        for (_, tx) in self.workers.drain() {
-            let _ = tx.send(WorkerCommand::Stop);
         }
         self.services.fabric.unregister(self.address);
     }
@@ -487,6 +509,7 @@ impl Core {
         self.services
             .kv
             .set(load_key(self.config.node), encode_to_bytes(&report));
+        self.published = Some(report.clone());
         // NodeUp and the first load report travel as one coalesced
         // frame per shard: every global shard learns reachability and
         // capacity together (one hop), so the formation barrier never
@@ -500,7 +523,6 @@ impl Core {
                 vec![up.clone(), load.clone()],
             );
         }
-        self.load_dirty = false;
         self.last_load = Instant::now();
     }
 
@@ -508,11 +530,10 @@ impl Core {
         match msg {
             LocalMsg::Submit { spec, via_global } => self.on_submit_batch(vec![spec], via_global),
             LocalMsg::SubmitBatch { specs, via_global } => self.on_submit_batch(specs, via_global),
-            LocalMsg::WorkerDone { worker, task } => self.on_worker_done(worker, task),
-            LocalMsg::AddWorker(handle) => self.add_worker(handle),
+            // Nothing to do but take this turn: the steal plane and the
+            // load report read the idleness off the queue.
+            LocalMsg::WorkerIdle => {}
             LocalMsg::RemoveWorker(worker) => self.remove_worker(worker),
-            LocalMsg::WorkerBlocked { worker: _, task } => self.on_blocked(task),
-            LocalMsg::WorkerUnblocked { worker: _, task } => self.on_unblocked(task),
             LocalMsg::Shutdown => unreachable!("handled by run()"),
         }
     }
@@ -545,57 +566,16 @@ impl Core {
         }
     }
 
-    fn add_worker(&mut self, handle: WorkerHandle) {
-        self.idle.push_back(handle.id);
-        self.workers.insert(handle.id, handle.tx);
-        self.spawn_pending = false;
-        self.load_dirty = true;
-    }
-
-    /// A task blocked inside `get`/`wait`: hand its grant back so other
-    /// work can use the node (and, if needed, ask for one more worker).
-    fn on_blocked(&mut self, task: TaskId) {
-        if let Some((_, grant)) = self.running.get(&task) {
-            if self.released.insert(task) {
-                self.in_use = self.in_use.saturating_sub(grant);
-                self.load_dirty = true;
-            }
-        }
-    }
-
-    /// A blocked task resumed: take its grant back (transient
-    /// oversubscription is accepted rather than pausing a live thread).
-    fn on_unblocked(&mut self, task: TaskId) {
-        if self.released.remove(&task) {
-            if let Some((_, grant)) = self.running.get(&task) {
-                self.in_use = self.in_use.add(grant);
-                self.load_dirty = true;
-            }
-        }
-    }
-
+    /// A worker died (failure injection): whatever it had taken from
+    /// the queue, started or not, is lost with it.
     fn remove_worker(&mut self, worker: WorkerId) {
-        self.workers.remove(&worker);
-        self.idle.retain(|w| *w != worker);
-        let lost: Vec<TaskId> = self
-            .running
-            .iter()
-            .filter(|(_, (w, _))| *w == worker)
-            .map(|(t, _)| *t)
-            .collect();
-        for task in lost {
-            let (_, grant) = self.running.remove(&task).expect("collected above");
-            if !self.released.remove(&task) {
-                self.in_use = self.in_use.saturating_sub(&grant);
-            }
-            self.release_pins(task);
+        for task in self.queue.detach(worker) {
             self.services.tasks.set_state(task, &TaskState::Lost);
         }
         self.services.events.append(
             self.config.node,
             Event::now(Component::LocalScheduler, EventKind::WorkerLost { worker }),
         );
-        self.load_dirty = true;
     }
 
     /// Batch ingest: the same decisions as N sequential single
@@ -636,7 +616,6 @@ impl Core {
             ),
         );
         self.staging.push_back((seq, specs, via_global));
-        self.load_dirty = true;
         if self.staging.len() > self.config.staging_depth {
             self.flush_one_staged();
         }
@@ -644,7 +623,7 @@ impl Core {
 
     /// Indexes the oldest staged batch (the deferred half of pipelined
     /// ingest). One batch per call keeps mailbox latency bounded: a
-    /// worker-done or seal message never waits behind the whole ring.
+    /// seal or a fetch answer never waits behind the whole ring.
     fn flush_one_staged(&mut self) {
         if let Some((seq, specs, via_global)) = self.staging.pop_front() {
             self.staged_tasks = self.staged_tasks.saturating_sub(specs.len());
@@ -674,7 +653,7 @@ impl Core {
         // Single pass: spill decision plus dependency gating. `backlog`
         // advances as runnable tasks are accepted, so the spill rule
         // sees exactly the queue depths a sequential loop would.
-        let mut backlog = self.ready.len();
+        let mut backlog = self.stats.ready_depth.load(Relaxed) as usize;
         let mut accepted: Vec<(TaskSpec, Vec<ObjectId>)> = Vec::with_capacity(specs.len());
         let mut spilled: Vec<TaskSpec> = Vec::new();
         // Batch-local store-presence cache: `store.contains` takes the
@@ -741,11 +720,14 @@ impl Core {
             // objects nobody here waited for yet, in submission order,
             // so the resolver takes the batch's whole set at once (one
             // table registration; one request per holder when this
-            // turn's pump runs).
+            // turn's pump runs). What needs nothing goes to the workers
+            // as one push — after the `Queued` commit above, which a
+            // worker's `Running` must not be overwritten by.
             let mut unresolved: Vec<ObjectId> = Vec::new();
+            let mut runnable: Vec<Runnable> = Vec::new();
             for (spec, missing) in accepted {
                 if missing.is_empty() {
-                    self.ready.push_back(spec);
+                    runnable.push(self.runnable(spec, Vec::new()));
                 } else {
                     let count = missing.len();
                     for object in missing {
@@ -755,125 +737,82 @@ impl Core {
                         }
                         waiters.push(spec.task_id);
                     }
-                    self.waiting.insert(spec.task_id, (spec, count));
+                    let waiting = Waiting {
+                        spec,
+                        missing: count,
+                        pins: Vec::new(),
+                    };
+                    self.waiting.insert(waiting.spec.task_id, waiting);
                 }
             }
+            self.queue.push(runnable);
             self.resolver.add(&unresolved);
-            self.load_dirty = true;
         }
         if !spilled.is_empty() {
             self.spill_batch(spilled);
         }
     }
 
-    fn on_worker_done(&mut self, worker: WorkerId, task: TaskId) {
-        if let Some((granted_worker, grant)) = self.running.remove(&task) {
-            debug_assert_eq!(granted_worker, worker, "completion from wrong worker");
-            if !self.released.remove(&task) {
-                self.in_use = self.in_use.saturating_sub(&grant);
-            }
-        }
-        self.release_pins(task);
-        if self.workers.contains_key(&worker) {
-            self.idle.push_back(worker);
-        }
-        self.load_dirty = true;
-    }
-
-    fn dispatch(&mut self) {
-        use std::sync::atomic::Ordering::Relaxed;
-        while !self.idle.is_empty() {
-            let available = self.config.total_resources.saturating_sub(&self.in_use);
-            // First-fit over the ready queue: lets small tasks overtake a
-            // task waiting for scarce resources (R4).
-            let Some(pos) = self.ready.iter().position(|s| available.fits(&s.resources)) else {
-                break;
-            };
-            let spec = self.ready.remove(pos).expect("position valid");
-            // Before the worker can seal: what is queued behind the task.
-            self.stats
-                .ready_depth
-                .store(self.ready.len() as u64, Relaxed);
-            let worker = self.idle.pop_front().expect("non-empty");
-            let Some(worker_tx) = self.workers.get(&worker) else {
-                // Worker vanished between bookkeeping steps; retry.
-                self.ready.insert(pos.min(self.ready.len()), spec);
-                continue;
-            };
-            let grant = spec.resources.clone();
-            let task = spec.task_id;
-            if worker_tx.send(WorkerCommand::Run(spec.clone())).is_ok() {
-                self.in_use = self.in_use.add(&grant);
-                self.running.insert(task, (worker, grant));
-                if let Some(arrived) = self.stolen_pending.remove(&task) {
-                    self.stats
-                        .steal
-                        .steal_to_run
-                        .record_duration(arrived.elapsed());
-                }
-            } else {
-                // Dead worker: drop it and put the task back.
-                self.workers.remove(&worker);
-                self.ready.insert(pos.min(self.ready.len()), spec);
-            }
-            self.load_dirty = true;
-        }
-        self.stats
-            .ready_depth
-            .store(self.ready.len() as u64, Relaxed);
-        // Nested-task deadlock avoidance: runnable work, no idle worker,
-        // and at least one worker parked in get/wait -> grow the pool.
-        if !self.ready.is_empty()
-            && self.idle.is_empty()
-            && !self.released.is_empty()
-            && !self.spawn_pending
-        {
-            self.spawn_pending = true;
-            (self.services.request_worker)();
+    /// `spec` as it goes onto the run queue, with the dependencies
+    /// pinned for it and, if it came in a steal grant, when.
+    pub(crate) fn runnable(&mut self, spec: TaskSpec, pins: Vec<ObjectId>) -> Runnable {
+        Runnable {
+            stolen_at: self.stolen_pending.remove(&spec.task_id),
+            spec,
+            pins,
         }
     }
 
+    /// Publishes the node's load when it reads different from what was
+    /// last published (at most once a `load_interval`), and as a
+    /// heartbeat.
     fn maybe_publish_load(&mut self) {
         let elapsed = self.last_load.elapsed();
-        if self.load_dirty && elapsed >= self.config.load_interval {
-            self.publish_load();
-        } else if elapsed >= self.config.load_interval.saturating_mul(16) {
-            // Heartbeat: even with nothing new to say, republish so the
-            // report's timestamp stays fresh — peers read staleness as
-            // death evidence (steal-candidate filtering, the runtime's
-            // health tracker), and an idle-but-alive node must not look
-            // like a ghost.
-            self.publish_load();
+        if elapsed < self.config.load_interval {
+            return;
+        }
+        let report = self.load_report();
+        // Heartbeat: even with nothing new to say, republish so the
+        // report's timestamp stays fresh — peers read staleness as
+        // death evidence (steal-candidate filtering, the runtime's
+        // health tracker), and an idle-but-alive node must not look
+        // like a ghost.
+        let heartbeat = elapsed >= self.config.load_interval.saturating_mul(16);
+        let load = |r: &LoadReport| (r.ready, r.waiting, r.running, r.idle_workers);
+        let same =
+            |last: &LoadReport| load(last) == load(&report) && last.available == report.available;
+        if heartbeat || !self.published.as_ref().is_some_and(same) {
+            self.publish_load(report);
         }
     }
 
     fn load_report(&self) -> LoadReport {
+        let load = self.queue.load();
         LoadReport {
             node: self.config.node,
             sched_address: self.address.as_u64(),
-            ready: self.ready.len() as u32,
+            ready: load.ready as u32,
             waiting: (self.waiting.len() + self.staged_tasks) as u32,
-            running: self.running.len() as u32,
-            idle_workers: self.idle.len() as u32,
-            available: self.config.total_resources.saturating_sub(&self.in_use),
+            running: load.running as u32,
+            idle_workers: load.idle as u32,
+            available: load.available,
             total: self.config.total_resources.clone(),
             at_nanos: rtml_common::time::now_nanos(),
         }
     }
 
-    fn publish_load(&mut self) {
-        let report = self.load_report();
+    fn publish_load(&mut self, report: LoadReport) {
         self.services
             .kv
             .set(load_key(self.config.node), encode_to_bytes(&report));
-        let load = encode_to_bytes(&SchedWire::Load(report));
+        let load = encode_to_bytes(&SchedWire::Load(report.clone()));
         for target in self.services.global.all() {
             let _ = self
                 .services
                 .fabric
                 .send(self.address, *target, load.clone());
         }
-        self.load_dirty = false;
+        self.published = Some(report);
         self.last_load = Instant::now();
     }
 }
@@ -890,9 +829,30 @@ mod tests {
         services: SchedServices,
         global_endpoint: rtml_net::Endpoint,
         _transfer: TransferService,
-        worker_rx: Receiver<WorkerCommand>,
+        worker_rx: Receiver<TaskSpec>,
+        worker_done: Sender<()>,
         worker_id: WorkerId,
         handle: LocalSchedulerHandle,
+    }
+
+    /// A stand-in for worker `id`'s thread: takes from the run queue,
+    /// shows the test each task it took (the receiver), and hands it
+    /// back as finished — taking the next in the same call — when the
+    /// test says so (a `()` on the sender).
+    fn fake_worker(queue: &Arc<RunQueue>, id: WorkerId) -> (Receiver<TaskSpec>, Sender<()>) {
+        let (taken_tx, taken_rx) = unbounded();
+        let (done_tx, done_rx) = unbounded();
+        let queue = queue.clone();
+        std::thread::spawn(move || {
+            let mut finished = None;
+            while let Some(spec) = queue.next(id, finished) {
+                finished = Some(spec.task_id);
+                if taken_tx.send(spec).is_err() || done_rx.recv().is_err() {
+                    break;
+                }
+            }
+        });
+        (taken_rx, done_tx)
     }
 
     fn rig(config: LocalSchedulerConfig) -> Rig {
@@ -930,27 +890,20 @@ mod tests {
             request_worker: Arc::new(|| {}),
             replicate_hint: Arc::new(|_, _| {}),
         };
-        let (worker_tx, worker_rx) = unbounded();
         let worker_id = WorkerId::new(config.node, 0);
-        let mut workers = vec![WorkerHandle {
-            id: worker_id,
-            tx: worker_tx,
-        }];
-        for i in 1..n_workers {
-            let (tx, rx) = unbounded();
-            // Extra workers silently discard commands.
-            std::thread::spawn(move || while rx.recv().is_ok() {});
-            workers.push(WorkerHandle {
-                id: WorkerId::new(config.node, i),
-                tx,
-            });
-        }
+        let workers: Vec<WorkerId> = (0..n_workers)
+            .map(|i| WorkerId::new(config.node, i))
+            .collect();
         let handle = LocalScheduler::spawn(config, services.clone(), workers);
+        // Workers beyond the first are attached; a test that wants one
+        // of them to take tasks starts its thread.
+        let (worker_rx, worker_done) = fake_worker(handle.queue(), worker_id);
         Rig {
             services,
             global_endpoint,
             _transfer: transfer,
             worker_rx,
+            worker_done,
             worker_id,
             handle,
         }
@@ -961,14 +914,8 @@ mod tests {
         TaskSpec::simple(root.child(idx), FunctionId::from_name("f"), args)
     }
 
-    fn recv_run(rx: &Receiver<WorkerCommand>) -> TaskSpec {
-        match rx
-            .recv_timeout(Duration::from_secs(5))
-            .expect("worker command")
-        {
-            WorkerCommand::Run(spec) => spec,
-            WorkerCommand::Stop => panic!("unexpected stop"),
-        }
+    fn recv_run(rx: &Receiver<TaskSpec>) -> TaskSpec {
+        rx.recv_timeout(Duration::from_secs(5)).expect("task taken")
     }
 
     #[test]
@@ -1026,13 +973,7 @@ mod tests {
         assert_eq!(got.task_id, runnable.task_id);
         assert!(r.worker_rx.recv_timeout(Duration::from_millis(80)).is_err());
         // Free the worker, then seal the dependency.
-        r.handle
-            .sender()
-            .send(LocalMsg::WorkerDone {
-                worker: r.worker_id,
-                task: runnable.task_id,
-            })
-            .unwrap();
+        r.worker_done.send(()).unwrap();
         r.services.store.put(dep, Bytes::from_static(b"v")).unwrap();
         let got = recv_run(&r.worker_rx);
         assert_eq!(got.task_id, blocked.task_id);
@@ -1128,13 +1069,7 @@ mod tests {
         assert_eq!(first.task_id, a.task_id);
         // Second task must not arrive while the first runs.
         assert!(r.worker_rx.recv_timeout(Duration::from_millis(80)).is_err());
-        r.handle
-            .sender()
-            .send(LocalMsg::WorkerDone {
-                worker: r.worker_id,
-                task: a.task_id,
-            })
-            .unwrap();
+        r.worker_done.send(()).unwrap();
         let second = recv_run(&r.worker_rx);
         assert_eq!(second.task_id, b.task_id);
         r.handle.shutdown();
@@ -1248,20 +1183,27 @@ mod tests {
         // Wait until A occupies the slot (worker 0 receives it).
         let first = recv_run(&r.worker_rx);
         assert_eq!(first.task_id, a.task_id);
+        // The second worker takes what it can and never finishes it.
+        let (queue, second) = (r.handle.queue().clone(), WorkerId::new(NodeId(0), 1));
+        std::thread::spawn(move || while queue.next(second, None).is_some() {});
         r.handle.submit(b.clone());
         r.handle.submit(c.clone());
-        // C dispatches (to the discard worker) even though B is ahead.
-        // Give the scheduler a moment, then check the task table.
+        // C is taken (by the second worker) even though B is ahead.
+        // Give the scheduler a moment, then check the task table — and
+        // that B is what is left in the queue.
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {
             let b_state = r.services.tasks.get_state(b.task_id);
             let c_queued = r.services.tasks.get_state(c.task_id).is_some();
-            if c_queued && matches!(b_state, Some(TaskState::Queued(_))) {
+            let queued = r.handle.queue().steal_candidates();
+            let b_waits = queued.len() == 1 && queued[0].task == b.task_id;
+            if c_queued && matches!(b_state, Some(TaskState::Queued(_))) && b_waits {
                 break;
             }
             assert!(Instant::now() < deadline, "timed out waiting for states");
             std::thread::sleep(Duration::from_millis(5));
         }
+        assert_eq!(r.handle.queue().load().running, 2);
         r.handle.shutdown();
     }
 
@@ -1343,15 +1285,10 @@ mod tests {
             request_worker: Arc::new(|| {}),
             replicate_hint: Arc::new(|_, _| {}),
         };
-        let (worker_tx, worker_rx) = unbounded();
-        let mut handle = LocalScheduler::spawn(
-            LocalSchedulerConfig::default(),
-            services,
-            vec![WorkerHandle {
-                id: WorkerId::new(NodeId(0), 0),
-                tx: worker_tx,
-            }],
-        );
+        let worker = WorkerId::new(NodeId(0), 0);
+        let mut handle =
+            LocalScheduler::spawn(LocalSchedulerConfig::default(), services, vec![worker]);
+        let (worker_rx, _worker_done) = fake_worker(handle.queue(), worker);
 
         let dep = TaskId::driver_root(DriverId::from_index(0))
             .child(50)
@@ -1380,8 +1317,8 @@ mod tests {
         store_local: Arc<ObjectStore>,
         store_remote: Arc<ObjectStore>,
         remote_service: TransferService,
-        worker_rx: Receiver<WorkerCommand>,
-        worker_id: WorkerId,
+        worker_rx: Receiver<TaskSpec>,
+        worker_done: Sender<()>,
         handle: LocalSchedulerHandle,
         _local_service: TransferService,
         _global: rtml_net::Endpoint,
@@ -1439,23 +1376,16 @@ mod tests {
             request_worker: Arc::new(|| {}),
             replicate_hint: Arc::new(|_, _| {}),
         };
-        let (worker_tx, worker_rx) = unbounded();
         let worker_id = WorkerId::new(NodeId(0), 0);
-        let handle = LocalScheduler::spawn(
-            config,
-            services.clone(),
-            vec![WorkerHandle {
-                id: worker_id,
-                tx: worker_tx,
-            }],
-        );
+        let handle = LocalScheduler::spawn(config, services.clone(), vec![worker_id]);
+        let (worker_rx, worker_done) = fake_worker(handle.queue(), worker_id);
         RemoteDepRig {
             services,
             store_local,
             store_remote,
             remote_service,
             worker_rx,
-            worker_id,
+            worker_done,
             handle,
             _local_service: local_service,
             _global: global,
@@ -1729,13 +1659,7 @@ mod tests {
         assert!(matches!(err, rtml_common::error::Error::StoreFull { .. }));
         assert!(r.store_local.contains(dep), "pinned argument was evicted");
         // Completion releases the pin; now the same put evicts it.
-        r.handle
-            .sender()
-            .send(LocalMsg::WorkerDone {
-                worker: r.worker_id,
-                task: spec.task_id,
-            })
-            .unwrap();
+        r.worker_done.send(()).unwrap();
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {
             if r.store_local
@@ -1831,9 +1755,9 @@ mod tests {
         }
         assert!(stats.steal.grants.get() >= 1);
         assert!(stats.steal.attempts.get() >= 1);
-        // The dispatched stolen task feeds the steal-to-run histogram
-        // (the scheduler thread records it just after handing the task
-        // to the worker, so poll rather than race it).
+        // The taken stolen task feeds the steal-to-run histogram (the
+        // queue records it just after the take, so poll rather than
+        // race it).
         let deadline = Instant::now() + Duration::from_secs(5);
         while stats.steal.steal_to_run.count() == 0 {
             assert!(Instant::now() < deadline, "steal-to-run never recorded");
@@ -1877,13 +1801,7 @@ mod tests {
         r.store_local.put(dep, Bytes::from(vec![3u8; 64])).unwrap();
         let got = recv_run(&r.worker_rx);
         assert_eq!(got.task_id, spec.task_id);
-        r.handle
-            .sender()
-            .send(LocalMsg::WorkerDone {
-                worker: r.worker_id,
-                task: spec.task_id,
-            })
-            .unwrap();
+        r.worker_done.send(()).unwrap();
         let request = victim
             .receiver()
             .recv_timeout(Duration::from_secs(5))
@@ -2112,22 +2030,10 @@ mod tests {
             )
             .unwrap();
         // Every task still runs locally and ends Queued(0).
-        r.handle
-            .sender()
-            .send(LocalMsg::WorkerDone {
-                worker: r.worker_id,
-                task: first.task_id,
-            })
-            .unwrap();
+        r.worker_done.send(()).unwrap();
         for _ in &specs[1..] {
-            let ran = recv_run(&r.worker_rx);
-            r.handle
-                .sender()
-                .send(LocalMsg::WorkerDone {
-                    worker: r.worker_id,
-                    task: ran.task_id,
-                })
-                .unwrap();
+            recv_run(&r.worker_rx);
+            r.worker_done.send(()).unwrap();
         }
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {
@@ -2212,13 +2118,7 @@ mod tests {
         // it releases the pin and the deferred dependency follows.
         let got = recv_run(&r.worker_rx);
         assert_eq!(got.task_id, head.task_id);
-        r.handle
-            .sender()
-            .send(LocalMsg::WorkerDone {
-                worker: r.worker_id,
-                task: head.task_id,
-            })
-            .unwrap();
+        r.worker_done.send(()).unwrap();
         let got = recv_run(&r.worker_rx);
         assert_eq!(got.task_id, tail.task_id);
         r.handle.shutdown();
@@ -2350,14 +2250,10 @@ mod tests {
             request_worker: Arc::new(|| {}),
             replicate_hint: Arc::new(|_, _| {}),
         };
-        let (worker_tx, _worker_rx) = unbounded();
         let mut handle = LocalScheduler::spawn(
             LocalSchedulerConfig::default(),
             services,
-            vec![WorkerHandle {
-                id: WorkerId::new(NodeId(0), 0),
-                tx: worker_tx,
-            }],
+            vec![WorkerId::new(NodeId(0), 0)],
         );
 
         // A dependency whose producer is known but which has no copies.

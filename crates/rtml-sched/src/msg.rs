@@ -1,31 +1,10 @@
 //! In-process messages between workers, local schedulers, and the runtime.
 
-use crossbeam::channel::Sender;
-
 use rtml_common::codec::{Codec, Reader, Writer};
 use rtml_common::error::Result;
-use rtml_common::ids::{NodeId, TaskId, WorkerId};
+use rtml_common::ids::{NodeId, WorkerId};
 use rtml_common::resources::Resources;
 use rtml_common::task::TaskSpec;
-
-/// Commands the local scheduler sends to a worker thread.
-#[derive(Debug)]
-pub enum WorkerCommand {
-    /// Execute this task; report completion via `LocalMsg::WorkerDone`.
-    Run(TaskSpec),
-    /// Exit the worker loop.
-    Stop,
-}
-
-/// A worker as seen by the local scheduler: identity plus command
-/// channel.
-#[derive(Clone, Debug)]
-pub struct WorkerHandle {
-    /// Worker identity.
-    pub id: WorkerId,
-    /// Command channel into the worker thread.
-    pub tx: Sender<WorkerCommand>,
-}
 
 /// Mailbox messages for a [`crate::local::LocalScheduler`].
 #[derive(Debug)]
@@ -49,35 +28,14 @@ pub enum LocalMsg {
         /// Whether the global scheduler placed these tasks here.
         via_global: bool,
     },
-    /// A worker finished its task (successfully or not) and is idle.
-    WorkerDone {
-        /// The worker, now idle.
-        worker: WorkerId,
-        /// The task it ran.
-        task: TaskId,
-    },
-    /// Attach a worker to this scheduler's pool.
-    AddWorker(WorkerHandle),
-    /// Detach a worker (failure injection). Its running task, if any, is
-    /// marked lost.
+    /// A worker found nothing to take from the run queue and went idle:
+    /// the scheduler takes a turn, so the steal plane and the load report
+    /// see the idleness at once. The only message a worker sends — one
+    /// per worker that runs dry, not one per task.
+    WorkerIdle,
+    /// Detach a worker (failure injection). Whatever it had taken from
+    /// the run queue is marked lost.
     RemoveWorker(WorkerId),
-    /// The worker's current task is blocked in `get`/`wait`: release its
-    /// resource grant so other tasks can run (the anti-deadlock
-    /// mechanism for nested task graphs; Ray does the same).
-    WorkerBlocked {
-        /// The blocked worker.
-        worker: WorkerId,
-        /// The task that is blocking.
-        task: TaskId,
-    },
-    /// The worker's task resumed; re-acquire its grant (transient
-    /// oversubscription is tolerated).
-    WorkerUnblocked {
-        /// The resumed worker.
-        worker: WorkerId,
-        /// The task that resumed.
-        task: TaskId,
-    },
     /// Drain and exit.
     Shutdown,
 }

@@ -124,7 +124,7 @@ impl Core {
                         self.services
                             .tasks
                             .set_state(spec.task_id, &TaskState::Queued(node));
-                        self.ready.push_back(spec);
+                        self.queue.push(vec![spec.into()]);
                     } else {
                         self.services
                             .tasks
@@ -133,7 +133,6 @@ impl Core {
                 }
             }
         }
-        self.load_dirty = true;
     }
 }
 

@@ -5,15 +5,17 @@
 //! Spillover (the paper's §3.2.2 mechanism) is **push**-based and
 //! decided once, at ingest: a burst submitted to one node under a lax
 //! spill rule drains serially while every other core idles. Stealing
-//! inverts the flow: an **idle** local scheduler (empty ready queue,
-//! spare resources) reads the load reports every node already
+//! inverts the flow: an **idle** local scheduler (empty run queue,
+//! workers parked on it) reads the load reports every node already
 //! publishes to the kv store — by key, for the nodes the transfer
 //! directory lists, never by scanning the control plane — picks a
 //! victim whose backlog exceeds [`StealConfig::min_backlog`], and sends
 //! a single
 //! [`crate::wire::SchedWire::StealRequest`] over the fabric. The victim
 //! answers with one [`crate::wire::SchedWire::StealGrant`] batch of
-//! not-yet-dispatched ready tasks — never one message per task — after
+//! tasks no worker has taken — whichever of its picks are *still queued*
+//! when it has scored them; its workers keep draining the queue
+//! meanwhile — never one message per task, after
 //! group-committing the ownership transfer to the task table
 //! (`record_many` with `Queued(thief)`), so a thief crash after the
 //! grant is recovered by the same lineage replay that covers any other
@@ -33,10 +35,11 @@
 //! *selection* on the thief side is power-of-two-choices with a
 //! shared-working-set locality tiebreak ([`crate::policy::choose_victim`]).
 
+use std::sync::atomic::Ordering::Relaxed;
 use std::time::{Duration, Instant};
 
 use rtml_common::codec::{decode_from_slice, encode_to_bytes};
-use rtml_common::collections::{fast_map_with_capacity, FastMap, FastSet};
+use rtml_common::collections::{FastMap, FastSet};
 use rtml_common::event::{Component, Event, EventKind};
 use rtml_common::ids::{NodeId, ObjectId, TaskId};
 use rtml_common::metrics::{Counter, Histogram};
@@ -124,7 +127,7 @@ pub struct StealStats {
     pub locality_hits: Counter,
     /// Tasks handed out via grants (victim side).
     pub tasks_granted: Counter,
-    /// Grant-arrival → worker-dispatch latency per stolen task.
+    /// Grant-arrival → taken-by-a-worker latency per stolen task.
     pub steal_to_run: Histogram,
 }
 
@@ -194,13 +197,18 @@ impl Core {
     /// re-arms the loop when a victim dies mid-request.
     pub(crate) fn maybe_steal(&mut self) {
         let cfg = &self.config.stealing;
-        if !cfg.enabled || !self.ready.is_empty() || self.idle.is_empty() || self.workers.is_empty()
-        {
-            return;
-        }
         // Accepted-but-unindexed local work exists: index it before
         // pulling remote work.
-        if !self.staging.is_empty() {
+        if !cfg.enabled || !self.staging.is_empty() {
+            return;
+        }
+        // Idle means workers parked on an empty queue (the gauge is the
+        // queue's own depth, and spares a busy node the lock).
+        if self.stats.ready_depth.load(Relaxed) > 0 {
+            return;
+        }
+        let load = self.queue.load();
+        if load.idle == 0 {
             return;
         }
         // Work is already here, short only of inputs that are on the
@@ -214,7 +222,7 @@ impl Core {
             .filter_map(|(object, _)| self.watchers.get(&object))
             .map(Vec::len)
             .sum();
-        if about_to_run >= self.idle.len() {
+        if about_to_run >= load.idle {
             return;
         }
         if let Some(inflight) = &self.steal_inflight {
@@ -318,7 +326,7 @@ impl Core {
         let request = SchedWire::StealRequest {
             thief: me,
             reply_address: self.address.as_u64(),
-            capacity: self.config.total_resources.saturating_sub(&self.in_use),
+            capacity: load.available,
             max_tasks: cfg.max_tasks as u32,
             local_objects_hint: hint,
         };
@@ -369,21 +377,25 @@ impl Core {
         hint: Vec<ObjectId>,
     ) {
         let me = self.config.node;
-        let granted: Vec<TaskSpec> = if !self.config.stealing.enabled || self.ready.is_empty() {
+        // A snapshot of the queue, scored with the lock released (the
+        // object-table sweep below must not hold the workers up).
+        let candidates = match self.config.stealing.enabled {
+            true => self.queue.steal_candidates(),
+            false => Vec::new(),
+        };
+        let granted: Vec<TaskSpec> = if candidates.is_empty() {
             Vec::new()
         } else {
-            // Score every ready candidate by the bytes of its
-            // dependencies already resident on the thief: one batched
-            // `get_many` sweep over the distinct dependencies (the same
-            // grouping discipline as dispatch-time prefetch), never a
-            // point probe per object.
+            // Score every candidate by the bytes of its dependencies
+            // already resident on the thief: one batched `get_many`
+            // sweep over the distinct dependencies (the same grouping
+            // discipline as dependency resolution), never a point
+            // probe per object.
             let mut distinct: Vec<ObjectId> = Vec::new();
             let mut seen: FastSet<ObjectId> = FastSet::default();
-            for spec in &self.ready {
-                for dep in spec.dependencies() {
-                    if seen.insert(dep) {
-                        distinct.push(dep);
-                    }
+            for dep in candidates.iter().flat_map(|c| &c.dependencies) {
+                if seen.insert(*dep) {
+                    distinct.push(*dep);
                 }
             }
             let hint: FastSet<ObjectId> = hint.into_iter().collect();
@@ -400,40 +412,23 @@ impl Core {
                     }
                 }
             }
-            let candidates: Vec<(Resources, u64)> = self
-                .ready
-                .iter()
-                .map(|spec| {
-                    let local: u64 = spec
-                        .dependencies()
-                        .map(|dep| thief_bytes.get(&dep).copied().unwrap_or(0))
-                        .sum();
-                    (spec.resources.clone(), local)
+            let tasks: Vec<TaskId> = candidates.iter().map(|c| c.task).collect();
+            let scored: Vec<(Resources, u64)> = candidates
+                .into_iter()
+                .map(|c| {
+                    let local = c.dependencies.iter();
+                    let local = local.map(|dep| thief_bytes.get(dep).copied().unwrap_or(0));
+                    (c.resources, local.sum())
                 })
                 .collect();
-            let picks = plan_steal_grant(&candidates, &capacity, max_tasks);
-            // Remove back-to-front so earlier indices stay valid, then
-            // restore the preference order for the grant itself.
-            let mut by_index: Vec<usize> = picks.clone();
-            by_index.sort_unstable_by(|a, b| b.cmp(a));
-            let mut extracted: FastMap<usize, TaskSpec> = fast_map_with_capacity(by_index.len());
-            for idx in by_index {
-                let spec = self.ready.remove(idx).expect("plan indices are in range");
-                extracted.insert(idx, spec);
-            }
-            picks
-                .into_iter()
-                .map(|idx| extracted.remove(&idx).expect("extracted above"))
-                .collect()
+            let picks = plan_steal_grant(&scored, &capacity, max_tasks);
+            // Whichever picks no worker took meanwhile leave the queue,
+            // in preference order, their dependency pins released.
+            let picks: Vec<TaskId> = picks.into_iter().map(|idx| tasks[idx]).collect();
+            self.queue.take_queued(&picks)
         };
         let granted_ids: Vec<TaskId> = granted.iter().map(|spec| spec.task_id).collect();
         if !granted.is_empty() {
-            for spec in &granted {
-                // The task leaves this node: its dependency pins and any
-                // steal-latency bookkeeping go with it.
-                self.release_pins(spec.task_id);
-                self.stolen_pending.remove(&spec.task_id);
-            }
             // Ownership transfer, crash-consistent: the specs and their
             // `Queued(thief)` states are group-committed to the task
             // table BEFORE the grant frame leaves, so a thief that dies
@@ -442,7 +437,6 @@ impl Core {
             self.services
                 .tasks
                 .record_many(&granted, &TaskState::Queued(thief));
-            self.load_dirty = true;
         }
         let grant = SchedWire::StealGrant {
             victim: me,
