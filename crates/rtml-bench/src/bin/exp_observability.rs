@@ -9,11 +9,11 @@
 //!   Chrome-trace that is valid JSON, carries flow arrows
 //!   (`ph:"s"/"t"/"f"`) stitching submit → queue → place → start across
 //!   nodes, and holds at least one duration span for every plane
-//!   (control, staging, placement, transfer, replication — plus steal,
+//!   (control, ingest, placement, transfer, replication — plus steal,
 //!   from a skewed-burst run where pull-based stealing fires).
 //! - **Critical path**: the analyzer walks the sink task's binding
 //!   dependency chain and splits the end-to-end span into
-//!   staging/placement/queue/transfer/execution; the buckets must sum
+//!   ingest/placement/queue/transfer/execution; the buckets must sum
 //!   to the measured makespan within 1% (they are exact by
 //!   construction — the tolerance only guards the assertion itself).
 //! - **Telemetry**: every node's sampler commits a bounded ring of
@@ -58,7 +58,7 @@ struct DagRun {
     flow_binds: usize,
     makespan_us: u64,
     attributed_us: u64,
-    staging_us: u64,
+    ingest_us: u64,
     placement_us: u64,
     queue_us: u64,
     transfer_us: u64,
@@ -176,7 +176,7 @@ fn run_dag(fanout: usize) -> DagRun {
         flow_binds,
         makespan_us: path.makespan_nanos() / 1_000,
         attributed_us: path.attributed_nanos() / 1_000,
-        staging_us: path.staging_nanos / 1_000,
+        ingest_us: path.ingest_nanos / 1_000,
         placement_us: path.placement_nanos / 1_000,
         queue_us: path.queue_nanos / 1_000,
         transfer_us: path.transfer_nanos / 1_000,
@@ -338,7 +338,7 @@ fn main() {
         "E14: critical path of the chain sink",
         &["bucket", "micros"],
         &[
-            vec!["staging".into(), dag.staging_us.to_string()],
+            vec!["ingest".into(), dag.ingest_us.to_string()],
             vec!["placement".into(), dag.placement_us.to_string()],
             vec!["queue".into(), dag.queue_us.to_string()],
             vec!["transfer".into(), dag.transfer_us.to_string()],
@@ -363,7 +363,7 @@ fn main() {
     );
 
     // Self-asserts (the acceptance criteria).
-    for plane in ["control", "staging", "placement", "transfer", "replication"] {
+    for plane in ["control", "ingest", "placement", "transfer", "replication"] {
         assert!(
             dag.plane_spans.get(plane).copied().unwrap_or(0) > 0,
             "trace must hold at least one {plane} span"
@@ -390,7 +390,7 @@ fn main() {
     );
 
     let json = format!(
-        "{{\n  \"experiment\": \"observability\",\n  \"fanout\": {fanout},\n  \"chain_len\": {},\n  \"planes\": {{{}}},\n  \"steal_spans\": {steal_spans},\n  \"flow_starts\": {},\n  \"flow_binds\": {},\n  \"critical_path_us\": {{\"staging\": {}, \"placement\": {}, \"queue\": {}, \"transfer\": {}, \"execution\": {}, \"attributed\": {}, \"makespan\": {}}},\n  \"telemetry\": {{\"nodes\": {}, \"records\": {}, \"retention\": {}, \"columns\": {}}},\n  \"submit_batch\": {SUBMIT_BATCH},\n  \"submit_tasks_per_rate\": {},\n  \"telemetry_on_tasks_per_sec\": {:.0},\n  \"telemetry_off_tasks_per_sec\": {:.0},\n  \"overhead_ratio\": {:.4},\n  \"event_records_dropped\": {}\n}}\n",
+        "{{\n  \"experiment\": \"observability\",\n  \"fanout\": {fanout},\n  \"chain_len\": {},\n  \"planes\": {{{}}},\n  \"steal_spans\": {steal_spans},\n  \"flow_starts\": {},\n  \"flow_binds\": {},\n  \"critical_path_us\": {{\"ingest\": {}, \"placement\": {}, \"queue\": {}, \"transfer\": {}, \"execution\": {}, \"attributed\": {}, \"makespan\": {}}},\n  \"telemetry\": {{\"nodes\": {}, \"records\": {}, \"retention\": {}, \"columns\": {}}},\n  \"submit_batch\": {SUBMIT_BATCH},\n  \"submit_tasks_per_rate\": {},\n  \"telemetry_on_tasks_per_sec\": {:.0},\n  \"telemetry_off_tasks_per_sec\": {:.0},\n  \"overhead_ratio\": {:.4},\n  \"event_records_dropped\": {}\n}}\n",
         dag.chain_len,
         dag.plane_spans
             .iter()
@@ -399,7 +399,7 @@ fn main() {
             .join(", "),
         dag.flow_starts,
         dag.flow_binds,
-        dag.staging_us,
+        dag.ingest_us,
         dag.placement_us,
         dag.queue_us,
         dag.transfer_us,

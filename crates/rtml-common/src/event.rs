@@ -172,22 +172,14 @@ pub enum EventKind {
         released: u32,
         micros: u64,
     },
-    /// A submission batch landed on the staging ring (the accept stage
-    /// of pipelined ingest). `depth` is the ring occupancy after the
-    /// push; `seq` correlates with the matching
-    /// [`EventKind::BatchIndexed`].
-    BatchStaged {
+    /// A local scheduler ingested a submission batch (local, placed or
+    /// stolen) in the loop turn that received it: `tasks` specs scanned
+    /// for spill and dependencies and their states group-committed in
+    /// `micros`. It is the last event of the one frame the batch writes,
+    /// after its tasks' [`EventKind::TaskQueuedLocal`] and
+    /// [`EventKind::TaskSpilled`].
+    BatchIngested {
         node: NodeId,
-        seq: u64,
-        tasks: u32,
-        depth: u32,
-    },
-    /// Staged batch `seq` was indexed (spill scan, group-committed
-    /// states, dependency gating); `micros` covers the index work. The
-    /// staged→indexed gap is the staging-ring residency span.
-    BatchIndexed {
-        node: NodeId,
-        seq: u64,
         tasks: u32,
         micros: u64,
     },
@@ -236,8 +228,7 @@ impl EventKind {
             EventKind::StealRequested { .. } => "steal_requested",
             EventKind::StealRoundTrip { .. } => "steal_round_trip",
             EventKind::ReplicationSweep { .. } => "replication_sweep",
-            EventKind::BatchStaged { .. } => "batch_staged",
-            EventKind::BatchIndexed { .. } => "batch_indexed",
+            EventKind::BatchIngested { .. } => "batch_ingested",
         }
     }
 }
@@ -393,27 +384,17 @@ impl Codec for EventKind {
                 w.put_u32(*released);
                 w.put_varint(*micros);
             }
-            EventKind::BatchStaged {
+            // Tags 22 (a batch queued behind the mailbox) and 23 (the
+            // same batch indexed, with a sequence number to pair them)
+            // are retired, not reused: an old frame must fail to decode,
+            // not misdecode.
+            EventKind::BatchIngested {
                 node,
-                seq,
-                tasks,
-                depth,
-            } => {
-                w.put_u8(22);
-                node.encode(w);
-                w.put_varint(*seq);
-                w.put_u32(*tasks);
-                w.put_u32(*depth);
-            }
-            EventKind::BatchIndexed {
-                node,
-                seq,
                 tasks,
                 micros,
             } => {
-                w.put_u8(23);
+                w.put_u8(24);
                 node.encode(w);
-                w.put_varint(*seq);
                 w.put_u32(*tasks);
                 w.put_varint(*micros);
             }
@@ -522,15 +503,8 @@ impl Codec for EventKind {
                 released: r.take_u32()?,
                 micros: r.take_varint()?,
             },
-            22 => EventKind::BatchStaged {
+            24 => EventKind::BatchIngested {
                 node: NodeId::decode(r)?,
-                seq: r.take_varint()?,
-                tasks: r.take_u32()?,
-                depth: r.take_u32()?,
-            },
-            23 => EventKind::BatchIndexed {
-                node: NodeId::decode(r)?,
-                seq: r.take_varint()?,
                 tasks: r.take_u32()?,
                 micros: r.take_varint()?,
             },
@@ -668,15 +642,8 @@ mod tests {
                 released: 0,
                 micros: 300,
             },
-            EventKind::BatchStaged {
+            EventKind::BatchIngested {
                 node: n,
-                seq: 5,
-                tasks: 256,
-                depth: 3,
-            },
-            EventKind::BatchIndexed {
-                node: n,
-                seq: 5,
                 tasks: 256,
                 micros: 42,
             },
@@ -700,6 +667,16 @@ mod tests {
             let bytes = encode_to_bytes(&ev);
             let back: Event = decode_from_slice(&bytes).unwrap();
             assert_eq!(ev, back, "kind {}", kind.label());
+        }
+        // The retired batch events' tags decode as nothing.
+        for tag in [22u8, 23] {
+            let mut w = crate::codec::Writer::with_capacity(16);
+            w.put_u8(tag);
+            n.encode(&mut w);
+            w.put_varint(5);
+            w.put_u32(256);
+            w.put_u32(3);
+            assert!(decode_from_slice::<EventKind>(&w.into_bytes()).is_err());
         }
     }
 

@@ -111,11 +111,8 @@ impl<S: Send + 'static> ActorHandle<S> {
                                     TaskState::Failed(e.to_string()),
                                 ),
                             };
-                            let len = bytes.len() as u64;
                             if let Some(store) = services2.store(node) {
-                                if store.put(object, bytes).is_ok() {
-                                    services2.objects.add_location(object, node, len);
-                                }
+                                let _ = services2.seal_and_publish(&store, object, bytes, || None);
                             }
                             services2.tasks.set_state(task, &final_state);
                             services2.events.append(

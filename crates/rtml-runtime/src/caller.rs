@@ -238,10 +238,10 @@ impl Caller {
         // the funnel; worker (nested) submissions always ingest at home,
         // where their argument objects already live. The spec's
         // `submitter_node` records the ingest target so the kill-node
-        // repair scan covers a batch lost in the target's mailbox or
-        // staging ring. Ids are producer-embedded and placement ignores
-        // the submitter, so striping never moves *what runs where* —
-        // only which scheduler does the ingest bookkeeping.
+        // repair scan covers a batch lost in the target's mailbox. Ids
+        // are producer-embedded and placement ignores the submitter, so
+        // striping never moves *what runs where* — only which scheduler
+        // does the ingest bookkeeping.
         let stripe_index = (inner.component == Component::Driver)
             .then(|| inner.batch_counter.fetch_add(1, Ordering::Relaxed));
         let ingest = match stripe_index {
@@ -370,11 +370,7 @@ impl Caller {
         {
             let bytes = envelope::seal_error(&message);
             for ret in return_ids {
-                if store.put(*ret, bytes.clone()).is_ok() {
-                    services
-                        .objects
-                        .add_location(*ret, store.node(), bytes.len() as u64);
-                }
+                let _ = services.seal_and_publish(&store, *ret, bytes.clone(), || None);
             }
         }
     }
@@ -401,14 +397,13 @@ impl Caller {
                     .and_then(|n| inner.services.store(n))
             })
             .ok_or(Error::ShuttingDown)?;
-        let bytes = envelope::seal_value(value);
-        let len = bytes.len() as u64;
-        store.put(object, bytes)?;
-        inner.services.objects.declare(object, None);
+        let objects = &inner.services.objects;
         inner
             .services
-            .objects
-            .add_location(object, store.node(), len);
+            .seal_and_publish(&store, object, envelope::seal_value(value), || {
+                objects.declare(object, None);
+                None
+            })?;
         Ok(ObjectRef::typed(object))
     }
 

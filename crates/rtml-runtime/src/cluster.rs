@@ -100,14 +100,6 @@ pub struct ClusterConfig {
     /// submitting node, so results and placements are identical with
     /// striping on or off.
     pub submit_striping: usize,
-    /// Pipelined submission ingest in the local schedulers: batches are
-    /// accepted synchronously and indexed while the driver marshals the
-    /// next batch. This is the staging-ring depth: how many accepted
-    /// batches may wait unindexed before an accept forces a flush; `0`
-    /// indexes every batch in the loop turn that accepted it (the
-    /// serialized baseline). Changes only *when* ingest work happens,
-    /// never values or placements.
-    pub submit_staging_depth: usize,
     /// Per-node telemetry sampling: every node's plane counters are
     /// registered on a [`rtml_common::metrics::MetricsRegistry`] and a
     /// sampler thread group-commits periodic snapshots to the kv-backed
@@ -149,7 +141,6 @@ impl Default for ClusterConfig {
             global_host: 0,
             global_shards: 1,
             submit_striping: 1,
-            submit_staging_depth: 4,
             telemetry: crate::telemetry::TelemetryConfig::default(),
             faults: rtml_net::FaultPlan::default(),
             retry: rtml_common::RetryPolicy::default(),
@@ -227,12 +218,6 @@ impl ClusterConfig {
     /// Sets the driver-side submission stripe width builder-style.
     pub fn with_submit_striping(mut self, nodes: usize) -> Self {
         self.submit_striping = nodes;
-        self
-    }
-
-    /// Sets the ingest staging-ring depth builder-style.
-    pub fn with_submit_staging_depth(mut self, depth: usize) -> Self {
-        self.submit_staging_depth = depth;
         self
     }
 
@@ -329,7 +314,6 @@ impl Cluster {
             transfer_chunk_bytes: config.transfer_chunk_bytes,
             replication: config.replication.clone(),
             stealing: config.stealing.clone(),
-            staging_depth: config.submit_staging_depth,
             telemetry: config.telemetry.clone(),
             retry: config.retry.clone(),
         };
@@ -581,7 +565,7 @@ impl Cluster {
     /// Critical-path attribution for the task that produced `sink`
     /// (usually `some_ref.id().producer_task()`): walks the binding
     /// dependency chain through the event log, splitting the end-to-end
-    /// span into staging / placement / queue / transfer / execution.
+    /// span into ingest / placement / queue / transfer / execution.
     /// Dependencies come from the durable task specs, so the walk works
     /// for completed, failed, and reconstructed chains alike. `None`
     /// when the log has no trace of the task (never ran, or its events

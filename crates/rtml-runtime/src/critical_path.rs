@@ -6,8 +6,9 @@
 //! task's dependency chain backwards picking, at every step, the input
 //! whose producer finished last (the binding constraint), then walk the
 //! chain forwards attributing every nanosecond of the end-to-end span
-//! to one of five buckets: **staging** (submission + staging-ring
-//! residency), **placement** (global-scheduler spill decisions),
+//! to one of five buckets: **ingest** (submission, the wait in the
+//! local scheduler's mailbox and the batch's ingest), **placement**
+//! (global-scheduler spill decisions),
 //! **queue** (runnable but waiting for a worker), **transfer** (waiting
 //! on remote inputs), and **execution**.
 //!
@@ -40,8 +41,8 @@ pub struct CriticalPath {
     /// When the sink's last recorded timestamp is — normally its
     /// finish.
     pub end_nanos: u64,
-    /// Submission + staging-ring residency (accept→index) time.
-    pub staging_nanos: u64,
+    /// Submitted → queued: submission, mailbox wait and batch ingest.
+    pub ingest_nanos: u64,
     /// Global-scheduler placement time (spilled chain links only).
     pub placement_nanos: u64,
     /// Runnable-but-waiting-for-a-worker time.
@@ -61,7 +62,7 @@ impl CriticalPath {
     /// The sum of the five buckets. Equals
     /// [`CriticalPath::makespan_nanos`] by construction.
     pub fn attributed_nanos(&self) -> u64 {
-        self.staging_nanos
+        self.ingest_nanos
             + self.placement_nanos
             + self.queue_nanos
             + self.transfer_nanos
@@ -74,7 +75,7 @@ impl CriticalPath {
         let pct = |n: u64| 100.0 * n as f64 / total;
         format!(
             "critical path to {}: {} tasks, makespan {}\n\
-             staging   {:>10} ({:>5.1}%)\n\
+             ingest    {:>10} ({:>5.1}%)\n\
              placement {:>10} ({:>5.1}%)\n\
              queue     {:>10} ({:>5.1}%)\n\
              transfer  {:>10} ({:>5.1}%)\n\
@@ -82,8 +83,8 @@ impl CriticalPath {
             self.sink,
             self.chain.len(),
             fmt_nanos(self.makespan_nanos()),
-            fmt_nanos(self.staging_nanos),
-            pct(self.staging_nanos),
+            fmt_nanos(self.ingest_nanos),
+            pct(self.ingest_nanos),
             fmt_nanos(self.placement_nanos),
             pct(self.placement_nanos),
             fmt_nanos(self.queue_nanos),
@@ -163,7 +164,7 @@ pub fn critical_path(
         chain: chain.clone(),
         start_nanos,
         end_nanos: start_nanos,
-        staging_nanos: 0,
+        ingest_nanos: 0,
         placement_nanos: 0,
         queue_nanos: 0,
         transfer_nanos: 0,
@@ -180,12 +181,12 @@ pub fn critical_path(
             }
         };
         // Pred-finish → submit is control-plane/submission time; it and
-        // submit → queue (the staging-ring residency) share the
-        // staging bucket. Spilled links split out the global
-        // scheduler's share.
-        step(profile.submitted, &mut path.staging_nanos, &mut cursor);
+        // submit → queue (mailbox wait plus ingest) share the ingest
+        // bucket. Spilled links split out the global scheduler's
+        // share.
+        step(profile.submitted, &mut path.ingest_nanos, &mut cursor);
         step(profile.placed, &mut path.placement_nanos, &mut cursor);
-        step(profile.queued, &mut path.staging_nanos, &mut cursor);
+        step(profile.queued, &mut path.ingest_nanos, &mut cursor);
         // Queue → start, minus the tail of any dependency transfer
         // still landing on the executing node after queueing.
         let wait_node = profile.queued_node.or(profile.worker.map(|w| w.node));
@@ -283,10 +284,10 @@ mod tests {
         assert_eq!(path.start_nanos, 100);
         assert_eq!(path.end_nanos, 1000);
         assert_eq!(path.attributed_nanos(), path.makespan_nanos());
-        // a: 100→150 staging, 150→200 queue, 200→500 exec.
-        // b (submitted at 120, already past): 500→510 staging,
+        // a: 100→150 ingest, 150→200 queue, 200→500 exec.
+        // b (submitted at 120, already past): 500→510 ingest,
         // 510→700 transfer, 700→800 queue, 800→1000 exec.
-        assert_eq!(path.staging_nanos, 50 + 10);
+        assert_eq!(path.ingest_nanos, 50 + 10);
         assert_eq!(path.queue_nanos, 50 + 100);
         assert_eq!(path.transfer_nanos, 190);
         assert_eq!(path.execution_nanos, 300 + 200);

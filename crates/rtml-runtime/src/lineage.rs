@@ -281,17 +281,20 @@ impl ReconstructionManager {
         );
         // Routing failure (cluster shutting down) leaves callers to
         // time out; the resubmission itself still happened.
-        let _ = self.services.submit_to(spec.submitter_node, spec);
+        let _ = self
+            .services
+            .submit_batch_to(spec.submitter_node, vec![spec]);
         true
     }
 
     /// Seals error envelopes for objects that can never be produced, so
     /// consumers fail fast instead of hanging.
     fn seal_missing_as_error(&self, objects: &[ObjectId], message: &str) {
-        let Some(node) = self.services.any_alive() else {
-            return;
-        };
-        let Some(store) = self.services.store(node) else {
+        let Some(store) = self
+            .services
+            .any_alive()
+            .and_then(|n| self.services.store(n))
+        else {
             return;
         };
         let bytes = envelope::seal_error(message);
@@ -299,11 +302,9 @@ impl ReconstructionManager {
             if self.services.objects.is_available(*object) {
                 continue;
             }
-            if store.put(*object, bytes.clone()).is_ok() {
-                self.services
-                    .objects
-                    .add_location(*object, node, bytes.len() as u64);
-            }
+            let _ = self
+                .services
+                .seal_and_publish(&store, *object, bytes.clone(), || None);
         }
     }
 }

@@ -106,11 +106,6 @@ pub struct NodeTuning {
     /// Shared retry discipline for replication pulls and the local
     /// schedulers' dependency resolution (see [`rtml_common::retry`]).
     pub retry: rtml_common::retry::RetryPolicy,
-    /// Staging-ring depth for pipelined batch ingest in local
-    /// schedulers: accepted-but-unindexed batches before an accept
-    /// forces a flush, `0` for none (see
-    /// [`rtml_sched::LocalSchedulerConfig::staging_depth`]).
-    pub staging_depth: usize,
     /// Per-node telemetry sampling (see [`crate::telemetry`]).
     pub telemetry: crate::telemetry::TelemetryConfig,
 }
@@ -362,7 +357,6 @@ impl NodeRuntime {
                 load_interval: tuning.load_interval,
                 stealing: tuning.stealing.clone(),
                 retry: tuning.retry.clone(),
-                staging_depth: tuning.staging_depth,
             },
             sched_services,
             worker_ids.clone(),

@@ -191,7 +191,7 @@ pub struct FaultPlaneStats {
 /// runs backwards from `end_nanos`.
 #[derive(Clone, Debug)]
 pub struct PlaneSpan {
-    /// Which plane: `"control"`, `"staging"`, `"placement"`, `"steal"`,
+    /// Which plane: `"control"`, `"ingest"`, `"placement"`, `"steal"`,
     /// `"transfer"`, or `"replication"`.
     pub plane: &'static str,
     /// The node the span is attributed to (the thief for steal round
@@ -274,14 +274,11 @@ pub struct ProfileReport {
     /// the events-based mirror of `steal.tasks_granted`).
     pub steal_events: usize,
     /// Plane-operation spans (segment commits, placement batches, steal
-    /// round trips, staged-batch indexing, transfers, replication
-    /// sweeps), in log order.
+    /// round trips, batch ingests, transfers, replication sweeps), in
+    /// log order.
     pub spans: Vec<PlaneSpan>,
     /// Failures, reconstructions, and node losses, in log order.
     pub incidents: Vec<Incident>,
-    /// Staging-ring occupancy samples `(at_nanos, node, depth)` — one
-    /// per accepted batch, rendered as a Chrome-trace counter track.
-    pub staging_occupancy: Vec<(u64, NodeId, u32)>,
     /// Event records the bounded log dropped to stay within retention
     /// (populated by [`crate::Cluster::profile`]; zero for raw event
     /// folds). When nonzero the report is partial: timelines may be
@@ -405,23 +402,17 @@ impl ProfileReport {
                         ("released", u64::from(*released)),
                     ],
                 }),
-                EventKind::BatchStaged { node, depth, .. } => {
-                    report
-                        .staging_occupancy
-                        .push((event.at_nanos, *node, *depth));
-                }
-                EventKind::BatchIndexed {
+                EventKind::BatchIngested {
                     node,
-                    seq,
                     tasks,
                     micros,
                 } => report.spans.push(PlaneSpan {
-                    plane: "staging",
+                    plane: "ingest",
                     node: *node,
                     end_nanos: event.at_nanos,
                     micros: *micros,
-                    label: format!("index batch {seq}"),
-                    args: vec![("tasks", u64::from(*tasks)), ("seq", *seq)],
+                    label: String::from("ingest batch"),
+                    args: vec![("tasks", u64::from(*tasks))],
                 }),
                 _ => {}
             }
@@ -593,10 +584,9 @@ impl ProfileReport {
     ///   whose `TaskStarted` fell to retention) are skipped rather than
     ///   invented onto a fake worker;
     /// - per-plane duration slices on dedicated lanes (tid 1000+, named
-    ///   via thread-name metadata): segment commits, staged-batch
-    ///   indexing, placement batches, steal round trips, transfers,
-    ///   replication sweeps;
-    /// - a counter track (`ph:"C"`) for staging-ring occupancy;
+    ///   via thread-name metadata): segment commits, batch ingests,
+    ///   placement batches, steal round trips, transfers, replication
+    ///   sweeps;
     /// - flow arrows (`ph:"s"`/`"t"`/`"f"`) stitching each task's
     ///   submit → queue → place/steal → start across nodes;
     /// - instant markers (`ph:"i"`) for failures, reconstructions, and
@@ -605,7 +595,7 @@ impl ProfileReport {
         // Lane tids per plane, well above any real worker index.
         const LANES: [(&str, u32); 6] = [
             ("control", 1000),
-            ("staging", 1001),
+            ("ingest", 1001),
             ("placement", 1002),
             ("steal", 1003),
             ("transfer", 1004),
@@ -670,7 +660,7 @@ impl ProfileReport {
                 flow("s", submitted, anchor.0, lane("control"), "");
             }
             if let Some(queued) = task.queued {
-                flow("t", queued, anchor.0, lane("staging"), "");
+                flow("t", queued, anchor.0, lane("ingest"), "");
             }
             if let (Some(placed), Some(node)) = (task.placed, task.placed_node) {
                 flow("t", placed, node.0, lane("placement"), "");
@@ -698,15 +688,6 @@ impl ProfileReport {
                 span.micros,
                 span.node.0,
                 lane(span.plane),
-            ));
-        }
-
-        // Staging-ring occupancy counter.
-        for (at_nanos, node, depth) in &self.staging_occupancy {
-            records.push(format!(
-                "{{\"name\":\"staging-depth\",\"ph\":\"C\",\"ts\":{},\"pid\":{},\"tid\":0,\"args\":{{\"depth\":{depth}}}}}",
-                at_nanos / 1_000,
-                node.0,
             ));
         }
 
@@ -982,7 +963,7 @@ mod tests {
     }
 
     #[test]
-    fn chrome_trace_renders_plane_spans_counters_and_instants() {
+    fn chrome_trace_renders_plane_spans_and_instants() {
         let root = TaskId::driver_root(DriverId::from_index(0));
         let t = root.child(0);
         let events = vec![
@@ -997,21 +978,10 @@ mod tests {
                 },
             },
             Event {
-                at_nanos: 6_000_000,
-                component: Component::LocalScheduler,
-                kind: EventKind::BatchStaged {
-                    node: NodeId(0),
-                    seq: 1,
-                    tasks: 64,
-                    depth: 2,
-                },
-            },
-            Event {
                 at_nanos: 7_000_000,
                 component: Component::LocalScheduler,
-                kind: EventKind::BatchIndexed {
+                kind: EventKind::BatchIngested {
                     node: NodeId(0),
-                    seq: 1,
                     tasks: 64,
                     micros: 500,
                 },
@@ -1065,14 +1035,13 @@ mod tests {
         let report = ProfileReport::from_events(&events);
         let planes: std::collections::HashSet<&str> =
             report.spans.iter().map(|s| s.plane).collect();
-        for plane in ["control", "staging", "placement", "steal", "replication"] {
+        for plane in ["control", "ingest", "placement", "steal", "replication"] {
             assert!(planes.contains(plane), "missing plane {plane}");
         }
-        assert_eq!(report.staging_occupancy, vec![(6_000_000, NodeId(0), 2)]);
         assert_eq!(report.incidents.len(), 2);
         let json = report.chrome_trace();
         assert!(json.contains("\"name\":\"thread_name\""), "{json}");
-        assert!(json.contains("\"ph\":\"C\""), "{json}");
+        assert!(json.contains("\"name\":\"ingest batch\""), "{json}");
         assert!(json.contains("\"ph\":\"i\""), "{json}");
         assert!(json.contains("\"name\":\"segment 1\""), "{json}");
         assert!(json.contains("node_lost"), "{json}");

@@ -8,11 +8,12 @@ use crossbeam::channel::Sender;
 use parking_lot::RwLock;
 
 use rtml_common::error::{Error, Result};
-use rtml_common::ids::NodeId;
+use rtml_common::event::{Component, Event, EventKind};
+use rtml_common::ids::{NodeId, ObjectId};
 use rtml_common::resources::Resources;
 use rtml_common::retry::RetryPolicy;
 use rtml_common::task::TaskSpec;
-use rtml_kv::{EventLog, FunctionTable, KvStore, ObjectTable, TaskTable};
+use rtml_kv::{EventLog, FunctionTable, Inbound, KvStore, ObjectTable, TaskTable};
 use rtml_net::{Fabric, FabricConfig};
 use rtml_sched::{HealthTracker, LocalMsg};
 use rtml_store::{FetchAgent, ObjectStore, TransferDirectory, TransferStats};
@@ -181,39 +182,48 @@ impl Services {
         self.agents.read().get(&node).cloned()
     }
 
-    /// Sends a task to `node`'s local scheduler. Falls back to any alive
-    /// node when the target is gone (e.g. reconstruction onto a dead
-    /// submitter).
-    pub fn submit_to(&self, node: NodeId, spec: TaskSpec) -> Result<()> {
-        let router = self.router.read();
-        let target = router
-            .get(&node)
-            .or_else(|| self.lowest_alive_locked(&router))
-            .ok_or(Error::ShuttingDown)?;
-        target
-            .send(LocalMsg::Submit {
-                spec,
-                via_global: false,
-            })
-            .map_err(|_| Error::Disconnected("local scheduler"))
+    /// Seals `bytes` into `store` as `object` and publishes the copy —
+    /// the one place a `put` becomes object-table writes, whoever seals.
+    /// `sealed` runs once the bytes are resident and before the location
+    /// is committed: the location is what unblocks consumers' `get`s, so
+    /// whatever it logs they will find, and a push it announces rides
+    /// that commit ([`ObjectTable::add_location_pushed`]). What the put
+    /// evicted then leaves the table as one group commit, logged: a
+    /// listed location is a resident copy.
+    pub(crate) fn seal_and_publish(
+        &self,
+        store: &ObjectStore,
+        object: ObjectId,
+        bytes: bytes::Bytes,
+        sealed: impl FnOnce() -> Option<Inbound>,
+    ) -> Result<()> {
+        let node = store.node();
+        let len = bytes.len() as u64;
+        let outcome = store.put(object, bytes)?;
+        match sealed() {
+            Some(inbound) => self.objects.add_location_pushed(object, node, len, inbound),
+            None => self.objects.add_location(object, node, len),
+        }
+        if !outcome.evicted.is_empty() {
+            self.objects.remove_location_many(&outcome.evicted, node);
+            let at_nanos = rtml_common::time::now_nanos();
+            let evicted = outcome.evicted.into_iter().map(|object| Event {
+                at_nanos,
+                component: Component::ObjectStore,
+                kind: EventKind::ObjectEvicted { object, node },
+            });
+            self.events.append_many(node, evicted.collect());
+        }
+        Ok(())
     }
 
-    /// Sends a whole batch of tasks to `node`'s local scheduler as one
-    /// message — the routing half of the batched hot path. Falls back to
-    /// any alive node when the target is gone, like
-    /// [`Services::submit_to`].
+    /// Sends a batch of tasks (one task is a batch of one) to `node`'s
+    /// local scheduler as one message — the routing half of the batched
+    /// hot path. Falls back to any alive node when the target is gone
+    /// (e.g. reconstruction onto a dead submitter).
     pub fn submit_batch_to(&self, node: NodeId, specs: Vec<TaskSpec>) -> Result<()> {
-        let router = self.router.read();
-        let target = router
-            .get(&node)
-            .or_else(|| self.lowest_alive_locked(&router))
-            .ok_or(Error::ShuttingDown)?;
-        target
-            .send(LocalMsg::SubmitBatch {
-                specs,
-                via_global: false,
-            })
-            .map_err(|_| Error::Disconnected("local scheduler"))
+        self.try_submit_batch_to(node, specs)
+            .map_err(|(_specs, err)| err)
     }
 
     fn lowest_alive_locked<'a>(
@@ -282,8 +292,9 @@ impl Services {
         Err(last)
     }
 
-    /// Like [`Services::submit_batch_to`], but hands the specs back on
-    /// failure so the caller can fail over without losing the batch.
+    /// The one routing step under every submission: `node`'s scheduler,
+    /// or the lowest alive node's when it is gone. Hands the specs back
+    /// on failure so the caller can fail over without losing the batch.
     fn try_submit_batch_to(
         &self,
         node: NodeId,
@@ -388,9 +399,9 @@ mod tests {
         let root = TaskId::driver_root(DriverId::from_index(0));
         let spec = TaskSpec::simple(root.child(0), FunctionId::from_name("f"), vec![]);
         // Target node 9 is dead; the task must land on node 0.
-        sv.submit_to(NodeId(9), spec.clone()).unwrap();
+        sv.submit_batch_to(NodeId(9), vec![spec.clone()]).unwrap();
         match rx.recv().unwrap() {
-            LocalMsg::Submit { spec: got, .. } => assert_eq!(got.task_id, spec.task_id),
+            LocalMsg::SubmitBatch { specs, .. } => assert_eq!(specs, vec![spec]),
             other => panic!("unexpected {other:?}"),
         }
     }
@@ -401,6 +412,9 @@ mod tests {
         use rtml_common::ids::{DriverId, FunctionId, TaskId};
         let root = TaskId::driver_root(DriverId::from_index(0));
         let spec = TaskSpec::simple(root.child(0), FunctionId::from_name("f"), vec![]);
-        assert_eq!(sv.submit_to(NodeId(0), spec), Err(Error::ShuttingDown));
+        assert_eq!(
+            sv.submit_batch_to(NodeId(0), vec![spec]),
+            Err(Error::ShuttingDown)
+        );
     }
 }

@@ -275,58 +275,24 @@ fn seal(
         return;
     };
     let len = bytes.len() as u64;
-    match store.put(object, bytes.clone()) {
-        Ok(outcome) => {
-            // Log the seal before publishing the location: the location
-            // is what unblocks consumers' `get`s, so anything they read
-            // from the event log afterwards (profiling) must already
-            // contain this seal.
-            services.events.append(
-                node,
-                Event::now(
-                    Component::ObjectStore,
-                    EventKind::ObjectSealed {
-                        object,
-                        node,
-                        size: len,
-                    },
-                ),
-            );
-            match push_to_submitter(services, sched_stats, &store, spec, object, &bytes) {
-                Some(inbound) => services
-                    .objects
-                    .add_location_pushed(object, node, len, inbound),
-                None => services.objects.add_location(object, node, len),
-            }
-            if !outcome.evicted.is_empty() {
-                // The whole eviction sweep drops as one group commit.
-                services
-                    .objects
-                    .remove_location_many(&outcome.evicted, node);
-                let at_nanos = rtml_common::time::now_nanos();
-                services.events.append_many(
+    let sealed = || {
+        services.events.append(
+            node,
+            Event::now(
+                Component::ObjectStore,
+                EventKind::ObjectSealed {
+                    object,
                     node,
-                    outcome
-                        .evicted
-                        .iter()
-                        .map(|evicted| Event {
-                            at_nanos,
-                            component: Component::ObjectStore,
-                            kind: EventKind::ObjectEvicted {
-                                object: *evicted,
-                                node,
-                            },
-                        })
-                        .collect(),
-                );
-            }
-        }
-        Err(_) => {
-            // Store full beyond eviction: the object stays unsealed;
-            // consumers will reconstruct (and likely hit the same wall —
-            // surfaced as timeouts, which is honest).
-        }
-    }
+                    size: len,
+                },
+            ),
+        );
+        push_to_submitter(services, sched_stats, &store, spec, object, &bytes)
+    };
+    // Store full beyond eviction: the object stays unsealed; consumers
+    // will reconstruct (and likely hit the same wall — surfaced as
+    // timeouts, which is honest).
+    let _ = services.seal_and_publish(&store, object, bytes.clone(), sealed);
 }
 
 /// Sends a just-sealed result to the node that submitted its task, if

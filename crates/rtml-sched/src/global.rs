@@ -347,19 +347,12 @@ impl GlobalCore {
 
     fn on_net(&mut self, payload: bytes::Bytes) {
         match decode_from_slice::<SchedWire>(&payload) {
-            Ok(SchedWire::Spill(spec)) => {
-                self.stats.spills.inc();
-                self.place(spec, 0);
-            }
             Ok(SchedWire::SpillBatch(specs)) => {
                 self.stats.spills.add(specs.len() as u64);
                 self.place_batch(specs, 0);
             }
-            Ok(SchedWire::Place { spec, hops }) => {
-                // A local scheduler bounced a placement (stale capacity);
-                // try again with the hop count preserved.
-                self.place(spec, hops);
-            }
+            // A local scheduler bounced a placement (stale capacity);
+            // try again with the hop count preserved.
             Ok(SchedWire::PlaceBatch { specs, hops }) => {
                 self.place_batch(specs, hops);
             }
@@ -396,10 +389,6 @@ impl GlobalCore {
             Ok(SchedWire::StealRequest { .. }) | Ok(SchedWire::StealGrant { .. }) => {}
             Err(_) => {}
         }
-    }
-
-    fn place(&mut self, spec: TaskSpec, hops: u32) {
-        self.place_batch(vec![spec], hops);
     }
 
     /// The effective load view for one batch: reachable nodes' reports
@@ -545,16 +534,9 @@ impl GlobalCore {
                 continue;
             };
             let count = group.len() as u64;
-            let msg = if count == 1 {
-                SchedWire::Place {
-                    spec: group.into_iter().next().expect("len checked"),
-                    hops: hops + 1,
-                }
-            } else {
-                SchedWire::PlaceBatch {
-                    specs: group,
-                    hops: hops + 1,
-                }
+            let msg = SchedWire::PlaceBatch {
+                specs: group,
+                hops: hops + 1,
             };
             // Pre-size the frame encode: ~96 bytes per spec covers the
             // common small-spec case without a doubling series.
@@ -571,14 +553,11 @@ impl GlobalCore {
                 self.scheds.remove(&node);
                 self.loads.remove(&node);
                 self.placed_since.remove(&node);
-                match msg {
-                    SchedWire::Place { spec, hops } => self.park(spec, hops),
-                    SchedWire::PlaceBatch { specs, hops } => {
-                        for spec in specs {
-                            self.park(spec, hops);
-                        }
-                    }
-                    _ => unreachable!("constructed above"),
+                let SchedWire::PlaceBatch { specs, hops } = msg else {
+                    unreachable!("constructed above")
+                };
+                for spec in specs {
+                    self.park(spec, hops);
                 }
             }
         }
@@ -605,7 +584,7 @@ impl GlobalCore {
     fn retry_parked(&mut self) {
         let mut batch: VecDeque<(TaskSpec, u32)> = std::mem::take(&mut self.parked);
         while let Some((spec, hops)) = batch.pop_front() {
-            self.place(spec, hops);
+            self.place_batch(vec![spec], hops);
         }
     }
 }
@@ -684,7 +663,7 @@ mod tests {
             .send(
                 from.address(),
                 target,
-                encode_to_bytes(&SchedWire::Spill(spec)),
+                encode_to_bytes(&SchedWire::SpillBatch(vec![spec])),
             )
             .unwrap();
     }
@@ -699,8 +678,9 @@ mod tests {
                 .receiver()
                 .recv_timeout(remaining)
                 .expect("delivery");
-            if let Ok(SchedWire::Place { spec, .. }) = decode_from_slice(&d.payload) {
-                return spec;
+            if let Ok(SchedWire::PlaceBatch { mut specs, .. }) = decode_from_slice(&d.payload) {
+                assert_eq!(specs.len(), 1, "one spilled task, one placement");
+                return specs.remove(0);
             }
         }
     }
@@ -734,7 +714,7 @@ mod tests {
         let placed = expect_place(&idle);
         assert_eq!(placed.task_id, task(0, Resources::cpu(1.0)).task_id);
         // With zero fabric latency, delivery is synchronous inside the
-        // scheduler's send: observing the Place does not order-after the
+        // scheduler's send: observing the placement does not order-after the
         // scheduler's own counter updates, so give them a bounded wait.
         wait_counter(&r.handle.stats().spills, 1);
         wait_counter(&r.handle.stats().placements, 1);
@@ -819,7 +799,7 @@ mod tests {
             let node = 'placed: loop {
                 for (n, endpoint) in nodes.iter().enumerate() {
                     while let Ok(d) = endpoint.receiver().try_recv() {
-                        if let Ok(SchedWire::Place { .. }) = decode_from_slice(&d.payload) {
+                        if let Ok(SchedWire::PlaceBatch { .. }) = decode_from_slice(&d.payload) {
                             break 'placed n;
                         }
                     }
@@ -897,17 +877,11 @@ mod tests {
             assert!(std::time::Instant::now() < deadline, "placed {placed}/10");
             for endpoint in [&n1, &n2] {
                 while let Ok(d) = endpoint.receiver().try_recv() {
-                    match decode_from_slice::<SchedWire>(&d.payload) {
-                        Ok(SchedWire::PlaceBatch { specs, hops }) => {
-                            assert_eq!(hops, 1);
-                            placed += specs.len();
-                            frames += 1;
-                        }
-                        Ok(SchedWire::Place { .. }) => {
-                            placed += 1;
-                            frames += 1;
-                        }
-                        _ => {}
+                    if let Ok(SchedWire::PlaceBatch { specs, hops }) = decode_from_slice(&d.payload)
+                    {
+                        assert_eq!(hops, 1);
+                        placed += specs.len();
+                        frames += 1;
                     }
                 }
             }
@@ -937,12 +911,12 @@ mod tests {
         for _ in 0..10 {
             crossbeam::channel::select! {
                 recv(n1.receiver()) -> d => {
-                    if let Ok(SchedWire::Place { .. }) = decode_from_slice(&d.unwrap().payload) {
+                    if let Ok(SchedWire::PlaceBatch { .. }) = decode_from_slice(&d.unwrap().payload) {
                         count1 += 1;
                     }
                 }
                 recv(n2.receiver()) -> d => {
-                    if let Ok(SchedWire::Place { .. }) = decode_from_slice(&d.unwrap().payload) {
+                    if let Ok(SchedWire::PlaceBatch { .. }) = decode_from_slice(&d.unwrap().payload) {
                         count2 += 1;
                     }
                 }
@@ -981,10 +955,8 @@ mod tests {
             assert!(std::time::Instant::now() < deadline, "placed {placed}/32");
             for endpoint in [&n1, &n2] {
                 while let Ok(d) = endpoint.receiver().try_recv() {
-                    match decode_from_slice::<SchedWire>(&d.payload) {
-                        Ok(SchedWire::Place { .. }) => placed += 1,
-                        Ok(SchedWire::PlaceBatch { specs, .. }) => placed += specs.len(),
-                        _ => {}
+                    if let Ok(SchedWire::PlaceBatch { specs, .. }) = decode_from_slice(&d.payload) {
+                        placed += specs.len();
                     }
                 }
             }
@@ -1047,7 +1019,7 @@ mod tests {
             .send(
                 n1.address(),
                 routes.address_of(1),
-                encode_to_bytes(&SchedWire::Spill(spec)),
+                encode_to_bytes(&SchedWire::SpillBatch(vec![spec])),
             )
             .unwrap();
         let deadline = std::time::Instant::now() + Duration::from_secs(2);

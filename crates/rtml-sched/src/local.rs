@@ -28,10 +28,12 @@
 //! Submissions from same-node workers arrive on an in-process channel
 //! (the latency-critical path, R1); placements from the global scheduler
 //! arrive over the fabric; spill decisions follow the configured
-//! [`SpillMode`]. The thief and victim halves of work stealing are in
-//! [`crate::steal`].
+//! [`SpillMode`]. Either way a batch is ingested in the loop turn that
+//! receives it (`Core::on_submit_batch`): the unbounded mailbox is the
+//! only queue between a submitter and this loop, so a submitter never
+//! waits for ingest and ingest never defers its own work. The thief and
+//! victim halves of work stealing are in [`crate::steal`].
 
-use std::collections::VecDeque;
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -81,20 +83,6 @@ pub struct LocalSchedulerConfig {
     /// many holders one sweep of dependency resolution tries before the
     /// producer is force-replayed.
     pub retry: RetryPolicy,
-    /// Pipelined ingest: batch submissions are *accepted* synchronously
-    /// (one mailbox pop, one push onto a staging ring) and *indexed*
-    /// (spill decisions, dependency gating, group-committed state
-    /// writes) on subsequent loop turns, so the driver's marshalling of
-    /// the next batch overlaps this node's ingest of the previous one.
-    /// This is how many accepted-but-unindexed batches may accumulate
-    /// before an accept forces a flush of the oldest (bounds staged
-    /// memory and ingest latency under sustained submission pressure);
-    /// `0` indexes every batch in the loop turn that accepted it.
-    /// Staged work drains before the mailbox goes idle and before
-    /// shutdown, and every batch is indexed in arrival order, so
-    /// values, placements, and `wait` semantics are the same at any
-    /// depth — only *when* ingest work happens moves.
-    pub staging_depth: usize,
 }
 
 impl Default for LocalSchedulerConfig {
@@ -107,7 +95,6 @@ impl Default for LocalSchedulerConfig {
             load_interval: Duration::from_millis(1),
             stealing: StealConfig::default(),
             retry: RetryPolicy::default(),
-            staging_depth: 4,
         }
     }
 }
@@ -237,14 +224,6 @@ impl LocalSchedulerHandle {
         &self.queue
     }
 
-    /// Submits a task from this node (driver/worker path).
-    pub fn submit(&self, spec: TaskSpec) {
-        let _ = self.tx.send(LocalMsg::Submit {
-            spec,
-            via_global: false,
-        });
-    }
-
     /// Submits a whole batch of tasks from this node as **one** mailbox
     /// message — the entry point of the batched hot path.
     pub fn submit_batch(&self, specs: Vec<TaskSpec>) {
@@ -347,9 +326,6 @@ impl LocalScheduler {
                     steal_hint_at: Instant::now() - Duration::from_secs(1),
                     steal_rng: PolicyState::new(0x57ea1 ^ ((node.0 as u64) << 32)),
                     stolen_pending: FastMap::default(),
-                    staging: VecDeque::new(),
-                    staging_seq: 0,
-                    staged_tasks: 0,
                 };
                 core.announce();
                 core.run(rx, endpoint, seal_rx, fetch_rx);
@@ -426,16 +402,6 @@ pub(crate) struct Core {
     /// Stolen tasks not yet on the run queue: grant-arrival instants for
     /// the steal-to-run latency histogram, which go there with the task.
     pub(crate) stolen_pending: FastMap<TaskId, Instant>,
-    /// Accepted-but-unindexed batches (pipelined ingest): each entry is
-    /// `(seq, specs, via_global)`, flushed FIFO so indexing order
-    /// equals arrival order. The seq correlates each batch's
-    /// `BatchStaged`/`BatchIndexed` span events.
-    pub(crate) staging: VecDeque<(u64, Vec<TaskSpec>, bool)>,
-    /// Next staging-batch sequence number.
-    pub(crate) staging_seq: u64,
-    /// Total tasks across `staging`, reported as `waiting` load so
-    /// peers see accepted-but-unindexed backlog.
-    pub(crate) staged_tasks: usize,
 }
 
 impl Core {
@@ -448,14 +414,6 @@ impl Core {
     ) {
         let records = self.resolver.updates().clone();
         loop {
-            // With staged batches pending, never sleep: take whatever
-            // message is already here, else index one staged batch
-            // immediately (the deferred half of pipelined ingest). With
-            // none, the usual timed idle tick.
-            let idle_for = match self.staging.is_empty() {
-                true => self.config.load_interval,
-                false => Duration::ZERO,
-            };
             crossbeam::channel::select! {
                 recv(rx) -> msg => match msg {
                     Ok(LocalMsg::Shutdown) | Err(_) => break,
@@ -482,7 +440,7 @@ impl Core {
                         self.resolver.on_update(record);
                     }
                 }
-                default(idle_for) => self.flush_one_staged(),
+                default(self.config.load_interval) => {}
             }
             self.resolve_dependencies();
             self.maybe_steal();
@@ -491,12 +449,6 @@ impl Core {
         // Nothing is taken from here on: the workers wake and exit, and
         // what is queued stays `Queued(node)` for the kill repair.
         self.queue.close();
-        // Staged submissions must not die with the loop: index them so
-        // their specs' states (and any spill decisions) are durable
-        // before the fabric endpoint goes.
-        while !self.staging.is_empty() {
-            self.flush_one_staged();
-        }
         self.services.fabric.unregister(self.address);
     }
 
@@ -528,7 +480,6 @@ impl Core {
 
     fn on_local(&mut self, msg: LocalMsg) {
         match msg {
-            LocalMsg::Submit { spec, via_global } => self.on_submit_batch(vec![spec], via_global),
             LocalMsg::SubmitBatch { specs, via_global } => self.on_submit_batch(specs, via_global),
             // Nothing to do but take this turn: the steal plane and the
             // load report read the idleness off the queue.
@@ -540,13 +491,9 @@ impl Core {
 
     fn on_net(&mut self, payload: bytes::Bytes) {
         match decode_from_slice::<SchedWire>(&payload) {
-            Ok(SchedWire::Place { spec, hops: _ }) => self.on_submit_batch(vec![spec], true),
             Ok(SchedWire::PlaceBatch { specs, hops: _ }) => self.on_submit_batch(specs, true),
-            Ok(SchedWire::Spill(spec)) => {
-                // Misdirected spill (we are not a global scheduler);
-                // treat as a local submission rather than dropping work.
-                self.on_submit_batch(vec![spec], false)
-            }
+            // Misdirected spill (we are not a global scheduler); treat as
+            // a local submission rather than dropping work.
             Ok(SchedWire::SpillBatch(specs)) => self.on_submit_batch(specs, false),
             Ok(SchedWire::StealRequest {
                 thief,
@@ -578,78 +525,22 @@ impl Core {
         );
     }
 
-    /// Batch ingest: the same decisions as N sequential single
-    /// submissions, but with one spill/dependency scan over the batch,
-    /// one group-committed state write, one event-log append, and (when
-    /// tasks must travel) one fabric frame — per-task costs become
-    /// per-batch costs (R2).
+    /// Ingests a batch in the loop turn that received it: the same
+    /// decisions as N sequential single submissions, but with one
+    /// spill/dependency scan over the batch, one group-committed state
+    /// write, one event-log frame, and (when tasks must travel) one
+    /// fabric frame — per-task costs become per-batch costs (R2). The
+    /// mailbox is the only queue in front of this: batches are ingested
+    /// in arrival order, so every spill decision and state write follows
+    /// the order the senders sent in.
     ///
     /// `via_global` marks placements made by the global scheduler,
     /// which must not spill again (except when the node genuinely can
     /// never satisfy the demand — stale capacity information).
-    ///
-    /// This is only the cheap *accept* stage: the batch lands on the
-    /// staging ring and the expensive *index* stage
-    /// ([`Core::ingest_batch`]) runs on a later loop turn — while the
-    /// submitter is already marshalling its next batch — or, once more
-    /// than [`LocalSchedulerConfig::staging_depth`] batches are staged
-    /// (always, at depth 0), in this one. Batches flush FIFO, so
-    /// indexing order (and thus every spill decision and state write)
-    /// is the same at any depth.
     pub(crate) fn on_submit_batch(&mut self, specs: Vec<TaskSpec>, via_global: bool) {
-        let seq = self.staging_seq;
-        self.staging_seq += 1;
-        self.staged_tasks += specs.len();
-        // Open the staging span: BatchIndexed with the same seq closes
-        // it when the index stage runs. `depth` is the ring occupancy
-        // including this batch — the pipelining backlog signal.
-        self.services.events.append(
-            self.config.node,
-            Event::now(
-                Component::LocalScheduler,
-                EventKind::BatchStaged {
-                    node: self.config.node,
-                    seq,
-                    tasks: specs.len() as u32,
-                    depth: (self.staging.len() + 1) as u32,
-                },
-            ),
-        );
-        self.staging.push_back((seq, specs, via_global));
-        if self.staging.len() > self.config.staging_depth {
-            self.flush_one_staged();
-        }
-    }
-
-    /// Indexes the oldest staged batch (the deferred half of pipelined
-    /// ingest). One batch per call keeps mailbox latency bounded: a
-    /// seal or a fetch answer never waits behind the whole ring.
-    fn flush_one_staged(&mut self) {
-        if let Some((seq, specs, via_global)) = self.staging.pop_front() {
-            self.staged_tasks = self.staged_tasks.saturating_sub(specs.len());
-            let tasks = specs.len() as u32;
-            let started = Instant::now();
-            self.ingest_batch(specs, via_global);
-            self.services.events.append(
-                self.config.node,
-                Event::now(
-                    Component::LocalScheduler,
-                    EventKind::BatchIndexed {
-                        node: self.config.node,
-                        seq,
-                        tasks,
-                        micros: started.elapsed().as_micros() as u64,
-                    },
-                ),
-            );
-        }
-    }
-
-    /// The index stage of batch ingest: spill decisions, dependency
-    /// gating, group-committed state writes, event appends, and missing
-    /// dependency resolution for one batch.
-    fn ingest_batch(&mut self, specs: Vec<TaskSpec>, via_global: bool) {
+        let started = Instant::now();
         let node = self.config.node;
+        let tasks = specs.len() as u32;
         // Single pass: spill decision plus dependency gating. `backlog`
         // advances as runnable tasks are accepted, so the spill rule
         // sees exactly the queue depths a sequential loop would.
@@ -701,53 +592,64 @@ impl Core {
             self.services
                 .tasks
                 .set_states_many(&ids, &TaskState::Queued(node));
-            let at_nanos = rtml_common::time::now_nanos();
-            self.services.events.append_many(
-                node,
-                accepted
-                    .iter()
-                    .map(|(s, _)| Event {
-                        at_nanos,
-                        component: Component::LocalScheduler,
-                        kind: EventKind::TaskQueuedLocal {
-                            task: s.task_id,
-                            node,
-                        },
-                    })
-                    .collect(),
-            );
-            // Gate each task on its dependencies, collecting the
-            // objects nobody here waited for yet, in submission order,
-            // so the resolver takes the batch's whole set at once (one
-            // table registration; one request per holder when this
-            // turn's pump runs). What needs nothing goes to the workers
-            // as one push — after the `Queued` commit above, which a
-            // worker's `Running` must not be overwritten by.
-            let mut unresolved: Vec<ObjectId> = Vec::new();
-            let mut runnable: Vec<Runnable> = Vec::new();
-            for (spec, missing) in accepted {
-                if missing.is_empty() {
-                    runnable.push(self.runnable(spec, Vec::new()));
-                } else {
-                    let count = missing.len();
-                    for object in missing {
-                        let waiters = self.watchers.entry(object).or_default();
-                        if waiters.is_empty() {
-                            unresolved.push(object);
-                        }
-                        waiters.push(spec.task_id);
-                    }
-                    let waiting = Waiting {
-                        spec,
-                        missing: count,
-                        pins: Vec::new(),
-                    };
-                    self.waiting.insert(waiting.spec.task_id, waiting);
-                }
-            }
-            self.queue.push(runnable);
-            self.resolver.add(&unresolved);
         }
+        // The batch's whole record is one frame: where each task went,
+        // and the span of the turn that decided it (the scan and the
+        // commit above; the hand-offs below are the queue's and the
+        // fabric's to time).
+        let at_nanos = rtml_common::time::now_nanos();
+        let event = |kind| Event {
+            at_nanos,
+            component: Component::LocalScheduler,
+            kind,
+        };
+        let queued = accepted.iter().map(|(s, _)| EventKind::TaskQueuedLocal {
+            task: s.task_id,
+            node,
+        });
+        let left = spilled.iter().map(|s| EventKind::TaskSpilled {
+            task: s.task_id,
+            from: node,
+        });
+        let span = EventKind::BatchIngested {
+            node,
+            tasks,
+            micros: started.elapsed().as_micros() as u64,
+        };
+        self.services
+            .events
+            .append_many(node, queued.chain(left).chain([span]).map(event).collect());
+        // Gate each task on its dependencies, collecting the objects
+        // nobody here waited for yet, in submission order, so the
+        // resolver takes the batch's whole set at once (one table
+        // registration; one request per holder when this turn's pump
+        // runs). What needs nothing goes to the workers as one push —
+        // after the `Queued` commit above, which a worker's `Running`
+        // must not be overwritten by.
+        let mut unresolved: Vec<ObjectId> = Vec::new();
+        let mut runnable: Vec<Runnable> = Vec::new();
+        for (spec, missing) in accepted {
+            if missing.is_empty() {
+                runnable.push(self.runnable(spec, Vec::new()));
+            } else {
+                let count = missing.len();
+                for object in missing {
+                    let waiters = self.watchers.entry(object).or_default();
+                    if waiters.is_empty() {
+                        unresolved.push(object);
+                    }
+                    waiters.push(spec.task_id);
+                }
+                let waiting = Waiting {
+                    spec,
+                    missing: count,
+                    pins: Vec::new(),
+                };
+                self.waiting.insert(waiting.spec.task_id, waiting);
+            }
+        }
+        self.queue.push(runnable);
+        self.resolver.add(&unresolved);
         if !spilled.is_empty() {
             self.spill_batch(spilled);
         }
@@ -792,7 +694,7 @@ impl Core {
             node: self.config.node,
             sched_address: self.address.as_u64(),
             ready: load.ready as u32,
-            waiting: (self.waiting.len() + self.staged_tasks) as u32,
+            waiting: self.waiting.len() as u32,
             running: load.running as u32,
             idle_workers: load.idle as u32,
             available: load.available,
@@ -922,7 +824,7 @@ mod tests {
     fn no_dep_task_dispatches_immediately() {
         let mut r = rig(LocalSchedulerConfig::default());
         let spec = spec_with(vec![], 0);
-        r.handle.submit(spec.clone());
+        r.handle.submit_batch(vec![spec.clone()]);
         let got = recv_run(&r.worker_rx);
         assert_eq!(got.task_id, spec.task_id);
         assert_eq!(
@@ -1043,7 +945,7 @@ mod tests {
             .child(99)
             .return_object(0);
         let spec = spec_with(vec![ArgSpec::ObjectRef(dep)], 0);
-        r.handle.submit(spec.clone());
+        r.handle.submit_batch(vec![spec.clone()]);
         // Not dispatched while the dependency is missing.
         assert!(r.worker_rx.recv_timeout(Duration::from_millis(80)).is_err());
         // Seal the dependency locally; the seal listener wakes the
@@ -1063,8 +965,8 @@ mod tests {
         });
         let a = spec_with(vec![], 0);
         let b = spec_with(vec![], 1);
-        r.handle.submit(a.clone());
-        r.handle.submit(b.clone());
+        r.handle.submit_batch(vec![a.clone()]);
+        r.handle.submit_batch(vec![b.clone()]);
         let first = recv_run(&r.worker_rx);
         assert_eq!(first.task_id, a.task_id);
         // Second task must not arrive while the first runs.
@@ -1083,7 +985,7 @@ mod tests {
         });
         let mut spec = spec_with(vec![], 0);
         spec.resources = Resources::gpu(1.0);
-        r.handle.submit(spec.clone());
+        r.handle.submit_batch(vec![spec.clone()]);
         // The fake global receives the spill.
         let spilled = loop {
             let d = r
@@ -1092,11 +994,11 @@ mod tests {
                 .recv_timeout(Duration::from_secs(5))
                 .expect("spill");
             match decode_from_slice::<SchedWire>(&d.payload).unwrap() {
-                SchedWire::Spill(s) => break s,
+                SchedWire::SpillBatch(specs) => break specs,
                 _ => continue, // loads, node-up
             }
         };
-        assert_eq!(spilled.task_id, spec.task_id);
+        assert_eq!(spilled, vec![spec.clone()]);
         assert_eq!(
             r.services.tasks.get_state(spec.task_id),
             Some(TaskState::Spilled)
@@ -1113,7 +1015,7 @@ mod tests {
         });
         // Worker takes the first task; then ready backlog builds.
         for i in 0..8 {
-            r.handle.submit(spec_with(vec![], i));
+            r.handle.submit_batch(vec![spec_with(vec![], i)]);
         }
         let mut spills = 0;
         let deadline = Instant::now() + Duration::from_secs(5);
@@ -1125,7 +1027,7 @@ mod tests {
             {
                 if matches!(
                     decode_from_slice::<SchedWire>(&d.payload),
-                    Ok(SchedWire::Spill(_))
+                    Ok(SchedWire::SpillBatch(_))
                 ) {
                     spills += 1;
                 }
@@ -1144,8 +1046,8 @@ mod tests {
         });
         let spec = spec_with(vec![], 0);
         // Deliver a placement as the global scheduler would.
-        let place = SchedWire::Place {
-            spec: spec.clone(),
+        let place = SchedWire::PlaceBatch {
+            specs: vec![spec.clone()],
             hops: 1,
         };
         r.services
@@ -1179,15 +1081,15 @@ mod tests {
         b.resources = Resources::cpu(1.0).with_custom("slot", 1.0);
         let mut c = spec_with(vec![], 2);
         c.resources = Resources::cpu(1.0);
-        r.handle.submit(a.clone());
+        r.handle.submit_batch(vec![a.clone()]);
         // Wait until A occupies the slot (worker 0 receives it).
         let first = recv_run(&r.worker_rx);
         assert_eq!(first.task_id, a.task_id);
         // The second worker takes what it can and never finishes it.
         let (queue, second) = (r.handle.queue().clone(), WorkerId::new(NodeId(0), 1));
         std::thread::spawn(move || while queue.next(second, None).is_some() {});
-        r.handle.submit(b.clone());
-        r.handle.submit(c.clone());
+        r.handle.submit_batch(vec![b.clone()]);
+        r.handle.submit_batch(vec![c.clone()]);
         // C is taken (by the second worker) even though B is ahead.
         // Give the scheduler a moment, then check the task table — and
         // that B is what is left in the queue.
@@ -1211,7 +1113,7 @@ mod tests {
     fn remove_worker_marks_running_task_lost() {
         let mut r = rig(LocalSchedulerConfig::default());
         let spec = spec_with(vec![], 0);
-        r.handle.submit(spec.clone());
+        r.handle.submit_batch(vec![spec.clone()]);
         let _ = recv_run(&r.worker_rx);
         r.handle
             .sender()
@@ -1297,7 +1199,7 @@ mod tests {
         objects.add_location(dep, NodeId(7), 6);
 
         let spec = spec_with(vec![ArgSpec::ObjectRef(dep)], 0);
-        handle.submit(spec.clone());
+        handle.submit_batch(vec![spec.clone()]);
         let got = recv_run(&worker_rx);
         assert_eq!(got.task_id, spec.task_id);
         // The object must now be local. The fetching thread commits the
@@ -1410,7 +1312,7 @@ mod tests {
         }
         let args: Vec<ArgSpec> = deps.iter().map(|d| ArgSpec::ObjectRef(*d)).collect();
         let spec = spec_with(args, 0);
-        r.handle.submit(spec.clone());
+        r.handle.submit_batch(vec![spec.clone()]);
         let got = recv_run(&r.worker_rx);
         assert_eq!(got.task_id, spec.task_id);
         // All 8 dependencies crossed as ONE coalesced request frame.
@@ -1474,7 +1376,7 @@ mod tests {
         r.services.objects.add_location(dep, NodeId(7), 48);
         r.services.fabric.partition(NodeId(0), NodeId(7));
         let spec = spec_with(vec![ArgSpec::ObjectRef(dep)], 0);
-        r.handle.submit(spec.clone());
+        r.handle.submit_batch(vec![spec.clone()]);
         assert!(r
             .worker_rx
             .recv_timeout(Duration::from_millis(100))
@@ -1597,7 +1499,7 @@ mod tests {
         r.store_remote.put(dep, Bytes::from(vec![9u8; 64])).unwrap();
         r.services.objects.add_location(dep, NodeId(7), 64);
         let spec = spec_with(vec![ArgSpec::ObjectRef(dep)], 0);
-        r.handle.submit(spec.clone());
+        r.handle.submit_batch(vec![spec.clone()]);
 
         let deadline = Instant::now() + Duration::from_secs(5);
         while r.handle.stats().prefetch_skipped_capacity.get() == 0 {
@@ -1642,7 +1544,7 @@ mod tests {
         r.store_remote.put(dep, Bytes::from(vec![9u8; 64])).unwrap();
         r.services.objects.add_location(dep, NodeId(7), 64);
         let spec = spec_with(vec![ArgSpec::ObjectRef(dep)], 0);
-        r.handle.submit(spec.clone());
+        r.handle.submit_batch(vec![spec.clone()]);
         let got = recv_run(&r.worker_rx);
         assert_eq!(got.task_id, spec.task_id);
         // The task is running; its argument is pinned. A put that would
@@ -1779,7 +1681,7 @@ mod tests {
         r.services.objects.add_location(dep, NodeId(7), 64);
         r.services.fabric.partition(NodeId(0), NodeId(7));
         let spec = spec_with(vec![ArgSpec::ObjectRef(dep)], 0);
-        r.handle.submit(spec.clone());
+        r.handle.submit_batch(vec![spec.clone()]);
         let deadline = Instant::now() + Duration::from_secs(5);
         while r.services.agent.in_flight_len() == 0 {
             assert!(Instant::now() < deadline, "dependency never requested");
@@ -1873,7 +1775,7 @@ mod tests {
         }
         // Local work still runs.
         let spec = spec_with(vec![], 9);
-        r.handle.submit(spec.clone());
+        r.handle.submit_batch(vec![spec.clone()]);
         let got = recv_run(&r.worker_rx);
         assert_eq!(got.task_id, spec.task_id);
         r.handle.shutdown();
@@ -2166,12 +2068,11 @@ mod tests {
         let (mut r, _, _, locks_before) = gated_batch(64);
         // What ingesting the batch took from the control plane: the
         // tasks' state commit and the 64 registrations, each at most one
-        // lock per kv shard, plus three event appends (batch staged,
-        // tasks queued, batch indexed) — not one lock, let alone four,
-        // per object.
+        // lock per kv shard, plus the batch's one event frame — not one
+        // lock, let alone four, per object.
         let shards = r.services.kv.stats().locks_per_shard.len() as u64;
         let locks = r.services.kv.stats().total_locks() - locks_before;
-        assert!(locks <= 2 * shards + 3, "{locks} kv locks for one batch");
+        assert!(locks <= 2 * shards + 1, "{locks} kv locks for one batch");
         // And nobody was hired to watch them. (The name such threads
         // had, in two halves: a search for it should only ever find code
         // that starts one.)
@@ -2183,6 +2084,87 @@ mod tests {
             assert!(watchers.is_empty(), "watcher threads: {watchers:?}");
         }
         r.handle.shutdown();
+    }
+
+    /// The frames on node 0's `LocalScheduler` event stream, read off
+    /// the stream itself: load reports and other components' events
+    /// live under other keys.
+    fn scheduler_frames(services: &SchedServices) -> Vec<Vec<Event>> {
+        let streams = services.kv.scan_logs_prefix(b"ev:");
+        let frames = streams.into_iter().flat_map(|(_key, records)| records);
+        let frames = frames.map(|r| decode_from_slice::<Vec<Event>>(&r).expect("a frame"));
+        frames
+            .filter(|frame| frame[0].component == Component::LocalScheduler)
+            .collect()
+    }
+
+    #[test]
+    fn each_batch_is_ingested_in_the_turn_that_received_it_and_writes_one_frame() {
+        // A scheduler whose next tick is an hour away: the only loop
+        // turn a batch gets is the one that receives it. One worker,
+        // which takes the first task and keeps it.
+        let mut r = rig(LocalSchedulerConfig {
+            load_interval: Duration::from_secs(3600),
+            total_resources: Resources::cpu(8.0),
+            spill: SpillMode::NeverSpill,
+            ..LocalSchedulerConfig::default()
+        });
+        let before = scheduler_frames(&r.services).len();
+        let queue = r.handle.queue().clone();
+        let ready_reaches = |depth: usize| {
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while queue.load().ready != depth {
+                assert!(Instant::now() < deadline, "ready never reached {depth}");
+                std::thread::yield_now();
+            }
+        };
+        // A local batch of one ...
+        let one = spec_with(vec![], 0);
+        r.handle.submit_batch(vec![one.clone()]);
+        assert_eq!(recv_run(&r.worker_rx).task_id, one.task_id);
+        // ... a local batch of 64 ...
+        let many: Vec<TaskSpec> = (1..65).map(|i| spec_with(vec![], i)).collect();
+        r.handle.submit_batch(many.clone());
+        ready_reaches(64);
+        // ... and a placement off the fabric.
+        let placed: Vec<TaskSpec> = (65..68).map(|i| spec_with(vec![], i)).collect();
+        let place = SchedWire::PlaceBatch {
+            specs: placed.clone(),
+            hops: 1,
+        };
+        let from = r.global_endpoint.address();
+        let sent = r
+            .services
+            .fabric
+            .send(from, r.handle.address(), encode_to_bytes(&place));
+        sent.unwrap();
+        ready_reaches(64 + 3);
+        // The thread has exited: what it wrote is all there will be.
+        r.handle.shutdown();
+        let frames = scheduler_frames(&r.services);
+        let batches = [vec![one], many, placed];
+        assert_eq!(frames.len() - before, batches.len(), "{frames:?}");
+        for (frame, batch) in frames[before..].iter().zip(&batches) {
+            let (span, queued) = frame.split_last().expect("never empty");
+            let queued: Vec<TaskId> = queued
+                .iter()
+                .map(|e| match e.kind {
+                    EventKind::TaskQueuedLocal {
+                        task,
+                        node: NodeId(0),
+                    } => task,
+                    ref other => panic!("unexpected {other:?}"),
+                })
+                .collect();
+            let ids: Vec<TaskId> = batch.iter().map(|s| s.task_id).collect();
+            assert_eq!(queued, ids);
+            match span.kind {
+                EventKind::BatchIngested { node, tasks, .. } => {
+                    assert_eq!((node, tasks as usize), (NodeId(0), batch.len()))
+                }
+                ref other => panic!("the frame ends with {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -2262,7 +2244,7 @@ mod tests {
         let dep = producer.return_object(0);
         objects.declare(dep, Some(producer));
 
-        handle.submit(spec_with(vec![ArgSpec::ObjectRef(dep)], 0));
+        handle.submit_batch(vec![spec_with(vec![ArgSpec::ObjectRef(dep)], 0)]);
         let asked = hook_rx.recv_timeout(Duration::from_secs(5)).unwrap();
         assert_eq!(asked, dep);
         handle.shutdown();

@@ -10,7 +10,6 @@
 //! hybrid threshold is the paper's proposal.
 
 use rtml_common::codec::Codec;
-use rtml_common::event::{Component, Event, EventKind};
 use rtml_common::ids::TaskId;
 use rtml_common::resources::Resources;
 use rtml_common::task::{TaskSpec, TaskState};
@@ -66,29 +65,15 @@ impl SpillMode {
 /// The scheduler's side of a spill decision.
 impl Core {
     /// Forwards a whole batch of spilling tasks to the global scheduler
-    /// as one frame (`Spill` for a single task, `SpillBatch` otherwise):
-    /// one state group commit, one event append, one fabric hop.
+    /// as one `SpillBatch` frame per owning shard: one state group
+    /// commit, one fabric hop. The tasks' `TaskSpilled` events are in
+    /// the frame [`Core::on_submit_batch`] wrote for their batch.
     pub(crate) fn spill_batch(&mut self, specs: Vec<TaskSpec>) {
         let node = self.config.node;
         let ids: Vec<TaskId> = specs.iter().map(|s| s.task_id).collect();
         self.services
             .tasks
             .set_states_many(&ids, &TaskState::Spilled);
-        let at_nanos = rtml_common::time::now_nanos();
-        self.services.events.append_many(
-            node,
-            specs
-                .iter()
-                .map(|s| Event {
-                    at_nanos,
-                    component: Component::LocalScheduler,
-                    kind: EventKind::TaskSpilled {
-                        task: s.task_id,
-                        from: node,
-                    },
-                })
-                .collect(),
-        );
         // Partition the batch by owning global shard (the FNV-64 task
         // keyspace split) and send one coalesced frame per shard. With
         // one shard this degenerates to the old single-frame path.
@@ -102,14 +87,10 @@ impl Core {
             if group.is_empty() {
                 continue;
             }
-            let msg = if group.len() == 1 {
-                SchedWire::Spill(group[0].clone())
-            } else {
-                SchedWire::SpillBatch(group.clone())
-            };
             // Pre-size the frame: ~96 bytes per spec avoids the doubling
             // series on large spilled bursts.
             let mut w = rtml_common::codec::Writer::with_capacity(32 + 96 * group.len());
+            let msg = SchedWire::SpillBatch(group);
             msg.encode(&mut w);
             if self
                 .services
@@ -119,6 +100,9 @@ impl Core {
             {
                 // No global scheduler (shutdown race). Keep whatever work
                 // this node can possibly run rather than losing it.
+                let SchedWire::SpillBatch(group) = msg else {
+                    unreachable!("constructed above")
+                };
                 for spec in group {
                     if self.config.total_resources.fits(&spec.resources) {
                         self.services

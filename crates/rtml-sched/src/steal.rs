@@ -197,9 +197,7 @@ impl Core {
     /// re-arms the loop when a victim dies mid-request.
     pub(crate) fn maybe_steal(&mut self) {
         let cfg = &self.config.stealing;
-        // Accepted-but-unindexed local work exists: index it before
-        // pulling remote work.
-        if !cfg.enabled || !self.staging.is_empty() {
+        if !cfg.enabled {
             return;
         }
         // Idle means workers parked on an empty queue (the gauge is the

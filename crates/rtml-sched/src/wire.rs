@@ -8,19 +8,11 @@ use rtml_common::task::TaskSpec;
 
 use crate::msg::LoadReport;
 
-/// Fabric-borne scheduler protocol.
+/// Fabric-borne scheduler protocol. Tasks travel in batches only — one
+/// task is a batch of one. Tags 0 and 1 were the single-task `Spill` and
+/// `Place`; they are retired, not reused, so an old frame fails to decode.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SchedWire {
-    /// Local → global: "this task exceeds my capacity or backlog".
-    Spill(TaskSpec),
-    /// Global → local: "run this task on your node". `hops` counts
-    /// placement attempts, bounding spill/place ping-pong.
-    Place {
-        /// The task being placed.
-        spec: TaskSpec,
-        /// Number of global placements so far.
-        hops: u32,
-    },
     /// Local → global: periodic load report.
     Load(LoadReport),
     /// A node joined or recovered; `sched_address` is the raw fabric
@@ -36,13 +28,14 @@ pub enum SchedWire {
         /// The node.
         node: NodeId,
     },
-    /// Local → global: a whole batch of tasks exceeding local capacity
-    /// or backlog, forwarded as one length-prefixed frame so a burst
+    /// Local → global: "these tasks exceed my capacity or backlog" —
+    /// a whole batch forwarded as one length-prefixed frame, so a burst
     /// pays one fabric hop instead of one per task.
     SpillBatch(Vec<TaskSpec>),
-    /// Global → local: a batch of placements onto one node, coalesced
-    /// into a single frame. `hops` counts global placements for every
-    /// task in the batch (they travelled together).
+    /// Global → local: "run these tasks on your node" — the placements
+    /// onto one node coalesced into a single frame. `hops` counts global
+    /// placements for every task in the batch (they travelled together),
+    /// bounding spill/place ping-pong.
     PlaceBatch {
         /// The tasks being placed.
         specs: Vec<TaskSpec>,
@@ -85,15 +78,6 @@ pub enum SchedWire {
 impl Codec for SchedWire {
     fn encode(&self, w: &mut Writer) {
         match self {
-            SchedWire::Spill(spec) => {
-                w.put_u8(0);
-                spec.encode(w);
-            }
-            SchedWire::Place { spec, hops } => {
-                w.put_u8(1);
-                spec.encode(w);
-                w.put_u32(*hops);
-            }
             SchedWire::Load(report) => {
                 w.put_u8(2);
                 report.encode(w);
@@ -143,11 +127,6 @@ impl Codec for SchedWire {
 
     fn decode(r: &mut Reader<'_>) -> Result<Self> {
         Ok(match r.take_u8()? {
-            0 => SchedWire::Spill(TaskSpec::decode(r)?),
-            1 => SchedWire::Place {
-                spec: TaskSpec::decode(r)?,
-                hops: r.take_u32()?,
-            },
             2 => SchedWire::Load(LoadReport::decode(r)?),
             3 => SchedWire::NodeUp {
                 node: NodeId::decode(r)?,
@@ -203,11 +182,6 @@ mod tests {
             at_nanos: 7,
         };
         for msg in [
-            SchedWire::Spill(spec()),
-            SchedWire::Place {
-                spec: spec(),
-                hops: 2,
-            },
             SchedWire::Load(report),
             SchedWire::NodeUp {
                 node: NodeId(5),
@@ -241,6 +215,14 @@ mod tests {
             let bytes = encode_to_bytes(&msg);
             let back: SchedWire = decode_from_slice(&bytes).unwrap();
             assert_eq!(msg, back);
+        }
+        // The single-task frames' tags stay retired.
+        for tag in [0u8, 1] {
+            let mut w = Writer::with_capacity(64);
+            w.put_u8(tag);
+            spec().encode(&mut w);
+            w.put_u32(2);
+            assert!(decode_from_slice::<SchedWire>(&w.into_bytes()).is_err());
         }
     }
 }

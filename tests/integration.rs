@@ -376,3 +376,86 @@ fn wait_pipelining_beats_batching_with_stragglers() {
         "pipelined {pipelined_wall:?} !< batched {batched_wall:?}"
     );
 }
+
+/// Table locations ⊆ store residency, whoever seals: a seal that evicts
+/// takes its victims' locations with it — for `put` (the §4.2 loop that
+/// puts a policy every iteration), an actor's result and the error a
+/// permanently unschedulable task is sealed with.
+#[test]
+fn a_put_that_evicts_leaves_no_stale_location() {
+    const MIB: usize = 1 << 20;
+    let node = NodeConfig::cpu_only(2).with_store_capacity(3 * MIB as u64);
+    let cluster = Cluster::start(ClusterConfig {
+        nodes: vec![node],
+        ..ClusterConfig::default()
+    })
+    .unwrap();
+    let driver = cluster.driver();
+    let services = driver.services().clone();
+    let store = services.store(NodeId(0)).unwrap();
+    let mut sealed: Vec<ObjectId> = Vec::new();
+    // Every location the table lists is a resident copy, and the seals
+    // since the last check did evict. A reader can have its value a
+    // step before the sealer has finished publishing (a local `get`
+    // reads the store), so a stale entry gets a moment to go.
+    let mut evictions = 0;
+    let mut check = |sealed: &[ObjectId], what: &str| {
+        let stale = || -> Vec<ObjectId> {
+            let listed = |id: &ObjectId| {
+                let info = services.objects.get(*id);
+                info.is_some_and(|info| info.locations.contains(&NodeId(0)))
+            };
+            let gone = sealed
+                .iter()
+                .filter(|id| listed(id) && !store.contains(**id));
+            gone.copied().collect()
+        };
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while !stale().is_empty() && std::time::Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+        assert_eq!(stale(), vec![], "{what}: evicted but still listed");
+        let now = store.stats.evictions.get();
+        assert!(now > evictions, "{what}: nothing was evicted");
+        evictions = now;
+    };
+
+    let block = |fill: u8| bytes::Bytes::from(vec![fill; MIB - 1024]);
+    for i in 0..6 {
+        sealed.push(driver.put(&block(i)).unwrap().id());
+    }
+    check(&sealed, "put");
+
+    let actor = cluster.spawn_actor("blocks", NodeId(0), || 0u8).unwrap();
+    for _ in 0..3 {
+        let result = actor
+            .call(move |n| {
+                *n += 1;
+                Ok(block(*n))
+            })
+            .unwrap();
+        assert_eq!(driver.get(&result).unwrap().len(), MIB - 1024);
+        sealed.push(result.id());
+    }
+    check(&sealed, "actor result");
+
+    // Leave less room than an error envelope takes, then fail a task
+    // no node can ever run: its sealed error has to evict.
+    let free = (store.capacity_bytes() - store.used_bytes()) as usize;
+    if free > 64 {
+        sealed.push(
+            driver
+                .put(&bytes::Bytes::from(vec![7u8; free - 64]))
+                .unwrap()
+                .id(),
+        );
+    }
+    let f = cluster.register_fn1("never_runs", |x: u64| Ok(x));
+    let doomed = driver
+        .submit1_opts(&f, 1u64, TaskOptions::gpu(1.0))
+        .unwrap();
+    assert!(driver.get(&doomed).is_err());
+    sealed.push(doomed.id());
+    check(&sealed, "unschedulable seal");
+    cluster.shutdown();
+}

@@ -1021,16 +1021,10 @@ fn global_placements(
             );
             for (idx, endpoint) in endpoints.iter().enumerate() {
                 while let Ok(d) = endpoint.receiver().try_recv() {
-                    match decode_from_slice::<SchedWire>(&d.payload) {
-                        Ok(SchedWire::Place { spec, .. }) => {
+                    if let Ok(SchedWire::PlaceBatch { specs, .. }) = decode_from_slice(&d.payload) {
+                        for spec in specs {
                             placed.insert(spec.task_id, NodeId(nodes[idx].0));
                         }
-                        Ok(SchedWire::PlaceBatch { specs, .. }) => {
-                            for spec in specs {
-                                placed.insert(spec.task_id, NodeId(nodes[idx].0));
-                            }
-                        }
-                        _ => {}
                     }
                 }
             }
