@@ -9,8 +9,8 @@
 //!   Chrome-trace that is valid JSON, carries flow arrows
 //!   (`ph:"s"/"t"/"f"`) stitching submit → queue → place → start across
 //!   nodes, and holds at least one duration span for every plane
-//!   (control, ingest, placement, transfer, replication — plus steal,
-//!   from a skewed-burst run where pull-based stealing fires).
+//!   (control, ingest, placement, transfer — plus steal, from a
+//!   skewed-burst run where pull-based stealing fires).
 //! - **Critical path**: the analyzer walks the sink task's binding
 //!   dependency chain and splits the end-to-end span into
 //!   ingest/placement/queue/transfer/execution; the buckets must sum
@@ -39,7 +39,6 @@ use rtml_common::resources::Resources;
 use rtml_common::task::{ArgSpec, TaskState};
 use rtml_runtime::{Cluster, ClusterConfig, Driver, NodeConfig, TaskRequest, TelemetryConfig};
 use rtml_sched::{SpillMode, StealConfig};
-use rtml_store::ReplicationPolicy;
 
 const DEFAULT_FANOUT: usize = 64;
 const CHAIN_LEN: usize = 8;
@@ -84,10 +83,6 @@ fn run_dag(fanout: usize) -> DagRun {
     let cluster = Cluster::start(
         ClusterConfig::local(3, 2)
             .with_spill(SpillMode::AlwaysSpill)
-            .with_replication(ReplicationPolicy {
-                sweep_interval: Duration::from_millis(5),
-                ..ReplicationPolicy::default()
-            })
             .with_telemetry(telemetry),
     )
     .unwrap();
@@ -101,8 +96,7 @@ fn run_dag(fanout: usize) -> DagRun {
     let driver = cluster.driver();
 
     // Shared input block: fan-out consumers on other nodes pull it
-    // across the fabric (transfer spans) and make it hot (replication
-    // demand).
+    // across the fabric (transfer spans).
     let block: Vec<u8> = (0..16 * 1024).map(|i| (i % 251) as u8).collect();
     let seed = driver.put(&block).unwrap();
 
@@ -119,8 +113,8 @@ fn run_dag(fanout: usize) -> DagRun {
     driver.get_many(&fan).unwrap();
     let sink_value = driver.get(&tip).unwrap();
     assert!(!sink_value.is_empty());
-    // Let the replication agents sweep at least once more and the
-    // samplers take another snapshot before reading the plane back.
+    // Let the samplers take another snapshot before reading the plane
+    // back.
     std::thread::sleep(Duration::from_millis(30));
 
     let report = cluster.profile();
@@ -363,7 +357,7 @@ fn main() {
     );
 
     // Self-asserts (the acceptance criteria).
-    for plane in ["control", "ingest", "placement", "transfer", "replication"] {
+    for plane in ["control", "ingest", "placement", "transfer"] {
         assert!(
             dag.plane_spans.get(plane).copied().unwrap_or(0) > 0,
             "trace must hold at least one {plane} span"

@@ -65,6 +65,9 @@ const OVERLAP_MIN_CORES: usize = 4;
 /// is a submission hot-path regression even if every test is green.
 const MIN_TASKS_PER_SEC: f64 = 400_000.0;
 const MAX_KV_LOCKS_PER_TASK: f64 = 0.01;
+/// The "rate rises with batch size" check compares two cells only when
+/// each submitted at least this many batches.
+const MIN_BATCHES_FOR_RATE: usize = 4;
 
 /// What the driver does between batches.
 #[derive(Clone, Copy, PartialEq)]
@@ -201,10 +204,27 @@ fn main() {
     // curve: on a 1-core host the 256→4096 step is already deep into
     // diminishing returns and OS scheduling noise between the driver
     // and scheduler threads can wiggle it a few percent either way.
-    assert!(
-        async_arm.windows(2).all(|w| w[1].rate > w[0].rate * 0.9),
-        "async throughput must rise with batch size"
-    );
+    // A cell of fewer than `MIN_BATCHES_FOR_RATE` batches times a
+    // message or two, not a rate, so a step that touches one is skipped.
+    for w in async_arm.windows(2) {
+        if w.iter()
+            .all(|m| tasks_per_size / m.batch >= MIN_BATCHES_FOR_RATE)
+        {
+            assert!(
+                w[1].rate > w[0].rate * 0.9,
+                "async throughput must rise with batch size ({} -> {}: {:.0} -> {:.0} tasks/s)",
+                w[0].batch,
+                w[1].batch,
+                w[0].rate,
+                w[1].rate
+            );
+        } else {
+            println!(
+                "batch {} -> {}: rise not checked, under {MIN_BATCHES_FOR_RATE} batches at {tasks_per_size} tasks per size",
+                w[0].batch, w[1].batch
+            );
+        }
+    }
     if cores >= OVERLAP_MIN_CORES {
         assert!(
             gain >= OVERLAP_GAIN,

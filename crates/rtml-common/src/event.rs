@@ -26,8 +26,6 @@ pub enum Component {
     Supervisor,
     /// A per-node fetch agent (client side of the transfer plane).
     FetchAgent,
-    /// A per-node replication agent (the hot-object replication plane).
-    ReplicationAgent,
 }
 
 impl Codec for Component {
@@ -42,7 +40,7 @@ impl Codec for Component {
             // Wire tags are append-only: new components take the next
             // free tag so logged streams stay decodable across versions.
             Component::FetchAgent => 6,
-            Component::ReplicationAgent => 7,
+            // Tag 7 (the replication agent) is retired, not reused.
         });
     }
 
@@ -55,7 +53,6 @@ impl Codec for Component {
             4 => Component::ObjectStore,
             5 => Component::Supervisor,
             6 => Component::FetchAgent,
-            7 => Component::ReplicationAgent,
             other => return Err(Error::Codec(format!("invalid Component tag {other}"))),
         })
     }
@@ -162,16 +159,6 @@ pub enum EventKind {
         tasks: u32,
         micros: u64,
     },
-    /// One replication-agent demand sweep: `hot` objects crossed the
-    /// read threshold, `placed` replica copies were created, `released`
-    /// cold copies were reclaimed, in `micros`.
-    ReplicationSweep {
-        node: NodeId,
-        hot: u32,
-        placed: u32,
-        released: u32,
-        micros: u64,
-    },
     /// A local scheduler ingested a submission batch (local, placed or
     /// stolen) in the loop turn that received it: `tasks` specs scanned
     /// for spill and dependencies and their states group-committed in
@@ -227,7 +214,6 @@ impl EventKind {
             EventKind::PlacementBatch { .. } => "placement_batch",
             EventKind::StealRequested { .. } => "steal_requested",
             EventKind::StealRoundTrip { .. } => "steal_round_trip",
-            EventKind::ReplicationSweep { .. } => "replication_sweep",
             EventKind::BatchIngested { .. } => "batch_ingested",
         }
     }
@@ -370,24 +356,10 @@ impl Codec for EventKind {
                 w.put_u32(*tasks);
                 w.put_varint(*micros);
             }
-            EventKind::ReplicationSweep {
-                node,
-                hot,
-                placed,
-                released,
-                micros,
-            } => {
-                w.put_u8(21);
-                node.encode(w);
-                w.put_u32(*hot);
-                w.put_u32(*placed);
-                w.put_u32(*released);
-                w.put_varint(*micros);
-            }
-            // Tags 22 (a batch queued behind the mailbox) and 23 (the
-            // same batch indexed, with a sequence number to pair them)
-            // are retired, not reused: an old frame must fail to decode,
-            // not misdecode.
+            // Tags 21 (a replication sweep), 22 (a batch queued behind
+            // the mailbox) and 23 (the same batch indexed, with a
+            // sequence number to pair them) are retired, not reused: an
+            // old frame must fail to decode, not misdecode.
             EventKind::BatchIngested {
                 node,
                 tasks,
@@ -494,13 +466,6 @@ impl Codec for EventKind {
                 victim: NodeId::decode(r)?,
                 seq: r.take_varint()?,
                 tasks: r.take_u32()?,
-                micros: r.take_varint()?,
-            },
-            21 => EventKind::ReplicationSweep {
-                node: NodeId::decode(r)?,
-                hot: r.take_u32()?,
-                placed: r.take_u32()?,
-                released: r.take_u32()?,
                 micros: r.take_varint()?,
             },
             24 => EventKind::BatchIngested {
@@ -635,13 +600,6 @@ mod tests {
                 tasks: 0,
                 micros: 450,
             },
-            EventKind::ReplicationSweep {
-                node: n,
-                hot: 1,
-                placed: 2,
-                released: 0,
-                micros: 300,
-            },
             EventKind::BatchIngested {
                 node: n,
                 tasks: 256,
@@ -656,7 +614,6 @@ mod tests {
             Component::ObjectStore,
             Component::Supervisor,
             Component::FetchAgent,
-            Component::ReplicationAgent,
         ];
         for (i, kind) in kinds.into_iter().enumerate() {
             let ev = Event {
@@ -668,8 +625,8 @@ mod tests {
             let back: Event = decode_from_slice(&bytes).unwrap();
             assert_eq!(ev, back, "kind {}", kind.label());
         }
-        // The retired batch events' tags decode as nothing.
-        for tag in [22u8, 23] {
+        // The retired sweep and batch events' tags decode as nothing.
+        for tag in [21u8, 22, 23] {
             let mut w = crate::codec::Writer::with_capacity(16);
             w.put_u8(tag);
             n.encode(&mut w);
@@ -682,18 +639,21 @@ mod tests {
 
     #[test]
     fn all_components_round_trip() {
-        for tag in 0..=7u8 {
+        for tag in 0..=6u8 {
             let mut w = crate::codec::Writer::with_capacity(1);
             w.put_u8(tag);
             let bytes = w.into_bytes();
             let component: Component =
-                decode_from_slice(&bytes).expect("every tag through 7 decodes");
+                decode_from_slice(&bytes).expect("every tag through 6 decodes");
             let back = encode_to_bytes(&component);
             assert_eq!(&back[..], &bytes[..], "component tag {tag}");
         }
-        let mut w = crate::codec::Writer::with_capacity(1);
-        w.put_u8(8);
-        assert!(decode_from_slice::<Component>(&w.into_bytes()).is_err());
+        // 7 is the retired replication agent's tag; 8 was never used.
+        for tag in [7u8, 8] {
+            let mut w = crate::codec::Writer::with_capacity(1);
+            w.put_u8(tag);
+            assert!(decode_from_slice::<Component>(&w.into_bytes()).is_err());
+        }
     }
 
     #[test]

@@ -452,18 +452,11 @@ impl Codec for WorkerId {
     }
 }
 
-/// Salt for rendezvous ranking used by replica *placement* (choosing which
-/// nodes receive copies of a hot object). Distinct from the read-side salt
-/// space (reader node indices, which are small), so the two rankings are
-/// independent hash families.
-pub const REPLICA_PLACEMENT_SALT: u64 = 0x7265_706c_6963_6121; // "replica!"
-
 /// Rendezvous (highest-random-weight) score of `node` for `(object, salt)`.
 ///
 /// 64-bit FNV-1a over the object id, the salt, and the node index. Stable
-/// across runs, platforms, and processes — the property both sides of the
-/// replication plane need: every reader computes the same holder ranking
-/// for the same table state, and every agent computes the same placement.
+/// across runs, platforms, and processes: every reader computes the same
+/// holder ranking for the same table state.
 pub fn rendezvous_score(object: ObjectId, salt: u64, node: NodeId) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -482,12 +475,9 @@ pub fn rendezvous_score(object: ObjectId, salt: u64, node: NodeId) -> u64 {
 /// Ranks `nodes` by descending rendezvous score for `(object, salt)`,
 /// breaking score ties by node id so the order is total.
 ///
-/// Two uses share this helper: a reader (salt = its node index) ranking an
-/// object's holders, so K readers of one object fan out across replicas
-/// instead of funnelling to one node; and the replication agent (salt =
-/// [`REPLICA_PLACEMENT_SALT`]) ranking candidate nodes for new replicas,
-/// so different hot objects replicate onto different nodes. Input order
-/// does not matter.
+/// One salt, one user: a reader (salt = its node index) ranking an
+/// object's holders, so K readers of one object fan out across holders
+/// instead of funnelling to one node. Input order does not matter.
 pub fn rendezvous_rank(
     object: ObjectId,
     salt: u64,

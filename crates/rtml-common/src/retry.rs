@@ -2,8 +2,8 @@
 //!
 //! Before this module each plane hand-rolled its own failure handling:
 //! the steal plane re-armed on a flat interval, the fetch path fell
-//! back to a reactive watcher poll, replication pulls gave up after a
-//! single attempt, and driver striping had no failover at all. A
+//! back to a reactive watcher poll, and driver striping had no failover
+//! at all. A
 //! [`RetryPolicy`] is the shared vocabulary: bounded attempts,
 //! exponential backoff with a cap, *deterministic* jitter (seeded, so
 //! two runs with the same seed sleep the same schedule), and an

@@ -102,7 +102,6 @@ impl EventLog {
             Component::ObjectStore => 4,
             Component::Supervisor => 5,
             Component::FetchAgent => 6,
-            Component::ReplicationAgent => 7,
         });
         Bytes::from(v)
     }

@@ -21,9 +21,9 @@
 //! records its own copy ([`ObjectTable::add_location_pushed`] →
 //! [`ObjectInfo::inbound`]). The announcement is **not** a location: the
 //! bytes are on the wire, not in a store, so nothing may be requested
-//! from that node, counted as a replica of the object, or weighed as
-//! locality on account of it — replication, the eviction probe and
-//! placement keep reading [`ObjectInfo::locations`] only. It says one
+//! from that node, counted as a copy of the object, or weighed as
+//! locality on account of it — readers and placement keep reading
+//! [`ObjectInfo::locations`] only. It says one
 //! thing to one audience: a reader *on the announced node* need not ask
 //! anyone. That rule lives in [`ObjectInfo::holders_ranked`], which every
 //! reader picks its holder through: while the announcement is live it
@@ -115,10 +115,9 @@ impl ObjectInfo {
     /// order when holders turn out to be dead or partitioned. The
     /// ranking is deterministic per `(object, local)`, so concurrent
     /// consumers on one node group their fetches identically — while
-    /// *different* reader nodes of a multi-holder (replicated) object
-    /// fan out across holders instead of all funnelling to one. With a
-    /// single remote holder this degenerates to exactly the pre-
-    /// replication choice.
+    /// *different* reader nodes of a multi-holder object fan out across
+    /// holders instead of all funnelling to one. With a single remote
+    /// holder there is nothing to rank.
     ///
     /// Empty while a pushed copy is expected on `local`
     /// ([`ObjectInfo::awaits_push`]): the reader asks nobody and

@@ -433,7 +433,7 @@ impl Fabric {
         // size-proportional delay: a stream cannot start transmitting
         // until everything the node already accepted has drained, so
         // concurrent transfers out of one node queue behind each other.
-        // This is the fan-in hot-spot relaying and replication exist to
+        // This is the fan-in hot-spot relaying and multi-holder reads
         // spread — with infinite bandwidth the term (and the queueing)
         // vanishes. A frame's last byte leaves at `starts` plus the wire
         // time of what leaves with or before it.
@@ -659,8 +659,7 @@ mod tests {
     fn concurrent_transfers_serialize_on_source_egress() {
         // 1 MB/s, two 50 KB sends back to back from one node: the second
         // queues behind the first on the egress link, so the pair takes
-        // ~100 ms, not ~50 ms — the fan-in hot-spot the replication
-        // plane spreads.
+        // ~100 ms, not ~50 ms — the fan-in hot-spot relaying spreads.
         let fabric = Fabric::new(FabricConfig {
             latency: LatencyModel::Zero,
             bandwidth_bytes_per_sec: Some(1_000_000),

@@ -64,13 +64,6 @@ pub struct ClusterConfig {
     /// the bandwidth model (one propagation-delay sample per stream)
     /// instead of one monolithic message.
     pub transfer_chunk_bytes: u64,
-    /// Hot-object replication plane: per-node agents watch per-object
-    /// remote-read demand and pull objects past
-    /// [`rtml_store::ReplicationPolicy::read_threshold`] onto up to
-    /// `max_replicas` additional holders, so K readers of a hot object
-    /// spread across holders instead of funnelling to the producer.
-    /// Replication changes only *where copies live*, never values: checksums are identical with it on or off.
-    pub replication: rtml_store::ReplicationPolicy,
     /// Pull-based work stealing: an idle local scheduler (empty ready
     /// queue, spare resources) pulls a batch of ready tasks from a
     /// peer whose kv-published backlog is deep, preferring tasks whose
@@ -115,7 +108,7 @@ pub struct ClusterConfig {
     pub faults: rtml_net::FaultPlan,
     /// The one retry/backoff discipline (bounded exponential backoff,
     /// deterministic jitter, optional deadline) adopted by the fetch
-    /// path, driver stripe failover, replication pulls, and — via
+    /// path, driver stripe failover, and — via
     /// [`rtml_sched::StealConfig::retry`] — the steal re-arm.
     pub retry: rtml_common::RetryPolicy,
 }
@@ -134,7 +127,6 @@ impl Default for ClusterConfig {
             fetch_timeout: Duration::from_secs(2),
             default_get_timeout: Duration::from_secs(30),
             transfer_chunk_bytes: rtml_store::DEFAULT_CHUNK_BYTES,
-            replication: rtml_store::ReplicationPolicy::default(),
             stealing: rtml_sched::StealConfig::default(),
             load_interval: Duration::from_millis(1),
             seed: 0x5eed,
@@ -194,12 +186,6 @@ impl ClusterConfig {
     /// Sets the transfer chunk size builder-style.
     pub fn with_transfer_chunk_bytes(mut self, bytes: u64) -> Self {
         self.transfer_chunk_bytes = bytes;
-        self
-    }
-
-    /// Replaces the replication policy builder-style.
-    pub fn with_replication(mut self, replication: rtml_store::ReplicationPolicy) -> Self {
-        self.replication = replication;
         self
     }
 
@@ -312,7 +298,6 @@ impl Cluster {
             fetch_timeout: config.fetch_timeout,
             load_interval: config.load_interval,
             transfer_chunk_bytes: config.transfer_chunk_bytes,
-            replication: config.replication.clone(),
             stealing: config.stealing.clone(),
             telemetry: config.telemetry.clone(),
             retry: config.retry.clone(),
@@ -544,13 +529,6 @@ impl Cluster {
             report.transfer.chunks_received += f.chunks_received.get();
             report.transfer.fetch_timeouts += f.timeouts.get();
             report.transfer.pushes_received += f.pushes_received.get();
-            if let Some(r) = runtime.replication_stats() {
-                report.replication.sweeps += r.sweeps.get();
-                report.replication.hot_objects += r.hot_objects.get();
-                report.replication.replicas_created += r.replicas_created.get();
-                report.replication.replicas_released += r.replicas_released.get();
-                report.replication.failures += r.failures.get();
-            }
             let s = runtime.sched_stats();
             report.prefetch_skipped_capacity += s.prefetch_skipped_capacity.get();
             report.prefetch_deferred_priority += s.prefetch_deferred_priority.get();
@@ -621,9 +599,9 @@ impl Cluster {
             .map(|runtime| runtime.sched_stats().clone())
     }
 
-    /// One node's live transfer-service counters (per-holder serve and
-    /// demand numbers — what the replication experiments measure spread
-    /// with). `None` if the node is not alive.
+    /// One node's live transfer-service counters (what this holder
+    /// served, relayed, handed on and pushed). `None` if the node is not
+    /// alive.
     pub fn node_transfer_stats(&self, node: NodeId) -> Option<Arc<rtml_store::TransferStats>> {
         self.nodes
             .lock()

@@ -6,17 +6,13 @@ use std::sync::Arc;
 use crossbeam::channel::unbounded;
 
 use rtml_common::event::{Component, Event, EventKind};
-use rtml_common::ids::ObjectId;
 use rtml_common::ids::{NodeId, WorkerId};
 use rtml_common::resources::Resources;
 use rtml_sched::{
     GlobalRoutes, LocalMsg, LocalScheduler, LocalSchedulerConfig, LocalSchedulerHandle, Replay,
     SchedServices, SpillMode,
 };
-use rtml_store::{
-    FetchAgent, ObjectStore, ReplicaView, ReplicationAgent, ReplicationHooks, ReplicationPolicy,
-    StoreConfig, TransferService,
-};
+use rtml_store::{FetchAgent, ObjectStore, StoreConfig, TransferService};
 
 use crate::lineage::ReconstructionManager;
 use crate::services::Services;
@@ -98,13 +94,10 @@ pub struct NodeTuning {
     pub load_interval: std::time::Duration,
     /// Maximum payload bytes per transfer frame (object chunking).
     pub transfer_chunk_bytes: u64,
-    /// Hot-object replication plane policy (see
-    /// [`rtml_store::replicate`]).
-    pub replication: ReplicationPolicy,
     /// Pull-based work-stealing policy (see [`rtml_sched::steal`]).
     pub stealing: rtml_sched::StealConfig,
-    /// Shared retry discipline for replication pulls and the local
-    /// schedulers' dependency resolution (see [`rtml_common::retry`]).
+    /// Retry discipline for the local schedulers' dependency
+    /// resolution (see [`rtml_common::retry`]).
     pub retry: rtml_common::retry::RetryPolicy,
     /// Per-node telemetry sampling (see [`crate::telemetry`]).
     pub telemetry: crate::telemetry::TelemetryConfig,
@@ -119,7 +112,6 @@ pub struct NodeRuntime {
     config: NodeConfig,
     transfer: TransferService,
     agent: Arc<FetchAgent>,
-    replication: Option<ReplicationAgent>,
     sched: LocalSchedulerHandle,
     /// Shared with the pool-manager thread, which appends on-demand
     /// workers (nested-task deadlock avoidance).
@@ -146,17 +138,6 @@ impl NodeRuntime {
             capacity_bytes: config.store_capacity,
             chunk_bytes: tuning.transfer_chunk_bytes,
         }));
-        // The never-evict-the-last-sealed-copy guard: before the store
-        // preferentially drops a replica-marked entry it asks the object
-        // table whether another sealed holder exists. Captures only the
-        // table handle (never `Services`) — the store lives inside the
-        // services' node maps, so a `Services` capture would be a cycle.
-        let probe_objects = services.objects.clone();
-        store.set_replica_probe(Arc::new(move |object| {
-            probe_objects
-                .get(object)
-                .is_some_and(|info| info.sealed && info.locations.iter().any(|n| *n != node))
-        }));
         let transfer =
             TransferService::spawn(services.fabric.clone(), store.clone(), &services.directory);
         services.attach_transfer_stats(node, transfer.stats().clone());
@@ -165,139 +146,6 @@ impl NodeRuntime {
             store.clone(),
             services.directory.clone(),
         ));
-
-        // The replication plane: a per-node agent that watches the
-        // demand this node's transfer service observes and pulls hot
-        // sealed objects onto additional holders through the targets'
-        // fetch agents (chunked FetchMany + group-committed locations).
-        let replication = if tuning.replication.enabled {
-            let lookup_objects = services.objects.clone();
-            let alive_services = services.clone();
-            let pull_services = services.clone();
-            let replica_store = store.clone();
-            let release_store = store.clone();
-            let release_objects = services.objects.clone();
-            let fetch_timeout = tuning.fetch_timeout;
-            let pull_retry = tuning.retry.clone();
-            let hooks = ReplicationHooks {
-                lookup: Arc::new(move |object| {
-                    lookup_objects.get(object).map(|info| ReplicaView {
-                        sealed: info.sealed,
-                        locations: info.locations,
-                    })
-                }),
-                // Replica placement steers around suspects: a node that
-                // just stopped heartbeating (or keeps failing pulls) is
-                // a poor home for a new copy. `filter_healthy` never
-                // empties the set, so placement still proceeds when
-                // everything looks sick.
-                alive_nodes: Arc::new(move || {
-                    alive_services
-                        .health
-                        .filter_healthy(alive_services.alive_nodes())
-                }),
-                pull: Arc::new(move |object: ObjectId, target, from| {
-                    let Some(agent) = pull_services.fetch_agent(target) else {
-                        return false;
-                    };
-                    // Seed from stable identity so two same-seed chaos
-                    // runs sleep the same backoff schedule.
-                    let seed = (u64::from(from.0) << 32) | u64::from(target.0);
-                    let pulled = pull_retry.run(seed, |_attempt| {
-                        // The blocking fetch-and-commit of one object:
-                        // the replication plane's pull.
-                        let result = agent.fetch_one(object, from, fetch_timeout);
-                        let pulled = [(object, result)];
-                        rtml_sched::commit_fetched(&pull_services.objects, target, &pulled);
-                        let [(_, result)] = pulled;
-                        result.map(|(_, outcome)| outcome)
-                    });
-                    match pulled {
-                        Ok(outcome) => {
-                            // Mark only copies this pull sealed: a copy
-                            // that already existed (raced with a real
-                            // consumer) stays first-class.
-                            if outcome.inserted {
-                                if let Some(store) = pull_services.store(target) {
-                                    store.mark_replica(object);
-                                }
-                            }
-                            pull_services.health.record_success(from);
-                            true
-                        }
-                        Err(_) => {
-                            // Every attempt against this holder failed:
-                            // evidence toward suspicion.
-                            pull_services.health.record_failure(from);
-                            false
-                        }
-                    }
-                }),
-                list_replicas: Arc::new(move || replica_store.list_replicas()),
-                // Reclamation: drop cold replica copies, but only while
-                // the copy is still replica-marked, unpinned (checked
-                // atomically with the removal by `release_replica`),
-                // AND another sealed holder exists — a demoted last
-                // copy is never eaten. The cross-node check is not
-                // atomic, so the rendezvous *anchor* holder of an
-                // object never reclaims: two simultaneously-cold
-                // replica holders cannot both drop the last copies. A
-                // pressure eviction on the other holder can still
-                // overlap this window — that is the same
-                // capacity-wins-eventually race plain LRU already has,
-                // and lineage replay is the designed backstop.
-                // Evictions commit as one remove_location_many.
-                release: Arc::new(move |objects: &[ObjectId]| {
-                    let mut dropped: Vec<ObjectId> = Vec::new();
-                    for &object in objects {
-                        let safe = release_objects.get(object).is_some_and(|info| {
-                            info.sealed
-                                && info.locations.iter().any(|n| *n != node)
-                                && rtml_common::ids::rendezvous_rank(
-                                    object,
-                                    rtml_common::ids::REPLICA_PLACEMENT_SALT,
-                                    info.locations.iter().copied(),
-                                )
-                                .first()
-                                .is_some_and(|anchor| *anchor != node)
-                        });
-                        if safe && release_store.release_replica(object) {
-                            dropped.push(object);
-                        }
-                    }
-                    if !dropped.is_empty() {
-                        release_objects.remove_location_many(&dropped, node);
-                    }
-                    dropped.len()
-                }),
-                observe_sweep: {
-                    let events = services.events.clone();
-                    Some(Arc::new(move |report: rtml_store::SweepReport| {
-                        events.append(
-                            node,
-                            rtml_common::event::Event::now(
-                                rtml_common::event::Component::ReplicationAgent,
-                                rtml_common::event::EventKind::ReplicationSweep {
-                                    node,
-                                    hot: report.hot,
-                                    placed: report.placed,
-                                    released: report.released,
-                                    micros: report.micros,
-                                },
-                            ),
-                        );
-                    }))
-                },
-            };
-            Some(ReplicationAgent::spawn(
-                node,
-                tuning.replication.clone(),
-                transfer.stats().clone(),
-                hooks,
-            ))
-        } else {
-            None
-        };
 
         // Runs on the scheduler thread: kv reads and writes and unbounded
         // channel sends only (see `SchedServices::reconstruct`).
@@ -312,24 +160,6 @@ impl NodeRuntime {
         let request_worker = Arc::new(move || {
             let _ = pool_tx.send(());
         });
-        // Prefetch-time demand hint: route the fan-in a coalesced
-        // request hides to the *holder's* demand counters, where its
-        // replication agent will see it. No-op when the plane is off,
-        // so wire traffic and counters match PR 3 exactly.
-        let replicate_hint: Arc<
-            dyn Fn(rtml_common::ids::NodeId, &[(ObjectId, u64)]) + Send + Sync,
-        > = if tuning.replication.enabled {
-            let hint_services = services.clone();
-            Arc::new(move |holder, entries: &[(ObjectId, u64)]| {
-                if let Some(stats) = hint_services.transfer_stats(holder) {
-                    for (object, weight) in entries {
-                        stats.record_demand(*object, *weight);
-                    }
-                }
-            })
-        } else {
-            Arc::new(|_, _| {})
-        };
         let sched_services = SchedServices {
             kv: services.kv.clone(),
             objects: services.objects.clone(),
@@ -343,7 +173,6 @@ impl NodeRuntime {
             health: services.health.clone(),
             reconstruct: recon_hook,
             request_worker,
-            replicate_hint,
         };
         let worker_ids: Vec<WorkerId> = (0..config.workers)
             .map(|index| WorkerId::new(node, index))
@@ -415,15 +244,7 @@ impl NodeRuntime {
         // telemetry ring on a period — one group-committed record per
         // node per interval.
         let registry = Arc::new(rtml_common::metrics::MetricsRegistry::new());
-        Self::register_metrics(
-            &registry,
-            services,
-            &transfer,
-            &agent,
-            replication.as_ref(),
-            &sched,
-            &store,
-        );
+        Self::register_metrics(&registry, services, &transfer, &agent, &sched, &store);
         let sampler = if tuning.telemetry.enabled {
             Some(crate::telemetry::TelemetrySampler::spawn(
                 node,
@@ -444,7 +265,6 @@ impl NodeRuntime {
             config,
             transfer,
             agent,
-            replication,
             sched,
             workers,
             registry,
@@ -460,7 +280,6 @@ impl NodeRuntime {
         services: &Arc<Services>,
         transfer: &TransferService,
         agent: &Arc<FetchAgent>,
-        replication: Option<&ReplicationAgent>,
         sched: &LocalSchedulerHandle,
         store: &Arc<ObjectStore>,
     ) {
@@ -497,22 +316,6 @@ impl NodeRuntime {
         });
         let a = agent.clone();
         registry.register_value("fetch.timeouts", move || a.stats().timeouts.get());
-
-        // Replication plane, when on.
-        if let Some(replication) = replication {
-            let stats = replication.stats().clone();
-            registry.register_value("replication.sweeps", move || stats.sweeps.get());
-            let stats = replication.stats().clone();
-            registry.register_value("replication.hot_objects", move || stats.hot_objects.get());
-            let stats = replication.stats().clone();
-            registry.register_value("replication.replicas_created", move || {
-                stats.replicas_created.get()
-            });
-            let stats = replication.stats().clone();
-            registry.register_value("replication.replicas_released", move || {
-                stats.replicas_released.get()
-            });
-        }
 
         // Scheduler: prefetch and steal planes.
         let stats = sched.stats().clone();
@@ -572,11 +375,6 @@ impl NodeRuntime {
         self.agent.stats()
     }
 
-    /// The node's replication-agent counters, if the plane is on.
-    pub fn replication_stats(&self) -> Option<&Arc<rtml_store::ReplicationStats>> {
-        self.replication.as_ref().map(|agent| agent.stats())
-    }
-
     /// The node's local-scheduler counters.
     pub fn sched_stats(&self) -> &Arc<rtml_sched::LocalSchedulerStats> {
         self.sched.stats()
@@ -620,13 +418,8 @@ impl NodeRuntime {
             runtime.kill();
             runtime.detach();
         }
-        // Stop routing new work here; the replication agent dies with
-        // the node (replica copies it created live on in other stores
-        // and remain in the object table).
+        // Stop routing new work here.
         services.detach_node(self.node);
-        if let Some(replication) = &self.replication {
-            replication.shutdown();
-        }
         // The sampler dies with the node; its committed ring survives
         // in the control plane (telemetry outlives the node, like the
         // event log).
@@ -658,9 +451,6 @@ impl NodeRuntime {
     /// Graceful shutdown: drains schedulers and joins workers.
     pub fn shutdown(mut self, services: &Arc<Services>) {
         services.detach_node(self.node);
-        if let Some(replication) = &self.replication {
-            replication.shutdown();
-        }
         // Stop the sampler last-ish so its final snapshot sees a
         // near-final counter state; the committed ring stays readable
         // through `Cluster::timeseries` after shutdown.

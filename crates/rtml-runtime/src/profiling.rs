@@ -103,25 +103,6 @@ pub struct TransferPlaneStats {
     pub late_pushes: u64,
 }
 
-/// Aggregated live replication-plane counters (per-node
-/// [`rtml_store::ReplicationAgent`]s), attached by
-/// [`crate::Cluster::profile`]. Zero when the plane is off or a report
-/// is built from raw events alone.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ReplicationPlaneStats {
-    /// Demand sweeps executed across all agents.
-    pub sweeps: u64,
-    /// Objects whose remote-read demand crossed the threshold.
-    pub hot_objects: u64,
-    /// Replica copies successfully placed on additional holders.
-    pub replicas_created: u64,
-    /// Replica copies proactively dropped by the demand-decay
-    /// reclamation sweep.
-    pub replicas_released: u64,
-    /// Replica pulls that failed (target died, store pressure, ...).
-    pub failures: u64,
-}
-
 /// Aggregated live steal-plane counters (per-node local schedulers),
 /// attached by [`crate::Cluster::profile`]. Zero when the plane is off
 /// or a report is built from raw events alone.
@@ -192,7 +173,7 @@ pub struct FaultPlaneStats {
 #[derive(Clone, Debug)]
 pub struct PlaneSpan {
     /// Which plane: `"control"`, `"ingest"`, `"placement"`, `"steal"`,
-    /// `"transfer"`, or `"replication"`.
+    /// or `"transfer"`.
     pub plane: &'static str,
     /// The node the span is attributed to (the thief for steal round
     /// trips, the receiver for transfers).
@@ -252,9 +233,6 @@ pub struct ProfileReport {
     /// Live data-plane counters (populated by
     /// [`crate::Cluster::profile`]; zero for raw event folds).
     pub transfer: TransferPlaneStats,
-    /// Live replication-plane counters (populated by
-    /// [`crate::Cluster::profile`]; zero for raw event folds).
-    pub replication: ReplicationPlaneStats,
     /// Dispatch-time prefetches skipped by the capacity admission guard
     /// (live scheduler counters; zero for raw event folds).
     pub prefetch_skipped_capacity: u64,
@@ -274,8 +252,7 @@ pub struct ProfileReport {
     /// the events-based mirror of `steal.tasks_granted`).
     pub steal_events: usize,
     /// Plane-operation spans (segment commits, placement batches, steal
-    /// round trips, batch ingests, transfers, replication sweeps), in
-    /// log order.
+    /// round trips, batch ingests, transfers), in log order.
     pub spans: Vec<PlaneSpan>,
     /// Failures, reconstructions, and node losses, in log order.
     pub incidents: Vec<Incident>,
@@ -383,24 +360,6 @@ impl ProfileReport {
                     micros: *micros,
                     label: format!("steal from node-{}", victim.0),
                     args: vec![("tasks", u64::from(*tasks)), ("seq", *seq)],
-                }),
-                EventKind::ReplicationSweep {
-                    node,
-                    hot,
-                    placed,
-                    released,
-                    micros,
-                } => report.spans.push(PlaneSpan {
-                    plane: "replication",
-                    node: *node,
-                    end_nanos: event.at_nanos,
-                    micros: *micros,
-                    label: String::from("sweep"),
-                    args: vec![
-                        ("hot", u64::from(*hot)),
-                        ("placed", u64::from(*placed)),
-                        ("released", u64::from(*released)),
-                    ],
                 }),
                 EventKind::BatchIngested {
                     node,
@@ -536,7 +495,6 @@ impl ProfileReport {
              objects sealed: {}, transfers: {}, evictions: {}\n\
              prefetch: {} issued, {} hits, {} skipped (capacity), {} deferred (priority); duplicates suppressed: {}\n\
              results pushed on seal: {} sent, {} received, {} pulled after the wait\n\
-             replication: {} hot objects, {} replicas created, {} released, {} failures\n\
              steal: {} attempts, {} grants, {} tasks stolen ({:.2} locality), steal-to-run p50 {}\n\
              failures injected: {} workers, {} nodes\n\
              chaos: {} drops, {} dups, {} delay spikes, {} gray injected; {} replays deferred{retention}",
@@ -557,10 +515,6 @@ impl ProfileReport {
             self.transfer.pushed,
             self.transfer.pushes_received,
             self.transfer.late_pushes,
-            self.replication.hot_objects,
-            self.replication.replicas_created,
-            self.replication.replicas_released,
-            self.replication.failures,
             self.steal.attempts,
             self.steal.grants,
             self.steal.tasks_stolen,
@@ -585,21 +539,19 @@ impl ProfileReport {
     ///   invented onto a fake worker;
     /// - per-plane duration slices on dedicated lanes (tid 1000+, named
     ///   via thread-name metadata): segment commits, batch ingests,
-    ///   placement batches, steal round trips, transfers, replication
-    ///   sweeps;
+    ///   placement batches, steal round trips, transfers;
     /// - flow arrows (`ph:"s"`/`"t"`/`"f"`) stitching each task's
     ///   submit → queue → place/steal → start across nodes;
     /// - instant markers (`ph:"i"`) for failures, reconstructions, and
     ///   node losses.
     pub fn chrome_trace(&self) -> String {
         // Lane tids per plane, well above any real worker index.
-        const LANES: [(&str, u32); 6] = [
+        const LANES: [(&str, u32); 5] = [
             ("control", 1000),
             ("ingest", 1001),
             ("placement", 1002),
             ("steal", 1003),
             ("transfer", 1004),
-            ("replication", 1005),
         ];
         let lane = |plane: &str| -> u32 {
             LANES
@@ -1008,17 +960,6 @@ mod tests {
                 },
             },
             Event {
-                at_nanos: 10_000_000,
-                component: Component::ReplicationAgent,
-                kind: EventKind::ReplicationSweep {
-                    node: NodeId(1),
-                    hot: 1,
-                    placed: 2,
-                    released: 0,
-                    micros: 400,
-                },
-            },
-            Event {
                 at_nanos: 11_000_000,
                 component: Component::Worker,
                 kind: EventKind::TaskFailed {
@@ -1035,7 +976,7 @@ mod tests {
         let report = ProfileReport::from_events(&events);
         let planes: std::collections::HashSet<&str> =
             report.spans.iter().map(|s| s.plane).collect();
-        for plane in ["control", "ingest", "placement", "steal", "replication"] {
+        for plane in ["control", "ingest", "placement", "steal"] {
             assert!(planes.contains(plane), "missing plane {plane}");
         }
         assert_eq!(report.incidents.len(), 2);

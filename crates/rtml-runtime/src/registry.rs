@@ -25,15 +25,11 @@ use rtml_common::error::{Error, Result};
 use rtml_common::ids::FunctionId;
 
 use crate::caller::TaskContext;
-use crate::envelope::{seal_value, Envelope};
-
-/// The raw callable form: value-encoded args in, value-encoded returns
-/// out. The [`TaskContext`] allows nested submissions (R3).
-pub type RawTaskFn = Arc<dyn Fn(&TaskContext, &[Bytes]) -> Result<Vec<Bytes>> + Send + Sync>;
+use crate::envelope::seal_value;
 
 /// What a worker invokes: value-encoded args in, **sealed** return
-/// envelopes out, ready for the store. Typed functions seal their result
-/// in one pass; raw ones are wrapped to seal what they return.
+/// envelopes out, ready for the store (the value's encode is the seal).
+/// The [`TaskContext`] allows nested submissions (R3).
 pub type SealedTaskFn = Arc<dyn Fn(&TaskContext, &[Bytes]) -> Result<Vec<Bytes>> + Send + Sync>;
 
 struct Registered {
@@ -54,22 +50,8 @@ impl FunctionRegistry {
         Arc::new(FunctionRegistry::default())
     }
 
-    /// Registers a raw function under `name`. Re-registration replaces
-    /// the callable (useful for process-restart simulations).
-    pub fn register_raw(&self, name: &str, arity: u32, f: RawTaskFn) -> FunctionId {
-        self.register_sealed(
-            name,
-            arity,
-            Arc::new(move |ctx, args: &[Bytes]| {
-                let returns = f(ctx, args)?;
-                Ok(returns
-                    .into_iter()
-                    .map(|raw| Envelope::Value(raw).seal())
-                    .collect())
-            }),
-        )
-    }
-
+    /// Registers `f` under `name`. Re-registration replaces the callable
+    /// (useful for process-restart simulations).
     fn register_sealed(&self, name: &str, arity: u32, f: SealedTaskFn) -> FunctionId {
         let id = FunctionId::from_name(name);
         self.fns.write().insert(
@@ -213,24 +195,22 @@ typed_func!(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtml_common::codec::{decode_from_slice, encode_to_bytes};
+    use rtml_common::codec::encode_to_bytes;
 
     #[test]
     fn register_and_invoke_raw() {
         let reg = FunctionRegistry::new();
-        let id = reg.register_raw(
-            "add",
-            2,
-            Arc::new(|_ctx, args| {
-                let a: i64 = decode_from_slice(&args[0]).unwrap();
-                let b: i64 = decode_from_slice(&args[1]).unwrap();
-                Ok(vec![encode_to_bytes(&(a + b))])
-            }),
-        );
+        let id = reg.register2("add", |a: i64, b: i64| Ok(a + b)).id();
         assert_eq!(reg.name_of(id).as_deref(), Some("add"));
         assert_eq!(reg.arity_of(id), Some(2));
         assert_eq!(reg.len(), 1);
         assert!(reg.get(FunctionId::from_name("missing")).is_none());
+        // The callable a worker gets: encoded args in, sealed return out.
+        let raw = reg.get(id).unwrap();
+        let args = [encode_to_bytes(&2i64), encode_to_bytes(&3i64)];
+        let sealed =
+            crate::caller::test_support::with_detached_context(|ctx| raw(ctx, &args).unwrap());
+        assert_eq!(sealed, vec![seal_value(&5i64)]);
     }
 
     #[test]

@@ -39,8 +39,8 @@ pub struct RuntimeTuning {
     /// placement policies ignore the submitting node — so results and
     /// placements are identical with it on or off.
     pub submit_striping: usize,
-    /// The one retry/backoff discipline shared by the fetch path,
-    /// stripe failover, and replication pulls.
+    /// The one retry/backoff discipline shared by the fetch path and
+    /// stripe failover.
     pub retry: RetryPolicy,
     /// A peer whose newest load report is older than this is suspect
     /// (see [`rtml_sched::HealthTracker`]).
@@ -89,8 +89,8 @@ pub struct Services {
     /// Node → transfer service address.
     pub directory: Arc<TransferDirectory>,
     /// Peer health view (heartbeat staleness + failure evidence),
-    /// steering stripe targets, replication placement, and holder
-    /// rankings away from suspect nodes.
+    /// steering stripe targets and holder rankings away from suspect
+    /// nodes.
     pub health: Arc<HealthTracker>,
     /// Timing knobs.
     pub tuning: RuntimeTuning,
@@ -134,9 +134,8 @@ impl Services {
         })
     }
 
-    /// Registers a node's transfer-service counters so other components
-    /// (the scheduler's replication hint) can route per-object demand to
-    /// the holder that will act on it.
+    /// Registers a node's transfer-service counters so the node's
+    /// workers can count the results they push.
     pub fn attach_transfer_stats(&self, node: NodeId, stats: Arc<TransferStats>) {
         self.transfer_stats.write().insert(node, stats);
     }

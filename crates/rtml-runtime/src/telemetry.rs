@@ -2,8 +2,8 @@
 //! observability plane.
 //!
 //! Every node carries a [`MetricsRegistry`] into which its plane
-//! components (transfer, fetch, replication, scheduler/steal, fabric,
-//! kv) register their live counters at build time. The sampler thread
+//! components (transfer, fetch, scheduler/steal, fabric, kv) register
+//! their live counters at build time. The sampler thread
 //! reads the whole registry on a period and group-commits the snapshot
 //! to the kv-backed [`TelemetryTable`] as **one record on one key** —
 //! one control-plane lock per node per interval, independent of how

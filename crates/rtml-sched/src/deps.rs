@@ -10,12 +10,10 @@
 //! touching pinned bytes (`capacity − pinned`), claimed in submission
 //! order within a pass; a refused object stays idle in the resolver, not
 //! requested and, a copy existing, not reconstructed, and is offered
-//! again on the next tick —, the **demand hint** to the replication
-//! plane (one coalesced request frame stands for many waiting tasks,
-//! which the holder's counters cannot see from the wire), and the
-//! `PrefetchIssued` and transfer **events**. It also pins every arrived
-//! dependency on its task's behalf; the pins ride with the task onto the
-//! run queue and are released by the worker that finishes it.
+//! again on the next tick — and the `PrefetchIssued` and transfer
+//! **events**. It also pins every arrived dependency on its task's
+//! behalf; the pins ride with the task onto the run queue and are
+//! released by the worker that finishes it.
 
 use std::time::Instant;
 
@@ -66,28 +64,18 @@ impl Core {
             return;
         }
         let at_nanos = rtml_common::time::now_nanos();
-        let mut events = Vec::new();
-        for (holder, objects) in &requested {
-            // The fan-in beyond the single coalesced request frame
-            // (`waiters - 1`) is what the holder's counters cannot see
-            // from the wire.
-            let hint = |object: &ObjectId| {
-                let fan_in = self.watchers.get(object).map_or(0, Vec::len) as u64;
-                (fan_in > 1).then(|| (*object, fan_in - 1))
-            };
-            let hints: Vec<(ObjectId, u64)> = objects.iter().filter_map(hint).collect();
-            if !hints.is_empty() {
-                (self.services.replicate_hint)(*holder, &hints);
-            }
-            events.extend(objects.iter().map(|object| Event {
+        let events = requested
+            .iter()
+            .flat_map(|(_, objects)| objects)
+            .map(|object| Event {
                 at_nanos,
                 component: Component::LocalScheduler,
                 kind: EventKind::PrefetchIssued {
                     object: *object,
                     node: me,
                 },
-            }));
-        }
+            })
+            .collect();
         self.services.events.append_many(me, events);
     }
 

@@ -8,7 +8,7 @@
 //! a single question: *is this node suspect right now?*
 //!
 //! Suspicion **steers, never decides**: suspect nodes are moved to the
-//! back of holder rankings and dropped from stripe/replication
+//! back of holder rankings and dropped from stripe
 //! candidate sets — unless that would empty the set, in which case the
 //! original set is kept. Correctness never depends on suspicion being
 //! right; lineage reconstruction remains the backstop. This matters
@@ -152,7 +152,7 @@ impl HealthTracker {
     }
 
     /// Drops suspect nodes from a candidate set — for placement
-    /// decisions (stripe targets, replication) — unless that would
+    /// decisions (stripe targets) — unless that would
     /// empty the set, in which case the original set is returned so
     /// suspicion can degrade choices but never wedge progress.
     pub fn filter_healthy(&self, nodes: Vec<NodeId>) -> Vec<NodeId> {

@@ -13,7 +13,7 @@
 //!   — the engine a blocked `get` runs too — in the loop turn that
 //!   queued the tasks; the loop feeds it from the channels it selects on
 //!   and never blocks for it (`deps.rs` has the glue, and what only the
-//!   scheduler knows: the admission budget, demand hints, pins). When an
+//!   scheduler knows: the admission budget, pins). When an
 //!   object seals locally its tasks are pushed onto the run queue, the
 //!   dependencies pinned for them riding along — the paper's "tasks
 //!   become available for execution if and only if their dependencies
@@ -76,8 +76,8 @@ pub struct LocalSchedulerConfig {
     /// Pull-based work stealing: when this scheduler's ready queue
     /// drains while a peer's kv-published backlog is deep, pull a batch
     /// of the peer's ready tasks over the fabric (see
-    /// [`crate::steal`]). Like replication, stealing moves *where tasks
-    /// run*, never values — checksums are identical with it on or off.
+    /// [`crate::steal`]). Stealing moves *where tasks run*, never
+    /// values — checksums are identical with it on or off.
     pub stealing: StealConfig,
     /// The cluster's retry discipline; its `max_attempts` bounds how
     /// many holders one sweep of dependency resolution tries before the
@@ -142,15 +142,6 @@ pub struct SchedServices {
     /// blocked inside `get`/`wait` (nested-task deadlock avoidance). The
     /// node attaches the new worker to the queue, then starts it.
     pub request_worker: Arc<dyn Fn() + Send + Sync>,
-    /// Replication-plane hint, invoked when dependencies are first
-    /// requested with `(holder, [(object, extra fan-in)])`: a coalesced
-    /// request is
-    /// **one** frame on behalf of many waiting tasks, so the
-    /// holder's per-object demand counters would undercount exactly the
-    /// broadcast objects replication exists for. The runtime wires this
-    /// to the holder's transfer-service demand counters; defaults to a
-    /// no-op when the replication plane is off.
-    pub replicate_hint: Arc<dyn Fn(NodeId, &[(ObjectId, u64)]) + Send + Sync>,
 }
 
 /// Live counters for one local scheduler (beyond the event log).
@@ -790,7 +781,6 @@ mod tests {
             health: HealthTracker::new(kv.clone(), Duration::from_millis(100)),
             reconstruct: Arc::new(|_, _| {}),
             request_worker: Arc::new(|| {}),
-            replicate_hint: Arc::new(|_, _| {}),
         };
         let worker_id = WorkerId::new(config.node, 0);
         let workers: Vec<WorkerId> = (0..n_workers)
@@ -1185,7 +1175,6 @@ mod tests {
             health: HealthTracker::new(kv.clone(), Duration::from_millis(100)),
             reconstruct: Arc::new(|_, _| {}),
             request_worker: Arc::new(|| {}),
-            replicate_hint: Arc::new(|_, _| {}),
         };
         let worker = WorkerId::new(NodeId(0), 0);
         let mut handle =
@@ -1276,7 +1265,6 @@ mod tests {
             health: HealthTracker::new(kv.clone(), Duration::from_millis(100)),
             reconstruct: Arc::new(|_, _| {}),
             request_worker: Arc::new(|| {}),
-            replicate_hint: Arc::new(|_, _| {}),
         };
         let worker_id = WorkerId::new(NodeId(0), 0);
         let handle = LocalScheduler::spawn(config, services.clone(), vec![worker_id]);
@@ -2230,7 +2218,6 @@ mod tests {
                 let _ = hook_tx.send(obj);
             }),
             request_worker: Arc::new(|| {}),
-            replicate_hint: Arc::new(|_, _| {}),
         };
         let mut handle = LocalScheduler::spawn(
             LocalSchedulerConfig::default(),

@@ -235,9 +235,9 @@ impl PlacementPolicy {
                 // One group-committed table sweep for the whole argument
                 // list instead of a point read per dependency. Every
                 // holder of a dependency is credited its size, so a
-                // replicated hot input widens the set of nodes that look
-                // local — replication improves placement for free — and
-                // so is every node it is inbound to.
+                // hot input its readers hold widens the set of nodes
+                // that look local, and so is every node it is inbound
+                // to.
                 for (dep, info) in deps.iter().zip(objects.get_many(&deps)) {
                     let Some(info) = info else { continue };
                     total_bytes += info.size;

@@ -650,7 +650,7 @@ impl Resolver {
     /// — and answers are committed.
     ///
     /// Returns the objects requested *for the first time*, by holder:
-    /// what a driver announces (events, demand hints). Retries are not
+    /// what a driver announces (events). Retries are not
     /// announced; [`Resolver::in_flight`] shows them.
     pub fn pump(
         &mut self,

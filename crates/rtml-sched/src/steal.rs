@@ -1,6 +1,6 @@
-//! Pull-based, locality-aware work stealing — the fourth per-node
-//! plane, after the batched control plane (PR 2), the chunked transfer
-//! plane (PR 3), and the demand-driven replication plane (PR 4).
+//! Pull-based, locality-aware work stealing — the third per-node
+//! plane, after the batched control plane (PR 2) and the chunked
+//! transfer plane (PR 3).
 //!
 //! Spillover (the paper's §3.2.2 mechanism) is **push**-based and
 //! decided once, at ingest: a burst submitted to one node under a lax

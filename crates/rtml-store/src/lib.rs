@@ -34,26 +34,16 @@
 //! down a chain of earlier ones, each passing chunks on as they arrive,
 //! so the object leaves its holder once.
 //!
-//! Hot objects are handled by [`replicate`], the replication plane: the
-//! transfer service counts per-object remote-read demand, and a
-//! per-node [`replicate::ReplicationAgent`] pulls objects past a
-//! configurable threshold onto additional holders so reads spread
-//! instead of funnelling to the producer. Replica copies are
-//! second-class for eviction ([`ObjectStore::mark_replica`]): dropped
-//! before sole copies, never preferentially dropped when they are the
-//! last sealed copy ([`ObjectStore::set_replica_probe`]).
+//! There is no replication plane: nothing copies an object ahead of
+//! demand. A hot object spreads because every reader that seals a copy
+//! becomes a holder the next reader may pick, and because a burst of
+//! readers is served by one relayed stream.
 
-pub mod replicate;
 pub mod store;
 pub mod transfer;
 
-pub use replicate::{
-    ReplicaView, ReplicationAgent, ReplicationHooks, ReplicationPolicy, ReplicationStats,
-    SweepReport,
-};
 pub use store::{
-    LocalSealGuard, ObjectStore, PutOutcome, ReplicaProbe, StoreConfig, StoreStats,
-    DEFAULT_CHUNK_BYTES,
+    LocalSealGuard, ObjectStore, PutOutcome, StoreConfig, StoreStats, DEFAULT_CHUNK_BYTES,
 };
 pub use transfer::{
     chunk_frames, push_sealed, FetchAgent, FetchResult, FetchStats, Fetched, TransferDirectory,

@@ -1,11 +1,10 @@
 //! The object store proper: entries, waiters, pinning, LRU eviction.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use bytes::Bytes;
 use crossbeam::channel::Sender;
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Condvar, Mutex};
 
 use rtml_common::error::{Error, Result};
 use rtml_common::ids::{NodeId, ObjectId};
@@ -42,10 +41,6 @@ struct Entry {
     data: Bytes,
     pin_count: u32,
     last_access: u64,
-    /// Marked by the replication plane: this copy exists to spread read
-    /// load, not because anything local asked for it. Replica entries
-    /// are second-class for eviction — dropped before sole copies.
-    replica: bool,
 }
 
 #[derive(Default)]
@@ -65,13 +60,6 @@ struct StoreState {
     next_subscription: u64,
     seal_listeners: Vec<Sender<ObjectId>>,
 }
-
-/// Asks the control plane whether `object` has a sealed copy on some
-/// *other* node, i.e. whether this store's copy is safe to drop early.
-/// Installed by the runtime ([`ObjectStore::set_replica_probe`]); called
-/// with the store lock held, so implementations must not call back into
-/// this store.
-pub type ReplicaProbe = Arc<dyn Fn(ObjectId) -> bool + Send + Sync>;
 
 /// Operation counters for one store.
 #[derive(Debug, Default)]
@@ -107,7 +95,6 @@ pub struct ObjectStore {
     /// (see [`crate::transfer`]). Never locked while `state` is held.
     pub(crate) unsealed: Mutex<HashMap<ObjectId, crate::transfer::Unsealed>>,
     sealed_cv: Condvar,
-    replica_probe: RwLock<Option<ReplicaProbe>>,
     /// Operation counters.
     pub stats: StoreStats,
 }
@@ -120,20 +107,8 @@ impl ObjectStore {
             state: Mutex::new(StoreState::default()),
             unsealed: Mutex::new(HashMap::new()),
             sealed_cv: Condvar::new(),
-            replica_probe: RwLock::new(None),
             stats: StoreStats::default(),
         }
-    }
-
-    /// Installs the never-evict-the-last-sealed-copy guard: before a
-    /// replica-marked entry is evicted preferentially, the probe is
-    /// asked whether another sealed holder exists. If not, the entry is
-    /// demoted to first-class and competes under plain LRU instead —
-    /// capacity still wins eventually (lineage replay is the backstop),
-    /// but the last copy is never dropped *because* it was once a
-    /// replica. Without a probe installed, the replica mark is trusted.
-    pub fn set_replica_probe(&self, probe: ReplicaProbe) {
-        *self.replica_probe.write() = Some(probe);
     }
 
     /// The node this store serves.
@@ -208,36 +183,16 @@ impl ObjectStore {
             });
         }
 
-        // Evict until the new object fits. Replica-marked entries are
-        // second-class: they go first (LRU among themselves), because
-        // their bytes exist to spread read load and — per the probe —
-        // live elsewhere too. Only when no safe replica remains does
-        // plain LRU over first-class entries run.
-        let probe = self.replica_probe.read().clone();
+        // Evict until the new object fits: plain LRU over unpinned
+        // entries.
         let mut evicted = Vec::new();
         while st.used_bytes + size > self.config.capacity_bytes {
-            let victim = loop {
-                let replica = st
-                    .objects
-                    .iter()
-                    .filter(|(_, e)| e.pin_count == 0 && e.replica)
-                    .min_by_key(|(_, e)| e.last_access)
-                    .map(|(id, _)| *id);
-                let Some(id) = replica else { break None };
-                if probe.as_ref().map_or(true, |p| p(id)) {
-                    break Some(id);
-                }
-                // Last sealed copy: never evicted *as a replica*. Demote
-                // to first-class so it competes under plain LRU below.
-                st.objects.get_mut(&id).expect("candidate exists").replica = false;
-            }
-            .or_else(|| {
-                st.objects
-                    .iter()
-                    .filter(|(_, e)| e.pin_count == 0)
-                    .min_by_key(|(_, e)| e.last_access)
-                    .map(|(id, _)| *id)
-            });
+            let victim = st
+                .objects
+                .iter()
+                .filter(|(_, e)| e.pin_count == 0)
+                .min_by_key(|(_, e)| e.last_access)
+                .map(|(id, _)| *id);
             match victim {
                 Some(id) => {
                     let entry = st.objects.remove(&id).expect("victim exists");
@@ -263,7 +218,6 @@ impl ObjectStore {
                 data,
                 pin_count: 0,
                 last_access: clock,
-                replica: false,
             },
         );
         st.used_bytes += size;
@@ -402,65 +356,12 @@ impl ObjectStore {
         st.pinned_bytes -= released;
     }
 
-    /// Atomically drops a replica-marked, **unpinned** entry — the
-    /// reclamation path. Unlike [`ObjectStore::delete`] (failure
-    /// injection, ignores pins), the replica/pin checks and the removal
-    /// happen under one lock, so a pin landing concurrently (a task's
-    /// argument arriving) can never lose its bytes to a sweep. Returns
-    /// whether the entry was dropped.
-    pub fn release_replica(&self, object: ObjectId) -> bool {
-        let mut st = self.state.lock();
-        let droppable = st
-            .objects
-            .get(&object)
-            .is_some_and(|e| e.replica && e.pin_count == 0);
-        if droppable {
-            let entry = st.objects.remove(&object).expect("checked above");
-            st.used_bytes -= entry.data.len() as u64;
-        }
-        droppable
-    }
-
     /// Bytes currently held by pinned entries. `capacity - pinned` is
     /// the store's admission headroom: how much could be made resident
     /// by evicting everything evictable — the budget the scheduler's
     /// prefetch admission guard checks against.
     pub fn pinned_bytes(&self) -> u64 {
         self.state.lock().pinned_bytes
-    }
-
-    /// Marks an existing entry as a replication-plane copy (second-class
-    /// for eviction). Returns whether the object was present.
-    pub fn mark_replica(&self, object: ObjectId) -> bool {
-        let mut st = self.state.lock();
-        match st.objects.get_mut(&object) {
-            Some(entry) => {
-                entry.replica = true;
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Whether the entry is currently marked as a replica copy.
-    pub fn is_replica(&self, object: ObjectId) -> bool {
-        self.state
-            .lock()
-            .objects
-            .get(&object)
-            .is_some_and(|e| e.replica)
-    }
-
-    /// IDs of every entry currently marked as a replication-plane copy
-    /// — the candidate set for the demand-decay reclamation sweep.
-    pub fn list_replicas(&self) -> Vec<ObjectId> {
-        self.state
-            .lock()
-            .objects
-            .iter()
-            .filter(|(_, e)| e.replica)
-            .map(|(id, _)| *id)
-            .collect()
     }
 
     /// Deletes an object regardless of pins (used by failure injection).
@@ -593,67 +494,6 @@ mod tests {
         s.unpin(obj(1));
         let outcome = s.put(obj(2), Bytes::from(vec![2u8; 60])).unwrap();
         assert_eq!(outcome.evicted, vec![obj(1)]);
-    }
-
-    #[test]
-    fn replicas_are_evicted_before_sole_copies() {
-        let s = store(100);
-        s.put(obj(1), Bytes::from(vec![1u8; 40])).unwrap();
-        s.put(obj(2), Bytes::from(vec![2u8; 40])).unwrap();
-        // obj(1) is LRU, but obj(2) is a second-class replica: it goes
-        // first even though it was touched more recently.
-        assert!(s.mark_replica(obj(2)));
-        assert!(s.is_replica(obj(2)));
-        let outcome = s.put(obj(3), Bytes::from(vec![3u8; 40])).unwrap();
-        assert_eq!(outcome.evicted, vec![obj(2)]);
-        assert!(s.contains(obj(1)));
-    }
-
-    #[test]
-    fn last_copy_replica_is_demoted_not_preferentially_evicted() {
-        let s = store(100);
-        // The probe says no other sealed holder exists: the replica is
-        // the last copy, so it must not be evicted *as* a replica.
-        s.set_replica_probe(Arc::new(|_| false));
-        s.put(obj(1), Bytes::from(vec![1u8; 40])).unwrap();
-        s.put(obj(2), Bytes::from(vec![2u8; 40])).unwrap();
-        s.mark_replica(obj(2));
-        let outcome = s.put(obj(3), Bytes::from(vec![3u8; 40])).unwrap();
-        // Plain LRU ran instead: the older first-class entry went.
-        assert_eq!(outcome.evicted, vec![obj(1)]);
-        assert!(s.contains(obj(2)));
-        assert!(!s.is_replica(obj(2)), "last copy demoted to first-class");
-    }
-
-    #[test]
-    fn probe_allows_eviction_of_safe_replicas() {
-        let s = store(100);
-        s.set_replica_probe(Arc::new(|_| true));
-        s.put(obj(1), Bytes::from(vec![1u8; 40])).unwrap();
-        s.put(obj(2), Bytes::from(vec![2u8; 40])).unwrap();
-        s.mark_replica(obj(2));
-        let outcome = s.put(obj(3), Bytes::from(vec![3u8; 40])).unwrap();
-        assert_eq!(outcome.evicted, vec![obj(2)]);
-    }
-
-    #[test]
-    fn release_replica_only_drops_unpinned_replicas() {
-        let s = store(1024);
-        s.put(obj(1), Bytes::from(vec![1u8; 40])).unwrap();
-        // Not a replica: refused.
-        assert!(!s.release_replica(obj(1)));
-        s.mark_replica(obj(1));
-        // Pinned replica: refused — a task argument is never reclaimed.
-        assert!(s.pin(obj(1)));
-        assert!(!s.release_replica(obj(1)));
-        assert!(s.contains(obj(1)));
-        // Unpinned replica: dropped, bytes accounted.
-        s.unpin(obj(1));
-        assert!(s.release_replica(obj(1)));
-        assert!(!s.contains(obj(1)));
-        assert_eq!(s.used_bytes(), 0);
-        // Missing object: refused, no panic.
-        assert!(!s.release_replica(obj(1)));
     }
 
     #[test]

@@ -62,10 +62,9 @@
 //! caller's holder-by-holder retry, and whatever chunks did arrive stay
 //! in the reader's entry, so the retry only has to fill the gaps. This
 //! is the fine-grained pipelining of Hoplite (Zhuang et al., SIGCOMM
-//! '21) reduced to a chain; the sweep-driven [`crate::replicate`] plane
-//! still decides which *extra* nodes get a copy of an object that stays
-//! hot for many sweeps — relaying only shortens the path to nodes that
-//! asked.
+//! '21) reduced to a chain. Nothing copies an object to a node that
+//! has not asked for it: every reader that seals a copy is committed as
+//! a holder, and later readers pick among all holders.
 //!
 //! # Pushing: a small result goes where its future is
 //!
@@ -366,59 +365,6 @@ pub struct TransferStats {
     /// Results sent to their submitter's node unasked ([`push_sealed`]):
     /// frames the fabric accepted, whether or not they arrived.
     pub pushed: Counter,
-    /// Whether per-object demand tracking is on. Enabled by the
-    /// replication plane; off by default so nodes without a
-    /// [`crate::replicate::ReplicationAgent`] never grow the map.
-    demand_enabled: std::sync::atomic::AtomicBool,
-    /// Per-object remote-read demand accumulated since the last
-    /// [`TransferStats::drain_demand`]. Fed by the serve loop (one unit
-    /// per object served) and by scheduler hints that restore the
-    /// fan-in a coalesced/single-flighted request hides.
-    demand: Mutex<HashMap<ObjectId, u64>>,
-}
-
-impl TransferStats {
-    /// Turns on per-object demand tracking (idempotent).
-    pub fn enable_demand_tracking(&self) {
-        self.demand_enabled
-            .store(true, std::sync::atomic::Ordering::Release);
-    }
-
-    /// Whether demand tracking is currently on.
-    pub fn demand_tracking_enabled(&self) -> bool {
-        self.demand_enabled
-            .load(std::sync::atomic::Ordering::Acquire)
-    }
-
-    /// Records one remote read of `object` (serve-loop path).
-    fn record_read(&self, object: ObjectId) {
-        self.record_demand(object, 1);
-    }
-
-    /// Adds `weight` units of remote-read demand for `object`. Weights
-    /// above one come from the scheduler: a coalesced prefetch issues
-    /// one request frame on behalf of many waiting tasks, so the hint
-    /// restores the fan-in the wire no longer shows.
-    pub fn record_demand(&self, object: ObjectId, weight: u64) {
-        if weight == 0 || !self.demand_tracking_enabled() {
-            return;
-        }
-        *self.demand.lock().entry(object).or_insert(0) += weight;
-    }
-
-    /// Takes and clears the accumulated per-object demand, sorted by
-    /// object id for deterministic sweep order.
-    pub fn drain_demand(&self) -> Vec<(ObjectId, u64)> {
-        let drained: HashMap<ObjectId, u64> = std::mem::take(&mut *self.demand.lock());
-        let mut out: Vec<(ObjectId, u64)> = drained.into_iter().collect();
-        out.sort();
-        out
-    }
-
-    /// Current (undrained) demand for one object; test and tooling aid.
-    pub fn demand_of(&self, object: ObjectId) -> u64 {
-        self.demand.lock().get(&object).copied().unwrap_or(0)
-    }
 }
 
 /// Per-node server answering transfer requests from the local store.
@@ -463,7 +409,6 @@ impl ServiceLoop {
             }
             if let Some(have) = self.relay(object, reader) {
                 self.stats.relayed.inc();
-                self.stats.record_read(object);
                 self.stats.chunks_sent.add(have.len() as u64);
                 frames.extend(have);
                 continue;
@@ -475,7 +420,6 @@ impl ServiceLoop {
             match self.store.get(object) {
                 Some(data) => {
                     self.stats.objects_served.inc();
-                    self.stats.record_read(object);
                     let data = data.as_slice();
                     let total = chunk_frames(data.len(), chunk_bytes);
                     for index in 0..total {
@@ -550,7 +494,6 @@ impl ServiceLoop {
             return false;
         }
         self.stats.handed_on.inc();
-        self.stats.record_read(object);
         if let Some(node) = reader_node {
             stream.reader = node;
         }

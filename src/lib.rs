@@ -53,5 +53,4 @@ pub mod prelude {
         TelemetryConfig,
     };
     pub use rtml_sched::{PlacementPolicy, SpillMode, StealConfig};
-    pub use rtml_store::ReplicationPolicy;
 }

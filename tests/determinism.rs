@@ -31,47 +31,6 @@ fn identical_clusters_produce_identical_results() {
 }
 
 #[test]
-fn replication_changes_where_copies_live_never_what_runs() {
-    // The same workload with the replication plane fully off vs
-    // aggressively on (every remote read makes an object hot) must
-    // produce bit-identical checksums: replication adds holders and
-    // spreads reads, it never changes ids, values, or results.
-    let config = RlConfig {
-        rollouts: 6,
-        frames_per_task: 4,
-        frame_cost: Duration::ZERO,
-        iterations: 3,
-        policy_kernel_cost: Duration::ZERO,
-        ..RlConfig::default()
-    };
-    let run = |replication: ReplicationPolicy| {
-        let cluster = Cluster::start(
-            ClusterConfig::local(3, 2)
-                .with_latency(LatencyModel::Constant(Duration::from_micros(200)))
-                .with_replication(replication),
-        )
-        .unwrap();
-        let funcs = RlFuncs::register(&cluster);
-        let driver = cluster.driver();
-        let result = rl::run_rtml(&config, &driver, &funcs, false).unwrap();
-        let replicas = cluster.profile().replication.replicas_created;
-        cluster.shutdown();
-        (result.checksum, result.total_reward_bits, replicas)
-    };
-    let aggressive = ReplicationPolicy {
-        enabled: true,
-        read_threshold: 1,
-        max_replicas: 2,
-        sweep_interval: Duration::from_millis(1),
-        ..ReplicationPolicy::default()
-    };
-    let (on_sum, on_bits, _) = run(aggressive);
-    let (off_sum, off_bits, off_replicas) = run(ReplicationPolicy::disabled());
-    assert_eq!((on_sum, on_bits), (off_sum, off_bits));
-    assert_eq!(off_replicas, 0, "disabled plane must not replicate");
-}
-
-#[test]
 fn stealing_changes_where_tasks_run_never_what_runs() {
     // The same workload with the steal plane fully off vs aggressively
     // on (every one-deep backlog is stealable) must produce
@@ -483,11 +442,10 @@ fn striping_changes_who_ingests_never_where_tasks_land() {
 
 #[test]
 fn determinism_matrix_over_planes_and_shard_counts() {
-    // The full safety matrix for the sharded scheduler: {stealing,
-    // replication} x {on, off} x K in {1, 4} — every combination must
-    // produce the same bit-identical result. The
-    // planes may change where tasks run and where bytes live; none may
-    // change what runs.
+    // The full safety matrix for the sharded scheduler: stealing
+    // {on, off} x K in {1, 4} — every combination must produce the same
+    // bit-identical result. The planes may change where tasks run and
+    // where bytes live; none may change what runs.
     let config = RlConfig {
         rollouts: 6,
         frames_per_task: 3,
@@ -496,7 +454,7 @@ fn determinism_matrix_over_planes_and_shard_counts() {
         policy_kernel_cost: Duration::ZERO,
         ..RlConfig::default()
     };
-    let run = |stealing: bool, replication: bool, shards: usize| {
+    let run = |stealing: bool, shards: usize| {
         let steal = if stealing {
             StealConfig {
                 enabled: true,
@@ -510,16 +468,6 @@ fn determinism_matrix_over_planes_and_shard_counts() {
         } else {
             StealConfig::disabled()
         };
-        let replicate = if replication {
-            ReplicationPolicy {
-                enabled: true,
-                read_threshold: 2,
-                sweep_interval: Duration::from_millis(5),
-                ..ReplicationPolicy::default()
-            }
-        } else {
-            ReplicationPolicy::disabled()
-        };
         let cluster = Cluster::start(
             ClusterConfig {
                 nodes: (0..3).map(|_| NodeConfig::cpu_only(2)).collect(),
@@ -528,7 +476,6 @@ fn determinism_matrix_over_planes_and_shard_counts() {
             }
             .with_latency(LatencyModel::Constant(Duration::from_micros(100)))
             .with_stealing(steal)
-            .with_replication(replicate)
             .with_global_shards(shards),
         )
         .unwrap();
@@ -538,20 +485,12 @@ fn determinism_matrix_over_planes_and_shard_counts() {
         cluster.shutdown();
         (result.checksum, result.total_reward_bits)
     };
-    let reference = run(false, false, 1);
-    for stealing in [false, true] {
-        for replication in [false, true] {
-            for shards in [1usize, 4] {
-                if !stealing && !replication && shards == 1 {
-                    continue; // the reference itself
-                }
-                let got = run(stealing, replication, shards);
-                assert_eq!(
-                    got, reference,
-                    "matrix cell diverged: stealing={stealing} \
-                     replication={replication} K={shards}"
-                );
-            }
-        }
+    let reference = run(false, 1);
+    for (stealing, shards) in [(false, 4), (true, 1), (true, 4)] {
+        assert_eq!(
+            run(stealing, shards),
+            reference,
+            "matrix cell diverged: stealing={stealing} K={shards}"
+        );
     }
 }

@@ -1,6 +1,5 @@
 //! Failure-matrix tests: the R6 story under adversarial timing.
 
-use std::sync::Arc;
 use std::time::Duration;
 
 use rtml::common::error::Error;
@@ -71,115 +70,79 @@ fn kill_all_but_one_node_still_completes() {
 }
 
 #[test]
-fn killing_replica_holders_leaves_reads_and_lineage_correct() {
-    // A hot task output is replicated onto extra holders; killing a
-    // replica holder must leave reads correct (remaining holders serve)
-    // and killing every holder must still recover the value through
-    // lineage replay — replicas are an optimization, never load-bearing
-    // for correctness.
+fn killing_holders_leaves_reads_and_lineage_correct() {
+    // Every reader is a holder: tasks on nodes 1 and 2 that take a hot
+    // task output as an argument leave it listed on three nodes.
+    // Killing one holder must leave reads correct (remaining holders
+    // serve) and killing every holder must still recover the value
+    // through lineage replay — extra copies are an optimization, never
+    // load-bearing for correctness.
+    let pinned = |i: usize| format!("holder{i}");
     let config = ClusterConfig {
-        nodes: (0..4).map(|_| NodeConfig::cpu_only(2)).collect(),
+        nodes: (0..4)
+            .map(|i| NodeConfig::cpu_only(2).with_custom(&pinned(i), 1.0))
+            .collect(),
         spill: SpillMode::NeverSpill, // keep the producer on node 0
         ..ClusterConfig::default()
-    }
-    .with_replication(ReplicationPolicy {
-        enabled: true,
-        read_threshold: 4,
-        max_replicas: 2,
-        sweep_interval: Duration::from_millis(1),
-        ..ReplicationPolicy::default()
-    });
+    };
     let cluster = Cluster::start(config).unwrap();
     let make = cluster.register_fn1("make_hot_fi", |i: u64| Ok(vec![i as u8; 32 * 1024]));
+    let read = cluster.register_fn1("read_hot_fi", |hot: Vec<u8>| Ok(hot.len() as u64));
     let driver = cluster.driver();
     let fut = driver.submit1(&make, 7u64).unwrap();
     let expect = vec![7u8; 32 * 1024];
     assert_eq!(driver.get(&fut).unwrap(), expect);
 
-    // Drive remote demand with reads into a scratch store outside the
-    // cluster (a streaming consumer that keeps nothing), so no cluster
-    // node becomes a holder before the plane acts and every replica
-    // pull seals fresh bytes.
+    let readers: Vec<_> = [1, 2]
+        .into_iter()
+        .map(|i| {
+            let on = TaskOptions::resources(Resources::cpu(1.0).with_custom(&pinned(i), 1.0));
+            driver.submit1_opts(&read, &fut, on).unwrap()
+        })
+        .collect();
+    for reader in &readers {
+        assert_eq!(driver.get(reader).unwrap(), expect.len() as u64);
+    }
+
+    // Each reading node is listed beside the producer once its
+    // scheduler has committed the arrival (a step after the task ran).
     let services = cluster.services().clone();
     let hot = fut.id();
-    let scratch = Arc::new(rtml::store::ObjectStore::new(rtml::store::StoreConfig {
-        node: NodeId(99),
-        ..rtml::store::StoreConfig::default()
-    }));
-    let reader = rtml::store::FetchAgent::spawn(
-        services.fabric.clone(),
-        scratch.clone(),
-        services.directory.clone(),
-    );
-    for _ in 0..2 {
-        reader
-            .fetch_one(hot, NodeId(0), Duration::from_secs(5))
-            .unwrap();
-        scratch.delete(hot);
-    }
-    reader.shutdown();
-    // Cross the threshold atomically with a scheduler-style fan-in hint
-    // (trickled reads decay per sweep by design; a handful of post-kill
-    // reads later in this test must NOT re-trigger the plane and race
-    // the teardown).
-    cluster
-        .node_transfer_stats(NodeId(0))
-        .unwrap()
-        .record_demand(hot, 4);
-
-    // The plane must place its replicas (marked second-class in the
-    // target stores) and commit them to the object table.
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    let replica_holder = loop {
-        let locations = services.objects.get(hot).unwrap().locations;
-        let marked = locations.iter().copied().find(|n| {
-            *n != NodeId(0)
-                && services
-                    .store(*n)
-                    .is_some_and(|store| store.is_replica(hot))
-        });
-        if locations.len() >= 3 {
-            if let Some(holder) = marked {
-                break holder;
-            }
+    loop {
+        let mut locations = services.objects.get(hot).unwrap().locations;
+        locations.sort();
+        if locations == [NodeId(0), NodeId(1), NodeId(2)] {
+            break;
         }
         assert!(
             std::time::Instant::now() < deadline,
-            "replication never happened: {locations:?}"
+            "readers never became holders: {locations:?}"
         );
         std::thread::sleep(Duration::from_millis(2));
-    };
-
-    // Kill one replica holder: reads keep working off the remaining
-    // holder set (retry-across-holders is rank order).
-    cluster.kill_node(replica_holder).unwrap();
-    let survivors = services.objects.get(hot).unwrap().locations;
-    assert!(!survivors.contains(&replica_holder), "kill must deregister");
-    if let Some(fresh) = services
-        .alive_nodes()
-        .into_iter()
-        .find(|n| !survivors.contains(n))
-    {
-        let src = services
-            .objects
-            .get(hot)
-            .unwrap()
-            .holders_ranked(hot, fresh)[0];
-        let agent = services.fetch_agent(fresh).unwrap();
-        let (bytes, _) = agent
-            .fetch_many(&[hot], src, Duration::from_secs(5))
-            .pop()
-            .unwrap()
-            .unwrap();
-        assert_eq!(
-            bytes,
-            driver.get_raw(hot, Duration::from_secs(5)).unwrap(),
-            "post-kill read served wrong bytes"
-        );
     }
+    // Kill one holder: a node that never read the object is served by
+    // a surviving holder, picked in rank order.
+    let (killed, fresh) = (NodeId(1), NodeId(3));
+    cluster.kill_node(killed).unwrap();
+    let info = services.objects.get(hot).unwrap();
+    assert!(!info.locations.contains(&killed), "kill must deregister");
+    let src = info.holders_ranked(hot, fresh)[0];
+    assert!([NodeId(0), NodeId(2)].contains(&src), "served by {src}");
+    let agent = services.fetch_agent(fresh).unwrap();
+    let (bytes, _) = agent
+        .fetch_many(&[hot], src, Duration::from_secs(5))
+        .pop()
+        .unwrap()
+        .unwrap();
+    assert_eq!(
+        bytes,
+        driver.get_raw(hot, Duration::from_secs(5)).unwrap(),
+        "post-kill read served wrong bytes"
+    );
 
     // Lose every holder: node 0's copy is dropped from store and table,
-    // the remaining replica nodes die. The value must come back through
+    // the remaining holder nodes die. The value must come back through
     // lineage replay, not any surviving copy.
     for node in services.objects.get(hot).unwrap().locations {
         if node == NodeId(0) {
@@ -610,79 +573,6 @@ fn steal_request_swallowed_by_partition_rearms_cleanly() {
             i as i64 * 11,
             "future {i}"
         );
-    }
-    cluster.shutdown();
-}
-
-#[test]
-fn replication_pull_across_healed_partition_completes() {
-    // The replication plane decides to copy a hot object onto node 1
-    // while the 0↔1 link is partitioned. The pull (with its retries)
-    // fails against the dead link; once the link heals, a later sweep's
-    // pull must land the replica — the plane degrades, it doesn't quit.
-    let config = ClusterConfig {
-        nodes: vec![NodeConfig::cpu_only(2), NodeConfig::cpu_only(2)],
-        spill: SpillMode::NeverSpill,
-        fetch_timeout: Duration::from_millis(150),
-        ..ClusterConfig::default()
-    }
-    .with_replication(ReplicationPolicy {
-        enabled: true,
-        read_threshold: 4,
-        max_replicas: 1,
-        sweep_interval: Duration::from_millis(10),
-        ..ReplicationPolicy::default()
-    });
-    let cluster = Cluster::start(config).unwrap();
-    let make = cluster.register_fn1("part_repl_fi", |i: u64| Ok(vec![i as u8; 16 * 1024]));
-    let driver = cluster.driver();
-    let fut = driver.submit1(&make, 9u64).unwrap();
-    assert_eq!(driver.get(&fut).unwrap(), vec![9u8; 16 * 1024]);
-
-    let services = cluster.services().clone();
-    let hot = fut.id();
-    let fabric = services.fabric.clone();
-    fabric.partition(NodeId(0), NodeId(1));
-    // Cross the demand threshold: the sweep will pick node 1 as the
-    // only possible target and its pulls will die on the partition.
-    cluster
-        .node_transfer_stats(NodeId(0))
-        .unwrap()
-        .record_demand(hot, 8);
-    std::thread::sleep(Duration::from_millis(300));
-    assert!(
-        !services
-            .objects
-            .get(hot)
-            .unwrap()
-            .locations
-            .contains(&NodeId(1)),
-        "no replica can cross a partitioned link"
-    );
-
-    fabric.heal(NodeId(0), NodeId(1));
-    // Keep demand warm so post-heal sweeps still see a hot object
-    // (demand decays per sweep by design).
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    loop {
-        if services
-            .objects
-            .get(hot)
-            .unwrap()
-            .locations
-            .contains(&NodeId(1))
-        {
-            break;
-        }
-        cluster
-            .node_transfer_stats(NodeId(0))
-            .unwrap()
-            .record_demand(hot, 8);
-        assert!(
-            std::time::Instant::now() < deadline,
-            "replica never landed after the partition healed"
-        );
-        std::thread::sleep(Duration::from_millis(10));
     }
     cluster.shutdown();
 }
