@@ -21,14 +21,16 @@
 //!   its registry exposes.
 //! - **Overhead**: batch-4096 submission throughput with default-on
 //!   telemetry must stay within 10% of the same run with telemetry
-//!   off (measured back-to-back, min-of-N).
+//!   off: the median ratio of at least seven interleaved on/off pairs,
+//!   each run submitting for at least 20 ms.
 //!
 //! Run: `cargo run -p rtml-bench --bin exp_observability --release`
 //!
 //! Results land in `BENCH_observability.json`; the trace itself in
 //! `BENCH_observability_trace.json` (load it in Perfetto).
 //! `RTML_OBS_TASKS` scales the DAG fan-out, `RTML_OBS_SUBMIT_TASKS`
-//! the overhead run's task budget, `RTML_OBS_REPS` its repetitions.
+//! the overhead run's least task count, `RTML_OBS_REPS` its on/off
+//! pairs (at least seven).
 
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
@@ -47,6 +49,11 @@ const SUBMIT_BATCH: usize = 4_096;
 /// Telemetry-on submission throughput must stay within this factor of
 /// telemetry-off.
 const MIN_OVERHEAD_RATIO: f64 = 0.9;
+/// Fewest interleaved on/off pairs the overhead ratio is the median of:
+/// one pair of millisecond-scale runs is a coin flip on a loaded host.
+const MIN_OVERHEAD_PAIRS: usize = 7;
+/// Least time one overhead run submits for, whatever its task count.
+const MIN_SUBMIT_TIME: Duration = Duration::from_millis(20);
 /// Critical-path buckets must sum to the makespan within this.
 const ATTRIBUTION_TOLERANCE: f64 = 0.01;
 
@@ -227,8 +234,9 @@ fn run_steal_spans(tasks: usize) -> usize {
 
 /// One batch-4096 submission-throughput run (tasks/s), pipelined, on
 /// the CI floor's configuration — the only difference between calls is
-/// the telemetry switch.
-fn measure_submit(telemetry_on: bool, total_tasks: usize) -> f64 {
+/// the telemetry switch. Submits at least `min_tasks`, and for at least
+/// `MIN_SUBMIT_TIME`.
+fn measure_submit(telemetry_on: bool, min_tasks: usize) -> f64 {
     let mut config = ClusterConfig {
         spill: SpillMode::NeverSpill,
         ..ClusterConfig::local(1, 2)
@@ -244,29 +252,40 @@ fn measure_submit(telemetry_on: bool, total_tasks: usize) -> f64 {
         .child(0)
         .return_object(0);
     let payload = rtml_common::codec::encode_to_bytes(&0u64);
-    let batches = total_tasks.div_ceil(SUBMIT_BATCH);
-    let mut prebuilt: Vec<Vec<TaskRequest>> = (0..batches)
-        .map(|_| {
-            (0..SUBMIT_BATCH)
-                .map(|_| TaskRequest {
-                    function: gated.id(),
-                    args: vec![ArgSpec::Value(payload.clone()), ArgSpec::ObjectRef(never)],
-                    num_returns: 1,
-                    resources: Resources::cpu(1.0),
-                })
-                .collect()
-        })
+    let batch = || -> Vec<TaskRequest> {
+        (0..SUBMIT_BATCH)
+            .map(|_| TaskRequest {
+                function: gated.id(),
+                args: vec![ArgSpec::Value(payload.clone()), ArgSpec::ObjectRef(never)],
+                num_returns: 1,
+                resources: Resources::cpu(1.0),
+            })
+            .collect()
+    };
+    // Built ahead, outside the timed loop: enough for 20 ms at ~1.6 M
+    // tasks/s; a faster host builds the rest as it goes.
+    let mut prebuilt: Vec<Vec<TaskRequest>> = (0..min_tasks.div_ceil(SUBMIT_BATCH).max(8))
+        .map(|_| batch())
         .collect();
     let start = Instant::now();
+    let mut submitted = 0;
     let mut last_returns = Vec::new();
-    for requests in prebuilt.drain(..) {
+    while submitted < min_tasks || start.elapsed() < MIN_SUBMIT_TIME {
+        let requests = prebuilt.pop().unwrap_or_else(batch);
         let mut results = driver.submit_raw_batch(requests).unwrap();
         last_returns = results.pop().unwrap();
+        submitted += SUBMIT_BATCH;
     }
     wait_queued(&driver, &last_returns);
     let elapsed = start.elapsed();
     cluster.shutdown();
-    (batches * SUBMIT_BATCH) as f64 / elapsed.as_secs_f64()
+    submitted as f64 / elapsed.as_secs_f64()
+}
+
+/// The median of `values` (upper median for an even count).
+fn median(mut values: Vec<f64>) -> f64 {
+    values.sort_by(f64::total_cmp);
+    values[values.len() / 2]
 }
 
 /// Event-driven ingest barrier (see `exp_submit_throughput`).
@@ -299,20 +318,30 @@ fn main() {
     let reps: usize = std::env::var("RTML_OBS_REPS")
         .ok()
         .and_then(|v| v.parse().ok())
-        .unwrap_or(3)
-        .max(1);
+        .unwrap_or(MIN_OVERHEAD_PAIRS)
+        .max(MIN_OVERHEAD_PAIRS);
 
     let dag = run_dag(fanout);
     let steal_spans = run_steal_spans(48);
 
-    // Overhead A/B, interleaved min-of-N.
-    let mut on_rate: f64 = 0.0;
-    let mut off_rate: f64 = 0.0;
-    for _ in 0..reps {
-        on_rate = on_rate.max(measure_submit(true, submit_tasks));
-        off_rate = off_rate.max(measure_submit(false, submit_tasks));
+    // Overhead A/B: interleaved on/off pairs, which side goes first
+    // alternating, so drift in the host's load cancels within a pair;
+    // the ratio is the median over pairs.
+    let (mut on, mut off, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    for rep in 0..reps {
+        let (on_rate, off_rate) = if rep % 2 == 0 {
+            let on_rate = measure_submit(true, submit_tasks);
+            (on_rate, measure_submit(false, submit_tasks))
+        } else {
+            let off_rate = measure_submit(false, submit_tasks);
+            (measure_submit(true, submit_tasks), off_rate)
+        };
+        on.push(on_rate);
+        off.push(off_rate);
+        ratios.push(on_rate / off_rate);
     }
-    let overhead_ratio = on_rate / off_rate;
+    let (on_rate, off_rate) = (median(on), median(off));
+    let overhead_ratio = median(ratios);
 
     let span_rows: Vec<Vec<String>> = dag
         .plane_spans
@@ -344,7 +373,7 @@ fn main() {
     println!(
         "\ntelemetry: {} nodes, {} records (ring cap {}), {} columns each; \
          trace: {} flow starts, {} binds; submit batch-{SUBMIT_BATCH}: \
-         telemetry on {:.0}/s vs off {:.0}/s ({:.3}x)",
+         telemetry on {:.0}/s vs off {:.0}/s (median of {reps} pairs {:.3}x)",
         dag.telemetry_nodes,
         dag.telemetry_records,
         dag.telemetry_retention,

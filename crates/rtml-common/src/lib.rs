@@ -22,7 +22,7 @@
 //! - [`metrics`] — counters and log-bucketed histograms used by the
 //!   benchmark harness.
 //! - [`retry`] — the one retry/backoff discipline (bounded exponential
-//!   backoff, deterministic jitter, deadline) adopted by every plane.
+//!   backoff with deterministic jitter) adopted by every plane.
 //! - [`error`] — the error type shared across the workspace.
 
 pub mod codec;

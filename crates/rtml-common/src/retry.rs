@@ -4,10 +4,11 @@
 //! the steal plane re-armed on a flat interval, the fetch path fell
 //! back to a reactive watcher poll, and driver striping had no failover
 //! at all. A
-//! [`RetryPolicy`] is the shared vocabulary: bounded attempts,
-//! exponential backoff with a cap, *deterministic* jitter (seeded, so
-//! two runs with the same seed sleep the same schedule), and an
-//! optional overall deadline.
+//! [`RetryPolicy`] is the shared vocabulary: bounded attempts, and
+//! exponential backoff with a cap and *deterministic* jitter (seeded, so
+//! two runs with the same seed sleep the same schedule). No plane may
+//! block in a retry sleep, so each runs its own loop and asks the policy
+//! how many attempts it has and how long to back off.
 //!
 //! The jitter is decorrelated-but-deterministic: the sleep for attempt
 //! `k` is drawn from `[nominal/2, nominal]` where `nominal = base *
@@ -15,13 +16,10 @@
 //! need reproducible cluster behaviour pass a seed derived from stable
 //! identity (node id, object id) rather than wall-clock state.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use crate::error::Result;
-
-/// Bounded exponential backoff with deterministic jitter and an
-/// optional deadline. `Default` gives 4 attempts starting at 500µs,
-/// doubling to a 50ms cap, no deadline.
+/// Bounded exponential backoff with deterministic jitter. `Default`
+/// gives 4 attempts starting at 500µs, doubling to a 50ms cap.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total attempts including the first (1 = no retry).
@@ -30,9 +28,6 @@ pub struct RetryPolicy {
     pub base: Duration,
     /// Upper bound on any single backoff sleep.
     pub cap: Duration,
-    /// Overall budget across all attempts and sleeps; `None` is
-    /// unbounded (the attempt count still bounds the loop).
-    pub deadline: Option<Duration>,
     /// Spread sleeps over `[nominal/2, nominal]` deterministically
     /// from the caller's seed; `false` sleeps exactly `nominal`.
     pub jitter: bool,
@@ -44,7 +39,6 @@ impl Default for RetryPolicy {
             max_attempts: 4,
             base: Duration::from_micros(500),
             cap: Duration::from_millis(50),
-            deadline: None,
             jitter: true,
         }
     }
@@ -66,7 +60,6 @@ impl RetryPolicy {
             max_attempts: 1,
             base: Duration::ZERO,
             cap: Duration::ZERO,
-            deadline: None,
             jitter: false,
         }
     }
@@ -87,41 +80,11 @@ impl RetryPolicy {
         let draw = mix(seed ^ ((attempt as u64) << 32)) % 1024;
         Duration::from_nanos(nanos / 2 + (nanos / 2 / 1024) * draw)
     }
-
-    /// Run `op` until it succeeds, attempts are exhausted, or the
-    /// deadline would be overrun by the next sleep. `op` receives the
-    /// 0-based attempt number; the last error is returned verbatim.
-    pub fn run<T>(&self, seed: u64, mut op: impl FnMut(u32) -> Result<T>) -> Result<T> {
-        let started = Instant::now();
-        let attempts = self.max_attempts.max(1);
-        let mut attempt = 0;
-        loop {
-            match op(attempt) {
-                Ok(value) => return Ok(value),
-                Err(err) => {
-                    attempt += 1;
-                    if attempt >= attempts {
-                        return Err(err);
-                    }
-                    let pause = self.backoff(attempt - 1, seed);
-                    if let Some(deadline) = self.deadline {
-                        if started.elapsed() + pause >= deadline {
-                            return Err(err);
-                        }
-                    }
-                    if !pause.is_zero() {
-                        std::thread::sleep(pause);
-                    }
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::Error;
 
     #[test]
     fn backoff_is_exponential_and_capped() {
@@ -129,7 +92,6 @@ mod tests {
             max_attempts: 8,
             base: Duration::from_millis(1),
             cap: Duration::from_millis(8),
-            deadline: None,
             jitter: false,
         };
         assert_eq!(p.backoff(0, 0), Duration::from_millis(1));
@@ -159,72 +121,10 @@ mod tests {
     }
 
     #[test]
-    fn run_retries_until_success() {
-        let p = RetryPolicy {
-            max_attempts: 5,
-            base: Duration::from_micros(10),
-            cap: Duration::from_micros(100),
-            deadline: None,
-            jitter: true,
-        };
-        let mut calls = 0;
-        let out = p.run(7, |attempt| {
-            calls += 1;
-            if attempt < 2 {
-                Err(Error::Timeout)
-            } else {
-                Ok(attempt)
-            }
-        });
-        assert_eq!(out.unwrap(), 2);
-        assert_eq!(calls, 3);
-    }
-
-    #[test]
-    fn run_returns_last_error_when_exhausted() {
-        let p = RetryPolicy {
-            max_attempts: 3,
-            base: Duration::from_micros(10),
-            cap: Duration::from_micros(20),
-            deadline: None,
-            jitter: false,
-        };
-        let mut calls = 0;
-        let out: Result<()> = p.run(0, |_| {
-            calls += 1;
-            Err(Error::Timeout)
-        });
-        assert!(matches!(out, Err(Error::Timeout)));
-        assert_eq!(calls, 3);
-    }
-
-    #[test]
     fn disabled_policy_is_single_shot() {
         let p = RetryPolicy::disabled();
-        let mut calls = 0;
-        let out: Result<()> = p.run(0, |_| {
-            calls += 1;
-            Err(Error::Timeout)
-        });
-        assert!(out.is_err());
-        assert_eq!(calls, 1);
-    }
-
-    #[test]
-    fn deadline_stops_the_loop_early() {
-        let p = RetryPolicy {
-            max_attempts: 100,
-            base: Duration::from_millis(5),
-            cap: Duration::from_millis(5),
-            deadline: Some(Duration::from_millis(12)),
-            jitter: false,
-        };
-        let mut calls = 0;
-        let out: Result<()> = p.run(0, |_| {
-            calls += 1;
-            Err(Error::Timeout)
-        });
-        assert!(out.is_err());
-        assert!(calls < 10, "deadline should cut the loop well short");
+        assert_eq!(p.max_attempts, 1);
+        assert_eq!(p.backoff(0, 7), Duration::ZERO);
+        assert_eq!(p.backoff(5, 7), Duration::ZERO);
     }
 }

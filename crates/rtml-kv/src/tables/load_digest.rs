@@ -2,25 +2,25 @@
 //! view of node capacity without cross-shard locks.
 //!
 //! Each global-scheduler shard places its own slice of the task keyspace
-//! against node load reports that arrive on a period. Between reports a
-//! shard only sees *its own* placements; work placed by sibling shards is
-//! invisible, so every shard would over-place onto the node that was
-//! least loaded at the last report. The digest closes that gap: after
-//! every placement batch a shard group-commits its placements-since-report
-//! counters to one kv key (`gsd:<shard>`), and peers fold all digests in
-//! with a single [`crate::store::KvStore::get_many`] sweep. Entries are
-//! versioned by the load report's `at_nanos`; a digest entry only counts
-//! while its version matches the reader's current report (a fresh report
-//! already includes those placements in the queue it observed). Next to
-//! each counter rides what those placements made *inbound* to the node:
-//! the placed tasks' dependencies, which placement counts as present
-//! there for the next task that needs them.
+//! against node load reports that arrive on a period. A report counts
+//! what its node has ingested; what a shard placed and the node has not
+//! ingested yet is on the wire, and a shard only knows *its own* such
+//! placements — work a sibling shard just sent is invisible, so every
+//! shard would over-place onto the node that was least loaded at the
+//! last report. The digest closes that gap: whenever a shard's in-flight
+//! count for a node changes (it placed a batch, or a report retired
+//! some) it group-commits its per-node counts to one kv key
+//! (`gsd:<shard>`), and peers fold all digests in with a single
+//! [`crate::store::KvStore::get_many`] sweep. Next to each count rides
+//! what those placements made *inbound* to the node: the in-flight
+//! tasks' dependencies, which placement counts as present there for the
+//! next task that needs them.
 //!
 //! This is deliberately *eventually* consistent — a shard may act on a
-//! digest one batch stale. Placement stays deterministic because a
+//! digest one report stale. Placement stays deterministic because a
 //! shard's decisions are a pure function of the load view it read, and
-//! load correctness is self-healing: the next report supersedes every
-//! digest entry for that node.
+//! the count is self-correcting: the publisher republishes as soon as a
+//! report shows its node ingested what it sent.
 
 use std::sync::Arc;
 
@@ -32,16 +32,14 @@ use rtml_common::impl_codec_struct;
 
 use crate::store::KvStore;
 
-/// Placements one shard has made onto one node since that node's load
-/// report at `version`.
+/// Placements one shard has sent to one node that the node has not yet
+/// reported ingesting.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DigestEntry {
     /// The node placed onto.
     pub node: NodeId,
-    /// `at_nanos` of the load report the placements were decided against.
-    pub version: u64,
-    /// Tasks placed onto `node` since that report.
-    pub placed: u64,
+    /// Tasks sent to `node` and not in any report of it yet.
+    pub in_flight: u64,
     /// Dependencies of those tasks: objects that are on `node` or on
     /// their way there, so placement counts them as present for the
     /// next task that needs them. Bounded by the publisher.
@@ -50,13 +48,12 @@ pub struct DigestEntry {
 
 impl_codec_struct!(DigestEntry {
     node,
-    version,
-    placed,
+    in_flight,
     inbound
 });
 
-/// One shard's full digest: its placements-since-report for every node it
-/// has recently placed onto.
+/// One shard's full digest: its in-flight placements for every node it
+/// has some on the wire to.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct LoadDigest {
     /// Per-node counters; at most one entry per node.
@@ -108,7 +105,7 @@ impl LoadDigestTable {
             .collect()
     }
 
-    /// Clears a shard's digest (on shard shutdown or report rollover).
+    /// Clears a shard's digest (on shard shutdown).
     pub fn clear(&self, shard: u32) {
         self.kv.delete(&Self::key(shard));
     }
@@ -119,12 +116,11 @@ mod tests {
     use super::*;
     use rtml_common::ids::{DriverId, TaskId};
 
-    fn digest(node: u32, version: u64, placed: u64) -> LoadDigest {
+    fn digest(node: u32, in_flight: u64) -> LoadDigest {
         LoadDigest {
             entries: vec![DigestEntry {
                 node: NodeId(node),
-                version,
-                placed,
+                in_flight,
                 inbound: Vec::new(),
             }],
         }
@@ -134,15 +130,15 @@ mod tests {
     fn publish_then_sweep_sees_siblings_only() {
         let kv = KvStore::new(4);
         let table = LoadDigestTable::new(kv);
-        table.publish(0, &digest(1, 100, 7));
-        table.publish(1, &digest(2, 100, 3));
-        table.publish(2, &digest(1, 90, 1));
+        table.publish(0, &digest(1, 7));
+        table.publish(1, &digest(2, 3));
+        table.publish(2, &digest(1, 1));
 
         let seen = table.sweep(0, 3);
         assert_eq!(seen.len(), 2);
-        assert!(seen.contains(&digest(2, 100, 3)));
-        assert!(seen.contains(&digest(1, 90, 1)));
-        assert!(!seen.contains(&digest(1, 100, 7)));
+        assert!(seen.contains(&digest(2, 3)));
+        assert!(seen.contains(&digest(1, 1)));
+        assert!(!seen.contains(&digest(1, 7)));
     }
 
     #[test]
@@ -151,7 +147,7 @@ mod tests {
         let table = LoadDigestTable::new(kv);
         assert!(table.sweep(0, 4).is_empty());
         // K = 1 has no siblings: the sweep is free.
-        table.publish(0, &digest(1, 1, 1));
+        table.publish(0, &digest(1, 1));
         assert!(table.sweep(0, 1).is_empty());
     }
 
@@ -159,7 +155,7 @@ mod tests {
     fn clear_removes_digest() {
         let kv = KvStore::new(2);
         let table = LoadDigestTable::new(kv);
-        table.publish(3, &digest(5, 1, 2));
+        table.publish(3, &digest(5, 2));
         assert_eq!(table.sweep(0, 4).len(), 1);
         table.clear(3);
         assert!(table.sweep(0, 4).is_empty());
@@ -171,16 +167,14 @@ mod tests {
             entries: vec![
                 DigestEntry {
                     node: NodeId(0),
-                    version: u64::MAX,
-                    placed: 42,
+                    in_flight: 42,
                     inbound: vec![TaskId::driver_root(DriverId::from_index(1))
                         .child(3)
                         .return_object(0)],
                 },
                 DigestEntry {
                     node: NodeId(7),
-                    version: 0,
-                    placed: 0,
+                    in_flight: 0,
                     inbound: Vec::new(),
                 },
             ],

@@ -106,8 +106,8 @@ pub struct ClusterConfig {
     /// cluster pays one branch per send and keeps a byte-identical
     /// jitter stream.
     pub faults: rtml_net::FaultPlan,
-    /// The one retry/backoff discipline (bounded exponential backoff,
-    /// deterministic jitter, optional deadline) adopted by the fetch
+    /// The one retry/backoff discipline (bounded attempts, exponential
+    /// backoff with deterministic jitter) adopted by the fetch
     /// path, driver stripe failover, and — via
     /// [`rtml_sched::StealConfig::retry`] — the steal re-arm.
     pub retry: rtml_common::RetryPolicy,

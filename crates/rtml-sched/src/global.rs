@@ -20,15 +20,37 @@
 //! broadcast to every shard, so each shard holds a full replica of the
 //! cluster view and places without cross-shard locks.
 //!
-//! Placement under the paper policies is a pure function of the task
-//! spec and the load view ([`crate::policy`]), so partitioning a batch
-//! across shards cannot change where any task goes — determinism
-//! survives sharding by construction. What shards *cannot* see is each
-//! other's in-flight placements between load reports; the **load
-//! digest** ([`rtml_kv::LoadDigestTable`]) closes that gap: after every
-//! batch a shard group-commits its placed-since-report counters to the
-//! kv store, and every shard folds the sibling digests into its
-//! effective load view at the next batch.
+//! # What a shard sees of a node
+//!
+//! A shard's view of a node is what the node measured, plus what is
+//! still on the wire to it, plus what the current batch just added:
+//!
+//! - **The report.** Each node sends every shard its [`LoadReport`] in a
+//!   `Load` frame, and a spilling node sends its owning shard a fresh
+//!   one inside the `SpillBatch` itself — so a spill is never placed
+//!   back on its sender against a report up to a `load_interval` old.
+//!   An older report overtaken on the wire by a newer one is ignored.
+//! - **In flight.** A shard counts the `PlaceBatch` tasks it sent each
+//!   node; the node counts the ones it ingested from each shard and
+//!   returns that count in every frame addressed to the shard, measured
+//!   in the same turn as the report beside it. `sent − ingested` is
+//!   exactly what the report cannot contain yet, so it is added to the
+//!   node's depth until a report shows it ingested — a report measured
+//!   before a batch arrived retires nothing. A frame the fabric lost is
+//!   written off once a report measured `LOST_AFTER` (100 ms) after it
+//!   was sent still does not count it.
+//! - **The batch.** Each pick is fed back into the batch's view
+//!   ([`LoadView::note_placed`]), so one `SpillBatch` fills nodes as it
+//!   is placed instead of landing on whichever node looked emptiest
+//!   when it arrived.
+//!
+//! Placement is therefore a pure function of the batch and the view it
+//! started from ([`crate::policy`]). What shards *cannot* see is each
+//! other's in-flight placements; the **load digest**
+//! ([`rtml_kv::LoadDigestTable`]) closes that gap: whenever a shard's
+//! in-flight counts change it group-commits them to the kv store, and
+//! every shard folds the sibling digests into its view at the next
+//! batch.
 //!
 //! Tasks that currently fit no node (e.g. GPU demand while the only GPU
 //! node is down) are **parked** and retried whenever the cluster view
@@ -41,7 +63,7 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use rtml_common::codec::{decode_from_slice, Codec};
 use rtml_common::collections::{fast_map_with_capacity, FastMap};
 use rtml_common::event::{Component, Event, EventKind};
-use rtml_common::ids::{NodeId, TaskId};
+use rtml_common::ids::{NodeId, ObjectId, TaskId};
 use rtml_common::metrics::Counter;
 use rtml_common::task::TaskSpec;
 use rtml_kv::{DigestEntry, EventLog, LoadDigest, LoadDigestTable, ObjectTable};
@@ -55,9 +77,73 @@ use crate::wire::SchedWire;
 /// (guards against local/global ping-pong on stale state).
 const MAX_HOPS: u32 = 8;
 
-/// Most objects remembered as inbound to one node between two of its
-/// load reports; dependencies beyond that simply earn no credit.
+/// Most objects remembered as inbound to one node while tasks needing
+/// them are in flight there; dependencies beyond that earn no credit.
 const MAX_INBOUND: usize = 64;
+
+/// A `PlaceBatch` frame a report measured this long after it was sent
+/// still does not count was lost on the wire: its tasks stop counting.
+const LOST_AFTER: u64 = 100_000_000;
+
+/// This shard's placements onto one node that the node has not reported
+/// ingesting. Counts are over the node's lifetime (reset when it comes
+/// up), because the node's own count is.
+#[derive(Debug, Default)]
+struct InFlight {
+    /// Tasks sent in `PlaceBatch` frames.
+    sent: u64,
+    /// Of those, ingested (the node's count) or written off as lost.
+    retired: u64,
+    /// The node's own count, as last reported.
+    ingested: u64,
+    /// Frames not yet retired: `(sent after the frame, sent at nanos)`.
+    frames: VecDeque<(u64, u64)>,
+    /// Dependencies of in-flight tasks: `(object, sent after the last
+    /// task needing it)` — inbound until that task is retired.
+    inbound: Vec<(ObjectId, u64)>,
+}
+
+impl InFlight {
+    fn count(&self) -> u64 {
+        self.sent - self.retired
+    }
+
+    /// `group` was sent to the node at `at_nanos`.
+    fn note_sent(&mut self, group: &[TaskSpec], at_nanos: u64) {
+        for spec in group {
+            self.sent += 1;
+            for object in spec.dependencies() {
+                if let Some(entry) = self.inbound.iter_mut().find(|(o, _)| *o == object) {
+                    entry.1 = self.sent;
+                } else if self.inbound.len() < MAX_INBOUND {
+                    self.inbound.push((object, self.sent));
+                }
+            }
+        }
+        self.frames.push_back((self.sent, at_nanos));
+    }
+
+    /// The node reported `ingested` of this shard's tasks in a report
+    /// measured at `at_nanos`. Whether anything retired.
+    fn on_report(&mut self, ingested: u64, at_nanos: u64) -> bool {
+        let before = self.retired;
+        // A duplicated frame is ingested twice; never retire more than
+        // was sent.
+        self.retired += ingested.saturating_sub(self.ingested);
+        self.retired = self.retired.min(self.sent);
+        self.ingested = self.ingested.max(ingested);
+        while let Some(&(upto, sent_at)) = self.frames.front() {
+            if upto > self.retired && sent_at + LOST_AFTER > at_nanos {
+                break;
+            }
+            self.retired = self.retired.max(upto);
+            self.frames.pop_front();
+        }
+        let retired = self.retired;
+        self.inbound.retain(|(_, upto)| *upto > retired);
+        self.retired != before
+    }
+}
 
 /// Static configuration for the global scheduler.
 #[derive(Clone, Debug)]
@@ -128,6 +214,11 @@ impl GlobalRoutes {
     /// Fabric address of shard `shard`.
     pub fn address_of(&self, shard: usize) -> NetAddress {
         self.addresses[shard]
+    }
+
+    /// The shard at fabric address `address`, if it is one.
+    pub(crate) fn shard_at(&self, address: NetAddress) -> Option<usize> {
+        self.addresses.iter().position(|a| *a == address)
     }
 
     /// Every shard address, in shard order (broadcast targets for node
@@ -281,7 +372,7 @@ impl GlobalScheduler {
                         address,
                         loads: FastMap::default(),
                         scheds: FastMap::default(),
-                        placed_since: FastMap::default(),
+                        in_flight: FastMap::default(),
                         parked: VecDeque::new(),
                         policy_state: PolicyState::new(seed),
                         stats: stats2,
@@ -317,10 +408,10 @@ struct GlobalCore {
     /// them without an explicit total order.
     loads: FastMap<NodeId, LoadReport>,
     scheds: FastMap<NodeId, NetAddress>,
-    /// This shard's placements since each node's current load report —
+    /// This shard's placements each node has not reported ingesting —
     /// folded into its own view every batch and published as the load
     /// digest for sibling shards.
-    placed_since: FastMap<NodeId, DigestEntry>,
+    in_flight: FastMap<NodeId, InFlight>,
     parked: VecDeque<(TaskSpec, u32)>,
     policy_state: PolicyState,
     stats: std::sync::Arc<GlobalStats>,
@@ -347,8 +438,13 @@ impl GlobalCore {
 
     fn on_net(&mut self, payload: bytes::Bytes) {
         match decode_from_slice::<SchedWire>(&payload) {
-            Ok(SchedWire::SpillBatch(specs)) => {
+            Ok(SchedWire::SpillBatch {
+                specs,
+                load,
+                ingested,
+            }) => {
                 self.stats.spills.add(specs.len() as u64);
+                self.on_load(load, ingested);
                 self.place_batch(specs, 0);
             }
             // A local scheduler bounced a placement (stale capacity);
@@ -356,32 +452,20 @@ impl GlobalCore {
             Ok(SchedWire::PlaceBatch { specs, hops }) => {
                 self.place_batch(specs, hops);
             }
-            Ok(SchedWire::Load(report)) => {
-                // A fresh report already observed every earlier placement
-                // in the queue it measured: retire the digest counters it
-                // supersedes.
-                if let Some(entry) = self.placed_since.get(&report.node) {
-                    if entry.version < report.at_nanos {
-                        self.placed_since.remove(&report.node);
-                    }
-                }
-                self.loads.insert(report.node, report);
-                self.update_known();
-                self.retry_parked();
-            }
+            Ok(SchedWire::Load { report, ingested }) => self.on_load(report, ingested),
             Ok(SchedWire::NodeUp {
                 node,
                 sched_address,
             }) => {
+                // A node (re)starting counts its ingests from zero.
+                self.drop_in_flight(node);
                 self.scheds
                     .insert(node, NetAddress::from_u64(sched_address));
                 self.update_known();
                 self.retry_parked();
             }
             Ok(SchedWire::NodeDown { node }) => {
-                self.loads.remove(&node);
-                self.scheds.remove(&node);
-                self.placed_since.remove(&node);
+                self.forget(node);
                 self.update_known();
             }
             // Steal traffic flows local → local by design; a misrouted
@@ -391,10 +475,47 @@ impl GlobalCore {
         }
     }
 
-    /// The effective load view for one batch: reachable nodes' reports
-    /// with this shard's own and every sibling's placed-since-report
-    /// counters and inbound objects folded in (version-matched — a newer
-    /// report already includes them).
+    /// A node's report (a `Load` frame, or the one a spill carries),
+    /// with how many of this shard's placements it has ingested.
+    fn on_load(&mut self, report: LoadReport, ingested: u64) {
+        let node = report.node;
+        if self
+            .loads
+            .get(&node)
+            .is_some_and(|last| last.at_nanos >= report.at_nanos)
+        {
+            return; // measured no later than the report already applied
+        }
+        let retired = self
+            .in_flight
+            .get_mut(&node)
+            .is_some_and(|flight| flight.on_report(ingested, report.at_nanos));
+        if retired {
+            self.publish_digest();
+        }
+        self.loads.insert(node, report);
+        self.update_known();
+        self.retry_parked();
+    }
+
+    /// Drops everything known about `node` (it left, or vanished
+    /// mid-send).
+    fn forget(&mut self, node: NodeId) {
+        self.loads.remove(&node);
+        self.scheds.remove(&node);
+        self.drop_in_flight(node);
+    }
+
+    /// Stops counting anything as in flight to `node`.
+    fn drop_in_flight(&mut self, node: NodeId) {
+        if self.in_flight.remove(&node).is_some() {
+            self.publish_digest();
+        }
+    }
+
+    /// The view one batch starts from: reachable nodes' reports with
+    /// this shard's own and every sibling's in-flight placements and
+    /// their inbound objects folded in.
     fn effective_view(&self) -> LoadView {
         let mut effective: FastMap<NodeId, LoadReport> = fast_map_with_capacity(self.loads.len());
         for (node, report) in &self.loads {
@@ -402,75 +523,52 @@ impl GlobalCore {
                 effective.insert(*node, report.clone());
             }
         }
-        let siblings = match self.num_shards {
-            1 => Vec::new(),
-            k => self.digests.sweep(self.shard, k as u32),
-        };
-        let live: Vec<&DigestEntry> = siblings
-            .iter()
-            .flat_map(|digest| &digest.entries)
-            .chain(self.placed_since.values())
-            .filter(|entry| {
-                let report = effective.get(&entry.node);
-                report.is_some_and(|report| report.at_nanos == entry.version)
-            })
-            .collect();
-        for entry in &live {
-            let report = effective.get_mut(&entry.node).expect("filtered above");
-            report.ready = report.ready.saturating_add(entry.placed as u32);
-        }
         let mut view = LoadView::build(effective, DEFAULT_TOP_K);
-        for entry in live {
-            for object in &entry.inbound {
-                view.note_inbound(entry.node, *object);
+        for (node, flight) in &self.in_flight {
+            let inbound = flight.inbound.iter().map(|(object, _)| *object);
+            view.note_queued(*node, flight.count() as u32, inbound);
+        }
+        if self.num_shards > 1 {
+            for digest in self.digests.sweep(self.shard, self.num_shards as u32) {
+                for entry in digest.entries {
+                    view.note_queued(entry.node, entry.in_flight as u32, entry.inbound);
+                }
             }
         }
         view
     }
 
-    /// Records a placement in this shard's digest, keyed to the load
-    /// report it was decided against: one more task queued on `node`,
-    /// and its dependencies inbound there.
-    fn note_placed(&mut self, node: NodeId, spec: &TaskSpec) {
-        let version = self.loads.get(&node).map(|l| l.at_nanos).unwrap_or(0);
-        let entry = self.placed_since.entry(node).or_insert(DigestEntry {
-            node,
-            version,
-            placed: 0,
-            inbound: Vec::new(),
-        });
-        if entry.version != version {
-            entry.version = version;
-            entry.placed = 0;
-            entry.inbound.clear();
-        }
-        entry.placed += 1;
-        for object in spec.dependencies() {
-            if entry.inbound.len() < MAX_INBOUND && !entry.inbound.contains(&object) {
-                entry.inbound.push(object);
-            }
-        }
-    }
-
-    /// Publishes this shard's digest as one group-committed kv write so
-    /// sibling shards can fold it into their next batch's view.
+    /// Publishes this shard's in-flight counts as one group-committed kv
+    /// write so sibling shards can fold them into their next batch's
+    /// view (with one shard there is nobody to tell).
     fn publish_digest(&self) {
-        let mut entries: Vec<DigestEntry> = self.placed_since.values().cloned().collect();
+        if self.num_shards == 1 {
+            return;
+        }
+        let mut entries: Vec<DigestEntry> = self
+            .in_flight
+            .iter()
+            .filter(|(_, flight)| flight.count() > 0)
+            .map(|(node, flight)| DigestEntry {
+                node: *node,
+                in_flight: flight.count(),
+                inbound: flight.inbound.iter().map(|(object, _)| *object).collect(),
+            })
+            .collect();
         entries.sort_unstable_by_key(|e| e.node);
         self.digests.publish(self.shard, &LoadDigest { entries });
     }
 
-    /// Places a batch of tasks with one cluster-view snapshot, then
-    /// coalesces all placements destined for the same node into a single
-    /// `PlaceBatch` frame — a spilled burst pays one fabric hop per
-    /// destination instead of one per task.
+    /// Places a batch of tasks, then coalesces all placements destined
+    /// for the same node into a single `PlaceBatch` frame — a spilled
+    /// burst pays one fabric hop per destination instead of one per
+    /// task.
     ///
-    /// Each task's placement is a pure function of `(spec, view)`: the
-    /// snapshot is not mutated mid-batch, so splitting this batch across
-    /// shards sharing the view would place every task identically (the
-    /// sharded-equals-single determinism property). Equal candidates are
-    /// spread by the per-task hash inside the policy; batch-to-batch
-    /// spreading comes from folding `placed_since` into the next view.
+    /// Each pick is fed back into the view before the next, so the
+    /// batch's placement is a pure function of the batch and the view
+    /// it started from: the same batch against the same view places
+    /// identically on every run and in every shard. Equal candidates
+    /// are spread by the per-task hash inside the policy.
     fn place_batch(&mut self, specs: Vec<TaskSpec>, hops: u32) {
         if specs.is_empty() {
             return;
@@ -482,7 +580,7 @@ impl GlobalCore {
             return;
         }
         let started = std::time::Instant::now();
-        let view = self.effective_view();
+        let mut view = self.effective_view();
         let mut groups: FastMap<NodeId, Vec<TaskSpec>> = FastMap::default();
         let at_nanos = rtml_common::time::now_nanos();
         let mut events = Vec::with_capacity(specs.len() + 1);
@@ -501,7 +599,7 @@ impl GlobalCore {
                             node,
                         },
                     });
-                    self.note_placed(node, &spec);
+                    view.note_placed(node, &spec);
                     groups.entry(node).or_default().push(spec);
                 }
                 None => self.park(spec, hops),
@@ -520,19 +618,23 @@ impl GlobalCore {
             },
         ));
         self.events.append_many(self.config.host_node, events);
-        if self.num_shards > 1 && !groups.is_empty() {
-            self.publish_digest();
-        }
-        // Deterministic send order regardless of map layout.
+        // Deterministic send order regardless of map layout. Every frame
+        // is counted in flight — and siblings are told — before any is
+        // sent, so no report can count a task before this shard does.
         let mut groups: Vec<(NodeId, Vec<TaskSpec>)> = groups.into_iter().collect();
         groups.sort_unstable_by_key(|(node, _)| *node);
+        for (node, group) in &groups {
+            let flight = self.in_flight.entry(*node).or_default();
+            flight.note_sent(group, at_nanos);
+        }
+        if !groups.is_empty() {
+            self.publish_digest();
+        }
         for (node, group) in groups {
-            let Some(target) = self.scheds.get(&node).copied() else {
-                for spec in group {
-                    self.park(spec, hops);
-                }
-                continue;
-            };
+            let target = *self
+                .scheds
+                .get(&node)
+                .expect("the view holds reachable nodes only");
             let count = group.len() as u64;
             let msg = SchedWire::PlaceBatch {
                 specs: group,
@@ -550,9 +652,7 @@ impl GlobalCore {
                 self.stats.placements.add(count);
             } else {
                 // The node vanished mid-send; forget it and park.
-                self.scheds.remove(&node);
-                self.loads.remove(&node);
-                self.placed_since.remove(&node);
+                self.forget(node);
                 let SchedWire::PlaceBatch { specs, hops } = msg else {
                     unreachable!("constructed above")
                 };
@@ -627,8 +727,29 @@ mod tests {
         rig_sharded(policy, 1)
     }
 
+    /// A fake node's load: `queue` ready tasks on `total`, measured at
+    /// `at_nanos`.
+    fn report(
+        endpoint: &rtml_net::Endpoint,
+        queue: u32,
+        total: Resources,
+        at_nanos: u64,
+    ) -> LoadReport {
+        LoadReport {
+            node: endpoint.node(),
+            sched_address: endpoint.address().as_u64(),
+            ready: queue,
+            waiting: 0,
+            running: 0,
+            idle_workers: 1,
+            available: total.clone(),
+            total,
+            at_nanos,
+        }
+    }
+
     /// Announces a fake node to every shard (NodeUp + Load broadcast,
-    /// exactly like a real local scheduler).
+    /// exactly like a real local scheduler). Its report is stamped 0.
     fn fake_node(rig: &Rig, node: NodeId, queue: u32, total: Resources) -> rtml_net::Endpoint {
         let endpoint = rig.fabric.register(node, "fake-local");
         for target in rig.handle.routes().all() {
@@ -636,36 +757,72 @@ mod tests {
                 node,
                 sched_address: endpoint.address().as_u64(),
             };
+            let load = SchedWire::Load {
+                report: report(&endpoint, queue, total.clone(), 0),
+                ingested: 0,
+            };
             rig.fabric
-                .send(endpoint.address(), *target, encode_to_bytes(&up))
-                .unwrap();
-            let load = SchedWire::Load(LoadReport {
-                node,
-                sched_address: endpoint.address().as_u64(),
-                ready: queue,
-                waiting: 0,
-                running: 0,
-                idle_workers: 1,
-                available: total.clone(),
-                total: total.clone(),
-                at_nanos: 0,
-            });
-            rig.fabric
-                .send(endpoint.address(), *target, encode_to_bytes(&load))
+                .send_batch(
+                    endpoint.address(),
+                    *target,
+                    vec![encode_to_bytes(&up), encode_to_bytes(&load)],
+                )
                 .unwrap();
         }
         endpoint
     }
 
-    fn spill(rig: &Rig, from: &rtml_net::Endpoint, spec: TaskSpec) {
-        let target = rig.handle.routes().address_for(spec.task_id);
+    /// Sends `specs` from `from` as one spill to the shard owning the
+    /// first, carrying `load` and `ingested`.
+    fn spill_batch(
+        rig: &Rig,
+        from: &rtml_net::Endpoint,
+        load: LoadReport,
+        ingested: u64,
+        specs: Vec<TaskSpec>,
+    ) {
+        let target = rig.handle.routes().address_for(specs[0].task_id);
+        let msg = SchedWire::SpillBatch {
+            specs,
+            load,
+            ingested,
+        };
         rig.fabric
-            .send(
-                from.address(),
-                target,
-                encode_to_bytes(&SchedWire::SpillBatch(vec![spec])),
-            )
+            .send(from.address(), target, encode_to_bytes(&msg))
             .unwrap();
+    }
+
+    /// Spills one task. The load it carries is stamped 0, like the
+    /// announcement, so it is not newer than what the shard has: the
+    /// sender keeps the load the test announced for it.
+    fn spill(rig: &Rig, from: &rtml_net::Endpoint, spec: TaskSpec) {
+        let stale = report(from, 0, Resources::cpu(4.0), 0);
+        spill_batch(rig, from, stale, 0, vec![spec]);
+    }
+
+    /// Waits for `n` placed tasks across `nodes`: each task's index in
+    /// `nodes`.
+    fn placements(nodes: &[&rtml_net::Endpoint], n: usize) -> FastMap<TaskId, usize> {
+        let mut placed = FastMap::default();
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while placed.len() < n {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "placed {}/{n}",
+                placed.len()
+            );
+            for (idx, endpoint) in nodes.iter().enumerate() {
+                while let Ok(d) = endpoint.receiver().try_recv() {
+                    if let Ok(SchedWire::PlaceBatch { specs, .. }) = decode_from_slice(&d.payload) {
+                        for spec in specs {
+                            placed.insert(spec.task_id, idx);
+                        }
+                    }
+                }
+            }
+            std::thread::yield_now();
+        }
+        placed
     }
 
     fn expect_place(endpoint: &rtml_net::Endpoint) -> TaskSpec {
@@ -769,12 +926,11 @@ mod tests {
         r.handle.shutdown();
     }
 
-    #[test]
-    fn a_spilled_burst_fills_every_first_wave_before_any_second() {
-        // 4 nodes x 4 slots. Node 0 holds the burst's 1 MiB dependency
-        // and reports 13 queued (its own share of the burst); the other
-        // 19 tasks spill one at a time against frozen load reports.
-        let mut r = rig(PlacementPolicy::LocalityAware);
+    /// 4 nodes x 4 slots. Node 0 holds the burst's 1 MiB dependency and
+    /// reports 13 queued (its own share of the burst); the other 19
+    /// tasks, `i` needing `dep`, are the spill.
+    fn burst_rig() -> (Rig, Vec<rtml_net::Endpoint>, Vec<TaskSpec>) {
+        let r = rig(PlacementPolicy::LocalityAware);
         let objects = ObjectTable::new(r.kv.clone());
         let root = TaskId::driver_root(DriverId::from_index(0));
         let dep = root.child(999).return_object(0);
@@ -790,35 +946,24 @@ mod tests {
             })
             .collect();
         std::thread::sleep(Duration::from_millis(20));
-        let mut placed_on: Vec<usize> = Vec::new();
-        for i in 0..19 {
-            let mut spec = task(i, Resources::cpu(1.0));
-            spec.args = vec![rtml_common::task::ArgSpec::ObjectRef(dep)];
-            spill(&r, &nodes[0], spec);
-            let deadline = std::time::Instant::now() + Duration::from_secs(5);
-            let node = 'placed: loop {
-                for (n, endpoint) in nodes.iter().enumerate() {
-                    while let Ok(d) = endpoint.receiver().try_recv() {
-                        if let Ok(SchedWire::PlaceBatch { .. }) = decode_from_slice(&d.payload) {
-                            break 'placed n;
-                        }
-                    }
-                }
-                assert!(
-                    std::time::Instant::now() < deadline,
-                    "spill {i} never placed"
-                );
-                std::thread::yield_now();
-            };
-            placed_on.push(node);
-        }
+        let specs = (0..19)
+            .map(|i| {
+                let mut spec = task(i, Resources::cpu(1.0));
+                spec.args = vec![rtml_common::task::ArgSpec::ObjectRef(dep)];
+                spec
+            })
+            .collect();
+        (r, nodes, specs)
+    }
+
+    /// `placed_on[i]` is where the burst's `i`th task went. The holder
+    /// is three waves deep: nothing returns to it. Each idle node's
+    /// first wave fills in turn — the object is inbound there after its
+    /// first task — so all three are fetching by the ninth placement,
+    /// and none starts a second wave before every one has a first.
+    fn assert_first_waves_fill_first(placed_on: &[usize]) {
         let count =
             |upto: usize, node: usize| placed_on[..upto].iter().filter(|n| **n == node).count();
-        // The holder is three waves deep: nothing returns to it. Each
-        // idle node's first wave fills in turn — the object is inbound
-        // there after its first task — so all three are fetching by the
-        // ninth placement, and none starts a second wave before every
-        // one has a first.
         assert_eq!(count(19, 0), 0, "{placed_on:?}");
         for node in 1..4 {
             assert!(
@@ -830,6 +975,131 @@ mod tests {
         let totals: Vec<usize> = (1..4).map(|node| count(19, node)).collect();
         let spread = totals.iter().max().unwrap() - totals.iter().min().unwrap();
         assert!(spread <= 4, "more than a wave apart: {totals:?}");
+    }
+
+    #[test]
+    fn a_spilled_burst_fills_every_first_wave_before_any_second() {
+        // The 19 tasks spill one at a time against frozen load reports:
+        // each placement is counted in flight for the next.
+        let (mut r, nodes, specs) = burst_rig();
+        let endpoints: Vec<&rtml_net::Endpoint> = nodes.iter().collect();
+        let mut placed_on: Vec<usize> = Vec::new();
+        for spec in specs {
+            let id = spec.task_id;
+            spill(&r, &nodes[0], spec);
+            placed_on.push(placements(&endpoints, 1)[&id]);
+        }
+        assert_first_waves_fill_first(&placed_on);
+        r.handle.shutdown();
+    }
+
+    #[test]
+    fn a_spilled_batch_fills_every_first_wave_before_any_second() {
+        // The same 19 tasks as one SpillBatch: placed against one view,
+        // each pick fed back into it before the next, they spread exactly
+        // as the one-at-a-time spills do.
+        let (mut r, nodes, specs) = burst_rig();
+        let ids: Vec<TaskId> = specs.iter().map(|s| s.task_id).collect();
+        let sender = report(&nodes[0], 13, Resources::cpu(4.0), 1);
+        spill_batch(&r, &nodes[0], sender, 0, specs);
+        let placed = placements(&nodes.iter().collect::<Vec<_>>(), ids.len());
+        let placed_on: Vec<usize> = ids.iter().map(|id| placed[id]).collect();
+        assert_first_waves_fill_first(&placed_on);
+        r.handle.shutdown();
+    }
+
+    #[test]
+    fn a_report_measured_before_a_batch_arrived_does_not_forget_it() {
+        // Node 1 is the only GPU node, node 2 has three CPU tasks queued.
+        // Eight GPU tasks go to node 1. Node 1 then reports — idle, and
+        // having ingested none of them: they are still on the wire, so
+        // the next CPU task goes to node 2 although node 1's report is
+        // newer than the placements.
+        let mut r = rig(PlacementPolicy::LeastLoaded);
+        let gpu = Resources::new(4.0, 4.0);
+        let n1 = fake_node(&r, NodeId(1), 0, gpu.clone());
+        let n2 = fake_node(&r, NodeId(2), 3, Resources::cpu(4.0));
+        std::thread::sleep(Duration::from_millis(20));
+        let gpu_tasks: Vec<TaskSpec> = (0..8).map(|i| task(i, Resources::gpu(1.0))).collect();
+        spill_batch(
+            &r,
+            &n2,
+            report(&n2, 3, Resources::cpu(4.0), 1),
+            0,
+            gpu_tasks,
+        );
+        assert!(placements(&[&n1], 8).values().all(|n| *n == 0));
+        let before_arrival = SchedWire::Load {
+            report: report(&n1, 0, gpu.clone(), 2),
+            ingested: 0,
+        };
+        r.fabric
+            .send(
+                n1.address(),
+                r.handle.address(),
+                encode_to_bytes(&before_arrival),
+            )
+            .unwrap();
+        spill_batch(
+            &r,
+            &n1,
+            report(&n1, 0, gpu.clone(), 3),
+            0,
+            vec![task(100, Resources::cpu(1.0))],
+        );
+        assert_eq!(placements(&[&n1, &n2], 1).values().next(), Some(&1));
+        // Once a report counts the eight — six of them already run —
+        // they are counted once: node 1 at 2 is shallower than node 2 at
+        // 3 + the one just placed.
+        spill_batch(
+            &r,
+            &n1,
+            report(&n1, 2, gpu, 4),
+            8,
+            vec![task(101, Resources::cpu(1.0))],
+        );
+        assert_eq!(placements(&[&n1, &n2], 1).values().next(), Some(&0));
+        r.handle.shutdown();
+    }
+
+    #[test]
+    fn a_spill_carrying_its_senders_load_places_nothing_back_on_it() {
+        // Every node announced itself idle. Node 0 then spills eight
+        // tasks with its own load attached: three waves deep. Nodes 1
+        // and 2 take a wave each, and node 0 — idle in its older report
+        // — gets none of its own spill back.
+        let mut r = rig(PlacementPolicy::LocalityAware);
+        let nodes: Vec<rtml_net::Endpoint> = (0..3)
+            .map(|n| fake_node(&r, NodeId(n), 0, Resources::cpu(4.0)))
+            .collect();
+        std::thread::sleep(Duration::from_millis(20));
+        let specs: Vec<TaskSpec> = (0..8).map(|i| task(i, Resources::cpu(1.0))).collect();
+        let deep = report(&nodes[0], 12, Resources::cpu(4.0), 1);
+        spill_batch(&r, &nodes[0], deep, 0, specs);
+        let placed = placements(&nodes.iter().collect::<Vec<_>>(), 8);
+        let on = |node: usize| placed.values().filter(|n| **n == node).count();
+        assert_eq!((on(0), on(1), on(2)), (0, 4, 4));
+        r.handle.shutdown();
+    }
+
+    #[test]
+    fn a_placement_lost_on_the_wire_stops_counting() {
+        // Four GPU tasks go to node 1, the only GPU node, and are never
+        // ingested (the frame was lost). A report measured LOST_AFTER
+        // later still not counting them writes them off: node 1 is idle
+        // again, and shallower than node 2.
+        let mut r = rig(PlacementPolicy::LeastLoaded);
+        let gpu = Resources::new(4.0, 4.0);
+        let n1 = fake_node(&r, NodeId(1), 0, gpu.clone());
+        let n2 = fake_node(&r, NodeId(2), 2, Resources::cpu(4.0));
+        std::thread::sleep(Duration::from_millis(20));
+        let now = rtml_common::time::now_nanos();
+        let specs: Vec<TaskSpec> = (0..4).map(|i| task(i, Resources::gpu(1.0))).collect();
+        spill_batch(&r, &n2, report(&n2, 2, Resources::cpu(4.0), now), 0, specs);
+        placements(&[&n1], 4);
+        let later = report(&n1, 0, gpu, now + 2 * LOST_AFTER);
+        spill_batch(&r, &n1, later, 0, vec![task(100, Resources::cpu(1.0))]);
+        assert_eq!(placements(&[&n1, &n2], 1).values().next(), Some(&0));
         r.handle.shutdown();
     }
 
@@ -861,13 +1131,7 @@ mod tests {
         let n2 = fake_node(&r, NodeId(2), 0, Resources::cpu(4.0));
         std::thread::sleep(Duration::from_millis(20));
         let specs: Vec<TaskSpec> = (0..10).map(|i| task(i, Resources::cpu(1.0))).collect();
-        r.fabric
-            .send(
-                n1.address(),
-                r.handle.address(),
-                encode_to_bytes(&SchedWire::SpillBatch(specs)),
-            )
-            .unwrap();
+        spill_batch(&r, &n1, report(&n1, 0, Resources::cpu(4.0), 1), 0, specs);
         // All ten tasks arrive, spread over both nodes, and the whole
         // batch crosses the fabric in at most one frame per node.
         let mut placed = 0;
@@ -901,8 +1165,8 @@ mod tests {
         let n2 = fake_node(&r, NodeId(2), 0, Resources::cpu(4.0));
         std::thread::sleep(Duration::from_millis(20));
         // Ten spills with no intervening load reports: the per-task
-        // spread hash plus the placed-since-report fold keep the two
-        // equal nodes within one task of each other.
+        // spread hash plus the in-flight fold keep the two equal nodes
+        // within one task of each other.
         for i in 0..10 {
             spill(&r, &n1, task(i, Resources::cpu(1.0)));
         }
@@ -1002,37 +1266,25 @@ mod tests {
         // One batch of 8 tasks through shard 0: all land somewhere and
         // the digest records them.
         let batch: Vec<TaskSpec> = shard0.drain(..).take(8).collect();
-        r.fabric
-            .send(
-                n1.address(),
-                routes.address_of(0),
-                encode_to_bytes(&SchedWire::SpillBatch(batch)),
-            )
-            .unwrap();
+        spill_batch(&r, &n1, report(&n1, 0, Resources::cpu(4.0), 0), 0, batch);
         wait_counter(&r.handle.shard_stats(0).placements, 8);
         // Shard 1 now places one task; its view folds shard 0's digest,
         // so node 1's effective depth is 0 + placements(n1), node 2's is
         // 4 + placements(n2). Whatever the split, placements happened
         // and shard 1 still places successfully.
-        let spec = shard1.remove(0);
-        r.fabric
-            .send(
-                n1.address(),
-                routes.address_of(1),
-                encode_to_bytes(&SchedWire::SpillBatch(vec![spec])),
-            )
-            .unwrap();
+        spill(&r, &n1, shard1.remove(0));
         let deadline = std::time::Instant::now() + Duration::from_secs(2);
         while r.handle.shard_stats(1).placements.get() < 1 {
             assert!(std::time::Instant::now() < deadline, "shard 1 never placed");
             std::thread::yield_now();
         }
-        // The digest itself is readable and versioned.
+        // The digest itself is readable: no node has reported ingesting
+        // any of the eight, so all are in flight.
         let digests = LoadDigestTable::new(r.kv.clone());
         let seen = digests.sweep(1, 2);
         assert_eq!(seen.len(), 1, "shard 0 digest missing");
-        let placed: u64 = seen[0].entries.iter().map(|e| e.placed).sum();
-        assert_eq!(placed, 8);
+        let in_flight: u64 = seen[0].entries.iter().map(|e| e.in_flight).sum();
+        assert_eq!(in_flight, 8);
         r.handle.shutdown();
     }
 }

@@ -50,7 +50,7 @@ pub use local::{
 };
 pub use msg::{load_key, LoadReport, LocalMsg};
 pub use policy::{choose_victim, LoadView, PlacementPolicy, PolicyState, DEFAULT_TOP_K};
-pub use resolve::{commit_fetched, Goal, Replay, Resolver, Wiring, POLL_SLICE};
+pub use resolve::{Goal, Replay, Resolver, Wiring, POLL_SLICE};
 pub use runq::{QueueLoad, RunQueue, Runnable, StealCandidate};
 pub use spill::SpillMode;
 pub use steal::{plan_steal_grant, StealConfig, StealStats};

@@ -294,6 +294,7 @@ impl LocalScheduler {
                 fetch_timeout: config.fetch_timeout,
             },
         );
+        let ingested = vec![0; services.global.num_shards()];
 
         let join = std::thread::Builder::new()
             .name(format!("rtml-lsched-{node}"))
@@ -309,6 +310,7 @@ impl LocalScheduler {
                     resolver,
                     published: None,
                     last_load: Instant::now() - Duration::from_secs(1),
+                    ingested,
                     steal_inflight: None,
                     steal_seq: 0,
                     last_steal: Instant::now() - Duration::from_secs(1),
@@ -361,11 +363,17 @@ pub(crate) struct Core {
     /// first waiter, retired when it seals here. Its requests are
     /// answered on the channel `run` holds the other end of.
     pub(crate) resolver: Resolver,
-    /// The load report last published. Workers take and finish tasks
-    /// without telling this loop, so a report goes out when the node's
-    /// load *reads* different, not when the loop did something.
-    pub(crate) published: Option<LoadReport>,
+    /// The load report last published, with the total of `ingested` it
+    /// went out with. Workers take and finish tasks without telling this
+    /// loop, so a report goes out when the node's load *reads*
+    /// different, not when the loop did something.
+    pub(crate) published: Option<(LoadReport, u64)>,
     pub(crate) last_load: Instant,
+    /// `PlaceBatch` tasks ingested from each global shard, ever: each
+    /// load frame — and each spill — addressed to a shard carries its
+    /// count, so the shard knows which of its placements the report
+    /// beside it contains.
+    pub(crate) ingested: Vec<u64>,
     /// The outstanding steal request, if any. One request in flight at
     /// a time; a grant from *that* victim (even empty) or the deadline
     /// re-arms the loop, so a dead victim can never wedge it — and a
@@ -411,7 +419,7 @@ impl Core {
                     Ok(msg) => self.on_local(msg),
                 },
                 recv(endpoint.receiver()) -> delivery => match delivery {
-                    Ok(delivery) => self.on_net(delivery.payload),
+                    Ok(delivery) => self.on_net(delivery.from, delivery.payload),
                     Err(_) => break,
                 },
                 recv(seal_rx) -> sealed => match sealed {
@@ -452,21 +460,29 @@ impl Core {
         self.services
             .kv
             .set(load_key(self.config.node), encode_to_bytes(&report));
-        self.published = Some(report.clone());
         // NodeUp and the first load report travel as one coalesced
         // frame per shard: every global shard learns reachability and
         // capacity together (one hop), so the formation barrier never
         // observes a node that is reachable but loadless.
         let up = encode_to_bytes(&up);
-        let load = encode_to_bytes(&SchedWire::Load(report));
-        for target in self.services.global.all() {
-            let _ = self.services.fabric.send_batch(
-                self.address,
-                *target,
-                vec![up.clone(), load.clone()],
-            );
+        for (shard, target) in self.services.global.all().iter().enumerate() {
+            let load = self.load_frame(shard, &report);
+            let _ = self
+                .services
+                .fabric
+                .send_batch(self.address, *target, vec![up.clone(), load]);
         }
+        self.published = Some((report, 0));
         self.last_load = Instant::now();
+    }
+
+    /// `report` as a `Load` frame for global shard `shard`, with how
+    /// many of that shard's placements it contains.
+    fn load_frame(&self, shard: usize, report: &LoadReport) -> bytes::Bytes {
+        encode_to_bytes(&SchedWire::Load {
+            report: report.clone(),
+            ingested: self.ingested[shard],
+        })
     }
 
     fn on_local(&mut self, msg: LocalMsg) {
@@ -480,12 +496,19 @@ impl Core {
         }
     }
 
-    fn on_net(&mut self, payload: bytes::Bytes) {
+    fn on_net(&mut self, from: NetAddress, payload: bytes::Bytes) {
         match decode_from_slice::<SchedWire>(&payload) {
-            Ok(SchedWire::PlaceBatch { specs, hops: _ }) => self.on_submit_batch(specs, true),
+            Ok(SchedWire::PlaceBatch { specs, hops: _ }) => {
+                // Counted before the ingest, which may spill an infeasible
+                // task on: the count and the spill's report then agree.
+                if let Some(shard) = self.services.global.shard_at(from) {
+                    self.ingested[shard] += specs.len() as u64;
+                }
+                self.on_submit_batch(specs, true)
+            }
             // Misdirected spill (we are not a global scheduler); treat as
             // a local submission rather than dropping work.
-            Ok(SchedWire::SpillBatch(specs)) => self.on_submit_batch(specs, false),
+            Ok(SchedWire::SpillBatch { specs, .. }) => self.on_submit_batch(specs, false),
             Ok(SchedWire::StealRequest {
                 thief,
                 reply_address,
@@ -671,15 +694,22 @@ impl Core {
         // health tracker), and an idle-but-alive node must not look
         // like a ghost.
         let heartbeat = elapsed >= self.config.load_interval.saturating_mul(16);
+        // A shard counts its placements here as in flight until a report
+        // says they were ingested, so an ingest is news even when the
+        // load reads the same as before it.
+        let ingested: u64 = self.ingested.iter().sum();
         let load = |r: &LoadReport| (r.ready, r.waiting, r.running, r.idle_workers);
-        let same =
-            |last: &LoadReport| load(last) == load(&report) && last.available == report.available;
+        let same = |(last, last_ingested): &(LoadReport, u64)| {
+            load(last) == load(&report)
+                && last.available == report.available
+                && *last_ingested == ingested
+        };
         if heartbeat || !self.published.as_ref().is_some_and(same) {
             self.publish_load(report);
         }
     }
 
-    fn load_report(&self) -> LoadReport {
+    pub(crate) fn load_report(&self) -> LoadReport {
         let load = self.queue.load();
         LoadReport {
             node: self.config.node,
@@ -698,14 +728,11 @@ impl Core {
         self.services
             .kv
             .set(load_key(self.config.node), encode_to_bytes(&report));
-        let load = encode_to_bytes(&SchedWire::Load(report.clone()));
-        for target in self.services.global.all() {
-            let _ = self
-                .services
-                .fabric
-                .send(self.address, *target, load.clone());
+        for (shard, target) in self.services.global.all().iter().enumerate() {
+            let load = self.load_frame(shard, &report);
+            let _ = self.services.fabric.send(self.address, *target, load);
         }
-        self.published = Some(report);
+        self.published = Some((report, self.ingested.iter().sum()));
         self.last_load = Instant::now();
     }
 }
@@ -889,7 +916,7 @@ mod tests {
                 .recv_timeout(Duration::from_secs(5))
                 .expect("spill batch");
             match decode_from_slice::<SchedWire>(&d.payload).unwrap() {
-                SchedWire::SpillBatch(specs) => break specs,
+                SchedWire::SpillBatch { specs, .. } => break specs,
                 _ => continue, // loads, node-up
             }
         };
@@ -984,7 +1011,7 @@ mod tests {
                 .recv_timeout(Duration::from_secs(5))
                 .expect("spill");
             match decode_from_slice::<SchedWire>(&d.payload).unwrap() {
-                SchedWire::SpillBatch(specs) => break specs,
+                SchedWire::SpillBatch { specs, .. } => break specs,
                 _ => continue, // loads, node-up
             }
         };
@@ -1017,7 +1044,7 @@ mod tests {
             {
                 if matches!(
                     decode_from_slice::<SchedWire>(&d.payload),
-                    Ok(SchedWire::SpillBatch(_))
+                    Ok(SchedWire::SpillBatch { .. })
                 ) {
                     spills += 1;
                 }

@@ -10,13 +10,14 @@
 //!
 //! 1. **waves ahead** — how many full waves of the node's own slots the
 //!    task would wait behind: everything queued there (ready, waiting,
-//!    running, placed since the report) divided by how many tasks of
-//!    this shape the node runs side by side;
+//!    running, on the wire to it, placed earlier in this batch) divided
+//!    by how many tasks of this shape the node runs side by side;
 //! 2. **missing bytes** — the argument bytes that would have to move
 //!    there, an object counting as present where it is sealed *or
-//!    inbound*: a task needing it was placed there since the node's
-//!    last report ([`LoadView::note_inbound`]), so it will have
-//!    arrived, once, before any task placed now can start.
+//!    inbound*: a task needing it was placed there and the node has not
+//!    reported it yet, or it was placed there earlier in this batch
+//!    ([`LoadView::note_inbound`]), so it will have arrived, once,
+//!    before any task placed now can start.
 //!
 //! Exact ties are spread by a per-task hash. Time first, bytes second:
 //! a wave is a task's run time, a transfer is paid once per *node*, and
@@ -33,15 +34,20 @@
 //!
 //! Placement for the paper policies ([`PlacementPolicy::LocalityAware`],
 //! [`PlacementPolicy::LeastLoaded`]) is a **pure function** of the task
-//! spec, the [`LoadView`] snapshot and the object table: no optimistic
-//! per-task state is mutated between decisions. That purity is what
-//! lets the global scheduler shard its keyspace — splitting one batch
-//! across K shards that share a load view cannot change any task's
-//! placement. Equal candidates are spread by a deterministic per-task
-//! FNV hash instead of a sequential load bump, so a burst of equal
-//! tasks still fans out across equal nodes, identically on every run.
+//! spec, the [`LoadView`] and the object table, and a batch's placement
+//! is a pure function of the batch and the view it started from: the
+//! caller feeds each pick back with [`LoadView::note_placed`] — one
+//! more task queued on that node, its dependencies inbound there — so
+//! the batch's later tasks see the load its earlier ones created, and
+//! a spilled burst fills nodes as it is placed instead of landing on
+//! whichever node one frozen snapshot made look emptiest. The same
+//! batch against the same view places identically on every run and in
+//! every shard. Exact ties are spread by a deterministic per-task FNV
+//! hash, so equal nodes share a burst without any other state.
 
-use rtml_common::collections::{fast_map_with_capacity, fnv1a_64, FastMap, FixedReverseHeap};
+use std::collections::BTreeSet;
+
+use rtml_common::collections::{fast_map_with_capacity, fnv1a_64, FastMap};
 use rtml_common::ids::{NodeId, ObjectId, TaskId};
 use rtml_common::task::TaskSpec;
 use rtml_kv::ObjectTable;
@@ -105,18 +111,23 @@ impl PolicyState {
     }
 }
 
-/// A deterministic snapshot of per-node load for one placement batch.
+/// Per-node load for one placement batch: the reports, plus what the
+/// batch itself has placed so far.
 ///
-/// Wraps a [`FastMap`] of load reports plus a bounded top-k index of the
-/// least-loaded nodes (selected with a [`FixedReverseHeap`] in
-/// `O(n log k)`); per-task placement then touches `k + dependency
-/// holders` candidates instead of the whole cluster. The view is a pure
-/// value: building it from the same reports — in any insertion order —
-/// yields the same placements.
+/// Wraps a [`FastMap`] of load reports plus an ordered index of the
+/// nodes by `(queue_depth, node)`, whose first `k` entries are the
+/// candidate set; per-task placement then touches `k + dependency
+/// holders` candidates instead of the whole cluster, and
+/// [`LoadView::note_placed`] re-files one node in `O(log n)`. The view
+/// is a pure value: building it from the same reports — in any
+/// insertion order — and noting the same placements yields the same
+/// placements.
 pub struct LoadView {
     reports: FastMap<NodeId, LoadReport>,
-    /// Least-loaded nodes by `(queue_depth, node)`, ascending.
-    top_k: Vec<NodeId>,
+    /// Every node by `(queue_depth, node)`, ascending.
+    order: BTreeSet<(u32, NodeId)>,
+    /// How many of `order`'s least-loaded nodes are candidates.
+    k: usize,
     /// Nodes each object is on its way to (see
     /// [`LoadView::note_inbound`]).
     inbound: FastMap<ObjectId, Vec<NodeId>>,
@@ -125,27 +136,51 @@ pub struct LoadView {
 impl LoadView {
     /// Builds a view over `reports`, indexing the `k` least-loaded nodes.
     pub fn build(reports: FastMap<NodeId, LoadReport>, k: usize) -> Self {
-        let mut heap = FixedReverseHeap::new(k);
-        for l in reports.values() {
-            heap.push((l.queue_depth(), l.node));
-        }
-        let top_k = heap.into_sorted_vec().into_iter().map(|(_, n)| n).collect();
+        let order = reports
+            .values()
+            .map(|l| (l.queue_depth(), l.node))
+            .collect();
         LoadView {
             reports,
-            top_k,
+            order,
+            k,
             inbound: FastMap::default(),
         }
     }
 
     /// Records that `object` is inbound to `node`: a task that needs it
-    /// was placed there since the node's load report, so the node has
-    /// asked for it (or already holds it) and placement counts it as
-    /// present. Part of the snapshot: noted while the view is built,
-    /// never during a batch.
+    /// was placed there and not yet reported by the node (or earlier in
+    /// this batch), so the node has asked for it — or will, before any
+    /// task placed now can start — and placement counts it as present.
     pub fn note_inbound(&mut self, node: NodeId, object: ObjectId) {
         let nodes = self.inbound.entry(object).or_default();
         if !nodes.contains(&node) {
             nodes.push(node);
+        }
+    }
+
+    /// Feeds a placement back into the view: `spec` is now queued on
+    /// `node` — one more task deep, its dependencies inbound there — so
+    /// the next decision of the batch sees the load this one created.
+    pub fn note_placed(&mut self, node: NodeId, spec: &TaskSpec) {
+        self.note_queued(node, 1, spec.dependencies());
+    }
+
+    /// `tasks` more queued on `node` than its report says, with their
+    /// dependencies `inbound` there; keeps the candidate index ordered.
+    pub(crate) fn note_queued(
+        &mut self,
+        node: NodeId,
+        tasks: u32,
+        inbound: impl IntoIterator<Item = ObjectId>,
+    ) {
+        if let Some(report) = self.reports.get_mut(&node) {
+            self.order.remove(&(report.queue_depth(), node));
+            report.ready = report.ready.saturating_add(tasks);
+            self.order.insert((report.queue_depth(), node));
+        }
+        for object in inbound {
+            self.note_inbound(node, object);
         }
     }
 
@@ -171,7 +206,10 @@ impl LoadView {
 
     /// The top-k least-loaded nodes, ascending by `(queue_depth, node)`.
     pub fn top_k(&self) -> impl Iterator<Item = &LoadReport> {
-        self.top_k.iter().filter_map(|n| self.reports.get(n))
+        self.order
+            .iter()
+            .take(self.k)
+            .filter_map(|(_, n)| self.reports.get(n))
     }
 
     /// Every known report (full-scan fallback and ablation baselines).
@@ -824,6 +862,43 @@ mod tests {
                 Some(NodeId(1))
             );
         }
+    }
+
+    #[test]
+    fn note_placed_refiles_the_node_in_the_candidate_index() {
+        // k = 1: only the least-loaded node is a candidate (ties to the
+        // lower id). Each pick fed back makes node 1 one deeper, until
+        // node 2 is the shallower one and takes over the index — and the
+        // inbound credit follows the pick.
+        let objects = ObjectTable::new(KvStore::new(1));
+        let mut v = LoadView::from_reports(
+            [
+                load(1, 0, Resources::cpu(4.0)),
+                load(2, 2, Resources::cpu(4.0)),
+            ],
+            1,
+        );
+        let root = TaskId::driver_root(DriverId::from_index(0));
+        let dep = root.child(9).return_object(0);
+        let mut state = PolicyState::new(1);
+        let mut picks = Vec::new();
+        for i in 0..4 {
+            let spec = TaskSpec::simple(
+                root.child(i),
+                FunctionId::from_name("f"),
+                vec![ArgSpec::ObjectRef(dep)],
+            );
+            let node = PlacementPolicy::LeastLoaded
+                .place(&spec, &v, &objects, &mut state)
+                .unwrap();
+            v.note_placed(node, &spec);
+            picks.push(node);
+        }
+        assert_eq!(picks, [NodeId(1), NodeId(1), NodeId(1), NodeId(2)]);
+        assert_eq!(v.get(NodeId(1)).unwrap().queue_depth(), 3);
+        assert_eq!(v.get(NodeId(2)).unwrap().queue_depth(), 3);
+        assert_eq!(v.top_k().map(|l| l.node).collect::<Vec<_>>(), [NodeId(1)]);
+        assert_eq!(v.inbound(dep), [NodeId(1), NodeId(2)]);
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! size follows load with no size or time knob, different holders are
 //! pulled concurrently, and transfer overlaps whatever the driver does
 //! meanwhile. Answers reach the object table as group commits
-//! ([`commit_fetched`]). A failed or timed-out holder advances the
+//! (`commit_fetched`). A failed or timed-out holder advances the
 //! object to its next one — [`ObjectInfo::holders_ranked`] with suspect
 //! holders last ([`HealthTracker::prefer_healthy`]), at most
 //! [`RetryPolicy::max_attempts`] holders a sweep, health evidence
@@ -683,7 +683,11 @@ impl Resolver {
 /// Commits a set of fetch outcomes on node `me` to the object table as
 /// group commits: one `add_location_many` for everything now local,
 /// one deduplicated `remove_location_many` for the eviction fallout.
-pub fn commit_fetched(objects: &ObjectTable, me: NodeId, results: &[(ObjectId, FetchResult)]) {
+pub(crate) fn commit_fetched(
+    objects: &ObjectTable,
+    me: NodeId,
+    results: &[(ObjectId, FetchResult)],
+) {
     let mut located: Vec<(ObjectId, u64)> = Vec::new();
     let mut evicted_all: Vec<ObjectId> = Vec::new();
     for (object, result) in results {

@@ -67,13 +67,18 @@ impl Core {
     /// Forwards a whole batch of spilling tasks to the global scheduler
     /// as one `SpillBatch` frame per owning shard: one state group
     /// commit, one fabric hop. The tasks' `TaskSpilled` events are in
-    /// the frame [`Core::on_submit_batch`] wrote for their batch.
+    /// the frame [`Core::on_submit_batch`] wrote for their batch. Each
+    /// frame carries this node's load as of now, with the batch's
+    /// accepted tasks in it and its spilled ones not, so the shard
+    /// places the batch against the sender's present load rather than
+    /// its last published report.
     pub(crate) fn spill_batch(&mut self, specs: Vec<TaskSpec>) {
         let node = self.config.node;
         let ids: Vec<TaskId> = specs.iter().map(|s| s.task_id).collect();
         self.services
             .tasks
             .set_states_many(&ids, &TaskState::Spilled);
+        let load = self.load_report();
         // Partition the batch by owning global shard (the FNV-64 task
         // keyspace split) and send one coalesced frame per shard. With
         // one shard this degenerates to the old single-frame path.
@@ -89,8 +94,12 @@ impl Core {
             }
             // Pre-size the frame: ~96 bytes per spec avoids the doubling
             // series on large spilled bursts.
-            let mut w = rtml_common::codec::Writer::with_capacity(32 + 96 * group.len());
-            let msg = SchedWire::SpillBatch(group);
+            let mut w = rtml_common::codec::Writer::with_capacity(96 + 96 * group.len());
+            let msg = SchedWire::SpillBatch {
+                specs: group,
+                load: load.clone(),
+                ingested: self.ingested[shard],
+            };
             msg.encode(&mut w);
             if self
                 .services
@@ -100,7 +109,7 @@ impl Core {
             {
                 // No global scheduler (shutdown race). Keep whatever work
                 // this node can possibly run rather than losing it.
-                let SchedWire::SpillBatch(group) = msg else {
+                let SchedWire::SpillBatch { specs: group, .. } = msg else {
                     unreachable!("constructed above")
                 };
                 for spec in group {

@@ -10,11 +10,20 @@ use crate::msg::LoadReport;
 
 /// Fabric-borne scheduler protocol. Tasks travel in batches only — one
 /// task is a batch of one. Tags 0 and 1 were the single-task `Spill` and
-/// `Place`; they are retired, not reused, so an old frame fails to decode.
+/// `Place`, tags 2 and 5 the `Load` and `SpillBatch` that carried no
+/// ingest count; they are retired, not reused, so an old frame fails to
+/// decode.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SchedWire {
-    /// Local → global: periodic load report.
-    Load(LoadReport),
+    /// Local → global: periodic load report, addressed to one shard.
+    Load {
+        /// The node's load as measured.
+        report: LoadReport,
+        /// `PlaceBatch` tasks the node has ingested from the shard this
+        /// frame is addressed to, ever — measured in the same turn as
+        /// `report`, so every one of them is in it.
+        ingested: u64,
+    },
     /// A node joined or recovered; `sched_address` is the raw fabric
     /// address of its local scheduler.
     NodeUp {
@@ -30,8 +39,17 @@ pub enum SchedWire {
     },
     /// Local → global: "these tasks exceed my capacity or backlog" —
     /// a whole batch forwarded as one length-prefixed frame, so a burst
-    /// pays one fabric hop instead of one per task.
-    SpillBatch(Vec<TaskSpec>),
+    /// pays one fabric hop instead of one per task. The frame carries
+    /// its sender's load as measured when it spilled, so the batch is
+    /// never placed back against an older report of the sender.
+    SpillBatch {
+        /// The spilled tasks.
+        specs: Vec<TaskSpec>,
+        /// The sender's load, the spilled tasks already gone from it.
+        load: LoadReport,
+        /// As in [`SchedWire::Load`], for the shard addressed.
+        ingested: u64,
+    },
     /// Global → local: "run these tasks on your node" — the placements
     /// onto one node coalesced into a single frame. `hops` counts global
     /// placements for every task in the batch (they travelled together),
@@ -78,9 +96,10 @@ pub enum SchedWire {
 impl Codec for SchedWire {
     fn encode(&self, w: &mut Writer) {
         match self {
-            SchedWire::Load(report) => {
-                w.put_u8(2);
+            SchedWire::Load { report, ingested } => {
+                w.put_u8(9);
                 report.encode(w);
+                w.put_varint(*ingested);
             }
             SchedWire::NodeUp {
                 node,
@@ -94,9 +113,15 @@ impl Codec for SchedWire {
                 w.put_u8(4);
                 node.encode(w);
             }
-            SchedWire::SpillBatch(specs) => {
-                w.put_u8(5);
+            SchedWire::SpillBatch {
+                specs,
+                load,
+                ingested,
+            } => {
+                w.put_u8(10);
                 specs.encode(w);
+                load.encode(w);
+                w.put_varint(*ingested);
             }
             SchedWire::PlaceBatch { specs, hops } => {
                 w.put_u8(6);
@@ -127,7 +152,6 @@ impl Codec for SchedWire {
 
     fn decode(r: &mut Reader<'_>) -> Result<Self> {
         Ok(match r.take_u8()? {
-            2 => SchedWire::Load(LoadReport::decode(r)?),
             3 => SchedWire::NodeUp {
                 node: NodeId::decode(r)?,
                 sched_address: r.take_u64()?,
@@ -135,7 +159,6 @@ impl Codec for SchedWire {
             4 => SchedWire::NodeDown {
                 node: NodeId::decode(r)?,
             },
-            5 => SchedWire::SpillBatch(Vec::<TaskSpec>::decode(r)?),
             6 => SchedWire::PlaceBatch {
                 specs: Vec::<TaskSpec>::decode(r)?,
                 hops: r.take_u32()?,
@@ -150,6 +173,15 @@ impl Codec for SchedWire {
             8 => SchedWire::StealGrant {
                 victim: NodeId::decode(r)?,
                 tasks: Vec::<TaskSpec>::decode(r)?,
+            },
+            9 => SchedWire::Load {
+                report: LoadReport::decode(r)?,
+                ingested: r.take_varint()?,
+            },
+            10 => SchedWire::SpillBatch {
+                specs: Vec::<TaskSpec>::decode(r)?,
+                load: LoadReport::decode(r)?,
+                ingested: r.take_varint()?,
             },
             other => return Err(Error::Codec(format!("invalid SchedWire tag {other}"))),
         })
@@ -182,14 +214,25 @@ mod tests {
             at_nanos: 7,
         };
         for msg in [
-            SchedWire::Load(report),
+            SchedWire::Load {
+                report: report.clone(),
+                ingested: 300,
+            },
             SchedWire::NodeUp {
                 node: NodeId(5),
                 sched_address: 99,
             },
             SchedWire::NodeDown { node: NodeId(5) },
-            SchedWire::SpillBatch(vec![spec(), spec()]),
-            SchedWire::SpillBatch(vec![]),
+            SchedWire::SpillBatch {
+                specs: vec![spec(), spec()],
+                load: report.clone(),
+                ingested: 4,
+            },
+            SchedWire::SpillBatch {
+                specs: vec![],
+                load: report.clone(),
+                ingested: 0,
+            },
             SchedWire::PlaceBatch {
                 specs: vec![spec(), spec(), spec()],
                 hops: 3,
@@ -223,6 +266,17 @@ mod tests {
             spec().encode(&mut w);
             w.put_u32(2);
             assert!(decode_from_slice::<SchedWire>(&w.into_bytes()).is_err());
+        }
+        // So do the load and spill frames that carried no ingest count:
+        // each old frame, byte for byte, is an error, not a misdecode.
+        let mut load = Writer::with_capacity(64);
+        load.put_u8(2);
+        report.encode(&mut load);
+        let mut spill = Writer::with_capacity(64);
+        spill.put_u8(5);
+        vec![spec(), spec()].encode(&mut spill);
+        for old in [load.into_bytes(), spill.into_bytes()] {
+            assert!(decode_from_slice::<SchedWire>(&old).is_err());
         }
     }
 }

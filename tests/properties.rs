@@ -34,6 +34,21 @@ fn decode_both<T: Codec>(bytes: &Bytes) -> rtml::common::error::Result<T> {
     from_bytes
 }
 
+/// The load a spilling node attaches to its `SpillBatch`.
+fn sender_load() -> rtml::sched::LoadReport {
+    rtml::sched::LoadReport {
+        node: NodeId(3),
+        sched_address: 17,
+        ready: 12,
+        waiting: 1,
+        running: 4,
+        idle_workers: 0,
+        available: Resources::cpu(0.0),
+        total: Resources::cpu(4.0),
+        at_nanos: 123_456_789,
+    }
+}
+
 proptest! {
     // ---- codec round-trips -----------------------------------------
 
@@ -322,7 +337,7 @@ proptest! {
         let msg = if as_place {
             SchedWire::PlaceBatch { specs, hops }
         } else {
-            SchedWire::SpillBatch(specs)
+            SchedWire::SpillBatch { specs, load: sender_load(), ingested: u64::from(hops) }
         };
         let bytes = encode_to_bytes(&msg);
         prop_assert_eq!(decode_both::<SchedWire>(&bytes).unwrap(), msg);
@@ -334,7 +349,11 @@ proptest! {
         let specs: Vec<TaskSpec> = (0..n_specs)
             .map(|i| TaskSpec::simple(root.child(i as u64), FunctionId::from_name("f"), vec![]))
             .collect();
-        let bytes = encode_to_bytes(&SchedWire::SpillBatch(specs));
+        let bytes = encode_to_bytes(&SchedWire::SpillBatch {
+            specs,
+            load: sender_load(),
+            ingested: 0,
+        });
         // Any strict prefix must fail to decode.
         prop_assert!(decode_both::<SchedWire>(&bytes.slice(0..bytes.len() - 1)).is_err());
     }
@@ -922,8 +941,9 @@ proptest! {
 /// `at_nanos`, so every run starts from the same frozen load view),
 /// spills each group in `groups` as one `SpillBatch` — barriering on
 /// total placements between groups so the cross-shard digest plane
-/// advances in lockstep with the single scheduler's placed-since
-/// counters — and returns the task → node placement map.
+/// advances in lockstep with the single scheduler's in-flight counts
+/// (the fake nodes never report ingesting anything) — and returns the
+/// task → node placement map.
 fn global_placements(
     shards: usize,
     nodes: &[(u32, u32)],
@@ -951,34 +971,38 @@ fn global_placements(
     let routes = handle.routes();
     let endpoints: Vec<_> = nodes
         .iter()
-        .map(|&(node, queue)| {
-            let endpoint = fabric.register(NodeId(node), "fake-local");
-            for target in routes.all() {
-                let up = SchedWire::NodeUp {
-                    node: NodeId(node),
-                    sched_address: endpoint.address().as_u64(),
-                };
-                fabric
-                    .send(endpoint.address(), *target, encode_to_bytes(&up))
-                    .unwrap();
-                let load = SchedWire::Load(LoadReport {
-                    node: NodeId(node),
-                    sched_address: endpoint.address().as_u64(),
-                    ready: queue,
-                    waiting: 0,
-                    running: 0,
-                    idle_workers: 1,
-                    available: Resources::cpu(4.0),
-                    total: Resources::cpu(4.0),
-                    at_nanos: 0,
-                });
-                fabric
-                    .send(endpoint.address(), *target, encode_to_bytes(&load))
-                    .unwrap();
-            }
-            endpoint
-        })
+        .map(|&(node, _)| fabric.register(NodeId(node), "fake-local"))
         .collect();
+    let report = |idx: usize| LoadReport {
+        node: NodeId(nodes[idx].0),
+        sched_address: endpoints[idx].address().as_u64(),
+        ready: nodes[idx].1,
+        waiting: 0,
+        running: 0,
+        idle_workers: 1,
+        available: Resources::cpu(4.0),
+        total: Resources::cpu(4.0),
+        at_nanos: 0,
+    };
+    for (idx, endpoint) in endpoints.iter().enumerate() {
+        for target in routes.all() {
+            let up = SchedWire::NodeUp {
+                node: endpoint.node(),
+                sched_address: endpoint.address().as_u64(),
+            };
+            let load = SchedWire::Load {
+                report: report(idx),
+                ingested: 0,
+            };
+            fabric
+                .send_batch(
+                    endpoint.address(),
+                    *target,
+                    vec![encode_to_bytes(&up), encode_to_bytes(&load)],
+                )
+                .unwrap();
+        }
+    }
     let deadline = Instant::now() + Duration::from_secs(5);
     while handle.nodes_known_min() < nodes.len() {
         assert!(Instant::now() < deadline, "shard formation stalled");
@@ -987,10 +1011,12 @@ fn global_placements(
 
     // Each group is one SpillBatch routed to its owning shard (every
     // task in a group shares one owner under the sharded run's K; the
-    // K=1 reference routes everything to shard 0). Placement within a
-    // batch is a pure function of (spec, view); between batches the
-    // digest plane folds exactly the placements the single scheduler's
-    // placed-since counters fold, so the two runs stay in lockstep.
+    // K=1 reference routes everything to shard 0). Placement is pure
+    // per batch: a function of the batch and the view it starts from,
+    // each pick fed back before the next. Between batches the digest
+    // plane folds exactly the in-flight placements the single
+    // scheduler counts itself, so both start every batch from the same
+    // view and the two runs stay in lockstep.
     let root = TaskId::driver_root(DriverId::from_index(0));
     let mut placed = std::collections::BTreeMap::new();
     let mut sent = 0u64;
@@ -1008,7 +1034,12 @@ fn global_placements(
             .send(
                 endpoints[0].address(),
                 target,
-                encode_to_bytes(&SchedWire::SpillBatch(batch)),
+                // The sender's load as announced: the view does not move.
+                encode_to_bytes(&SchedWire::SpillBatch {
+                    specs: batch,
+                    load: report(0),
+                    ingested: 0,
+                }),
             )
             .unwrap();
         // Barrier: this group fully placed before the next is sent.
@@ -1036,14 +1067,80 @@ fn global_placements(
 }
 
 proptest! {
+    /// One batch of equal tasks placed the way the global scheduler
+    /// places a `SpillBatch` — each pick fed back into the view with
+    /// `LoadView::note_placed` — fills the shallowest waves first: every
+    /// task lands on a node whose waves ahead (its reported depth plus
+    /// the batch's earlier picks there, over its slots) are minimal
+    /// among the nodes that fit the task, and a task parks only when no
+    /// node fits. Against one frozen view the whole batch would pile
+    /// onto the nodes that looked emptiest when it arrived.
+    #[test]
+    fn a_batch_lands_every_task_in_a_shallowest_wave(
+        nodes in proptest::collection::vec((0u32..24, 0u32..9), 1..17),
+        tasks in 1u64..64,
+    ) {
+        use rtml::kv::ObjectTable;
+        use rtml::sched::{LoadReport, LoadView, PlacementPolicy, PolicyState, DEFAULT_TOP_K};
+
+        // Node i: `depth` tasks queued on `slots` cpus (0 fits nothing).
+        let reports = nodes.iter().enumerate().map(|(i, &(depth, slots))| LoadReport {
+            node: NodeId(i as u32),
+            sched_address: i as u64,
+            ready: depth,
+            waiting: 0,
+            running: 0,
+            idle_workers: 0,
+            available: Resources::cpu(f64::from(slots)),
+            total: Resources::cpu(f64::from(slots)),
+            at_nanos: 0,
+        });
+        let mut view = LoadView::from_reports(reports, DEFAULT_TOP_K);
+        let objects = ObjectTable::new(KvStore::new(1));
+        let mut state = PolicyState::new(1);
+        let mut depth: Vec<u32> = nodes.iter().map(|&(depth, _)| depth).collect();
+        let waves = |i: usize, depth: &[u32]| depth[i] / nodes[i].1;
+        let root = TaskId::driver_root(DriverId::from_index(5));
+        for t in 0..tasks {
+            let spec = TaskSpec::simple(root.child(t), FunctionId::from_name("f"), vec![]);
+            let fitting = (0..nodes.len()).filter(|&i| nodes[i].1 > 0);
+            let shallowest = fitting.map(|i| waves(i, &depth)).min();
+            let pick = PlacementPolicy::LocalityAware.place(&spec, &view, &objects, &mut state);
+            match (pick, shallowest) {
+                (None, None) => {}
+                (Some(node), Some(shallowest)) => {
+                    let i = node.0 as usize;
+                    prop_assert!(nodes[i].1 > 0, "task {} on node {} that fits nothing", t, i);
+                    prop_assert!(
+                        waves(i, &depth) == shallowest,
+                        "task {} on node {} ({:?} deep, {:?})",
+                        t,
+                        i,
+                        depth,
+                        nodes
+                    );
+                    depth[i] += 1;
+                    view.note_placed(node, &spec);
+                }
+                (pick, shallowest) => {
+                    prop_assert!(false, "task {}: placed {:?}, shallowest {:?}", t, pick, shallowest)
+                }
+            }
+        }
+    }
+}
+
+proptest! {
     // Each case spawns 15 shard threads across four schedulers; trim
     // with PROPTEST_CASES if the suite needs to be faster.
 
     /// A K-shard global scheduler's placement decisions are bit-identical
-    /// to the single-scheduler reference for K ∈ {1, 2, 4, 8}: the task
-    /// keyspace partition decides *who* places each task, never *where*
-    /// it goes, and the load-digest plane keeps a sharded run's view in
-    /// lockstep with the single scheduler's placed-since fold.
+    /// to the single-scheduler reference for K ∈ {1, 2, 4, 8}. Placement
+    /// is pure per batch — the same batch against the same starting view
+    /// places identically, whichever shard runs it — so the task
+    /// keyspace partition decides *who* places each batch, never *where*
+    /// its tasks go, and the load-digest plane starts a sharded run's
+    /// every batch from the view the single scheduler starts it from.
     #[test]
     fn sharded_placement_is_bit_identical_to_single_reference(
         queues in proptest::collection::vec(0u32..8, 2..5),
