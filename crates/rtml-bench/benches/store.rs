@@ -9,7 +9,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 
 use rtml_common::ids::{DriverId, NodeId, TaskId};
 use rtml_net::{Fabric, FabricConfig, LatencyModel};
-use rtml_store::{FetchAgent, ObjectStore, StoreConfig, TransferDirectory, TransferService};
+use rtml_store::{FetchAgent, ObjectStore, StoreConfig, TransferDirectory};
 
 fn object(i: u64) -> rtml_common::ids::ObjectId {
     TaskId::driver_root(DriverId::from_index(42))
@@ -62,8 +62,8 @@ fn bench_store(c: &mut Criterion) {
             capacity_bytes: 1 << 30,
             ..StoreConfig::default()
         }));
-        let _svc0 = TransferService::spawn(fabric.clone(), src.clone(), &directory);
-        let agent = FetchAgent::spawn(fabric.clone(), dst.clone(), directory.clone());
+        let _holder = FetchAgent::spawn(fabric.clone(), src.clone(), &directory);
+        let agent = FetchAgent::spawn(fabric.clone(), dst.clone(), &directory);
         src.put(object(9), Bytes::from(vec![1u8; size_kb * 1024]))
             .unwrap();
         group.throughput(Throughput::Bytes((size_kb * 1024) as u64));

@@ -55,9 +55,7 @@ use rtml_common::resources::Resources;
 use rtml_net::{Fabric, FabricConfig, LatencyModel};
 use rtml_runtime::envelope::{open_value, seal_value};
 use rtml_runtime::{Cluster, ClusterConfig, NodeConfig};
-use rtml_store::{
-    chunk_frames, FetchAgent, ObjectStore, StoreConfig, TransferDirectory, TransferService,
-};
+use rtml_store::{chunk_frames, FetchAgent, ObjectStore, StoreConfig, TransferDirectory};
 
 const CHUNK_SIZES: [u64; 2] = [16 * 1024, 256 * 1024];
 /// 4 KiB, a sealed 256 KiB block (11 envelope bytes over), 1 MiB.
@@ -74,12 +72,13 @@ struct Plane {
     fabric: Arc<Fabric>,
     src: Arc<ObjectStore>,
     dst: Arc<ObjectStore>,
-    src_service: TransferService,
+    holder: FetchAgent,
     agent: FetchAgent,
 }
 
-/// Two stores, one holder-side service, one consumer-side agent, over a
-/// bandwidth-limited fabric — the raw data plane without schedulers.
+/// Two stores, each with its node's object plane (the holder's serves,
+/// the consumer's fetches), over a bandwidth-limited fabric — the raw
+/// data plane without schedulers.
 fn plane(chunk_bytes: u64) -> Plane {
     let fabric = Fabric::new(FabricConfig {
         latency: LatencyModel::Constant(Duration::from_micros(100)),
@@ -98,13 +97,13 @@ fn plane(chunk_bytes: u64) -> Plane {
         capacity_bytes: 1 << 30,
         chunk_bytes,
     }));
-    let src_service = TransferService::spawn(fabric.clone(), src.clone(), &directory);
-    let agent = FetchAgent::spawn(fabric.clone(), dst.clone(), directory.clone());
+    let holder = FetchAgent::spawn(fabric.clone(), src.clone(), &directory);
+    let agent = FetchAgent::spawn(fabric.clone(), dst.clone(), &directory);
     Plane {
         fabric,
         src,
         dst,
-        src_service,
+        holder,
         agent,
     }
 }
@@ -134,8 +133,8 @@ fn measure_matrix(objects: usize) -> Vec<MatrixCell> {
             let results = p.agent.fetch_many(&ids, NodeId(0), Duration::from_secs(60));
             let elapsed = start.elapsed();
             assert!(results.iter().all(|r| r.is_ok()), "matrix fetch failed");
-            let served = p.src_service.stats().objects_served.get();
-            let chunks = p.src_service.stats().chunks_sent.get();
+            let served = p.holder.stats().objects_served.get();
+            let chunks = p.holder.stats().chunks_sent.get();
             assert_eq!(p.fabric.stats.chunk_frames.get(), chunks);
             cells.push(MatrixCell {
                 chunk,
@@ -170,8 +169,8 @@ fn measure_coalescing(objects: usize) -> Coalescing {
     assert!(results.iter().all(|r| r.is_ok()));
     Coalescing {
         objects,
-        request_frames: p.src_service.stats().requests.get(),
-        reply_chunk_frames: p.src_service.stats().chunks_sent.get(),
+        request_frames: p.holder.stats().requests.get(),
+        reply_chunk_frames: p.holder.stats().chunks_sent.get(),
     }
 }
 
@@ -290,15 +289,14 @@ fn measure_broadcast(rounds: usize) -> Broadcast {
         }))
     };
     let origin = store(0);
-    let origin_service = TransferService::spawn(fabric.clone(), origin.clone(), &directory);
-    // A reader relays, so each needs its node's service as well.
-    let readers: Vec<(Arc<ObjectStore>, TransferService, FetchAgent)> = (1..4)
+    let origin_agent = FetchAgent::spawn(fabric.clone(), origin.clone(), &directory);
+    // A reader relays through the same agent it fetches with.
+    let readers: Vec<(Arc<ObjectStore>, FetchAgent)> = (1..4)
         .map(|node| {
             let store = store(node);
             (
                 store.clone(),
-                TransferService::spawn(fabric.clone(), store.clone(), &directory),
-                FetchAgent::spawn(fabric.clone(), store, directory.clone()),
+                FetchAgent::spawn(fabric.clone(), store, &directory),
             )
         })
         .collect();
@@ -319,7 +317,7 @@ fn measure_broadcast(rounds: usize) -> Broadcast {
         let (start, times) = std::thread::scope(|scope| {
             let asking: Vec<_> = readers
                 .iter()
-                .map(|(_, _, agent)| {
+                .map(|(_, agent)| {
                     scope.spawn(|| {
                         go.wait();
                         let asked = Instant::now();
@@ -346,7 +344,7 @@ fn measure_broadcast(rounds: usize) -> Broadcast {
             samples.push(sealed - first);
         }
         origin.delete(object);
-        for (store, _, _) in &readers {
+        for (store, _) in &readers {
             store.delete(object);
         }
     }
@@ -355,8 +353,8 @@ fn measure_broadcast(rounds: usize) -> Broadcast {
         rounds,
         last_sealed_best: samples.iter().copied().min().unwrap_or_default(),
         last_sealed_p50: stats.p50,
-        origin_chunks_per_round: origin_service.stats().chunks_sent.get() as f64 / attempt as f64,
-        handed_on_per_round: origin_service.stats().handed_on.get() as f64 / attempt as f64,
+        origin_chunks_per_round: origin_agent.stats().chunks_sent.get() as f64 / attempt as f64,
+        handed_on_per_round: origin_agent.stats().handed_on.get() as f64 / attempt as f64,
     }
 }
 

@@ -4,23 +4,17 @@
 //! and on `std::collections::HashMap` with its default SipHash hasher
 //! (keyed, DoS-resistant, and slow for the 4–16 byte identifiers this
 //! workspace uses everywhere). This module provides the purpose-built
-//! replacements:
-//!
-//! - [`FastMap`] / [`FastSet`] — `HashMap`/`HashSet` parameterised with a
-//!   deterministic 64-bit FNV-1a hasher ([`FnvHasher`]). FNV is a couple of
-//!   multiplies for a 16-byte id, and because the hasher is *unkeyed* the
-//!   table layout is a pure function of insertion history — the same run
-//!   produces the same table on every machine, which keeps the determinism
-//!   suite meaningful. Scheduler code must still never depend on iteration
-//!   order for *placement decisions* (ties are broken by explicit total
-//!   orders); the fixed hasher just removes per-process randomness.
-//! - [`FixedReverseHeap`] — a bounded top-k selector keeping the **k
-//!   smallest** items pushed into it (a size-capped max-heap, hence
-//!   "reverse"). The global scheduler uses it to pick the k least-loaded
-//!   candidate nodes per batch in `O(n log k)` instead of sorting the whole
-//!   load map.
+//! replacement: [`FastMap`] / [`FastSet`], `HashMap`/`HashSet`
+//! parameterised with a deterministic 64-bit FNV-1a hasher
+//! ([`FnvHasher`]). FNV is a couple of multiplies for a 16-byte id, and
+//! because the hasher is *unkeyed* the table layout is a pure function of
+//! insertion history — the same run produces the same table on every
+//! machine, which keeps the determinism suite meaningful. Scheduler code
+//! must still never depend on iteration order for *placement decisions*
+//! (ties are broken by explicit total orders); the fixed hasher just
+//! removes per-process randomness.
 
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// 64-bit FNV-1a offset basis.
@@ -91,85 +85,6 @@ pub fn fnv1a_64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// A bounded top-k heap keeping the **k smallest** items ever pushed.
-///
-/// Internally a max-heap capped at `capacity`: while under capacity every
-/// push is kept; at capacity a new item evicts the current maximum iff it
-/// is strictly smaller. `into_sorted_vec` returns the survivors in
-/// ascending order — exactly `sort(); truncate(k)` of the full input, which
-/// is what the proptest oracle checks.
-///
-/// The scheduler keys it with `(cost, NodeId)` tuples so equal costs still
-/// have a total order and the selection is deterministic.
-#[derive(Clone, Debug)]
-pub struct FixedReverseHeap<T: Ord> {
-    capacity: usize,
-    heap: BinaryHeap<T>,
-}
-
-impl<T: Ord> FixedReverseHeap<T> {
-    /// An empty heap that will retain at most `capacity` items.
-    pub fn new(capacity: usize) -> Self {
-        FixedReverseHeap {
-            capacity,
-            heap: BinaryHeap::with_capacity(capacity.saturating_add(1)),
-        }
-    }
-
-    /// Offer `item`; returns `true` if it was retained (possibly evicting
-    /// the current largest kept item).
-    pub fn push(&mut self, item: T) -> bool {
-        if self.capacity == 0 {
-            return false;
-        }
-        if self.heap.len() < self.capacity {
-            self.heap.push(item);
-            return true;
-        }
-        // At capacity: replace the max iff the newcomer is smaller.
-        match self.heap.peek() {
-            Some(max) if item < *max => {
-                self.heap.pop();
-                self.heap.push(item);
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Number of retained items (≤ capacity).
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether nothing has been retained.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// The retention bound `k`.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Drop everything retained so far, keeping the capacity.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-    }
-
-    /// Consume the heap, returning the retained items in ascending order.
-    pub fn into_sorted_vec(self) -> Vec<T> {
-        let mut v = self.heap.into_vec();
-        v.sort_unstable();
-        v
-    }
-
-    /// Iterate over the retained items in arbitrary (heap) order.
-    pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.heap.iter()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -199,66 +114,5 @@ mod tests {
         let mut s: FastSet<u64> = fast_set_with_capacity(4);
         assert!(s.insert(9));
         assert!(!s.insert(9));
-    }
-
-    #[test]
-    fn heap_keeps_k_smallest_in_order() {
-        let mut h = FixedReverseHeap::new(3);
-        for v in [9, 1, 8, 2, 7, 3, 6] {
-            h.push(v);
-        }
-        assert_eq!(h.len(), 3);
-        assert_eq!(h.into_sorted_vec(), vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn heap_under_capacity_keeps_everything() {
-        let mut h = FixedReverseHeap::new(10);
-        for v in [5, 2, 4] {
-            assert!(h.push(v));
-        }
-        assert_eq!(h.into_sorted_vec(), vec![2, 4, 5]);
-    }
-
-    #[test]
-    fn heap_zero_capacity_rejects_all() {
-        let mut h = FixedReverseHeap::new(0);
-        assert!(!h.push(1));
-        assert!(h.is_empty());
-        assert_eq!(h.into_sorted_vec(), Vec::<i32>::new());
-    }
-
-    #[test]
-    fn heap_push_reports_retention() {
-        let mut h = FixedReverseHeap::new(2);
-        assert!(h.push(5));
-        assert!(h.push(7));
-        assert!(!h.push(9)); // larger than current max, dropped
-        assert!(h.push(1)); // evicts 7
-        assert_eq!(h.into_sorted_vec(), vec![1, 5]);
-    }
-
-    #[test]
-    fn heap_clear_retains_capacity() {
-        let mut h = FixedReverseHeap::new(2);
-        h.push(1);
-        h.clear();
-        assert!(h.is_empty());
-        assert_eq!(h.capacity(), 2);
-        h.push(3);
-        assert_eq!(h.into_sorted_vec(), vec![3]);
-    }
-
-    #[test]
-    fn heap_handles_duplicates_like_sort_truncate() {
-        let input = [4, 4, 4, 1, 1, 9];
-        let mut h = FixedReverseHeap::new(4);
-        for v in input {
-            h.push(v);
-        }
-        let mut oracle = input.to_vec();
-        oracle.sort_unstable();
-        oracle.truncate(4);
-        assert_eq!(h.into_sorted_vec(), oracle);
     }
 }

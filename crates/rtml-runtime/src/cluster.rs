@@ -500,8 +500,7 @@ impl Cluster {
     }
 
     /// Builds a profiling report from the event log (R7), merged with
-    /// the live data-plane counters (transfer services and fetch agents
-    /// across all alive nodes).
+    /// the live data-plane counters (every alive node's object plane).
     pub fn profile(&self) -> ProfileReport {
         let mut report = ProfileReport::from_events(&self.services.events.read_all());
         report.dropped_records = self.services.events.dropped_count();
@@ -518,17 +517,16 @@ impl Cluster {
             let t = runtime.transfer_stats();
             report.transfer.requests_served += t.requests.get();
             report.transfer.objects_served += t.objects_served.get();
-            report.transfer.misses += t.misses.get();
-            report.transfer.decode_errors += t.decode_errors.get();
+            report.transfer.misses += t.misses_served.get();
+            report.transfer.decode_errors += t.decode_errors.get() + t.bad_chunks.get();
             report.transfer.send_failures += t.send_failures.get();
             report.transfer.chunks_sent += t.chunks_sent.get();
             report.transfer.pushed += t.pushed.get();
-            let f = runtime.fetch_stats();
-            report.transfer.fetches += f.transfers.get();
-            report.transfer.duplicate_fetches_suppressed += f.duplicates_suppressed.get();
-            report.transfer.chunks_received += f.chunks_received.get();
-            report.transfer.fetch_timeouts += f.timeouts.get();
-            report.transfer.pushes_received += f.pushes_received.get();
+            report.transfer.fetches += t.transfers.get();
+            report.transfer.duplicate_fetches_suppressed += t.duplicates_suppressed.get();
+            report.transfer.chunks_received += t.chunks_received.get();
+            report.transfer.fetch_timeouts += t.timeouts.get();
+            report.transfer.pushes_received += t.pushes_received.get();
             let s = runtime.sched_stats();
             report.prefetch_skipped_capacity += s.prefetch_skipped_capacity.get();
             report.prefetch_deferred_priority += s.prefetch_deferred_priority.get();
@@ -599,9 +597,9 @@ impl Cluster {
             .map(|runtime| runtime.sched_stats().clone())
     }
 
-    /// One node's live transfer-service counters (what this holder
-    /// served, relayed, handed on and pushed). `None` if the node is not
-    /// alive.
+    /// One node's live object-plane counters (what this node served,
+    /// relayed, handed on and pushed, and what it fetched). `None` if
+    /// the node is not alive.
     pub fn node_transfer_stats(&self, node: NodeId) -> Option<Arc<rtml_store::TransferStats>> {
         self.nodes
             .lock()

@@ -1,5 +1,6 @@
-//! Per-node assembly: object store + transfer service + local scheduler +
-//! worker pool (one column of the paper's Figure 3).
+//! Per-node assembly: object store + object plane (one transfer agent,
+//! one thread) + local scheduler + worker pool (one column of the
+//! paper's Figure 3).
 
 use std::sync::Arc;
 
@@ -7,12 +8,13 @@ use crossbeam::channel::unbounded;
 
 use rtml_common::event::{Component, Event, EventKind};
 use rtml_common::ids::{NodeId, WorkerId};
+use rtml_common::metrics::Counter;
 use rtml_common::resources::Resources;
 use rtml_sched::{
     GlobalRoutes, LocalMsg, LocalScheduler, LocalSchedulerConfig, LocalSchedulerHandle, Replay,
     SchedServices, SpillMode,
 };
-use rtml_store::{FetchAgent, ObjectStore, StoreConfig, TransferService};
+use rtml_store::{FetchAgent, ObjectStore, StoreConfig, TransferStats};
 
 use crate::lineage::ReconstructionManager;
 use crate::services::Services;
@@ -110,7 +112,6 @@ pub struct NodeRuntime {
     /// The node's object store.
     pub store: Arc<ObjectStore>,
     config: NodeConfig,
-    transfer: TransferService,
     agent: Arc<FetchAgent>,
     sched: LocalSchedulerHandle,
     /// Shared with the pool-manager thread, which appends on-demand
@@ -138,13 +139,10 @@ impl NodeRuntime {
             capacity_bytes: config.store_capacity,
             chunk_bytes: tuning.transfer_chunk_bytes,
         }));
-        let transfer =
-            TransferService::spawn(services.fabric.clone(), store.clone(), &services.directory);
-        services.attach_transfer_stats(node, transfer.stats().clone());
         let agent = Arc::new(FetchAgent::spawn(
             services.fabric.clone(),
             store.clone(),
-            services.directory.clone(),
+            &services.directory,
         ));
 
         // Runs on the scheduler thread: kv reads and writes and unbounded
@@ -244,7 +242,7 @@ impl NodeRuntime {
         // telemetry ring on a period — one group-committed record per
         // node per interval.
         let registry = Arc::new(rtml_common::metrics::MetricsRegistry::new());
-        Self::register_metrics(&registry, services, &transfer, &agent, &sched, &store);
+        Self::register_metrics(&registry, services, &agent, &sched, &store);
         let sampler = if tuning.telemetry.enabled {
             Some(crate::telemetry::TelemetrySampler::spawn(
                 node,
@@ -263,7 +261,6 @@ impl NodeRuntime {
             node,
             store,
             config,
-            transfer,
             agent,
             sched,
             workers,
@@ -278,44 +275,30 @@ impl NodeRuntime {
     fn register_metrics(
         registry: &Arc<rtml_common::metrics::MetricsRegistry>,
         services: &Arc<Services>,
-        transfer: &TransferService,
         agent: &Arc<FetchAgent>,
         sched: &LocalSchedulerHandle,
         store: &Arc<ObjectStore>,
     ) {
-        // Transfer service (server side of the data plane).
-        let stats = transfer.stats().clone();
-        registry.register_value("transfer.requests", move || stats.requests.get());
-        let stats = transfer.stats().clone();
-        registry.register_value("transfer.objects_served", move || {
-            stats.objects_served.get()
-        });
-        let stats = transfer.stats().clone();
-        registry.register_value("transfer.misses", move || stats.misses.get());
-        let stats = transfer.stats().clone();
-        registry.register_value("transfer.chunks_sent", move || stats.chunks_sent.get());
-        let stats = transfer.stats().clone();
-        registry.register_value("transfer.pushed", move || stats.pushed.get());
-
-        // Fetch agent (client side of the data plane).
-        let a = agent.clone();
-        registry.register_value("fetch.transfers", move || a.stats().transfers.get());
-        let a = agent.clone();
-        registry.register_value("fetch.requests_sent", move || a.stats().requests_sent.get());
-        let a = agent.clone();
-        registry.register_value("fetch.duplicates_suppressed", move || {
-            a.stats().duplicates_suppressed.get()
-        });
-        let a = agent.clone();
-        registry.register_value("fetch.objects_fetched", move || {
-            a.stats().objects_fetched.get()
-        });
-        let a = agent.clone();
-        registry.register_value("fetch.pushes_received", move || {
-            a.stats().pushes_received.get()
-        });
-        let a = agent.clone();
-        registry.register_value("fetch.timeouts", move || a.stats().timeouts.get());
+        // The object plane: what it served (`transfer.*`) and what it
+        // fetched for this node (`fetch.*`).
+        type Read = fn(&TransferStats) -> &Counter;
+        let counters: [(&str, Read); 11] = [
+            ("transfer.requests", |s| &s.requests),
+            ("transfer.objects_served", |s| &s.objects_served),
+            ("transfer.misses", |s| &s.misses_served),
+            ("transfer.chunks_sent", |s| &s.chunks_sent),
+            ("transfer.pushed", |s| &s.pushed),
+            ("fetch.transfers", |s| &s.transfers),
+            ("fetch.requests_sent", |s| &s.requests_sent),
+            ("fetch.duplicates_suppressed", |s| &s.duplicates_suppressed),
+            ("fetch.objects_fetched", |s| &s.objects_fetched),
+            ("fetch.pushes_received", |s| &s.pushes_received),
+            ("fetch.timeouts", |s| &s.timeouts),
+        ];
+        for (name, read) in counters {
+            let stats = agent.stats().clone();
+            registry.register_value(name, move || read(&stats).get());
+        }
 
         // Scheduler: prefetch and steal planes.
         let stats = sched.stats().clone();
@@ -365,13 +348,8 @@ impl NodeRuntime {
         &self.config
     }
 
-    /// The node's transfer-service (server-side) counters.
+    /// The node's object-plane counters.
     pub fn transfer_stats(&self) -> &Arc<rtml_store::TransferStats> {
-        self.transfer.stats()
-    }
-
-    /// The node's fetch-agent (client-side) counters.
-    pub fn fetch_stats(&self) -> &rtml_store::FetchStats {
         self.agent.stats()
     }
 
@@ -438,7 +416,6 @@ impl NodeRuntime {
         services.objects.remove_location_many(&dropped, this.node);
         services.directory.remove(this.node);
         this.agent.shutdown();
-        this.transfer.shutdown();
         services.events.append(
             this.node,
             Event::now(
@@ -466,6 +443,5 @@ impl NodeRuntime {
         }
         services.directory.remove(self.node);
         self.agent.shutdown();
-        self.transfer.shutdown();
     }
 }

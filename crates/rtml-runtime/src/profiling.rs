@@ -77,7 +77,8 @@ pub struct TransferPlaneStats {
     pub objects_served: u64,
     /// Requested objects the holder no longer had.
     pub misses: u64,
-    /// Undecodable or misrouted frames observed by services.
+    /// Undecodable frames and dropped chunk frames observed by the
+    /// nodes' object planes.
     pub decode_errors: u64,
     /// Reply streams the fabric refused (requester gone).
     pub send_failures: u64,

@@ -16,7 +16,7 @@ use rtml_common::task::TaskSpec;
 use rtml_kv::{EventLog, FunctionTable, Inbound, KvStore, ObjectTable, TaskTable};
 use rtml_net::{Fabric, FabricConfig};
 use rtml_sched::{HealthTracker, LocalMsg};
-use rtml_store::{FetchAgent, ObjectStore, TransferDirectory, TransferStats};
+use rtml_store::{FetchAgent, ObjectStore, TransferDirectory};
 
 use crate::registry::FunctionRegistry;
 
@@ -86,7 +86,7 @@ pub struct Services {
     pub registry: Arc<FunctionRegistry>,
     /// Simulated network.
     pub fabric: Arc<Fabric>,
-    /// Node → transfer service address.
+    /// Node → object-plane (transfer agent) address.
     pub directory: Arc<TransferDirectory>,
     /// Peer health view (heartbeat staleness + failure evidence),
     /// steering stripe targets and holder rankings away from suspect
@@ -97,7 +97,6 @@ pub struct Services {
     router: RwLock<HashMap<NodeId, Sender<LocalMsg>>>,
     stores: RwLock<HashMap<NodeId, Arc<ObjectStore>>>,
     agents: RwLock<HashMap<NodeId, Arc<FetchAgent>>>,
-    transfer_stats: RwLock<HashMap<NodeId, Arc<TransferStats>>>,
     node_totals: RwLock<HashMap<NodeId, Resources>>,
 }
 
@@ -128,21 +127,9 @@ impl Services {
             router: RwLock::new(HashMap::new()),
             stores: RwLock::new(HashMap::new()),
             agents: RwLock::new(HashMap::new()),
-            transfer_stats: RwLock::new(HashMap::new()),
             node_totals: RwLock::new(HashMap::new()),
             kv,
         })
-    }
-
-    /// Registers a node's transfer-service counters so the node's
-    /// workers can count the results they push.
-    pub fn attach_transfer_stats(&self, node: NodeId, stats: Arc<TransferStats>) {
-        self.transfer_stats.write().insert(node, stats);
-    }
-
-    /// The node's transfer-service counters, if the node is alive.
-    pub fn transfer_stats(&self, node: NodeId) -> Option<Arc<TransferStats>> {
-        self.transfer_stats.read().get(&node).cloned()
     }
 
     /// Registers a live node's store, fetch agent, scheduler channel,
@@ -165,7 +152,6 @@ impl Services {
     pub fn detach_node(&self, node: NodeId) {
         self.stores.write().remove(&node);
         self.agents.write().remove(&node);
-        self.transfer_stats.write().remove(&node);
         self.router.write().remove(&node);
         self.node_totals.write().remove(&node);
     }
@@ -175,8 +161,8 @@ impl Services {
         self.stores.read().get(&node).cloned()
     }
 
-    /// The node's fetch agent (persistent, single-flighting transfer
-    /// client), if the node is alive.
+    /// The node's object plane (its transfer agent: serves its peers,
+    /// fetches and pushes for the node), if the node is alive.
     pub fn fetch_agent(&self, node: NodeId) -> Option<Arc<FetchAgent>> {
         self.agents.read().get(&node).cloned()
     }
@@ -360,7 +346,7 @@ mod tests {
         let agent = Arc::new(rtml_store::FetchAgent::spawn(
             sv.fabric.clone(),
             store.clone(),
-            sv.directory.clone(),
+            &sv.directory,
         ));
         (store, agent)
     }

@@ -19,8 +19,8 @@
 //! [`rtml_store::PUSH_MAX_BYTES`] to the node that submitted the task —
 //! the node that holds its future — straight from the worker thread, as
 //! the chunk frame a request would have been answered with
-//! ([`rtml_store::push_sealed`]), and names that node in the same
-//! object-table commit that publishes the seal
+//! ([`rtml_store::FetchAgent::push`] on this node's agent), and names
+//! that node in the same object-table commit that publishes the seal
 //! ([`rtml_kv::ObjectTable::add_location_pushed`]): readers there ask
 //! nobody and complete on the local seal. The pull path is untouched
 //! and remains the fallback — and the rule for everything else.
@@ -313,17 +313,8 @@ fn push_to_submitter(
     if to == store.node() || sched_stats.ready_depth.load(Ordering::Relaxed) > 0 {
         return None;
     }
-    let stats = services.transfer_stats(store.node())?;
-    rtml_store::push_sealed(
-        &services.fabric,
-        &services.directory,
-        &stats,
-        store,
-        to,
-        object,
-        bytes,
-    )
-    .then(|| Inbound {
+    let agent = services.fetch_agent(store.node())?;
+    agent.push(to, object, bytes).then(|| Inbound {
         node: to,
         until_nanos: rtml_common::time::now_nanos()
             + services.tuning.fetch_timeout.as_nanos() as u64,

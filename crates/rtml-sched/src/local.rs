@@ -743,12 +743,11 @@ mod tests {
     use rtml_common::ids::{DriverId, FunctionId};
     use rtml_common::task::ArgSpec;
     use rtml_net::FabricConfig;
-    use rtml_store::{StoreConfig, TransferService};
+    use rtml_store::StoreConfig;
 
     struct Rig {
         services: SchedServices,
         global_endpoint: rtml_net::Endpoint,
-        _transfer: TransferService,
         worker_rx: Receiver<TaskSpec>,
         worker_done: Sender<()>,
         worker_id: WorkerId,
@@ -788,7 +787,6 @@ mod tests {
             capacity_bytes: 1 << 20,
             ..StoreConfig::default()
         }));
-        let transfer = TransferService::spawn(fabric.clone(), store.clone(), &directory);
         let agent = Arc::new(FetchAgent::spawn(
             fabric.clone(),
             store.clone(),
@@ -820,7 +818,6 @@ mod tests {
         Rig {
             services,
             global_endpoint,
-            _transfer: transfer,
             worker_rx,
             worker_done,
             worker_id,
@@ -1180,8 +1177,7 @@ mod tests {
             capacity_bytes: 1 << 20,
             ..StoreConfig::default()
         }));
-        let _t0 = TransferService::spawn(fabric.clone(), store0.clone(), &directory);
-        let _t7 = TransferService::spawn(fabric.clone(), store7.clone(), &directory);
+        let _holder = FetchAgent::spawn(fabric.clone(), store7.clone(), &directory);
         let agent = Arc::new(FetchAgent::spawn(
             fabric.clone(),
             store0.clone(),
@@ -1234,11 +1230,10 @@ mod tests {
         services: SchedServices,
         store_local: Arc<ObjectStore>,
         store_remote: Arc<ObjectStore>,
-        remote_service: TransferService,
+        remote_agent: FetchAgent,
         worker_rx: Receiver<TaskSpec>,
         worker_done: Sender<()>,
         handle: LocalSchedulerHandle,
-        _local_service: TransferService,
         _global: rtml_net::Endpoint,
     }
 
@@ -1270,9 +1265,7 @@ mod tests {
             capacity_bytes: 1 << 20,
             ..StoreConfig::default()
         }));
-        let local_service = TransferService::spawn(fabric.clone(), store_local.clone(), &directory);
-        let remote_service =
-            TransferService::spawn(fabric.clone(), store_remote.clone(), &directory);
+        let remote_agent = FetchAgent::spawn(fabric.clone(), store_remote.clone(), &directory);
         let agent = Arc::new(FetchAgent::spawn(
             fabric.clone(),
             store_local.clone(),
@@ -1300,11 +1293,10 @@ mod tests {
             services,
             store_local,
             store_remote,
-            remote_service,
+            remote_agent,
             worker_rx,
             worker_done,
             handle,
-            _local_service: local_service,
             _global: global,
         }
     }
@@ -1331,8 +1323,8 @@ mod tests {
         let got = recv_run(&r.worker_rx);
         assert_eq!(got.task_id, spec.task_id);
         // All 8 dependencies crossed as ONE coalesced request frame.
-        assert_eq!(r.remote_service.stats().requests.get(), 1);
-        assert_eq!(r.remote_service.stats().objects_served.get(), 8);
+        assert_eq!(r.remote_agent.stats().requests.get(), 1);
+        assert_eq!(r.remote_agent.stats().objects_served.get(), 8);
         for dep in &deps {
             assert!(r.store_local.contains(*dep));
         }
@@ -1396,7 +1388,7 @@ mod tests {
             .worker_rx
             .recv_timeout(Duration::from_millis(100))
             .is_err());
-        assert_eq!(r.remote_service.stats().requests.get(), 0);
+        assert_eq!(r.remote_agent.stats().requests.get(), 0);
         let issued = |r: &RemoteDepRig| {
             let events = r.services.events.read_all();
             let is_issue = |e: &&Event| matches!(e.kind, EventKind::PrefetchIssued { .. });
@@ -1534,7 +1526,7 @@ mod tests {
         // object waits instead of fetch-and-fail-the-put hammering —
         // and a copy exists, so nobody is asked to reconstruct it.
         std::thread::sleep(Duration::from_millis(80));
-        assert_eq!(r.remote_service.stats().requests.get(), 0);
+        assert_eq!(r.remote_agent.stats().requests.get(), 0);
         assert_eq!(r.handle.stats().prefetch_skipped_capacity.get(), 1);
         // Free the headroom: the next tick's offer is admitted and the
         // task runs.
@@ -1543,7 +1535,7 @@ mod tests {
         assert_eq!(got.task_id, spec.task_id);
         assert!(r.store_local.contains(dep));
         // Exactly one transfer crossed the wire for the dependency.
-        assert_eq!(r.remote_service.stats().requests.get(), 1);
+        assert_eq!(r.remote_agent.stats().requests.get(), 1);
         r.handle.shutdown();
     }
 
@@ -2221,7 +2213,6 @@ mod tests {
             capacity_bytes: 1 << 20,
             ..StoreConfig::default()
         }));
-        let _t = TransferService::spawn(fabric.clone(), store.clone(), &directory);
         let agent = Arc::new(FetchAgent::spawn(
             fabric.clone(),
             store.clone(),

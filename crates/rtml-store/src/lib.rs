@@ -19,17 +19,17 @@
 //! - Arguments of running tasks are **pinned** so the scheduler's
 //!   placement decisions stay valid while the task runs.
 //!
-//! Cross-node movement lives in [`transfer`]: a per-node
-//! [`transfer::TransferService`] answers object requests over the
-//! simulated fabric — chunking large objects into size-capped frames
+//! Cross-node movement lives in [`transfer`]: each node runs one object
+//! plane, a [`transfer::FetchAgent`] with one persistent endpoint and
+//! one thread. It answers its peers' requests over the simulated fabric
+//! — chunking large objects into size-capped frames
 //! ([`StoreConfig::chunk_bytes`]) and coalescing multi-object requests
-//! into one reply stream — while a per-node [`transfer::FetchAgent`]
-//! issues requests from one persistent endpoint, assembles chunks in
-//! place as they arrive, and single-flights concurrent fetches of the
-//! same object. Received frames are decoded in place: an object that
-//! arrives as one chunk is stored as a window of its frame, never
+//! into one reply stream — and issues the node's own, assembling chunks
+//! in place as they arrive and single-flighting concurrent fetches of
+//! the same object. Received frames are decoded in place: an object
+//! that arrives as one chunk is stored as a window of its frame, never
 //! copied out of it. An object a node has asked for but not yet sealed
-//! is kept in its store's unsealed table, from which the node's service
+//! is kept in its agent's unsealed table, from which the same thread
 //! **relays** it: a holder streaming a hot object hands later readers
 //! down a chain of earlier ones, each passing chunks on as they arrive,
 //! so the object leaves its holder once.
@@ -46,6 +46,6 @@ pub use store::{
     LocalSealGuard, ObjectStore, PutOutcome, StoreConfig, StoreStats, DEFAULT_CHUNK_BYTES,
 };
 pub use transfer::{
-    chunk_frames, push_sealed, FetchAgent, FetchResult, FetchStats, Fetched, TransferDirectory,
-    TransferService, TransferStats, PUSH_MAX_BYTES,
+    chunk_frames, FetchAgent, FetchResult, Fetched, TransferDirectory, TransferService,
+    TransferStats, PUSH_MAX_BYTES,
 };

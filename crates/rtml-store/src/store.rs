@@ -1,4 +1,8 @@
 //! The object store proper: entries, waiters, pinning, LRU eviction.
+//!
+//! It holds sealed objects only. An object still arriving from another
+//! node is the node's object plane's ([`crate::transfer`]) until the
+//! agent seals it here.
 
 use std::collections::HashMap;
 
@@ -18,7 +22,7 @@ pub struct StoreConfig {
     /// Capacity in bytes; puts beyond this evict or fail.
     pub capacity_bytes: u64,
     /// Maximum payload bytes per transfer frame: objects larger than
-    /// this leave the node's [`crate::TransferService`] as
+    /// this leave the node's [`crate::FetchAgent`] as
     /// ⌈size/chunk⌉ frames streamed through the fabric's bandwidth
     /// model instead of one monolithic message. Clamped to ≥ 1.
     pub chunk_bytes: u64,
@@ -89,11 +93,6 @@ pub struct PutOutcome {
 pub struct ObjectStore {
     config: StoreConfig,
     state: Mutex<StoreState>,
-    /// Objects created on this node but not yet sealed: requested by
-    /// its fetch agent, perhaps partly received. Here rather than in
-    /// the agent because the node's transfer service relays from it
-    /// (see [`crate::transfer`]). Never locked while `state` is held.
-    pub(crate) unsealed: Mutex<HashMap<ObjectId, crate::transfer::Unsealed>>,
     sealed_cv: Condvar,
     /// Operation counters.
     pub stats: StoreStats,
@@ -105,7 +104,6 @@ impl ObjectStore {
         ObjectStore {
             config,
             state: Mutex::new(StoreState::default()),
-            unsealed: Mutex::new(HashMap::new()),
             sealed_cv: Condvar::new(),
             stats: StoreStats::default(),
         }
@@ -139,13 +137,6 @@ impl ObjectStore {
     /// Whether the store holds no objects.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Number of objects created here but not yet sealed (transfers in
-    /// flight, or stranded and awaiting the reap); their buffers are not
-    /// part of [`ObjectStore::used_bytes`]. Leak detector.
-    pub fn unsealed_len(&self) -> usize {
-        self.unsealed.lock().len()
     }
 
     /// Registers a channel that receives the ID of every object sealed
@@ -379,11 +370,10 @@ impl ObjectStore {
         }
     }
 
-    /// Drops every object, sealed or not (node crash), returning the IDs
-    /// of the sealed ones so the caller can erase their locations from
-    /// the object table.
+    /// Drops every object (node crash), returning their IDs so the
+    /// caller can erase their locations from the object table. Objects
+    /// still arriving are the node's agent's, and die with it.
     pub fn clear(&self) -> Vec<ObjectId> {
-        self.unsealed.lock().clear();
         let mut st = self.state.lock();
         let ids: Vec<ObjectId> = st.objects.keys().copied().collect();
         st.objects.clear();

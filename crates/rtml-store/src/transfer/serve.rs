@@ -1,0 +1,163 @@
+//! Serving and relaying: how a node answers a `Request` — from its
+//! sealed copy, by handing it on to an earlier reader it is still
+//! streaming the object to, or from a copy it is still receiving.
+
+use std::collections::HashMap;
+use std::time::Instant;
+
+use bytes::Bytes;
+
+use rtml_common::codec::encode_to_bytes;
+use rtml_common::ids::{NodeId, ObjectId};
+use rtml_net::NetAddress;
+
+use super::agent::Plane;
+use super::wire::{chunk_frames, encode_chunk_frame, TransferMsg};
+
+/// The reader a node last streamed (or handed) an object to, and when
+/// its own egress link will have drained that stream.
+struct Streaming {
+    reader: NodeId,
+    until: Instant,
+}
+
+/// The serving state of a node's object plane, owned by its thread.
+#[derive(Default)]
+pub(super) struct Server {
+    /// Multi-chunk objects still leaving this node's egress link.
+    streaming: HashMap<ObjectId, Streaming>,
+}
+
+impl Server {
+    /// Answers one `Request` frame with one reply stream: all chunks of
+    /// all objects share a single propagation-delay sample.
+    pub(super) fn serve(&mut self, plane: &Plane, objects: Vec<ObjectId>, reply_to: u64) {
+        plane.stats.requests.inc();
+        let reader = NetAddress::from_u64(reply_to);
+        let chunk_bytes = plane.store.chunk_bytes() as usize;
+        let now = Instant::now();
+        self.streaming.retain(|_, s| s.until > now);
+        let mut frames = Vec::new();
+        let mut streamed = Vec::new();
+        for object in objects {
+            if self.hand_on(plane, object, reader) {
+                continue;
+            }
+            if let Some(have) = plane.relay(object, reader) {
+                plane.stats.relayed.inc();
+                plane.stats.chunks_sent.add(have.len() as u64);
+                frames.extend(have);
+                continue;
+            }
+            // Pin across lookup + snapshot so a concurrent put's LRU
+            // sweep cannot evict the object between "decide to serve"
+            // and "copy bytes".
+            let pinned = plane.store.pin(object);
+            match plane.store.get(object) {
+                Some(data) => {
+                    plane.stats.objects_served.inc();
+                    let data = data.as_slice();
+                    let total = chunk_frames(data.len(), chunk_bytes);
+                    for index in 0..total {
+                        let a = index * chunk_bytes;
+                        let b = match index + 1 == total {
+                            true => data.len(),
+                            false => a + chunk_bytes,
+                        };
+                        frames.push(encode_chunk_frame(
+                            object,
+                            index as u32,
+                            total as u32,
+                            data.len() as u64,
+                            &data[a..b],
+                        ));
+                    }
+                    plane.stats.chunks_sent.add(total as u64);
+                    if total > 1 {
+                        streamed.push(object);
+                    }
+                }
+                None => {
+                    plane.stats.misses_served.inc();
+                    frames.push(encode_to_bytes(&TransferMsg::Missing { object }));
+                }
+            }
+            if pinned {
+                plane.store.unpin(object);
+            }
+        }
+        if plane
+            .fabric
+            .send_chunks(plane.address, reader, frames)
+            .is_err()
+        {
+            plane.stats.send_failures.inc();
+        } else if !streamed.is_empty() {
+            if let Some(reader) = plane.fabric.node_of(reader) {
+                let until = Instant::now() + plane.fabric.egress_backlog(plane.store.node());
+                for object in streamed {
+                    self.streaming.insert(object, Streaming { reader, until });
+                }
+            }
+        }
+    }
+
+    /// Hands a request for `object` on to the earlier reader it is
+    /// still being streamed to. A single-chunk object is never handed
+    /// on: with nothing to pipeline, a relay only adds a hop.
+    fn hand_on(&mut self, plane: &Plane, object: ObjectId, reader: NetAddress) -> bool {
+        let Some(stream) = self.streaming.get_mut(&object) else {
+            return false;
+        };
+        // Asked only now: a request that finds nothing streaming never
+        // takes the fabric's routing lock for it.
+        let reader_node = plane.fabric.node_of(reader);
+        if Some(stream.reader) == reader_node {
+            return false;
+        }
+        let Some(earlier) = plane.directory.lookup(stream.reader) else {
+            return false;
+        };
+        let request = TransferMsg::Request {
+            objects: vec![object],
+            reply_to: reader.as_u64(),
+        };
+        if plane
+            .fabric
+            .send(plane.address, earlier, encode_to_bytes(&request))
+            .is_err()
+        {
+            return false;
+        }
+        plane.stats.handed_on.inc();
+        if let Some(node) = reader_node {
+            stream.reader = node;
+        }
+        true
+    }
+}
+
+impl Plane {
+    /// If this node is still receiving `object`, registers `reader`
+    /// downstream of it and returns the chunk frames received so far;
+    /// the assembly passes on every later frame as it arrives.
+    fn relay(&self, object: ObjectId, reader: NetAddress) -> Option<Vec<Bytes>> {
+        let mut unsealed = self.unsealed.lock();
+        // An entry past its deadline is a transfer that died: better an
+        // honest `Missing` than a reader waiting on it.
+        let entry = unsealed
+            .get_mut(&object)
+            .filter(|entry| entry.expires_at > Instant::now())?;
+        if !entry.downstream.contains(&reader) {
+            entry.downstream.push(reader);
+        }
+        Some(
+            entry
+                .chunks
+                .iter()
+                .flatten()
+                .map(|chunk| chunk.frame.clone())
+                .collect(),
+        )
+    }
+}

@@ -476,11 +476,12 @@ fn surviving_shards_keep_placing_after_node_loss() {
 
 #[test]
 fn kill_restart_cycles_do_not_leak_fabric_endpoints() {
-    // Each node owns three persistent fabric endpoints (local scheduler,
-    // transfer service, fetch agent). A kill must withdraw all of them
-    // and a restart must register exactly the same number — across
-    // repeated cycles the count returns to baseline, or the fabric's
-    // routing table grows without bound under churn.
+    // Each node owns two persistent fabric endpoints: its local
+    // scheduler and its object plane (one transfer agent that serves and
+    // fetches). A kill must withdraw exactly those two and a restart
+    // must register exactly two — across repeated cycles the count
+    // returns to baseline, or the fabric's routing table grows without
+    // bound under churn.
     let cluster = Cluster::start(ClusterConfig::local(3, 2)).unwrap();
     let f = cluster.register_fn1("leak_fi", |x: i64| Ok(x ^ 0x5a));
     let driver = cluster.driver();
@@ -489,9 +490,10 @@ fn kill_restart_cycles_do_not_leak_fabric_endpoints() {
     for cycle in 0..3 {
         let config = cluster.node_config(NodeId(2)).unwrap();
         cluster.kill_node(NodeId(2)).unwrap();
-        assert!(
-            fabric.endpoint_count() < baseline,
-            "kill must unregister the node's endpoints (cycle {cycle})"
+        assert_eq!(
+            fabric.endpoint_count(),
+            baseline - 2,
+            "kill must unregister the node's two endpoints (cycle {cycle})"
         );
         cluster.restart_node(NodeId(2), config).unwrap();
         assert_eq!(

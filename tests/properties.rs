@@ -612,7 +612,7 @@ proptest! {
         picks in proptest::collection::vec(0u64..6, 1..24),
     ) {
         use rtml::net::{Fabric, FabricConfig};
-        use rtml::store::{FetchAgent, TransferDirectory, TransferService};
+        use rtml::store::{FetchAgent, TransferDirectory};
         use std::collections::BTreeSet;
         use std::sync::Arc;
         use std::time::Duration;
@@ -629,9 +629,8 @@ proptest! {
             capacity_bytes: 1 << 20,
             ..StoreConfig::default()
         }));
-        let _src_svc = TransferService::spawn(fabric.clone(), src.clone(), &directory);
-        let _dst_svc = TransferService::spawn(fabric.clone(), dst.clone(), &directory);
-        let agent = FetchAgent::spawn(fabric.clone(), dst.clone(), directory.clone());
+        let _holder = FetchAgent::spawn(fabric.clone(), src.clone(), &directory);
+        let agent = FetchAgent::spawn(fabric.clone(), dst.clone(), &directory);
 
         let distinct: BTreeSet<u64> = picks.iter().copied().collect();
         for &d in &distinct {
@@ -666,25 +665,6 @@ fn deterministic_work_is_a_pure_function() {
 // ---- hot-path collections (PR 6) -----------------------------------
 
 proptest! {
-    /// `FixedReverseHeap` is exactly `sort(); truncate(k)` of its input:
-    /// the k smallest items, ascending, for any input and any capacity.
-    #[test]
-    fn fixed_reverse_heap_matches_sort_truncate_oracle(
-        items in proptest::collection::vec(any::<u32>(), 0..64),
-        k in 0usize..12,
-    ) {
-        use rtml::common::collections::FixedReverseHeap;
-        let mut heap = FixedReverseHeap::new(k);
-        for &item in &items {
-            heap.push(item);
-        }
-        let mut oracle = items.clone();
-        oracle.sort_unstable();
-        oracle.truncate(k);
-        prop_assert_eq!(heap.len(), oracle.len());
-        prop_assert_eq!(heap.into_sorted_vec(), oracle);
-    }
-
     /// `FastMap` is a drop-in map: after an arbitrary interleaving of
     /// inserts and removes it holds exactly what `std::collections::HashMap`
     /// holds, and its contents are insertion-order independent (the same

@@ -79,7 +79,7 @@ fn requests_served(cluster: &Cluster) -> u64 {
 }
 
 /// Counters of node 0's fetch agent, read through `read`.
-fn agent0<R>(cluster: &Cluster, read: impl Fn(&rtml::store::FetchStats) -> R) -> R {
+fn agent0<R>(cluster: &Cluster, read: impl Fn(&rtml::store::TransferStats) -> R) -> R {
     read(cluster.services().fetch_agent(N0).unwrap().stats())
 }
 
@@ -396,7 +396,7 @@ fn a_duplicated_push_frame_seals_once() {
         agent0(&cluster, |s| s.pushes_received.get()) == 1
     });
     assert_eq!(agent0(&cluster, |s| s.objects_fetched.get()), 1);
-    assert_eq!(agent0(&cluster, |s| s.decode_errors.get()), 0);
+    assert_eq!(agent0(&cluster, |s| s.bad_chunks.get()), 0);
     eventually("the pushed copy is listed", || landed(&cluster, fut.id()));
     assert_eq!(cluster.services().store(N0).unwrap().len(), 1);
     cluster.shutdown();

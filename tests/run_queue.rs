@@ -33,7 +33,7 @@ use rtml::sched::{
     LocalSchedulerHandle, LocalSchedulerStats, QueueLoad, RunQueue, Runnable, SchedServices,
     SchedWire, SpillMode,
 };
-use rtml::store::{FetchAgent, ObjectStore, StoreConfig, TransferDirectory, TransferService};
+use rtml::store::{FetchAgent, ObjectStore, StoreConfig, TransferDirectory};
 
 const NODE: NodeId = NodeId(0);
 const PIN_BYTES: u64 = 64;
@@ -415,7 +415,6 @@ fn a_killed_parked_worker_exits_without_taking_and_close_strands_the_queue() {
 struct Rig {
     services: SchedServices,
     _global: Endpoint,
-    _transfer: TransferService,
     handle: LocalSchedulerHandle,
 }
 
@@ -426,7 +425,6 @@ fn rig(workers: u32) -> Rig {
     let fabric = Fabric::new(FabricConfig::default());
     let directory = TransferDirectory::new();
     let store = store();
-    let transfer = TransferService::spawn(fabric.clone(), store.clone(), &directory);
     let agent = Arc::new(FetchAgent::spawn(
         fabric.clone(),
         store.clone(),
@@ -457,7 +455,6 @@ fn rig(workers: u32) -> Rig {
     Rig {
         services,
         _global: global,
-        _transfer: transfer,
         handle,
     }
 }
