@@ -30,7 +30,7 @@
 
 use std::time::Duration;
 
-use rtml_bench::{fmt_duration, print_table};
+use rtml_bench::{env_or, fmt_duration, print_table};
 use rtml_common::ids::NodeId;
 use rtml_net::{FaultPlan, FaultWindow, LinkFault, LinkMatch, WindowFault};
 use rtml_runtime::{Cluster, ClusterConfig, NodeConfig};
@@ -38,13 +38,6 @@ use rtml_workloads::rl::{self, RlConfig, RlFuncs, RlResult};
 
 const NODES: usize = 4;
 const WORKERS_PER_NODE: u32 = 2;
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 fn rl_config(iterations: usize) -> RlConfig {
     RlConfig {
@@ -172,14 +165,15 @@ fn run_soak(iterations: usize, faults: FaultPlan, churn: bool) -> SoakOutcome {
         );
     }
 
-    let report = cluster.profile();
+    let counters = cluster.counters();
+    let count = |name: &str| counters.get(name).unwrap();
     let outcome = SoakOutcome {
         result,
         reconstructions: cluster.reconstructions(),
-        injected_drops: report.faults.injected_drops,
-        injected_dups: report.faults.injected_dups,
-        injected_delays: report.faults.injected_delays,
-        injected_gray: report.faults.injected_gray,
+        injected_drops: count("fabric.injected_drops"),
+        injected_dups: count("fabric.injected_dups"),
+        injected_delays: count("fabric.injected_delays"),
+        injected_gray: count("fabric.injected_gray"),
         cycles,
     };
     cluster.shutdown();
@@ -187,8 +181,8 @@ fn run_soak(iterations: usize, faults: FaultPlan, churn: bool) -> SoakOutcome {
 }
 
 fn main() {
-    let seed = env_u64("RTML_CHAOS_SEED", 1777);
-    let iterations = env_u64("RTML_CHAOS_ITERS", 8) as usize;
+    let seed: u64 = env_or("RTML_CHAOS_SEED", 1777);
+    let iterations: usize = env_or("RTML_CHAOS_ITERS", 8);
 
     let baseline = run_soak(iterations, FaultPlan::default(), false);
     let chaos_a = run_soak(iterations, fault_plan(seed), true);

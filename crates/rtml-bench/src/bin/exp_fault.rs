@@ -69,9 +69,13 @@ fn run_with(failure: Failure) -> (rtml_workloads::rl::RlResult, u64, usize) {
     let report = cluster.profile();
     let lost = report.workers_lost + report.nodes_lost;
     if std::env::var("RTML_DEBUG").is_ok() {
-        let (spills, placements, parked) = cluster.global_stats();
+        let counters = cluster.counters();
+        let count = |name: &str| counters.get(name).unwrap();
         eprintln!(
-            "debug: spills={spills} placements={placements} parked={parked} replays={reconstructions} lost={lost}"
+            "debug: spills={} placements={} parked={} replays={reconstructions} lost={lost}",
+            count("global.spills"),
+            count("global.placements"),
+            count("global.parked"),
         );
     }
     cluster.shutdown();

@@ -94,14 +94,14 @@ fn main() {
 
         let report = cluster.profile();
         let latency = report.scheduling_latency().snapshot();
-        let (spills, placements, _) = cluster.global_stats();
+        let count = |name: &str| report.counters.get(name).unwrap();
         rows.push(vec![
             label.to_string(),
             fmt_duration(makespan),
             fmt_nanos(latency.p50()),
             fmt_nanos(latency.p99()),
-            spills.to_string(),
-            placements.to_string(),
+            count("global.spills").to_string(),
+            count("global.placements").to_string(),
         ]);
         cluster.shutdown();
     }

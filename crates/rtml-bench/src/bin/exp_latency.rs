@@ -106,8 +106,9 @@ fn main() {
         // Fabric hops on the blocking path, from the counters: the
         // placement, then one for a result its producer pushed or two
         // (request, reply) for one the driver had to ask for.
-        let stats = cluster.node_transfer_stats(NodeId(1)).unwrap();
-        let result_hops = stats.pushed.get() + 2 * stats.requests.get();
+        let producer = cluster.node_registry(NodeId(1)).unwrap();
+        let count = |name: &str| producer.get(name).unwrap();
+        let result_hops = count("transfer.pushed") + 2 * count("transfer.requests");
         let hops = 1.0 + result_hops as f64 / (WARMUP + SAMPLES) as f64;
         let metric = format!("end-to-end, remote ({hops:.1} hops)");
         rows.push(stat_row(&metric, "1 ms", &samples));

@@ -35,7 +35,7 @@
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
-use rtml_bench::print_table;
+use rtml_bench::{env_or, print_table};
 use rtml_common::ids::{DriverId, NodeId, TaskId};
 use rtml_common::resources::Resources;
 use rtml_common::task::{ArgSpec, TaskState};
@@ -157,14 +157,17 @@ fn run_dag(fanout: usize) -> DagRun {
             assert!(pair[0].at_nanos <= pair[1].at_nanos);
         }
     }
+    // A node's ring records its own registry and the cluster-wide one.
     let registry = cluster.node_registry(NodeId(0)).expect("node 0 alive");
-    let expected = registry.sample_names();
+    let mut expected = registry.sample_names();
+    expected.extend(cluster.services().metrics.sample_names());
+    expected.sort();
     let node0 = &series.iter().find(|(n, _)| *n == NodeId(0)).unwrap().1;
     for record in node0.iter() {
         let columns: Vec<&str> = record.samples.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(
             columns, expected,
-            "telemetry columns must match the registry on every record"
+            "telemetry columns must match the registries on every record"
         );
     }
     let telemetry_columns = expected.len();
@@ -307,19 +310,9 @@ fn wait_queued(driver: &Driver, returns: &[rtml_common::ids::ObjectId]) {
 }
 
 fn main() {
-    let fanout: usize = std::env::var("RTML_OBS_TASKS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(DEFAULT_FANOUT);
-    let submit_tasks: usize = std::env::var("RTML_OBS_SUBMIT_TASKS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(DEFAULT_SUBMIT_TASKS);
-    let reps: usize = std::env::var("RTML_OBS_REPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(MIN_OVERHEAD_PAIRS)
-        .max(MIN_OVERHEAD_PAIRS);
+    let fanout: usize = env_or("RTML_OBS_TASKS", DEFAULT_FANOUT);
+    let submit_tasks: usize = env_or("RTML_OBS_SUBMIT_TASKS", DEFAULT_SUBMIT_TASKS);
+    let reps: usize = env_or("RTML_OBS_REPS", MIN_OVERHEAD_PAIRS).max(MIN_OVERHEAD_PAIRS);
 
     let dag = run_dag(fanout);
     let steal_spans = run_steal_spans(48);

@@ -33,21 +33,15 @@
 use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
+use rtml_bench::env_or;
 use rtml_common::event::EventKind;
 use rtml_runtime::{Cluster, ClusterConfig, NodeConfig};
 use rtml_sched::SpillMode;
 
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 fn main() {
-    let nodes = env_usize("RTML_SCALE_NODES", 32).clamp(2, 64);
-    let shards = env_usize("RTML_SCALE_SHARDS", 4).max(1);
-    let fanout = env_usize("RTML_SCALE_FANOUT", 512).max(8) as i64;
+    let nodes = env_or("RTML_SCALE_NODES", 32usize).clamp(2, 64);
+    let shards = env_or("RTML_SCALE_SHARDS", 4usize).max(1);
+    let fanout = env_or("RTML_SCALE_FANOUT", 512usize).max(8) as i64;
     let chains = 32usize;
     let chain_depth = 8usize;
 
@@ -146,7 +140,9 @@ fn main() {
          execution-dominated end-to-end rate ({rate:.0}/s)"
     );
 
-    let (spills, placements, _parked) = cluster.global_stats();
+    let counters = cluster.counters();
+    let spills = counters.get("global.spills").unwrap();
+    let placements = counters.get("global.placements").unwrap();
     assert!(spills > 0, "spill-heavy run never reached the shards");
     let shard_placements: Vec<u64> = cluster
         .global_shard_stats()

@@ -32,7 +32,7 @@
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
-use rtml_bench::print_table;
+use rtml_bench::{env_or, print_table};
 use rtml_common::ids::NodeId;
 use rtml_net::LatencyModel;
 use rtml_runtime::{Cluster, ClusterConfig, NodeConfig};
@@ -180,30 +180,32 @@ fn run(stealing_on: bool, tasks: usize) -> RunResult {
             *busy_micros.entry(worker.node.0).or_insert(0) += micros;
         }
     }
-    let steal_to_run_p50_us = report.steal_to_run.snapshot().p50() / 1_000;
-    let steal = report.steal.clone();
     cluster.shutdown();
+    let count = |name: &str| report.counters.get(name).unwrap();
+    let stolen = count("steal.tasks_stolen");
+    let locality_hits = count("steal.locality_hits");
     RunResult {
         stealing: stealing_on,
         makespan,
         checksum,
-        attempts: steal.attempts,
-        grants: steal.grants,
-        empty_grants: steal.empty_grants,
-        timeouts: steal.timeouts,
-        stolen: steal.tasks_stolen,
-        locality_hits: steal.locality_hits,
-        locality_rate: steal.locality_hit_rate(),
-        steal_to_run_p50_us,
+        attempts: count("steal.attempts"),
+        grants: count("steal.grants"),
+        empty_grants: count("steal.empty_grants"),
+        timeouts: count("steal.timeouts"),
+        stolen,
+        locality_hits,
+        locality_rate: if stolen == 0 {
+            0.0
+        } else {
+            locality_hits as f64 / stolen as f64
+        },
+        steal_to_run_p50_us: count("steal.steal_to_run.p50") / 1_000,
         busy_micros,
     }
 }
 
 fn main() {
-    let tasks: usize = std::env::var("RTML_STEAL_TASKS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(DEFAULT_TASKS);
+    let tasks: usize = env_or("RTML_STEAL_TASKS", DEFAULT_TASKS);
 
     let off = run(false, tasks);
     let on = run(true, tasks);

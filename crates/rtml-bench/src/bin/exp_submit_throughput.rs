@@ -46,7 +46,7 @@
 
 use std::time::{Duration, Instant};
 
-use rtml_bench::print_table;
+use rtml_bench::{env_or, print_table};
 use rtml_common::ids::{DriverId, TaskId};
 use rtml_common::resources::Resources;
 use rtml_common::task::{ArgSpec, TaskState};
@@ -88,16 +88,9 @@ struct Measurement {
 }
 
 fn main() {
-    let tasks_per_size: usize = std::env::var("RTML_SUBMIT_TASKS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(DEFAULT_TASKS_PER_SIZE);
+    let tasks_per_size: usize = env_or("RTML_SUBMIT_TASKS", DEFAULT_TASKS_PER_SIZE);
 
-    let reps: usize = std::env::var("RTML_SUBMIT_REPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3)
-        .max(1);
+    let reps: usize = env_or("RTML_SUBMIT_REPS", 3usize).max(1);
 
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())

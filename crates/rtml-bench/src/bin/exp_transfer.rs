@@ -48,7 +48,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use rtml_bench::{fmt_duration, print_table, DurationStats};
+use rtml_bench::{env_or, fmt_duration, print_table, DurationStats};
 use rtml_common::codec::encode_to_bytes;
 use rtml_common::ids::{DriverId, NodeId, ObjectId, TaskId};
 use rtml_common::resources::Resources;
@@ -413,23 +413,21 @@ fn measure_result_push(results: u64) -> ResultPush {
         .services()
         .fetch_agent(NodeId(0))
         .map_or(0, |agent| agent.stats().chunks_received.get());
+    let count = |name: &str| report.counters.get(name).unwrap();
     let run = ResultPush {
         results,
-        requests_served: report.transfer.requests_served,
+        requests_served: count("transfer.requests"),
         frames_per_result: frames as f64 / results as f64,
         resident_best: resident.iter().copied().min().unwrap_or_default(),
         resident_p50: DurationStats::from_samples(&resident).p50,
     };
-    assert_eq!(report.transfer.pushed, results);
+    assert_eq!(count("transfer.pushed"), results);
     cluster.shutdown();
     run
 }
 
 fn main() {
-    let objects: usize = std::env::var("RTML_TRANSFER_OBJECTS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(DEFAULT_OBJECTS);
+    let objects: usize = env_or("RTML_TRANSFER_OBJECTS", DEFAULT_OBJECTS);
 
     // --- chunking matrix --------------------------------------------------
     let cells = measure_matrix(objects);

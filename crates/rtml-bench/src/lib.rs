@@ -5,7 +5,17 @@
 //! testing" in `README.md`; each binary prints its own paper-vs-measured
 //! table, and the ones CI gates write a `BENCH_*.json` beside it.
 
+use std::str::FromStr;
 use std::time::Duration;
+
+/// An experiment knob: the environment variable `name` parsed as a `T`,
+/// or `default` when it is unset or does not parse.
+pub fn env_or<T: FromStr>(name: &str, default: T) -> T {
+    std::env::var(name)
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default)
+}
 
 /// Renders a fixed-width ASCII table, the format every `exp_*` binary
 /// reports in.
@@ -129,6 +139,15 @@ mod tests {
         assert_eq!(fmt_duration(Duration::from_micros(35)), "35.0 µs");
         assert_eq!(fmt_duration(Duration::from_millis(7)), "7.00 ms");
         assert_eq!(fmt_ratio(6.94), "6.9x");
+    }
+
+    #[test]
+    fn env_or_falls_back_on_unset_and_unparsable() {
+        assert_eq!(env_or("RTML_BENCH_TEST_UNSET_KNOB", 7usize), 7);
+        std::env::set_var("RTML_BENCH_TEST_KNOB", "12");
+        assert_eq!(env_or("RTML_BENCH_TEST_KNOB", 7u64), 12);
+        std::env::set_var("RTML_BENCH_TEST_KNOB", "twelve");
+        assert_eq!(env_or("RTML_BENCH_TEST_KNOB", 7u64), 7);
     }
 
     #[test]

@@ -6,12 +6,14 @@
 //! use power-of-two buckets from 1 ns to ~2.3 hours, giving ≤ 2x relative
 //! error on percentile estimates — plenty for systems benchmarking.
 //!
-//! [`MetricsRegistry`] is the sensing half of the observability plane:
-//! each per-plane counter struct registers its values once (by closure,
-//! so existing `Arc`'d stats structs need no restructuring), and a
-//! periodic sampler reads [`MetricsRegistry::sample`] — a deterministic,
-//! name-sorted flat list of `u64`s — into the telemetry time-series
-//! table.
+//! [`MetricsRegistry`] is the one place a counter gets its name: the
+//! crate that counts registers its stats struct's counters on it (each
+//! struct's `register_metrics`), and every reader reads them back by
+//! that name — a periodic sampler through [`MetricsRegistry::sample`]
+//! (a deterministic, name-sorted flat list of `u64`s) into the
+//! telemetry time-series table, profiles and tests through
+//! [`MetricsRegistry::get`], and sums over many registries through
+//! [`MetricsRegistry::read`].
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -245,22 +247,31 @@ enum Source {
     Histogram(Arc<dyn Fn() -> Snapshot + Send + Sync>),
 }
 
+/// What one source reads right now, before a histogram is flattened:
+/// the raw form [`MetricsRegistry::read`] hands out, so readers that sum
+/// registries can add values and merge histograms bucket by bucket.
+#[derive(Debug)]
+pub enum Reading {
+    /// A counter or gauge.
+    Value(u64),
+    /// A histogram's snapshot.
+    Histogram(Snapshot),
+}
+
 /// The suffixes a histogram source flattens into, in sample order.
 const HISTOGRAM_FIELDS: [&str; 4] = ["count", "p50", "p99", "max"];
 
-/// A registry unifying the scattered per-plane counter structs behind
-/// one registration API — the sensing substrate for telemetry
-/// time-series (and, eventually, adaptive controllers).
+/// The one place a counter is named.
 ///
-/// Registration is closure-based: a component hands over `Fn() -> u64`
-/// (or an `Arc<Counter>` directly), so the live `Arc`'d stats structs
-/// every plane already exports plug in without restructuring. Sampling
-/// ([`MetricsRegistry::sample`]) reads every source and returns a flat,
-/// **name-sorted** `(name, value)` list: the name set and order are
-/// deterministic regardless of registration order or concurrent
-/// recording, so consecutive samples line up column-wise into a
-/// time-series. Histograms flatten into `name.count` / `name.p50` /
-/// `name.p99` / `name.max` columns.
+/// Each crate registers the counters of its own stats struct here
+/// (closures over the live `Arc`'d struct), and every reader — the
+/// telemetry sampler, profiles, benchmarks and tests — reads them back
+/// by name. Sampling ([`MetricsRegistry::sample`]) reads every source
+/// and returns a flat, **name-sorted** `(name, value)` list: the name
+/// set and order are deterministic regardless of registration order or
+/// concurrent recording, so consecutive samples line up column-wise
+/// into a time-series. Histograms flatten into `name.count` /
+/// `name.p50` / `name.p99` / `name.max` columns.
 ///
 /// Registering a name twice replaces the earlier source (restarted
 /// components re-register cleanly).
@@ -273,11 +284,6 @@ impl MetricsRegistry {
     /// Creates an empty registry.
     pub fn new() -> Self {
         MetricsRegistry::default()
-    }
-
-    /// Registers a shared counter under `name`.
-    pub fn register_counter(&self, name: &str, counter: Arc<Counter>) {
-        self.register_value(name, move || counter.get());
     }
 
     /// Registers a single-value source (gauge or counter) under `name`.
@@ -321,18 +327,31 @@ impl MetricsRegistry {
         self.sample().into_iter().map(|(name, _)| name).collect()
     }
 
+    /// Reads every source unflattened, in name order.
+    pub fn read(&self) -> Vec<(String, Reading)> {
+        let sources = self.sources.lock().expect("metrics registry poisoned");
+        sources
+            .iter()
+            .map(|(name, source)| {
+                let reading = match source {
+                    Source::Value(read) => Reading::Value(read()),
+                    Source::Histogram(snapshot) => Reading::Histogram(snapshot()),
+                };
+                (name.clone(), reading)
+            })
+            .collect()
+    }
+
     /// Reads every source into one flat, name-sorted `(name, value)`
     /// list. The shape (names and order) is a pure function of the
     /// registered set, so samples taken while other threads record
     /// concurrently still align column-wise.
     pub fn sample(&self) -> Vec<(String, u64)> {
-        let sources = self.sources.lock().expect("metrics registry poisoned");
-        let mut out = Vec::with_capacity(sources.len());
-        for (name, source) in sources.iter() {
-            match source {
-                Source::Value(read) => out.push((name.clone(), read())),
-                Source::Histogram(snapshot) => {
-                    let snap = snapshot();
+        let mut out = Vec::new();
+        for (name, reading) in self.read() {
+            match reading {
+                Reading::Value(value) => out.push((name, value)),
+                Reading::Histogram(snap) => {
                     let values = [snap.count(), snap.p50(), snap.p99(), snap.max()];
                     for (field, value) in HISTOGRAM_FIELDS.iter().zip(values) {
                         out.push((format!("{name}.{field}"), value));
@@ -340,12 +359,21 @@ impl MetricsRegistry {
                 }
             }
         }
-        // BTreeMap iteration is name-sorted, but flattened histogram
-        // fields interleave with neighbouring names ("h.count" sorts
-        // after a sibling "h2" would) — sort the flat list so the
-        // column order is exactly lexicographic.
+        // Sources come name-sorted, but flattened histogram fields
+        // interleave with neighbouring names ("h.count" sorts after a
+        // sibling "h2" would) — sort the flat list so the column order
+        // is exactly lexicographic.
         out.sort_by(|a, b| a.0.cmp(&b.0));
         out
+    }
+
+    /// The value [`MetricsRegistry::sample`] emits under `name` (a
+    /// histogram's by its flattened `name.p50`-style column); `None`
+    /// when no such column is registered.
+    pub fn get(&self, name: &str) -> Option<u64> {
+        self.sample()
+            .into_iter()
+            .find_map(|(column, value)| (column == name).then_some(value))
     }
 }
 
@@ -470,7 +498,7 @@ mod tests {
         let registry = MetricsRegistry::new();
         let c = Arc::new(Counter::new());
         c.add(5);
-        registry.register_counter("z.steal.attempts", c);
+        registry.register_value("z.steal.attempts", move || c.get());
         registry.register_value("a.fetches", || 7);
         let h = Arc::new(Histogram::new());
         h.record(1000);
@@ -496,6 +524,17 @@ mod tests {
         assert_eq!(sample[2].1, 1000); // max
         assert_eq!(sample[5].1, 5);
         assert_eq!(registry.sample_names().len(), 6);
+
+        // Read back by the column name, or raw and unflattened.
+        assert_eq!(registry.get("a.fetches"), Some(7));
+        assert_eq!(registry.get("m.latency.max"), Some(1000));
+        assert_eq!(registry.get("m.latency"), None);
+        assert_eq!(registry.get("nope"), None);
+        let raw = registry.read();
+        assert_eq!(raw.len(), 3);
+        assert!(
+            matches!(&raw[1], (name, Reading::Histogram(s)) if name == "m.latency" && s.count() == 1)
+        );
     }
 
     #[test]
@@ -511,7 +550,8 @@ mod tests {
     fn registry_shape_is_stable_under_concurrent_recording() {
         let registry = Arc::new(MetricsRegistry::new());
         let c = Arc::new(Counter::new());
-        registry.register_counter("hits", c.clone());
+        let hits = c.clone();
+        registry.register_value("hits", move || hits.get());
         let h = Arc::new(Histogram::new());
         let h2 = h.clone();
         registry.register_histogram("lat", move || h2.snapshot());

@@ -5,6 +5,8 @@ use std::sync::Arc;
 use bytes::Bytes;
 use crossbeam::channel::unbounded;
 
+use rtml_common::metrics::MetricsRegistry;
+
 use crate::shard::{fnv1a_64, Shard, Subscription, FNV_OFFSET};
 
 /// A hash-sharded, in-memory control-plane store with pub-sub.
@@ -317,6 +319,15 @@ impl KvStore {
             ops_per_shard: self.shards.iter().map(|s| s.ops.get()).collect(),
             locks_per_shard: self.shards.iter().map(|s| s.locks.get()).collect(),
         }
+    }
+
+    /// Registers the control plane's operation and lock totals
+    /// (`kv.ops`, `kv.locks`).
+    pub fn register_metrics(self: &Arc<Self>, registry: &MetricsRegistry) {
+        let kv = self.clone();
+        registry.register_value("kv.ops", move || kv.stats().total_ops());
+        let kv = self.clone();
+        registry.register_value("kv.locks", move || kv.stats().total_locks());
     }
 
     /// Snapshot of every shard, for replication.

@@ -22,7 +22,7 @@ use bytes::Bytes;
 use rtml_common::codec::{decode_from_slice, Codec, Reader, Writer};
 use rtml_common::event::{Component, Event};
 use rtml_common::ids::NodeId;
-use rtml_common::metrics::Counter;
+use rtml_common::metrics::{Counter, MetricsRegistry};
 
 use crate::store::KvStore;
 
@@ -88,6 +88,12 @@ impl EventLog {
     /// streams and all clones of this handle.
     pub fn dropped_count(&self) -> u64 {
         self.dropped.get()
+    }
+
+    /// Registers the retention drop count (`events.dropped`).
+    pub fn register_metrics(&self, registry: &MetricsRegistry) {
+        let dropped = self.dropped.clone();
+        registry.register_value("events.dropped", move || dropped.get());
     }
 
     fn key(node: NodeId, component: Component) -> Bytes {

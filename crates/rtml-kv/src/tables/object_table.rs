@@ -45,7 +45,7 @@ use crossbeam::channel::Receiver;
 use rtml_common::codec::{decode_from_slice, encode_to_bytes, Codec, Reader, Writer};
 use rtml_common::error::{Error, Result};
 use rtml_common::ids::{rendezvous_rank, NodeId, ObjectId, TaskId};
-use rtml_common::metrics::Counter;
+use rtml_common::metrics::{Counter, MetricsRegistry};
 use rtml_common::time::now_nanos;
 
 use crate::shard::Subscription;
@@ -193,12 +193,13 @@ impl ObjectTable {
         }
     }
 
-    /// Copies that landed on a node only after the announcement naming
-    /// it had expired: its readers had given up on the push and pulled
-    /// (or the push was that late). Counted over this handle and its
-    /// clones.
-    pub fn late_pushes(&self) -> u64 {
-        self.late_pushes.get()
+    /// Registers the count of copies that landed on a node only after
+    /// the announcement naming it had expired — its readers had given up
+    /// on the push and pulled, or the push was that late — over this
+    /// handle and its clones (`objects.late_pushes`).
+    pub fn register_metrics(&self, registry: &MetricsRegistry) {
+        let late = self.late_pushes.clone();
+        registry.register_value("objects.late_pushes", move || late.get());
     }
 
     fn key(object: ObjectId) -> Bytes {
@@ -599,6 +600,9 @@ mod tests {
     fn a_pushed_copy_is_announced_to_its_node_only_until_it_lands_or_expires() {
         let kv = KvStore::new(2);
         let table = ObjectTable::new(kv);
+        let registry = MetricsRegistry::new();
+        table.register_metrics(&registry);
+        let late_pushes = || registry.get("objects.late_pushes").unwrap();
         let (obj, _) = ids();
         let live = Inbound {
             node: NodeId(0),
@@ -619,7 +623,7 @@ mod tests {
         let info = table.get(obj).unwrap();
         assert_eq!(info.locations, vec![NodeId(1), NodeId(0)]);
         assert_eq!(info.inbound, None);
-        assert_eq!(table.late_pushes(), 0);
+        assert_eq!(late_pushes(), 0);
         // A replayed seal does not announce a node that already holds it.
         table.add_location_pushed(obj, NodeId(1), 8, live);
         assert_eq!(table.get(obj).unwrap().inbound, None);
@@ -641,7 +645,7 @@ mod tests {
         // pulled: counted, on every clone of the handle.
         table.clone().add_location(other, NodeId(0), 8);
         assert_eq!(table.get(other).unwrap().inbound, None);
-        assert_eq!(table.late_pushes(), 1);
+        assert_eq!(late_pushes(), 1);
     }
 
     #[test]

@@ -2,16 +2,15 @@
 //!
 //! This is the time-series half of the observability plane (paper R7:
 //! profiling tools attached to the centralized control state). Each node
-//! runs a sampler that reads its `MetricsRegistry` on a period and
-//! group-commits the whole snapshot here as **one record on one key** —
-//! one shard lock acquisition per node per sampling interval, so the
-//! sensing plane costs the control plane a few locks per second per
-//! node regardless of how many metrics are registered.
+//! runs a sampler that reads its own `MetricsRegistry` and the cluster's
+//! on a period and group-commits the whole snapshot here as **one record
+//! on one key** — one shard lock acquisition per node per sampling
+//! interval, so the sensing plane costs the control plane a few locks
+//! per second per node regardless of how many metrics are registered.
 //!
 //! Every stream is a ring bounded by the table's retention, so a
-//! long-running cluster holds a sliding window of recent samples — the
-//! substrate an adaptive controller (ROADMAP item 4) can close loops
-//! over — without unbounded control-plane memory.
+//! long-running cluster holds a sliding window of recent samples
+//! without unbounded control-plane memory.
 
 use std::sync::Arc;
 

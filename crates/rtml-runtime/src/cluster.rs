@@ -6,7 +6,7 @@
 //! Failure injection ([`Cluster::kill_worker`], [`Cluster::kill_node`],
 //! [`Cluster::restart_node`]) drives the fault-tolerance experiments.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -17,6 +17,7 @@ use rtml_common::codec::Codec;
 use rtml_common::error::{Error, Result};
 use rtml_common::event::{Component, Event, EventKind};
 use rtml_common::ids::{DriverId, NodeId, WorkerId};
+use rtml_common::metrics::{Histogram, MetricsRegistry, Reading};
 use rtml_common::task::TaskState;
 use rtml_kv::FunctionInfo;
 use rtml_net::{FabricConfig, LatencyModel};
@@ -292,6 +293,10 @@ impl Cluster {
             services.events.clone(),
             rtml_kv::LoadDigestTable::new(services.kv.clone()),
         );
+        // Before any node's sampler starts, so every record has every
+        // column.
+        recon.register_metrics(&services.metrics);
+        global.register_metrics(&services.metrics);
 
         let tuning = NodeTuning {
             spill: config.spill.clone(),
@@ -349,21 +354,6 @@ impl Cluster {
     /// The lineage-replay coordinator (exposes reconstruction counters).
     pub fn reconstructions(&self) -> u64 {
         self.recon.reconstructions.get()
-    }
-
-    /// Replays deferred by the reconstruction cap (retried by callers'
-    /// poll loops once active replays drain).
-    pub fn reconstructions_deferred(&self) -> u64 {
-        self.recon.deferred.get()
-    }
-
-    /// Global-scheduler counters, summed across shards: `(spills
-    /// received, placements issued, tasks parked)`.
-    pub fn global_stats(&self) -> (u64, u64, u64) {
-        match self.global.lock().as_ref() {
-            Some(global) => global.totals(),
-            None => (0, 0, 0),
-        }
     }
 
     /// Per-shard global-scheduler counters, in shard order: one
@@ -499,43 +489,47 @@ impl Cluster {
         self.nodes.lock().get(&node).map(|n| n.config().clone())
     }
 
-    /// Builds a profiling report from the event log (R7), merged with
-    /// the live data-plane counters (every alive node's object plane).
+    /// Builds a profiling report from the event log (R7), with the live
+    /// counters of the whole cluster ([`Cluster::counters`]).
     pub fn profile(&self) -> ProfileReport {
         let mut report = ProfileReport::from_events(&self.services.events.read_all());
         report.dropped_records = self.services.events.dropped_count();
         report.partial = report.dropped_records > 0;
-        let fabric = &self.services.fabric.stats;
-        report.faults.injected_drops = fabric.injected_drops.get();
-        report.faults.injected_dups = fabric.injected_dups.get();
-        report.faults.injected_delays = fabric.injected_delays.get();
-        report.faults.injected_gray = fabric.injected_gray.get();
-        report.faults.reconstructions_deferred = self.recon.deferred.get();
-        report.transfer.late_pushes = self.services.objects.late_pushes();
-        let nodes = self.nodes.lock();
-        for runtime in nodes.values() {
-            let t = runtime.transfer_stats();
-            report.transfer.requests_served += t.requests.get();
-            report.transfer.objects_served += t.objects_served.get();
-            report.transfer.misses += t.misses_served.get();
-            report.transfer.decode_errors += t.decode_errors.get() + t.bad_chunks.get();
-            report.transfer.send_failures += t.send_failures.get();
-            report.transfer.chunks_sent += t.chunks_sent.get();
-            report.transfer.pushed += t.pushed.get();
-            report.transfer.fetches += t.transfers.get();
-            report.transfer.duplicate_fetches_suppressed += t.duplicates_suppressed.get();
-            report.transfer.chunks_received += t.chunks_received.get();
-            report.transfer.fetch_timeouts += t.timeouts.get();
-            report.transfer.pushes_received += t.pushes_received.get();
-            let s = runtime.sched_stats();
-            report.prefetch_skipped_capacity += s.prefetch_skipped_capacity.get();
-            report.prefetch_deferred_priority += s.prefetch_deferred_priority.get();
-            report.steal.absorb(&s.steal);
-            report
-                .steal_to_run
-                .merge_snapshot(&s.steal.steal_to_run.snapshot());
-        }
+        report.counters = self.counters();
         report
+    }
+
+    /// Every counter of the cluster, read by the name it is registered
+    /// under: the cluster-wide ones ([`Services::metrics`]) plus every
+    /// alive node's registry, summed — values add, histograms merge
+    /// bucket by bucket. A killed node's counts leave with it.
+    pub fn counters(&self) -> MetricsRegistry {
+        let mut values: BTreeMap<String, u64> = BTreeMap::new();
+        let mut histograms: BTreeMap<String, Histogram> = BTreeMap::new();
+        let nodes = self.nodes.lock();
+        let registries = nodes
+            .values()
+            .map(NodeRuntime::registry)
+            .chain([&self.services.metrics]);
+        for registry in registries {
+            for (name, reading) in registry.read() {
+                match reading {
+                    Reading::Value(value) => *values.entry(name).or_default() += value,
+                    Reading::Histogram(snap) => {
+                        histograms.entry(name).or_default().merge_snapshot(&snap)
+                    }
+                }
+            }
+        }
+        let sum = MetricsRegistry::new();
+        for (name, value) in values {
+            sum.register_value(&name, move || value);
+        }
+        for (name, histogram) in histograms {
+            let snap = histogram.snapshot();
+            sum.register_histogram(&name, move || snap.clone());
+        }
+        sum
     }
 
     /// Critical-path attribution for the task that produced `sink`
@@ -576,35 +570,14 @@ impl Cluster {
         .read_all()
     }
 
-    /// One node's metrics registry (the live counters its sampler
-    /// reads). `None` if the node is not alive.
-    pub fn node_registry(
-        &self,
-        node: NodeId,
-    ) -> Option<Arc<rtml_common::metrics::MetricsRegistry>> {
+    /// One node's metrics registry: the live counters its own
+    /// components count (its sampler records them beside
+    /// [`Services::metrics`]). `None` if the node is not alive.
+    pub fn node_registry(&self, node: NodeId) -> Option<Arc<MetricsRegistry>> {
         self.nodes
             .lock()
             .get(&node)
             .map(|runtime| runtime.registry().clone())
-    }
-
-    /// One node's live local-scheduler counters (prefetch admission and
-    /// steal-plane numbers). `None` if the node is not alive.
-    pub fn node_sched_stats(&self, node: NodeId) -> Option<Arc<rtml_sched::LocalSchedulerStats>> {
-        self.nodes
-            .lock()
-            .get(&node)
-            .map(|runtime| runtime.sched_stats().clone())
-    }
-
-    /// One node's live object-plane counters (what this node served,
-    /// relayed, handed on and pushed, and what it fetched). `None` if
-    /// the node is not alive.
-    pub fn node_transfer_stats(&self, node: NodeId) -> Option<Arc<rtml_store::TransferStats>> {
-        self.nodes
-            .lock()
-            .get(&node)
-            .map(|runtime| runtime.transfer_stats().clone())
     }
 
     /// Spawns a stateful actor on `node` (an extension beyond the paper's

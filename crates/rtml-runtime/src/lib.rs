@@ -66,9 +66,7 @@ pub use envelope::Envelope;
 pub use lineage::ReconstructionManager;
 pub use node::NodeConfig;
 pub use object_ref::{IntoArg, ObjectRef};
-pub use profiling::{
-    FaultPlaneStats, Incident, PlaneSpan, ProfileReport, TaskProfile, TransferPlaneStats,
-};
+pub use profiling::{Incident, PlaneSpan, ProfileReport, TaskProfile};
 pub use registry::{Func0, Func1, Func2, Func3, Func4, FunctionRegistry};
 pub use rtml_sched::HealthTracker;
 pub use services::Services;

@@ -18,7 +18,7 @@ use parking_lot::Mutex;
 
 use rtml_common::event::{Component, Event, EventKind};
 use rtml_common::ids::{ObjectId, TaskId};
-use rtml_common::metrics::Counter;
+use rtml_common::metrics::{Counter, MetricsRegistry};
 use rtml_common::task::TaskState;
 
 use crate::envelope;
@@ -57,8 +57,10 @@ pub struct ReconstructionManager {
     /// Total reconstructions performed (for experiments).
     pub reconstructions: Counter,
     /// Replays deferred by the cap; the callers' poll loops re-trigger
-    /// them once active replays drain.
-    pub deferred: Counter,
+    /// them once active replays drain. Shared with the registry it is
+    /// registered on (the services' own, so not through `self`: that
+    /// would be a cycle).
+    deferred: Arc<Counter>,
 }
 
 impl ReconstructionManager {
@@ -77,8 +79,15 @@ impl ReconstructionManager {
             }),
             stuck_after,
             reconstructions: Counter::new(),
-            deferred: Counter::new(),
+            deferred: Arc::default(),
         })
+    }
+
+    /// Registers the count of replays the cap deferred
+    /// (`recon.deferred`).
+    pub fn register_metrics(&self, registry: &MetricsRegistry) {
+        let deferred = self.deferred.clone();
+        registry.register_value("recon.deferred", move || deferred.get());
     }
 
     /// Called when someone needs `object` but no live copy exists.

@@ -8,13 +8,13 @@ use crossbeam::channel::unbounded;
 
 use rtml_common::event::{Component, Event, EventKind};
 use rtml_common::ids::{NodeId, WorkerId};
-use rtml_common::metrics::Counter;
+use rtml_common::metrics::MetricsRegistry;
 use rtml_common::resources::Resources;
 use rtml_sched::{
     GlobalRoutes, LocalMsg, LocalScheduler, LocalSchedulerConfig, LocalSchedulerHandle, Replay,
     SchedServices, SpillMode,
 };
-use rtml_store::{FetchAgent, ObjectStore, StoreConfig, TransferStats};
+use rtml_store::{FetchAgent, ObjectStore, StoreConfig};
 
 use crate::lineage::ReconstructionManager;
 use crate::services::Services;
@@ -117,8 +117,9 @@ pub struct NodeRuntime {
     /// Shared with the pool-manager thread, which appends on-demand
     /// workers (nested-task deadlock avoidance).
     workers: Arc<parking_lot::Mutex<Vec<WorkerRuntime>>>,
-    /// Every plane's live counters, registered once at build time.
-    registry: Arc<rtml_common::metrics::MetricsRegistry>,
+    /// The node's components' live counters, registered once at build
+    /// time.
+    registry: Arc<MetricsRegistry>,
     /// The telemetry sampler, when the plane is on.
     sampler: Option<crate::telemetry::TelemetrySampler>,
 }
@@ -237,16 +238,19 @@ impl NodeRuntime {
             config.total_resources(),
         );
 
-        // The sensing plane: register every component's live counters
-        // once, then (if enabled) sample them all into the kv-backed
-        // telemetry ring on a period — one group-committed record per
-        // node per interval.
-        let registry = Arc::new(rtml_common::metrics::MetricsRegistry::new());
-        Self::register_metrics(&registry, services, &agent, &sched, &store);
+        // The sensing plane: every component registers its own live
+        // counters once, then (if enabled) the sampler records them,
+        // beside the cluster-wide ones, into the kv-backed telemetry
+        // ring on a period — one group-committed record per node per
+        // interval.
+        let registry = Arc::new(MetricsRegistry::new());
+        agent.stats().register_metrics(&registry);
+        sched.stats().register_metrics(&registry);
+        store.register_metrics(&registry);
         let sampler = if tuning.telemetry.enabled {
             Some(crate::telemetry::TelemetrySampler::spawn(
                 node,
-                registry.clone(),
+                vec![registry.clone(), services.metrics.clone()],
                 rtml_kv::TelemetryTable::with_retention(
                     services.kv.clone(),
                     tuning.telemetry.retention,
@@ -269,98 +273,14 @@ impl NodeRuntime {
         }
     }
 
-    /// Registers every plane's counters under stable dotted names.
-    /// Names are per-node streams except `fabric.*` and `kv.*`, which
-    /// read cluster-wide shared state (documented as aggregates).
-    fn register_metrics(
-        registry: &Arc<rtml_common::metrics::MetricsRegistry>,
-        services: &Arc<Services>,
-        agent: &Arc<FetchAgent>,
-        sched: &LocalSchedulerHandle,
-        store: &Arc<ObjectStore>,
-    ) {
-        // The object plane: what it served (`transfer.*`) and what it
-        // fetched for this node (`fetch.*`).
-        type Read = fn(&TransferStats) -> &Counter;
-        let counters: [(&str, Read); 11] = [
-            ("transfer.requests", |s| &s.requests),
-            ("transfer.objects_served", |s| &s.objects_served),
-            ("transfer.misses", |s| &s.misses_served),
-            ("transfer.chunks_sent", |s| &s.chunks_sent),
-            ("transfer.pushed", |s| &s.pushed),
-            ("fetch.transfers", |s| &s.transfers),
-            ("fetch.requests_sent", |s| &s.requests_sent),
-            ("fetch.duplicates_suppressed", |s| &s.duplicates_suppressed),
-            ("fetch.objects_fetched", |s| &s.objects_fetched),
-            ("fetch.pushes_received", |s| &s.pushes_received),
-            ("fetch.timeouts", |s| &s.timeouts),
-        ];
-        for (name, read) in counters {
-            let stats = agent.stats().clone();
-            registry.register_value(name, move || read(&stats).get());
-        }
-
-        // Scheduler: prefetch and steal planes.
-        let stats = sched.stats().clone();
-        registry.register_value("sched.prefetch_skipped_capacity", move || {
-            stats.prefetch_skipped_capacity.get()
-        });
-        let stats = sched.stats().clone();
-        registry.register_value("sched.prefetch_deferred_priority", move || {
-            stats.prefetch_deferred_priority.get()
-        });
-        let stats = sched.stats().clone();
-        registry.register_value("steal.attempts", move || stats.steal.attempts.get());
-        let stats = sched.stats().clone();
-        registry.register_value("steal.grants", move || stats.steal.grants.get());
-        let stats = sched.stats().clone();
-        registry.register_value("steal.empty_grants", move || stats.steal.empty_grants.get());
-        let stats = sched.stats().clone();
-        registry.register_value("steal.tasks_stolen", move || stats.steal.tasks_stolen.get());
-        let stats = sched.stats().clone();
-        registry.register_value("steal.tasks_granted", move || {
-            stats.steal.tasks_granted.get()
-        });
-        let stats = sched.stats().clone();
-        registry.register_histogram("steal.steal_to_run", move || {
-            stats.steal.steal_to_run.snapshot()
-        });
-
-        // Local store occupancy (gauge).
-        let s = store.clone();
-        registry.register_value("store.used_bytes", move || s.used_bytes());
-        let s = store.clone();
-        registry.register_value("store.objects", move || s.len() as u64);
-
-        // Cluster-wide shared state: the fabric and the control-plane
-        // store. Same totals from every node's sampler.
-        services.fabric.register_metrics(registry);
-        let kv = services.kv.clone();
-        registry.register_value("kv.ops", move || kv.stats().total_ops());
-        let kv = services.kv.clone();
-        registry.register_value("kv.locks", move || kv.stats().total_locks());
-        let events = services.events.clone();
-        registry.register_value("events.dropped", move || events.dropped_count());
-    }
-
     /// The node's static configuration (used for restarts).
     pub fn config(&self) -> &NodeConfig {
         &self.config
     }
 
-    /// The node's object-plane counters.
-    pub fn transfer_stats(&self) -> &Arc<rtml_store::TransferStats> {
-        self.agent.stats()
-    }
-
-    /// The node's local-scheduler counters.
-    pub fn sched_stats(&self) -> &Arc<rtml_sched::LocalSchedulerStats> {
-        self.sched.stats()
-    }
-
-    /// The node's metrics registry (every plane's counters, registered
-    /// at build time).
-    pub fn registry(&self) -> &Arc<rtml_common::metrics::MetricsRegistry> {
+    /// The node's metrics registry (its components' counters,
+    /// registered at build time).
+    pub fn registry(&self) -> &Arc<MetricsRegistry> {
         &self.registry
     }
 

@@ -10,8 +10,7 @@ use std::collections::HashMap;
 
 use rtml_common::event::{Event, EventKind};
 use rtml_common::ids::{NodeId, TaskId, WorkerId};
-use rtml_common::metrics::{fmt_nanos, Histogram};
-use rtml_sched::StealStats;
+use rtml_common::metrics::{fmt_nanos, Histogram, MetricsRegistry};
 
 /// Per-task timeline assembled from the event log.
 #[derive(Clone, Debug, Default)]
@@ -61,111 +60,6 @@ impl TaskProfile {
     pub fn dispatch_latency_nanos(&self) -> Option<u64> {
         Some(self.started?.saturating_sub(self.queued?))
     }
-}
-
-/// Aggregated live data-plane counters (transfer services + fetch
-/// agents across all alive nodes), attached by
-/// [`crate::Cluster::profile`]. Zero when a report is built from raw
-/// events alone.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct TransferPlaneStats {
-    /// Request frames served by transfer services (each may name many
-    /// objects — compare with `objects_served` for the coalescing
-    /// factor).
-    pub requests_served: u64,
-    /// Objects served (found and streamed back).
-    pub objects_served: u64,
-    /// Requested objects the holder no longer had.
-    pub misses: u64,
-    /// Undecodable frames and dropped chunk frames observed by the
-    /// nodes' object planes.
-    pub decode_errors: u64,
-    /// Reply streams the fabric refused (requester gone).
-    pub send_failures: u64,
-    /// Chunk frames emitted by services.
-    pub chunks_sent: u64,
-    /// Distinct transfers started by fetch agents.
-    pub fetches: u64,
-    /// Fetches answered by joining an in-flight transfer instead of
-    /// issuing a duplicate request (single-flight suppression).
-    pub duplicate_fetches_suppressed: u64,
-    /// Chunk frames received by fetch agents.
-    pub chunks_received: u64,
-    /// Fetch waits that gave up before completion.
-    pub fetch_timeouts: u64,
-    /// Small results their producers sent to the submitter's node
-    /// unasked, on seal (frames the fabric accepted).
-    pub pushed: u64,
-    /// Objects fetch agents sealed that nobody on their node had asked
-    /// for: pushed results that arrived.
-    pub pushes_received: u64,
-    /// Copies that landed on a node only after the push announced to it
-    /// had expired: its readers fell back to a pull.
-    pub late_pushes: u64,
-}
-
-/// Aggregated live steal-plane counters (per-node local schedulers),
-/// attached by [`crate::Cluster::profile`]. Zero when the plane is off
-/// or a report is built from raw events alone.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct StealPlaneStats {
-    /// Steal requests sent by idle schedulers.
-    pub attempts: u64,
-    /// Non-empty grants received.
-    pub grants: u64,
-    /// Empty grants received (stale victims whose queues drained).
-    pub empty_grants: u64,
-    /// Requests that timed out without any grant (victim died).
-    pub timeouts: u64,
-    /// Tasks received via grants.
-    pub tasks_stolen: u64,
-    /// Stolen tasks arriving with at least one dependency already
-    /// resident on the thief — the locality scoring landing.
-    pub locality_hits: u64,
-    /// Tasks handed out by victims.
-    pub tasks_granted: u64,
-}
-
-impl StealPlaneStats {
-    /// Fraction of stolen tasks that found a dependency already local
-    /// (1.0 when every steal was locality-guided; 0.0 when none were,
-    /// or nothing was stolen).
-    pub fn locality_hit_rate(&self) -> f64 {
-        if self.tasks_stolen == 0 {
-            return 0.0;
-        }
-        self.locality_hits as f64 / self.tasks_stolen as f64
-    }
-
-    /// Folds one scheduler's live counters in.
-    pub fn absorb(&mut self, stats: &StealStats) {
-        self.attempts += stats.attempts.get();
-        self.grants += stats.grants.get();
-        self.empty_grants += stats.empty_grants.get();
-        self.timeouts += stats.timeouts.get();
-        self.tasks_stolen += stats.tasks_stolen.get();
-        self.locality_hits += stats.locality_hits.get();
-        self.tasks_granted += stats.tasks_granted.get();
-    }
-}
-
-/// Aggregated chaos-plane counters: what the fault plan injected on the
-/// fabric and how the graceful-degradation machinery responded.
-/// Attached by [`crate::Cluster::profile`]; zero when the fault plan is
-/// inert or a report is built from raw events alone.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct FaultPlaneStats {
-    /// Frames silently dropped by the fault plan (drop rules and
-    /// scheduled partition windows combined).
-    pub injected_drops: u64,
-    /// Frames delivered twice by the duplication rules.
-    pub injected_dups: u64,
-    /// Frames held back by a delay-spike rule.
-    pub injected_delays: u64,
-    /// Frames slowed by a gray-link rule.
-    pub injected_gray: u64,
-    /// Lineage replays deferred by the reconstruction cap.
-    pub reconstructions_deferred: u64,
 }
 
 /// One plane-operation span folded from the event log. The emitting
@@ -231,24 +125,10 @@ pub struct ProfileReport {
     /// Prefetched dependencies that subsequently arrived on the
     /// requesting node (the transfer completed).
     pub prefetch_hits: usize,
-    /// Live data-plane counters (populated by
-    /// [`crate::Cluster::profile`]; zero for raw event folds).
-    pub transfer: TransferPlaneStats,
-    /// Dispatch-time prefetches skipped by the capacity admission guard
-    /// (live scheduler counters; zero for raw event folds).
-    pub prefetch_skipped_capacity: u64,
-    /// Dispatch-time prefetches deferred by head-of-queue
-    /// prioritization under a tight budget (live scheduler counters).
-    pub prefetch_deferred_priority: u64,
-    /// Live steal-plane counters (populated by
-    /// [`crate::Cluster::profile`]; zero for raw event folds).
-    pub steal: StealPlaneStats,
-    /// Live chaos-plane counters (populated by
-    /// [`crate::Cluster::profile`]; zero for raw event folds).
-    pub faults: FaultPlaneStats,
-    /// Grant-arrival → worker-dispatch latency across every stolen
-    /// task, folded from the per-node histograms.
-    pub steal_to_run: Histogram,
+    /// The cluster's live counters, read by their registered names
+    /// ([`crate::Cluster::counters`], attached by
+    /// [`crate::Cluster::profile`]; empty for raw event folds).
+    pub counters: MetricsRegistry,
     /// Steal grants recorded in the event log (`TaskStolen` records —
     /// the events-based mirror of `steal.tasks_granted`).
     pub steal_events: usize,
@@ -481,7 +361,13 @@ impl ProfileReport {
     /// Human-readable multi-line summary.
     pub fn summary(&self) -> String {
         let latency = self.scheduling_latency().snapshot();
-        let steal_latency = self.steal_to_run.snapshot();
+        let count = |name: &str| self.counters.get(name).unwrap_or(0);
+        let stolen = count("steal.tasks_stolen");
+        let locality = if stolen == 0 {
+            0.0
+        } else {
+            count("steal.locality_hits") as f64 / stolen as f64
+        };
         let retention = if self.partial {
             format!(
                 "\nevent log: PARTIAL — {} records dropped by retention; oldest timeline edges may be missing",
@@ -510,24 +396,24 @@ impl ProfileReport {
             self.evictions,
             self.prefetches_issued,
             self.prefetch_hits,
-            self.prefetch_skipped_capacity,
-            self.prefetch_deferred_priority,
-            self.transfer.duplicate_fetches_suppressed,
-            self.transfer.pushed,
-            self.transfer.pushes_received,
-            self.transfer.late_pushes,
-            self.steal.attempts,
-            self.steal.grants,
-            self.steal.tasks_stolen,
-            self.steal.locality_hit_rate(),
-            fmt_nanos(steal_latency.p50()),
+            count("sched.prefetch_skipped_capacity"),
+            count("sched.prefetch_deferred_priority"),
+            count("fetch.duplicates_suppressed"),
+            count("transfer.pushed"),
+            count("fetch.pushes_received"),
+            count("objects.late_pushes"),
+            count("steal.attempts"),
+            count("steal.grants"),
+            stolen,
+            locality,
+            fmt_nanos(count("steal.steal_to_run.p50")),
             self.workers_lost,
             self.nodes_lost,
-            self.faults.injected_drops,
-            self.faults.injected_dups,
-            self.faults.injected_delays,
-            self.faults.injected_gray,
-            self.faults.reconstructions_deferred,
+            count("fabric.injected_drops"),
+            count("fabric.injected_dups"),
+            count("fabric.injected_delays"),
+            count("fabric.injected_gray"),
+            count("recon.deferred"),
         )
     }
 

@@ -10,6 +10,7 @@ use parking_lot::RwLock;
 use rtml_common::error::{Error, Result};
 use rtml_common::event::{Component, Event, EventKind};
 use rtml_common::ids::{NodeId, ObjectId};
+use rtml_common::metrics::MetricsRegistry;
 use rtml_common::resources::Resources;
 use rtml_common::retry::RetryPolicy;
 use rtml_common::task::TaskSpec;
@@ -94,6 +95,12 @@ pub struct Services {
     pub health: Arc<HealthTracker>,
     /// Timing knobs.
     pub tuning: RuntimeTuning,
+    /// The counters of cluster-wide state — the fabric, the control
+    /// plane, the event log, the object table, and (registered by the
+    /// cluster) the global scheduler and lineage replay — named once for
+    /// the whole cluster. Every node's telemetry sampler records them
+    /// beside its own registry's.
+    pub metrics: Arc<MetricsRegistry>,
     router: RwLock<HashMap<NodeId, Sender<LocalMsg>>>,
     stores: RwLock<HashMap<NodeId, Arc<ObjectStore>>>,
     agents: RwLock<HashMap<NodeId, Arc<FetchAgent>>>,
@@ -114,16 +121,24 @@ impl Services {
         } else {
             EventLog::disabled(kv.clone())
         };
+        let objects = ObjectTable::new(kv.clone());
+        let fabric = Fabric::new(fabric_config);
+        let metrics = Arc::new(MetricsRegistry::new());
+        fabric.register_metrics(&metrics);
+        kv.register_metrics(&metrics);
+        events.register_metrics(&metrics);
+        objects.register_metrics(&metrics);
         Arc::new(Services {
-            objects: ObjectTable::new(kv.clone()),
+            objects,
             tasks: TaskTable::new(kv.clone()),
             functions: FunctionTable::new(kv.clone()),
             events,
             registry: FunctionRegistry::new(),
-            fabric: Fabric::new(fabric_config),
+            fabric,
             directory: TransferDirectory::new(),
             health: HealthTracker::new(kv.clone(), tuning.suspect_after),
             tuning,
+            metrics,
             router: RwLock::new(HashMap::new()),
             stores: RwLock::new(HashMap::new()),
             agents: RwLock::new(HashMap::new()),

@@ -1,18 +1,17 @@
 //! The per-node telemetry sampler: the sensing half of the
 //! observability plane.
 //!
-//! Every node carries a [`MetricsRegistry`] into which its plane
-//! components (transfer, fetch, scheduler/steal, fabric, kv) register
-//! their live counters at build time. The sampler thread
-//! reads the whole registry on a period and group-commits the snapshot
-//! to the kv-backed [`TelemetryTable`] as **one record on one key** —
-//! one control-plane lock per node per interval, independent of how
-//! many metrics are registered. The per-node rings are bounded, so a
-//! long-running cluster holds a sliding window of recent samples.
-//!
-//! This is the substrate ROADMAP item 4's adaptive controller will
-//! close loops over: a column-aligned time-series per node, not just
-//! end-of-run totals.
+//! Every node carries a [`MetricsRegistry`] on which its components
+//! (object plane, scheduler and steal plane, store) register their live
+//! counters at build time; cluster-wide state (fabric, kv, event log,
+//! object table, global scheduler, lineage replay) is registered once,
+//! on the services' registry. A node's sampler thread reads both on a
+//! period and group-commits the snapshot to the kv-backed
+//! [`TelemetryTable`] as **one record on one key** — one control-plane
+//! lock per node per interval, independent of how many metrics are
+//! registered. The per-node rings are bounded, so a long-running
+//! cluster holds a sliding window of recent samples: a column-aligned
+//! time-series per node, not just end-of-run totals.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -60,12 +59,14 @@ pub struct TelemetrySampler {
 }
 
 impl TelemetrySampler {
-    /// Spawns the sampler for `node`. Takes one snapshot immediately
-    /// (so even short-lived clusters have a non-empty series), then one
-    /// per `interval`, then a final one on shutdown.
+    /// Spawns the sampler for `node`, recording every column of every
+    /// registry in `registries` (their names must not overlap). Takes
+    /// one snapshot immediately (so even short-lived clusters have a
+    /// non-empty series), then one per `interval`, then a final one on
+    /// shutdown.
     pub fn spawn(
         node: NodeId,
-        registry: Arc<MetricsRegistry>,
+        registries: Vec<Arc<MetricsRegistry>>,
         table: TelemetryTable,
         interval: Duration,
     ) -> TelemetrySampler {
@@ -75,29 +76,32 @@ impl TelemetrySampler {
         let handle = std::thread::Builder::new()
             .name(format!("rtml-telemetry-{node}"))
             .spawn(move || {
-                let sample = |registry: &MetricsRegistry, table: &TelemetryTable| {
+                let sample = || {
+                    let mut samples: Vec<(String, u64)> =
+                        registries.iter().flat_map(|r| r.sample()).collect();
+                    samples.sort_by(|a, b| a.0.cmp(&b.0));
                     table.append(
                         node,
                         &TelemetryRecord {
                             at_nanos: now_nanos(),
-                            samples: registry.sample(),
+                            samples,
                         },
                     );
                 };
-                sample(&registry, &table);
+                sample();
                 loop {
                     match stop_rx.recv_timeout(interval) {
                         Err(RecvTimeoutError::Timeout) => {
                             if thread_stopping.load(Ordering::Acquire) {
                                 break;
                             }
-                            sample(&registry, &table);
+                            sample();
                         }
                         Ok(()) | Err(RecvTimeoutError::Disconnected) => break,
                     }
                 }
                 // Final snapshot: the series always reflects end state.
-                sample(&registry, &table);
+                sample();
             })
             .expect("spawn telemetry sampler");
         TelemetrySampler {
@@ -136,10 +140,17 @@ mod tests {
         let registry = Arc::new(MetricsRegistry::new());
         let c = Arc::new(Counter::new());
         c.add(3);
-        registry.register_counter("x", c.clone());
+        let x = c.clone();
+        registry.register_value("x", move || x.get());
+        let shared = Arc::new(MetricsRegistry::new());
+        shared.register_value("w", || 9);
         let table = TelemetryTable::with_retention(kv.clone(), 8);
-        let sampler =
-            TelemetrySampler::spawn(NodeId(5), registry, table.clone(), Duration::from_millis(1));
+        let sampler = TelemetrySampler::spawn(
+            NodeId(5),
+            vec![registry, shared],
+            table.clone(),
+            Duration::from_millis(1),
+        );
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         while table.read(NodeId(5)).len() < 3 {
             assert!(std::time::Instant::now() < deadline, "sampler stalled");
@@ -155,8 +166,10 @@ mod tests {
             assert!(pair[0].at_nanos <= pair[1].at_nanos);
             assert_eq!(pair[0].samples.len(), pair[1].samples.len());
         }
-        assert_eq!(series[0].samples[0].0, "x");
-        assert_eq!(series.last().unwrap().samples[0].1, 4);
+        // Both registries' columns, in one name order.
+        assert_eq!(series[0].samples[0], ("w".to_string(), 9));
+        assert_eq!(series[0].samples[1].0, "x");
+        assert_eq!(series.last().unwrap().samples[1].1, 4);
     }
 
     #[test]
@@ -164,7 +177,7 @@ mod tests {
         let kv = KvStore::new(2);
         let sampler = TelemetrySampler::spawn(
             NodeId(0),
-            Arc::new(MetricsRegistry::new()),
+            vec![Arc::new(MetricsRegistry::new())],
             TelemetryTable::new(kv),
             Duration::from_millis(50),
         );

@@ -64,7 +64,7 @@ use rtml_common::codec::{decode_from_slice, Codec};
 use rtml_common::collections::{fast_map_with_capacity, FastMap};
 use rtml_common::event::{Component, Event, EventKind};
 use rtml_common::ids::{NodeId, ObjectId, TaskId};
-use rtml_common::metrics::Counter;
+use rtml_common::metrics::{Counter, MetricsRegistry};
 use rtml_common::task::TaskSpec;
 use rtml_kv::{DigestEntry, EventLog, LoadDigest, LoadDigestTable, ObjectTable};
 use rtml_net::{Fabric, NetAddress};
@@ -286,15 +286,20 @@ impl GlobalSchedulerHandle {
         &self.shards[shard].stats
     }
 
-    /// `(spills, placements, parked)` summed across shards.
-    pub fn totals(&self) -> (u64, u64, u64) {
-        self.shards.iter().fold((0, 0, 0), |acc, s| {
-            (
-                acc.0 + s.stats.spills.get(),
-                acc.1 + s.stats.placements.get(),
-                acc.2 + s.stats.parked.get(),
-            )
-        })
+    /// Registers the shards' counters, each summed across shards
+    /// (`global.*`).
+    pub fn register_metrics(&self, registry: &MetricsRegistry) {
+        type Read = fn(&GlobalStats) -> &Counter;
+        let counters: [(&str, Read); 3] = [
+            ("global.spills", |s| &s.spills),
+            ("global.placements", |s| &s.placements),
+            ("global.parked", |s| &s.parked),
+        ];
+        for (name, read) in counters {
+            let shards: Vec<std::sync::Arc<GlobalStats>> =
+                self.shards.iter().map(|s| s.stats.clone()).collect();
+            registry.register_value(name, move || shards.iter().map(|s| read(s).get()).sum());
+        }
     }
 
     /// The minimum `nodes_known` across shards — the cluster formation
@@ -1226,9 +1231,10 @@ mod tests {
             }
             std::thread::yield_now();
         }
-        let (spills, placements, _parked) = r.handle.totals();
-        assert_eq!(spills, 32);
-        assert_eq!(placements, 32);
+        let registry = MetricsRegistry::new();
+        r.handle.register_metrics(&registry);
+        assert_eq!(registry.get("global.spills"), Some(32));
+        assert_eq!(registry.get("global.placements"), Some(32));
         // Every shard that owned tasks actually placed some.
         for shard in owners {
             assert!(

@@ -44,6 +44,7 @@ use rtml_common::codec::{decode_from_slice, encode_to_bytes};
 use rtml_common::collections::FastMap;
 use rtml_common::event::{Component, Event, EventKind};
 use rtml_common::ids::{NodeId, ObjectId, TaskId, WorkerId};
+use rtml_common::metrics::{Counter, MetricsRegistry};
 use rtml_common::resources::Resources;
 use rtml_common::retry::RetryPolicy;
 use rtml_common::task::{TaskSpec, TaskState};
@@ -153,12 +154,12 @@ pub struct LocalSchedulerStats {
     /// become resident, and evicting pinned-adjacent working state to
     /// make room would be worse. Skipped objects are offered again every
     /// tick and requested once the headroom is there.
-    pub prefetch_skipped_capacity: rtml_common::metrics::Counter,
+    pub prefetch_skipped_capacity: Counter,
     /// Dependencies deferred by *prioritization* when first offered:
     /// the object fits the headroom on its own, but dependencies of
     /// tasks submitted earlier consumed the pass's budget first.
     /// Deferred objects are offered again every tick.
-    pub prefetch_deferred_priority: rtml_common::metrics::Counter,
+    pub prefetch_deferred_priority: Counter,
     /// Steal-plane counters (thief and victim sides).
     pub steal: StealStats,
     /// Gauge: tasks in the ready queue, written by the run queue inside
@@ -173,7 +174,38 @@ pub struct LocalSchedulerStats {
     /// [`LocalMsg::WorkerIdle`] to the scheduler — the only message a
     /// worker sends it — so a burst moves this by about the number of
     /// workers, not of tasks.
-    pub worker_parks: rtml_common::metrics::Counter,
+    pub worker_parks: Counter,
+}
+
+impl LocalSchedulerStats {
+    /// Registers the counters some reader reads: prefetch admission
+    /// (`sched.*`) and both sides of the steal plane (`steal.*`).
+    pub fn register_metrics(self: &Arc<Self>, registry: &MetricsRegistry) {
+        type Read = fn(&LocalSchedulerStats) -> &Counter;
+        let counters: [(&str, Read); 9] = [
+            ("sched.prefetch_skipped_capacity", |s| {
+                &s.prefetch_skipped_capacity
+            }),
+            ("sched.prefetch_deferred_priority", |s| {
+                &s.prefetch_deferred_priority
+            }),
+            ("steal.attempts", |s| &s.steal.attempts),
+            ("steal.grants", |s| &s.steal.grants),
+            ("steal.empty_grants", |s| &s.steal.empty_grants),
+            ("steal.timeouts", |s| &s.steal.timeouts),
+            ("steal.tasks_stolen", |s| &s.steal.tasks_stolen),
+            ("steal.locality_hits", |s| &s.steal.locality_hits),
+            ("steal.tasks_granted", |s| &s.steal.tasks_granted),
+        ];
+        for (name, read) in counters {
+            let stats = self.clone();
+            registry.register_value(name, move || read(&stats).get());
+        }
+        let stats = self.clone();
+        registry.register_histogram("steal.steal_to_run", move || {
+            stats.steal.steal_to_run.snapshot()
+        });
+    }
 }
 
 /// Running handle for a local scheduler.

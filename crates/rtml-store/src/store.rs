@@ -5,6 +5,7 @@
 //! agent seals it here.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use bytes::Bytes;
 use crossbeam::channel::Sender;
@@ -12,7 +13,7 @@ use parking_lot::{Condvar, Mutex};
 
 use rtml_common::error::{Error, Result};
 use rtml_common::ids::{NodeId, ObjectId};
-use rtml_common::metrics::Counter;
+use rtml_common::metrics::{Counter, MetricsRegistry};
 
 /// Configuration for one node's store.
 #[derive(Clone, Debug)]
@@ -137,6 +138,14 @@ impl ObjectStore {
     /// Whether the store holds no objects.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Registers the store's occupancy gauges (`store.*`).
+    pub fn register_metrics(self: &Arc<Self>, registry: &MetricsRegistry) {
+        let store = self.clone();
+        registry.register_value("store.used_bytes", move || store.used_bytes());
+        let store = self.clone();
+        registry.register_value("store.objects", move || store.len() as u64);
     }
 
     /// Registers a channel that receives the ID of every object sealed

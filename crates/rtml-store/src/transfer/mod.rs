@@ -117,7 +117,7 @@ use parking_lot::RwLock;
 
 use rtml_common::error::Result;
 use rtml_common::ids::{NodeId, ObjectId};
-use rtml_common::metrics::Counter;
+use rtml_common::metrics::{Counter, MetricsRegistry};
 use rtml_net::NetAddress;
 
 /// Maps each node to the fabric address of its object plane: where
@@ -215,6 +215,31 @@ pub struct TransferStats {
     /// Chunk frames dropped: a header out of bounds for the store, or an
     /// object that did not add up to the size its headers named.
     pub bad_chunks: Counter,
+}
+
+impl TransferStats {
+    /// Registers the counters some reader reads: what this node served
+    /// (`transfer.*`) and what it fetched for itself (`fetch.*`).
+    pub fn register_metrics(self: &Arc<Self>, registry: &MetricsRegistry) {
+        type Read = fn(&TransferStats) -> &Counter;
+        let counters: [(&str, Read); 11] = [
+            ("transfer.requests", |s| &s.requests),
+            ("transfer.objects_served", |s| &s.objects_served),
+            ("transfer.misses", |s| &s.misses_served),
+            ("transfer.chunks_sent", |s| &s.chunks_sent),
+            ("transfer.pushed", |s| &s.pushed),
+            ("fetch.transfers", |s| &s.transfers),
+            ("fetch.requests_sent", |s| &s.requests_sent),
+            ("fetch.duplicates_suppressed", |s| &s.duplicates_suppressed),
+            ("fetch.objects_fetched", |s| &s.objects_fetched),
+            ("fetch.pushes_received", |s| &s.pushes_received),
+            ("fetch.timeouts", |s| &s.timeouts),
+        ];
+        for (name, read) in counters {
+            let stats = self.clone();
+            registry.register_value(name, move || read(&stats).get());
+        }
+    }
 }
 
 /// How a fetched object got here.

@@ -60,7 +60,7 @@ fn stealing_changes_where_tasks_run_never_what_runs() {
         let funcs = RlFuncs::register(&cluster);
         let driver = cluster.driver();
         let result = rl::run_rtml(&config, &driver, &funcs, false).unwrap();
-        let stolen = cluster.profile().steal.tasks_stolen;
+        let stolen = cluster.counters().get("steal.tasks_stolen").unwrap();
         cluster.shutdown();
         (result.checksum, result.total_reward_bits, stolen)
     };
@@ -251,7 +251,9 @@ fn global_sharding_changes_who_places_never_what_runs() {
         let funcs = RlFuncs::register(&cluster);
         let driver = cluster.driver();
         let result = rl::run_rtml(&config, &driver, &funcs, false).unwrap();
-        let (spills, placements, _) = cluster.global_stats();
+        let counters = cluster.counters();
+        let spills = counters.get("global.spills").unwrap();
+        let placements = counters.get("global.placements").unwrap();
         let per_shard = cluster.global_shard_stats();
         cluster.shutdown();
         (

@@ -195,8 +195,8 @@ fn stolen_tasks_survive_thief_death_via_lineage() {
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     loop {
         let stolen = cluster
-            .node_sched_stats(NodeId(1))
-            .map(|s| s.steal.tasks_stolen.get())
+            .node_registry(NodeId(1))
+            .and_then(|r| r.get("steal.tasks_stolen"))
             .unwrap_or(0);
         if stolen > 0 {
             break;
@@ -401,7 +401,7 @@ fn sharded_spill_batch_survives_node_loss_mid_flight() {
     // Let the shards place part of the batch, then kill a target node
     // mid-flight.
     std::thread::sleep(Duration::from_millis(40));
-    let (spills_before, _, _) = cluster.global_stats();
+    let spills_before = cluster.counters().get("global.spills").unwrap();
     assert!(spills_before > 0, "batch must actually reach the shards");
     cluster.kill_node(NodeId(2)).unwrap();
     for (i, fut) in futs.iter().enumerate() {
@@ -552,11 +552,11 @@ fn steal_request_swallowed_by_partition_rearms_cleanly() {
     // the loop: timeouts accumulate while nothing is ever granted.
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     loop {
-        let stats = cluster.node_sched_stats(NodeId(1)).unwrap();
-        if stats.steal.timeouts.get() >= 2 {
+        let thief = cluster.node_registry(NodeId(1)).unwrap();
+        if thief.get("steal.timeouts").unwrap() >= 2 {
             assert_eq!(
-                stats.steal.tasks_stolen.get(),
-                0,
+                thief.get("steal.tasks_stolen"),
+                Some(0),
                 "nothing can cross a partitioned link"
             );
             break;

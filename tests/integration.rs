@@ -290,6 +290,88 @@ fn telemetry_timeseries_is_bounded_and_column_stable() {
 }
 
 #[test]
+fn counters_are_named_once_and_summed_once() {
+    use bytes::Bytes;
+    use rtml::store::PUSH_MAX_BYTES;
+    // A gated burst on node 0 under NeverSpill: only a steal can move
+    // work, so node 1 steals and node 0 grants. Then one result, pinned
+    // to node 1 and too large to push, is pulled back by the driver.
+    let cluster = Cluster::start(ClusterConfig {
+        nodes: vec![
+            NodeConfig::cpu_only(2),
+            NodeConfig::cpu_only(2).with_custom("far", 1.0),
+        ],
+        spill: SpillMode::NeverSpill,
+        ..ClusterConfig::default()
+    })
+    .unwrap();
+    let gate = cluster.register_fn0("counted_gate", || {
+        std::thread::sleep(Duration::from_millis(10));
+        Ok(1u8)
+    });
+    let work = cluster.register_fn2("counted_work", |x: u64, _gate: u8| {
+        std::thread::sleep(Duration::from_millis(5));
+        Ok(x)
+    });
+    let blob = cluster.register_fn0("counted_blob", || {
+        Ok(Bytes::from(vec![7u8; 4 * PUSH_MAX_BYTES]))
+    });
+    let driver = cluster.driver();
+    let open = driver.submit0(&gate).unwrap();
+    let futs: Vec<_> = (0..32u64)
+        .map(|x| driver.submit2(&work, x, &open).unwrap())
+        .collect();
+    assert_eq!(driver.get_many(&futs).unwrap(), (0..32).collect::<Vec<_>>());
+    let far = TaskOptions::resources(Resources::cpu(1.0).with_custom("far", 1.0));
+    let pulled = driver.submit0_opts(&blob, far).unwrap();
+    assert_eq!(driver.get(&pulled).unwrap().len(), 4 * PUSH_MAX_BYTES);
+
+    // Each name has one home: a node's registry or the cluster's.
+    let nodes = [NodeId(0), NodeId(1)];
+    let registries: Vec<_> = nodes
+        .iter()
+        .map(|n| cluster.node_registry(*n).unwrap())
+        .collect();
+    let shared = &cluster.services().metrics;
+    let cluster_wide = shared.sample_names();
+    for registry in &registries {
+        for name in registry.sample_names() {
+            assert!(!cluster_wide.contains(&name), "{name} is named twice");
+        }
+    }
+
+    // Per-node counters sum into the cluster's totals.
+    let counters = cluster.counters();
+    for name in [
+        "steal.tasks_stolen",
+        "steal.tasks_granted",
+        "fetch.transfers",
+        "transfer.requests",
+    ] {
+        let per_node: u64 = registries.iter().map(|r| r.get(name).unwrap()).sum();
+        assert_eq!(counters.get(name), Some(per_node), "{name}");
+    }
+    let stolen = counters.get("steal.tasks_stolen").unwrap();
+    assert!(stolen > 0, "node 1 never stole");
+    assert_eq!(counters.get("steal.tasks_granted"), Some(stolen));
+    assert!(
+        counters.get("transfer.requests").unwrap() > 0,
+        "nothing was pulled"
+    );
+
+    // A cluster-wide counter is counted once, not once per node.
+    let fabric = &cluster.services().fabric.stats;
+    let before = fabric.sent.get();
+    let sent = cluster.counters().get("fabric.sent").unwrap();
+    let after = fabric.sent.get();
+    assert!(
+        (before..=after).contains(&sent),
+        "fabric.sent {sent} outside [{before}, {after}]"
+    );
+    cluster.shutdown();
+}
+
+#[test]
 fn event_log_disabled_still_works() {
     let cluster = Cluster::start(ClusterConfig::local(1, 2).without_event_log()).unwrap();
     let f = cluster.register_fn1("noop", |x: u64| Ok(x));

@@ -12,10 +12,12 @@ use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
+use rtml::common::codec::decode_from_slice;
 use rtml::common::event::EventKind;
 use rtml::kv::ObjectInfo;
 use rtml::prelude::*;
 use rtml::runtime::envelope::seal_value;
+use rtml::sched::{load_key, LoadReport};
 use rtml::store::PUSH_MAX_BYTES;
 
 const PIN: &str = "pin";
@@ -62,8 +64,13 @@ fn landed(cluster: &Cluster, object: ObjectId) -> bool {
     })
 }
 
+/// Node 1's counter `name`.
+fn at_n1(cluster: &Cluster, name: &str) -> u64 {
+    cluster.node_registry(N1).unwrap().get(name).unwrap()
+}
+
 fn pushed(cluster: &Cluster) -> u64 {
-    cluster.node_transfer_stats(N1).unwrap().pushed.get()
+    at_n1(cluster, "transfer.pushed")
 }
 
 /// Waits for node 1 to have counted `n` pushes (the counter moves a
@@ -75,7 +82,7 @@ fn pushed_is(cluster: &Cluster, n: u64) {
 }
 
 fn requests_served(cluster: &Cluster) -> u64 {
-    cluster.node_transfer_stats(N1).unwrap().requests.get()
+    at_n1(cluster, "transfer.requests")
 }
 
 /// Counters of node 0's fetch agent, read through `read`.
@@ -115,10 +122,11 @@ fn a_remote_round_trip_is_answered_by_the_push_alone() {
         cluster.profile().transfers == 200
     });
     let report = cluster.profile();
-    assert_eq!(report.transfer.pushed, 200);
-    assert_eq!(report.transfer.pushes_received, 200);
-    assert_eq!(report.transfer.late_pushes, 0);
-    assert_eq!(report.transfer.requests_served, 0);
+    let count = |name: &str| report.counters.get(name).unwrap();
+    assert_eq!(count("transfer.pushed"), 200);
+    assert_eq!(count("fetch.pushes_received"), 200);
+    assert_eq!(count("objects.late_pushes"), 0);
+    assert_eq!(count("transfer.requests"), 0);
     assert_eq!(report.transfers, 200);
     let transfers: Vec<_> = report
         .spans
@@ -179,7 +187,7 @@ fn a_lost_push_costs_one_fetch_timeout_and_then_the_result_is_pulled() {
     // scheduler if the reader had already left with the bytes — ends
     // the announcement, and the table counts it as one that was pulled.
     eventually("the pulled copy is listed", || landed(&cluster, lost.id()));
-    assert_eq!(cluster.profile().transfer.late_pushes, 1);
+    assert_eq!(cluster.counters().get("objects.late_pushes"), Some(1));
     assert_eq!(cluster.reconstructions(), 0);
 
     // One lost frame delays one result: the next is pushed and read as
@@ -235,10 +243,7 @@ fn a_dead_submitter_is_sent_nothing() {
     assert_eq!(info.locations, vec![N1]);
     assert_eq!(info.inbound, None, "nothing announced to a dead node");
     assert_eq!(pushed(&cluster), 0);
-    assert_eq!(
-        cluster.node_transfer_stats(N1).unwrap().chunks_sent.get(),
-        0
-    );
+    assert_eq!(at_n1(&cluster, "transfer.chunks_sent"), 0);
     // A reader that comes up on the surviving node finds it there.
     assert_eq!(cluster.driver().get(&fut).unwrap(), 2);
     cluster.shutdown();
@@ -288,9 +293,11 @@ fn large_results_and_results_with_a_backlog_behind_them_are_pulled() {
     let futs: Vec<_> = (0..3u64)
         .map(|x| driver.submit1_opts(&inc, x, on(PIN)).unwrap())
         .collect();
-    let ready = cluster.node_sched_stats(N1).unwrap();
+    // Node 1's published load report says so once they are on its run
+    // queue.
     eventually("two tasks ready behind the first", || {
-        ready.ready_depth.load(std::sync::atomic::Ordering::Relaxed) == 2
+        let report = cluster.services().kv.get(&load_key(N1));
+        report.is_some_and(|bytes| decode_from_slice::<LoadReport>(&bytes).unwrap().ready == 2)
     });
     gate.wait();
     assert_eq!(driver.get_many(&futs).unwrap(), vec![1, 2, 3]);
