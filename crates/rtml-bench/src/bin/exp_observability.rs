@@ -208,10 +208,7 @@ fn run_steal_spans(tasks: usize) -> usize {
             enabled: true,
             min_backlog: 2,
             max_tasks: 8,
-            interval: Duration::from_millis(1),
             timeout: Duration::from_millis(100),
-            hint_objects: 64,
-            ..StealConfig::default()
         }),
     )
     .unwrap();

@@ -94,10 +94,7 @@ fn run(stealing_on: bool, tasks: usize) -> RunResult {
             enabled: true,
             min_backlog: 2,
             max_tasks: 8,
-            interval: Duration::from_millis(1),
             timeout: Duration::from_millis(100),
-            hint_objects: 64,
-            ..StealConfig::default()
         }
     } else {
         StealConfig::disabled()

@@ -1,14 +1,16 @@
 //! One retry discipline for every plane.
 //!
-//! Before this module each plane hand-rolled its own failure handling:
-//! the steal plane re-armed on a flat interval, the fetch path fell
-//! back to a reactive watcher poll, and driver striping had no failover
-//! at all. A
-//! [`RetryPolicy`] is the shared vocabulary: bounded attempts, and
+//! A [`RetryPolicy`] is the shared vocabulary: bounded attempts, and
 //! exponential backoff with a cap and *deterministic* jitter (seeded, so
 //! two runs with the same seed sleep the same schedule). No plane may
 //! block in a retry sleep, so each runs its own loop and asks the policy
 //! how many attempts it has and how long to back off.
+//!
+//! There is one policy, `RetryPolicy::default()`, and no knob that
+//! swaps it. Its readers: the resolver's holder sweep (`max_attempts`
+//! holders before the producer is force-replayed), driver stripe
+//! failover (`max_attempts` stripe targets), and the steal loop's
+//! re-arm pause (`backoff`).
 //!
 //! The jitter is decorrelated-but-deterministic: the sleep for attempt
 //! `k` is drawn from `[nominal/2, nominal]` where `nominal = base *
@@ -54,16 +56,6 @@ fn mix(mut z: u64) -> u64 {
 }
 
 impl RetryPolicy {
-    /// A policy that never retries: one attempt, no sleeps.
-    pub fn disabled() -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            base: Duration::ZERO,
-            cap: Duration::ZERO,
-            jitter: false,
-        }
-    }
-
     /// The sleep before retry number `attempt` (0-based: 0 is the
     /// sleep after the first failure). Exponential in `attempt`,
     /// capped, jittered into `[nominal/2, nominal]` by a hash of
@@ -118,13 +110,5 @@ mod tests {
         }
         // Different seeds should (for this pair) draw different sleeps.
         assert_ne!(p.backoff(0, 1), p.backoff(0, 2));
-    }
-
-    #[test]
-    fn disabled_policy_is_single_shot() {
-        let p = RetryPolicy::disabled();
-        assert_eq!(p.max_attempts, 1);
-        assert_eq!(p.backoff(0, 7), Duration::ZERO);
-        assert_eq!(p.backoff(5, 7), Duration::ZERO);
     }
 }

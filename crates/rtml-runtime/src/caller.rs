@@ -27,6 +27,11 @@ use crate::object_ref::{IntoArg, ObjectRef};
 use crate::registry::{Func0, Func1, Func2, Func3, Func4};
 use crate::services::Services;
 
+/// The deadline of a `get` that names none ([`Caller::get`],
+/// [`Caller::get_many`]) and of a task's wait for its arguments. A call
+/// that wants another one says so ([`Caller::get_timeout`]).
+pub const DEFAULT_GET_TIMEOUT: Duration = Duration::from_secs(30);
+
 /// Per-submission options.
 #[derive(Clone, Debug)]
 pub struct TaskOptions {
@@ -91,7 +96,7 @@ struct CallerInner {
     child_counter: AtomicU64,
     put_counter: AtomicU64,
     /// Counts driver submission batches for round-robin striping
-    /// ([`crate::services::RuntimeTuning::submit_striping`]).
+    /// ([`crate::ClusterConfig::submit_striping`]).
     batch_counter: AtomicU64,
 }
 
@@ -407,8 +412,8 @@ impl Caller {
         Ok(ObjectRef::typed(object))
     }
 
-    /// Blocks until the future's value is available (default deadline
-    /// from the cluster tuning), fetching or reconstructing as needed.
+    /// Blocks until the future's value is available (deadline
+    /// [`DEFAULT_GET_TIMEOUT`]), fetching or reconstructing as needed.
     ///
     /// A [`bytes::Bytes`] in the result (the result itself, or a field
     /// of it) is a view of the local store's buffer, not a copy: it
@@ -416,7 +421,7 @@ impl Caller {
     /// memory alive until dropped. Every other type decodes into an
     /// owned value.
     pub fn get<T: Codec>(&self, fut: &ObjectRef<T>) -> Result<T> {
-        self.get_timeout(fut, self.inner.services.tuning.default_get_timeout)
+        self.get_timeout(fut, DEFAULT_GET_TIMEOUT)
     }
 
     /// [`Caller::get`] with an explicit deadline.
@@ -453,7 +458,7 @@ impl Caller {
     /// local store's buffers — one buffer per object, so dropping one
     /// value never keeps another's memory alive.
     pub fn get_many<T: Codec>(&self, futs: &[ObjectRef<T>]) -> Result<Vec<T>> {
-        self.get_many_timeout(futs, self.inner.services.tuning.default_get_timeout)
+        self.get_many_timeout(futs, DEFAULT_GET_TIMEOUT)
     }
 
     /// [`Caller::get_many`] with an explicit deadline.
@@ -750,17 +755,18 @@ impl std::ops::Deref for TaskContext {
 /// Test-only helpers for constructing detached contexts.
 pub mod test_support {
     use super::*;
-    use crate::services::RuntimeTuning;
+    use crate::ClusterConfig;
 
     /// Runs `f` with a context not attached to any cluster (submissions
     /// will fail; argument decoding and similar pure paths work).
     pub fn with_detached_context<R>(f: impl FnOnce(&TaskContext) -> R) -> R {
-        let services = Services::create(
-            1,
-            rtml_net::FabricConfig::default(),
-            false,
-            RuntimeTuning::default(),
-        );
+        let services = Services::create(&ClusterConfig {
+            kv_shards: 1,
+            latency: rtml_net::LatencyModel::Zero,
+            seed: 0,
+            event_logging: false,
+            ..ClusterConfig::default()
+        });
         let recon = ReconstructionManager::new(services.clone());
         let root = TaskId::driver_root(DriverId::from_index(u64::MAX));
         let ctx = TaskContext::new(services, recon, root, WorkerId::new(NodeId(0), 0), None);

@@ -5,6 +5,12 @@
 //! local scheduler + workers), then hands out [`Driver`] connections.
 //! Failure injection ([`Cluster::kill_worker`], [`Cluster::kill_node`],
 //! [`Cluster::restart_node`]) drives the fault-tolerance experiments.
+//!
+//! [`ClusterConfig`] holds only what a user chooses. It is kept whole
+//! in [`Services::config`], where every component reads its setting;
+//! a value no caller varies (the load interval, the retry policy, the
+//! transfer chunk size, the default `get` deadline, the steal cadence)
+//! is a constant beside the code that reads it.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -20,7 +26,7 @@ use rtml_common::ids::{DriverId, NodeId, WorkerId};
 use rtml_common::metrics::{Histogram, MetricsRegistry, Reading};
 use rtml_common::task::TaskState;
 use rtml_kv::FunctionInfo;
-use rtml_net::{FabricConfig, LatencyModel};
+use rtml_net::LatencyModel;
 use rtml_sched::{
     GlobalScheduler, GlobalSchedulerConfig, GlobalSchedulerHandle, PlacementPolicy, SchedWire,
     SpillMode,
@@ -29,10 +35,10 @@ use rtml_sched::{
 use crate::actors::ActorHandle;
 use crate::caller::{Driver, TaskContext};
 use crate::lineage::ReconstructionManager;
-use crate::node::{NodeConfig, NodeRuntime, NodeTuning};
+use crate::node::{NodeConfig, NodeRuntime};
 use crate::profiling::ProfileReport;
 use crate::registry::{Func0, Func1, Func2, Func3, Func4};
-use crate::services::{RuntimeTuning, Services};
+use crate::services::Services;
 
 /// Whole-cluster configuration.
 #[derive(Clone, Debug)]
@@ -56,15 +62,8 @@ pub struct ClusterConfig {
     /// growing control-plane memory, profiling keeps working over the
     /// retained window, and the number of dropped records is reported.
     pub event_log_retention: Option<usize>,
-    /// Fetch timeout for dependency resolution.
+    /// Per-attempt timeout for cross-node object fetches.
     pub fetch_timeout: Duration,
-    /// Default deadline for blocking `get`s.
-    pub default_get_timeout: Duration,
-    /// Maximum payload bytes per transfer frame: objects larger than
-    /// this cross the fabric as ⌈size/chunk⌉ frames streamed through
-    /// the bandwidth model (one propagation-delay sample per stream)
-    /// instead of one monolithic message.
-    pub transfer_chunk_bytes: u64,
     /// Pull-based work stealing: an idle local scheduler (empty ready
     /// queue, spare resources) pulls a batch of ready tasks from a
     /// peer whose kv-published backlog is deep, preferring tasks whose
@@ -73,12 +72,11 @@ pub struct ClusterConfig {
     /// keeps correcting as queues skew. Changes only *where tasks
     /// run*, never values: checksums are identical with it on or off.
     pub stealing: rtml_sched::StealConfig,
-    /// Load-report publication interval.
-    pub load_interval: Duration,
-    /// Seed for randomized placement policies.
+    /// Seed for randomized placement policies and the fabric's jitter.
     pub seed: u64,
     /// Which node hosts the global scheduler (a "head node"). Components
-    /// on the same node reach it without fabric latency.
+    /// on the same node reach it without fabric latency. Must name one
+    /// of `nodes`.
     pub global_host: u32,
     /// Number of independent global-scheduler shards. The placement
     /// keyspace is partitioned by task id (FNV-64), so each spilled task
@@ -107,11 +105,6 @@ pub struct ClusterConfig {
     /// cluster pays one branch per send and keeps a byte-identical
     /// jitter stream.
     pub faults: rtml_net::FaultPlan,
-    /// The one retry/backoff discipline (bounded attempts, exponential
-    /// backoff with deterministic jitter) adopted by the fetch
-    /// path, driver stripe failover, and — via
-    /// [`rtml_sched::StealConfig::retry`] — the steal re-arm.
-    pub retry: rtml_common::RetryPolicy,
 }
 
 impl Default for ClusterConfig {
@@ -126,17 +119,13 @@ impl Default for ClusterConfig {
             event_logging: true,
             event_log_retention: None,
             fetch_timeout: Duration::from_secs(2),
-            default_get_timeout: Duration::from_secs(30),
-            transfer_chunk_bytes: rtml_store::DEFAULT_CHUNK_BYTES,
             stealing: rtml_sched::StealConfig::default(),
-            load_interval: Duration::from_millis(1),
             seed: 0x5eed,
             global_host: 0,
             global_shards: 1,
             submit_striping: 1,
             telemetry: crate::telemetry::TelemetryConfig::default(),
             faults: rtml_net::FaultPlan::default(),
-            retry: rtml_common::RetryPolicy::default(),
         }
     }
 }
@@ -184,12 +173,6 @@ impl ClusterConfig {
         self
     }
 
-    /// Sets the transfer chunk size builder-style.
-    pub fn with_transfer_chunk_bytes(mut self, bytes: u64) -> Self {
-        self.transfer_chunk_bytes = bytes;
-        self
-    }
-
     /// Replaces the work-stealing policy builder-style.
     pub fn with_stealing(mut self, stealing: rtml_sched::StealConfig) -> Self {
         self.stealing = stealing;
@@ -226,12 +209,6 @@ impl ClusterConfig {
         self.faults = faults;
         self
     }
-
-    /// Replaces the retry/backoff policy builder-style.
-    pub fn with_retry(mut self, retry: rtml_common::RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
 }
 
 /// A running rtml cluster.
@@ -240,7 +217,6 @@ pub struct Cluster {
     recon: Arc<ReconstructionManager>,
     global: Mutex<Option<GlobalSchedulerHandle>>,
     nodes: Mutex<HashMap<NodeId, NodeRuntime>>,
-    tuning: NodeTuning,
     driver_counter: AtomicU64,
     actor_counter: AtomicU64,
 }
@@ -253,37 +229,19 @@ impl Cluster {
                 "cluster needs at least one node".into(),
             ));
         }
-        let services = Services::create(
-            config.kv_shards,
-            FabricConfig {
-                latency: config.latency.clone(),
-                bandwidth_bytes_per_sec: config.bandwidth_bytes_per_sec,
-                jitter_seed: config.seed,
-                faults: config.faults.clone(),
-            },
-            config.event_logging,
-            RuntimeTuning {
-                fetch_timeout: config.fetch_timeout,
-                default_get_timeout: config.default_get_timeout,
-                event_log_retention: config.event_log_retention,
-                submit_striping: config.submit_striping,
-                retry: config.retry.clone(),
-                // A node is heartbeat-suspect when its load report is
-                // far staler than the publication cadence (idle nodes
-                // republish every 16 intervals; see the local
-                // scheduler's heartbeat branch).
-                suspect_after: config
-                    .load_interval
-                    .saturating_mul(64)
-                    .max(Duration::from_millis(100)),
-                reconstruction_cap: RuntimeTuning::default().reconstruction_cap,
-            },
-        );
+        if config.global_host as usize >= config.nodes.len() {
+            return Err(Error::InvalidArgument(format!(
+                "head node {} is not one of the {} nodes",
+                config.global_host,
+                config.nodes.len()
+            )));
+        }
+        let services = Services::create(&config);
         let recon = ReconstructionManager::new(services.clone());
 
         let global = GlobalScheduler::spawn(
             GlobalSchedulerConfig {
-                host_node: NodeId(config.global_host.min(config.nodes.len() as u32 - 1)),
+                host_node: NodeId(config.global_host),
                 policy: config.placement,
                 seed: config.seed,
                 shards: config.global_shards.max(1),
@@ -298,15 +256,6 @@ impl Cluster {
         recon.register_metrics(&services.metrics);
         global.register_metrics(&services.metrics);
 
-        let tuning = NodeTuning {
-            spill: config.spill.clone(),
-            fetch_timeout: config.fetch_timeout,
-            load_interval: config.load_interval,
-            transfer_chunk_bytes: config.transfer_chunk_bytes,
-            stealing: config.stealing.clone(),
-            telemetry: config.telemetry.clone(),
-            retry: config.retry.clone(),
-        };
         let mut nodes = HashMap::new();
         for (i, node_config) in config.nodes.iter().enumerate() {
             let node = NodeId(i as u32);
@@ -316,7 +265,6 @@ impl Cluster {
                 &services,
                 &recon,
                 global.routes(),
-                &tuning,
             );
             nodes.insert(node, runtime);
         }
@@ -340,7 +288,6 @@ impl Cluster {
             recon,
             global: Mutex::new(Some(global)),
             nodes: Mutex::new(nodes),
-            tuning,
             driver_counter: AtomicU64::new(0),
             actor_counter: AtomicU64::new(0),
         })
@@ -468,14 +415,7 @@ impl Cluster {
         // A rejoining node starts with a clean health slate: suspicion
         // earned by the dead incarnation does not outlive it.
         self.services.health.forget(node);
-        let runtime = NodeRuntime::build(
-            node,
-            config,
-            &self.services,
-            &self.recon,
-            global_routes,
-            &self.tuning,
-        );
+        let runtime = NodeRuntime::build(node, config, &self.services, &self.recon, global_routes);
         nodes.insert(node, runtime);
         self.services.events.append(
             node,
@@ -563,11 +503,8 @@ impl Cluster {
     /// node death — a killed node's history stays readable, like its
     /// events. Empty when the telemetry plane is disabled.
     pub fn timeseries(&self) -> Vec<(NodeId, Vec<rtml_kv::TelemetryRecord>)> {
-        rtml_kv::TelemetryTable::with_retention(
-            self.services.kv.clone(),
-            self.tuning.telemetry.retention,
-        )
-        .read_all()
+        let retention = self.services.config.telemetry.retention;
+        rtml_kv::TelemetryTable::with_retention(self.services.kv.clone(), retention).read_all()
     }
 
     /// One node's metrics registry: the live counters its own

@@ -24,6 +24,11 @@ use rtml_common::task::TaskState;
 use crate::envelope;
 use crate::services::Services;
 
+/// Cap on concurrently active lineage replays, so a churn burst cannot
+/// trigger a reconstruction storm. Deferred replays are retried by the
+/// callers' poll loops.
+const RECONSTRUCTION_CAP: usize = 64;
+
 /// The stuck-task backstop's memory.
 struct Watch {
     /// task -> (state when first seen, when first seen).
@@ -41,12 +46,8 @@ pub struct ReconstructionManager {
     /// write (a very small window, but enough for duplicate triggers).
     inflight: Mutex<HashSet<TaskId>>,
     /// Replays resubmitted and not yet observed back in a terminal
-    /// state — the window the reconstruction cap counts, so a churn
-    /// burst cannot trigger a reconstruction storm.
+    /// state — the window [`RECONSTRUCTION_CAP`] counts.
     active: Mutex<HashSet<TaskId>>,
-    /// Cap on concurrently active replays
-    /// ([`crate::services::RuntimeTuning::reconstruction_cap`]).
-    cap: usize,
     /// Producers observed blocking a consumer, for the stuck-task
     /// backstop.
     watch: Mutex<Watch>,
@@ -66,13 +67,11 @@ pub struct ReconstructionManager {
 impl ReconstructionManager {
     /// Creates a manager over `services`.
     pub fn new(services: Arc<Services>) -> Arc<Self> {
-        let cap = services.tuning.reconstruction_cap.max(1);
-        let stuck_after = services.tuning.fetch_timeout.saturating_mul(4);
+        let stuck_after = services.config.fetch_timeout.saturating_mul(4);
         Arc::new(ReconstructionManager {
             services,
             inflight: Mutex::new(HashSet::new()),
             active: Mutex::new(HashSet::new()),
-            cap,
             watch: Mutex::new(Watch {
                 seen: HashMap::new(),
                 prune_at: 256,
@@ -224,7 +223,7 @@ impl ReconstructionManager {
     pub fn resubmit(&self, task: TaskId) {
         {
             let mut active = self.active.lock();
-            if active.len() >= self.cap {
+            if active.len() >= RECONSTRUCTION_CAP {
                 // Prune replays that have since reached a terminal
                 // state before declaring the cap hit.
                 let services = &self.services;
@@ -239,7 +238,7 @@ impl ReconstructionManager {
                         )
                     )
                 });
-                if active.len() >= self.cap {
+                if active.len() >= RECONSTRUCTION_CAP {
                     self.deferred.inc();
                     return;
                 }

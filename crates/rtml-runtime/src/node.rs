@@ -12,7 +12,7 @@ use rtml_common::metrics::MetricsRegistry;
 use rtml_common::resources::Resources;
 use rtml_sched::{
     GlobalRoutes, LocalMsg, LocalScheduler, LocalSchedulerConfig, LocalSchedulerHandle, Replay,
-    SchedServices, SpillMode,
+    SchedServices,
 };
 use rtml_store::{FetchAgent, ObjectStore, StoreConfig};
 
@@ -85,26 +85,6 @@ impl NodeConfig {
     }
 }
 
-/// Scheduler tuning shared by all nodes (subset of cluster config).
-#[derive(Clone, Debug)]
-pub struct NodeTuning {
-    /// Spill rule for local schedulers.
-    pub spill: SpillMode,
-    /// Fetch timeout for dependency resolution.
-    pub fetch_timeout: std::time::Duration,
-    /// Load-report publication interval.
-    pub load_interval: std::time::Duration,
-    /// Maximum payload bytes per transfer frame (object chunking).
-    pub transfer_chunk_bytes: u64,
-    /// Pull-based work-stealing policy (see [`rtml_sched::steal`]).
-    pub stealing: rtml_sched::StealConfig,
-    /// Retry discipline for the local schedulers' dependency
-    /// resolution (see [`rtml_common::retry`]).
-    pub retry: rtml_common::retry::RetryPolicy,
-    /// Per-node telemetry sampling (see [`crate::telemetry`]).
-    pub telemetry: crate::telemetry::TelemetryConfig,
-}
-
 /// A live node: all per-node components plus their control handles.
 pub struct NodeRuntime {
     /// Node identity.
@@ -126,19 +106,20 @@ pub struct NodeRuntime {
 
 impl NodeRuntime {
     /// Builds and starts all components for `node`, registering it with
-    /// the shared services.
+    /// the shared services; cluster-wide settings come from
+    /// [`Services::config`].
     pub fn build(
         node: NodeId,
         config: NodeConfig,
         services: &Arc<Services>,
         recon: &Arc<ReconstructionManager>,
         global: GlobalRoutes,
-        tuning: &NodeTuning,
     ) -> NodeRuntime {
+        let cluster = &services.config;
         let store = Arc::new(ObjectStore::new(StoreConfig {
             node,
             capacity_bytes: config.store_capacity,
-            chunk_bytes: tuning.transfer_chunk_bytes,
+            ..StoreConfig::default()
         }));
         let agent = Arc::new(FetchAgent::spawn(
             services.fabric.clone(),
@@ -180,11 +161,10 @@ impl NodeRuntime {
             LocalSchedulerConfig {
                 node,
                 total_resources: config.total_resources(),
-                spill: tuning.spill.clone(),
-                fetch_timeout: tuning.fetch_timeout,
-                load_interval: tuning.load_interval,
-                stealing: tuning.stealing.clone(),
-                retry: tuning.retry.clone(),
+                spill: cluster.spill.clone(),
+                fetch_timeout: cluster.fetch_timeout,
+                load_interval: rtml_sched::local::LOAD_INTERVAL,
+                stealing: cluster.stealing.clone(),
             },
             sched_services,
             worker_ids.clone(),
@@ -247,15 +227,13 @@ impl NodeRuntime {
         agent.stats().register_metrics(&registry);
         sched.stats().register_metrics(&registry);
         store.register_metrics(&registry);
-        let sampler = if tuning.telemetry.enabled {
+        let telemetry = &cluster.telemetry;
+        let sampler = if telemetry.enabled {
             Some(crate::telemetry::TelemetrySampler::spawn(
                 node,
                 vec![registry.clone(), services.metrics.clone()],
-                rtml_kv::TelemetryTable::with_retention(
-                    services.kv.clone(),
-                    tuning.telemetry.retention,
-                ),
-                tuning.telemetry.interval,
+                rtml_kv::TelemetryTable::with_retention(services.kv.clone(), telemetry.retention),
+                telemetry.interval,
             ))
         } else {
             None

@@ -1,8 +1,12 @@
 //! The shared service bundle threaded through every runtime component.
+//!
+//! It carries the one [`ClusterConfig`] the cluster was started with
+//! ([`Services::config`]); every component reads the setting it needs
+//! from there, with no per-layer copy in between. What no caller sets
+//! is a constant beside the code that reads it, not a field.
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Duration;
 
 use crossbeam::channel::Sender;
 use parking_lot::RwLock;
@@ -16,55 +20,11 @@ use rtml_common::retry::RetryPolicy;
 use rtml_common::task::TaskSpec;
 use rtml_kv::{EventLog, FunctionTable, Inbound, KvStore, ObjectTable, TaskTable};
 use rtml_net::{Fabric, FabricConfig};
-use rtml_sched::{HealthTracker, LocalMsg};
+use rtml_sched::{HealthTracker, LocalMsg, REPORT_STALE_AFTER};
 use rtml_store::{FetchAgent, ObjectStore, TransferDirectory};
 
+use crate::cluster::ClusterConfig;
 use crate::registry::FunctionRegistry;
-
-/// Runtime-wide timing knobs.
-#[derive(Clone, Debug)]
-pub struct RuntimeTuning {
-    /// Per-attempt timeout for cross-node object fetches.
-    pub fetch_timeout: Duration,
-    /// Default deadline for blocking `get`s.
-    pub default_get_timeout: Duration,
-    /// Retention cap per event-log stream (`None` = unbounded). Bounds
-    /// control-plane memory on sustained throughput runs; dropped
-    /// records are counted on the [`EventLog`].
-    pub event_log_retention: Option<usize>,
-    /// Driver-side submission striping: consecutive driver batches are
-    /// routed round-robin across this many nodes' local schedulers so
-    /// one scheduler is not the ingest funnel. `1` (the default) keeps
-    /// every batch on the driver's home node. Striping is
-    /// placement-neutral — task ids stay producer-embedded and the
-    /// placement policies ignore the submitting node — so results and
-    /// placements are identical with it on or off.
-    pub submit_striping: usize,
-    /// The one retry/backoff discipline shared by the fetch path and
-    /// stripe failover.
-    pub retry: RetryPolicy,
-    /// A peer whose newest load report is older than this is suspect
-    /// (see [`rtml_sched::HealthTracker`]).
-    pub suspect_after: Duration,
-    /// Cap on concurrently in-flight lineage reconstructions, so a
-    /// churn burst cannot trigger a reconstruction storm. Deferred
-    /// replays are retried by the callers' poll loops.
-    pub reconstruction_cap: usize,
-}
-
-impl Default for RuntimeTuning {
-    fn default() -> Self {
-        RuntimeTuning {
-            fetch_timeout: Duration::from_secs(2),
-            default_get_timeout: Duration::from_secs(30),
-            event_log_retention: None,
-            submit_striping: 1,
-            retry: RetryPolicy::default(),
-            suspect_after: Duration::from_millis(100),
-            reconstruction_cap: 64,
-        }
-    }
-}
 
 /// Everything a component needs to participate in the cluster: the
 /// control-plane tables, the function registry, the fabric, and the
@@ -93,8 +53,8 @@ pub struct Services {
     /// steering stripe targets and holder rankings away from suspect
     /// nodes.
     pub health: Arc<HealthTracker>,
-    /// Timing knobs.
-    pub tuning: RuntimeTuning,
+    /// The configuration the cluster was started with.
+    pub config: ClusterConfig,
     /// The counters of cluster-wide state — the fabric, the control
     /// plane, the event log, the object table, and (registered by the
     /// cluster) the global scheduler and lineage replay — named once for
@@ -108,21 +68,22 @@ pub struct Services {
 }
 
 impl Services {
-    /// Creates the service bundle (control plane, fabric, registry).
-    pub fn create(
-        kv_shards: usize,
-        fabric_config: FabricConfig,
-        event_logging: bool,
-        tuning: RuntimeTuning,
-    ) -> Arc<Self> {
-        let kv = KvStore::new(kv_shards);
-        let events = if event_logging {
-            EventLog::new(kv.clone()).with_retention(tuning.event_log_retention)
+    /// Creates the service bundle (control plane, fabric, registry) for
+    /// a cluster started with `config`.
+    pub fn create(config: &ClusterConfig) -> Arc<Self> {
+        let kv = KvStore::new(config.kv_shards);
+        let events = if config.event_logging {
+            EventLog::new(kv.clone()).with_retention(config.event_log_retention)
         } else {
             EventLog::disabled(kv.clone())
         };
         let objects = ObjectTable::new(kv.clone());
-        let fabric = Fabric::new(fabric_config);
+        let fabric = Fabric::new(FabricConfig {
+            latency: config.latency.clone(),
+            bandwidth_bytes_per_sec: config.bandwidth_bytes_per_sec,
+            jitter_seed: config.seed,
+            faults: config.faults.clone(),
+        });
         let metrics = Arc::new(MetricsRegistry::new());
         fabric.register_metrics(&metrics);
         kv.register_metrics(&metrics);
@@ -136,8 +97,8 @@ impl Services {
             registry: FunctionRegistry::new(),
             fabric,
             directory: TransferDirectory::new(),
-            health: HealthTracker::new(kv.clone(), tuning.suspect_after),
-            tuning,
+            health: HealthTracker::new(kv.clone(), REPORT_STALE_AFTER),
+            config: config.clone(),
             metrics,
             router: RwLock::new(HashMap::new()),
             stores: RwLock::new(HashMap::new()),
@@ -239,13 +200,13 @@ impl Services {
     }
 
     /// The ingest target for the driver's `index`-th submission batch
-    /// under [`RuntimeTuning::submit_striping`]: round-robin over the
+    /// under [`ClusterConfig::submit_striping`]: round-robin over the
     /// `min(K, alive)` lowest alive nodes, starting at `home`'s position
     /// so stripe width 1 degenerates to the home node exactly. Falls
     /// back to `home` when the router is empty (shutdown race — the
     /// send itself will fail cleanly downstream).
     pub fn stripe_target(&self, home: NodeId, index: u64) -> NodeId {
-        let width = self.tuning.submit_striping.max(1);
+        let width = self.config.submit_striping.max(1);
         if width == 1 {
             return home;
         }
@@ -276,7 +237,7 @@ impl Services {
         index: u64,
         specs: Vec<TaskSpec>,
     ) -> Result<()> {
-        let attempts = self.tuning.retry.max_attempts.max(1) as u64;
+        let attempts = u64::from(RetryPolicy::default().max_attempts);
         let mut specs = specs;
         let mut last = Error::ShuttingDown;
         for attempt in 0..attempts {
@@ -347,7 +308,12 @@ mod tests {
     use rtml_store::StoreConfig;
 
     fn services() -> Arc<Services> {
-        Services::create(2, FabricConfig::default(), true, RuntimeTuning::default())
+        Services::create(&ClusterConfig {
+            kv_shards: 2,
+            latency: rtml_net::LatencyModel::Zero,
+            seed: 0,
+            ..ClusterConfig::default()
+        })
     }
 
     fn store_and_agent(

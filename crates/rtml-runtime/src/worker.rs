@@ -317,7 +317,7 @@ fn push_to_submitter(
     agent.push(to, object, bytes).then(|| Inbound {
         node: to,
         until_nanos: rtml_common::time::now_nanos()
-            + services.tuning.fetch_timeout.as_nanos() as u64,
+            + services.config.fetch_timeout.as_nanos() as u64,
     })
 }
 
@@ -333,7 +333,7 @@ fn resolve_args(
     id: WorkerId,
     spec: &TaskSpec,
 ) -> Result<Vec<Bytes>> {
-    let deadline = Instant::now() + services.tuning.default_get_timeout;
+    let deadline = Instant::now() + crate::caller::DEFAULT_GET_TIMEOUT;
     let refs: Vec<ObjectId> = spec
         .args
         .iter()

@@ -209,14 +209,13 @@ fn oversized_result_surfaces_as_error_not_hang() {
     // must get a timeout rather than wedging forever.
     let cluster = Cluster::start(ClusterConfig {
         nodes: vec![NodeConfig::cpu_only(2).with_store_capacity(32 * 1024)],
-        default_get_timeout: Duration::from_millis(700),
         ..ClusterConfig::default()
     })
     .unwrap();
     let make = cluster.register_fn0("too_big", || Ok(vec![1u8; 256 * 1024]));
     let driver = cluster.driver();
     let fut = driver.submit0(&make).unwrap();
-    match driver.get(&fut) {
+    match driver.get_timeout(&fut, Duration::from_millis(700)) {
         Err(Error::Timeout) => {}
         other => panic!("expected timeout for unsealable result, got {other:?}"),
     }

@@ -28,7 +28,8 @@
 //! - **The report.** Each node sends every shard its [`LoadReport`] in a
 //!   `Load` frame, and a spilling node sends its owning shard a fresh
 //!   one inside the `SpillBatch` itself — so a spill is never placed
-//!   back on its sender against a report up to a `load_interval` old.
+//!   back on its sender against a report up to a
+//!   [`crate::local::LOAD_INTERVAL`] old.
 //!   An older report overtaken on the wire by a newer one is ignored.
 //! - **In flight.** A shard counts the `PlaceBatch` tasks it sent each
 //!   node; the node counts the ones it ingested from each shard and

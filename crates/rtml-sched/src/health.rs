@@ -31,6 +31,13 @@ use crate::msg::{load_key, LoadReport};
 use rtml_common::ids::NodeId;
 use rtml_kv::KvStore;
 
+/// How old a node's newest load report may be before the node reads as
+/// dead: a suspect to the health tracker, not a candidate victim to a
+/// thief. A live scheduler republishes at least every 16
+/// [`crate::local::LOAD_INTERVAL`]s (its heartbeat), so this much
+/// silence is decisive, not jitter.
+pub const REPORT_STALE_AFTER: Duration = Duration::from_millis(100);
+
 /// Failures within this window accumulate toward suspicion; the window
 /// also serves as the quarantine period once the threshold is crossed.
 const FAILURE_WINDOW: Duration = Duration::from_millis(500);
@@ -184,7 +191,7 @@ mod tests {
     use super::*;
 
     fn tracker() -> Arc<HealthTracker> {
-        HealthTracker::new(KvStore::new(1), Duration::from_millis(100))
+        HealthTracker::new(KvStore::new(1), REPORT_STALE_AFTER)
     }
 
     #[test]

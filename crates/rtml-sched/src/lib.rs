@@ -44,7 +44,7 @@ pub mod wire;
 pub use global::{
     GlobalRoutes, GlobalScheduler, GlobalSchedulerConfig, GlobalSchedulerHandle, GlobalStats,
 };
-pub use health::HealthTracker;
+pub use health::{HealthTracker, REPORT_STALE_AFTER};
 pub use local::{
     LocalScheduler, LocalSchedulerConfig, LocalSchedulerHandle, LocalSchedulerStats, SchedServices,
 };

@@ -61,6 +61,11 @@ use crate::spill::SpillMode;
 use crate::steal::{StealConfig, StealInflight, StealStats};
 use crate::wire::SchedWire;
 
+/// How often an idle scheduler loop ticks, and the least time between
+/// two of its load publications; an unchanged load is republished every
+/// 16 intervals as a heartbeat.
+pub const LOAD_INTERVAL: Duration = Duration::from_millis(1);
+
 /// Static configuration for one local scheduler.
 #[derive(Clone, Debug)]
 pub struct LocalSchedulerConfig {
@@ -72,7 +77,8 @@ pub struct LocalSchedulerConfig {
     pub spill: SpillMode,
     /// Per-attempt timeout for remote object fetches.
     pub fetch_timeout: Duration,
-    /// Minimum interval between load publications.
+    /// Minimum interval between load publications: [`LOAD_INTERVAL`],
+    /// except in tests that want a loop with no ticks.
     pub load_interval: Duration,
     /// Pull-based work stealing: when this scheduler's ready queue
     /// drains while a peer's kv-published backlog is deep, pull a batch
@@ -80,10 +86,6 @@ pub struct LocalSchedulerConfig {
     /// [`crate::steal`]). Stealing moves *where tasks run*, never
     /// values — checksums are identical with it on or off.
     pub stealing: StealConfig,
-    /// The cluster's retry discipline; its `max_attempts` bounds how
-    /// many holders one sweep of dependency resolution tries before the
-    /// producer is force-replayed.
-    pub retry: RetryPolicy,
 }
 
 impl Default for LocalSchedulerConfig {
@@ -93,9 +95,8 @@ impl Default for LocalSchedulerConfig {
             total_resources: Resources::cpu(4.0),
             spill: SpillMode::default(),
             fetch_timeout: Duration::from_secs(2),
-            load_interval: Duration::from_millis(1),
+            load_interval: LOAD_INTERVAL,
             stealing: StealConfig::default(),
-            retry: RetryPolicy::default(),
         }
     }
 }
@@ -322,7 +323,7 @@ impl LocalScheduler {
                 agent: Some(services.agent.clone()),
                 answers: fetch_tx,
                 health: services.health.clone(),
-                retry: config.retry.clone(),
+                retry: RetryPolicy::default(),
                 fetch_timeout: config.fetch_timeout,
             },
         );
@@ -418,7 +419,7 @@ pub(crate) struct Core {
     pub(crate) steal_seq: u64,
     pub(crate) last_steal: Instant,
     /// Consecutive fruitless steal attempts (timeouts and empty
-    /// grants). Feeds [`StealConfig::retry`]'s backoff so an idle
+    /// grants). Feeds the retry policy's backoff so an idle
     /// scheduler facing a partition probes gently instead of hammering
     /// the flat interval; any non-empty grant resets it.
     pub(crate) steal_failures: u32,
@@ -771,6 +772,7 @@ impl Core {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::health::REPORT_STALE_AFTER;
     use bytes::Bytes;
     use rtml_common::ids::{DriverId, FunctionId};
     use rtml_common::task::ArgSpec;
@@ -835,7 +837,7 @@ mod tests {
             store,
             agent,
             global: crate::global::GlobalRoutes::single(global_endpoint.address()),
-            health: HealthTracker::new(kv.clone(), Duration::from_millis(100)),
+            health: HealthTracker::new(kv.clone(), REPORT_STALE_AFTER),
             reconstruct: Arc::new(|_, _| {}),
             request_worker: Arc::new(|| {}),
         };
@@ -1624,6 +1626,18 @@ mod tests {
         ready: u32,
         endpoint: &rtml_net::Endpoint,
     ) {
+        let now = rtml_common::time::now_nanos();
+        publish_fake_load_at(services, node, ready, endpoint, now);
+    }
+
+    /// [`publish_fake_load`] with the report stamped `at_nanos`.
+    fn publish_fake_load_at(
+        services: &SchedServices,
+        node: NodeId,
+        ready: u32,
+        endpoint: &rtml_net::Endpoint,
+        at_nanos: u64,
+    ) {
         let report = LoadReport {
             node,
             sched_address: endpoint.address().as_u64(),
@@ -1633,7 +1647,7 @@ mod tests {
             idle_workers: 0,
             available: Resources::cpu(0.0),
             total: Resources::cpu(4.0),
-            at_nanos: rtml_common::time::now_nanos(),
+            at_nanos,
         };
         services.kv.set(load_key(node), encode_to_bytes(&report));
         // Thieves look for victims among the nodes the directory lists.
@@ -1702,6 +1716,56 @@ mod tests {
         let deadline = Instant::now() + Duration::from_secs(5);
         while stats.steal.steal_to_run.count() == 0 {
             assert!(Instant::now() < deadline, "steal-to-run never recorded");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        r.handle.shutdown();
+    }
+
+    #[test]
+    fn a_report_past_the_stale_bound_draws_no_steal_request() {
+        let mut r = rig(LocalSchedulerConfig {
+            stealing: StealConfig {
+                min_backlog: 1,
+                timeout: Duration::from_millis(200),
+                ..StealConfig::default()
+            },
+            ..LocalSchedulerConfig::default()
+        });
+        let (victim_node, stats) = (NodeId(7), r.handle.stats().clone());
+        let victim = r.services.fabric.register(victim_node, "fake-victim");
+        // Report stamps count from the process epoch: wait until one
+        // two bounds in the past exists.
+        let bound = REPORT_STALE_AFTER.as_nanos() as u64;
+        while rtml_common::time::now_nanos() < 3 * bound {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        // A deep victim whose report is two bounds old: a ghost. The
+        // idle thief asks it for nothing, and the health tracker, built
+        // with the same bound, calls it suspect.
+        let old = rtml_common::time::now_nanos() - 2 * bound;
+        publish_fake_load_at(&r.services, victim_node, 50, &victim, old);
+        assert!(victim
+            .receiver()
+            .recv_timeout(Duration::from_millis(100))
+            .is_err());
+        assert_eq!(stats.steal.attempts.get(), 0);
+        assert!(r.services.health.is_suspect(victim_node));
+        // The same report, freshly stamped (and kept fresh, however
+        // slowly this test is scheduled): the request arrives, and the
+        // victim is suspect no longer.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            publish_fake_load(&r.services, victim_node, 50, &victim);
+            let request = victim.receiver().recv_timeout(Duration::from_millis(20));
+            let payload = request.map(|d| decode_from_slice::<SchedWire>(&d.payload));
+            if matches!(payload, Ok(Ok(SchedWire::StealRequest { .. }))) {
+                break;
+            }
+            assert!(Instant::now() < deadline, "no request at a fresh report");
+        }
+        while r.services.health.is_suspect(victim_node) {
+            assert!(Instant::now() < deadline, "a fresh report is still suspect");
+            publish_fake_load(&r.services, victim_node, 50, &victim);
             std::thread::sleep(Duration::from_millis(2));
         }
         r.handle.shutdown();

@@ -21,6 +21,11 @@
 //! grant is recovered by the same lineage replay that covers any other
 //! lost queue.
 //!
+//! Cadence is fixed, not configured: a thief tries at most once per
+//! [`STEAL_INTERVAL`], backs off by `RetryPolicy::default()` after
+//! fruitless tries, and skips any report older than
+//! [`REPORT_STALE_AFTER`] — the bound the health tracker uses too.
+//!
 //! Idle is not enough: a scheduler whose tasks *waiting on inbound
 //! data* (an object it has requested and that has not arrived yet)
 //! already cover its idle workers sends no request. That work starts the
@@ -44,13 +49,26 @@ use rtml_common::event::{Component, Event, EventKind};
 use rtml_common::ids::{NodeId, ObjectId, TaskId};
 use rtml_common::metrics::{Counter, Histogram};
 use rtml_common::resources::Resources;
+use rtml_common::retry::RetryPolicy;
 use rtml_common::task::{TaskSpec, TaskState};
 use rtml_net::NetAddress;
 
+use crate::health::REPORT_STALE_AFTER;
 use crate::local::Core;
 use crate::msg::{load_key, LoadReport};
 use crate::policy::choose_victim;
 use crate::wire::SchedWire;
+
+/// Minimum delay between steal attempts from one scheduler (the
+/// idle-poll cadence). Consecutive fruitless attempts (timeouts, empty
+/// grants) back the re-arm pause off from here toward the cap of
+/// `RetryPolicy::default()`, instead of hammering a flat cadence into a
+/// partition.
+pub const STEAL_INTERVAL: Duration = Duration::from_millis(1);
+
+/// Cap on the resident-object ids shipped in a steal request as the
+/// thief's locality hint.
+pub const STEAL_HINT_OBJECTS: usize = 64;
 
 /// When (and how hard) an idle local scheduler steals.
 #[derive(Clone, Debug)]
@@ -66,21 +84,10 @@ pub struct StealConfig {
     /// than half its ready queue per request, so repeated steals
     /// converge instead of ping-ponging the whole backlog.
     pub max_tasks: usize,
-    /// Minimum delay between steal attempts from one scheduler (the
-    /// idle-poll cadence).
-    pub interval: Duration,
     /// How long the thief waits for a grant before declaring the
     /// request lost (victim died mid-request) and re-arming its steal
     /// loop.
     pub timeout: Duration,
-    /// Cap on the resident-object ids shipped in the request as the
-    /// thief's locality hint.
-    pub hint_objects: usize,
-    /// Retry discipline for the steal loop: consecutive fruitless
-    /// attempts (timeouts, empty grants) back the re-arm pause off
-    /// exponentially from `interval` toward `retry.cap`, instead of
-    /// hammering a flat cadence into a partition.
-    pub retry: rtml_common::retry::RetryPolicy,
 }
 
 impl Default for StealConfig {
@@ -89,10 +96,7 @@ impl Default for StealConfig {
             enabled: true,
             min_backlog: 4,
             max_tasks: 16,
-            interval: Duration::from_millis(1),
             timeout: Duration::from_millis(25),
-            hint_objects: 64,
-            retry: rtml_common::retry::RetryPolicy::default(),
         }
     }
 }
@@ -239,11 +243,11 @@ impl Core {
         // reproducible); any non-empty grant snaps it back to the flat
         // interval.
         let pause = if self.steal_failures == 0 {
-            cfg.interval
+            STEAL_INTERVAL
         } else {
             let attempt = (self.steal_failures - 1).min(16);
-            cfg.interval
-                .max(cfg.retry.backoff(attempt, u64::from(self.config.node.0)))
+            let seed = u64::from(self.config.node.0);
+            STEAL_INTERVAL.max(RetryPolicy::default().backoff(attempt, seed))
         };
         if self.last_steal.elapsed() < pause {
             return;
@@ -255,18 +259,10 @@ impl Core {
         // (every live node has a transfer service): one batched point
         // read, whose cost does not grow with what else the control
         // plane holds.
-        // Reports older than a few heartbeat periods are ghosts: the
-        // publisher is dead, partitioned, or wedged, and a steal
-        // request at it would only burn a timeout. Live schedulers
-        // republish at least every `load_interval * 16` (the heartbeat
-        // branch of `maybe_publish_load`), so 64 intervals of silence
-        // is decisive, not jitter.
-        let stale_nanos = self
-            .config
-            .load_interval
-            .saturating_mul(64)
-            .max(Duration::from_millis(100))
-            .as_nanos() as u64;
+        // Reports past the staleness bound are ghosts: the publisher is
+        // dead, partitioned, or wedged, and a steal request at it would
+        // only burn a timeout.
+        let stale_nanos = REPORT_STALE_AFTER.as_nanos() as u64;
         let now_nanos = rtml_common::time::now_nanos();
         let peers: Vec<bytes::Bytes> = self
             .services
@@ -301,10 +297,10 @@ impl Core {
         // the hint is rebuilt on a TTL — several times the attempt
         // interval — rather than per attempt, and partial selection
         // keeps the rebuild at O(n + cap·log cap), not a full sort.
-        if self.steal_hint_at.elapsed() >= cfg.interval.saturating_mul(16) {
+        if self.steal_hint_at.elapsed() >= STEAL_INTERVAL.saturating_mul(16) {
             let mut hint = self.services.store.list();
-            let cap = cfg.hint_objects;
-            if hint.len() > cap && cap > 0 {
+            let cap = STEAL_HINT_OBJECTS;
+            if hint.len() > cap {
                 hint.select_nth_unstable(cap);
             }
             hint.truncate(cap);

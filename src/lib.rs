@@ -46,7 +46,6 @@ pub mod prelude {
     pub use rtml_common::error::{Error, Result};
     pub use rtml_common::ids::{NodeId, ObjectId, TaskId, WorkerId};
     pub use rtml_common::resources::Resources;
-    pub use rtml_common::retry::RetryPolicy;
     pub use rtml_net::{FaultPlan, FaultWindow, LatencyModel, LinkFault, LinkMatch, WindowFault};
     pub use rtml_runtime::{
         Cluster, ClusterConfig, Driver, IntoArg, NodeConfig, ObjectRef, TaskContext, TaskOptions,

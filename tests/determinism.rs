@@ -68,10 +68,7 @@ fn stealing_changes_where_tasks_run_never_what_runs() {
         enabled: true,
         min_backlog: 1,
         max_tasks: 8,
-        interval: Duration::from_millis(1),
         timeout: Duration::from_millis(50),
-        hint_objects: 64,
-        ..StealConfig::default()
     };
     let (on_sum, on_bits, on_stolen) = run(aggressive);
     let (off_sum, off_bits, off_stolen) = run(StealConfig::disabled());
@@ -462,10 +459,7 @@ fn determinism_matrix_over_planes_and_shard_counts() {
                 enabled: true,
                 min_backlog: 1,
                 max_tasks: 8,
-                interval: Duration::from_millis(1),
                 timeout: Duration::from_millis(50),
-                hint_objects: 64,
-                ..StealConfig::default()
             }
         } else {
             StealConfig::disabled()

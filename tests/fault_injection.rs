@@ -178,10 +178,7 @@ fn stolen_tasks_survive_thief_death_via_lineage() {
         enabled: true,
         min_backlog: 1,
         max_tasks: 8,
-        interval: Duration::from_millis(1),
         timeout: Duration::from_millis(50),
-        hint_objects: 64,
-        ..StealConfig::default()
     });
     let cluster = Cluster::start(config).unwrap();
     let slow = cluster.register_fn1("slow_steal_fi", |x: i64| {
@@ -532,10 +529,7 @@ fn steal_request_swallowed_by_partition_rearms_cleanly() {
         enabled: true,
         min_backlog: 1,
         max_tasks: 8,
-        interval: Duration::from_millis(1),
         timeout: Duration::from_millis(20),
-        hint_objects: 64,
-        ..StealConfig::default()
     });
     let cluster = Cluster::start(config).unwrap();
     let fabric = cluster.services().fabric.clone();

@@ -166,6 +166,26 @@ fn control_plane_sharding_preserves_semantics() {
 }
 
 #[test]
+fn an_out_of_range_head_node_is_rejected() {
+    // A head node the cluster does not have is a configuration error,
+    // like an empty node list — not a silent move to the last node.
+    let head_on = |global_host| ClusterConfig {
+        global_host,
+        ..ClusterConfig::local(2, 1)
+    };
+    assert!(matches!(
+        Cluster::start(head_on(2)),
+        Err(Error::InvalidArgument(_))
+    ));
+    let cluster = Cluster::start(head_on(1)).unwrap();
+    let f = cluster.register_fn1("head_on_one", |x: i64| Ok(x + 1));
+    let driver = cluster.driver();
+    let fut = driver.submit1(&f, 41).unwrap();
+    assert_eq!(driver.get(&fut).unwrap(), 42);
+    cluster.shutdown();
+}
+
+#[test]
 fn batched_submission_runs_end_to_end_under_every_spill_mode() {
     for spill in [
         SpillMode::AlwaysSpill,
