@@ -71,9 +71,12 @@ fn fault_plan(seed: u64) -> FaultPlan {
                 delay_spike: Duration::from_millis(1),
                 gray_delay: Duration::ZERO,
             },
-            // A gray link: node 1 -> node 2 is slow but alive.
+            // A gray link: node 1 -> node 0 is slow but alive. Node 1's
+            // load reports to the global scheduler on node 0 cross it
+            // every run, whatever the workload moves between peers, so
+            // the rule always has frames to slow.
             LinkFault {
-                link: LinkMatch::link(NodeId(1), NodeId(2)),
+                link: LinkMatch::link(NodeId(1), NodeId(0)),
                 gray_delay: Duration::from_micros(300),
                 ..LinkFault::default()
             },

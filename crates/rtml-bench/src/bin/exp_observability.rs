@@ -9,8 +9,7 @@
 //!   Chrome-trace that is valid JSON, carries flow arrows
 //!   (`ph:"s"/"t"/"f"`) stitching submit → queue → place → start across
 //!   nodes, and holds at least one duration span for every plane
-//!   (control, ingest, placement, transfer — plus steal, from a
-//!   skewed-burst run where pull-based stealing fires).
+//!   (control, ingest, placement, transfer).
 //! - **Critical path**: the analyzer walks the sink task's binding
 //!   dependency chain and splits the end-to-end span into
 //!   ingest/placement/queue/transfer/execution; the buckets must sum
@@ -39,8 +38,8 @@ use rtml_bench::{env_or, print_table};
 use rtml_common::ids::{DriverId, NodeId, TaskId};
 use rtml_common::resources::Resources;
 use rtml_common::task::{ArgSpec, TaskState};
-use rtml_runtime::{Cluster, ClusterConfig, Driver, NodeConfig, TaskRequest, TelemetryConfig};
-use rtml_sched::{SpillMode, StealConfig};
+use rtml_runtime::{Cluster, ClusterConfig, Driver, TaskRequest, TelemetryConfig};
+use rtml_sched::SpillMode;
 
 const DEFAULT_FANOUT: usize = 64;
 const CHAIN_LEN: usize = 8;
@@ -194,44 +193,6 @@ fn run_dag(fanout: usize) -> DagRun {
     }
 }
 
-/// The steal workload: a gated burst lands on node 0 under
-/// `NeverSpill`, so the only way tasks move is the pull-based steal
-/// plane — whose request→grant round trips emit steal spans.
-fn run_steal_spans(tasks: usize) -> usize {
-    let cluster = Cluster::start(
-        ClusterConfig {
-            nodes: (0..3).map(|_| NodeConfig::cpu_only(2)).collect(),
-            spill: SpillMode::NeverSpill,
-            ..ClusterConfig::default()
-        }
-        .with_stealing(StealConfig {
-            enabled: true,
-            min_backlog: 2,
-            max_tasks: 8,
-            timeout: Duration::from_millis(100),
-        }),
-    )
-    .unwrap();
-    let gate = cluster.register_fn0("obs_gate", || {
-        std::thread::sleep(Duration::from_millis(10));
-        Ok(1u8)
-    });
-    let work = cluster.register_fn2("obs_burst", |i: u64, _gate: u8| {
-        std::thread::sleep(Duration::from_millis(3));
-        Ok(i)
-    });
-    let driver = cluster.driver();
-    let open = driver.submit0(&gate).unwrap();
-    let futs: Vec<_> = (0..tasks as u64)
-        .map(|i| driver.submit2(&work, i, &open).unwrap())
-        .collect();
-    driver.get_many(&futs).unwrap();
-    let report = cluster.profile();
-    let steal_spans = report.spans.iter().filter(|s| s.plane == "steal").count();
-    cluster.shutdown();
-    steal_spans
-}
-
 /// One batch-4096 submission-throughput run (tasks/s), pipelined, on
 /// the CI floor's configuration — the only difference between calls is
 /// the telemetry switch. Submits at least `min_tasks`, and for at least
@@ -312,7 +273,6 @@ fn main() {
     let reps: usize = env_or("RTML_OBS_REPS", MIN_OVERHEAD_PAIRS).max(MIN_OVERHEAD_PAIRS);
 
     let dag = run_dag(fanout);
-    let steal_spans = run_steal_spans(48);
 
     // Overhead A/B: interleaved on/off pairs, which side goes first
     // alternating, so drift in the host's load cancels within a pair;
@@ -337,10 +297,6 @@ fn main() {
         .plane_spans
         .iter()
         .map(|(plane, count)| vec![plane.to_string(), count.to_string()])
-        .chain(std::iter::once(vec![
-            "steal (burst run)".to_string(),
-            steal_spans.to_string(),
-        ]))
         .collect();
     print_table(
         &format!("E14: plane spans ({fanout}-wide fan-out + {CHAIN_LEN}-deep chain, 3 nodes)"),
@@ -382,7 +338,6 @@ fn main() {
             "trace must hold at least one {plane} span"
         );
     }
-    assert!(steal_spans > 0, "burst run must produce steal spans");
     assert!(
         dag.flow_starts > 0 && dag.flow_binds > 0,
         "trace must carry flow events ({} starts, {} binds)",
@@ -403,7 +358,7 @@ fn main() {
     );
 
     let json = format!(
-        "{{\n  \"experiment\": \"observability\",\n  \"fanout\": {fanout},\n  \"chain_len\": {},\n  \"planes\": {{{}}},\n  \"steal_spans\": {steal_spans},\n  \"flow_starts\": {},\n  \"flow_binds\": {},\n  \"critical_path_us\": {{\"ingest\": {}, \"placement\": {}, \"queue\": {}, \"transfer\": {}, \"execution\": {}, \"attributed\": {}, \"makespan\": {}}},\n  \"telemetry\": {{\"nodes\": {}, \"records\": {}, \"retention\": {}, \"columns\": {}}},\n  \"submit_batch\": {SUBMIT_BATCH},\n  \"submit_tasks_per_rate\": {},\n  \"telemetry_on_tasks_per_sec\": {:.0},\n  \"telemetry_off_tasks_per_sec\": {:.0},\n  \"overhead_ratio\": {:.4},\n  \"event_records_dropped\": {}\n}}\n",
+        "{{\n  \"experiment\": \"observability\",\n  \"fanout\": {fanout},\n  \"chain_len\": {},\n  \"planes\": {{{}}},\n  \"flow_starts\": {},\n  \"flow_binds\": {},\n  \"critical_path_us\": {{\"ingest\": {}, \"placement\": {}, \"queue\": {}, \"transfer\": {}, \"execution\": {}, \"attributed\": {}, \"makespan\": {}}},\n  \"telemetry\": {{\"nodes\": {}, \"records\": {}, \"retention\": {}, \"columns\": {}}},\n  \"submit_batch\": {SUBMIT_BATCH},\n  \"submit_tasks_per_rate\": {},\n  \"telemetry_on_tasks_per_sec\": {:.0},\n  \"telemetry_off_tasks_per_sec\": {:.0},\n  \"overhead_ratio\": {:.4},\n  \"event_records_dropped\": {}\n}}\n",
         dag.chain_len,
         dag.plane_spans
             .iter()

@@ -106,14 +106,6 @@ pub enum EventKind {
         to: NodeId,
         micros: u64,
     },
-    /// A ready task was pulled from a loaded node by an idle peer (the
-    /// steal plane): ownership moved from `from` to `to` before the
-    /// grant left the victim.
-    TaskStolen {
-        task: TaskId,
-        from: NodeId,
-        to: NodeId,
-    },
     /// A worker was killed (failure injection or crash).
     WorkerLost { worker: WorkerId },
     /// A node was killed.
@@ -140,27 +132,8 @@ pub enum EventKind {
         tasks: u32,
         micros: u64,
     },
-    /// An idle scheduler sent a steal request to a loaded victim.
-    /// `seq` correlates with the matching [`EventKind::StealRoundTrip`]
-    /// (thieves keep at most one request in flight, so the pair is
-    /// unambiguous per thief).
-    StealRequested {
-        thief: NodeId,
-        victim: NodeId,
-        seq: u64,
-    },
-    /// The grant for steal request `seq` arrived back at the thief:
-    /// the full request→grant round trip took `micros` (tasks may be
-    /// zero — a stale victim whose queue drained answers empty).
-    StealRoundTrip {
-        thief: NodeId,
-        victim: NodeId,
-        seq: u64,
-        tasks: u32,
-        micros: u64,
-    },
-    /// A local scheduler ingested a submission batch (local, placed or
-    /// stolen) in the loop turn that received it: `tasks` specs scanned
+    /// A local scheduler ingested a submission batch (local or placed)
+    /// in the loop turn that received it: `tasks` specs scanned
     /// for spill and dependencies and their states group-committed in
     /// `micros`. It is the last event of the one frame the batch writes,
     /// after its tasks' [`EventKind::TaskQueuedLocal`] and
@@ -184,8 +157,7 @@ impl EventKind {
             | EventKind::TaskStarted { task, .. }
             | EventKind::TaskFinished { task, .. }
             | EventKind::TaskFailed { task, .. }
-            | EventKind::TaskReconstructed { task, .. }
-            | EventKind::TaskStolen { task, .. } => Some(*task),
+            | EventKind::TaskReconstructed { task, .. } => Some(*task),
             _ => None,
         }
     }
@@ -201,7 +173,6 @@ impl EventKind {
             EventKind::TaskFinished { .. } => "task_finished",
             EventKind::TaskFailed { .. } => "task_failed",
             EventKind::TaskReconstructed { .. } => "task_reconstructed",
-            EventKind::TaskStolen { .. } => "task_stolen",
             EventKind::ObjectSealed { .. } => "object_sealed",
             EventKind::ObjectEvicted { .. } => "object_evicted",
             EventKind::TransferStarted { .. } => "transfer_started",
@@ -212,8 +183,6 @@ impl EventKind {
             EventKind::NodeRestarted { .. } => "node_restarted",
             EventKind::SpecSegmentCommitted { .. } => "spec_segment_committed",
             EventKind::PlacementBatch { .. } => "placement_batch",
-            EventKind::StealRequested { .. } => "steal_requested",
-            EventKind::StealRoundTrip { .. } => "steal_round_trip",
             EventKind::BatchIngested { .. } => "batch_ingested",
         }
     }
@@ -306,12 +275,6 @@ impl Codec for EventKind {
                 object.encode(w);
                 node.encode(w);
             }
-            EventKind::TaskStolen { task, from, to } => {
-                w.put_u8(16);
-                task.encode(w);
-                from.encode(w);
-                to.encode(w);
-            }
             EventKind::SpecSegmentCommitted {
                 node,
                 seq,
@@ -336,30 +299,11 @@ impl Codec for EventKind {
                 w.put_u32(*tasks);
                 w.put_varint(*micros);
             }
-            EventKind::StealRequested { thief, victim, seq } => {
-                w.put_u8(19);
-                thief.encode(w);
-                victim.encode(w);
-                w.put_varint(*seq);
-            }
-            EventKind::StealRoundTrip {
-                thief,
-                victim,
-                seq,
-                tasks,
-                micros,
-            } => {
-                w.put_u8(20);
-                thief.encode(w);
-                victim.encode(w);
-                w.put_varint(*seq);
-                w.put_u32(*tasks);
-                w.put_varint(*micros);
-            }
-            // Tags 21 (a replication sweep), 22 (a batch queued behind
-            // the mailbox) and 23 (the same batch indexed, with a
-            // sequence number to pair them) are retired, not reused: an
-            // old frame must fail to decode, not misdecode.
+            // Tags 16 (a stolen task), 19 and 20 (a steal request and
+            // its round trip), 21 (a replication sweep), 22 (a batch
+            // queued behind the mailbox) and 23 (the same batch indexed,
+            // with a sequence number to pair them) are retired, not
+            // reused: an old frame must fail to decode, not misdecode.
             EventKind::BatchIngested {
                 node,
                 tasks,
@@ -439,11 +383,6 @@ impl Codec for EventKind {
                 object: ObjectId::decode(r)?,
                 node: NodeId::decode(r)?,
             },
-            16 => EventKind::TaskStolen {
-                task: TaskId::decode(r)?,
-                from: NodeId::decode(r)?,
-                to: NodeId::decode(r)?,
-            },
             17 => EventKind::SpecSegmentCommitted {
                 node: NodeId::decode(r)?,
                 seq: r.take_varint()?,
@@ -453,18 +392,6 @@ impl Codec for EventKind {
             18 => EventKind::PlacementBatch {
                 node: NodeId::decode(r)?,
                 shard: r.take_u32()?,
-                tasks: r.take_u32()?,
-                micros: r.take_varint()?,
-            },
-            19 => EventKind::StealRequested {
-                thief: NodeId::decode(r)?,
-                victim: NodeId::decode(r)?,
-                seq: r.take_varint()?,
-            },
-            20 => EventKind::StealRoundTrip {
-                thief: NodeId::decode(r)?,
-                victim: NodeId::decode(r)?,
-                seq: r.take_varint()?,
                 tasks: r.take_u32()?,
                 micros: r.take_varint()?,
             },
@@ -571,11 +498,6 @@ mod tests {
             EventKind::NodeLost { node: n },
             EventKind::NodeRestarted { node: n },
             EventKind::PrefetchIssued { object: o, node: n },
-            EventKind::TaskStolen {
-                task: t,
-                from: n,
-                to: NodeId(2),
-            },
             EventKind::SpecSegmentCommitted {
                 node: n,
                 seq: 7,
@@ -587,18 +509,6 @@ mod tests {
                 shard: 3,
                 tasks: 17,
                 micros: 9,
-            },
-            EventKind::StealRequested {
-                thief: n,
-                victim: NodeId(2),
-                seq: 11,
-            },
-            EventKind::StealRoundTrip {
-                thief: n,
-                victim: NodeId(2),
-                seq: 11,
-                tasks: 0,
-                micros: 450,
             },
             EventKind::BatchIngested {
                 node: n,
@@ -625,8 +535,9 @@ mod tests {
             let back: Event = decode_from_slice(&bytes).unwrap();
             assert_eq!(ev, back, "kind {}", kind.label());
         }
-        // The retired sweep and batch events' tags decode as nothing.
-        for tag in [21u8, 22, 23] {
+        // The retired steal, sweep and batch events' tags decode as
+        // nothing.
+        for tag in [16u8, 19, 20, 21, 22, 23] {
             let mut w = crate::codec::Writer::with_capacity(16);
             w.put_u8(tag);
             n.encode(&mut w);

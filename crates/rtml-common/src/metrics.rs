@@ -498,7 +498,7 @@ mod tests {
         let registry = MetricsRegistry::new();
         let c = Arc::new(Counter::new());
         c.add(5);
-        registry.register_value("z.steal.attempts", move || c.get());
+        registry.register_value("z.spill.batches", move || c.get());
         registry.register_value("a.fetches", || 7);
         let h = Arc::new(Histogram::new());
         h.record(1000);
@@ -516,7 +516,7 @@ mod tests {
                 "m.latency.max",
                 "m.latency.p50",
                 "m.latency.p99",
-                "z.steal.attempts",
+                "z.spill.batches",
             ]
         );
         assert_eq!(sample[0].1, 7);

@@ -8,9 +8,10 @@
 //!
 //! There is one policy, `RetryPolicy::default()`, and no knob that
 //! swaps it. Its readers: the resolver's holder sweep (`max_attempts`
-//! holders before the producer is force-replayed), driver stripe
-//! failover (`max_attempts` stripe targets), and the steal loop's
-//! re-arm pause (`backoff`).
+//! holders before the producer is force-replayed) and driver stripe
+//! failover (`max_attempts` stripe targets). Nothing sleeps on
+//! [`RetryPolicy::backoff`] today; it is the schedule a loop that
+//! re-arms after failures would pace itself by.
 //!
 //! The jitter is decorrelated-but-deterministic: the sleep for attempt
 //! `k` is drawn from `[nominal/2, nominal]` where `nominal = base *

@@ -113,9 +113,9 @@ impl SegmentIndex {
     /// Later segments win on duplicate ids when folded. A handle that
     /// already cached an earlier copy keeps serving it without
     /// re-reading the log — safe because every production re-record
-    /// (e.g. the steal plane re-committing granted tasks) carries a
-    /// content-identical spec, and attempt-bumped resubmissions shadow
-    /// the segment copy via the `tspec:` point key.
+    /// carries a content-identical spec, and attempt-bumped
+    /// resubmissions shadow the segment copy via the `tspec:` point
+    /// key.
     fn fold_segment(segment: &Bytes, entries: &mut FastMap<UniqueId, Bytes>) {
         let mut r = Reader::new(segment);
         let Ok(count) = r.take_varint() else {

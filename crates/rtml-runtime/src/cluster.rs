@@ -9,8 +9,13 @@
 //! [`ClusterConfig`] holds only what a user chooses. It is kept whole
 //! in [`Services::config`], where every component reads its setting;
 //! a value no caller varies (the load interval, the retry policy, the
-//! transfer chunk size, the default `get` deadline, the steal cadence)
-//! is a constant beside the code that reads it.
+//! transfer chunk size, the default `get` deadline) is a constant beside
+//! the code that reads it.
+//!
+//! A count of zero is refused, not rounded up: `Cluster::start` returns
+//! [`Error::InvalidArgument`] for a `kv_shards`, `global_shards` or
+//! `submit_striping` of 0, as it does for a `global_host` outside
+//! `nodes`.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -64,14 +69,6 @@ pub struct ClusterConfig {
     pub event_log_retention: Option<usize>,
     /// Per-attempt timeout for cross-node object fetches.
     pub fetch_timeout: Duration,
-    /// Pull-based work stealing: an idle local scheduler (empty ready
-    /// queue, spare resources) pulls a batch of ready tasks from a
-    /// peer whose kv-published backlog is deep, preferring tasks whose
-    /// dependencies are already local to the thief. The inverse of
-    /// spillover — push balancing decides once at ingest, stealing
-    /// keeps correcting as queues skew. Changes only *where tasks
-    /// run*, never values: checksums are identical with it on or off.
-    pub stealing: rtml_sched::StealConfig,
     /// Seed for randomized placement policies and the fabric's jitter.
     pub seed: u64,
     /// Which node hosts the global scheduler (a "head node"). Components
@@ -119,7 +116,6 @@ impl Default for ClusterConfig {
             event_logging: true,
             event_log_retention: None,
             fetch_timeout: Duration::from_secs(2),
-            stealing: rtml_sched::StealConfig::default(),
             seed: 0x5eed,
             global_host: 0,
             global_shards: 1,
@@ -170,12 +166,6 @@ impl ClusterConfig {
     /// Bounds each event-log stream to `cap` records builder-style.
     pub fn with_event_log_retention(mut self, cap: usize) -> Self {
         self.event_log_retention = Some(cap);
-        self
-    }
-
-    /// Replaces the work-stealing policy builder-style.
-    pub fn with_stealing(mut self, stealing: rtml_sched::StealConfig) -> Self {
-        self.stealing = stealing;
         self
     }
 
@@ -236,6 +226,15 @@ impl Cluster {
                 config.nodes.len()
             )));
         }
+        for (name, count) in [
+            ("kv_shards", config.kv_shards),
+            ("global_shards", config.global_shards),
+            ("submit_striping", config.submit_striping),
+        ] {
+            if count == 0 {
+                return Err(Error::InvalidArgument(format!("{name} must be at least 1")));
+            }
+        }
         let services = Services::create(&config);
         let recon = ReconstructionManager::new(services.clone());
 
@@ -244,7 +243,7 @@ impl Cluster {
                 host_node: NodeId(config.global_host),
                 policy: config.placement,
                 seed: config.seed,
-                shards: config.global_shards.max(1),
+                shards: config.global_shards,
             },
             services.fabric.clone(),
             services.objects.clone(),

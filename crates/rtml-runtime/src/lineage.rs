@@ -179,9 +179,9 @@ impl ReconstructionManager {
     }
 
     /// A producer observed in the same pre-running state for longer
-    /// than `stuck_after` had its forward-progress message lost (a
-    /// steal grant swallowed by a partition, a spill placement dropped
-    /// by the fault plan). Declare it lost and replay; a redundant
+    /// than `stuck_after` had its forward-progress message lost (a spill
+    /// or a placement dropped by the fault plan or swallowed by a
+    /// partition). Declare it lost and replay; a redundant
     /// replay racing the original is safe — task and object IDs are
     /// deterministic, so both executions seal identical values.
     fn note_inflight(&self, task: TaskId, state: TaskState) {

@@ -164,7 +164,6 @@ impl NodeRuntime {
                 spill: cluster.spill.clone(),
                 fetch_timeout: cluster.fetch_timeout,
                 load_interval: rtml_sched::local::LOAD_INTERVAL,
-                stealing: cluster.stealing.clone(),
             },
             sched_services,
             worker_ids.clone(),
@@ -304,9 +303,8 @@ impl NodeRuntime {
         }
         let mut this = self;
         this.sched.shutdown();
-        // Retract the kv-mirrored load report: a dead node must stop
-        // attracting steal requests (stale victims are handled, but a
-        // ghost with a deep frozen backlog would waste thief attempts).
+        // Retract the kv-mirrored load report: a dead node leaves no
+        // frozen backlog behind for a reader of the mirror to trust.
         services.kv.delete(&rtml_sched::load_key(this.node));
         // Drop the store contents and erase their locations from the
         // table as one group commit.

@@ -29,8 +29,6 @@ pub struct TaskProfile {
     pub placed: Option<u64>,
     /// Where the global scheduler placed it.
     pub placed_node: Option<NodeId>,
-    /// When (and to where) a steal moved it, if one did.
-    pub stolen: Option<(u64, NodeId)>,
     /// When a worker started it.
     pub started: Option<u64>,
     /// When it finished.
@@ -67,17 +65,16 @@ impl TaskProfile {
 /// runs backwards from `end_nanos`.
 #[derive(Clone, Debug)]
 pub struct PlaneSpan {
-    /// Which plane: `"control"`, `"ingest"`, `"placement"`, `"steal"`,
-    /// or `"transfer"`.
+    /// Which plane: `"control"`, `"ingest"`, `"placement"` or
+    /// `"transfer"`.
     pub plane: &'static str,
-    /// The node the span is attributed to (the thief for steal round
-    /// trips, the receiver for transfers).
+    /// The node the span is attributed to (the receiver for transfers).
     pub node: NodeId,
     /// When the operation completed (nanos since epoch).
     pub end_nanos: u64,
     /// How long it took.
     pub micros: u64,
-    /// Short human label ("segment 4096", "steal from node-2", ...).
+    /// Short human label ("segment 4096", "shard 2", ...).
     pub label: String,
     /// Structured payload, rendered as Chrome-trace args.
     pub args: Vec<(&'static str, u64)>,
@@ -129,11 +126,8 @@ pub struct ProfileReport {
     /// ([`crate::Cluster::counters`], attached by
     /// [`crate::Cluster::profile`]; empty for raw event folds).
     pub counters: MetricsRegistry,
-    /// Steal grants recorded in the event log (`TaskStolen` records —
-    /// the events-based mirror of `steal.tasks_granted`).
-    pub steal_events: usize,
-    /// Plane-operation spans (segment commits, placement batches, steal
-    /// round trips, batch ingests, transfers), in log order.
+    /// Plane-operation spans (segment commits, placement batches, batch
+    /// ingests, transfers), in log order.
     pub spans: Vec<PlaneSpan>,
     /// Failures, reconstructions, and node losses, in log order.
     pub incidents: Vec<Incident>,
@@ -201,7 +195,6 @@ impl ProfileReport {
                         node: Some(*node),
                     });
                 }
-                EventKind::TaskStolen { .. } => report.steal_events += 1,
                 EventKind::SpecSegmentCommitted {
                     node,
                     seq,
@@ -227,20 +220,6 @@ impl ProfileReport {
                     micros: *micros,
                     label: format!("shard {shard}"),
                     args: vec![("tasks", u64::from(*tasks)), ("shard", u64::from(*shard))],
-                }),
-                EventKind::StealRoundTrip {
-                    thief,
-                    victim,
-                    seq,
-                    tasks,
-                    micros,
-                } => report.spans.push(PlaneSpan {
-                    plane: "steal",
-                    node: *thief,
-                    end_nanos: event.at_nanos,
-                    micros: *micros,
-                    label: format!("steal from node-{}", victim.0),
-                    args: vec![("tasks", u64::from(*tasks)), ("seq", *seq)],
                 }),
                 EventKind::BatchIngested {
                     node,
@@ -277,9 +256,6 @@ impl ProfileReport {
                         profile.placed = Some(event.at_nanos);
                         profile.placed_node = Some(*node);
                     }
-                }
-                EventKind::TaskStolen { to, .. } => {
-                    profile.stolen.get_or_insert((event.at_nanos, *to));
                 }
                 EventKind::TaskStarted { worker, .. } => {
                     profile.started.get_or_insert(event.at_nanos);
@@ -362,12 +338,6 @@ impl ProfileReport {
     pub fn summary(&self) -> String {
         let latency = self.scheduling_latency().snapshot();
         let count = |name: &str| self.counters.get(name).unwrap_or(0);
-        let stolen = count("steal.tasks_stolen");
-        let locality = if stolen == 0 {
-            0.0
-        } else {
-            count("steal.locality_hits") as f64 / stolen as f64
-        };
         let retention = if self.partial {
             format!(
                 "\nevent log: PARTIAL — {} records dropped by retention; oldest timeline edges may be missing",
@@ -382,7 +352,6 @@ impl ProfileReport {
              objects sealed: {}, transfers: {}, evictions: {}\n\
              prefetch: {} issued, {} hits, {} skipped (capacity), {} deferred (priority); duplicates suppressed: {}\n\
              results pushed on seal: {} sent, {} received, {} pulled after the wait\n\
-             steal: {} attempts, {} grants, {} tasks stolen ({:.2} locality), steal-to-run p50 {}\n\
              failures injected: {} workers, {} nodes\n\
              chaos: {} drops, {} dups, {} delay spikes, {} gray injected; {} replays deferred{retention}",
             self.tasks.len(),
@@ -402,11 +371,6 @@ impl ProfileReport {
             count("transfer.pushed"),
             count("fetch.pushes_received"),
             count("objects.late_pushes"),
-            count("steal.attempts"),
-            count("steal.grants"),
-            stolen,
-            locality,
-            fmt_nanos(count("steal.steal_to_run.p50")),
             self.workers_lost,
             self.nodes_lost,
             count("fabric.injected_drops"),
@@ -426,18 +390,17 @@ impl ProfileReport {
     ///   invented onto a fake worker;
     /// - per-plane duration slices on dedicated lanes (tid 1000+, named
     ///   via thread-name metadata): segment commits, batch ingests,
-    ///   placement batches, steal round trips, transfers;
+    ///   placement batches, transfers;
     /// - flow arrows (`ph:"s"`/`"t"`/`"f"`) stitching each task's
-    ///   submit → queue → place/steal → start across nodes;
+    ///   submit → queue → place → start across nodes;
     /// - instant markers (`ph:"i"`) for failures, reconstructions, and
     ///   node losses.
     pub fn chrome_trace(&self) -> String {
         // Lane tids per plane, well above any real worker index.
-        const LANES: [(&str, u32); 5] = [
+        const LANES: [(&str, u32); 4] = [
             ("control", 1000),
             ("ingest", 1001),
             ("placement", 1002),
-            ("steal", 1003),
             ("transfer", 1004),
         ];
         let lane = |plane: &str| -> u32 {
@@ -486,7 +449,7 @@ impl ProfileReport {
             ));
             // Flow: start at submit (anchored on the queueing node's
             // control lane — TaskSubmitted does not name one), step at
-            // queue, step at place/steal, bind (`bp:"e"`) into the
+            // queue, step at place, bind (`bp:"e"`) into the
             // task slice at start.
             let anchor = task.queued_node.unwrap_or(worker.node);
             let mut flow = |ph: &str, ts: u64, pid: u32, tid: u32, extra: &str| {
@@ -503,9 +466,6 @@ impl ProfileReport {
             }
             if let (Some(placed), Some(node)) = (task.placed, task.placed_node) {
                 flow("t", placed, node.0, lane("placement"), "");
-            }
-            if let Some((at, to)) = task.stolen {
-                flow("t", at, to.0, lane("steal"), "");
             }
             flow("f", started, worker.node.0, worker.index, ",\"bp\":\"e\"");
         }
@@ -836,17 +796,6 @@ mod tests {
                 },
             },
             Event {
-                at_nanos: 9_000_000,
-                component: Component::LocalScheduler,
-                kind: EventKind::StealRoundTrip {
-                    thief: NodeId(1),
-                    victim: NodeId(0),
-                    seq: 0,
-                    tasks: 4,
-                    micros: 300,
-                },
-            },
-            Event {
                 at_nanos: 11_000_000,
                 component: Component::Worker,
                 kind: EventKind::TaskFailed {
@@ -863,7 +812,7 @@ mod tests {
         let report = ProfileReport::from_events(&events);
         let planes: std::collections::HashSet<&str> =
             report.spans.iter().map(|s| s.plane).collect();
-        for plane in ["control", "ingest", "placement", "steal"] {
+        for plane in ["control", "ingest", "placement"] {
             assert!(planes.contains(plane), "missing plane {plane}");
         }
         assert_eq!(report.incidents.len(), 2);

@@ -206,7 +206,7 @@ impl Services {
     /// back to `home` when the router is empty (shutdown race — the
     /// send itself will fail cleanly downstream).
     pub fn stripe_target(&self, home: NodeId, index: u64) -> NodeId {
-        let width = self.config.submit_striping.max(1);
+        let width = self.config.submit_striping;
         if width == 1 {
             return home;
         }

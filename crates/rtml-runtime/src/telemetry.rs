@@ -2,7 +2,7 @@
 //! observability plane.
 //!
 //! Every node carries a [`MetricsRegistry`] on which its components
-//! (object plane, scheduler and steal plane, store) register their live
+//! (object plane, scheduler, store) register their live
 //! counters at build time; cluster-wide state (fabric, kv, event log,
 //! object table, global scheduler, lineage replay) is registered once,
 //! on the services' registry. A node's sampler thread reads both on a

@@ -642,7 +642,7 @@ fn get_many_of_an_executing_batch_fetches_in_batches_not_per_object() {
     // once, while nothing has sealed yet. Remote results must arrive in
     // a handful of coalesced requests, not one round trip each. Half
     // the batch is pinned to node 1 so at least 128 results are remote
-    // whatever spill and steal decide about the rest.
+    // whatever spill decides about the rest.
     let cluster = Cluster::start(ClusterConfig {
         nodes: vec![
             NodeConfig::cpu_only(2),
@@ -694,11 +694,9 @@ fn wait_costs_control_plane_reads_linear_in_the_batch() {
     // stays blocked across hundreds of notifications and many poll
     // slices. Its own control-plane traffic must be the subscription
     // plus a few nudges for the straggler — not a re-read of the whole
-    // batch per wake-up or per slice. Stealing and telemetry are off so
-    // the idle cluster itself is quiet (~300 kv ops/s instead of ~15k).
-    let mut config = ClusterConfig::local(2, 2).without_telemetry();
-    config.stealing.enabled = false;
-    let cluster = Cluster::start(config).unwrap();
+    // batch per wake-up or per slice. Telemetry is off so the idle
+    // cluster itself is quiet.
+    let cluster = Cluster::start(ClusterConfig::local(2, 2).without_telemetry()).unwrap();
     let nap = cluster.register_fn1("wait_nap", |ms: u64| {
         std::thread::sleep(Duration::from_millis(ms));
         Ok(ms)
@@ -771,9 +769,7 @@ fn reconstruction_nudges_stay_linear_in_the_producers_in_flight() {
     // the stuck-task backstop may be watching thousands of legitimately
     // in-flight producers at once. Pruning its watch list must not
     // re-read every watched task's state on every nudge.
-    let mut config = ClusterConfig::local(1, 1).without_telemetry();
-    config.stealing.enabled = false;
-    let cluster = Cluster::start(config).unwrap();
+    let cluster = Cluster::start(ClusterConfig::local(1, 1).without_telemetry()).unwrap();
     let nap = cluster.register_fn1("nudge_nap", |ms: u64| {
         std::thread::sleep(Duration::from_millis(ms));
         Ok(ms)

@@ -13,8 +13,10 @@
 //! again on the next tick — and the `PrefetchIssued` and transfer
 //! **events**. It also pins every arrived dependency on its task's
 //! behalf; the pins ride with the task onto the run queue and are
-//! released by the worker that finishes it.
+//! released by the worker that finishes it. A task that becomes runnable
+//! meets the spill rule then (`on_sealed`).
 
+use std::sync::atomic::Ordering::Relaxed;
 use std::time::Instant;
 
 use rtml_common::event::{Component, Event, EventKind};
@@ -22,6 +24,7 @@ use rtml_common::ids::{NodeId, ObjectId};
 use rtml_store::FetchResult;
 
 use crate::local::{Core, Waiting};
+use crate::runq::Runnable;
 
 impl Core {
     /// Runs the resolver's decisions for this loop turn (see the module
@@ -115,12 +118,21 @@ impl Core {
 
     /// An object sealed in the local store: its waiting tasks are one
     /// dependency closer to runnable, and the resolver is done with it.
+    ///
+    /// A task submitted here that becomes runnable now meets the spill
+    /// rule now: the rule is about the runnable backlog, and at ingest
+    /// this task was not part of it. Without this, every task submitted
+    /// before its inputs exist (the next iteration's rollouts, gated on
+    /// the policy update still running) would stay on its ingest node
+    /// however deep the queue it lands in. A task the global scheduler
+    /// placed here never spills again.
     pub(crate) fn on_sealed(&mut self, object: ObjectId) {
         let Some(tasks) = self.watchers.remove(&object) else {
             return;
         };
         self.resolver.retire(object);
-        let mut runnable = Vec::new();
+        let mut backlog = self.stats.ready_depth.load(Relaxed) as usize;
+        let (mut runnable, mut spilled) = (Vec::new(), Vec::new());
         for task in tasks {
             let Some(waiting) = self.waiting.get_mut(&task) else {
                 continue;
@@ -128,17 +140,46 @@ impl Core {
             // Pin the arrived dependency on this task's behalf: LRU
             // eviction must not drop a fetched argument between arrival
             // and execution. Released by the run queue where the task
-            // finishes (or leaves the node unrun).
+            // finishes.
             if self.services.store.pin(object) {
                 waiting.pins.push(object);
             }
             waiting.missing -= 1;
-            if waiting.missing == 0 {
-                let Waiting { spec, pins, .. } = self.waiting.remove(&task).expect("present");
-                runnable.push(self.runnable(spec, pins));
+            if waiting.missing > 0 {
+                continue;
+            }
+            let Waiting {
+                spec,
+                pins,
+                via_global,
+                ..
+            } = self.waiting.remove(&task).expect("present");
+            let total = &self.config.total_resources;
+            if !via_global && self.config.spill.should_spill(&spec, backlog, total) {
+                // It leaves unrun: nothing here reads its inputs.
+                for pin in pins {
+                    self.services.store.unpin(pin);
+                }
+                spilled.push(spec);
+            } else {
+                backlog += 1;
+                runnable.push(Runnable { spec, pins });
             }
         }
         self.queue.push(runnable);
+        if !spilled.is_empty() {
+            let (node, at_nanos) = (self.config.node, rtml_common::time::now_nanos());
+            let events = spilled.iter().map(|spec| Event {
+                at_nanos,
+                component: Component::LocalScheduler,
+                kind: EventKind::TaskSpilled {
+                    task: spec.task_id,
+                    from: node,
+                },
+            });
+            self.services.events.append_many(node, events.collect());
+            self.spill_batch(spilled);
+        }
     }
 }
 

@@ -474,9 +474,6 @@ impl GlobalCore {
                 self.forget(node);
                 self.update_known();
             }
-            // Steal traffic flows local → local by design; a misrouted
-            // frame carries nothing the global scheduler can act on.
-            Ok(SchedWire::StealRequest { .. }) | Ok(SchedWire::StealGrant { .. }) => {}
             Err(_) => {}
         }
     }

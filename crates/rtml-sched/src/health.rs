@@ -31,11 +31,10 @@ use crate::msg::{load_key, LoadReport};
 use rtml_common::ids::NodeId;
 use rtml_kv::KvStore;
 
-/// How old a node's newest load report may be before the node reads as
-/// dead: a suspect to the health tracker, not a candidate victim to a
-/// thief. A live scheduler republishes at least every 16
-/// [`crate::local::LOAD_INTERVAL`]s (its heartbeat), so this much
-/// silence is decisive, not jitter.
+/// How old a node's newest load report may be before the health tracker
+/// calls the node suspect. Health is its only reader. A live scheduler
+/// republishes at least every 16 [`crate::local::LOAD_INTERVAL`]s (its
+/// heartbeat), so this much silence is decisive, not jitter.
 pub const REPORT_STALE_AFTER: Duration = Duration::from_millis(100);
 
 /// Failures within this window accumulate toward suspicion; the window

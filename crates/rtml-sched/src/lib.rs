@@ -22,6 +22,9 @@
 //!   information — per-node load reports and the object table's locality
 //!   data — under a pluggable [`PlacementPolicy`].
 //!
+//! Spill and global placement are the only way work moves between
+//! nodes: a task queued on a node stays there unless the node dies.
+//!
 //! Experiments: E8 compares `SpillMode::{Hybrid, AlwaysSpill, NeverSpill}`
 //! (hybrid vs fully-centralized vs node-local scheduling); A2 compares
 //! placement policies.
@@ -38,7 +41,6 @@ pub mod policy;
 pub mod resolve;
 pub mod runq;
 pub mod spill;
-pub mod steal;
 pub mod wire;
 
 pub use global::{
@@ -51,7 +53,6 @@ pub use local::{
 pub use msg::{load_key, LoadReport, LocalMsg};
 pub use policy::{choose_victim, LoadView, PlacementPolicy, PolicyState, DEFAULT_TOP_K};
 pub use resolve::{Goal, Replay, Resolver, Wiring, POLL_SLICE};
-pub use runq::{QueueLoad, RunQueue, Runnable, StealCandidate};
+pub use runq::{QueueLoad, RunQueue, Runnable};
 pub use spill::SpillMode;
-pub use steal::{plan_steal_grant, StealConfig, StealStats};
 pub use wire::SchedWire;

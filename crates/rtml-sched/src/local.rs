@@ -1,7 +1,7 @@
 //! The per-node local scheduler (paper §3.2.2, Figure 3).
 //!
 //! One instance runs per node as a dedicated thread. It keeps what only
-//! it knows — ingest, spill, dependency gating, steal, load reports —
+//! it knows — ingest, spill, dependency gating, load reports —
 //! and *pushes* what became runnable onto the node's [`RunQueue`], which
 //! it shares with the node's workers. A worker takes its own next task
 //! from there; the scheduler hears from one only when it runs dry
@@ -31,8 +31,8 @@
 //! [`SpillMode`]. Either way a batch is ingested in the loop turn that
 //! receives it (`Core::on_submit_batch`): the unbounded mailbox is the
 //! only queue between a submitter and this loop, so a submitter never
-//! waits for ingest and ingest never defers its own work. The thief and
-//! victim halves of work stealing are in [`crate::steal`].
+//! waits for ingest and ingest never defers its own work. Spill is the
+//! only way a task leaves this node: nothing pulls queued work away.
 
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
@@ -54,11 +54,9 @@ use rtml_store::{FetchAgent, FetchResult, ObjectStore, TransferDirectory};
 
 use crate::health::HealthTracker;
 use crate::msg::{load_key, LoadReport, LocalMsg};
-use crate::policy::PolicyState;
 use crate::resolve::{Goal, Replay, Resolver, Wiring};
 use crate::runq::{RunQueue, Runnable};
 use crate::spill::SpillMode;
-use crate::steal::{StealConfig, StealInflight, StealStats};
 use crate::wire::SchedWire;
 
 /// How often an idle scheduler loop ticks, and the least time between
@@ -80,12 +78,6 @@ pub struct LocalSchedulerConfig {
     /// Minimum interval between load publications: [`LOAD_INTERVAL`],
     /// except in tests that want a loop with no ticks.
     pub load_interval: Duration,
-    /// Pull-based work stealing: when this scheduler's ready queue
-    /// drains while a peer's kv-published backlog is deep, pull a batch
-    /// of the peer's ready tasks over the fabric (see
-    /// [`crate::steal`]). Stealing moves *where tasks run*, never
-    /// values — checksums are identical with it on or off.
-    pub stealing: StealConfig,
 }
 
 impl Default for LocalSchedulerConfig {
@@ -96,7 +88,6 @@ impl Default for LocalSchedulerConfig {
             spill: SpillMode::default(),
             fetch_timeout: Duration::from_secs(2),
             load_interval: LOAD_INTERVAL,
-            stealing: StealConfig::default(),
         }
     }
 }
@@ -161,8 +152,6 @@ pub struct LocalSchedulerStats {
     /// tasks submitted earlier consumed the pass's budget first.
     /// Deferred objects are offered again every tick.
     pub prefetch_deferred_priority: Counter,
-    /// Steal-plane counters (thief and victim sides).
-    pub steal: StealStats,
     /// Gauge: tasks in the ready queue, written by the run queue inside
     /// every critical section that pushes or takes — exact, not "as of
     /// the last dispatch pass". The node's workers read it when they
@@ -180,32 +169,21 @@ pub struct LocalSchedulerStats {
 
 impl LocalSchedulerStats {
     /// Registers the counters some reader reads: prefetch admission
-    /// (`sched.*`) and both sides of the steal plane (`steal.*`).
+    /// (`sched.*`).
     pub fn register_metrics(self: &Arc<Self>, registry: &MetricsRegistry) {
         type Read = fn(&LocalSchedulerStats) -> &Counter;
-        let counters: [(&str, Read); 9] = [
+        let counters: [(&str, Read); 2] = [
             ("sched.prefetch_skipped_capacity", |s| {
                 &s.prefetch_skipped_capacity
             }),
             ("sched.prefetch_deferred_priority", |s| {
                 &s.prefetch_deferred_priority
             }),
-            ("steal.attempts", |s| &s.steal.attempts),
-            ("steal.grants", |s| &s.steal.grants),
-            ("steal.empty_grants", |s| &s.steal.empty_grants),
-            ("steal.timeouts", |s| &s.steal.timeouts),
-            ("steal.tasks_stolen", |s| &s.steal.tasks_stolen),
-            ("steal.locality_hits", |s| &s.steal.locality_hits),
-            ("steal.tasks_granted", |s| &s.steal.tasks_granted),
         ];
         for (name, read) in counters {
             let stats = self.clone();
             registry.register_value(name, move || read(&stats).get());
         }
-        let stats = self.clone();
-        registry.register_histogram("steal.steal_to_run", move || {
-            stats.steal.steal_to_run.snapshot()
-        });
     }
 }
 
@@ -344,14 +322,6 @@ impl LocalScheduler {
                     published: None,
                     last_load: Instant::now() - Duration::from_secs(1),
                     ingested,
-                    steal_inflight: None,
-                    steal_seq: 0,
-                    last_steal: Instant::now() - Duration::from_secs(1),
-                    steal_failures: 0,
-                    steal_hint: Vec::new(),
-                    steal_hint_at: Instant::now() - Duration::from_secs(1),
-                    steal_rng: PolicyState::new(0x57ea1 ^ ((node.0 as u64) << 32)),
-                    stolen_pending: FastMap::default(),
                 };
                 core.announce();
                 core.run(rx, endpoint, seal_rx, fetch_rx);
@@ -378,6 +348,9 @@ pub(crate) struct Waiting {
     /// so LRU eviction cannot drop a fetched argument between arrival
     /// and execution. They go onto the run queue with the task.
     pub(crate) pins: Vec<ObjectId>,
+    /// Placed here by the global scheduler: it runs here once runnable,
+    /// whatever the backlog then.
+    pub(crate) via_global: bool,
 }
 
 pub(crate) struct Core {
@@ -407,33 +380,6 @@ pub(crate) struct Core {
     /// count, so the shard knows which of its placements the report
     /// beside it contains.
     pub(crate) ingested: Vec<u64>,
-    /// The outstanding steal request, if any. One request in flight at
-    /// a time; a grant from *that* victim (even empty) or the deadline
-    /// re-arms the loop, so a dead victim can never wedge it — and a
-    /// late grant from a previously timed-out victim cannot cancel a
-    /// newer request's deadline.
-    pub(crate) steal_inflight: Option<StealInflight>,
-    /// Correlation sequence for steal request→grant spans. Thief-local:
-    /// with at most one request in flight, `(thief, seq)` identifies a
-    /// round trip without widening the wire protocol.
-    pub(crate) steal_seq: u64,
-    pub(crate) last_steal: Instant,
-    /// Consecutive fruitless steal attempts (timeouts and empty
-    /// grants). Feeds the retry policy's backoff so an idle
-    /// scheduler facing a partition probes gently instead of hammering
-    /// the flat interval; any non-empty grant resets it.
-    pub(crate) steal_failures: u32,
-    /// Cached residency hint (bounded sample of locally-resident
-    /// objects) with its build time: enumerating the store is O(n), so
-    /// the hint is refreshed on a TTL instead of per attempt — it is a
-    /// hint, staleness only softens locality scoring.
-    pub(crate) steal_hint: Vec<ObjectId>,
-    pub(crate) steal_hint_at: Instant,
-    /// Deterministic sampling state for power-of-two victim selection.
-    pub(crate) steal_rng: PolicyState,
-    /// Stolen tasks not yet on the run queue: grant-arrival instants for
-    /// the steal-to-run latency histogram, which go there with the task.
-    pub(crate) stolen_pending: FastMap<TaskId, Instant>,
 }
 
 impl Core {
@@ -475,7 +421,6 @@ impl Core {
                 default(self.config.load_interval) => {}
             }
             self.resolve_dependencies();
-            self.maybe_steal();
             self.maybe_publish_load();
         }
         // Nothing is taken from here on: the workers wake and exit, and
@@ -521,8 +466,8 @@ impl Core {
     fn on_local(&mut self, msg: LocalMsg) {
         match msg {
             LocalMsg::SubmitBatch { specs, via_global } => self.on_submit_batch(specs, via_global),
-            // Nothing to do but take this turn: the steal plane and the
-            // load report read the idleness off the queue.
+            // Nothing to do but take this turn: the load report reads
+            // the idleness off the queue.
             LocalMsg::WorkerIdle => {}
             LocalMsg::RemoveWorker(worker) => self.remove_worker(worker),
             LocalMsg::Shutdown => unreachable!("handled by run()"),
@@ -542,20 +487,6 @@ impl Core {
             // Misdirected spill (we are not a global scheduler); treat as
             // a local submission rather than dropping work.
             Ok(SchedWire::SpillBatch { specs, .. }) => self.on_submit_batch(specs, false),
-            Ok(SchedWire::StealRequest {
-                thief,
-                reply_address,
-                capacity,
-                max_tasks,
-                local_objects_hint,
-            }) => self.on_steal_request(
-                thief,
-                reply_address,
-                capacity,
-                max_tasks as usize,
-                local_objects_hint,
-            ),
-            Ok(SchedWire::StealGrant { victim, tasks }) => self.on_steal_grant(victim, tasks),
             Ok(_) | Err(_) => {}
         }
     }
@@ -677,7 +608,7 @@ impl Core {
         let mut runnable: Vec<Runnable> = Vec::new();
         for (spec, missing) in accepted {
             if missing.is_empty() {
-                runnable.push(self.runnable(spec, Vec::new()));
+                runnable.push(spec.into());
             } else {
                 let count = missing.len();
                 for object in missing {
@@ -691,6 +622,7 @@ impl Core {
                     spec,
                     missing: count,
                     pins: Vec::new(),
+                    via_global,
                 };
                 self.waiting.insert(waiting.spec.task_id, waiting);
             }
@@ -699,16 +631,6 @@ impl Core {
         self.resolver.add(&unresolved);
         if !spilled.is_empty() {
             self.spill_batch(spilled);
-        }
-    }
-
-    /// `spec` as it goes onto the run queue, with the dependencies
-    /// pinned for it and, if it came in a steal grant, when.
-    pub(crate) fn runnable(&mut self, spec: TaskSpec, pins: Vec<ObjectId>) -> Runnable {
-        Runnable {
-            stolen_at: self.stolen_pending.remove(&spec.task_id),
-            spec,
-            pins,
         }
     }
 
@@ -722,10 +644,9 @@ impl Core {
         }
         let report = self.load_report();
         // Heartbeat: even with nothing new to say, republish so the
-        // report's timestamp stays fresh — peers read staleness as
-        // death evidence (steal-candidate filtering, the runtime's
-        // health tracker), and an idle-but-alive node must not look
-        // like a ghost.
+        // report's timestamp stays fresh — the health tracker reads
+        // staleness as death evidence, and an idle-but-alive node must
+        // not look like a ghost.
         let heartbeat = elapsed >= self.config.load_interval.saturating_mul(16);
         // A shard counts its placements here as in flight until a report
         // says they were ingested, so an ingest is news even when the
@@ -1085,6 +1006,85 @@ mod tests {
         r.handle.shutdown();
     }
 
+    /// The next `SpillBatch` the fake global receives, if one comes
+    /// within `wait`.
+    fn next_spill(r: &Rig, wait: Duration) -> Option<Vec<TaskSpec>> {
+        let deadline = Instant::now() + wait;
+        while let Some(left) = deadline.checked_duration_since(Instant::now()) {
+            let Ok(d) = r.global_endpoint.receiver().recv_timeout(left) else {
+                break;
+            };
+            if let Ok(SchedWire::SpillBatch { specs, .. }) = decode_from_slice(&d.payload) {
+                return Some(specs);
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn a_task_that_waited_for_its_input_meets_the_spill_rule_when_runnable() {
+        // Four tasks submitted before their input exists: none is
+        // runnable, so none spills at ingest. When the input seals they
+        // become runnable together, and the backlog past the threshold
+        // spills then, as one frame.
+        let mut r = rig(LocalSchedulerConfig {
+            total_resources: Resources::cpu(1.0),
+            spill: SpillMode::Hybrid { queue_threshold: 1 },
+            ..LocalSchedulerConfig::default()
+        });
+        let input = |i: u64| {
+            TaskId::driver_root(DriverId::from_index(0))
+                .child(900 + i)
+                .return_object(0)
+        };
+        let gated = |task: u64, on: u64| spec_with(vec![ArgSpec::ObjectRef(input(on))], task);
+        let specs: Vec<TaskSpec> = (0..4).map(|i| gated(i, 0)).collect();
+        r.handle.submit_batch(specs.clone());
+        assert_eq!(next_spill(&r, Duration::from_millis(100)), None);
+        r.services
+            .store
+            .put(input(0), Bytes::from_static(b"v"))
+            .unwrap();
+        let spilled = next_spill(&r, Duration::from_secs(5)).expect("a spill");
+        assert_eq!(spilled, specs[2..]);
+        for spec in &spilled {
+            let state = r.services.tasks.get_state(spec.task_id);
+            assert_eq!(state, Some(TaskState::Spilled));
+        }
+        for spec in &specs[..2] {
+            assert_eq!(recv_run(&r.worker_rx).task_id, spec.task_id);
+            r.worker_done.send(()).unwrap();
+        }
+        // The same shape placed here by the global scheduler: it runs
+        // here, all of it, however deep the backlog it becomes.
+        let placed: Vec<TaskSpec> = (4..8).map(|i| gated(i, 1)).collect();
+        let place = SchedWire::PlaceBatch {
+            specs: placed.clone(),
+            hops: 1,
+        };
+        let from = r.global_endpoint.address();
+        let sent = r
+            .services
+            .fabric
+            .send(from, r.handle.address(), encode_to_bytes(&place));
+        sent.unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while r.services.tasks.get_state(placed[3].task_id) != Some(TaskState::Queued(NodeId(0))) {
+            assert!(Instant::now() < deadline, "placement never ingested");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        r.services
+            .store
+            .put(input(1), Bytes::from_static(b"v"))
+            .unwrap();
+        for spec in &placed {
+            assert_eq!(recv_run(&r.worker_rx).task_id, spec.task_id);
+            r.worker_done.send(()).unwrap();
+        }
+        assert_eq!(next_spill(&r, Duration::from_millis(50)), None);
+        r.handle.shutdown();
+    }
+
     #[test]
     fn placement_from_global_does_not_respill() {
         let mut r = rig(LocalSchedulerConfig {
@@ -1140,13 +1140,14 @@ mod tests {
         r.handle.submit_batch(vec![c.clone()]);
         // C is taken (by the second worker) even though B is ahead.
         // Give the scheduler a moment, then check the task table — and
-        // that B is what is left in the queue.
+        // that one task is left in the queue: B, which needs the slot A
+        // holds, so the second worker's task is C.
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {
             let b_state = r.services.tasks.get_state(b.task_id);
             let c_queued = r.services.tasks.get_state(c.task_id).is_some();
-            let queued = r.handle.queue().steal_candidates();
-            let b_waits = queued.len() == 1 && queued[0].task == b.task_id;
+            let load = r.handle.queue().load();
+            let b_waits = load.ready == 1 && load.running == 2;
             if c_queued && matches!(b_state, Some(TaskState::Queued(_))) && b_waits {
                 break;
             }
@@ -1615,476 +1616,6 @@ mod tests {
             std::thread::sleep(Duration::from_millis(5));
         }
         assert!(!r.store_local.contains(dep));
-        r.handle.shutdown();
-    }
-
-    /// A kv-published load report for a fake loaded peer, pointing the
-    /// steal plane at `endpoint`.
-    fn publish_fake_load(
-        services: &SchedServices,
-        node: NodeId,
-        ready: u32,
-        endpoint: &rtml_net::Endpoint,
-    ) {
-        let now = rtml_common::time::now_nanos();
-        publish_fake_load_at(services, node, ready, endpoint, now);
-    }
-
-    /// [`publish_fake_load`] with the report stamped `at_nanos`.
-    fn publish_fake_load_at(
-        services: &SchedServices,
-        node: NodeId,
-        ready: u32,
-        endpoint: &rtml_net::Endpoint,
-        at_nanos: u64,
-    ) {
-        let report = LoadReport {
-            node,
-            sched_address: endpoint.address().as_u64(),
-            ready,
-            waiting: 0,
-            running: 0,
-            idle_workers: 0,
-            available: Resources::cpu(0.0),
-            total: Resources::cpu(4.0),
-            at_nanos,
-        };
-        services.kv.set(load_key(node), encode_to_bytes(&report));
-        // Thieves look for victims among the nodes the directory lists.
-        services.directory.insert(node, endpoint.address());
-    }
-
-    #[test]
-    fn idle_scheduler_steals_a_granted_batch() {
-        let mut r = rig(LocalSchedulerConfig {
-            stealing: StealConfig {
-                min_backlog: 1,
-                timeout: Duration::from_millis(200),
-                ..StealConfig::default()
-            },
-            ..LocalSchedulerConfig::default()
-        });
-        let victim = r.services.fabric.register(NodeId(7), "fake-victim");
-        publish_fake_load(&r.services, NodeId(7), 50, &victim);
-        // The idle thief must ask the loaded peer for a batch, naming
-        // its full spare capacity.
-        let reply_address = loop {
-            let d = victim
-                .receiver()
-                .recv_timeout(Duration::from_secs(5))
-                .expect("steal request");
-            if let Ok(SchedWire::StealRequest {
-                thief,
-                reply_address,
-                capacity,
-                max_tasks,
-                ..
-            }) = decode_from_slice::<SchedWire>(&d.payload)
-            {
-                assert_eq!(thief, NodeId(0));
-                assert_eq!(capacity, Resources::cpu(4.0));
-                assert!(max_tasks >= 1);
-                break reply_address;
-            }
-        };
-        // Grant two tasks as ONE frame; the thief must run them.
-        let specs = vec![spec_with(vec![], 0), spec_with(vec![], 1)];
-        r.services
-            .fabric
-            .send(
-                victim.address(),
-                NetAddress::from_u64(reply_address),
-                encode_to_bytes(&SchedWire::StealGrant {
-                    victim: NodeId(7),
-                    tasks: specs.clone(),
-                }),
-            )
-            .unwrap();
-        let got = recv_run(&r.worker_rx);
-        assert_eq!(got.task_id, specs[0].task_id);
-        let stats = r.handle.stats().clone();
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while stats.steal.tasks_stolen.get() < 2 {
-            assert!(Instant::now() < deadline, "steal never counted");
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        assert!(stats.steal.grants.get() >= 1);
-        assert!(stats.steal.attempts.get() >= 1);
-        // The taken stolen task feeds the steal-to-run histogram (the
-        // queue records it just after the take, so poll rather than
-        // race it).
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while stats.steal.steal_to_run.count() == 0 {
-            assert!(Instant::now() < deadline, "steal-to-run never recorded");
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        r.handle.shutdown();
-    }
-
-    #[test]
-    fn a_report_past_the_stale_bound_draws_no_steal_request() {
-        let mut r = rig(LocalSchedulerConfig {
-            stealing: StealConfig {
-                min_backlog: 1,
-                timeout: Duration::from_millis(200),
-                ..StealConfig::default()
-            },
-            ..LocalSchedulerConfig::default()
-        });
-        let (victim_node, stats) = (NodeId(7), r.handle.stats().clone());
-        let victim = r.services.fabric.register(victim_node, "fake-victim");
-        // Report stamps count from the process epoch: wait until one
-        // two bounds in the past exists.
-        let bound = REPORT_STALE_AFTER.as_nanos() as u64;
-        while rtml_common::time::now_nanos() < 3 * bound {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        // A deep victim whose report is two bounds old: a ghost. The
-        // idle thief asks it for nothing, and the health tracker, built
-        // with the same bound, calls it suspect.
-        let old = rtml_common::time::now_nanos() - 2 * bound;
-        publish_fake_load_at(&r.services, victim_node, 50, &victim, old);
-        assert!(victim
-            .receiver()
-            .recv_timeout(Duration::from_millis(100))
-            .is_err());
-        assert_eq!(stats.steal.attempts.get(), 0);
-        assert!(r.services.health.is_suspect(victim_node));
-        // The same report, freshly stamped (and kept fresh, however
-        // slowly this test is scheduled): the request arrives, and the
-        // victim is suspect no longer.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            publish_fake_load(&r.services, victim_node, 50, &victim);
-            let request = victim.receiver().recv_timeout(Duration::from_millis(20));
-            let payload = request.map(|d| decode_from_slice::<SchedWire>(&d.payload));
-            if matches!(payload, Ok(Ok(SchedWire::StealRequest { .. }))) {
-                break;
-            }
-            assert!(Instant::now() < deadline, "no request at a fresh report");
-        }
-        while r.services.health.is_suspect(victim_node) {
-            assert!(Instant::now() < deadline, "a fresh report is still suspect");
-            publish_fake_load(&r.services, victim_node, 50, &victim);
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        r.handle.shutdown();
-    }
-
-    #[test]
-    fn a_thief_whose_waiting_tasks_cover_its_idle_workers_does_not_steal() {
-        // One worker, idle. Its one task waits on an object that was
-        // requested from node 7 the moment the task was queued — and
-        // cannot arrive: the request vanished in a partition.
-        let mut r = remote_dep_rig(1 << 20);
-        let dep = TaskId::driver_root(DriverId::from_index(0))
-            .child(600)
-            .return_object(0);
-        r.store_remote.put(dep, Bytes::from(vec![3u8; 64])).unwrap();
-        r.services.objects.add_location(dep, NodeId(7), 64);
-        r.services.fabric.partition(NodeId(0), NodeId(7));
-        let spec = spec_with(vec![ArgSpec::ObjectRef(dep)], 0);
-        r.handle.submit_batch(vec![spec.clone()]);
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while r.services.agent.in_flight_len() == 0 {
-            assert!(Instant::now() < deadline, "dependency never requested");
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        // A deep victim appears. The waiting task will take the idle
-        // worker when its input lands: no request goes out.
-        let victim = r.services.fabric.register(NodeId(9), "fake-victim");
-        publish_fake_load(&r.services, NodeId(9), 50, &victim);
-        assert!(victim
-            .receiver()
-            .recv_timeout(Duration::from_millis(100))
-            .is_err());
-        assert_eq!(r.handle.stats().steal.attempts.get(), 0);
-        // The input arrives some other way, the task runs and finishes:
-        // idle with nothing waiting, the scheduler steals (from a report
-        // fresh enough not to pass for a ghost's).
-        publish_fake_load(&r.services, NodeId(9), 50, &victim);
-        r.store_local.put(dep, Bytes::from(vec![3u8; 64])).unwrap();
-        let got = recv_run(&r.worker_rx);
-        assert_eq!(got.task_id, spec.task_id);
-        r.worker_done.send(()).unwrap();
-        let request = victim
-            .receiver()
-            .recv_timeout(Duration::from_secs(5))
-            .expect("steal request");
-        assert!(matches!(
-            decode_from_slice::<SchedWire>(&request.payload),
-            Ok(SchedWire::StealRequest { .. })
-        ));
-        r.handle.shutdown();
-    }
-
-    #[test]
-    fn stale_or_dead_victims_do_not_wedge_the_steal_loop() {
-        // Satellite regression: a victim that never answers (killed
-        // mid-request), answers empty (queue drained), or whose
-        // endpoint is gone must each leave the thief's steal loop
-        // live — and local work must still dispatch.
-        let mut r = rig(LocalSchedulerConfig {
-            stealing: StealConfig {
-                min_backlog: 1,
-                timeout: Duration::from_millis(10),
-                ..StealConfig::default()
-            },
-            ..LocalSchedulerConfig::default()
-        });
-        let victim = r.services.fabric.register(NodeId(7), "fake-victim");
-        publish_fake_load(&r.services, NodeId(7), 50, &victim);
-        let stats = r.handle.stats().clone();
-        // 1) Silence: the thief must time out and attempt again.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while stats.steal.timeouts.get() < 1 || stats.steal.attempts.get() < 2 {
-            assert!(Instant::now() < deadline, "thief wedged on a silent victim");
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        // 2) Stale victim: an empty grant is a first-class answer.
-        let d = victim
-            .receiver()
-            .recv_timeout(Duration::from_secs(5))
-            .expect("request");
-        let Ok(SchedWire::StealRequest { reply_address, .. }) =
-            decode_from_slice::<SchedWire>(&d.payload)
-        else {
-            panic!("expected steal request");
-        };
-        r.services
-            .fabric
-            .send(
-                victim.address(),
-                NetAddress::from_u64(reply_address),
-                encode_to_bytes(&SchedWire::StealGrant {
-                    victim: NodeId(7),
-                    tasks: vec![],
-                }),
-            )
-            .unwrap();
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while stats.steal.empty_grants.get() < 1 {
-            assert!(Instant::now() < deadline, "empty grant never processed");
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        // 3) Dead victim: unregister the endpoint; sends fail fast and
-        // the loop keeps cycling rather than waiting on a ghost.
-        r.services.fabric.unregister(victim.address());
-        let attempts_before = stats.steal.attempts.get();
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while stats.steal.attempts.get() < attempts_before + 2 {
-            assert!(Instant::now() < deadline, "thief wedged on a dead victim");
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        // Local work still runs.
-        let spec = spec_with(vec![], 9);
-        r.handle.submit_batch(vec![spec.clone()]);
-        let got = recv_run(&r.worker_rx);
-        assert_eq!(got.task_id, spec.task_id);
-        r.handle.shutdown();
-    }
-
-    #[test]
-    fn steal_request_grants_half_the_queue_and_commits_ownership() {
-        let mut r = rig(LocalSchedulerConfig {
-            total_resources: Resources::cpu(1.0),
-            spill: SpillMode::NeverSpill,
-            ..LocalSchedulerConfig::default()
-        });
-        // One worker, 1 cpu: the first task runs, eight sit ready.
-        let specs: Vec<TaskSpec> = (0..9).map(|i| spec_with(vec![], i)).collect();
-        r.handle.submit_batch(specs.clone());
-        let _ = recv_run(&r.worker_rx);
-        let thief = r.services.fabric.register(NodeId(9), "fake-thief");
-        r.services
-            .fabric
-            .send(
-                thief.address(),
-                r.handle.address(),
-                encode_to_bytes(&SchedWire::StealRequest {
-                    thief: NodeId(9),
-                    reply_address: thief.address().as_u64(),
-                    capacity: Resources::cpu(8.0),
-                    max_tasks: 16,
-                    local_objects_hint: vec![],
-                }),
-            )
-            .unwrap();
-        let d = thief
-            .receiver()
-            .recv_timeout(Duration::from_secs(5))
-            .expect("grant");
-        let Ok(SchedWire::StealGrant { victim, tasks }) =
-            decode_from_slice::<SchedWire>(&d.payload)
-        else {
-            panic!("expected steal grant");
-        };
-        assert_eq!(victim, NodeId(0));
-        assert_eq!(tasks.len(), 4, "half of the 8-deep ready queue");
-        // Ownership was group-committed before the grant left.
-        for task in &tasks {
-            assert_eq!(
-                r.services.tasks.get_state(task.task_id),
-                Some(TaskState::Queued(NodeId(9))),
-                "stolen task not committed to the thief"
-            );
-        }
-        // The victim counts the grant just after the frame leaves; poll
-        // rather than race its scheduler thread.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while r.handle.stats().steal.tasks_granted.get() != 4 {
-            assert!(Instant::now() < deadline, "tasks_granted never counted");
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        r.handle.shutdown();
-    }
-
-    #[test]
-    fn steal_grants_prefer_tasks_with_thief_local_dependencies() {
-        let mut r = rig(LocalSchedulerConfig {
-            total_resources: Resources::cpu(1.0),
-            spill: SpillMode::NeverSpill,
-            ..LocalSchedulerConfig::default()
-        });
-        // A dependency resident here (so its task is ready) that the
-        // object table also locates on the thief.
-        let dep = TaskId::driver_root(DriverId::from_index(0))
-            .child(70)
-            .return_object(0);
-        r.services
-            .store
-            .put(dep, Bytes::from(vec![1u8; 64]))
-            .unwrap();
-        r.services.objects.add_location(dep, NodeId(0), 64);
-        r.services.objects.add_location(dep, NodeId(9), 64);
-        let blocker = spec_with(vec![], 0);
-        let plain_a = spec_with(vec![], 1);
-        let local_dep = spec_with(vec![ArgSpec::ObjectRef(dep)], 2);
-        let plain_b = spec_with(vec![], 3);
-        r.handle.submit_batch(vec![
-            blocker.clone(),
-            plain_a.clone(),
-            local_dep.clone(),
-            plain_b.clone(),
-        ]);
-        let got = recv_run(&r.worker_rx);
-        assert_eq!(got.task_id, blocker.task_id);
-        // Three ready tasks -> a one-task grant, and the locality score
-        // must pick the task whose dependency lives on the thief.
-        let thief = r.services.fabric.register(NodeId(9), "fake-thief");
-        r.services
-            .fabric
-            .send(
-                thief.address(),
-                r.handle.address(),
-                encode_to_bytes(&SchedWire::StealRequest {
-                    thief: NodeId(9),
-                    reply_address: thief.address().as_u64(),
-                    capacity: Resources::cpu(8.0),
-                    max_tasks: 16,
-                    local_objects_hint: vec![],
-                }),
-            )
-            .unwrap();
-        let d = thief
-            .receiver()
-            .recv_timeout(Duration::from_secs(5))
-            .expect("grant");
-        let Ok(SchedWire::StealGrant { tasks, .. }) = decode_from_slice::<SchedWire>(&d.payload)
-        else {
-            panic!("expected steal grant");
-        };
-        assert_eq!(tasks.len(), 1);
-        assert_eq!(
-            tasks[0].task_id, local_dep.task_id,
-            "victim must grant the thief-local task first"
-        );
-        r.handle.shutdown();
-    }
-
-    #[test]
-    fn failed_grant_send_reclaims_the_batch() {
-        // The thief's endpoint is gone by the time the victim answers:
-        // ownership was already committed as Queued(thief), so the
-        // victim must take the batch back (re-record, re-queue) rather
-        // than strand it on a ghost.
-        let mut r = rig(LocalSchedulerConfig {
-            total_resources: Resources::cpu(1.0),
-            spill: SpillMode::NeverSpill,
-            ..LocalSchedulerConfig::default()
-        });
-        let specs: Vec<TaskSpec> = (0..5).map(|i| spec_with(vec![], i)).collect();
-        r.handle.submit_batch(specs.clone());
-        let first = recv_run(&r.worker_rx);
-        assert_eq!(first.task_id, specs[0].task_id);
-        // A request whose reply address was never registered: the grant
-        // send fails after the ownership commit.
-        let requester = r.services.fabric.register(NodeId(9), "fake-thief");
-        r.services
-            .fabric
-            .send(
-                requester.address(),
-                r.handle.address(),
-                encode_to_bytes(&SchedWire::StealRequest {
-                    thief: NodeId(9),
-                    reply_address: 0xdead_beef,
-                    capacity: Resources::cpu(8.0),
-                    max_tasks: 16,
-                    local_objects_hint: vec![],
-                }),
-            )
-            .unwrap();
-        // Every task still runs locally and ends Queued(0).
-        r.worker_done.send(()).unwrap();
-        for _ in &specs[1..] {
-            recv_run(&r.worker_rx);
-            r.worker_done.send(()).unwrap();
-        }
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            let all_home = specs.iter().all(|s| {
-                matches!(
-                    r.services.tasks.get_state(s.task_id),
-                    Some(TaskState::Queued(n)) if n == NodeId(0)
-                )
-            });
-            if all_home {
-                break;
-            }
-            assert!(Instant::now() < deadline, "batch not reclaimed");
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        r.handle.shutdown();
-    }
-
-    #[test]
-    fn stale_victim_answers_with_an_empty_grant() {
-        let mut r = rig(LocalSchedulerConfig::default());
-        // Ready queue is empty: the grant must come back empty rather
-        // than not at all (the thief's loop re-arms on any answer).
-        let thief = r.services.fabric.register(NodeId(9), "fake-thief");
-        r.services
-            .fabric
-            .send(
-                thief.address(),
-                r.handle.address(),
-                encode_to_bytes(&SchedWire::StealRequest {
-                    thief: NodeId(9),
-                    reply_address: thief.address().as_u64(),
-                    capacity: Resources::cpu(8.0),
-                    max_tasks: 16,
-                    local_objects_hint: vec![],
-                }),
-            )
-            .unwrap();
-        let d = thief
-            .receiver()
-            .recv_timeout(Duration::from_secs(5))
-            .expect("grant");
-        match decode_from_slice::<SchedWire>(&d.payload) {
-            Ok(SchedWire::StealGrant { tasks, .. }) => assert!(tasks.is_empty()),
-            other => panic!("expected empty grant, got {other:?}"),
-        }
         r.handle.shutdown();
     }
 

@@ -22,8 +22,8 @@ pub enum LocalMsg {
         via_global: bool,
     },
     /// A worker found nothing to take from the run queue and went idle:
-    /// the scheduler takes a turn, so the steal plane and the load report
-    /// see the idleness at once. The only message a worker sends — one
+    /// the scheduler takes a turn, so the load report sees the idleness
+    /// at once. The only message a worker sends — one
     /// per worker that runs dry, not one per task.
     WorkerIdle,
     /// Detach a worker (failure injection). Whatever it had taken from
@@ -42,10 +42,8 @@ pub struct LoadReport {
     /// Reporting node.
     pub node: NodeId,
     /// Raw fabric address of the node's local scheduler
-    /// ([`rtml_net::NetAddress::as_u64`]). Carried in the report so an
-    /// idle peer reading the kv mirror can address a
-    /// [`crate::wire::SchedWire::StealRequest`] directly, without a
-    /// round trip through the global scheduler.
+    /// ([`rtml_net::NetAddress::as_u64`]), for whoever reads the kv
+    /// mirror and wants to reach it.
     pub sched_address: u64,
     /// Tasks runnable now (dependencies satisfied) but not yet started.
     pub ready: u32,
@@ -102,8 +100,8 @@ impl Codec for LoadReport {
 }
 
 /// Key under which a node's load report is mirrored into the KV store:
-/// read by key by idle peers looking for a steal victim, the health
-/// tracker and debugging tools (placement uses fabric messages).
+/// read by key by the health tracker and debugging tools (placement
+/// uses fabric messages).
 pub fn load_key(node: NodeId) -> bytes::Bytes {
     bytes::Bytes::from(format!("load:{}", node.0))
 }

@@ -24,8 +24,8 @@
 //! both used to be folded into one scalar that charged every task the
 //! full transfer and priced a queue slot at a fixed 64 KiB — so a
 //! megabyte argument glued a burst to its holder until that node was 16
-//! tasks deeper than an idle one, while the idle nodes learned of the
-//! burst only by stealing. Under the ranking above the first task of a
+//! tasks deeper than an idle one, while the idle nodes never saw the
+//! burst at all. Under the ranking above the first task of a
 //! burst goes to an idle node, the next ones follow it there (the
 //! object is inbound) until its first wave is full, then the next idle
 //! node's wave fills — every node that will run part of the burst
@@ -375,17 +375,17 @@ fn sorted_fitting(spec: &TaskSpec, view: &LoadView) -> Vec<NodeId> {
     fitting
 }
 
-/// Picks a steal victim among `candidates` — peers whose kv-published
-/// ready backlog already passed the thief's threshold. Power-of-two
-/// choices over the candidate set (classic low-state load sampling),
-/// the deeper ready backlog wins; an exact tie falls to a **locality**
-/// tiebreak: the victim holding more bytes of the objects already
-/// resident on the thief (`thief_resident`, the store-residency hint
-/// the steal request ships) wins, because a shared working set means
-/// the victim's tasks are more likely to find their dependencies
-/// already local on the thief. The tiebreak reads the object table as
-/// one batched `get_many` sweep — never per-object probes — and only
-/// when a tie makes it necessary. Deterministic given `state`.
+/// Picks the most loaded of `candidates` by power-of-two choices (classic
+/// low-state load sampling): the deeper ready backlog wins; an exact tie
+/// falls to a **locality** tiebreak — the node holding more bytes of
+/// `thief_resident` wins. The tiebreak reads the object table as one
+/// batched `get_many` sweep, and only when a tie makes it necessary.
+/// Deterministic given `state`.
+///
+/// No scheduler calls this any more: it was the work-stealing plane's
+/// victim choice, and that plane is gone. It stays only because the
+/// perf ledger times it (`sched.choose_victim_ns`); it leaves with that
+/// probe.
 pub fn choose_victim<'a>(
     candidates: &'a [LoadReport],
     thief_resident: &[ObjectId],

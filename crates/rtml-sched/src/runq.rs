@@ -3,16 +3,15 @@
 //! running.
 //!
 //! The scheduler thread knows what became runnable — ingest, a sealed
-//! dependency, a steal grant, the spill-send fallback — and
+//! dependency, the spill-send fallback — and
 //! [`push`](RunQueue::push)es it. A worker takes its own next task:
 //! [`next`](RunQueue::next) hands back the finished task's resource grant
 //! and first-fits the next task the freed resources admit in the *same*
 //! critical section (first-fit over `ready` against `total − in_use`, so
 //! a small task still overtakes one waiting for a GPU; the workers of a
 //! node are interchangeable), and parks on the condvar only when nothing
-//! fits. No task is bound to a worker before that worker takes it, so
-//! everything still queued can be stolen or granted away, and a burst
-//! costs the scheduler one message per worker that runs dry
+//! fits. No task is bound to a worker before that worker takes it, and
+//! a burst costs the scheduler one message per worker that runs dry
 //! ([`LocalMsg::WorkerIdle`]) instead of one per task.
 //!
 //! # Lock discipline
@@ -31,9 +30,8 @@
 //! Checked by `tests/run_queue.rs` at every settled point of random
 //! interleavings over real worker threads:
 //!
-//! 1. every pushed task leaves exactly once — taken by a worker, granted
-//!    away ([`take_queued`](RunQueue::take_queued)), or still queued when
-//!    the queue closes;
+//! 1. every pushed task leaves exactly once — taken by a worker — or is
+//!    still queued when the queue closes;
 //! 2. `in_use` is the sum of the running tasks' grants that are not
 //!    released (blocked in `get`/`wait`);
 //! 3. `in_use` exceeds `total` only after an
@@ -45,7 +43,6 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
-use std::time::Instant;
 
 use crossbeam::channel::Sender;
 use parking_lot::{Condvar, Mutex};
@@ -67,11 +64,8 @@ pub struct Runnable {
     /// Dependencies pinned in the node's store on the task's behalf from
     /// the moment they arrived, so LRU eviction cannot drop a fetched
     /// argument before it is read. They travel with the task: unpinned by
-    /// the worker that finishes it, or when it leaves the node unrun.
+    /// the worker that finishes it.
     pub pins: Vec<ObjectId>,
-    /// When the task arrived in a steal grant, for the steal-to-run
-    /// histogram.
-    pub stolen_at: Option<Instant>,
 }
 
 impl From<TaskSpec> for Runnable {
@@ -79,7 +73,6 @@ impl From<TaskSpec> for Runnable {
         Runnable {
             spec,
             pins: Vec::new(),
-            stolen_at: None,
         }
     }
 }
@@ -102,17 +95,6 @@ pub struct QueueLoad {
     pub idle: usize,
     /// `total − in_use`, floored at zero.
     pub available: Resources,
-}
-
-/// What a victim scores a queued task by (see [`crate::steal`]).
-#[derive(Debug)]
-pub struct StealCandidate {
-    /// The queued task.
-    pub task: TaskId,
-    /// Its resource demand.
-    pub resources: Resources,
-    /// Its distinct-or-not object dependencies, in argument order.
-    pub dependencies: Vec<ObjectId>,
 }
 
 #[derive(Default)]
@@ -288,11 +270,7 @@ impl RunQueue {
                 .iter()
                 .position(|r| available.fits(&r.spec.resources))
             {
-                let Runnable {
-                    spec,
-                    pins,
-                    stolen_at,
-                } = st.ready.remove(pos).expect("position valid");
+                let Runnable { spec, pins } = st.ready.remove(pos).expect("position valid");
                 let grant = spec.resources.clone();
                 st.in_use = st.in_use.add(&grant);
                 let run = Running {
@@ -301,7 +279,7 @@ impl RunQueue {
                     pins,
                 };
                 st.running.insert(spec.task_id, run);
-                break Some((spec, stolen_at));
+                break Some(spec);
             }
             if idle {
                 self.wake.wait(&mut st);
@@ -328,12 +306,7 @@ impl RunQueue {
         drop(st);
         self.follow_up(pass_on as usize, grow);
         self.unpin(&unpin);
-        let (spec, stolen_at) = taken?;
-        if let Some(arrived) = stolen_at {
-            let waited = arrived.elapsed();
-            self.stats.steal.steal_to_run.record_duration(waited);
-        }
-        Some(spec)
+        taken
     }
 
     /// `task` blocks inside `get`/`wait`: its grant goes back so other
@@ -375,42 +348,6 @@ impl RunQueue {
             idle: st.idle,
             available: st.available(&self.total),
         }
-    }
-
-    /// What is queued right now, front first, for a steal victim to
-    /// score — outside the lock; by the time it has, workers may have
-    /// taken some of it.
-    pub fn steal_candidates(&self) -> Vec<StealCandidate> {
-        let st = self.state.lock();
-        st.ready
-            .iter()
-            .map(|r| StealCandidate {
-                task: r.spec.task_id,
-                resources: r.spec.resources.clone(),
-                dependencies: r.spec.dependencies().collect(),
-            })
-            .collect()
-    }
-
-    /// Removes those of `picks` that are *still queued* and returns them
-    /// in `picks` order, their pins released: the tasks leave this node
-    /// unrun.
-    pub fn take_queued(&self, picks: &[TaskId]) -> Vec<TaskSpec> {
-        let mut st = self.state.lock();
-        let mut taken: Vec<Runnable> = Vec::with_capacity(picks.len());
-        for pick in picks {
-            if let Some(pos) = st.ready.iter().position(|r| r.spec.task_id == *pick) {
-                taken.extend(st.ready.remove(pos));
-            }
-        }
-        self.stats.ready_depth.store(st.ready.len() as u64, Relaxed);
-        drop(st);
-        let mut specs = Vec::with_capacity(taken.len());
-        for Runnable { spec, pins, .. } in taken {
-            self.unpin(&pins);
-            specs.push(spec);
-        }
-        specs
     }
 
     /// What a critical section decided, done once its guard is gone.

@@ -2,17 +2,18 @@
 
 use rtml_common::codec::{Codec, Reader, Writer};
 use rtml_common::error::{Error, Result};
-use rtml_common::ids::{NodeId, ObjectId};
-use rtml_common::resources::Resources;
+use rtml_common::ids::NodeId;
 use rtml_common::task::TaskSpec;
 
 use crate::msg::LoadReport;
 
 /// Fabric-borne scheduler protocol. Tasks travel in batches only — one
-/// task is a batch of one. Tags 0 and 1 were the single-task `Spill` and
-/// `Place`, tags 2 and 5 the `Load` and `SpillBatch` that carried no
-/// ingest count; they are retired, not reused, so an old frame fails to
-/// decode.
+/// task is a batch of one — and only from a local scheduler to a global
+/// one and back: nothing moves work between two local schedulers. Tags 0
+/// and 1 were the single-task `Spill` and `Place`, tags 2 and 5 the
+/// `Load` and `SpillBatch` that carried no ingest count, tags 7 and 8
+/// the work-stealing request and grant; they are retired, not reused, so
+/// an old frame fails to decode.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SchedWire {
     /// Local → global: periodic load report, addressed to one shard.
@@ -60,37 +61,6 @@ pub enum SchedWire {
         /// Number of global placements so far.
         hops: u32,
     },
-    /// Idle local → loaded local (pull path): "my ready queue drained;
-    /// grant me a batch of yours". One request frame asks for up to
-    /// `max_tasks` tasks — stealing never moves work one message at a
-    /// time.
-    StealRequest {
-        /// The requesting (idle) node.
-        thief: NodeId,
-        /// Raw fabric address the grant must be sent to
-        /// ([`rtml_net::NetAddress::as_u64`] of the thief's scheduler).
-        reply_address: u64,
-        /// The thief's spare resources; every granted task must fit.
-        capacity: Resources,
-        /// Cap on the grant batch size.
-        max_tasks: u32,
-        /// Objects already resident in the thief's store — the victim
-        /// scores candidate tasks by how many of their dependency bytes
-        /// are on this list (or table-located on the thief) and grants
-        /// the most local tasks first.
-        local_objects_hint: Vec<ObjectId>,
-    },
-    /// Loaded local → idle local: the granted batch, as one coalesced
-    /// frame. Empty when the victim's queue drained between the load
-    /// report and the request (the stale-victim answer) — the thief
-    /// re-arms instead of wedging.
-    StealGrant {
-        /// The granting node.
-        victim: NodeId,
-        /// The granted tasks, ownership already group-committed to the
-        /// task table as `Queued(thief)`.
-        tasks: Vec<TaskSpec>,
-    },
 }
 
 impl Codec for SchedWire {
@@ -128,25 +98,6 @@ impl Codec for SchedWire {
                 specs.encode(w);
                 w.put_u32(*hops);
             }
-            SchedWire::StealRequest {
-                thief,
-                reply_address,
-                capacity,
-                max_tasks,
-                local_objects_hint,
-            } => {
-                w.put_u8(7);
-                thief.encode(w);
-                w.put_u64(*reply_address);
-                capacity.encode(w);
-                w.put_u32(*max_tasks);
-                local_objects_hint.encode(w);
-            }
-            SchedWire::StealGrant { victim, tasks } => {
-                w.put_u8(8);
-                victim.encode(w);
-                tasks.encode(w);
-            }
         }
     }
 
@@ -162,17 +113,6 @@ impl Codec for SchedWire {
             6 => SchedWire::PlaceBatch {
                 specs: Vec::<TaskSpec>::decode(r)?,
                 hops: r.take_u32()?,
-            },
-            7 => SchedWire::StealRequest {
-                thief: NodeId::decode(r)?,
-                reply_address: r.take_u64()?,
-                capacity: Resources::decode(r)?,
-                max_tasks: r.take_u32()?,
-                local_objects_hint: Vec::<ObjectId>::decode(r)?,
-            },
-            8 => SchedWire::StealGrant {
-                victim: NodeId::decode(r)?,
-                tasks: Vec::<TaskSpec>::decode(r)?,
             },
             9 => SchedWire::Load {
                 report: LoadReport::decode(r)?,
@@ -192,7 +132,7 @@ impl Codec for SchedWire {
 mod tests {
     use super::*;
     use rtml_common::codec::{decode_from_slice, encode_to_bytes};
-    use rtml_common::ids::{DriverId, FunctionId, TaskId};
+    use rtml_common::ids::{DriverId, FunctionId, ObjectId, TaskId};
     use rtml_common::resources::Resources;
 
     fn spec() -> TaskSpec {
@@ -237,23 +177,6 @@ mod tests {
                 specs: vec![spec(), spec(), spec()],
                 hops: 3,
             },
-            SchedWire::StealRequest {
-                thief: NodeId(2),
-                reply_address: 77,
-                capacity: Resources::new(3.0, 1.0),
-                max_tasks: 8,
-                local_objects_hint: vec![TaskId::driver_root(DriverId::from_index(0))
-                    .child(4)
-                    .return_object(0)],
-            },
-            SchedWire::StealGrant {
-                victim: NodeId(3),
-                tasks: vec![spec(), spec()],
-            },
-            SchedWire::StealGrant {
-                victim: NodeId(3),
-                tasks: vec![],
-            },
         ] {
             let bytes = encode_to_bytes(&msg);
             let back: SchedWire = decode_from_slice(&bytes).unwrap();
@@ -275,7 +198,20 @@ mod tests {
         let mut spill = Writer::with_capacity(64);
         spill.put_u8(5);
         vec![spec(), spec()].encode(&mut spill);
-        for old in [load.into_bytes(), spill.into_bytes()] {
+        // And so do the steal request and grant, as they were encoded.
+        let mut request = Writer::with_capacity(64);
+        request.put_u8(7);
+        NodeId(2).encode(&mut request);
+        request.put_u64(77);
+        Resources::new(3.0, 1.0).encode(&mut request);
+        request.put_u32(8);
+        Vec::<ObjectId>::new().encode(&mut request);
+        let mut grant = Writer::with_capacity(64);
+        grant.put_u8(8);
+        NodeId(3).encode(&mut grant);
+        vec![spec(), spec()].encode(&mut grant);
+        let old = [load, spill, request, grant];
+        for old in old.map(Writer::into_bytes) {
             assert!(decode_from_slice::<SchedWire>(&old).is_err());
         }
     }

@@ -51,5 +51,5 @@ pub mod prelude {
         Cluster, ClusterConfig, Driver, IntoArg, NodeConfig, ObjectRef, TaskContext, TaskOptions,
         TelemetryConfig,
     };
-    pub use rtml_sched::{PlacementPolicy, SpillMode, StealConfig};
+    pub use rtml_sched::{PlacementPolicy, SpillMode};
 }

@@ -31,53 +31,6 @@ fn identical_clusters_produce_identical_results() {
 }
 
 #[test]
-fn stealing_changes_where_tasks_run_never_what_runs() {
-    // The same workload with the steal plane fully off vs aggressively
-    // on (every one-deep backlog is stealable) must produce
-    // bit-identical checksums: stealing moves ready tasks between
-    // nodes, it never changes ids, values, or results. NeverSpill plus
-    // single-node submission forces real skew, so the "on" run
-    // actually steals.
-    let config = RlConfig {
-        rollouts: 8,
-        frames_per_task: 4,
-        frame_cost: Duration::from_millis(2),
-        iterations: 3,
-        policy_kernel_cost: Duration::ZERO,
-        ..RlConfig::default()
-    };
-    let run = |stealing: StealConfig| {
-        let cluster = Cluster::start(
-            ClusterConfig {
-                nodes: (0..3).map(|_| NodeConfig::cpu_only(2)).collect(),
-                spill: SpillMode::NeverSpill,
-                ..ClusterConfig::default()
-            }
-            .with_latency(LatencyModel::Constant(Duration::from_micros(200)))
-            .with_stealing(stealing),
-        )
-        .unwrap();
-        let funcs = RlFuncs::register(&cluster);
-        let driver = cluster.driver();
-        let result = rl::run_rtml(&config, &driver, &funcs, false).unwrap();
-        let stolen = cluster.counters().get("steal.tasks_stolen").unwrap();
-        cluster.shutdown();
-        (result.checksum, result.total_reward_bits, stolen)
-    };
-    let aggressive = StealConfig {
-        enabled: true,
-        min_backlog: 1,
-        max_tasks: 8,
-        timeout: Duration::from_millis(50),
-    };
-    let (on_sum, on_bits, on_stolen) = run(aggressive);
-    let (off_sum, off_bits, off_stolen) = run(StealConfig::disabled());
-    assert_eq!((on_sum, on_bits), (off_sum, off_bits));
-    assert_eq!(off_stolen, 0, "disabled plane must not steal");
-    assert!(on_stolen > 0, "skewed NeverSpill run must actually steal");
-}
-
-#[test]
 fn resubmitting_the_same_structure_reuses_results() {
     // Deterministic task IDs mean a re-executed parent's submissions
     // are recognized: the children do not run twice.
@@ -441,10 +394,12 @@ fn striping_changes_who_ingests_never_where_tasks_land() {
 
 #[test]
 fn determinism_matrix_over_planes_and_shard_counts() {
-    // The full safety matrix for the sharded scheduler: stealing
-    // {on, off} x K in {1, 4} — every combination must produce the same
-    // bit-identical result. The planes may change where tasks run and
-    // where bytes live; none may change what runs.
+    // The safety matrix for the two ways work moves between nodes: the
+    // spill rule {hybrid, always, never} x K in {1, 4} global shards —
+    // every cell must produce the same bit-identical result. Spill and
+    // placement change where tasks run and where bytes live; neither
+    // may change what runs. (Under `NeverSpill` nothing reaches a shard,
+    // so K is not varied there.)
     let config = RlConfig {
         rollouts: 6,
         frames_per_task: 3,
@@ -453,25 +408,14 @@ fn determinism_matrix_over_planes_and_shard_counts() {
         policy_kernel_cost: Duration::ZERO,
         ..RlConfig::default()
     };
-    let run = |stealing: bool, shards: usize| {
-        let steal = if stealing {
-            StealConfig {
-                enabled: true,
-                min_backlog: 1,
-                max_tasks: 8,
-                timeout: Duration::from_millis(50),
-            }
-        } else {
-            StealConfig::disabled()
-        };
+    let run = |spill: SpillMode, shards: usize| {
         let cluster = Cluster::start(
             ClusterConfig {
                 nodes: (0..3).map(|_| NodeConfig::cpu_only(2)).collect(),
-                spill: SpillMode::Hybrid { queue_threshold: 1 },
+                spill,
                 ..ClusterConfig::default()
             }
             .with_latency(LatencyModel::Constant(Duration::from_micros(100)))
-            .with_stealing(steal)
             .with_global_shards(shards),
         )
         .unwrap();
@@ -481,12 +425,18 @@ fn determinism_matrix_over_planes_and_shard_counts() {
         cluster.shutdown();
         (result.checksum, result.total_reward_bits)
     };
-    let reference = run(false, 1);
-    for (stealing, shards) in [(false, 4), (true, 1), (true, 4)] {
+    let hybrid = SpillMode::Hybrid { queue_threshold: 1 };
+    let reference = run(hybrid.clone(), 1);
+    for (spill, shards) in [
+        (hybrid, 4),
+        (SpillMode::AlwaysSpill, 1),
+        (SpillMode::AlwaysSpill, 4),
+        (SpillMode::NeverSpill, 1),
+    ] {
         assert_eq!(
-            run(stealing, shards),
+            run(spill.clone(), shards),
             reference,
-            "matrix cell diverged: stealing={stealing} K={shards}"
+            "matrix cell diverged: spill={spill:?} K={shards}"
         );
     }
 }

@@ -186,6 +186,35 @@ fn an_out_of_range_head_node_is_rejected() {
 }
 
 #[test]
+fn a_zero_shard_or_stripe_count_is_rejected() {
+    // A count of zero is a configuration error, like a head node the
+    // cluster does not have — not a silent round up to one.
+    type Set = fn(&mut ClusterConfig, usize);
+    let fields: [(&str, Set); 3] = [
+        ("kv_shards", |c, n| c.kv_shards = n),
+        ("global_shards", |c, n| c.global_shards = n),
+        ("submit_striping", |c, n| c.submit_striping = n),
+    ];
+    for (name, set) in fields {
+        let with = |count| {
+            let mut config = ClusterConfig::local(2, 1);
+            set(&mut config, count);
+            config
+        };
+        assert!(
+            matches!(Cluster::start(with(0)), Err(Error::InvalidArgument(_))),
+            "{name} = 0 was accepted"
+        );
+        let cluster = Cluster::start(with(1)).unwrap();
+        let f = cluster.register_fn1("count_of_one", |x: i64| Ok(x + 1));
+        let driver = cluster.driver();
+        let fut = driver.submit1(&f, 41).unwrap();
+        assert_eq!(driver.get(&fut).unwrap(), 42, "{name} = 1");
+        cluster.shutdown();
+    }
+}
+
+#[test]
 fn batched_submission_runs_end_to_end_under_every_spill_mode() {
     for spill in [
         SpillMode::AlwaysSpill,
@@ -283,10 +312,9 @@ fn telemetry_timeseries_is_bounded_and_column_stable() {
         // every sample (non-empty series per metric).
         let names: Vec<&str> = records[0].samples.iter().map(|(n, _)| n.as_str()).collect();
         assert!(names.contains(&"fetch.transfers"), "{names:?}");
-        assert!(names.contains(&"steal.attempts"));
+        assert!(names.contains(&"sched.prefetch_skipped_capacity"));
         assert!(names.contains(&"fabric.sent"));
         assert!(names.contains(&"kv.locks"));
-        assert!(names.contains(&"steal.steal_to_run.p99"));
         for pair in records.windows(2) {
             assert!(pair[0].at_nanos <= pair[1].at_nanos);
             let next: Vec<&str> = pair[1].samples.iter().map(|(n, _)| n.as_str()).collect();
@@ -313,35 +341,20 @@ fn telemetry_timeseries_is_bounded_and_column_stable() {
 fn counters_are_named_once_and_summed_once() {
     use bytes::Bytes;
     use rtml::store::PUSH_MAX_BYTES;
-    // A gated burst on node 0 under NeverSpill: only a steal can move
-    // work, so node 1 steals and node 0 grants. Then one result, pinned
-    // to node 1 and too large to push, is pulled back by the driver.
+    // One result, pinned to node 1 and too large to push, is pulled
+    // back by the driver on node 0: node 0 fetches, node 1 serves.
     let cluster = Cluster::start(ClusterConfig {
         nodes: vec![
             NodeConfig::cpu_only(2),
             NodeConfig::cpu_only(2).with_custom("far", 1.0),
         ],
-        spill: SpillMode::NeverSpill,
         ..ClusterConfig::default()
     })
     .unwrap();
-    let gate = cluster.register_fn0("counted_gate", || {
-        std::thread::sleep(Duration::from_millis(10));
-        Ok(1u8)
-    });
-    let work = cluster.register_fn2("counted_work", |x: u64, _gate: u8| {
-        std::thread::sleep(Duration::from_millis(5));
-        Ok(x)
-    });
     let blob = cluster.register_fn0("counted_blob", || {
         Ok(Bytes::from(vec![7u8; 4 * PUSH_MAX_BYTES]))
     });
     let driver = cluster.driver();
-    let open = driver.submit0(&gate).unwrap();
-    let futs: Vec<_> = (0..32u64)
-        .map(|x| driver.submit2(&work, x, &open).unwrap())
-        .collect();
-    assert_eq!(driver.get_many(&futs).unwrap(), (0..32).collect::<Vec<_>>());
     let far = TaskOptions::resources(Resources::cpu(1.0).with_custom("far", 1.0));
     let pulled = driver.submit0_opts(&blob, far).unwrap();
     assert_eq!(driver.get(&pulled).unwrap().len(), 4 * PUSH_MAX_BYTES);
@@ -362,22 +375,14 @@ fn counters_are_named_once_and_summed_once() {
 
     // Per-node counters sum into the cluster's totals.
     let counters = cluster.counters();
-    for name in [
-        "steal.tasks_stolen",
-        "steal.tasks_granted",
-        "fetch.transfers",
-        "transfer.requests",
-    ] {
+    for name in ["fetch.transfers", "transfer.requests"] {
         let per_node: u64 = registries.iter().map(|r| r.get(name).unwrap()).sum();
         assert_eq!(counters.get(name), Some(per_node), "{name}");
     }
-    let stolen = counters.get("steal.tasks_stolen").unwrap();
-    assert!(stolen > 0, "node 1 never stole");
-    assert_eq!(counters.get("steal.tasks_granted"), Some(stolen));
-    assert!(
-        counters.get("transfer.requests").unwrap() > 0,
-        "nothing was pulled"
-    );
+    let fetched = registries[0].get("fetch.transfers").unwrap();
+    assert!(fetched > 0, "node 0 fetched nothing");
+    let served = registries[1].get("transfer.requests").unwrap();
+    assert!(served > 0, "node 1 served nothing");
 
     // A cluster-wide counter is counted once, not once per node.
     let fabric = &cluster.services().fabric.stats;
@@ -388,6 +393,64 @@ fn counters_are_named_once_and_summed_once() {
         (before..=after).contains(&sent),
         "fabric.sent {sent} outside [{before}, {after}]"
     );
+    cluster.shutdown();
+}
+
+#[test]
+fn never_spill_keeps_every_feasible_task_where_it_was_submitted() {
+    use rtml::common::event::EventKind;
+    // A gated burst on node 0 of two 2-worker nodes under NeverSpill.
+    // Spill and placement are the only ways work moves between nodes,
+    // and NeverSpill turns both off: node 1 idles through the whole
+    // burst while node 0 works through it two tasks at a time.
+    let cluster = Cluster::start(ClusterConfig {
+        nodes: vec![NodeConfig::cpu_only(2), NodeConfig::cpu_only(2)],
+        spill: SpillMode::NeverSpill,
+        ..ClusterConfig::default()
+    })
+    .unwrap();
+    let gate = cluster.register_fn0("kept_gate", || {
+        std::thread::sleep(Duration::from_millis(10));
+        Ok(1u8)
+    });
+    let work = cluster.register_fn2("kept_work", |x: u64, _gate: u8| {
+        std::thread::sleep(Duration::from_millis(2));
+        Ok(x)
+    });
+    let driver = cluster.driver();
+    let open = driver.submit0(&gate).unwrap();
+    let futs: Vec<_> = (0..32u64)
+        .map(|x| driver.submit2(&work, x, open).unwrap())
+        .collect();
+    assert_eq!(driver.get_many(&futs).unwrap(), (0..32).collect::<Vec<_>>());
+
+    // Where each task started, read off the event log.
+    let mut burst: Vec<TaskId> = futs
+        .iter()
+        .map(|f| f.id().producer_task().unwrap())
+        .collect();
+    burst.push(open.id().producer_task().unwrap());
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    let started = loop {
+        let started: Vec<(TaskId, NodeId)> = cluster
+            .services()
+            .events
+            .read_all()
+            .into_iter()
+            .filter_map(|e| match e.kind {
+                EventKind::TaskStarted { task, worker } => Some((task, worker.node)),
+                _ => None,
+            })
+            .collect();
+        if burst.iter().all(|t| started.iter().any(|(s, _)| s == t)) {
+            break started;
+        }
+        assert!(std::time::Instant::now() < deadline, "starts never logged");
+        std::thread::sleep(Duration::from_millis(2));
+    };
+    for (task, node) in &started {
+        assert_eq!(*node, NodeId(0), "{task} ran on {node}");
+    }
     cluster.shutdown();
 }
 

@@ -540,71 +540,6 @@ proptest! {
         );
     }
 
-    // ---- steal plane -------------------------------------------------
-
-    #[test]
-    fn steal_grant_preserves_the_ready_multiset(
-        n_tasks in 0usize..24,
-        capacity in 0.0f64..16.0,
-        max_tasks in 0usize..12,
-        scores in proptest::collection::vec(0u64..1000, 24..25),
-        demands in proptest::collection::vec(1u64..4, 24..25),
-    ) {
-        // The invariant lineage correctness stands on: a steal grant
-        // partitions the victim's ready queue — thief ∪ victim == the
-        // original multiset, no task duplicated, none dropped.
-        use rtml::sched::plan_steal_grant;
-        let root = TaskId::driver_root(DriverId::from_index(7));
-        let ready: Vec<TaskSpec> = (0..n_tasks)
-            .map(|i| {
-                let mut spec =
-                    TaskSpec::simple(root.child(i as u64), FunctionId::from_name("f"), vec![]);
-                spec.resources = Resources::cpu(demands[i] as f64);
-                spec
-            })
-            .collect();
-        let candidates: Vec<(Resources, u64)> = ready
-            .iter()
-            .enumerate()
-            .map(|(i, spec)| (spec.resources.clone(), scores[i]))
-            .collect();
-        let capacity = Resources::cpu(capacity);
-        let picks = plan_steal_grant(&candidates, &capacity, max_tasks);
-
-        // No duplicate positions, quota respected, every pick in range
-        // and individually feasible for the thief.
-        let distinct: std::collections::HashSet<usize> = picks.iter().copied().collect();
-        prop_assert_eq!(distinct.len(), picks.len());
-        prop_assert!(picks.len() <= n_tasks / 2);
-        prop_assert!(picks.len() <= max_tasks);
-        for &idx in &picks {
-            prop_assert!(idx < n_tasks);
-            prop_assert!(capacity.fits(&ready[idx].resources));
-        }
-
-        // Extract exactly like the scheduler (descending removal from
-        // the deque), then check the partition.
-        let mut remaining: std::collections::VecDeque<TaskSpec> = ready.iter().cloned().collect();
-        let mut by_index = picks.clone();
-        by_index.sort_unstable_by(|a, b| b.cmp(a));
-        let mut granted: Vec<TaskSpec> = Vec::new();
-        for idx in by_index {
-            granted.push(remaining.remove(idx).unwrap());
-        }
-        prop_assert_eq!(granted.len() + remaining.len(), n_tasks);
-        let mut union: Vec<TaskId> = granted
-            .iter()
-            .chain(remaining.iter())
-            .map(|s| s.task_id)
-            .collect();
-        union.sort();
-        let mut original: Vec<TaskId> = ready.iter().map(|s| s.task_id).collect();
-        original.sort();
-        // A failing equality here means the grant lost or duplicated a
-        // task.
-        prop_assert_eq!(union, original);
-    }
-
     // ---- transfer plane ----------------------------------------------
 
     #[test]

@@ -4,14 +4,13 @@
 //! The property test drives a bare queue — a store to unpin through, a
 //! channel where the scheduler would be — with real worker threads and
 //! random interleavings of push / finish-and-take / blocked / unblocked
-//! / steal-grant removal / worker removal, and checks the four
-//! invariants of the module docs at every point where the threads have
+//! / worker removal, and checks the four invariants of the module docs at every point where the threads have
 //! settled. A lost wake-up shows as "never settled" (a worker asleep
 //! beside a task that fits), a double run as "taken twice".
 //!
-//! The two scheduler-level tests fail at the commit before the queue
+//! The scheduler-level test fails at the commit before the queue
 //! existed: there a burst cost the scheduler one message and one worker
-//! sleep per task, and a steal could only be answered between dispatches.
+//! sleep per task.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
@@ -22,16 +21,15 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
-use rtml::common::codec::{decode_from_slice, encode_to_bytes};
 use rtml::common::ids::{DriverId, FunctionId, NodeId, ObjectId, TaskId, WorkerId};
 use rtml::common::resources::Resources;
-use rtml::common::task::{TaskSpec, TaskState};
+use rtml::common::task::TaskSpec;
 use rtml::kv::{EventLog, KvStore, ObjectTable, TaskTable};
 use rtml::net::{Endpoint, Fabric, FabricConfig};
 use rtml::sched::{
     GlobalRoutes, HealthTracker, LocalMsg, LocalScheduler, LocalSchedulerConfig,
     LocalSchedulerHandle, LocalSchedulerStats, QueueLoad, RunQueue, Runnable, SchedServices,
-    SchedWire, SpillMode,
+    SpillMode,
 };
 use rtml::store::{FetchAgent, ObjectStore, StoreConfig, TransferDirectory};
 
@@ -107,9 +105,8 @@ struct Harness {
     ready: BTreeSet<TaskId>,
     holding: BTreeMap<WorkerId, TaskId>,
     released: BTreeSet<TaskId>,
-    /// Left the queue: onto a worker, or in a grant.
+    /// Left the queue onto a worker.
     took: BTreeSet<TaskId>,
-    granted: BTreeSet<TaskId>,
     /// A resumed task has `in_use` above `total` until tasks finish.
     oversubscribed: bool,
 }
@@ -141,7 +138,6 @@ impl Harness {
             holding: BTreeMap::new(),
             released: BTreeSet::new(),
             took: BTreeSet::new(),
-            granted: BTreeSet::new(),
             oversubscribed: false,
         }
     }
@@ -164,7 +160,6 @@ impl Harness {
             batch.push(Runnable {
                 spec: spec(index, resources.clone()),
                 pins,
-                stolen_at: None,
             });
         }
         self.queue.push(batch);
@@ -257,7 +252,7 @@ fn shape(arg: u64) -> (Resources, usize) {
 proptest! {
     #[test]
     fn every_task_leaves_once_and_grants_and_pins_balance(
-        ops in proptest::collection::vec((0u8..10, 0u64..1000), 8..48),
+        ops in proptest::collection::vec((0u8..9, 0u64..1000), 8..48),
         drain in any::<bool>(),
     ) {
         let mut h = Harness::start(3);
@@ -284,28 +279,7 @@ proptest! {
                     h.released.remove(&task);
                     h.oversubscribed = true;
                 }
-                8 => {
-                    // A grant: some of what is queued, and one task that
-                    // is not (on a worker, or granted before).
-                    let candidates = h.queue.steal_candidates();
-                    prop_assert_eq!(candidates.len(), h.ready.len());
-                    let mut picks: Vec<TaskId> = candidates
-                        .iter()
-                        .enumerate()
-                        .filter(|(i, _)| (arg >> (i % 10)) & 1 == 1)
-                        .map(|(_, c)| c.task)
-                        .collect();
-                    picks.extend(h.took.iter().next());
-                    let granted = h.queue.take_queued(&picks);
-                    let granted: Vec<TaskId> = granted.iter().map(|s| s.task_id).collect();
-                    picks.retain(|t| h.ready.contains(t));
-                    prop_assert_eq!(&granted, &picks);
-                    for task in granted {
-                        h.ready.remove(&task);
-                        prop_assert!(h.granted.insert(task));
-                    }
-                }
-                9 if h.done.len() > 1 => {
+                8 if h.done.len() > 1 => {
                     // A worker dies: what it holds is lost with it.
                     let worker = *h.done.keys().nth(pick(h.done.len())).unwrap();
                     let lost = h.queue.detach(worker);
@@ -321,8 +295,8 @@ proptest! {
             h.settle()?;
         }
         if drain {
-            // Quiescence: everything pushed has run (or left in a grant,
-            // or died with its worker), and nothing is held for it.
+            // Quiescence: everything pushed has run (or died with its
+            // worker), and nothing is held for it.
             while !h.holding.is_empty() {
                 let worker = *h.holding.keys().next().unwrap();
                 h.finish(worker);
@@ -343,9 +317,8 @@ proptest! {
         prop_assert!(h.taken.try_recv().is_err(), "a task was taken after close");
         prop_assert_eq!(h.queue.load().ready, h.ready.len());
         // Every pushed task left exactly once, or is still queued.
-        let left = h.took.len() + h.granted.len() + h.ready.len();
-        prop_assert_eq!(left, h.tasks.len());
-        prop_assert!(h.took.is_disjoint(&h.granted) && h.took.is_disjoint(&h.ready));
+        prop_assert_eq!(h.took.len() + h.ready.len(), h.tasks.len());
+        prop_assert!(h.took.is_disjoint(&h.ready));
     }
 }
 
@@ -413,7 +386,6 @@ fn a_killed_parked_worker_exits_without_taking_and_close_strands_the_queue() {
 // ---- with a scheduler pushing ---------------------------------------
 
 struct Rig {
-    services: SchedServices,
     _global: Endpoint,
     handle: LocalSchedulerHandle,
 }
@@ -451,27 +423,23 @@ fn rig(workers: u32) -> Rig {
         ..LocalSchedulerConfig::default()
     };
     let ids = (0..workers).map(|i| WorkerId::new(NODE, i)).collect();
-    let handle = LocalScheduler::spawn(config, services.clone(), ids);
+    let handle = LocalScheduler::spawn(config, services, ids);
     Rig {
-        services,
         _global: global,
         handle,
     }
 }
 
-/// Real takers, started once `go` says so or is dropped: each runs what
-/// it takes (for `work`) and reports it. The workers were attached
-/// before `LocalScheduler::spawn` returned — a taker that found itself
-/// unknown would exit instead of parking.
-fn takers(rig: &Rig, workers: u32, work: Duration, go: Receiver<()>) -> Receiver<TaskId> {
+/// Real takers: each reports what it takes and finishes it at once. The
+/// workers were attached before `LocalScheduler::spawn` returned — a
+/// taker that found itself unknown would exit instead of parking.
+fn takers(rig: &Rig, workers: u32) -> Receiver<TaskId> {
     let (ran_tx, ran_rx) = unbounded();
     for index in 0..workers {
-        let (queue, ran, go) = (rig.handle.queue().clone(), ran_tx.clone(), go.clone());
+        let (queue, ran) = (rig.handle.queue().clone(), ran_tx.clone());
         std::thread::spawn(move || {
-            let _ = go.recv();
             let mut finished = None;
             while let Some(spec) = queue.next(WorkerId::new(NODE, index), finished) {
-                std::thread::sleep(work);
                 finished = Some(spec.task_id);
                 let _ = ran.send(spec.task_id);
             }
@@ -485,7 +453,7 @@ fn a_burst_costs_the_scheduler_a_message_per_worker_not_per_task() {
     const WORKERS: u32 = 2;
     const TASKS: u64 = 256;
     let mut r = rig(WORKERS);
-    let ran = takers(&r, WORKERS, Duration::ZERO, unbounded().1);
+    let ran = takers(&r, WORKERS);
     let stats = r.handle.stats().clone();
     // Both takers asleep on the empty queue.
     let deadline = Instant::now() + Duration::from_secs(5);
@@ -515,61 +483,5 @@ fn a_burst_costs_the_scheduler_a_message_per_worker_not_per_task() {
         (1..=WORKERS as u64 + 2).contains(&parks),
         "{parks} worker messages for a {TASKS}-task burst"
     );
-    r.handle.shutdown();
-}
-
-#[test]
-fn a_steal_racing_the_workers_grants_only_what_no_worker_ran() {
-    const WORKERS: u32 = 2;
-    const TASKS: u64 = 1024;
-    let mut r = rig(WORKERS);
-    let (go, gate) = unbounded();
-    let ran = takers(&r, WORKERS, Duration::from_micros(20), gate);
-    let thief = r.services.fabric.register(NodeId(9), "fake-thief");
-    let request = encode_to_bytes(&SchedWire::StealRequest {
-        thief: NodeId(9),
-        reply_address: thief.address().as_u64(),
-        capacity: Resources::cpu(8.0),
-        max_tasks: 16,
-        local_objects_hint: vec![],
-    });
-    let specs = (0..TASKS).map(|i| spec(i, Resources::cpu(1.0))).collect();
-    r.handle.submit_batch(specs);
-    // Ask again and again: the first request is in the scheduler's
-    // mailbox before any worker starts, every later one races the
-    // workers draining the queue.
-    let mut go = Some(go);
-    let mut granted: Vec<TaskId> = Vec::new();
-    let mut seen: BTreeSet<TaskId> = BTreeSet::new();
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while seen.len() + granted.len() < TASKS as usize {
-        assert!(Instant::now() < deadline, "tasks unaccounted for");
-        let fabric = &r.services.fabric;
-        fabric
-            .send(thief.address(), r.handle.address(), request.clone())
-            .unwrap();
-        drop(go.take());
-        let reply = thief.receiver().recv_timeout(Duration::from_secs(5));
-        let reply = decode_from_slice::<SchedWire>(&reply.expect("grant").payload);
-        let Ok(SchedWire::StealGrant { tasks, .. }) = reply else {
-            panic!("expected a steal grant");
-        };
-        for spec in &tasks {
-            // Ownership moved before the grant left.
-            let state = r.services.tasks.get_state(spec.task_id);
-            assert_eq!(state, Some(TaskState::Queued(NodeId(9))));
-        }
-        granted.extend(tasks.iter().map(|s| s.task_id));
-        for task in ran.try_iter() {
-            assert!(seen.insert(task), "{task} ran twice");
-        }
-    }
-    // Thief ∪ victim is the burst, each task exactly once.
-    assert!(granted.len() > 16, "no grant while the workers drained");
-    let mut all: Vec<TaskId> = granted.iter().chain(seen.iter()).copied().collect();
-    all.sort();
-    all.dedup();
-    assert_eq!(all.len(), TASKS as usize, "a granted task also ran");
-    assert_eq!(granted.len() + seen.len(), TASKS as usize);
     r.handle.shutdown();
 }
