@@ -21,8 +21,8 @@
 //!   busy-wait used to emulate compute kernels of known duration.
 //! - [`metrics`] — counters and log-bucketed histograms used by the
 //!   benchmark harness.
-//! - [`retry`] — the one retry/backoff discipline (bounded exponential
-//!   backoff with deterministic jitter) adopted by every plane.
+//! - [`retry`] — the one retry discipline (bounded attempts) adopted by
+//!   every plane.
 //! - [`error`] — the error type shared across the workspace.
 
 pub mod codec;

@@ -118,6 +118,8 @@ impl Core {
 
     /// An object sealed in the local store: its waiting tasks are one
     /// dependency closer to runnable, and the resolver is done with it.
+    /// The store announces only the objects registered for this loop's
+    /// waiting tasks, each once.
     ///
     /// A task submitted here that becomes runnable now meets the spill
     /// rule now: the rule is about the runnable backlog, and at ingest

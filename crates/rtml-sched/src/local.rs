@@ -17,7 +17,10 @@
 //!   object seals locally its tasks are pushed onto the run queue, the
 //!   dependencies pinned for them riding along — the paper's "tasks
 //!   become available for execution if and only if their dependencies
-//!   have finished executing". The loop also commits the location of
+//!   have finished executing". The loop hears of exactly those seals: it
+//!   registers each missing object in the store's local-seal table when
+//!   the object gets its first waiting task, and a seal nobody here
+//!   waits for does not wake it. The loop also commits the location of
 //!   whatever the node's fetch agent seals with no waiter left to do it
 //!   ([`rtml_store::FetchAgent::deliver_unclaimed_to`]).
 //! - the run queue ([`crate::runq`]): runnable tasks awaiting a worker
@@ -50,7 +53,7 @@ use rtml_common::retry::RetryPolicy;
 use rtml_common::task::{TaskSpec, TaskState};
 use rtml_kv::{EventLog, KvStore, ObjectTable, TaskTable};
 use rtml_net::{Fabric, NetAddress};
-use rtml_store::{FetchAgent, FetchResult, ObjectStore, TransferDirectory};
+use rtml_store::{FetchAgent, FetchResult, LocalSealGuard, ObjectStore, TransferDirectory};
 
 use crate::health::HealthTracker;
 use crate::msg::{load_key, LoadReport, LocalMsg};
@@ -165,6 +168,9 @@ pub struct LocalSchedulerStats {
     /// worker sends it — so a burst moves this by about the number of
     /// workers, not of tasks.
     pub worker_parks: Counter,
+    /// Turns of the scheduler loop: one per wake-up, whatever woke it.
+    /// A seal no waiting task needs does not move it.
+    pub turns: Counter,
 }
 
 impl LocalSchedulerStats {
@@ -286,7 +292,7 @@ impl LocalScheduler {
         let queue2 = queue.clone();
 
         let (seal_tx, seal_rx) = unbounded();
-        services.store.add_seal_listener(seal_tx);
+        let seals = services.store.subscribe_local_many(&[], &seal_tx);
         let (fetch_tx, fetch_rx) = unbounded();
         // What the agent seals with nobody left waiting for it (results
         // pushed here by their producers, replies that outlived their
@@ -318,6 +324,8 @@ impl LocalScheduler {
                     queue: queue2,
                     waiting: FastMap::default(),
                     watchers: FastMap::default(),
+                    seal_tx,
+                    seals,
                     resolver,
                     published: None,
                     last_load: Instant::now() - Duration::from_secs(1),
@@ -365,6 +373,14 @@ pub(crate) struct Core {
     pub(crate) waiting: FastMap<TaskId, Waiting>,
     /// missing object → tasks waiting on it.
     pub(crate) watchers: FastMap<ObjectId, Vec<TaskId>>,
+    /// Where the store announces the local seal of a key of `watchers`.
+    /// This loop keeps a sender, so the channel never disconnects.
+    pub(crate) seal_tx: Sender<ObjectId>,
+    /// The keys of `watchers`, registered in the store's local-seal table
+    /// when they got their first waiter: each registration ends when its
+    /// object seals here, and what is left is withdrawn when the loop
+    /// exits and drops this.
+    pub(crate) seals: LocalSealGuard,
     /// Resolves the keys of `watchers`: added when an object gets its
     /// first waiter, retired when it seals here. Its requests are
     /// answered on the channel `run` holds the other end of.
@@ -401,11 +417,11 @@ impl Core {
                     Ok(delivery) => self.on_net(delivery.from, delivery.payload),
                     Err(_) => break,
                 },
-                recv(seal_rx) -> sealed => match sealed {
-                    Ok(object) => self.on_sealed(object),
-                    // The store was cleared: the node is gone.
-                    Err(_) => break,
-                },
+                recv(seal_rx) -> sealed => {
+                    for object in sealed.into_iter().chain(seal_rx.try_iter()) {
+                        self.on_sealed(object);
+                    }
+                }
                 // Whatever else was answered or recorded meanwhile rides
                 // the same turn: one group commit, one round of requests.
                 recv(fetch_rx) -> answer => {
@@ -420,6 +436,7 @@ impl Core {
                 }
                 default(self.config.load_interval) => {}
             }
+            self.stats.turns.inc();
             self.resolve_dependencies();
             self.maybe_publish_load();
         }
@@ -529,8 +546,8 @@ impl Core {
         // object store's lock, and batches overwhelmingly share
         // dependencies (fan-out from one input), so one lookup per
         // *distinct* object replaces one lock round trip per task. An
-        // object sealing mid-batch is caught downstream: its seal is
-        // already queued for this loop.
+        // object sealing mid-batch is caught downstream: registering it
+        // below announces it at once.
         let mut present_cache: FastMap<ObjectId, bool> = FastMap::default();
         for spec in specs {
             let must_spill = if via_global {
@@ -598,8 +615,10 @@ impl Core {
             .events
             .append_many(node, queued.chain(left).chain([span]).map(event).collect());
         // Gate each task on its dependencies, collecting the objects
-        // nobody here waited for yet, in submission order, so the
-        // resolver takes the batch's whole set at once (one table
+        // nobody here waited for yet, in submission order, so the store
+        // and the resolver take the batch's whole set at once (one
+        // local-seal registration, which announces at once an object
+        // that sealed since the presence check above; one table
         // registration; one request per holder when this turn's pump
         // runs). What needs nothing goes to the workers as one push —
         // after the `Queued` commit above, which a worker's `Running`
@@ -628,6 +647,7 @@ impl Core {
             }
         }
         self.queue.push(runnable);
+        self.seals.add(&unresolved, &self.seal_tx);
         self.resolver.add(&unresolved);
         if !spilled.is_empty() {
             self.spill_batch(spilled);
@@ -917,8 +937,8 @@ mod tests {
         r.handle.submit_batch(vec![spec.clone()]);
         // Not dispatched while the dependency is missing.
         assert!(r.worker_rx.recv_timeout(Duration::from_millis(80)).is_err());
-        // Seal the dependency locally; the seal listener wakes the
-        // scheduler.
+        // Seal the dependency locally; its registration in the store's
+        // local-seal table wakes the scheduler.
         r.services.store.put(dep, Bytes::from_static(b"v")).unwrap();
         let got = recv_run(&r.worker_rx);
         assert_eq!(got.task_id, spec.task_id);
@@ -1661,19 +1681,24 @@ mod tests {
     }
 
     /// A quiet scheduler (no ticks, no heartbeats in the test's window)
-    /// given one batch of `n` tasks, each gated on its own object that
-    /// no one has produced yet. Returns once every object is registered
-    /// with the resolver.
-    fn gated_batch(n: u64) -> (Rig, Vec<ObjectId>, usize, u64) {
+    /// that has announced itself.
+    fn quiet_rig() -> Rig {
         let r = rig(LocalSchedulerConfig {
             load_interval: Duration::from_secs(3600),
             spill: SpillMode::NeverSpill,
             ..LocalSchedulerConfig::default()
         });
-        // Let the scheduler announce itself before counting.
         while r.services.kv.get(&load_key(NodeId(0))).is_none() {
             std::thread::yield_now();
         }
+        r
+    }
+
+    /// A quiet scheduler given one batch of `n` tasks, each gated on its
+    /// own object that no one has produced yet. Returns once every object
+    /// is registered with the resolver.
+    fn gated_batch(n: u64) -> (Rig, Vec<ObjectId>, usize, u64) {
+        let r = quiet_rig();
         let subscribers = r.services.kv.subscriber_count();
         let locks = r.services.kv.stats().total_locks();
         let deps: Vec<ObjectId> = (0..n)
@@ -1804,15 +1829,16 @@ mod tests {
     #[test]
     fn sealed_dependencies_leave_no_registration_behind() {
         let (r, deps, subscribers_before, _) = gated_batch(64);
-        // The scheduler hears of local seals through its one listener:
-        // nothing is registered with the store per object.
-        assert_eq!(r.services.store.local_waiter_count(), 0);
+        // The scheduler hears of a local seal only through the store's
+        // per-object table: one registration per missing object, made in
+        // the turn that queued its task, before the resolver's.
+        let store = &r.services.store;
+        assert_eq!(store.local_waiter_count(), deps.len());
         for dep in &deps {
-            r.services
-                .store
-                .put(*dep, Bytes::from_static(b"v"))
-                .unwrap();
+            store.put(*dep, Bytes::from_static(b"v")).unwrap();
         }
+        // A registration ends with its seal.
+        assert_eq!(store.local_waiter_count(), 0);
         let _first = recv_run(&r.worker_rx);
         let deadline = Instant::now() + Duration::from_secs(5);
         while r.services.kv.subscriber_count() != subscribers_before {
@@ -1822,12 +1848,55 @@ mod tests {
             );
             std::thread::yield_now();
         }
-        assert_eq!(r.services.store.local_waiter_count(), 0);
+        assert_eq!(store.local_waiter_count(), 0);
         // A scheduler that dies with dependencies pending takes its
-        // registrations with it.
-        let (mut r, _, subscribers_before, _) = gated_batch(8);
+        // registrations with it: the table's and the store's.
+        let (mut r, deps, subscribers_before, _) = gated_batch(8);
+        assert_eq!(r.services.store.local_waiter_count(), deps.len());
         r.handle.shutdown();
         assert_eq!(r.services.kv.subscriber_count(), subscribers_before);
+        assert_eq!(r.services.store.local_waiter_count(), 0);
+    }
+
+    #[test]
+    fn a_seal_no_waiting_task_needs_leaves_the_scheduler_asleep() {
+        let mut r = quiet_rig();
+        let turns = &r.handle.stats().turns;
+        // The worker's first park reaches the loop as a message: let it
+        // land before counting.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while r.handle.stats().worker_parks.get() == 0 || turns.get() == 0 {
+            assert!(Instant::now() < deadline, "the worker never parked");
+            std::thread::yield_now();
+        }
+        std::thread::sleep(Duration::from_millis(20));
+        let before = turns.get();
+        let object = |i: u64| {
+            TaskId::driver_root(DriverId::from_index(0))
+                .child(20_000 + i)
+                .return_object(0)
+        };
+        for i in 0..1000 {
+            r.services
+                .store
+                .put(object(i), Bytes::from_static(b"v"))
+                .unwrap();
+        }
+        std::thread::sleep(Duration::from_millis(50));
+        let woken = turns.get() - before;
+        assert!(woken <= 2, "1000 seals nobody waits for: {woken} turns");
+        // A seal a waiting task needs still reaches it.
+        let dep = object(5000);
+        let gated = spec_with(vec![ArgSpec::ObjectRef(dep)], 0);
+        r.handle.submit_batch(vec![gated.clone()]);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while r.services.store.local_waiter_count() == 0 {
+            assert!(Instant::now() < deadline, "the input never registered");
+            std::thread::yield_now();
+        }
+        r.services.store.put(dep, Bytes::from_static(b"v")).unwrap();
+        assert_eq!(recv_run(&r.worker_rx).task_id, gated.task_id);
+        r.handle.shutdown();
     }
 
     #[test]

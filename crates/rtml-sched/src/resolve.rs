@@ -757,10 +757,7 @@ mod tests {
             agent: None,
             answers,
             health: health.clone(),
-            retry: RetryPolicy {
-                max_attempts,
-                ..RetryPolicy::default()
-            },
+            retry: RetryPolicy { max_attempts },
             fetch_timeout,
         };
         Rig {

@@ -11,7 +11,12 @@
 //! - Objects are **immutable once sealed** ([`ObjectStore::put`] inserts a
 //!   sealed object; double-puts of identical bytes are idempotent, which
 //!   is exactly what lineage replay produces).
-//! - Blocked readers ([`ObjectStore::wait_local`]) are woken by seals.
+//! - A seal wakes only who asked for that object: a blocked reader
+//!   ([`ObjectStore::wait_local`], a `get`) or a local scheduler whose
+//!   waiting task lacks it registers the object in the store's
+//!   per-object local-seal table ([`ObjectStore::subscribe_local_many`])
+//!   and hears of it on its own channel. There is no broadcast of every
+//!   seal.
 //! - The store is **capacity-bounded**; puts evict least-recently-used,
 //!   unpinned objects. Evicted objects are not gone from the system: the
 //!   object table keeps their lineage so they can be reconstructed

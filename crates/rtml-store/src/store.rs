@@ -3,13 +3,20 @@
 //! It holds sealed objects only. An object still arriving from another
 //! node is the node's object plane's ([`crate::transfer`]) until the
 //! agent seals it here.
+//!
+//! A seal is heard only by whoever asked for that object: the per-object
+//! local-seal table ([`ObjectStore::subscribe_local_many`]) is the one way
+//! to learn of one. A blocked `get`, a local scheduler's waiting tasks and
+//! [`ObjectStore::wait_local`] all register there; a `put` nobody waits
+//! for wakes nobody.
 
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use crossbeam::channel::Sender;
-use parking_lot::{Condvar, Mutex};
+use crossbeam::channel::{unbounded, Sender};
+use parking_lot::Mutex;
 
 use rtml_common::error::{Error, Result};
 use rtml_common::ids::{NodeId, ObjectId};
@@ -60,10 +67,52 @@ struct StoreState {
     access_clock: u64,
     /// Per-object local-seal subscribers, `(subscription id, sender)`.
     /// An entry goes when the object seals here, when the
-    /// [`LocalSealGuard`] that registered it drops, or on `clear`.
+    /// [`LocalSealGuard`] that registered it drops (or `wait_local` gives
+    /// up), or on `clear`.
     waiters: HashMap<ObjectId, Vec<(u64, Sender<ObjectId>)>>,
     next_subscription: u64,
-    seal_listeners: Vec<Sender<ObjectId>>,
+}
+
+impl StoreState {
+    /// A fresh subscription id.
+    fn subscription(&mut self) -> u64 {
+        self.next_subscription += 1;
+        self.next_subscription
+    }
+
+    /// Registers `object` for subscription `id`, unless it is here
+    /// already: then it is announced on `tx` at once. Returns whether it
+    /// was registered.
+    fn register(&mut self, id: u64, object: ObjectId, tx: &Sender<ObjectId>) -> bool {
+        if self.objects.contains_key(&object) {
+            let _ = tx.send(object);
+            return false;
+        }
+        self.waiters
+            .entry(object)
+            .or_default()
+            .push((id, tx.clone()));
+        true
+    }
+
+    /// Withdraws subscription `id`'s registrations of `objects` that
+    /// have not fired.
+    fn withdraw(&mut self, id: u64, objects: &[ObjectId]) {
+        for object in objects {
+            if let Some(waiters) = self.waiters.get_mut(object) {
+                waiters.retain(|(subscription, _)| *subscription != id);
+                if waiters.is_empty() {
+                    self.waiters.remove(object);
+                }
+            }
+        }
+    }
+
+    /// Whether subscription `id` still waits for `object`.
+    fn is_registered(&self, id: u64, object: ObjectId) -> bool {
+        let waiters = self.waiters.get(&object);
+        waiters.is_some_and(|w| w.iter().any(|(subscription, _)| *subscription == id))
+    }
 }
 
 /// Operation counters for one store.
@@ -94,7 +143,6 @@ pub struct PutOutcome {
 pub struct ObjectStore {
     config: StoreConfig,
     state: Mutex<StoreState>,
-    sealed_cv: Condvar,
     /// Operation counters.
     pub stats: StoreStats,
 }
@@ -105,7 +153,6 @@ impl ObjectStore {
         ObjectStore {
             config,
             state: Mutex::new(StoreState::default()),
-            sealed_cv: Condvar::new(),
             stats: StoreStats::default(),
         }
     }
@@ -146,13 +193,6 @@ impl ObjectStore {
         registry.register_value("store.used_bytes", move || store.used_bytes());
         let store = self.clone();
         registry.register_value("store.objects", move || store.len() as u64);
-    }
-
-    /// Registers a channel that receives the ID of every object sealed
-    /// into this store. Used by the local scheduler to wake tasks whose
-    /// dependencies just arrived.
-    pub fn add_seal_listener(&self, tx: Sender<ObjectId>) {
-        self.state.lock().seal_listeners.push(tx);
     }
 
     /// Inserts a sealed, immutable object.
@@ -223,15 +263,12 @@ impl ObjectStore {
         st.used_bytes += size;
         self.stats.puts.inc();
 
-        // Wake blocked readers and notify seal listeners.
-        if let Some(waiters) = st.waiters.remove(&object) {
-            for (_, tx) in waiters {
-                let _ = tx.send(object);
-            }
-        }
-        st.seal_listeners.retain(|tx| tx.send(object).is_ok());
+        // Announce the seal to whoever registered for it, and nobody else.
+        let waiters = st.waiters.remove(&object);
         drop(st);
-        self.sealed_cv.notify_all();
+        for (_, tx) in waiters.into_iter().flatten() {
+            let _ = tx.send(object);
+        }
         Ok(PutOutcome {
             inserted: true,
             evicted,
@@ -261,61 +298,64 @@ impl ObjectStore {
         self.state.lock().objects.contains_key(&object)
     }
 
-    /// Blocks until `object` is sealed locally or `timeout` elapses.
-    pub fn wait_local(&self, object: ObjectId, timeout: std::time::Duration) -> Result<Bytes> {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut st = self.state.lock();
+    /// Blocks until `object` is sealed locally or `timeout` elapses. It
+    /// waits as a one-object subscription of the local-seal table, and
+    /// leaves no registration behind either way.
+    pub fn wait_local(&self, object: ObjectId, timeout: Duration) -> Result<Bytes> {
+        let deadline = Instant::now() + timeout;
+        let (tx, rx) = unbounded();
         loop {
-            if let Some(entry) = st.objects.get_mut(&object) {
-                self.stats.hits.inc();
-                return Ok(entry.data.clone());
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return Err(Error::Timeout);
-            }
-            if self.sealed_cv.wait_for(&mut st, deadline - now).timed_out() {
-                // Re-check once after timeout (the object may have sealed
-                // exactly at the deadline).
-                if let Some(entry) = st.objects.get_mut(&object) {
+            let id = {
+                let mut st = self.state.lock();
+                if let Some(entry) = st.objects.get(&object) {
+                    self.stats.hits.inc();
                     return Ok(entry.data.clone());
                 }
-                return Err(Error::Timeout);
+                let id = st.subscription();
+                st.register(id, object, &tx);
+                id
+            };
+            let left = deadline.saturating_duration_since(Instant::now());
+            if rx.recv_timeout(left).is_err() {
+                // Given up on: withdrawn, unless it sealed meanwhile.
+                let mut st = self.state.lock();
+                st.withdraw(id, &[object]);
+                let entry = st.objects.get(&object);
+                return entry.map(|e| e.data.clone()).ok_or(Error::Timeout);
             }
+            // Sealed, and its registration with it: take the bytes on
+            // the next pass (or wait again, if it was evicted meanwhile).
         }
     }
 
     /// Asks for each of `objects` to be announced on `tx` (by id, once)
     /// when it seals locally; objects already present are announced
     /// immediately. One lock acquisition for the whole set, and every
-    /// object shares the caller's one channel. The registration lasts
-    /// until the returned guard drops, so a waiter that gives up (or is
-    /// satisfied some other way) leaves nothing behind. [`clear`]
-    /// (node crash) drops the registered senders: a caller that keeps
-    /// no sender of its own sees the channel disconnect.
+    /// object shares the caller's one channel. A registration ends when
+    /// its object seals here; the returned guard owns the rest, takes
+    /// more objects ([`LocalSealGuard::add`]) and withdraws what has not
+    /// fired when it drops, so a waiter that gives up (or is satisfied
+    /// some other way) leaves nothing behind. [`clear`] (node crash)
+    /// drops the registered senders: a caller that keeps no sender of
+    /// its own sees the channel disconnect.
     ///
     /// [`clear`]: ObjectStore::clear
     pub fn subscribe_local_many(
-        &self,
+        self: &Arc<Self>,
         objects: &[ObjectId],
         tx: &Sender<ObjectId>,
-    ) -> LocalSealGuard<'_> {
+    ) -> LocalSealGuard {
         let mut st = self.state.lock();
-        st.next_subscription += 1;
-        let id = st.next_subscription;
-        let mut waiting = Vec::new();
-        for &object in objects {
-            if st.objects.contains_key(&object) {
-                let _ = tx.send(object);
-            } else {
-                st.waiters.entry(object).or_default().push((id, tx.clone()));
-                waiting.push(object);
-            }
-        }
+        let id = st.subscription();
+        let waiting = objects.iter().copied();
+        let waiting = waiting
+            .filter(|&object| st.register(id, object, tx))
+            .collect();
         LocalSealGuard {
-            store: self,
+            store: self.clone(),
             id,
             waiting,
+            kept: 0,
         }
     }
 
@@ -398,27 +438,43 @@ impl ObjectStore {
     }
 }
 
-/// Scope of an [`ObjectStore::subscribe_local_many`] registration:
-/// dropping it withdraws whatever has not fired yet.
-pub struct LocalSealGuard<'a> {
-    store: &'a ObjectStore,
+/// The registrations of one [`ObjectStore::subscribe_local_many`] call
+/// and of every [`LocalSealGuard::add`] since: dropping it withdraws
+/// whatever has not fired yet.
+pub struct LocalSealGuard {
+    store: Arc<ObjectStore>,
     id: u64,
+    /// Objects registered that may not have fired yet.
     waiting: Vec<ObjectId>,
+    /// How long `waiting` was when it last forgot what had fired.
+    kept: usize,
 }
 
-impl Drop for LocalSealGuard<'_> {
-    fn drop(&mut self) {
-        if self.waiting.is_empty() {
+impl LocalSealGuard {
+    /// Registers `objects` too, announced on `tx` like the first ones.
+    pub fn add(&mut self, objects: &[ObjectId], tx: &Sender<ObjectId>) {
+        if objects.is_empty() {
             return;
         }
-        let mut st = self.store.state.lock();
-        for object in &self.waiting {
-            if let Some(waiters) = st.waiters.get_mut(object) {
-                waiters.retain(|(id, _)| *id != self.id);
-                if waiters.is_empty() {
-                    st.waiters.remove(object);
-                }
-            }
+        let (id, mut st) = (self.id, self.store.state.lock());
+        // A guard that lives as long as its owner forgets what has fired
+        // once its list has doubled since it last did: amortized O(1) a
+        // registration, and never more than twice what it still waits
+        // for.
+        if self.waiting.len() > 2 * self.kept {
+            self.waiting.retain(|&object| st.is_registered(id, object));
+            self.kept = self.waiting.len();
+        }
+        let fresh = objects.iter().copied();
+        let fresh = fresh.filter(|&object| st.register(id, object, tx));
+        self.waiting.extend(fresh);
+    }
+}
+
+impl Drop for LocalSealGuard {
+    fn drop(&mut self) {
+        if !self.waiting.is_empty() {
+            self.store.state.lock().withdraw(self.id, &self.waiting);
         }
     }
 }
@@ -426,10 +482,7 @@ impl Drop for LocalSealGuard<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::channel::unbounded;
     use rtml_common::ids::{DriverId, TaskId};
-    use std::sync::Arc;
-    use std::time::Duration;
 
     fn obj(i: u64) -> ObjectId {
         TaskId::driver_root(DriverId::from_index(0))
@@ -437,12 +490,12 @@ mod tests {
             .return_object(0)
     }
 
-    fn store(capacity: u64) -> ObjectStore {
-        ObjectStore::new(StoreConfig {
+    fn store(capacity: u64) -> Arc<ObjectStore> {
+        Arc::new(ObjectStore::new(StoreConfig {
             node: NodeId(0),
             capacity_bytes: capacity,
             ..StoreConfig::default()
-        })
+        }))
     }
 
     #[test]
@@ -536,22 +589,32 @@ mod tests {
 
     #[test]
     fn wait_local_blocks_until_seal() {
-        let s = Arc::new(store(1024));
+        let s = store(1024);
         let s2 = s.clone();
         let t = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(30));
+            // The waiter is one registration in the local-seal table.
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while s2.local_waiter_count() == 0 {
+                assert!(Instant::now() < deadline, "the waiter never registered");
+                std::thread::yield_now();
+            }
+            assert_eq!(s2.local_waiter_count(), 1);
             s2.put(obj(1), Bytes::from_static(b"late")).unwrap();
         });
         let data = s.wait_local(obj(1), Duration::from_secs(5)).unwrap();
         assert_eq!(&data[..], b"late");
         t.join().unwrap();
+        assert_eq!(s.local_waiter_count(), 0);
     }
 
     #[test]
     fn wait_local_times_out() {
         let s = store(1024);
+        let started = Instant::now();
         let err = s.wait_local(obj(1), Duration::from_millis(20)).unwrap_err();
         assert_eq!(err, Error::Timeout);
+        assert!(started.elapsed() >= Duration::from_millis(20));
+        assert_eq!(s.local_waiter_count(), 0, "gave up, left a registration");
     }
 
     #[test]
@@ -596,14 +659,27 @@ mod tests {
     }
 
     #[test]
-    fn seal_listener_streams_ids() {
-        let s = store(1024);
+    fn a_long_lived_guard_hears_only_its_objects_and_forgets_what_fired() {
+        let s = store(1 << 20);
         let (tx, rx) = unbounded();
-        s.add_seal_listener(tx);
-        s.put(obj(1), Bytes::from_static(b"a")).unwrap();
-        s.put(obj(2), Bytes::from_static(b"b")).unwrap();
-        assert_eq!(rx.recv().unwrap(), obj(1));
-        assert_eq!(rx.recv().unwrap(), obj(2));
+        let mut guard = s.subscribe_local_many(&[], &tx);
+        // A put nobody registered for is announced to nobody.
+        s.put(obj(0), Bytes::from_static(b"x")).unwrap();
+        assert!(rx.try_recv().is_err());
+        // One object at a time, each sealed before the next is added:
+        // the guard never holds more than a few it no longer waits for.
+        for i in 1..=1000 {
+            guard.add(&[obj(i)], &tx);
+            s.put(obj(i), Bytes::from_static(b"v")).unwrap();
+            assert_eq!(rx.try_recv(), Ok(obj(i)));
+            assert!(guard.waiting.len() <= 3, "{} kept", guard.waiting.len());
+        }
+        // An object already here is announced as it is added.
+        guard.add(&[obj(0), obj(2000)], &tx);
+        assert_eq!(rx.try_recv(), Ok(obj(0)));
+        assert_eq!(s.local_waiter_count(), 1);
+        drop(guard);
+        assert_eq!(s.local_waiter_count(), 0);
     }
 
     #[test]
@@ -631,7 +707,7 @@ mod tests {
 
     #[test]
     fn concurrent_readers_and_writer() {
-        let s = Arc::new(store(1 << 20));
+        let s = store(1 << 20);
         let mut handles = Vec::new();
         for t in 0..4 {
             let s = s.clone();
