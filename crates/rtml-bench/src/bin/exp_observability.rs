@@ -15,8 +15,8 @@
 //!   ingest/placement/queue/transfer/execution; the buckets must sum
 //!   to the measured makespan within 1% (they are exact by
 //!   construction — the tolerance only guards the assertion itself).
-//! - **Telemetry**: every node's sampler commits a bounded ring of
-//!   column-stable snapshots to the kv store, covering every metric
+//! - **Telemetry**: every node's scheduler loop commits a bounded ring
+//!   of column-stable snapshots to the kv store, covering every metric
 //!   its registry exposes.
 //! - **Overhead**: batch-4096 submission throughput with default-on
 //!   telemetry must stay within 10% of the same run with telemetry
@@ -119,8 +119,8 @@ fn run_dag(fanout: usize) -> DagRun {
     driver.get_many(&fan).unwrap();
     let sink_value = driver.get(&tip).unwrap();
     assert!(!sink_value.is_empty());
-    // Let the samplers take another snapshot before reading the plane
-    // back.
+    // Let every node take another telemetry sample before reading the
+    // plane back.
     std::thread::sleep(Duration::from_millis(30));
 
     let report = cluster.profile();

@@ -14,8 +14,8 @@
 //!
 //! A count of zero is refused, not rounded up: `Cluster::start` returns
 //! [`Error::InvalidArgument`] for a `kv_shards`, `global_shards` or
-//! `submit_striping` of 0, as it does for a `global_host` outside
-//! `nodes`.
+//! `submit_striping` of 0, for an enabled telemetry plane with a zero
+//! `interval` or `retention`, and for a `global_host` outside `nodes`.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -90,11 +90,12 @@ pub struct ClusterConfig {
     /// striping on or off.
     pub submit_striping: usize,
     /// Per-node telemetry sampling: every node's plane counters are
-    /// registered on a [`rtml_common::metrics::MetricsRegistry`] and a
-    /// sampler thread group-commits periodic snapshots to the kv-backed
-    /// telemetry table as a bounded ring ([`Cluster::timeseries`]). On
-    /// by default: the cost is one kv append per node per interval,
-    /// noise against the submission hot path's lock budget.
+    /// registered on a [`rtml_common::metrics::MetricsRegistry`] and the
+    /// node's local scheduler group-commits a snapshot to the kv-backed
+    /// telemetry table every interval, from its own loop, as a bounded
+    /// ring ([`Cluster::timeseries`]). On by default: the cost is one kv
+    /// append per node per interval, noise against the submission hot
+    /// path's lock budget.
     pub telemetry: crate::telemetry::TelemetryConfig,
     /// Chaos plane: a seeded, deterministic fault-injection plan on the
     /// fabric (per-link drops, duplication, delay spikes, gray links,
@@ -235,6 +236,13 @@ impl Cluster {
                 return Err(Error::InvalidArgument(format!("{name} must be at least 1")));
             }
         }
+        // A zero interval would spin every node's scheduler loop.
+        let telemetry = &config.telemetry;
+        if telemetry.enabled && (telemetry.interval.is_zero() || telemetry.retention == 0) {
+            return Err(Error::InvalidArgument(
+                "telemetry interval and retention must be above zero".into(),
+            ));
+        }
         let services = Services::create(&config);
         let recon = ReconstructionManager::new(services.clone());
 
@@ -250,8 +258,8 @@ impl Cluster {
             services.events.clone(),
             rtml_kv::LoadDigestTable::new(services.kv.clone()),
         );
-        // Before any node's sampler starts, so every record has every
-        // column.
+        // Before any node takes a telemetry sample, so every record has
+        // every column.
         recon.register_metrics(&services.metrics);
         global.register_metrics(&services.metrics);
 
@@ -507,7 +515,7 @@ impl Cluster {
     }
 
     /// One node's metrics registry: the live counters its own
-    /// components count (its sampler records them beside
+    /// components count (its telemetry sample records them beside
     /// [`Services::metrics`]). `None` if the node is not alive.
     pub fn node_registry(&self, node: NodeId) -> Option<Arc<MetricsRegistry>> {
         self.nodes

@@ -1,10 +1,16 @@
 //! Per-node assembly: object store + object plane (one transfer agent,
 //! one thread) + local scheduler + worker pool (one column of the
 //! paper's Figure 3).
+//!
+//! A node runs two control threads, `rtml-lsched-N` and
+//! `rtml-transfer-N`, beside its workers. The node's two other chores
+//! ride threads that already run: the scheduler's loop takes the
+//! telemetry sample, and whichever thread asks for one more worker
+//! starts it.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock, Weak};
 
-use crossbeam::channel::unbounded;
+use parking_lot::Mutex;
 
 use rtml_common::event::{Component, Event, EventKind};
 use rtml_common::ids::{NodeId, WorkerId};
@@ -12,7 +18,7 @@ use rtml_common::metrics::MetricsRegistry;
 use rtml_common::resources::Resources;
 use rtml_sched::{
     GlobalRoutes, LocalMsg, LocalScheduler, LocalSchedulerConfig, LocalSchedulerHandle, Replay,
-    SchedServices,
+    RunQueue, SchedServices,
 };
 use rtml_store::{FetchAgent, ObjectStore, StoreConfig};
 
@@ -94,14 +100,24 @@ pub struct NodeRuntime {
     config: NodeConfig,
     agent: Arc<FetchAgent>,
     sched: LocalSchedulerHandle,
-    /// Shared with the pool-manager thread, which appends on-demand
-    /// workers (nested-task deadlock avoidance).
-    workers: Arc<parking_lot::Mutex<Vec<WorkerRuntime>>>,
+    /// Shared with the run queue's `request_worker` hook, which appends
+    /// on-demand workers (nested-task deadlock avoidance). Never held
+    /// across a join, or across a call that can reach the hook.
+    pool: Arc<Mutex<Pool>>,
     /// The node's components' live counters, registered once at build
     /// time.
     registry: Arc<MetricsRegistry>,
-    /// The telemetry sampler, when the plane is on.
-    sampler: Option<crate::telemetry::TelemetrySampler>,
+}
+
+/// A node's workers, and the run queue a grown one attaches to.
+struct Pool {
+    /// Every worker ever started here, killed ones included, so the next
+    /// worker's index is the length.
+    workers: Vec<WorkerRuntime>,
+    /// Set once the scheduler exists; emptied when the node stops, so a
+    /// late request starts nothing. Weak: the queue owns the hook that
+    /// owns this.
+    queue: Weak<RunQueue>,
 }
 
 impl NodeRuntime {
@@ -136,10 +152,54 @@ impl NodeRuntime {
                 Replay::Forced => recon.force_replay(object),
             })
         };
-        let (pool_tx, pool_rx) = unbounded::<()>();
-        let request_worker = Arc::new(move || {
-            let _ = pool_tx.send(());
+        // Grows the worker pool on the run queue's request, up to a cap,
+        // on the thread that asked: the new worker is known to the queue
+        // before its thread exists.
+        let pool = Arc::new(Mutex::new(Pool {
+            workers: Vec::new(),
+            queue: Weak::new(),
+        }));
+        let request_worker = {
+            let (pool, services, recon) = (pool.clone(), services.clone(), recon.clone());
+            let max_workers = (config.workers as usize * 4).max(16);
+            Arc::new(move || {
+                let mut pool = pool.lock();
+                let Some(queue) = pool.queue.upgrade() else {
+                    return;
+                };
+                if pool.workers.len() >= max_workers {
+                    return;
+                }
+                let id = WorkerId::new(node, pool.workers.len() as u32);
+                queue.attach(id);
+                let worker = WorkerRuntime::spawn(id, services.clone(), recon.clone(), queue);
+                pool.workers.push(worker);
+            })
+        };
+
+        // The sensing plane: every component registers its own live
+        // counters once, and the scheduler's loop records them, beside
+        // the cluster-wide ones, into the kv-backed telemetry ring every
+        // interval — one group-committed record per node per interval.
+        // The scheduler's counters exist only once it runs, so the sample
+        // waits for the full set: every record has every column.
+        let registry = Arc::new(MetricsRegistry::new());
+        agent.stats().register_metrics(&registry);
+        store.register_metrics(&registry);
+        let columns = Arc::new(OnceLock::<[Arc<MetricsRegistry>; 2]>::new());
+        let telemetry = &cluster.telemetry;
+        let periodic = telemetry.enabled.then(|| {
+            let columns = columns.clone();
+            let table =
+                rtml_kv::TelemetryTable::with_retention(services.kv.clone(), telemetry.retention);
+            let sample: Arc<dyn Fn() + Send + Sync> = Arc::new(move || {
+                if let Some(registries) = columns.get() {
+                    crate::telemetry::sample(node, registries, &table);
+                }
+            });
+            (telemetry.interval, sample)
         });
+
         let sched_services = SchedServices {
             kv: services.kv.clone(),
             objects: services.objects.clone(),
@@ -153,6 +213,7 @@ impl NodeRuntime {
             health: services.health.clone(),
             reconstruct: recon_hook,
             request_worker,
+            periodic,
         };
         let worker_ids: Vec<WorkerId> = (0..config.workers)
             .map(|index| WorkerId::new(node, index))
@@ -169,44 +230,21 @@ impl NodeRuntime {
             worker_ids.clone(),
         );
 
+        sched.stats().register_metrics(&registry);
+        let _ = columns.set([registry.clone(), services.metrics.clone()]);
+
         // The scheduler attached them to its run queue before `spawn`
         // returned, so no thread can come up unknown to it.
-        let spawn_worker = {
-            let (services, recon) = (services.clone(), recon.clone());
-            move |id, queue| WorkerRuntime::spawn(id, services.clone(), recon.clone(), queue)
-        };
-        let workers: Vec<WorkerRuntime> = worker_ids
-            .into_iter()
-            .map(|id| spawn_worker(id, sched.queue().clone()))
-            .collect();
-        let workers = Arc::new(parking_lot::Mutex::new(workers));
-
-        // Pool manager: grows the worker pool on the run queue's
-        // request, up to a cap. Exits when the queue (and with it the
-        // request hook) is gone — so it must not keep the queue alive.
         {
-            let workers = workers.clone();
-            let queue = Arc::downgrade(sched.queue());
-            let max_workers = (config.workers as usize * 4).max(16);
-            let mut next_index = config.workers;
-            std::thread::Builder::new()
-                .name(format!("rtml-pool-{node}"))
-                .spawn(move || {
-                    while pool_rx.recv().is_ok() {
-                        let Some(queue) = queue.upgrade() else {
-                            break;
-                        };
-                        if workers.lock().len() >= max_workers {
-                            continue;
-                        }
-                        let id = WorkerId::new(node, next_index);
-                        next_index += 1;
-                        // Known to the queue before its thread exists.
-                        queue.attach(id);
-                        workers.lock().push(spawn_worker(id, queue));
-                    }
+            let mut pool = pool.lock();
+            pool.queue = Arc::downgrade(sched.queue());
+            pool.workers = worker_ids
+                .into_iter()
+                .map(|id| {
+                    let queue = sched.queue().clone();
+                    WorkerRuntime::spawn(id, services.clone(), recon.clone(), queue)
                 })
-                .expect("spawn pool manager");
+                .collect();
         }
 
         services.attach_node(
@@ -217,37 +255,22 @@ impl NodeRuntime {
             config.total_resources(),
         );
 
-        // The sensing plane: every component registers its own live
-        // counters once, then (if enabled) the sampler records them,
-        // beside the cluster-wide ones, into the kv-backed telemetry
-        // ring on a period — one group-committed record per node per
-        // interval.
-        let registry = Arc::new(MetricsRegistry::new());
-        agent.stats().register_metrics(&registry);
-        sched.stats().register_metrics(&registry);
-        store.register_metrics(&registry);
-        let telemetry = &cluster.telemetry;
-        let sampler = if telemetry.enabled {
-            Some(crate::telemetry::TelemetrySampler::spawn(
-                node,
-                vec![registry.clone(), services.metrics.clone()],
-                rtml_kv::TelemetryTable::with_retention(services.kv.clone(), telemetry.retention),
-                telemetry.interval,
-            ))
-        } else {
-            None
-        };
-
         NodeRuntime {
             node,
             store,
             config,
             agent,
             sched,
-            workers,
+            pool,
             registry,
-            sampler,
         }
+    }
+
+    /// Stops pool growth and hands back every worker started here.
+    fn take_workers(&self) -> Vec<WorkerRuntime> {
+        let mut pool = self.pool.lock();
+        pool.queue = Weak::new();
+        std::mem::take(&mut pool.workers)
     }
 
     /// The node's static configuration (used for restarts).
@@ -265,8 +288,8 @@ impl NodeRuntime {
     /// discarded, scheduler notified). Returns whether the worker
     /// existed.
     pub fn kill_worker(&mut self, worker: WorkerId) -> bool {
-        let mut workers = self.workers.lock();
-        let Some(runtime) = workers.iter_mut().find(|w| w.id == worker) else {
+        let mut pool = self.pool.lock();
+        let Some(runtime) = pool.workers.iter_mut().find(|w| w.id == worker) else {
             return false;
         };
         runtime.kill();
@@ -289,18 +312,15 @@ impl NodeRuntime {
         // task-table repair would mistake for an application error.
         // (Parked workers wake when the scheduler closes its run queue
         // below.)
-        for runtime in self.workers.lock().iter_mut() {
+        for mut runtime in self.take_workers() {
             runtime.kill();
             runtime.detach();
         }
         // Stop routing new work here.
         services.detach_node(self.node);
-        // The sampler dies with the node; its committed ring survives
-        // in the control plane (telemetry outlives the node, like the
-        // event log).
-        if let Some(sampler) = &self.sampler {
-            sampler.shutdown();
-        }
+        // The scheduler takes the node's last telemetry sample as it
+        // stops; the committed ring survives in the control plane
+        // (telemetry outlives the node, like the event log).
         let mut this = self;
         this.sched.shutdown();
         // Retract the kv-mirrored load report: a dead node leaves no
@@ -324,17 +344,14 @@ impl NodeRuntime {
     /// Graceful shutdown: drains schedulers and joins workers.
     pub fn shutdown(mut self, services: &Arc<Services>) {
         services.detach_node(self.node);
-        // Stop the sampler last-ish so its final snapshot sees a
-        // near-final counter state; the committed ring stays readable
-        // through `Cluster::timeseries` after shutdown.
-        if let Some(sampler) = &self.sampler {
-            sampler.shutdown();
-        }
-        // The scheduler's shutdown closes its run queue: every worker
-        // finishes what it is running and exits.
+        // The scheduler's shutdown takes the node's last telemetry sample
+        // (the ring stays readable through `Cluster::timeseries`), then
+        // closes its run queue: every worker finishes what it is running
+        // and exits. A worker still running may ask for one more, so the
+        // pool is not held while they are joined.
         self.sched.shutdown();
         services.kv.delete(&rtml_sched::load_key(self.node));
-        for runtime in self.workers.lock().iter_mut() {
+        for mut runtime in self.take_workers() {
             runtime.join();
         }
         services.directory.remove(self.node);

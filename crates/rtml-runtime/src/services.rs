@@ -58,7 +58,7 @@ pub struct Services {
     /// The counters of cluster-wide state — the fabric, the control
     /// plane, the event log, the object table, and (registered by the
     /// cluster) the global scheduler and lineage replay — named once for
-    /// the whole cluster. Every node's telemetry sampler records them
+    /// the whole cluster. Every node's telemetry sample records them
     /// beside its own registry's.
     pub metrics: Arc<MetricsRegistry>,
     router: RwLock<HashMap<NodeId, Sender<LocalMsg>>>,

@@ -136,8 +136,15 @@ pub struct SchedServices {
     /// the run queue, from whichever thread made it true, when runnable
     /// tasks exist, no worker is idle, and at least one worker is
     /// blocked inside `get`/`wait` (nested-task deadlock avoidance). The
-    /// node attaches the new worker to the queue, then starts it.
+    /// hook attaches the new worker to the queue, then starts its thread.
+    /// The queue calls it with no lock held.
     pub request_worker: Arc<dyn Fn() + Send + Sync>,
+    /// Optional runtime hook the loop runs every `interval` (the node's
+    /// telemetry sample), after a turn's work once it is due, and once
+    /// more as the loop exits; an idle loop wakes for it. It runs **on
+    /// the scheduler thread**, like `reconstruct`: it must not block. A
+    /// zero interval spins the loop.
+    pub periodic: Option<(Duration, Arc<dyn Fn() + Send + Sync>)>,
 }
 
 /// Live counters for one local scheduler (beyond the event log).
@@ -225,9 +232,9 @@ impl LocalSchedulerHandle {
         &self.stats
     }
 
-    /// The node's run queue: workers take their tasks from it, the pool
-    /// manager attaches workers to it, blocking calls hand grants back
-    /// through it.
+    /// The node's run queue: workers take their tasks from it, the
+    /// node's [`SchedServices::request_worker`] hook attaches workers to
+    /// it, blocking calls hand grants back through it.
     pub fn queue(&self) -> &Arc<RunQueue> {
         &self.queue
     }
@@ -407,7 +414,16 @@ impl Core {
         fetch_rx: Receiver<(ObjectId, FetchResult)>,
     ) {
         let records = self.resolver.updates().clone();
+        let mut due = self
+            .services
+            .periodic
+            .as_ref()
+            .map(|(every, _)| Instant::now() + *every);
         loop {
+            let idle = due.map_or(self.config.load_interval, |due| {
+                let until = due.saturating_duration_since(Instant::now());
+                self.config.load_interval.min(until)
+            });
             crossbeam::channel::select! {
                 recv(rx) -> msg => match msg {
                     Ok(LocalMsg::Shutdown) | Err(_) => break,
@@ -434,11 +450,22 @@ impl Core {
                         self.resolver.on_update(record);
                     }
                 }
-                default(self.config.load_interval) => {}
+                default(idle) => {}
             }
             self.stats.turns.inc();
             self.resolve_dependencies();
             self.maybe_publish_load();
+            if let (Some((every, hook)), Some(due)) = (&self.services.periodic, due.as_mut()) {
+                let now = Instant::now();
+                if now >= *due {
+                    hook();
+                    *due = now + *every;
+                }
+            }
+        }
+        // The last run: what the loop did up to here is in it.
+        if let Some((_, hook)) = &self.services.periodic {
+            hook();
         }
         // Nothing is taken from here on: the workers wake and exit, and
         // what is queued stays `Queued(node)` for the kill repair.
@@ -754,6 +781,14 @@ mod tests {
     }
 
     fn rig_with_workers(config: LocalSchedulerConfig, n_workers: u32) -> Rig {
+        rig_on(config, n_workers, None)
+    }
+
+    fn rig_on(
+        config: LocalSchedulerConfig,
+        n_workers: u32,
+        periodic: Option<(Duration, Arc<dyn Fn() + Send + Sync>)>,
+    ) -> Rig {
         let kv = KvStore::new(2);
         let fabric = Fabric::new(FabricConfig::default());
         let directory = TransferDirectory::new();
@@ -781,6 +816,7 @@ mod tests {
             health: HealthTracker::new(kv.clone(), REPORT_STALE_AFTER),
             reconstruct: Arc::new(|_, _| {}),
             request_worker: Arc::new(|| {}),
+            periodic,
         };
         let worker_id = WorkerId::new(config.node, 0);
         let workers: Vec<WorkerId> = (0..n_workers)
@@ -1253,6 +1289,7 @@ mod tests {
             health: HealthTracker::new(kv.clone(), Duration::from_millis(100)),
             reconstruct: Arc::new(|_, _| {}),
             request_worker: Arc::new(|| {}),
+            periodic: None,
         };
         let worker = WorkerId::new(NodeId(0), 0);
         let mut handle =
@@ -1340,6 +1377,7 @@ mod tests {
             health: HealthTracker::new(kv.clone(), Duration::from_millis(100)),
             reconstruct: Arc::new(|_, _| {}),
             request_worker: Arc::new(|| {}),
+            periodic: None,
         };
         let worker_id = WorkerId::new(NodeId(0), 0);
         let handle = LocalScheduler::spawn(config, services.clone(), vec![worker_id]);
@@ -1900,6 +1938,41 @@ mod tests {
     }
 
     #[test]
+    fn the_periodic_hook_runs_on_time_beside_an_hour_long_load_tick_and_once_on_exit() {
+        let hour = LocalSchedulerConfig {
+            load_interval: Duration::from_secs(3600),
+            ..LocalSchedulerConfig::default()
+        };
+        let counting = |every: Duration| {
+            let runs = Arc::new(Counter::new());
+            let hook: Arc<dyn Fn() + Send + Sync> = {
+                let runs = runs.clone();
+                Arc::new(move || runs.inc())
+            };
+            (runs, rig_on(hour.clone(), 1, Some((every, hook))))
+        };
+        // Due every 2 ms: the idle loop wakes for it, not for its load tick.
+        let (runs, mut r) = counting(Duration::from_millis(2));
+        let deadline = Instant::now() + Duration::from_secs(1);
+        while runs.get() < 3 {
+            assert!(Instant::now() < deadline, "{} runs in 1 s", runs.get());
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        r.handle.shutdown();
+        let after = runs.get();
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(runs.get(), after, "the hook ran after the loop exited");
+        // Due in an hour: it never runs on time here, and exactly once
+        // when the loop exits.
+        let (runs, mut r) = counting(Duration::from_secs(3600));
+        r.handle.submit_batch(vec![spec_with(vec![], 0)]);
+        recv_run(&r.worker_rx);
+        assert_eq!(runs.get(), 0);
+        r.handle.shutdown();
+        assert_eq!(runs.get(), 1);
+    }
+
+    #[test]
     fn resolver_triggers_reconstruction_for_lost_object() {
         let kv = KvStore::new(2);
         let fabric = Fabric::new(FabricConfig::default());
@@ -1932,6 +2005,7 @@ mod tests {
                 let _ = hook_tx.send(obj);
             }),
             request_worker: Arc::new(|| {}),
+            periodic: None,
         };
         let mut handle = LocalScheduler::spawn(
             LocalSchedulerConfig::default(),

@@ -189,11 +189,16 @@ fn an_out_of_range_head_node_is_rejected() {
 fn a_zero_shard_or_stripe_count_is_rejected() {
     // A count of zero is a configuration error, like a head node the
     // cluster does not have — not a silent round up to one.
+    // A zero telemetry interval would spin every scheduler loop.
     type Set = fn(&mut ClusterConfig, usize);
-    let fields: [(&str, Set); 3] = [
+    let fields: [(&str, Set); 5] = [
         ("kv_shards", |c, n| c.kv_shards = n),
         ("global_shards", |c, n| c.global_shards = n),
         ("submit_striping", |c, n| c.submit_striping = n),
+        ("telemetry.interval", |c, n| {
+            c.telemetry.interval = Duration::from_millis(n as u64)
+        }),
+        ("telemetry.retention", |c, n| c.telemetry.retention = n),
     ];
     for (name, set) in fields {
         let with = |count| {

@@ -416,6 +416,7 @@ fn rig(workers: u32) -> Rig {
         health: HealthTracker::new(kv.clone(), Duration::from_millis(100)),
         reconstruct: Arc::new(|_, _| {}),
         request_worker: Arc::new(|| {}),
+        periodic: None,
     };
     let config = LocalSchedulerConfig {
         total_resources: Resources::cpu(workers as f64),
