@@ -1,12 +1,12 @@
-//! Per-node assembly: object store + object plane (one transfer agent,
-//! one thread) + local scheduler + worker pool (one column of the
+//! Per-node assembly: object store + local scheduler, whose loop also
+//! runs the node's object plane + worker pool (one column of the
 //! paper's Figure 3).
 //!
-//! A node runs two control threads, `rtml-lsched-N` and
-//! `rtml-transfer-N`, beside its workers. The node's two other chores
-//! ride threads that already run: the scheduler's loop takes the
-//! telemetry sample, and whichever thread asks for one more worker
-//! starts it.
+//! A node runs one control thread, `rtml-lsched-N`, beside its workers,
+//! and has one fabric endpoint. Its other chores ride threads that
+//! already run: the scheduler's loop handles the object plane's frames
+//! and takes the telemetry sample, and whichever thread asks for one
+//! more worker starts it.
 
 use std::sync::{Arc, OnceLock, Weak};
 
@@ -20,7 +20,7 @@ use rtml_sched::{
     GlobalRoutes, LocalMsg, LocalScheduler, LocalSchedulerConfig, LocalSchedulerHandle, Replay,
     RunQueue, SchedServices,
 };
-use rtml_store::{FetchAgent, ObjectStore, StoreConfig};
+use rtml_store::{ObjectStore, StoreConfig};
 
 use crate::lineage::ReconstructionManager;
 use crate::services::Services;
@@ -98,7 +98,6 @@ pub struct NodeRuntime {
     /// The node's object store.
     pub store: Arc<ObjectStore>,
     config: NodeConfig,
-    agent: Arc<FetchAgent>,
     sched: LocalSchedulerHandle,
     /// Shared with the run queue's `request_worker` hook, which appends
     /// on-demand workers (nested-task deadlock avoidance). Never held
@@ -137,11 +136,6 @@ impl NodeRuntime {
             capacity_bytes: config.store_capacity,
             ..StoreConfig::default()
         }));
-        let agent = Arc::new(FetchAgent::spawn(
-            services.fabric.clone(),
-            store.clone(),
-            &services.directory,
-        ));
 
         // Runs on the scheduler thread: kv reads and writes and unbounded
         // channel sends only (see `SchedServices::reconstruct`).
@@ -184,7 +178,6 @@ impl NodeRuntime {
         // The scheduler's counters exist only once it runs, so the sample
         // waits for the full set: every record has every column.
         let registry = Arc::new(MetricsRegistry::new());
-        agent.stats().register_metrics(&registry);
         store.register_metrics(&registry);
         let columns = Arc::new(OnceLock::<[Arc<MetricsRegistry>; 2]>::new());
         let telemetry = &cluster.telemetry;
@@ -208,7 +201,6 @@ impl NodeRuntime {
             fabric: services.fabric.clone(),
             directory: services.directory.clone(),
             store: store.clone(),
-            agent: agent.clone(),
             global,
             health: services.health.clone(),
             reconstruct: recon_hook,
@@ -230,6 +222,7 @@ impl NodeRuntime {
             worker_ids.clone(),
         );
 
+        sched.agent().stats().register_metrics(&registry);
         sched.stats().register_metrics(&registry);
         let _ = columns.set([registry.clone(), services.metrics.clone()]);
 
@@ -250,7 +243,7 @@ impl NodeRuntime {
         services.attach_node(
             node,
             store.clone(),
-            agent.clone(),
+            sched.agent().clone(),
             sched.sender(),
             config.total_resources(),
         );
@@ -259,7 +252,6 @@ impl NodeRuntime {
             node,
             store,
             config,
-            agent,
             sched,
             pool,
             registry,
@@ -331,7 +323,6 @@ impl NodeRuntime {
         let dropped = this.store.clear();
         services.objects.remove_location_many(&dropped, this.node);
         services.directory.remove(this.node);
-        this.agent.shutdown();
         services.events.append(
             this.node,
             Event::now(
@@ -355,6 +346,5 @@ impl NodeRuntime {
             runtime.join();
         }
         services.directory.remove(self.node);
-        self.agent.shutdown();
     }
 }

@@ -1,6 +1,11 @@
 //! The per-node local scheduler (paper §3.2.2, Figure 3).
 //!
-//! One instance runs per node as a dedicated thread. It keeps what only
+//! One instance runs per node, as the node's one control thread. Its
+//! loop reads the node's one fabric mailbox, which carries two
+//! protocols: the scheduler's own frames, and the object plane's —
+//! peers' requests to serve, the chunks and misses answering the node's
+//! own — which go to the plane's core ([`rtml_store::PlaneCore`]) in
+//! the turn they arrive. It keeps what only
 //! it knows — ingest, spill, dependency gating, load reports —
 //! and *pushes* what became runnable onto the node's [`RunQueue`], which
 //! it shares with the node's workers. A worker takes its own next task
@@ -53,7 +58,9 @@ use rtml_common::retry::RetryPolicy;
 use rtml_common::task::{TaskSpec, TaskState};
 use rtml_kv::{EventLog, KvStore, ObjectTable, TaskTable};
 use rtml_net::{Fabric, NetAddress};
-use rtml_store::{FetchAgent, FetchResult, LocalSealGuard, ObjectStore, TransferDirectory};
+use rtml_store::{
+    FetchAgent, FetchResult, LocalSealGuard, ObjectStore, PlaneCore, TransferDirectory,
+};
 
 use crate::health::HealthTracker;
 use crate::msg::{load_key, LoadReport, LocalMsg};
@@ -109,13 +116,11 @@ pub struct SchedServices {
     pub events: EventLog,
     /// The simulated network.
     pub fabric: Arc<Fabric>,
-    /// Node → transfer-service address map.
+    /// Node → object-plane address map; the scheduler lists its node
+    /// there, at its own address, when it starts.
     pub directory: Arc<TransferDirectory>,
     /// This node's object store.
     pub store: Arc<ObjectStore>,
-    /// This node's fetch client: persistent endpoint, coalesced
-    /// multi-object requests, single-flighted duplicates.
-    pub agent: Arc<FetchAgent>,
     /// Shard routing for the global scheduler: spilled tasks go to the
     /// shard owning their id; node lifecycle and load reports are
     /// broadcast to every shard.
@@ -207,10 +212,17 @@ pub struct LocalSchedulerHandle {
     node: NodeId,
     stats: Arc<LocalSchedulerStats>,
     queue: Arc<RunQueue>,
+    agent: Arc<FetchAgent>,
     join: Option<std::thread::JoinHandle<()>>,
 }
 
 impl LocalSchedulerHandle {
+    /// The node's object plane as its callers see it (fetches, pushes);
+    /// the scheduler's loop handles its frames.
+    pub fn agent(&self) -> &Arc<FetchAgent> {
+        &self.agent
+    }
+
     /// The in-process submission channel (used by same-node workers and
     /// the driver).
     pub fn sender(&self) -> Sender<LocalMsg> {
@@ -281,9 +293,16 @@ impl LocalScheduler {
         workers: Vec<WorkerId>,
     ) -> LocalSchedulerHandle {
         let (tx, rx) = unbounded();
-        let endpoint = services.fabric.register(config.node, "local-sched");
+        let endpoint = services.fabric.register(config.node, "node");
         let address = endpoint.address();
         let node = config.node;
+        let (agent, plane) = FetchAgent::on_mailbox(
+            services.fabric.clone(),
+            services.store.clone(),
+            &services.directory,
+            address,
+        );
+        let agent = Arc::new(agent);
         let stats = Arc::new(LocalSchedulerStats::default());
         let stats2 = stats.clone();
         let queue = Arc::new(RunQueue::new(
@@ -304,14 +323,14 @@ impl LocalScheduler {
         // What the agent seals with nobody left waiting for it (results
         // pushed here by their producers, replies that outlived their
         // request) is committed like the answers this loop asked for.
-        services.agent.deliver_unclaimed_to(fetch_tx.clone());
+        agent.deliver_unclaimed_to(fetch_tx.clone());
         let resolver = Resolver::new(
             Goal::Values,
             Wiring {
                 node,
                 objects: services.objects.clone(),
                 store: Some(services.store.clone()),
-                agent: Some(services.agent.clone()),
+                agent: Some(agent.clone()),
                 answers: fetch_tx,
                 health: services.health.clone(),
                 retry: RetryPolicy::default(),
@@ -334,6 +353,7 @@ impl LocalScheduler {
                     seal_tx,
                     seals,
                     resolver,
+                    plane,
                     published: None,
                     last_load: Instant::now() - Duration::from_secs(1),
                     ingested,
@@ -349,6 +369,7 @@ impl LocalScheduler {
             node,
             stats,
             queue,
+            agent,
             join: Some(join),
         }
     }
@@ -392,6 +413,9 @@ pub(crate) struct Core {
     /// first waiter, retired when it seals here. Its requests are
     /// answered on the channel `run` holds the other end of.
     pub(crate) resolver: Resolver,
+    /// The node's object plane: handles the frames of this loop's
+    /// mailbox that are not the scheduler's.
+    pub(crate) plane: PlaneCore,
     /// The load report last published, with the total of `ingested` it
     /// went out with. Workers take and finish tasks without telling this
     /// loop, so a report goes out when the node's load *reads*
@@ -420,16 +444,21 @@ impl Core {
             .as_ref()
             .map(|(every, _)| Instant::now() + *every);
         loop {
-            let idle = due.map_or(self.config.load_interval, |due| {
-                let until = due.saturating_duration_since(Instant::now());
-                self.config.load_interval.min(until)
+            let wake = due.map_or(self.plane.next_tick(), |due| {
+                due.min(self.plane.next_tick())
             });
+            let until = wake.saturating_duration_since(Instant::now());
+            let idle = self.config.load_interval.min(until);
             crossbeam::channel::select! {
                 recv(rx) -> msg => match msg {
                     Ok(LocalMsg::Shutdown) | Err(_) => break,
                     Ok(msg) => self.on_local(msg),
                 },
+                // One mailbox, two protocols.
                 recv(endpoint.receiver()) -> delivery => match delivery {
+                    Ok(delivery) if PlaneCore::takes(&delivery.payload) => {
+                        self.plane.on_frame(delivery)
+                    }
                     Ok(delivery) => self.on_net(delivery.from, delivery.payload),
                     Err(_) => break,
                 },
@@ -455,8 +484,9 @@ impl Core {
             self.stats.turns.inc();
             self.resolve_dependencies();
             self.maybe_publish_load();
+            let now = Instant::now();
+            self.plane.tick(now);
             if let (Some((every, hook)), Some(due)) = (&self.services.periodic, due.as_mut()) {
-                let now = Instant::now();
                 if now >= *due {
                     hook();
                     *due = now + *every;
@@ -797,11 +827,6 @@ mod tests {
             capacity_bytes: 1 << 20,
             ..StoreConfig::default()
         }));
-        let agent = Arc::new(FetchAgent::spawn(
-            fabric.clone(),
-            store.clone(),
-            directory.clone(),
-        ));
         let global_endpoint = fabric.register(NodeId(1000), "fake-global");
         let services = SchedServices {
             kv: kv.clone(),
@@ -811,7 +836,6 @@ mod tests {
             fabric,
             directory,
             store,
-            agent,
             global: crate::global::GlobalRoutes::single(global_endpoint.address()),
             health: HealthTracker::new(kv.clone(), REPORT_STALE_AFTER),
             reconstruct: Arc::new(|_, _| {}),
@@ -1269,11 +1293,6 @@ mod tests {
             ..StoreConfig::default()
         }));
         let _holder = FetchAgent::spawn(fabric.clone(), store7.clone(), &directory);
-        let agent = Arc::new(FetchAgent::spawn(
-            fabric.clone(),
-            store0.clone(),
-            directory.clone(),
-        ));
         let global = fabric.register(NodeId(1000), "fake-global");
         let objects = ObjectTable::new(kv.clone());
         let services = SchedServices {
@@ -1284,7 +1303,6 @@ mod tests {
             fabric,
             directory,
             store: store0.clone(),
-            agent,
             global: crate::global::GlobalRoutes::single(global.address()),
             health: HealthTracker::new(kv.clone(), Duration::from_millis(100)),
             reconstruct: Arc::new(|_, _| {}),
@@ -1358,11 +1376,6 @@ mod tests {
             ..StoreConfig::default()
         }));
         let remote_agent = FetchAgent::spawn(fabric.clone(), store_remote.clone(), &directory);
-        let agent = Arc::new(FetchAgent::spawn(
-            fabric.clone(),
-            store_local.clone(),
-            directory.clone(),
-        ));
         let global = fabric.register(NodeId(1000), "fake-global");
         let services = SchedServices {
             kv: kv.clone(),
@@ -1372,7 +1385,6 @@ mod tests {
             fabric,
             directory,
             store: store_local.clone(),
-            agent,
             global: crate::global::GlobalRoutes::single(global.address()),
             health: HealthTracker::new(kv.clone(), Duration::from_millis(100)),
             reconstruct: Arc::new(|_, _| {}),
@@ -1550,8 +1562,8 @@ mod tests {
             .objects
             .add_location(late, NodeId(7), BLOCK as u64);
         let gone = r
-            .services
-            .agent
+            .handle
+            .agent()
             .fetch_one(late, NodeId(7), Duration::from_millis(5));
         assert_eq!(gone.unwrap_err(), rtml_common::error::Error::Timeout);
 
@@ -1982,11 +1994,6 @@ mod tests {
             capacity_bytes: 1 << 20,
             ..StoreConfig::default()
         }));
-        let agent = Arc::new(FetchAgent::spawn(
-            fabric.clone(),
-            store.clone(),
-            directory.clone(),
-        ));
         let global = fabric.register(NodeId(1000), "fake-global");
         let objects = ObjectTable::new(kv.clone());
         let (hook_tx, hook_rx) = unbounded();
@@ -1998,7 +2005,6 @@ mod tests {
             fabric,
             directory,
             store,
-            agent,
             global: crate::global::GlobalRoutes::single(global.address()),
             health: HealthTracker::new(kv.clone(), Duration::from_millis(100)),
             reconstruct: Arc::new(move |obj, _| {

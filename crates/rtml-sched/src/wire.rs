@@ -13,7 +13,9 @@ use crate::msg::LoadReport;
 /// and 1 were the single-task `Spill` and `Place`, tags 2 and 5 the
 /// `Load` and `SpillBatch` that carried no ingest count, tags 7 and 8
 /// the work-stealing request and grant; they are retired, not reused, so
-/// an old frame fails to decode.
+/// an old frame fails to decode. Tags 0–2 are the object plane's too: a
+/// node reads both protocols from one mailbox and tells them apart by
+/// the first byte (`rtml_store::PlaneCore::takes`).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SchedWire {
     /// Local → global: periodic load report, addressed to one shard.
@@ -179,6 +181,8 @@ mod tests {
             },
         ] {
             let bytes = encode_to_bytes(&msg);
+            // A node's mailbox carries this protocol and the object plane's.
+            assert!(!rtml_store::PlaneCore::takes(&bytes), "{msg:?}");
             let back: SchedWire = decode_from_slice(&bytes).unwrap();
             assert_eq!(msg, back);
         }

@@ -25,8 +25,9 @@
 //!   placement decisions stay valid while the task runs.
 //!
 //! Cross-node movement lives in [`transfer`]: each node runs one object
-//! plane, a [`transfer::FetchAgent`] with one persistent endpoint and
-//! one thread. It answers its peers' requests over the simulated fabric
+//! plane: a [`transfer::FetchAgent`] for the node's callers and a
+//! [`transfer::PlaneCore`] that the node's control loop runs on the
+//! node's one endpoint. It answers its peers' requests over the simulated fabric
 //! — chunking large objects into size-capped frames
 //! ([`StoreConfig::chunk_bytes`]) and coalescing multi-object requests
 //! into one reply stream — and issues the node's own, assembling chunks
@@ -51,6 +52,6 @@ pub use store::{
     LocalSealGuard, ObjectStore, PutOutcome, StoreConfig, StoreStats, DEFAULT_CHUNK_BYTES,
 };
 pub use transfer::{
-    chunk_frames, FetchAgent, FetchResult, Fetched, TransferDirectory, TransferService,
+    chunk_frames, FetchAgent, FetchResult, Fetched, PlaneCore, TransferDirectory, TransferService,
     TransferStats, PUSH_MAX_BYTES,
 };

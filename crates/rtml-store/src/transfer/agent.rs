@@ -1,5 +1,7 @@
-//! The agent: a node's one object-plane endpoint and thread, and the
-//! calls through which the node asks for objects and pushes results.
+//! The agent: the calls through which a node asks for objects and
+//! pushes results, and the core that handles every frame reaching the
+//! node's object plane — run by the node's control loop, or by a thread
+//! of its own for an agent that stands alone.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -11,7 +13,7 @@ use parking_lot::{Mutex, RwLock};
 use rtml_common::codec::{decode_from_bytes, encode_to_bytes};
 use rtml_common::error::Error;
 use rtml_common::ids::{NodeId, ObjectId};
-use rtml_net::{Endpoint, Fabric, NetAddress};
+use rtml_net::{Delivery, Endpoint, Fabric, NetAddress};
 
 use super::assembly::{Chunk, Unsealed};
 use super::serve::Server;
@@ -19,7 +21,7 @@ use super::wire::{chunk_frames, encode_chunk_frame, TransferMsg};
 use super::{FetchResult, Fetched, TransferDirectory, TransferStats, PUSH_MAX_BYTES};
 use crate::store::ObjectStore;
 
-/// What an agent's callers and its thread share.
+/// What an agent's callers and its core share.
 pub(super) struct Plane {
     pub(super) fabric: Arc<Fabric>,
     pub(super) store: Arc<ObjectStore>,
@@ -33,20 +35,24 @@ pub(super) struct Plane {
     pub(super) unclaimed: RwLock<Option<Sender<(ObjectId, FetchResult)>>>,
     pub(super) stats: Arc<TransferStats>,
     /// Objects created on this node but not yet sealed. Callers add
-    /// waiters and requests; only the agent's thread assembles, seals,
-    /// relays from or removes an entry. Locked before the store's own
-    /// state, never after it.
+    /// waiters and requests; only the core assembles, seals, relays from
+    /// or removes an entry. Locked before the store's own state, never
+    /// after it.
     pub(super) unsealed: Mutex<HashMap<ObjectId, Unsealed>>,
 }
 
-/// A node's object plane: one persistent endpoint and one thread that
-/// serves its peers' requests (chunked, coalesced, relayed) and
-/// assembles the answers to its own, plus the calls through which the
-/// node asks (coalesced multi-object requests, single-flighted
-/// concurrent fetches) and pushes. Steady-state fetching registers
-/// **zero** new fabric endpoints.
+/// A node's object plane, as its callers see it: the calls through
+/// which the node asks (coalesced multi-object requests, single-flighted
+/// concurrent fetches) and pushes. Its frames — peers' requests to serve
+/// (chunked, coalesced, relayed) and the answers to its own — are
+/// handled by its [`PlaneCore`], on the thread that reads the plane's
+/// mailbox. Steady-state fetching registers **zero** new fabric
+/// endpoints.
 pub struct FetchAgent {
     plane: Arc<Plane>,
+    /// The thread of an agent that stands alone ([`FetchAgent::spawn`]);
+    /// `None` when the node's control loop runs the core
+    /// ([`FetchAgent::on_mailbox`]).
     handle: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
 
@@ -55,13 +61,15 @@ pub struct FetchAgent {
 /// for that surface, and nothing in this repository uses it.
 pub type TransferService = FetchAgent;
 
-/// How often the agent's thread reaps transfers that died without an
-/// answer, when no frame gives it a turn sooner.
+/// How often the core reaps transfers that died without an answer.
 const REAP_EVERY: Duration = Duration::from_secs(1);
 
 impl FetchAgent {
-    /// Spawns the object plane of `store`'s node and lists it in
-    /// `directory`.
+    /// An object plane that stands alone: `store`'s node gets an
+    /// endpoint for it and a thread that runs its core, and is listed in
+    /// `directory`. A cluster node has no such thread — its control
+    /// loop runs the core ([`FetchAgent::on_mailbox`]); this is the
+    /// plane of a bare store (tests, probes, benches).
     pub fn spawn(
         fabric: Arc<Fabric>,
         store: Arc<ObjectStore>,
@@ -69,11 +77,32 @@ impl FetchAgent {
     ) -> FetchAgent {
         let node = store.node();
         let endpoint = fabric.register(node, "transfer");
+        let (agent, mut core) =
+            FetchAgent::on_mailbox(fabric, store, directory, endpoint.address());
+        let thread = std::thread::Builder::new()
+            .name(format!("rtml-transfer-{node}"))
+            .spawn(move || core.run(&endpoint))
+            .expect("spawn object plane");
+        *agent.handle.lock() = Some(thread);
+        agent
+    }
+
+    /// An object plane with no thread of its own: its frames arrive in
+    /// the mailbox at `address` — the node's one endpoint, which its
+    /// control loop reads — and the loop hands each frame the returned
+    /// core [`takes`](PlaneCore::takes) to [`PlaneCore::on_frame`].
+    /// `store`'s node is listed in `directory` at `address`.
+    pub fn on_mailbox(
+        fabric: Arc<Fabric>,
+        store: Arc<ObjectStore>,
+        directory: impl AsRef<TransferDirectory>,
+        address: NetAddress,
+    ) -> (FetchAgent, PlaneCore) {
         let directory = directory.as_ref().clone();
-        directory.insert(node, endpoint.address());
+        directory.insert(store.node(), address);
         let max_chunks = store.capacity_bytes().div_ceil(store.chunk_bytes()).max(1);
         let plane = Arc::new(Plane {
-            address: endpoint.address(),
+            address,
             max_chunks: usize::try_from(max_chunks).unwrap_or(usize::MAX),
             fabric,
             store,
@@ -82,23 +111,25 @@ impl FetchAgent {
             stats: Arc::new(TransferStats::default()),
             unsealed: Mutex::new(HashMap::new()),
         });
-        let turns = plane.clone();
-        let handle = std::thread::Builder::new()
-            .name(format!("rtml-transfer-{node}"))
-            .spawn(move || run(&turns, &endpoint))
-            .expect("spawn object plane");
-        FetchAgent {
+        let core = PlaneCore {
+            plane: plane.clone(),
+            server: Server::default(),
+            senders: HashMap::new(),
+            next_reap: Instant::now() + REAP_EVERY,
+        };
+        let agent = FetchAgent {
             plane,
-            handle: Mutex::new(Some(handle)),
-        }
+            handle: Mutex::new(None),
+        };
+        (agent, core)
     }
 
-    /// The node's object-plane counters (shared with its thread).
+    /// The node's object-plane counters (shared with its core).
     pub fn stats(&self) -> &Arc<TransferStats> {
         &self.plane.stats
     }
 
-    /// The agent's persistent address.
+    /// The plane's persistent address.
     pub fn address(&self) -> NetAddress {
         self.plane.address
     }
@@ -133,7 +164,7 @@ impl FetchAgent {
     }
 
     /// Number of transfers currently tracked on this node (in flight, or
-    /// stranded and awaiting the agent's reap); their buffers are not
+    /// stranded and awaiting the core's reap); their buffers are not
     /// part of [`ObjectStore::used_bytes`]. Leak detector.
     pub fn in_flight_len(&self) -> usize {
         self.plane.unsealed.lock().len()
@@ -234,7 +265,7 @@ impl FetchAgent {
             {
                 // The holder's endpoint is gone: fail everything we just
                 // put in flight toward it. The entries stay, expired, so
-                // the next request re-requests; the agent's reap drops
+                // the next request re-requests; the core's reap drops
                 // them if none comes.
                 let mut unsealed = plane.unsealed.lock();
                 for object in to_request {
@@ -295,7 +326,7 @@ impl FetchAgent {
 
     /// Sends the sealed bytes of `object`, unasked, to the object plane
     /// of node `to` — the frame a request would have been answered
-    /// with, so the receiving agent needs no second code path: it seals
+    /// with, so the receiving core needs no second code path: it seals
     /// an object nobody asked for as it always has, and hands it to its
     /// standing sink ([`FetchAgent::deliver_unclaimed_to`]) to be
     /// committed. Sent as a lone control frame ([`Fabric::send`]), from
@@ -324,9 +355,11 @@ impl FetchAgent {
         sent
     }
 
-    /// Stops the object plane: unregisters its endpoint, joins its
-    /// thread, and drops the unsealed table with it — whoever still
-    /// waits on an entry sees its channel close.
+    /// Stops the object plane: unregisters its address, joins its thread
+    /// if it has one, and drops the unsealed table — whoever still waits
+    /// on an entry sees its channel close. A node's plane shares the
+    /// node's one endpoint, which its control loop unregisters itself
+    /// when it stops.
     pub fn shutdown(&self) {
         self.plane.fabric.unregister(self.plane.address);
         let mut handle = self.handle.lock();
@@ -343,54 +376,98 @@ impl Drop for FetchAgent {
     }
 }
 
-/// The agent's thread: one loop over every frame that reaches the node's
-/// object plane, and the reap of transfers that died without an answer.
-fn run(plane: &Plane, endpoint: &Endpoint) {
-    let mut server = Server::default();
-    // The node behind each sender seen so far (an address is never
-    // reused): naming a chunk's upstream takes the fabric's routing lock
-    // once per sender, not once per object.
-    let mut senders: HashMap<NetAddress, Option<NodeId>> = HashMap::new();
-    let mut next_reap = Instant::now() + REAP_EVERY;
-    loop {
-        let wait = next_reap.saturating_duration_since(Instant::now());
-        match endpoint.receiver().recv_timeout(wait) {
-            // Decoded over the frame itself: a chunk's payload is a
-            // window of `delivery.payload`.
-            Ok(delivery) => match decode_from_bytes::<TransferMsg>(&delivery.payload) {
-                Ok(TransferMsg::Request { objects, reply_to }) => {
-                    server.serve(plane, objects, reply_to)
-                }
-                Ok(TransferMsg::Chunk {
-                    object,
-                    index,
-                    total,
-                    size,
+/// The frame-handling half of a node's object plane, owned by the one
+/// thread that reads the plane's mailbox: it serves peers' requests,
+/// assembles and relays the answers to the node's own, and reaps
+/// transfers that died without an answer. Dropping it drops the
+/// unsealed table, as [`FetchAgent::shutdown`] does.
+pub struct PlaneCore {
+    plane: Arc<Plane>,
+    server: Server,
+    /// The node behind each sender seen so far (an address is never
+    /// reused): naming a chunk's upstream takes the fabric's routing
+    /// lock once per sender, not once per object.
+    senders: HashMap<NetAddress, Option<NodeId>>,
+    next_reap: Instant,
+}
+
+impl PlaneCore {
+    /// Whether `payload` is an object-plane frame. The plane's three
+    /// message tags (0–2) are disjoint from the scheduler's, so a node
+    /// reads both protocols from one mailbox: what this takes goes to
+    /// [`PlaneCore::on_frame`], the rest is the scheduler's.
+    pub fn takes(payload: &[u8]) -> bool {
+        matches!(payload.first(), Some(0..=2))
+    }
+
+    /// Handles one frame that reached the plane: serves a `Request`,
+    /// assembles (and passes on) a `Chunk`, fails the waiters of a
+    /// `Missing`. Never blocks.
+    pub fn on_frame(&mut self, delivery: Delivery) {
+        let plane = &*self.plane;
+        // Decoded over the frame itself: a chunk's payload is a window
+        // of `delivery.payload`.
+        match decode_from_bytes::<TransferMsg>(&delivery.payload) {
+            Ok(TransferMsg::Request { objects, reply_to }) => {
+                self.server.serve(plane, objects, reply_to)
+            }
+            Ok(TransferMsg::Chunk {
+                object,
+                index,
+                total,
+                size,
+                payload,
+            }) => {
+                plane.stats.chunks_received.inc();
+                let from = *self
+                    .senders
+                    .entry(delivery.from)
+                    .or_insert_with(|| plane.fabric.node_of(delivery.from));
+                let chunk = Chunk {
+                    frame: delivery.payload,
                     payload,
-                }) => {
-                    plane.stats.chunks_received.inc();
-                    let from = *senders
-                        .entry(delivery.from)
-                        .or_insert_with(|| plane.fabric.node_of(delivery.from));
-                    let chunk = Chunk {
-                        frame: delivery.payload,
-                        payload,
-                        sent_at_nanos: delivery.sent_at_nanos,
-                    };
-                    if !plane.on_chunk(from, object, index, total, size, chunk) {
-                        plane.stats.bad_chunks.inc();
-                    }
+                    sent_at_nanos: delivery.sent_at_nanos,
+                };
+                if !plane.on_chunk(from, object, index, total, size, chunk) {
+                    plane.stats.bad_chunks.inc();
                 }
-                Ok(TransferMsg::Missing { object }) => plane.on_missing(object, delivery.payload),
-                Err(_) => plane.stats.decode_errors.inc(),
-            },
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => return,
+            }
+            Ok(TransferMsg::Missing { object }) => plane.on_missing(object, delivery.payload),
+            Err(_) => plane.stats.decode_errors.inc(),
         }
-        let now = Instant::now();
-        if now >= next_reap {
-            plane.reap(now);
-            next_reap = now + REAP_EVERY;
+    }
+
+    /// When the core next wants a turn if no frame gives it one.
+    pub fn next_tick(&self) -> Instant {
+        self.next_reap
+    }
+
+    /// The core's timed work, when it is due: the transfers stranded
+    /// past their deadline are dropped for good.
+    pub fn tick(&mut self, now: Instant) {
+        if now >= self.next_reap {
+            self.plane.reap(now);
+            self.next_reap = now + REAP_EVERY;
         }
+    }
+
+    /// A stand-alone agent's thread: every frame reaching `endpoint`,
+    /// and the ticks between them.
+    fn run(&mut self, endpoint: &Endpoint) {
+        loop {
+            let wait = self.next_tick().saturating_duration_since(Instant::now());
+            match endpoint.receiver().recv_timeout(wait) {
+                Ok(delivery) => self.on_frame(delivery),
+                Err(RecvTimeoutError::Timeout) => {}
+                Err(RecvTimeoutError::Disconnected) => return,
+            }
+            self.tick(Instant::now());
+        }
+    }
+}
+
+impl Drop for PlaneCore {
+    fn drop(&mut self) {
+        self.plane.unsealed.lock().clear();
     }
 }

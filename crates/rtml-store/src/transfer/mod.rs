@@ -1,9 +1,14 @@
 //! Cross-node object transfer over the simulated fabric — the batched,
 //! pipelined data plane.
 //!
-//! Each node runs **one** object plane: a [`FetchAgent`] with one fabric
-//! endpoint and one thread for the node's lifetime. The thread answers
-//! every frame that reaches the node's data plane, in one loop:
+//! Each node runs **one** object plane, in two halves: the
+//! [`FetchAgent`] its callers use, and the [`PlaneCore`] that answers
+//! every frame reaching the plane. A cluster node has no thread for it:
+//! its one control loop (the local scheduler) reads the node's one
+//! endpoint and hands the core the frames it
+//! [`takes`](PlaneCore::takes). A bare store's agent
+//! ([`FetchAgent::spawn`]) gets an endpoint and a thread of its own. The
+//! core handles, one frame at a time:
 //!
 //! - a `Request` from a peer is served from the local store,
 //!   **chunking** large objects into size-capped frames
@@ -106,7 +111,7 @@ mod assembly;
 mod serve;
 mod wire;
 
-pub use agent::{FetchAgent, TransferService};
+pub use agent::{FetchAgent, PlaneCore, TransferService};
 pub use wire::chunk_frames;
 
 use std::collections::HashMap;
@@ -343,6 +348,7 @@ mod tests {
         ];
         for msg in msgs {
             let bytes = encode_to_bytes(&msg);
+            assert!(PlaneCore::takes(&bytes), "{msg:?}");
             let back: TransferMsg = decode_from_bytes(&bytes).unwrap();
             assert_eq!(msg, back);
         }

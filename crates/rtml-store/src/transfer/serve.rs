@@ -21,7 +21,7 @@ struct Streaming {
     until: Instant,
 }
 
-/// The serving state of a node's object plane, owned by its thread.
+/// The serving state of a node's object plane, owned by its core.
 #[derive(Default)]
 pub(super) struct Server {
     /// Multi-chunk objects still leaving this node's egress link.

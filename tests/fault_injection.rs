@@ -419,12 +419,12 @@ fn surviving_shards_keep_placing_after_node_loss() {
 
 #[test]
 fn kill_restart_cycles_do_not_leak_fabric_endpoints() {
-    // Each node owns two persistent fabric endpoints: its local
-    // scheduler and its object plane (one transfer agent that serves and
-    // fetches). A kill must withdraw exactly those two and a restart
-    // must register exactly two — across repeated cycles the count
-    // returns to baseline, or the fabric's routing table grows without
-    // bound under churn.
+    // Each node owns one persistent fabric endpoint: the mailbox its
+    // local scheduler reads, which carries the scheduler's frames and
+    // its object plane's. A kill must withdraw exactly that one and a
+    // restart must register exactly one — across repeated cycles the
+    // count returns to baseline, or the fabric's routing table grows
+    // without bound under churn.
     let cluster = Cluster::start(ClusterConfig::local(3, 2)).unwrap();
     let f = cluster.register_fn1("leak_fi", |x: i64| Ok(x ^ 0x5a));
     let driver = cluster.driver();
@@ -435,8 +435,8 @@ fn kill_restart_cycles_do_not_leak_fabric_endpoints() {
         cluster.kill_node(NodeId(2)).unwrap();
         assert_eq!(
             fabric.endpoint_count(),
-            baseline - 2,
-            "kill must unregister the node's two endpoints (cycle {cycle})"
+            baseline - 1,
+            "kill must unregister the node's one endpoint (cycle {cycle})"
         );
         cluster.restart_node(NodeId(2), config).unwrap();
         assert_eq!(

@@ -31,7 +31,7 @@ use rtml::sched::{
     LocalSchedulerHandle, LocalSchedulerStats, QueueLoad, RunQueue, Runnable, SchedServices,
     SpillMode,
 };
-use rtml::store::{FetchAgent, ObjectStore, StoreConfig, TransferDirectory};
+use rtml::store::{ObjectStore, StoreConfig, TransferDirectory};
 
 const NODE: NodeId = NodeId(0);
 const PIN_BYTES: u64 = 64;
@@ -397,11 +397,6 @@ fn rig(workers: u32) -> Rig {
     let fabric = Fabric::new(FabricConfig::default());
     let directory = TransferDirectory::new();
     let store = store();
-    let agent = Arc::new(FetchAgent::spawn(
-        fabric.clone(),
-        store.clone(),
-        directory.clone(),
-    ));
     let global = fabric.register(NodeId(1000), "fake-global");
     let services = SchedServices {
         kv: kv.clone(),
@@ -411,7 +406,6 @@ fn rig(workers: u32) -> Rig {
         fabric,
         directory,
         store,
-        agent,
         global: GlobalRoutes::single(global.address()),
         health: HealthTracker::new(kv.clone(), Duration::from_millis(100)),
         reconstruct: Arc::new(|_, _| {}),

@@ -1,7 +1,7 @@
-//! Thread census: a node runs its local scheduler, its object plane and
-//! its workers, and no thread that exists only to sleep. The telemetry
-//! sample rides the scheduler's loop and a worker the pool grows by is
-//! started by the thread that asked for it.
+//! Thread census: a node runs its local scheduler and its workers, and
+//! no thread that exists only to sleep. The scheduler's loop handles
+//! the object plane's frames and takes the telemetry sample, and a
+//! worker the pool grows by is started by the thread that asked for it.
 //!
 //! One test in its own binary, so no other cluster's threads are
 //! counted. Linux only: it reads `/proc/self/task/*/comm`.
@@ -14,8 +14,7 @@ use std::time::{Duration, Instant};
 use rtml::prelude::*;
 
 /// This process's `rtml-` threads, counted by kind: a name is cut to 15
-/// bytes (`rtml-transfer-N0` reads `rtml-transfer-N`), so the kind is
-/// the name up to its second dash.
+/// bytes, so the kind is the name up to its second dash.
 fn census() -> BTreeMap<String, usize> {
     let mut kinds = BTreeMap::new();
     for task in std::fs::read_dir("/proc/self/task").unwrap() {
@@ -46,17 +45,13 @@ fn settle(what: &str, ok: impl Fn(&BTreeMap<String, usize>) -> bool) -> BTreeMap
 }
 
 #[test]
-fn a_node_runs_two_control_threads_beside_its_workers() {
+fn a_node_runs_one_control_thread_beside_its_workers() {
     // 2 nodes x 2 workers, with the one global scheduler shard.
-    let expected: BTreeMap<String, usize> = [
-        ("rtml-gsched", 1),
-        ("rtml-lsched", 2),
-        ("rtml-transfer", 2),
-        ("rtml-worker", 4),
-    ]
-    .into_iter()
-    .map(|(kind, n)| (kind.to_string(), n))
-    .collect();
+    let expected: BTreeMap<String, usize> =
+        [("rtml-gsched", 1), ("rtml-lsched", 2), ("rtml-worker", 4)]
+            .into_iter()
+            .map(|(kind, n)| (kind.to_string(), n))
+            .collect();
     let cluster = Cluster::start(ClusterConfig::local(2, 2)).unwrap();
     settle("a fresh 2 x 2 cluster", |now| *now == expected);
 
@@ -87,7 +82,7 @@ fn a_node_runs_two_control_threads_beside_its_workers() {
         now.get("rtml-worker").is_some_and(|&n| n >= 4)
     });
     assert_eq!(grown.get("rtml-lsched"), Some(&1), "{grown:?}");
-    assert_eq!(grown.get("rtml-transfer"), Some(&1), "{grown:?}");
+    assert_eq!(grown.get("rtml-transfer"), None, "{grown:?}");
     cluster.shutdown();
     settle("after the 1 x 1 cluster shut down", BTreeMap::is_empty);
 }
