@@ -335,16 +335,19 @@ impl NodeRuntime {
     /// Graceful shutdown: drains schedulers and joins workers.
     pub fn shutdown(mut self, services: &Arc<Services>) {
         services.detach_node(self.node);
-        // The scheduler's shutdown takes the node's last telemetry sample
+        // Closing the scheduler takes the node's last telemetry sample
         // (the ring stays readable through `Cluster::timeseries`), then
         // closes its run queue: every worker finishes what it is running
-        // and exits. A worker still running may ask for one more, so the
-        // pool is not held while they are joined.
-        self.sched.shutdown();
+        // and exits. Its loop keeps serving the object plane, so a
+        // worker's fetch in flight completes and peers still read this
+        // node until the workers are joined. A worker still running may
+        // ask for one more, so the pool is not held while they are.
+        self.sched.close();
         services.kv.delete(&rtml_sched::load_key(self.node));
         for mut runtime in self.take_workers() {
             runtime.join();
         }
         services.directory.remove(self.node);
+        self.sched.shutdown();
     }
 }

@@ -166,8 +166,9 @@ fn stored_objects_pin_only_their_own_frame() {
     for fut in &futs[1..] {
         assert!(store.delete(fut.id()));
     }
-    // The fetch agent's thread may still be dropping its own handle on
-    // the frame it answered last; nothing else holds one.
+    // Node 0's scheduler loop, which runs its object plane, may still be
+    // dropping its own handle on the frame it answered last; nothing
+    // else holds one.
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     while before - TRACKED_LIVE.load(Ordering::Relaxed) != 7 {
         assert!(

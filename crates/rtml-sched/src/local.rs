@@ -260,6 +260,14 @@ impl LocalSchedulerHandle {
         });
     }
 
+    /// Stops scheduling and closes the run queue, and leaves the loop
+    /// serving the node's object plane until [`Self::shutdown`]
+    /// ([`LocalMsg::Close`]). A graceful node shutdown joins its workers
+    /// in between.
+    pub fn close(&self) {
+        let _ = self.tx.send(LocalMsg::Close);
+    }
+
     /// Requests shutdown and joins the scheduler thread.
     pub fn shutdown(&mut self) {
         let _ = self.tx.send(LocalMsg::Shutdown);
@@ -359,7 +367,14 @@ impl LocalScheduler {
                     ingested,
                 };
                 core.announce();
-                core.run(rx, endpoint, seal_rx, fetch_rx);
+                let closed = core.run(&rx, &endpoint, seal_rx, fetch_rx);
+                let fabric = core.services.fabric.clone();
+                // The scheduling state goes; a closed loop's plane serves on.
+                let plane = core.into_plane();
+                if closed {
+                    serve_plane(plane, &rx, &endpoint);
+                }
+                fabric.unregister(address);
             })
             .expect("spawn local scheduler");
 
@@ -429,21 +444,46 @@ pub(crate) struct Core {
     pub(crate) ingested: Vec<u64>,
 }
 
+/// A closed loop's last stage: the node's object plane alone, until
+/// [`LocalMsg::Shutdown`]. Nothing schedules here any more, so the
+/// scheduler's own frames are dropped — as they would be at a stopped
+/// node's withdrawn address.
+fn serve_plane(mut plane: PlaneCore, rx: &Receiver<LocalMsg>, endpoint: &rtml_net::Endpoint) {
+    loop {
+        let wait = plane.next_tick().saturating_duration_since(Instant::now());
+        crossbeam::channel::select! {
+            recv(rx) -> msg => if matches!(msg, Ok(LocalMsg::Shutdown) | Err(_)) {
+                return;
+            },
+            recv(endpoint.receiver()) -> delivery => match delivery {
+                Ok(delivery) if PlaneCore::takes(&delivery.payload) => plane.on_frame(delivery),
+                Ok(_) => {}
+                Err(_) => return,
+            },
+            default(wait) => {}
+        }
+        plane.tick(Instant::now());
+    }
+}
+
 impl Core {
+    /// Runs the scheduler until [`LocalMsg::Close`] (returns `true`) or
+    /// [`LocalMsg::Shutdown`] (`false`), then takes the last periodic
+    /// run and closes the run queue.
     fn run(
         &mut self,
-        rx: Receiver<LocalMsg>,
-        endpoint: rtml_net::Endpoint,
+        rx: &Receiver<LocalMsg>,
+        endpoint: &rtml_net::Endpoint,
         seal_rx: Receiver<ObjectId>,
         fetch_rx: Receiver<(ObjectId, FetchResult)>,
-    ) {
+    ) -> bool {
         let records = self.resolver.updates().clone();
         let mut due = self
             .services
             .periodic
             .as_ref()
             .map(|(every, _)| Instant::now() + *every);
-        loop {
+        let closed = loop {
             let wake = due.map_or(self.plane.next_tick(), |due| {
                 due.min(self.plane.next_tick())
             });
@@ -451,7 +491,8 @@ impl Core {
             let idle = self.config.load_interval.min(until);
             crossbeam::channel::select! {
                 recv(rx) -> msg => match msg {
-                    Ok(LocalMsg::Shutdown) | Err(_) => break,
+                    Ok(LocalMsg::Close) => break true,
+                    Ok(LocalMsg::Shutdown) | Err(_) => break false,
                     Ok(msg) => self.on_local(msg),
                 },
                 // One mailbox, two protocols.
@@ -460,7 +501,7 @@ impl Core {
                         self.plane.on_frame(delivery)
                     }
                     Ok(delivery) => self.on_net(delivery.from, delivery.payload),
-                    Err(_) => break,
+                    Err(_) => break false,
                 },
                 recv(seal_rx) -> sealed => {
                     for object in sealed.into_iter().chain(seal_rx.try_iter()) {
@@ -492,7 +533,7 @@ impl Core {
                     *due = now + *every;
                 }
             }
-        }
+        };
         // The last run: what the loop did up to here is in it.
         if let Some((_, hook)) = &self.services.periodic {
             hook();
@@ -500,7 +541,12 @@ impl Core {
         // Nothing is taken from here on: the workers wake and exit, and
         // what is queued stays `Queued(node)` for the kill repair.
         self.queue.close();
-        self.services.fabric.unregister(self.address);
+        closed
+    }
+
+    /// The object plane, the rest of the loop's state dropped.
+    fn into_plane(self) -> PlaneCore {
+        self.plane
     }
 
     fn announce(&mut self) {
@@ -544,7 +590,7 @@ impl Core {
             // the idleness off the queue.
             LocalMsg::WorkerIdle => {}
             LocalMsg::RemoveWorker(worker) => self.remove_worker(worker),
-            LocalMsg::Shutdown => unreachable!("handled by run()"),
+            LocalMsg::Close | LocalMsg::Shutdown => unreachable!("handled by run()"),
         }
     }
 
@@ -1464,6 +1510,57 @@ mod tests {
             assert!(started < finished);
         }
         r.handle.shutdown();
+    }
+
+    #[test]
+    fn a_closed_scheduler_serves_the_object_plane_until_shutdown() {
+        // A graceful node shutdown closes the scheduler, joins the
+        // workers, then shuts it down. In between, a worker's fetch in
+        // flight still completes and a peer still reads the node.
+        let slow = FabricConfig {
+            latency: rtml_net::LatencyModel::Constant(Duration::from_millis(20)),
+            ..FabricConfig::default()
+        };
+        let mut r = remote_dep_rig_on(slow, LocalSchedulerConfig::default(), 1 << 20);
+        let id = |i| {
+            TaskId::driver_root(DriverId::from_index(0))
+                .child(i)
+                .return_object(0)
+        };
+        let (theirs, ours, ours_later) = (id(300), id(301), id(302));
+        r.store_remote
+            .put(theirs, Bytes::from_static(b"theirs"))
+            .unwrap();
+        r.store_local
+            .put(ours, Bytes::from_static(b"ours"))
+            .unwrap();
+        r.store_local
+            .put(ours_later, Bytes::from_static(b"later"))
+            .unwrap();
+
+        let agent = r.handle.agent().clone();
+        let (done, answers) = unbounded();
+        agent.request_many(&[theirs], NodeId(7), Duration::from_secs(5), &done);
+        r.handle.close();
+        let (object, answer) = answers.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!(object, theirs);
+        assert_eq!(&answer.expect("fetched while closed").0[..], b"theirs");
+        let (bytes, _) = r
+            .remote_agent
+            .fetch_one(ours, NodeId(0), Duration::from_secs(5))
+            .expect("served while closed");
+        assert_eq!(&bytes[..], b"ours");
+        // The run queue is closed: the worker's thread has exited.
+        assert!(matches!(
+            r.worker_rx.recv_timeout(Duration::from_secs(5)),
+            Err(crossbeam::channel::RecvTimeoutError::Disconnected)
+        ));
+
+        r.handle.shutdown();
+        assert!(r
+            .remote_agent
+            .fetch_one(ours_later, NodeId(0), Duration::from_millis(200))
+            .is_err());
     }
 
     #[test]

@@ -29,7 +29,13 @@ pub enum LocalMsg {
     /// Detach a worker (failure injection). Whatever it had taken from
     /// the run queue is marked lost.
     RemoveWorker(WorkerId),
-    /// Drain and exit.
+    /// Stop scheduling: the loop takes its last periodic run, closes the
+    /// run queue and drops its scheduling state, but keeps serving the
+    /// node's object plane until [`LocalMsg::Shutdown`], so a worker
+    /// still running finishes its fetches and peers still read the
+    /// node's objects.
+    Close,
+    /// Exit, closing first if still open; the node's endpoint goes.
     Shutdown,
 }
 

@@ -91,7 +91,9 @@ impl FetchAgent {
     /// the mailbox at `address` — the node's one endpoint, which its
     /// control loop reads — and the loop hands each frame the returned
     /// core [`takes`](PlaneCore::takes) to [`PlaneCore::on_frame`].
-    /// `store`'s node is listed in `directory` at `address`.
+    /// `store`'s node is listed in `directory` at `address`. The loop
+    /// owns that endpoint and withdraws it when it stops; neither
+    /// [`FetchAgent::shutdown`] nor dropping the agent touches it.
     pub fn on_mailbox(
         fabric: Arc<Fabric>,
         store: Arc<ObjectStore>,
@@ -355,17 +357,17 @@ impl FetchAgent {
         sent
     }
 
-    /// Stops the object plane: unregisters its address, joins its thread
-    /// if it has one, and drops the unsealed table — whoever still waits
-    /// on an entry sees its channel close. A node's plane shares the
-    /// node's one endpoint, which its control loop unregisters itself
-    /// when it stops.
+    /// Stops an agent that stands alone: unregisters its address, joins
+    /// its thread and drops the unsealed table — whoever still waits on
+    /// an entry sees its channel close. Does nothing to a plane built
+    /// [`on_mailbox`](FetchAgent::on_mailbox): the loop that reads that
+    /// mailbox owns the endpoint and the core, and stops them itself.
     pub fn shutdown(&self) {
+        let Some(thread) = self.handle.lock().take() else {
+            return;
+        };
         self.plane.fabric.unregister(self.plane.address);
-        let mut handle = self.handle.lock();
-        if let Some(handle) = handle.take() {
-            let _ = handle.join();
-        }
+        let _ = thread.join();
         self.plane.unsealed.lock().clear();
     }
 }

@@ -20,9 +20,10 @@ use crate::store::PutOutcome;
 /// how long past its deadline a stranded transfer stays tracked.
 pub(super) const ORPHAN_TTL: Duration = Duration::from_secs(5);
 
-/// Only the agent's thread removes an entry or changes its chunks and
-/// destination, so the entry it left is there when it relocks.
-const ONLY_THE_AGENT: &str = "only the agent's thread removes an entry";
+/// Only the plane's core (on the one thread that reads the plane's
+/// mailbox) removes an entry or changes its chunks and destination, so
+/// the entry it left is there when it relocks.
+const ONLY_THE_AGENT: &str = "only the plane's core removes an entry";
 
 /// One received chunk: the frame exactly as it arrived (what a relay
 /// passes on), the payload window inside it, and when the frame left

@@ -638,6 +638,21 @@ mod tests {
     }
 
     #[test]
+    fn a_plane_on_a_borrowed_mailbox_leaves_the_endpoint_to_its_owner() {
+        let (fabric, directory, _store0, store1, _s0, _agent) = setup(0);
+        let endpoint = fabric.register(NodeId(1), "node");
+        let (agent, core) =
+            FetchAgent::on_mailbox(fabric.clone(), store1, &directory, endpoint.address());
+        let base = fabric.endpoint_count();
+        agent.shutdown();
+        drop(agent);
+        drop(core);
+        assert_eq!(fabric.endpoint_count(), base);
+        drop(endpoint);
+        assert_eq!(fabric.endpoint_count(), base - 1);
+    }
+
+    #[test]
     fn service_counts_decode_errors_and_stays_alive() {
         let (fabric, directory, store0, _store1, s0, agent) = setup(0);
         store0.put(obj(1), Bytes::from_static(b"x")).unwrap();
