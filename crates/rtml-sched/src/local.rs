@@ -213,6 +213,7 @@ pub struct LocalSchedulerHandle {
     stats: Arc<LocalSchedulerStats>,
     queue: Arc<RunQueue>,
     agent: Arc<FetchAgent>,
+    fabric: Arc<Fabric>,
     join: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -268,9 +269,10 @@ impl LocalSchedulerHandle {
         let _ = self.tx.send(LocalMsg::Close);
     }
 
-    /// Requests shutdown and joins the scheduler thread.
+    /// Stops the loop, scheduling or (once closed) serving the plane
+    /// alone, by withdrawing the node's endpoint, and joins the thread.
     pub fn shutdown(&mut self) {
-        let _ = self.tx.send(LocalMsg::Shutdown);
+        self.fabric.unregister(self.address);
         if let Some(join) = self.join.take() {
             let _ = join.join();
         }
@@ -303,6 +305,7 @@ impl LocalScheduler {
         let (tx, rx) = unbounded();
         let endpoint = services.fabric.register(config.node, "node");
         let address = endpoint.address();
+        let fabric = services.fabric.clone();
         let node = config.node;
         let (agent, plane) = FetchAgent::on_mailbox(
             services.fabric.clone(),
@@ -368,13 +371,12 @@ impl LocalScheduler {
                 };
                 core.announce();
                 let closed = core.run(&rx, &endpoint, seal_rx, fetch_rx);
-                let fabric = core.services.fabric.clone();
-                // The scheduling state goes; a closed loop's plane serves on.
-                let plane = core.into_plane();
+                // The scheduling state goes; a closed loop's plane serves
+                // on until the handle withdraws the endpoint.
+                let mut plane = core.into_plane();
                 if closed {
-                    serve_plane(plane, &rx, &endpoint);
+                    plane.run(&endpoint);
                 }
-                fabric.unregister(address);
             })
             .expect("spawn local scheduler");
 
@@ -385,6 +387,7 @@ impl LocalScheduler {
             stats,
             queue,
             agent,
+            fabric,
             join: Some(join),
         }
     }
@@ -444,32 +447,10 @@ pub(crate) struct Core {
     pub(crate) ingested: Vec<u64>,
 }
 
-/// A closed loop's last stage: the node's object plane alone, until
-/// [`LocalMsg::Shutdown`]. Nothing schedules here any more, so the
-/// scheduler's own frames are dropped — as they would be at a stopped
-/// node's withdrawn address.
-fn serve_plane(mut plane: PlaneCore, rx: &Receiver<LocalMsg>, endpoint: &rtml_net::Endpoint) {
-    loop {
-        let wait = plane.next_tick().saturating_duration_since(Instant::now());
-        crossbeam::channel::select! {
-            recv(rx) -> msg => if matches!(msg, Ok(LocalMsg::Shutdown) | Err(_)) {
-                return;
-            },
-            recv(endpoint.receiver()) -> delivery => match delivery {
-                Ok(delivery) if PlaneCore::takes(&delivery.payload) => plane.on_frame(delivery),
-                Ok(_) => {}
-                Err(_) => return,
-            },
-            default(wait) => {}
-        }
-        plane.tick(Instant::now());
-    }
-}
-
 impl Core {
     /// Runs the scheduler until [`LocalMsg::Close`] (returns `true`) or
-    /// [`LocalMsg::Shutdown`] (`false`), then takes the last periodic
-    /// run and closes the run queue.
+    /// until its endpoint is withdrawn (`false`), then takes the last
+    /// periodic run and closes the run queue.
     fn run(
         &mut self,
         rx: &Receiver<LocalMsg>,
@@ -492,15 +473,23 @@ impl Core {
             crossbeam::channel::select! {
                 recv(rx) -> msg => match msg {
                     Ok(LocalMsg::Close) => break true,
-                    Ok(LocalMsg::Shutdown) | Err(_) => break false,
+                    Err(_) => break false,
                     Ok(msg) => self.on_local(msg),
                 },
-                // One mailbox, two protocols.
+                // One mailbox, two protocols. Every frame already due
+                // rides this turn: a burst of pushed results costs one
+                // turn, and one commit of what they sealed, not one each.
                 recv(endpoint.receiver()) -> delivery => match delivery {
-                    Ok(delivery) if PlaneCore::takes(&delivery.payload) => {
-                        self.plane.on_frame(delivery)
+                    Ok(delivery) => {
+                        let due = endpoint.receiver().try_iter();
+                        for delivery in std::iter::once(delivery).chain(due) {
+                            if PlaneCore::takes(&delivery.payload) {
+                                self.plane.on_frame(delivery);
+                            } else {
+                                self.on_net(delivery.from, delivery.payload);
+                            }
+                        }
                     }
-                    Ok(delivery) => self.on_net(delivery.from, delivery.payload),
                     Err(_) => break false,
                 },
                 recv(seal_rx) -> sealed => {
@@ -590,7 +579,7 @@ impl Core {
             // the idleness off the queue.
             LocalMsg::WorkerIdle => {}
             LocalMsg::RemoveWorker(worker) => self.remove_worker(worker),
-            LocalMsg::Close | LocalMsg::Shutdown => unreachable!("handled by run()"),
+            LocalMsg::Close => unreachable!("handled by run()"),
         }
     }
 

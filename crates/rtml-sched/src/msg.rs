@@ -31,12 +31,11 @@ pub enum LocalMsg {
     RemoveWorker(WorkerId),
     /// Stop scheduling: the loop takes its last periodic run, closes the
     /// run queue and drops its scheduling state, but keeps serving the
-    /// node's object plane until [`LocalMsg::Shutdown`], so a worker
-    /// still running finishes its fetches and peers still read the
-    /// node's objects.
+    /// node's object plane until its endpoint is withdrawn
+    /// ([`crate::local::LocalSchedulerHandle::shutdown`], which also
+    /// stops a loop that was never closed), so a worker still running
+    /// finishes its fetches and peers still read the node's objects.
     Close,
-    /// Exit, closing first if still open; the node's endpoint goes.
-    Shutdown,
 }
 
 /// A node's load, as published to the global scheduler and control

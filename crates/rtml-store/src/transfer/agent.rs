@@ -453,9 +453,13 @@ impl PlaneCore {
         }
     }
 
-    /// A stand-alone agent's thread: every frame reaching `endpoint`,
-    /// and the ticks between them.
-    fn run(&mut self, endpoint: &Endpoint) {
+    /// Serves the plane alone: every frame reaching `endpoint`, and the
+    /// ticks between them, until the endpoint's address is withdrawn.
+    /// A stand-alone agent's thread runs this, and so does a node's
+    /// control loop once it has stopped scheduling; a scheduler frame
+    /// that reaches it then (a placement racing the node's shutdown) is
+    /// dropped as a decode error.
+    pub fn run(&mut self, endpoint: &Endpoint) {
         loop {
             let wait = self.next_tick().saturating_duration_since(Instant::now());
             match endpoint.receiver().recv_timeout(wait) {
