@@ -21,7 +21,9 @@
 //!   of windows (no copy; self-asserted < 20 µs, where two 1 MiB copies
 //!   take hundreds), sealing a value is one pass (self-asserted ≤ 1.5×
 //!   a bare `encode_to_bytes`, the single memcpy), and the bare
-//!   one-object fetch times for 1 MiB and 4 KiB sit next to the matrix.
+//!   one-object fetches of 1 MiB and 4 KiB copy nothing: the holder
+//!   sends windows of its sealed copy and the reader seals the windows
+//!   it was sent (self-asserted: `bytes_copied` reads 0 on both ends).
 //! - **Broadcast**: three nodes ask one holder for the same 1 MiB object
 //!   within 100 µs (100 µs hops, 1 GiB/s links). The holder streams it
 //!   once and hands the later requests down the chain of readers, each
@@ -209,8 +211,10 @@ struct CopyBudget {
     open_decode: Duration,
     seal: Duration,
     encode: Duration,
-    fetch_1mib: Duration,
-    fetch_4kib: Duration,
+    /// Median fetch time, and the bytes holder and reader copied over
+    /// all the fetches.
+    fetch_1mib: (Duration, u64),
+    fetch_4kib: (Duration, u64),
 }
 
 /// Median wall time of `f` over `reps` calls (after one warm-up call).
@@ -244,16 +248,19 @@ fn measure_copy_budget() -> CopyBudget {
     // One object at a time over the raw data plane: request frame out,
     // chunk stream back, sealed into the local store.
     let p = plane(256 * 1024);
+    let copied = || p.holder.stats().bytes_copied.get() + p.agent.stats().bytes_copied.get();
     let fetch = |id: ObjectId, size: usize| {
         p.src.put(id, Bytes::from(vec![3u8; size])).unwrap();
-        median_of(30, || {
+        let before = copied();
+        let time = median_of(30, || {
             p.dst.delete(id);
             let (data, _) = p
                 .agent
                 .fetch_one(id, NodeId(0), Duration::from_secs(30))
                 .unwrap();
             assert_eq!(data.len(), size);
-        })
+        });
+        (time, copied() - before)
     };
     CopyBudget {
         open_decode,
@@ -510,16 +517,21 @@ fn main() {
             row("seal_value, one pass", cb.seal, "1 (was 2)"),
             row("encode_to_bytes, the single memcpy", cb.encode, "1"),
             row(
-                "fetch 1 MiB: 4 chunks, assembled as they arrive",
-                cb.fetch_1mib,
-                "2 (was 3)",
+                "fetch 1 MiB: 4 windows of the holder's copy, joined",
+                cb.fetch_1mib.0,
+                &format!("{} bytes (was 2 copies)", cb.fetch_1mib.1),
             ),
             row(
-                "fetch 4 KiB: 1 chunk, stored as its frame",
-                cb.fetch_4kib,
-                "1 (was 3)",
+                "fetch 4 KiB: 1 window of the holder's copy",
+                cb.fetch_4kib.0,
+                &format!("{} bytes (was 1 copy)", cb.fetch_4kib.1),
             ),
         ],
+    );
+    assert_eq!(
+        (cb.fetch_1mib.1, cb.fetch_4kib.1),
+        (0, 0),
+        "the object plane copied payload bytes serving or assembling a fetch"
     );
     assert!(
         cb.open_decode < Duration::from_micros(20),
@@ -639,13 +651,15 @@ fn render_json(
     ));
     let us = |d: Duration| d.as_secs_f64() * 1e6;
     out.push_str(&format!(
-        "  \"copy_budget\": {{\"object_bytes\": 1048576, \"open_decode_us\": {:.2}, \"seal_us\": {:.1}, \"encode_us\": {:.1}, \"seal_over_encode\": {:.3}, \"fetch_us_1mib\": {:.1}, \"fetch_us_4kib\": {:.1}}},\n",
+        "  \"copy_budget\": {{\"object_bytes\": 1048576, \"open_decode_us\": {:.2}, \"seal_us\": {:.1}, \"encode_us\": {:.1}, \"seal_over_encode\": {:.3}, \"fetch_us_1mib\": {:.1}, \"fetch_us_4kib\": {:.1}, \"bytes_copied_1mib\": {}, \"bytes_copied_4kib\": {}}},\n",
         us(cb.open_decode),
         us(cb.seal),
         us(cb.encode),
         cb.seal.as_secs_f64() / cb.encode.as_secs_f64(),
-        us(cb.fetch_1mib),
-        us(cb.fetch_4kib),
+        us(cb.fetch_1mib.0),
+        us(cb.fetch_4kib.0),
+        cb.fetch_1mib.1,
+        cb.fetch_4kib.1,
     ));
     out.push_str(&format!(
         "  \"broadcast\": {{\"readers\": 3, \"object_bytes\": 1048587, \"rounds\": {}, \"last_sealed_us_best\": {:.1}, \"last_sealed_us_p50\": {:.1}, \"origin_chunks_per_round\": {:.2}, \"handed_on_per_round\": {:.2}}},\n",

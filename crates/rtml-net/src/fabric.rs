@@ -52,8 +52,12 @@ pub struct FabricConfig {
 pub struct Delivery {
     /// Sending endpoint.
     pub from: NetAddress,
-    /// Opaque payload.
+    /// Opaque payload: the whole message, or a chunk's header.
     pub payload: Bytes,
+    /// A body sent beside the payload, as the sender handed it over
+    /// ([`Fabric::send_chunks_with_bodies`], [`Fabric::send_with_body`]);
+    /// empty for every other frame.
+    pub body: Bytes,
     /// When the message was sent (monotonic nanos since process epoch).
     pub sent_at_nanos: u64,
 }
@@ -304,7 +308,19 @@ impl Fabric {
     /// Returns [`Error::Disconnected`] if either address is unregistered.
     /// Partitioned messages are silently dropped, like a real network.
     pub fn send(&self, from: NetAddress, to: NetAddress, payload: Bytes) -> Result<()> {
-        self.send_frames(from, to, vec![payload], FrameKind::Single)
+        self.send_with_body(from, to, payload, Bytes::new())
+    }
+
+    /// [`Fabric::send`] for a frame that is a header and a body, handed
+    /// over and charged as [`Fabric::send_chunks_with_bodies`] does.
+    pub fn send_with_body(
+        &self,
+        from: NetAddress,
+        to: NetAddress,
+        payload: Bytes,
+        body: Bytes,
+    ) -> Result<()> {
+        self.send_frames(from, to, vec![(payload, body)], FrameKind::Single)
     }
 
     /// Sends several payloads from `from` to `to` as **one coalesced
@@ -318,7 +334,8 @@ impl Fabric {
     /// what one message costs in latency, which is the point — queued
     /// messages to the same destination should share hops.
     pub fn send_batch(&self, from: NetAddress, to: NetAddress, payloads: Vec<Bytes>) -> Result<()> {
-        self.send_frames(from, to, payloads, FrameKind::Batch)
+        let frames = payloads.into_iter().map(|payload| (payload, Bytes::new()));
+        self.send_frames(from, to, frames.collect(), FrameKind::Batch)
     }
 
     /// Sends the pieces of **one logical transfer** (e.g. a chunked
@@ -336,6 +353,22 @@ impl Fabric {
     /// distinguish "messages that shared a hop" from "frames of one
     /// streamed object".
     pub fn send_chunks(&self, from: NetAddress, to: NetAddress, chunks: Vec<Bytes>) -> Result<()> {
+        let frames = chunks.into_iter().map(|chunk| (chunk, Bytes::new()));
+        self.send_frames(from, to, frames.collect(), FrameKind::Chunked)
+    }
+
+    /// [`Fabric::send_chunks`] for chunks that are each a header and a
+    /// body: the receiver gets them as the [`Delivery`]'s `payload` and
+    /// `body`, and the wire charges each chunk for both — its due time,
+    /// the egress link and [`FabricStats::bytes`] read exactly as for
+    /// the same bytes sent in one piece. The body is handed over as it
+    /// is, so a chunk can be a window of a buffer the sender keeps.
+    pub fn send_chunks_with_bodies(
+        &self,
+        from: NetAddress,
+        to: NetAddress,
+        chunks: Vec<(Bytes, Bytes)>,
+    ) -> Result<()> {
         self.send_frames(from, to, chunks, FrameKind::Chunked)
     }
 
@@ -343,7 +376,7 @@ impl Fabric {
         &self,
         from: NetAddress,
         to: NetAddress,
-        payloads: Vec<Bytes>,
+        frames: Vec<(Bytes, Bytes)>,
         kind: FrameKind,
     ) -> Result<()> {
         let mut routing = self.routing.lock();
@@ -358,11 +391,13 @@ impl Fabric {
             .map(|(node, mailbox)| (*node, mailbox.clone()))
             .ok_or(Error::Disconnected("fabric receiver"))?;
 
-        if payloads.is_empty() {
+        if frames.is_empty() {
             return Ok(());
         }
-        let count = payloads.len() as u64;
-        let total_bytes: u64 = payloads.iter().map(|p| p.len() as u64).sum();
+        // A frame is charged for its header and its body alike.
+        let size = |(payload, body): &(Bytes, Bytes)| (payload.len() + body.len()) as u64;
+        let count = frames.len() as u64;
+        let total_bytes: u64 = frames.iter().map(size).sum();
         self.stats.sent.add(count);
         self.stats.bytes.add(total_bytes);
         match kind {
@@ -377,16 +412,17 @@ impl Fabric {
         }
 
         let sent_at_nanos = rtml_common::time::now_nanos();
-        let frame = |payload: Bytes| Delivery {
+        let frame = |(payload, body): (Bytes, Bytes)| Delivery {
             from,
             payload,
+            body,
             sent_at_nanos,
         };
 
         if from_node == to_node {
             drop(routing);
-            for payload in payloads {
-                self.deliver(&mailbox, frame(payload), None);
+            for parts in frames {
+                self.deliver(&mailbox, frame(parts), None);
             }
             return Ok(());
         }
@@ -469,8 +505,8 @@ impl Fabric {
                 .add(starts.duration_since(now).as_nanos() as u64);
             if kind == FrameKind::Chunked {
                 let mut sent = 0u64;
-                egress.chunk_ends.extend(payloads.iter().map(|payload| {
-                    sent += payload.len() as u64;
+                egress.chunk_ends.extend(frames.iter().map(|parts| {
+                    sent += size(parts);
                     starts + wire(sent)
                 }));
             }
@@ -480,10 +516,10 @@ impl Fabric {
 
         let flight = self.config.latency.sample(entropy) + fault.extra_delay();
         let mut sent = 0u64;
-        for payload in payloads {
+        for parts in frames {
             // A chunk is due when its own bytes have crossed; anything
             // else when the whole frame has.
-            sent += payload.len() as u64;
+            sent += size(&parts);
             let crossed = match kind {
                 FrameKind::Chunked => sent,
                 _ => total_bytes,
@@ -492,9 +528,9 @@ impl Fabric {
             if fault.duplicate {
                 // Both copies arrive back to back: equal due times are
                 // received in send order.
-                self.deliver(&mailbox, frame(payload.clone()), due);
+                self.deliver(&mailbox, frame(parts.clone()), due);
             }
-            self.deliver(&mailbox, frame(payload), due);
+            self.deliver(&mailbox, frame(parts), due);
         }
         Ok(())
     }
@@ -837,6 +873,80 @@ mod tests {
             .collect();
         // Both small frames cut in behind chunk 0, one after the other.
         assert_eq!(order, vec![0, 0xff, 0xff, 1, 2, 3, 9]);
+    }
+
+    #[test]
+    fn a_body_is_charged_on_the_wire_like_the_rest_of_its_frame() {
+        // Each chunk is 50 KB, 5 ms of the slow link: sent in one piece,
+        // or as a 25 KB header and a 25 KB window of a buffer the sender
+        // keeps, and so is the 64-byte frame sent behind them. Both ways
+        // must take the link for 20 ms, count 200 KB, make that frame
+        // wait out one 5 ms chunk and be due 5 ms apart — a body carried
+        // free would halve every one of these.
+        let backing = Bytes::from(vec![7u8; 100_000]);
+        let split: Vec<(Bytes, Bytes)> = (0..4u8)
+            .map(|i| {
+                let body = backing.slice(i as usize * 25_000..(i as usize + 1) * 25_000);
+                (Bytes::from(vec![i; 25_000]), body)
+            })
+            .collect();
+        let whole: Vec<Bytes> = split
+            .iter()
+            .map(|(header, body)| Bytes::from([&header[..], &body[..]].concat()))
+            .collect();
+        let run = |send: &dyn Fn(&Fabric, NetAddress, NetAddress)| {
+            let fabric = slow_link();
+            let a = fabric.register(NodeId(0), "a");
+            let b = fabric.register(NodeId(1), "b");
+            let start = Instant::now();
+            send(&fabric, a.address(), b.address());
+            let backlog = fabric.egress_backlog(NodeId(0));
+            let waited = Duration::from_nanos(fabric.stats.egress_wait_nanos.get());
+            let mut arrivals = Vec::new();
+            for _ in 0..5 {
+                let frame = b.receiver().recv_timeout(Duration::from_secs(5)).unwrap();
+                arrivals.push((frame.payload[0], start.elapsed(), frame));
+            }
+            (fabric.stats.bytes.get(), backlog, waited, arrivals)
+        };
+        let whole = run(&|fabric, a, b| {
+            fabric.send_chunks(a, b, whole.clone()).unwrap();
+            fabric.send(a, b, Bytes::from(vec![0xff; 64])).unwrap();
+        });
+        let split = run(&|fabric, a, b| {
+            fabric.send_chunks_with_bodies(a, b, split.clone()).unwrap();
+            let (header, body) = (Bytes::from(vec![0xff; 32]), backing.slice(0..32));
+            fabric.send_with_body(a, b, header, body).unwrap();
+        });
+        for (bytes, backlog, waited, arrivals) in [&whole, &split] {
+            assert_eq!(*bytes, 200_000 + 64);
+            let link = Duration::from_millis(20) + Duration::from_nanos(6_400);
+            assert!(
+                *backlog > Duration::from_millis(19) && *backlog <= link,
+                "{backlog:?}"
+            );
+            assert!(
+                *waited > Duration::from_micros(4_500) && *waited <= Duration::from_millis(5),
+                "{waited:?}"
+            );
+            // The small frame cut in behind chunk 0; chunk i is due at
+            // (i + 1) x 5 ms + 1 ms, pushed back 6.4 us by it.
+            let order: Vec<u8> = arrivals.iter().map(|(tag, ..)| *tag).collect();
+            assert_eq!(order, vec![0, 0xff, 1, 2, 3]);
+            let chunks = arrivals.iter().filter(|(tag, ..)| *tag != 0xff);
+            for (i, (_, at, _)) in chunks.enumerate() {
+                let due = Duration::from_millis(5 * (i as u64 + 1) + 1);
+                assert!(*at >= due, "chunk {i} arrived at {at:?}, due {due:?}");
+            }
+        }
+        // Split, the body is the sender's window and the header the rest.
+        let (_, _, _, arrivals) = &split;
+        let (_, _, first) = &arrivals[0];
+        assert_eq!((first.payload.len(), first.body.len()), (25_000, 25_000));
+        assert_eq!(first.body.as_ptr(), backing.as_ptr());
+        let (_, _, small) = &arrivals[1];
+        assert_eq!((small.payload.len(), small.body.len()), (32, 32));
+        assert!(whole.3.iter().all(|(_, _, frame)| frame.body.is_empty()));
     }
 
     #[test]

@@ -25,6 +25,10 @@
 //!   its own bytes have crossed) waits its turn, while any other frame
 //!   waits only for the chunk on the wire, so a small control message
 //!   passes the bulk queued ahead of it.
+//! - A frame can be a **header plus a body**
+//!   ([`Fabric::send_chunks_with_bodies`]): the body is handed over as
+//!   the sender passed it — a window of a buffer it keeps — and the wire
+//!   charges it like the rest of the frame.
 //! - **No delivery thread.** A cross-node message goes straight into the
 //!   destination mailbox stamped with its due time and is invisible
 //!   there until then; the thread blocked on the mailbox waits the delay

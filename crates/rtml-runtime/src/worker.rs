@@ -307,7 +307,7 @@ fn push_to_submitter(
     store: &ObjectStore,
     spec: &TaskSpec,
     object: ObjectId,
-    bytes: &[u8],
+    bytes: &Bytes,
 ) -> Option<Inbound> {
     let to = spec.submitter_node;
     if to == store.node() || sched_stats.ready_depth.load(Ordering::Relaxed) > 0 {

@@ -137,9 +137,11 @@ fn evicted_argument_stays_readable_by_the_task_holding_it() {
 #[test]
 fn stored_objects_pin_only_their_own_frame() {
     // Eight objects produced on node 1 and pulled to the driver's node
-    // by one `get_many` — one coalesced reply stream. Each must land in
-    // a buffer of its own: deleting seven of them frees seven buffers,
-    // which an arena-encoded reply (one buffer, eight windows) would not.
+    // by one `get_many` — one coalesced reply stream. The reader's copy
+    // of each is the producer's sealed buffer, and each object has a
+    // buffer of its own: deleting seven of them on both nodes frees
+    // seven buffers, which an arena-encoded reply (one buffer, eight
+    // windows) would not.
     let cluster = Cluster::start(ClusterConfig {
         nodes: vec![
             NodeConfig::cpu_only(2),
@@ -160,11 +162,19 @@ fn stored_objects_pin_only_their_own_frame() {
     assert!(values.iter().zip(0u8..).all(|(v, i)| v[..] == [i; 200_000]));
     drop(values);
 
-    let store = driver.services().store(NodeId(0)).unwrap();
+    let stores = [NodeId(0), NodeId(1)].map(|n| driver.services().store(n).unwrap());
+    let [store, producer] = &stores;
     assert!(futs.iter().all(|f| store.contains(f.id())));
+    for fut in &futs {
+        let (read, sealed) = (
+            store.get(fut.id()).unwrap(),
+            producer.get(fut.id()).unwrap(),
+        );
+        assert_eq!(read.as_ptr(), sealed.as_ptr());
+    }
     let before = TRACKED_LIVE.load(Ordering::Relaxed);
     for fut in &futs[1..] {
-        assert!(store.delete(fut.id()));
+        assert!(stores.iter().all(|s| s.delete(fut.id())));
     }
     // Node 0's scheduler loop, which runs its object plane, may still be
     // dropping its own handle on the frame it answered last; nothing

@@ -193,21 +193,18 @@ fn bytes_arguments_and_results_are_views_of_the_stores_buffers() {
     }
 
     // A single-chunk result fetched by the driver: the value is a window
-    // of what the driver's node stored, which is the frame that arrived
-    // (not the producer's buffer, and not a reassembled copy).
+    // of what the driver's node stored, which is the body of the frame
+    // that arrived — a window of the producer's sealed buffer, never a
+    // copy of it.
     let fut = driver.submit1_opts(&make, 9u64, on("away")).unwrap();
     let value = driver.get(&fut).unwrap();
     assert_eq!(value, Bytes::from(vec![9u8; 4096]));
     let at = value.as_ptr() as u64;
     let window = at..at + value.len() as u64;
-    assert!(is_window_of(
-        window.clone(),
-        &store(NodeId(0)).get(fut.id()).unwrap()
-    ));
-    assert!(!is_window_of(
-        window,
-        &store(NodeId(1)).get(fut.id()).unwrap()
-    ));
+    let arrived = store(NodeId(0)).get(fut.id()).unwrap();
+    assert!(is_window_of(window, &arrived));
+    let sealed = store(NodeId(1)).get(fut.id()).unwrap();
+    assert_eq!(arrived.as_ptr(), sealed.as_ptr());
 
     // A 256 KiB result is sealed a few envelope bytes over one chunk.
     // The sliver rides in the same frame, so the block is still one
@@ -225,6 +222,49 @@ fn bytes_arguments_and_results_are_views_of_the_stores_buffers() {
     assert_eq!(agent.stats().chunks_received.get() - received, 1);
     let at = value.as_ptr() as u64;
     assert!(is_window_of(at..at + value.len() as u64, &stored));
+    cluster.shutdown();
+}
+
+#[test]
+fn a_broadcast_policy_is_read_on_every_node_without_a_copy() {
+    // The RL loop's shape: four nodes of four workers on 1 GiB/s links,
+    // a 1 MiB policy put each iteration and read by 32 rollouts. Every
+    // rollout, wherever it runs, reads a window of the one buffer the
+    // policy was sealed in, and no node's object plane copies a byte.
+    let cluster = Cluster::start(ClusterConfig {
+        nodes: vec![NodeConfig::cpu_only(4); 4],
+        bandwidth_bytes_per_sec: Some(1 << 30),
+        ..ClusterConfig::default()
+    })
+    .unwrap();
+    let rollout = cluster.register_fn2_ctx("zero_copy_rollout", |ctx, policy: Bytes, _: u64| {
+        std::thread::sleep(Duration::from_millis(2));
+        Ok((ctx.worker().node.0, policy.as_ptr() as u64))
+    });
+    let driver = cluster.driver();
+    let mut nodes = std::collections::BTreeSet::new();
+    for iteration in 0..4u64 {
+        let policy = driver
+            .put(&Bytes::from(vec![iteration as u8; 1 << 20]))
+            .unwrap();
+        let sealed = driver.get(&policy).unwrap().as_ptr() as u64;
+        let futs: Vec<_> = (0..32)
+            .map(|k| driver.submit2(&rollout, policy, k).unwrap())
+            .collect();
+        for (node, at) in driver.get_many(&futs).unwrap() {
+            assert_eq!(at, sealed, "a rollout on node {node} read a copy");
+            nodes.insert(node);
+        }
+    }
+    assert!(nodes.len() > 1, "every rollout ran on {nodes:?}");
+    let fetched: u64 = (0..4)
+        .map(|n| {
+            let registry = cluster.node_registry(NodeId(n)).unwrap();
+            assert_eq!(registry.get("transfer.bytes_copied"), Some(0), "node {n}");
+            registry.get("fetch.objects_fetched").unwrap()
+        })
+        .sum();
+    assert!(fetched > 0);
     cluster.shutdown();
 }
 

@@ -31,14 +31,14 @@
 //! — chunking large objects into size-capped frames
 //! ([`StoreConfig::chunk_bytes`]) and coalescing multi-object requests
 //! into one reply stream — and issues the node's own, assembling chunks
-//! in place as they arrive and single-flighting concurrent fetches of
-//! the same object. Received frames are decoded in place: an object
-//! that arrives as one chunk is stored as a window of its frame, never
-//! copied out of it. An object a node has asked for but not yet sealed
-//! is kept in its agent's unsealed table, from which the same thread
-//! **relays** it: a holder streaming a hot object hands later readers
-//! down a chain of earlier ones, each passing chunks on as they arrive,
-//! so the object leaves its holder once.
+//! as they arrive and single-flighting concurrent fetches of the same
+//! object. Nothing copies the payload: a chunk's body is a window of
+//! the holder's sealed copy, and the reader seals the windows it was
+//! sent, joined back into that one buffer. An object a node has asked
+//! for but not yet sealed is kept in its agent's unsealed table, from
+//! which the same thread **relays** it: a holder streaming a hot object
+//! hands later readers down a chain of earlier ones, each passing
+//! chunks on as they arrive, so the object leaves its holder once.
 //!
 //! There is no replication plane: nothing copies an object ahead of
 //! demand. A hot object spreads because every reader that seals a copy

@@ -7,17 +7,18 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::{Mutex, RwLock};
 
-use rtml_common::codec::{decode_from_bytes, encode_to_bytes};
+use rtml_common::codec::{decode_from_slice, encode_to_bytes};
 use rtml_common::error::Error;
 use rtml_common::ids::{NodeId, ObjectId};
 use rtml_net::{Delivery, Endpoint, Fabric, NetAddress};
 
 use super::assembly::{Chunk, Unsealed};
 use super::serve::Server;
-use super::wire::{chunk_frames, encode_chunk_frame, TransferMsg};
+use super::wire::{chunk_frame, chunk_frames, TransferMsg};
 use super::{FetchResult, Fetched, TransferDirectory, TransferStats, PUSH_MAX_BYTES};
 use crate::store::ObjectStore;
 
@@ -36,8 +37,9 @@ pub(super) struct Plane {
     pub(super) stats: Arc<TransferStats>,
     /// Objects created on this node but not yet sealed. Callers add
     /// waiters and requests; only the core assembles, seals, relays from
-    /// or removes an entry. Locked before the store's own state, never
-    /// after it.
+    /// or removes an entry. Locked before the store's own state and the
+    /// fabric's routing (a chunk is passed on downstream under it),
+    /// never after either.
     pub(super) unsealed: Mutex<HashMap<ObjectId, Unsealed>>,
 }
 
@@ -328,18 +330,19 @@ impl FetchAgent {
 
     /// Sends the sealed bytes of `object`, unasked, to the object plane
     /// of node `to` — the frame a request would have been answered
-    /// with, so the receiving core needs no second code path: it seals
-    /// an object nobody asked for as it always has, and hands it to its
-    /// standing sink ([`FetchAgent::deliver_unclaimed_to`]) to be
-    /// committed. Sent as a lone control frame ([`Fabric::send`]), from
-    /// the caller's thread.
+    /// with, its body the sealed buffer itself, so the receiving core
+    /// needs no second code path: it seals an object nobody asked for
+    /// as it always has, and hands it to its standing sink
+    /// ([`FetchAgent::deliver_unclaimed_to`]) to be committed. Sent as a
+    /// lone control frame ([`Fabric::send_with_body`]), from the
+    /// caller's thread.
     ///
     /// Returns whether the fabric accepted the frame — only then may the
     /// caller announce the copy. Nothing is sent for a value over
     /// [`PUSH_MAX_BYTES`] or one a request would have split into several
     /// chunks, or when either end is gone (`to` not in the directory,
     /// this agent shut down).
-    pub fn push(&self, to: NodeId, object: ObjectId, data: &[u8]) -> bool {
+    pub fn push(&self, to: NodeId, object: ObjectId, data: &Bytes) -> bool {
         let plane = &self.plane;
         let chunk_bytes = plane.store.chunk_bytes() as usize;
         if data.len() > PUSH_MAX_BYTES || chunk_frames(data.len(), chunk_bytes) != 1 {
@@ -348,8 +351,11 @@ impl FetchAgent {
         let Some(agent) = plane.directory.lookup(to) else {
             return false;
         };
-        let frame = encode_chunk_frame(object, 0, 1, data.len() as u64, data);
-        let sent = plane.fabric.send(plane.address, agent, frame).is_ok();
+        let (header, body) = chunk_frame(object, 0, 1, data.len() as u64, data.clone());
+        let sent = plane
+            .fabric
+            .send_with_body(plane.address, agent, header, body)
+            .is_ok();
         if sent {
             plane.stats.pushed.inc();
             plane.stats.chunks_sent.inc();
@@ -407,9 +413,7 @@ impl PlaneCore {
     /// `Missing`. Never blocks.
     pub fn on_frame(&mut self, delivery: Delivery) {
         let plane = &*self.plane;
-        // Decoded over the frame itself: a chunk's payload is a window
-        // of `delivery.payload`.
-        match decode_from_bytes::<TransferMsg>(&delivery.payload) {
+        match decode_from_slice::<TransferMsg>(&delivery.payload) {
             Ok(TransferMsg::Request { objects, reply_to }) => {
                 self.server.serve(plane, objects, reply_to)
             }
@@ -418,19 +422,19 @@ impl PlaneCore {
                 index,
                 total,
                 size,
-                payload,
+                len,
             }) => {
                 plane.stats.chunks_received.inc();
                 let from = *self
                     .senders
                     .entry(delivery.from)
                     .or_insert_with(|| plane.fabric.node_of(delivery.from));
+                let fits = len == delivery.body.len() as u64;
                 let chunk = Chunk {
-                    frame: delivery.payload,
-                    payload,
+                    frame: (delivery.payload, delivery.body),
                     sent_at_nanos: delivery.sent_at_nanos,
                 };
-                if !plane.on_chunk(from, object, index, total, size, chunk) {
+                if !fits || !plane.on_chunk(from, object, index, total, size, chunk) {
                     plane.stats.bad_chunks.inc();
                 }
             }

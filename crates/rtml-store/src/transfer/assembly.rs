@@ -1,6 +1,7 @@
 //! Assembly: an object created on this node but not yet sealed, filled
 //! chunk by chunk as it arrives, passed on to the readers downstream,
-//! and sealed into the store when the last of it lands.
+//! and sealed into the store — its chunk windows joined — when the last
+//! of it lands.
 
 use std::collections::hash_map::Entry;
 use std::time::{Duration, Instant};
@@ -13,6 +14,7 @@ use rtml_common::ids::{NodeId, ObjectId};
 use rtml_net::NetAddress;
 
 use super::agent::Plane;
+use super::wire::Frame;
 use super::{FetchResult, Fetched};
 use crate::store::PutOutcome;
 
@@ -20,17 +22,12 @@ use crate::store::PutOutcome;
 /// how long past its deadline a stranded transfer stays tracked.
 pub(super) const ORPHAN_TTL: Duration = Duration::from_secs(5);
 
-/// Only the plane's core (on the one thread that reads the plane's
-/// mailbox) removes an entry or changes its chunks and destination, so
-/// the entry it left is there when it relocks.
-const ONLY_THE_AGENT: &str = "only the plane's core removes an entry";
-
-/// One received chunk: the frame exactly as it arrived (what a relay
-/// passes on), the payload window inside it, and when the frame left
-/// its sender (nanos since the process epoch).
+/// One received chunk: the frame exactly as it arrived — its header
+/// and its body, a window of the sealed copy it was served from — which
+/// is what a relay passes on, and when the frame left its sender (nanos
+/// since the process epoch).
 pub(super) struct Chunk {
-    pub(super) frame: Bytes,
-    pub(super) payload: Bytes,
+    pub(super) frame: Frame,
     pub(super) sent_at_nanos: u64,
 }
 
@@ -42,14 +39,10 @@ pub(super) struct Unsealed {
     pub(super) expires_at: Instant,
     /// Chunks received so far, by index.
     pub(super) chunks: Vec<Option<Chunk>>,
+    /// How many of `chunks` are there.
+    received: usize,
     /// The object's length in bytes, as the chunk headers name it.
     size: usize,
-    /// Where a multi-chunk object is assembled: allocated once, at the
-    /// object's exact size, and appended to in index order. `None`
-    /// before the first chunk and while the agent has it out for a copy.
-    dest: Option<Vec<u8>>,
-    /// Chunks appended to `dest` so far.
-    copied: usize,
     /// Reply addresses of readers downstream of this node.
     pub(super) downstream: Vec<NetAddress>,
     /// The node that fed the first chunk.
@@ -65,9 +58,8 @@ impl Unsealed {
             waiters: Vec::new(),
             expires_at,
             chunks: Vec::new(),
+            received: 0,
             size: 0,
-            dest: None,
-            copied: 0,
             downstream: Vec::new(),
             upstream: None,
             unasked_at_nanos: None,
@@ -88,11 +80,10 @@ impl Unsealed {
 impl Plane {
     /// Takes one chunk of `object`, fed by node `from`: checks its
     /// header against what an object that fits the store can be,
-    /// records it, passes it on downstream, appends whatever has become
-    /// contiguous to the destination, and seals the object when that
-    /// was the last of it. Returns `false` for a chunk whose header is
-    /// out of bounds — dropped before anything is allocated for it — or
-    /// whose object does not add up to the size its headers name.
+    /// records it, passes it on downstream, and seals the object when
+    /// that was the last of it. Returns `false` for a chunk whose header
+    /// is out of bounds — dropped before anything is allocated for it —
+    /// or whose object does not add up to the size its headers name.
     pub(super) fn on_chunk(
         &self,
         from: Option<NodeId>,
@@ -123,82 +114,44 @@ impl Plane {
         };
         if entry.chunks.len() != total || entry.size != size {
             entry.chunks = (0..total).map(|_| None).collect();
+            entry.received = 0;
             entry.size = size;
-            entry.dest = None;
-            entry.copied = 0;
         }
         if entry.chunks[index].is_some() {
             // A duplicate: nothing new to keep or pass on.
             return true;
         }
         entry.upstream = entry.upstream.or(from);
-        let forward = match entry.downstream.is_empty() {
-            true => None,
-            false => Some((entry.downstream.clone(), chunk.frame.clone())),
-        };
-        entry.chunks[index] = Some(chunk);
-        if let Some((readers, frame)) = forward {
-            // Pass it on before copying it, the table unlocked: the next
-            // node's copy overlaps this one's.
-            drop(unsealed);
-            for reader in readers {
-                if self
-                    .fabric
-                    .send_chunks(self.address, reader, vec![frame.clone()])
-                    .is_ok()
-                {
-                    self.stats.chunks_forwarded.inc();
-                }
+        for reader in &entry.downstream {
+            let frame = chunk.frame.clone();
+            if self
+                .fabric
+                .send_chunks_with_bodies(self.address, *reader, vec![frame])
+                .is_ok()
+            {
+                self.stats.chunks_forwarded.inc();
             }
-            unsealed = self.unsealed.lock();
         }
-
-        // Append what has become contiguous.
-        loop {
-            let entry = unsealed.get_mut(&object).expect(ONLY_THE_AGENT);
-            if entry.copied == total {
-                break;
-            }
-            let Some(next) = &entry.chunks[entry.copied] else {
-                return true;
-            };
-            if total == 1 {
-                // One chunk is the object: its window is what is sealed.
-                entry.copied = 1;
-                break;
-            }
-            let payload = next.payload.clone();
-            let mut dest = entry
-                .dest
-                .take()
-                .unwrap_or_else(|| Vec::with_capacity(size));
-            if dest.len() + payload.len() > size {
-                unsealed.remove(&object);
-                return false;
-            }
-            // The copy runs with the table unlocked: a requester never
-            // waits on a memcpy.
-            drop(unsealed);
-            dest.extend_from_slice(&payload);
-            unsealed = self.unsealed.lock();
-            let entry = unsealed.get_mut(&object).expect(ONLY_THE_AGENT);
-            entry.dest = Some(dest);
-            entry.copied += 1;
+        entry.chunks[index] = Some(chunk);
+        entry.received += 1;
+        if entry.received < total {
+            return true;
         }
         // Seal while still holding the table lock: a concurrent request
         // either finds this entry or finds the object in the store —
         // never neither.
-        let mut entry = unsealed.remove(&object).expect(ONLY_THE_AGENT);
-        let bytes = match entry.dest.take() {
-            Some(dest) => Bytes::from(dest),
-            None => entry.chunks[0].take().expect("all chunks received").payload,
-        };
-        let complete = bytes.len() == size;
+        let mut entry = unsealed.remove(&object).expect("the entry just filled");
+        let bodies = entry.chunks.iter().flatten().map(|chunk| &chunk.frame.1);
+        let joined = self.join(bodies, size);
+        let complete = joined.is_some();
         let from = entry.upstream.unwrap_or(self.store.node());
-        let result: Result<PutOutcome> = match complete {
-            true => self.store.put(object, bytes.clone()),
-            false => Err(Error::Codec(format!(
-                "{object} arrived short of {size} bytes"
+        let result: Result<(Bytes, PutOutcome)> = match joined {
+            Some(bytes) => self
+                .store
+                .put(object, bytes.clone())
+                .map(|put| (bytes, put)),
+            None => Err(Error::Codec(format!(
+                "{object} did not arrive as the {size} bytes its headers name"
             ))),
         };
         if result.is_ok() {
@@ -208,7 +161,7 @@ impl Plane {
             }
         }
         let pushed_at_nanos = entry.unasked_at_nanos;
-        let answer = result.map(|PutOutcome { inserted, evicted }| {
+        let answer = result.map(|(bytes, PutOutcome { inserted, evicted })| {
             let fetched = Fetched {
                 inserted,
                 evicted,
@@ -225,6 +178,32 @@ impl Plane {
             }
         }
         complete
+    }
+
+    /// The object that `bodies`, in index order, make up: their windows
+    /// joined, copying nothing, when each starts where the one before it
+    /// ends in one buffer — always so for a stream served from one
+    /// sealed copy, relayed or not. Bodies from different buffers (a
+    /// stream re-requested from another holder partway through) are
+    /// copied once, into a buffer of exactly `size` bytes, and the copy
+    /// is counted. `None` when they do not add up to `size`.
+    fn join<'a>(
+        &self,
+        bodies: impl Iterator<Item = &'a Bytes> + Clone,
+        size: usize,
+    ) -> Option<Bytes> {
+        if bodies.clone().map(Bytes::len).sum::<usize>() != size {
+            return None;
+        }
+        let joined = bodies
+            .clone()
+            .try_fold(Bytes::new(), |joined, body| joined.try_join(body));
+        Some(joined.unwrap_or_else(|| {
+            let mut copy = Vec::with_capacity(size);
+            bodies.for_each(|body| copy.extend_from_slice(body));
+            self.stats.bytes_copied.add(size as u64);
+            Bytes::from(copy)
+        }))
     }
 
     /// The holder no longer has `object`: its waiters hear so, and so

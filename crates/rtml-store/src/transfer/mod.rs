@@ -29,22 +29,26 @@
 //!
 //! The wire protocol (`wire.rs`) is three message types, encoded with
 //! the rtml codec: `Request { objects, reply_to }`, `Chunk { object,
-//! index, total, size, payload }`, and `Missing { object }`. A response
-//! to a K-object request is one [`rtml_net::Fabric::send_chunks`]
-//! stream: a single propagation-delay sample, each chunk due when its
-//! own bytes have crossed, [`chunk_frames`] frames per object.
+//! index, total, size, len }`, and `Missing { object }`. A chunk frame
+//! is that header plus a body of `len` bytes, carried beside it by the
+//! fabric ([`rtml_net::Delivery::body`]). A response to a K-object
+//! request is one [`rtml_net::Fabric::send_chunks_with_bodies`] stream:
+//! a single propagation-delay sample, each chunk due when its header and
+//! body have crossed, [`chunk_frames`] frames per object.
 //!
-//! # Receiving: in place, in order
+//! # Copying nothing: windows out, windows joined
 //!
-//! Frames are decoded over the `Bytes` they arrived in
-//! ([`rtml_common::codec::decode_from_bytes`]), so a chunk's payload is
-//! a window of its frame, not a copy. An object that arrives as one
-//! chunk is sealed into the store as that window. A multi-chunk object
-//! is assembled while it arrives: its first chunk allocates the
-//! destination once, at the exact size the chunk header names, and each
-//! chunk is appended as soon as everything before it has been — so when
-//! the last chunk lands only its own copy is left to do. Duplicated and
-//! reordered frames are absorbed by index.
+//! A holder sends each chunk's body as a `Bytes::slice` window of its
+//! sealed copy, and a relay passes on the frames it received as they
+//! are, so every chunk of a stream, however many nodes it went through,
+//! is a window of the one buffer it was served from. When the last
+//! chunk lands, the receiver seals the object by joining its windows
+//! (`Bytes::try_join`): the object it stores is the holder's buffer,
+//! and no thread copied a payload byte. Only chunks from different
+//! buffers — a stream re-requested from another holder partway through
+//! — do not join; the object is then copied once, at the exact size its
+//! headers name, and counted in [`TransferStats::bytes_copied`].
+//! Duplicated and reordered frames are absorbed by index.
 //!
 //! # Relaying: a hot object leaves its origin once
 //!
@@ -62,9 +66,9 @@
 //!   readers are ever named, so the chain has no cycle;
 //! - a node asked for an object it is still receiving sends the chunk
 //!   frames it already has and registers the reader downstream; every
-//!   later frame is passed on as it arrives, byte-identical, before
-//!   copying it. Catch-up and pass-on run in the same loop, so each
-//!   frame reaches each downstream reader exactly once.
+//!   later frame is passed on as it arrives, header and body as they
+//!   came. Catch-up and pass-on run in the same loop, so each frame
+//!   reaches each downstream reader exactly once.
 //!
 //! A node with a sealed copy serves as always. A relay whose own fetch
 //! is answered `Missing` passes that on; one that goes silent (killed,
@@ -83,7 +87,7 @@
 //! is as a rule already blocked on it, the producer can do better:
 //! [`FetchAgent::push`] sends the sealed bytes to the submitter's
 //! object plane as the single `Chunk` frame a request would have been
-//! answered with, one hop after the seal. Only values of at most
+//! answered with — its body the sealed buffer — one hop after the seal. Only values of at most
 //! [`PUSH_MAX_BYTES`] that fit one chunk are pushed; whether a given
 //! result *should* be (nothing queued behind it on the producing node)
 //! is the caller's rule. The receiving agent needs nothing new: a chunk
@@ -217,9 +221,13 @@ pub struct TransferStats {
     pub timeouts: Counter,
     /// Undecodable frames received.
     pub decode_errors: Counter,
-    /// Chunk frames dropped: a header out of bounds for the store, or an
-    /// object that did not add up to the size its headers named.
+    /// Chunk frames dropped: a header out of bounds for the store, a
+    /// body of another length than its header names, or an object that
+    /// did not add up to the size its headers named.
     pub bad_chunks: Counter,
+    /// Payload bytes copied while serving, pushing or assembling: only
+    /// an object whose chunks came from different buffers is copied.
+    pub bytes_copied: Counter,
 }
 
 impl TransferStats {
@@ -227,8 +235,9 @@ impl TransferStats {
     /// (`transfer.*`) and what it fetched for itself (`fetch.*`).
     pub fn register_metrics(self: &Arc<Self>, registry: &MetricsRegistry) {
         type Read = fn(&TransferStats) -> &Counter;
-        let counters: [(&str, Read); 11] = [
+        let counters: [(&str, Read); 12] = [
             ("transfer.requests", |s| &s.requests),
+            ("transfer.bytes_copied", |s| &s.bytes_copied),
             ("transfer.objects_served", |s| &s.objects_served),
             ("transfer.misses", |s| &s.misses_served),
             ("transfer.chunks_sent", |s| &s.chunks_sent),
@@ -270,7 +279,7 @@ pub type FetchResult = Result<(Bytes, Fetched)>;
 
 #[cfg(test)]
 mod tests {
-    use super::wire::{encode_chunk_frame, TransferMsg};
+    use super::wire::{chunk_frame, TransferMsg};
     use super::*;
     use crate::store::{ObjectStore, StoreConfig};
     use crossbeam::channel::unbounded;
@@ -342,7 +351,7 @@ mod tests {
                 index: 2,
                 total: 7,
                 size: 1 << 40,
-                payload: Bytes::from_static(b"data"),
+                len: 1 << 18,
             },
             TransferMsg::Missing { object: obj(2) },
         ];
@@ -390,10 +399,10 @@ mod tests {
             .unwrap();
         assert_eq!(data.as_slice(), &payload[..]);
         // The store holds the very buffer the caller was answered with,
-        // and that buffer is not the sender's.
+        // and that buffer is the holder's sealed copy: nothing copied it.
         let stored = store1.get(obj(1)).unwrap();
         assert_eq!(stored.as_ptr(), data.as_ptr());
-        assert_ne!(stored.as_ptr(), store0.get(obj(1)).unwrap().as_ptr());
+        assert_eq!(stored.as_ptr(), store0.get(obj(1)).unwrap().as_ptr());
     }
 
     #[test]
@@ -403,9 +412,9 @@ mod tests {
         let (fabric, _directory, store0, _store1, _s0, agent) = setup_chunked(0, 256);
         let probe = fabric.register(NodeId(0), "probe");
         for total in [u32::MAX, 4097] {
-            let forged = encode_chunk_frame(obj(1), 0, total, 1, b"x");
+            let forged = chunk_frame(obj(1), 0, total, 1, Bytes::from_static(b"x"));
             fabric
-                .send(probe.address(), agent.address(), forged)
+                .send_chunks_with_bodies(probe.address(), agent.address(), vec![forged])
                 .unwrap();
         }
         // The agent is alive, tracked nothing for the forged frames, and
@@ -434,6 +443,87 @@ mod tests {
         assert_eq!(s0.stats().chunks_sent.get(), 4);
         assert_eq!(agent.stats().chunks_received.get(), 4);
         assert_eq!(fabric.stats.chunk_frames.get(), 4);
+    }
+
+    #[test]
+    fn a_multi_chunk_fetch_seals_the_holders_buffer_and_copies_nothing() {
+        // 1 MiB at 256 KiB chunks: four windows of the holder's copy,
+        // joined back into one on arrival.
+        let (_fabric, _directory, store0, store1, s0, agent) = setup(100);
+        let payload: Vec<u8> = (0..1u32 << 20).map(|i| (i % 251) as u8).collect();
+        store0.put(obj(1), Bytes::from(payload.clone())).unwrap();
+        let (data, _) = agent
+            .fetch_one(obj(1), NodeId(0), Duration::from_secs(5))
+            .unwrap();
+        assert_eq!(data.as_slice(), &payload[..]);
+        assert_eq!(agent.stats().chunks_received.get(), 4);
+        let holders = store0.get(obj(1)).unwrap();
+        assert_eq!(store1.get(obj(1)).unwrap().as_ptr(), holders.as_ptr());
+        assert_eq!(data.as_ptr(), holders.as_ptr());
+        assert_eq!(s0.stats().bytes_copied.get(), 0);
+        assert_eq!(agent.stats().bytes_copied.get(), 0);
+    }
+
+    /// Sends `frames` to `agent` from a probe endpoint on node 0.
+    fn hand_feed(fabric: &Arc<Fabric>, agent: &FetchAgent, frames: Vec<(Bytes, Bytes)>) {
+        let probe = fabric.register(NodeId(0), "probe");
+        fabric
+            .send_chunks_with_bodies(probe.address(), agent.address(), frames)
+            .unwrap();
+    }
+
+    #[test]
+    fn chunks_from_different_buffers_are_copied_once_and_counted() {
+        let (fabric, _directory, _store0, store1, _s0, agent) = setup(0);
+        let payload = patterned(600 << 10);
+        let size = payload.len() as u64;
+        // The same bytes, sealed twice: chunk 1 comes from the second.
+        let twin = Bytes::from(payload.to_vec());
+        let frames = vec![
+            chunk_frame(obj(1), 0, 3, size, payload.slice(0..256 << 10)),
+            chunk_frame(obj(1), 1, 3, size, twin.slice(256 << 10..512 << 10)),
+            chunk_frame(obj(1), 2, 3, size, payload.slice(512 << 10..600 << 10)),
+        ];
+        hand_feed(&fabric, &agent, frames);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !store1.contains(obj(1)) {
+            assert!(Instant::now() < deadline, "never sealed");
+            std::thread::yield_now();
+        }
+        let stored = store1.get(obj(1)).unwrap();
+        assert_eq!(stored, payload);
+        assert_ne!(stored.as_ptr(), payload.as_ptr());
+        assert_eq!(agent.stats().bytes_copied.get(), size);
+        assert_eq!(agent.stats().bad_chunks.get(), 0);
+    }
+
+    #[test]
+    fn chunks_that_overrun_their_size_are_rejected() {
+        let (fabric, _directory, _store0, store1, _s0, agent) = setup(0);
+        let buffer = patterned(200_000);
+        // Adjacent windows of one buffer, which join, but 200 000 bytes
+        // against the 150 000 the headers name.
+        let mut frames = vec![
+            chunk_frame(obj(1), 0, 2, 150_000, buffer.slice(0..100_000)),
+            chunk_frame(obj(1), 1, 2, 150_000, buffer.slice(100_000..200_000)),
+        ];
+        // Bodies that add up to the object's size, each one byte off the
+        // length its own header names.
+        for (index, body) in [(0, 0..99), (1, 99..200)] {
+            let (header, _) = chunk_frame(obj(2), index, 2, 200, buffer.slice(0..100));
+            frames.push((header, buffer.slice(body)));
+        }
+        hand_feed(&fabric, &agent, frames);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while agent.stats().bad_chunks.get() < 3 {
+            assert!(Instant::now() < deadline, "not rejected");
+            std::thread::yield_now();
+        }
+        assert_eq!(agent.stats().chunks_received.get(), 4);
+        assert_eq!(agent.stats().bad_chunks.get(), 3);
+        assert!(!store1.contains(obj(1)) && !store1.contains(obj(2)));
+        assert_eq!(agent.in_flight_len(), 0);
+        assert_eq!(agent.stats().objects_fetched.get(), 0);
     }
 
     #[test]
@@ -596,20 +686,6 @@ mod tests {
         assert_eq!(&data[..], b"x");
         // Completion removes the entry; nothing lingers.
         assert_eq!(agent.in_flight_len(), 0);
-    }
-
-    #[test]
-    fn chunk_frame_encoding_matches_codec() {
-        let payload: Vec<u8> = (0..300u32).map(|i| (i % 256) as u8).collect();
-        let direct = encode_chunk_frame(obj(3), 2, 7, 2000, &payload);
-        let via_codec = encode_to_bytes(&TransferMsg::Chunk {
-            object: obj(3),
-            index: 2,
-            total: 7,
-            size: 2000,
-            payload: Bytes::from(payload),
-        });
-        assert_eq!(direct, via_codec);
     }
 
     #[test]
@@ -822,6 +898,37 @@ mod tests {
     }
 
     #[test]
+    fn a_relayed_object_is_the_holders_buffer_on_every_reader() {
+        // 8 MB/s: the 64 KiB object's four chunks hold the origin's link
+        // for 8 ms, so the second and third request are handed on.
+        let config = FabricConfig {
+            latency: LatencyModel::Constant(Duration::from_micros(100)),
+            bandwidth_bytes_per_sec: Some(8_000_000),
+            ..FabricConfig::default()
+        };
+        let (_fabric, _directory, p) = peers(4, config, 16 << 10);
+        let payload = patterned(64 << 10);
+        p[0].store.put(obj(1), payload.clone()).unwrap();
+        let (done, answers) = unbounded();
+        for reader in &p[1..] {
+            reader
+                .agent
+                .request_many(&[obj(1)], NodeId(0), Duration::from_secs(5), &done);
+        }
+        for _ in 0..3 {
+            let (_, result) = answers.recv_timeout(Duration::from_secs(5)).unwrap();
+            assert_eq!(result.unwrap().0.as_ptr(), payload.as_ptr());
+        }
+        assert_eq!(p[0].agent.stats().handed_on.get(), 2);
+        let forwarded = p.iter().map(|p| p.agent.stats().chunks_forwarded.get());
+        assert!(forwarded.sum::<u64>() > 0);
+        for peer in &p {
+            assert_eq!(peer.store.get(obj(1)).unwrap().as_ptr(), payload.as_ptr());
+            assert_eq!(peer.agent.stats().bytes_copied.get(), 0);
+        }
+    }
+
+    #[test]
     fn a_reader_whose_relay_goes_silent_completes_from_another_holder() {
         // 2 MB/s: each 8 KiB chunk of the 64 KiB object takes 4 ms.
         let config = FabricConfig {
@@ -979,7 +1086,7 @@ mod tests {
         let payload = patterned(PUSH_MAX_BYTES);
         p[1].store.put(obj(1), payload.clone()).unwrap();
         let before = rtml_common::time::now_nanos();
-        let push = |to: NodeId, object: ObjectId, data: &[u8]| p[1].agent.push(to, object, data);
+        let push = |to: NodeId, object: ObjectId, data: &Bytes| p[1].agent.push(to, object, data);
         assert!(push(NodeId(0), obj(1), &payload));
 
         // It arrives as the one frame a request would have been answered
@@ -1002,9 +1109,10 @@ mod tests {
         // One byte over the limit, a value a request would have split,
         // a node with no agent listed: nothing is sent.
         assert!(!push(NodeId(0), obj(2), &patterned(PUSH_MAX_BYTES + 1)));
-        assert!(!push(NodeId(9), obj(2), b"x"));
+        let x = Bytes::from_static(b"x");
+        assert!(!push(NodeId(9), obj(2), &x));
         directory.remove(NodeId(0));
-        assert!(!push(NodeId(0), obj(2), b"x"));
+        assert!(!push(NodeId(0), obj(2), &x));
         let small_chunks = FetchAgent::spawn(
             fabric,
             Arc::new(ObjectStore::new(StoreConfig {
@@ -1114,10 +1222,9 @@ mod tests {
     }
 
     #[test]
-    fn holder_pins_object_while_serving() {
-        // A store at capacity: serving a request must not let the served
-        // object be evicted out from under the snapshot. We exercise the
-        // pin bracket directly through a serve while the store is full.
+    fn serving_leaves_the_object_evictable() {
+        // Serving sends windows of the sealed copy, which keep its bytes
+        // alive on their own: nothing is pinned, before or after.
         let (_fabric, _directory, store0, _store1, _s0, agent) = setup_chunked(0, 64);
         let payload = Bytes::from(vec![9u8; 512]);
         store0.put(obj(1), payload.clone()).unwrap();
@@ -1125,8 +1232,7 @@ mod tests {
             .fetch_one(obj(1), NodeId(0), Duration::from_secs(5))
             .unwrap();
         assert_eq!(data, payload);
-        // The pin was released after the serve: the object is evictable
-        // again under pressure.
+        assert_eq!(store0.pinned_bytes(), 0);
         store0.put(obj(2), Bytes::from(vec![1u8; 1 << 20])).unwrap();
         assert!(!store0.contains(obj(1)));
     }

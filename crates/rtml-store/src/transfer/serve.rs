@@ -12,7 +12,7 @@ use rtml_common::ids::{NodeId, ObjectId};
 use rtml_net::NetAddress;
 
 use super::agent::Plane;
-use super::wire::{chunk_frames, encode_chunk_frame, TransferMsg};
+use super::wire::{chunk_frame, chunk_frames, Frame, TransferMsg};
 
 /// The reader a node last streamed (or handed) an object to, and when
 /// its own egress link will have drained that stream.
@@ -49,28 +49,21 @@ impl Server {
                 frames.extend(have);
                 continue;
             }
-            // Pin across lookup + snapshot so a concurrent put's LRU
-            // sweep cannot evict the object between "decide to serve"
-            // and "copy bytes".
-            let pinned = plane.store.pin(object);
             match plane.store.get(object) {
                 Some(data) => {
                     plane.stats.objects_served.inc();
-                    let data = data.as_slice();
-                    let total = chunk_frames(data.len(), chunk_bytes);
+                    // Each chunk's body is a window of the sealed copy.
+                    let (size, total) = (data.len(), chunk_frames(data.len(), chunk_bytes));
                     for index in 0..total {
                         let a = index * chunk_bytes;
                         let b = match index + 1 == total {
-                            true => data.len(),
+                            true => size,
                             false => a + chunk_bytes,
                         };
-                        frames.push(encode_chunk_frame(
-                            object,
-                            index as u32,
-                            total as u32,
-                            data.len() as u64,
-                            &data[a..b],
-                        ));
+                        let body = data.slice(a..b);
+                        let frame =
+                            chunk_frame(object, index as u32, total as u32, size as u64, body);
+                        frames.push(frame);
                     }
                     plane.stats.chunks_sent.add(total as u64);
                     if total > 1 {
@@ -79,16 +72,14 @@ impl Server {
                 }
                 None => {
                     plane.stats.misses_served.inc();
-                    frames.push(encode_to_bytes(&TransferMsg::Missing { object }));
+                    let missing = encode_to_bytes(&TransferMsg::Missing { object });
+                    frames.push((missing, Bytes::new()));
                 }
-            }
-            if pinned {
-                plane.store.unpin(object);
             }
         }
         if plane
             .fabric
-            .send_chunks(plane.address, reader, frames)
+            .send_chunks_with_bodies(plane.address, reader, frames)
             .is_err()
         {
             plane.stats.send_failures.inc();
@@ -141,7 +132,7 @@ impl Plane {
     /// If this node is still receiving `object`, registers `reader`
     /// downstream of it and returns the chunk frames received so far;
     /// the assembly passes on every later frame as it arrives.
-    fn relay(&self, object: ObjectId, reader: NetAddress) -> Option<Vec<Bytes>> {
+    fn relay(&self, object: ObjectId, reader: NetAddress) -> Option<Vec<Frame>> {
         let mut unsealed = self.unsealed.lock();
         // An entry past its deadline is a transfer that died: better an
         // honest `Missing` than a reader waiting on it.

@@ -1,9 +1,11 @@
 //! The object plane's wire format: three messages, encoded with the
-//! rtml codec, and how many frames an object leaves a store in.
+//! rtml codec, how a chunk travels — its encoded header and, beside it,
+//! a window of the sealed object — and how many frames an object leaves
+//! a store in.
 
 use bytes::Bytes;
 
-use rtml_common::codec::{Codec, Reader, Writer};
+use rtml_common::codec::{encode_to_bytes, Codec, Reader, Writer};
 use rtml_common::error::{Error, Result};
 use rtml_common::ids::ObjectId;
 
@@ -17,15 +19,16 @@ pub(super) enum TransferMsg {
         objects: Vec<ObjectId>,
         reply_to: u64,
     },
-    /// One size-capped piece of an object's payload. `total` is the
+    /// The header of one size-capped piece of an object's payload: the
+    /// piece itself is the frame's body, `len` bytes. `total` is the
     /// number of chunks the object was split into and `size` its length
-    /// in bytes; the receiver appends chunks in index order.
+    /// in bytes.
     Chunk {
         object: ObjectId,
         index: u32,
         total: u32,
         size: u64,
-        payload: Bytes,
+        len: u64,
     },
     /// The holder no longer has the object (evicted or crashed between
     /// lookup and request).
@@ -45,14 +48,14 @@ impl Codec for TransferMsg {
                 index,
                 total,
                 size,
-                payload,
+                len,
             } => {
                 w.put_u8(1);
                 object.encode(w);
                 w.put_u32(*index);
                 w.put_u32(*total);
                 w.put_varint(*size);
-                payload.encode(w);
+                w.put_varint(*len);
             }
             TransferMsg::Missing { object } => {
                 w.put_u8(2);
@@ -72,7 +75,7 @@ impl Codec for TransferMsg {
                 index: r.take_u32()?,
                 total: r.take_u32()?,
                 size: r.take_varint()?,
-                payload: Bytes::decode(r)?,
+                len: r.take_varint()?,
             },
             2 => TransferMsg::Missing {
                 object: ObjectId::decode(r)?,
@@ -82,31 +85,29 @@ impl Codec for TransferMsg {
     }
 }
 
-/// Encodes a `TransferMsg::Chunk` frame directly from a payload slice,
-/// skipping the intermediate `Bytes` a literal `TransferMsg` value would
-/// force (one memcpy instead of two on the serving hot path). Must stay
-/// byte-identical to `TransferMsg::Chunk`'s `Codec::encode`; a test
-/// asserts the equivalence.
-pub(super) fn encode_chunk_frame(
+/// A frame as the object plane hands it to the fabric: the encoded
+/// message, and a chunk's body — empty for the other messages.
+pub(super) type Frame = (Bytes, Bytes);
+
+/// Chunk `index` of the `total` that `object`, `size` bytes in all, is
+/// sent in: its header, and `body` as it is — a window of the sealed
+/// copy, never copied.
+pub(super) fn chunk_frame(
     object: ObjectId,
     index: u32,
     total: u32,
     size: u64,
-    payload: &[u8],
-) -> Bytes {
-    // Tag, object id (two 16-byte ids, a tag, a varint counter), two
-    // u32s, the size and the varint length prefix: sized so the frame is
-    // never reallocated, which would double the buffer every receiver
-    // keeps.
-    const HEADER_MAX: usize = 1 + (16 + 16 + 1 + 10) + 4 + 4 + 10 + 10;
-    let mut w = Writer::with_capacity(HEADER_MAX + payload.len());
-    w.put_u8(1);
-    object.encode(&mut w);
-    w.put_u32(index);
-    w.put_u32(total);
-    w.put_varint(size);
-    w.put_bytes(payload);
-    w.into_bytes()
+    body: Bytes,
+) -> Frame {
+    let len = body.len() as u64;
+    let header = TransferMsg::Chunk {
+        object,
+        index,
+        total,
+        size,
+        len,
+    };
+    (encode_to_bytes(&header), body)
 }
 
 /// A tail shorter than this share of a chunk rides in the last full
@@ -117,8 +118,8 @@ const TAIL_SHARE: usize = 16;
 /// ⌈size / chunk⌉, except that a tail under a sixteenth of a chunk is
 /// absorbed by the frame before it. A sealed value is its payload plus
 /// at most 11 envelope bytes, so without the exception a 256 KiB block
-/// would travel as a frame and a sliver — and lose its place as a
-/// window of one received frame.
+/// would travel as a frame and a sliver — a second header, a second
+/// frame for the receiver's loop to take, for eleven bytes.
 pub fn chunk_frames(size: usize, chunk_bytes: usize) -> usize {
     let chunk_bytes = chunk_bytes.max(1);
     let (full, tail) = (size / chunk_bytes, size % chunk_bytes);
