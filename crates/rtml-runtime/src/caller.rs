@@ -349,7 +349,7 @@ impl Caller {
             // lands elsewhere is covered by the stuck-task backstop if
             // *that* node dies too.
             Some(index) => services.submit_batch_striped(inner.home, index, fresh)?,
-            None => services.submit_batch_to(ingest, fresh)?,
+            None => services.submit_batch_home(ingest, fresh)?,
         }
         Ok(results)
     }

@@ -11,6 +11,7 @@
 //! inputs.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -29,16 +30,6 @@ use crate::services::Services;
 /// callers' poll loops.
 const RECONSTRUCTION_CAP: usize = 64;
 
-/// The stuck-task backstop's memory.
-struct Watch {
-    /// task -> (state when first seen, when first seen).
-    seen: HashMap<TaskId, (TaskState, Instant)>,
-    /// Size at which entries whose task has moved on are pruned; doubled
-    /// past whatever survives, so pruning stays O(1) reads per insert
-    /// however many producers are legitimately in flight at once.
-    prune_at: usize,
-}
-
 /// Deduplicating lineage-replay coordinator. One per cluster.
 pub struct ReconstructionManager {
     services: Arc<Services>,
@@ -46,11 +37,17 @@ pub struct ReconstructionManager {
     /// write (a very small window, but enough for duplicate triggers).
     inflight: Mutex<HashSet<TaskId>>,
     /// Replays resubmitted and not yet observed back in a terminal
-    /// state — the window [`RECONSTRUCTION_CAP`] counts.
-    active: Mutex<HashSet<TaskId>>,
+    /// state — the window [`RECONSTRUCTION_CAP`] counts — with the
+    /// attempt each was resubmitted as.
+    active: Mutex<HashMap<TaskId, u32>>,
     /// Producers observed blocking a consumer, for the stuck-task
-    /// backstop.
-    watch: Mutex<Watch>,
+    /// backstop: task -> (state when first seen, when first seen).
+    watch: Mutex<HashMap<TaskId, (TaskState, Instant)>>,
+    /// Size at which watched producers that moved on are pruned; doubled
+    /// past whatever survives, so pruning stays O(1) reads per insert
+    /// however many are legitimately in flight at once. Out of reach
+    /// while a prune runs, so one runs at a time.
+    prune_at: AtomicUsize,
     /// A watched producer wedged in the *same* pre-running state this
     /// long (its queue message swallowed by a partition, its spill
     /// placement dropped on the wire) is declared lost and replayed.
@@ -71,11 +68,9 @@ impl ReconstructionManager {
         Arc::new(ReconstructionManager {
             services,
             inflight: Mutex::new(HashSet::new()),
-            active: Mutex::new(HashSet::new()),
-            watch: Mutex::new(Watch {
-                seen: HashMap::new(),
-                prune_at: 256,
-            }),
+            active: Mutex::new(HashMap::new()),
+            watch: Mutex::new(HashMap::new()),
+            prune_at: AtomicUsize::new(256),
             stuck_after,
             reconstructions: Counter::new(),
             deferred: Arc::default(),
@@ -185,30 +180,36 @@ impl ReconstructionManager {
     /// replay racing the original is safe — task and object IDs are
     /// deterministic, so both executions seal identical values.
     fn note_inflight(&self, task: TaskId, state: TaskState) {
-        let wedged = {
+        let (wedged, watched) = {
             let mut watch = self.watch.lock();
-            if watch.seen.len() > watch.prune_at {
-                let services = &self.services;
-                watch.seen.retain(|t, _| {
-                    matches!(
-                        services.tasks.get_state(*t),
-                        Some(TaskState::Submitted | TaskState::Queued(_) | TaskState::Spilled)
-                    )
-                });
-                watch.prune_at = (2 * watch.seen.len()).max(256);
-            }
-            match watch.seen.get_mut(&task) {
+            let wedged = match watch.get_mut(&task) {
                 Some((seen, since)) if *seen == state => since.elapsed() >= self.stuck_after,
                 _ => {
-                    watch.seen.insert(task, (state.clone(), Instant::now()));
+                    watch.insert(task, (state.clone(), Instant::now()));
                     false
                 }
-            }
+            };
+            (wedged, watch.len())
         };
+        let at = self.prune_at.load(Relaxed);
+        if watched > at
+            && self
+                .prune_at
+                .compare_exchange(at, usize::MAX, Relaxed, Relaxed)
+                .is_ok()
+        {
+            let left = self.prune(&self.watch, |state| {
+                matches!(
+                    state,
+                    TaskState::Submitted | TaskState::Queued(_) | TaskState::Spilled
+                )
+            });
+            self.prune_at.store((2 * left).max(256), Relaxed);
+        }
         if !wedged {
             return;
         }
-        self.watch.lock().seen.remove(&task);
+        self.watch.lock().remove(&task);
         // Narrow the race: only declare Lost if the state is still the
         // one we watched wedge.
         if self.services.tasks.get_state(task) == Some(state) {
@@ -221,28 +222,21 @@ impl ReconstructionManager {
     /// counter. No-op if another trigger beat us to it, deferred if the
     /// reconstruction cap is reached (callers' poll loops re-trigger).
     pub fn resubmit(&self, task: TaskId) {
-        {
-            let mut active = self.active.lock();
-            if active.len() >= RECONSTRUCTION_CAP {
-                // Prune replays that have since reached a terminal
-                // state before declaring the cap hit.
-                let services = &self.services;
-                active.retain(|t| {
-                    matches!(
-                        services.tasks.get_state(*t),
-                        Some(
-                            TaskState::Submitted
-                                | TaskState::Queued(_)
-                                | TaskState::Spilled
-                                | TaskState::Running(_)
-                        )
-                    )
-                });
-                if active.len() >= RECONSTRUCTION_CAP {
-                    self.deferred.inc();
-                    return;
-                }
-            }
+        // Replays that have since reached a terminal state are pruned
+        // before the cap is declared hit.
+        let in_flight = |state: &TaskState| {
+            matches!(
+                state,
+                TaskState::Submitted
+                    | TaskState::Queued(_)
+                    | TaskState::Spilled
+                    | TaskState::Running(_)
+            )
+        };
+        let full = self.active.lock().len() >= RECONSTRUCTION_CAP;
+        if full && self.prune(&self.active, in_flight) >= RECONSTRUCTION_CAP {
+            self.deferred.inc();
+            return;
         }
         {
             let mut inflight = self.inflight.lock();
@@ -250,27 +244,43 @@ impl ReconstructionManager {
                 return;
             }
         }
-        if self.resubmit_inner(task) {
-            self.active.lock().insert(task);
+        if let Some(attempt) = self.resubmit_inner(task) {
+            self.active.lock().insert(task, attempt);
         }
         self.inflight.lock().remove(&task);
     }
 
-    /// Number of replays currently counted against the cap (without
-    /// pruning; exact enough for tests and reporting).
-    pub fn active_replays(&self) -> usize {
-        self.active.lock().len()
+    /// Drops the entries of `map` whose task's state no longer passes
+    /// `in_flight` and returns how many are left. The states are read
+    /// with one batched read with no lock held — blocked `get`s and every
+    /// node loop nudge through here — and an entry changed meanwhile
+    /// stays.
+    fn prune<V: Clone + PartialEq>(
+        &self,
+        map: &Mutex<HashMap<TaskId, V>>,
+        in_flight: fn(&TaskState) -> bool,
+    ) -> usize {
+        let snapshot: Vec<(TaskId, V)> = map.lock().iter().map(|(t, v)| (*t, v.clone())).collect();
+        let ids: Vec<TaskId> = snapshot.iter().map(|(task, _)| *task).collect();
+        let states = self.services.tasks.get_states_many(&ids);
+        let mut map = map.lock();
+        for ((task, seen), state) in snapshot.into_iter().zip(states) {
+            if !state.as_ref().is_some_and(in_flight) && map.get(&task) == Some(&seen) {
+                map.remove(&task);
+            }
+        }
+        map.len()
     }
 
-    fn resubmit_inner(&self, task: TaskId) -> bool {
-        let Some(mut spec) = self.services.tasks.get_spec(task) else {
-            return false;
-        };
+    /// Resubmits `task`; the attempt it went out as, or `None` if there
+    /// was nothing to resubmit.
+    fn resubmit_inner(&self, task: TaskId) -> Option<u32> {
+        let mut spec = self.services.tasks.get_spec(task)?;
         // Re-check state under the inflight guard: another thread may
         // have already resubmitted.
         match self.services.tasks.get_state(task) {
             Some(TaskState::Finished) | Some(TaskState::Lost) | None => {}
-            _ => return false,
+            _ => return None,
         }
         spec.attempt += 1;
         self.services.tasks.put_spec(&spec);
@@ -289,10 +299,11 @@ impl ReconstructionManager {
         );
         // Routing failure (cluster shutting down) leaves callers to
         // time out; the resubmission itself still happened.
+        let attempt = spec.attempt;
         let _ = self
             .services
             .submit_batch_to(spec.submitter_node, vec![spec]);
-        true
+        Some(attempt)
     }
 
     /// Seals error envelopes for objects that can never be produced, so
@@ -314,5 +325,53 @@ impl ReconstructionManager {
                 .services
                 .seal_and_publish(&store, *object, bytes.clone(), || None);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cluster::ClusterConfig;
+    use rtml_common::ids::{DriverId, NodeId};
+
+    #[test]
+    fn a_prune_of_the_watch_reads_its_states_in_one_batch() {
+        const SHARDS: usize = 4;
+        let services = Services::create(&ClusterConfig {
+            kv_shards: SHARDS,
+            ..ClusterConfig::default()
+        });
+        let recon = ReconstructionManager::new(services.clone());
+        let root = TaskId::driver_root(DriverId::from_index(0));
+        let tasks: Vec<TaskId> = (0..1000).map(|i| root.child(i)).collect();
+        let queued = TaskState::Queued(NodeId(0));
+        // Every other producer has finished since it was watched.
+        for (i, task) in tasks.iter().enumerate() {
+            let state = if i % 2 == 0 {
+                &TaskState::Finished
+            } else {
+                &queued
+            };
+            services.tasks.set_state(*task, state);
+        }
+        {
+            let mut watch = recon.watch.lock();
+            for task in &tasks {
+                watch.insert(*task, (queued.clone(), Instant::now()));
+            }
+        }
+        recon.prune_at.store(tasks.len() - 1, Relaxed);
+        let before = services.kv.stats().total_locks();
+        recon.note_inflight(tasks[1], queued.clone());
+        let locks = services.kv.stats().total_locks() - before;
+        assert!(locks <= 2 * SHARDS as u64 + 2, "{locks} kv locks");
+        let watch = recon.watch.lock();
+        assert_eq!(watch.len(), tasks.len() / 2);
+        assert!(tasks
+            .iter()
+            .skip(1)
+            .step_by(2)
+            .all(|t| watch.contains_key(t)));
+        assert_eq!(recon.prune_at.load(Relaxed), tasks.len());
     }
 }

@@ -244,7 +244,7 @@ impl NodeRuntime {
             node,
             store.clone(),
             sched.agent().clone(),
-            sched.sender(),
+            sched.submitter(),
             config.total_resources(),
         );
 

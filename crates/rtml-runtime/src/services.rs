@@ -8,7 +8,6 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use crossbeam::channel::Sender;
 use parking_lot::RwLock;
 
 use rtml_common::error::{Error, Result};
@@ -20,7 +19,7 @@ use rtml_common::retry::RetryPolicy;
 use rtml_common::task::TaskSpec;
 use rtml_kv::{EventLog, FunctionTable, Inbound, KvStore, ObjectTable, TaskTable};
 use rtml_net::{Fabric, FabricConfig};
-use rtml_sched::{HealthTracker, LocalMsg, REPORT_STALE_AFTER};
+use rtml_sched::{HealthTracker, LocalSubmitter, REPORT_STALE_AFTER};
 use rtml_store::{FetchAgent, ObjectStore, TransferDirectory};
 
 use crate::cluster::ClusterConfig;
@@ -61,7 +60,7 @@ pub struct Services {
     /// the whole cluster. Every node's telemetry sample records them
     /// beside its own registry's.
     pub metrics: Arc<MetricsRegistry>,
-    router: RwLock<HashMap<NodeId, Sender<LocalMsg>>>,
+    router: RwLock<HashMap<NodeId, LocalSubmitter>>,
     stores: RwLock<HashMap<NodeId, Arc<ObjectStore>>>,
     agents: RwLock<HashMap<NodeId, Arc<FetchAgent>>>,
     node_totals: RwLock<HashMap<NodeId, Resources>>,
@@ -108,14 +107,14 @@ impl Services {
         })
     }
 
-    /// Registers a live node's store, fetch agent, scheduler channel,
+    /// Registers a live node's store, fetch agent, scheduler submitter,
     /// and capacity.
     pub fn attach_node(
         &self,
         node: NodeId,
         store: Arc<ObjectStore>,
         agent: Arc<FetchAgent>,
-        sched: Sender<LocalMsg>,
+        sched: LocalSubmitter,
         total: Resources,
     ) {
         self.stores.write().insert(node, store);
@@ -183,15 +182,17 @@ impl Services {
     /// hot path. Falls back to any alive node when the target is gone
     /// (e.g. reconstruction onto a dead submitter).
     pub fn submit_batch_to(&self, node: NodeId, specs: Vec<TaskSpec>) -> Result<()> {
-        self.try_submit_batch_to(node, specs)
+        self.try_submit_batch_to(node, specs, false)
             .map_err(|(_specs, err)| err)
     }
 
-    fn lowest_alive_locked<'a>(
-        &self,
-        router: &'a HashMap<NodeId, Sender<LocalMsg>>,
-    ) -> Option<&'a Sender<LocalMsg>> {
-        router.iter().min_by_key(|(n, _)| **n).map(|(_, tx)| tx)
+    /// [`Self::submit_batch_to`] for a submitter on `home` itself (one of
+    /// its workers): a batch the node's loop would accept whole and
+    /// runnable is admitted on the calling thread
+    /// ([`LocalSubmitter::submit`]).
+    pub fn submit_batch_home(&self, home: NodeId, specs: Vec<TaskSpec>) -> Result<()> {
+        self.try_submit_batch_to(home, specs, true)
+            .map_err(|(_specs, err)| err)
     }
 
     /// The lowest-numbered alive node (the driver's preferred home).
@@ -230,7 +231,9 @@ impl Services {
     /// stripe target; if its scheduler channel is gone (killed
     /// mid-send), re-aim at the next stripe position. Attempts are
     /// bounded by the retry policy; specs are recovered from each
-    /// failed send, never lost.
+    /// failed send, never lost. At stripe width 1 the first attempt is
+    /// the driver's own node's, as [`Self::submit_batch_home`]; stripe
+    /// targets and failover go to the loop.
     pub fn submit_batch_striped(
         &self,
         home: NodeId,
@@ -242,7 +245,8 @@ impl Services {
         let mut last = Error::ShuttingDown;
         for attempt in 0..attempts {
             let target = self.stripe_target(home, index + attempt);
-            match self.try_submit_batch_to(target, specs) {
+            let own = self.config.submit_striping == 1 && attempt == 0;
+            match self.try_submit_batch_to(target, specs, own) {
                 Ok(()) => return Ok(()),
                 Err((returned, err)) => {
                     specs = returned;
@@ -254,33 +258,31 @@ impl Services {
     }
 
     /// The one routing step under every submission: `node`'s scheduler,
-    /// or the lowest alive node's when it is gone. Hands the specs back
-    /// on failure so the caller can fail over without losing the batch.
+    /// or the lowest alive node's when it is gone. `own` lets a batch be
+    /// admitted on the calling thread, on `node` itself only. Hands the
+    /// specs back on failure so the caller can fail over without losing
+    /// the batch.
     fn try_submit_batch_to(
         &self,
         node: NodeId,
         specs: Vec<TaskSpec>,
+        own: bool,
     ) -> std::result::Result<(), (Vec<TaskSpec>, Error)> {
         let router = self.router.read();
-        let Some(target) = router
-            .get(&node)
-            .or_else(|| self.lowest_alive_locked(&router))
-        else {
+        let lowest = || {
+            router
+                .iter()
+                .min_by_key(|(n, _)| **n)
+                .map(|(_, t)| (t, false))
+        };
+        let Some((target, own)) = router.get(&node).map(|t| (t, own)).or_else(lowest) else {
             return Err((specs, Error::ShuttingDown));
         };
         let target = target.clone();
         drop(router);
         target
-            .send(LocalMsg::SubmitBatch {
-                specs,
-                via_global: false,
-            })
-            .map_err(|failed| match failed.0 {
-                LocalMsg::SubmitBatch { specs, .. } => {
-                    (specs, Error::Disconnected("local scheduler"))
-                }
-                _ => unreachable!("send returns the message it failed to send"),
-            })
+            .submit(specs, own)
+            .map_err(|specs| (specs, Error::Disconnected("local scheduler")))
     }
 
     /// Nodes currently routable.
@@ -305,6 +307,7 @@ impl Services {
 mod tests {
     use super::*;
     use crossbeam::channel::unbounded;
+    use rtml_sched::LocalMsg;
     use rtml_store::StoreConfig;
 
     fn services() -> Arc<Services> {
@@ -340,7 +343,7 @@ mod tests {
 
         let (store, agent) = store_and_agent(&sv, NodeId(3));
         let (tx, _rx) = unbounded();
-        sv.attach_node(NodeId(3), store, agent, tx, Resources::cpu(4.0));
+        sv.attach_node(NodeId(3), store, agent, tx.into(), Resources::cpu(4.0));
         assert_eq!(sv.any_alive(), Some(NodeId(3)));
         assert!(sv.cluster_fits(&Resources::cpu(4.0)));
         assert!(!sv.cluster_fits(&Resources::gpu(1.0)));
@@ -359,7 +362,7 @@ mod tests {
         let sv = services();
         let (store, agent) = store_and_agent(&sv, NodeId(0));
         let (tx, rx) = unbounded();
-        sv.attach_node(NodeId(0), store, agent, tx, Resources::cpu(4.0));
+        sv.attach_node(NodeId(0), store, agent, tx.into(), Resources::cpu(4.0));
 
         use rtml_common::ids::{DriverId, FunctionId, TaskId};
         let root = TaskId::driver_root(DriverId::from_index(0));
@@ -367,7 +370,7 @@ mod tests {
         // Target node 9 is dead; the task must land on node 0.
         sv.submit_batch_to(NodeId(9), vec![spec.clone()]).unwrap();
         match rx.recv().unwrap() {
-            LocalMsg::SubmitBatch { specs, .. } => assert_eq!(specs, vec![spec]),
+            LocalMsg::SubmitBatch(specs) => assert_eq!(specs, vec![spec]),
             other => panic!("unexpected {other:?}"),
         }
     }

@@ -6,7 +6,9 @@
 //! decisions must start at the edge, not at a central choke point.
 //!
 //! - Every node runs a [`LocalScheduler`]: workers submit tasks to it
-//!   directly (an in-process channel — no network hop). It tracks
+//!   directly (an in-process channel — no network hop), and admit a
+//!   batch it would accept whole and runnable themselves, through the
+//!   same admission function ([`admit`]). It tracks
 //!   per-node resource availability, gates tasks on their dataflow
 //!   dependencies (a task is dispatched if and only if every object it
 //!   consumes is sealed in the local store), and pushes what is runnable
@@ -32,6 +34,7 @@
 //! [`LocalScheduler`]: local::LocalScheduler
 //! [`GlobalScheduler`]: global::GlobalScheduler
 
+pub mod admit;
 mod deps;
 pub mod global;
 pub mod health;
@@ -43,6 +46,7 @@ pub mod runq;
 pub mod spill;
 pub mod wire;
 
+pub use admit::LocalSubmitter;
 pub use global::{
     GlobalRoutes, GlobalScheduler, GlobalSchedulerConfig, GlobalSchedulerHandle, GlobalStats,
 };

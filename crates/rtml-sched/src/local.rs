@@ -34,15 +34,18 @@
 //!   a GPU task that is waiting for a free GPU (heterogeneity, R4).
 //!
 //! Submissions from same-node workers arrive on an in-process channel
-//! (the latency-critical path, R1); placements from the global scheduler
-//! arrive over the fabric; spill decisions follow the configured
-//! [`SpillMode`]. Either way a batch is ingested in the loop turn that
-//! receives it (`Core::on_submit_batch`): the unbounded mailbox is the
-//! only queue between a submitter and this loop, so a submitter never
-//! waits for ingest and ingest never defers its own work. Spill is the
-//! only way a task leaves this node: nothing pulls queued work away.
+//! (the latency-critical path, R1) — unless the loop would accept them
+//! whole and runnable, which the submitter admits itself
+//! ([`crate::admit`]); placements from the global scheduler arrive over
+//! the fabric; spill decisions follow the configured [`SpillMode`].
+//! Either way a batch is ingested in the loop turn that receives it
+//! (`Core::on_submit_batch`): the unbounded mailbox is the only queue in
+//! front of this loop, so a submitter never waits for ingest and ingest
+//! never defers its own work. Spill is the only way a task leaves this
+//! node: nothing pulls queued work away.
 
-use std::sync::atomic::Ordering::Relaxed;
+use std::sync::atomic::AtomicUsize;
+use std::sync::atomic::Ordering::{Relaxed, SeqCst};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -62,6 +65,7 @@ use rtml_store::{
     FetchAgent, FetchResult, LocalSealGuard, ObjectStore, PlaneCore, TransferDirectory,
 };
 
+use crate::admit::{Admission, LocalSubmitter};
 use crate::health::HealthTracker;
 use crate::msg::{load_key, LoadReport, LocalMsg};
 use crate::resolve::{Goal, Replay, Resolver, Wiring};
@@ -167,9 +171,11 @@ pub struct LocalSchedulerStats {
     /// tasks submitted earlier consumed the pass's budget first.
     /// Deferred objects are offered again every tick.
     pub prefetch_deferred_priority: Counter,
-    /// Gauge: tasks in the ready queue, written by the run queue inside
-    /// every critical section that pushes or takes — exact, not "as of
-    /// the last dispatch pass". The node's workers read it when they
+    /// Gauge: tasks in the ready queue or reserved for it
+    /// ([`RunQueue::reserve`]) — the backlog the spill rule reads —
+    /// written by the run queue inside every critical section that
+    /// changes it: exact, not "as of the last dispatch pass". The node's
+    /// workers read it when they
     /// seal a result: one with nothing queued behind it is pushed to its
     /// submitter's node, one of a backlog is left to the batched pull
     /// that moves a burst's results in a few frames. It publishes no
@@ -183,20 +189,23 @@ pub struct LocalSchedulerStats {
     /// Turns of the scheduler loop: one per wake-up, whatever woke it.
     /// A seal no waiting task needs does not move it.
     pub turns: Counter,
+    /// Tasks admitted on their submitter's thread ([`crate::admit`]).
+    pub admitted_direct: Counter,
 }
 
 impl LocalSchedulerStats {
-    /// Registers the counters some reader reads: prefetch admission
-    /// (`sched.*`).
+    /// Registers the counters some reader reads: prefetch admission and
+    /// direct admission (`sched.*`).
     pub fn register_metrics(self: &Arc<Self>, registry: &MetricsRegistry) {
         type Read = fn(&LocalSchedulerStats) -> &Counter;
-        let counters: [(&str, Read); 2] = [
+        let counters: [(&str, Read); 3] = [
             ("sched.prefetch_skipped_capacity", |s| {
                 &s.prefetch_skipped_capacity
             }),
             ("sched.prefetch_deferred_priority", |s| {
                 &s.prefetch_deferred_priority
             }),
+            ("sched.admitted_direct", |s| &s.admitted_direct),
         ];
         for (name, read) in counters {
             let stats = self.clone();
@@ -207,7 +216,7 @@ impl LocalSchedulerStats {
 
 /// Running handle for a local scheduler.
 pub struct LocalSchedulerHandle {
-    tx: Sender<LocalMsg>,
+    submitter: LocalSubmitter,
     address: NetAddress,
     node: NodeId,
     stats: Arc<LocalSchedulerStats>,
@@ -224,10 +233,16 @@ impl LocalSchedulerHandle {
         &self.agent
     }
 
-    /// The in-process submission channel (used by same-node workers and
-    /// the driver).
+    /// The in-process control channel (batches go through
+    /// [`Self::submitter`]).
     pub fn sender(&self) -> Sender<LocalMsg> {
-        self.tx.clone()
+        self.submitter.tx.clone()
+    }
+
+    /// How the node's own submitters — same-node workers and the driver
+    /// whose home it is — hand this scheduler their batches.
+    pub fn submitter(&self) -> LocalSubmitter {
+        self.submitter.clone()
     }
 
     /// The scheduler's fabric address (placements are sent here).
@@ -252,13 +267,9 @@ impl LocalSchedulerHandle {
         &self.queue
     }
 
-    /// Submits a whole batch of tasks from this node as **one** mailbox
-    /// message — the entry point of the batched hot path.
+    /// Submits a whole batch of tasks to the loop as **one** message.
     pub fn submit_batch(&self, specs: Vec<TaskSpec>) {
-        let _ = self.tx.send(LocalMsg::SubmitBatch {
-            specs,
-            via_global: false,
-        });
+        let _ = self.submitter.submit(specs, false);
     }
 
     /// Stops scheduling and closes the run queue, and leaves the loop
@@ -266,7 +277,7 @@ impl LocalSchedulerHandle {
     /// ([`LocalMsg::Close`]). A graceful node shutdown joins its workers
     /// in between.
     pub fn close(&self) {
-        let _ = self.tx.send(LocalMsg::Close);
+        let _ = self.submitter.tx.send(LocalMsg::Close);
     }
 
     /// Stops the loop, scheduling or (once closed) serving the plane
@@ -327,6 +338,19 @@ impl LocalScheduler {
             queue.attach(worker);
         }
         let queue2 = queue.clone();
+        let admission = Arc::new(Admission {
+            node,
+            spill: config.spill.clone(),
+            tasks: services.tasks.clone(),
+            events: services.events.clone(),
+            store: services.store.clone(),
+            queue: queue.clone(),
+            in_mailbox: AtomicUsize::new(0),
+        });
+        let submitter = LocalSubmitter {
+            tx: tx.clone(),
+            admission: Some(admission.clone()),
+        };
 
         let (seal_tx, seal_rx) = unbounded();
         let seals = services.store.subscribe_local_many(&[], &seal_tx);
@@ -359,6 +383,7 @@ impl LocalScheduler {
                     address,
                     stats: stats2,
                     queue: queue2,
+                    admission,
                     waiting: FastMap::default(),
                     watchers: FastMap::default(),
                     seal_tx,
@@ -381,7 +406,7 @@ impl LocalScheduler {
             .expect("spawn local scheduler");
 
         LocalSchedulerHandle {
-            tx,
+            submitter,
             address,
             node,
             stats,
@@ -415,6 +440,8 @@ pub(crate) struct Core {
     /// Runnable and running tasks and the worker pool, shared with the
     /// workers. This loop only pushes onto it and reads it.
     pub(crate) queue: Arc<RunQueue>,
+    /// What it admits batches with, shared with the node's submitters.
+    pub(crate) admission: Arc<Admission>,
     /// Tasks short of a dependency.
     pub(crate) waiting: FastMap<TaskId, Waiting>,
     /// missing object → tasks waiting on it.
@@ -574,7 +601,10 @@ impl Core {
 
     fn on_local(&mut self, msg: LocalMsg) {
         match msg {
-            LocalMsg::SubmitBatch { specs, via_global } => self.on_submit_batch(specs, via_global),
+            LocalMsg::SubmitBatch(specs) => {
+                self.on_submit_batch(specs, false);
+                self.admission.in_mailbox.fetch_sub(1, SeqCst);
+            }
             // Nothing to do but take this turn: the load report reads
             // the idleness off the queue.
             LocalMsg::WorkerIdle => {}
@@ -616,18 +646,15 @@ impl Core {
     /// decisions as N sequential single submissions, but with one
     /// spill/dependency scan over the batch, one group-committed state
     /// write, one event-log frame, and (when tasks must travel) one
-    /// fabric frame — per-task costs become per-batch costs (R2). The
-    /// mailbox is the only queue in front of this: batches are ingested
-    /// in arrival order, so every spill decision and state write follows
-    /// the order the senders sent in.
+    /// fabric frame — per-task costs become per-batch costs (R2). Batches
+    /// are ingested in arrival order, so every spill decision and state
+    /// write follows the order the senders sent in.
     ///
     /// `via_global` marks placements made by the global scheduler,
     /// which must not spill again (except when the node genuinely can
     /// never satisfy the demand — stale capacity information).
     pub(crate) fn on_submit_batch(&mut self, specs: Vec<TaskSpec>, via_global: bool) {
         let started = Instant::now();
-        let node = self.config.node;
-        let tasks = specs.len() as u32;
         // Single pass: spill decision plus dependency gating. `backlog`
         // advances as runnable tasks are accepted, so the spill rule
         // sees exactly the queue depths a sequential loop would.
@@ -674,47 +701,14 @@ impl Core {
             accepted.push((spec, missing));
         }
 
-        if !accepted.is_empty() {
-            let ids: Vec<TaskId> = accepted.iter().map(|(s, _)| s.task_id).collect();
-            self.services
-                .tasks
-                .set_states_many(&ids, &TaskState::Queued(node));
-        }
-        // The batch's whole record is one frame: where each task went,
-        // and the span of the turn that decided it (the scan and the
-        // commit above; the hand-offs below are the queue's and the
-        // fabric's to time).
-        let at_nanos = rtml_common::time::now_nanos();
-        let event = |kind| Event {
-            at_nanos,
-            component: Component::LocalScheduler,
-            kind,
-        };
-        let queued = accepted.iter().map(|(s, _)| EventKind::TaskQueuedLocal {
-            task: s.task_id,
-            node,
-        });
-        let left = spilled.iter().map(|s| EventKind::TaskSpilled {
-            task: s.task_id,
-            from: node,
-        });
-        let span = EventKind::BatchIngested {
-            node,
-            tasks,
-            micros: started.elapsed().as_micros() as u64,
-        };
-        self.services
-            .events
-            .append_many(node, queued.chain(left).chain([span]).map(event).collect());
         // Gate each task on its dependencies, collecting the objects
         // nobody here waited for yet, in submission order, so the store
         // and the resolver take the batch's whole set at once (one
         // local-seal registration, which announces at once an object
         // that sealed since the presence check above; one table
         // registration; one request per holder when this turn's pump
-        // runs). What needs nothing goes to the workers as one push —
-        // after the `Queued` commit above, which a worker's `Running`
-        // must not be overwritten by.
+        // runs). What needs nothing goes to the workers as one push.
+        let queued: Vec<TaskId> = accepted.iter().map(|(s, _)| s.task_id).collect();
         let mut unresolved: Vec<ObjectId> = Vec::new();
         let mut runnable: Vec<Runnable> = Vec::new();
         for (spec, missing) in accepted {
@@ -738,7 +732,11 @@ impl Core {
                 self.waiting.insert(waiting.spec.task_id, waiting);
             }
         }
-        self.queue.push(runnable);
+        // The loop pushes only while its queue is open: nothing comes back.
+        let left: Vec<TaskId> = spilled.iter().map(|s| s.task_id).collect();
+        let _ = self
+            .admission
+            .admit(&queued, &left, runnable, started, false);
         self.seals.add(&unresolved, &self.seal_tx);
         self.resolver.add(&unresolved);
         if !spilled.is_empty() {
@@ -811,6 +809,7 @@ mod tests {
     use rtml_common::task::ArgSpec;
     use rtml_net::FabricConfig;
     use rtml_store::StoreConfig;
+    use std::sync::atomic::AtomicBool;
 
     struct Rig {
         services: SchedServices,
@@ -2115,5 +2114,127 @@ mod tests {
         let asked = hook_rx.recv_timeout(Duration::from_secs(5)).unwrap();
         assert_eq!(asked, dep);
         handle.shutdown();
+    }
+
+    /// Waits for every task of `tasks` to read a state `done` accepts.
+    fn settle_states(r: &Rig, tasks: &[TaskId], done: impl Fn(&TaskState) -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let states = || r.services.tasks.get_states_many(tasks);
+        while !states().iter().all(|s| s.as_ref().is_some_and(&done)) {
+            assert!(Instant::now() < deadline, "never settled: {:?}", states());
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn direct_admissions_never_take_the_ready_depth_past_the_spill_threshold() {
+        const THRESHOLD: usize = 2;
+        let mut r = rig(LocalSchedulerConfig {
+            total_resources: Resources::cpu(8.0),
+            spill: SpillMode::Hybrid {
+                queue_threshold: THRESHOLD,
+            },
+            ..LocalSchedulerConfig::default()
+        });
+        let submitter = r.handle.submitter();
+        let stats = r.handle.stats().clone();
+        // The one worker takes a first task and keeps it: nothing leaves
+        // the ready queue from here on.
+        let first = spec_with(vec![], 0);
+        submitter.submit(vec![first.clone()], true).unwrap();
+        assert_eq!(recv_run(&r.worker_rx).task_id, first.task_id);
+        assert_eq!(stats.admitted_direct.get(), 1);
+        // Eight threads race single runnable tasks in.
+        let specs: Vec<TaskSpec> = (1..=64).map(|i| spec_with(vec![], i)).collect();
+        std::thread::scope(|scope| {
+            for chunk in specs.chunks(8) {
+                let submitter = submitter.clone();
+                scope.spawn(move || {
+                    for spec in chunk {
+                        submitter.submit(vec![spec.clone()], true).unwrap();
+                    }
+                });
+            }
+        });
+        let ids: Vec<TaskId> = specs.iter().map(|s| s.task_id).collect();
+        settle_states(&r, &ids, |s| {
+            matches!(s, TaskState::Queued(_) | TaskState::Spilled)
+        });
+        // Each admitted task found at most `THRESHOLD` ahead of it, so
+        // `THRESHOLD + 1` were; every later one met a deeper backlog,
+        // went to the loop and was spilled there, as it always was.
+        let load = r.handle.queue().load();
+        assert_eq!(stats.admitted_direct.get(), 1 + THRESHOLD as u64 + 1);
+        assert_eq!(load.ready, THRESHOLD + 1);
+        let queued = r
+            .services
+            .tasks
+            .get_states_many(&ids)
+            .into_iter()
+            .filter(|s| *s == Some(TaskState::Queued(NodeId(0))))
+            .count();
+        assert_eq!(queued, THRESHOLD + 1);
+        r.handle.shutdown();
+    }
+
+    #[test]
+    fn a_batch_in_the_mailbox_is_never_overtaken_by_a_direct_admission() {
+        // A periodic hook that holds the loop while `hold` is set.
+        let (hold, held) = (
+            Arc::new(AtomicBool::new(false)),
+            Arc::new(AtomicBool::new(false)),
+        );
+        let hook: Arc<dyn Fn() + Send + Sync> = {
+            let (hold, held) = (hold.clone(), held.clone());
+            Arc::new(move || {
+                while hold.load(SeqCst) {
+                    held.store(true, SeqCst);
+                    std::thread::sleep(Duration::from_micros(100));
+                }
+                held.store(false, SeqCst);
+            })
+        };
+        let config = LocalSchedulerConfig {
+            total_resources: Resources::cpu(8.0),
+            spill: SpillMode::NeverSpill,
+            ..LocalSchedulerConfig::default()
+        };
+        let mut r = rig_on(config, 1, Some((Duration::from_millis(1), hook)));
+        let submitter = r.handle.submitter();
+        let stats = r.handle.stats().clone();
+        hold.store(true, SeqCst);
+        while !held.load(SeqCst) {
+            std::thread::yield_now();
+        }
+        // A batch the loop must take (its second task waits for an
+        // input), then a runnable one: the second queues behind the
+        // first in the mailbox instead of being admitted beside it.
+        let missing = TaskId::driver_root(DriverId::from_index(0))
+            .child(99)
+            .return_object(0);
+        let first = spec_with(vec![], 0);
+        let gated = spec_with(vec![ArgSpec::ObjectRef(missing)], 1);
+        let second = spec_with(vec![], 2);
+        submitter.submit(vec![first.clone(), gated], true).unwrap();
+        submitter.submit(vec![second.clone()], true).unwrap();
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(stats.admitted_direct.get(), 0);
+        assert_eq!(r.handle.queue().load().ready, 0);
+        hold.store(false, SeqCst);
+        assert_eq!(recv_run(&r.worker_rx).task_id, first.task_id);
+        r.worker_done.send(()).unwrap();
+        assert_eq!(recv_run(&r.worker_rx).task_id, second.task_id);
+        // Both ingested, a runnable batch is admitted beside the loop.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while submitter.in_mailbox() > 0 {
+            assert!(Instant::now() < deadline, "the mailbox never drained");
+            std::thread::yield_now();
+        }
+        let third = spec_with(vec![], 3);
+        submitter.submit(vec![third.clone()], true).unwrap();
+        assert_eq!(stats.admitted_direct.get(), 1);
+        r.worker_done.send(()).unwrap();
+        assert_eq!(recv_run(&r.worker_rx).task_id, third.task_id);
+        r.handle.shutdown();
     }
 }

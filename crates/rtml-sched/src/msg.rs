@@ -9,18 +9,13 @@ use rtml_common::task::TaskSpec;
 /// Mailbox messages for a [`crate::local::LocalScheduler`].
 #[derive(Debug)]
 pub enum LocalMsg {
-    /// A batch of task submissions (one task is a batch of one) ingested
-    /// as one message: one channel send, one spill/dependency scan, and
-    /// group-committed control-plane writes for the whole batch (the
-    /// hot-path amortization behind R2's millions of tasks per second).
-    SubmitBatch {
-        /// The tasks, in submission order.
-        specs: Vec<TaskSpec>,
-        /// Whether the global scheduler placed these tasks here: a
-        /// placement must not spill again (except when the node
-        /// genuinely cannot ever satisfy the demand).
-        via_global: bool,
-    },
+    /// A batch of task submissions, in submission order (one task is a
+    /// batch of one), ingested as one message: one channel send, one
+    /// spill/dependency scan, and group-committed control-plane writes
+    /// for the whole batch (the hot-path amortization behind R2's
+    /// millions of tasks per second). Sent by a
+    /// [`crate::LocalSubmitter`] only, which counts it.
+    SubmitBatch(Vec<TaskSpec>),
     /// A worker found nothing to take from the run queue and went idle:
     /// the scheduler takes a turn, so the load report sees the idleness
     /// at once. The only message a worker sends — one

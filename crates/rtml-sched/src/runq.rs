@@ -4,7 +4,9 @@
 //!
 //! The scheduler thread knows what became runnable — ingest, a sealed
 //! dependency, the spill-send fallback — and
-//! [`push`](RunQueue::push)es it. A worker takes its own next task:
+//! [`push`](RunQueue::push)es it (a submitter admitting a batch itself
+//! [`reserve`](RunQueue::reserve)s its places first). A worker takes its
+//! own next task:
 //! [`next`](RunQueue::next) hands back the finished task's resource grant
 //! and first-fits the next task the freed resources admit in the *same*
 //! critical section (first-fit over `ready` against `total − in_use`, so
@@ -55,6 +57,7 @@ use rtml_store::ObjectStore;
 
 use crate::local::LocalSchedulerStats;
 use crate::msg::LocalMsg;
+use crate::spill::SpillMode;
 
 /// A runnable task as it sits in the queue.
 #[derive(Debug)]
@@ -100,6 +103,8 @@ pub struct QueueLoad {
 #[derive(Default)]
 struct State {
     ready: VecDeque<Runnable>,
+    /// Places [`RunQueue::reserve`] held for tasks not pushed yet.
+    reserved: usize,
     /// Ordered by task ID so collecting the tasks lost with a dead worker
     /// is reproducible across runs (`HashMap` order is seeded per
     /// process and would reorder failure handling and the event log).
@@ -117,6 +122,11 @@ struct State {
 }
 
 impl State {
+    /// The backlog a spill decision reads: ready and reserved tasks.
+    fn depth(&self) -> usize {
+        self.ready.len() + self.reserved
+    }
+
     fn available(&self, total: &Resources) -> Resources {
         total.saturating_sub(&self.in_use)
     }
@@ -189,7 +199,8 @@ impl RunQueue {
     }
 
     /// The counters this queue writes: the exact
-    /// [`ready_depth`](LocalSchedulerStats::ready_depth) gauge and
+    /// [`ready_depth`](LocalSchedulerStats::ready_depth) gauge (ready and
+    /// reserved tasks) and
     /// [`worker_parks`](LocalSchedulerStats::worker_parks).
     pub fn stats(&self) -> &Arc<LocalSchedulerStats> {
         &self.stats
@@ -234,19 +245,55 @@ impl RunQueue {
     }
 
     /// Queues runnable tasks, in order, and wakes as many idle workers
-    /// as tasks arrived.
+    /// as tasks arrived (on a closed queue they stay queued).
     pub fn push(&self, tasks: Vec<Runnable>) {
+        let _ = self.enqueue(tasks, false);
+    }
+
+    /// Holds places for `specs`, all or none, if each keeps `spill`'s
+    /// rule against the backlog (ready and reserved tasks, advancing per
+    /// task) — decided under the lock, so concurrent submitters cannot
+    /// admit past it — and the queue is open.
+    pub fn reserve(&self, specs: &[TaskSpec], spill: &SpillMode) -> bool {
+        let mut st = self.state.lock();
+        let depth = st.depth();
+        let keeps = |(ahead, spec): (usize, &TaskSpec)| {
+            !spill.should_spill(spec, depth + ahead, &self.total)
+        };
+        let reserved = !st.closed && specs.iter().enumerate().all(keeps);
+        if reserved {
+            st.reserved += specs.len();
+            self.stats.ready_depth.store(st.depth() as u64, Relaxed);
+        }
+        reserved
+    }
+
+    /// Pushes the tasks a [`reserve`](Self::reserve) held places for, or
+    /// hands them back if the queue closed in between.
+    pub fn push_reserved(&self, tasks: Vec<Runnable>) -> Result<(), Vec<Runnable>> {
+        self.enqueue(tasks, true)
+    }
+
+    fn enqueue(&self, tasks: Vec<Runnable>, reserved: bool) -> Result<(), Vec<Runnable>> {
         if tasks.is_empty() {
-            return;
+            return Ok(());
         }
         let pushed = tasks.len();
         let mut st = self.state.lock();
+        if reserved {
+            st.reserved -= pushed;
+            if st.closed {
+                self.stats.ready_depth.store(st.depth() as u64, Relaxed);
+                return Err(tasks);
+            }
+        }
         st.ready.extend(tasks);
         let wakes = if st.closed { 0 } else { pushed.min(st.idle) };
         let grow = st.must_grow();
-        self.stats.ready_depth.store(st.ready.len() as u64, Relaxed);
+        self.stats.ready_depth.store(st.depth() as u64, Relaxed);
         drop(st);
         self.follow_up(wakes, grow);
+        Ok(())
     }
 
     /// A worker's whole conversation with the queue: `finished`, the
@@ -302,7 +349,7 @@ impl RunQueue {
         // The freed grant may admit more than the one task taken.
         let pass_on = st.wakes_someone(&self.total);
         let grow = st.must_grow();
-        self.stats.ready_depth.store(st.ready.len() as u64, Relaxed);
+        self.stats.ready_depth.store(st.depth() as u64, Relaxed);
         drop(st);
         self.follow_up(pass_on as usize, grow);
         self.unpin(&unpin);

@@ -150,7 +150,17 @@ fn event_log_timeline_is_causally_ordered() {
     for fut in &futs {
         driver.get(fut).unwrap();
     }
-    let report = cluster.profile();
+    // A worker logs `TaskFinished` after it seals the result a `get`
+    // returns, so the last timeline may complete a moment after it.
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    let report = loop {
+        let report = cluster.profile();
+        let complete = report.tasks.iter().filter(|t| t.finished.is_some()).count();
+        if complete >= 20 || std::time::Instant::now() > deadline {
+            break report;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    };
     let mut checked = 0;
     for task in &report.tasks {
         if let (Some(submitted), Some(started), Some(finished)) =
