@@ -50,7 +50,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use rtml_bench::{env_or, fmt_duration, print_table, DurationStats};
+use rtml_bench::{env_or, fmt_duration, p50, print_table};
 use rtml_common::codec::encode_to_bytes;
 use rtml_common::ids::{DriverId, NodeId, ObjectId, TaskId};
 use rtml_common::resources::Resources;
@@ -225,7 +225,7 @@ fn median_of(reps: usize, mut f: impl FnMut()) -> Duration {
         f();
         start.elapsed()
     };
-    DurationStats::from_samples(&(0..reps).map(timed).collect::<Vec<_>>()).p50
+    p50(&(0..reps).map(timed).collect::<Vec<_>>())
 }
 
 fn measure_copy_budget() -> CopyBudget {
@@ -355,11 +355,11 @@ fn measure_broadcast(rounds: usize) -> Broadcast {
             store.delete(object);
         }
     }
-    let stats = DurationStats::from_samples(&samples);
+
     Broadcast {
         rounds,
         last_sealed_best: samples.iter().copied().min().unwrap_or_default(),
-        last_sealed_p50: stats.p50,
+        last_sealed_p50: p50(&samples),
         origin_chunks_per_round: origin_agent.stats().chunks_sent.get() as f64 / attempt as f64,
         handed_on_per_round: origin_agent.stats().handed_on.get() as f64 / attempt as f64,
     }
@@ -426,7 +426,7 @@ fn measure_result_push(results: u64) -> ResultPush {
         requests_served: count("transfer.requests"),
         frames_per_result: frames as f64 / results as f64,
         resident_best: resident.iter().copied().min().unwrap_or_default(),
-        resident_p50: DurationStats::from_samples(&resident).p50,
+        resident_p50: p50(&resident),
     };
     assert_eq!(count("transfer.pushed"), results);
     cluster.shutdown();

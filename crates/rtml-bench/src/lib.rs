@@ -1,20 +1,94 @@
-//! Shared plumbing for the experiment binaries (`exp_*`) and criterion
-//! benches that regenerate every quantitative claim in the paper.
+//! Shared plumbing for the experiment binaries (`exp_*`).
 //!
-//! The experiment index is the `exp_*` list under "Building and
-//! testing" in `README.md`; each binary prints its own paper-vs-measured
-//! table, and the ones CI gates write a `BENCH_*.json` beside it.
+//! `exp_paper` holds the paper's quantitative claims, one [`Claim`] a
+//! row, and fails when a row is past its bound; the other binaries are
+//! the smokes CI runs, each self-asserting its own floors and writing a
+//! `BENCH_*.json` beside its table. `README.md` lists them.
 
 use std::str::FromStr;
 use std::time::Duration;
 
 /// An experiment knob: the environment variable `name` parsed as a `T`,
-/// or `default` when it is unset or does not parse.
+/// or `default` when it is unset.
+///
+/// # Panics
+///
+/// When the variable is set but does not parse as a `T`, naming the
+/// variable and its value: a typo such as `6x` must not quietly run the
+/// default budget.
 pub fn env_or<T: FromStr>(name: &str, default: T) -> T {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    let Some(value) = std::env::var_os(name) else {
+        return default;
+    };
+    let value = value.to_string_lossy();
+    value
+        .parse()
+        .unwrap_or_else(|_| panic!("{name}={value:?} does not parse; unset it for the default"))
+}
+
+/// Which side of its bound a claim's measurement must stay on.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Better {
+    /// A latency, a ratio of walls or a count of mismatches: at most
+    /// the bound.
+    Lower,
+    /// A speedup: at least the bound.
+    Higher,
+}
+
+/// One row of a claims table: a measurement held to a bound.
+#[derive(Clone, Debug)]
+pub struct Claim {
+    /// What is claimed, with the paper section it comes from.
+    pub name: String,
+    /// The paper's own figure, where it gives one.
+    pub paper: Option<f64>,
+    /// Ours.
+    pub measured: f64,
+    /// The figure ours is held to.
+    pub bound: f64,
+    /// Which side of `bound` passes.
+    pub better: Better,
+}
+
+impl Claim {
+    /// A claim that `measured` is at most `bound`.
+    pub fn at_most(name: &str, paper: Option<f64>, measured: f64, bound: f64) -> Claim {
+        Claim::new(name, paper, measured, bound, Better::Lower)
+    }
+
+    /// A claim that `measured` is at least `bound`.
+    pub fn at_least(name: &str, paper: Option<f64>, measured: f64, bound: f64) -> Claim {
+        Claim::new(name, paper, measured, bound, Better::Higher)
+    }
+
+    fn new(name: &str, paper: Option<f64>, measured: f64, bound: f64, better: Better) -> Claim {
+        Claim {
+            name: name.to_string(),
+            paper,
+            measured,
+            bound,
+            better,
+        }
+    }
+
+    /// Whether the measurement is on the passing side of its bound; a
+    /// measurement equal to its bound passes.
+    pub fn holds(&self) -> bool {
+        match self.better {
+            Better::Lower => self.measured <= self.bound,
+            Better::Higher => self.measured >= self.bound,
+        }
+    }
+}
+
+/// The names of the claims past their bound, in table order.
+pub fn failed_claims(claims: &[Claim]) -> Vec<&str> {
+    claims
+        .iter()
+        .filter(|claim| !claim.holds())
+        .map(|claim| claim.name.as_str())
+        .collect()
 }
 
 /// Renders a fixed-width ASCII table, the format every `exp_*` binary
@@ -67,50 +141,14 @@ pub fn fmt_duration(d: Duration) -> String {
     }
 }
 
-/// Formats a ratio like `6.9x`.
-pub fn fmt_ratio(value: f64) -> String {
-    format!("{value:.1}x")
-}
-
-/// Mean and percentile summary of duration samples.
-pub struct DurationStats {
-    /// Sample mean.
-    pub mean: Duration,
-    /// Median.
-    pub p50: Duration,
-    /// 99th percentile.
-    pub p99: Duration,
-    /// Maximum.
-    pub max: Duration,
-}
-
-impl DurationStats {
-    /// Computes stats from samples (sorts a copy).
-    pub fn from_samples(samples: &[Duration]) -> DurationStats {
-        if samples.is_empty() {
-            return DurationStats {
-                mean: Duration::ZERO,
-                p50: Duration::ZERO,
-                p99: Duration::ZERO,
-                max: Duration::ZERO,
-            };
-        }
-        let mut sorted: Vec<Duration> = samples.to_vec();
-        sorted.sort();
-        let total: Duration = sorted.iter().sum();
-        let pick = |q: f64| {
-            let idx = ((sorted.len() as f64 * q).ceil() as usize)
-                .saturating_sub(1)
-                .min(sorted.len() - 1);
-            sorted[idx]
-        };
-        DurationStats {
-            mean: total / sorted.len() as u32,
-            p50: pick(0.50),
-            p99: pick(0.99),
-            max: *sorted.last().expect("non-empty"),
-        }
-    }
+/// The median of `samples` (nearest rank), or zero when there are none.
+pub fn p50(samples: &[Duration]) -> Duration {
+    let mut sorted = samples.to_vec();
+    sorted.sort();
+    sorted
+        .get(sorted.len().saturating_sub(1) / 2)
+        .copied()
+        .unwrap_or_default()
 }
 
 #[cfg(test)]
@@ -119,18 +157,14 @@ mod tests {
 
     #[test]
     fn stats_from_samples() {
-        let samples: Vec<Duration> = (1..=100).map(Duration::from_millis).collect();
-        let stats = DurationStats::from_samples(&samples);
-        assert_eq!(stats.p50, Duration::from_millis(50));
-        assert_eq!(stats.p99, Duration::from_millis(99));
-        assert_eq!(stats.max, Duration::from_millis(100));
-        assert_eq!(stats.mean, Duration::from_micros(50_500));
+        let samples: Vec<Duration> = (1..=100).rev().map(Duration::from_millis).collect();
+        assert_eq!(p50(&samples), Duration::from_millis(50));
+        assert_eq!(p50(&samples[..3]), Duration::from_millis(99));
     }
 
     #[test]
     fn empty_stats_are_zero() {
-        let stats = DurationStats::from_samples(&[]);
-        assert_eq!(stats.mean, Duration::ZERO);
+        assert_eq!(p50(&[]), Duration::ZERO);
     }
 
     #[test]
@@ -138,16 +172,32 @@ mod tests {
         assert_eq!(fmt_duration(Duration::from_nanos(500)), "500 ns");
         assert_eq!(fmt_duration(Duration::from_micros(35)), "35.0 µs");
         assert_eq!(fmt_duration(Duration::from_millis(7)), "7.00 ms");
-        assert_eq!(fmt_ratio(6.94), "6.9x");
     }
 
     #[test]
-    fn env_or_falls_back_on_unset_and_unparsable() {
+    fn a_claim_at_its_bound_passes_and_one_past_it_fails_by_name() {
+        let claims = [
+            Claim::at_most("submit p50", Some(35.0), 35.0, 35.0),
+            Claim::at_most("get p50", Some(110.0), 111.0, 110.0),
+            Claim::at_least("rtml vs serial", Some(7.0), 5.0, 5.0),
+            Claim::at_least("rtml vs BSP", Some(63.0), 39.99, 40.0),
+        ];
+        assert!(claims[0].holds() && claims[2].holds());
+        assert_eq!(failed_claims(&claims), vec!["get p50", "rtml vs BSP"]);
+    }
+
+    #[test]
+    fn env_or_falls_back_on_unset() {
         assert_eq!(env_or("RTML_BENCH_TEST_UNSET_KNOB", 7usize), 7);
         std::env::set_var("RTML_BENCH_TEST_KNOB", "12");
         assert_eq!(env_or("RTML_BENCH_TEST_KNOB", 7u64), 12);
-        std::env::set_var("RTML_BENCH_TEST_KNOB", "twelve");
-        assert_eq!(env_or("RTML_BENCH_TEST_KNOB", 7u64), 7);
+    }
+
+    #[test]
+    #[should_panic(expected = "RTML_BENCH_TEST_BAD_KNOB=\"6x\" does not parse")]
+    fn env_or_refuses_an_unparsable_value() {
+        std::env::set_var("RTML_BENCH_TEST_BAD_KNOB", "6x");
+        env_or("RTML_BENCH_TEST_BAD_KNOB", 6usize);
     }
 
     #[test]

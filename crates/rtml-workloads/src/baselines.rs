@@ -6,7 +6,7 @@
 //! (7 ms tasks drown in per-task overhead) while the prototype is 7x
 //! *faster* — the famous 63x gap.
 //!
-//! This crate supplies those two baselines:
+//! This module supplies those two baselines:
 //!
 //! - [`SerialEngine`] — runs stage tasks inline, in order.
 //! - [`BspEngine`] — a faithful *mechanism* model of a driver-coordinated
@@ -14,16 +14,22 @@
 //!   task (paying a configurable per-task launch overhead, serialized at
 //!   the driver exactly as in Spark), executors run them, and a stage
 //!   barrier joins everything before the next stage may begin. The
-//!   overhead constants are calibration knobs; the benchmark harness
-//!   sweeps them so no conclusion rests on one value.
+//!   overheads are [`BspConfig`] fields.
 //!
 //! Both engines implement [`Engine`], so workloads can be written once
 //! per execution model and compared like-for-like.
 
-pub mod bsp;
-pub mod engine;
-pub mod serial;
+pub use crate::bsp::{BspConfig, BspEngine};
+pub use crate::serial::SerialEngine;
 
-pub use bsp::{BspConfig, BspEngine};
-pub use engine::{Engine, StageTask};
-pub use serial::SerialEngine;
+/// One task inside a stage: a closure producing a value.
+pub type StageTask<T> = Box<dyn FnOnce() -> T + Send + 'static>;
+
+/// A bulk-synchronous execution engine: runs a vector of independent
+/// tasks to completion (a *stage*) and returns their results in input
+/// order. The barrier at the end of each stage is the defining BSP
+/// property the paper contrasts with fine-grained dataflow (R5).
+pub trait Engine: Sync {
+    /// Executes one stage, blocking until every task finishes.
+    fn run_stage<T: Send + 'static>(&self, tasks: Vec<StageTask<T>>) -> Vec<T>;
+}

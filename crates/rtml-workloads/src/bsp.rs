@@ -1,24 +1,10 @@
 //! The bulk-synchronous-parallel (Spark-model) baseline.
-//!
-//! Mechanism, not mock: a single **driver thread** owns task dispatch.
-//! For every task it pays a launch overhead (serialization, bookkeeping,
-//! RPC — the things that cost Spark milliseconds per task) *serially*,
-//! then enqueues the task for the executor pool. The stage ends with a
-//! barrier; the next stage cannot start until the last straggler
-//! finishes. Per-stage setup adds a further fixed cost.
-//!
-//! With 7 ms tasks (the paper's RL workload), a driver that needs
-//! ~10-20 ms per launch becomes the bottleneck regardless of executor
-//! count — which is precisely how a cluster framework ends up 9x
-//! *slower* than one thread. The experiment harness sweeps
-//! [`BspConfig::per_task_overhead`] so the conclusion is shown as a
-//! curve, not a single calibrated point.
 
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use crate::engine::{Engine, StageTask};
+use crate::baselines::{Engine, StageTask};
 
 /// Tuning for the BSP engine.
 #[derive(Clone, Debug)]
@@ -31,31 +17,11 @@ pub struct BspConfig {
     pub per_stage_overhead: Duration,
 }
 
-impl Default for BspConfig {
-    fn default() -> Self {
-        BspConfig {
-            workers: 8,
-            per_task_overhead: Duration::from_millis(10),
-            per_stage_overhead: Duration::from_millis(100),
-        }
-    }
-}
-
 impl BspConfig {
-    /// A configuration with the given worker count and default
-    /// overheads.
-    pub fn with_workers(workers: usize) -> Self {
-        BspConfig {
-            workers,
-            ..BspConfig::default()
-        }
-    }
-
     /// Overheads calibrated so the §4.2 RL workload reproduces the
     /// paper's "Spark is 9x slower than single-threaded" observation
     /// (fine-grained ~7 ms tasks, driver-bound dispatch, per-stage
-    /// scheduling). The A1 ablation sweeps this knob so the conclusion
-    /// is shown as a curve, not one point.
+    /// scheduling).
     pub fn spark_calibrated(workers: usize) -> Self {
         BspConfig {
             workers,
@@ -63,23 +29,23 @@ impl BspConfig {
             per_stage_overhead: Duration::from_millis(100),
         }
     }
-
-    /// Overrides the per-task launch overhead builder-style.
-    pub fn with_task_overhead(mut self, overhead: Duration) -> Self {
-        self.per_task_overhead = overhead;
-        self
-    }
-
-    /// Overrides the per-stage overhead builder-style.
-    pub fn with_stage_overhead(mut self, overhead: Duration) -> Self {
-        self.per_stage_overhead = overhead;
-        self
-    }
 }
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// The driver-coordinated BSP engine. See module docs for the model.
+/// The driver-coordinated BSP engine.
+///
+/// Mechanism, not mock: a single **driver thread** owns task dispatch.
+/// For every task it pays a launch overhead (serialization, bookkeeping,
+/// RPC — the things that cost Spark milliseconds per task) *serially*,
+/// then enqueues the task for the executor pool. The stage ends with a
+/// barrier; the next stage cannot start until the last straggler
+/// finishes. Per-stage setup adds a further fixed cost.
+///
+/// With 7 ms tasks (the paper's RL workload), a driver that needs
+/// ~10-20 ms per launch becomes the bottleneck regardless of executor
+/// count — which is precisely how a cluster framework ends up 9x
+/// *slower* than one thread.
 pub struct BspEngine {
     config: BspConfig,
     queue_tx: mpsc::Sender<Job>,
@@ -118,18 +84,9 @@ impl BspEngine {
             handles,
         }
     }
-
-    /// The engine's configuration.
-    pub fn config(&self) -> &BspConfig {
-        &self.config
-    }
 }
 
 impl Engine for BspEngine {
-    fn name(&self) -> &'static str {
-        "bsp"
-    }
-
     fn run_stage<T: Send + 'static>(&self, tasks: Vec<StageTask<T>>) -> Vec<T> {
         // Stage setup (DAG scheduling, closure broadcast).
         spin_for(self.config.per_stage_overhead);

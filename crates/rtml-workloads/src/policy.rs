@@ -2,17 +2,17 @@
 //!
 //! Stands in for the paper's GPU-evaluated neural-network policy. The
 //! policy is a real `obs_dim × n_actions` weight matrix: `act` computes
-//! a genuine matrix-vector product, and batched evaluation additionally
-//! pays a configurable kernel cost that a [`Device::Gpu`] divides by its
+//! a genuine matrix-vector product, and the policy step pays a
+//! configurable kernel cost that a [`Device::Gpu`] divides by its
 //! speedup — giving the scheduler a true heterogeneity decision (R4)
 //! without real CUDA.
 
 use std::time::Duration;
 
 use rtml_common::impl_codec_struct;
-use rtml_common::time::{deterministic_work, occupy};
+use rtml_common::time::deterministic_work;
 
-/// Where a batched evaluation runs.
+/// Where the policy kernel runs.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Device {
     /// Plain CPU execution.
@@ -25,7 +25,8 @@ pub enum Device {
 }
 
 impl Device {
-    fn scale(self, cost: Duration) -> Duration {
+    /// A kernel's cost on this device: `cost` divided by the speedup.
+    pub fn scale(self, cost: Duration) -> Duration {
         match self {
             Device::Cpu => cost,
             Device::Gpu { speedup } => {
@@ -90,14 +91,6 @@ impl LinearPolicy {
             }
         }
         best
-    }
-
-    /// Batched greedy actions, paying `kernel_cost` scaled by the device.
-    /// This is the paper's "actions are computed in parallel on GPUs"
-    /// stage.
-    pub fn act_batch(&self, batch: &[Vec<f64>], kernel_cost: Duration, device: Device) -> Vec<u32> {
-        occupy(device.scale(kernel_cost));
-        batch.iter().map(|obs| self.act(obs)).collect()
     }
 
     /// Deterministic policy update from aggregated rollout statistics
@@ -170,28 +163,11 @@ mod tests {
 
     #[test]
     fn gpu_is_faster_than_cpu() {
-        let p = LinearPolicy::new(8, 4, 1);
-        let batch: Vec<Vec<f64>> = (0..4).map(|_| vec![0.1; 8]).collect();
-        let start = std::time::Instant::now();
-        p.act_batch(&batch, Duration::from_millis(20), Device::Cpu);
-        let cpu = start.elapsed();
-        let start = std::time::Instant::now();
-        p.act_batch(
-            &batch,
-            Duration::from_millis(20),
-            Device::Gpu { speedup: 10.0 },
-        );
-        let gpu = start.elapsed();
-        assert!(gpu < cpu, "gpu {gpu:?} !< cpu {cpu:?}");
-    }
-
-    #[test]
-    fn device_results_are_identical() {
-        let p = LinearPolicy::new(8, 4, 1);
-        let batch: Vec<Vec<f64>> = (0..4).map(|i| vec![i as f64 * 0.1; 8]).collect();
-        let cpu = p.act_batch(&batch, Duration::ZERO, Device::Cpu);
-        let gpu = p.act_batch(&batch, Duration::ZERO, Device::Gpu { speedup: 8.0 });
-        assert_eq!(cpu, gpu);
+        let cost = Duration::from_millis(20);
+        assert_eq!(Device::Cpu.scale(cost), cost);
+        assert_eq!(Device::Gpu { speedup: 10.0 }.scale(cost), cost / 10);
+        // A "GPU" no faster than the CPU costs what the CPU does.
+        assert_eq!(Device::Gpu { speedup: 0.5 }.scale(cost), cost);
     }
 
     #[test]

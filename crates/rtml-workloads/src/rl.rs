@@ -20,7 +20,7 @@
 //!   iteration's simulations;
 //! - [`run_rtml_pipelined`] vs [`run_rtml_batched`] — the paper's
 //!   closing remark about `wait`: process simulations in completion
-//!   order to pipeline them with GPU work (experiment E6).
+//!   order to pipeline them with GPU work.
 //!
 //! Per the paper's own footnote, the GPU policy step is *not* charged
 //! BSP overhead ("numbers are reported as if it had been perfectly
@@ -29,7 +29,6 @@
 
 use std::time::{Duration, Instant};
 
-use rtml_baselines::{Engine, StageTask};
 use rtml_common::error::Result;
 use rtml_common::impl_codec_struct;
 use rtml_common::resources::Resources;
@@ -37,6 +36,7 @@ use rtml_common::time::occupy;
 use rtml_runtime::{Cluster, Driver, Func2, Func4, ObjectRef, TaskOptions};
 
 use crate::atari::{AtariConfig, AtariSim};
+use crate::baselines::{Engine, StageTask};
 use crate::policy::{Device, LinearPolicy};
 
 /// Workload parameters.
@@ -240,10 +240,7 @@ pub fn run_update_task(
     reward: f64,
     kernel: &KernelParams,
 ) -> LinearPolicy {
-    occupy(match kernel.device() {
-        Device::Cpu => kernel.cost(),
-        Device::Gpu { speedup } => kernel.cost().div_f64(speedup.max(1.0)),
-    });
+    occupy(kernel.device().scale(kernel.cost()));
     policy.update(agg_obs, reward);
     policy
 }
@@ -281,7 +278,7 @@ pub fn run_engine<E: Engine>(config: &RlConfig, engine: &E) -> RlResult {
 
 /// Single-threaded reference (the paper's baseline of record).
 pub fn run_serial(config: &RlConfig) -> RlResult {
-    run_engine(config, &rtml_baselines::SerialEngine)
+    run_engine(config, &crate::baselines::SerialEngine)
 }
 
 /// The rtml task functions, registered once per cluster.
@@ -308,10 +305,7 @@ impl RlFuncs {
                 },
             ),
             score: cluster.register_fn2("rl_score", |output: SimOutput, kernel: KernelParams| {
-                occupy(match kernel.device() {
-                    Device::Cpu => kernel.cost(),
-                    Device::Gpu { speedup } => kernel.cost().div_f64(speedup.max(1.0)),
-                });
+                occupy(kernel.device().scale(kernel.cost()));
                 // Deterministic scalar score.
                 let s: f64 = output.obs_sum.iter().sum::<f64>() + output.reward;
                 Ok(s)
@@ -366,7 +360,7 @@ pub fn run_rtml(
     })
 }
 
-/// E6 helper: one iteration's sims, each post-processed by a GPU scoring
+/// Pipelining helper: one iteration's sims, each post-processed by a GPU scoring
 /// task **as it completes** (`wait`-driven pipelining). Returns the
 /// fold of scores in rollout order plus the makespan.
 pub fn run_rtml_pipelined(
@@ -414,7 +408,7 @@ pub fn run_rtml_pipelined(
     Ok((total, start.elapsed()))
 }
 
-/// E6 baseline: wait for **all** simulations, then score them (no
+/// Pipelining baseline: wait for **all** simulations, then score them (no
 /// overlap).
 pub fn run_rtml_batched(
     config: &RlConfig,
@@ -452,7 +446,7 @@ pub fn run_rtml_batched(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtml_baselines::{BspConfig, BspEngine};
+    use crate::baselines::{BspConfig, BspEngine};
     use rtml_runtime::ClusterConfig;
 
     fn tiny() -> RlConfig {

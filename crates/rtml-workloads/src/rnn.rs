@@ -16,11 +16,12 @@
 
 use std::time::{Duration, Instant};
 
-use rtml_baselines::{Engine, StageTask};
 use rtml_common::error::Result;
 use rtml_common::impl_codec_struct;
 use rtml_common::time::{deterministic_work, occupy};
 use rtml_runtime::{Cluster, Driver, Func3, ObjectRef};
+
+use crate::baselines::{Engine, StageTask};
 
 /// Grid parameters.
 #[derive(Clone, Debug)]
@@ -300,7 +301,7 @@ pub fn run_rtml(config: &RnnConfig, driver: &Driver, funcs: &RnnFuncs) -> Result
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtml_baselines::{BspConfig, BspEngine, SerialEngine};
+    use crate::baselines::{BspConfig, BspEngine, SerialEngine};
     use rtml_runtime::ClusterConfig;
 
     fn fast() -> RnnConfig {

@@ -15,11 +15,12 @@
 
 use std::time::{Duration, Instant};
 
-use rtml_baselines::{Engine, StageTask};
 use rtml_common::error::Result;
 use rtml_common::impl_codec_struct;
 use rtml_common::time::{deterministic_work, occupy};
 use rtml_runtime::{Cluster, Driver, Func2, ObjectRef};
+
+use crate::baselines::{Engine, StageTask};
 
 /// Stream parameters.
 #[derive(Clone, Debug)]
@@ -248,7 +249,7 @@ pub fn run_rtml(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtml_baselines::SerialEngine;
+    use crate::baselines::SerialEngine;
     use rtml_runtime::ClusterConfig;
 
     fn fast() -> SensorConfig {

@@ -1,6 +1,6 @@
 //! The single-threaded baseline: the paper's reference point.
 
-use crate::engine::{Engine, StageTask};
+use crate::baselines::{Engine, StageTask};
 
 /// Runs every task inline on the calling thread, in submission order.
 /// Zero scheduling overhead, zero parallelism — the yardstick both the
@@ -10,10 +10,6 @@ use crate::engine::{Engine, StageTask};
 pub struct SerialEngine;
 
 impl Engine for SerialEngine {
-    fn name(&self) -> &'static str {
-        "serial"
-    }
-
     fn run_stage<T: Send + 'static>(&self, tasks: Vec<StageTask<T>>) -> Vec<T> {
         tasks.into_iter().map(|task| task()).collect()
     }

@@ -6,8 +6,8 @@
 
 use std::time::Duration;
 
-use rtml::baselines::{BspConfig, BspEngine};
 use rtml::prelude::*;
+use rtml::workloads::baselines::{BspConfig, BspEngine};
 use rtml::workloads::rl::{self, RlConfig, RlFuncs};
 
 fn main() -> Result<()> {

@@ -6,8 +6,8 @@
 
 use std::time::Duration;
 
-use rtml::baselines::SerialEngine;
 use rtml::prelude::*;
+use rtml::workloads::baselines::SerialEngine;
 use rtml::workloads::rnn::{self, RnnConfig, RnnFuncs};
 use rtml::workloads::sensors::{self, SensorConfig, SensorFuncs};
 

@@ -11,9 +11,10 @@
 //! - [`store`] — per-node object stores and cross-node transfer.
 //! - [`sched`] — the hybrid local/global scheduler.
 //! - [`net`] — the simulated network fabric.
-//! - [`baselines`] — serial and BSP (Spark-model) comparator engines.
 //! - [`workloads`] — the paper's workloads: Atari-style RL, MCTS, RNN
-//!   grids, sensor fusion.
+//!   grids, sensor fusion, and the serial and BSP (Spark-model)
+//!   comparator engines they are measured against
+//!   ([`workloads::baselines`]).
 //! - [`common`] — identifiers, codec, resources, metrics.
 //!
 //! # Quickstart
@@ -32,7 +33,6 @@
 //! cluster.shutdown();
 //! ```
 
-pub use rtml_baselines as baselines;
 pub use rtml_common as common;
 pub use rtml_kv as kv;
 pub use rtml_net as net;

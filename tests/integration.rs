@@ -3,8 +3,8 @@
 
 use std::time::Duration;
 
-use rtml::baselines::{BspConfig, BspEngine, SerialEngine};
 use rtml::prelude::*;
+use rtml::workloads::baselines::{BspConfig, BspEngine, SerialEngine};
 use rtml::workloads::{mcts, rl, rnn, sensors};
 
 #[test]
