@@ -13,8 +13,7 @@
 //! - per-key publish-subscribe with *current value + subsequent updates*
 //!   semantics (no lost-update window), for one key or for many keys on
 //!   one channel, unsubscribing when the [`Subscription`] is dropped, and
-//! - hash sharding for horizontal throughput scaling (requirement R2;
-//!   experiment E7 measures ops/s against the shard count).
+//! - hash sharding for horizontal throughput scaling (requirement R2).
 //!
 //! # Examples
 //!

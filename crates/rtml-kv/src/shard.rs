@@ -72,6 +72,9 @@ impl BuildHasher for FnvBuild {
 
 type FnvMap<V> = HashMap<Bytes, V, FnvBuild>;
 
+/// What a record of a log counts for against a retention cap.
+type Weight = fn(&[u8]) -> usize;
+
 /// Interior state of one shard.
 #[derive(Default)]
 struct ShardState {
@@ -81,6 +84,9 @@ struct ShardState {
     /// do not rewrite history. Stored as deques so a bounded log can
     /// drop its oldest records in O(1) (ring-buffer retention).
     logs: FnvMap<VecDeque<Bytes>>,
+    /// The summed weights of the logs appended under a retention cap,
+    /// kept beside them so the cap costs O(1) a record.
+    log_weights: FnvMap<usize>,
     /// Per-key subscribers. An entry lives exactly as long as the
     /// [`Subscription`] that registered it: dropping the subscription
     /// removes it, so a shard nobody is blocked on has an empty map and
@@ -379,41 +385,66 @@ impl Shard {
         records: Vec<Bytes>,
         retention: Option<usize>,
     ) -> Vec<Bytes> {
+        fn one(_: &[u8]) -> usize {
+            1
+        }
+        let cap = retention.map(|cap| (cap, one as Weight));
+        self.append_bounded(key, records, cap)
+    }
+
+    /// [`Shard::append_many`] under a cap on the records' summed
+    /// `weight` rather than their number: the oldest records are dropped
+    /// until the log weighs at most `cap`, except that the newest record
+    /// is always kept. Returns the dropped records.
+    pub fn append_many_capped(
+        &self,
+        key: Bytes,
+        records: Vec<Bytes>,
+        cap: usize,
+        weight: Weight,
+    ) -> Vec<Bytes> {
+        self.append_bounded(key, records, Some((cap, weight)))
+    }
+
+    fn append_bounded(
+        &self,
+        key: Bytes,
+        records: Vec<Bytes>,
+        retention: Option<(usize, Weight)>,
+    ) -> Vec<Bytes> {
         if records.is_empty() {
             return Vec::new();
         }
         self.ops.add(records.len() as u64);
         self.locks.inc();
-        let mut st = self.state.lock();
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
+        // Most shards have no subscribers: the records then move into
+        // the log uncloned.
+        let notified = if st.subs.is_empty() {
+            Vec::new()
+        } else {
+            records.clone()
+        };
+        let log = st.logs.entry(key.clone()).or_default();
         let mut dropped = Vec::new();
-        if st.subs.is_empty() {
-            // No subscribers: move the records into the log directly.
-            let log = st.logs.entry(key).or_default();
-            for record in records {
-                log.push_back(record);
+        if let Some((cap, weight)) = retention {
+            let total = st
+                .log_weights
+                .entry(key.clone())
+                .or_insert_with(|| log.iter().map(|r| weight(r)).sum());
+            *total += records.iter().map(|r| weight(r)).sum::<usize>();
+            log.extend(records);
+            while *total > cap && log.len() > 1 {
+                let record = log.pop_front().expect("len checked");
+                *total -= weight(&record);
+                dropped.push(record);
             }
-            if let Some(cap) = retention {
-                let cap = cap.max(1);
-                while log.len() > cap {
-                    dropped.push(log.pop_front().expect("len checked"));
-                }
-            }
-            return dropped;
+        } else {
+            log.extend(records);
         }
-        {
-            let log = st.logs.entry(key.clone()).or_default();
-            for record in &records {
-                log.push_back(record.clone());
-            }
-            if let Some(cap) = retention {
-                let cap = cap.max(1);
-                while log.len() > cap {
-                    dropped.push(log.pop_front().expect("len checked"));
-                }
-            }
-        }
-        for record in &records {
-            Self::notify(&mut st, &key, record);
+        for record in &notified {
+            Self::notify(st, &key, record);
         }
         dropped
     }
@@ -581,6 +612,7 @@ impl Shard {
             .into_iter()
             .map(|(k, v)| (k, v.into_iter().collect()))
             .collect();
+        st.log_weights.clear();
     }
 
     fn notify(st: &mut ShardState, key: &Bytes, value: &Bytes) {
@@ -807,6 +839,24 @@ mod tests {
             vec![b("r2"), b("r3"), b("r4"), b("r5")]
         );
         assert_eq!(s.log_len(b"log".as_ref()), 4);
+    }
+
+    #[test]
+    fn a_capped_append_bounds_the_summed_weight_and_keeps_the_newest() {
+        let s = shard();
+        // Each record weighs its length.
+        let len = |r: &[u8]| r.len();
+        s.append_many_capped(b("log"), vec![b("a"), b("bb")], 4, len);
+        let dropped = s.append_many_capped(b("log"), vec![b("ccc")], 4, len);
+        assert_eq!(dropped, vec![b("a"), b("bb")]);
+        assert_eq!(s.read_log(b"log".as_ref()), vec![b("ccc")]);
+        // A record heavier than the cap alone is kept: it is the newest.
+        let dropped = s.append_many_capped(b("log"), vec![b("ddddd")], 4, len);
+        assert_eq!(dropped, vec![b("ccc")]);
+        assert_eq!(s.read_log(b"log".as_ref()), vec![b("ddddd")]);
+        let dropped = s.append_many_capped(b("log"), vec![b("e"), b("f")], 4, len);
+        assert_eq!(dropped, vec![b("ddddd")]);
+        assert_eq!(s.read_log(b"log".as_ref()), vec![b("e"), b("f")]);
     }
 
     #[test]

@@ -191,6 +191,21 @@ impl KvStore {
             .append_many(key.clone(), records, retention)
     }
 
+    /// [`KvStore::append_many`] under a cap on the records' summed
+    /// `weight` rather than their number: the oldest records are dropped
+    /// until the log weighs at most `cap`, except that the newest record
+    /// is always kept. Returns the dropped records.
+    pub fn append_many_capped(
+        &self,
+        key: Bytes,
+        records: Vec<Bytes>,
+        cap: usize,
+        weight: fn(&[u8]) -> usize,
+    ) -> Vec<Bytes> {
+        self.shard_for(&key)
+            .append_many_capped(key.clone(), records, cap, weight)
+    }
+
     /// Reads the full log at `key`.
     pub fn read_log(&self, key: &[u8]) -> Vec<Bytes> {
         self.shard_for(key).read_log(key)

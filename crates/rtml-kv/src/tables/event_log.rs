@@ -33,10 +33,10 @@ const PREFIX: &[u8] = b"ev:";
 pub struct EventLog {
     kv: Arc<KvStore>,
     enabled: bool,
-    /// Maximum records kept per (node, component) stream; `None` means
+    /// Maximum events kept per (node, component) stream; `None` means
     /// unbounded (the seed behaviour).
     retention: Option<usize>,
-    /// Records dropped across all streams to enforce the retention cap.
+    /// Events dropped across all streams to enforce the retention cap.
     /// Shared across clones so every handle reports the same total.
     dropped: Arc<Counter>,
 }
@@ -63,12 +63,12 @@ impl EventLog {
         }
     }
 
-    /// Bounds every stream to at most `cap` records, ring-buffer style:
-    /// the oldest records are dropped as new ones land, and the events
+    /// Bounds every stream to at most `cap` events, ring-buffer style:
+    /// the oldest frames are dropped as new ones land, and the events
     /// they contained are counted in [`EventLog::dropped_count`]. A
-    /// record is one `append` (one event) or one `append_many` frame
-    /// (a batch), so memory per stream is bounded by `cap` x the
-    /// largest batch. `None` removes the bound.
+    /// frame is dropped whole, and the newest is always kept, so a
+    /// stream exceeds `cap` only while its newest frame alone does.
+    /// `None` removes the bound.
     pub fn with_retention(mut self, cap: Option<usize>) -> Self {
         self.retention = cap;
         self
@@ -84,7 +84,7 @@ impl EventLog {
         self.retention
     }
 
-    /// Total records dropped to enforce the retention cap, across all
+    /// Total events dropped to enforce the retention cap, across all
     /// streams and all clones of this handle.
     pub fn dropped_count(&self) -> u64 {
         self.dropped.get()
@@ -146,17 +146,20 @@ impl EventLog {
     }
 
     /// Encodes `events` as one length-prefixed frame record and appends
-    /// it, charging any records the retention cap evicted to the dropped
-    /// counter (by their event counts, read from the frame headers).
+    /// it, charging any frames the retention cap evicted to the dropped
+    /// counter (by their event counts, read from the frame headers — the
+    /// weight the cap is counted in).
     fn append_frame(&self, key: Bytes, events: &[Event]) {
         let mut w = Writer::with_capacity(24 * events.len() + 4);
         w.put_varint(events.len() as u64);
         for event in events {
             event.encode(&mut w);
         }
-        let evicted = self
-            .kv
-            .append_many(key, vec![w.into_bytes()], self.retention);
+        let frame = vec![w.into_bytes()];
+        let evicted = match self.retention {
+            Some(cap) => self.kv.append_many_capped(key, frame, cap, Self::frame_len),
+            None => self.kv.append_many(key, frame, None),
+        };
         if !evicted.is_empty() {
             let events: u64 = evicted.iter().map(|r| Self::frame_len(r) as u64).sum();
             self.dropped.add(events);
@@ -305,15 +308,23 @@ mod tests {
         assert_eq!(times, vec![7, 8, 9, 10, 11]);
         assert_eq!(log.dropped_count(), 7);
         // Clones share the drop counter. A batch lands as one frame
-        // record, so it evicts one single-event record here.
+        // record, and the cap counts its three events: it evicts three
+        // single-event records here.
         let clone = log.clone();
         clone.append_many(
             NodeId(0),
             (12..15).map(|i| ev(Component::Worker, i)).collect(),
         );
-        assert_eq!(log.dropped_count(), 8);
+        assert_eq!(log.dropped_count(), 10);
         let events = log.read(NodeId(0), Component::Worker);
-        assert_eq!(events.len(), 7); // 4 surviving singles + 3 framed
+        assert_eq!(events.len(), 5); // 2 surviving singles + 3 framed
         assert_eq!(events.last().unwrap().at_nanos, 14);
+        // A frame larger than the cap is kept whole, alone.
+        clone.append_many(
+            NodeId(0),
+            (15..22).map(|i| ev(Component::Worker, i)).collect(),
+        );
+        assert_eq!(log.dropped_count(), 15);
+        assert_eq!(log.read(NodeId(0), Component::Worker).len(), 7);
     }
 }

@@ -334,8 +334,12 @@ impl ObjectTable {
     }
 
     /// Batched point reads: `out[i]` is the record for `objects[i]`,
-    /// with one lock acquisition per touched shard.
+    /// with one lock acquisition per touched shard. One object takes
+    /// [`ObjectTable::get`]'s path.
     pub fn get_many(&self, objects: &[ObjectId]) -> Vec<Option<ObjectInfo>> {
+        if let [object] = objects {
+            return vec![self.get(*object)];
+        }
         let keys = super::id_keys_arena(PREFIX, objects.iter().map(|o| o.unique()));
         self.kv
             .get_many(&keys)

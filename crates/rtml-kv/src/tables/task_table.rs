@@ -102,8 +102,13 @@ impl TaskTable {
     }
 
     /// Transitions many tasks to the same state with one group-committed
-    /// write (the batch-ingest path in the local scheduler).
+    /// write (the batch-ingest path in the local scheduler). One task
+    /// takes [`TaskTable::set_state`]'s path: a lone task's commits cost
+    /// what they did before workers took batches.
     pub fn set_states_many(&self, tasks: &[TaskId], state: &TaskState) {
+        if let [task] = tasks {
+            return self.set_state(*task, state);
+        }
         let encoded = encode_to_bytes(state);
         let keys = super::id_keys_arena(STATE_PREFIX, tasks.iter().map(|t| t.unique()));
         self.kv
@@ -116,8 +121,12 @@ impl TaskTable {
     ///
     /// A task with a durable spec but no state record yet reads as
     /// [`TaskState::Submitted`] — the submit fast path records only the
-    /// spec, so "spec exists, no explicit state" *means* submitted.
+    /// spec, so "spec exists, no explicit state" *means* submitted. One
+    /// task takes [`TaskTable::get_state`]'s path.
     pub fn get_states_many(&self, tasks: &[TaskId]) -> Vec<Option<TaskState>> {
+        if let [task] = tasks {
+            return vec![self.get_state(*task)];
+        }
         let keys = super::id_keys_arena(STATE_PREFIX, tasks.iter().map(|t| t.unique()));
         let mut out: Vec<Option<TaskState>> = self
             .kv

@@ -112,7 +112,11 @@ impl<S: Send + 'static> ActorHandle<S> {
                                 ),
                             };
                             if let Some(store) = services2.store(node) {
-                                let _ = services2.seal_and_publish(&store, object, bytes, || None);
+                                let _ = services2.seal_and_publish(
+                                    &store,
+                                    vec![(object, bytes)],
+                                    |_, _| None,
+                                );
                             }
                             services2.tasks.set_state(task, &final_state);
                             services2.events.append(

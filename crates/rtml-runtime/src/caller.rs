@@ -18,7 +18,6 @@ use rtml_common::ids::{DriverId, FunctionId, NodeId, ObjectId, TaskId, WorkerId}
 use rtml_common::resources::Resources;
 use rtml_common::task::{ArgSpec, TaskSpec, TaskState};
 use rtml_common::time::now_nanos;
-use rtml_sched::RunQueue;
 
 use crate::envelope;
 use crate::fetch;
@@ -26,6 +25,7 @@ use crate::lineage::ReconstructionManager;
 use crate::object_ref::{IntoArg, ObjectRef};
 use crate::registry::{Func0, Func1, Func2, Func3, Func4};
 use crate::services::Services;
+use crate::worker::Outbox;
 
 /// The deadline of a `get` that names none ([`Caller::get`],
 /// [`Caller::get_many`]) and of a task's wait for its arguments. A call
@@ -89,10 +89,11 @@ struct CallerInner {
     home: NodeId,
     current_task: TaskId,
     component: Component,
-    /// Set for worker contexts: the node's run queue, which blocking
-    /// calls hand the task's resources back to while they are parked
+    /// Set for worker contexts: the worker's unpublished results, which
+    /// a blocking call publishes first, and its run queue, which the
+    /// call hands the task's resources back to while it is parked
     /// (nested-task deadlock avoidance).
-    queue: Option<Arc<RunQueue>>,
+    outbox: Option<Arc<Outbox>>,
     child_counter: AtomicU64,
     put_counter: AtomicU64,
     /// Counts driver submission batches for round-robin striping
@@ -100,16 +101,18 @@ struct CallerInner {
     batch_counter: AtomicU64,
 }
 
-/// RAII guard bracketing a blocking section: the running task's grant
-/// goes back to the node's run queue on entry and is re-taken on exit.
+/// RAII guard bracketing a blocking section: the worker's held results
+/// are published and the running task's grant goes back to the node's
+/// run queue on entry ([`Outbox::blocked`]); the grant is re-taken on
+/// exit.
 struct BlockGuard<'a> {
     inner: &'a CallerInner,
 }
 
 impl<'a> BlockGuard<'a> {
     fn enter(inner: &'a CallerInner) -> BlockGuard<'a> {
-        if let Some(queue) = &inner.queue {
-            queue.blocked(inner.current_task);
+        if let Some(outbox) = &inner.outbox {
+            outbox.blocked(inner.current_task);
         }
         BlockGuard { inner }
     }
@@ -117,8 +120,8 @@ impl<'a> BlockGuard<'a> {
 
 impl Drop for BlockGuard<'_> {
     fn drop(&mut self) {
-        if let Some(queue) = &self.inner.queue {
-            queue.unblocked(self.inner.current_task);
+        if let Some(outbox) = &self.inner.outbox {
+            outbox.unblocked(self.inner.current_task);
         }
     }
 }
@@ -138,16 +141,16 @@ impl Caller {
         current_task: TaskId,
         component: Component,
     ) -> Caller {
-        Caller::on_queue(services, recon, home, current_task, component, None)
+        Caller::on_worker(services, recon, home, current_task, component, None)
     }
 
-    pub(crate) fn on_queue(
+    pub(crate) fn on_worker(
         services: Arc<Services>,
         recon: Arc<ReconstructionManager>,
         home: NodeId,
         current_task: TaskId,
         component: Component,
-        queue: Option<Arc<RunQueue>>,
+        outbox: Option<Arc<Outbox>>,
     ) -> Caller {
         Caller {
             inner: Arc::new(CallerInner {
@@ -156,7 +159,7 @@ impl Caller {
                 home,
                 current_task,
                 component,
-                queue,
+                outbox,
                 child_counter: AtomicU64::new(0),
                 put_counter: AtomicU64::new(0),
                 batch_counter: AtomicU64::new(0),
@@ -374,9 +377,8 @@ impl Caller {
             .or_else(|| services.any_alive().and_then(|n| services.store(n)))
         {
             let bytes = envelope::seal_error(&message);
-            for ret in return_ids {
-                let _ = services.seal_and_publish(&store, *ret, bytes.clone(), || None);
-            }
+            let errors = return_ids.iter().map(|ret| (*ret, bytes.clone()));
+            let _ = services.seal_and_publish(&store, errors.collect(), |_, _| None);
         }
     }
 
@@ -403,12 +405,14 @@ impl Caller {
             })
             .ok_or(Error::ShuttingDown)?;
         let objects = &inner.services.objects;
-        inner
-            .services
-            .seal_and_publish(&store, object, envelope::seal_value(value), || {
+        inner.services.seal_and_publish(
+            &store,
+            vec![(object, envelope::seal_value(value))],
+            |_, _| {
                 objects.declare(object, None);
                 None
-            })?;
+            },
+        )?;
         Ok(ObjectRef::typed(object))
     }
 
@@ -725,10 +729,17 @@ impl TaskContext {
         recon: Arc<ReconstructionManager>,
         task: TaskId,
         worker: WorkerId,
-        queue: Option<Arc<RunQueue>>,
+        outbox: Option<Arc<Outbox>>,
     ) -> TaskContext {
         TaskContext {
-            caller: Caller::on_queue(services, recon, worker.node, task, Component::Worker, queue),
+            caller: Caller::on_worker(
+                services,
+                recon,
+                worker.node,
+                task,
+                Component::Worker,
+                outbox,
+            ),
             worker,
         }
     }

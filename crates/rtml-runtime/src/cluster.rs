@@ -50,22 +50,23 @@ use crate::services::Services;
 pub struct ClusterConfig {
     /// One entry per node.
     pub nodes: Vec<NodeConfig>,
-    /// Control-plane shard count (R2 scaling knob; experiment E7).
+    /// Control-plane shard count (R2 scaling knob).
     pub kv_shards: usize,
     /// Cross-node message latency.
     pub latency: LatencyModel,
     /// Cross-node bandwidth (None = infinite).
     pub bandwidth_bytes_per_sec: Option<u64>,
-    /// Local-scheduler spill rule (experiment E8).
+    /// Local-scheduler spill rule.
     pub spill: SpillMode,
-    /// Global placement policy (experiment A2).
+    /// Global placement policy.
     pub placement: PlacementPolicy,
     /// Whether to record events (R7). Benchmarks may disable it.
     pub event_logging: bool,
-    /// Retention cap per event-log stream (`None` = unbounded). With a
-    /// cap, each stream is a ring buffer: long throughput runs stop
-    /// growing control-plane memory, profiling keeps working over the
-    /// retained window, and the number of dropped records is reported.
+    /// Retention cap per event-log stream, in events (`None` =
+    /// unbounded). With a cap, each stream is a ring buffer of frames:
+    /// long throughput runs stop growing control-plane memory, profiling
+    /// keeps working over the retained window, and the number of dropped
+    /// events is reported.
     pub event_log_retention: Option<usize>,
     /// Per-attempt timeout for cross-node object fetches.
     pub fetch_timeout: Duration,
@@ -164,7 +165,7 @@ impl ClusterConfig {
         self
     }
 
-    /// Bounds each event-log stream to `cap` records builder-style.
+    /// Bounds each event-log stream to `cap` events builder-style.
     pub fn with_event_log_retention(mut self, cap: usize) -> Self {
         self.event_log_retention = Some(cap);
         self

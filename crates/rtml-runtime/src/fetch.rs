@@ -31,7 +31,7 @@ use crossbeam::channel::unbounded;
 use rtml_common::error::{Error, Result};
 use rtml_common::ids::{NodeId, ObjectId};
 use rtml_common::retry::RetryPolicy;
-use rtml_sched::{Goal, Replay, Resolver, Wiring, POLL_SLICE};
+use rtml_sched::{Goal, Replays, Resolver, Wiring, POLL_SLICE};
 use rtml_store::{FetchAgent, ObjectStore};
 
 use crate::lineage::ReconstructionManager;
@@ -150,10 +150,7 @@ fn block_on(
         .collect();
     let _local = (store.as_ref()).map(|store| store.subscribe_local_many(&missing, &seal_tx));
     let updates = resolver.updates().clone();
-    let replay = |id: ObjectId, how: Replay| match how {
-        Replay::Missing => recon.handle_missing(id),
-        Replay::Forced => recon.force_replay(id),
-    };
+    let replay = |replays: &Replays| recon.replay(replays);
     // Only a call that wants bytes in its store cares whether the store
     // is still the node's.
     let own_store = store.as_ref().filter(|_| goal == Goal::Values);

@@ -21,6 +21,7 @@ use rtml_common::event::{Component, Event, EventKind};
 use rtml_common::ids::{ObjectId, TaskId};
 use rtml_common::metrics::{Counter, MetricsRegistry};
 use rtml_common::task::TaskState;
+use rtml_sched::{Replay, Replays};
 
 use crate::envelope;
 use crate::services::Services;
@@ -84,40 +85,77 @@ impl ReconstructionManager {
         registry.register_value("recon.deferred", move || deferred.get());
     }
 
-    /// Called when someone needs `object` but no live copy exists.
+    /// What a resolver pass asks for: the producers of the objects with
+    /// no live copy, looked at together, and the forced replays.
+    pub fn replay(&self, replays: &Replays) {
+        let missing: Vec<ObjectId> = replays
+            .iter()
+            .filter(|(_, how)| *how == Replay::Missing)
+            .map(|(object, _)| *object)
+            .collect();
+        self.handle_missing(&missing);
+        for (object, how) in replays {
+            if *how == Replay::Forced {
+                self.force_replay(*object);
+            }
+        }
+    }
+
+    /// Called when someone needs `objects` but no live copy of them
+    /// exists.
     ///
-    /// Idempotent and cheap when the producer is already in flight;
-    /// resubmits the producer when it terminated without leaving a copy
-    /// (node failure, eviction); seals error envelopes when the object
-    /// can never be produced (failed producer, broken lineage).
-    pub fn handle_missing(&self, object: ObjectId) {
-        let info = self.services.objects.get(object);
-        if info.as_ref().is_some_and(|i| i.is_available()) {
+    /// Idempotent and cheap when a producer is already in flight;
+    /// resubmits a producer that terminated without leaving a copy (node
+    /// failure, eviction); seals error envelopes for an object that can
+    /// never be produced (failed producer, broken lineage). The records
+    /// and the producers' states are each read in one batched call — a
+    /// `get` of a whole burst nudges every result's producer at once.
+    pub fn handle_missing(&self, objects: &[ObjectId]) {
+        if objects.is_empty() {
             return;
         }
-        // The producer normally rides inside the ID itself
-        // ([`ObjectId::producer_task`]); an explicit table record (which
-        // the table synthesizes from the ID anyway) covers IDs that lost
-        // their provenance in transit. Note there may be *no* record at
-        // all: the submission path writes none, so a never-sealed return
-        // object is just an ID plus a durable task spec.
-        let producer = object
-            .producer_task()
-            .or_else(|| info.as_ref().and_then(|i| i.producer));
-        let Some(producer) = producer else {
-            // No producing task (a `put` or an actor result). If it has
-            // never been sealed it is simply not produced yet — keep
-            // waiting. If it *was* sealed and now has no copies, the
-            // value is gone for good: no lineage to replay.
-            if info.is_some_and(|i| i.sealed) {
-                self.seal_missing_as_error(
-                    &[object],
-                    "lineage broken: object has no producing task and its last copy was lost",
-                );
+        let mut producers = Vec::with_capacity(objects.len());
+        for (object, info) in objects.iter().zip(self.services.objects.get_many(objects)) {
+            if info.as_ref().is_some_and(|i| i.is_available()) {
+                continue;
             }
+            // The producer normally rides inside the ID itself
+            // ([`ObjectId::producer_task`]); an explicit table record
+            // (which the table synthesizes from the ID anyway) covers
+            // IDs that lost their provenance in transit. Note there may
+            // be *no* record at all: the submission path writes none, so
+            // a never-sealed return object is just an ID plus a durable
+            // task spec.
+            let producer = object
+                .producer_task()
+                .or_else(|| info.as_ref().and_then(|i| i.producer));
+            match producer {
+                Some(producer) => producers.push((*object, producer)),
+                // No producing task (a `put` or an actor result). If it
+                // has never been sealed it is simply not produced yet —
+                // keep waiting. If it *was* sealed and now has no
+                // copies, the value is gone for good: no lineage to
+                // replay.
+                None if info.is_some_and(|i| i.sealed) => self.seal_missing_as_error(
+                    &[*object],
+                    "lineage broken: object has no producing task and its last copy was lost",
+                ),
+                None => {}
+            }
+        }
+        if producers.is_empty() {
             return;
-        };
-        match self.services.tasks.get_state(producer) {
+        }
+        let tasks: Vec<TaskId> = producers.iter().map(|(_, task)| *task).collect();
+        let states = self.services.tasks.get_states_many(&tasks);
+        for ((object, producer), state) in producers.into_iter().zip(states) {
+            self.on_missing(object, producer, state);
+        }
+    }
+
+    /// Decides for one object with no live copy by its producer's state.
+    fn on_missing(&self, object: ObjectId, producer: TaskId, state: Option<TaskState>) {
+        match state {
             Some(state @ (TaskState::Submitted | TaskState::Queued(_) | TaskState::Spilled)) => {
                 // In flight (or about to be): the seal will come —
                 // unless the message moving it forward was swallowed by
@@ -317,14 +355,13 @@ impl ReconstructionManager {
             return;
         };
         let bytes = envelope::seal_error(message);
-        for object in objects {
-            if self.services.objects.is_available(*object) {
-                continue;
-            }
-            let _ = self
-                .services
-                .seal_and_publish(&store, *object, bytes.clone(), || None);
-        }
+        let missing = objects
+            .iter()
+            .filter(|object| !self.services.objects.is_available(**object))
+            .map(|object| (*object, bytes.clone()));
+        let _ = self
+            .services
+            .seal_and_publish(&store, missing.collect(), |_, _| None);
     }
 }
 

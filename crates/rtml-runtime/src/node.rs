@@ -17,7 +17,7 @@ use rtml_common::ids::{NodeId, WorkerId};
 use rtml_common::metrics::MetricsRegistry;
 use rtml_common::resources::Resources;
 use rtml_sched::{
-    GlobalRoutes, LocalMsg, LocalScheduler, LocalSchedulerConfig, LocalSchedulerHandle, Replay,
+    GlobalRoutes, LocalMsg, LocalScheduler, LocalSchedulerConfig, LocalSchedulerHandle, Replays,
     RunQueue, SchedServices,
 };
 use rtml_store::{ObjectStore, StoreConfig};
@@ -141,10 +141,7 @@ impl NodeRuntime {
         // channel sends only (see `SchedServices::reconstruct`).
         let recon_hook = {
             let recon = recon.clone();
-            Arc::new(move |object, how| match how {
-                Replay::Missing => recon.handle_missing(object),
-                Replay::Forced => recon.force_replay(object),
-            })
+            Arc::new(move |replays: &Replays| recon.replay(replays))
         };
         // Grows the worker pool on the run queue's request, up to a cap,
         // on the thread that asked: the new worker is known to the queue

@@ -142,39 +142,64 @@ impl Services {
         self.agents.read().get(&node).cloned()
     }
 
-    /// Seals `bytes` into `store` as `object` and publishes the copy —
-    /// the one place a `put` becomes object-table writes, whoever seals.
-    /// `sealed` runs once the bytes are resident and before the location
-    /// is committed: the location is what unblocks consumers' `get`s, so
-    /// whatever it logs they will find, and a push it announces rides
-    /// that commit ([`ObjectTable::add_location_pushed`]). What the put
-    /// evicted then leaves the table as one group commit, logged: a
-    /// listed location is a resident copy.
+    /// Seals each of `objects` into `store` and publishes the copies —
+    /// the one place a put becomes object-table writes, whoever seals.
+    /// `sealed` runs for each object once its bytes are resident and
+    /// before any location is committed: the locations are what unblock
+    /// consumers' `get`s, so whatever it logs they will find, and a push
+    /// it announces rides that object's commit
+    /// ([`ObjectTable::add_location_pushed`]). The seals and what the
+    /// puts evicted are logged as one frame, the locations land as one
+    /// group commit (a pushed one each with its announcement), and what
+    /// the puts evicted leaves the table as one more: a listed location
+    /// is a resident copy. An object the store cannot take stays
+    /// unsealed; the first such error is returned once the rest are
+    /// published.
     pub(crate) fn seal_and_publish(
         &self,
         store: &ObjectStore,
-        object: ObjectId,
-        bytes: bytes::Bytes,
-        sealed: impl FnOnce() -> Option<Inbound>,
+        objects: Vec<(ObjectId, bytes::Bytes)>,
+        mut sealed: impl FnMut(ObjectId, &bytes::Bytes) -> Option<Inbound>,
     ) -> Result<()> {
         let node = store.node();
-        let len = bytes.len() as u64;
-        let outcome = store.put(object, bytes)?;
-        match sealed() {
-            Some(inbound) => self.objects.add_location_pushed(object, node, len, inbound),
-            None => self.objects.add_location(object, node, len),
+        let mut events = Vec::with_capacity(objects.len());
+        let mut located = Vec::with_capacity(objects.len());
+        let (mut pushed, mut evicted, mut refused) = (Vec::new(), Vec::new(), Ok(()));
+        for (object, bytes) in objects {
+            let size = bytes.len() as u64;
+            let outcome = match store.put(object, bytes.clone()) {
+                Ok(outcome) => outcome,
+                Err(err) => {
+                    refused = refused.and(Err(err));
+                    continue;
+                }
+            };
+            evicted.extend(outcome.evicted);
+            let kind = EventKind::ObjectSealed { object, node, size };
+            events.push(Event::now(Component::ObjectStore, kind));
+            match sealed(object, &bytes) {
+                Some(inbound) => pushed.push((object, size, inbound)),
+                None => located.push((object, size)),
+            }
         }
-        if !outcome.evicted.is_empty() {
-            self.objects.remove_location_many(&outcome.evicted, node);
-            let at_nanos = rtml_common::time::now_nanos();
-            let evicted = outcome.evicted.into_iter().map(|object| Event {
-                at_nanos,
-                component: Component::ObjectStore,
-                kind: EventKind::ObjectEvicted { object, node },
-            });
-            self.events.append_many(node, evicted.collect());
+        let at_nanos = rtml_common::time::now_nanos();
+        events.extend(evicted.iter().map(|&object| Event {
+            at_nanos,
+            component: Component::ObjectStore,
+            kind: EventKind::ObjectEvicted { object, node },
+        }));
+        self.events.append_many(node, events);
+        if !located.is_empty() {
+            self.objects.add_location_many(&located, node);
         }
-        Ok(())
+        for (object, size, inbound) in pushed {
+            self.objects
+                .add_location_pushed(object, node, size, inbound);
+        }
+        if !evicted.is_empty() {
+            self.objects.remove_location_many(&evicted, node);
+        }
+        refused
     }
 
     /// Sends a batch of tasks (one task is a batch of one) to `node`'s

@@ -1,21 +1,47 @@
 //! Worker threads: where tasks actually run.
 //!
-//! A worker takes its own next task from the node's run queue
-//! ([`RunQueue::next`]: the call that hands back the finished task's
-//! resources and pins also first-fits the next one, and sleeps only when
-//! nothing fits), resolves the task's arguments from the node's object
-//! store (they are local by the time the scheduler queues the task,
-//! modulo rare races that the fetch path covers), invokes the registered
+//! A worker takes its own next batch from the node's run queue
+//! ([`RunQueue::next`]: the call that hands back the finished batch's
+//! resources also first-fits the next task, and sleeps only when nothing
+//! fits), resolves each task's arguments from the node's object store
+//! (they are local by the time the scheduler queues the task, modulo
+//! rare races that the fetch path covers), invokes the registered
 //! function with a [`TaskContext`] (giving the task the full API —
 //! dynamic graphs, R3) and seals the results. The scheduler thread is not
 //! on that path: it hears from a worker only when the queue runs dry.
+//!
+//! # A batch pays its commits once
+//!
+//! When more tasks are ready than the node has workers to spread them
+//! over, a take is a [`Batch`]: the worker's fair share of them, at most
+//! [`rtml_sched::MAX_BATCH`], run in order under one resource grant
+//! (see [`rtml_sched::runq`]). The worker commits the batch's `Running`
+//! states in one write and times that commit. It then runs the tasks in
+//! order and **holds** each result while the task ran for less time than
+//! the commit took — publishing it alone would cost more than running it
+//! did — and the next task runs the same function, so is expected to be
+//! as short. A longer task, a task of another function, or the batch's
+//! end publishes what is held: the store puts, one location commit (what
+//! the puts evicted in one more), one `Finished` commit, and one event
+//! frame per component in which every `TaskStarted`, `TaskFinished` and
+//! `ObjectSealed` keeps its own task's instant. So does a task that
+//! blocks in `get`/`wait` — what it waits for may be held — before it
+//! hands its grant back: the held results live in the worker's
+//! `Outbox`, which the task's context reaches. A task's start is
+//! reported to the queue ([`RunQueue::start`]) together with what was
+//! published since, so a worker that dies loses exactly the tasks whose
+//! results are not out. The batch's tasks not yet started stay the
+//! node's backlog: an idle worker takes from them once the `Running`
+//! commit is out ([`RunQueue::committed`]). There is one path: a lone
+//! task is a batch of one, and the hold rule reads no setting, only
+//! times the worker measured itself.
 //!
 //! # A small result travels with its completion
 //!
 //! The caller of a remotely run task is usually blocked on its result
 //! by the time it seals, and pulling an 8-byte value it is already
 //! waiting for costs two fabric hops (request, reply) where one will
-//! do. So `seal` sends a result of at most
+//! do. So `publish` sends a result of at most
 //! [`rtml_store::PUSH_MAX_BYTES`] to the node that submitted the task —
 //! the node that holds its future — straight from the worker thread, as
 //! the chunk frame a request would have been answered with
@@ -27,7 +53,9 @@
 //!
 //! A result is pushed **only when nothing is queued behind it** (the
 //! run queue's [`rtml_sched::LocalSchedulerStats::ready_depth`] gauge
-//! reads zero). A lone frame wakes the receiving agent and the blocked
+//! reads zero — it counts the tasks a batch holds, too — and no task of
+//! its batch is about to run: only the last result published at a long
+//! task's or the batch's end can be). A lone frame wakes the receiving agent and the blocked
 //! caller once per result; the results of a burst are better left to
 //! the caller's pull, which moves them in a few batched replies. An
 //! empty ready queue is what the single remote call and the tail of
@@ -38,22 +66,25 @@
 //!   return object, so consumers fail fast and errors propagate along
 //!   dataflow edges.
 //! - A worker killed by failure injection discards all effects of its
-//!   in-flight task (no seals, and the task is never handed back to the
-//!   queue as finished: it stays under the worker until the scheduler
-//!   detaches it and marks the task lost) — exactly what a process crash
-//!   would look like to the rest of the system.
+//!   in-flight task and of the results it holds (no seals, and none is
+//!   reported published: they stay under the worker, with the tasks it
+//!   had not started, until the scheduler detaches it and marks them
+//!   lost) — exactly what a process crash would look like to the rest
+//!   of the system.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
+use parking_lot::Mutex;
 use rtml_common::error::{Error, Result};
 use rtml_common::event::{Component, Event, EventKind};
-use rtml_common::ids::{NodeId, ObjectId, WorkerId};
+use rtml_common::ids::{FunctionId, NodeId, ObjectId, TaskId, WorkerId};
 use rtml_common::task::{ArgSpec, TaskSpec, TaskState};
+use rtml_common::time::now_nanos;
 use rtml_kv::Inbound;
-use rtml_sched::{LocalSchedulerStats, RunQueue};
+use rtml_sched::{Batch, LocalSchedulerStats, RunQueue};
 use rtml_store::ObjectStore;
 
 use crate::caller::TaskContext;
@@ -124,43 +155,219 @@ fn worker_loop(
     queue: Arc<RunQueue>,
     kill: Arc<AtomicBool>,
 ) {
-    let mut finished = None;
-    while let Some(spec) = queue.next(id, finished) {
-        if kill.load(Ordering::Acquire) {
+    let outbox = Arc::new(Outbox {
+        worker: id,
+        services: services.clone(),
+        queue: queue.clone(),
+        kill,
+        held: Mutex::new(Vec::new()),
+    });
+    while let Some(batch) = queue.next(id) {
+        if outbox.crashed() || !run_batch(&services, &recon, &outbox, batch) {
+            // Crashed: nothing it ran is reported finished.
             break;
         }
-        execute_task(id, &services, &recon, &queue, &spec, &kill);
-        if kill.load(Ordering::Acquire) {
-            // Crashed mid-task: it is never reported finished.
-            break;
-        }
-        finished = Some(spec.task_id);
     }
 }
 
-fn execute_task(
-    id: WorkerId,
+/// A task that ran, its results not yet published.
+struct Ran {
+    spec: TaskSpec,
+    started_at: u64,
+    finished_at: u64,
+    took: Duration,
+    /// The sealed results, or why the task failed.
+    outcome: std::result::Result<Vec<Bytes>, String>,
+}
+
+/// What a worker ran and has not published yet (see the module docs),
+/// shared with the context of the task it runs: a task that blocks
+/// publishes it first, since what it waits for may be in it.
+pub(crate) struct Outbox {
+    worker: WorkerId,
+    services: Arc<Services>,
+    queue: Arc<RunQueue>,
+    kill: Arc<AtomicBool>,
+    held: Mutex<Vec<Ran>>,
+}
+
+impl Outbox {
+    /// The running `task` blocks in `get`/`wait`: what the worker holds
+    /// is published, then the batch's grant and the tasks held behind
+    /// the task go back to the queue ([`RunQueue::blocked`]).
+    pub(crate) fn blocked(&self, task: TaskId) {
+        let published = if self.kill.load(Ordering::Acquire) {
+            Vec::new()
+        } else {
+            self.publish(false)
+        };
+        self.queue.blocked(task, &published);
+    }
+
+    /// The blocked `task` resumed ([`RunQueue::unblocked`]).
+    pub(crate) fn unblocked(&self, task: TaskId) {
+        self.queue.unblocked(task);
+    }
+
+    /// Killed — or the node was detached under the worker (`kill_node`
+    /// racing a taken task). Either way what it ran is discarded, results
+    /// and state updates alike: publishing a `Failed` state would mask
+    /// the node death as an application error and exempt the task from
+    /// the `Lost`-state repair that replays it.
+    fn crashed(&self) -> bool {
+        self.kill.load(Ordering::Acquire) || self.services.store(self.worker.node).is_none()
+    }
+
+    /// Whether a result of another function than `function` is held.
+    fn holds_other_than(&self, function: FunctionId) -> bool {
+        let held = self.held.lock();
+        held.last().is_some_and(|ran| ran.spec.function != function)
+    }
+
+    fn hold(&self, ran: Ran) {
+        self.held.lock().push(ran);
+    }
+
+    /// Publishes what is held, in order: the tasks' worker events as one
+    /// frame, each at its own instant — logged before any result is, so
+    /// a local reader woken by a seal finds them — then every result,
+    /// sealed and published as one ([`Services::seal_and_publish`]; a
+    /// failed task's as error envelopes, so consumers unblock with the
+    /// propagated error), then one `Finished` commit. With `push` the
+    /// last task's results may be pushed to its submitter; the others
+    /// have a task behind them. Returns the tasks published.
+    fn publish(&self, push: bool) -> Vec<TaskId> {
+        let held = std::mem::take(&mut *self.held.lock());
+        let (id, services) = (self.worker, &*self.services);
+        let node = id.node;
+        let Some(last) = held.last() else {
+            return Vec::new();
+        };
+        let Some(store) = services.store(node) else {
+            return Vec::new();
+        };
+        let push_to = push.then_some((last.spec.task_id, last.spec.submitter_node));
+        let mut worker_events = Vec::with_capacity(2 * held.len());
+        let mut results = Vec::with_capacity(held.len());
+        let mut finished = Vec::with_capacity(held.len());
+        let mut tasks = Vec::with_capacity(held.len());
+        for ran in held {
+            let task = ran.spec.task_id;
+            tasks.push(task);
+            let event = |at_nanos, kind| Event {
+                at_nanos,
+                component: Component::Worker,
+                kind,
+            };
+            worker_events.push(event(
+                ran.started_at,
+                EventKind::TaskStarted { task, worker: id },
+            ));
+            let returns = match ran.outcome {
+                Ok(returns) => {
+                    finished.push(task);
+                    let micros = ran.took.as_micros() as u64;
+                    let kind = EventKind::TaskFinished {
+                        task,
+                        worker: id,
+                        micros,
+                    };
+                    worker_events.push(event(ran.finished_at, kind));
+                    returns
+                }
+                Err(message) => {
+                    // State first: the seals are what unblock consumers, so
+                    // anything they (or tools) read afterwards must already
+                    // say Failed.
+                    let failed = TaskState::Failed(message.clone());
+                    services.tasks.set_state(task, &failed);
+                    let bytes = envelope::seal_error(&message);
+                    let kind = EventKind::TaskFailed { task, message };
+                    worker_events.push(event(ran.finished_at, kind));
+                    vec![bytes; ran.spec.num_returns as usize]
+                }
+            };
+            for (index, bytes) in returns.into_iter().enumerate() {
+                results.push((task.return_object(index as u32), bytes));
+            }
+        }
+        services.events.append_many(node, worker_events);
+        let stats = self.queue.stats();
+        // A result the store cannot take stays unsealed: its consumers
+        // reconstruct (and likely hit the same wall — surfaced as
+        // timeouts, which is honest).
+        let _ = services.seal_and_publish(&store, results, |object, bytes| {
+            let (_, to) = push_to.filter(|(task, _)| object.producer_task() == Some(*task))?;
+            push_to_submitter(services, stats, &store, to, object, bytes)
+        });
+        if !finished.is_empty() {
+            services
+                .tasks
+                .set_states_many(&finished, &TaskState::Finished);
+        }
+        tasks
+    }
+}
+
+/// Runs `batch` in order (see the module docs): one `Running` commit,
+/// each result held while its task ran for less time than that commit
+/// took and the next task runs the same function, and what is held
+/// published by a longer task, a task of another function, a task that
+/// blocks, or the batch's end. False if the worker crashed, with
+/// everything it held discarded.
+fn run_batch(
     services: &Arc<Services>,
     recon: &Arc<ReconstructionManager>,
-    queue: &Arc<RunQueue>,
-    spec: &TaskSpec,
-    kill: &AtomicBool,
-) {
-    let sched_stats = queue.stats();
-    let node = id.node;
-    let task = spec.task_id;
-    services.tasks.set_state(task, &TaskState::Running(id));
-    services.events.append(
-        node,
-        Event::now(
-            Component::Worker,
-            EventKind::TaskStarted { task, worker: id },
-        ),
-    );
-    let started = Instant::now();
+    outbox: &Arc<Outbox>,
+    batch: Batch,
+) -> bool {
+    let (id, queue) = (outbox.worker, &outbox.queue);
+    let committing = Instant::now();
+    services
+        .tasks
+        .set_states_many(&batch.tasks(), &TaskState::Running(id));
+    let commit = committing.elapsed();
+    if !batch.behind.is_empty() {
+        queue.committed(id);
+    }
+    let mut published = Vec::new();
+    let mut next = Some(batch.first);
+    while let Some(spec) = next {
+        // How long a task of another function runs is unknown: what is
+        // held does not wait for it.
+        if outbox.holds_other_than(spec.function) {
+            published.extend(outbox.publish(false));
+        }
+        let ran = execute_task(services, recon, outbox, spec);
+        if outbox.crashed() {
+            return false;
+        }
+        let long = ran.took >= commit;
+        outbox.hold(ran);
+        if long {
+            published.extend(outbox.publish(true));
+        }
+        // A lone task is the batch's end: nothing to start.
+        next = (!batch.behind.is_empty())
+            .then(|| queue.start(id, &published))
+            .flatten();
+        published.clear();
+    }
+    outbox.publish(true);
+    true
+}
 
+fn execute_task(
+    services: &Arc<Services>,
+    recon: &Arc<ReconstructionManager>,
+    outbox: &Arc<Outbox>,
+    spec: TaskSpec,
+) -> Ran {
+    let (id, task) = (outbox.worker, spec.task_id);
+    let started_at = now_nanos();
+    let started = Instant::now();
     // On success, one sealed envelope per return object.
-    let outcome = resolve_args(services, recon, id, spec).and_then(|raw_args| {
+    let outcome = resolve_args(services, recon, id, &spec).and_then(|raw_args| {
         let func = services
             .registry
             .get(spec.function)
@@ -170,7 +377,7 @@ fn execute_task(
             recon.clone(),
             task,
             id,
-            Some(queue.clone()),
+            Some(outbox.clone()),
         );
         let result =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| func(&ctx, &raw_args)));
@@ -182,142 +389,46 @@ fn execute_task(
             }),
         }
     });
-
-    if kill.load(Ordering::Acquire) || services.store(node).is_none() {
-        // Simulated crash — or the node was detached under us while we
-        // ran (kill_node racing a taken task). Either way: discard
-        // all results and state updates. Publishing a Failed state here
-        // would mask the node death as an application error and exempt
-        // the task from the Lost-state repair that replays it.
-        return;
-    }
-
-    let exec_micros = started.elapsed().as_micros() as u64;
-    match outcome {
-        Ok(results) if results.len() == spec.num_returns as usize => {
-            for (i, sealed) in results.into_iter().enumerate() {
-                let object = task.return_object(i as u32);
-                seal(services, sched_stats, node, spec, object, sealed);
-            }
-            services.tasks.set_state(task, &TaskState::Finished);
-            services.events.append(
-                node,
-                Event::now(
-                    Component::Worker,
-                    EventKind::TaskFinished {
-                        task,
-                        worker: id,
-                        micros: exec_micros,
-                    },
-                ),
-            );
-        }
-        Ok(results) => {
-            let message = format!(
-                "task {task} returned {} values, expected {}",
-                results.len(),
-                spec.num_returns
-            );
-            fail_task(services, sched_stats, node, spec, &message);
-        }
-        Err(err) => {
-            let message = err.to_string();
-            fail_task(services, sched_stats, node, spec, &message);
-        }
-    }
-}
-
-/// Seals error envelopes for every return of a failed task, so consumers
-/// unblock with the propagated error, then records the failure.
-fn fail_task(
-    services: &Arc<Services>,
-    sched_stats: &LocalSchedulerStats,
-    node: NodeId,
-    spec: &TaskSpec,
-    message: &str,
-) {
-    // State first, then the seals: the seals are what unblock
-    // consumers, so anything they (or tools) read afterwards must
-    // already say Failed.
-    services
-        .tasks
-        .set_state(spec.task_id, &TaskState::Failed(message.to_string()));
-    let bytes = envelope::seal_error(message);
-    for i in 0..spec.num_returns {
-        let object = spec.task_id.return_object(i);
-        seal(services, sched_stats, node, spec, object, bytes.clone());
-    }
-    services.events.append(
-        node,
-        Event::now(
-            Component::Worker,
-            EventKind::TaskFailed {
-                task: spec.task_id,
-                message: message.to_string(),
-            },
-        ),
-    );
-}
-
-/// Seals one result of `spec` into `node`'s store and publishes it —
-/// pushed to the submitter's node first when it qualifies (see the
-/// module docs), so that the one commit that makes the seal visible
-/// also says where the second copy is headed.
-fn seal(
-    services: &Arc<Services>,
-    sched_stats: &LocalSchedulerStats,
-    node: NodeId,
-    spec: &TaskSpec,
-    object: ObjectId,
-    bytes: Bytes,
-) {
-    let Some(store) = services.store(node) else {
-        return;
+    let took = started.elapsed();
+    let outcome = match outcome {
+        Ok(results) if results.len() == spec.num_returns as usize => Ok(results),
+        Ok(results) => Err(format!(
+            "task {task} returned {} values, expected {}",
+            results.len(),
+            spec.num_returns
+        )),
+        Err(err) => Err(err.to_string()),
     };
-    let len = bytes.len() as u64;
-    let sealed = || {
-        services.events.append(
-            node,
-            Event::now(
-                Component::ObjectStore,
-                EventKind::ObjectSealed {
-                    object,
-                    node,
-                    size: len,
-                },
-            ),
-        );
-        push_to_submitter(services, sched_stats, &store, spec, object, &bytes)
-    };
-    // Store full beyond eviction: the object stays unsealed; consumers
-    // will reconstruct (and likely hit the same wall — surfaced as
-    // timeouts, which is honest).
-    let _ = services.seal_and_publish(&store, object, bytes.clone(), sealed);
+    Ran {
+        spec,
+        started_at,
+        finished_at: now_nanos(),
+        took,
+        outcome,
+    }
 }
 
-/// Sends a just-sealed result to the node that submitted its task, if
-/// that is another, live node, the result is small and nothing is
-/// queued behind it here. Returns the announcement to publish with the
-/// seal — only for a frame the fabric accepted; one lost on the wire
+/// Sends a just-sealed result to `to`, the node that submitted its
+/// task, if that is another, live node, the result is small and nothing
+/// is queued behind it here. Returns the announcement to publish with
+/// the seal — only for a frame the fabric accepted; one lost on the wire
 /// costs the submitter's readers `fetch_timeout`, the wait they would
 /// give a request of their own, and then they pull.
 fn push_to_submitter(
     services: &Services,
     sched_stats: &LocalSchedulerStats,
     store: &ObjectStore,
-    spec: &TaskSpec,
+    to: NodeId,
     object: ObjectId,
     bytes: &Bytes,
 ) -> Option<Inbound> {
-    let to = spec.submitter_node;
     if to == store.node() || sched_stats.ready_depth.load(Ordering::Relaxed) > 0 {
         return None;
     }
     let agent = services.fetch_agent(store.node())?;
     agent.push(to, object, bytes).then(|| Inbound {
         node: to,
-        until_nanos: rtml_common::time::now_nanos()
-            + services.config.fetch_timeout.as_nanos() as u64,
+        until_nanos: now_nanos() + services.config.fetch_timeout.as_nanos() as u64,
     })
 }
 

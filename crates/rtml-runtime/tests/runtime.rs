@@ -826,7 +826,7 @@ fn reconstruction_nudges_stay_linear_in_the_producers_in_flight() {
     let kv = cluster.services().kv.clone();
     let before = kv.stats().total_ops();
     for fut in &futs {
-        recon.handle_missing(fut.id());
+        recon.handle_missing(&[fut.id()]);
     }
     let ops = kv.stats().total_ops() - before;
     assert!(ops <= 16 * n as u64, "{n} nudges cost {ops} kv ops");

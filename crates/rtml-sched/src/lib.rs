@@ -27,10 +27,6 @@
 //! Spill and global placement are the only way work moves between
 //! nodes: a task queued on a node stays there unless the node dies.
 //!
-//! Experiments: E8 compares `SpillMode::{Hybrid, AlwaysSpill, NeverSpill}`
-//! (hybrid vs fully-centralized vs node-local scheduling); A2 compares
-//! placement policies.
-//!
 //! [`LocalScheduler`]: local::LocalScheduler
 //! [`GlobalScheduler`]: global::GlobalScheduler
 
@@ -56,7 +52,7 @@ pub use local::{
 };
 pub use msg::{load_key, LoadReport, LocalMsg};
 pub use policy::{choose_victim, LoadView, PlacementPolicy, PolicyState, DEFAULT_TOP_K};
-pub use resolve::{Goal, Replay, Resolver, Wiring, POLL_SLICE};
-pub use runq::{QueueLoad, RunQueue, Runnable};
+pub use resolve::{Goal, Replay, Replays, Resolver, Wiring, POLL_SLICE};
+pub use runq::{Batch, QueueLoad, RunQueue, Runnable, MAX_BATCH};
 pub use spill::SpillMode;
 pub use wire::SchedWire;

@@ -68,7 +68,7 @@ use rtml_store::{
 use crate::admit::{Admission, LocalSubmitter};
 use crate::health::HealthTracker;
 use crate::msg::{load_key, LoadReport, LocalMsg};
-use crate::resolve::{Goal, Replay, Resolver, Wiring};
+use crate::resolve::{Goal, Replays, Resolver, Wiring};
 use crate::runq::{RunQueue, Runnable};
 use crate::spill::SpillMode;
 use crate::wire::SchedWire;
@@ -133,14 +133,15 @@ pub struct SchedServices {
     /// and is told how each request went.
     pub health: Arc<HealthTracker>,
     /// Runtime hook into lineage reconstruction, invoked when a watched
-    /// object has no live copy ([`Replay::Missing`]: when first waited
+    /// object has no live copy ([`Replay::Missing`](crate::Replay::Missing): when first waited
     /// for and once a tick, which also feeds the runtime's
     /// stuck-producer backstop) or a whole sweep of its listed holders
-    /// failed to deliver it ([`Replay::Forced`]). The runtime
-    /// deduplicates and resubmits producing tasks. The hook runs **on
-    /// the scheduler thread**: it must not block — control-plane reads
-    /// and writes and unbounded channel sends only.
-    pub reconstruct: Arc<dyn Fn(ObjectId, Replay) + Send + Sync>,
+    /// failed to deliver it ([`Replay::Forced`](crate::Replay::Forced)) — everything one
+    /// resolver pass found, in one call. The runtime deduplicates and
+    /// resubmits producing tasks. The hook runs **on the scheduler
+    /// thread**: it must not block — control-plane reads and writes and
+    /// unbounded channel sends only.
+    pub reconstruct: Arc<dyn Fn(&Replays) + Send + Sync>,
     /// Runtime hook asking the node to grow its worker pool: invoked by
     /// the run queue, from whichever thread made it true, when runnable
     /// tasks exist, no worker is idle, and at least one worker is
@@ -820,20 +821,22 @@ mod tests {
         handle: LocalSchedulerHandle,
     }
 
-    /// A stand-in for worker `id`'s thread: takes from the run queue,
-    /// shows the test each task it took (the receiver), and hands it
-    /// back as finished — taking the next in the same call — when the
-    /// test says so (a `()` on the sender).
+    /// A stand-in for worker `id`'s thread: takes batches from the run
+    /// queue, shows the test each task as it starts (the receiver), and
+    /// finishes it — starting the next of its batch, or taking the next
+    /// batch — when the test says so (a `()` on the sender).
     fn fake_worker(queue: &Arc<RunQueue>, id: WorkerId) -> (Receiver<TaskSpec>, Sender<()>) {
         let (taken_tx, taken_rx) = unbounded();
         let (done_tx, done_rx) = unbounded();
         let queue = queue.clone();
         std::thread::spawn(move || {
-            let mut finished = None;
-            while let Some(spec) = queue.next(id, finished) {
-                finished = Some(spec.task_id);
-                if taken_tx.send(spec).is_err() || done_rx.recv().is_err() {
-                    break;
+            while let Some(batch) = queue.next(id) {
+                let mut next = Some(batch.first);
+                while let Some(spec) = next {
+                    if taken_tx.send(spec).is_err() || done_rx.recv().is_err() {
+                        return;
+                    }
+                    next = queue.start(id, &[]);
                 }
             }
         });
@@ -872,7 +875,7 @@ mod tests {
             store,
             global: crate::global::GlobalRoutes::single(global_endpoint.address()),
             health: HealthTracker::new(kv.clone(), REPORT_STALE_AFTER),
-            reconstruct: Arc::new(|_, _| {}),
+            reconstruct: Arc::new(|_| {}),
             request_worker: Arc::new(|| {}),
             periodic,
         };
@@ -1249,7 +1252,7 @@ mod tests {
         assert_eq!(first.task_id, a.task_id);
         // The second worker takes what it can and never finishes it.
         let (queue, second) = (r.handle.queue().clone(), WorkerId::new(NodeId(0), 1));
-        std::thread::spawn(move || while queue.next(second, None).is_some() {});
+        std::thread::spawn(move || queue.next(second));
         r.handle.submit_batch(vec![b.clone()]);
         r.handle.submit_batch(vec![c.clone()]);
         // C is taken (by the second worker) even though B is ahead.
@@ -1339,7 +1342,7 @@ mod tests {
             store: store0.clone(),
             global: crate::global::GlobalRoutes::single(global.address()),
             health: HealthTracker::new(kv.clone(), Duration::from_millis(100)),
-            reconstruct: Arc::new(|_, _| {}),
+            reconstruct: Arc::new(|_| {}),
             request_worker: Arc::new(|| {}),
             periodic: None,
         };
@@ -1421,7 +1424,7 @@ mod tests {
             store: store_local.clone(),
             global: crate::global::GlobalRoutes::single(global.address()),
             health: HealthTracker::new(kv.clone(), Duration::from_millis(100)),
-            reconstruct: Arc::new(|_, _| {}),
+            reconstruct: Arc::new(|_| {}),
             request_worker: Arc::new(|| {}),
             periodic: None,
         };
@@ -2092,8 +2095,10 @@ mod tests {
             store,
             global: crate::global::GlobalRoutes::single(global.address()),
             health: HealthTracker::new(kv.clone(), Duration::from_millis(100)),
-            reconstruct: Arc::new(move |obj, _| {
-                let _ = hook_tx.send(obj);
+            reconstruct: Arc::new(move |replays| {
+                for (obj, _) in replays {
+                    let _ = hook_tx.send(*obj);
+                }
             }),
             request_worker: Arc::new(|| {}),
             periodic: None,

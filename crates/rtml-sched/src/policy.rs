@@ -3,8 +3,7 @@
 //! The paper (§3.2.2): "Global schedulers can then assign tasks to local
 //! schedulers based on global information about factors including object
 //! locality and resource availability." [`PlacementPolicy::LocalityAware`]
-//! is that design; the alternatives are ablation baselines (experiment
-//! A2).
+//! is that design; the alternatives are ablation baselines.
 //!
 //! `LocalityAware` ranks a candidate by two things, in this order:
 //!

@@ -92,6 +92,9 @@ pub enum Replay {
     Forced,
 }
 
+/// What one resolver pass asks of lineage reconstruction, in order.
+pub type Replays = [(ObjectId, Replay)];
+
 /// What a [`Resolver`] works with.
 pub struct Wiring {
     /// The node objects are wanted on.
@@ -644,10 +647,10 @@ impl Resolver {
     /// that became routable is offered to `admit(id, size, again)` in
     /// the order it was added (`again`: offered before) and, admitted,
     /// queued for its next holder, one request per free holder leaves,
-    /// `replay` is asked for what needs its producer — after the
-    /// requests are on the wire, since only those are on anyone's
-    /// critical path; it runs on the driver's thread and must not block
-    /// — and answers are committed.
+    /// `replay` is asked, once, for everything that needs its producer —
+    /// after the requests are on the wire, since only those are on
+    /// anyone's critical path; it runs on the driver's thread and must
+    /// not block — and answers are committed.
     ///
     /// Returns the objects requested *for the first time*, by holder:
     /// what a driver announces (events). Retries are not
@@ -656,7 +659,7 @@ impl Resolver {
         &mut self,
         now: Instant,
         admit: &mut dyn FnMut(ObjectId, u64, bool) -> bool,
-        replay: &dyn Fn(ObjectId, Replay),
+        replay: &dyn Fn(&Replays),
     ) -> Vec<(NodeId, Vec<ObjectId>)> {
         self.expire(now);
         if now >= self.next_tick {
@@ -672,8 +675,8 @@ impl Resolver {
             }
         }
         let announced = self.dispatch(now);
-        for (id, how) in std::mem::take(&mut self.replays) {
-            replay(id, how);
+        if !self.replays.is_empty() {
+            replay(&std::mem::take(&mut self.replays));
         }
         self.commit();
         announced
@@ -785,7 +788,7 @@ mod tests {
                 self.resolver.on_update(record);
             }
             let replays = &self.replays;
-            let replay = |id, how| replays.borrow_mut().push((id, how));
+            let replay = |batch: &Replays| replays.borrow_mut().extend_from_slice(batch);
             self.resolver.pump(self.start + after, admit, &replay)
         }
 

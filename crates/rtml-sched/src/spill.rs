@@ -4,7 +4,7 @@
 //! The paper (§3.2.2): "Workers submit tasks to their local schedulers
 //! which decide to either assign the tasks to other workers on the same
 //! physical node or to 'spill over' the tasks to a global scheduler."
-//! The decision rule is the knob experiment E8 turns: always spilling
+//! The decision rule is a knob: always spilling
 //! recovers a fully-centralized scheduler (the Dask/CIEL architecture the
 //! paper critiques); never spilling is pure node-local execution; the
 //! hybrid threshold is the paper's proposal.
@@ -42,9 +42,9 @@ pub enum SpillMode {
         /// Maximum runnable backlog kept locally.
         queue_threshold: usize,
     },
-    /// Spill every task: a fully-centralized scheduler (baseline for E8).
+    /// Spill every task: a fully-centralized scheduler (a baseline).
     AlwaysSpill,
-    /// Keep every feasible task local: no load sharing (baseline for E8).
+    /// Keep every feasible task local: no load sharing (a baseline).
     /// Only a task this node can never fit leaves it.
     NeverSpill,
 }

@@ -253,9 +253,9 @@ fn event_log_retention_bounds_memory_and_profiling_survives() {
     // The profile still builds and sees recent tasks at the cap.
     let report = cluster.profile();
     assert!(!report.tasks.is_empty());
-    // Push far past the cap with single submissions (one record per
-    // event): every stream is a ring of at most 64 records, so the
-    // total is bounded by streams x cap no matter how many tasks ran.
+    // Push far past the cap with single submissions: every stream is a
+    // ring of at most 64 events, so the total is bounded by streams x
+    // cap no matter how many tasks ran.
     for chunk in 0..20u64 {
         let futs: Vec<_> = (0..100u64)
             .map(|i| driver.submit1(&f, chunk * 100 + i).unwrap())

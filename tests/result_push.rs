@@ -451,3 +451,38 @@ fn an_announcement_does_not_outlive_its_wait() {
     eventually("the pulled copy is listed", || landed(&cluster, fut.id()));
     cluster.shutdown();
 }
+
+#[test]
+fn a_batch_pushes_its_last_result_only() {
+    // One worker on node 1: a gate holds it while three tasks queue up
+    // behind, and then it takes all three as one batch. The first two
+    // results have a task of their own batch behind them — not pushed,
+    // though the node's queue is empty by then; the last is.
+    let cluster = Cluster::start(two_nodes(1)).unwrap();
+    let gate = Arc::new(Barrier::new(2));
+    let held = gate.clone();
+    let hold = cluster.register_fn1("batch_gate", move |x: u64| {
+        held.wait();
+        Ok(x)
+    });
+    let inc = cluster.register_fn1("batch_push", |x: u64| Ok(x + 1));
+    let driver = cluster.driver();
+    let gated = driver.submit1_opts(&hold, 0, on(PIN)).unwrap();
+    let futs: Vec<_> = (0..3u64)
+        .map(|x| driver.submit1_opts(&inc, x, on(PIN)).unwrap())
+        .collect();
+    eventually("three tasks ready behind the gate", || {
+        let report = cluster.services().kv.get(&load_key(N1));
+        report.is_some_and(|bytes| decode_from_slice::<LoadReport>(&bytes).unwrap().ready == 3)
+    });
+    gate.wait();
+    assert_eq!(driver.get_many(&futs).unwrap(), vec![1, 2, 3]);
+    assert_eq!(driver.get(&gated).unwrap(), 0);
+    pushed_is(&cluster, 1);
+    let announced = |fut: &ObjectRef<u64>| record(&cluster, fut.id()).unwrap().inbound.is_some();
+    assert!(!announced(&futs[0]) && !announced(&futs[1]));
+    eventually("the last result's push is listed", || {
+        landed(&cluster, futs[2].id())
+    });
+    cluster.shutdown();
+}

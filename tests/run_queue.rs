@@ -12,7 +12,7 @@
 //! existed: there a burst cost the scheduler one message and one worker
 //! sleep per task.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -21,15 +21,17 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
+use rtml::common::event::EventKind;
 use rtml::common::ids::{DriverId, FunctionId, NodeId, ObjectId, TaskId, WorkerId};
 use rtml::common::resources::Resources;
-use rtml::common::task::TaskSpec;
+use rtml::common::task::{TaskSpec, TaskState};
 use rtml::kv::{EventLog, KvStore, ObjectTable, TaskTable};
 use rtml::net::{Endpoint, Fabric, FabricConfig};
+use rtml::runtime::{Cluster, ClusterConfig};
 use rtml::sched::{
     GlobalRoutes, HealthTracker, LocalMsg, LocalScheduler, LocalSchedulerConfig,
     LocalSchedulerHandle, LocalSchedulerStats, QueueLoad, RunQueue, Runnable, SchedServices,
-    SpillMode,
+    SpillMode, MAX_BATCH,
 };
 use rtml::store::{ObjectStore, StoreConfig, TransferDirectory};
 
@@ -68,23 +70,52 @@ fn bare_queue(store: &Arc<ObjectStore>) -> (Arc<RunQueue>, Receiver<LocalMsg>) {
     (Arc::new(queue), sched_rx)
 }
 
-/// A worker thread under the test's control: it takes from the queue,
-/// shows what it took, and holds it until told it is done (a `()`) —
-/// which it reports in the same call that takes its next task — or
-/// dropped (the sender gone: it dies holding the task).
+/// What a controlled worker shows the test.
+enum Seen {
+    /// It took a batch: the first task started, the rest held.
+    Took(WorkerId, TaskSpec, Vec<TaskId>),
+    /// It started the next task of its batch.
+    Started(WorkerId, TaskSpec),
+}
+
+/// A worker thread under the test's control: it takes batches from the
+/// queue, shows each task as it starts, and holds it until told it is
+/// done (a `()`) — reporting it published in the same call that starts
+/// the next task of its batch — or dropped (the sender gone: it dies
+/// holding its batch). Once it has shown a batch, what the batch holds
+/// is open to idle workers.
 fn controlled_worker(
     queue: &Arc<RunQueue>,
     id: WorkerId,
-    taken: &Sender<(WorkerId, TaskSpec)>,
+    seen: &Sender<Seen>,
 ) -> (Sender<()>, std::thread::JoinHandle<()>) {
     let (done_tx, done_rx) = unbounded();
-    let (queue, taken) = (queue.clone(), taken.clone());
+    let (queue, seen) = (queue.clone(), seen.clone());
     let thread = std::thread::spawn(move || {
-        let mut finished = None;
-        while let Some(spec) = queue.next(id, finished) {
-            finished = Some(spec.task_id);
-            if taken.send((id, spec)).is_err() || done_rx.recv().is_err() {
+        while let Some(batch) = queue.next(id) {
+            let mut running = batch.first.task_id;
+            let holds = !batch.behind.is_empty();
+            if seen
+                .send(Seen::Took(id, batch.first, batch.behind))
+                .is_err()
+            {
                 return;
+            }
+            // As a worker does once its `Running` commit is out.
+            if holds {
+                queue.committed(id);
+            }
+            loop {
+                if done_rx.recv().is_err() {
+                    return;
+                }
+                let Some(spec) = queue.start(id, &[running]) else {
+                    break;
+                };
+                running = spec.task_id;
+                if seen.send(Seen::Started(id, spec)).is_err() {
+                    return;
+                }
             }
         }
     });
@@ -97,16 +128,21 @@ struct Harness {
     store: Arc<ObjectStore>,
     nudges: Receiver<LocalMsg>,
     nudged: u64,
-    taken: Receiver<(WorkerId, TaskSpec)>,
+    seen: Receiver<Seen>,
     done: BTreeMap<WorkerId, Sender<()>>,
     threads: Vec<std::thread::JoinHandle<()>>,
     /// Every task pushed: its demand and its pins.
     tasks: HashMap<TaskId, (Resources, Vec<ObjectId>)>,
+    /// Not started: queued, or held in a batch.
     ready: BTreeSet<TaskId>,
+    /// Each worker's tasks taken and not started, in start order.
+    held: BTreeMap<WorkerId, VecDeque<TaskId>>,
     holding: BTreeMap<WorkerId, TaskId>,
     released: BTreeSet<TaskId>,
-    /// Left the queue onto a worker.
+    /// Started by a worker.
     took: BTreeSet<TaskId>,
+    /// Lost with a detached worker before they started.
+    lost: BTreeSet<TaskId>,
     /// A resumed task has `in_use` above `total` until tasks finish.
     oversubscribed: bool,
 }
@@ -115,13 +151,13 @@ impl Harness {
     fn start(workers: u32) -> Harness {
         let store = store();
         let (queue, nudges) = bare_queue(&store);
-        let (taken_tx, taken) = unbounded();
+        let (seen_tx, seen) = unbounded();
         let mut done = BTreeMap::new();
         let mut threads = Vec::new();
         for index in 0..workers {
             let id = WorkerId::new(NODE, index);
             queue.attach(id);
-            let (done_tx, thread) = controlled_worker(&queue, id, &taken_tx);
+            let (done_tx, thread) = controlled_worker(&queue, id, &seen_tx);
             done.insert(id, done_tx);
             threads.push(thread);
         }
@@ -130,14 +166,16 @@ impl Harness {
             store,
             nudges,
             nudged: 0,
-            taken,
+            seen,
             done,
             threads,
             tasks: HashMap::new(),
             ready: BTreeSet::new(),
+            held: BTreeMap::new(),
             holding: BTreeMap::new(),
             released: BTreeSet::new(),
             took: BTreeSet::new(),
+            lost: BTreeSet::new(),
             oversubscribed: false,
         }
     }
@@ -165,9 +203,23 @@ impl Harness {
         self.queue.push(batch);
     }
 
+    /// The batches' grants, each its running task's demand, unless
+    /// that task blocked.
     fn in_use(&self) -> Resources {
         let unreleased = self.holding.values().filter(|t| !self.released.contains(t));
         unreleased.fold(Resources::none(), |sum, t| sum.add(&self.tasks[t].0))
+    }
+
+    fn started(&mut self, worker: WorkerId, spec: &TaskSpec) -> Result<(), TestCaseError> {
+        let id = spec.task_id;
+        prop_assert!(
+            self.ready.remove(&id),
+            "{id} started twice, or never pushed"
+        );
+        prop_assert!(self.took.insert(id));
+        prop_assert_eq!(&spec.resources, &self.tasks[&id].0);
+        prop_assert!(self.holding.insert(worker, id).is_none());
+        Ok(())
     }
 
     /// Waits until every worker thread is either holding a task the test
@@ -176,12 +228,35 @@ impl Harness {
     fn settle(&mut self) -> Result<QueueLoad, TestCaseError> {
         let deadline = Instant::now() + Duration::from_secs(10);
         let load = loop {
-            while let Ok((worker, spec)) = self.taken.try_recv() {
-                let id = spec.task_id;
-                prop_assert!(self.ready.remove(&id), "{id} taken twice, or never pushed");
-                prop_assert!(self.took.insert(id));
-                prop_assert_eq!(&spec.resources, &self.tasks[&id].0);
-                prop_assert!(self.holding.insert(worker, id).is_none());
+            while let Ok(seen) = self.seen.try_recv() {
+                match seen {
+                    Seen::Took(worker, first, behind) => {
+                        prop_assert!(behind.len() < MAX_BATCH);
+                        for id in &behind {
+                            // One grant: every task of a batch has the
+                            // first one's demand.
+                            prop_assert_eq!(&self.tasks[id].0, &first.resources);
+                            prop_assert!(self.ready.contains(id), "{id} held, not ready");
+                        }
+                        // Taken from another batch: the back of what it
+                        // held, in order.
+                        let from = self.held.values_mut().find(|h| h.contains(&first.task_id));
+                        if let Some(from) = from {
+                            let taken = 1 + behind.len();
+                            prop_assert!(from.len() >= taken, "took more than was held");
+                            let back: Vec<TaskId> = from.split_off(from.len() - taken).into();
+                            prop_assert_eq!(back[0], first.task_id);
+                            prop_assert_eq!(&back[1..], &behind[..]);
+                        }
+                        self.started(worker, &first)?;
+                        self.held.insert(worker, behind.into());
+                    }
+                    Seen::Started(worker, spec) => {
+                        let next = self.held.get_mut(&worker).and_then(|h| h.pop_front());
+                        prop_assert!(next == Some(spec.task_id), "started out of order");
+                        self.started(worker, &spec)?;
+                    }
+                }
             }
             while self.nudges.try_recv().is_ok() {
                 self.nudged += 1;
@@ -204,27 +279,29 @@ impl Harness {
             }
             prop_assert!(
                 Instant::now() < deadline,
-                "never settled: {load:?}, holding {:?}, ready {:?}, \
+                "never settled: {load:?}, holding {:?}, held {:?}, ready {:?}, \
                  {parks} parks / {} nudges",
                 self.holding,
+                self.held,
                 self.ready,
                 self.nudged
             );
             std::thread::yield_now();
         };
+        // Held tasks are ready backlog: in the load and the gauge.
         prop_assert_eq!(load.ready, self.ready.len());
         let depth = &self.queue.stats().ready_depth;
         prop_assert_eq!(
             depth.load(std::sync::atomic::Ordering::Relaxed),
             self.ready.len() as u64
         );
-        // `in_use` is the unreleased running grants, and is within
+        // `in_use` is the unreleased batches' grants, and is within
         // `total` unless a blocked task resumed.
         let in_use = self.in_use();
         prop_assert_eq!(&load.available, &total().saturating_sub(&in_use));
         self.oversubscribed &= !total().fits(&in_use);
         prop_assert!(total().fits(&in_use) || self.oversubscribed, "{in_use:?}");
-        // Pins are held for exactly what is queued or on a worker.
+        // Pins are held for exactly what is not started or is running.
         let live = self.ready.iter().chain(self.holding.values());
         let pins: usize = live.map(|t| self.tasks[t].1.len()).sum();
         prop_assert_eq!(self.store.pinned_bytes(), PIN_BYTES * pins as u64);
@@ -235,6 +312,15 @@ impl Harness {
         let task = self.holding.remove(&worker).expect("holding");
         self.released.remove(&task);
         self.done[&worker].send(()).unwrap();
+    }
+
+    /// `task` blocks: its grant goes back, and so do the tasks held
+    /// behind it.
+    fn block(&mut self, task: TaskId) {
+        self.queue.blocked(task, &[]);
+        self.released.insert(task);
+        let worker = self.holding.iter().find(|(_, t)| **t == task).unwrap().0;
+        self.held.remove(worker);
     }
 }
 
@@ -270,8 +356,9 @@ proptest! {
                 }
                 6 if !h.holding.is_empty() => {
                     let task = *h.holding.values().nth(pick(h.holding.len())).unwrap();
-                    h.queue.blocked(task);
-                    h.released.insert(task);
+                    if !h.released.contains(&task) {
+                        h.block(task);
+                    }
                 }
                 7 if !h.released.is_empty() => {
                     let task = *h.released.iter().nth(pick(h.released.len())).unwrap();
@@ -280,13 +367,21 @@ proptest! {
                     h.oversubscribed = true;
                 }
                 8 if h.done.len() > 1 => {
-                    // A worker dies: what it holds is lost with it.
+                    // A worker dies: its batch is lost with it, the task
+                    // it ran and the tasks it held.
                     let worker = *h.done.keys().nth(pick(h.done.len())).unwrap();
                     let lost = h.queue.detach(worker);
-                    let held: Vec<TaskId> = h.holding.remove(&worker).into_iter().collect();
-                    prop_assert_eq!(&lost, &held);
-                    for task in lost {
-                        h.released.remove(&task);
+                    let held = h.held.remove(&worker).unwrap_or_default();
+                    let mut expected: Vec<TaskId> = h.holding.remove(&worker).into_iter().collect();
+                    expected.extend(held.iter().copied());
+                    expected.sort();
+                    prop_assert_eq!(&lost, &expected);
+                    for task in &lost {
+                        h.released.remove(task);
+                    }
+                    for task in held {
+                        prop_assert!(h.ready.remove(&task));
+                        h.lost.insert(task);
                     }
                     h.done.remove(&worker);
                 }
@@ -314,11 +409,12 @@ proptest! {
         for thread in h.threads.drain(..) {
             thread.join().unwrap();
         }
-        prop_assert!(h.taken.try_recv().is_err(), "a task was taken after close");
+        prop_assert!(h.seen.try_recv().is_err(), "a task was started after close");
         prop_assert_eq!(h.queue.load().ready, h.ready.len());
-        // Every pushed task left exactly once, or is still queued.
-        prop_assert_eq!(h.took.len() + h.ready.len(), h.tasks.len());
-        prop_assert!(h.took.is_disjoint(&h.ready));
+        // Every pushed task left exactly once — started, or lost with a
+        // dead worker before it started — or is still ready.
+        prop_assert_eq!(h.took.len() + h.lost.len() + h.ready.len(), h.tasks.len());
+        prop_assert!(h.took.is_disjoint(&h.ready) && h.lost.is_disjoint(&h.ready));
     }
 }
 
@@ -335,13 +431,17 @@ fn a_cpu_task_overtakes_a_task_waiting_for_the_gpu() {
         spec(1, gpu).into(),
         spec(2, Resources::cpu(1.0)).into(),
     ]);
-    // The first GPU task takes the only GPU; the second waits for it and
-    // the CPU task behind it does not wait for the second.
-    assert_eq!(queue.next(w0, None).unwrap().task_id, task(0));
-    assert_eq!(queue.next(w1, None).unwrap().task_id, task(2));
+    // The first GPU task takes the only GPU and, two workers for three
+    // tasks, the second GPU task with it: that one waits for the GPU on
+    // the same worker, and the CPU task behind it does not wait for it.
+    let gpus = queue.next(w0).unwrap();
+    assert_eq!((gpus.first.task_id, gpus.behind), (task(0), vec![task(1)]));
+    assert_eq!(queue.next(w1).unwrap().first.task_id, task(2));
     assert_eq!(queue.load().ready, 1);
-    // The GPU comes back with the task that held it.
-    assert_eq!(queue.next(w0, Some(task(0))).unwrap().task_id, task(1));
+    // The GPU moves on with the batch's grant.
+    assert_eq!(queue.start(w0, &[task(0)]).unwrap().task_id, task(1));
+    assert!(queue.start(w0, &[task(1)]).is_none());
+    assert_eq!(queue.load().ready, 0);
 }
 
 #[test]
@@ -354,7 +454,7 @@ fn a_killed_parked_worker_exits_without_taking_and_close_strands_the_queue() {
     // w0 parks on the empty queue: the scheduler hears of it, once.
     let parked = {
         let queue = queue.clone();
-        std::thread::spawn(move || queue.next(w0, None))
+        std::thread::spawn(move || queue.next(w0))
     };
     let nudge = sched.recv_timeout(Duration::from_secs(5));
     assert!(matches!(nudge, Ok(LocalMsg::WorkerIdle)));
@@ -365,22 +465,236 @@ fn a_killed_parked_worker_exits_without_taking_and_close_strands_the_queue() {
     assert_eq!(queue.load().idle, 0);
     assert!(sched.try_recv().is_err());
 
-    // w1 takes one of three tasks and the queue closes under it: the
-    // finished task is accounted for, nothing more is handed out, and a
-    // worker attached too late finds the door shut.
+    // w1, the only worker now, takes all three tasks and the queue
+    // closes under it: the finished task is accounted for, nothing more
+    // is started or handed out — the two it held are queued again — and
+    // a worker attached too late finds the door shut.
     let cpu = || Resources::cpu(2.0);
     queue.push(vec![
         spec(0, cpu()).into(),
         spec(1, cpu()).into(),
         spec(2, cpu()).into(),
     ]);
-    assert_eq!(queue.next(w1, None).unwrap().task_id, task(0));
+    let batch = queue.next(w1).unwrap();
+    assert_eq!(batch.tasks(), vec![task(0), task(1), task(2)]);
     queue.close();
-    assert!(queue.next(w1, Some(task(0))).is_none());
+    assert!(queue.start(w1, &[]).is_none());
+    assert!(queue.next(w1).is_none());
     queue.attach(w0);
-    assert!(queue.next(w0, None).is_none());
+    assert!(queue.next(w0).is_none());
     let load = queue.load();
     assert_eq!((load.ready, load.running, load.available), (2, 0, total()));
+}
+
+#[test]
+fn held_tasks_count_as_ready_backlog_and_a_batch_holds_one_grant() {
+    let store = store();
+    let (queue, _sched) = bare_queue(&store);
+    let (w0, w1) = (WorkerId::new(NODE, 0), WorkerId::new(NODE, 1));
+    queue.attach(w0);
+    queue.attach(w1);
+    let cpu = || Resources::cpu(1.0);
+    queue.push((0..8).map(|i| spec(i, cpu()).into()).collect());
+    let depth = || {
+        let load = queue.load();
+        let gauge = queue
+            .stats()
+            .ready_depth
+            .load(std::sync::atomic::Ordering::Relaxed);
+        assert_eq!(load.ready as u64, gauge, "the load and the gauge agree");
+        load.ready
+    };
+    // Eight ready for two workers: w0's fair share is four, one started
+    // and three held — and held, they are still ready backlog.
+    let first = queue.next(w0).unwrap();
+    assert_eq!(first.tasks(), (0..4).map(task).collect::<Vec<_>>());
+    assert_eq!(depth(), 7);
+    // The batch is charged one task's demand, so the node's other CPU
+    // is free for w1, which takes half of the four still queued.
+    assert_eq!(queue.load().available, Resources::new(1.0, 1.0));
+    let second = queue.next(w1).unwrap();
+    assert_eq!(second.tasks(), vec![task(4), task(5)]);
+    assert_eq!(depth(), 6);
+    let load = queue.load();
+    assert_eq!(
+        (load.running, load.available),
+        (2, Resources::new(0.0, 1.0))
+    );
+    // A start moves the grant on and takes the task off the backlog.
+    assert_eq!(queue.start(w0, &[task(0)]).unwrap().task_id, task(1));
+    assert_eq!(depth(), 5);
+    assert_eq!(queue.load().available, Resources::new(0.0, 1.0));
+}
+
+#[test]
+fn a_task_that_blocks_hands_the_tasks_held_behind_it_back() {
+    let store = store();
+    let (queue, _sched) = bare_queue(&store);
+    let w0 = WorkerId::new(NODE, 0);
+    queue.attach(w0);
+    queue.push(
+        (0..3)
+            .map(|i| spec(i, Resources::cpu(1.0)).into())
+            .collect(),
+    );
+    let batch = queue.next(w0).unwrap();
+    assert_eq!(batch.tasks(), vec![task(0), task(1), task(2)]);
+    // Task 0 waits in `get`, perhaps for what task 1 makes: the tasks
+    // behind it go back to the queue for another worker to take.
+    queue.blocked(task(0), &[]);
+    assert_eq!(queue.load().ready, 2);
+    let w1 = WorkerId::new(NODE, 1);
+    queue.attach(w1);
+    assert_eq!(queue.next(w1).unwrap().tasks(), vec![task(1)]);
+    assert_eq!(queue.load().ready, 1);
+    queue.unblocked(task(0));
+    // The batch ends with the blocked task.
+    assert!(queue.start(w0, &[]).is_none());
+}
+
+#[test]
+fn an_idle_worker_takes_what_a_batch_holds_once_its_running_commit_is_out() {
+    let store = store();
+    let (queue, sched) = bare_queue(&store);
+    let (w0, w1) = (WorkerId::new(NODE, 0), WorkerId::new(NODE, 1));
+    queue.attach(w0);
+    queue.attach(w1);
+    let cpu = || Resources::cpu(1.0);
+    queue.push((0..3).map(|i| spec(i, cpu()).into()).collect());
+    // Three ready for two workers: w0 takes two, w1 the third. Task 0
+    // runs long.
+    assert_eq!(queue.next(w0).unwrap().tasks(), vec![task(0), task(1)]);
+    assert_eq!(queue.next(w1).unwrap().tasks(), vec![task(2)]);
+    assert!(queue.start(w1, &[task(2)]).is_none());
+    // w1 runs dry beside task 1, which waits behind task 0 — but is not
+    // w1's to take before w0 has committed its batch `Running`.
+    let (took_tx, took) = unbounded();
+    {
+        let queue = queue.clone();
+        std::thread::spawn(move || {
+            let _ = took_tx.send(queue.next(w1));
+        });
+    }
+    let nudge = sched.recv_timeout(Duration::from_secs(5));
+    assert!(matches!(nudge, Ok(LocalMsg::WorkerIdle)));
+    assert_eq!(queue.load().ready, 1);
+    queue.committed(w0);
+    // Then it is: w1 wakes and takes it, and w0's batch ends with the
+    // long task.
+    let batch = took.recv_timeout(Duration::from_secs(5));
+    assert_eq!(
+        batch.expect("w1 never took").unwrap().tasks(),
+        vec![task(1)]
+    );
+    assert!(queue.start(w0, &[task(0)]).is_none());
+    let load = queue.load();
+    assert_eq!((load.ready, load.running), (0, 2));
+}
+
+#[test]
+fn a_worker_killed_mid_batch_loses_its_unstarted_tasks_and_they_replay() {
+    use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
+    let cluster = Cluster::start(ClusterConfig {
+        spill: SpillMode::NeverSpill,
+        ..ClusterConfig::local(1, 2)
+    })
+    .unwrap();
+    // Tasks 0 and 4 hold their workers until released, the first time
+    // they run: neither worker runs dry, so neither takes from the
+    // other's batch.
+    let (first_runs, release) = (
+        Arc::new([AtomicBool::new(true), AtomicBool::new(true)]),
+        Arc::new(AtomicBool::new(false)),
+    );
+    let (firsts, go) = (first_runs.clone(), release.clone());
+    let gate = cluster.register_fn1("mid_batch_gate", move |x: u64| {
+        if matches!(x, 0 | 4) && firsts[x as usize / 4].swap(false, SeqCst) {
+            while !go.load(SeqCst) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        Ok(x + 1)
+    });
+    let driver = cluster.driver();
+    let futs = driver.submit_many(&gate, 0..8u64).unwrap();
+    let tasks: Vec<TaskId> = futs
+        .iter()
+        .map(|f| f.id().producer_task().unwrap())
+        .collect();
+    // Eight ready for two workers: whoever takes task 0 holds the three
+    // behind it in its batch, committed `Running` on it together; the
+    // other takes tasks 4 and 5.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let worker = loop {
+        let states = cluster.services().tasks.get_states_many(&tasks[..4]);
+        if let Some(TaskState::Running(worker)) = states[0] {
+            if states
+                .iter()
+                .all(|s| *s == Some(TaskState::Running(worker)))
+            {
+                break worker;
+            }
+        }
+        assert!(Instant::now() < deadline, "task 0's batch never started");
+        std::thread::sleep(Duration::from_millis(1));
+    };
+    cluster.kill_worker(worker).unwrap();
+    // Released once the queue has detached the dead worker's batch.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while cluster.services().tasks.get_state(tasks[0]) != Some(TaskState::Lost) {
+        assert!(Instant::now() < deadline, "task 0 never marked lost");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    release.store(true, SeqCst);
+    // Task 0 and the three it held are lost with the worker and replay
+    // when the driver asks for them.
+    let values = driver.get_many(&futs).unwrap();
+    assert_eq!(values, (1..=8).collect::<Vec<u64>>());
+    assert!(
+        cluster.reconstructions() >= 4,
+        "{}",
+        cluster.reconstructions()
+    );
+    // The held three never started on the dead worker.
+    let started_on = |task: TaskId| {
+        let events = cluster.services().events.read_all();
+        let starts = events.into_iter().filter_map(|e| match e.kind {
+            EventKind::TaskStarted { task: t, worker } if t == task => Some(worker),
+            _ => None,
+        });
+        starts.collect::<Vec<_>>()
+    };
+    for task in &tasks[1..4] {
+        let workers = started_on(*task);
+        assert_eq!(workers.len(), 1, "{task} started {workers:?}");
+        assert_ne!(workers[0], worker);
+    }
+    cluster.shutdown();
+}
+
+#[test]
+fn a_two_worker_node_runs_a_burst_on_both_workers() {
+    let cluster = Cluster::start(ClusterConfig {
+        spill: SpillMode::NeverSpill,
+        ..ClusterConfig::local(1, 2)
+    })
+    .unwrap();
+    let work = cluster.register_fn1("both_work", |x: u64| {
+        std::thread::sleep(Duration::from_micros(200));
+        Ok(x)
+    });
+    let driver = cluster.driver();
+    let futs = driver.submit_many(&work, 0..256u64).unwrap();
+    driver.get_many(&futs).unwrap();
+    let mut per_worker: BTreeMap<WorkerId, usize> = BTreeMap::new();
+    for event in cluster.services().events.read_all() {
+        if let EventKind::TaskStarted { worker, .. } = event.kind {
+            *per_worker.entry(worker).or_default() += 1;
+        }
+    }
+    assert_eq!(per_worker.len(), 2, "{per_worker:?}");
+    assert!(per_worker.values().all(|n| *n >= 32), "{per_worker:?}");
+    cluster.shutdown();
 }
 
 // ---- with a scheduler pushing ---------------------------------------
@@ -408,7 +722,7 @@ fn rig(workers: u32) -> Rig {
         store,
         global: GlobalRoutes::single(global.address()),
         health: HealthTracker::new(kv.clone(), Duration::from_millis(100)),
-        reconstruct: Arc::new(|_, _| {}),
+        reconstruct: Arc::new(|_| {}),
         request_worker: Arc::new(|| {}),
         periodic: None,
     };
@@ -425,7 +739,7 @@ fn rig(workers: u32) -> Rig {
     }
 }
 
-/// Real takers: each reports what it takes and finishes it at once. The
+/// Real takers: each reports each task it starts and finishes it at once. The
 /// workers were attached before `LocalScheduler::spawn` returned — a
 /// taker that found itself unknown would exit instead of parking.
 fn takers(rig: &Rig, workers: u32) -> Receiver<TaskId> {
@@ -433,10 +747,13 @@ fn takers(rig: &Rig, workers: u32) -> Receiver<TaskId> {
     for index in 0..workers {
         let (queue, ran) = (rig.handle.queue().clone(), ran_tx.clone());
         std::thread::spawn(move || {
-            let mut finished = None;
-            while let Some(spec) = queue.next(WorkerId::new(NODE, index), finished) {
-                finished = Some(spec.task_id);
-                let _ = ran.send(spec.task_id);
+            let id = WorkerId::new(NODE, index);
+            while let Some(batch) = queue.next(id) {
+                let mut next = Some(batch.first);
+                while let Some(spec) = next {
+                    let _ = ran.send(spec.task_id);
+                    next = queue.start(id, &[spec.task_id]);
+                }
             }
         });
     }
