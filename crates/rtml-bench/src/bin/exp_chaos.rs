@@ -106,7 +106,6 @@ fn cluster_config(faults: FaultPlan) -> ClusterConfig {
         faults,
         ..ClusterConfig::default()
     }
-    .with_submit_striping(2)
 }
 
 struct SoakOutcome {

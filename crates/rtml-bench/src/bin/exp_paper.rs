@@ -2,24 +2,38 @@
 //! ours, their ratio, and the bound ours is held to. The binary exits
 //! non-zero when a row is past its bound, and names the row.
 //!
-//! The §4.1 latencies are held to the paper's figures; R2's task
-//! throughput to a fraction of ours; the §4.2 RL loop
-//! (against serial and the BSP Spark model) and Figs. 2a–c (streaming
-//! fusion, MCTS, the RNN grid) to a speedup or makespan share; and every
-//! cross-engine checksum to a count of mismatches that must read 0.
+//! The §4.1 latencies are held to the paper's figures; the object
+//! plane's R1 costs (opening and sealing a 1 MiB value, a broadcast to
+//! three readers, a pushed result) and R2's submission and task
+//! throughput to a fraction of ours; R7's telemetry to a share of
+//! submission throughput; the §4.2 RL loop (against serial and the BSP
+//! Spark model) and Figs. 2a–c (streaming fusion, MCTS, the RNN grid)
+//! to a speedup or makespan share; and every cross-engine checksum to a
+//! count of mismatches that must read 0.
 //!
-//! On a 2-vCPU VM every measurement reads about twice inside its bound
+//! On a 2-vCPU VM most measurements read about twice inside their bound
 //! (a 323 µs remote task against 1 ms, 9x against 5x serial). The run
-//! takes about 14 s there, most of it the BSP arm of the RL loop.
+//! takes about 33 s there: half of it the submission and telemetry
+//! rows' 75 fresh clusters, most of the rest the BSP arm of the RL loop.
 //!
 //! Run: `cargo run --release -p rtml-bench --bin exp_paper`
 
+use std::hint::black_box;
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
+use bytes::Bytes;
 use rtml_bench::{failed_claims, p50, print_table, Better, Claim};
-use rtml_common::error::Result;
+use rtml_common::codec::encode_to_bytes;
+use rtml_common::error::{Error, Result};
+use rtml_common::ids::{DriverId, NodeId, ObjectId, TaskId};
 use rtml_common::resources::Resources;
-use rtml_runtime::{Cluster, ClusterConfig, NodeConfig, TaskOptions};
+use rtml_common::task::{ArgSpec, TaskState};
+use rtml_net::{Fabric, FabricConfig, LatencyModel};
+use rtml_runtime::envelope::{open_value, seal_value};
+use rtml_runtime::{Cluster, ClusterConfig, Driver, NodeConfig, TaskOptions, TaskRequest};
+use rtml_sched::SpillMode;
+use rtml_store::{FetchAgent, ObjectStore, StoreConfig, TransferDirectory};
 use rtml_workloads::baselines::{BspConfig, BspEngine, SerialEngine};
 use rtml_workloads::mcts::{self, MctsConfig, MctsFuncs};
 use rtml_workloads::rl::{self, RlConfig, RlFuncs};
@@ -32,6 +46,9 @@ const SAMPLES: usize = 500;
 fn main() -> Result<()> {
     let mut claims = Vec::new();
     latency(&mut claims)?;
+    object_plane(&mut claims)?;
+    submission(&mut claims)?;
+    telemetry_overhead(&mut claims)?;
     throughput(&mut claims)?;
     rl_loop(&mut claims)?;
     sensor_fusion(&mut claims)?;
@@ -102,6 +119,294 @@ fn latency(claims: &mut Vec<Claim>) -> Result<()> {
         ("§4.1 empty task, remote p50", 1000.0, remote),
     ] {
         claims.push(Claim::at_most(name, Some(paper), ours, paper));
+    }
+    Ok(())
+}
+
+/// R1 on the object plane. Opening a sealed 1 MiB `Bytes` argument is
+/// a pair of windows (p50 well under 20 µs, where a copy takes
+/// hundreds), and sealing a value is one pass (at most 1.5x a bare
+/// encode, interleaved medians). Three nodes that ask one holder for a
+/// 1 MiB object within 100 µs are fed down a relay chain: the last is
+/// sealed within 2.8 ms (≈ 2.2 ms on a 2-vCPU VM; three pulls from the
+/// holder took 3.9). A small remote result is pushed on its seal, so it
+/// is resident on the submitter sooner than a request's two hops.
+fn object_plane(claims: &mut Vec<Claim>) -> Result<()> {
+    const MIB: usize = 1 << 20;
+    let value = Bytes::from(vec![7u8; MIB]);
+    let sealed = seal_value(&value);
+    let open = p50_us(|| {
+        timed(|| {
+            let arg: Bytes = open_value(&sealed, TaskId::NIL).unwrap();
+            assert_eq!(black_box(arg).len(), MIB);
+        })
+    });
+    let (mut seal, mut encode) = (Vec::new(), Vec::new());
+    for _ in 0..SAMPLES / 5 {
+        seal.push(timed(|| black_box(seal_value(black_box(&value)))));
+        encode.push(timed(|| black_box(encode_to_bytes(black_box(&value)))));
+    }
+    let seal = ratio(p50(&seal), p50(&encode));
+    let broadcast = broadcast_best(15).as_secs_f64() * 1e6;
+    let push = push_best(256)?.as_secs_f64() * 1e6;
+    for (name, ours, bound) in [
+        ("R1 open a sealed 1 MiB Bytes argument p50", open, 20.0),
+        ("R1 seal a 1 MiB value / a bare encode", seal, 1.5),
+        (
+            "R1 1 MiB read by 3 nodes at once: last sealed (best)",
+            broadcast,
+            2800.0,
+        ),
+        (
+            "R1 remote result: seal to resident (best of 256)",
+            push,
+            200.0,
+        ),
+    ] {
+        claims.push(Claim::at_most(name, None, ours, bound));
+    }
+    Ok(())
+}
+
+/// The best of `rounds` rounds in which three readers ask one holder
+/// for the same 1 MiB object within 100 µs, over 100 µs hops and
+/// 1 GiB/s links: from the first request to the last reader sealed.
+fn broadcast_best(rounds: usize) -> Duration {
+    let fabric = Fabric::new(FabricConfig {
+        latency: LatencyModel::Constant(Duration::from_micros(100)),
+        bandwidth_bytes_per_sec: Some(1 << 30),
+        ..FabricConfig::default()
+    });
+    let directory = TransferDirectory::new();
+    let plane = |node| {
+        let store = Arc::new(ObjectStore::new(StoreConfig {
+            node: NodeId(node),
+            capacity_bytes: 1 << 30,
+            ..StoreConfig::default()
+        }));
+        let agent = FetchAgent::spawn(fabric.clone(), store.clone(), &directory);
+        (store, agent)
+    };
+    let (holder, _serving) = plane(0);
+    let readers: Vec<_> = (1..4).map(plane).collect();
+    let payload = seal_value(&Bytes::from(vec![5u8; 1 << 20]));
+    let mut best = Duration::MAX;
+    let (mut kept, mut attempt) = (0, 0);
+    while kept < rounds {
+        attempt += 1;
+        assert!(attempt <= 4 * rounds, "requests never issued in time");
+        let object = TaskId::NIL.put_object(attempt as u64);
+        holder.put(object, payload.clone()).unwrap();
+        let go = Barrier::new(readers.len());
+        let times: Vec<(Instant, Instant)> = std::thread::scope(|scope| {
+            let asking: Vec<_> = readers
+                .iter()
+                .map(|(_, agent)| {
+                    let go = &go;
+                    scope.spawn(move || {
+                        go.wait();
+                        let asked = Instant::now();
+                        let timeout = Duration::from_secs(30);
+                        agent.fetch_one(object, NodeId(0), timeout).unwrap();
+                        (asked, Instant::now())
+                    })
+                })
+                .collect();
+            asking.into_iter().map(|t| t.join().unwrap()).collect()
+        });
+        let first = times.iter().map(|t| t.0).min().unwrap();
+        let last = times.iter().map(|t| t.0).max().unwrap();
+        // A round whose requests the OS spread over more than 100 µs is
+        // not the scenario.
+        if last - first <= Duration::from_micros(100) {
+            kept += 1;
+            best = best.min(times.iter().map(|t| t.1).max().unwrap() - first);
+        }
+        holder.delete(object);
+        for (store, _) in &readers {
+            store.delete(object);
+        }
+    }
+    best
+}
+
+/// `results` remote round trips, one at a time, of a task pinned to
+/// node 1 whose 8-byte result the driver on node 0 reads: the least
+/// time from the result's seal on node 1 to its copy being committed on
+/// node 0 (the span of its transfer).
+fn push_best(results: u64) -> Result<Duration> {
+    let cluster = Cluster::start(ClusterConfig {
+        nodes: vec![
+            NodeConfig::cpu_only(2),
+            NodeConfig::cpu_only(2).with_custom("pin", 1.0),
+        ],
+        ..ClusterConfig::default()
+    })?;
+    let inc = cluster.register_fn1("paper_push_inc", |x: u64| Ok(x + 1));
+    let driver = cluster.driver();
+    let pinned = TaskOptions::resources(Resources::cpu(1.0).with_custom("pin", 1.0));
+    for i in 0..results {
+        let future = driver.submit1_opts(&inc, i, pinned.clone())?;
+        assert_eq!(driver.get(&future)?, i + 1);
+    }
+    // Node 0's scheduler logs each arrival a step after the `get` it
+    // served: wait for the last.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let report = loop {
+        let report = cluster.profile();
+        if report.transfers as u64 == results {
+            break report;
+        }
+        if Instant::now() > deadline {
+            return Err(Error::Timeout);
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    };
+    cluster.shutdown();
+    let spans = report.spans.iter().filter(|span| span.plane == "transfer");
+    let best = spans.map(|span| span.micros).min().unwrap_or(u64::MAX);
+    Ok(Duration::from_micros(best))
+}
+
+/// R2 at the submission layer: tasks gated on an object that never
+/// seals, so nothing runs, submitted to one node that never spills and
+/// timed until the last reads `Queued`, on a fresh cluster a run; 9
+/// rounds of every batch size. The best rate at batch 4096 (≈ 0.8–1.1 M
+/// tasks/s on a 2-vCPU VM) is held to 400 k, and each step up in batch
+/// size to at least 0.9x the rate below it, as the median of the
+/// rounds' ratios (the rate levels off past 256, so a best-of-rounds
+/// ratio is a coin flip there). From 4 cores, where the driver and the
+/// scheduler overlap, a driver that never waits is held to 1.5x one
+/// that waits for each batch to be queued (≈ 0.9–1.3x on 2 vCPUs).
+fn submission(claims: &mut Vec<Claim>) -> Result<()> {
+    const SIZES: [usize; 4] = [1, 16, 256, 4096];
+    const TASKS: usize = 32_768;
+    const ROUNDS: usize = 9;
+    let (mut best, mut barriered) = (0.0f64, 0.0f64);
+    let mut steps = vec![Vec::with_capacity(ROUNDS); SIZES.len() - 1];
+    for _ in 0..ROUNDS {
+        let mut rates = Vec::with_capacity(SIZES.len());
+        for batch in SIZES {
+            rates.push(submit_rate(batch, TASKS, Duration::ZERO, false, true)?);
+        }
+        for (step, pair) in steps.iter_mut().zip(rates.windows(2)) {
+            step.push(pair[1] / pair[0]);
+        }
+        best = best.max(rates[SIZES.len() - 1]);
+        barriered = barriered.max(submit_rate(4096, TASKS, Duration::ZERO, true, true)?);
+    }
+    let rise = steps.into_iter().map(median).fold(f64::MAX, f64::min);
+    claims.extend([
+        Claim::at_least("R2 submit, batch 4096, tasks/s", Some(1e6), best, 4e5),
+        Claim::at_least("R2 submit: least rise to a larger batch", None, rise, 0.9),
+    ]);
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let overlap = best / barriered;
+    if cores >= 4 {
+        let name = "R2 submit at batch 4096: never waiting / waiting";
+        claims.push(Claim::at_least(name, None, overlap, 1.5));
+    } else {
+        println!("batch-4096 submission never waiting is {overlap:.2}x waiting for each batch on {cores} core(s), held to 1.5x from 4 cores");
+    }
+    Ok(())
+}
+
+/// R7: batch-4096 submission with the default-on telemetry against the
+/// same run with it off, as the median ratio of 15 interleaved pairs
+/// (which side goes first alternates, so the host's drift cancels in a
+/// pair), each run submitting 8 192 tasks and for at least 100 ms.
+fn telemetry_overhead(claims: &mut Vec<Claim>) -> Result<()> {
+    const PAIRS: usize = 15;
+    let run = |telemetry| submit_rate(4096, 8192, Duration::from_millis(100), false, telemetry);
+    let mut ratios = Vec::with_capacity(PAIRS);
+    for pair in 0..PAIRS {
+        let (on, off) = if pair % 2 == 0 {
+            let on = run(true)?;
+            (on, run(false)?)
+        } else {
+            let off = run(false)?;
+            (run(true)?, off)
+        };
+        ratios.push(on / off);
+    }
+    let name = "R7 submit with telemetry on / off, median of 15 pairs";
+    claims.push(Claim::at_least(name, None, median(ratios), 0.9));
+    Ok(())
+}
+
+/// Tasks a second through submission and ingest on a fresh cluster of
+/// one node that never spills: `batch`-task batches of tasks gated on
+/// an object that never seals, at least `tasks` of them and for at
+/// least `least`, timed from the first submission until the last task
+/// reads `Queued`. A `barriered` driver waits for each batch to read
+/// `Queued` before it sends the next; `telemetry` is the sampler's
+/// switch.
+fn submit_rate(
+    batch: usize,
+    tasks: usize,
+    least: Duration,
+    barriered: bool,
+    telemetry: bool,
+) -> Result<f64> {
+    let mut config = ClusterConfig {
+        spill: SpillMode::NeverSpill,
+        ..ClusterConfig::local(1, 2)
+    }
+    .with_event_log_retention(4096);
+    if !telemetry {
+        config = config.without_telemetry();
+    }
+    let cluster = Cluster::start(config)?;
+    let gated = cluster.register_fn2("paper_gated", |x: u64, _gate: u64| Ok(x));
+    let driver = cluster.driver();
+    let never = TaskId::driver_root(DriverId::from_index(u64::MAX))
+        .child(0)
+        .return_object(0);
+    let payload = encode_to_bytes(&0u64);
+    let requests = || -> Vec<TaskRequest> {
+        let request = || TaskRequest {
+            function: gated.id(),
+            args: vec![ArgSpec::Value(payload.clone()), ArgSpec::ObjectRef(never)],
+            num_returns: 1,
+            resources: Resources::cpu(1.0),
+        };
+        (0..batch).map(|_| request()).collect()
+    };
+    // Built before the clock starts; a run that outlasts them builds
+    // more as it goes.
+    let mut built: Vec<_> = (0..tasks.div_ceil(batch).max(8))
+        .map(|_| requests())
+        .collect();
+    let start = Instant::now();
+    let (mut submitted, mut last) = (0, Vec::new());
+    while submitted < tasks || start.elapsed() < least {
+        let batch_requests = built.pop().unwrap_or_else(requests);
+        last = driver.submit_raw_batch(batch_requests)?.pop().unwrap();
+        submitted += batch;
+        if barriered {
+            queued(&driver, &last)?;
+        }
+    }
+    // Batches are ingested in order: the last task queued is the last
+    // batch ingested.
+    queued(&driver, &last)?;
+    let rate = submitted as f64 / start.elapsed().as_secs_f64();
+    cluster.shutdown();
+    Ok(rate)
+}
+
+/// Waits until the task returning `returns[0]` reads `Queued`, on its
+/// state's subscription, not a poll that would take the scheduler's
+/// cycles.
+fn queued(driver: &Driver, returns: &[ObjectId]) -> Result<()> {
+    let task = returns[0].producer_task().expect("a task's return");
+    let (mut state, updates) = driver.services().tasks.subscribe_state(task);
+    let deadline = Instant::now() + Duration::from_secs(120);
+    while !matches!(state, Some(TaskState::Queued(_))) {
+        if Instant::now() > deadline {
+            return Err(Error::Timeout);
+        }
+        state = updates.recv_timeout(Duration::from_secs(1)).or(state);
     }
     Ok(())
 }
@@ -279,6 +584,12 @@ fn timed<T>(f: impl FnOnce() -> T) -> Duration {
     let start = Instant::now();
     f();
     start.elapsed()
+}
+
+/// The median of `values` (the upper one of an even count).
+fn median(mut values: Vec<f64>) -> f64 {
+    values.sort_by(f64::total_cmp);
+    values[values.len() / 2]
 }
 
 fn ratio(numerator: Duration, denominator: Duration) -> f64 {

@@ -1,9 +1,11 @@
-//! Shared plumbing for the experiment binaries (`exp_*`).
+//! Shared plumbing for the three binaries.
 //!
 //! `exp_paper` holds the paper's quantitative claims, one [`Claim`] a
-//! row, and fails when a row is past its bound; the other binaries are
-//! the smokes CI runs, each self-asserting its own floors and writing a
-//! `BENCH_*.json` beside its table. `README.md` lists them.
+//! row, and fails when a row is past its bound. `exp_chaos` is the
+//! fault soak, self-asserting its checksums and writing
+//! `BENCH_chaos.json`; `inspect` is the R7 tooling demo. Counts (frames,
+//! copies, kv locks) are checked by tests beside the code they count,
+//! not here.
 
 use std::str::FromStr;
 use std::time::Duration;

@@ -6,8 +6,8 @@
 //!
 //! There is one policy, `RetryPolicy::default()`, and no knob that
 //! swaps it. Its readers: the resolver's holder sweep (`max_attempts`
-//! holders before the producer is force-replayed) and driver stripe
-//! failover (`max_attempts` stripe targets).
+//! holders before the producer is force-replayed) and a home node's
+//! submission failover (`max_attempts` sends of one batch).
 
 /// Bounded attempts. `Default` gives 4.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -29,13 +29,11 @@
 //! assert_eq!(&updates.recv().unwrap()[..], b"v2");
 //! ```
 
-pub mod replica;
 pub mod segment;
 pub mod shard;
 pub mod store;
 pub mod tables;
 
-pub use replica::ReplicatedKv;
 pub use segment::SegmentIndex;
 pub use shard::Subscription;
 pub use store::{KvStats, KvStore};

@@ -592,7 +592,7 @@ impl Shard {
         self.len() == 0
     }
 
-    /// Clones the entire shard contents (for replication / snapshots).
+    /// Clones the entire shard contents (a snapshot).
     pub fn snapshot(&self) -> (Vec<(Bytes, Bytes)>, Vec<(Bytes, Vec<Bytes>)>) {
         let st = self.state.lock();
         (

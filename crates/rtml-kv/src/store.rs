@@ -328,7 +328,7 @@ impl KvStore {
         self.len() == 0
     }
 
-    /// Operation statistics for throughput experiments (E7).
+    /// Operation and lock counts per shard.
     pub fn stats(&self) -> KvStats {
         KvStats {
             ops_per_shard: self.shards.iter().map(|s| s.ops.get()).collect(),
@@ -345,13 +345,16 @@ impl KvStore {
         registry.register_value("kv.locks", move || kv.stats().total_locks());
     }
 
-    /// Snapshot of every shard, for replication.
+    /// Snapshot of every shard (the segment index's tests roll a store
+    /// back with it).
+    #[cfg(test)]
     pub(crate) fn full_snapshot(&self) -> Vec<(Vec<(Bytes, Bytes)>, Vec<(Bytes, Vec<Bytes>)>)> {
         self.shards.iter().map(|s| s.snapshot()).collect()
     }
 
     /// Restores every shard from a snapshot taken on an identically-sharded
     /// store.
+    #[cfg(test)]
     pub(crate) fn restore_snapshot(
         &self,
         snap: Vec<(Vec<(Bytes, Bytes)>, Vec<(Bytes, Vec<Bytes>)>)>,

@@ -96,9 +96,6 @@ struct CallerInner {
     outbox: Option<Arc<Outbox>>,
     child_counter: AtomicU64,
     put_counter: AtomicU64,
-    /// Counts driver submission batches for round-robin striping
-    /// ([`crate::ClusterConfig::submit_striping`]).
-    batch_counter: AtomicU64,
 }
 
 /// RAII guard bracketing a blocking section: the worker's held results
@@ -162,7 +159,6 @@ impl Caller {
                 outbox,
                 child_counter: AtomicU64::new(0),
                 put_counter: AtomicU64::new(0),
-                batch_counter: AtomicU64::new(0),
             }),
         }
     }
@@ -241,22 +237,6 @@ impl Caller {
             services.tasks.get_states_many(&task_ids)
         };
 
-        // Where this batch ingests. Driver batches stripe round-robin
-        // across `submit_striping` nodes so one local scheduler is not
-        // the funnel; worker (nested) submissions always ingest at home,
-        // where their argument objects already live. The spec's
-        // `submitter_node` records the ingest target so the kill-node
-        // repair scan covers a batch lost in the target's mailbox. Ids
-        // are producer-embedded and placement ignores the submitter, so
-        // striping never moves *what runs where* — only which scheduler
-        // does the ingest bookkeeping.
-        let stripe_index = (inner.component == Component::Driver)
-            .then(|| inner.batch_counter.fetch_add(1, Ordering::Relaxed));
-        let ingest = match stripe_index {
-            Some(index) => services.stripe_target(inner.home, index),
-            None => inner.home,
-        };
-
         let mut results: Vec<Vec<ObjectId>> = Vec::with_capacity(requests.len());
         let mut fresh: Vec<TaskSpec> = Vec::with_capacity(requests.len());
         let mut unschedulable: Vec<(TaskSpec, Vec<ObjectId>)> = Vec::new();
@@ -282,7 +262,7 @@ impl Caller {
                 args: request.args,
                 num_returns: request.num_returns,
                 resources: request.resources,
-                submitter_node: ingest,
+                submitter_node: inner.home,
                 attempt: 0,
                 actor: None,
             };
@@ -345,15 +325,11 @@ impl Caller {
             },
         });
         services.events.append_many(inner.home, events);
-        match stripe_index {
-            // Driver stripes fail over to the next stripe position when
-            // the target's scheduler died mid-send; `submitter_node`
-            // still names the first-choice target, and a batch that
-            // lands elsewhere is covered by the stuck-task backstop if
-            // *that* node dies too.
-            Some(index) => services.submit_batch_striped(inner.home, index, fresh)?,
-            None => services.submit_batch_home(ingest, fresh)?,
-        }
+        // Every batch ingests at home, where its submitter's objects
+        // live. `submitter_node` names it, so the kill-node repair scan
+        // covers a batch lost in its mailbox; a batch that fails over
+        // to another node is covered by the stuck-task backstop.
+        services.submit_batch_home(inner.home, fresh)?;
         Ok(results)
     }
 

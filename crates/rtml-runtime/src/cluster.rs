@@ -13,9 +13,9 @@
 //! the code that reads it.
 //!
 //! A count of zero is refused, not rounded up: `Cluster::start` returns
-//! [`Error::InvalidArgument`] for a `kv_shards`, `global_shards` or
-//! `submit_striping` of 0, for an enabled telemetry plane with a zero
-//! `interval` or `retention`, and for a `global_host` outside `nodes`.
+//! [`Error::InvalidArgument`] for a `kv_shards` or `global_shards` of 0,
+//! for an enabled telemetry plane with a zero `interval` or
+//! `retention`, and for a `global_host` outside `nodes`.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -82,14 +82,6 @@ pub struct ClusterConfig {
     /// of node capacity consistent through kv load digests. `1` (the
     /// default) reproduces the single global scheduler exactly.
     pub global_shards: usize,
-    /// Driver-side submission striping: consecutive driver batches go
-    /// round-robin to this many nodes' local schedulers, so a single
-    /// local scheduler is not the ingest funnel. `1` (the default)
-    /// keeps every batch on the driver's home node. Placement-neutral:
-    /// ids are producer-embedded and the placement policies ignore the
-    /// submitting node, so results and placements are identical with
-    /// striping on or off.
-    pub submit_striping: usize,
     /// Per-node telemetry sampling: every node's plane counters are
     /// registered on a [`rtml_common::metrics::MetricsRegistry`] and the
     /// node's local scheduler group-commits a snapshot to the kv-backed
@@ -121,7 +113,6 @@ impl Default for ClusterConfig {
             seed: 0x5eed,
             global_host: 0,
             global_shards: 1,
-            submit_striping: 1,
             telemetry: crate::telemetry::TelemetryConfig::default(),
             faults: rtml_net::FaultPlan::default(),
         }
@@ -177,12 +168,6 @@ impl ClusterConfig {
         self
     }
 
-    /// Sets the driver-side submission stripe width builder-style.
-    pub fn with_submit_striping(mut self, nodes: usize) -> Self {
-        self.submit_striping = nodes;
-        self
-    }
-
     /// Replaces the telemetry config builder-style.
     pub fn with_telemetry(mut self, telemetry: crate::telemetry::TelemetryConfig) -> Self {
         self.telemetry = telemetry;
@@ -231,7 +216,6 @@ impl Cluster {
         for (name, count) in [
             ("kv_shards", config.kv_shards),
             ("global_shards", config.global_shards),
-            ("submit_striping", config.submit_striping),
         ] {
             if count == 0 {
                 return Err(Error::InvalidArgument(format!("{name} must be at least 1")));

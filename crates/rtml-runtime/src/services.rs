@@ -49,8 +49,7 @@ pub struct Services {
     /// Node → object-plane (transfer agent) address.
     pub directory: Arc<TransferDirectory>,
     /// Peer health view (heartbeat staleness + failure evidence),
-    /// steering stripe targets and holder rankings away from suspect
-    /// nodes.
+    /// steering holder rankings away from suspect nodes.
     pub health: Arc<HealthTracker>,
     /// The configuration the cluster was started with.
     pub config: ClusterConfig,
@@ -211,67 +210,18 @@ impl Services {
             .map_err(|(_specs, err)| err)
     }
 
-    /// [`Self::submit_batch_to`] for a submitter on `home` itself (one of
-    /// its workers): a batch the node's loop would accept whole and
-    /// runnable is admitted on the calling thread
-    /// ([`LocalSubmitter::submit`]).
+    /// [`Self::submit_batch_to`] for a submitter on `home` itself (its
+    /// driver or one of its workers): a batch the node's loop would
+    /// accept whole and runnable is admitted on the calling thread
+    /// ([`LocalSubmitter::submit`]). If `home`'s scheduler dies
+    /// mid-send, the batch goes again to a loop — the lowest alive
+    /// node's once `home` has left the router — up to the retry policy's
+    /// attempts; each failed send hands the specs back, so none is lost.
     pub fn submit_batch_home(&self, home: NodeId, specs: Vec<TaskSpec>) -> Result<()> {
-        self.try_submit_batch_to(home, specs, true)
-            .map_err(|(_specs, err)| err)
-    }
-
-    /// The lowest-numbered alive node (the driver's preferred home).
-    pub fn any_alive(&self) -> Option<NodeId> {
-        self.router.read().keys().min().copied()
-    }
-
-    /// The ingest target for the driver's `index`-th submission batch
-    /// under [`ClusterConfig::submit_striping`]: round-robin over the
-    /// `min(K, alive)` lowest alive nodes, starting at `home`'s position
-    /// so stripe width 1 degenerates to the home node exactly. Falls
-    /// back to `home` when the router is empty (shutdown race — the
-    /// send itself will fail cleanly downstream).
-    pub fn stripe_target(&self, home: NodeId, index: u64) -> NodeId {
-        let width = self.config.submit_striping;
-        if width == 1 {
-            return home;
-        }
-        let router = self.router.read();
-        let mut nodes: Vec<NodeId> = router.keys().copied().collect();
-        drop(router);
-        if nodes.is_empty() {
-            return home;
-        }
-        nodes.sort();
-        nodes.truncate(width);
-        // Suspect nodes are steered out of the stripe set (unless the
-        // whole set is suspect) so a gray ingest target stops taking
-        // fresh batches while its suspicion lasts.
-        let nodes = self.health.filter_healthy(nodes);
-        let start = nodes.iter().position(|n| *n == home).unwrap_or(0);
-        nodes[(start + index as usize) % nodes.len()]
-    }
-
-    /// Routes one driver stripe batch with failover: try the computed
-    /// stripe target; if its scheduler channel is gone (killed
-    /// mid-send), re-aim at the next stripe position. Attempts are
-    /// bounded by the retry policy; specs are recovered from each
-    /// failed send, never lost. At stripe width 1 the first attempt is
-    /// the driver's own node's, as [`Self::submit_batch_home`]; stripe
-    /// targets and failover go to the loop.
-    pub fn submit_batch_striped(
-        &self,
-        home: NodeId,
-        index: u64,
-        specs: Vec<TaskSpec>,
-    ) -> Result<()> {
-        let attempts = u64::from(RetryPolicy::default().max_attempts);
         let mut specs = specs;
         let mut last = Error::ShuttingDown;
-        for attempt in 0..attempts {
-            let target = self.stripe_target(home, index + attempt);
-            let own = self.config.submit_striping == 1 && attempt == 0;
-            match self.try_submit_batch_to(target, specs, own) {
+        for attempt in 0..RetryPolicy::default().max_attempts {
+            match self.try_submit_batch_to(home, specs, attempt == 0) {
                 Ok(()) => return Ok(()),
                 Err((returned, err)) => {
                     specs = returned;
@@ -280,6 +230,11 @@ impl Services {
             }
         }
         Err(last)
+    }
+
+    /// The lowest-numbered alive node (the driver's preferred home).
+    pub fn any_alive(&self) -> Option<NodeId> {
+        self.router.read().keys().min().copied()
     }
 
     /// The one routing step under every submission: `node`'s scheduler,

@@ -8,13 +8,12 @@
 //! a single question: *is this node suspect right now?*
 //!
 //! Suspicion **steers, never decides**: suspect nodes are moved to the
-//! back of holder rankings and dropped from stripe
-//! candidate sets — unless that would empty the set, in which case the
-//! original set is kept. Correctness never depends on suspicion being
-//! right; lineage reconstruction remains the backstop. This matters
-//! because the kv mirror is shared memory in this simulated cluster: a
-//! fabric-partitioned node keeps heartbeating, so staleness alone
-//! cannot see partitions — the failure-derived half can.
+//! back of holder rankings, never dropped from them. Correctness never
+//! depends on suspicion being right; lineage reconstruction remains the
+//! backstop. This matters because the kv mirror is shared memory in
+//! this simulated cluster: a fabric-partitioned node keeps
+//! heartbeating, so staleness alone cannot see partitions — the
+//! failure-derived half can.
 //!
 //! Failure evidence decays: a burst of recorded failures marks a node
 //! suspect for a quarantine window, after which it is trusted again
@@ -52,8 +51,8 @@ struct PeerEvidence {
 }
 
 /// Shared peer-health view. Cheap to consult: verdicts are cached for
-/// a short interval so hot paths (stripe routing, holder ranking) pay
-/// a map lookup, not a kv read, per call.
+/// a short interval so a hot path (holder ranking) pays a map lookup,
+/// not a kv read, per call.
 pub struct HealthTracker {
     kv: Arc<KvStore>,
     /// A peer whose newest load report is older than this is suspect.
@@ -157,26 +156,6 @@ impl HealthTracker {
         healthy
     }
 
-    /// Drops suspect nodes from a candidate set — for placement
-    /// decisions (stripe targets) — unless that would
-    /// empty the set, in which case the original set is returned so
-    /// suspicion can degrade choices but never wedge progress.
-    pub fn filter_healthy(&self, nodes: Vec<NodeId>) -> Vec<NodeId> {
-        if nodes.len() <= 1 {
-            return nodes;
-        }
-        let healthy: Vec<NodeId> = nodes
-            .iter()
-            .copied()
-            .filter(|n| !self.is_suspect(*n))
-            .collect();
-        if healthy.is_empty() {
-            nodes
-        } else {
-            healthy
-        }
-    }
-
     /// Forgets all evidence about `node` (restart lifecycle: a
     /// rejoining node starts with a clean slate).
     pub fn forget(&self, node: NodeId) {
@@ -252,12 +231,6 @@ mod tests {
             t.prefer_healthy(vec![bad, NodeId(2), NodeId(3)]),
             vec![NodeId(2), NodeId(3), bad]
         );
-        assert_eq!(t.filter_healthy(vec![bad, NodeId(2)]), vec![NodeId(2)]);
-        // All-suspect set survives filtering.
-        let also_bad = NodeId(4);
-        t.record_failure(also_bad);
-        t.record_failure(also_bad);
-        assert_eq!(t.filter_healthy(vec![bad, also_bad]), vec![bad, also_bad]);
         t.forget(bad);
         assert!(!t.is_suspect(bad));
     }

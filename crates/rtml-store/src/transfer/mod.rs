@@ -391,7 +391,7 @@ mod tests {
 
     #[test]
     fn single_chunk_object_is_stored_as_a_window_of_its_frame() {
-        let (_fabric, _directory, store0, store1, _s0, agent) = setup(0);
+        let (_fabric, _directory, store0, store1, s0, agent) = setup(0);
         let payload: Vec<u8> = (0..4096u32).map(|i| (i % 251) as u8).collect();
         store0.put(obj(1), Bytes::from(payload.clone())).unwrap();
         let (data, _) = agent
@@ -403,6 +403,8 @@ mod tests {
         let stored = store1.get(obj(1)).unwrap();
         assert_eq!(stored.as_ptr(), data.as_ptr());
         assert_eq!(stored.as_ptr(), store0.get(obj(1)).unwrap().as_ptr());
+        assert_eq!(s0.stats().bytes_copied.get(), 0);
+        assert_eq!(agent.stats().bytes_copied.get(), 0);
     }
 
     #[test]

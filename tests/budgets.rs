@@ -1,0 +1,144 @@
+//! Per-operation budgets: what one operation may cost in counted units
+//! (kv locks so far), checked on every `cargo test` rather than left to
+//! a benchmark. Real threads race, so a count jitters: each budget sits
+//! above the worst run seen, by the margin its constant states, and
+//! only ever goes down. A change that lowers a count lowers its budget
+//! with it.
+
+use std::time::{Duration, Instant};
+
+use rtml::common::codec::encode_to_bytes;
+use rtml::common::ids::DriverId;
+use rtml::common::task::{ArgSpec, TaskState};
+use rtml::prelude::*;
+use rtml::runtime::TaskRequest;
+
+/// The cluster's kv lock count.
+fn kv_locks(cluster: &Cluster) -> u64 {
+    cluster.counters().get("kv.locks").unwrap()
+}
+
+/// Most kv locks a task of a 256-task burst may cost on a 2×2 cluster:
+/// the worst of 20 runs on a 2-vCPU host (2.45 locks a task) plus 10 %.
+/// Before workers took batches a task cost 8.6.
+const BURST_LOCKS_PER_TASK: f64 = 2.7;
+
+/// What a lone `submit1` + `get` of a sealed result costs in kv locks
+/// on one node of two workers. A lone task is a batch of one: it makes
+/// the worker-side kv calls it made before batching, except that its
+/// two worker events share a frame — the round trip cost 10 before.
+const LONE_LOCKS: u64 = 9;
+
+/// Most kv locks a task of a 4096-task batch may cost to be submitted
+/// and ingested: the batch's specs are one group-committed segment, its
+/// states and events one write each, so a task's share is a few
+/// thousandths of a lock (≈ 0.004 on a 2-vCPU host).
+const INGEST_LOCKS_PER_TASK: f64 = 0.01;
+
+#[test]
+fn a_burst_spends_under_three_kv_locks_a_task() {
+    let cluster = Cluster::start(ClusterConfig::local(2, 2)).unwrap();
+    let inc = cluster.register_fn1("budget_inc", |x: u64| Ok(x + 1));
+    let driver = cluster.driver();
+    const ROUNDS: u64 = 8;
+    const TASKS: u64 = 256;
+    let before = kv_locks(&cluster);
+    for round in 0..ROUNDS {
+        let args = round * TASKS..(round + 1) * TASKS;
+        let futs = driver.submit_many(&inc, args.clone()).unwrap();
+        let values = driver.get_many(&futs).unwrap();
+        assert!(values.iter().zip(args).all(|(v, x)| *v == x + 1));
+    }
+    let per_task = (kv_locks(&cluster) - before) as f64 / (ROUNDS * TASKS) as f64;
+    println!("{per_task:.2} kv locks a task");
+    assert!(
+        per_task <= BURST_LOCKS_PER_TASK,
+        "{per_task:.2} kv locks a task, budget {BURST_LOCKS_PER_TASK}"
+    );
+    cluster.shutdown();
+}
+
+#[test]
+fn a_lone_round_trip_spends_no_more_kv_locks_than_before_batching() {
+    let cluster = Cluster::start(ClusterConfig::local(1, 2)).unwrap();
+    let inc = cluster.register_fn1("lone_inc", |x: u64| Ok(x + 1));
+    let driver = cluster.driver();
+    // The result is sealed by the time `get` asks (a `get` that finds it
+    // missing also looks up its producer), and background writes (load
+    // reports) land beside most round trips: the cost of one is the
+    // least any of them paid.
+    let mut costs: Vec<u64> = (0..64u64)
+        .map(|x| {
+            let before = kv_locks(&cluster);
+            let fut = driver.submit1(&inc, x).unwrap();
+            std::thread::sleep(Duration::from_millis(5));
+            assert_eq!(driver.get(&fut).unwrap(), x + 1);
+            kv_locks(&cluster) - before
+        })
+        .collect();
+    costs.sort();
+    println!("a lone round trip: {} kv locks (all: {costs:?})", costs[0]);
+    assert!(
+        costs[0] <= LONE_LOCKS,
+        "{costs:?} kv locks, budget {LONE_LOCKS}"
+    );
+    cluster.shutdown();
+}
+
+#[test]
+fn a_4096_task_batch_is_ingested_for_a_hundredth_of_a_kv_lock_a_task() {
+    // Four 4096-task batches on one node, every task gated on an object
+    // that never seals, so nothing runs: the count is submission and
+    // ingest alone, up to the last task reading `Queued`.
+    const BATCH: usize = 4096;
+    const BATCHES: usize = 4;
+    let cluster = Cluster::start(
+        ClusterConfig {
+            spill: SpillMode::NeverSpill,
+            ..ClusterConfig::local(1, 2)
+        }
+        .with_event_log_retention(BATCH),
+    )
+    .unwrap();
+    let gated = cluster.register_fn2("budget_gated", |x: u64, _gate: u64| Ok(x));
+    let driver = cluster.driver();
+    let never = TaskId::driver_root(DriverId::from_index(u64::MAX))
+        .child(0)
+        .return_object(0);
+    let payload = encode_to_bytes(&0u64);
+    let batches: Vec<Vec<TaskRequest>> = (0..BATCHES)
+        .map(|_| {
+            let request = || TaskRequest {
+                function: gated.id(),
+                args: vec![ArgSpec::Value(payload.clone()), ArgSpec::ObjectRef(never)],
+                num_returns: 1,
+                resources: Resources::cpu(1.0),
+            };
+            (0..BATCH).map(|_| request()).collect()
+        })
+        .collect();
+
+    let before = kv_locks(&cluster);
+    let mut last = Vec::new();
+    for batch in batches {
+        last = driver.submit_raw_batch(batch).unwrap().pop().unwrap();
+    }
+    // Batches are ingested in order: the last task queued is the last
+    // batch ingested. Wait on its state's subscription, not a poll, so
+    // the wait adds no kv locks of its own.
+    let task = last[0].producer_task().unwrap();
+    let (current, updates) = driver.services().tasks.subscribe_state(task);
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let mut state = current;
+    while !matches!(state, Some(TaskState::Queued(_))) {
+        assert!(Instant::now() < deadline, "never queued: {state:?}");
+        state = updates.recv_timeout(Duration::from_secs(1)).or(state);
+    }
+    let per_task = (kv_locks(&cluster) - before) as f64 / (BATCH * BATCHES) as f64;
+    println!("{per_task:.4} kv locks a task");
+    assert!(
+        per_task <= INGEST_LOCKS_PER_TASK,
+        "{per_task:.4} kv locks a task, budget {INGEST_LOCKS_PER_TASK}"
+    );
+    cluster.shutdown();
+}

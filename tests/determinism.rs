@@ -249,160 +249,6 @@ fn global_sharding_changes_who_places_never_what_runs() {
 }
 
 #[test]
-fn submit_striping_changes_who_ingests_never_what_runs() {
-    // The same spill-heavy workload with driver-side batch striping off
-    // (width 1) vs on (width 3), crossed with global shards K in
-    // {1, 4}, must produce bit-identical checksums: striping rotates
-    // which local scheduler does the ingest bookkeeping, but ids are
-    // producer-embedded and placement ignores the submitter, so what
-    // runs — and what it computes — never changes.
-    let config = RlConfig {
-        rollouts: 6,
-        frames_per_task: 4,
-        frame_cost: Duration::ZERO,
-        iterations: 3,
-        policy_kernel_cost: Duration::ZERO,
-        ..RlConfig::default()
-    };
-    let run = |striping: usize, shards: usize| {
-        let cluster = Cluster::start(
-            ClusterConfig {
-                nodes: (0..3).map(|_| NodeConfig::cpu_only(2)).collect(),
-                spill: SpillMode::Hybrid { queue_threshold: 1 },
-                ..ClusterConfig::default()
-            }
-            .with_global_shards(shards)
-            .with_submit_striping(striping),
-        )
-        .unwrap();
-        let funcs = RlFuncs::register(&cluster);
-        let driver = cluster.driver();
-        let result = rl::run_rtml(&config, &driver, &funcs, false).unwrap();
-        cluster.shutdown();
-        (result.checksum, result.total_reward_bits)
-    };
-    let reference = run(1, 1);
-    for striping in [1usize, 3] {
-        for shards in [1usize, 4] {
-            if striping == 1 && shards == 1 {
-                continue; // the reference itself
-            }
-            assert_eq!(
-                run(striping, shards),
-                reference,
-                "striping={striping} K={shards} changed results"
-            );
-        }
-    }
-}
-
-#[test]
-fn striping_changes_who_ingests_never_where_tasks_land() {
-    // Placement-neutrality at the task→node map level, not just the
-    // checksum level. `AlwaysSpill` routes every submission through the
-    // global scheduler, and every task demands a custom resource only
-    // node 0 has (how the ledger's `rtt_remote` pins its tasks), so
-    // placement has one candidate whatever the load reports say at the
-    // moment a spill arrives. A never-sealing gate keeps the tasks
-    // parked in `Queued`, so the map is readable at rest. Striping may
-    // only move the spill *source* (the ingest node) — and with width 3
-    // it must actually spread it.
-    use rtml::common::event::EventKind;
-    use rtml::common::ids::DriverId;
-
-    const TASKS: i64 = 24;
-    let run = |striping: usize| {
-        let cluster = Cluster::start(
-            ClusterConfig {
-                nodes: (0..3)
-                    .map(|n| match n {
-                        0 => NodeConfig::cpu_only(2).with_custom("pin", 1.0),
-                        _ => NodeConfig::cpu_only(2),
-                    })
-                    .collect(),
-                spill: SpillMode::AlwaysSpill,
-                ..ClusterConfig::default()
-            }
-            .with_submit_striping(striping),
-        )
-        .unwrap();
-        let gated = cluster.register_fn3("gated_map", |x: i64, _dep: Vec<u8>, _gate: i64| Ok(x));
-        let driver = cluster.driver();
-        let big = driver.put(&vec![7u8; 4 << 20]).unwrap();
-        let pinned = || TaskOptions::resources(Resources::cpu(1.0).with_custom("pin", 1.0));
-        // A dependency that never seals: the tasks place but never run.
-        let never: ObjectRef<i64> = ObjectRef::typed(
-            TaskId::driver_root(DriverId::from_index(u64::MAX))
-                .child(0)
-                .return_object(0),
-        );
-        let futs: Vec<ObjectRef<i64>> = (0..TASKS)
-            .map(|i| {
-                driver
-                    .submit3_opts(&gated, i, &big, &never, pinned())
-                    .unwrap()
-            })
-            .collect();
-
-        // Wait until every task holds a post-placement Queued state.
-        let tasks: Vec<TaskId> = futs
-            .iter()
-            .map(|f| f.id().producer_task().unwrap())
-            .collect();
-        let deadline = std::time::Instant::now() + Duration::from_secs(30);
-        let map = loop {
-            let states = driver.services().tasks.get_states_many(&tasks);
-            let placed: Vec<Option<NodeId>> = states
-                .iter()
-                .map(|s| match s {
-                    Some(rtml::common::task::TaskState::Queued(node)) => Some(*node),
-                    _ => None,
-                })
-                .collect();
-            if placed.iter().all(|p| p.is_some()) {
-                break placed.into_iter().map(|p| p.unwrap()).collect::<Vec<_>>();
-            }
-            assert!(
-                std::time::Instant::now() < deadline,
-                "placement stalled: {states:?}"
-            );
-            std::thread::sleep(Duration::from_millis(2));
-        };
-        let spill_sources: std::collections::BTreeSet<u32> = driver
-            .services()
-            .events
-            .read_all()
-            .into_iter()
-            .filter_map(|e| match e.kind {
-                EventKind::TaskSpilled { from, .. } => Some(from.0),
-                _ => None,
-            })
-            .collect();
-        cluster.shutdown();
-        (map, spill_sources)
-    };
-
-    let (unstriped_map, unstriped_sources) = run(1);
-    let (striped_map, striped_sources) = run(3);
-    assert_eq!(
-        striped_map, unstriped_map,
-        "striping moved a task's placement"
-    );
-    for (i, node) in striped_map.iter().enumerate() {
-        assert_eq!(*node, NodeId(0), "task {i} escaped its pin");
-    }
-    assert_eq!(
-        unstriped_sources.len(),
-        1,
-        "unstriped ingest must funnel through one node: {unstriped_sources:?}"
-    );
-    assert!(
-        striped_sources.len() > 1,
-        "striping width 3 never spread ingest: {striped_sources:?}"
-    );
-}
-
-#[test]
 fn determinism_matrix_over_planes_and_shard_counts() {
     // The safety matrix for the two ways work moves between nodes: the
     // spill rule {hybrid, always, never} x K in {1, 4} global shards —

@@ -460,54 +460,6 @@ fn kill_restart_cycles_do_not_leak_fabric_endpoints() {
     cluster.shutdown();
 }
 
-#[test]
-fn partitioned_stripe_target_recovers_via_kill_repair() {
-    // Driver batches stripe across both nodes while node 1 is cut off
-    // from node 0 by a partition. Batches ingested at node 1 (submit
-    // routing is in-process) run there, but their results are
-    // unreachable; killing the partitioned stripe target must sweep its
-    // tasks into Lost and replay them on the survivor, and subsequent
-    // stripe batches must fail over to node 0 cleanly.
-    let config = ClusterConfig {
-        nodes: vec![NodeConfig::cpu_only(2), NodeConfig::cpu_only(2)],
-        spill: SpillMode::NeverSpill,
-        fetch_timeout: Duration::from_millis(150),
-        ..ClusterConfig::default()
-    }
-    .with_submit_striping(2);
-    let cluster = Cluster::start(config).unwrap();
-    let f = cluster.register_fn1("stripe_part_fi", |x: i64| Ok(x * 13));
-    let driver = cluster.driver();
-    let fabric = cluster.services().fabric.clone();
-    fabric.partition(NodeId(0), NodeId(1));
-
-    // Several waves so both stripe positions take batches.
-    let mut futs = Vec::new();
-    for wave in 0..4i64 {
-        futs.extend(driver.submit_many(&f, wave * 8..(wave + 1) * 8).unwrap());
-    }
-    std::thread::sleep(Duration::from_millis(50));
-    // The partitioned stripe target dies; the kill-repair sweep marks
-    // its in-flight tasks Lost and lineage replays them on node 0.
-    cluster.kill_node(NodeId(1)).unwrap();
-    for (i, fut) in futs.iter().enumerate() {
-        assert_eq!(
-            driver.get_timeout(fut, Duration::from_secs(30)).unwrap(),
-            i as i64 * 13,
-            "future {i}"
-        );
-    }
-    // Post-kill waves must route entirely to the survivor.
-    let more = driver.submit_many(&f, 100..116i64).unwrap();
-    for (i, fut) in more.iter().enumerate() {
-        assert_eq!(
-            driver.get_timeout(fut, Duration::from_secs(30)).unwrap(),
-            (100 + i as i64) * 13
-        );
-    }
-    cluster.shutdown();
-}
-
 /// Starts a 256-task batch on two nodes, blocks a `get_many` on it at
 /// once, and calls `inject` when about half the batch has sealed. The
 /// blocked call must still deliver all 256 values.

@@ -191,10 +191,9 @@ fn a_zero_shard_or_stripe_count_is_rejected() {
     // cluster does not have — not a silent round up to one.
     // A zero telemetry interval would spin every scheduler loop.
     type Set = fn(&mut ClusterConfig, usize);
-    let fields: [(&str, Set); 5] = [
+    let fields: [(&str, Set); 4] = [
         ("kv_shards", |c, n| c.kv_shards = n),
         ("global_shards", |c, n| c.global_shards = n),
-        ("submit_striping", |c, n| c.submit_striping = n),
         ("telemetry.interval", |c, n| {
             c.telemetry.interval = Duration::from_millis(n as u64)
         }),
@@ -320,6 +319,11 @@ fn telemetry_timeseries_is_bounded_and_column_stable() {
         assert!(names.contains(&"sched.prefetch_skipped_capacity"));
         assert!(names.contains(&"fabric.sent"));
         assert!(names.contains(&"kv.locks"));
+        // The columns are the node's registry and the cluster's, whole.
+        let mut registered = cluster.node_registry(*node).unwrap().sample_names();
+        registered.extend(cluster.services().metrics.sample_names());
+        registered.sort();
+        assert_eq!(names, registered, "{node} samples another column set");
         for pair in records.windows(2) {
             assert!(pair[0].at_nanos <= pair[1].at_nanos);
             let next: Vec<&str> = pair[1].samples.iter().map(|(n, _)| n.as_str()).collect();
@@ -499,25 +503,6 @@ fn deeply_nested_dynamic_graph() {
 }
 
 #[test]
-fn replicated_control_plane_survives_failover() {
-    use bytes::Bytes;
-    let kv = rtml::kv::ReplicatedKv::new(4);
-    for i in 0..100u64 {
-        kv.set(
-            Bytes::from(format!("key{i}")),
-            Bytes::from(i.to_le_bytes().to_vec()),
-        );
-    }
-    kv.fail_primary();
-    for i in 0..100u64 {
-        let v = kv.get(format!("key{i}").as_bytes()).unwrap();
-        let mut arr = [0u8; 8];
-        arr.copy_from_slice(&v);
-        assert_eq!(u64::from_le_bytes(arr), i);
-    }
-}
-
-#[test]
 fn wait_pipelining_beats_batching_with_stragglers() {
     // Eight slots, 24 rollouts of 5 ms and one 200 ms straggler, each
     // rollout scored by a 20 ms task. Batched, the 24 scores start after
@@ -633,4 +618,259 @@ fn a_put_that_evicts_leaves_no_stale_location() {
     sealed.push(doomed.id());
     check(&sealed, "unschedulable seal");
     cluster.shutdown();
+}
+
+#[test]
+fn thirty_two_nodes_on_four_shards_compute_every_value_and_spread_the_work() {
+    use rtml::common::event::EventKind;
+    // 32 one-worker nodes and 4 global shards under a mixed workload: a
+    // 256-wide fan-out of squares, 32 chains of 8 increments, and a
+    // pairwise tree reduction of the squares whose inputs cross nodes.
+    // A spill threshold of 2 sends most placement through the shards.
+    const NODES: usize = 32;
+    const SHARDS: usize = 4;
+    const FANOUT: i64 = 256;
+    const DEPTH: i64 = 8;
+    let cluster = Cluster::start(
+        ClusterConfig {
+            nodes: (0..NODES).map(|_| NodeConfig::cpu_only(1)).collect(),
+            spill: SpillMode::Hybrid { queue_threshold: 2 },
+            ..ClusterConfig::default()
+        }
+        .with_global_shards(SHARDS),
+    )
+    .unwrap();
+    let square = cluster.register_fn1("scale_square", |x: i64| Ok(x * x));
+    let inc = cluster.register_fn1("scale_inc", |x: i64| Ok(x + 1));
+    let add = cluster.register_fn2("scale_add", |a: i64, b: i64| Ok(a + b));
+    let driver = cluster.driver();
+    let squares = driver.submit_many(&square, 0..FANOUT).unwrap();
+    let chains: Vec<ObjectRef<i64>> = (0..32i64)
+        .map(|c| {
+            let mut tip = driver.submit1(&inc, c * 100).unwrap();
+            for _ in 1..DEPTH {
+                tip = driver.submit1(&inc, tip).unwrap();
+            }
+            tip
+        })
+        .collect();
+    let mut layer = squares.clone();
+    while layer.len() > 1 {
+        layer = layer
+            .chunks(2)
+            .map(|pair| match pair {
+                [a, b] => driver.submit2(&add, a, b).unwrap(),
+                _ => pair[0],
+            })
+            .collect();
+    }
+
+    // Every value is exact.
+    let values = driver.get_many(&squares).unwrap();
+    assert_eq!(values, (0..FANOUT).map(|i| i * i).collect::<Vec<_>>());
+    for (c, tip) in chains.iter().enumerate() {
+        assert_eq!(
+            driver.get(tip).unwrap(),
+            c as i64 * 100 + DEPTH,
+            "chain {c}"
+        );
+    }
+    let total: i64 = (0..FANOUT).map(|i| i * i).sum();
+    assert_eq!(driver.get(&layer[0]).unwrap(), total, "tree reduction");
+
+    // Every shard placed work, and the shards account for every
+    // placement.
+    let counters = cluster.counters();
+    assert!(
+        counters.get("global.spills").unwrap() > 0,
+        "nothing spilled"
+    );
+    let placed: Vec<u64> = cluster
+        .global_shard_stats()
+        .iter()
+        .map(|(_, placed, _)| *placed)
+        .collect();
+    assert_eq!(placed.len(), SHARDS);
+    assert!(
+        placed.iter().all(|&p| p > 0),
+        "a shard placed nothing: {placed:?}"
+    );
+    assert_eq!(
+        placed.iter().sum::<u64>(),
+        counters.get("global.placements").unwrap(),
+        "per-shard placements must sum to the total"
+    );
+
+    // Executed tasks spread across the cluster.
+    let active: std::collections::BTreeSet<NodeId> = driver
+        .services()
+        .events
+        .read_all()
+        .into_iter()
+        .filter_map(|event| match event.kind {
+            EventKind::TaskFinished { worker, .. } => Some(worker.node),
+            _ => None,
+        })
+        .collect();
+    assert!(
+        active.len() >= NODES / 4,
+        "only {} of {NODES} nodes executed work",
+        active.len()
+    );
+    cluster.shutdown();
+}
+
+#[test]
+fn a_spilled_dag_traces_every_plane_and_its_critical_path_sums_to_its_makespan() {
+    // Three nodes under AlwaysSpill, so every task crosses a global
+    // scheduler and most inputs cross the fabric: a 24-wide fan-out and
+    // an 8-deep chain over one 16 KiB block.
+    let cluster =
+        Cluster::start(ClusterConfig::local(3, 2).with_spill(SpillMode::AlwaysSpill)).unwrap();
+    let work = cluster.register_fn1("traced_work", |block: Vec<u8>| {
+        std::thread::sleep(Duration::from_millis(1));
+        Ok(block.iter().map(|b| b.wrapping_add(1)).collect::<Vec<u8>>())
+    });
+    let driver = cluster.driver();
+    let block = driver.put(&vec![7u8; 16 * 1024]).unwrap();
+    let fan: Vec<_> = (0..24)
+        .map(|_| driver.submit1(&work, block).unwrap())
+        .collect();
+    let mut tip = driver.submit1(&work, block).unwrap();
+    for _ in 1..8 {
+        tip = driver.submit1(&work, tip).unwrap();
+    }
+    assert!(driver.get_many(&fan).unwrap().iter().all(|v| v[0] == 8));
+    assert_eq!(driver.get(&tip).unwrap(), vec![15u8; 16 * 1024]);
+
+    let report = cluster.profile();
+    for plane in ["control", "ingest", "placement", "transfer"] {
+        assert!(
+            report.spans.iter().any(|span| span.plane == plane),
+            "the trace holds no {plane} span"
+        );
+    }
+    let trace = report.chrome_trace();
+    assert!(is_json(&trace), "the Chrome trace is not JSON");
+    assert!(
+        trace.contains("\"ph\":\"s\"") && trace.contains("\"ph\":\"f\""),
+        "the trace carries no flow events"
+    );
+    let sink = tip.id().producer_task().unwrap();
+    let path = cluster.critical_path(sink).expect("the sink is logged");
+    assert_eq!(path.sink, sink);
+    let (makespan, attributed) = (path.makespan_nanos(), path.attributed_nanos());
+    assert!(
+        makespan.abs_diff(attributed) * 100 <= makespan.max(1),
+        "the critical path's buckets sum to {attributed} ns of a {makespan} ns makespan"
+    );
+    cluster.shutdown();
+}
+
+/// Whether `text` is exactly one JSON value: objects, arrays, strings
+/// with their escapes, numbers and the three literals, per the grammar.
+fn is_json(text: &str) -> bool {
+    fn ws(b: &[u8], i: &mut usize) {
+        while b.get(*i).is_some_and(|c| b" \t\n\r".contains(c)) {
+            *i += 1;
+        }
+    }
+    fn digits(b: &[u8], i: &mut usize) -> bool {
+        let start = *i;
+        while b.get(*i).is_some_and(u8::is_ascii_digit) {
+            *i += 1;
+        }
+        *i > start
+    }
+    fn string(b: &[u8], i: &mut usize) -> bool {
+        if b.get(*i) != Some(&b'"') {
+            return false;
+        }
+        *i += 1;
+        while let Some(&c) = b.get(*i) {
+            *i += match c {
+                b'"' => {
+                    return {
+                        *i += 1;
+                        true
+                    }
+                }
+                b'\\' if b.get(*i + 1).is_some_and(|e| b"\"\\/bfnrt".contains(e)) => 2,
+                b'\\'
+                    if b.get(*i + 1) == Some(&b'u')
+                        && b.get(*i + 2..*i + 6)
+                            .is_some_and(|h| h.iter().all(u8::is_ascii_hexdigit)) =>
+                {
+                    6
+                }
+                b'\\' | 0x00..=0x1f => return false,
+                _ => 1,
+            };
+        }
+        false
+    }
+    fn value(b: &[u8], i: &mut usize) -> bool {
+        ws(b, i);
+        let ok = match b.get(*i) {
+            Some(&open @ (b'{' | b'[')) => {
+                let close = if open == b'{' { b'}' } else { b']' };
+                *i += 1;
+                ws(b, i);
+                if b.get(*i) != Some(&close) {
+                    loop {
+                        ws(b, i);
+                        let member = open == b'[' || {
+                            let key = string(b, i);
+                            ws(b, i);
+                            key && b.get(*i) == Some(&b':') && {
+                                *i += 1;
+                                true
+                            }
+                        };
+                        if !member || !value(b, i) {
+                            return false;
+                        }
+                        match b.get(*i) {
+                            Some(b',') => *i += 1,
+                            Some(&c) if c == close => break,
+                            _ => return false,
+                        }
+                    }
+                }
+                *i += 1;
+                true
+            }
+            Some(b'"') => string(b, i),
+            Some(b't' | b'f' | b'n') => ["true", "false", "null"].iter().any(|lit| {
+                let found = b[*i..].starts_with(lit.as_bytes());
+                if found {
+                    *i += lit.len();
+                }
+                found
+            }),
+            Some(_) => {
+                if b.get(*i) == Some(&b'-') {
+                    *i += 1;
+                }
+                let mut ok = digits(b, i);
+                if ok && b.get(*i) == Some(&b'.') {
+                    *i += 1;
+                    ok = digits(b, i);
+                }
+                if ok && matches!(b.get(*i), Some(b'e' | b'E')) {
+                    *i += 1;
+                    if matches!(b.get(*i), Some(b'+' | b'-')) {
+                        *i += 1;
+                    }
+                    ok = digits(b, i);
+                }
+                ok
+            }
+            None => false,
+        };
+        ws(b, i);
+        ok
+    }
+    let (b, mut i) = (text.as_bytes(), 0);
+    value(b, &mut i) && i == b.len()
 }

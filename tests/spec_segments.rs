@@ -1,25 +1,17 @@
-//! Crash-consistency tests for append-only spec segments (PR 7).
+//! Crash-consistency of append-only spec segments.
 //!
 //! `TaskTable::record_many` group-commits a whole batch of task specs
-//! as one immutable segment appended under a single shard lock. That
-//! single-append commit point is what these tests pin down:
-//!
-//! - a concurrent reader can never observe a *torn* batch — it sees
-//!   none of a batch's specs or all of them;
-//! - losing a node mid-submission (including a striped ingest target
-//!   with batches still in its mailbox) never loses a committed spec,
-//!   and lineage replay still produces every value.
+//! as one immutable segment appended under a single shard lock, so a
+//! concurrent reader can never observe a *torn* batch: it sees none of
+//! a batch's specs or all of them.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use bytes::Bytes;
 use rtml::common::ids::{DriverId, FunctionId, TaskId};
 use rtml::common::task::{ArgSpec, TaskSpec, TaskState};
 use rtml::kv::{KvStore, TaskTable};
-use rtml::prelude::*;
-use rtml::sched::SpillMode;
 
 fn spec(root: TaskId, batch: u64, i: u64) -> TaskSpec {
     TaskSpec::simple(
@@ -97,52 +89,4 @@ fn record_many_is_all_or_nothing_for_concurrent_readers() {
             assert_eq!(got, spec(root, b, i));
         }
     }
-}
-
-/// Striping sends whole submission batches to remote ingest nodes; a
-/// stripe target can die holding batches that were *sent* (they sit in
-/// its scheduler's mailbox) but not yet ingested. The specs were group-
-/// committed durably by the caller before routing, so the kill repair
-/// must recover every task: all specs stay readable and every future
-/// resolves to the right value through lineage replay.
-#[test]
-fn striped_submission_survives_stripe_target_loss() {
-    let config = ClusterConfig {
-        nodes: (0..3).map(|_| NodeConfig::cpu_only(2)).collect(),
-        spill: SpillMode::NeverSpill, // ingest target keeps its batches
-        ..ClusterConfig::default()
-    }
-    .with_submit_striping(3);
-    let cluster = Cluster::start(config).unwrap();
-    let f = cluster.register_fn1("seg_mul", |x: i64| Ok(x * 11));
-    let driver = cluster.driver();
-
-    // Six batches round-robin over the three nodes: two land on the
-    // victim. Kill it immediately so batches are still in its mailbox.
-    let mut futs = Vec::new();
-    for wave in 0..6i64 {
-        futs.extend(driver.submit_many(&f, wave * 8..wave * 8 + 8).unwrap());
-    }
-    cluster.kill_node(NodeId(2)).unwrap();
-
-    // Every spec must still be readable — group commit happened on the
-    // driver before any frame was routed, and segments are immutable.
-    let tasks = &driver.services().tasks;
-    for fut in &futs {
-        let task = fut.id().producer_task().expect("driver-submitted task");
-        assert!(
-            tasks.get_spec(task).is_some(),
-            "spec for {task:?} lost after stripe-target kill"
-        );
-    }
-
-    // And every value must come back (survivors execute or replay).
-    for (i, fut) in futs.iter().enumerate() {
-        assert_eq!(
-            driver.get_timeout(fut, Duration::from_secs(30)).unwrap(),
-            i as i64 * 11,
-            "future {i}"
-        );
-    }
-    cluster.shutdown();
 }

@@ -1,9 +1,10 @@
 //! A worker takes a batch when more tasks are ready than the node has
 //! workers to spread them over: one `Running` commit, one publication of
 //! what it held, one event frame per component. These tests check what
-//! that must not cost — each task's own timing in the event log (R7)
-//! and the critical path's balance — and what it must save: kv locks
-//! per executed task, the first per-operation budget.
+//! that must not cost — each task's own timing in the event log (R7),
+//! the critical path's balance, and a `get` of a result held in the
+//! getter's own batch. What it must save, kv locks per executed task,
+//! is in `tests/budgets.rs`.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Barrier};
@@ -191,71 +192,5 @@ fn a_task_that_gets_results_held_in_its_batch_finds_them() {
     assert!(started.elapsed() < Duration::from_secs(5));
     assert_eq!(driver.get_many(&trivial).unwrap(), vec![1; 15]);
     assert_eq!(driver.get(&gated).unwrap(), 0);
-    cluster.shutdown();
-}
-
-/// The cluster's kv lock count.
-fn kv_locks(cluster: &Cluster) -> u64 {
-    cluster.counters().get("kv.locks").unwrap()
-}
-
-/// Most kv locks a task of a 256-task burst may cost on a 2×2 cluster:
-/// the worst of 20 runs on a 2-vCPU host (2.45 locks a task) plus 10 %.
-/// Before workers took batches a task cost 8.6.
-const BURST_LOCKS_PER_TASK: f64 = 2.7;
-
-/// What a lone `submit1` + `get` of a sealed result costs in kv locks
-/// on one node of two workers. A lone task is a batch of one: it makes
-/// the worker-side kv calls it made before batching, except that its
-/// two worker events share a frame — the round trip cost 10 before.
-const LONE_LOCKS: u64 = 9;
-
-#[test]
-fn a_burst_spends_under_three_kv_locks_a_task() {
-    let cluster = Cluster::start(ClusterConfig::local(2, 2)).unwrap();
-    let inc = cluster.register_fn1("budget_inc", |x: u64| Ok(x + 1));
-    let driver = cluster.driver();
-    const ROUNDS: u64 = 8;
-    const TASKS: u64 = 256;
-    let before = kv_locks(&cluster);
-    for round in 0..ROUNDS {
-        let args = round * TASKS..(round + 1) * TASKS;
-        let futs = driver.submit_many(&inc, args.clone()).unwrap();
-        let values = driver.get_many(&futs).unwrap();
-        assert!(values.iter().zip(args).all(|(v, x)| *v == x + 1));
-    }
-    let per_task = (kv_locks(&cluster) - before) as f64 / (ROUNDS * TASKS) as f64;
-    println!("{per_task:.2} kv locks a task");
-    assert!(
-        per_task <= BURST_LOCKS_PER_TASK,
-        "{per_task:.2} kv locks a task, budget {BURST_LOCKS_PER_TASK}"
-    );
-    cluster.shutdown();
-}
-
-#[test]
-fn a_lone_round_trip_spends_no_more_kv_locks_than_before_batching() {
-    let cluster = Cluster::start(ClusterConfig::local(1, 2)).unwrap();
-    let inc = cluster.register_fn1("lone_inc", |x: u64| Ok(x + 1));
-    let driver = cluster.driver();
-    // The result is sealed by the time `get` asks (a `get` that finds it
-    // missing also looks up its producer), and background writes (load
-    // reports) land beside most round trips: the cost of one is the
-    // least any of them paid.
-    let mut costs: Vec<u64> = (0..64u64)
-        .map(|x| {
-            let before = kv_locks(&cluster);
-            let fut = driver.submit1(&inc, x).unwrap();
-            std::thread::sleep(std::time::Duration::from_millis(5));
-            assert_eq!(driver.get(&fut).unwrap(), x + 1);
-            kv_locks(&cluster) - before
-        })
-        .collect();
-    costs.sort();
-    println!("a lone round trip: {} kv locks (all: {costs:?})", costs[0]);
-    assert!(
-        costs[0] <= LONE_LOCKS,
-        "{costs:?} kv locks, budget {LONE_LOCKS}"
-    );
     cluster.shutdown();
 }
