@@ -2,8 +2,31 @@
 //!
 //! Objects exchanged through the object store and records written to the
 //! control plane are plain byte strings. This module defines the encoding:
-//! little-endian fixed-width scalars, LEB128 varints for lengths and
-//! collection sizes, and zig-zag varints for signed integers.
+//!
+//! - every unsigned integer up to `u64`/`usize` is a LEB128 varint, and
+//!   every signed one a zig-zag varint — so is a length or a count;
+//! - `u128` is 16 little-endian bytes, `f32`/`f64` their IEEE bits as 4
+//!   or 8 little-endian bytes, `bool` one byte (0 or 1);
+//! - `String` and `Bytes` are a length, then the bytes; `Vec` a count,
+//!   then the items; `Option` one byte (0 or 1), then the value; a tuple
+//!   its fields in order.
+//!
+//! A type states its format once, through one of two macros:
+//! [`impl_codec_struct!`](crate::impl_codec_struct) (the fields in
+//! order) and [`impl_codec_enum!`](crate::impl_codec_enum) (one tag
+//! byte, then the variant's fields in order). Tags are append-only: a
+//! retired tag is not reused, so an old frame fails to decode instead of
+//! misdecoding. Nothing persists across versions, so a field's encoding
+//! may change with its type.
+//!
+//! Only these `Codec`s are written by hand, each for its layout:
+//! `UniqueId` and the ids that wrap it (16 fixed bytes) and `ObjectId`
+//! (two of them, a derivation tag byte and a counter); `NodeId` (4 fixed
+//! bytes, which sit inside the 24-byte inline object record);
+//! `ObjectInfo` (a flag byte says whether an announcement suffix
+//! follows, so a record without one keeps its 24-byte inline layout, as a
+//! property test pins); `Resources` (its decode rejects unsorted custom
+//! resources); and this module's primitives.
 //!
 //! The format is **deterministic**: encoding the same value always produces
 //! the same bytes. Lineage replay verifies reconstructed objects against
@@ -53,24 +76,9 @@ impl Writer {
         self.buf
     }
 
-    /// Number of bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing has been written yet.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Appends a single byte.
     pub fn put_u8(&mut self, v: u8) {
         self.buf.push(v);
-    }
-
-    /// Appends a little-endian `u16`.
-    pub fn put_u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends a little-endian `u32`.
@@ -177,12 +185,6 @@ impl<'a> Reader<'a> {
     /// Reads one byte.
     pub fn take_u8(&mut self) -> Result<u8> {
         Ok(self.advance(1)?[0])
-    }
-
-    /// Reads a little-endian `u16`.
-    pub fn take_u16(&mut self) -> Result<u16> {
-        let b = self.advance(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
     }
 
     /// Reads a little-endian `u32`.
@@ -532,6 +534,79 @@ macro_rules! impl_codec_struct {
                     $($field: $crate::codec::Codec::decode(r)?,)+
                 })
             }
+        }
+    };
+}
+
+/// A [`Codec`] type whose encoding starts with a tag byte naming its
+/// variant: every type [`impl_codec_enum!`](crate::impl_codec_enum)
+/// implements. Lets one mailbox tell two protocols apart by their first
+/// byte.
+pub trait Tagged: Codec {
+    /// The tags the variants are written with.
+    const TAGS: &'static [u8];
+}
+
+/// Implements [`Codec`] and [`Tagged`] for an enum: one tag byte, then
+/// the variant's fields in order, each through its own `Codec`. Each
+/// variant is listed once, as `tag => Variant`, `tag => Variant(a, b)`
+/// or `tag => Variant { a, b }`, naming every field; a tag is a literal
+/// or a `u8` constant in scope. A tag not listed decodes as an
+/// [`Error::Codec`] naming the type.
+///
+/// # Examples
+///
+/// ```
+/// use rtml_common::impl_codec_enum;
+///
+/// #[derive(Debug, Clone, PartialEq)]
+/// enum Shape { Dot, Circle(f64), Rect { width: f64, height: f64 } }
+/// // Tag 2 was a shape nobody draws any more: retired, not reused.
+/// impl_codec_enum!(Shape { 0 => Dot, 1 => Circle(radius), 3 => Rect { width, height } });
+///
+/// let s = Shape::Rect { width: 2.0, height: 1.0 };
+/// let bytes = rtml_common::codec::encode_to_bytes(&s);
+/// assert_eq!(bytes[0], 3);
+/// let back: Shape = rtml_common::codec::decode_from_slice(&bytes).unwrap();
+/// assert_eq!(s, back);
+/// let err = rtml_common::codec::decode_from_slice::<Shape>(&[2]).unwrap_err();
+/// assert!(err.to_string().contains("invalid Shape tag 2"));
+/// ```
+#[macro_export]
+macro_rules! impl_codec_enum {
+    ($ty:ident {
+        $($tag:tt => $variant:ident $(($($field:ident),+))? $({ $($named:ident),+ })?),+ $(,)?
+    }) => {
+        impl $crate::codec::Codec for $ty {
+            fn encode(&self, w: &mut $crate::codec::Writer) {
+                match self {
+                    $($ty::$variant $(($($field),+))? $({ $($named),+ })? => {
+                        w.put_u8($tag);
+                        $($($crate::codec::Codec::encode($field, w);)+)?
+                        $($($crate::codec::Codec::encode($named, w);)+)?
+                    })+
+                }
+            }
+
+            fn decode(r: &mut $crate::codec::Reader<'_>) -> $crate::error::Result<Self> {
+                Ok(match r.take_u8()? {
+                    $($tag => {
+                        $($(let $field = $crate::codec::Codec::decode(r)?;)+)?
+                        $($(let $named = $crate::codec::Codec::decode(r)?;)+)?
+                        $ty::$variant $(($($field),+))? $({ $($named),+ })?
+                    })+
+                    other => {
+                        return Err($crate::error::Error::Codec(format!(
+                            concat!("invalid ", stringify!($ty), " tag {}"),
+                            other
+                        )))
+                    }
+                })
+            }
+        }
+
+        impl $crate::codec::Tagged for $ty {
+            const TAGS: &'static [u8] = &[$($tag),+];
         }
     };
 }

@@ -5,8 +5,6 @@
 //! latency breakdowns and Chrome-trace timelines — the paper's "profiling
 //! tools / error diagnosis" box in Figure 3.
 
-use crate::codec::{Codec, Reader, Writer};
-use crate::error::{Error, Result};
 use crate::ids::{NodeId, ObjectId, TaskId, WorkerId};
 
 /// Which subsystem emitted an event.
@@ -28,35 +26,17 @@ pub enum Component {
     FetchAgent,
 }
 
-impl Codec for Component {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u8(match self {
-            Component::Driver => 0,
-            Component::Worker => 1,
-            Component::LocalScheduler => 2,
-            Component::GlobalScheduler => 3,
-            Component::ObjectStore => 4,
-            Component::Supervisor => 5,
-            // Wire tags are append-only: new components take the next
-            // free tag so logged streams stay decodable across versions.
-            Component::FetchAgent => 6,
-            // Tag 7 (the replication agent) is retired, not reused.
-        });
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(match r.take_u8()? {
-            0 => Component::Driver,
-            1 => Component::Worker,
-            2 => Component::LocalScheduler,
-            3 => Component::GlobalScheduler,
-            4 => Component::ObjectStore,
-            5 => Component::Supervisor,
-            6 => Component::FetchAgent,
-            other => return Err(Error::Codec(format!("invalid Component tag {other}"))),
-        })
-    }
-}
+// New components take the next free tag; 7 (the replication agent) is
+// not reused.
+crate::impl_codec_enum!(Component {
+    0 => Driver,
+    1 => Worker,
+    2 => LocalScheduler,
+    3 => GlobalScheduler,
+    4 => ObjectStore,
+    5 => Supervisor,
+    6 => FetchAgent,
+});
 
 /// What happened.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -188,222 +168,28 @@ impl EventKind {
     }
 }
 
-impl Codec for EventKind {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            EventKind::TaskSubmitted { task } => {
-                w.put_u8(0);
-                task.encode(w);
-            }
-            EventKind::TaskQueuedLocal { task, node } => {
-                w.put_u8(1);
-                task.encode(w);
-                node.encode(w);
-            }
-            EventKind::TaskSpilled { task, from } => {
-                w.put_u8(2);
-                task.encode(w);
-                from.encode(w);
-            }
-            EventKind::TaskPlaced { task, node } => {
-                w.put_u8(3);
-                task.encode(w);
-                node.encode(w);
-            }
-            EventKind::TaskStarted { task, worker } => {
-                w.put_u8(4);
-                task.encode(w);
-                worker.encode(w);
-            }
-            EventKind::TaskFinished {
-                task,
-                worker,
-                micros,
-            } => {
-                w.put_u8(5);
-                task.encode(w);
-                worker.encode(w);
-                w.put_varint(*micros);
-            }
-            EventKind::TaskFailed { task, message } => {
-                w.put_u8(6);
-                task.encode(w);
-                message.encode(w);
-            }
-            EventKind::TaskReconstructed { task, attempt } => {
-                w.put_u8(7);
-                task.encode(w);
-                w.put_u32(*attempt);
-            }
-            EventKind::ObjectSealed { object, node, size } => {
-                w.put_u8(8);
-                object.encode(w);
-                node.encode(w);
-                w.put_varint(*size);
-            }
-            EventKind::ObjectEvicted { object, node } => {
-                w.put_u8(9);
-                object.encode(w);
-                node.encode(w);
-            }
-            EventKind::TransferStarted { object, from, to } => {
-                w.put_u8(10);
-                object.encode(w);
-                from.encode(w);
-                to.encode(w);
-            }
-            EventKind::TransferFinished { object, to, micros } => {
-                w.put_u8(11);
-                object.encode(w);
-                to.encode(w);
-                w.put_varint(*micros);
-            }
-            EventKind::WorkerLost { worker } => {
-                w.put_u8(12);
-                worker.encode(w);
-            }
-            EventKind::NodeLost { node } => {
-                w.put_u8(13);
-                node.encode(w);
-            }
-            EventKind::NodeRestarted { node } => {
-                w.put_u8(14);
-                node.encode(w);
-            }
-            EventKind::PrefetchIssued { object, node } => {
-                w.put_u8(15);
-                object.encode(w);
-                node.encode(w);
-            }
-            EventKind::SpecSegmentCommitted {
-                node,
-                seq,
-                tasks,
-                micros,
-            } => {
-                w.put_u8(17);
-                node.encode(w);
-                w.put_varint(*seq);
-                w.put_u32(*tasks);
-                w.put_varint(*micros);
-            }
-            EventKind::PlacementBatch {
-                node,
-                shard,
-                tasks,
-                micros,
-            } => {
-                w.put_u8(18);
-                node.encode(w);
-                w.put_u32(*shard);
-                w.put_u32(*tasks);
-                w.put_varint(*micros);
-            }
-            // Tags 16 (a stolen task), 19 and 20 (a steal request and
-            // its round trip), 21 (a replication sweep), 22 (a batch
-            // queued behind the mailbox) and 23 (the same batch indexed,
-            // with a sequence number to pair them) are retired, not
-            // reused: an old frame must fail to decode, not misdecode.
-            EventKind::BatchIngested {
-                node,
-                tasks,
-                micros,
-            } => {
-                w.put_u8(24);
-                node.encode(w);
-                w.put_u32(*tasks);
-                w.put_varint(*micros);
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(match r.take_u8()? {
-            0 => EventKind::TaskSubmitted {
-                task: TaskId::decode(r)?,
-            },
-            1 => EventKind::TaskQueuedLocal {
-                task: TaskId::decode(r)?,
-                node: NodeId::decode(r)?,
-            },
-            2 => EventKind::TaskSpilled {
-                task: TaskId::decode(r)?,
-                from: NodeId::decode(r)?,
-            },
-            3 => EventKind::TaskPlaced {
-                task: TaskId::decode(r)?,
-                node: NodeId::decode(r)?,
-            },
-            4 => EventKind::TaskStarted {
-                task: TaskId::decode(r)?,
-                worker: WorkerId::decode(r)?,
-            },
-            5 => EventKind::TaskFinished {
-                task: TaskId::decode(r)?,
-                worker: WorkerId::decode(r)?,
-                micros: r.take_varint()?,
-            },
-            6 => EventKind::TaskFailed {
-                task: TaskId::decode(r)?,
-                message: String::decode(r)?,
-            },
-            7 => EventKind::TaskReconstructed {
-                task: TaskId::decode(r)?,
-                attempt: r.take_u32()?,
-            },
-            8 => EventKind::ObjectSealed {
-                object: ObjectId::decode(r)?,
-                node: NodeId::decode(r)?,
-                size: r.take_varint()?,
-            },
-            9 => EventKind::ObjectEvicted {
-                object: ObjectId::decode(r)?,
-                node: NodeId::decode(r)?,
-            },
-            10 => EventKind::TransferStarted {
-                object: ObjectId::decode(r)?,
-                from: NodeId::decode(r)?,
-                to: NodeId::decode(r)?,
-            },
-            11 => EventKind::TransferFinished {
-                object: ObjectId::decode(r)?,
-                to: NodeId::decode(r)?,
-                micros: r.take_varint()?,
-            },
-            12 => EventKind::WorkerLost {
-                worker: WorkerId::decode(r)?,
-            },
-            13 => EventKind::NodeLost {
-                node: NodeId::decode(r)?,
-            },
-            14 => EventKind::NodeRestarted {
-                node: NodeId::decode(r)?,
-            },
-            15 => EventKind::PrefetchIssued {
-                object: ObjectId::decode(r)?,
-                node: NodeId::decode(r)?,
-            },
-            17 => EventKind::SpecSegmentCommitted {
-                node: NodeId::decode(r)?,
-                seq: r.take_varint()?,
-                tasks: r.take_u32()?,
-                micros: r.take_varint()?,
-            },
-            18 => EventKind::PlacementBatch {
-                node: NodeId::decode(r)?,
-                shard: r.take_u32()?,
-                tasks: r.take_u32()?,
-                micros: r.take_varint()?,
-            },
-            24 => EventKind::BatchIngested {
-                node: NodeId::decode(r)?,
-                tasks: r.take_u32()?,
-                micros: r.take_varint()?,
-            },
-            other => return Err(Error::Codec(format!("invalid EventKind tag {other}"))),
-        })
-    }
-}
+// Tags 16, 19, 20, 21, 22 and 23 are retired, not reused.
+crate::impl_codec_enum!(EventKind {
+    0 => TaskSubmitted { task },
+    1 => TaskQueuedLocal { task, node },
+    2 => TaskSpilled { task, from },
+    3 => TaskPlaced { task, node },
+    4 => TaskStarted { task, worker },
+    5 => TaskFinished { task, worker, micros },
+    6 => TaskFailed { task, message },
+    7 => TaskReconstructed { task, attempt },
+    8 => ObjectSealed { object, node, size },
+    9 => ObjectEvicted { object, node },
+    10 => TransferStarted { object, from, to },
+    11 => TransferFinished { object, to, micros },
+    12 => WorkerLost { worker },
+    13 => NodeLost { node },
+    14 => NodeRestarted { node },
+    15 => PrefetchIssued { object, node },
+    17 => SpecSegmentCommitted { node, seq, tasks, micros },
+    18 => PlacementBatch { node, shard, tasks, micros },
+    24 => BatchIngested { node, tasks, micros },
+});
 
 /// One timestamped event-log record.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -427,26 +213,16 @@ impl Event {
     }
 }
 
-impl Codec for Event {
-    fn encode(&self, w: &mut Writer) {
-        w.put_varint(self.at_nanos);
-        self.component.encode(w);
-        self.kind.encode(w);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(Event {
-            at_nanos: r.take_varint()?,
-            component: Component::decode(r)?,
-            kind: EventKind::decode(r)?,
-        })
-    }
-}
+crate::impl_codec_struct!(Event {
+    at_nanos,
+    component,
+    kind
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{decode_from_slice, encode_to_bytes};
+    use crate::codec::{decode_from_slice, encode_to_bytes, Codec};
     use crate::ids::DriverId;
 
     #[test]

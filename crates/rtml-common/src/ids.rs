@@ -438,19 +438,7 @@ impl fmt::Display for WorkerId {
     }
 }
 
-impl Codec for WorkerId {
-    fn encode(&self, w: &mut Writer) {
-        self.node.encode(w);
-        w.put_u32(self.index);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(WorkerId {
-            node: NodeId::decode(r)?,
-            index: r.take_u32()?,
-        })
-    }
-}
+crate::impl_codec_struct!(WorkerId { node, index });
 
 /// Rendezvous (highest-random-weight) score of `node` for `(object, salt)`.
 ///

@@ -109,11 +109,6 @@ impl Histogram {
         self.max.fetch_max(value, Ordering::Relaxed);
     }
 
-    /// Records a [`std::time::Duration`] in nanoseconds.
-    pub fn record_duration(&self, d: std::time::Duration) {
-        self.record(d.as_nanos() as u64);
-    }
-
     /// Number of samples recorded.
     pub fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)

@@ -74,18 +74,6 @@ impl Resources {
         self
     }
 
-    /// Adds CPUs builder-style.
-    pub fn with_cpu(mut self, amount: f64) -> Self {
-        self.cpu_milli = to_milli(amount);
-        self
-    }
-
-    /// Adds GPUs builder-style.
-    pub fn with_gpu(mut self, amount: f64) -> Self {
-        self.gpu_milli = to_milli(amount);
-        self
-    }
-
     fn set_custom(&mut self, name: &str, milli: u64) {
         match self.custom.binary_search_by(|(n, _)| n.as_str().cmp(name)) {
             Ok(i) => {
@@ -121,11 +109,6 @@ impl Resources {
     /// GPU quantity in milli-units.
     pub fn gpu_milli(&self) -> u64 {
         self.gpu_milli
-    }
-
-    /// Quantity of a named custom resource, in whole units.
-    pub fn custom_units(&self, name: &str) -> f64 {
-        self.custom_milli(name) as f64 / MILLI as f64
     }
 
     fn custom_milli(&self, name: &str) -> u64 {

@@ -10,9 +10,7 @@
 
 use bytes::Bytes;
 
-use crate::codec::{Codec, Reader, Writer};
-use crate::error::{Error, Result};
-use crate::ids::{ActorId, FunctionId, NodeId, ObjectId, TaskId, WorkerId};
+use crate::ids::{FunctionId, NodeId, ObjectId, TaskId, WorkerId};
 use crate::resources::Resources;
 
 /// An argument to a task: either an inline encoded value or a reference to
@@ -35,28 +33,10 @@ impl ArgSpec {
     }
 }
 
-impl Codec for ArgSpec {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            ArgSpec::Value(bytes) => {
-                w.put_u8(0);
-                bytes.encode(w);
-            }
-            ArgSpec::ObjectRef(id) => {
-                w.put_u8(1);
-                id.encode(w);
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        match r.take_u8()? {
-            0 => Ok(ArgSpec::Value(Bytes::decode(r)?)),
-            1 => Ok(ArgSpec::ObjectRef(ObjectId::decode(r)?)),
-            other => Err(Error::Codec(format!("invalid ArgSpec tag {other}"))),
-        }
-    }
-}
+crate::impl_codec_enum!(ArgSpec {
+    0 => Value(bytes),
+    1 => ObjectRef(id),
+});
 
 /// A complete, re-executable description of one task invocation.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -76,9 +56,6 @@ pub struct TaskSpec {
     pub submitter_node: NodeId,
     /// Execution attempt; bumped on lineage reconstruction.
     pub attempt: u32,
-    /// Actor binding: actor-method tasks must run on the worker currently
-    /// hosting the actor and execute in submission (sequence) order.
-    pub actor: Option<ActorId>,
 }
 
 impl TaskSpec {
@@ -93,7 +70,6 @@ impl TaskSpec {
             resources: Resources::cpu(1.0),
             submitter_node: NodeId(0),
             attempt: 0,
-            actor: None,
         }
     }
 
@@ -116,31 +92,15 @@ impl TaskSpec {
     }
 }
 
-impl Codec for TaskSpec {
-    fn encode(&self, w: &mut Writer) {
-        self.task_id.encode(w);
-        self.function.encode(w);
-        self.args.encode(w);
-        w.put_u32(self.num_returns);
-        self.resources.encode(w);
-        self.submitter_node.encode(w);
-        w.put_u32(self.attempt);
-        self.actor.encode(w);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(TaskSpec {
-            task_id: TaskId::decode(r)?,
-            function: FunctionId::decode(r)?,
-            args: Vec::<ArgSpec>::decode(r)?,
-            num_returns: r.take_u32()?,
-            resources: Resources::decode(r)?,
-            submitter_node: NodeId::decode(r)?,
-            attempt: r.take_u32()?,
-            actor: Option::<ActorId>::decode(r)?,
-        })
-    }
-}
+crate::impl_codec_struct!(TaskSpec {
+    task_id,
+    function,
+    args,
+    num_returns,
+    resources,
+    submitter_node,
+    attempt,
+});
 
 /// Lifecycle state of a task, as recorded in the task table.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -172,41 +132,15 @@ impl TaskState {
     }
 }
 
-impl Codec for TaskState {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            TaskState::Submitted => w.put_u8(0),
-            TaskState::Queued(node) => {
-                w.put_u8(1);
-                node.encode(w);
-            }
-            TaskState::Spilled => w.put_u8(2),
-            TaskState::Running(worker) => {
-                w.put_u8(3);
-                worker.encode(w);
-            }
-            TaskState::Finished => w.put_u8(4),
-            TaskState::Failed(msg) => {
-                w.put_u8(5);
-                msg.encode(w);
-            }
-            TaskState::Lost => w.put_u8(6),
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(match r.take_u8()? {
-            0 => TaskState::Submitted,
-            1 => TaskState::Queued(NodeId::decode(r)?),
-            2 => TaskState::Spilled,
-            3 => TaskState::Running(WorkerId::decode(r)?),
-            4 => TaskState::Finished,
-            5 => TaskState::Failed(String::decode(r)?),
-            6 => TaskState::Lost,
-            other => return Err(Error::Codec(format!("invalid TaskState tag {other}"))),
-        })
-    }
-}
+crate::impl_codec_enum!(TaskState {
+    0 => Submitted,
+    1 => Queued(node),
+    2 => Spilled,
+    3 => Running(worker),
+    4 => Finished,
+    5 => Failed(message),
+    6 => Lost,
+});
 
 #[cfg(test)]
 mod tests {
@@ -228,7 +162,6 @@ mod tests {
             resources: Resources::new(1.0, 0.5),
             submitter_node: NodeId(3),
             attempt: 1,
-            actor: None,
         }
     }
 
@@ -282,15 +215,5 @@ mod tests {
         assert!(TaskState::Lost.is_terminal());
         assert!(!TaskState::Submitted.is_terminal());
         assert!(!TaskState::Running(WorkerId::new(NodeId(0), 0)).is_terminal());
-    }
-
-    #[test]
-    fn actor_binding_round_trips() {
-        let mut spec = sample_spec();
-        let root = TaskId::driver_root(DriverId::from_index(0));
-        spec.actor = Some(root.actor(0));
-        let bytes = encode_to_bytes(&spec);
-        let back: TaskSpec = decode_from_slice(&bytes).unwrap();
-        assert_eq!(back.actor, spec.actor);
     }
 }

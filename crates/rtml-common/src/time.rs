@@ -24,11 +24,6 @@ pub fn now_nanos() -> u64 {
     epoch().elapsed().as_nanos() as u64
 }
 
-/// Microseconds elapsed since the process epoch.
-pub fn now_micros() -> u64 {
-    now_nanos() / 1_000
-}
-
 /// A simple stopwatch for measuring elapsed wall time.
 ///
 /// # Examples
@@ -56,16 +51,6 @@ impl Stopwatch {
     /// Elapsed time since start.
     pub fn elapsed(&self) -> Duration {
         self.started.elapsed()
-    }
-
-    /// Elapsed time in whole microseconds.
-    pub fn elapsed_micros(&self) -> u64 {
-        self.elapsed().as_micros() as u64
-    }
-
-    /// Elapsed time in seconds as a float.
-    pub fn elapsed_secs_f64(&self) -> f64 {
-        self.elapsed().as_secs_f64()
     }
 }
 

@@ -10,8 +10,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 
-use rtml_common::codec::{decode_from_slice, encode_to_bytes, Codec, Reader, Writer};
-use rtml_common::error::Result;
+use rtml_common::codec::{decode_from_slice, encode_to_bytes};
 use rtml_common::ids::FunctionId;
 
 use crate::store::KvStore;
@@ -29,21 +28,7 @@ pub struct FunctionInfo {
     pub arity: u32,
 }
 
-impl Codec for FunctionInfo {
-    fn encode(&self, w: &mut Writer) {
-        self.id.encode(w);
-        self.name.encode(w);
-        w.put_u32(self.arity);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(FunctionInfo {
-            id: FunctionId::decode(r)?,
-            name: String::decode(r)?,
-            arity: r.take_u32()?,
-        })
-    }
-}
+rtml_common::impl_codec_struct!(FunctionInfo { id, name, arity });
 
 /// Typed function-table handle.
 #[derive(Clone)]

@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 
-use rtml_common::codec::{decode_from_slice, encode_to_bytes, Codec, Reader, Writer};
+use rtml_common::codec::{decode_from_slice, encode_to_bytes};
 use rtml_common::ids::NodeId;
 
 use crate::store::KvStore;
@@ -36,19 +36,7 @@ pub struct TelemetryRecord {
     pub samples: Vec<(String, u64)>,
 }
 
-impl Codec for TelemetryRecord {
-    fn encode(&self, w: &mut Writer) {
-        w.put_varint(self.at_nanos);
-        self.samples.encode(w);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> rtml_common::error::Result<Self> {
-        Ok(TelemetryRecord {
-            at_nanos: r.take_varint()?,
-            samples: Vec::<(String, u64)>::decode(r)?,
-        })
-    }
-}
+rtml_common::impl_codec_struct!(TelemetryRecord { at_nanos, samples });
 
 /// Typed handle over the per-node telemetry rings.
 #[derive(Clone)]

@@ -264,7 +264,6 @@ impl Caller {
                 resources: request.resources,
                 submitter_node: inner.home,
                 attempt: 0,
-                actor: None,
             };
             // Admission control: a demand no node can ever satisfy fails
             // fast with sealed error envelopes (consumers see the error
@@ -585,27 +584,6 @@ impl Caller {
                 args: vec![a.into_arg()],
                 num_returns: 1,
                 resources: opts.resources.clone(),
-            })
-            .collect();
-        let results = self.submit_raw_batch(requests)?;
-        Ok(results
-            .into_iter()
-            .map(|ids| ObjectRef::typed(ids[0]))
-            .collect())
-    }
-
-    /// Submits `count` invocations of a nullary task as one batch.
-    pub fn submit_batch0<R: Codec + 'static>(
-        &self,
-        f: &Func0<R>,
-        count: usize,
-    ) -> Result<Vec<ObjectRef<R>>> {
-        let requests: Vec<TaskRequest> = (0..count)
-            .map(|_| TaskRequest {
-                function: f.id(),
-                args: Vec::new(),
-                num_returns: 1,
-                resources: TaskOptions::default().resources,
             })
             .collect();
         let results = self.submit_raw_batch(requests)?;

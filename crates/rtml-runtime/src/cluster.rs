@@ -180,12 +180,6 @@ impl ClusterConfig {
         self.telemetry.enabled = false;
         self
     }
-
-    /// Installs a fault-injection plan builder-style.
-    pub fn with_faults(mut self, faults: rtml_net::FaultPlan) -> Self {
-        self.faults = faults;
-        self
-    }
 }
 
 /// A running rtml cluster.

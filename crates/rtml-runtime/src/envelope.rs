@@ -10,9 +10,7 @@
 
 use bytes::Bytes;
 
-use rtml_common::codec::{
-    decode_from_bytes, encode_nested_to_bytes, encode_to_bytes, Codec, Reader, Writer,
-};
+use rtml_common::codec::{decode_from_bytes, encode_nested_to_bytes, encode_to_bytes, Codec};
 use rtml_common::error::{Error, Result};
 use rtml_common::ids::TaskId;
 
@@ -25,31 +23,15 @@ pub enum Envelope {
     Error(String),
 }
 
+/// The tag of [`Envelope::Value`], which [`seal_value`] writes too.
 const TAG_VALUE: u8 = 0;
+/// The tag of [`Envelope::Error`].
 const TAG_ERROR: u8 = 1;
 
-impl Codec for Envelope {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            Envelope::Value(bytes) => {
-                w.put_u8(TAG_VALUE);
-                bytes.encode(w);
-            }
-            Envelope::Error(message) => {
-                w.put_u8(TAG_ERROR);
-                message.encode(w);
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(match r.take_u8()? {
-            TAG_VALUE => Envelope::Value(Bytes::decode(r)?),
-            TAG_ERROR => Envelope::Error(String::decode(r)?),
-            other => return Err(Error::Codec(format!("invalid Envelope tag {other}"))),
-        })
-    }
-}
+rtml_common::impl_codec_enum!(Envelope {
+    TAG_VALUE => Value(bytes),
+    TAG_ERROR => Error(message),
+});
 
 impl Envelope {
     /// Serializes this envelope to store bytes. A value that is not yet

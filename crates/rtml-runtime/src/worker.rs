@@ -129,11 +129,6 @@ impl WorkerRuntime {
         self.kill.store(true, Ordering::Release);
     }
 
-    /// Whether the kill switch has been thrown.
-    pub fn is_killed(&self) -> bool {
-        self.kill.load(Ordering::Acquire)
-    }
-
     /// Joins the worker thread (after the queue closed, or a kill).
     pub fn join(&mut self) {
         if let Some(handle) = self.join.take() {

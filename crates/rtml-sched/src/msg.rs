@@ -1,7 +1,5 @@
 //! In-process messages between workers, local schedulers, and the runtime.
 
-use rtml_common::codec::{Codec, Reader, Writer};
-use rtml_common::error::Result;
 use rtml_common::ids::{NodeId, WorkerId};
 use rtml_common::resources::Resources;
 use rtml_common::task::TaskSpec;
@@ -71,33 +69,17 @@ impl LoadReport {
     }
 }
 
-impl Codec for LoadReport {
-    fn encode(&self, w: &mut Writer) {
-        self.node.encode(w);
-        w.put_u64(self.sched_address);
-        w.put_u32(self.ready);
-        w.put_u32(self.waiting);
-        w.put_u32(self.running);
-        w.put_u32(self.idle_workers);
-        self.available.encode(w);
-        self.total.encode(w);
-        w.put_varint(self.at_nanos);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(LoadReport {
-            node: NodeId::decode(r)?,
-            sched_address: r.take_u64()?,
-            ready: r.take_u32()?,
-            waiting: r.take_u32()?,
-            running: r.take_u32()?,
-            idle_workers: r.take_u32()?,
-            available: Resources::decode(r)?,
-            total: Resources::decode(r)?,
-            at_nanos: r.take_varint()?,
-        })
-    }
-}
+rtml_common::impl_codec_struct!(LoadReport {
+    node,
+    sched_address,
+    ready,
+    waiting,
+    running,
+    idle_workers,
+    available,
+    total,
+    at_nanos,
+});
 
 /// Key under which a node's load report is mirrored into the KV store:
 /// read by key by the health tracker and debugging tools (placement

@@ -1,7 +1,5 @@
 //! Scheduler messages that cross node boundaries (over the fabric).
 
-use rtml_common::codec::{Codec, Reader, Writer};
-use rtml_common::error::{Error, Result};
 use rtml_common::ids::NodeId;
 use rtml_common::task::TaskSpec;
 
@@ -9,13 +7,10 @@ use crate::msg::LoadReport;
 
 /// Fabric-borne scheduler protocol. Tasks travel in batches only — one
 /// task is a batch of one — and only from a local scheduler to a global
-/// one and back: nothing moves work between two local schedulers. Tags 0
-/// and 1 were the single-task `Spill` and `Place`, tags 2 and 5 the
-/// `Load` and `SpillBatch` that carried no ingest count, tags 7 and 8
-/// the work-stealing request and grant; they are retired, not reused, so
-/// an old frame fails to decode. Tags 0–2 are the object plane's too: a
-/// node reads both protocols from one mailbox and tells them apart by
-/// the first byte (`rtml_store::PlaneCore::takes`).
+/// one and back: nothing moves work between two local schedulers. Tags
+/// 0–2, 5, 7 and 8 are retired, not reused. Tags 0–2 are the object
+/// plane's too: a node reads both protocols from one mailbox and tells
+/// them apart by the first byte (`rtml_store::PlaneCore::takes`).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SchedWire {
     /// Local → global: periodic load report, addressed to one shard.
@@ -65,77 +60,22 @@ pub enum SchedWire {
     },
 }
 
-impl Codec for SchedWire {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            SchedWire::Load { report, ingested } => {
-                w.put_u8(9);
-                report.encode(w);
-                w.put_varint(*ingested);
-            }
-            SchedWire::NodeUp {
-                node,
-                sched_address,
-            } => {
-                w.put_u8(3);
-                node.encode(w);
-                w.put_u64(*sched_address);
-            }
-            SchedWire::NodeDown { node } => {
-                w.put_u8(4);
-                node.encode(w);
-            }
-            SchedWire::SpillBatch {
-                specs,
-                load,
-                ingested,
-            } => {
-                w.put_u8(10);
-                specs.encode(w);
-                load.encode(w);
-                w.put_varint(*ingested);
-            }
-            SchedWire::PlaceBatch { specs, hops } => {
-                w.put_u8(6);
-                specs.encode(w);
-                w.put_u32(*hops);
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(match r.take_u8()? {
-            3 => SchedWire::NodeUp {
-                node: NodeId::decode(r)?,
-                sched_address: r.take_u64()?,
-            },
-            4 => SchedWire::NodeDown {
-                node: NodeId::decode(r)?,
-            },
-            6 => SchedWire::PlaceBatch {
-                specs: Vec::<TaskSpec>::decode(r)?,
-                hops: r.take_u32()?,
-            },
-            9 => SchedWire::Load {
-                report: LoadReport::decode(r)?,
-                ingested: r.take_varint()?,
-            },
-            10 => SchedWire::SpillBatch {
-                specs: Vec::<TaskSpec>::decode(r)?,
-                load: LoadReport::decode(r)?,
-                ingested: r.take_varint()?,
-            },
-            other => return Err(Error::Codec(format!("invalid SchedWire tag {other}"))),
-        })
-    }
-}
+rtml_common::impl_codec_enum!(SchedWire {
+    3 => NodeUp { node, sched_address },
+    4 => NodeDown { node },
+    6 => PlaceBatch { specs, hops },
+    9 => Load { report, ingested },
+    10 => SpillBatch { specs, load, ingested },
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtml_common::codec::{decode_from_slice, encode_to_bytes};
-    use rtml_common::ids::{DriverId, FunctionId, ObjectId, TaskId};
+    use rtml_common::codec::{decode_from_slice, encode_to_bytes, Codec, Writer};
+    use rtml_common::event::EventKind;
+    use rtml_common::ids::{DriverId, FunctionId, ObjectId, TaskId, WorkerId};
     use rtml_common::resources::Resources;
+    use rtml_common::task::TaskState;
 
     fn spec() -> TaskSpec {
         let root = TaskId::driver_root(DriverId::from_index(0));
@@ -217,6 +157,136 @@ mod tests {
         let old = [load, spill, request, grant];
         for old in old.map(Writer::into_bytes) {
             assert!(decode_from_slice::<SchedWire>(&old).is_err());
+        }
+    }
+
+    /// Every strict prefix of `value`'s frame fails to decode — none is
+    /// read as a shorter value — and so does the frame under tag 255,
+    /// which no variant has, with an error naming the type.
+    fn assert_frame_is_strict<T: Codec + std::fmt::Debug>(value: &T) {
+        let frame = encode_to_bytes(value);
+        for end in 0..frame.len() {
+            assert!(
+                decode_from_slice::<T>(&frame[..end]).is_err(),
+                "{value:?} cut to {end} bytes decoded"
+            );
+        }
+        let mut renamed = frame.to_vec();
+        renamed[0] = u8::MAX;
+        let name = std::any::type_name::<T>().rsplit("::").next().unwrap();
+        let err = decode_from_slice::<T>(&renamed).unwrap_err().to_string();
+        let want = format!("invalid {name} tag 255");
+        assert!(err.contains(&want), "{err:?} does not say {want:?}");
+    }
+
+    #[test]
+    fn every_strict_prefix_of_a_frame_and_an_unknown_tag_fail_to_decode() {
+        let report = LoadReport {
+            node: NodeId(1),
+            sched_address: 1 << 40,
+            ready: 300,
+            waiting: 0,
+            running: 2,
+            idle_workers: 3,
+            available: Resources::cpu(2.0).with_custom("tpu", 1.0),
+            total: Resources::cpu(4.0),
+            at_nanos: 7,
+        };
+        for msg in [
+            SchedWire::Load {
+                report: report.clone(),
+                ingested: 300,
+            },
+            SchedWire::NodeUp {
+                node: NodeId(5),
+                sched_address: u64::MAX,
+            },
+            SchedWire::NodeDown { node: NodeId(5) },
+            SchedWire::SpillBatch {
+                specs: vec![spec(), spec()],
+                load: report,
+                ingested: 4,
+            },
+            SchedWire::PlaceBatch {
+                specs: vec![spec()],
+                hops: 3,
+            },
+        ] {
+            assert_frame_is_strict(&msg);
+        }
+
+        let t = spec().task_id;
+        let (o, n, w) = (t.return_object(0), NodeId(1), WorkerId::new(NodeId(1), 200));
+        for kind in [
+            EventKind::TaskSubmitted { task: t },
+            EventKind::TaskQueuedLocal { task: t, node: n },
+            EventKind::TaskSpilled { task: t, from: n },
+            EventKind::TaskPlaced { task: t, node: n },
+            EventKind::TaskStarted { task: t, worker: w },
+            EventKind::TaskFinished {
+                task: t,
+                worker: w,
+                micros: 1 << 20,
+            },
+            EventKind::TaskFailed {
+                task: t,
+                message: "boom".into(),
+            },
+            EventKind::TaskReconstructed {
+                task: t,
+                attempt: 2,
+            },
+            EventKind::ObjectSealed {
+                object: o,
+                node: n,
+                size: 1 << 30,
+            },
+            EventKind::ObjectEvicted { object: o, node: n },
+            EventKind::TransferStarted {
+                object: o,
+                from: n,
+                to: NodeId(2),
+            },
+            EventKind::TransferFinished {
+                object: o,
+                to: n,
+                micros: 300,
+            },
+            EventKind::WorkerLost { worker: w },
+            EventKind::NodeLost { node: n },
+            EventKind::NodeRestarted { node: n },
+            EventKind::PrefetchIssued { object: o, node: n },
+            EventKind::SpecSegmentCommitted {
+                node: n,
+                seq: 7,
+                tasks: 4096,
+                micros: 88,
+            },
+            EventKind::PlacementBatch {
+                node: n,
+                shard: 3,
+                tasks: 256,
+                micros: 9,
+            },
+            EventKind::BatchIngested {
+                node: n,
+                tasks: 256,
+                micros: 42,
+            },
+        ] {
+            assert_frame_is_strict(&kind);
+        }
+
+        for state in [
+            TaskState::Submitted,
+            TaskState::Queued(n),
+            TaskState::Spilled,
+            TaskState::Running(w),
+            TaskState::Finished,
+            TaskState::Failed("boom".into()),
+            TaskState::Lost,
+        ] {
+            assert_frame_is_strict(&state);
         }
     }
 }

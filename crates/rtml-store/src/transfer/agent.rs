@@ -11,7 +11,7 @@ use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::{Mutex, RwLock};
 
-use rtml_common::codec::{decode_from_slice, encode_to_bytes};
+use rtml_common::codec::{decode_from_slice, encode_to_bytes, Tagged};
 use rtml_common::error::Error;
 use rtml_common::ids::{NodeId, ObjectId};
 use rtml_net::{Delivery, Endpoint, Fabric, NetAddress};
@@ -400,12 +400,14 @@ pub struct PlaneCore {
 }
 
 impl PlaneCore {
-    /// Whether `payload` is an object-plane frame. The plane's three
-    /// message tags (0–2) are disjoint from the scheduler's, so a node
-    /// reads both protocols from one mailbox: what this takes goes to
+    /// Whether `payload` is an object-plane frame. The plane's message
+    /// tags are disjoint from the scheduler's, so a node reads both
+    /// protocols from one mailbox: what this takes goes to
     /// [`PlaneCore::on_frame`], the rest is the scheduler's.
     pub fn takes(payload: &[u8]) -> bool {
-        matches!(payload.first(), Some(0..=2))
+        payload
+            .first()
+            .is_some_and(|tag| TransferMsg::TAGS.contains(tag))
     }
 
     /// Handles one frame that reached the plane: serves a `Request`,

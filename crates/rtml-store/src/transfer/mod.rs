@@ -283,7 +283,7 @@ mod tests {
     use super::*;
     use crate::store::{ObjectStore, StoreConfig};
     use crossbeam::channel::unbounded;
-    use rtml_common::codec::{decode_from_bytes, encode_to_bytes};
+    use rtml_common::codec::{decode_from_bytes, decode_from_slice, encode_to_bytes};
     use rtml_common::error::Error;
     use rtml_common::ids::{DriverId, TaskId};
     use rtml_net::{Fabric, FabricConfig, LatencyModel};
@@ -360,6 +360,39 @@ mod tests {
             assert!(PlaneCore::takes(&bytes), "{msg:?}");
             let back: TransferMsg = decode_from_bytes(&bytes).unwrap();
             assert_eq!(msg, back);
+        }
+    }
+
+    /// As `rtml-sched`'s test of the same name: every strict prefix of a
+    /// frame fails to decode, and so does an unknown tag, naming the type.
+    #[test]
+    fn every_strict_prefix_of_a_frame_and_an_unknown_tag_fail_to_decode() {
+        for msg in [
+            TransferMsg::Request {
+                objects: vec![obj(1), obj(2)],
+                reply_to: u64::MAX,
+            },
+            TransferMsg::Chunk {
+                object: obj(1),
+                index: 200,
+                total: 300,
+                size: 1 << 40,
+                len: 1 << 18,
+            },
+            TransferMsg::Missing { object: obj(2) },
+        ] {
+            let frame = encode_to_bytes(&msg);
+            for end in 0..frame.len() {
+                let cut = decode_from_slice::<TransferMsg>(&frame[..end]);
+                assert!(cut.is_err(), "{msg:?} cut to {end} bytes decoded");
+            }
+            let mut renamed = frame.to_vec();
+            renamed[0] = u8::MAX;
+            let err = decode_from_slice::<TransferMsg>(&renamed).unwrap_err();
+            assert!(
+                err.to_string().contains("invalid TransferMsg tag 255"),
+                "{err}"
+            );
         }
     }
 

@@ -5,8 +5,7 @@
 
 use bytes::Bytes;
 
-use rtml_common::codec::{encode_to_bytes, Codec, Reader, Writer};
-use rtml_common::error::{Error, Result};
+use rtml_common::codec::encode_to_bytes;
 use rtml_common::ids::ObjectId;
 
 /// Transfer wire messages.
@@ -35,55 +34,11 @@ pub(super) enum TransferMsg {
     Missing { object: ObjectId },
 }
 
-impl Codec for TransferMsg {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            TransferMsg::Request { objects, reply_to } => {
-                w.put_u8(0);
-                objects.encode(w);
-                w.put_u64(*reply_to);
-            }
-            TransferMsg::Chunk {
-                object,
-                index,
-                total,
-                size,
-                len,
-            } => {
-                w.put_u8(1);
-                object.encode(w);
-                w.put_u32(*index);
-                w.put_u32(*total);
-                w.put_varint(*size);
-                w.put_varint(*len);
-            }
-            TransferMsg::Missing { object } => {
-                w.put_u8(2);
-                object.encode(w);
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(match r.take_u8()? {
-            0 => TransferMsg::Request {
-                objects: Vec::<ObjectId>::decode(r)?,
-                reply_to: r.take_u64()?,
-            },
-            1 => TransferMsg::Chunk {
-                object: ObjectId::decode(r)?,
-                index: r.take_u32()?,
-                total: r.take_u32()?,
-                size: r.take_varint()?,
-                len: r.take_varint()?,
-            },
-            2 => TransferMsg::Missing {
-                object: ObjectId::decode(r)?,
-            },
-            other => return Err(Error::Codec(format!("invalid TransferMsg tag {other}"))),
-        })
-    }
-}
+rtml_common::impl_codec_enum!(TransferMsg {
+    0 => Request { objects, reply_to },
+    1 => Chunk { object, index, total, size, len },
+    2 => Missing { object },
+});
 
 /// A frame as the object plane hands it to the fabric: the encoded
 /// message, and a chunk's body — empty for the other messages.

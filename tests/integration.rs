@@ -186,7 +186,7 @@ fn an_out_of_range_head_node_is_rejected() {
 }
 
 #[test]
-fn a_zero_shard_or_stripe_count_is_rejected() {
+fn a_zero_shard_count_or_telemetry_setting_is_rejected() {
     // A count of zero is a configuration error, like a head node the
     // cluster does not have — not a silent round up to one.
     // A zero telemetry interval would spin every scheduler loop.

@@ -303,7 +303,6 @@ proptest! {
             resources: Resources::cpu(1.0),
             submitter_node: NodeId(2),
             attempt,
-            actor: None,
         };
         let bytes = encode_to_bytes(&spec);
         prop_assert_eq!(decode_both::<TaskSpec>(&bytes).unwrap(), spec);
