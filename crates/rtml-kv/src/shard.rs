@@ -6,6 +6,21 @@
 //! linearizable (they execute under the shard lock); operations on
 //! different shards are concurrent — this is precisely the scaling story
 //! of the paper's §3.2.1.
+//!
+//! A log keeps what it is given for the life of the cluster (the event
+//! streams, the spec segments, the telemetry rings), so a record costs
+//! its bytes and little more. A small record (≤ 1 KiB, `PACKED_MAX`) is
+//! copied into its log's open block, a 16 KiB buffer; a full block is
+//! sealed into one shared [`Bytes`], and the record's entry is an 8-byte
+//! slot (block, offset, length). A larger record is kept whole: the
+//! buffer it arrived in, uncopied. A read returns a record of
+//! a sealed block as a window of it ([`Bytes::slice`]; one of up to 24
+//! bytes is an inline copy) and copies only a record still in the open
+//! block. A window keeps its whole block alive: a block is freed once
+//! the log has dropped its last record *and* nobody holds a window of
+//! it — a dropped record handed back by a capped append is such a
+//! window — so a reader that keeps one record of a dropped block pins
+//! 16 KiB.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::{BuildHasher, Hasher};
@@ -75,18 +90,182 @@ type FnvMap<V> = HashMap<Bytes, V, FnvBuild>;
 /// What a record of a log counts for against a retention cap.
 type Weight = fn(&[u8]) -> usize;
 
+/// Records of at most this many bytes are packed: copied into their
+/// log's open block. What a lone task leaves is far below it — its event
+/// frames are 34–54 B, its spec segment 47 B — and each such record
+/// held alone cost ≈ 155 B resident (a deque slot, an `Arc` box and its
+/// own buffer). A 16-task worker batch's frame (881 B) and a telemetry
+/// record (≈ 725 B) still pack. A 256-task batch's frames and segment
+/// (5–12 KiB) are over it and keep the buffers they arrived in: their
+/// own overhead is under 1 % of their bytes, and copying them would
+/// not pay.
+const PACKED_MAX: usize = 1024;
+
+/// The size of a log's blocks. One holds ≈ 350 of a lone round trip's
+/// frames, so a block's own cost (its `Arc` box and entry) is a fraction
+/// of a byte a record, and a record that does not fit in the open
+/// block's tail leaves less than [`PACKED_MAX`] of it unused (≤ 6 %).
+/// Measured with a counting allocator (`tests/budgets.rs`), a lone
+/// round trip on a 1×2 cluster retains ≈ 760 B of heap, ≈ 1 335 B when
+/// every record was held alone.
+const BLOCK_SIZE: usize = 16 * 1024;
+
+// A slot's offset and length are `u16`s, and `u16::MAX` is [`WHOLE`].
+const _: () = assert!(BLOCK_SIZE < u16::MAX as usize && PACKED_MAX <= BLOCK_SIZE);
+
+/// [`Slot::start`] of a record kept whole, as it arrived.
+const WHOLE: u16 = u16::MAX;
+
+/// Where one record of a log lives: bytes `start..start + len` of packed
+/// block `block`, or whole record `block` when `start` is [`WHOLE`].
+#[derive(Clone, Copy)]
+struct Slot {
+    block: u32,
+    start: u16,
+    len: u16,
+}
+
+impl Slot {
+    fn range(self) -> std::ops::Range<usize> {
+        self.start as usize..self.start as usize + self.len as usize
+    }
+}
+
+/// A sealed block of packed records.
+struct Block {
+    bytes: Bytes,
+    /// Records of this block the log still holds.
+    live: usize,
+}
+
+/// One append-only log: its small records packed into blocks, its large
+/// ones kept whole, each indexed by a slot. A record's position is its
+/// slot's index, which retention shifts as the front drops and nothing
+/// else moves. Records drop oldest first, so both the sealed blocks and
+/// the whole records leave from the front, in id order. Ids wrap, which
+/// is harmless: far fewer than 2^32 are ever held at once.
+#[derive(Default)]
+struct Log {
+    /// One slot per record, oldest first.
+    slots: VecDeque<Slot>,
+    /// Sealed blocks, oldest first: `sealed[i]` is block `first + i`.
+    sealed: VecDeque<Block>,
+    first: u32,
+    /// The open block, block `first + sealed.len()`: its bytes so far,
+    /// and how many of its records the log still holds.
+    open: Vec<u8>,
+    open_live: usize,
+    /// Whole records, oldest first: `whole[i]` is record `first_whole + i`.
+    whole: VecDeque<Bytes>,
+    first_whole: u32,
+    /// The records' summed weight, once a capped append has weighed
+    /// them, so the cap costs O(1) a record.
+    weight: Option<usize>,
+}
+
+impl Log {
+    fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    fn open_id(&self) -> u32 {
+        self.first.wrapping_add(self.sealed.len() as u32)
+    }
+
+    /// Appends `record`: packed when small, else whole (a reference, not
+    /// a copy).
+    fn push(&mut self, record: &Bytes) {
+        let slot = if record.len() > PACKED_MAX {
+            self.whole.push_back(record.clone());
+            Slot {
+                block: self.first_whole.wrapping_add(self.whole.len() as u32 - 1),
+                start: WHOLE,
+                len: 0,
+            }
+        } else {
+            if self.open.len() + record.len() > BLOCK_SIZE {
+                let bytes = Bytes::from(std::mem::take(&mut self.open));
+                let live = std::mem::take(&mut self.open_live);
+                self.sealed.push_back(Block { bytes, live });
+            }
+            // A fresh buffer after a seal; the same one, emptied, after
+            // the log dropped every record of the open block.
+            self.open.reserve_exact(BLOCK_SIZE - self.open.len());
+            let start = self.open.len() as u16;
+            self.open.extend_from_slice(record);
+            self.open_live += 1;
+            Slot {
+                block: self.open_id(),
+                start,
+                len: record.len() as u16,
+            }
+        };
+        self.slots.push_back(slot);
+    }
+
+    /// The record in `slot`: a window of its sealed block (no copy), the
+    /// whole record, or a copy while its block is still open.
+    fn record(&self, slot: Slot) -> Bytes {
+        if slot.start == WHOLE {
+            return self.whole[slot.block.wrapping_sub(self.first_whole) as usize].clone();
+        }
+        match self
+            .sealed
+            .get(slot.block.wrapping_sub(self.first) as usize)
+        {
+            Some(block) => block.bytes.slice(slot.range()),
+            None => Bytes::copy_from_slice(&self.open[slot.range()]),
+        }
+    }
+
+    /// The records from position `start` on.
+    fn records(&self, start: usize) -> Vec<Bytes> {
+        let start = start.min(self.len());
+        self.slots.range(start..).map(|&s| self.record(s)).collect()
+    }
+
+    /// The summed `weight` of every record.
+    fn weigh(&self, weight: Weight) -> usize {
+        self.slots.iter().map(|&s| weight(&self.record(s))).sum()
+    }
+
+    /// Drops the oldest record and returns it. A sealed block is
+    /// released with its last record; the open block, emptied, keeps its
+    /// buffer for the records to come.
+    fn pop_front(&mut self) -> Option<Bytes> {
+        let slot = self.slots.pop_front()?;
+        let record = self.record(slot);
+        if slot.start == WHOLE {
+            self.whole.pop_front();
+            self.first_whole = self.first_whole.wrapping_add(1);
+        } else if slot.block == self.open_id() {
+            self.open_live -= 1;
+            if self.open_live == 0 {
+                self.open.clear();
+            }
+        } else {
+            let front = self.sealed.front_mut().expect("the oldest record's block");
+            front.live -= 1;
+            if front.live == 0 {
+                self.sealed.pop_front();
+                self.first = self.first.wrapping_add(1);
+            }
+        }
+        Some(record)
+    }
+}
+
 /// Interior state of one shard.
 #[derive(Default)]
 struct ShardState {
     /// Point values.
     map: FnvMap<Bytes>,
     /// Append-only logs, kept separate from point values so that appends
-    /// do not rewrite history. Stored as deques so a bounded log can
-    /// drop its oldest records in O(1) (ring-buffer retention).
-    logs: FnvMap<VecDeque<Bytes>>,
-    /// The summed weights of the logs appended under a retention cap,
-    /// kept beside them so the cap costs O(1) a record.
-    log_weights: FnvMap<usize>,
+    /// do not rewrite history. Each packs its small records into shared
+    /// blocks and indexes them by slot (see [`Log`]); a bounded log drops
+    /// its oldest records in O(1) a record (ring-buffer retention) and
+    /// frees a block with its last record.
+    logs: FnvMap<Log>,
     /// Per-key subscribers. An entry lives exactly as long as the
     /// [`Subscription`] that registered it: dropping the subscription
     /// removes it, so a shard nobody is blocked on has an empty map and
@@ -419,33 +598,40 @@ impl Shard {
         self.locks.inc();
         let mut guard = self.state.lock();
         let st = &mut *guard;
-        // Most shards have no subscribers: the records then move into
-        // the log uncloned.
-        let notified = if st.subs.is_empty() {
-            Vec::new()
-        } else {
-            records.clone()
-        };
-        let log = st.logs.entry(key.clone()).or_default();
+        // Subscribers hear of each record as it was handed in, before it
+        // lands — nobody can tell, under one lock hold — so a record is
+        // shared only when its own key has subscribers, and never copied
+        // back out of a block for them.
+        if let Some(subs) = (!st.subs.is_empty()).then(|| st.subs.get(&key)).flatten() {
+            for record in &records {
+                for sub in subs {
+                    sub.tx.send(record);
+                }
+            }
+        }
+        let log = st.logs.entry(key).or_default();
+        let weighed = log.weight.take();
+        for record in &records {
+            log.push(record);
+        }
         let mut dropped = Vec::new();
         if let Some((cap, weight)) = retention {
-            let total = st
-                .log_weights
-                .entry(key.clone())
-                .or_insert_with(|| log.iter().map(|r| weight(r)).sum());
-            *total += records.iter().map(|r| weight(r)).sum::<usize>();
-            log.extend(records);
-            while *total > cap && log.len() > 1 {
+            let mut total = match weighed {
+                Some(total) => total + records.iter().map(|r| weight(r)).sum::<usize>(),
+                None => log.weigh(weight),
+            };
+            while total > cap && log.len() > 1 {
                 let record = log.pop_front().expect("len checked");
-                *total -= weight(&record);
+                total -= weight(&record);
                 dropped.push(record);
             }
+            log.weight = Some(total);
         } else {
-            log.extend(records);
+            log.weight = weighed;
         }
-        for record in &notified {
-            Self::notify(st, &key, record);
-        }
+        // `records` outlives the guard: the buffers of the packed ones
+        // are freed outside the lock.
+        drop(guard);
         dropped
     }
 
@@ -457,13 +643,13 @@ impl Shard {
             .lock()
             .logs
             .get(key)
-            .map(|log| log.iter().cloned().collect())
+            .map(|log| log.records(0))
             .unwrap_or_default()
     }
 
     /// Length of the log at `key`.
     pub fn log_len(&self, key: &[u8]) -> usize {
-        self.state.lock().logs.get(key).map_or(0, VecDeque::len)
+        self.state.lock().logs.get(key).map_or(0, Log::len)
     }
 
     /// Reads the suffix of the log at `key` starting at position
@@ -476,11 +662,7 @@ impl Shard {
         self.locks.inc();
         let st = self.state.lock();
         match st.logs.get(key) {
-            Some(log) => {
-                let total = log.len();
-                let records = log.iter().skip(start).cloned().collect();
-                (records, total)
-            }
+            Some(log) => (log.records(start), log.len()),
             None => (Vec::new(), 0),
         }
     }
@@ -578,7 +760,7 @@ impl Shard {
             .logs
             .iter()
             .filter(|(k, _)| k.starts_with(prefix))
-            .map(|(k, v)| (k.clone(), v.iter().cloned().collect()))
+            .map(|(k, log)| (k.clone(), log.records(0)))
             .collect()
     }
 
@@ -599,7 +781,7 @@ impl Shard {
             st.map.iter().map(|(k, v)| (k.clone(), v.clone())).collect(),
             st.logs
                 .iter()
-                .map(|(k, v)| (k.clone(), v.iter().cloned().collect()))
+                .map(|(k, log)| (k.clone(), log.records(0)))
                 .collect(),
         )
     }
@@ -610,9 +792,14 @@ impl Shard {
         st.map = map.into_iter().collect();
         st.logs = logs
             .into_iter()
-            .map(|(k, v)| (k, v.into_iter().collect()))
+            .map(|(k, records)| {
+                let mut log = Log::default();
+                for record in &records {
+                    log.push(record);
+                }
+                (k, log)
+            })
             .collect();
-        st.log_weights.clear();
     }
 
     fn notify(st: &mut ShardState, key: &Bytes, value: &Bytes) {
@@ -857,6 +1044,161 @@ mod tests {
         let dropped = s.append_many_capped(b("log"), vec![b("e"), b("f")], 4, len);
         assert_eq!(dropped, vec![b("ddddd")]);
         assert_eq!(s.read_log(b"log".as_ref()), vec![b("e"), b("f")]);
+    }
+
+    /// `n` distinct records of `len` bytes each (`len` ≥ 6).
+    fn numbered(n: usize, len: usize) -> Vec<Bytes> {
+        (0..n)
+            .map(|i| Bytes::from(format!("{i:0len$}").into_bytes()))
+            .collect()
+    }
+
+    /// How many 46-byte records one block holds.
+    const PER_BLOCK: usize = BLOCK_SIZE / 46;
+
+    #[test]
+    fn a_sealed_blocks_record_is_a_window_of_one_shared_buffer() {
+        let s = shard();
+        let records = numbered(PER_BLOCK + 10, 46);
+        s.append_many(b("log"), records.clone(), None);
+        let (first, second) = (s.read_log(b"log".as_ref()), s.read_log(b"log".as_ref()));
+        assert_eq!(first, records);
+        assert_eq!(second, records);
+        // Both reads of a sealed record are windows of the same buffer,
+        // and so are its neighbours.
+        assert_eq!(first[0].as_ptr(), second[0].as_ptr());
+        assert_eq!(first[1].as_ptr(), first[0].as_ptr().wrapping_add(46));
+        // The newest record is still in the open block: each read copies.
+        assert_ne!(
+            first[PER_BLOCK + 9].as_ptr(),
+            second[PER_BLOCK + 9].as_ptr()
+        );
+    }
+
+    #[test]
+    fn read_log_range_positions_hold_across_a_block_seal() {
+        let s = shard();
+        let records = numbered(PER_BLOCK + 50, 46);
+        let open = PER_BLOCK - 10;
+        s.append_many(b("log"), records[..open].to_vec(), None);
+        let (tail, total) = s.read_log_range(b"log".as_ref(), open - 5);
+        assert_eq!((tail, total), (records[open - 5..open].to_vec(), open));
+        // This append seals the first block and opens a second.
+        s.append_many(b("log"), records[open..].to_vec(), None);
+        let (tail, total) = s.read_log_range(b"log".as_ref(), open - 5);
+        assert_eq!((tail, total), (records[open - 5..].to_vec(), records.len()));
+        assert_eq!(s.read_log_range(b"log".as_ref(), 0).0, records);
+        let past_the_end = s.read_log_range(b"log".as_ref(), records.len() + 1);
+        assert_eq!(past_the_end, (Vec::new(), records.len()));
+    }
+
+    #[test]
+    fn a_capped_log_returns_exactly_what_it_drops_and_frees_a_block_with_its_last_record() {
+        let s = shard();
+        let records = numbered(3 * PER_BLOCK, 46);
+        let first_block = |s: &Shard| s.state.lock().logs[b"log".as_ref()].first;
+        let mut dropped = Vec::new();
+        let mut appended = 0;
+        for chunk in records.chunks(50) {
+            dropped.extend(s.append_many(b("log"), chunk.to_vec(), Some(100)));
+            appended += chunk.len();
+            assert_eq!(dropped, records[..appended.saturating_sub(100)]);
+            assert_eq!(
+                s.read_log(b"log".as_ref()),
+                records[dropped.len()..appended]
+            );
+            // A block goes with its last record, not before.
+            let freed = dropped.len() / PER_BLOCK;
+            assert_eq!(first_block(&s) as usize, freed, "{} dropped", dropped.len());
+        }
+        assert_eq!(dropped.len(), 3 * PER_BLOCK - 100);
+        // A dropped record still reads as it was: its window holds the
+        // buffer of a block the log has let go.
+        assert_eq!(dropped[0], records[0]);
+    }
+
+    #[test]
+    fn a_record_over_the_cut_off_comes_back_as_the_buffer_appended() {
+        let s = shard();
+        let big = Bytes::from(vec![7u8; PACKED_MAX + 1]);
+        let edge = Bytes::from(vec![8u8; PACKED_MAX]);
+        s.append_many(b("log"), vec![b("before"), big.clone(), edge.clone()], None);
+        let log = s.read_log(b"log".as_ref());
+        assert_eq!(log, vec![b("before"), big.clone(), edge.clone()]);
+        assert_eq!(log[1].as_ptr(), big.as_ptr());
+        // A record at the cut-off is packed: a copy.
+        assert_ne!(log[2].as_ptr(), edge.as_ptr());
+    }
+
+    #[test]
+    fn packed_and_whole_records_interleave_and_drop_in_order() {
+        let s = shard();
+        let records: Vec<Bytes> = numbered(2 * PER_BLOCK, 46)
+            .into_iter()
+            .enumerate()
+            .map(|(i, r)| match i % 7 {
+                3 => Bytes::from(vec![i as u8; PACKED_MAX + 1 + i]),
+                _ => r,
+            })
+            .collect();
+        let mut dropped = Vec::new();
+        for (i, record) in records.iter().enumerate() {
+            dropped.extend(s.append_many(b("log"), vec![record.clone()], Some(30)));
+            let kept = (i + 1).saturating_sub(30);
+            assert_eq!(dropped, records[..kept]);
+            assert_eq!(s.read_log(b"log".as_ref()), records[kept..=i]);
+        }
+        // Only what holds the last 30 records is left: at most one
+        // sealed block beside the open one, and 5 whole records.
+        let st = s.state.lock();
+        let log = &st.logs[b"log".as_ref()];
+        assert!(log.sealed.len() <= 1, "{} sealed blocks", log.sealed.len());
+        assert!(log.whole.len() <= 5, "{} whole records", log.whole.len());
+    }
+
+    #[test]
+    fn small_records_cost_their_bytes_and_a_slot_each() {
+        const RECORDS: usize = 100_000;
+        const LEN: usize = 46;
+        let s = shard();
+        for chunk in numbered(RECORDS, LEN).chunks(64) {
+            s.append_many(b("log"), chunk.to_vec(), None);
+        }
+        let st = s.state.lock();
+        let log = &st.logs[b"log".as_ref()];
+        assert_eq!(log.len(), RECORDS);
+        // Every block, sealed ones too, is allocated `BLOCK_SIZE` long
+        // and never grows.
+        assert_eq!(log.open.capacity(), BLOCK_SIZE);
+        let footprint = log.slots.capacity() * std::mem::size_of::<Slot>()
+            + log.sealed.capacity() * std::mem::size_of::<Block>()
+            + log.sealed.len() * BLOCK_SIZE
+            + log.open.capacity();
+        assert!(
+            footprint <= RECORDS * (LEN + 16) + BLOCK_SIZE,
+            "{footprint} B for {RECORDS} records of {LEN} B"
+        );
+    }
+
+    #[test]
+    fn a_packed_log_round_trips_through_snapshot_and_restore() {
+        let s = shard();
+        let mut records = numbered(PER_BLOCK + 10, 46);
+        records.insert(5, Bytes::from(vec![1u8; PACKED_MAX + 1]));
+        s.append_many(b("log"), records.clone(), None);
+        let (map, logs) = s.snapshot();
+        let t = shard();
+        t.restore(map, logs);
+        assert_eq!(t.read_log(b"log".as_ref()), records);
+        let (tail, total) = t.read_log_range(b"log".as_ref(), PER_BLOCK);
+        assert_eq!(
+            (tail, total),
+            (records[PER_BLOCK..].to_vec(), records.len())
+        );
+        // The restored log packs like any other and keeps appending.
+        t.append(b("log"), b("after"));
+        assert_eq!(t.read_log(b"log".as_ref()).last(), Some(&b("after")));
+        assert_eq!(t.log_len(b"log".as_ref()), records.len() + 1);
     }
 
     #[test]

@@ -39,6 +39,8 @@ pub struct EventLog {
     /// Events dropped across all streams to enforce the retention cap.
     /// Shared across clones so every handle reports the same total.
     dropped: Arc<Counter>,
+    /// Frames a reader met that did not decode, shared like `dropped`.
+    undecodable: Arc<Counter>,
 }
 
 impl EventLog {
@@ -49,6 +51,7 @@ impl EventLog {
             enabled: true,
             retention: None,
             dropped: Arc::new(Counter::new()),
+            undecodable: Arc::new(Counter::new()),
         }
     }
 
@@ -60,6 +63,7 @@ impl EventLog {
             enabled: false,
             retention: None,
             dropped: Arc::new(Counter::new()),
+            undecodable: Arc::new(Counter::new()),
         }
     }
 
@@ -90,26 +94,31 @@ impl EventLog {
         self.dropped.get()
     }
 
-    /// Registers the retention drop count (`events.dropped`).
+    /// Frames that did not decode, counted each time a reader meets
+    /// one, across all clones of this handle. A frame this log wrote
+    /// always decodes, so anything but 0 means the stored bytes are not
+    /// what was appended.
+    pub fn undecodable_count(&self) -> u64 {
+        self.undecodable.get()
+    }
+
+    /// Registers the retention drop count (`events.dropped`) and the
+    /// undecodable frame count (`events.undecodable`).
     pub fn register_metrics(&self, registry: &MetricsRegistry) {
         let dropped = self.dropped.clone();
         registry.register_value("events.dropped", move || dropped.get());
+        let undecodable = self.undecodable.clone();
+        registry.register_value("events.undecodable", move || undecodable.get());
     }
 
+    /// The stream key: the prefix, the node's id (4 bytes, little-endian)
+    /// and the component's codec tag.
     fn key(node: NodeId, component: Component) -> Bytes {
-        let mut v = Vec::with_capacity(PREFIX.len() + 5);
-        v.extend_from_slice(PREFIX);
-        v.extend_from_slice(&node.0.to_le_bytes());
-        v.push(match component {
-            Component::Driver => 0,
-            Component::Worker => 1,
-            Component::LocalScheduler => 2,
-            Component::GlobalScheduler => 3,
-            Component::ObjectStore => 4,
-            Component::Supervisor => 5,
-            Component::FetchAgent => 6,
-        });
-        Bytes::from(v)
+        let mut w = Writer::with_capacity(PREFIX.len() + 5);
+        w.put_raw(PREFIX);
+        w.put_u32(node.0);
+        component.encode(&mut w);
+        w.into_bytes()
     }
 
     /// Appends an event attributed to `node` (a frame of one).
@@ -161,19 +170,35 @@ impl EventLog {
             None => self.kv.append_many(key, frame, None),
         };
         if !evicted.is_empty() {
-            let events: u64 = evicted.iter().map(|r| Self::frame_len(r) as u64).sum();
+            let events: u64 = evicted.iter().map(|r| self.events_in(r)).sum();
             self.dropped.add(events);
         }
     }
 
-    /// Number of events in an encoded frame (its leading varint).
+    /// Number of events in an encoded frame (its leading varint), 0 for
+    /// a record without one: the weight the retention cap counts in. The
+    /// kv weighs under its lock through a plain `fn`, so readers, not
+    /// this, count a record that does not decode.
     fn frame_len(record: &[u8]) -> usize {
         Reader::new(record).take_varint().unwrap_or(0) as usize
     }
 
-    /// Decodes a frame record into its events.
-    fn decode_frame(record: &[u8]) -> Vec<Event> {
-        decode_from_slice::<Vec<Event>>(record).unwrap_or_default()
+    /// Number of events in a frame record, read from its header; a
+    /// record without one is counted as undecodable and holds none.
+    fn events_in(&self, record: &[u8]) -> u64 {
+        Reader::new(record).take_varint().unwrap_or_else(|_| {
+            self.undecodable.inc();
+            0
+        })
+    }
+
+    /// Decodes a frame record into its events; a record that does not
+    /// decode is counted and holds none.
+    fn decode_frame(&self, record: &[u8]) -> Vec<Event> {
+        decode_from_slice::<Vec<Event>>(record).unwrap_or_else(|_| {
+            self.undecodable.inc();
+            Vec::new()
+        })
     }
 
     /// Reads all events from one (node, component) stream, in append
@@ -182,7 +207,7 @@ impl EventLog {
         self.kv
             .read_log(&Self::key(node, component))
             .iter()
-            .flat_map(|b| Self::decode_frame(b))
+            .flat_map(|b| self.decode_frame(b))
             .collect()
     }
 
@@ -193,7 +218,7 @@ impl EventLog {
             .scan_logs_prefix(PREFIX)
             .into_iter()
             .flat_map(|(_k, records)| records)
-            .flat_map(|b| Self::decode_frame(&b))
+            .flat_map(|b| self.decode_frame(&b))
             .collect();
         events.sort_by_key(|e| e.at_nanos);
         events
@@ -205,7 +230,7 @@ impl EventLog {
             .scan_logs_prefix(PREFIX)
             .iter()
             .flat_map(|(_k, records)| records.iter())
-            .map(|b| Self::frame_len(b))
+            .map(|b| self.events_in(b) as usize)
             .sum()
     }
 
@@ -291,6 +316,38 @@ mod tests {
         assert_eq!(driver, vec![1, 2, 4]);
         assert_eq!(log.read(NodeId(0), Component::Worker).len(), 1);
         assert_eq!(log.len(), 4);
+    }
+
+    #[test]
+    fn the_stream_key_ends_in_the_components_codec_tag() {
+        let key = EventLog::key(NodeId(0x0403_0201), Component::FetchAgent);
+        assert_eq!(key, b"ev:\x01\x02\x03\x04\x06"[..]);
+        assert_eq!(
+            EventLog::key(NodeId(7), Component::Driver),
+            b"ev:\x07\x00\x00\x00\x00"[..]
+        );
+    }
+
+    #[test]
+    fn an_undecodable_frame_is_counted_and_the_good_events_still_read() {
+        let kv = KvStore::new(4);
+        let log = EventLog::new(kv.clone());
+        let registry = MetricsRegistry::new();
+        log.register_metrics(&registry);
+        log.append(NodeId(0), ev(Component::Worker, 1));
+        // Claims three events; the second byte is no component's tag.
+        let garbage = Bytes::from_static(b"\x03\x01\xffgarbage");
+        kv.append(EventLog::key(NodeId(0), Component::Worker), garbage);
+        log.append_many(NodeId(0), vec![ev(Component::Worker, 2)]);
+        let times: Vec<u64> = log
+            .read(NodeId(0), Component::Worker)
+            .iter()
+            .map(|e| e.at_nanos)
+            .collect();
+        assert_eq!(times, vec![1, 2]);
+        assert_eq!(log.undecodable_count(), 1);
+        assert_eq!(registry.get("events.undecodable"), Some(1));
+        assert_eq!(registry.get("events.dropped"), Some(0));
     }
 
     #[test]

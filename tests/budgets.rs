@@ -1,10 +1,27 @@
 //! Per-operation budgets: what one operation may cost in counted units
-//! (kv locks so far), checked on every `cargo test` rather than left to
-//! a benchmark. Real threads race, so a count jitters: each budget sits
-//! above the worst run seen, by the margin its constant states, and
-//! only ever goes down. A change that lowers a count lowers its budget
-//! with it.
+//! (kv locks, heap bytes retained, heap allocations), checked on every
+//! `cargo test` rather than left to a benchmark. Real threads race, so
+//! a count jitters: each budget sits above the worst run seen, by the
+//! margin its constant states, and only ever goes down. A change that
+//! lowers a count lowers its budget with it.
+//!
+//! The binary counts the heap with its own global allocator, and every
+//! test takes [`SERIAL`] first, so the heap counts belong to the test
+//! that reads them. The two heap budgets, on a 1×2 cluster after 200
+//! warm-up round trips, over 2 000 lone `submit1` + `get` round trips:
+//!
+//! - retained heap: ≤ [`RETAINED_BYTES`] a round trip. Each round trip
+//!   leaves its task's control-plane records (spec segment, state,
+//!   object record, event frames) and its sealed result behind for the
+//!   life of the cluster. ≈ 1 335 B before kv logs packed their records
+//!   into shared blocks, when four event frames alone held ≈ 620 B.
+//! - allocations: ≤ [`ALLOCS`] a round trip, whichever thread makes
+//!   them (the submitter, the scheduler, the workers, background
+//!   writers).
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicIsize, AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use rtml::common::codec::encode_to_bytes;
@@ -12,6 +29,106 @@ use rtml::common::ids::DriverId;
 use rtml::common::task::{ArgSpec, TaskState};
 use rtml::prelude::*;
 use rtml::runtime::TaskRequest;
+
+/// Bytes currently allocated, process-wide.
+static LIVE_BYTES: AtomicIsize = AtomicIsize::new(0);
+/// Allocations made (`alloc` and `realloc` calls), process-wide.
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+/// The system allocator, counting live bytes and allocations.
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the counters touch no allocator state.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        LIVE_BYTES.fetch_add(layout.size() as isize, Ordering::Relaxed);
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller's obligations are passed on as they are.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size() as isize, Ordering::Relaxed);
+        // SAFETY: `ptr` came from `System` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        LIVE_BYTES.fetch_add(
+            new_size as isize - layout.size() as isize,
+            Ordering::Relaxed,
+        );
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: as for `dealloc`, and `new_size` is the caller's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Taken by every test in this binary, so no other test's cluster runs
+/// beside the one being counted.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    // A test that failed while holding the lock leaves nothing behind
+    // that the next one reads.
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// Most heap a lone round trip may leave live. 20 runs on a 2-vCPU host
+/// read 748–772 B (1 326–1 348 B before kv logs packed their records).
+const RETAINED_BYTES: f64 = 800.0;
+
+/// Most allocations a lone round trip may make: the worst of 20 runs on
+/// a 2-vCPU host (87.3; they read 75–87, as before packing) plus 10 %.
+const ALLOCS: f64 = 96.0;
+
+/// What `rounds` lone `submit1` + `get` round trips on a 1×2 cluster
+/// leave live and allocate, per round trip, after 200 warm-up ones.
+fn heap_per_round_trip(rounds: u64) -> (f64, f64) {
+    let cluster = Cluster::start(ClusterConfig::local(1, 2)).unwrap();
+    let inc = cluster.register_fn1("heap_inc", |x: u64| Ok(x + 1));
+    let driver = cluster.driver();
+    let round_trip = |x: u64| {
+        let fut = driver.submit1(&inc, x).unwrap();
+        assert_eq!(driver.get(&fut).unwrap(), x + 1);
+    };
+    (0..200).for_each(round_trip);
+    let live = LIVE_BYTES.load(Ordering::Relaxed);
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed);
+    (200..200 + rounds).for_each(round_trip);
+    let retained = (LIVE_BYTES.load(Ordering::Relaxed) - live) as f64 / rounds as f64;
+    let allocs = (ALLOCATIONS.load(Ordering::Relaxed) - allocations) as f64 / rounds as f64;
+    cluster.shutdown();
+    (retained, allocs)
+}
+
+#[test]
+fn a_lone_round_trip_retains_under_800_bytes_of_heap() {
+    let _serial = serial();
+    let (retained, allocs) = heap_per_round_trip(2_000);
+    println!("a lone round trip: {retained:.0} B retained, {allocs:.1} allocations");
+    assert!(
+        retained <= RETAINED_BYTES,
+        "{retained:.0} B retained a round trip, budget {RETAINED_BYTES}"
+    );
+}
+
+#[test]
+fn a_lone_round_trip_makes_no_more_allocations_than_its_budget() {
+    let _serial = serial();
+    let (retained, allocs) = heap_per_round_trip(2_000);
+    println!("a lone round trip: {retained:.0} B retained, {allocs:.1} allocations");
+    assert!(
+        allocs <= ALLOCS,
+        "{allocs:.1} allocations a round trip, budget {ALLOCS}"
+    );
+}
 
 /// The cluster's kv lock count.
 fn kv_locks(cluster: &Cluster) -> u64 {
@@ -37,6 +154,7 @@ const INGEST_LOCKS_PER_TASK: f64 = 0.01;
 
 #[test]
 fn a_burst_spends_under_three_kv_locks_a_task() {
+    let _serial = serial();
     let cluster = Cluster::start(ClusterConfig::local(2, 2)).unwrap();
     let inc = cluster.register_fn1("budget_inc", |x: u64| Ok(x + 1));
     let driver = cluster.driver();
@@ -60,6 +178,7 @@ fn a_burst_spends_under_three_kv_locks_a_task() {
 
 #[test]
 fn a_lone_round_trip_spends_no_more_kv_locks_than_before_batching() {
+    let _serial = serial();
     let cluster = Cluster::start(ClusterConfig::local(1, 2)).unwrap();
     let inc = cluster.register_fn1("lone_inc", |x: u64| Ok(x + 1));
     let driver = cluster.driver();
@@ -87,6 +206,7 @@ fn a_lone_round_trip_spends_no_more_kv_locks_than_before_batching() {
 
 #[test]
 fn a_4096_task_batch_is_ingested_for_a_hundredth_of_a_kv_lock_a_task() {
+    let _serial = serial();
     // Four 4096-task batches on one node, every task gated on an object
     // that never seals, so nothing runs: the count is submission and
     // ingest alone, up to the last task reading `Queued`.
