@@ -16,6 +16,8 @@
 //! segment copy; the segment index itself resolves duplicate ids to the
 //! latest segment.
 
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+
 use bytes::Bytes;
 use parking_lot::Mutex;
 
@@ -70,6 +72,9 @@ struct IndexInner {
 /// entries.
 pub struct SegmentIndex {
     inner: Mutex<IndexInner>,
+    /// `entries.len()` as of the last refresh, readable while a refresh
+    /// holds the lock: a telemetry sample must not wait out a fold.
+    len: AtomicUsize,
 }
 
 impl Default for SegmentIndex {
@@ -79,6 +84,7 @@ impl Default for SegmentIndex {
                 entries: FastMap::default(),
                 consumed: 0,
             }),
+            len: AtomicUsize::new(0),
         }
     }
 }
@@ -107,6 +113,7 @@ impl SegmentIndex {
         for segment in records {
             Self::fold_segment(&segment, &mut inner.entries);
         }
+        self.len.store(inner.entries.len(), Relaxed);
     }
 
     /// Decodes one segment payload, inserting zero-copy spec slices.
@@ -172,6 +179,12 @@ impl SegmentIndex {
             }
         }
         out
+    }
+
+    /// How many tasks the index held after its last refresh; takes no
+    /// lock.
+    pub fn len(&self) -> usize {
+        self.len.load(Relaxed)
     }
 
     /// Every task id recorded in any segment (recovery/tooling scan).

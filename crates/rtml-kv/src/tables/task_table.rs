@@ -12,6 +12,7 @@ use bytes::Bytes;
 
 use rtml_common::codec::{decode_from_slice, encode_to_bytes};
 use rtml_common::ids::TaskId;
+use rtml_common::metrics::MetricsRegistry;
 use rtml_common::task::{TaskSpec, TaskState};
 
 use crate::segment::{self, SegmentIndex};
@@ -127,13 +128,7 @@ impl TaskTable {
         if let [task] = tasks {
             return vec![self.get_state(*task)];
         }
-        let keys = super::id_keys_arena(STATE_PREFIX, tasks.iter().map(|t| t.unique()));
-        let mut out: Vec<Option<TaskState>> = self
-            .kv
-            .get_many(&keys)
-            .into_iter()
-            .map(|bytes| bytes.and_then(|b| decode_from_slice(&b).ok()))
-            .collect();
+        let mut out = self.get_recorded_states_many(tasks);
         let missing: Vec<usize> = out
             .iter()
             .enumerate()
@@ -161,6 +156,30 @@ impl TaskTable {
             }
         }
         out
+    }
+
+    /// Batched reads of explicit state records (positional): `None` where
+    /// a task has no `tstate:` record, whether it was submitted and not
+    /// yet queued or never submitted at all. Never synthesizes
+    /// `Submitted` and never touches the spec segments, so it builds no
+    /// segment index: the read of a reconstruction nudge, which runs on
+    /// every tick a wait is blocked.
+    pub fn get_recorded_states_many(&self, tasks: &[TaskId]) -> Vec<Option<TaskState>> {
+        let decode = |bytes: Option<Bytes>| bytes.and_then(|b| decode_from_slice(&b).ok());
+        if let [task] = tasks {
+            return vec![decode(self.kv.get(&Self::state_key(*task)))];
+        }
+        let keys = super::id_keys_arena(STATE_PREFIX, tasks.iter().map(|t| t.unique()));
+        self.kv.get_many(&keys).into_iter().map(decode).collect()
+    }
+
+    /// Registers how many tasks the spec-segment index holds
+    /// (`kv.spec_index_entries`): 0 until a read needs a
+    /// segment-committed spec (a replay's `get_spec`, a state read that
+    /// synthesizes `Submitted`, a recovery scan).
+    pub fn register_metrics(&self, registry: &MetricsRegistry) {
+        let segments = self.segments.clone();
+        registry.register_value("kv.spec_index_entries", move || segments.len() as u64);
     }
 
     /// Reads a task's state. A task with a durable spec and no state
@@ -362,6 +381,29 @@ mod tests {
         let mixed = table.get_states_many(&[ids[0], root.child(999)]);
         assert_eq!(mixed[0], Some(TaskState::Queued(NodeId(1))));
         assert_eq!(mixed[1], None);
+    }
+
+    #[test]
+    fn recorded_states_are_explicit_records_and_fold_no_segment() {
+        let table = TaskTable::new(KvStore::new(4));
+        let root = TaskId::driver_root(DriverId::from_index(0));
+        let specs: Vec<TaskSpec> = (0..2)
+            .map(|i| TaskSpec::simple(root.child(i), FunctionId::from_name("f"), vec![]))
+            .collect();
+        table.record_many(&specs, &TaskState::Submitted);
+        let queued = TaskState::Queued(NodeId(1));
+        table.set_state(specs[1].task_id, &queued);
+        let ids = [specs[0].task_id, specs[1].task_id, root.child(999)];
+        for tasks in [&ids[..], &ids[..1]] {
+            let recorded = table.get_recorded_states_many(tasks);
+            assert_eq!(recorded, [None, Some(queued.clone()), None][..tasks.len()]);
+        }
+        assert_eq!(table.segments.len(), 0);
+        // The synthesizing read tells the submitted task from the
+        // unknown one, and folds the segment to do it.
+        let states = table.get_states_many(&ids);
+        assert_eq!(states, [Some(TaskState::Submitted), Some(queued), None]);
+        assert_eq!(table.segments.len(), 2);
     }
 
     #[test]

@@ -102,14 +102,18 @@ impl ReconstructionManager {
     }
 
     /// Called when someone needs `objects` but no live copy of them
-    /// exists.
+    /// exists: a resolver's nudge, in the pass that found a copy lost or
+    /// once a tick while a wait stays blocked.
     ///
     /// Idempotent and cheap when a producer is already in flight;
     /// resubmits a producer that terminated without leaving a copy (node
     /// failure, eviction); seals error envelopes for an object that can
     /// never be produced (failed producer, broken lineage). The records
-    /// and the producers' states are each read in one batched call — a
-    /// `get` of a whole burst nudges every result's producer at once.
+    /// and the producers' explicit state records are each read in one
+    /// batched call — a `get` of a whole burst nudges every result's
+    /// producer at once — and no spec is read unless a producer is
+    /// replayed or failed: a producer with no state record is watched as
+    /// `Submitted` without looking its spec up.
     pub fn handle_missing(&self, objects: &[ObjectId]) {
         if objects.is_empty() {
             return;
@@ -147,27 +151,33 @@ impl ReconstructionManager {
             return;
         }
         let tasks: Vec<TaskId> = producers.iter().map(|(_, task)| *task).collect();
-        let states = self.services.tasks.get_states_many(&tasks);
+        let states = self.services.tasks.get_recorded_states_many(&tasks);
         for ((object, producer), state) in producers.into_iter().zip(states) {
             self.on_missing(object, producer, state);
         }
     }
 
-    /// Decides for one object with no live copy by its producer's state.
+    /// Decides for one object with no live copy by its producer's
+    /// explicit state record (`None`: it has none).
     fn on_missing(&self, object: ObjectId, producer: TaskId, state: Option<TaskState>) {
         match state {
+            // No record: submitted and not yet queued (the submit path
+            // writes only the spec) or not submitted at all. Watched as
+            // `Submitted`; the backstop's full state read tells the two
+            // apart if it ever wedges.
+            None => self.note_inflight(producer, TaskState::Submitted),
             Some(state @ (TaskState::Submitted | TaskState::Queued(_) | TaskState::Spilled)) => {
-                // In flight (or about to be): the seal will come —
-                // unless the message moving it forward was swallowed by
-                // a partition or an injected drop, which is what the
-                // stuck-task backstop below watches for.
+                // In flight: the seal will come — unless the message
+                // moving it forward was swallowed by a partition or an
+                // injected drop, which is what the stuck-task backstop
+                // below watches for.
                 self.note_inflight(producer, state);
             }
-            None | Some(TaskState::Running(_)) => {
-                // About to be submitted, or actually executing: the
-                // seal will come. Running tasks are not backstopped —
-                // dispatch is node-local (no wire to drop it on) and a
-                // node death repairs their state explicitly.
+            Some(TaskState::Running(_)) => {
+                // Executing: the seal will come. Running tasks are not
+                // backstopped — dispatch is node-local (no wire to drop
+                // it on) and a node death repairs their state
+                // explicitly.
             }
             Some(TaskState::Failed(message)) => {
                 // The producer ran and failed; its error envelopes should
@@ -249,7 +259,9 @@ impl ReconstructionManager {
         }
         self.watch.lock().remove(&task);
         // Narrow the race: only declare Lost if the state is still the
-        // one we watched wedge.
+        // one we watched wedge. The full read synthesizes `Submitted`
+        // from the spec, so a producer that was never submitted is not
+        // declared lost.
         if self.services.tasks.get_state(task) == Some(state) {
             self.services.tasks.set_state(task, &TaskState::Lost);
             self.resubmit(task);
@@ -289,10 +301,11 @@ impl ReconstructionManager {
     }
 
     /// Drops the entries of `map` whose task's state no longer passes
-    /// `in_flight` and returns how many are left. The states are read
-    /// with one batched read with no lock held — blocked `get`s and every
-    /// node loop nudge through here — and an entry changed meanwhile
-    /// stays.
+    /// `in_flight` and returns how many are left. The explicit state
+    /// records are read with one batched read with no lock held —
+    /// blocked `get`s and every node loop nudge through here — a task
+    /// with none reads as `Submitted`, as [`Self::on_missing`] watches
+    /// it, and an entry changed meanwhile stays.
     fn prune<V: Clone + PartialEq>(
         &self,
         map: &Mutex<HashMap<TaskId, V>>,
@@ -300,10 +313,11 @@ impl ReconstructionManager {
     ) -> usize {
         let snapshot: Vec<(TaskId, V)> = map.lock().iter().map(|(t, v)| (*t, v.clone())).collect();
         let ids: Vec<TaskId> = snapshot.iter().map(|(task, _)| *task).collect();
-        let states = self.services.tasks.get_states_many(&ids);
+        let states = self.services.tasks.get_recorded_states_many(&ids);
         let mut map = map.lock();
         for ((task, seen), state) in snapshot.into_iter().zip(states) {
-            if !state.as_ref().is_some_and(in_flight) && map.get(&task) == Some(&seen) {
+            let state = state.unwrap_or(TaskState::Submitted);
+            if !in_flight(&state) && map.get(&task) == Some(&seen) {
                 map.remove(&task);
             }
         }
@@ -369,7 +383,77 @@ impl ReconstructionManager {
 mod tests {
     use super::*;
     use crate::cluster::ClusterConfig;
-    use rtml_common::ids::{DriverId, NodeId};
+    use rtml_common::ids::{DriverId, FunctionId, NodeId};
+    use rtml_common::task::TaskSpec;
+
+    /// A manager over a cluster's services with no nodes, whose stuck
+    /// producers are declared lost after 20 ms.
+    fn manager() -> (Arc<Services>, Arc<ReconstructionManager>) {
+        let services = Services::create(&ClusterConfig {
+            fetch_timeout: Duration::from_millis(5),
+            ..ClusterConfig::default()
+        });
+        let recon = ReconstructionManager::new(services.clone());
+        (services, recon)
+    }
+
+    /// Submits task `i` as the submit path does: its spec in a segment,
+    /// no state record.
+    fn submitted(services: &Services, i: u64) -> TaskId {
+        let task = TaskId::driver_root(DriverId::from_index(0)).child(i);
+        let spec = TaskSpec::simple(task, FunctionId::from_name("f"), vec![]);
+        services.tasks.record_many(&[spec], &TaskState::Submitted);
+        task
+    }
+
+    #[test]
+    fn a_nudge_for_a_producer_with_no_state_record_folds_no_segment() {
+        let (services, recon) = manager();
+        let task = submitted(&services, 1);
+        recon.handle_missing(&[task.return_object(0)]);
+        assert_eq!(services.metrics.get("kv.spec_index_entries"), Some(0));
+        let watched = recon
+            .watch
+            .lock()
+            .get(&task)
+            .map(|(state, _)| state.clone());
+        assert_eq!(watched, Some(TaskState::Submitted));
+        assert_eq!(recon.reconstructions.get(), 0);
+    }
+
+    #[test]
+    fn a_lost_producer_whose_copy_is_gone_is_resubmitted_at_its_first_nudge() {
+        let (services, recon) = manager();
+        let task = submitted(&services, 1);
+        let object = task.return_object(0);
+        services.objects.add_location(object, NodeId(0), 5);
+        services.tasks.set_state(task, &TaskState::Finished);
+        // Its node died: the copy went with it and the task reads lost.
+        services.objects.remove_location(object, NodeId(0));
+        services.tasks.set_state(task, &TaskState::Lost);
+        recon.handle_missing(&[object]);
+        assert_eq!(recon.reconstructions.get(), 1);
+        assert_eq!(services.tasks.get_state(task), Some(TaskState::Submitted));
+        assert_eq!(services.tasks.get_spec(task).map(|s| s.attempt), Some(1));
+    }
+
+    #[test]
+    fn a_submitted_producer_wedged_past_stuck_after_is_declared_lost_and_replayed() {
+        let (services, recon) = manager();
+        let wedged = submitted(&services, 1);
+        // Named by an object, never submitted: watched the same way,
+        // never declared lost.
+        let unsubmitted = TaskId::driver_root(DriverId::from_index(0)).child(2);
+        let objects = [wedged.return_object(0), unsubmitted.return_object(0)];
+        recon.handle_missing(&objects);
+        assert_eq!(recon.watch.lock().len(), 2);
+        std::thread::sleep(recon.stuck_after + Duration::from_millis(5));
+        recon.handle_missing(&objects);
+        assert_eq!(recon.reconstructions.get(), 1);
+        assert_eq!(services.tasks.get_spec(wedged).map(|s| s.attempt), Some(1));
+        assert_eq!(services.tasks.get_state(wedged), Some(TaskState::Submitted));
+        assert_eq!(services.tasks.get_state(unsubmitted), None);
+    }
 
     #[test]
     fn a_prune_of_the_watch_reads_its_states_in_one_batch() {

@@ -54,10 +54,10 @@ pub struct Services {
     /// The configuration the cluster was started with.
     pub config: ClusterConfig,
     /// The counters of cluster-wide state — the fabric, the control
-    /// plane, the event log, the object table, and (registered by the
-    /// cluster) the global scheduler and lineage replay — named once for
-    /// the whole cluster. Every node's telemetry sample records them
-    /// beside its own registry's.
+    /// plane, the event log, the object and task tables, and (registered
+    /// by the cluster) the global scheduler and lineage replay — named
+    /// once for the whole cluster. Every node's telemetry sample records
+    /// them beside its own registry's.
     pub metrics: Arc<MetricsRegistry>,
     router: RwLock<HashMap<NodeId, LocalSubmitter>>,
     stores: RwLock<HashMap<NodeId, Arc<ObjectStore>>>,
@@ -76,6 +76,7 @@ impl Services {
             EventLog::disabled(kv.clone())
         };
         let objects = ObjectTable::new(kv.clone());
+        let tasks = TaskTable::new(kv.clone());
         let fabric = Fabric::new(FabricConfig {
             latency: config.latency.clone(),
             bandwidth_bytes_per_sec: config.bandwidth_bytes_per_sec,
@@ -87,9 +88,10 @@ impl Services {
         kv.register_metrics(&metrics);
         events.register_metrics(&metrics);
         objects.register_metrics(&metrics);
+        tasks.register_metrics(&metrics);
         Arc::new(Services {
             objects,
-            tasks: TaskTable::new(kv.clone()),
+            tasks,
             functions: FunctionTable::new(kv.clone()),
             events,
             registry: FunctionRegistry::new(),

@@ -133,10 +133,13 @@ pub struct SchedServices {
     /// and is told how each request went.
     pub health: Arc<HealthTracker>,
     /// Runtime hook into lineage reconstruction, invoked when a watched
-    /// object has no live copy ([`Replay::Missing`](crate::Replay::Missing): when first waited
-    /// for and once a tick, which also feeds the runtime's
-    /// stuck-producer backstop) or a whole sweep of its listed holders
-    /// failed to deliver it ([`Replay::Forced`](crate::Replay::Forced)) — everything one
+    /// object has no live copy ([`Replay::Missing`](crate::Replay::Missing):
+    /// once a tick while it is waited for, which also feeds the
+    /// runtime's stuck-producer backstop, and at once when it is first
+    /// waited for with its last copy already lost — a dependency that
+    /// has not sealed yet reads no lineage on ingest) or a whole sweep
+    /// of its listed holders failed to deliver it
+    /// ([`Replay::Forced`](crate::Replay::Forced)) — everything one
     /// resolver pass found, in one call. The runtime deduplicates and
     /// resubmits producing tasks. The hook runs **on the scheduler
     /// thread**: it must not block — control-plane reads and writes and

@@ -30,8 +30,11 @@
 //! recorded per request — and an exhausted sweep force-replays the
 //! producer ([`Replay::Forced`]); the next tick starts a new sweep.
 //! Objects with no sealed copy anywhere get a reconstruction nudge
-//! ([`Replay::Missing`]) when added and once per [`POLL_SLICE`] — not
-//! one per wake-up.
+//! ([`Replay::Missing`]) once per [`POLL_SLICE`] — not one per wake-up
+//! — and one in the pass that adds them only if their record says they
+//! sealed and lost every copy. A wait on an object that has not sealed
+//! yet reads no lineage before the next tick: the producer is on its
+//! way, and lineage is read when a copy is lost.
 //!
 //! **A result already on its way is not asked for.** A worker that
 //! pushes a small result to its submitter's node says so in the commit
@@ -66,9 +69,11 @@ use rtml_store::{FetchAgent, FetchResult, ObjectStore};
 
 use crate::health::HealthTracker;
 
-/// How often [`Resolver::pump`] re-nudges reconstruction for objects
-/// that still have no sealed copy, and offers idle objects that have one
-/// a new holder sweep.
+/// How often [`Resolver::pump`] nudges reconstruction for objects that
+/// still have no sealed copy, and offers idle objects that have one a
+/// new holder sweep. A never-sealed object's first nudge is the first
+/// tick after it was added: a `get` that waits less than this reads no
+/// lineage.
 pub const POLL_SLICE: Duration = Duration::from_millis(10);
 
 /// What the objects are wanted for.
@@ -84,8 +89,9 @@ pub enum Goal {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Replay {
     /// No sealed copy is known: replay the producer unless it is still
-    /// on its way (the hook decides; asked again every tick, so a
-    /// producer seen stuck in one state tick after tick is noticed).
+    /// on its way (the hook decides; asked every tick, so a producer
+    /// seen stuck in one state tick after tick is noticed, and at once
+    /// for an object added after its last copy was lost).
     Missing,
     /// Copies are listed but a whole sweep of holders failed to deliver:
     /// replay the producer although copies appear to exist.
@@ -216,7 +222,9 @@ impl Resolver {
     /// as further positions of the same object). What is in the local
     /// store is complete at once; the rest share one object-table
     /// registration, one lock per touched kv shard, which also reads
-    /// their current records.
+    /// their current records. An object whose record says it sealed and
+    /// lost every copy is nudged for reconstruction in this pass; one
+    /// that never sealed is its producer's business until the next tick.
     pub fn add(&mut self, ids: &[ObjectId]) {
         let mut fresh: Vec<(usize, ObjectId)> = Vec::with_capacity(ids.len());
         for &id in ids {
@@ -260,12 +268,11 @@ impl Resolver {
         }
         let current = self.updates.add(&fresh);
         for ((seq, id), info) in fresh.into_iter().zip(current) {
-            if self.needs_producer(info.as_ref()) {
+            let Some(info) = info else { continue };
+            if self.goal == Goal::Values && info.sealed && info.locations.is_empty() {
                 self.replays.push((id, Replay::Missing));
             }
-            if let Some(info) = info {
-                self.on_record(seq, info);
-            }
+            self.on_record(seq, info);
         }
     }
 
@@ -828,12 +835,15 @@ mod tests {
     fn a_local_seal_completes_a_slot_and_ends_the_nudges() {
         let mut r = rig(Goal::Values, 4);
         r.resolver.add(&[obj(1), obj(1)]);
-        // Nothing sealed anywhere: one nudge when added, one a tick.
+        // Nothing sealed anywhere: one nudge a tick, the first at the
+        // first tick.
         assert!(r.pump(SOON).is_empty());
-        assert_eq!(r.replays(), vec![(obj(1), Replay::Missing)]);
-        r.pump(SOON * 2);
         assert_eq!(r.replays(), vec![]);
         r.pump(TICK);
+        assert_eq!(r.replays(), vec![(obj(1), Replay::Missing)]);
+        r.pump(TICK + SOON);
+        assert_eq!(r.replays(), vec![]);
+        r.pump(TICK * 2);
         assert_eq!(r.replays(), vec![(obj(1), Replay::Missing)]);
         assert_eq!(r.resolver.satisfied(), 0);
 
@@ -842,9 +852,50 @@ mod tests {
         assert_eq!(r.resolver.satisfied(), 2, "both positions");
         assert!(r.resolver.is_done(obj(1)));
         assert_eq!(r.resolver.bytes(obj(1)), Some(Bytes::from_static(b"v")));
-        r.pump(TICK * 2);
+        r.pump(TICK * 3);
         assert_eq!(r.replays(), vec![]);
         assert!(r.in_flight().is_empty());
+    }
+
+    #[test]
+    fn a_lost_copy_is_nudged_in_the_pass_that_added_it() {
+        let mut r = rig(Goal::Values, 4);
+        // Sealed once, its only copy lost since.
+        r.objects.add_location(obj(1), NodeId(1), 5);
+        r.objects.remove_location(obj(1), NodeId(1));
+        r.resolver.add(&[obj(1), obj(2)]);
+        assert_eq!(r.pump(SOON), vec![]);
+        assert!(r.in_flight().is_empty());
+        // The one that never sealed waits for the tick.
+        assert_eq!(r.replays(), vec![(obj(1), Replay::Missing)]);
+        r.pump(TICK);
+        assert_eq!(
+            r.replays(),
+            vec![(obj(1), Replay::Missing), (obj(2), Replay::Missing)]
+        );
+    }
+
+    #[test]
+    fn a_never_sealed_object_is_first_nudged_at_the_tick() {
+        let mut r = rig(Goal::Values, 4);
+        // One with no record at all, one declared by its producer.
+        let producer = obj(2).producer_task();
+        r.objects.declare(obj(2), producer);
+        r.resolver.add(&[obj(1), obj(2)]);
+        r.pump(SOON);
+        r.pump(SOON * 2);
+        assert_eq!(r.replays(), vec![]);
+        r.pump(TICK);
+        assert_eq!(
+            r.replays(),
+            vec![(obj(1), Replay::Missing), (obj(2), Replay::Missing)]
+        );
+        // Sealed on a holder before the next tick: fetched, not nudged.
+        r.objects.add_location(obj(1), NodeId(1), 5);
+        r.objects.add_location(obj(2), NodeId(1), 5);
+        assert_eq!(r.pump(TICK + SOON), vec![(NodeId(1), vec![obj(1), obj(2)])]);
+        r.pump(TICK * 2);
+        assert_eq!(r.replays(), vec![]);
     }
 
     #[test]
@@ -1000,10 +1051,12 @@ mod tests {
         assert_eq!(r.pump(SOON), vec![]);
         assert!(r.in_flight().is_empty());
         assert!(!r.store.contains(obj(1)));
-        // Only what never sealed needs its producer.
+        // Only what never sealed needs its producer, first at the tick.
+        assert_eq!(r.replays(), vec![]);
+        r.pump(TICK);
         assert_eq!(r.replays(), vec![(obj(3), Replay::Missing)]);
         r.objects.add_location(obj(3), NodeId(2), 5);
-        r.pump(SOON * 2);
+        r.pump(TICK + SOON);
         assert_eq!(r.resolver.satisfied(), 3);
         assert!(r.resolver.is_done(obj(3)));
         assert!(r.in_flight().is_empty());
