@@ -194,15 +194,16 @@ impl TaskTable {
         None
     }
 
-    /// Subscribes to state transitions: current state plus update stream.
-    /// The current state synthesizes implicit `Submitted` like
-    /// [`TaskTable::get_state`]; the stream carries explicit transitions.
+    /// Subscribes to recorded state transitions: the current state
+    /// record, if any, plus the stream of the ones written after it.
+    /// `None` where the task has no state record yet — submitted and not
+    /// yet queued, or never submitted: unlike [`TaskTable::get_state`]
+    /// it never synthesizes `Submitted`, so it reads no spec and builds
+    /// no segment index. A caller that must tell those two apart reads
+    /// `get_state`.
     pub fn subscribe_state(&self, task: TaskId) -> (Option<TaskState>, TaskStateStream) {
         let (cur, rx) = self.kv.subscribe(Self::state_key(task));
-        let current = cur.and_then(|b| decode_from_slice(&b).ok()).or_else(|| {
-            (self.kv.get(&Self::spec_key(task)).is_some() || self.segments.contains(&self.kv, task))
-                .then_some(TaskState::Submitted)
-        });
+        let current = cur.and_then(|b| decode_from_slice(&b).ok());
         (current, TaskStateStream { rx })
     }
 
@@ -404,6 +405,31 @@ mod tests {
         let states = table.get_states_many(&ids);
         assert_eq!(states, [Some(TaskState::Submitted), Some(queued), None]);
         assert_eq!(table.segments.len(), 2);
+    }
+
+    #[test]
+    fn subscribing_to_a_fresh_batch_reads_no_spec() {
+        let table = TaskTable::new(KvStore::new(4));
+        let root = TaskId::driver_root(DriverId::from_index(0));
+        let specs: Vec<TaskSpec> = (0..4096)
+            .map(|i| TaskSpec::simple(root.child(i), FunctionId::from_name("f"), vec![]))
+            .collect();
+        table.record_many(&specs, &TaskState::Submitted);
+        // Not queued yet: no record to report, and no spec read to say
+        // it was submitted.
+        let last = specs[4095].task_id;
+        let (current, stream) = table.subscribe_state(last);
+        assert_eq!(current, None);
+        assert_eq!(table.segments.len(), 0);
+        let queued = TaskState::Queued(NodeId(0));
+        table.set_state(last, &queued);
+        assert_eq!(stream.recv_timeout(Duration::from_secs(5)), Some(queued));
+        assert_eq!(table.segments.len(), 0);
+        // The one-task read still tells a submitted task apart.
+        assert_eq!(
+            table.get_state(specs[0].task_id),
+            Some(TaskState::Submitted)
+        );
     }
 
     #[test]

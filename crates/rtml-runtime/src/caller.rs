@@ -88,6 +88,9 @@ struct CallerInner {
     recon: Arc<ReconstructionManager>,
     home: NodeId,
     current_task: TaskId,
+    /// The attempt of the task this context runs: above 0 once lineage
+    /// replay resubmitted it (a driver's root is never replayed: 0).
+    attempt: u32,
     component: Component,
     /// Set for worker contexts: the worker's unpublished results, which
     /// a blocking call publishes first, and its run queue, which the
@@ -138,7 +141,7 @@ impl Caller {
         current_task: TaskId,
         component: Component,
     ) -> Caller {
-        Caller::on_worker(services, recon, home, current_task, component, None)
+        Caller::on_worker(services, recon, home, current_task, 0, component, None)
     }
 
     pub(crate) fn on_worker(
@@ -146,6 +149,7 @@ impl Caller {
         recon: Arc<ReconstructionManager>,
         home: NodeId,
         current_task: TaskId,
+        attempt: u32,
         component: Component,
         outbox: Option<Arc<Outbox>>,
     ) -> Caller {
@@ -155,6 +159,7 @@ impl Caller {
                 recon,
                 home,
                 current_task,
+                attempt,
                 component,
                 outbox,
                 child_counter: AtomicU64::new(0),
@@ -225,16 +230,19 @@ impl Caller {
             .map(|i| inner.current_task.child(base + i))
             .collect();
 
-        // Replay-aware submission, batched: if a task already exists (we
-        // are a re-executed parent), do not double-submit unless its
-        // previous attempt was lost. Only worker contexts can be
-        // re-executed — a driver root never replays its submission loop
-        // and hands out fresh counters for life, so the read sweep would
-        // be pure per-task overhead on the driver hot path.
-        let states = if inner.component == Component::Driver {
-            vec![None; task_ids.len()]
-        } else {
+        // Replay-aware submission, batched: a re-executed parent finds
+        // the children an earlier attempt submitted, and does not submit
+        // one again unless that one was lost. A first attempt's child ids
+        // are new — its own id is, and its counter hands each out once —
+        // so it reads nothing: a read would only miss, and each miss
+        // folds the spec log into the index to rule the task out. A
+        // driver root is never replayed. A killed worker's thread runs
+        // on while its task is replayed elsewhere, so it reads too.
+        let may_exist = inner.attempt > 0 || inner.outbox.as_ref().is_some_and(|o| o.crashed());
+        let states = if may_exist {
             services.tasks.get_states_many(&task_ids)
+        } else {
+            vec![None; task_ids.len()]
         };
 
         let mut results: Vec<Vec<ObjectId>> = Vec::with_capacity(requests.len());
@@ -682,6 +690,7 @@ impl TaskContext {
         services: Arc<Services>,
         recon: Arc<ReconstructionManager>,
         task: TaskId,
+        attempt: u32,
         worker: WorkerId,
         outbox: Option<Arc<Outbox>>,
     ) -> TaskContext {
@@ -691,6 +700,7 @@ impl TaskContext {
                 recon,
                 worker.node,
                 task,
+                attempt,
                 Component::Worker,
                 outbox,
             ),
@@ -734,7 +744,7 @@ pub mod test_support {
         });
         let recon = ReconstructionManager::new(services.clone());
         let root = TaskId::driver_root(DriverId::from_index(u64::MAX));
-        let ctx = TaskContext::new(services, recon, root, WorkerId::new(NodeId(0), 0), None);
+        let ctx = TaskContext::new(services, recon, root, 0, WorkerId::new(NodeId(0), 0), None);
         f(&ctx)
     }
 }

@@ -209,7 +209,7 @@ impl Outbox {
     /// and state updates alike: publishing a `Failed` state would mask
     /// the node death as an application error and exempt the task from
     /// the `Lost`-state repair that replays it.
-    fn crashed(&self) -> bool {
+    pub(crate) fn crashed(&self) -> bool {
         self.kill.load(Ordering::Acquire) || self.services.store(self.worker.node).is_none()
     }
 
@@ -371,6 +371,7 @@ fn execute_task(
             services.clone(),
             recon.clone(),
             task,
+            spec.attempt,
             id,
             Some(outbox.clone()),
         );

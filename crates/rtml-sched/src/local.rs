@@ -9,9 +9,10 @@
 //! it knows — ingest, spill, dependency gating, load reports —
 //! and *pushes* what became runnable onto the node's [`RunQueue`], which
 //! it shares with the node's workers. A worker takes its own next task
-//! from there; the scheduler hears from one only when it runs dry
-//! ([`LocalMsg::WorkerIdle`]), so a burst costs this loop a message per
-//! worker, not a turn per task.
+//! from there and never messages the loop — not even when it runs dry
+//! and parks: the loop reads the idleness off the queue when its next
+//! load tick publishes, as it does every change a direct admission
+//! makes. A burst costs this loop no turn per task and none per worker.
 //!
 //! - `waiting`: tasks with unsatisfied dataflow dependencies. Their
 //!   distinct missing objects are handed to the scheduler's [`Resolver`]
@@ -185,24 +186,31 @@ pub struct LocalSchedulerStats {
     /// that moves a burst's results in a few frames. It publishes no
     /// other data, so it is read and written relaxed.
     pub ready_depth: std::sync::atomic::AtomicU64,
-    /// Times a worker found nothing to take and went idle. Each is one
-    /// [`LocalMsg::WorkerIdle`] to the scheduler — the only message a
-    /// worker sends it — so a burst moves this by about the number of
-    /// workers, not of tasks.
+    /// Times a worker found nothing to take and went idle. A park
+    /// sends nothing: a burst moves this by about the number of
+    /// workers, and [`turns`](Self::turns) not at all.
     pub worker_parks: Counter,
-    /// Turns of the scheduler loop: one per wake-up, whatever woke it.
-    /// A seal no waiting task needs does not move it.
+    /// Turns of the scheduler loop: one per wake-up, whatever woke it —
+    /// a message, a frame, a seal or fetch answer it waits for, or its
+    /// tick. A seal no waiting task needs does not move it, nor does a
+    /// worker that parks.
     pub turns: Counter,
+    /// The turns its timer took — its load tick, a periodic run or the
+    /// object plane's reap came due and nothing had arrived — so they
+    /// follow the clock, not the work. `turns − ticks` are the times
+    /// another thread woke the loop.
+    pub ticks: Counter,
     /// Tasks admitted on their submitter's thread ([`crate::admit`]).
     pub admitted_direct: Counter,
 }
 
 impl LocalSchedulerStats {
-    /// Registers the counters some reader reads: prefetch admission and
-    /// direct admission (`sched.*`).
+    /// Registers the counters some reader reads: prefetch admission,
+    /// direct admission, loop turns and ticks, and worker parks
+    /// (`sched.*`).
     pub fn register_metrics(self: &Arc<Self>, registry: &MetricsRegistry) {
         type Read = fn(&LocalSchedulerStats) -> &Counter;
-        let counters: [(&str, Read); 3] = [
+        let counters: [(&str, Read); 6] = [
             ("sched.prefetch_skipped_capacity", |s| {
                 &s.prefetch_skipped_capacity
             }),
@@ -210,6 +218,9 @@ impl LocalSchedulerStats {
                 &s.prefetch_deferred_priority
             }),
             ("sched.admitted_direct", |s| &s.admitted_direct),
+            ("sched.turns", |s| &s.turns),
+            ("sched.ticks", |s| &s.ticks),
+            ("sched.worker_parks", |s| &s.worker_parks),
         ];
         for (name, read) in counters {
             let stats = self.clone();
@@ -335,7 +346,6 @@ impl LocalScheduler {
             config.total_resources.clone(),
             services.store.clone(),
             stats.clone(),
-            tx.clone(),
             services.request_worker.clone(),
         ));
         for worker in workers {
@@ -540,7 +550,7 @@ impl Core {
                         self.resolver.on_update(record);
                     }
                 }
-                default(idle) => {}
+                default(idle) => self.stats.ticks.inc(),
             }
             self.stats.turns.inc();
             self.resolve_dependencies();
@@ -609,9 +619,6 @@ impl Core {
                 self.on_submit_batch(specs, false);
                 self.admission.in_mailbox.fetch_sub(1, SeqCst);
             }
-            // Nothing to do but take this turn: the load report reads
-            // the idleness off the queue.
-            LocalMsg::WorkerIdle => {}
             LocalMsg::RemoveWorker(worker) => self.remove_worker(worker),
             LocalMsg::Close => unreachable!("handled by run()"),
         }
@@ -2003,10 +2010,8 @@ mod tests {
     fn a_seal_no_waiting_task_needs_leaves_the_scheduler_asleep() {
         let mut r = quiet_rig();
         let turns = &r.handle.stats().turns;
-        // The worker's first park reaches the loop as a message: let it
-        // land before counting.
         let deadline = Instant::now() + Duration::from_secs(5);
-        while r.handle.stats().worker_parks.get() == 0 || turns.get() == 0 {
+        while r.handle.stats().worker_parks.get() == 0 {
             assert!(Instant::now() < deadline, "the worker never parked");
             std::thread::yield_now();
         }

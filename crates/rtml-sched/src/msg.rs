@@ -1,4 +1,5 @@
-//! In-process messages between workers, local schedulers, and the runtime.
+//! In-process messages to a local scheduler from its node's submitters and
+//! the runtime, and the load report it publishes.
 
 use rtml_common::ids::{NodeId, WorkerId};
 use rtml_common::resources::Resources;
@@ -14,11 +15,6 @@ pub enum LocalMsg {
     /// millions of tasks per second). Sent by a
     /// [`crate::LocalSubmitter`] only, which counts it.
     SubmitBatch(Vec<TaskSpec>),
-    /// A worker found nothing to take from the run queue and went idle:
-    /// the scheduler takes a turn, so the load report sees the idleness
-    /// at once. The only message a worker sends — one
-    /// per worker that runs dry, not one per task.
-    WorkerIdle,
     /// Detach a worker (failure injection). Whatever it had taken from
     /// the run queue is marked lost.
     RemoveWorker(WorkerId),

@@ -33,8 +33,10 @@
 //! ([`Replay::Missing`]) once per [`POLL_SLICE`] — not one per wake-up
 //! — and one in the pass that adds them only if their record says they
 //! sealed and lost every copy. A wait on an object that has not sealed
-//! yet reads no lineage before the next tick: the producer is on its
-//! way, and lineage is read when a copy is lost.
+//! yet reads no lineage before it has waited a whole slice: the
+//! producer is on its way, and lineage is read when a copy is lost. So a
+//! resolver that lives long, as a local scheduler's does, does not nudge
+//! what was added just before its tick.
 //!
 //! **A result already on its way is not asked for.** A worker that
 //! pushes a small result to its submitter's node says so in the commit
@@ -72,8 +74,8 @@ use crate::health::HealthTracker;
 /// How often [`Resolver::pump`] nudges reconstruction for objects that
 /// still have no sealed copy, and offers idle objects that have one a
 /// new holder sweep. A never-sealed object's first nudge is the first
-/// tick after it was added: a `get` that waits less than this reads no
-/// lineage.
+/// tick a whole slice after it was added: a `get` that waits less than
+/// this reads no lineage.
 pub const POLL_SLICE: Duration = Duration::from_millis(10);
 
 /// What the objects are wanted for.
@@ -155,6 +157,9 @@ struct Slot {
     tried: Vec<NodeId>,
     /// Whether the admission filter has been offered this object.
     offered: bool,
+    /// The resolver's time when the object was added: it is not nudged
+    /// for reconstruction before it has waited a whole [`POLL_SLICE`].
+    added: Instant,
 }
 
 /// Per-holder batching state: at most one request outstanding; what
@@ -190,12 +195,16 @@ pub struct Resolver {
     /// Successful fetch answers not yet committed to the object table.
     uncommitted: Vec<(ObjectId, FetchResult)>,
     next_tick: Instant,
+    /// The latest time it was told: its construction's, then each
+    /// pump's.
+    now: Instant,
 }
 
 impl Resolver {
     /// A resolver with nothing to resolve yet.
     pub fn new(goal: Goal, wiring: Wiring) -> Self {
         let updates = wiring.objects.updates();
+        let now = Instant::now();
         Resolver {
             goal,
             wiring,
@@ -208,7 +217,8 @@ impl Resolver {
             routable: Vec::new(),
             replays: Vec::new(),
             uncommitted: Vec::new(),
-            next_tick: Instant::now() + POLL_SLICE,
+            next_tick: now + POLL_SLICE,
+            now,
         }
     }
 
@@ -256,6 +266,7 @@ impl Resolver {
                 sent_at_nanos: None,
                 tried: Vec::new(),
                 offered: false,
+                added: self.now,
             };
             self.slots.insert(seq, slot);
             self.take_local(seq);
@@ -520,14 +531,19 @@ impl Resolver {
     /// Once per [`POLL_SLICE`]: the work that must not wait for a
     /// notification that may never come. Idle objects that have a copy
     /// somewhere are offered a new holder sweep; the rest get a
-    /// reconstruction nudge.
-    fn tick(&mut self) {
+    /// reconstruction nudge — one whose every copy is lost at once, one
+    /// that never sealed once it has waited a whole slice.
+    fn tick(&mut self, now: Instant) {
         for (&seq, slot) in &self.slots {
             if slot.phase != Phase::Idle {
                 continue;
             }
-            if self.needs_producer(slot.info.as_ref()) {
-                self.replays.push((slot.id, Replay::Missing));
+            let info = slot.info.as_ref();
+            if self.needs_producer(info) {
+                let lost = info.is_some_and(|info| info.sealed);
+                if lost || slot.added + POLL_SLICE <= now {
+                    self.replays.push((slot.id, Replay::Missing));
+                }
             } else {
                 self.routable.push(seq);
             }
@@ -668,9 +684,10 @@ impl Resolver {
         admit: &mut dyn FnMut(ObjectId, u64, bool) -> bool,
         replay: &dyn Fn(&Replays),
     ) -> Vec<(NodeId, Vec<ObjectId>)> {
+        self.now = now;
         self.expire(now);
         if now >= self.next_tick {
-            self.tick();
+            self.tick(now);
             self.next_tick = now + POLL_SLICE;
         }
         if !self.routable.is_empty() {
@@ -896,6 +913,35 @@ mod tests {
         assert_eq!(r.pump(TICK + SOON), vec![(NodeId(1), vec![obj(1), obj(2)])]);
         r.pump(TICK * 2);
         assert_eq!(r.replays(), vec![]);
+    }
+
+    #[test]
+    fn an_object_added_just_before_a_tick_is_first_nudged_a_slice_later() {
+        let mut r = rig(Goal::Values, 4);
+        r.resolver.add(&[obj(1)]);
+        // A long-lived resolver: obj(2) and obj(3) arrive in the pass
+        // just before the tick, long after obj(1).
+        r.pump(TICK - SOON);
+        assert_eq!(r.replays(), vec![]);
+        r.resolver.add(&[obj(2), obj(3)]);
+        // obj(3) seals on a holder and loses that copy before the tick:
+        // a loss is nudged at once, however new the wait.
+        r.objects.add_location(obj(3), NodeId(1), 5);
+        r.objects.remove_location(obj(3), NodeId(1));
+        r.pump(TICK);
+        assert_eq!(
+            r.replays(),
+            vec![(obj(1), Replay::Missing), (obj(3), Replay::Missing)]
+        );
+        // It has waited a whole slice by the next tick.
+        r.pump(TICK * 2 - SOON);
+        assert_eq!(r.replays(), vec![]);
+        r.pump(TICK * 2);
+        let nudged = vec![(obj(1), Replay::Missing), (obj(2), Replay::Missing)];
+        assert_eq!(
+            r.replays(),
+            [nudged, vec![(obj(3), Replay::Missing)]].concat()
+        );
     }
 
     #[test]

@@ -13,9 +13,10 @@
 //! `total − in_use`, so a small task still overtakes one waiting for a
 //! GPU; the workers of a node are interchangeable), and parks on the
 //! condvar only when nothing fits. No task is bound to a worker before
-//! that worker takes it, and a burst costs the scheduler one message per
-//! worker that runs dry ([`LocalMsg::WorkerIdle`]) instead of one per
-//! task.
+//! that worker takes it, and a worker that runs dry parks without
+//! telling anyone: the scheduler reads the idleness off the queue
+//! ([`RunQueue::load`]) when its next load tick publishes, so a burst
+//! costs the scheduler no message from its workers at all.
 //!
 //! # A worker takes a batch
 //!
@@ -42,8 +43,8 @@
 //! One mutex, one condvar. **Nothing else is called while the mutex is
 //! held**: no kv call, event append, store call, fabric or channel send,
 //! no condvar notify. A critical section decides; what it decided —
-//! dependency pins to release, workers to wake, the scheduler to nudge,
-//! the pool to grow — happens after the guard is dropped. Waiters check
+//! dependency pins to release, workers to wake, the pool to grow —
+//! happens after the guard is dropped. Waiters check
 //! for work under the mutex before they sleep and every change that can
 //! make a task fit is followed by a wake while a worker is idle, so a
 //! notify that finds nobody asleep loses nothing.
@@ -69,7 +70,6 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 
-use crossbeam::channel::Sender;
 use parking_lot::{Condvar, Mutex};
 
 use rtml_common::collections::FastSet;
@@ -79,7 +79,6 @@ use rtml_common::task::TaskSpec;
 use rtml_store::ObjectStore;
 
 use crate::local::LocalSchedulerStats;
-use crate::msg::LocalMsg;
 use crate::spill::SpillMode;
 
 /// The most tasks one [`RunQueue::next`] hands a worker. On the ledger's
@@ -328,19 +327,16 @@ pub struct RunQueue {
     total: Resources,
     store: Arc<ObjectStore>,
     stats: Arc<LocalSchedulerStats>,
-    sched: Sender<LocalMsg>,
     grow: Arc<dyn Fn() + Send + Sync>,
 }
 
 impl RunQueue {
     /// An empty queue for a node of capacity `total`. Pins are released
-    /// through `store`; `sched` hears of workers running dry; `grow` asks
-    /// the node for one more worker.
+    /// through `store`; `grow` asks the node for one more worker.
     pub fn new(
         total: Resources,
         store: Arc<ObjectStore>,
         stats: Arc<LocalSchedulerStats>,
-        sched: Sender<LocalMsg>,
         grow: Arc<dyn Fn() + Send + Sync>,
     ) -> RunQueue {
         RunQueue {
@@ -349,7 +345,6 @@ impl RunQueue {
             total,
             store,
             stats,
-            sched,
             grow,
         }
     }
@@ -466,7 +461,7 @@ impl RunQueue {
     /// admit is taken for `worker`, its first task started — one
     /// critical section, so nobody sees the freed grant before this
     /// worker has had first pick. With nothing to take the worker goes
-    /// idle (one nudge to the scheduler) and sleeps until there is.
+    /// idle and sleeps until there is, telling nobody.
     /// `None` means exit: the queue closed or the worker was detached.
     pub fn next(&self, worker: WorkerId) -> Option<Batch> {
         let mut st = self.state.lock();
@@ -479,20 +474,22 @@ impl RunQueue {
             if let Some(batch) = st.take(worker, &self.total) {
                 break Some(batch);
             }
-            if idle {
-                self.wake.wait(&mut st);
-                continue;
+            if !idle {
+                // Running dry: counted idle from here on, so a push
+                // wakes it and the pool does not grow past it. The
+                // finished batch's pins go back with the lock dropped,
+                // and the queue is looked at once more before sleeping.
+                idle = true;
+                st.idle += 1;
+                self.stats.worker_parks.inc();
+                if !unpin.is_empty() {
+                    drop(st);
+                    self.unpin(&std::mem::take(&mut unpin));
+                    st = self.state.lock();
+                    continue;
+                }
             }
-            // Running dry. Counted idle from here on, so the scheduler
-            // turn the nudge causes already sees it; the queue is looked
-            // at once more before sleeping.
-            idle = true;
-            st.idle += 1;
-            self.stats.worker_parks.inc();
-            drop(st);
-            self.unpin(&std::mem::take(&mut unpin));
-            let _ = self.sched.send(LocalMsg::WorkerIdle);
-            st = self.state.lock();
+            self.wake.wait(&mut st);
         };
         if idle {
             st.idle -= 1;

@@ -36,10 +36,13 @@ use crate::wire::SchedWire;
 /// The spillover decision rule.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SpillMode {
-    /// Spill when the local backlog of runnable tasks exceeds
-    /// `queue_threshold` (the paper's hybrid design).
+    /// Spill a task when the local backlog of runnable tasks it would
+    /// join already exceeds `queue_threshold` (the paper's hybrid
+    /// design).
     Hybrid {
-        /// Maximum runnable backlog kept locally.
+        /// The largest backlog a task is still kept behind: a task that
+        /// finds `queue_threshold` tasks ahead of it stays, so up to
+        /// `queue_threshold + 1` runnable tasks are kept locally.
         queue_threshold: usize,
     },
     /// Spill every task: a fully-centralized scheduler (a baseline).

@@ -1,10 +1,10 @@
 //! Per-operation budgets: what one operation may cost in counted units
 //! (kv locks, heap bytes retained, heap allocations, spec-index
-//! entries), checked on every `cargo test` rather than left to a
-//! benchmark. Real threads race, so a count jitters: each budget sits
-//! above the worst run seen, by the margin its constant states, and
-//! only ever goes down. A change that lowers a count lowers its budget
-//! with it.
+//! entries, node-loop wake-ups), checked on every `cargo test` rather
+//! than left to a benchmark. Real threads race, so a count jitters:
+//! each budget sits above the worst run seen, by the margin its
+//! constant states, and only ever goes down. A change that lowers a
+//! count lowers its budget with it.
 //!
 //! The binary counts the heap with its own global allocator, and every
 //! test takes [`SERIAL`] first, so the heap counts belong to the test
@@ -248,6 +248,102 @@ fn a_blocked_lone_round_trip_spends_at_most_11_kv_locks() {
     cluster.shutdown();
 }
 
+/// Most times a lone `submit1` + `get` may wake its node's loop. The
+/// round trip is the submitter's and a worker's: the loop takes no part
+/// in it, and 21 runs on a 2-vCPU host read 0. It read ≈ 1 while a
+/// worker that parked woke the loop for an empty turn.
+const LONE_WAKE_UPS: f64 = 0.1;
+
+/// The times another thread woke the node loops on `cluster`, summed:
+/// their turns less the ones their own tick took.
+fn loop_wake_ups(cluster: &Cluster) -> u64 {
+    let counters = cluster.counters();
+    counters.get("sched.turns").unwrap() - counters.get("sched.ticks").unwrap()
+}
+
+#[test]
+fn a_lone_round_trip_wakes_the_node_loop_a_tenth_of_a_time_at_most() {
+    let _serial = serial();
+    // No telemetry: its samples are taken on the loop, on a timer.
+    let cluster = Cluster::start(ClusterConfig::local(1, 2).without_telemetry()).unwrap();
+    let inc = cluster.register_fn1("wake_inc", |x: u64| Ok(x + 1));
+    let driver = cluster.driver();
+    let round_trip = |x: u64| {
+        let fut = driver.submit1(&inc, x).unwrap();
+        assert_eq!(driver.get(&fut).unwrap(), x + 1);
+    };
+    (0..200).for_each(round_trip);
+    const ROUNDS: u64 = 2_000;
+    let before = loop_wake_ups(&cluster);
+    (200..200 + ROUNDS).for_each(round_trip);
+    let per_round_trip = (loop_wake_ups(&cluster) - before) as f64 / ROUNDS as f64;
+    println!("a lone round trip: {per_round_trip:.3} loop wake-ups");
+    assert!(
+        per_round_trip <= LONE_WAKE_UPS,
+        "{per_round_trip:.3} loop wake-ups a round trip, budget {LONE_WAKE_UPS}"
+    );
+    cluster.shutdown();
+}
+
+#[test]
+fn a_burst_wakes_the_node_loop_for_none_of_its_worker_parks() {
+    let _serial = serial();
+    // A burst kept whole on the node is admitted on the driver's thread
+    // and taken by the workers, which park when it is done: the loop
+    // has nothing to do. A worker that parked used to wake it each time.
+    let cluster = Cluster::start(
+        ClusterConfig {
+            spill: SpillMode::NeverSpill,
+            ..ClusterConfig::local(1, 2)
+        }
+        .without_telemetry(),
+    )
+    .unwrap();
+    let inc = cluster.register_fn1("burst_wake_inc", |x: u64| Ok(x + 1));
+    let driver = cluster.driver();
+    let parks = || cluster.counters().get("sched.worker_parks").unwrap();
+    const ROUNDS: u64 = 32;
+    const TASKS: u64 = 256;
+    let (before, parks_before) = (loop_wake_ups(&cluster), parks());
+    for round in 0..ROUNDS {
+        let args = round * TASKS..(round + 1) * TASKS;
+        let futs = driver.submit_many(&inc, args.clone()).unwrap();
+        let values = driver.get_many(&futs).unwrap();
+        assert!(values.iter().zip(args).all(|(v, x)| *v == x + 1));
+    }
+    let wake_ups = loop_wake_ups(&cluster) - before;
+    let parks = parks() - parks_before;
+    println!("{ROUNDS} bursts: {wake_ups} loop wake-ups, {parks} worker parks");
+    assert!(parks >= ROUNDS, "the workers ran dry {parks} times");
+    assert!(
+        wake_ups == 0,
+        "{wake_ups} loop wake-ups for {ROUNDS} bursts and {parks} worker parks"
+    );
+    cluster.shutdown();
+}
+
+#[test]
+fn nested_round_trips_never_build_the_spec_index() {
+    let _serial = serial();
+    // A task's nested submission gets fresh child ids: a first attempt
+    // has no earlier submission to find, so it reads no task state —
+    // where a read that missed folded the whole spec log into the index.
+    let cluster = Cluster::start(ClusterConfig::local(1, 4)).unwrap();
+    let inc = cluster.register_fn1("nested_inc", |x: u64| Ok(x + 1));
+    let parent = cluster.register_fn1_ctx("nested_parent", move |ctx, x: u64| {
+        let fut = ctx.submit1(&inc, x)?;
+        ctx.get(&fut)
+    });
+    let driver = cluster.driver();
+    for x in 0..200u64 {
+        let fut = driver.submit1(&parent, x).unwrap();
+        assert_eq!(driver.get(&fut).unwrap(), x + 1);
+    }
+    let entries = cluster.counters().get("kv.spec_index_entries").unwrap();
+    assert_eq!(entries, 0, "a nested submission read a spec");
+    cluster.shutdown();
+}
+
 /// Sleeps `micros`, then mixes `x`: a stand-in for a sensor reading.
 fn sense(x: u64, micros: u64) -> u64 {
     std::thread::sleep(Duration::from_micros(micros));
@@ -342,7 +438,9 @@ fn a_4096_task_batch_is_ingested_for_a_hundredth_of_a_kv_lock_a_task() {
     }
     // Batches are ingested in order: the last task queued is the last
     // batch ingested. Wait on its state's subscription, not a poll, so
-    // the wait adds no kv locks of its own.
+    // the wait adds no kv locks of its own — nor reads a spec: it
+    // starts from no record, not from a `Submitted` read off the spec
+    // log, which would fold all 16 384 specs into the index.
     let task = last[0].producer_task().unwrap();
     let (current, updates) = driver.services().tasks.subscribe_state(task);
     let deadline = Instant::now() + Duration::from_secs(60);
@@ -353,6 +451,8 @@ fn a_4096_task_batch_is_ingested_for_a_hundredth_of_a_kv_lock_a_task() {
     }
     let per_task = (kv_locks(&cluster) - before) as f64 / (BATCH * BATCHES) as f64;
     println!("{per_task:.4} kv locks a task");
+    let entries = cluster.counters().get("kv.spec_index_entries").unwrap();
+    assert_eq!(entries, 0, "the wait read the spec log");
     assert!(
         per_task <= INGEST_LOCKS_PER_TASK,
         "{per_task:.4} kv locks a task, budget {INGEST_LOCKS_PER_TASK}"

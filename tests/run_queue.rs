@@ -1,18 +1,22 @@
 //! The node's run queue (`rtml::sched::RunQueue`), first as the plain
 //! data structure it is and then with a scheduler pushing onto it.
 //!
-//! The property test drives a bare queue — a store to unpin through, a
-//! channel where the scheduler would be — with real worker threads and
-//! random interleavings of push / finish-and-take / blocked / unblocked
-//! / worker removal, and checks the four invariants of the module docs at every point where the threads have
-//! settled. A lost wake-up shows as "never settled" (a worker asleep
-//! beside a task that fits), a double run as "taken twice".
+//! The property test drives a bare queue — a store to unpin through,
+//! and nothing where the scheduler would be: a worker that parks tells
+//! nobody — with real worker threads and random interleavings of push /
+//! finish-and-take / blocked / unblocked / worker removal, and checks
+//! the four invariants of the module docs at every point where the
+//! threads have settled. A lost wake-up shows as "never settled" (a
+//! worker asleep beside a task that fits), a double run as "taken
+//! twice".
 //!
 //! The scheduler-level test fails at the commit before the queue
-//! existed: there a burst cost the scheduler one message and one worker
-//! sleep per task.
+//! existed, where a burst cost the scheduler one message and one worker
+//! sleep per task, and at the commits where a worker that parked woke
+//! the scheduler's loop for a turn.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -29,9 +33,8 @@ use rtml::kv::{EventLog, KvStore, ObjectTable, TaskTable};
 use rtml::net::{Endpoint, Fabric, FabricConfig};
 use rtml::runtime::{Cluster, ClusterConfig};
 use rtml::sched::{
-    GlobalRoutes, HealthTracker, LocalMsg, LocalScheduler, LocalSchedulerConfig,
-    LocalSchedulerHandle, LocalSchedulerStats, QueueLoad, RunQueue, Runnable, SchedServices,
-    SpillMode, MAX_BATCH,
+    GlobalRoutes, HealthTracker, LocalScheduler, LocalSchedulerConfig, LocalSchedulerHandle,
+    LocalSchedulerStats, QueueLoad, RunQueue, Runnable, SchedServices, SpillMode, MAX_BATCH,
 };
 use rtml::store::{ObjectStore, StoreConfig, TransferDirectory};
 
@@ -60,14 +63,32 @@ fn store() -> Arc<ObjectStore> {
     }))
 }
 
-/// A queue with nothing behind it: the receiver is where the scheduler
-/// would hear of idle workers.
-fn bare_queue(store: &Arc<ObjectStore>) -> (Arc<RunQueue>, Receiver<LocalMsg>) {
-    let (sched_tx, sched_rx) = unbounded();
+/// A queue with nothing behind it. Its one way to call out — asking
+/// the node for another worker — is counted in the returned cell.
+fn bare_queue(store: &Arc<ObjectStore>) -> (Arc<RunQueue>, Arc<AtomicUsize>) {
     let stats = Arc::new(LocalSchedulerStats::default());
-    let grow = Arc::new(|| {});
-    let queue = RunQueue::new(total(), store.clone(), stats, sched_tx, grow);
-    (Arc::new(queue), sched_rx)
+    let grows = Arc::new(AtomicUsize::new(0));
+    let grow = {
+        let grows = grows.clone();
+        Arc::new(move || {
+            grows.fetch_add(1, SeqCst);
+        })
+    };
+    let queue = RunQueue::new(total(), store.clone(), stats, grow);
+    (Arc::new(queue), grows)
+}
+
+/// Waits until `idle` workers are parked on `queue`.
+fn parked(queue: &RunQueue, idle: usize) {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while queue.load().idle < idle {
+        assert!(
+            Instant::now() < deadline,
+            "never parked: {:?}",
+            queue.load()
+        );
+        std::thread::yield_now();
+    }
 }
 
 /// What a controlled worker shows the test.
@@ -126,8 +147,9 @@ fn controlled_worker(
 struct Harness {
     queue: Arc<RunQueue>,
     store: Arc<ObjectStore>,
-    nudges: Receiver<LocalMsg>,
-    nudged: u64,
+    /// Workers holding a task, and the queue's park count, when the
+    /// threads last settled.
+    settled: (BTreeSet<WorkerId>, u64),
     seen: Receiver<Seen>,
     done: BTreeMap<WorkerId, Sender<()>>,
     threads: Vec<std::thread::JoinHandle<()>>,
@@ -150,7 +172,7 @@ struct Harness {
 impl Harness {
     fn start(workers: u32) -> Harness {
         let store = store();
-        let (queue, nudges) = bare_queue(&store);
+        let (queue, _grows) = bare_queue(&store);
         let (seen_tx, seen) = unbounded();
         let mut done = BTreeMap::new();
         let mut threads = Vec::new();
@@ -164,8 +186,7 @@ impl Harness {
         Harness {
             queue,
             store,
-            nudges,
-            nudged: 0,
+            settled: (BTreeSet::new(), 0),
             seen,
             done,
             threads,
@@ -258,9 +279,6 @@ impl Harness {
                     }
                 }
             }
-            while self.nudges.try_recv().is_ok() {
-                self.nudged += 1;
-            }
             let load = self.queue.load();
             // A worker asleep beside a task it could take has either not
             // woken yet or never will.
@@ -269,10 +287,16 @@ impl Harness {
                     .ready
                     .iter()
                     .any(|t| load.available.fits(&self.tasks[t].0));
-            let parks = self.queue.stats().worker_parks.get();
+            // Pins are held for exactly what is not started or is
+            // running. A worker counts itself idle first and gives its
+            // finished batch's pins back just after, so they are waited
+            // for too: a pin that is never given back, or given back
+            // twice, never settles.
+            let live = self.ready.iter().chain(self.holding.values());
+            let pinned = PIN_BYTES * live.map(|t| self.tasks[t].1.len() as u64).sum::<u64>();
             if load.idle + self.holding.len() == self.done.len()
                 && load.running == self.holding.len()
-                && parks == self.nudged
+                && self.store.pinned_bytes() == pinned
                 && !starving
             {
                 break load;
@@ -280,14 +304,28 @@ impl Harness {
             prop_assert!(
                 Instant::now() < deadline,
                 "never settled: {load:?}, holding {:?}, held {:?}, ready {:?}, \
-                 {parks} parks / {} nudges",
+                 {} pinned bytes, not {pinned}",
                 self.holding,
                 self.held,
                 self.ready,
-                self.nudged
+                self.store.pinned_bytes()
             );
             std::thread::yield_now();
         };
+        // A worker that held a task at the last settled point and is
+        // idle now parked since, and each park is counted.
+        let parks = self.queue.stats().worker_parks.get();
+        let (held_before, parks_before) = &self.settled;
+        let dried = held_before
+            .iter()
+            .filter(|w| self.done.contains_key(w) && !self.holding.contains_key(w))
+            .count() as u64;
+        prop_assert!(
+            parks - parks_before >= dried,
+            "{dried} workers ran dry, {} parks counted",
+            parks - parks_before
+        );
+        self.settled = (self.holding.keys().copied().collect(), parks);
         // Held tasks are ready backlog: in the load and the gauge.
         prop_assert_eq!(load.ready, self.ready.len());
         let depth = &self.queue.stats().ready_depth;
@@ -301,10 +339,6 @@ impl Harness {
         prop_assert_eq!(&load.available, &total().saturating_sub(&in_use));
         self.oversubscribed &= !total().fits(&in_use);
         prop_assert!(total().fits(&in_use) || self.oversubscribed, "{in_use:?}");
-        // Pins are held for exactly what is not started or is running.
-        let live = self.ready.iter().chain(self.holding.values());
-        let pins: usize = live.map(|t| self.tasks[t].1.len()).sum();
-        prop_assert_eq!(self.store.pinned_bytes(), PIN_BYTES * pins as u64);
         Ok(load)
     }
 
@@ -421,7 +455,7 @@ proptest! {
 #[test]
 fn a_cpu_task_overtakes_a_task_waiting_for_the_gpu() {
     let store = store();
-    let (queue, _sched) = bare_queue(&store);
+    let (queue, _grows) = bare_queue(&store);
     let (w0, w1) = (WorkerId::new(NODE, 0), WorkerId::new(NODE, 1));
     queue.attach(w0);
     queue.attach(w1);
@@ -447,23 +481,24 @@ fn a_cpu_task_overtakes_a_task_waiting_for_the_gpu() {
 #[test]
 fn a_killed_parked_worker_exits_without_taking_and_close_strands_the_queue() {
     let store = store();
-    let (queue, sched) = bare_queue(&store);
+    let (queue, grows) = bare_queue(&store);
     let (w0, w1) = (WorkerId::new(NODE, 0), WorkerId::new(NODE, 1));
     queue.attach(w0);
     queue.attach(w1);
-    // w0 parks on the empty queue: the scheduler hears of it, once.
-    let parked = {
+    // w0 parks on the empty queue: counted once, and it tells nobody.
+    let sleeper = {
         let queue = queue.clone();
         std::thread::spawn(move || queue.next(w0))
     };
-    let nudge = sched.recv_timeout(Duration::from_secs(5));
-    assert!(matches!(nudge, Ok(LocalMsg::WorkerIdle)));
-    assert_eq!(queue.load().idle, 1);
+    parked(&queue, 1);
+    assert_eq!(queue.stats().worker_parks.get(), 1);
+    assert_eq!(grows.load(SeqCst), 0);
     // Killed while parked: it wakes, takes nothing, and is told to exit.
     assert!(queue.detach(w0).is_empty());
-    assert!(parked.join().unwrap().is_none());
+    assert!(sleeper.join().unwrap().is_none());
     assert_eq!(queue.load().idle, 0);
-    assert!(sched.try_recv().is_err());
+    assert_eq!(queue.stats().worker_parks.get(), 1);
+    assert_eq!(grows.load(SeqCst), 0);
 
     // w1, the only worker now, takes all three tasks and the queue
     // closes under it: the finished task is accounted for, nothing more
@@ -489,7 +524,7 @@ fn a_killed_parked_worker_exits_without_taking_and_close_strands_the_queue() {
 #[test]
 fn held_tasks_count_as_ready_backlog_and_a_batch_holds_one_grant() {
     let store = store();
-    let (queue, _sched) = bare_queue(&store);
+    let (queue, _grows) = bare_queue(&store);
     let (w0, w1) = (WorkerId::new(NODE, 0), WorkerId::new(NODE, 1));
     queue.attach(w0);
     queue.attach(w1);
@@ -529,7 +564,7 @@ fn held_tasks_count_as_ready_backlog_and_a_batch_holds_one_grant() {
 #[test]
 fn a_task_that_blocks_hands_the_tasks_held_behind_it_back() {
     let store = store();
-    let (queue, _sched) = bare_queue(&store);
+    let (queue, _grows) = bare_queue(&store);
     let w0 = WorkerId::new(NODE, 0);
     queue.attach(w0);
     queue.push(
@@ -555,7 +590,7 @@ fn a_task_that_blocks_hands_the_tasks_held_behind_it_back() {
 #[test]
 fn an_idle_worker_takes_what_a_batch_holds_once_its_running_commit_is_out() {
     let store = store();
-    let (queue, sched) = bare_queue(&store);
+    let (queue, grows) = bare_queue(&store);
     let (w0, w1) = (WorkerId::new(NODE, 0), WorkerId::new(NODE, 1));
     queue.attach(w0);
     queue.attach(w1);
@@ -575,8 +610,10 @@ fn an_idle_worker_takes_what_a_batch_holds_once_its_running_commit_is_out() {
             let _ = took_tx.send(queue.next(w1));
         });
     }
-    let nudge = sched.recv_timeout(Duration::from_secs(5));
-    assert!(matches!(nudge, Ok(LocalMsg::WorkerIdle)));
+    // It parks, counted once and telling nobody.
+    parked(&queue, 1);
+    assert_eq!(queue.stats().worker_parks.get(), 1);
+    assert_eq!(grows.load(SeqCst), 0);
     assert_eq!(queue.load().ready, 1);
     queue.committed(w0);
     // Then it is: w1 wakes and takes it, and w0's batch ends with the
@@ -705,7 +742,9 @@ struct Rig {
 }
 
 /// A node-0 scheduler over `workers` attached workers (no threads yet)
-/// that keeps every task local.
+/// that keeps every task local. Its load tick is an hour: nothing but
+/// what the test sends turns its loop, save the object plane's reap
+/// once a second.
 fn rig(workers: u32) -> Rig {
     let kv = KvStore::new(2);
     let fabric = Fabric::new(FabricConfig::default());
@@ -729,6 +768,7 @@ fn rig(workers: u32) -> Rig {
     let config = LocalSchedulerConfig {
         total_resources: Resources::cpu(workers as f64),
         spill: SpillMode::NeverSpill,
+        load_interval: Duration::from_secs(3600),
         ..LocalSchedulerConfig::default()
     };
     let ids = (0..workers).map(|i| WorkerId::new(NODE, i)).collect();
@@ -761,19 +801,16 @@ fn takers(rig: &Rig, workers: u32) -> Receiver<TaskId> {
 }
 
 #[test]
-fn a_burst_costs_the_scheduler_a_message_per_worker_not_per_task() {
+fn a_burst_costs_the_scheduler_one_turn_and_its_workers_send_nothing() {
     const WORKERS: u32 = 2;
     const TASKS: u64 = 256;
     let mut r = rig(WORKERS);
     let ran = takers(&r, WORKERS);
     let stats = r.handle.stats().clone();
     // Both takers asleep on the empty queue.
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while r.handle.queue().load().idle < WORKERS as usize {
-        assert!(Instant::now() < deadline, "takers never parked");
-        std::thread::yield_now();
-    }
-    let parks_before = stats.worker_parks.get();
+    parked(r.handle.queue(), WORKERS as usize);
+    let (parks_before, turns_before) = (stats.worker_parks.get(), stats.turns.get());
+    let started = Instant::now();
     let specs = (0..TASKS).map(|i| spec(i, Resources::cpu(1.0))).collect();
     r.handle.submit_batch(specs);
     let mut seen = BTreeSet::new();
@@ -781,19 +818,25 @@ fn a_burst_costs_the_scheduler_a_message_per_worker_not_per_task() {
         let task = ran.recv_timeout(Duration::from_secs(10)).expect("ran");
         assert!(seen.insert(task), "{task} ran twice");
     }
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while r.handle.queue().load().idle < WORKERS as usize {
-        assert!(Instant::now() < deadline, "takers never parked again");
-        std::thread::yield_now();
-    }
-    // Every park is one `WorkerIdle` to the scheduler and nothing else
-    // is: the burst cost it a message per worker that ran dry (with room
-    // for a taker that ran dry once mid-burst), where it used to cost a
-    // completion message and a worker sleep per task.
+    parked(r.handle.queue(), WORKERS as usize);
+    // Time for any message a park sent to be taken.
+    std::thread::sleep(Duration::from_millis(20));
     let parks = stats.worker_parks.get() - parks_before;
+    let turns = stats.turns.get() - turns_before;
+    // A taker that ran parked again (one may also have run dry
+    // mid-burst, or never have woken in time to take), and the loop
+    // took one turn — the batch's message — plus the
+    // object plane's reap, due once a second: a park sends nothing.
+    // It used to cost a completion message and a worker sleep per
+    // task, and later a loop turn per park.
     assert!(
         (1..=WORKERS as u64 + 2).contains(&parks),
-        "{parks} worker messages for a {TASKS}-task burst"
+        "{parks} parks for a {TASKS}-task burst"
+    );
+    let reaps = started.elapsed().as_secs() + 1;
+    assert!(
+        turns <= 1 + reaps,
+        "{turns} loop turns for a {TASKS}-task burst with {parks} parks"
     );
     r.handle.shutdown();
 }
