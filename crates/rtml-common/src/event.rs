@@ -103,12 +103,11 @@ pub enum EventKind {
         tasks: u32,
         micros: u64,
     },
-    /// One global-scheduler shard placed a batch of spilled tasks
+    /// The global scheduler placed a batch of spilled tasks
     /// against a single cluster-view snapshot. `micros` covers the
     /// whole view-build + place loop.
     PlacementBatch {
         node: NodeId,
-        shard: u32,
         tasks: u32,
         micros: u64,
     },
@@ -187,7 +186,7 @@ crate::impl_codec_enum!(EventKind {
     14 => NodeRestarted { node },
     15 => PrefetchIssued { object, node },
     17 => SpecSegmentCommitted { node, seq, tasks, micros },
-    18 => PlacementBatch { node, shard, tasks, micros },
+    18 => PlacementBatch { node, tasks, micros },
     24 => BatchIngested { node, tasks, micros },
 });
 
@@ -282,7 +281,6 @@ mod tests {
             },
             EventKind::PlacementBatch {
                 node: n,
-                shard: 3,
                 tasks: 17,
                 micros: 9,
             },

@@ -39,7 +39,6 @@ pub use shard::Subscription;
 pub use store::{KvStats, KvStore};
 pub use tables::event_log::EventLog;
 pub use tables::function_table::{FunctionInfo, FunctionTable};
-pub use tables::load_digest::{DigestEntry, LoadDigest, LoadDigestTable};
 pub use tables::object_table::{Inbound, ObjectInfo, ObjectInfoUpdates, ObjectTable};
 pub use tables::task_table::TaskTable;
 pub use tables::telemetry::{TelemetryRecord, TelemetryTable};

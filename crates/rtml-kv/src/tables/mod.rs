@@ -7,7 +7,6 @@
 
 pub mod event_log;
 pub mod function_table;
-pub mod load_digest;
 pub mod object_table;
 pub mod task_table;
 pub mod telemetry;

@@ -13,9 +13,9 @@
 //! the code that reads it.
 //!
 //! A count of zero is refused, not rounded up: `Cluster::start` returns
-//! [`Error::InvalidArgument`] for a `kv_shards` or `global_shards` of 0,
-//! for an enabled telemetry plane with a zero `interval` or
-//! `retention`, and for a `global_host` outside `nodes`.
+//! [`Error::InvalidArgument`] for a `kv_shards` of 0, for an enabled
+//! telemetry plane with a zero `interval` or `retention`, and for a
+//! `global_host` outside `nodes`.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -70,18 +70,12 @@ pub struct ClusterConfig {
     pub event_log_retention: Option<usize>,
     /// Per-attempt timeout for cross-node object fetches.
     pub fetch_timeout: Duration,
-    /// Seed for randomized placement policies and the fabric's jitter.
+    /// Seed for the fabric's jitter.
     pub seed: u64,
     /// Which node hosts the global scheduler (a "head node"). Components
     /// on the same node reach it without fabric latency. Must name one
     /// of `nodes`.
     pub global_host: u32,
-    /// Number of independent global-scheduler shards. The placement
-    /// keyspace is partitioned by task id (FNV-64), so each spilled task
-    /// has exactly one owner; shards share no locks and keep their views
-    /// of node capacity consistent through kv load digests. `1` (the
-    /// default) reproduces the single global scheduler exactly.
-    pub global_shards: usize,
     /// Per-node telemetry sampling: every node's plane counters are
     /// registered on a [`rtml_common::metrics::MetricsRegistry`] and the
     /// node's local scheduler group-commits a snapshot to the kv-backed
@@ -112,7 +106,6 @@ impl Default for ClusterConfig {
             fetch_timeout: Duration::from_secs(2),
             seed: 0x5eed,
             global_host: 0,
-            global_shards: 1,
             telemetry: crate::telemetry::TelemetryConfig::default(),
             faults: rtml_net::FaultPlan::default(),
         }
@@ -162,12 +155,6 @@ impl ClusterConfig {
         self
     }
 
-    /// Sets the global-scheduler shard count builder-style.
-    pub fn with_global_shards(mut self, shards: usize) -> Self {
-        self.global_shards = shards;
-        self
-    }
-
     /// Replaces the telemetry config builder-style.
     pub fn with_telemetry(mut self, telemetry: crate::telemetry::TelemetryConfig) -> Self {
         self.telemetry = telemetry;
@@ -207,13 +194,10 @@ impl Cluster {
                 config.nodes.len()
             )));
         }
-        for (name, count) in [
-            ("kv_shards", config.kv_shards),
-            ("global_shards", config.global_shards),
-        ] {
-            if count == 0 {
-                return Err(Error::InvalidArgument(format!("{name} must be at least 1")));
-            }
+        if config.kv_shards == 0 {
+            return Err(Error::InvalidArgument(
+                "kv_shards must be at least 1".into(),
+            ));
         }
         // A zero interval would spin every node's scheduler loop.
         let telemetry = &config.telemetry;
@@ -229,13 +213,10 @@ impl Cluster {
             GlobalSchedulerConfig {
                 host_node: NodeId(config.global_host),
                 policy: config.placement,
-                seed: config.seed,
-                shards: config.global_shards,
             },
             services.fabric.clone(),
             services.objects.clone(),
             services.events.clone(),
-            rtml_kv::LoadDigestTable::new(services.kv.clone()),
         );
         // Before any node takes a telemetry sample, so every record has
         // every column.
@@ -250,19 +231,18 @@ impl Cluster {
                 node_config.clone(),
                 &services,
                 &recon,
-                global.routes(),
+                global.address(),
             );
             nodes.insert(node, runtime);
         }
 
-        // Formation barrier: do not hand out drivers until every global
-        // scheduler shard has heard every node's NodeUp (announcements
-        // are broadcast to all shards and pay the fabric's latency).
-        // Without this, an immediate submission burst would see a
-        // one-node cluster.
+        // Formation barrier: do not hand out drivers until the global
+        // scheduler has heard every node's NodeUp (announcements pay the
+        // fabric's latency). Without this, an immediate submission burst
+        // would see a one-node cluster.
         let expected = config.nodes.len();
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while global.nodes_known_min() < expected {
+        while global.stats().nodes_known.load(Ordering::Acquire) < expected {
             if std::time::Instant::now() > deadline {
                 return Err(Error::Timeout);
             }
@@ -287,25 +267,6 @@ impl Cluster {
     /// The lineage-replay coordinator (exposes reconstruction counters).
     pub fn reconstructions(&self) -> u64 {
         self.recon.reconstructions.get()
-    }
-
-    /// Per-shard global-scheduler counters, in shard order: one
-    /// `(spills, placements, parked)` triple per shard. Experiments use
-    /// this to check the keyspace partition actually spreads work.
-    pub fn global_shard_stats(&self) -> Vec<(u64, u64, u64)> {
-        match self.global.lock().as_ref() {
-            Some(global) => (0..global.num_shards())
-                .map(|i| {
-                    let stats = global.shard_stats(i);
-                    (
-                        stats.spills.get(),
-                        stats.placements.get(),
-                        stats.parked.get(),
-                    )
-                })
-                .collect(),
-            None => Vec::new(),
-        }
     }
 
     /// Connects a new driver program (homed on the lowest alive node).
@@ -366,19 +327,15 @@ impl Cluster {
             }
         }
 
-        // Tell every global-scheduler shard via an ephemeral endpoint:
-        // each shard holds its own replica of the node table, so each
-        // must hear the death.
+        // Tell the global scheduler via an ephemeral endpoint.
         if let Some(global) = self.global.lock().as_ref() {
             let from_node = self.services.any_alive().unwrap_or(NodeId(0));
             let endpoint = self.services.fabric.register(from_node, "node-down");
             let frame = rtml_common::codec::encode_to_bytes(&SchedWire::NodeDown { node });
-            for target in global.routes().all() {
-                let _ = self
-                    .services
-                    .fabric
-                    .send(endpoint.address(), *target, frame.clone());
-            }
+            let _ = self
+                .services
+                .fabric
+                .send(endpoint.address(), global.address(), frame);
         }
         Ok(())
     }
@@ -392,16 +349,16 @@ impl Cluster {
         if nodes.contains_key(&node) {
             return Err(Error::InvalidArgument(format!("{node} is alive")));
         }
-        let global_routes = self
+        let global = self
             .global
             .lock()
             .as_ref()
-            .map(|g| g.routes())
+            .map(|g| g.address())
             .ok_or(Error::ShuttingDown)?;
         // A rejoining node starts with a clean health slate: suspicion
         // earned by the dead incarnation does not outlive it.
         self.services.health.forget(node);
-        let runtime = NodeRuntime::build(node, config, &self.services, &self.recon, global_routes);
+        let runtime = NodeRuntime::build(node, config, &self.services, &self.recon, global);
         nodes.insert(node, runtime);
         self.services.events.append(
             node,

@@ -16,9 +16,10 @@ use rtml_common::event::{Component, Event, EventKind};
 use rtml_common::ids::{NodeId, WorkerId};
 use rtml_common::metrics::MetricsRegistry;
 use rtml_common::resources::Resources;
+use rtml_net::NetAddress;
 use rtml_sched::{
-    GlobalRoutes, LocalMsg, LocalScheduler, LocalSchedulerConfig, LocalSchedulerHandle, Replays,
-    RunQueue, SchedServices,
+    LocalMsg, LocalScheduler, LocalSchedulerConfig, LocalSchedulerHandle, Replays, RunQueue,
+    SchedServices,
 };
 use rtml_store::{ObjectStore, StoreConfig};
 
@@ -128,7 +129,7 @@ impl NodeRuntime {
         config: NodeConfig,
         services: &Arc<Services>,
         recon: &Arc<ReconstructionManager>,
-        global: GlobalRoutes,
+        global: NetAddress,
     ) -> NodeRuntime {
         let cluster = &services.config;
         let store = Arc::new(ObjectStore::new(StoreConfig {

@@ -74,7 +74,7 @@ pub struct PlaneSpan {
     pub end_nanos: u64,
     /// How long it took.
     pub micros: u64,
-    /// Short human label ("segment 4096", "shard 2", ...).
+    /// Short human label ("segment 4096", "ingest batch", ...).
     pub label: String,
     /// Structured payload, rendered as Chrome-trace args.
     pub args: Vec<(&'static str, u64)>,
@@ -210,7 +210,6 @@ impl ProfileReport {
                 }),
                 EventKind::PlacementBatch {
                     node,
-                    shard,
                     tasks,
                     micros,
                 } => report.spans.push(PlaneSpan {
@@ -218,8 +217,8 @@ impl ProfileReport {
                     node: *node,
                     end_nanos: event.at_nanos,
                     micros: *micros,
-                    label: format!("shard {shard}"),
-                    args: vec![("tasks", u64::from(*tasks)), ("shard", u64::from(*shard))],
+                    label: String::from("place batch"),
+                    args: vec![("tasks", u64::from(*tasks))],
                 }),
                 EventKind::BatchIngested {
                     node,
@@ -790,7 +789,6 @@ mod tests {
                 component: Component::GlobalScheduler,
                 kind: EventKind::PlacementBatch {
                     node: NodeId(0),
-                    shard: 2,
                     tasks: 32,
                     micros: 200,
                 },

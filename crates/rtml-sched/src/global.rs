@@ -1,4 +1,4 @@
-//! The global scheduler (paper §3.2.2), sharded.
+//! The global scheduler (paper §3.2.2).
 //!
 //! Receives spilled tasks from local schedulers over the fabric, and
 //! places each on a node chosen from cluster-wide information: per-node
@@ -8,50 +8,36 @@
 //! cross-node latency, which is exactly why the hybrid design keeps the
 //! common case local.
 //!
-//! # Sharding
+//! It is one thread at one fabric address. Local schedulers handle the
+//! common case; only spillover reaches it.
 //!
-//! A single global scheduler serializes every placement, capping submit
-//! throughput (requirement R2). The scheduler therefore runs as `K`
-//! independent shards: the **task keyspace** is partitioned by the same
-//! FNV-64 fold that routes every other id in the system
-//! ([`rtml_common::ids::UniqueId::bucket`]), and a local scheduler sends
-//! each spilled task to the shard owning its `TaskId` (see
-//! [`GlobalRoutes`]). Node state (`NodeUp`/`NodeDown`/`Load`) is
-//! broadcast to every shard, so each shard holds a full replica of the
-//! cluster view and places without cross-shard locks.
+//! # What the scheduler sees of a node
 //!
-//! # What a shard sees of a node
+//! Its view of a node is what the node measured, plus what is still on
+//! the wire to it, plus what the current batch just added:
 //!
-//! A shard's view of a node is what the node measured, plus what is
-//! still on the wire to it, plus what the current batch just added:
-//!
-//! - **The report.** Each node sends every shard its [`LoadReport`] in a
-//!   `Load` frame, and a spilling node sends its owning shard a fresh
-//!   one inside the `SpillBatch` itself — so a spill is never placed
-//!   back on its sender against a report up to a
-//!   [`crate::local::LOAD_INTERVAL`] old.
-//!   An older report overtaken on the wire by a newer one is ignored.
-//! - **In flight.** A shard counts the `PlaceBatch` tasks it sent each
-//!   node; the node counts the ones it ingested from each shard and
-//!   returns that count in every frame addressed to the shard, measured
-//!   in the same turn as the report beside it. `sent − ingested` is
-//!   exactly what the report cannot contain yet, so it is added to the
-//!   node's depth until a report shows it ingested — a report measured
-//!   before a batch arrived retires nothing. A frame the fabric lost is
-//!   written off once a report measured `LOST_AFTER` (100 ms) after it
-//!   was sent still does not count it.
+//! - **The report.** Each node sends its [`LoadReport`] in a `Load`
+//!   frame, and a spilling node sends a fresh one inside the
+//!   `SpillBatch` itself — so a spill is never placed back on its
+//!   sender against a report up to a [`crate::local::LOAD_INTERVAL`]
+//!   old. An older report overtaken on the wire by a newer one is
+//!   ignored.
+//! - **In flight.** The scheduler counts the `PlaceBatch` tasks it sent
+//!   each node; the node counts the ones it ingested and returns that
+//!   count in every frame addressed to the scheduler, measured in the
+//!   same turn as the report beside it. `sent − ingested` is exactly
+//!   what the report cannot contain yet, so it is added to the node's
+//!   depth until a report shows it ingested — a report measured before
+//!   a batch arrived retires nothing. A frame the fabric lost is written
+//!   off once a report measured `LOST_AFTER` (100 ms) after it was sent
+//!   still does not count it.
 //! - **The batch.** Each pick is fed back into the batch's view
 //!   ([`LoadView::note_placed`]), so one `SpillBatch` fills nodes as it
 //!   is placed instead of landing on whichever node looked emptiest
 //!   when it arrived.
 //!
 //! Placement is therefore a pure function of the batch and the view it
-//! started from ([`crate::policy`]). What shards *cannot* see is each
-//! other's in-flight placements; the **load digest**
-//! ([`rtml_kv::LoadDigestTable`]) closes that gap: whenever a shard's
-//! in-flight counts change it group-commits them to the kv store, and
-//! every shard folds the sibling digests into its view at the next
-//! batch.
+//! started from ([`crate::policy`]).
 //!
 //! Tasks that currently fit no node (e.g. GPU demand while the only GPU
 //! node is down) are **parked** and retried whenever the cluster view
@@ -64,10 +50,10 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use rtml_common::codec::{decode_from_slice, Codec};
 use rtml_common::collections::{fast_map_with_capacity, FastMap};
 use rtml_common::event::{Component, Event, EventKind};
-use rtml_common::ids::{NodeId, ObjectId, TaskId};
+use rtml_common::ids::{NodeId, ObjectId};
 use rtml_common::metrics::{Counter, MetricsRegistry};
 use rtml_common::task::TaskSpec;
-use rtml_kv::{DigestEntry, EventLog, LoadDigest, LoadDigestTable, ObjectTable};
+use rtml_kv::{EventLog, ObjectTable};
 use rtml_net::{Fabric, NetAddress};
 
 use crate::msg::LoadReport;
@@ -86,8 +72,8 @@ const MAX_INBOUND: usize = 64;
 /// still does not count was lost on the wire: its tasks stop counting.
 const LOST_AFTER: u64 = 100_000_000;
 
-/// This shard's placements onto one node that the node has not reported
-/// ingesting. Counts are over the node's lifetime (reset when it comes
+/// The scheduler's placements onto one node that the node has not
+/// reported ingesting. Counts are over the node's lifetime (reset when it comes
 /// up), because the node's own count is.
 #[derive(Debug, Default)]
 struct InFlight {
@@ -124,10 +110,9 @@ impl InFlight {
         self.frames.push_back((self.sent, at_nanos));
     }
 
-    /// The node reported `ingested` of this shard's tasks in a report
-    /// measured at `at_nanos`. Whether anything retired.
-    fn on_report(&mut self, ingested: u64, at_nanos: u64) -> bool {
-        let before = self.retired;
+    /// The node reported `ingested` of the scheduler's tasks in a report
+    /// measured at `at_nanos`.
+    fn on_report(&mut self, ingested: u64, at_nanos: u64) {
         // A duplicated frame is ingested twice; never retire more than
         // was sent.
         self.retired += ingested.saturating_sub(self.ingested);
@@ -142,94 +127,20 @@ impl InFlight {
         }
         let retired = self.retired;
         self.inbound.retain(|(_, upto)| *upto > retired);
-        self.retired != before
     }
 }
 
 /// Static configuration for the global scheduler.
 #[derive(Clone, Debug)]
 pub struct GlobalSchedulerConfig {
-    /// Node hosting the global scheduler (its fabric endpoints live
+    /// Node hosting the global scheduler (its fabric endpoint lives
     /// there; co-located components reach it without paying latency).
     pub host_node: NodeId,
     /// Placement policy.
     pub policy: PlacementPolicy,
-    /// Seed for randomized policies.
-    pub seed: u64,
-    /// Number of independent scheduler shards (≥ 1). The task keyspace
-    /// is FNV-partitioned across them; every shard sees every node.
-    pub shards: usize,
 }
 
-impl Default for GlobalSchedulerConfig {
-    fn default() -> Self {
-        GlobalSchedulerConfig {
-            host_node: NodeId(0),
-            policy: PlacementPolicy::LocalityAware,
-            seed: 0x5eed,
-            shards: 1,
-        }
-    }
-}
-
-/// Shard routing table handed to every local scheduler: which fabric
-/// address owns which slice of the task keyspace.
-///
-/// Cheap to clone (the address list is shared). Routing uses the same
-/// FNV-64 fold as every other keyspace partition in the system, so a
-/// task's owning shard is a pure function of its id.
-#[derive(Clone, Debug)]
-pub struct GlobalRoutes {
-    addresses: std::sync::Arc<Vec<NetAddress>>,
-}
-
-impl GlobalRoutes {
-    /// Builds routes over the shard addresses, in shard order.
-    pub fn new(addresses: Vec<NetAddress>) -> Self {
-        assert!(!addresses.is_empty(), "at least one global shard");
-        GlobalRoutes {
-            addresses: std::sync::Arc::new(addresses),
-        }
-    }
-
-    /// Routes for an unsharded (K = 1) global scheduler.
-    pub fn single(address: NetAddress) -> Self {
-        GlobalRoutes::new(vec![address])
-    }
-
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.addresses.len()
-    }
-
-    /// The shard owning `task`'s slice of the keyspace.
-    pub fn shard_of(&self, task: TaskId) -> usize {
-        task.bucket(self.addresses.len())
-    }
-
-    /// Fabric address of the shard owning `task`.
-    pub fn address_for(&self, task: TaskId) -> NetAddress {
-        self.addresses[self.shard_of(task)]
-    }
-
-    /// Fabric address of shard `shard`.
-    pub fn address_of(&self, shard: usize) -> NetAddress {
-        self.addresses[shard]
-    }
-
-    /// The shard at fabric address `address`, if it is one.
-    pub(crate) fn shard_at(&self, address: NetAddress) -> Option<usize> {
-        self.addresses.iter().position(|a| *a == address)
-    }
-
-    /// Every shard address, in shard order (broadcast targets for node
-    /// lifecycle and load messages).
-    pub fn all(&self) -> &[NetAddress] {
-        &self.addresses
-    }
-}
-
-/// Aggregate counters for experiments (one instance per shard).
+/// Aggregate counters for experiments.
 #[derive(Debug, Default)]
 pub struct GlobalStats {
     /// Tasks received via spill.
@@ -247,48 +158,26 @@ enum Control {
     Shutdown,
 }
 
-struct ShardHandle {
+/// Running handle over the global scheduler thread.
+pub struct GlobalSchedulerHandle {
     address: NetAddress,
     control: Sender<Control>,
     join: Option<std::thread::JoinHandle<()>>,
     stats: std::sync::Arc<GlobalStats>,
 }
 
-/// Running handle over all global-scheduler shards.
-pub struct GlobalSchedulerHandle {
-    shards: Vec<ShardHandle>,
-    routes: GlobalRoutes,
-}
-
 impl GlobalSchedulerHandle {
-    /// The shard routing table local schedulers spill through.
-    pub fn routes(&self) -> GlobalRoutes {
-        self.routes.clone()
-    }
-
-    /// Fabric address of shard 0 (the primary; with K = 1 this is the
-    /// single global scheduler's address).
+    /// Fabric address local schedulers spill to and report load to.
     pub fn address(&self) -> NetAddress {
-        self.shards[0].address
+        self.address
     }
 
-    /// Number of shards running.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Shard 0's live counters (the whole scheduler's when K = 1).
+    /// Live counters.
     pub fn stats(&self) -> &GlobalStats {
-        &self.shards[0].stats
+        &self.stats
     }
 
-    /// Live counters of shard `shard`.
-    pub fn shard_stats(&self, shard: usize) -> &GlobalStats {
-        &self.shards[shard].stats
-    }
-
-    /// Registers the shards' counters, each summed across shards
-    /// (`global.*`).
+    /// Registers the counters (`global.*`).
     pub fn register_metrics(&self, registry: &MetricsRegistry) {
         type Read = fn(&GlobalStats) -> &Counter;
         let counters: [(&str, Read); 3] = [
@@ -297,35 +186,16 @@ impl GlobalSchedulerHandle {
             ("global.parked", |s| &s.parked),
         ];
         for (name, read) in counters {
-            let shards: Vec<std::sync::Arc<GlobalStats>> =
-                self.shards.iter().map(|s| s.stats.clone()).collect();
-            registry.register_value(name, move || shards.iter().map(|s| read(s).get()).sum());
+            let stats = self.stats.clone();
+            registry.register_value(name, move || read(&stats).get());
         }
     }
 
-    /// The minimum `nodes_known` across shards — the cluster formation
-    /// barrier: every shard must see every node before work is admitted.
-    pub fn nodes_known_min(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.stats
-                    .nodes_known
-                    .load(std::sync::atomic::Ordering::Acquire)
-            })
-            .min()
-            .unwrap_or(0)
-    }
-
-    /// Requests shutdown and joins every shard thread.
+    /// Requests shutdown and joins the scheduler thread.
     pub fn shutdown(&mut self) {
-        for shard in &self.shards {
-            let _ = shard.control.send(Control::Shutdown);
-        }
-        for shard in &mut self.shards {
-            if let Some(join) = shard.join.take() {
-                let _ = join.join();
-            }
+        let _ = self.control.send(Control::Shutdown);
+        if let Some(join) = self.join.take() {
+            let _ = join.join();
         }
     }
 }
@@ -340,86 +210,57 @@ impl Drop for GlobalSchedulerHandle {
 pub struct GlobalScheduler;
 
 impl GlobalScheduler {
-    /// Spawns `config.shards` independent scheduler shard threads.
+    /// Spawns the scheduler thread.
     pub fn spawn(
         config: GlobalSchedulerConfig,
         fabric: std::sync::Arc<Fabric>,
         objects: ObjectTable,
         events: EventLog,
-        digests: LoadDigestTable,
     ) -> GlobalSchedulerHandle {
-        let num_shards = config.shards.max(1);
-        let mut shards = Vec::with_capacity(num_shards);
-        let mut addresses = Vec::with_capacity(num_shards);
-        for shard in 0..num_shards {
-            let endpoint = fabric.register(config.host_node, &format!("global-sched-{shard}"));
-            let address = endpoint.address();
-            addresses.push(address);
-            let (control_tx, control_rx) = unbounded();
-            let stats = std::sync::Arc::new(GlobalStats::default());
-            let stats2 = stats.clone();
-            let config2 = config.clone();
-            let fabric2 = fabric.clone();
-            let objects2 = objects.clone();
-            let events2 = events.clone();
-            let digests2 = digests.clone();
-            let join = std::thread::Builder::new()
-                .name(format!("rtml-gsched-{shard}"))
-                .spawn(move || {
-                    let seed = config2.seed ^ (shard as u64).wrapping_mul(0x9e37_79b9);
-                    let mut core = GlobalCore {
-                        config: config2,
-                        shard: shard as u32,
-                        num_shards,
-                        fabric: fabric2,
-                        objects: objects2,
-                        events: events2,
-                        digests: digests2,
-                        address,
-                        loads: FastMap::default(),
-                        scheds: FastMap::default(),
-                        in_flight: FastMap::default(),
-                        parked: VecDeque::new(),
-                        policy_state: PolicyState::new(seed),
-                        stats: stats2,
-                    };
-                    core.run(endpoint, control_rx);
-                })
-                .expect("spawn global scheduler shard");
-            shards.push(ShardHandle {
-                address,
-                control: control_tx,
-                join: Some(join),
-                stats,
-            });
-        }
+        let endpoint = fabric.register(config.host_node, "global-sched");
+        let address = endpoint.address();
+        let (control_tx, control_rx) = unbounded();
+        let stats = std::sync::Arc::new(GlobalStats::default());
+        let mut core = GlobalCore {
+            config,
+            fabric,
+            objects,
+            events,
+            address,
+            loads: FastMap::default(),
+            scheds: FastMap::default(),
+            in_flight: FastMap::default(),
+            parked: VecDeque::new(),
+            stats: stats.clone(),
+        };
+        let join = std::thread::Builder::new()
+            .name("rtml-gsched".into())
+            .spawn(move || core.run(endpoint, control_rx))
+            .expect("spawn global scheduler");
         GlobalSchedulerHandle {
-            shards,
-            routes: GlobalRoutes::new(addresses),
+            address,
+            control: control_tx,
+            join: Some(join),
+            stats,
         }
     }
 }
 
 struct GlobalCore {
     config: GlobalSchedulerConfig,
-    shard: u32,
-    num_shards: usize,
     fabric: std::sync::Arc<Fabric>,
     objects: ObjectTable,
     events: EventLog,
-    digests: LoadDigestTable,
     address: NetAddress,
     /// Per-node load and reachability. Deterministic FNV maps: layout is
     /// a function of insertion history, and placement never iterates
     /// them without an explicit total order.
     loads: FastMap<NodeId, LoadReport>,
     scheds: FastMap<NodeId, NetAddress>,
-    /// This shard's placements each node has not reported ingesting —
-    /// folded into its own view every batch and published as the load
-    /// digest for sibling shards.
+    /// Placements each node has not reported ingesting, folded into the
+    /// view every batch.
     in_flight: FastMap<NodeId, InFlight>,
     parked: VecDeque<(TaskSpec, u32)>,
-    policy_state: PolicyState,
     stats: std::sync::Arc<GlobalStats>,
 }
 
@@ -435,9 +276,6 @@ impl GlobalCore {
                     Ok(Control::Shutdown) | Err(_) => break,
                 },
             }
-        }
-        if self.num_shards > 1 {
-            self.digests.clear(self.shard);
         }
         self.fabric.unregister(self.address);
     }
@@ -464,7 +302,7 @@ impl GlobalCore {
                 sched_address,
             }) => {
                 // A node (re)starting counts its ingests from zero.
-                self.drop_in_flight(node);
+                self.in_flight.remove(&node);
                 self.scheds
                     .insert(node, NetAddress::from_u64(sched_address));
                 self.update_known();
@@ -479,7 +317,7 @@ impl GlobalCore {
     }
 
     /// A node's report (a `Load` frame, or the one a spill carries),
-    /// with how many of this shard's placements it has ingested.
+    /// with how many of the scheduler's placements it has ingested.
     fn on_load(&mut self, report: LoadReport, ingested: u64) {
         let node = report.node;
         if self
@@ -489,12 +327,8 @@ impl GlobalCore {
         {
             return; // measured no later than the report already applied
         }
-        let retired = self
-            .in_flight
-            .get_mut(&node)
-            .is_some_and(|flight| flight.on_report(ingested, report.at_nanos));
-        if retired {
-            self.publish_digest();
+        if let Some(flight) = self.in_flight.get_mut(&node) {
+            flight.on_report(ingested, report.at_nanos);
         }
         self.loads.insert(node, report);
         self.update_known();
@@ -506,19 +340,11 @@ impl GlobalCore {
     fn forget(&mut self, node: NodeId) {
         self.loads.remove(&node);
         self.scheds.remove(&node);
-        self.drop_in_flight(node);
-    }
-
-    /// Stops counting anything as in flight to `node`.
-    fn drop_in_flight(&mut self, node: NodeId) {
-        if self.in_flight.remove(&node).is_some() {
-            self.publish_digest();
-        }
+        self.in_flight.remove(&node);
     }
 
     /// The view one batch starts from: reachable nodes' reports with
-    /// this shard's own and every sibling's in-flight placements and
-    /// their inbound objects folded in.
+    /// the in-flight placements and their inbound objects folded in.
     fn effective_view(&self) -> LoadView {
         let mut effective: FastMap<NodeId, LoadReport> = fast_map_with_capacity(self.loads.len());
         for (node, report) in &self.loads {
@@ -531,35 +357,7 @@ impl GlobalCore {
             let inbound = flight.inbound.iter().map(|(object, _)| *object);
             view.note_queued(*node, flight.count() as u32, inbound);
         }
-        if self.num_shards > 1 {
-            for digest in self.digests.sweep(self.shard, self.num_shards as u32) {
-                for entry in digest.entries {
-                    view.note_queued(entry.node, entry.in_flight as u32, entry.inbound);
-                }
-            }
-        }
         view
-    }
-
-    /// Publishes this shard's in-flight counts as one group-committed kv
-    /// write so sibling shards can fold them into their next batch's
-    /// view (with one shard there is nobody to tell).
-    fn publish_digest(&self) {
-        if self.num_shards == 1 {
-            return;
-        }
-        let mut entries: Vec<DigestEntry> = self
-            .in_flight
-            .iter()
-            .filter(|(_, flight)| flight.count() > 0)
-            .map(|(node, flight)| DigestEntry {
-                node: *node,
-                in_flight: flight.count(),
-                inbound: flight.inbound.iter().map(|(object, _)| *object).collect(),
-            })
-            .collect();
-        entries.sort_unstable_by_key(|e| e.node);
-        self.digests.publish(self.shard, &LoadDigest { entries });
     }
 
     /// Places a batch of tasks, then coalesces all placements destined
@@ -570,7 +368,7 @@ impl GlobalCore {
     /// Each pick is fed back into the view before the next, so the
     /// batch's placement is a pure function of the batch and the view
     /// it started from: the same batch against the same view places
-    /// identically on every run and in every shard. Equal candidates
+    /// identically on every run. Equal candidates
     /// are spread by the per-task hash inside the policy.
     fn place_batch(&mut self, specs: Vec<TaskSpec>, hops: u32) {
         if specs.is_empty() {
@@ -587,11 +385,13 @@ impl GlobalCore {
         let mut groups: FastMap<NodeId, Vec<TaskSpec>> = FastMap::default();
         let at_nanos = rtml_common::time::now_nanos();
         let mut events = Vec::with_capacity(specs.len() + 1);
+        // Placement is pure: the policy state is never read.
+        let mut state = PolicyState::default();
         for spec in specs {
-            let choice =
-                self.config
-                    .policy
-                    .place(&spec, &view, &self.objects, &mut self.policy_state);
+            let choice = self
+                .config
+                .policy
+                .place(&spec, &view, &self.objects, &mut state);
             match choice {
                 Some(node) => {
                     events.push(Event {
@@ -615,23 +415,19 @@ impl GlobalCore {
             Component::GlobalScheduler,
             EventKind::PlacementBatch {
                 node: self.config.host_node,
-                shard: self.shard,
                 tasks: placed,
                 micros: started.elapsed().as_micros() as u64,
             },
         ));
         self.events.append_many(self.config.host_node, events);
         // Deterministic send order regardless of map layout. Every frame
-        // is counted in flight — and siblings are told — before any is
-        // sent, so no report can count a task before this shard does.
+        // is counted in flight before any is sent, so no report can count
+        // a task before the scheduler does.
         let mut groups: Vec<(NodeId, Vec<TaskSpec>)> = groups.into_iter().collect();
         groups.sort_unstable_by_key(|(node, _)| *node);
         for (node, group) in &groups {
             let flight = self.in_flight.entry(*node).or_default();
             flight.note_sent(group, at_nanos);
-        }
-        if !groups.is_empty() {
-            self.publish_digest();
         }
         for (node, group) in groups {
             let target = *self
@@ -708,26 +504,19 @@ mod tests {
         handle: GlobalSchedulerHandle,
     }
 
-    fn rig_sharded(policy: PlacementPolicy, shards: usize) -> Rig {
+    fn rig(policy: PlacementPolicy) -> Rig {
         let fabric = Fabric::new(FabricConfig::default());
         let kv = KvStore::new(2);
         let handle = GlobalScheduler::spawn(
             GlobalSchedulerConfig {
                 host_node: NodeId(0),
                 policy,
-                seed: 7,
-                shards,
             },
             fabric.clone(),
             ObjectTable::new(kv.clone()),
             EventLog::new(kv.clone()),
-            LoadDigestTable::new(kv.clone()),
         );
         Rig { fabric, kv, handle }
-    }
-
-    fn rig(policy: PlacementPolicy) -> Rig {
-        rig_sharded(policy, 1)
     }
 
     /// A fake node's load: `queue` ready tasks on `total`, measured at
@@ -751,32 +540,30 @@ mod tests {
         }
     }
 
-    /// Announces a fake node to every shard (NodeUp + Load broadcast,
-    /// exactly like a real local scheduler). Its report is stamped 0.
+    /// Announces a fake node (NodeUp + Load in one frame, exactly like a
+    /// real local scheduler). Its report is stamped 0.
     fn fake_node(rig: &Rig, node: NodeId, queue: u32, total: Resources) -> rtml_net::Endpoint {
         let endpoint = rig.fabric.register(node, "fake-local");
-        for target in rig.handle.routes().all() {
-            let up = SchedWire::NodeUp {
-                node,
-                sched_address: endpoint.address().as_u64(),
-            };
-            let load = SchedWire::Load {
-                report: report(&endpoint, queue, total.clone(), 0),
-                ingested: 0,
-            };
-            rig.fabric
-                .send_batch(
-                    endpoint.address(),
-                    *target,
-                    vec![encode_to_bytes(&up), encode_to_bytes(&load)],
-                )
-                .unwrap();
-        }
+        let up = SchedWire::NodeUp {
+            node,
+            sched_address: endpoint.address().as_u64(),
+        };
+        let load = SchedWire::Load {
+            report: report(&endpoint, queue, total, 0),
+            ingested: 0,
+        };
+        rig.fabric
+            .send_batch(
+                endpoint.address(),
+                rig.handle.address(),
+                vec![encode_to_bytes(&up), encode_to_bytes(&load)],
+            )
+            .unwrap();
         endpoint
     }
 
-    /// Sends `specs` from `from` as one spill to the shard owning the
-    /// first, carrying `load` and `ingested`.
+    /// Sends `specs` from `from` as one spill, carrying `load` and
+    /// `ingested`.
     fn spill_batch(
         rig: &Rig,
         from: &rtml_net::Endpoint,
@@ -784,19 +571,18 @@ mod tests {
         ingested: u64,
         specs: Vec<TaskSpec>,
     ) {
-        let target = rig.handle.routes().address_for(specs[0].task_id);
         let msg = SchedWire::SpillBatch {
             specs,
             load,
             ingested,
         };
         rig.fabric
-            .send(from.address(), target, encode_to_bytes(&msg))
+            .send(from.address(), rig.handle.address(), encode_to_bytes(&msg))
             .unwrap();
     }
 
     /// Spills one task. The load it carries is stamped 0, like the
-    /// announcement, so it is not newer than what the shard has: the
+    /// announcement, so it is not newer than what the scheduler has: the
     /// sender keeps the load the test announced for it.
     fn spill(rig: &Rig, from: &rtml_net::Endpoint, spec: TaskSpec) {
         let stale = report(from, 0, Resources::cpu(4.0), 0);
@@ -1191,104 +977,6 @@ mod tests {
         }
         assert_eq!(count1 + count2, 10);
         assert!(count1 >= 3 && count2 >= 3, "skewed: {count1}/{count2}");
-        r.handle.shutdown();
-    }
-
-    #[test]
-    fn routes_partition_and_reach_every_shard() {
-        let mut r = rig_sharded(PlacementPolicy::LeastLoaded, 4);
-        assert_eq!(r.handle.num_shards(), 4);
-        let routes = r.handle.routes();
-        let n1 = fake_node(&r, NodeId(1), 0, Resources::cpu(4.0));
-        let n2 = fake_node(&r, NodeId(2), 0, Resources::cpu(4.0));
-        // Formation: every shard must see both nodes.
-        let deadline = std::time::Instant::now() + Duration::from_secs(2);
-        while r.handle.nodes_known_min() < 2 {
-            assert!(std::time::Instant::now() < deadline, "formation stalled");
-            std::thread::yield_now();
-        }
-        // Spill 32 tasks, each to its owning shard; every one must come
-        // back as a placement on some node.
-        let mut owners = std::collections::BTreeSet::new();
-        for i in 0..32 {
-            let spec = task(i, Resources::cpu(1.0));
-            owners.insert(routes.shard_of(spec.task_id));
-            spill(&r, &n1, spec);
-        }
-        assert!(owners.len() > 1, "expected tasks across multiple shards");
-        let mut placed = 0;
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while placed < 32 {
-            assert!(std::time::Instant::now() < deadline, "placed {placed}/32");
-            for endpoint in [&n1, &n2] {
-                while let Ok(d) = endpoint.receiver().try_recv() {
-                    if let Ok(SchedWire::PlaceBatch { specs, .. }) = decode_from_slice(&d.payload) {
-                        placed += specs.len();
-                    }
-                }
-            }
-            std::thread::yield_now();
-        }
-        let registry = MetricsRegistry::new();
-        r.handle.register_metrics(&registry);
-        assert_eq!(registry.get("global.spills"), Some(32));
-        assert_eq!(registry.get("global.placements"), Some(32));
-        // Every shard that owned tasks actually placed some.
-        for shard in owners {
-            assert!(
-                r.handle.shard_stats(shard).placements.get() > 0,
-                "shard {shard} idle"
-            );
-        }
-        r.handle.shutdown();
-    }
-
-    #[test]
-    fn sibling_digest_steers_next_batch_away() {
-        // Shard 0 places a burst onto the single idle node and publishes
-        // its digest; shard 1's next batch must see that node as loaded
-        // and prefer the other one.
-        let mut r = rig_sharded(PlacementPolicy::LeastLoaded, 2);
-        let routes = r.handle.routes();
-        let n1 = fake_node(&r, NodeId(1), 0, Resources::cpu(4.0));
-        let _n2 = fake_node(&r, NodeId(2), 4, Resources::cpu(4.0));
-        let deadline = std::time::Instant::now() + Duration::from_secs(2);
-        while r.handle.nodes_known_min() < 2 {
-            assert!(std::time::Instant::now() < deadline, "formation stalled");
-            std::thread::yield_now();
-        }
-        // Find task ids owned by each shard.
-        let mut shard0 = Vec::new();
-        let mut shard1 = Vec::new();
-        for i in 0..64 {
-            let spec = task(i, Resources::cpu(1.0));
-            match routes.shard_of(spec.task_id) {
-                0 => shard0.push(spec),
-                _ => shard1.push(spec),
-            }
-        }
-        // One batch of 8 tasks through shard 0: all land somewhere and
-        // the digest records them.
-        let batch: Vec<TaskSpec> = shard0.drain(..).take(8).collect();
-        spill_batch(&r, &n1, report(&n1, 0, Resources::cpu(4.0), 0), 0, batch);
-        wait_counter(&r.handle.shard_stats(0).placements, 8);
-        // Shard 1 now places one task; its view folds shard 0's digest,
-        // so node 1's effective depth is 0 + placements(n1), node 2's is
-        // 4 + placements(n2). Whatever the split, placements happened
-        // and shard 1 still places successfully.
-        spill(&r, &n1, shard1.remove(0));
-        let deadline = std::time::Instant::now() + Duration::from_secs(2);
-        while r.handle.shard_stats(1).placements.get() < 1 {
-            assert!(std::time::Instant::now() < deadline, "shard 1 never placed");
-            std::thread::yield_now();
-        }
-        // The digest itself is readable: no node has reported ingesting
-        // any of the eight, so all are in flight.
-        let digests = LoadDigestTable::new(r.kv.clone());
-        let seen = digests.sweep(1, 2);
-        assert_eq!(seen.len(), 1, "shard 0 digest missing");
-        let in_flight: u64 = seen[0].entries.iter().map(|e| e.in_flight).sum();
-        assert_eq!(in_flight, 8);
         r.handle.shutdown();
     }
 }

@@ -43,9 +43,7 @@ pub mod spill;
 pub mod wire;
 
 pub use admit::LocalSubmitter;
-pub use global::{
-    GlobalRoutes, GlobalScheduler, GlobalSchedulerConfig, GlobalSchedulerHandle, GlobalStats,
-};
+pub use global::{GlobalScheduler, GlobalSchedulerConfig, GlobalSchedulerHandle, GlobalStats};
 pub use health::{HealthTracker, REPORT_STALE_AFTER};
 pub use local::{
     LocalScheduler, LocalSchedulerConfig, LocalSchedulerHandle, LocalSchedulerStats, SchedServices,

@@ -126,10 +126,9 @@ pub struct SchedServices {
     pub directory: Arc<TransferDirectory>,
     /// This node's object store.
     pub store: Arc<ObjectStore>,
-    /// Shard routing for the global scheduler: spilled tasks go to the
-    /// shard owning their id; node lifecycle and load reports are
-    /// broadcast to every shard.
-    pub global: crate::global::GlobalRoutes,
+    /// The global scheduler's address: spilled tasks, node lifecycle
+    /// and load reports go there.
+    pub global: NetAddress,
     /// Peer health view: ranks the holders dependencies are pulled from
     /// and is told how each request went.
     pub health: Arc<HealthTracker>,
@@ -386,8 +385,6 @@ impl LocalScheduler {
                 fetch_timeout: config.fetch_timeout,
             },
         );
-        let ingested = vec![0; services.global.num_shards()];
-
         let join = std::thread::Builder::new()
             .name(format!("rtml-lsched-{node}"))
             .spawn(move || {
@@ -406,7 +403,7 @@ impl LocalScheduler {
                     plane,
                     published: None,
                     last_load: Instant::now() - Duration::from_secs(1),
-                    ingested,
+                    ingested: 0,
                 };
                 core.announce();
                 let closed = core.run(&rx, &endpoint, seal_rx, fetch_rx);
@@ -475,17 +472,16 @@ pub(crate) struct Core {
     /// The node's object plane: handles the frames of this loop's
     /// mailbox that are not the scheduler's.
     pub(crate) plane: PlaneCore,
-    /// The load report last published, with the total of `ingested` it
-    /// went out with. Workers take and finish tasks without telling this
-    /// loop, so a report goes out when the node's load *reads*
-    /// different, not when the loop did something.
+    /// The load report last published, with the `ingested` it went out
+    /// with. Workers take and finish tasks without telling this loop, so
+    /// a report goes out when the node's load *reads* different, not
+    /// when the loop did something.
     pub(crate) published: Option<(LoadReport, u64)>,
     pub(crate) last_load: Instant,
-    /// `PlaceBatch` tasks ingested from each global shard, ever: each
-    /// load frame — and each spill — addressed to a shard carries its
-    /// count, so the shard knows which of its placements the report
-    /// beside it contains.
-    pub(crate) ingested: Vec<u64>,
+    /// `PlaceBatch` tasks ingested from the global scheduler, ever: each
+    /// load frame — and each spill — carries the count, so the scheduler
+    /// knows which of its placements the report beside it contains.
+    pub(crate) ingested: u64,
 }
 
 impl Core {
@@ -589,27 +585,24 @@ impl Core {
             .kv
             .set(load_key(self.config.node), encode_to_bytes(&report));
         // NodeUp and the first load report travel as one coalesced
-        // frame per shard: every global shard learns reachability and
-        // capacity together (one hop), so the formation barrier never
-        // observes a node that is reachable but loadless.
-        let up = encode_to_bytes(&up);
-        for (shard, target) in self.services.global.all().iter().enumerate() {
-            let load = self.load_frame(shard, &report);
-            let _ = self
-                .services
-                .fabric
-                .send_batch(self.address, *target, vec![up.clone(), load]);
-        }
+        // frame: the global scheduler learns reachability and capacity
+        // together (one hop), so the formation barrier never observes a
+        // node that is reachable but loadless.
+        let frames = vec![encode_to_bytes(&up), self.load_frame(&report)];
+        let _ = self
+            .services
+            .fabric
+            .send_batch(self.address, self.services.global, frames);
         self.published = Some((report, 0));
         self.last_load = Instant::now();
     }
 
-    /// `report` as a `Load` frame for global shard `shard`, with how
-    /// many of that shard's placements it contains.
-    fn load_frame(&self, shard: usize, report: &LoadReport) -> bytes::Bytes {
+    /// `report` as a `Load` frame, with how many of the global
+    /// scheduler's placements it contains.
+    fn load_frame(&self, report: &LoadReport) -> bytes::Bytes {
         encode_to_bytes(&SchedWire::Load {
             report: report.clone(),
-            ingested: self.ingested[shard],
+            ingested: self.ingested,
         })
     }
 
@@ -629,8 +622,8 @@ impl Core {
             Ok(SchedWire::PlaceBatch { specs, hops: _ }) => {
                 // Counted before the ingest, which may spill an infeasible
                 // task on: the count and the spill's report then agree.
-                if let Some(shard) = self.services.global.shard_at(from) {
-                    self.ingested[shard] += specs.len() as u64;
+                if from == self.services.global {
+                    self.ingested += specs.len() as u64;
                 }
                 self.on_submit_batch(specs, true)
             }
@@ -769,10 +762,10 @@ impl Core {
         // staleness as death evidence, and an idle-but-alive node must
         // not look like a ghost.
         let heartbeat = elapsed >= self.config.load_interval.saturating_mul(16);
-        // A shard counts its placements here as in flight until a report
-        // says they were ingested, so an ingest is news even when the
-        // load reads the same as before it.
-        let ingested: u64 = self.ingested.iter().sum();
+        // The global scheduler counts its placements here as in flight
+        // until a report says they were ingested, so an ingest is news
+        // even when the load reads the same as before it.
+        let ingested = self.ingested;
         let load = |r: &LoadReport| (r.ready, r.waiting, r.running, r.idle_workers);
         let same = |(last, last_ingested): &(LoadReport, u64)| {
             load(last) == load(&report)
@@ -803,11 +796,12 @@ impl Core {
         self.services
             .kv
             .set(load_key(self.config.node), encode_to_bytes(&report));
-        for (shard, target) in self.services.global.all().iter().enumerate() {
-            let load = self.load_frame(shard, &report);
-            let _ = self.services.fabric.send(self.address, *target, load);
-        }
-        self.published = Some((report, self.ingested.iter().sum()));
+        let load = self.load_frame(&report);
+        let _ = self
+            .services
+            .fabric
+            .send(self.address, self.services.global, load);
+        self.published = Some((report, self.ingested));
         self.last_load = Instant::now();
     }
 }
@@ -883,7 +877,7 @@ mod tests {
             fabric,
             directory,
             store,
-            global: crate::global::GlobalRoutes::single(global_endpoint.address()),
+            global: global_endpoint.address(),
             health: HealthTracker::new(kv.clone(), REPORT_STALE_AFTER),
             reconstruct: Arc::new(|_| {}),
             request_worker: Arc::new(|| {}),
@@ -1350,7 +1344,7 @@ mod tests {
             fabric,
             directory,
             store: store0.clone(),
-            global: crate::global::GlobalRoutes::single(global.address()),
+            global: global.address(),
             health: HealthTracker::new(kv.clone(), Duration::from_millis(100)),
             reconstruct: Arc::new(|_| {}),
             request_worker: Arc::new(|| {}),
@@ -1432,7 +1426,7 @@ mod tests {
             fabric,
             directory,
             store: store_local.clone(),
-            global: crate::global::GlobalRoutes::single(global.address()),
+            global: global.address(),
             health: HealthTracker::new(kv.clone(), Duration::from_millis(100)),
             reconstruct: Arc::new(|_| {}),
             request_worker: Arc::new(|| {}),
@@ -2101,7 +2095,7 @@ mod tests {
             fabric,
             directory,
             store,
-            global: crate::global::GlobalRoutes::single(global.address()),
+            global: global.address(),
             health: HealthTracker::new(kv.clone(), Duration::from_millis(100)),
             reconstruct: Arc::new(move |replays| {
                 for (obj, _) in replays {

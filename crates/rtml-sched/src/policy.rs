@@ -3,7 +3,7 @@
 //! The paper (§3.2.2): "Global schedulers can then assign tasks to local
 //! schedulers based on global information about factors including object
 //! locality and resource availability." [`PlacementPolicy::LocalityAware`]
-//! is that design; the alternatives are ablation baselines.
+//! is that design; [`PlacementPolicy::LeastLoaded`] ignores locality.
 //!
 //! `LocalityAware` ranks a candidate by two things, in this order:
 //!
@@ -31,18 +31,17 @@
 //! starts fetching within the burst's first placements, and no node is
 //! given a second wave before every node has a first.
 //!
-//! Placement for the paper policies ([`PlacementPolicy::LocalityAware`],
-//! [`PlacementPolicy::LeastLoaded`]) is a **pure function** of the task
-//! spec, the [`LoadView`] and the object table, and a batch's placement
+//! Placement is a **pure function** of the task spec, the [`LoadView`]
+//! and the object table, and a batch's placement
 //! is a pure function of the batch and the view it started from: the
 //! caller feeds each pick back with [`LoadView::note_placed`] — one
 //! more task queued on that node, its dependencies inbound there — so
 //! the batch's later tasks see the load its earlier ones created, and
 //! a spilled burst fills nodes as it is placed instead of landing on
 //! whichever node one frozen snapshot made look emptiest. The same
-//! batch against the same view places identically on every run and in
-//! every shard. Exact ties are spread by a deterministic per-task FNV
-//! hash, so equal nodes share a burst without any other state.
+//! batch against the same view places identically on every run. Exact
+//! ties are spread by a deterministic per-task FNV hash, so equal nodes
+//! share a burst without any other state.
 
 use std::collections::BTreeSet;
 
@@ -59,47 +58,29 @@ use crate::msg::LoadReport;
 pub const DEFAULT_TOP_K: usize = 16;
 
 /// How the global scheduler picks a node for a spilled task.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum PlacementPolicy {
     /// Fewest full waves of queued work ahead of the task, then fewest
     /// argument bytes to move (sealed or inbound counts as there); ties
     /// by a deterministic per-task hash. The paper's design.
+    #[default]
     LocalityAware,
     /// Pick among the fitting nodes with the shallowest queues.
     LeastLoaded,
-    /// Rotate over fitting nodes, ignoring load and locality. Stateful:
-    /// not invariant under scheduler sharding (each shard has its own
-    /// cursor) — ablation baseline only.
-    RoundRobin,
-    /// Sample two fitting nodes, keep the less loaded ("power of two
-    /// choices") — a classic low-state alternative. Stateful like
-    /// [`PlacementPolicy::RoundRobin`]; not shard-invariant.
-    PowerOfTwo,
 }
 
-impl Default for PlacementPolicy {
-    fn default() -> Self {
-        PlacementPolicy::LocalityAware
-    }
-}
-
-/// Mutable state a policy carries across decisions (only the ablation
-/// baselines use it; the paper policies are pure).
+/// Seeded random state for [`choose_victim`]'s sampling. Placement
+/// itself is pure and never reads it.
 #[derive(Debug, Default)]
 pub struct PolicyState {
-    /// Round-robin cursor.
-    pub cursor: usize,
-    /// Deterministic RNG state for sampling policies.
+    /// Deterministic RNG state.
     pub rng: u64,
 }
 
 impl PolicyState {
-    /// Creates state with a fixed seed for reproducible placements.
+    /// Creates state with a fixed seed for reproducible choices.
     pub fn new(seed: u64) -> Self {
-        PolicyState {
-            cursor: 0,
-            rng: seed | 1,
-        }
+        PolicyState { rng: seed | 1 }
     }
 
     fn next_rand(&mut self) -> u64 {
@@ -211,7 +192,7 @@ impl LoadView {
             .filter_map(|(_, n)| self.reports.get(n))
     }
 
-    /// Every known report (full-scan fallback and ablation baselines).
+    /// Every known report (the full-scan fallback).
     pub fn all(&self) -> impl Iterator<Item = &LoadReport> {
         self.reports.values()
     }
@@ -254,15 +235,14 @@ impl PlacementPolicy {
     /// capacity fits the demand (the task must be parked until the
     /// cluster changes).
     ///
-    /// For `LocalityAware` and `LeastLoaded` the choice is a pure
-    /// function of `(spec, view)` — `state` is untouched — which is the
-    /// invariant the sharded global scheduler relies on.
+    /// The choice is a pure function of `(spec, view)` and the object
+    /// table; the policy state is not read.
     pub fn place(
         &self,
         spec: &TaskSpec,
         view: &LoadView,
         objects: &ObjectTable,
-        state: &mut PolicyState,
+        _state: &mut PolicyState,
     ) -> Option<NodeId> {
         match self {
             PlacementPolicy::LocalityAware => {
@@ -328,25 +308,6 @@ impl PlacementPolicy {
                 }
                 pick_spread(&ranked, spec.task_id)
             }
-            PlacementPolicy::RoundRobin => {
-                let fitting = sorted_fitting(spec, view);
-                if fitting.is_empty() {
-                    return None;
-                }
-                let pick = fitting[state.cursor % fitting.len()];
-                state.cursor = state.cursor.wrapping_add(1);
-                Some(pick)
-            }
-            PlacementPolicy::PowerOfTwo => {
-                let fitting = sorted_fitting(spec, view);
-                if fitting.is_empty() {
-                    return None;
-                }
-                let a = fitting[(state.next_rand() as usize) % fitting.len()];
-                let b = fitting[(state.next_rand() as usize) % fitting.len()];
-                let depth = |n: NodeId| view.get(n).map_or(u32::MAX, LoadReport::queue_depth);
-                Some(if depth(a) <= depth(b) { a } else { b })
-            }
         }
     }
 }
@@ -360,18 +321,6 @@ fn fitting_depths<'a>(
         .filter(|l| l.total.fits(&spec.resources))
         .map(|l| (l.queue_depth(), l.node))
         .collect()
-}
-
-/// Fitting nodes in ascending node order — the stable indexable list the
-/// stateful baselines cycle/sample over.
-fn sorted_fitting(spec: &TaskSpec, view: &LoadView) -> Vec<NodeId> {
-    let mut fitting: Vec<NodeId> = view
-        .all()
-        .filter(|l| l.total.fits(&spec.resources))
-        .map(|l| l.node)
-        .collect();
-    fitting.sort_unstable();
-    fitting
 }
 
 /// Picks the most loaded of `candidates` by power-of-two choices (classic
@@ -646,57 +595,6 @@ mod tests {
             PlacementPolicy::LocalityAware.place(&spec, &v, &objects, &mut state),
             Some(NodeId(1))
         );
-    }
-
-    #[test]
-    fn round_robin_cycles() {
-        let v = view([
-            load(0, 0, Resources::cpu(4.0)),
-            load(1, 0, Resources::cpu(4.0)),
-            load(2, 0, Resources::cpu(4.0)),
-        ]);
-        let objects = ObjectTable::new(KvStore::new(1));
-        let mut state = PolicyState::new(1);
-        let picks: Vec<_> = (0..6)
-            .map(|_| {
-                PlacementPolicy::RoundRobin
-                    .place(&cpu_task(vec![]), &v, &objects, &mut state)
-                    .unwrap()
-            })
-            .collect();
-        assert_eq!(
-            picks,
-            vec![
-                NodeId(0),
-                NodeId(1),
-                NodeId(2),
-                NodeId(0),
-                NodeId(1),
-                NodeId(2)
-            ]
-        );
-    }
-
-    #[test]
-    fn power_of_two_prefers_less_loaded_on_average() {
-        let v = view([
-            load(0, 100, Resources::cpu(4.0)),
-            load(1, 0, Resources::cpu(4.0)),
-        ]);
-        let objects = ObjectTable::new(KvStore::new(1));
-        let mut state = PolicyState::new(42);
-        let mut node1_picks = 0;
-        for _ in 0..100 {
-            if PlacementPolicy::PowerOfTwo
-                .place(&cpu_task(vec![]), &v, &objects, &mut state)
-                .unwrap()
-                == NodeId(1)
-            {
-                node1_picks += 1;
-            }
-        }
-        // Picks node 1 unless both samples land on node 0 (~25%).
-        assert!(node1_picks > 60, "node1_picks={node1_picks}");
     }
 
     #[test]

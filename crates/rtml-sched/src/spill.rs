@@ -85,66 +85,52 @@ impl SpillMode {
 /// The scheduler's side of a spill decision.
 impl Core {
     /// Forwards a whole batch of spilling tasks to the global scheduler
-    /// as one `SpillBatch` frame per owning shard: one state group
-    /// commit, one fabric hop. The tasks' `TaskSpilled` events are in
-    /// the frame [`Core::on_submit_batch`] wrote for their batch, or in
-    /// the one `on_sealed` wrote when they became runnable. Each
-    /// frame carries this node's load as of now, with the batch's
-    /// accepted tasks in it and its spilled ones not, so the shard
-    /// places the batch against the sender's present load rather than
-    /// its last published report.
+    /// as one `SpillBatch` frame: one state group commit, one fabric
+    /// hop. The tasks' `TaskSpilled` events are in the frame
+    /// [`Core::on_submit_batch`] wrote for their batch, or in the one
+    /// `on_sealed` wrote when they became runnable. The frame carries
+    /// this node's load as of now, with the batch's accepted tasks in it
+    /// and its spilled ones not, so the global scheduler places the
+    /// batch against the sender's present load rather than its last
+    /// published report.
     pub(crate) fn spill_batch(&mut self, specs: Vec<TaskSpec>) {
         let node = self.config.node;
         let ids: Vec<TaskId> = specs.iter().map(|s| s.task_id).collect();
         self.services
             .tasks
             .set_states_many(&ids, &TaskState::Spilled);
-        let load = self.load_report();
-        // Partition the batch by owning global shard (the FNV-64 task
-        // keyspace split) and send one coalesced frame per shard. With
-        // one shard this degenerates to the old single-frame path.
-        let routes = self.services.global.clone();
-        let num_shards = routes.num_shards();
-        let mut groups: Vec<Vec<TaskSpec>> = vec![Vec::new(); num_shards];
-        for spec in specs {
-            groups[routes.shard_of(spec.task_id)].push(spec);
+        // Pre-size the frame: ~96 bytes per spec avoids the doubling
+        // series on large spilled bursts.
+        let mut w = rtml_common::codec::Writer::with_capacity(96 + 96 * specs.len());
+        let msg = SchedWire::SpillBatch {
+            specs,
+            load: self.load_report(),
+            ingested: self.ingested,
+        };
+        msg.encode(&mut w);
+        if self
+            .services
+            .fabric
+            .send(self.address, self.services.global, w.into_bytes())
+            .is_ok()
+        {
+            return;
         }
-        for (shard, group) in groups.into_iter().enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            // Pre-size the frame: ~96 bytes per spec avoids the doubling
-            // series on large spilled bursts.
-            let mut w = rtml_common::codec::Writer::with_capacity(96 + 96 * group.len());
-            let msg = SchedWire::SpillBatch {
-                specs: group,
-                load: load.clone(),
-                ingested: self.ingested[shard],
-            };
-            msg.encode(&mut w);
-            if self
-                .services
-                .fabric
-                .send(self.address, routes.address_of(shard), w.into_bytes())
-                .is_err()
-            {
-                // No global scheduler (shutdown race). Keep whatever work
-                // this node can possibly run rather than losing it.
-                let SchedWire::SpillBatch { specs: group, .. } = msg else {
-                    unreachable!("constructed above")
-                };
-                for spec in group {
-                    if self.config.total_resources.fits(&spec.resources) {
-                        self.services
-                            .tasks
-                            .set_state(spec.task_id, &TaskState::Queued(node));
-                        self.queue.push(vec![spec.into()]);
-                    } else {
-                        self.services
-                            .tasks
-                            .set_state(spec.task_id, &TaskState::Lost);
-                    }
-                }
+        // No global scheduler (shutdown race). Keep whatever work this
+        // node can possibly run rather than losing it.
+        let SchedWire::SpillBatch { specs, .. } = msg else {
+            unreachable!("constructed above")
+        };
+        for spec in specs {
+            if self.config.total_resources.fits(&spec.resources) {
+                self.services
+                    .tasks
+                    .set_state(spec.task_id, &TaskState::Queued(node));
+                self.queue.push(vec![spec.into()]);
+            } else {
+                self.services
+                    .tasks
+                    .set_state(spec.task_id, &TaskState::Lost);
             }
         }
     }

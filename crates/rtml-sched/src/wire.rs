@@ -13,13 +13,13 @@ use crate::msg::LoadReport;
 /// them apart by the first byte (`rtml_store::PlaneCore::takes`).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SchedWire {
-    /// Local → global: periodic load report, addressed to one shard.
+    /// Local → global: periodic load report.
     Load {
         /// The node's load as measured.
         report: LoadReport,
-        /// `PlaceBatch` tasks the node has ingested from the shard this
-        /// frame is addressed to, ever — measured in the same turn as
-        /// `report`, so every one of them is in it.
+        /// `PlaceBatch` tasks the node has ingested from the global
+        /// scheduler, ever — measured in the same turn as `report`, so
+        /// every one of them is in it.
         ingested: u64,
     },
     /// A node joined or recovered; `sched_address` is the raw fabric
@@ -45,7 +45,7 @@ pub enum SchedWire {
         specs: Vec<TaskSpec>,
         /// The sender's load, the spilled tasks already gone from it.
         load: LoadReport,
-        /// As in [`SchedWire::Load`], for the shard addressed.
+        /// As in [`SchedWire::Load`].
         ingested: u64,
     },
     /// Global → local: "run these tasks on your node" — the placements
@@ -264,7 +264,6 @@ mod tests {
             },
             EventKind::PlacementBatch {
                 node: n,
-                shard: 3,
                 tasks: 256,
                 micros: 9,
             },

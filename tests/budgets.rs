@@ -1,10 +1,10 @@
 //! Per-operation budgets: what one operation may cost in counted units
 //! (kv locks, heap bytes retained, heap allocations, spec-index
-//! entries, node-loop wake-ups), checked on every `cargo test` rather
-//! than left to a benchmark. Real threads race, so a count jitters:
-//! each budget sits above the worst run seen, by the margin its
-//! constant states, and only ever goes down. A change that lowers a
-//! count lowers its budget with it.
+//! entries, node-loop wake-ups, fabric frames), checked on every
+//! `cargo test` rather than left to a benchmark. Real threads race, so
+//! a count jitters: each budget sits above the worst run seen, by the
+//! margin its constant states, and only ever goes down. A change that
+//! lowers a count lowers its budget with it.
 //!
 //! The binary counts the heap with its own global allocator, and every
 //! test takes [`SERIAL`] first, so the heap counts belong to the test
@@ -318,6 +318,47 @@ fn a_burst_wakes_the_node_loop_for_none_of_its_worker_parks() {
     assert!(
         wake_ups == 0,
         "{wake_ups} loop wake-ups for {ROUNDS} bursts and {parks} worker parks"
+    );
+    cluster.shutdown();
+}
+
+/// Most fabric frames a remote round trip may send: `submit1` on node
+/// 0, pinned by a custom resource to node 1, then `get` on node 0. The
+/// task spills to the global scheduler in one frame, is placed on node
+/// 1 in one, and its result is pushed back to node 0 in one; load
+/// reports land beside some round trips. The worst of 20 runs on a
+/// 2-vCPU host (4.02 frames; they read 3.50–4.02) plus 10 %: a second
+/// frame per spill reads ≥ 4.5.
+const REMOTE_FRAMES: f64 = 4.42;
+
+#[test]
+fn a_remote_round_trip_sends_no_more_frames_than_its_budget() {
+    let _serial = serial();
+    let cluster = Cluster::start(ClusterConfig {
+        nodes: vec![
+            NodeConfig::cpu_only(1),
+            NodeConfig::cpu_only(1).with_custom("pin", 1.0),
+        ],
+        ..ClusterConfig::default()
+    })
+    .unwrap();
+    let inc = cluster.register_fn1("remote_inc", |x: u64| Ok(x + 1));
+    let driver = cluster.driver();
+    let pinned = || TaskOptions::resources(Resources::cpu(1.0).with_custom("pin", 1.0));
+    let round_trip = |x: u64| {
+        let fut = driver.submit1_opts(&inc, x, pinned()).unwrap();
+        assert_eq!(driver.get(&fut).unwrap(), x + 1);
+    };
+    let sent = || cluster.counters().get("fabric.sent").unwrap();
+    (0..200).for_each(round_trip);
+    const ROUNDS: u64 = 2_000;
+    let before = sent();
+    (200..200 + ROUNDS).for_each(round_trip);
+    let per_round_trip = (sent() - before) as f64 / ROUNDS as f64;
+    println!("a remote round trip: {per_round_trip:.3} frames");
+    assert!(
+        per_round_trip <= REMOTE_FRAMES,
+        "{per_round_trip:.3} frames a remote round trip, budget {REMOTE_FRAMES}"
     );
     cluster.shutdown();
 }

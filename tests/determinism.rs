@@ -179,83 +179,11 @@ fn event_log_timeline_is_causally_ordered() {
 }
 
 #[test]
-fn global_sharding_changes_who_places_never_what_runs() {
-    // The same spill-heavy workload with K = 1, 2, and 4 global-scheduler
-    // shards must produce bit-identical checksums: sharding partitions
-    // the placement keyspace (who decides), never values or results.
-    // Aggressive spill forces every submission through the global
-    // scheduler so the shards actually arbitrate placement. Rollouts
-    // take ~1 ms (slept, not spun), so each iteration's burst of eight
-    // finds the two local workers busy and spills most of itself
-    // whatever the machine's timing — with free rollouts the spill
-    // count was a race (0–14 of 27 tasks) and "more than one shard
-    // placed" failed a few runs in a hundred.
-    let config = RlConfig {
-        rollouts: 8,
-        frames_per_task: 4,
-        frame_cost: Duration::from_micros(250),
-        iterations: 3,
-        policy_kernel_cost: Duration::ZERO,
-        ..RlConfig::default()
-    };
-    let run = |shards: usize| {
-        let cluster = Cluster::start(
-            ClusterConfig {
-                nodes: (0..3).map(|_| NodeConfig::cpu_only(2)).collect(),
-                spill: SpillMode::Hybrid { queue_threshold: 0 },
-                ..ClusterConfig::default()
-            }
-            .with_global_shards(shards),
-        )
-        .unwrap();
-        let funcs = RlFuncs::register(&cluster);
-        let driver = cluster.driver();
-        let result = rl::run_rtml(&config, &driver, &funcs, false).unwrap();
-        let counters = cluster.counters();
-        let spills = counters.get("global.spills").unwrap();
-        let placements = counters.get("global.placements").unwrap();
-        let per_shard = cluster.global_shard_stats();
-        cluster.shutdown();
-        (
-            result.checksum,
-            result.total_reward_bits,
-            spills,
-            placements,
-            per_shard,
-        )
-    };
-    let (sum1, bits1, spills1, placements1, shards1) = run(1);
-    assert!(
-        spills1 > 0,
-        "spill-heavy run must reach the global scheduler"
-    );
-    assert!(placements1 > 0);
-    assert_eq!(shards1.len(), 1);
-    for k in [2usize, 4] {
-        let (sum_k, bits_k, spills_k, placements_k, shards_k) = run(k);
-        assert_eq!((sum_k, bits_k), (sum1, bits1), "K={k} changed results");
-        assert!(spills_k > 0);
-        assert_eq!(shards_k.len(), k);
-        // The keyspace partition spreads arbitration: with this many
-        // tasks, more than one shard must have placed work.
-        let active = shards_k.iter().filter(|(_, p, _)| *p > 0).count();
-        assert!(active > 1, "K={k}: only {active} shard(s) placed");
-        assert_eq!(
-            shards_k.iter().map(|(_, p, _)| *p).sum::<u64>(),
-            placements_k,
-            "per-shard placements must sum to the total"
-        );
-    }
-}
-
-#[test]
-fn determinism_matrix_over_planes_and_shard_counts() {
-    // The safety matrix for the two ways work moves between nodes: the
-    // spill rule {hybrid, always, never} x K in {1, 4} global shards —
-    // every cell must produce the same bit-identical result. Spill and
-    // placement change where tasks run and where bytes live; neither
-    // may change what runs. (Under `NeverSpill` nothing reaches a shard,
-    // so K is not varied there.)
+fn determinism_matrix_over_spill_rules() {
+    // The safety matrix for the way work moves between nodes: the spill
+    // rule {hybrid, always, never} — every cell must produce the same
+    // bit-identical result. Spill and placement change where tasks run
+    // and where bytes live; neither may change what runs.
     let config = RlConfig {
         rollouts: 6,
         frames_per_task: 3,
@@ -264,15 +192,14 @@ fn determinism_matrix_over_planes_and_shard_counts() {
         policy_kernel_cost: Duration::ZERO,
         ..RlConfig::default()
     };
-    let run = |spill: SpillMode, shards: usize| {
+    let run = |spill: SpillMode| {
         let cluster = Cluster::start(
             ClusterConfig {
                 nodes: (0..3).map(|_| NodeConfig::cpu_only(2)).collect(),
                 spill,
                 ..ClusterConfig::default()
             }
-            .with_latency(LatencyModel::Constant(Duration::from_micros(100)))
-            .with_global_shards(shards),
+            .with_latency(LatencyModel::Constant(Duration::from_micros(100))),
         )
         .unwrap();
         let funcs = RlFuncs::register(&cluster);
@@ -281,18 +208,12 @@ fn determinism_matrix_over_planes_and_shard_counts() {
         cluster.shutdown();
         (result.checksum, result.total_reward_bits)
     };
-    let hybrid = SpillMode::Hybrid { queue_threshold: 1 };
-    let reference = run(hybrid.clone(), 1);
-    for (spill, shards) in [
-        (hybrid, 4),
-        (SpillMode::AlwaysSpill, 1),
-        (SpillMode::AlwaysSpill, 4),
-        (SpillMode::NeverSpill, 1),
-    ] {
+    let reference = run(SpillMode::Hybrid { queue_threshold: 1 });
+    for spill in [SpillMode::AlwaysSpill, SpillMode::NeverSpill] {
         assert_eq!(
-            run(spill.clone(), shards),
+            run(spill.clone()),
             reference,
-            "matrix cell diverged: spill={spill:?} K={shards}"
+            "matrix cell diverged: spill={spill:?}"
         );
     }
 }

@@ -822,162 +822,6 @@ proptest! {
         stop.store(true, std::sync::atomic::Ordering::Relaxed);
         writer.join().unwrap();
     }
-
-    // ---- sharded global scheduler (PR 6) ---------------------------
-
-    /// FNV shard routing partitions the task keyspace: for every shard
-    /// count K, each task id is owned by exactly one shard, the owner is
-    /// in range, and the assignment is a pure function of the id.
-    #[test]
-    fn shard_routing_partitions_the_keyspace(
-        indices in proptest::collection::vec(any::<u64>(), 1..64),
-    ) {
-        let root = TaskId::driver_root(DriverId::from_index(3));
-        for k in [1usize, 2, 4, 8] {
-            for &i in &indices {
-                let task = root.child(i);
-                let owner = task.bucket(k);
-                prop_assert!(owner < k, "owner {owner} out of range for K={k}");
-                // Exactly-one ownership: every other shard disowns it.
-                let owners = (0..k).filter(|&s| task.bucket(k) == s).count();
-                prop_assert_eq!(owners, 1);
-                // Purity: re-deriving the id re-derives the owner.
-                prop_assert_eq!(root.child(i).bucket(k), owner);
-            }
-        }
-    }
-}
-
-// ---- sharded-vs-single placement equivalence (PR 6) ----------------
-
-/// Spins up a K-shard global scheduler over `nodes` fake local
-/// schedulers (each announced with a fixed queue depth and identical
-/// `at_nanos`, so every run starts from the same frozen load view),
-/// spills each group in `groups` as one `SpillBatch` — barriering on
-/// total placements between groups so the cross-shard digest plane
-/// advances in lockstep with the single scheduler's in-flight counts
-/// (the fake nodes never report ingesting anything) — and returns the
-/// task → node placement map.
-fn global_placements(
-    shards: usize,
-    nodes: &[(u32, u32)],
-    groups: &[Vec<u64>],
-) -> std::collections::BTreeMap<TaskId, NodeId> {
-    use rtml::kv::{EventLog, LoadDigestTable, ObjectTable};
-    use rtml::net::{Fabric, FabricConfig};
-    use rtml::sched::{GlobalScheduler, GlobalSchedulerConfig, LoadReport, PlacementPolicy};
-    use std::time::{Duration, Instant};
-
-    let fabric = Fabric::new(FabricConfig::default());
-    let kv = KvStore::new(2);
-    let mut handle = GlobalScheduler::spawn(
-        GlobalSchedulerConfig {
-            host_node: NodeId(0),
-            policy: PlacementPolicy::LeastLoaded,
-            seed: 7,
-            shards,
-        },
-        fabric.clone(),
-        ObjectTable::new(kv.clone()),
-        EventLog::new(kv.clone()),
-        LoadDigestTable::new(kv),
-    );
-    let routes = handle.routes();
-    let endpoints: Vec<_> = nodes
-        .iter()
-        .map(|&(node, _)| fabric.register(NodeId(node), "fake-local"))
-        .collect();
-    let report = |idx: usize| LoadReport {
-        node: NodeId(nodes[idx].0),
-        sched_address: endpoints[idx].address().as_u64(),
-        ready: nodes[idx].1,
-        waiting: 0,
-        running: 0,
-        idle_workers: 1,
-        available: Resources::cpu(4.0),
-        total: Resources::cpu(4.0),
-        at_nanos: 0,
-    };
-    for (idx, endpoint) in endpoints.iter().enumerate() {
-        for target in routes.all() {
-            let up = SchedWire::NodeUp {
-                node: endpoint.node(),
-                sched_address: endpoint.address().as_u64(),
-            };
-            let load = SchedWire::Load {
-                report: report(idx),
-                ingested: 0,
-            };
-            fabric
-                .send_batch(
-                    endpoint.address(),
-                    *target,
-                    vec![encode_to_bytes(&up), encode_to_bytes(&load)],
-                )
-                .unwrap();
-        }
-    }
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while handle.nodes_known_min() < nodes.len() {
-        assert!(Instant::now() < deadline, "shard formation stalled");
-        std::thread::yield_now();
-    }
-
-    // Each group is one SpillBatch routed to its owning shard (every
-    // task in a group shares one owner under the sharded run's K; the
-    // K=1 reference routes everything to shard 0). Placement is pure
-    // per batch: a function of the batch and the view it starts from,
-    // each pick fed back before the next. Between batches the digest
-    // plane folds exactly the in-flight placements the single
-    // scheduler counts itself, so both start every batch from the same
-    // view and the two runs stay in lockstep.
-    let root = TaskId::driver_root(DriverId::from_index(0));
-    let mut placed = std::collections::BTreeMap::new();
-    let mut sent = 0u64;
-    for group in groups {
-        if group.is_empty() {
-            continue;
-        }
-        let batch: Vec<TaskSpec> = group
-            .iter()
-            .map(|&i| TaskSpec::simple(root.child(i), FunctionId::from_name("f"), vec![]))
-            .collect();
-        let target = routes.address_for(batch[0].task_id);
-        sent += batch.len() as u64;
-        fabric
-            .send(
-                endpoints[0].address(),
-                target,
-                // The sender's load as announced: the view does not move.
-                encode_to_bytes(&SchedWire::SpillBatch {
-                    specs: batch,
-                    load: report(0),
-                    ingested: 0,
-                }),
-            )
-            .unwrap();
-        // Barrier: this group fully placed before the next is sent.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while placed.len() < sent as usize {
-            assert!(
-                Instant::now() < deadline,
-                "placed {}/{sent} tasks (K={shards})",
-                placed.len(),
-            );
-            for (idx, endpoint) in endpoints.iter().enumerate() {
-                while let Ok(d) = endpoint.receiver().try_recv() {
-                    if let Ok(SchedWire::PlaceBatch { specs, .. }) = decode_from_slice(&d.payload) {
-                        for spec in specs {
-                            placed.insert(spec.task_id, NodeId(nodes[idx].0));
-                        }
-                    }
-                }
-            }
-            std::thread::yield_now();
-        }
-    }
-    handle.shutdown();
-    placed
 }
 
 proptest! {
@@ -1040,52 +884,6 @@ proptest! {
                     prop_assert!(false, "task {}: placed {:?}, shallowest {:?}", t, pick, shallowest)
                 }
             }
-        }
-    }
-}
-
-proptest! {
-    // Each case spawns 15 shard threads across four schedulers; trim
-    // with PROPTEST_CASES if the suite needs to be faster.
-
-    /// A K-shard global scheduler's placement decisions are bit-identical
-    /// to the single-scheduler reference for K ∈ {1, 2, 4, 8}. Placement
-    /// is pure per batch — the same batch against the same starting view
-    /// places identically, whichever shard runs it — so the task
-    /// keyspace partition decides *who* places each batch, never *where*
-    /// its tasks go, and the load-digest plane starts a sharded run's
-    /// every batch from the view the single scheduler starts it from.
-    #[test]
-    fn sharded_placement_is_bit_identical_to_single_reference(
-        queues in proptest::collection::vec(0u32..8, 2..5),
-        raw_tasks in proptest::collection::vec(0u64..512, 1..24),
-    ) {
-        let nodes: Vec<(u32, u32)> = queues
-            .iter()
-            .enumerate()
-            .map(|(i, &q)| ((i + 1) as u32, q))
-            .collect();
-        let mut tasks: Vec<u64> = raw_tasks;
-        tasks.sort_unstable();
-        tasks.dedup();
-        let root = TaskId::driver_root(DriverId::from_index(0));
-        for k in [2usize, 4, 8] {
-            // Group tasks by their owner under this K; both runs are fed
-            // the identical batch sequence.
-            let mut groups: Vec<Vec<u64>> = vec![Vec::new(); k];
-            for &i in &tasks {
-                groups[root.child(i).bucket(k)].push(i);
-            }
-            let reference = global_placements(1, &nodes, &groups);
-            prop_assert_eq!(reference.len(), tasks.len());
-            let sharded = global_placements(k, &nodes, &groups);
-            prop_assert!(
-                sharded == reference,
-                "K={} diverged from K=1:\n  sharded:   {:?}\n  reference: {:?}",
-                k,
-                sharded,
-                reference
-            );
         }
     }
 }

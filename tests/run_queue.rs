@@ -33,8 +33,8 @@ use rtml::kv::{EventLog, KvStore, ObjectTable, TaskTable};
 use rtml::net::{Endpoint, Fabric, FabricConfig};
 use rtml::runtime::{Cluster, ClusterConfig};
 use rtml::sched::{
-    GlobalRoutes, HealthTracker, LocalScheduler, LocalSchedulerConfig, LocalSchedulerHandle,
-    LocalSchedulerStats, QueueLoad, RunQueue, Runnable, SchedServices, SpillMode, MAX_BATCH,
+    HealthTracker, LocalScheduler, LocalSchedulerConfig, LocalSchedulerHandle, LocalSchedulerStats,
+    QueueLoad, RunQueue, Runnable, SchedServices, SpillMode, MAX_BATCH,
 };
 use rtml::store::{ObjectStore, StoreConfig, TransferDirectory};
 
@@ -759,7 +759,7 @@ fn rig(workers: u32) -> Rig {
         fabric,
         directory,
         store,
-        global: GlobalRoutes::single(global.address()),
+        global: global.address(),
         health: HealthTracker::new(kv.clone(), Duration::from_millis(100)),
         reconstruct: Arc::new(|_| {}),
         request_worker: Arc::new(|| {}),
