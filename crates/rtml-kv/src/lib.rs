@@ -11,8 +11,9 @@
 //! - atomic read-modify-write (for location sets and state transitions),
 //! - append-only logs (for lineage-ordered event streams),
 //! - per-key publish-subscribe with *current value + subsequent updates*
-//!   semantics (no lost-update window), for one key or for many keys on
-//!   one channel, unsubscribing when the [`Subscription`] is dropped, and
+//!   semantics (no lost-update window): a [`Subscription`] carries any
+//!   number of keys on one channel, each update tagged with its key's
+//!   position, and unsubscribes when it is dropped, and
 //! - hash sharding for horizontal throughput scaling (requirement R2).
 //!
 //! # Examples
@@ -22,11 +23,14 @@
 //! use bytes::Bytes;
 //!
 //! let kv = KvStore::new(4);
-//! kv.set(Bytes::from_static(b"k"), Bytes::from_static(b"v1"));
-//! let (current, updates) = kv.subscribe(Bytes::from_static(b"k"));
-//! assert_eq!(current.as_deref(), Some(&b"v1"[..]));
-//! kv.set(Bytes::from_static(b"k"), Bytes::from_static(b"v2"));
-//! assert_eq!(&updates.recv().unwrap()[..], b"v2");
+//! let (a, b) = (Bytes::from_static(b"a"), Bytes::from_static(b"b"));
+//! kv.set(a.clone(), Bytes::from_static(b"v1"));
+//! let (current, updates) = kv.subscribe_many(&[a.clone(), b.clone()]);
+//! assert_eq!(current, [Some(Bytes::from_static(b"v1")), None]);
+//! kv.set(b, Bytes::from_static(b"v2"));
+//! assert_eq!(updates.recv().unwrap(), (1, Bytes::from_static(b"v2")));
+//! drop(updates);
+//! assert_eq!(kv.subscriber_count(), 0);
 //! ```
 
 pub mod segment;

@@ -5,16 +5,16 @@
 //! µs each — the dominant ingest cost at batch 4096). A *segment* instead
 //! commits the whole encoded batch as one immutable record appended to a
 //! single kv log: one shard-lock acquisition per batch, all-or-nothing by
-//! construction (the append happens entirely inside one lock hold, and
-//! snapshots capture logs record-atomically). The per-task-id index over
-//! segment contents is built lazily — on the first lookup that misses, or
-//! on a recovery scan — so ingest pays nothing for it.
+//! construction (the append happens entirely inside one lock hold). The
+//! per-task-id index over segment contents is built lazily — on the
+//! first read that needs a spec, or on a recovery scan — so ingest pays
+//! nothing for it.
 //!
-//! Readers must preserve the spec-read precedence: an explicit point
-//! `tspec:` key (written by [`crate::tables::task_table::TaskTable::put_spec`],
-//! e.g. a resubmission with a bumped attempt counter) always shadows the
-//! segment copy; the segment index itself resolves duplicate ids to the
-//! latest segment.
+//! The log is the one record of every spec. A task recorded again — a
+//! resubmission with a bumped attempt counter, an unschedulable task
+//! sealed as failed — is appended as a segment of its own, and the
+//! latest segment holding a task wins: a lookup folds every segment
+//! appended since the last one before it answers.
 
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
@@ -29,7 +29,7 @@ use rtml_common::task::TaskSpec;
 use crate::store::KvStore;
 
 /// The kv log key under which every spec segment is appended. The `!`
-/// keeps it outside the `tspec:`/`tstate:` point-key prefixes.
+/// keeps it outside the `tstate:` point-key prefix.
 pub const SEGMENT_LOG_KEY: &[u8] = b"tseg!";
 
 fn log_key() -> Bytes {
@@ -49,8 +49,8 @@ pub fn encode_segment(specs: &[TaskSpec]) -> Bytes {
 
 /// Group-commits `specs` as one segment: a single log append, hence a
 /// single shard-lock acquisition, for the entire batch. The commit is
-/// atomic — concurrent readers (and snapshots) observe either the whole
-/// batch's specs or none of them.
+/// atomic — concurrent readers observe either the whole batch's specs or
+/// none of them.
 pub fn commit(kv: &KvStore, specs: &[TaskSpec]) {
     if specs.is_empty() {
         return;
@@ -96,20 +96,10 @@ impl SegmentIndex {
     }
 
     /// Folds any segments appended since the last refresh into the
-    /// index. If the log shrank underneath us (a snapshot/restore of an
-    /// older kv image), the index is discarded and rebuilt from scratch
-    /// — stale entries must not survive a restore.
+    /// index (one kv lock; the log only grows).
     fn refresh(&self, kv: &KvStore, inner: &mut IndexInner) {
-        let (mut records, total) = kv.read_log_range(SEGMENT_LOG_KEY, inner.consumed);
-        if total < inner.consumed {
-            inner.entries.clear();
-            inner.consumed = 0;
-            let (all, all_total) = kv.read_log_range(SEGMENT_LOG_KEY, 0);
-            records = all;
-            inner.consumed = all_total;
-        } else {
-            inner.consumed = total;
-        }
+        let (records, total) = kv.read_log_range(SEGMENT_LOG_KEY, inner.consumed);
+        inner.consumed = total;
         for segment in records {
             Self::fold_segment(&segment, &mut inner.entries);
         }
@@ -117,12 +107,8 @@ impl SegmentIndex {
     }
 
     /// Decodes one segment payload, inserting zero-copy spec slices.
-    /// Later segments win on duplicate ids when folded. A handle that
-    /// already cached an earlier copy keeps serving it without
-    /// re-reading the log — safe because every production re-record
-    /// carries a content-identical spec, and attempt-bumped
-    /// resubmissions shadow the segment copy via the `tspec:` point
-    /// key.
+    /// Segments are folded in log order, so a later segment's copy of a
+    /// task replaces an earlier one.
     fn fold_segment(segment: &Bytes, entries: &mut FastMap<UniqueId, Bytes>) {
         let mut r = Reader::new(segment);
         let Ok(count) = r.take_varint() else {
@@ -140,30 +126,31 @@ impl SegmentIndex {
         }
     }
 
-    /// The encoded spec for `task`, if any segment holds it.
+    /// The encoded spec for `task` in the latest segment that holds it.
+    /// Folds whatever was appended since the last refresh first: a copy
+    /// this index served before may have been recorded again since.
     pub fn lookup_bytes(&self, kv: &KvStore, task: TaskId) -> Option<Bytes> {
         let mut inner = self.inner.lock();
-        if let Some(bytes) = inner.entries.get(&task.unique()) {
-            return Some(bytes.clone());
-        }
         self.refresh(kv, &mut inner);
         inner.entries.get(&task.unique()).cloned()
     }
 
-    /// The decoded spec for `task`, if any segment holds it.
+    /// The decoded spec for `task` in the latest segment that holds it.
     pub fn lookup(&self, kv: &KvStore, task: TaskId) -> Option<TaskSpec> {
         let bytes = self.lookup_bytes(kv, task)?;
         let mut r = Reader::new(&bytes);
         TaskSpec::decode(&mut r).ok()
     }
 
-    /// Whether any segment holds a spec for `task`.
+    /// Whether any segment holds a spec for `task`. Membership never
+    /// changes once true (the log only grows), so a hit reads no kv.
     pub fn contains(&self, kv: &KvStore, task: TaskId) -> bool {
-        self.lookup_bytes(kv, task).is_some()
+        self.contains_many(kv, &[task])[0]
     }
 
     /// Positional membership for a batch, refreshing the index at most
-    /// once (the batched implicit-`Submitted` read path).
+    /// once, and only on a miss (the batched implicit-`Submitted` read
+    /// path).
     pub fn contains_many(&self, kv: &KvStore, tasks: &[TaskId]) -> Vec<bool> {
         let mut inner = self.inner.lock();
         let mut out: Vec<bool> = tasks
@@ -204,7 +191,6 @@ mod tests {
     use super::*;
     use rtml_common::codec::encode_to_bytes;
     use rtml_common::ids::{DriverId, FunctionId};
-    use std::sync::Arc;
 
     fn specs(base: u64, n: u64) -> Vec<TaskSpec> {
         let root = TaskId::driver_root(DriverId::from_index(7));
@@ -273,22 +259,30 @@ mod tests {
     }
 
     #[test]
-    fn restore_to_shorter_log_rebuilds_index() {
-        let kv = Arc::new(KvStore::new(2));
-        commit(&kv, &specs(0, 2));
-        let snapshot = kv.full_snapshot();
-        commit(&kv, &specs(2, 2));
+    fn a_handle_that_served_a_spec_serves_the_copy_a_later_segment_records() {
+        let kv = KvStore::new(4);
+        let batch = specs(0, 4);
+        commit(&kv, &batch);
         let index = SegmentIndex::new();
-        let root = TaskId::driver_root(DriverId::from_index(7));
-        assert!(index.contains(&kv, root.child(3)));
-        // Roll the kv back to the first segment only: the next miss
-        // triggers a refresh, which detects the shrunken log and
-        // rebuilds the index rather than serving entries from the
-        // discarded tail.
-        kv.restore_snapshot(snapshot);
-        assert!(!index.contains(&kv, root.child(50)));
-        assert!(!index.contains(&kv, root.child(3)));
-        assert!(index.contains(&kv, root.child(0)));
+        assert_eq!(index.lookup(&kv, batch[2].task_id), Some(batch[2].clone()));
+        // A resubmission records the task again, attempt bumped, as a
+        // one-spec segment: the index that already served the first copy
+        // serves the bumped one, and a fresh index agrees.
+        let mut bumped = batch[2].clone();
+        bumped.attempt += 1;
+        commit(&kv, std::slice::from_ref(&bumped));
+        assert_eq!(index.lookup(&kv, bumped.task_id), Some(bumped.clone()));
+        assert_eq!(
+            index.lookup_bytes(&kv, bumped.task_id),
+            Some(encode_to_bytes(&bumped))
+        );
+        assert_eq!(
+            SegmentIndex::new().lookup(&kv, bumped.task_id),
+            Some(bumped)
+        );
+        // The rest of the first segment is untouched.
+        assert_eq!(index.lookup(&kv, batch[1].task_id), Some(batch[1].clone()));
+        assert_eq!(index.task_ids(&kv).len(), 4);
     }
 
     #[test]

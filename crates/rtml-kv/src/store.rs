@@ -1,13 +1,14 @@
 //! The sharded key-value façade: routes every key to a shard by hash.
 
+use std::hash::Hasher;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use crossbeam::channel::unbounded;
 
+use rtml_common::collections::FnvHasher;
 use rtml_common::metrics::MetricsRegistry;
 
-use crate::shard::{fnv1a_64, Shard, Subscription, FNV_OFFSET};
+use crate::shard::{Shard, Subscription};
 
 /// A hash-sharded, in-memory control-plane store with pub-sub.
 ///
@@ -70,12 +71,14 @@ impl KvStore {
     }
 
     /// Shard index a key routes to (exposed for balance diagnostics).
-    /// FNV-1a/64 (shared with the shard-interior maps): a cheap 64-bit
-    /// mix routes the fixed-format control-plane keys uniformly at a
-    /// fraction of a 128-bit hash's cost, once per operation on the
-    /// submit hot path.
+    /// The workspace's one fast hash ([`FnvHasher`], which the
+    /// shard-interior maps use too): a cheap 64-bit mix routes the
+    /// fixed-format control-plane keys uniformly at a fraction of a
+    /// 128-bit hash's cost, once per operation on the submit hot path.
     pub fn shard_index(&self, key: &[u8]) -> usize {
-        (fnv1a_64(FNV_OFFSET, key) % self.shards.len() as u64) as usize
+        let mut hasher = FnvHasher::default();
+        hasher.write(key);
+        (hasher.finish() % self.shards.len() as u64) as usize
     }
 
     /// Point read.
@@ -154,11 +157,6 @@ impl KvStore {
         }
     }
 
-    /// Writes only if vacant; returns whether the write happened.
-    pub fn set_if_absent(&self, key: Bytes, value: Bytes) -> bool {
-        self.shard_for(&key).set_if_absent(key.clone(), value)
-    }
-
     /// Atomic read-modify-write (see [`Shard::update`]).
     pub fn update<F>(&self, key: Bytes, f: F) -> Option<Bytes>
     where
@@ -223,23 +221,14 @@ impl KvStore {
         self.shard_for(key).read_log_range(key, start)
     }
 
-    /// Subscribes to a key: current value plus a stream of updates,
-    /// which ends (and unregisters) when the [`Subscription`] drops.
-    pub fn subscribe(&self, key: Bytes) -> (Option<Bytes>, Subscription) {
-        self.shards[self.shard_index(&key)].subscribe(key)
-    }
-
-    /// Subscribes to many keys at once: the current value of every key
-    /// (positional, like [`KvStore::get_many`]) plus **one** channel
-    /// carrying every later update as `(position of the key, value)`.
-    /// The subscription may start empty and grow:
-    /// [`KvStore::subscribe_more`] does the registering.
-    pub fn subscribe_many(
-        &self,
-        keys: &[Bytes],
-    ) -> (Vec<Option<Bytes>>, Subscription<(usize, Bytes)>) {
-        let (tx, rx) = unbounded();
-        let mut sub = Subscription::new(tx, rx);
+    /// Subscribes to keys: the current value of every key (positional,
+    /// like [`KvStore::get_many`]) plus **one** channel carrying every
+    /// later update as `(position of the key, value)`, which ends (and
+    /// unregisters) when the [`Subscription`] drops. The subscription
+    /// may start empty and grow: [`KvStore::subscribe_more`] does the
+    /// registering.
+    pub fn subscribe_many(&self, keys: &[Bytes]) -> (Vec<Option<Bytes>>, Subscription) {
+        let mut sub = Subscription::new();
         let tagged: Vec<(usize, Bytes)> = keys.iter().cloned().enumerate().collect();
         let current = self.subscribe_more(&mut sub, &tagged);
         (current, sub)
@@ -254,16 +243,13 @@ impl KvStore {
     /// its read and its registration.
     pub fn subscribe_more(
         &self,
-        sub: &mut Subscription<(usize, Bytes)>,
+        sub: &mut Subscription,
         keys: &[(usize, Bytes)],
     ) -> Vec<Option<Bytes>> {
-        let tx = sub.tx.clone();
         if let [(_, key)] = keys {
             // A blocked single `get`: no bucketing.
             let shard = &self.shards[self.shard_index(key)];
-            let current = shard.subscribe_tagged(sub.id(), keys, &tx);
-            sub.track(shard, [key.clone()]);
-            return current;
+            return sub.register(shard, keys);
         }
         // Positions in `keys`, by shard.
         let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
@@ -276,11 +262,10 @@ impl KvStore {
                 continue;
             }
             let bucket: Vec<(usize, Bytes)> = positions.iter().map(|&p| keys[p].clone()).collect();
-            let values = shard.subscribe_tagged(sub.id(), &bucket, &tx);
+            let values = sub.register(shard, &bucket);
             for (position, value) in positions.into_iter().zip(values) {
                 current[position] = value;
             }
-            sub.track(shard, bucket.into_iter().map(|(_, key)| key));
         }
         current
     }
@@ -288,7 +273,7 @@ impl KvStore {
     /// Ends a live subscription's interest in `key`, if it has
     /// registered it (one lock acquisition). Updates already on the
     /// channel stay there.
-    pub fn unsubscribe(&self, sub: &mut Subscription<(usize, Bytes)>, key: &Bytes) {
+    pub fn unsubscribe(&self, sub: &mut Subscription, key: &Bytes) {
         sub.untrack(&self.shards[self.shard_index(key)], key);
     }
 
@@ -344,26 +329,6 @@ impl KvStore {
         let kv = self.clone();
         registry.register_value("kv.locks", move || kv.stats().total_locks());
     }
-
-    /// Snapshot of every shard (the segment index's tests roll a store
-    /// back with it).
-    #[cfg(test)]
-    pub(crate) fn full_snapshot(&self) -> Vec<(Vec<(Bytes, Bytes)>, Vec<(Bytes, Vec<Bytes>)>)> {
-        self.shards.iter().map(|s| s.snapshot()).collect()
-    }
-
-    /// Restores every shard from a snapshot taken on an identically-sharded
-    /// store.
-    #[cfg(test)]
-    pub(crate) fn restore_snapshot(
-        &self,
-        snap: Vec<(Vec<(Bytes, Bytes)>, Vec<(Bytes, Vec<Bytes>)>)>,
-    ) {
-        assert_eq!(snap.len(), self.shards.len(), "shard count mismatch");
-        for (shard, (map, logs)) in self.shards.iter().zip(snap) {
-            shard.restore(map, logs);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -381,6 +346,12 @@ mod tests {
             let k = key(i);
             assert_eq!(kv.shard_index(&k), kv.shard_index(&k));
         }
+        // A key's shard is a function of its bytes alone, pinned: the
+        // kv-lock budgets count locks on the shards keys land on.
+        let kv = KvStore::new(7);
+        assert_eq!(kv.shard_index(b"tseg!"), 5);
+        assert_eq!(kv.shard_index(b"key:12345678"), 0);
+        assert_eq!(kv.shard_index(b"tstate:0123456789abcdef"), 3);
     }
 
     #[test]
@@ -507,10 +478,10 @@ mod tests {
     #[test]
     fn subscriptions_work_through_facade() {
         let kv = KvStore::new(4);
-        let (cur, rx) = kv.subscribe(Bytes::from_static(b"s"));
-        assert!(cur.is_none());
+        let (cur, rx) = kv.subscribe_many(&[Bytes::from_static(b"s")]);
+        assert_eq!(cur, vec![None]);
         kv.set(Bytes::from_static(b"s"), Bytes::from_static(b"x"));
-        assert_eq!(&rx.recv().unwrap()[..], b"x");
+        assert_eq!(rx.recv().unwrap(), (0, Bytes::from_static(b"x")));
     }
 
     #[test]

@@ -353,9 +353,12 @@ impl ObjectTable {
     /// stream. The subscription is atomic with respect to writers and
     /// ends when the stream is dropped.
     pub fn subscribe(&self, object: ObjectId) -> (Option<ObjectInfo>, ObjectInfoStream) {
-        let (cur, rx) = self.kv.subscribe(Self::key(object));
-        let current = cur.and_then(|b| Self::decode(object, &b));
-        (current, ObjectInfoStream { rx })
+        let (mut current, sub) = self.kv.subscribe_many(&[Self::key(object)]);
+        let current = current
+            .pop()
+            .flatten()
+            .and_then(|b| Self::decode(object, &b));
+        (current, ObjectInfoStream { object, sub })
     }
 
     /// A stream for the records of many objects at once, empty to begin
@@ -376,24 +379,21 @@ impl ObjectTable {
     }
 }
 
-/// A decoded subscription stream of [`ObjectInfo`] updates.
+/// A decoded subscription stream of one object's [`ObjectInfo`]
+/// updates, each read as [`ObjectTable::decode`] reads a record.
 pub struct ObjectInfoStream {
-    rx: Subscription,
+    object: ObjectId,
+    sub: Subscription,
 }
 
 impl ObjectInfoStream {
-    /// Blocks until the next update or `timeout`.
+    /// Blocks until the next update or `timeout`. Undecodable records
+    /// are skipped.
     pub fn recv_timeout(&self, timeout: std::time::Duration) -> Option<ObjectInfo> {
         loop {
-            match self.rx.recv_timeout(timeout) {
-                Ok(bytes) => {
-                    if let Ok(info) = decode_from_slice(&bytes) {
-                        return Some(info);
-                    }
-                    // Skip undecodable frames (foreign writes to this key
-                    // are a bug, but a stuck waiter would be worse).
-                }
-                Err(_) => return None,
+            let (_, bytes) = self.sub.recv_timeout(timeout).ok()?;
+            if let Some(info) = ObjectTable::decode(self.object, &bytes) {
+                return Some(info);
             }
         }
     }
@@ -403,7 +403,7 @@ impl ObjectInfoStream {
 /// subscribed record, on one channel.
 pub struct ObjectInfoUpdates {
     kv: Arc<KvStore>,
-    sub: Subscription<(usize, Bytes)>,
+    sub: Subscription,
 }
 
 impl ObjectInfoUpdates {

@@ -1,4 +1,5 @@
-//! The task table: task ID → immutable spec (the lineage record) and a
+//! The task table: task ID → spec (the lineage record), kept in the
+//! append-only spec-segment log ([`crate::segment`]), and a
 //! separately-keyed mutable state.
 //!
 //! Storing the spec durably at submission time is the heart of the paper's
@@ -19,7 +20,6 @@ use crate::segment::{self, SegmentIndex};
 use crate::shard::Subscription;
 use crate::store::KvStore;
 
-const SPEC_PREFIX: &[u8] = b"tspec:";
 const STATE_PREFIX: &[u8] = b"tstate:";
 
 /// Typed task-table handle.
@@ -43,28 +43,24 @@ impl TaskTable {
         }
     }
 
-    fn spec_key(task: TaskId) -> Bytes {
-        super::id_key(SPEC_PREFIX, task.unique())
-    }
-
     fn state_key(task: TaskId) -> Bytes {
         super::id_key(STATE_PREFIX, task.unique())
     }
 
-    /// Durably records a task spec (idempotent: reconstruction re-puts the
-    /// same spec, modulo the attempt counter which we do update).
-    pub fn put_spec(&self, spec: &TaskSpec) {
-        self.kv
-            .set(Self::spec_key(spec.task_id), encode_to_bytes(spec));
+    /// Reads a task spec: the copy of the latest segment that holds it,
+    /// so a resubmission's attempt-bumped record wins.
+    pub fn get_spec(&self, task: TaskId) -> Option<TaskSpec> {
+        self.segments.lookup(&self.kv, task)
     }
 
-    /// Reads a task spec. The explicit point key (a resubmission's
-    /// attempt-bumped re-put) shadows the segment-committed copy.
-    pub fn get_spec(&self, task: TaskId) -> Option<TaskSpec> {
-        if let Some(bytes) = self.kv.get(&Self::spec_key(task)) {
-            return decode_from_slice(&bytes).ok();
-        }
-        self.segments.lookup(&self.kv, task)
+    /// Records one task again — a resubmission, or a task sealed as
+    /// failed before it ran — as a one-spec segment, which supersedes any
+    /// earlier copy, then writes `state`. Unlike
+    /// [`TaskTable::record_many`] it writes `Submitted` too: a task
+    /// recorded again may have a state record that must not outlive it.
+    pub fn record(&self, spec: &TaskSpec, state: &TaskState) {
+        segment::commit(&self.kv, std::slice::from_ref(spec));
+        self.set_state(spec.task_id, state);
     }
 
     /// Group-commits a batch of task submissions: every spec is recorded
@@ -135,23 +131,13 @@ impl TaskTable {
             .filter_map(|(i, s)| s.is_none().then_some(i))
             .collect();
         if !missing.is_empty() {
-            let spec_keys: Vec<Bytes> = missing.iter().map(|&i| Self::spec_key(tasks[i])).collect();
-            for (&i, spec) in missing.iter().zip(self.kv.get_many(&spec_keys)) {
-                if spec.is_some() {
+            let ids: Vec<TaskId> = missing.iter().map(|&i| tasks[i]).collect();
+            for (&i, hit) in missing
+                .iter()
+                .zip(self.segments.contains_many(&self.kv, &ids))
+            {
+                if hit {
                     out[i] = Some(TaskState::Submitted);
-                }
-            }
-            let unresolved: Vec<usize> =
-                missing.into_iter().filter(|&i| out[i].is_none()).collect();
-            if !unresolved.is_empty() {
-                let ids: Vec<TaskId> = unresolved.iter().map(|&i| tasks[i]).collect();
-                for (&i, hit) in unresolved
-                    .iter()
-                    .zip(self.segments.contains_many(&self.kv, &ids))
-                {
-                    if hit {
-                        out[i] = Some(TaskState::Submitted);
-                    }
                 }
             }
         }
@@ -165,7 +151,7 @@ impl TaskTable {
     /// segment index: the read of a reconstruction nudge, which runs on
     /// every tick a wait is blocked.
     pub fn get_recorded_states_many(&self, tasks: &[TaskId]) -> Vec<Option<TaskState>> {
-        let decode = |bytes: Option<Bytes>| bytes.and_then(|b| decode_from_slice(&b).ok());
+        let decode = |bytes: Option<Bytes>| bytes.and_then(|b| decode_state(&b));
         if let [task] = tasks {
             return vec![decode(self.kv.get(&Self::state_key(*task)))];
         }
@@ -186,12 +172,11 @@ impl TaskTable {
     /// record is `Submitted` (see [`TaskTable::get_states_many`]).
     pub fn get_state(&self, task: TaskId) -> Option<TaskState> {
         if let Some(bytes) = self.kv.get(&Self::state_key(task)) {
-            return decode_from_slice(&bytes).ok();
+            return decode_state(&bytes);
         }
-        if self.kv.get(&Self::spec_key(task)).is_some() || self.segments.contains(&self.kv, task) {
-            return Some(TaskState::Submitted);
-        }
-        None
+        self.segments
+            .contains(&self.kv, task)
+            .then_some(TaskState::Submitted)
     }
 
     /// Subscribes to recorded state transitions: the current state
@@ -202,9 +187,9 @@ impl TaskTable {
     /// no segment index. A caller that must tell those two apart reads
     /// `get_state`.
     pub fn subscribe_state(&self, task: TaskId) -> (Option<TaskState>, TaskStateStream) {
-        let (cur, rx) = self.kv.subscribe(Self::state_key(task));
-        let current = cur.and_then(|b| decode_from_slice(&b).ok());
-        (current, TaskStateStream { rx })
+        let (mut current, sub) = self.kv.subscribe_many(&[Self::state_key(task)]);
+        let current = current.pop().flatten().and_then(|b| decode_state(&b));
+        (current, TaskStateStream { sub })
     }
 
     /// Scans every task's current state. Recovery/tooling path (full
@@ -219,20 +204,12 @@ impl TaskTable {
             .into_iter()
             .filter_map(|(k, v)| {
                 let id = super::parse_id_key(STATE_PREFIX, &k)?;
-                let state = decode_from_slice::<TaskState>(&v).ok()?;
+                let state = decode_state(&v)?;
                 Some((TaskId::from_unique(id), state))
             })
             .collect();
         let mut seen: std::collections::HashSet<TaskId> =
             out.iter().map(|(task, _)| *task).collect();
-        for (k, _v) in self.kv.scan_prefix(SPEC_PREFIX) {
-            if let Some(id) = super::parse_id_key(SPEC_PREFIX, &k) {
-                let task = TaskId::from_unique(id);
-                if seen.insert(task) {
-                    out.push((task, TaskState::Submitted));
-                }
-            }
-        }
         for task in self.segments.task_ids(&self.kv) {
             if seen.insert(task) {
                 out.push((task, TaskState::Submitted));
@@ -292,22 +269,23 @@ impl TaskCensus {
     }
 }
 
+/// Decodes a stored state record; `None` for an undecodable one.
+fn decode_state(bytes: &[u8]) -> Option<TaskState> {
+    decode_from_slice(bytes).ok()
+}
+
 /// A decoded subscription stream of [`TaskState`] transitions.
 pub struct TaskStateStream {
-    rx: Subscription,
+    sub: Subscription,
 }
 
 impl TaskStateStream {
     /// Blocks until the next transition or `timeout`.
     pub fn recv_timeout(&self, timeout: std::time::Duration) -> Option<TaskState> {
         loop {
-            match self.rx.recv_timeout(timeout) {
-                Ok(bytes) => {
-                    if let Ok(state) = decode_from_slice(&bytes) {
-                        return Some(state);
-                    }
-                }
-                Err(_) => return None,
+            let (_, bytes) = self.sub.recv_timeout(timeout).ok()?;
+            if let Some(state) = decode_state(&bytes) {
+                return Some(state);
             }
         }
     }
@@ -329,9 +307,21 @@ mod tests {
         let kv = KvStore::new(2);
         let table = TaskTable::new(kv);
         let s = spec();
-        table.put_spec(&s);
+        table.record(&s, &TaskState::Submitted);
         assert_eq!(table.get_spec(s.task_id), Some(s.clone()));
+        assert_eq!(table.get_state(s.task_id), Some(TaskState::Submitted));
         assert!(table.get_spec(s.task_id.child(9)).is_none());
+        // Recorded again, attempt bumped, over a stale state record: the
+        // new copy and the new state win, for this handle and a fresh one.
+        table.set_state(s.task_id, &TaskState::Lost);
+        let mut bumped = s.clone();
+        bumped.attempt += 1;
+        table.record(&bumped, &TaskState::Submitted);
+        assert_eq!(table.get_spec(s.task_id), Some(bumped.clone()));
+        assert_eq!(table.get_state(s.task_id), Some(TaskState::Submitted));
+        let fresh = TaskTable::new(table.kv.clone());
+        assert_eq!(fresh.get_spec(s.task_id), Some(bumped));
+        assert_eq!(fresh.scan_states(), vec![(s.task_id, TaskState::Submitted)]);
     }
 
     #[test]

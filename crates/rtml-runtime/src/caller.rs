@@ -351,10 +351,9 @@ impl Caller {
             "task {task_id} is unschedulable: demand {} exceeds every node",
             spec.resources
         );
-        services.tasks.put_spec(&spec);
         services
             .tasks
-            .set_state(task_id, &TaskState::Failed(message.clone()));
+            .record(&spec, &TaskState::Failed(message.clone()));
         if let Some(store) = services
             .store(inner.home)
             .or_else(|| services.any_alive().and_then(|n| services.store(n)))

@@ -335,8 +335,7 @@ impl ReconstructionManager {
             _ => return None,
         }
         spec.attempt += 1;
-        self.services.tasks.put_spec(&spec);
-        self.services.tasks.set_state(task, &TaskState::Submitted);
+        self.services.tasks.record(&spec, &TaskState::Submitted);
         self.reconstructions.inc();
         let home = self.services.any_alive().unwrap_or(spec.submitter_node);
         self.services.events.append(

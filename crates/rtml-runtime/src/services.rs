@@ -5,7 +5,7 @@
 //! from there, with no per-layer copy in between. What no caller sets
 //! is a constant beside the code that reads it, not a field.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use parking_lot::RwLock;
@@ -27,10 +27,10 @@ use crate::registry::FunctionRegistry;
 
 /// Everything a component needs to participate in the cluster: the
 /// control-plane tables, the function registry, the fabric, and the
-/// routing maps for live nodes.
+/// table of live nodes.
 ///
-/// All mutable state lives in the control plane or behind the node maps;
-/// `Services` itself can be shared freely.
+/// All mutable state lives in the control plane or behind the node
+/// table; `Services` itself can be shared freely.
 pub struct Services {
     /// Control-plane store.
     pub kv: Arc<KvStore>,
@@ -59,10 +59,16 @@ pub struct Services {
     /// once for the whole cluster. Every node's telemetry sample records
     /// them beside its own registry's.
     pub metrics: Arc<MetricsRegistry>,
-    router: RwLock<HashMap<NodeId, LocalSubmitter>>,
-    stores: RwLock<HashMap<NodeId, Arc<ObjectStore>>>,
-    agents: RwLock<HashMap<NodeId, Arc<FetchAgent>>>,
-    node_totals: RwLock<HashMap<NodeId, Resources>>,
+    /// Live nodes, in id order: a node is in it whole or not at all.
+    nodes: RwLock<BTreeMap<NodeId, LiveNode>>,
+}
+
+/// What the rest of the cluster reaches a live node through.
+struct LiveNode {
+    store: Arc<ObjectStore>,
+    agent: Arc<FetchAgent>,
+    sched: LocalSubmitter,
+    total: Resources,
 }
 
 impl Services {
@@ -100,16 +106,13 @@ impl Services {
             health: HealthTracker::new(kv.clone(), REPORT_STALE_AFTER),
             config: config.clone(),
             metrics,
-            router: RwLock::new(HashMap::new()),
-            stores: RwLock::new(HashMap::new()),
-            agents: RwLock::new(HashMap::new()),
-            node_totals: RwLock::new(HashMap::new()),
+            nodes: RwLock::new(BTreeMap::new()),
             kv,
         })
     }
 
     /// Registers a live node's store, fetch agent, scheduler submitter,
-    /// and capacity.
+    /// and capacity, in one write.
     pub fn attach_node(
         &self,
         node: NodeId,
@@ -118,29 +121,30 @@ impl Services {
         sched: LocalSubmitter,
         total: Resources,
     ) {
-        self.stores.write().insert(node, store);
-        self.agents.write().insert(node, agent);
-        self.router.write().insert(node, sched);
-        self.node_totals.write().insert(node, total);
+        let live = LiveNode {
+            store,
+            agent,
+            sched,
+            total,
+        };
+        self.nodes.write().insert(node, live);
     }
 
-    /// Removes a node from the routing maps (kill or shutdown).
+    /// Removes a node from the node table (kill or shutdown), in one
+    /// write.
     pub fn detach_node(&self, node: NodeId) {
-        self.stores.write().remove(&node);
-        self.agents.write().remove(&node);
-        self.router.write().remove(&node);
-        self.node_totals.write().remove(&node);
+        self.nodes.write().remove(&node);
     }
 
     /// The node's object store, if the node is alive.
     pub fn store(&self, node: NodeId) -> Option<Arc<ObjectStore>> {
-        self.stores.read().get(&node).cloned()
+        Some(self.nodes.read().get(&node)?.store.clone())
     }
 
     /// The node's object plane (its transfer agent: serves its peers,
     /// fetches and pushes for the node), if the node is alive.
     pub fn fetch_agent(&self, node: NodeId) -> Option<Arc<FetchAgent>> {
-        self.agents.read().get(&node).cloned()
+        Some(self.nodes.read().get(&node)?.agent.clone())
     }
 
     /// Seals each of `objects` into `store` and publishes the copies —
@@ -217,7 +221,7 @@ impl Services {
     /// accept whole and runnable is admitted on the calling thread
     /// ([`LocalSubmitter::submit`]). If `home`'s scheduler dies
     /// mid-send, the batch goes again to a loop — the lowest alive
-    /// node's once `home` has left the router — up to the retry policy's
+    /// node's once `home` has left the node table — up to the retry policy's
     /// attempts; each failed send hands the specs back, so none is lost.
     pub fn submit_batch_home(&self, home: NodeId, specs: Vec<TaskSpec>) -> Result<()> {
         let mut specs = specs;
@@ -236,7 +240,7 @@ impl Services {
 
     /// The lowest-numbered alive node (the driver's preferred home).
     pub fn any_alive(&self) -> Option<NodeId> {
-        self.router.read().keys().min().copied()
+        self.nodes.read().keys().next().copied()
     }
 
     /// The one routing step under every submission: `node`'s scheduler,
@@ -250,38 +254,31 @@ impl Services {
         specs: Vec<TaskSpec>,
         own: bool,
     ) -> std::result::Result<(), (Vec<TaskSpec>, Error)> {
-        let router = self.router.read();
-        let lowest = || {
-            router
-                .iter()
-                .min_by_key(|(n, _)| **n)
-                .map(|(_, t)| (t, false))
-        };
-        let Some((target, own)) = router.get(&node).map(|t| (t, own)).or_else(lowest) else {
+        let nodes = self.nodes.read();
+        let lowest = || nodes.values().next().map(|live| (live, false));
+        let Some((target, own)) = nodes.get(&node).map(|live| (live, own)).or_else(lowest) else {
             return Err((specs, Error::ShuttingDown));
         };
-        let target = target.clone();
-        drop(router);
+        let target = target.sched.clone();
+        drop(nodes);
         target
             .submit(specs, own)
             .map_err(|specs| (specs, Error::Disconnected("local scheduler")))
     }
 
-    /// Nodes currently routable.
+    /// Nodes currently routable, in id order.
     pub fn alive_nodes(&self) -> Vec<NodeId> {
-        let mut nodes: Vec<NodeId> = self.router.read().keys().copied().collect();
-        nodes.sort();
-        nodes
+        self.nodes.read().keys().copied().collect()
     }
 
     /// Whether any alive node's total capacity fits `demand` — the
     /// admission-control check that rejects permanently unschedulable
     /// tasks at submission time.
     pub fn cluster_fits(&self, demand: &Resources) -> bool {
-        self.node_totals
+        self.nodes
             .read()
             .values()
-            .any(|total| total.fits(demand))
+            .any(|live| live.total.fits(demand))
     }
 }
 
@@ -325,13 +322,25 @@ mod tests {
 
         let (store, agent) = store_and_agent(&sv, NodeId(3));
         let (tx, _rx) = unbounded();
-        sv.attach_node(NodeId(3), store, agent, tx.into(), Resources::cpu(4.0));
+        sv.attach_node(
+            NodeId(3),
+            store,
+            agent,
+            tx.clone().into(),
+            Resources::cpu(4.0),
+        );
         assert_eq!(sv.any_alive(), Some(NodeId(3)));
         assert!(sv.cluster_fits(&Resources::cpu(4.0)));
         assert!(!sv.cluster_fits(&Resources::gpu(1.0)));
         assert!(sv.store(NodeId(3)).is_some());
         assert!(sv.fetch_agent(NodeId(3)).is_some());
         assert_eq!(sv.alive_nodes(), vec![NodeId(3)]);
+        let (store, agent) = store_and_agent(&sv, NodeId(1));
+        sv.attach_node(NodeId(1), store, agent, tx.into(), Resources::gpu(1.0));
+        assert_eq!(sv.alive_nodes(), vec![NodeId(1), NodeId(3)]);
+        assert_eq!(sv.any_alive(), Some(NodeId(1)));
+        assert!(sv.cluster_fits(&Resources::gpu(1.0)));
+        sv.detach_node(NodeId(1));
 
         sv.detach_node(NodeId(3));
         assert_eq!(sv.any_alive(), None);

@@ -659,12 +659,13 @@ proptest! {
 
     // ---- spec segments (PR 7) --------------------------------------
 
-    /// Segment-committed specs (lazy per-id index over the append-only
-    /// log) are indistinguishable from eagerly point-written specs: for
-    /// any batching of any spec population, `get_spec` through the lazy
-    /// path returns bit-identical encodings to the eager path — from
-    /// the writing handle *and* from a fresh handle that must rebuild
-    /// its index from the log (the recovery scan).
+    /// Batched spec segments (lazy per-id index over the append-only
+    /// log) are indistinguishable from one-spec segments written one
+    /// task at a time: for any batching of any spec population,
+    /// `get_spec` returns the same spec from both, bit-identical to the
+    /// spec's own encoding — from the writing handle *and* from a fresh
+    /// handle that must rebuild its index from the log (the recovery
+    /// scan).
     #[test]
     fn segment_lazy_index_is_bit_identical_to_eager_writes(
         batch_sizes in proptest::collection::vec(1usize..12, 1..6),
@@ -695,10 +696,11 @@ proptest! {
                     spec
                 })
                 .collect();
-            // Lazy: one segment per batch. Eager: one point key per spec.
+            // Lazy: one segment per batch. Eager: one one-spec segment
+            // per spec, as a resubmission records a task.
             lazy.record_many(&specs, &TaskState::Submitted);
             for spec in &specs {
-                eager.put_spec(spec);
+                eager.record(spec, &TaskState::Submitted);
             }
             all.extend(specs);
         }
