@@ -74,6 +74,44 @@ pub type FastMap<K, V> = HashMap<K, V, FnvBuildHasher>;
 /// A `HashSet` with the deterministic FNV-1a hasher.
 pub type FastSet<T> = HashSet<T, FnvBuildHasher>;
 
+/// A [`Hasher`] for keys that are already hashes: an id
+/// ([`crate::ids::UniqueId`], and the object and task ids built on it)
+/// is a 128-bit FNV-1a value, so its low 64 bits are its hash as they
+/// stand. Hashing them again — SipHash, or [`FnvHasher`]'s multiplies —
+/// spends CPU for no better spread. A key written as bytes rather than
+/// as one integer is folded as [`FnvHasher`] folds it.
+#[derive(Clone, Copy, Debug)]
+pub struct IdHasher(u64);
+
+impl Default for IdHasher {
+    fn default() -> Self {
+        IdHasher(FNV64_OFFSET)
+    }
+}
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut fnv = FnvHasher(self.0);
+        fnv.write(bytes);
+        self.0 = fnv.finish();
+    }
+
+    fn write_u128(&mut self, id: u128) {
+        self.0 = id as u64;
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        self.0 = id;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A `HashMap` keyed by ids, hashed by their own bits ([`IdHasher`]).
+pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
 /// A [`FastMap`] pre-sized for `capacity` entries (no rehash up to that
 /// size). `FastMap::with_capacity` is unavailable because the hasher is
 /// non-default-typed; this free function fills the gap.
@@ -101,6 +139,29 @@ pub fn fnv1a_64(bytes: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn an_id_hashes_as_its_own_low_64_bits() {
+        use crate::ids::{DriverId, ObjectId, TaskId, UniqueId};
+        use std::hash::{BuildHasher, Hash};
+        let build = BuildHasherDefault::<IdHasher>::default();
+        let raw = 0x0123_4567_89ab_cdef_fedc_ba98_7654_3210u128;
+        let id = ObjectId::from_unique(UniqueId::from_u128(raw));
+        assert_eq!(build.hash_one(id), 0xfedc_ba98_7654_3210);
+        let task = TaskId::driver_root(DriverId::from_index(1)).child(7);
+        let object = task.return_object(0);
+        assert_eq!(build.hash_one(object), object.unique().as_u128() as u64);
+        // Bytes fold as FNV does, so a non-id key still spreads.
+        let mut hasher = IdHasher::default();
+        b"not an id".hash(&mut hasher);
+        let mut fnv = FnvHasher::default();
+        b"not an id".hash(&mut fnv);
+        assert_eq!(hasher.finish(), fnv.finish());
+        let mut map: IdMap<ObjectId, u32> = IdMap::default();
+        map.insert(object, 1);
+        map.insert(id, 2);
+        assert_eq!((map[&object], map[&id]), (1, 2));
+    }
 
     #[test]
     fn fnv_hasher_is_deterministic_and_spreads() {

@@ -1,6 +1,7 @@
 //! The message fabric: registration, routed delivery, delays, partitions.
 
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
@@ -60,6 +61,11 @@ pub struct Delivery {
     pub body: Bytes,
     /// When the message was sent (monotonic nanos since process epoch).
     pub sent_at_nanos: u64,
+    /// For a frame from another node, when its last byte left the
+    /// sender's link (monotonic nanos since process epoch): `sent_at`
+    /// plus the time it queued on, and took to cross, a link with a
+    /// bandwidth. `None` for a same-node frame.
+    pub departed_at_nanos: Option<u64>,
 }
 
 /// A registered endpoint: an address plus the receiving side of its
@@ -69,6 +75,7 @@ pub struct Endpoint {
     node: NodeId,
     rx: Receiver<Delivery>,
     fabric: Weak<Fabric>,
+    delay: Arc<DelayEstimate>,
 }
 
 impl Endpoint {
@@ -85,6 +92,72 @@ impl Endpoint {
     /// The mailbox receiver.
     pub fn receiver(&self) -> &Receiver<Delivery> {
         &self.rx
+    }
+
+    /// The delay of the cross-node frames this endpoint received, as
+    /// [`Endpoint::received`] measured it; shared, so another thread can
+    /// read it.
+    pub fn delay(&self) -> &Arc<DelayEstimate> {
+        &self.delay
+    }
+
+    /// Notes `delivery` taken from [`Endpoint::receiver`] at `now_nanos`:
+    /// a frame from another node folds the time since it left its
+    /// sender's link into [`Endpoint::delay`]. Call it on the one thread
+    /// that receives.
+    pub fn received(&self, delivery: &Delivery, now_nanos: u64) {
+        if let Some(departed) = delivery.departed_at_nanos {
+            self.delay.fold(now_nanos.saturating_sub(departed));
+        }
+    }
+}
+
+/// An exponentially weighted moving average of the one-way delay of the
+/// cross-node frames one endpoint received: from when a frame's last
+/// byte left its sender's link to its receipt, so the hop's latency
+/// (with any delay the fault plan adds) and the receiving thread's
+/// wake-up count, as they do for a task's small frames sent away and
+/// back. The time a frame queued behind bulk on the sender's link, and
+/// its own bytes' wire time, do not: they measure how much data was
+/// moving, not what moving a task costs. The first sample sets it; each
+/// later one moves it 1/[`DelayEstimate::WEIGHT`] of the way. One
+/// thread writes it, any reads it.
+#[derive(Debug, Default)]
+pub struct DelayEstimate {
+    /// Nanoseconds; 0 until the first sample.
+    nanos: AtomicU64,
+}
+
+impl DelayEstimate {
+    /// A new sample weighs 1/8, as TCP smooths its round trip.
+    pub const WEIGHT: u64 = 8;
+
+    /// Folds one sample in: what [`Endpoint::received`] does for a
+    /// cross-node frame. A load and a store, not a read-modify-write:
+    /// call it from one thread.
+    pub fn fold(&self, sample_nanos: u64) {
+        let sample = sample_nanos.max(1);
+        let old = self.nanos.load(Relaxed);
+        let new = if old == 0 {
+            sample
+        } else {
+            old - old / Self::WEIGHT + sample / Self::WEIGHT
+        };
+        self.nanos.store(new.max(1), Relaxed);
+    }
+
+    /// The average one-way delay, if a cross-node frame has arrived.
+    pub fn one_way(&self) -> Option<Duration> {
+        match self.nanos.load(Relaxed) {
+            0 => None,
+            nanos => Some(Duration::from_nanos(nanos)),
+        }
+    }
+
+    /// Twice [`one_way`](Self::one_way): what a message sent away and
+    /// answered back costs.
+    pub fn round_trip(&self) -> Option<Duration> {
+        self.one_way().map(|d| d * 2)
     }
 }
 
@@ -256,6 +329,7 @@ impl Fabric {
             node,
             rx,
             fabric: Arc::downgrade(self),
+            delay: Arc::default(),
         }
     }
 
@@ -412,17 +486,18 @@ impl Fabric {
         }
 
         let sent_at_nanos = rtml_common::time::now_nanos();
-        let frame = |(payload, body): (Bytes, Bytes)| Delivery {
+        let frame = |(payload, body): (Bytes, Bytes), departed_at_nanos| Delivery {
             from,
             payload,
             body,
             sent_at_nanos,
+            departed_at_nanos,
         };
 
         if from_node == to_node {
             drop(routing);
             for parts in frames {
-                self.deliver(&mailbox, frame(parts), None);
+                self.deliver(&mailbox, frame(parts, None), None);
             }
             return Ok(());
         }
@@ -524,13 +599,15 @@ impl Fabric {
                 FrameKind::Chunked => sent,
                 _ => total_bytes,
             };
-            let due = Some(starts + wire(crossed) + flight);
+            let departed = starts + wire(crossed);
+            let departed_at = sent_at_nanos + departed.duration_since(now).as_nanos() as u64;
+            let due = Some(departed + flight);
             if fault.duplicate {
                 // Both copies arrive back to back: equal due times are
                 // received in send order.
-                self.deliver(&mailbox, frame(parts.clone()), due);
+                self.deliver(&mailbox, frame(parts.clone(), Some(departed_at)), due);
             }
-            self.deliver(&mailbox, frame(parts), due);
+            self.deliver(&mailbox, frame(parts, Some(departed_at)), due);
         }
         Ok(())
     }
@@ -601,6 +678,48 @@ mod tests {
             .unwrap();
         let _ = b.receiver().recv_timeout(Duration::from_secs(5)).unwrap();
         assert!(start.elapsed() >= Duration::from_millis(20));
+    }
+
+    #[test]
+    fn only_cross_node_frames_feed_the_delay_estimate() {
+        let fabric = fabric_with_latency(2_000);
+        let a = fabric.register(NodeId(0), "a");
+        let b = fabric.register(NodeId(0), "b");
+        let remote = fabric.register(NodeId(1), "remote");
+        fabric
+            .send(a.address(), b.address(), Bytes::from_static(b"x"))
+            .unwrap();
+        let local = b.receiver().recv().unwrap();
+        assert_eq!(local.departed_at_nanos, None);
+        b.received(&local, rtml_common::time::now_nanos());
+        assert_eq!(
+            b.delay().round_trip(),
+            None,
+            "a same-node frame is no sample"
+        );
+
+        for _ in 0..3 {
+            fabric
+                .send(remote.address(), b.address(), Bytes::from_static(b"y"))
+                .unwrap();
+            let crossed = b.receiver().recv().unwrap();
+            assert!(crossed.departed_at_nanos.is_some());
+            b.received(&crossed, rtml_common::time::now_nanos());
+        }
+        // Every sample waited out the 2 ms hop, so their average did.
+        let one_way = b.delay().one_way().expect("three samples");
+        assert!(one_way >= Duration::from_millis(2), "{one_way:?}");
+        assert_eq!(b.delay().round_trip(), Some(one_way * 2));
+        assert_eq!(remote.delay().one_way(), None, "per receiving endpoint");
+    }
+
+    #[test]
+    fn a_delay_estimate_starts_at_its_first_sample_and_moves_an_eighth() {
+        let estimate = DelayEstimate::default();
+        estimate.fold(800);
+        assert_eq!(estimate.one_way(), Some(Duration::from_nanos(800)));
+        estimate.fold(1_600);
+        assert_eq!(estimate.one_way(), Some(Duration::from_nanos(900)));
     }
 
     #[test]
@@ -836,6 +955,27 @@ mod tests {
             "the first chunk waited for later ones: {arrivals:?}"
         );
         assert_eq!(fabric.stats.egress_wait_nanos.get(), 0);
+    }
+
+    #[test]
+    fn a_frame_departs_when_its_last_byte_has_left_the_link() {
+        // The delay estimate starts from here: what a chunk spent on the
+        // wire is not a hop's delay.
+        let fabric = slow_link();
+        let a = fabric.register(NodeId(0), "a");
+        let b = fabric.register(NodeId(1), "b");
+        let chunks: Vec<Bytes> = (0..4u8).map(|i| Bytes::from(vec![i; 50_000])).collect();
+        fabric
+            .send_chunks(a.address(), b.address(), chunks)
+            .unwrap();
+        for i in 0..4u64 {
+            let chunk = b.receiver().recv_timeout(Duration::from_secs(5)).unwrap();
+            let departed = chunk.departed_at_nanos.expect("crossed nodes");
+            assert_eq!(departed - chunk.sent_at_nanos, (i + 1) * 5_000_000);
+            b.received(&chunk, rtml_common::time::now_nanos());
+        }
+        let one_way = b.delay().one_way().expect("four samples");
+        assert!(one_way >= Duration::from_millis(1), "{one_way:?}");
     }
 
     #[test]

@@ -59,6 +59,8 @@ pub mod fabric;
 pub mod fault;
 pub mod latency;
 
-pub use fabric::{Delivery, Endpoint, Fabric, FabricConfig, FabricStats, NetAddress};
+pub use fabric::{
+    DelayEstimate, Delivery, Endpoint, Fabric, FabricConfig, FabricStats, NetAddress,
+};
 pub use fault::{FaultDecision, FaultPlan, FaultWindow, LinkFault, LinkMatch, WindowFault};
 pub use latency::LatencyModel;

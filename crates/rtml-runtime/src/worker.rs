@@ -30,7 +30,9 @@
 //! `Outbox`, which the task's context reaches. A task's start is
 //! reported to the queue ([`RunQueue::start`]) together with what was
 //! published since, so a worker that dies loses exactly the tasks whose
-//! results are not out. The batch's tasks not yet started stay the
+//! results are not out, and with how long the task before it ran (a
+//! lone task's run time rides the worker's next [`RunQueue::next`]):
+//! the queue's per-function means are the spill rule's work ahead. The batch's tasks not yet started stay the
 //! node's backlog: an idle worker takes from them once the `Running`
 //! commit is out ([`RunQueue::committed`]). There is one path: a lone
 //! task is a batch of one, and the hold rule reads no setting, only
@@ -84,7 +86,7 @@ use rtml_common::ids::{FunctionId, NodeId, ObjectId, TaskId, WorkerId};
 use rtml_common::task::{ArgSpec, TaskSpec, TaskState};
 use rtml_common::time::now_nanos;
 use rtml_kv::Inbound;
-use rtml_sched::{Batch, LocalSchedulerStats, RunQueue};
+use rtml_sched::{Batch, LocalSchedulerStats, RunQueue, RunTime};
 use rtml_store::ObjectStore;
 
 use crate::caller::TaskContext;
@@ -157,10 +159,15 @@ fn worker_loop(
         kill,
         held: Mutex::new(Vec::new()),
     });
-    while let Some(batch) = queue.next(id) {
-        if outbox.crashed() || !run_batch(&services, &recon, &outbox, batch) {
-            // Crashed: nothing it ran is reported finished.
+    let mut ran = None;
+    while let Some(batch) = queue.next(id, ran.take()) {
+        if outbox.crashed() {
             break;
+        }
+        match run_batch(&services, &recon, &outbox, batch) {
+            Some(last) => ran = last,
+            // Crashed: nothing it ran is reported finished.
+            None => break,
         }
     }
 }
@@ -308,14 +315,16 @@ impl Outbox {
 /// each result held while its task ran for less time than that commit
 /// took and the next task runs the same function, and what is held
 /// published by a longer task, a task of another function, a task that
-/// blocks, or the batch's end. False if the worker crashed, with
-/// everything it held discarded.
+/// blocks, or the batch's end. Each task's run time goes to the queue
+/// with the `start` after it; a lone task's, which has none, is
+/// returned for the worker's next `next`. `None` if the worker crashed,
+/// with everything it held discarded.
 fn run_batch(
     services: &Arc<Services>,
     recon: &Arc<ReconstructionManager>,
     outbox: &Arc<Outbox>,
     batch: Batch,
-) -> bool {
+) -> Option<Option<RunTime>> {
     let (id, queue) = (outbox.worker, &outbox.queue);
     let committing = Instant::now();
     services
@@ -335,21 +344,24 @@ fn run_batch(
         }
         let ran = execute_task(services, recon, outbox, spec);
         if outbox.crashed() {
-            return false;
+            return None;
         }
-        let long = ran.took >= commit;
+        let (function, took) = (ran.spec.function, ran.took);
         outbox.hold(ran);
-        if long {
+        if took >= commit {
             published.extend(outbox.publish(true));
         }
+        let run_time = RunTime { function, took };
         // A lone task is the batch's end: nothing to start.
-        next = (!batch.behind.is_empty())
-            .then(|| queue.start(id, &published))
-            .flatten();
+        if batch.behind.is_empty() {
+            outbox.publish(true);
+            return Some(Some(run_time));
+        }
+        next = queue.start(id, &published, run_time);
         published.clear();
     }
     outbox.publish(true);
-    true
+    Some(None)
 }
 
 fn execute_task(

@@ -16,7 +16,6 @@
 //! released by the worker that finishes it. A task that becomes runnable
 //! meets the spill rule then (`on_sealed`).
 
-use std::sync::atomic::Ordering::Relaxed;
 use std::time::Instant;
 
 use rtml_common::event::{Component, Event, EventKind};
@@ -25,6 +24,7 @@ use rtml_store::FetchResult;
 
 use crate::local::{Core, Waiting};
 use crate::runq::Runnable;
+use crate::spill::Verdict;
 
 impl Core {
     /// Runs the resolver's decisions for this loop turn (see the module
@@ -133,7 +133,7 @@ impl Core {
             return;
         };
         self.resolver.retire(object);
-        let mut backlog = self.stats.ready_depth.load(Relaxed) as usize;
+        let mut pass = self.spill_pass(tasks.len());
         let (mut runnable, mut spilled) = (Vec::new(), Vec::new());
         for task in tasks {
             let Some(waiting) = self.waiting.get_mut(&task) else {
@@ -156,18 +156,23 @@ impl Core {
                 via_global,
                 ..
             } = self.waiting.remove(&task).expect("present");
-            let total = &self.config.total_resources;
-            if !via_global && self.config.spill.should_spill(&spec, backlog, total) {
+            let verdict = if via_global {
+                Verdict::Stay
+            } else {
+                self.judge(&pass, &spec)
+            };
+            if verdict.spills() {
                 // It leaves unrun: nothing here reads its inputs.
                 for pin in pins {
                     self.services.store.unpin(pin);
                 }
                 spilled.push(spec);
             } else {
-                backlog += 1;
+                pass.keep(&spec, verdict);
                 runnable.push(Runnable { spec, pins });
             }
         }
+        pass.finish(&self.stats);
         self.queue.push(runnable);
         if !spilled.is_empty() {
             let (node, at_nanos) = (self.config.node, rtml_common::time::now_nanos());

@@ -17,7 +17,8 @@
 //!   dependency-resolution engine, [`Resolver`], which the runtime's
 //!   blocking `get`/`wait` run as well.
 //! - When a task's demand can never fit the node, or the local backlog
-//!   exceeds the [`SpillMode`] threshold, the task **spills over** to a
+//!   exceeds the [`SpillMode`] threshold and its measured work takes
+//!   longer than a measured round trip, the task **spills over** to a
 //!   [`GlobalScheduler`] via the simulated fabric (paying the cross-node
 //!   latency the paper's hybrid design tries to avoid on the fast path).
 //! - The global scheduler places spilled tasks using cluster-wide
@@ -51,6 +52,6 @@ pub use local::{
 pub use msg::{load_key, LoadReport, LocalMsg};
 pub use policy::{choose_victim, LoadView, PlacementPolicy, PolicyState, DEFAULT_TOP_K};
 pub use resolve::{Goal, Replay, Replays, Resolver, Wiring, POLL_SLICE};
-pub use runq::{Batch, QueueLoad, RunQueue, Runnable, MAX_BATCH};
-pub use spill::SpillMode;
+pub use runq::{Batch, QueueLoad, RunQueue, RunTime, Runnable, MAX_BATCH};
+pub use spill::{Backlog, SpillMode, Verdict};
 pub use wire::SchedWire;

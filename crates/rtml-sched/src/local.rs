@@ -46,7 +46,7 @@
 //! node: nothing pulls queued work away.
 
 use std::sync::atomic::AtomicUsize;
-use std::sync::atomic::Ordering::{Relaxed, SeqCst};
+use std::sync::atomic::Ordering::SeqCst;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -71,7 +71,7 @@ use crate::health::HealthTracker;
 use crate::msg::{load_key, LoadReport, LocalMsg};
 use crate::resolve::{Goal, Replays, Resolver, Wiring};
 use crate::runq::{RunQueue, Runnable};
-use crate::spill::SpillMode;
+use crate::spill::{SpillMode, Verdict};
 use crate::wire::SchedWire;
 
 /// How often an idle scheduler loop ticks, and the least time between
@@ -185,6 +185,22 @@ pub struct LocalSchedulerStats {
     /// that moves a burst's results in a few frames. It publishes no
     /// other data, so it is read and written relaxed.
     pub ready_depth: std::sync::atomic::AtomicU64,
+    /// Gauge: the mean run times of the tasks `ready_depth` counts,
+    /// summed, in nanoseconds — those whose function has run here; the
+    /// spill rule's measured work ahead. Written beside `ready_depth`.
+    pub ready_work_ns: std::sync::atomic::AtomicU64,
+    /// Gauge: the tasks `ready_depth` counts whose function has not run
+    /// here yet, so that `ready_work_ns` leaves them out. Written beside
+    /// `ready_depth`.
+    pub ready_unmeasured: std::sync::atomic::AtomicU64,
+    /// The delay of the cross-node frames the node's endpoint received
+    /// ([`rtml_net::Endpoint::delay`]): twice it is the round trip the
+    /// spill rule weighs the work ahead against.
+    pub delay: Arc<rtml_net::DelayEstimate>,
+    /// Tasks kept on the node past the spill rule's count threshold,
+    /// because the measured work ahead of them drained within one
+    /// measured round trip.
+    pub kept_short: Counter,
     /// Times a worker found nothing to take and went idle. A park
     /// sends nothing: a burst moves this by about the number of
     /// workers, and [`turns`](Self::turns) not at all.
@@ -205,11 +221,12 @@ pub struct LocalSchedulerStats {
 
 impl LocalSchedulerStats {
     /// Registers the counters some reader reads: prefetch admission,
-    /// direct admission, loop turns and ticks, and worker parks
-    /// (`sched.*`).
+    /// direct admission, tasks kept short, loop turns and ticks, and
+    /// worker parks (`sched.*`), and the `sched.round_trip_us` gauge
+    /// (0 until a cross-node frame has arrived).
     pub fn register_metrics(self: &Arc<Self>, registry: &MetricsRegistry) {
         type Read = fn(&LocalSchedulerStats) -> &Counter;
-        let counters: [(&str, Read); 6] = [
+        let counters: [(&str, Read); 7] = [
             ("sched.prefetch_skipped_capacity", |s| {
                 &s.prefetch_skipped_capacity
             }),
@@ -217,6 +234,7 @@ impl LocalSchedulerStats {
                 &s.prefetch_deferred_priority
             }),
             ("sched.admitted_direct", |s| &s.admitted_direct),
+            ("sched.kept_short", |s| &s.kept_short),
             ("sched.turns", |s| &s.turns),
             ("sched.ticks", |s| &s.ticks),
             ("sched.worker_parks", |s| &s.worker_parks),
@@ -225,6 +243,10 @@ impl LocalSchedulerStats {
             let stats = self.clone();
             registry.register_value(name, move || read(&stats).get());
         }
+        let delay = self.delay.clone();
+        registry.register_value("sched.round_trip_us", move || {
+            delay.round_trip().map_or(0, |d| d.as_micros() as u64)
+        });
     }
 }
 
@@ -339,7 +361,10 @@ impl LocalScheduler {
             address,
         );
         let agent = Arc::new(agent);
-        let stats = Arc::new(LocalSchedulerStats::default());
+        let stats = Arc::new(LocalSchedulerStats {
+            delay: endpoint.delay().clone(),
+            ..LocalSchedulerStats::default()
+        });
         let stats2 = stats.clone();
         let queue = Arc::new(RunQueue::new(
             config.total_resources.clone(),
@@ -519,7 +544,9 @@ impl Core {
                 recv(endpoint.receiver()) -> delivery => match delivery {
                     Ok(delivery) => {
                         let due = endpoint.receiver().try_iter();
+                        let now_nanos = rtml_common::time::now_nanos();
                         for delivery in std::iter::once(delivery).chain(due) {
+                            endpoint.received(&delivery, now_nanos);
                             if PlaneCore::takes(&delivery.payload) {
                                 self.plane.on_frame(delivery);
                             } else {
@@ -659,10 +686,11 @@ impl Core {
     /// never satisfy the demand — stale capacity information).
     pub(crate) fn on_submit_batch(&mut self, specs: Vec<TaskSpec>, via_global: bool) {
         let started = Instant::now();
-        // Single pass: spill decision plus dependency gating. `backlog`
-        // advances as runnable tasks are accepted, so the spill rule
-        // sees exactly the queue depths a sequential loop would.
-        let mut backlog = self.stats.ready_depth.load(Relaxed) as usize;
+        // Single pass: spill decision plus dependency gating. The pass's
+        // backlog advances as runnable tasks are accepted, so the spill
+        // rule sees exactly the queue depths a sequential loop would. A
+        // placed task meets no rule but feasibility.
+        let mut pass = self.spill_pass(if via_global { 0 } else { specs.len() });
         let mut accepted: Vec<(TaskSpec, Vec<ObjectId>)> = Vec::with_capacity(specs.len());
         let mut spilled: Vec<TaskSpec> = Vec::new();
         // Batch-local store-presence cache: `store.contains` takes the
@@ -673,14 +701,14 @@ impl Core {
         // below announces it at once.
         let mut present_cache: FastMap<ObjectId, bool> = FastMap::default();
         for spec in specs {
-            let must_spill = if via_global {
-                !self.config.total_resources.fits(&spec.resources)
+            let verdict = if !via_global {
+                self.judge(&pass, &spec)
+            } else if self.config.total_resources.fits(&spec.resources) {
+                Verdict::Stay
             } else {
-                self.config
-                    .spill
-                    .should_spill(&spec, backlog, &self.config.total_resources)
+                Verdict::Spill
             };
-            if must_spill {
+            if verdict.spills() {
                 spilled.push(spec);
                 continue;
             }
@@ -700,10 +728,11 @@ impl Core {
                 }
             }
             if missing.is_empty() {
-                backlog += 1;
+                pass.keep(&spec, verdict);
             }
             accepted.push((spec, missing));
         }
+        pass.finish(&self.stats);
 
         // Gate each task on its dependencies, collecting the objects
         // nobody here waited for yet, in submission order, so the store
@@ -809,6 +838,7 @@ impl Core {
 mod tests {
     use super::*;
     use crate::health::REPORT_STALE_AFTER;
+    use crate::runq::RunTime;
     use bytes::Bytes;
     use rtml_common::ids::{DriverId, FunctionId};
     use rtml_common::task::ArgSpec;
@@ -828,19 +858,22 @@ mod tests {
     /// A stand-in for worker `id`'s thread: takes batches from the run
     /// queue, shows the test each task as it starts (the receiver), and
     /// finishes it — starting the next of its batch, or taking the next
-    /// batch — when the test says so (a `()` on the sender).
+    /// batch — when the test says so (a `()` on the sender). A task's
+    /// run time is the time from showing it to being told.
     fn fake_worker(queue: &Arc<RunQueue>, id: WorkerId) -> (Receiver<TaskSpec>, Sender<()>) {
         let (taken_tx, taken_rx) = unbounded();
         let (done_tx, done_rx) = unbounded();
         let queue = queue.clone();
         std::thread::spawn(move || {
-            while let Some(batch) = queue.next(id) {
+            while let Some(batch) = queue.next(id, None) {
                 let mut next = Some(batch.first);
                 while let Some(spec) = next {
+                    let (function, started) = (spec.function, Instant::now());
                     if taken_tx.send(spec).is_err() || done_rx.recv().is_err() {
                         return;
                     }
-                    next = queue.start(id, &[]);
+                    let took = started.elapsed();
+                    next = queue.start(id, &[], RunTime { function, took });
                 }
             }
         });
@@ -1256,7 +1289,7 @@ mod tests {
         assert_eq!(first.task_id, a.task_id);
         // The second worker takes what it can and never finishes it.
         let (queue, second) = (r.handle.queue().clone(), WorkerId::new(NodeId(0), 1));
-        std::thread::spawn(move || queue.next(second));
+        std::thread::spawn(move || queue.next(second, None));
         r.handle.submit_batch(vec![b.clone()]);
         r.handle.submit_batch(vec![c.clone()]);
         // C is taken (by the second worker) even though B is ahead.

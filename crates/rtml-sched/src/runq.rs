@@ -38,6 +38,17 @@
 //! nothing queued that fits takes the back half of the longest batch
 //! whose tasks fit, as a batch of its own.
 //!
+//! # Run times
+//!
+//! A worker reports how long each task ran ([`RunTime`]) with the call
+//! it makes next — [`start`](RunQueue::start) for the batch's next task,
+//! [`next`](RunQueue::next) after a lone one — so the queue learns it
+//! under the lock it takes anyway. It keeps a moving average per
+//! function and, beside the backlog's depth, the sum of its tasks'
+//! averages and the count of its tasks whose function has none yet: the
+//! spill rule's work ahead ([`crate::spill`]), published with
+//! `ready_depth` as the `ready_work_ns` and `ready_unmeasured` gauges.
+//!
 //! # Lock discipline
 //!
 //! One mutex, one condvar. **Nothing else is called while the mutex is
@@ -69,17 +80,18 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
+use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
 
-use rtml_common::collections::FastSet;
-use rtml_common::ids::{ObjectId, TaskId, WorkerId};
+use rtml_common::collections::{FastSet, IdMap};
+use rtml_common::ids::{FunctionId, ObjectId, TaskId, WorkerId};
 use rtml_common::resources::Resources;
 use rtml_common::task::TaskSpec;
 use rtml_store::ObjectStore;
 
 use crate::local::LocalSchedulerStats;
-use crate::spill::SpillMode;
+use crate::spill::{Backlog, SpillMode, Verdict};
 
 /// The most tasks one [`RunQueue::next`] hands a worker. On the ledger's
 /// `burst_spill` (two nodes of two workers, 256 trivial tasks a round,
@@ -89,6 +101,40 @@ use crate::spill::SpillMode;
 /// one is measured on every workload: a batch runs in order on one
 /// worker, so the cap is also how much work one worker can hold back.
 pub const MAX_BATCH: usize = 16;
+
+/// A new run time weighs 1/4 in its function's mean, and counts at most
+/// [`SAMPLE_CAP`] times the mean: no one task moves the mean by more
+/// than ×0.75 to ×1.75, so a task its worker lost the CPU in does not
+/// make its function look long, and a function whose tasks really got
+/// slower is followed within a few tasks. (A 2-vCPU host timed an
+/// `x + 1` task of a debug build at 0.3–0.9 ms now and then, against a
+/// few µs; uncapped, one such sample priced the next 256-task burst at
+/// ten times a round trip.)
+const MEAN_WEIGHT: u64 = 4;
+
+/// How many times the mean one run time counts at most.
+const SAMPLE_CAP: u64 = 4;
+
+/// How long a task of `function` ran, as its worker timed it: reported
+/// with the queue call the worker makes next ([`RunQueue::start`],
+/// [`RunQueue::next`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RunTime {
+    /// The task's function.
+    pub function: FunctionId,
+    /// From taking its arguments to its return.
+    pub took: Duration,
+}
+
+/// What the queue knows of one function's run time and backlog.
+#[derive(Default)]
+struct Cost {
+    /// Mean run time of its tasks here, in nanoseconds (an exponentially
+    /// weighted average); `None` until one has run.
+    mean_ns: Option<u64>,
+    /// Its tasks in the backlog: ready, held and reserved.
+    queued: usize,
+}
 
 /// A runnable task as it sits in the queue.
 #[derive(Debug)]
@@ -180,6 +226,12 @@ struct State {
     /// Attached workers inside [`RunQueue::next`] that found nothing to
     /// take.
     idle: usize,
+    /// Per function: its mean run time and its tasks in the backlog.
+    costs: IdMap<FunctionId, Cost>,
+    /// The backlog's measured means, summed: `Σ queued × mean_ns`.
+    work_ns: u64,
+    /// The backlog's tasks whose function has no mean yet.
+    unmeasured: usize,
     /// A pool-growth request is outstanding.
     growing: bool,
     closed: bool,
@@ -190,6 +242,62 @@ impl State {
     /// tasks.
     fn depth(&self) -> usize {
         self.ready.len() + self.held + self.reserved
+    }
+
+    /// The backlog as the spill rule reads it.
+    fn backlog(&self) -> Backlog {
+        Backlog {
+            tasks: self.depth(),
+            work_ns: self.work_ns,
+            unmeasured: self.unmeasured,
+        }
+    }
+
+    fn mean_ns(&self, function: FunctionId) -> Option<u64> {
+        self.costs.get(&function).and_then(|cost| cost.mean_ns)
+    }
+
+    /// A task of `function` joins the backlog.
+    fn enter(&mut self, function: FunctionId) {
+        let cost = self.costs.entry(function).or_default();
+        cost.queued += 1;
+        match cost.mean_ns {
+            Some(ns) => self.work_ns += ns,
+            None => self.unmeasured += 1,
+        }
+    }
+
+    /// A task of `function` leaves the backlog: started, lost with its
+    /// worker, or handed back unpushed.
+    fn leave(&mut self, function: FunctionId) {
+        let cost = self.costs.get_mut(&function).expect("entered");
+        cost.queued -= 1;
+        match cost.mean_ns {
+            Some(ns) => self.work_ns -= ns,
+            None => self.unmeasured -= 1,
+        }
+    }
+
+    /// Folds a task's run time into its function's mean, and the
+    /// function's queued tasks into the backlog's work at the new mean.
+    fn measure(&mut self, ran: RunTime) {
+        let cost = self.costs.entry(ran.function).or_default();
+        let sample = u64::try_from(ran.took.as_nanos())
+            .unwrap_or(u64::MAX)
+            .max(1);
+        let mean = match cost.mean_ns {
+            None => sample,
+            Some(old) => {
+                let sample = sample.min(old.saturating_mul(SAMPLE_CAP));
+                (old - old / MEAN_WEIGHT + sample / MEAN_WEIGHT).max(1)
+            }
+        };
+        let queued = cost.queued as u64;
+        match cost.mean_ns.replace(mean) {
+            None => self.unmeasured -= cost.queued,
+            Some(old) => self.work_ns -= queued * old,
+        }
+        self.work_ns += queued * mean;
     }
 
     fn available(&self, total: &Resources) -> Resources {
@@ -246,9 +354,11 @@ impl State {
             let mut held = from.split_off(from.len() / 2);
             let first = held.pop_front().expect("a victim holds a task");
             self.held -= 1;
+            self.leave(first.spec.function);
             return Some(self.hand_out(worker, first, held));
         };
         let first = self.ready.remove(pos).expect("position valid");
+        self.leave(first.spec.function);
         let share = (self.ready.len() + 1)
             .div_ceil(self.workers.len().max(1))
             .min(MAX_BATCH);
@@ -377,6 +487,7 @@ impl RunQueue {
         if let Some(mut taken) = st.end(worker) {
             st.held -= taken.held.len();
             for Runnable { spec, pins } in taken.held.drain(..) {
+                st.leave(spec.function);
                 lost.push(spec.task_id);
                 unpin.extend(pins);
             }
@@ -385,7 +496,7 @@ impl RunQueue {
             unpin.extend(taken.pins);
         }
         lost.sort();
-        self.stats.ready_depth.store(st.depth() as u64, Relaxed);
+        self.publish(&st);
         drop(st);
         // Everyone: the dead worker must notice, and the grant it held
         // may fit what the others are waiting with.
@@ -410,21 +521,48 @@ impl RunQueue {
     }
 
     /// Holds places for `specs`, all or none, if each keeps `spill`'s
-    /// rule against the backlog (ready, held and reserved tasks,
-    /// advancing per task) — decided under the lock, so concurrent
-    /// submitters cannot admit past it — and the queue is open.
+    /// rule against the backlog (ready, held and reserved tasks and
+    /// their measured work, advancing per task) and the node's measured
+    /// round trip — decided under the lock, so concurrent submitters
+    /// cannot admit past it — and the queue is open.
     pub fn reserve(&self, specs: &[TaskSpec], spill: &SpillMode) -> bool {
+        let round_trip = self.stats.delay.round_trip();
         let mut st = self.state.lock();
-        let depth = st.depth();
-        let keeps = |(ahead, spec): (usize, &TaskSpec)| {
-            !spill.should_spill(spec, depth + ahead, &self.total)
+        let mut ahead = st.backlog();
+        let mut kept_short = 0;
+        let mut keeps = |(at, spec): (usize, &TaskSpec)| {
+            let verdict = spill.decide(spec, &ahead, &self.total, round_trip);
+            kept_short += (verdict == Verdict::StayShort) as u64;
+            // The last task has nobody behind it to count it.
+            if at + 1 < specs.len() {
+                ahead.add(st.mean_ns(spec.function));
+            }
+            !verdict.spills()
         };
-        let reserved = !st.closed && specs.iter().enumerate().all(keeps);
-        if reserved {
-            st.reserved += specs.len();
-            self.stats.ready_depth.store(st.depth() as u64, Relaxed);
+        let reserved = !st.closed && specs.iter().enumerate().all(&mut keeps);
+        if !reserved {
+            return false;
         }
-        reserved
+        st.reserved += specs.len();
+        for spec in specs {
+            st.enter(spec.function);
+        }
+        self.publish(&st);
+        drop(st);
+        if kept_short > 0 {
+            self.stats.kept_short.add(kept_short);
+        }
+        true
+    }
+
+    /// The mean run time of every function that has run here, in
+    /// nanoseconds.
+    pub fn mean_run_times(&self) -> IdMap<FunctionId, u64> {
+        let st = self.state.lock();
+        let measured = st.costs.iter();
+        measured
+            .filter_map(|(function, cost)| Some((*function, cost.mean_ns?)))
+            .collect()
     }
 
     /// Pushes the tasks a [`reserve`](Self::reserve) held places for, or
@@ -442,14 +580,21 @@ impl RunQueue {
         if reserved {
             st.reserved -= pushed;
             if st.closed {
-                self.stats.ready_depth.store(st.depth() as u64, Relaxed);
+                for task in &tasks {
+                    st.leave(task.spec.function);
+                }
+                self.publish(&st);
                 return Err(tasks);
+            }
+        } else {
+            for task in &tasks {
+                st.enter(task.spec.function);
             }
         }
         st.ready.extend(tasks);
         let wakes = if st.closed { 0 } else { pushed.min(st.idle) };
         let grow = st.must_grow();
-        self.stats.ready_depth.store(st.depth() as u64, Relaxed);
+        self.publish(&st);
         drop(st);
         self.follow_up(wakes, grow);
         Ok(())
@@ -461,10 +606,15 @@ impl RunQueue {
     /// admit is taken for `worker`, its first task started — one
     /// critical section, so nobody sees the freed grant before this
     /// worker has had first pick. With nothing to take the worker goes
-    /// idle and sleeps until there is, telling nobody.
-    /// `None` means exit: the queue closed or the worker was detached.
-    pub fn next(&self, worker: WorkerId) -> Option<Batch> {
+    /// idle and sleeps until there is, telling nobody. `ran` is the run
+    /// time of the batch's last task, if [`start`](Self::start) did not
+    /// report it. `None` means exit: the queue closed or the worker was
+    /// detached.
+    pub fn next(&self, worker: WorkerId, ran: Option<RunTime>) -> Option<Batch> {
         let mut st = self.state.lock();
+        if let Some(ran) = ran {
+            st.measure(ran);
+        }
         let mut unpin = st.retire(worker);
         let mut idle = false;
         let taken = loop {
@@ -497,7 +647,7 @@ impl RunQueue {
         // The freed grant may admit more than the one batch taken.
         let pass_on = st.wakes_someone(&self.total);
         let grow = st.must_grow();
-        self.stats.ready_depth.store(st.depth() as u64, Relaxed);
+        self.publish(&st);
         drop(st);
         self.follow_up(pass_on as usize, grow);
         self.unpin(&unpin);
@@ -518,15 +668,17 @@ impl RunQueue {
     }
 
     /// Starts the next task of `worker`'s batch: the grant moves to it
-    /// from the task that just ran, whose pins are released. `published`
-    /// names the batch's tasks whose results are out since the last call
-    /// — a dead worker no longer loses them. `None` ends the batch:
-    /// nothing is held any more (all started, handed back while a task
-    /// blocked, or taken by an idle worker), or the queue closed, or the
-    /// worker was detached.
-    pub fn start(&self, worker: WorkerId, published: &[TaskId]) -> Option<TaskSpec> {
+    /// from the task that just ran, whose pins are released and whose
+    /// run time, `ran`, joins its function's mean. `published` names the
+    /// batch's tasks whose results are out since the last call — a dead
+    /// worker no longer loses them. `None` ends the batch: nothing is
+    /// held any more (all started, handed back while a task blocked, or
+    /// taken by an idle worker), or the queue closed, or the worker was
+    /// detached.
+    pub fn start(&self, worker: WorkerId, published: &[TaskId], ran: RunTime) -> Option<TaskSpec> {
         let mut guard = self.state.lock();
         let st = &mut *guard;
+        st.measure(ran);
         let closed = st.closed;
         let taken = st.taken.get_mut(&worker)?;
         let next = if closed { None } else { taken.held.pop_front() };
@@ -539,10 +691,11 @@ impl RunQueue {
             None => (None, Vec::new()),
         };
         taken.ran.retain(|task| !published.contains(task));
-        if spec.is_some() {
+        if let Some(spec) = &spec {
             st.held -= 1;
-            self.stats.ready_depth.store(st.depth() as u64, Relaxed);
+            st.leave(spec.function);
         }
+        self.publish(st);
         drop(guard);
         self.unpin(&done);
         spec
@@ -594,6 +747,15 @@ impl RunQueue {
         }
     }
 
+    /// Writes the backlog gauges the spill and push rules read: its
+    /// depth, measured work and unmeasured tasks.
+    fn publish(&self, st: &State) {
+        self.stats.ready_depth.store(st.depth() as u64, Relaxed);
+        self.stats.ready_work_ns.store(st.work_ns, Relaxed);
+        let unmeasured = st.unmeasured as u64;
+        self.stats.ready_unmeasured.store(unmeasured, Relaxed);
+    }
+
     /// What a critical section decided, done once its guard is gone.
     fn follow_up(&self, wakes: usize, grow: bool) {
         for _ in 0..wakes {
@@ -608,5 +770,108 @@ impl RunQueue {
         for pin in pins {
             self.store.unpin(*pin);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rtml_common::ids::DriverId;
+    use rtml_store::StoreConfig;
+
+    fn queue(cpus: f64) -> RunQueue {
+        let store = Arc::new(ObjectStore::new(StoreConfig::default()));
+        let stats = Arc::new(LocalSchedulerStats::default());
+        RunQueue::new(Resources::cpu(cpus), store, stats, Arc::new(|| {}))
+    }
+
+    fn specs(function: &str, from: u64, count: u64) -> Vec<TaskSpec> {
+        let root = TaskId::driver_root(DriverId::from_index(0));
+        let f = FunctionId::from_name(function);
+        (from..from + count)
+            .map(|i| TaskSpec::simple(root.child(i), f, vec![]))
+            .collect()
+    }
+
+    fn ran(function: &str, micros: u64) -> RunTime {
+        let function = FunctionId::from_name(function);
+        RunTime {
+            function,
+            took: Duration::from_micros(micros),
+        }
+    }
+
+    const THRESHOLD: SpillMode = SpillMode::Hybrid { queue_threshold: 4 };
+
+    /// Worker 0 takes a batch and reports its first task ran for `micros`.
+    fn measure(q: &RunQueue, function: &str, micros: u64) {
+        let worker = WorkerId::new(rtml_common::ids::NodeId(0), 0);
+        q.attach(worker);
+        q.push(
+            specs(function, 1_000, 1)
+                .into_iter()
+                .map(Runnable::from)
+                .collect(),
+        );
+        let batch = q.next(worker, None).expect("a task");
+        assert!(batch.behind.is_empty());
+        assert!(q.start(worker, &[], ran(function, micros)).is_none());
+    }
+
+    #[test]
+    fn a_cold_queue_reserves_by_count_alone() {
+        let q = queue(2.0);
+        q.stats.delay.fold(100_000);
+        // Five places (the threshold plus one), then no more: `f` never ran.
+        assert!(!q.reserve(&specs("f", 0, 6), &THRESHOLD));
+        assert!(q.reserve(&specs("f", 0, 5), &THRESHOLD));
+        assert!(!q.reserve(&specs("f", 5, 1), &THRESHOLD));
+        assert_eq!(q.stats.kept_short.get(), 0);
+    }
+
+    #[test]
+    fn measured_short_work_reserves_past_the_threshold() {
+        let q = queue(2.0);
+        measure(&q, "f", 1);
+        // No round trip measured yet: the count rule.
+        assert!(!q.reserve(&specs("f", 0, 6), &THRESHOLD));
+        q.stats.delay.fold(100_000);
+        // 256 tasks of 1 µs on 2 slots drain within the 200 µs round trip.
+        assert!(q.reserve(&specs("f", 0, 256), &THRESHOLD));
+        assert_eq!(q.stats.kept_short.get(), 256 - 5);
+        let gauge = |g: &std::sync::atomic::AtomicU64| g.load(Relaxed);
+        assert_eq!(gauge(&q.stats.ready_depth), 256);
+        assert_eq!(gauge(&q.stats.ready_work_ns), 256 * 1_000);
+        assert_eq!(gauge(&q.stats.ready_unmeasured), 0);
+    }
+
+    #[test]
+    fn long_or_unmeasured_work_ahead_reserves_by_count() {
+        let q = queue(2.0);
+        q.stats.delay.fold(100_000);
+        measure(&q, "long", 2_000);
+        assert!(!q.reserve(&specs("long", 0, 6), &THRESHOLD));
+        measure(&q, "short", 1);
+        // One task of a function that never ran here sits in front.
+        assert!(q.reserve(&specs("new", 0, 1), &THRESHOLD));
+        assert!(!q.reserve(&specs("short", 1, 8), &THRESHOLD));
+        assert!(q.reserve(&specs("short", 1, 4), &THRESHOLD));
+        assert_eq!(q.stats.kept_short.get(), 0);
+    }
+
+    #[test]
+    fn a_mean_moves_a_quarter_of_the_way_and_reprices_the_backlog() {
+        let q = queue(2.0);
+        measure(&q, "f", 800);
+        assert!(q.reserve(&specs("f", 0, 3), &THRESHOLD));
+        assert_eq!(q.mean_run_times()[&FunctionId::from_name("f")], 800_000);
+        assert_eq!(q.stats.ready_work_ns.load(Relaxed), 3 * 800_000);
+        measure(&q, "f", 1_600);
+        assert_eq!(q.mean_run_times()[&FunctionId::from_name("f")], 1_000_000);
+        assert_eq!(q.stats.ready_work_ns.load(Relaxed), 3 * 1_000_000);
+        // One stalled task counts four means, not a hundred.
+        measure(&q, "f", 100_000);
+        assert_eq!(q.mean_run_times()[&FunctionId::from_name("f")], 1_750_000);
+        assert_eq!(q.stats.ready_work_ns.load(Relaxed), 3 * 1_750_000);
     }
 }

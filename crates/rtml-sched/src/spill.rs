@@ -24,13 +24,60 @@
 //! every task that could not start at once paid a global hop; at 4,
 //! every workload's p50 was within 1.5 % of the stealing one. A
 //! threshold derived from the node's slot count was not measured.
+//!
+//! # Short work stays
+//!
+//! A count says nothing of what the tasks cost: 256 tasks of a
+//! microsecond are less work than one spill's round trip, yet the count
+//! rule sent 251 of them to the global scheduler and back, and pulled
+//! their results home again. So [`SpillMode::Hybrid`] keeps a task past
+//! the threshold ([`Verdict::StayShort`], counted in
+//! `sched.kept_short`) when the **work ahead** of it drains within one
+//! **round trip** to another node:
+//!
+//! - *Work ahead* is the backlog's tasks' mean run times, summed, over
+//!   the node's CPU slots. A worker times every task it runs and tells
+//!   the run queue in the call it makes next anyway
+//!   ([`RunQueue::start`](crate::RunQueue::start) or
+//!   [`next`](crate::RunQueue::next)); the queue keeps a per-function
+//!   moving average and the backlog's sum beside its depth, under its
+//!   one lock ([`Backlog`]; the `ready_work_ns` and `ready_unmeasured`
+//!   gauges).
+//! - *Round trip* is twice the moving average of the delay of the
+//!   cross-node frames the node's endpoint received, from when a
+//!   frame's last byte left its sender's link to its receipt
+//!   ([`rtml_net::DelayEstimate`]; gauge `sched.round_trip_us`). A
+//!   spilled task pays at least a hop out and its result a hop back;
+//!   what bulk transfers queue on a busy link is not that cost (with it,
+//!   `shuffle_write`'s round trip read several ms and its
+//!   `peak_rss_mb` ×1.23).
+//!
+//! **Cold start is the count rule.** Until a node has received a frame
+//! from another node, or while any task ahead is of a function that has
+//! not run here, the count rule decides alone: a node cannot keep work
+//! whose cost it has not seen. A task the global scheduler placed still
+//! never re-spills, and a task the node can never fit still always does.
+//!
+//! **No setting.** Both sides of the comparison are measured on the
+//! running node, so there is nothing to tune: the threshold keeps its
+//! meaning (the backlog kept whatever it costs) and the exception only
+//! widens it where moving a task would cost more than running it here.
+//! This is the rule of Dask's work stealing: a task is not moved when
+//! its run time is small next to the cost of moving it. On the ledger's
+//! `burst_spill` (2 × 2 nodes, 256-task `x + 1` bursts) it is what keeps
+//! a burst home; `rl_broadcast`'s 2–2.6 ms rollouts are long next to a
+//! round trip, and the lone tasks of `rtt_*` never pass the threshold.
+
+use std::sync::atomic::Ordering::Relaxed;
+use std::time::Duration;
 
 use rtml_common::codec::Codec;
-use rtml_common::ids::TaskId;
+use rtml_common::collections::IdMap;
+use rtml_common::ids::{FunctionId, TaskId};
 use rtml_common::resources::Resources;
 use rtml_common::task::{TaskSpec, TaskState};
 
-use crate::local::Core;
+use crate::local::{Core, LocalSchedulerStats};
 use crate::wire::SchedWire;
 
 /// The spillover decision rule.
@@ -38,11 +85,14 @@ use crate::wire::SchedWire;
 pub enum SpillMode {
     /// Spill a task when the local backlog of runnable tasks it would
     /// join already exceeds `queue_threshold` (the paper's hybrid
-    /// design).
+    /// design) — unless the measured work of that backlog drains within
+    /// one measured round trip to another node (see the module docs).
     Hybrid {
-        /// The largest backlog a task is still kept behind: a task that
-        /// finds `queue_threshold` tasks ahead of it stays, so up to
-        /// `queue_threshold + 1` runnable tasks are kept locally.
+        /// The largest backlog a task is still kept behind by count: a
+        /// task that finds `queue_threshold` tasks ahead of it stays, so
+        /// up to `queue_threshold + 1` runnable tasks are kept locally
+        /// whatever they cost. Past it, only the time exception keeps a
+        /// task.
         queue_threshold: usize,
     },
     /// Spill every task: a fully-centralized scheduler (a baseline).
@@ -58,32 +108,164 @@ impl Default for SpillMode {
     }
 }
 
+/// The runnable backlog a task would join, as the spill rule reads it:
+/// ready tasks, tasks held in a worker's batch and places reserved for
+/// tasks being admitted.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Backlog {
+    /// How many tasks.
+    pub tasks: usize,
+    /// Their functions' mean run times, summed, in nanoseconds: the
+    /// measured ones only.
+    pub work_ns: u64,
+    /// Those whose function has no measured run time yet.
+    pub unmeasured: usize,
+}
+
+impl Backlog {
+    /// One more task, of a function whose mean run time is `mean_ns`
+    /// (`None`: not measured yet).
+    pub fn add(&mut self, mean_ns: Option<u64>) {
+        self.tasks += 1;
+        match mean_ns {
+            Some(ns) => self.work_ns += ns,
+            None => self.unmeasured += 1,
+        }
+    }
+}
+
+/// What the spill rule decided for one task.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Verdict {
+    /// Runs here.
+    Stay,
+    /// Runs here although the backlog is past `queue_threshold`: its
+    /// measured work drains within one round trip
+    /// (`sched.kept_short` counts these).
+    StayShort,
+    /// Goes to the global scheduler.
+    Spill,
+}
+
+impl Verdict {
+    /// Whether the task leaves the node.
+    pub fn spills(self) -> bool {
+        self == Verdict::Spill
+    }
+}
+
 impl SpillMode {
-    /// Decides whether `spec` should spill to the global scheduler.
+    /// Decides whether `spec` spills to the global scheduler, given the
+    /// `ahead` backlog on a node of capacity `node_total` and the node's
+    /// measured `round_trip` to another node (`None` before any frame
+    /// has crossed to it). The one rule of all three places a task
+    /// becomes runnable: direct admission, ingest and a last input
+    /// sealing.
     ///
     /// Regardless of mode, a task whose demand can **never** be satisfied
     /// by this node (demand exceeds total capacity, e.g. a GPU task on a
     /// CPU-only node) must spill — only the global scheduler can see a
     /// node that fits it (R4 heterogeneity).
-    pub fn should_spill(
+    pub fn decide(
         &self,
         spec: &TaskSpec,
-        ready_backlog: usize,
+        ahead: &Backlog,
         node_total: &Resources,
-    ) -> bool {
+        round_trip: Option<Duration>,
+    ) -> Verdict {
         if !node_total.fits(&spec.resources) {
-            return true;
+            return Verdict::Spill;
         }
         match self {
-            SpillMode::Hybrid { queue_threshold } => ready_backlog > *queue_threshold,
-            SpillMode::AlwaysSpill => true,
-            SpillMode::NeverSpill => false,
+            SpillMode::Hybrid { queue_threshold } if ahead.tasks <= *queue_threshold => {
+                Verdict::Stay
+            }
+            SpillMode::Hybrid { .. } if drains_within(ahead, node_total, round_trip) => {
+                Verdict::StayShort
+            }
+            SpillMode::Hybrid { .. } | SpillMode::AlwaysSpill => Verdict::Spill,
+            SpillMode::NeverSpill => Verdict::Stay,
+        }
+    }
+}
+
+/// Whether every task of `ahead` has a measured run time, a round trip
+/// has been measured, and the work, spread over the node's CPU slots,
+/// takes no longer than that round trip.
+fn drains_within(ahead: &Backlog, node_total: &Resources, round_trip: Option<Duration>) -> bool {
+    let Some(round_trip) = round_trip.filter(|_| ahead.unmeasured == 0) else {
+        return false;
+    };
+    // work / (cpu_milli / 1000) <= round trip, in integers.
+    let slots_milli = node_total.cpu_milli().max(1) as u128;
+    ahead.work_ns as u128 * 1_000 <= round_trip.as_nanos() * slots_milli
+}
+
+/// The spill rule over the tasks one loop turn makes runnable (a batch
+/// ingested, the waiters of an object sealed): the backlog is read off
+/// the run queue's gauges once and advances by each task kept, and the
+/// functions' mean run times are read from the queue — one lock — only
+/// when the tasks could take the backlog past the count threshold.
+pub(crate) struct SpillPass {
+    ahead: Backlog,
+    means: Option<IdMap<FunctionId, u64>>,
+    round_trip: Option<Duration>,
+    kept_short: u64,
+}
+
+impl SpillPass {
+    /// `spec`, kept with `verdict`, is runnable now: it joins the
+    /// backlog the pass's later tasks find ahead of them. (One kept
+    /// waiting for an input meets the rule again when it becomes
+    /// runnable.)
+    pub(crate) fn keep(&mut self, spec: &TaskSpec, verdict: Verdict) {
+        self.kept_short += (verdict == Verdict::StayShort) as u64;
+        let means = self.means.as_ref();
+        self.ahead
+            .add(means.and_then(|m| m.get(&spec.function).copied()));
+    }
+
+    /// Counts what the pass kept short. The tasks it kept the loop
+    /// pushes itself.
+    pub(crate) fn finish(self, stats: &LocalSchedulerStats) {
+        if self.kept_short > 0 {
+            stats.kept_short.add(self.kept_short);
         }
     }
 }
 
 /// The scheduler's side of a spill decision.
 impl Core {
+    /// A spill pass over at most `upto` tasks the rule judges.
+    pub(crate) fn spill_pass(&self, upto: usize) -> SpillPass {
+        let stats = &self.stats;
+        let ahead = Backlog {
+            tasks: stats.ready_depth.load(Relaxed) as usize,
+            work_ns: stats.ready_work_ns.load(Relaxed),
+            unmeasured: stats.ready_unmeasured.load(Relaxed) as usize,
+        };
+        let weighs = match self.config.spill {
+            SpillMode::Hybrid { queue_threshold } => {
+                upto > 0 && ahead.tasks + upto > queue_threshold
+            }
+            SpillMode::AlwaysSpill | SpillMode::NeverSpill => false,
+        };
+        SpillPass {
+            ahead,
+            means: weighs.then(|| self.queue.mean_run_times()),
+            round_trip: stats.delay.round_trip(),
+            kept_short: 0,
+        }
+    }
+
+    /// The rule's verdict on `spec` behind the backlog of `pass`.
+    pub(crate) fn judge(&self, pass: &SpillPass, spec: &TaskSpec) -> Verdict {
+        let total = &self.config.total_resources;
+        self.config
+            .spill
+            .decide(spec, &pass.ahead, total, pass.round_trip)
+    }
+
     /// Forwards a whole batch of spilling tasks to the global scheduler
     /// as one `SpillBatch` frame: one state group commit, one fabric
     /// hop. The tasks' `TaskSpilled` events are in the frame
@@ -148,6 +330,18 @@ mod tests {
         s
     }
 
+    /// A backlog of `tasks`, `unmeasured` of them with no mean, the
+    /// rest measured at `each_us`.
+    fn backlog(tasks: usize, each_us: u64, unmeasured: usize) -> Backlog {
+        let mut ahead = Backlog::default();
+        for i in 0..tasks {
+            ahead.add((i >= unmeasured).then_some(each_us * 1_000));
+        }
+        ahead
+    }
+
+    const RT: Option<Duration> = Some(Duration::from_micros(200));
+
     #[test]
     fn infeasible_always_spills() {
         let node = Resources::cpu(4.0); // no GPU
@@ -159,7 +353,10 @@ mod tests {
             SpillMode::AlwaysSpill,
             SpillMode::NeverSpill,
         ] {
-            assert!(mode.should_spill(&gpu_task, 0, &node), "{mode:?}");
+            for (ahead, rt) in [(Backlog::default(), None), (backlog(8, 1, 0), RT)] {
+                let verdict = mode.decide(&gpu_task, &ahead, &node, rt);
+                assert_eq!(verdict, Verdict::Spill, "{mode:?}");
+            }
         }
     }
 
@@ -168,23 +365,94 @@ mod tests {
         let node = Resources::cpu(4.0);
         let task = spec(Resources::cpu(1.0));
         let mode = SpillMode::Hybrid { queue_threshold: 3 };
-        assert!(!mode.should_spill(&task, 0, &node));
-        assert!(!mode.should_spill(&task, 3, &node));
-        assert!(mode.should_spill(&task, 4, &node));
+        let by_count = |tasks| mode.decide(&task, &backlog(tasks, 1, tasks), &node, None);
+        assert_eq!(by_count(0), Verdict::Stay);
+        assert_eq!(by_count(3), Verdict::Stay);
+        assert_eq!(by_count(4), Verdict::Spill);
+    }
+
+    #[test]
+    fn a_cold_start_is_exactly_the_count_rule() {
+        let node = Resources::cpu(4.0);
+        let task = spec(Resources::cpu(1.0));
+        let mode = SpillMode::Hybrid { queue_threshold: 3 };
+        for tasks in 0..10 {
+            let count_rule = if tasks > 3 {
+                Verdict::Spill
+            } else {
+                Verdict::Stay
+            };
+            // No round trip measured, or no task ahead measured.
+            let cold = [(backlog(tasks, 1, 0), None), (backlog(tasks, 1, tasks), RT)];
+            for (ahead, rt) in cold {
+                assert_eq!(
+                    mode.decide(&task, &ahead, &node, rt),
+                    count_rule,
+                    "{ahead:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn measured_short_work_is_kept_past_the_threshold() {
+        let node = Resources::cpu(2.0);
+        let task = spec(Resources::cpu(1.0));
+        let mode = SpillMode::Hybrid { queue_threshold: 4 };
+        // 256 tasks of 1 µs on 2 slots drain in 128 µs < 200 µs.
+        let ahead = backlog(256, 1, 0);
+        assert_eq!(mode.decide(&task, &ahead, &node, RT), Verdict::StayShort);
+        // Exactly one round trip still drains within it: 400 × 1 µs / 2.
+        let ahead = backlog(400, 1, 0);
+        assert_eq!(mode.decide(&task, &ahead, &node, RT), Verdict::StayShort);
+        // Up to the threshold the count rule keeps it, whatever it costs.
+        let ahead = backlog(4, 10_000, 0);
+        assert_eq!(mode.decide(&task, &ahead, &node, RT), Verdict::Stay);
+    }
+
+    #[test]
+    fn long_work_or_one_unmeasured_task_ahead_falls_back_to_the_count_rule() {
+        let node = Resources::cpu(2.0);
+        let task = spec(Resources::cpu(1.0));
+        let mode = SpillMode::Hybrid { queue_threshold: 4 };
+        // One more µs of work than the round trip drains.
+        let ahead = backlog(401, 1, 0);
+        assert_eq!(mode.decide(&task, &ahead, &node, RT), Verdict::Spill);
+        // Five 2 ms tasks on 2 slots: 5 ms against 200 µs.
+        let ahead = backlog(5, 2_000, 0);
+        assert_eq!(mode.decide(&task, &ahead, &node, RT), Verdict::Spill);
+        // Short work, but one task ahead of a function never run here.
+        let ahead = backlog(8, 1, 1);
+        assert_eq!(mode.decide(&task, &ahead, &node, RT), Verdict::Spill);
+        // More slots drain more: the same 401 µs on 4 slots.
+        let ahead = backlog(401, 1, 0);
+        let big = Resources::cpu(4.0);
+        assert_eq!(mode.decide(&task, &ahead, &big, RT), Verdict::StayShort);
     }
 
     #[test]
     fn always_spill_spills_feasible_tasks() {
         let node = Resources::cpu(4.0);
         let task = spec(Resources::cpu(1.0));
-        assert!(SpillMode::AlwaysSpill.should_spill(&task, 0, &node));
+        let mode = SpillMode::AlwaysSpill;
+        assert_eq!(
+            mode.decide(&task, &Backlog::default(), &node, None),
+            Verdict::Spill
+        );
+        // No exception: nothing is kept, however short.
+        assert_eq!(
+            mode.decide(&task, &backlog(8, 1, 0), &node, RT),
+            Verdict::Spill
+        );
     }
 
     #[test]
     fn never_spill_keeps_feasible_tasks() {
         let node = Resources::cpu(4.0);
         let task = spec(Resources::cpu(1.0));
-        assert!(!SpillMode::NeverSpill.should_spill(&task, 10_000, &node));
+        let ahead = backlog(10_000, 1_000, 0);
+        let verdict = SpillMode::NeverSpill.decide(&task, &ahead, &node, RT);
+        assert_eq!(verdict, Verdict::Stay);
     }
 
     #[test]

@@ -18,6 +18,7 @@ use bytes::Bytes;
 use crossbeam::channel::{unbounded, Sender};
 use parking_lot::Mutex;
 
+use rtml_common::collections::IdMap;
 use rtml_common::error::{Error, Result};
 use rtml_common::ids::{NodeId, ObjectId};
 use rtml_common::metrics::{Counter, MetricsRegistry};
@@ -57,7 +58,8 @@ struct Entry {
 
 #[derive(Default)]
 struct StoreState {
-    objects: HashMap<ObjectId, Entry>,
+    /// Keyed by id, hashed by the id's own bits.
+    objects: IdMap<ObjectId, Entry>,
     used_bytes: u64,
     /// Bytes held by entries with at least one pin (maintained
     /// incrementally on pin/unpin transitions). The store's admission

@@ -963,43 +963,111 @@ mod tests {
         }
     }
 
+    /// A node whose object plane the test drives frame by frame: its
+    /// endpoint, its store and agent, and the plane's core.
+    fn driven(
+        fabric: &Arc<Fabric>,
+        directory: &Arc<TransferDirectory>,
+        node: u32,
+    ) -> (rtml_net::Endpoint, Peer, PlaneCore) {
+        let store = Arc::new(ObjectStore::new(StoreConfig {
+            node: NodeId(node),
+            capacity_bytes: 16 << 20,
+            chunk_bytes: 8 << 10,
+        }));
+        let endpoint = fabric.register(NodeId(node), "driven");
+        let address = endpoint.address();
+        let (agent, core) =
+            FetchAgent::on_mailbox(fabric.clone(), store.clone(), directory, address);
+        (endpoint, Peer { store, agent }, core)
+    }
+
+    /// Hands `core` the next frame to reach `endpoint`.
+    fn step(endpoint: &rtml_net::Endpoint, core: &mut PlaneCore) {
+        let frame = endpoint.receiver().recv_timeout(Duration::from_secs(5));
+        core.on_frame(frame.expect("a frame"));
+    }
+
     #[test]
     fn a_reader_whose_relay_goes_silent_completes_from_another_holder() {
-        // 2 MB/s: each 8 KiB chunk of the 64 KiB object takes 4 ms.
+        // 2 MB/s: each 8 KiB chunk of the 64 KiB object takes 4 ms. The
+        // origin (node 0) and the relay (node 1) handle their frames on
+        // this thread, one at a time, so where the relay is cut off from
+        // its reader (node 2) is decided by frames, not by when a thread
+        // wakes.
         let config = FabricConfig {
             latency: LatencyModel::Constant(Duration::from_micros(100)),
             bandwidth_bytes_per_sec: Some(2_000_000),
             ..FabricConfig::default()
         };
-        let (fabric, _directory, p) = peers(3, config, 8 << 10);
+        let fabric = Fabric::new(config);
+        let directory = TransferDirectory::new();
+        let (origin_at, origin, mut origin_core) = driven(&fabric, &directory, 0);
+        let (relay_at, relay, mut relay_core) = driven(&fabric, &directory, 1);
+        let reader_store = Arc::new(ObjectStore::new(StoreConfig {
+            node: NodeId(2),
+            capacity_bytes: 16 << 20,
+            chunk_bytes: 8 << 10,
+        }));
+        let reader = Peer {
+            agent: FetchAgent::spawn(fabric.clone(), reader_store.clone(), &directory),
+            store: reader_store,
+        };
         let endpoints = fabric.endpoint_count();
         let payload = patterned(64 << 10);
-        p[0].store.put(obj(1), payload.clone()).unwrap();
+        origin.store.put(obj(1), payload.clone()).unwrap();
         let (done, answers) = unbounded();
-        // Node 1 reads from the origin; node 2 asks next and is handed
-        // on to node 1.
-        p[1].agent
+        // Node 1 reads from the origin; node 2 asks next and, the origin
+        // still streaming to node 1, is handed on to it.
+        relay
+            .agent
             .request_many(&[obj(1)], NodeId(0), Duration::from_secs(5), &done);
-        p[2].agent
+        reader
+            .agent
             .request_many(&[obj(1)], NodeId(0), Duration::from_millis(150), &done);
-        // Cut the relay off from its reader after its second chunk.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while p[2].agent.stats().chunks_received.get() < 2 {
-            assert!(Instant::now() < deadline, "relay never fed its reader");
-            std::thread::yield_now();
+        step(&origin_at, &mut origin_core);
+        step(&origin_at, &mut origin_core);
+        assert_eq!(origin.agent.stats().handed_on.get(), 1);
+        // The relay takes frames until it has sent its reader two chunks
+        // (its catch-up and what it passed on since), and the link is cut
+        // before it sends a third.
+        let stats = relay.agent.stats();
+        let to_reader = || stats.chunks_sent.get() + stats.chunks_forwarded.get();
+        while to_reader() < 2 {
+            step(&relay_at, &mut relay_core);
         }
+        let sent = to_reader();
+        assert!((2..8).contains(&sent), "{sent} chunks before the cut");
         fabric.partition(NodeId(1), NodeId(2));
         // The relay itself completes; its reader hears nothing more.
-        let (_, first) = answers.recv_timeout(Duration::from_secs(5)).unwrap();
-        assert_eq!(first.unwrap().1.from, NodeId(0));
-        assert_eq!(p[0].agent.stats().handed_on.get(), 1);
+        let first = loop {
+            if let Ok(answer) = answers.try_recv() {
+                break answer;
+            }
+            step(&relay_at, &mut relay_core);
+        };
+        assert_eq!(first.1.unwrap().1.from, NodeId(0));
+        assert_eq!(stats.relayed.get(), 1);
+        assert_eq!(to_reader(), 8, "the relay sent its reader every chunk");
+        // From here on the planes serve on their own.
+        let origin_address = origin_at.address();
+        let relay_address = relay_at.address();
+        let planes = [
+            std::thread::spawn(move || origin_core.run(&origin_at)),
+            std::thread::spawn(move || relay_core.run(&relay_at)),
+        ];
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while reader.agent.stats().chunks_received.get() < sent {
+            assert!(Instant::now() < deadline, "the chunks sent never arrived");
+            std::thread::yield_now();
+        }
+        // Past its 150 ms timeout: nothing else is on its way to it.
         assert!(answers.recv_timeout(Duration::from_millis(200)).is_err());
-        let partial = p[2].agent.stats().chunks_received.get();
-        assert!((2..8).contains(&partial), "{partial} chunks before the cut");
-        assert_eq!(p[2].agent.in_flight_len(), 1);
+        assert_eq!(reader.agent.stats().chunks_received.get(), sent);
+        assert_eq!(reader.agent.in_flight_len(), 1);
         // The caller's retry, as `holders_ranked` would order it: the
         // origin again, which by now streams to nobody.
-        let (data, fetched) = p[2]
+        let (data, fetched) = reader
             .agent
             .fetch_one(obj(1), NodeId(0), Duration::from_secs(5))
             .unwrap();
@@ -1016,11 +1084,16 @@ mod tests {
             .unwrap()
             .1
             .is_ok());
-        for peer in &p {
+        for peer in [&origin, &relay, &reader] {
             assert_eq!(peer.agent.in_flight_len(), 0);
             assert_eq!(peer.store.used_bytes(), payload.len() as u64);
         }
         assert_eq!(fabric.endpoint_count(), endpoints);
+        fabric.unregister(origin_address);
+        fabric.unregister(relay_address);
+        for plane in planes {
+            plane.join().unwrap();
+        }
     }
 
     #[test]

@@ -137,10 +137,13 @@ fn kv_locks(cluster: &Cluster) -> u64 {
 }
 
 /// Most kv locks a task of a 256-task burst may cost on a 2×2 cluster:
-/// the worst of 20 runs on a 2-vCPU host (2.19 locks a task, read
-/// 1.95–2.19) plus 10 %. Before workers took batches a task cost 8.6,
-/// and 2.45 before a wait stopped reading its producers' lineage.
-const BURST_LOCKS_PER_TASK: f64 = 2.41;
+/// the worst of 20 runs on a 2-vCPU host (2.15 locks a task, read
+/// 1.77–2.15) plus 10 %. A burst whose measured work drains within a
+/// round trip stays on its node and skips the spill and placement
+/// commits; in a debug build only some do (2.08–2.13 when every burst
+/// spilled). Before workers took batches a task cost 8.6, and 2.45
+/// before a wait stopped reading its producers' lineage.
+const BURST_LOCKS_PER_TASK: f64 = 2.37;
 
 /// What a lone `submit1` + `get` of a sealed result costs in kv locks
 /// on one node of two workers. A lone task is a batch of one: it makes

@@ -368,7 +368,12 @@ fn the_global_scheduler_keeps_placing_after_node_loss() {
         ..ClusterConfig::default()
     };
     let cluster = Cluster::start(config).unwrap();
-    let f = cluster.register_fn1("post_kill_fi", |x: i64| Ok(x - 9));
+    // Each task runs well past a placement round trip, so a backlog of
+    // them is past the spill rule's threshold by time as well as count.
+    let f = cluster.register_fn1("post_kill_fi", |x: i64| {
+        std::thread::sleep(Duration::from_millis(2));
+        Ok(x - 9)
+    });
     let driver = cluster.driver();
     let placements = || cluster.counters().get("global.placements").unwrap();
 

@@ -34,7 +34,7 @@ use rtml::net::{Endpoint, Fabric, FabricConfig};
 use rtml::runtime::{Cluster, ClusterConfig};
 use rtml::sched::{
     HealthTracker, LocalScheduler, LocalSchedulerConfig, LocalSchedulerHandle, LocalSchedulerStats,
-    QueueLoad, RunQueue, Runnable, SchedServices, SpillMode, MAX_BATCH,
+    QueueLoad, RunQueue, RunTime, Runnable, SchedServices, SpillMode, MAX_BATCH,
 };
 use rtml::store::{ObjectStore, StoreConfig, TransferDirectory};
 
@@ -47,6 +47,18 @@ fn total() -> Resources {
 
 fn task(index: u64) -> TaskId {
     TaskId::driver_root(DriverId::from_index(3)).child(index)
+}
+
+/// How long every task of `spec`'s function runs, as the test's workers
+/// report it: one value, so its mean is exact.
+const TOOK: Duration = Duration::from_millis(1);
+
+fn ran() -> RunTime {
+    let function = FunctionId::from_name("f");
+    RunTime {
+        function,
+        took: TOOK,
+    }
 }
 
 fn spec(index: u64, resources: Resources) -> TaskSpec {
@@ -113,7 +125,7 @@ fn controlled_worker(
     let (done_tx, done_rx) = unbounded();
     let (queue, seen) = (queue.clone(), seen.clone());
     let thread = std::thread::spawn(move || {
-        while let Some(batch) = queue.next(id) {
+        while let Some(batch) = queue.next(id, None) {
             let mut running = batch.first.task_id;
             let holds = !batch.behind.is_empty();
             if seen
@@ -130,7 +142,7 @@ fn controlled_worker(
                 if done_rx.recv().is_err() {
                     return;
                 }
-                let Some(spec) = queue.start(id, &[running]) else {
+                let Some(spec) = queue.start(id, &[running], ran()) else {
                     break;
                 };
                 running = spec.task_id;
@@ -328,11 +340,14 @@ impl Harness {
         self.settled = (self.holding.keys().copied().collect(), parks);
         // Held tasks are ready backlog: in the load and the gauge.
         prop_assert_eq!(load.ready, self.ready.len());
-        let depth = &self.queue.stats().ready_depth;
-        prop_assert_eq!(
-            depth.load(std::sync::atomic::Ordering::Relaxed),
-            self.ready.len() as u64
-        );
+        let stats = self.queue.stats();
+        let gauge = |g: &std::sync::atomic::AtomicU64| g.load(std::sync::atomic::Ordering::Relaxed);
+        prop_assert_eq!(gauge(&stats.ready_depth), self.ready.len() as u64);
+        // So are their run times: each task is measured at the one mean,
+        // or counted unmeasured until a task of its function finished.
+        let measured = self.ready.len() as u64 - gauge(&stats.ready_unmeasured);
+        let mean = TOOK.as_nanos() as u64;
+        prop_assert_eq!(gauge(&stats.ready_work_ns), measured * mean);
         // `in_use` is the unreleased batches' grants, and is within
         // `total` unless a blocked task resumed.
         let in_use = self.in_use();
@@ -468,13 +483,13 @@ fn a_cpu_task_overtakes_a_task_waiting_for_the_gpu() {
     // The first GPU task takes the only GPU and, two workers for three
     // tasks, the second GPU task with it: that one waits for the GPU on
     // the same worker, and the CPU task behind it does not wait for it.
-    let gpus = queue.next(w0).unwrap();
+    let gpus = queue.next(w0, None).unwrap();
     assert_eq!((gpus.first.task_id, gpus.behind), (task(0), vec![task(1)]));
-    assert_eq!(queue.next(w1).unwrap().first.task_id, task(2));
+    assert_eq!(queue.next(w1, None).unwrap().first.task_id, task(2));
     assert_eq!(queue.load().ready, 1);
     // The GPU moves on with the batch's grant.
-    assert_eq!(queue.start(w0, &[task(0)]).unwrap().task_id, task(1));
-    assert!(queue.start(w0, &[task(1)]).is_none());
+    assert_eq!(queue.start(w0, &[task(0)], ran()).unwrap().task_id, task(1));
+    assert!(queue.start(w0, &[task(1)], ran()).is_none());
     assert_eq!(queue.load().ready, 0);
 }
 
@@ -488,7 +503,7 @@ fn a_killed_parked_worker_exits_without_taking_and_close_strands_the_queue() {
     // w0 parks on the empty queue: counted once, and it tells nobody.
     let sleeper = {
         let queue = queue.clone();
-        std::thread::spawn(move || queue.next(w0))
+        std::thread::spawn(move || queue.next(w0, None))
     };
     parked(&queue, 1);
     assert_eq!(queue.stats().worker_parks.get(), 1);
@@ -510,13 +525,13 @@ fn a_killed_parked_worker_exits_without_taking_and_close_strands_the_queue() {
         spec(1, cpu()).into(),
         spec(2, cpu()).into(),
     ]);
-    let batch = queue.next(w1).unwrap();
+    let batch = queue.next(w1, None).unwrap();
     assert_eq!(batch.tasks(), vec![task(0), task(1), task(2)]);
     queue.close();
-    assert!(queue.start(w1, &[]).is_none());
-    assert!(queue.next(w1).is_none());
+    assert!(queue.start(w1, &[], ran()).is_none());
+    assert!(queue.next(w1, None).is_none());
     queue.attach(w0);
-    assert!(queue.next(w0).is_none());
+    assert!(queue.next(w0, None).is_none());
     let load = queue.load();
     assert_eq!((load.ready, load.running, load.available), (2, 0, total()));
 }
@@ -541,13 +556,13 @@ fn held_tasks_count_as_ready_backlog_and_a_batch_holds_one_grant() {
     };
     // Eight ready for two workers: w0's fair share is four, one started
     // and three held — and held, they are still ready backlog.
-    let first = queue.next(w0).unwrap();
+    let first = queue.next(w0, None).unwrap();
     assert_eq!(first.tasks(), (0..4).map(task).collect::<Vec<_>>());
     assert_eq!(depth(), 7);
     // The batch is charged one task's demand, so the node's other CPU
     // is free for w1, which takes half of the four still queued.
     assert_eq!(queue.load().available, Resources::new(1.0, 1.0));
-    let second = queue.next(w1).unwrap();
+    let second = queue.next(w1, None).unwrap();
     assert_eq!(second.tasks(), vec![task(4), task(5)]);
     assert_eq!(depth(), 6);
     let load = queue.load();
@@ -556,7 +571,7 @@ fn held_tasks_count_as_ready_backlog_and_a_batch_holds_one_grant() {
         (2, Resources::new(0.0, 1.0))
     );
     // A start moves the grant on and takes the task off the backlog.
-    assert_eq!(queue.start(w0, &[task(0)]).unwrap().task_id, task(1));
+    assert_eq!(queue.start(w0, &[task(0)], ran()).unwrap().task_id, task(1));
     assert_eq!(depth(), 5);
     assert_eq!(queue.load().available, Resources::new(0.0, 1.0));
 }
@@ -572,7 +587,7 @@ fn a_task_that_blocks_hands_the_tasks_held_behind_it_back() {
             .map(|i| spec(i, Resources::cpu(1.0)).into())
             .collect(),
     );
-    let batch = queue.next(w0).unwrap();
+    let batch = queue.next(w0, None).unwrap();
     assert_eq!(batch.tasks(), vec![task(0), task(1), task(2)]);
     // Task 0 waits in `get`, perhaps for what task 1 makes: the tasks
     // behind it go back to the queue for another worker to take.
@@ -580,11 +595,11 @@ fn a_task_that_blocks_hands_the_tasks_held_behind_it_back() {
     assert_eq!(queue.load().ready, 2);
     let w1 = WorkerId::new(NODE, 1);
     queue.attach(w1);
-    assert_eq!(queue.next(w1).unwrap().tasks(), vec![task(1)]);
+    assert_eq!(queue.next(w1, None).unwrap().tasks(), vec![task(1)]);
     assert_eq!(queue.load().ready, 1);
     queue.unblocked(task(0));
     // The batch ends with the blocked task.
-    assert!(queue.start(w0, &[]).is_none());
+    assert!(queue.start(w0, &[], ran()).is_none());
 }
 
 #[test]
@@ -598,16 +613,19 @@ fn an_idle_worker_takes_what_a_batch_holds_once_its_running_commit_is_out() {
     queue.push((0..3).map(|i| spec(i, cpu()).into()).collect());
     // Three ready for two workers: w0 takes two, w1 the third. Task 0
     // runs long.
-    assert_eq!(queue.next(w0).unwrap().tasks(), vec![task(0), task(1)]);
-    assert_eq!(queue.next(w1).unwrap().tasks(), vec![task(2)]);
-    assert!(queue.start(w1, &[task(2)]).is_none());
+    assert_eq!(
+        queue.next(w0, None).unwrap().tasks(),
+        vec![task(0), task(1)]
+    );
+    assert_eq!(queue.next(w1, None).unwrap().tasks(), vec![task(2)]);
+    assert!(queue.start(w1, &[task(2)], ran()).is_none());
     // w1 runs dry beside task 1, which waits behind task 0 — but is not
     // w1's to take before w0 has committed its batch `Running`.
     let (took_tx, took) = unbounded();
     {
         let queue = queue.clone();
         std::thread::spawn(move || {
-            let _ = took_tx.send(queue.next(w1));
+            let _ = took_tx.send(queue.next(w1, None));
         });
     }
     // It parks, counted once and telling nobody.
@@ -623,7 +641,7 @@ fn an_idle_worker_takes_what_a_batch_holds_once_its_running_commit_is_out() {
         batch.expect("w1 never took").unwrap().tasks(),
         vec![task(1)]
     );
-    assert!(queue.start(w0, &[task(0)]).is_none());
+    assert!(queue.start(w0, &[task(0)], ran()).is_none());
     let load = queue.load();
     assert_eq!((load.ready, load.running), (0, 2));
 }
@@ -788,11 +806,11 @@ fn takers(rig: &Rig, workers: u32) -> Receiver<TaskId> {
         let (queue, ran) = (rig.handle.queue().clone(), ran_tx.clone());
         std::thread::spawn(move || {
             let id = WorkerId::new(NODE, index);
-            while let Some(batch) = queue.next(id) {
+            while let Some(batch) = queue.next(id, None) {
                 let mut next = Some(batch.first);
                 while let Some(spec) = next {
                     let _ = ran.send(spec.task_id);
-                    next = queue.start(id, &[spec.task_id]);
+                    next = queue.start(id, &[spec.task_id], self::ran());
                 }
             }
         });
