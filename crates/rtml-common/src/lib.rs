@@ -41,5 +41,4 @@ pub use error::{Error, Result};
 pub use event::{Event, EventKind};
 pub use ids::{ActorId, DriverId, FunctionId, NodeId, ObjectId, TaskId, UniqueId, WorkerId};
 pub use resources::Resources;
-pub use retry::RetryPolicy;
 pub use task::{ArgSpec, TaskSpec, TaskState};

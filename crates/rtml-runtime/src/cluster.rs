@@ -8,14 +8,14 @@
 //!
 //! [`ClusterConfig`] holds only what a user chooses. It is kept whole
 //! in [`Services::config`], where every component reads its setting;
-//! a value no caller varies (the load interval, the retry policy, the
-//! transfer chunk size, the default `get` deadline) is a constant beside
-//! the code that reads it.
+//! a value no caller varies (the global scheduler's node, the telemetry
+//! interval and ring size, the load interval, the retry bound, the
+//! staleness bound, the transfer chunk size, the default `get`
+//! deadline) is a constant beside the code that reads it.
 //!
 //! A count of zero is refused, not rounded up: `Cluster::start` returns
-//! [`Error::InvalidArgument`] for a `kv_shards` of 0, for an enabled
-//! telemetry plane with a zero `interval` or `retention`, and for a
-//! `global_host` outside `nodes`.
+//! [`Error::InvalidArgument`] for a `kv_shards` of 0, as for an empty
+//! node list.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -32,10 +32,7 @@ use rtml_common::metrics::{Histogram, MetricsRegistry, Reading};
 use rtml_common::task::TaskState;
 use rtml_kv::FunctionInfo;
 use rtml_net::LatencyModel;
-use rtml_sched::{
-    GlobalScheduler, GlobalSchedulerConfig, GlobalSchedulerHandle, PlacementPolicy, SchedWire,
-    SpillMode,
-};
+use rtml_sched::{GlobalScheduler, GlobalSchedulerHandle, PlacementPolicy, SchedWire, SpillMode};
 
 use crate::actors::ActorHandle;
 use crate::caller::{Driver, TaskContext};
@@ -58,7 +55,7 @@ pub struct ClusterConfig {
     pub bandwidth_bytes_per_sec: Option<u64>,
     /// Local-scheduler spill rule.
     pub spill: SpillMode,
-    /// Global placement policy.
+    /// Global placement policy. The global scheduler runs on node 0.
     pub placement: PlacementPolicy,
     /// Whether to record events (R7). Benchmarks may disable it.
     pub event_logging: bool,
@@ -72,18 +69,14 @@ pub struct ClusterConfig {
     pub fetch_timeout: Duration,
     /// Seed for the fabric's jitter.
     pub seed: u64,
-    /// Which node hosts the global scheduler (a "head node"). Components
-    /// on the same node reach it without fabric latency. Must name one
-    /// of `nodes`.
-    pub global_host: u32,
     /// Per-node telemetry sampling: every node's plane counters are
     /// registered on a [`rtml_common::metrics::MetricsRegistry`] and the
     /// node's local scheduler group-commits a snapshot to the kv-backed
-    /// telemetry table every interval, from its own loop, as a bounded
-    /// ring ([`Cluster::timeseries`]). On by default: the cost is one kv
-    /// append per node per interval, noise against the submission hot
-    /// path's lock budget.
-    pub telemetry: crate::telemetry::TelemetryConfig,
+    /// telemetry table every [`crate::telemetry::INTERVAL`], from its
+    /// own loop, as a bounded ring ([`Cluster::timeseries`]). On by
+    /// default: the cost is one kv append per node per interval, noise
+    /// against the submission hot path's lock budget.
+    pub telemetry: bool,
     /// Chaos plane: a seeded, deterministic fault-injection plan on the
     /// fabric (per-link drops, duplication, delay spikes, gray links,
     /// scheduled partition windows). Empty by default — a fault-free
@@ -105,8 +98,7 @@ impl Default for ClusterConfig {
             event_log_retention: None,
             fetch_timeout: Duration::from_secs(2),
             seed: 0x5eed,
-            global_host: 0,
-            telemetry: crate::telemetry::TelemetryConfig::default(),
+            telemetry: true,
             faults: rtml_net::FaultPlan::default(),
         }
     }
@@ -155,16 +147,10 @@ impl ClusterConfig {
         self
     }
 
-    /// Replaces the telemetry config builder-style.
-    pub fn with_telemetry(mut self, telemetry: crate::telemetry::TelemetryConfig) -> Self {
-        self.telemetry = telemetry;
-        self
-    }
-
     /// Disables per-node telemetry sampling builder-style (for
     /// overhead A/B measurements).
     pub fn without_telemetry(mut self) -> Self {
-        self.telemetry.enabled = false;
+        self.telemetry = false;
         self
     }
 }
@@ -187,33 +173,16 @@ impl Cluster {
                 "cluster needs at least one node".into(),
             ));
         }
-        if config.global_host as usize >= config.nodes.len() {
-            return Err(Error::InvalidArgument(format!(
-                "head node {} is not one of the {} nodes",
-                config.global_host,
-                config.nodes.len()
-            )));
-        }
         if config.kv_shards == 0 {
             return Err(Error::InvalidArgument(
                 "kv_shards must be at least 1".into(),
-            ));
-        }
-        // A zero interval would spin every node's scheduler loop.
-        let telemetry = &config.telemetry;
-        if telemetry.enabled && (telemetry.interval.is_zero() || telemetry.retention == 0) {
-            return Err(Error::InvalidArgument(
-                "telemetry interval and retention must be above zero".into(),
             ));
         }
         let services = Services::create(&config);
         let recon = ReconstructionManager::new(services.clone());
 
         let global = GlobalScheduler::spawn(
-            GlobalSchedulerConfig {
-                host_node: NodeId(config.global_host),
-                policy: config.placement,
-            },
+            config.placement,
             services.fabric.clone(),
             services.objects.clone(),
             services.events.clone(),
@@ -288,11 +257,8 @@ impl Cluster {
         let node = nodes
             .get_mut(&worker.node)
             .ok_or(Error::NodeDown(worker.node))?;
+        // The node's scheduler logs the loss once it has handled it.
         if node.kill_worker(worker) {
-            self.services.events.append(
-                worker.node,
-                Event::now(Component::Supervisor, EventKind::WorkerLost { worker }),
-            );
             Ok(())
         } else {
             Err(Error::InvalidArgument(format!("no such worker {worker}")))
@@ -442,12 +408,11 @@ impl Cluster {
 
     /// Reads the telemetry time-series: every node's ring of sampled
     /// metric snapshots, sorted by node. Rings are bounded (see
-    /// [`crate::telemetry::TelemetryConfig::retention`]) and survive
-    /// node death — a killed node's history stays readable, like its
-    /// events. Empty when the telemetry plane is disabled.
+    /// [`rtml_kv::TelemetryTable::DEFAULT_RETENTION`]) and survive node
+    /// death — a killed node's history stays readable, like its events.
+    /// Empty when the telemetry plane is disabled.
     pub fn timeseries(&self) -> Vec<(NodeId, Vec<rtml_kv::TelemetryRecord>)> {
-        let retention = self.services.config.telemetry.retention;
-        rtml_kv::TelemetryTable::with_retention(self.services.kv.clone(), retention).read_all()
+        rtml_kv::TelemetryTable::new(self.services.kv.clone()).read_all()
     }
 
     /// One node's metrics registry: the live counters its own

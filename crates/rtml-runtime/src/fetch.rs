@@ -30,7 +30,6 @@ use crossbeam::channel::unbounded;
 
 use rtml_common::error::{Error, Result};
 use rtml_common::ids::{NodeId, ObjectId};
-use rtml_common::retry::RetryPolicy;
 use rtml_sched::{Goal, Replays, Resolver, Wiring, POLL_SLICE};
 use rtml_store::{FetchAgent, ObjectStore};
 
@@ -134,7 +133,6 @@ fn block_on(
             agent: agent.clone(),
             answers: done_tx,
             health: services.health.clone(),
-            retry: RetryPolicy::default(),
             // A request is never given longer than the call itself has.
             fetch_timeout: (services.config.fetch_timeout)
                 .min(deadline.saturating_duration_since(started)),

@@ -70,4 +70,3 @@ pub use profiling::{Incident, PlaneSpan, ProfileReport, TaskProfile};
 pub use registry::{Func0, Func1, Func2, Func3, Func4, FunctionRegistry};
 pub use rtml_sched::HealthTracker;
 pub use services::Services;
-pub use telemetry::TelemetryConfig;

@@ -178,17 +178,15 @@ impl NodeRuntime {
         let registry = Arc::new(MetricsRegistry::new());
         store.register_metrics(&registry);
         let columns = Arc::new(OnceLock::<[Arc<MetricsRegistry>; 2]>::new());
-        let telemetry = &cluster.telemetry;
-        let periodic = telemetry.enabled.then(|| {
+        let periodic = cluster.telemetry.then(|| {
             let columns = columns.clone();
-            let table =
-                rtml_kv::TelemetryTable::with_retention(services.kv.clone(), telemetry.retention);
+            let table = rtml_kv::TelemetryTable::new(services.kv.clone());
             let sample: Arc<dyn Fn() + Send + Sync> = Arc::new(move || {
                 if let Some(registries) = columns.get() {
                     crate::telemetry::sample(node, registries, &table);
                 }
             });
-            (telemetry.interval, sample)
+            (crate::telemetry::INTERVAL, sample)
         });
 
         let sched_services = SchedServices {
@@ -214,7 +212,6 @@ impl NodeRuntime {
                 total_resources: config.total_resources(),
                 spill: cluster.spill.clone(),
                 fetch_timeout: cluster.fetch_timeout,
-                load_interval: rtml_sched::local::LOAD_INTERVAL,
             },
             sched_services,
             worker_ids.clone(),

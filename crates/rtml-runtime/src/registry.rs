@@ -3,10 +3,11 @@
 //!
 //! In a multi-process deployment, function *code* ships to workers and
 //! the control plane's function table maps IDs to that code. In-process,
-//! all workers share one registry of `Arc<dyn Fn>`s; the control-plane
-//! [`rtml_kv::FunctionTable`] still records the metadata (name, arity) so
-//! that lineage replay can verify a spec is executable and the profiler
-//! can print names.
+//! all workers share one registry of `Arc<dyn Fn>`s, and lineage replay
+//! resubmits a spec to the workers that read it. The control-plane
+//! [`rtml_kv::FunctionTable`] records the metadata (name, arity) beside
+//! it; its one reader is the `inspect` dump
+//! ([`crate::tools::cluster_state`]).
 //!
 //! Functions are identified by the hash of their registered **name**, so
 //! a restarted process that re-registers the same names can execute specs

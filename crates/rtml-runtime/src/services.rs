@@ -15,11 +15,10 @@ use rtml_common::event::{Component, Event, EventKind};
 use rtml_common::ids::{NodeId, ObjectId};
 use rtml_common::metrics::MetricsRegistry;
 use rtml_common::resources::Resources;
-use rtml_common::retry::RetryPolicy;
 use rtml_common::task::TaskSpec;
 use rtml_kv::{EventLog, FunctionTable, Inbound, KvStore, ObjectTable, TaskTable};
 use rtml_net::{Fabric, FabricConfig};
-use rtml_sched::{HealthTracker, LocalSubmitter, REPORT_STALE_AFTER};
+use rtml_sched::{HealthTracker, LocalSubmitter};
 use rtml_store::{FetchAgent, ObjectStore, TransferDirectory};
 
 use crate::cluster::ClusterConfig;
@@ -103,7 +102,7 @@ impl Services {
             registry: FunctionRegistry::new(),
             fabric,
             directory: TransferDirectory::new(),
-            health: HealthTracker::new(kv.clone(), REPORT_STALE_AFTER),
+            health: HealthTracker::new(kv.clone()),
             config: config.clone(),
             metrics,
             nodes: RwLock::new(BTreeMap::new()),
@@ -221,12 +220,13 @@ impl Services {
     /// accept whole and runnable is admitted on the calling thread
     /// ([`LocalSubmitter::submit`]). If `home`'s scheduler dies
     /// mid-send, the batch goes again to a loop — the lowest alive
-    /// node's once `home` has left the node table — up to the retry policy's
-    /// attempts; each failed send hands the specs back, so none is lost.
+    /// node's once `home` has left the node table — up to
+    /// [`rtml_common::retry::MAX_ATTEMPTS`] attempts; each failed send
+    /// hands the specs back, so none is lost.
     pub fn submit_batch_home(&self, home: NodeId, specs: Vec<TaskSpec>) -> Result<()> {
         let mut specs = specs;
         let mut last = Error::ShuttingDown;
-        for attempt in 0..RetryPolicy::default().max_attempts {
+        for attempt in 0..rtml_common::retry::MAX_ATTEMPTS {
             match self.try_submit_batch_to(home, specs, attempt == 0) {
                 Ok(()) => return Ok(()),
                 Err((returned, err)) => {

@@ -13,8 +13,8 @@
 //! once more when the loop exits, so the series ends on the node's final
 //! counts ([`rtml_sched::SchedServices::periodic`]). The per-node rings are
 //! bounded, so a long-running cluster holds a sliding window of recent
-//! samples: a column-aligned time-series per node, not just end-of-run
-//! totals.
+//! samples ([`TelemetryTable::DEFAULT_RETENTION`] records each): a
+//! column-aligned time-series per node, not just end-of-run totals.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -24,31 +24,10 @@ use rtml_common::metrics::MetricsRegistry;
 use rtml_common::time::now_nanos;
 use rtml_kv::{TelemetryRecord, TelemetryTable};
 
-/// The `ClusterConfig::telemetry` knob: whether nodes sample, how
-/// often, and how much history each node's ring keeps.
-#[derive(Clone, Debug)]
-pub struct TelemetryConfig {
-    /// Whether nodes sample at all. On by default — the cost is one kv
-    /// append per node per interval on the node's scheduler loop, which
-    /// is noise against the submission hot path's budget (see
-    /// ARCHITECTURE.md).
-    pub enabled: bool,
-    /// Sampling period. Must be above zero when enabled.
-    pub interval: Duration,
-    /// Per-node ring capacity (records). At the default interval this
-    /// holds the trailing ~10 seconds. Must be above zero when enabled.
-    pub retention: usize,
-}
-
-impl Default for TelemetryConfig {
-    fn default() -> Self {
-        TelemetryConfig {
-            enabled: true,
-            interval: Duration::from_millis(10),
-            retention: TelemetryTable::DEFAULT_RETENTION,
-        }
-    }
-}
+/// How often a node samples: its ring of
+/// [`TelemetryTable::DEFAULT_RETENTION`] records then holds the
+/// trailing ~10 seconds.
+pub const INTERVAL: Duration = Duration::from_millis(10);
 
 /// Appends one snapshot of every column of every registry in
 /// `registries` (their names must not overlap), in one name order, to

@@ -8,8 +8,8 @@
 //! cross-node latency, which is exactly why the hybrid design keeps the
 //! common case local.
 //!
-//! It is one thread at one fabric address. Local schedulers handle the
-//! common case; only spillover reaches it.
+//! It is one thread at one fabric address, on node 0. Local schedulers
+//! handle the common case; only spillover reaches it.
 //!
 //! # What the scheduler sees of a node
 //!
@@ -60,9 +60,9 @@ use crate::msg::LoadReport;
 use crate::policy::{LoadView, PlacementPolicy, PolicyState, DEFAULT_TOP_K};
 use crate::wire::SchedWire;
 
-/// Placement attempts before a task is parked to await a cluster change
-/// (guards against local/global ping-pong on stale state).
-const MAX_HOPS: u32 = 8;
+/// The node the scheduler's endpoint lives on: components there reach
+/// it without fabric latency.
+const HOST: NodeId = NodeId(0);
 
 /// Most objects remembered as inbound to one node while tasks needing
 /// them are in flight there; dependencies beyond that earn no credit.
@@ -128,16 +128,6 @@ impl InFlight {
         let retired = self.retired;
         self.inbound.retain(|(_, upto)| *upto > retired);
     }
-}
-
-/// Static configuration for the global scheduler.
-#[derive(Clone, Debug)]
-pub struct GlobalSchedulerConfig {
-    /// Node hosting the global scheduler (its fabric endpoint lives
-    /// there; co-located components reach it without paying latency).
-    pub host_node: NodeId,
-    /// Placement policy.
-    pub policy: PlacementPolicy,
 }
 
 /// Aggregate counters for experiments.
@@ -210,19 +200,19 @@ impl Drop for GlobalSchedulerHandle {
 pub struct GlobalScheduler;
 
 impl GlobalScheduler {
-    /// Spawns the scheduler thread.
+    /// Spawns the scheduler thread, placing by `policy`.
     pub fn spawn(
-        config: GlobalSchedulerConfig,
+        policy: PlacementPolicy,
         fabric: std::sync::Arc<Fabric>,
         objects: ObjectTable,
         events: EventLog,
     ) -> GlobalSchedulerHandle {
-        let endpoint = fabric.register(config.host_node, "global-sched");
+        let endpoint = fabric.register(HOST, "global-sched");
         let address = endpoint.address();
         let (control_tx, control_rx) = unbounded();
         let stats = std::sync::Arc::new(GlobalStats::default());
         let mut core = GlobalCore {
-            config,
+            policy,
             fabric,
             objects,
             events,
@@ -247,7 +237,7 @@ impl GlobalScheduler {
 }
 
 struct GlobalCore {
-    config: GlobalSchedulerConfig,
+    policy: PlacementPolicy,
     fabric: std::sync::Arc<Fabric>,
     objects: ObjectTable,
     events: EventLog,
@@ -260,7 +250,7 @@ struct GlobalCore {
     /// Placements each node has not reported ingesting, folded into the
     /// view every batch.
     in_flight: FastMap<NodeId, InFlight>,
-    parked: VecDeque<(TaskSpec, u32)>,
+    parked: VecDeque<TaskSpec>,
     stats: std::sync::Arc<GlobalStats>,
 }
 
@@ -289,12 +279,7 @@ impl GlobalCore {
             }) => {
                 self.stats.spills.add(specs.len() as u64);
                 self.on_load(load, ingested);
-                self.place_batch(specs, 0);
-            }
-            // A local scheduler bounced a placement (stale capacity);
-            // try again with the hop count preserved.
-            Ok(SchedWire::PlaceBatch { specs, hops }) => {
-                self.place_batch(specs, hops);
+                self.place_batch(specs);
             }
             Ok(SchedWire::Load { report, ingested }) => self.on_load(report, ingested),
             Ok(SchedWire::NodeUp {
@@ -312,7 +297,7 @@ impl GlobalCore {
                 self.forget(node);
                 self.update_known();
             }
-            Err(_) => {}
+            Ok(SchedWire::PlaceBatch { .. }) | Err(_) => {}
         }
     }
 
@@ -370,14 +355,8 @@ impl GlobalCore {
     /// it started from: the same batch against the same view places
     /// identically on every run. Equal candidates
     /// are spread by the per-task hash inside the policy.
-    fn place_batch(&mut self, specs: Vec<TaskSpec>, hops: u32) {
+    fn place_batch(&mut self, specs: Vec<TaskSpec>) {
         if specs.is_empty() {
-            return;
-        }
-        if hops >= MAX_HOPS {
-            for spec in specs {
-                self.park(spec, hops);
-            }
             return;
         }
         let started = std::time::Instant::now();
@@ -388,10 +367,7 @@ impl GlobalCore {
         // Placement is pure: the policy state is never read.
         let mut state = PolicyState::default();
         for spec in specs {
-            let choice = self
-                .config
-                .policy
-                .place(&spec, &view, &self.objects, &mut state);
+            let choice = self.policy.place(&spec, &view, &self.objects, &mut state);
             match choice {
                 Some(node) => {
                     events.push(Event {
@@ -405,7 +381,7 @@ impl GlobalCore {
                     view.note_placed(node, &spec);
                     groups.entry(node).or_default().push(spec);
                 }
-                None => self.park(spec, hops),
+                None => self.park(spec),
             }
         }
         let placed: u32 = groups.values().map(|g| g.len() as u32).sum();
@@ -414,12 +390,12 @@ impl GlobalCore {
         events.push(Event::now(
             Component::GlobalScheduler,
             EventKind::PlacementBatch {
-                node: self.config.host_node,
+                node: HOST,
                 tasks: placed,
                 micros: started.elapsed().as_micros() as u64,
             },
         ));
-        self.events.append_many(self.config.host_node, events);
+        self.events.append_many(HOST, events);
         // Deterministic send order regardless of map layout. Every frame
         // is counted in flight before any is sent, so no report can count
         // a task before the scheduler does.
@@ -435,10 +411,7 @@ impl GlobalCore {
                 .get(&node)
                 .expect("the view holds reachable nodes only");
             let count = group.len() as u64;
-            let msg = SchedWire::PlaceBatch {
-                specs: group,
-                hops: hops + 1,
-            };
+            let msg = SchedWire::PlaceBatch { specs: group };
             // Pre-size the frame encode: ~96 bytes per spec covers the
             // common small-spec case without a doubling series.
             let mut w = rtml_common::codec::Writer::with_capacity(32 + 96 * count as usize);
@@ -452,11 +425,11 @@ impl GlobalCore {
             } else {
                 // The node vanished mid-send; forget it and park.
                 self.forget(node);
-                let SchedWire::PlaceBatch { specs, hops } = msg else {
+                let SchedWire::PlaceBatch { specs } = msg else {
                     unreachable!("constructed above")
                 };
                 for spec in specs {
-                    self.park(spec, hops);
+                    self.park(spec);
                 }
             }
         }
@@ -475,15 +448,14 @@ impl GlobalCore {
             .store(known, std::sync::atomic::Ordering::Release);
     }
 
-    fn park(&mut self, spec: TaskSpec, hops: u32) {
+    fn park(&mut self, spec: TaskSpec) {
         self.stats.parked.inc();
-        self.parked.push_back((spec, hops.min(MAX_HOPS - 1)));
+        self.parked.push_back(spec);
     }
 
     fn retry_parked(&mut self) {
-        let mut batch: VecDeque<(TaskSpec, u32)> = std::mem::take(&mut self.parked);
-        while let Some((spec, hops)) = batch.pop_front() {
-            self.place_batch(vec![spec], hops);
+        for spec in std::mem::take(&mut self.parked) {
+            self.place_batch(vec![spec]);
         }
     }
 }
@@ -504,14 +476,11 @@ mod tests {
         handle: GlobalSchedulerHandle,
     }
 
-    fn rig(policy: PlacementPolicy) -> Rig {
+    fn rig() -> Rig {
         let fabric = Fabric::new(FabricConfig::default());
         let kv = KvStore::new(2);
         let handle = GlobalScheduler::spawn(
-            GlobalSchedulerConfig {
-                host_node: NodeId(0),
-                policy,
-            },
+            PlacementPolicy::LocalityAware,
             fabric.clone(),
             ObjectTable::new(kv.clone()),
             EventLog::new(kv.clone()),
@@ -652,7 +621,7 @@ mod tests {
 
     #[test]
     fn places_on_least_loaded() {
-        let mut r = rig(PlacementPolicy::LeastLoaded);
+        let mut r = rig();
         let busy = fake_node(&r, NodeId(1), 10, Resources::cpu(4.0));
         let idle = fake_node(&r, NodeId(2), 0, Resources::cpu(4.0));
         std::thread::sleep(Duration::from_millis(20)); // let loads land
@@ -669,7 +638,7 @@ mod tests {
 
     #[test]
     fn respects_resource_fit() {
-        let mut r = rig(PlacementPolicy::LeastLoaded);
+        let mut r = rig();
         let cpu_node = fake_node(&r, NodeId(1), 0, Resources::cpu(4.0));
         let gpu_node = fake_node(&r, NodeId(2), 50, Resources::new(4.0, 2.0));
         std::thread::sleep(Duration::from_millis(20));
@@ -682,7 +651,7 @@ mod tests {
 
     #[test]
     fn parks_until_fitting_node_appears() {
-        let mut r = rig(PlacementPolicy::LeastLoaded);
+        let mut r = rig();
         let cpu_node = fake_node(&r, NodeId(1), 0, Resources::cpu(4.0));
         std::thread::sleep(Duration::from_millis(20));
         spill(&r, &cpu_node, task(0, Resources::gpu(1.0)));
@@ -698,7 +667,7 @@ mod tests {
 
     #[test]
     fn locality_aware_places_near_data() {
-        let mut r = rig(PlacementPolicy::LocalityAware);
+        let mut r = rig();
         let objects = ObjectTable::new(r.kv.clone());
         let root = TaskId::driver_root(DriverId::from_index(0));
         let dep = root.child(9).return_object(0);
@@ -719,7 +688,7 @@ mod tests {
     /// reports 13 queued (its own share of the burst); the other 19
     /// tasks, `i` needing `dep`, are the spill.
     fn burst_rig() -> (Rig, Vec<rtml_net::Endpoint>, Vec<TaskSpec>) {
-        let r = rig(PlacementPolicy::LocalityAware);
+        let r = rig();
         let objects = ObjectTable::new(r.kv.clone());
         let root = TaskId::driver_root(DriverId::from_index(0));
         let dep = root.child(999).return_object(0);
@@ -804,7 +773,7 @@ mod tests {
         // having ingested none of them: they are still on the wire, so
         // the next CPU task goes to node 2 although node 1's report is
         // newer than the placements.
-        let mut r = rig(PlacementPolicy::LeastLoaded);
+        let mut r = rig();
         let gpu = Resources::new(4.0, 4.0);
         let n1 = fake_node(&r, NodeId(1), 0, gpu.clone());
         let n2 = fake_node(&r, NodeId(2), 3, Resources::cpu(4.0));
@@ -857,7 +826,7 @@ mod tests {
         // tasks with its own load attached: three waves deep. Nodes 1
         // and 2 take a wave each, and node 0 — idle in its older report
         // — gets none of its own spill back.
-        let mut r = rig(PlacementPolicy::LocalityAware);
+        let mut r = rig();
         let nodes: Vec<rtml_net::Endpoint> = (0..3)
             .map(|n| fake_node(&r, NodeId(n), 0, Resources::cpu(4.0)))
             .collect();
@@ -873,19 +842,19 @@ mod tests {
 
     #[test]
     fn a_placement_lost_on_the_wire_stops_counting() {
-        // Four GPU tasks go to node 1, the only GPU node, and are never
-        // ingested (the frame was lost). A report measured LOST_AFTER
-        // later still not counting them writes them off: node 1 is idle
-        // again, and shallower than node 2.
-        let mut r = rig(PlacementPolicy::LeastLoaded);
+        // Eight GPU tasks — two waves — go to node 1, the only GPU node,
+        // and are never ingested (the frame was lost). A report measured
+        // LOST_AFTER later still not counting them writes them off: node
+        // 1 is idle again, and a wave shallower than node 2.
+        let mut r = rig();
         let gpu = Resources::new(4.0, 4.0);
         let n1 = fake_node(&r, NodeId(1), 0, gpu.clone());
-        let n2 = fake_node(&r, NodeId(2), 2, Resources::cpu(4.0));
+        let n2 = fake_node(&r, NodeId(2), 4, Resources::cpu(4.0));
         std::thread::sleep(Duration::from_millis(20));
         let now = rtml_common::time::now_nanos();
-        let specs: Vec<TaskSpec> = (0..4).map(|i| task(i, Resources::gpu(1.0))).collect();
-        spill_batch(&r, &n2, report(&n2, 2, Resources::cpu(4.0), now), 0, specs);
-        placements(&[&n1], 4);
+        let specs: Vec<TaskSpec> = (0..8).map(|i| task(i, Resources::gpu(1.0))).collect();
+        spill_batch(&r, &n2, report(&n2, 4, Resources::cpu(4.0), now), 0, specs);
+        placements(&[&n1], 8);
         let later = report(&n1, 0, gpu, now + 2 * LOST_AFTER);
         spill_batch(&r, &n1, later, 0, vec![task(100, Resources::cpu(1.0))]);
         assert_eq!(placements(&[&n1, &n2], 1).values().next(), Some(&0));
@@ -894,7 +863,7 @@ mod tests {
 
     #[test]
     fn node_down_removes_candidate() {
-        let mut r = rig(PlacementPolicy::LeastLoaded);
+        let mut r = rig();
         let n1 = fake_node(&r, NodeId(1), 0, Resources::cpu(4.0));
         let n2 = fake_node(&r, NodeId(2), 5, Resources::cpu(4.0));
         std::thread::sleep(Duration::from_millis(20));
@@ -915,7 +884,7 @@ mod tests {
 
     #[test]
     fn spill_batch_is_placed_in_coalesced_frames() {
-        let mut r = rig(PlacementPolicy::LeastLoaded);
+        let mut r = rig();
         let n1 = fake_node(&r, NodeId(1), 0, Resources::cpu(4.0));
         let n2 = fake_node(&r, NodeId(2), 0, Resources::cpu(4.0));
         std::thread::sleep(Duration::from_millis(20));
@@ -930,9 +899,7 @@ mod tests {
             assert!(std::time::Instant::now() < deadline, "placed {placed}/10");
             for endpoint in [&n1, &n2] {
                 while let Ok(d) = endpoint.receiver().try_recv() {
-                    if let Ok(SchedWire::PlaceBatch { specs, hops }) = decode_from_slice(&d.payload)
-                    {
-                        assert_eq!(hops, 1);
+                    if let Ok(SchedWire::PlaceBatch { specs }) = decode_from_slice(&d.payload) {
                         placed += specs.len();
                         frames += 1;
                     }
@@ -949,13 +916,13 @@ mod tests {
 
     #[test]
     fn burst_spreads_via_hash_and_batch_digest() {
-        let mut r = rig(PlacementPolicy::LeastLoaded);
+        let mut r = rig();
         let n1 = fake_node(&r, NodeId(1), 0, Resources::cpu(4.0));
         let n2 = fake_node(&r, NodeId(2), 0, Resources::cpu(4.0));
         std::thread::sleep(Duration::from_millis(20));
-        // Ten spills with no intervening load reports: the per-task
-        // spread hash plus the in-flight fold keep the two equal nodes
-        // within one task of each other.
+        // Ten spills with no intervening load reports: the in-flight
+        // fold keeps the two equal nodes within a wave of each other,
+        // and the per-task spread hash shares each wave.
         for i in 0..10 {
             spill(&r, &n1, task(i, Resources::cpu(1.0)));
         }

@@ -36,6 +36,11 @@ use rtml_kv::KvStore;
 /// heartbeat), so this much silence is decisive, not jitter.
 pub const REPORT_STALE_AFTER: Duration = Duration::from_millis(100);
 
+/// How long a cached verdict stays fresh: a sixteenth of
+/// [`REPORT_STALE_AFTER`], so a hot path pays a map lookup, not a kv
+/// read, and a verdict is never much older than the staleness it reads.
+const VERDICT_FRESH_FOR: Duration = Duration::from_nanos(REPORT_STALE_AFTER.as_nanos() as u64 / 16);
+
 /// Failures within this window accumulate toward suspicion; the window
 /// also serves as the quarantine period once the threshold is crossed.
 const FAILURE_WINDOW: Duration = Duration::from_millis(500);
@@ -55,23 +60,18 @@ struct PeerEvidence {
 /// not a kv read, per call.
 pub struct HealthTracker {
     kv: Arc<KvStore>,
-    /// A peer whose newest load report is older than this is suspect.
-    suspect_after: Duration,
     evidence: Mutex<HashMap<NodeId, PeerEvidence>>,
     /// Verdict cache: node -> (suspect, verdict timestamp nanos).
     verdicts: Mutex<HashMap<NodeId, (bool, u64)>>,
-    /// How long a cached verdict stays fresh.
-    cache_for: Duration,
 }
 
 impl HealthTracker {
-    pub fn new(kv: Arc<KvStore>, suspect_after: Duration) -> Arc<Self> {
+    /// A tracker reading the load reports mirrored in `kv`.
+    pub fn new(kv: Arc<KvStore>) -> Arc<Self> {
         Arc::new(HealthTracker {
             kv,
-            suspect_after,
             evidence: Mutex::new(HashMap::new()),
             verdicts: Mutex::new(HashMap::new()),
-            cache_for: (suspect_after / 16).max(Duration::from_millis(2)),
         })
     }
 
@@ -106,7 +106,7 @@ impl HealthTracker {
     pub fn is_suspect(&self, node: NodeId) -> bool {
         let now = rtml_common::time::now_nanos();
         if let Some((verdict, at)) = self.verdicts.lock().get(&node) {
-            if now.saturating_sub(*at) < self.cache_for.as_nanos() as u64 {
+            if now.saturating_sub(*at) < VERDICT_FRESH_FOR.as_nanos() as u64 {
                 return *verdict;
             }
         }
@@ -127,14 +127,14 @@ impl HealthTracker {
             }
         }
         // Heartbeat half: a node that has published a load report but
-        // not refreshed it within `suspect_after` has a wedged or dead
+        // not refreshed it within `REPORT_STALE_AFTER` has a wedged or dead
         // scheduler loop. A node with no report at all is either just
         // forming or already detached — not this tracker's call.
         match self.kv.get(&load_key(node)) {
             Some(bytes) => {
                 match rtml_common::codec::decode_from_slice::<LoadReport>(bytes.as_ref()) {
                     Ok(report) => {
-                        now.saturating_sub(report.at_nanos) > self.suspect_after.as_nanos() as u64
+                        now.saturating_sub(report.at_nanos) > REPORT_STALE_AFTER.as_nanos() as u64
                     }
                     Err(_) => false,
                 }
@@ -169,7 +169,7 @@ mod tests {
     use super::*;
 
     fn tracker() -> Arc<HealthTracker> {
-        HealthTracker::new(KvStore::new(1), REPORT_STALE_AFTER)
+        HealthTracker::new(KvStore::new(1))
     }
 
     #[test]
@@ -186,9 +186,9 @@ mod tests {
 
     #[test]
     fn stale_heartbeat_marks_suspect_and_fresh_clears() {
-        // Short suspect window so the test ages a real report instead
-        // of forging timestamps (now_nanos is process-epoch-relative).
-        let t = HealthTracker::new(KvStore::new(1), Duration::from_millis(20));
+        // The test ages a real report instead of forging timestamps
+        // (now_nanos is process-epoch-relative).
+        let t = tracker();
         let n = NodeId(2);
         let report = LoadReport {
             node: n,
@@ -203,7 +203,7 @@ mod tests {
         };
         t.kv.set(load_key(n), rtml_common::codec::encode_to_bytes(&report));
         assert!(!t.is_suspect(n));
-        std::thread::sleep(Duration::from_millis(40));
+        std::thread::sleep(REPORT_STALE_AFTER * 2);
         assert!(t.is_suspect(n));
         // A fresh report clears it once the verdict cache expires.
         let fresh = LoadReport {
@@ -211,7 +211,7 @@ mod tests {
             ..report
         };
         t.kv.set(load_key(n), rtml_common::codec::encode_to_bytes(&fresh));
-        std::thread::sleep(Duration::from_millis(10));
+        std::thread::sleep(VERDICT_FRESH_FOR * 2);
         assert!(!t.is_suspect(n));
     }
 

@@ -23,7 +23,7 @@
 //!   latency the paper's hybrid design tries to avoid on the fast path).
 //! - The global scheduler places spilled tasks using cluster-wide
 //!   information — per-node load reports and the object table's locality
-//!   data — under a pluggable [`PlacementPolicy`].
+//!   data — under the locality-aware [`PlacementPolicy`].
 //!
 //! Spill and global placement are the only way work moves between
 //! nodes: a task queued on a node stays there unless the node dies.
@@ -44,7 +44,7 @@ pub mod spill;
 pub mod wire;
 
 pub use admit::LocalSubmitter;
-pub use global::{GlobalScheduler, GlobalSchedulerConfig, GlobalSchedulerHandle, GlobalStats};
+pub use global::{GlobalScheduler, GlobalSchedulerHandle, GlobalStats};
 pub use health::{HealthTracker, REPORT_STALE_AFTER};
 pub use local::{
     LocalScheduler, LocalSchedulerConfig, LocalSchedulerHandle, LocalSchedulerStats, SchedServices,

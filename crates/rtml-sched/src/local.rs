@@ -58,7 +58,6 @@ use rtml_common::event::{Component, Event, EventKind};
 use rtml_common::ids::{NodeId, ObjectId, TaskId, WorkerId};
 use rtml_common::metrics::{Counter, MetricsRegistry};
 use rtml_common::resources::Resources;
-use rtml_common::retry::RetryPolicy;
 use rtml_common::task::{TaskSpec, TaskState};
 use rtml_kv::{EventLog, KvStore, ObjectTable, TaskTable};
 use rtml_net::{Fabric, NetAddress};
@@ -90,9 +89,6 @@ pub struct LocalSchedulerConfig {
     pub spill: SpillMode,
     /// Per-attempt timeout for remote object fetches.
     pub fetch_timeout: Duration,
-    /// Minimum interval between load publications: [`LOAD_INTERVAL`],
-    /// except in tests that want a loop with no ticks.
-    pub load_interval: Duration,
 }
 
 impl Default for LocalSchedulerConfig {
@@ -102,7 +98,6 @@ impl Default for LocalSchedulerConfig {
             total_resources: Resources::cpu(4.0),
             spill: SpillMode::default(),
             fetch_timeout: Duration::from_secs(2),
-            load_interval: LOAD_INTERVAL,
         }
     }
 }
@@ -406,7 +401,6 @@ impl LocalScheduler {
                 agent: Some(agent.clone()),
                 answers: fetch_tx,
                 health: services.health.clone(),
-                retry: RetryPolicy::default(),
                 fetch_timeout: config.fetch_timeout,
             },
         );
@@ -531,7 +525,7 @@ impl Core {
                 due.min(self.plane.next_tick())
             });
             let until = wake.saturating_duration_since(Instant::now());
-            let idle = self.config.load_interval.min(until);
+            let idle = LOAD_INTERVAL.min(until);
             crossbeam::channel::select! {
                 recv(rx) -> msg => match msg {
                     Ok(LocalMsg::Close) => break true,
@@ -646,7 +640,7 @@ impl Core {
 
     fn on_net(&mut self, from: NetAddress, payload: bytes::Bytes) {
         match decode_from_slice::<SchedWire>(&payload) {
-            Ok(SchedWire::PlaceBatch { specs, hops: _ }) => {
+            Ok(SchedWire::PlaceBatch { specs }) => {
                 // Counted before the ingest, which may spill an infeasible
                 // task on: the count and the spill's report then agree.
                 if from == self.services.global {
@@ -654,9 +648,6 @@ impl Core {
                 }
                 self.on_submit_batch(specs, true)
             }
-            // Misdirected spill (we are not a global scheduler); treat as
-            // a local submission rather than dropping work.
-            Ok(SchedWire::SpillBatch { specs, .. }) => self.on_submit_batch(specs, false),
             Ok(_) | Err(_) => {}
         }
     }
@@ -778,11 +769,11 @@ impl Core {
     }
 
     /// Publishes the node's load when it reads different from what was
-    /// last published (at most once a `load_interval`), and as a
+    /// last published (at most once a [`LOAD_INTERVAL`]), and as a
     /// heartbeat.
     fn maybe_publish_load(&mut self) {
         let elapsed = self.last_load.elapsed();
-        if elapsed < self.config.load_interval {
+        if elapsed < LOAD_INTERVAL {
             return;
         }
         let report = self.load_report();
@@ -790,7 +781,7 @@ impl Core {
         // report's timestamp stays fresh — the health tracker reads
         // staleness as death evidence, and an idle-but-alive node must
         // not look like a ghost.
-        let heartbeat = elapsed >= self.config.load_interval.saturating_mul(16);
+        let heartbeat = elapsed >= LOAD_INTERVAL.saturating_mul(16);
         // The global scheduler counts its placements here as in flight
         // until a report says they were ingested, so an ingest is news
         // even when the load reads the same as before it.
@@ -837,7 +828,6 @@ impl Core {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::health::REPORT_STALE_AFTER;
     use crate::runq::RunTime;
     use bytes::Bytes;
     use rtml_common::ids::{DriverId, FunctionId};
@@ -911,7 +901,7 @@ mod tests {
             directory,
             store,
             global: global_endpoint.address(),
-            health: HealthTracker::new(kv.clone(), REPORT_STALE_AFTER),
+            health: HealthTracker::new(kv.clone()),
             reconstruct: Arc::new(|_| {}),
             request_worker: Arc::new(|| {}),
             periodic,
@@ -1046,7 +1036,6 @@ mod tests {
         let specs: Vec<TaskSpec> = (0..3).map(|i| spec_with(vec![], i)).collect();
         let place = SchedWire::PlaceBatch {
             specs: specs.clone(),
-            hops: 1,
         };
         r.services
             .fabric
@@ -1214,7 +1203,6 @@ mod tests {
         let placed: Vec<TaskSpec> = (4..8).map(|i| gated(i, 1)).collect();
         let place = SchedWire::PlaceBatch {
             specs: placed.clone(),
-            hops: 1,
         };
         let from = r.global_endpoint.address();
         let sent = r
@@ -1250,7 +1238,6 @@ mod tests {
         // Deliver a placement as the global scheduler would.
         let place = SchedWire::PlaceBatch {
             specs: vec![spec.clone()],
-            hops: 1,
         };
         r.services
             .fabric
@@ -1378,7 +1365,7 @@ mod tests {
             directory,
             store: store0.clone(),
             global: global.address(),
-            health: HealthTracker::new(kv.clone(), Duration::from_millis(100)),
+            health: HealthTracker::new(kv.clone()),
             reconstruct: Arc::new(|_| {}),
             request_worker: Arc::new(|| {}),
             periodic: None,
@@ -1460,7 +1447,7 @@ mod tests {
             directory,
             store: store_local.clone(),
             global: global.address(),
-            health: HealthTracker::new(kv.clone(), Duration::from_millis(100)),
+            health: HealthTracker::new(kv.clone()),
             reconstruct: Arc::new(|_| {}),
             request_worker: Arc::new(|| {}),
             periodic: None,
@@ -1855,18 +1842,49 @@ mod tests {
         r.handle.shutdown();
     }
 
-    /// A quiet scheduler (no ticks, no heartbeats in the test's window)
-    /// that has announced itself.
+    /// The next load report node 0's scheduler sent the rig's global
+    /// endpoint.
+    fn next_load(r: &Rig) -> LoadReport {
+        loop {
+            let delivery = r
+                .global_endpoint
+                .receiver()
+                .recv_timeout(Duration::from_secs(5));
+            let delivery = delivery.expect("a load report");
+            if let Ok(SchedWire::Load { report, .. }) = decode_from_slice(&delivery.payload) {
+                return report;
+            }
+        }
+    }
+
+    /// A scheduler that keeps every task where it was submitted, whose
+    /// global endpoint has heard a report of its worker parked: its
+    /// load reads the same from here on, so its next publication is a
+    /// heartbeat, 16 load intervals after the last.
     fn quiet_rig() -> Rig {
         let r = rig(LocalSchedulerConfig {
-            load_interval: Duration::from_secs(3600),
             spill: SpillMode::NeverSpill,
             ..LocalSchedulerConfig::default()
         });
-        while r.services.kv.get(&load_key(NodeId(0))).is_none() {
-            std::thread::yield_now();
-        }
+        while next_load(&r).idle_workers == 0 {}
         r
+    }
+
+    /// The loop's turns so far that something other than its timer
+    /// woke (`turns − ticks`). A timer turn counts its tick before its
+    /// turn, so a read between the two is retried: two reads 100 µs
+    /// apart must agree.
+    fn woken(stats: &LocalSchedulerStats) -> u64 {
+        let read = || stats.turns.get().wrapping_sub(stats.ticks.get());
+        let mut last = read();
+        loop {
+            std::thread::sleep(Duration::from_micros(100));
+            let now = read();
+            if now == last {
+                return now;
+            }
+            last = now;
+        }
     }
 
     /// A quiet scheduler given one batch of `n` tasks, each gated on its
@@ -1875,6 +1893,8 @@ mod tests {
     fn gated_batch(n: u64) -> (Rig, Vec<ObjectId>, usize, u64) {
         let r = quiet_rig();
         let subscribers = r.services.kv.subscriber_count();
+        // What was published before the count is not the batch's.
+        let _ = r.global_endpoint.receiver().try_iter().count();
         let locks = r.services.kv.stats().total_locks();
         let deps: Vec<ObjectId> = (0..n)
             .map(|i| {
@@ -1900,13 +1920,26 @@ mod tests {
     #[test]
     fn a_batch_of_unmet_dependencies_registers_once_per_kv_shard_and_starts_no_thread() {
         let (mut r, _, _, locks_before) = gated_batch(64);
+        let locks = r.services.kv.stats().total_locks() - locks_before;
+        // The load tick went on meanwhile, and each publication is one
+        // kv `set` and one `Load` frame to the rig's global endpoint.
+        // Those measured before the count was read are its, once a
+        // later one shows that every earlier one has arrived.
+        let read_at = rtml_common::time::now_nanos();
+        let mut published = 0;
+        while next_load(&r).at_nanos <= read_at {
+            published += 1;
+        }
         // What ingesting the batch took from the control plane: the
         // tasks' state commit and the 64 registrations, each at most one
         // lock per kv shard, plus the batch's one event frame — not one
         // lock, let alone four, per object.
         let shards = r.services.kv.stats().locks_per_shard.len() as u64;
-        let locks = r.services.kv.stats().total_locks() - locks_before;
-        assert!(locks <= 2 * shards + 1, "{locks} kv locks for one batch");
+        let locks = locks - published;
+        assert!(
+            locks <= 2 * shards + 1,
+            "{locks} kv locks for one batch, {published} load publications aside"
+        );
         // And nobody was hired to watch them. (The name such threads
         // had, in two halves: a search for it should only ever find code
         // that starts one.)
@@ -1934,11 +1967,9 @@ mod tests {
 
     #[test]
     fn each_batch_is_ingested_in_the_turn_that_received_it_and_writes_one_frame() {
-        // A scheduler whose next tick is an hour away: the only loop
-        // turn a batch gets is the one that receives it. One worker,
-        // which takes the first task and keeps it.
+        // Its load ticks write no event: each frame below is a batch's
+        // ingest. One worker, which takes the first task and keeps it.
         let mut r = rig(LocalSchedulerConfig {
-            load_interval: Duration::from_secs(3600),
             total_resources: Resources::cpu(8.0),
             spill: SpillMode::NeverSpill,
             ..LocalSchedulerConfig::default()
@@ -1964,7 +1995,6 @@ mod tests {
         let placed: Vec<TaskSpec> = (65..68).map(|i| spec_with(vec![], i)).collect();
         let place = SchedWire::PlaceBatch {
             specs: placed.clone(),
-            hops: 1,
         };
         let from = r.global_endpoint.address();
         let sent = r
@@ -2036,14 +2066,16 @@ mod tests {
     #[test]
     fn a_seal_no_waiting_task_needs_leaves_the_scheduler_asleep() {
         let mut r = quiet_rig();
-        let turns = &r.handle.stats().turns;
+        let stats = r.handle.stats().clone();
         let deadline = Instant::now() + Duration::from_secs(5);
         while r.handle.stats().worker_parks.get() == 0 {
             assert!(Instant::now() < deadline, "the worker never parked");
             std::thread::yield_now();
         }
         std::thread::sleep(Duration::from_millis(20));
-        let before = turns.get();
+        // The load tick turns the loop every interval; a seal would
+        // turn it between ticks.
+        let before = woken(&stats);
         let object = |i: u64| {
             TaskId::driver_root(DriverId::from_index(0))
                 .child(20_000 + i)
@@ -2056,8 +2088,8 @@ mod tests {
                 .unwrap();
         }
         std::thread::sleep(Duration::from_millis(50));
-        let woken = turns.get() - before;
-        assert!(woken <= 2, "1000 seals nobody waits for: {woken} turns");
+        let wakes = woken(&stats) - before;
+        assert!(wakes <= 2, "1000 seals nobody waits for: {wakes} turns");
         // A seal a waiting task needs still reaches it.
         let dep = object(5000);
         let gated = spec_with(vec![ArgSpec::ObjectRef(dep)], 0);
@@ -2073,20 +2105,19 @@ mod tests {
     }
 
     #[test]
-    fn the_periodic_hook_runs_on_time_beside_an_hour_long_load_tick_and_once_on_exit() {
-        let hour = LocalSchedulerConfig {
-            load_interval: Duration::from_secs(3600),
-            ..LocalSchedulerConfig::default()
-        };
+    fn the_periodic_hook_runs_on_time_and_once_on_exit() {
         let counting = |every: Duration| {
             let runs = Arc::new(Counter::new());
             let hook: Arc<dyn Fn() + Send + Sync> = {
                 let runs = runs.clone();
                 Arc::new(move || runs.inc())
             };
-            (runs, rig_on(hour.clone(), 1, Some((every, hook))))
+            (
+                runs,
+                rig_on(LocalSchedulerConfig::default(), 1, Some((every, hook))),
+            )
         };
-        // Due every 2 ms: the idle loop wakes for it, not for its load tick.
+        // Due every 2 ms: the idle loop runs it on time.
         let (runs, mut r) = counting(Duration::from_millis(2));
         let deadline = Instant::now() + Duration::from_secs(1);
         while runs.get() < 3 {
@@ -2129,7 +2160,7 @@ mod tests {
             directory,
             store,
             global: global.address(),
-            health: HealthTracker::new(kv.clone(), Duration::from_millis(100)),
+            health: HealthTracker::new(kv.clone()),
             reconstruct: Arc::new(move |replays| {
                 for (obj, _) in replays {
                     let _ = hook_tx.send(*obj);

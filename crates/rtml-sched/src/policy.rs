@@ -1,9 +1,9 @@
-//! Global placement policies.
+//! Global placement.
 //!
 //! The paper (§3.2.2): "Global schedulers can then assign tasks to local
 //! schedulers based on global information about factors including object
 //! locality and resource availability." [`PlacementPolicy::LocalityAware`]
-//! is that design; [`PlacementPolicy::LeastLoaded`] ignores locality.
+//! is that design, and the only policy.
 //!
 //! `LocalityAware` ranks a candidate by two things, in this order:
 //!
@@ -65,8 +65,6 @@ pub enum PlacementPolicy {
     /// by a deterministic per-task hash. The paper's design.
     #[default]
     LocalityAware,
-    /// Pick among the fitting nodes with the shallowest queues.
-    LeastLoaded,
 }
 
 /// Seeded random state for [`choose_victim`]'s sampling. Placement
@@ -244,83 +242,61 @@ impl PlacementPolicy {
         objects: &ObjectTable,
         _state: &mut PolicyState,
     ) -> Option<NodeId> {
-        match self {
-            PlacementPolicy::LocalityAware => {
-                let deps: Vec<ObjectId> = spec.dependencies().collect();
-                let mut present: FastMap<NodeId, u64> = fast_map_with_capacity(deps.len());
-                let mut total_bytes: u64 = 0;
-                // One group-committed table sweep for the whole argument
-                // list instead of a point read per dependency. Every
-                // holder of a dependency is credited its size, so a
-                // hot input its readers hold widens the set of nodes
-                // that look local, and so is every node it is inbound
-                // to.
-                for (dep, info) in deps.iter().zip(objects.get_many(&deps)) {
-                    let Some(info) = info else { continue };
-                    total_bytes += info.size;
-                    let inbound = view.inbound(*dep);
-                    let there = info
-                        .locations
-                        .iter()
-                        .chain(inbound.iter().filter(|n| !info.locations.contains(n)));
-                    for node in there {
-                        *present.entry(*node).or_insert(0) += info.size;
-                    }
-                }
-                // (full waves ahead, bytes to move) per candidate.
-                let mut ranked: Vec<((u64, u64), NodeId)> = Vec::new();
-                let push = |l: &LoadReport, ranked: &mut Vec<((u64, u64), NodeId)>| {
-                    if l.total.fits(&spec.resources) {
-                        let slots = l.total.slots_for(&spec.resources).max(1);
-                        let waves = u64::from(l.queue_depth()) / slots;
-                        let there = present.get(&l.node).copied().unwrap_or(0);
-                        ranked.push(((waves, total_bytes.saturating_sub(there)), l.node));
-                    }
-                };
-                // Candidates: the k least-loaded nodes plus every node
-                // holding or awaiting a dependency (one outside the
-                // top-k must stay eligible or a busy holder could never
-                // win its wave on locality).
-                for l in view.top_k() {
-                    push(l, &mut ranked);
-                }
-                for node in present.keys() {
-                    if !ranked.iter().any(|(_, n)| n == node) {
-                        if let Some(l) = view.get(*node) {
-                            push(l, &mut ranked);
-                        }
-                    }
-                }
-                if ranked.is_empty() {
-                    // Nothing in the bounded candidate set fits (e.g. a
-                    // GPU task while every GPU node is busy enough to
-                    // fall out of the top-k): full scan.
-                    for l in view.all() {
-                        push(l, &mut ranked);
-                    }
-                }
-                pick_spread(&ranked, spec.task_id)
-            }
-            PlacementPolicy::LeastLoaded => {
-                let mut ranked = fitting_depths(spec, view.top_k());
-                if ranked.is_empty() {
-                    ranked = fitting_depths(spec, view.all());
-                }
-                pick_spread(&ranked, spec.task_id)
+        let deps: Vec<ObjectId> = spec.dependencies().collect();
+        let mut present: FastMap<NodeId, u64> = fast_map_with_capacity(deps.len());
+        let mut total_bytes: u64 = 0;
+        // One group-committed table sweep for the whole argument
+        // list instead of a point read per dependency. Every
+        // holder of a dependency is credited its size, so a
+        // hot input its readers hold widens the set of nodes
+        // that look local, and so is every node it is inbound
+        // to.
+        for (dep, info) in deps.iter().zip(objects.get_many(&deps)) {
+            let Some(info) = info else { continue };
+            total_bytes += info.size;
+            let inbound = view.inbound(*dep);
+            let there = info
+                .locations
+                .iter()
+                .chain(inbound.iter().filter(|n| !info.locations.contains(n)));
+            for node in there {
+                *present.entry(*node).or_insert(0) += info.size;
             }
         }
+        // (full waves ahead, bytes to move) per candidate.
+        let mut ranked: Vec<((u64, u64), NodeId)> = Vec::new();
+        let push = |l: &LoadReport, ranked: &mut Vec<((u64, u64), NodeId)>| {
+            if l.total.fits(&spec.resources) {
+                let slots = l.total.slots_for(&spec.resources).max(1);
+                let waves = u64::from(l.queue_depth()) / slots;
+                let there = present.get(&l.node).copied().unwrap_or(0);
+                ranked.push(((waves, total_bytes.saturating_sub(there)), l.node));
+            }
+        };
+        // Candidates: the k least-loaded nodes plus every node
+        // holding or awaiting a dependency (one outside the
+        // top-k must stay eligible or a busy holder could never
+        // win its wave on locality).
+        for l in view.top_k() {
+            push(l, &mut ranked);
+        }
+        for node in present.keys() {
+            if !ranked.iter().any(|(_, n)| n == node) {
+                if let Some(l) = view.get(*node) {
+                    push(l, &mut ranked);
+                }
+            }
+        }
+        if ranked.is_empty() {
+            // Nothing in the bounded candidate set fits (e.g. a
+            // GPU task while every GPU node is busy enough to
+            // fall out of the top-k): full scan.
+            for l in view.all() {
+                push(l, &mut ranked);
+            }
+        }
+        pick_spread(&ranked, spec.task_id)
     }
-}
-
-/// `(queue depth, node)` of the `reports` whose node fits `spec`.
-fn fitting_depths<'a>(
-    spec: &TaskSpec,
-    reports: impl Iterator<Item = &'a LoadReport>,
-) -> Vec<(u32, NodeId)> {
-    reports
-        .filter(|l| l.total.fits(&spec.resources))
-        .map(|l| (l.queue_depth(), l.node))
-        .collect()
 }
 
 /// Picks the most loaded of `candidates` by power-of-two choices (classic
@@ -419,15 +395,17 @@ mod tests {
 
     #[test]
     fn least_loaded_picks_shallowest() {
+        // With no argument to weigh, the node the fewest waves deep
+        // wins: 5, 1 and 3 waves of four slots.
         let v = view([
-            load(0, 5, Resources::cpu(4.0)),
-            load(1, 1, Resources::cpu(4.0)),
-            load(2, 3, Resources::cpu(4.0)),
+            load(0, 20, Resources::cpu(4.0)),
+            load(1, 4, Resources::cpu(4.0)),
+            load(2, 12, Resources::cpu(4.0)),
         ]);
         let objects = ObjectTable::new(KvStore::new(1));
         let mut state = PolicyState::new(1);
         assert_eq!(
-            PlacementPolicy::LeastLoaded.place(&cpu_task(vec![]), &v, &objects, &mut state),
+            PlacementPolicy::LocalityAware.place(&cpu_task(vec![]), &v, &objects, &mut state),
             Some(NodeId(1))
         );
     }
@@ -696,13 +674,12 @@ mod tests {
         let reverse = LoadView::from_reports(reports.into_iter().rev(), DEFAULT_TOP_K);
         let objects = ObjectTable::new(KvStore::new(1));
         let root = TaskId::driver_root(DriverId::from_index(3));
-        for policy in [PlacementPolicy::LocalityAware, PlacementPolicy::LeastLoaded] {
-            for i in 0..64 {
-                let spec = TaskSpec::simple(root.child(i), FunctionId::from_name("f"), vec![]);
-                let a = policy.place(&spec, &forward, &objects, &mut PolicyState::new(7));
-                let b = policy.place(&spec, &reverse, &objects, &mut PolicyState::new(7));
-                assert_eq!(a, b, "task {i} placed differently under {policy:?}");
-            }
+        let policy = PlacementPolicy::LocalityAware;
+        for i in 0..64 {
+            let spec = TaskSpec::simple(root.child(i), FunctionId::from_name("f"), vec![]);
+            let a = policy.place(&spec, &forward, &objects, &mut PolicyState::new(7));
+            let b = policy.place(&spec, &reverse, &objects, &mut PolicyState::new(7));
+            assert_eq!(a, b, "task {i} placed differently");
         }
     }
 
@@ -720,7 +697,7 @@ mod tests {
         let mut counts = [0u32; 3];
         for i in 0..32 {
             let spec = TaskSpec::simple(root.child(i), FunctionId::from_name("f"), vec![]);
-            let node = PlacementPolicy::LeastLoaded
+            let node = PlacementPolicy::LocalityAware
                 .place(&spec, &v, &objects, &mut PolicyState::new(1))
                 .unwrap();
             counts[node.0 as usize] += 1;
@@ -748,17 +725,15 @@ mod tests {
         let mut state = PolicyState::new(1);
         let cpu = cpu_task(vec![]);
         assert_eq!(
-            PlacementPolicy::LeastLoaded.place(&cpu, &v, &objects, &mut state),
+            PlacementPolicy::LocalityAware.place(&cpu, &v, &objects, &mut state),
             Some(NodeId(0))
         );
         let mut gpu = cpu_task(vec![]);
         gpu.resources = Resources::gpu(1.0);
-        for policy in [PlacementPolicy::LeastLoaded, PlacementPolicy::LocalityAware] {
-            assert_eq!(
-                policy.place(&gpu, &v, &objects, &mut state),
-                Some(NodeId(1))
-            );
-        }
+        assert_eq!(
+            PlacementPolicy::LocalityAware.place(&gpu, &v, &objects, &mut state),
+            Some(NodeId(1))
+        );
     }
 
     #[test]
@@ -785,7 +760,7 @@ mod tests {
                 FunctionId::from_name("f"),
                 vec![ArgSpec::ObjectRef(dep)],
             );
-            let node = PlacementPolicy::LeastLoaded
+            let node = PlacementPolicy::LocalityAware
                 .place(&spec, &v, &objects, &mut state)
                 .unwrap();
             v.note_placed(node, &spec);

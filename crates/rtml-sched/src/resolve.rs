@@ -26,7 +26,7 @@
 //! (`commit_fetched`). A failed or timed-out holder advances the
 //! object to its next one — [`ObjectInfo::holders_ranked`] with suspect
 //! holders last ([`HealthTracker::prefer_healthy`]), at most
-//! [`RetryPolicy::max_attempts`] holders a sweep, health evidence
+//! [`MAX_ATTEMPTS`] holders a sweep, health evidence
 //! recorded per request — and an exhausted sweep force-replays the
 //! producer ([`Replay::Forced`]); the next tick starts a new sweep.
 //! Objects with no sealed copy anywhere get a reconstruction nudge
@@ -65,7 +65,7 @@ use crossbeam::channel::{Receiver, Sender};
 
 use rtml_common::collections::FastMap;
 use rtml_common::ids::{NodeId, ObjectId};
-use rtml_common::retry::RetryPolicy;
+use rtml_common::retry::MAX_ATTEMPTS;
 use rtml_kv::{ObjectInfo, ObjectInfoUpdates, ObjectTable};
 use rtml_store::{FetchAgent, FetchResult, ObjectStore};
 
@@ -120,8 +120,6 @@ pub struct Wiring {
     pub answers: Sender<(ObjectId, FetchResult)>,
     /// Peer health: consulted to rank holders, told how requests went.
     pub health: Arc<HealthTracker>,
-    /// `max_attempts` bounds how many holders a sweep tries.
-    pub retry: RetryPolicy,
     /// How long a request may stay unanswered before it is given up on.
     pub fetch_timeout: Duration,
 }
@@ -574,7 +572,7 @@ impl Resolver {
         // deterministic pick (different readers of a replicated object
         // spread across holders), the tail is the retry order when
         // holders are dead or partitioned. Suspect holders sink to the
-        // back, and the retry policy bounds how many a sweep tries.
+        // back, and `MAX_ATTEMPTS` bounds how many a sweep tries.
         let ranked = self
             .wiring
             .health
@@ -588,7 +586,7 @@ impl Resolver {
             }
             return;
         }
-        let sweep = self.wiring.retry.max_attempts.max(1) as usize;
+        let sweep = MAX_ATTEMPTS as usize;
         match ranked.iter().find(|holder| !slot.tried.contains(holder)) {
             Some(holder) if slot.tried.len() < sweep => {
                 let again = std::mem::replace(&mut slot.offered, true);
@@ -764,18 +762,18 @@ mod tests {
         _answers: Receiver<(ObjectId, FetchResult)>,
     }
 
-    fn rig(goal: Goal, max_attempts: u32) -> Rig {
-        rig_with(goal, max_attempts, Duration::from_secs(2))
+    fn rig(goal: Goal) -> Rig {
+        rig_with(goal, Duration::from_secs(2))
     }
 
-    fn rig_with(goal: Goal, max_attempts: u32, fetch_timeout: Duration) -> Rig {
+    fn rig_with(goal: Goal, fetch_timeout: Duration) -> Rig {
         let kv = KvStore::new(4);
         let objects = ObjectTable::new(kv.clone());
         let store = Arc::new(ObjectStore::new(StoreConfig {
             node: ME,
             ..StoreConfig::default()
         }));
-        let health = HealthTracker::new(kv.clone(), Duration::from_secs(60));
+        let health = HealthTracker::new(kv.clone());
         let (answers, _answers) = crossbeam::channel::unbounded();
         let wiring = Wiring {
             node: ME,
@@ -784,7 +782,6 @@ mod tests {
             agent: None,
             answers,
             health: health.clone(),
-            retry: RetryPolicy { max_attempts },
             fetch_timeout,
         };
         Rig {
@@ -850,7 +847,7 @@ mod tests {
 
     #[test]
     fn a_local_seal_completes_a_slot_and_ends_the_nudges() {
-        let mut r = rig(Goal::Values, 4);
+        let mut r = rig(Goal::Values);
         r.resolver.add(&[obj(1), obj(1)]);
         // Nothing sealed anywhere: one nudge a tick, the first at the
         // first tick.
@@ -876,7 +873,7 @@ mod tests {
 
     #[test]
     fn a_lost_copy_is_nudged_in_the_pass_that_added_it() {
-        let mut r = rig(Goal::Values, 4);
+        let mut r = rig(Goal::Values);
         // Sealed once, its only copy lost since.
         r.objects.add_location(obj(1), NodeId(1), 5);
         r.objects.remove_location(obj(1), NodeId(1));
@@ -894,7 +891,7 @@ mod tests {
 
     #[test]
     fn a_never_sealed_object_is_first_nudged_at_the_tick() {
-        let mut r = rig(Goal::Values, 4);
+        let mut r = rig(Goal::Values);
         // One with no record at all, one declared by its producer.
         let producer = obj(2).producer_task();
         r.objects.declare(obj(2), producer);
@@ -917,7 +914,7 @@ mod tests {
 
     #[test]
     fn an_object_added_just_before_a_tick_is_first_nudged_a_slice_later() {
-        let mut r = rig(Goal::Values, 4);
+        let mut r = rig(Goal::Values);
         r.resolver.add(&[obj(1)]);
         // A long-lived resolver: obj(2) and obj(3) arrive in the pass
         // just before the tick, long after obj(1).
@@ -946,7 +943,7 @@ mod tests {
 
     #[test]
     fn a_failed_holder_advances_to_the_next_ranked_one_and_is_remembered() {
-        let mut r = rig(Goal::Values, 4);
+        let mut r = rig(Goal::Values);
         for holder in [NodeId(1), NodeId(2)] {
             r.objects.add_location(obj(1), holder, 5);
         }
@@ -983,23 +980,29 @@ mod tests {
 
     #[test]
     fn an_exhausted_sweep_force_replays_once_and_the_next_tick_starts_a_new_one() {
-        // Two holders a sweep, three listed.
-        let mut r = rig_with(Goal::Values, 2, FETCH_TIMEOUT);
-        for holder in [NodeId(1), NodeId(2), NodeId(3)] {
+        // `MAX_ATTEMPTS` holders a sweep, one more listed.
+        let sweep = MAX_ATTEMPTS as usize;
+        let mut r = rig_with(Goal::Values, FETCH_TIMEOUT);
+        for holder in (1..=sweep as u32 + 1).map(NodeId) {
             r.objects.add_location(obj(1), holder, 5);
         }
         let ranked = r.objects.get(obj(1)).unwrap().holders_ranked(obj(1), ME);
         r.resolver.add(&[obj(1)]);
         r.pump(SOON);
-        // The first holder answers, the second says nothing until the
-        // request has outlived the fetch timeout.
-        r.resolver
-            .on_fetched(obj(1), Err(Error::NodeDown(ranked[0])));
-        r.pump(SOON * 2);
-        assert_eq!(r.in_flight(), vec![(obj(1), ranked[1])]);
+        // The sweep's first holders answer that they are gone, its last
+        // says nothing until the request has outlived the fetch timeout.
+        for holder in &ranked[..sweep - 1] {
+            assert_eq!(r.in_flight(), vec![(obj(1), *holder)]);
+            r.resolver.on_fetched(obj(1), Err(Error::NodeDown(*holder)));
+            r.pump(SOON * 2);
+        }
+        assert_eq!(r.in_flight(), vec![(obj(1), ranked[sweep - 1])]);
         assert_eq!(r.resolver.next_wake(), r.start + SOON * 2 + FETCH_TIMEOUT);
         r.pump(SOON * 2 + FETCH_TIMEOUT);
-        assert!(r.in_flight().is_empty(), "the third holder is not tried");
+        assert!(
+            r.in_flight().is_empty(),
+            "the holder past the sweep is not tried"
+        );
         let forced = |replays: Vec<(ObjectId, Replay)>| {
             let forced = replays
                 .into_iter()
@@ -1021,7 +1024,7 @@ mod tests {
 
     #[test]
     fn a_refused_object_is_neither_requested_nor_reconstructed_until_admitted() {
-        let mut r = rig(Goal::Values, 4);
+        let mut r = rig(Goal::Values);
         r.objects.add_location(obj(1), NodeId(1), 64);
         r.objects.add_location(obj(2), NodeId(1), 8);
         r.resolver.add(&[obj(1), obj(2)]);
@@ -1055,7 +1058,7 @@ mod tests {
 
     #[test]
     fn a_late_answer_after_give_up_changes_no_count() {
-        let mut r = rig_with(Goal::Values, 4, FETCH_TIMEOUT);
+        let mut r = rig_with(Goal::Values, FETCH_TIMEOUT);
         r.objects.add_location(obj(1), NodeId(1), 5);
         r.objects.add_location(obj(2), NodeId(1), 5);
         r.resolver.add(&[obj(1), obj(2)]);
@@ -1087,7 +1090,7 @@ mod tests {
 
     #[test]
     fn count_mode_fetches_nothing_and_counts_completion_not_residency() {
-        let mut r = rig(Goal::Count, 4);
+        let mut r = rig(Goal::Count);
         r.objects.add_location(obj(1), NodeId(1), 5);
         // Sealed once, every copy lost since: its task completed.
         r.objects.add_location(obj(2), NodeId(1), 5);
@@ -1110,7 +1113,7 @@ mod tests {
 
     #[test]
     fn ids_come_and_go_while_it_runs() {
-        let mut r = rig(Goal::Values, 4);
+        let mut r = rig(Goal::Values);
         let before = r.kv.subscriber_count();
         r.objects.add_location(obj(1), NodeId(1), 5);
         r.resolver.add(&[obj(1)]);
@@ -1156,7 +1159,7 @@ mod tests {
 
     #[test]
     fn retired_in_flight_then_wanted_again_takes_the_answer_it_was_waiting_for() {
-        let mut r = rig(Goal::Values, 4);
+        let mut r = rig(Goal::Values);
         r.objects.add_location(obj(1), NodeId(1), 5);
         r.resolver.add(&[obj(1)]);
         r.pump(SOON);
@@ -1170,7 +1173,7 @@ mod tests {
 
     #[test]
     fn an_announced_copy_is_waited_for_until_the_announcement_expires() {
-        let mut r = rig(Goal::Values, 4);
+        let mut r = rig(Goal::Values);
         let push = |until_nanos| Inbound {
             node: ME,
             until_nanos,

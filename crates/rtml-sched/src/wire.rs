@@ -8,7 +8,7 @@ use crate::msg::LoadReport;
 /// Fabric-borne scheduler protocol. Tasks travel in batches only — one
 /// task is a batch of one — and only from a local scheduler to a global
 /// one and back: nothing moves work between two local schedulers. Tags
-/// 0–2, 5, 7 and 8 are retired, not reused. Tags 0–2 are the object
+/// 0–2 and 5–8 are retired, not reused. Tags 0–2 are the object
 /// plane's too: a node reads both protocols from one mailbox and tells
 /// them apart by the first byte (`rtml_store::PlaneCore::takes`).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -49,23 +49,19 @@ pub enum SchedWire {
         ingested: u64,
     },
     /// Global → local: "run these tasks on your node" — the placements
-    /// onto one node coalesced into a single frame. `hops` counts global
-    /// placements for every task in the batch (they travelled together),
-    /// bounding spill/place ping-pong.
+    /// onto one node coalesced into a single frame.
     PlaceBatch {
         /// The tasks being placed.
         specs: Vec<TaskSpec>,
-        /// Number of global placements so far.
-        hops: u32,
     },
 }
 
 rtml_common::impl_codec_enum!(SchedWire {
     3 => NodeUp { node, sched_address },
     4 => NodeDown { node },
-    6 => PlaceBatch { specs, hops },
     9 => Load { report, ingested },
     10 => SpillBatch { specs, load, ingested },
+    11 => PlaceBatch { specs },
 });
 
 #[cfg(test)]
@@ -117,7 +113,6 @@ mod tests {
             },
             SchedWire::PlaceBatch {
                 specs: vec![spec(), spec(), spec()],
-                hops: 3,
             },
         ] {
             let bytes = encode_to_bytes(&msg);
@@ -154,7 +149,12 @@ mod tests {
         grant.put_u8(8);
         NodeId(3).encode(&mut grant);
         vec![spec(), spec()].encode(&mut grant);
-        let old = [load, spill, request, grant];
+        // And so does the placement that carried a hop count.
+        let mut place = Writer::with_capacity(64);
+        place.put_u8(6);
+        vec![spec(), spec()].encode(&mut place);
+        place.put_u32(3);
+        let old = [load, spill, request, grant, place];
         for old in old.map(Writer::into_bytes) {
             assert!(decode_from_slice::<SchedWire>(&old).is_err());
         }
@@ -209,7 +209,6 @@ mod tests {
             },
             SchedWire::PlaceBatch {
                 specs: vec![spec()],
-                hops: 3,
             },
         ] {
             assert_frame_is_strict(&msg);

@@ -49,7 +49,6 @@ pub mod prelude {
     pub use rtml_net::{FaultPlan, FaultWindow, LatencyModel, LinkFault, LinkMatch, WindowFault};
     pub use rtml_runtime::{
         Cluster, ClusterConfig, Driver, IntoArg, NodeConfig, ObjectRef, TaskContext, TaskOptions,
-        TelemetryConfig,
     };
     pub use rtml_sched::{PlacementPolicy, SpillMode};
 }

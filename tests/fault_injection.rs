@@ -53,6 +53,36 @@ fn repeated_worker_kills_do_not_lose_work() {
 }
 
 #[test]
+fn one_worker_kill_is_one_worker_lost() {
+    use rtml::common::event::{Component, EventKind};
+    // The node's scheduler logs the loss when it has detached the
+    // worker and marked what it held lost; nothing else logs it.
+    let cluster = Cluster::start(ClusterConfig::local(1, 2)).unwrap();
+    cluster.kill_worker(WorkerId::new(NodeId(0), 0)).unwrap();
+    let handled = || {
+        let events = cluster.services().events.read_all();
+        events.iter().any(|e| {
+            e.component == Component::LocalScheduler
+                && matches!(e.kind, EventKind::WorkerLost { .. })
+        })
+    };
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while !handled() {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the kill was never handled"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(cluster.profile().workers_lost, 1);
+    // The other worker still computes.
+    let f = cluster.register_fn1("after_kill", |x: i64| Ok(x + 1));
+    let driver = cluster.driver();
+    assert_eq!(driver.get(&driver.submit1(&f, 1).unwrap()).unwrap(), 2);
+    cluster.shutdown();
+}
+
+#[test]
 fn kill_all_but_one_node_still_completes() {
     let cluster = Cluster::start(ClusterConfig::local(3, 2)).unwrap();
     let f = cluster.register_fn1("compute_fi", |x: i64| Ok(x * x));

@@ -314,7 +314,7 @@ proptest! {
     fn spec_batches_round_trip_on_the_wire(
         n_specs in 0usize..24,
         n_args in 0usize..4,
-        hops in 0u32..9,
+        ingested in 0u64..9,
         payload in proptest::collection::vec(any::<u8>(), 0..16),
         as_place in any::<bool>(),
     ) {
@@ -334,9 +334,9 @@ proptest! {
             })
             .collect();
         let msg = if as_place {
-            SchedWire::PlaceBatch { specs, hops }
+            SchedWire::PlaceBatch { specs }
         } else {
-            SchedWire::SpillBatch { specs, load: sender_load(), ingested: u64::from(hops) }
+            SchedWire::SpillBatch { specs, load: sender_load(), ingested }
         };
         let bytes = encode_to_bytes(&msg);
         prop_assert_eq!(decode_both::<SchedWire>(&bytes).unwrap(), msg);

@@ -760,9 +760,9 @@ struct Rig {
 }
 
 /// A node-0 scheduler over `workers` attached workers (no threads yet)
-/// that keeps every task local. Its load tick is an hour: nothing but
-/// what the test sends turns its loop, save the object plane's reap
-/// once a second.
+/// that keeps every task local. Nothing but what the test sends turns
+/// its loop between the turns its timer takes (`ticks`): its load tick
+/// and the object plane's reap.
 fn rig(workers: u32) -> Rig {
     let kv = KvStore::new(2);
     let fabric = Fabric::new(FabricConfig::default());
@@ -778,7 +778,7 @@ fn rig(workers: u32) -> Rig {
         directory,
         store,
         global: global.address(),
-        health: HealthTracker::new(kv.clone(), Duration::from_millis(100)),
+        health: HealthTracker::new(kv.clone()),
         reconstruct: Arc::new(|_| {}),
         request_worker: Arc::new(|| {}),
         periodic: None,
@@ -786,7 +786,6 @@ fn rig(workers: u32) -> Rig {
     let config = LocalSchedulerConfig {
         total_resources: Resources::cpu(workers as f64),
         spill: SpillMode::NeverSpill,
-        load_interval: Duration::from_secs(3600),
         ..LocalSchedulerConfig::default()
     };
     let ids = (0..workers).map(|i| WorkerId::new(NODE, i)).collect();
@@ -827,8 +826,22 @@ fn a_burst_costs_the_scheduler_one_turn_and_its_workers_send_nothing() {
     let stats = r.handle.stats().clone();
     // Both takers asleep on the empty queue.
     parked(r.handle.queue(), WORKERS as usize);
-    let (parks_before, turns_before) = (stats.worker_parks.get(), stats.turns.get());
-    let started = Instant::now();
+    // The turns something other than the loop's timer woke it for. A
+    // timer turn counts its tick before its turn, so a read between the
+    // two is retried: two reads 100 µs apart must agree.
+    let read = || stats.turns.get().wrapping_sub(stats.ticks.get());
+    let woken = || {
+        let mut last = read();
+        loop {
+            std::thread::sleep(Duration::from_micros(100));
+            let now = read();
+            if now == last {
+                return now;
+            }
+            last = now;
+        }
+    };
+    let (parks_before, woken_before) = (stats.worker_parks.get(), woken());
     let specs = (0..TASKS).map(|i| spec(i, Resources::cpu(1.0))).collect();
     r.handle.submit_batch(specs);
     let mut seen = BTreeSet::new();
@@ -840,20 +853,18 @@ fn a_burst_costs_the_scheduler_one_turn_and_its_workers_send_nothing() {
     // Time for any message a park sent to be taken.
     std::thread::sleep(Duration::from_millis(20));
     let parks = stats.worker_parks.get() - parks_before;
-    let turns = stats.turns.get() - turns_before;
+    let turns = woken() - woken_before;
     // A taker that ran parked again (one may also have run dry
-    // mid-burst, or never have woken in time to take), and the loop
-    // took one turn — the batch's message — plus the
-    // object plane's reap, due once a second: a park sends nothing.
-    // It used to cost a completion message and a worker sleep per
-    // task, and later a loop turn per park.
+    // mid-burst, or never have woken in time to take), and besides its
+    // timer the loop took one turn — the batch's message: a park sends
+    // nothing. It used to cost a completion message and a worker sleep
+    // per task, and later a loop turn per park.
     assert!(
         (1..=WORKERS as u64 + 2).contains(&parks),
         "{parks} parks for a {TASKS}-task burst"
     );
-    let reaps = started.elapsed().as_secs() + 1;
     assert!(
-        turns <= 1 + reaps,
+        turns <= 1,
         "{turns} loop turns for a {TASKS}-task burst with {parks} parks"
     );
     r.handle.shutdown();
