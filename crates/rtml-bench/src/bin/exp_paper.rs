@@ -314,7 +314,9 @@ fn submission(claims: &mut Vec<Claim>) -> Result<()> {
 /// R7: batch-4096 submission with the default-on telemetry against the
 /// same run with it off, as the median ratio of 15 interleaved pairs
 /// (which side goes first alternates, so the host's drift cancels in a
-/// pair), each run submitting 8 192 tasks and for at least 100 ms.
+/// pair), each run submitting 8 192 tasks and for at least 100 ms. The
+/// ratio of each side's median over alternating runs spread wider:
+/// 0.89–1.13 over 20 runs on a 2-vCPU host, against 0.92–1.07 this way.
 fn telemetry_overhead(claims: &mut Vec<Claim>) -> Result<()> {
     const PAIRS: usize = 15;
     let run = |telemetry| submit_rate(4096, 8192, Duration::from_millis(100), false, telemetry);
@@ -332,6 +334,24 @@ fn telemetry_overhead(claims: &mut Vec<Claim>) -> Result<()> {
     let name = "R7 submit with telemetry on / off, median of 15 pairs";
     claims.push(Claim::at_least(name, None, median(ratios), 0.9));
     Ok(())
+}
+
+/// Runs `a` and `b` by turns — a, b, a, …, a: `trials` runs of `a` and
+/// one fewer of `b` — so a drift of the host falls on both sides, and
+/// returns the median of each side's readings.
+fn alternating(
+    trials: usize,
+    mut a: impl FnMut() -> Result<f64>,
+    mut b: impl FnMut() -> Result<f64>,
+) -> Result<(f64, f64)> {
+    let (mut of_a, mut of_b) = (Vec::with_capacity(trials), Vec::with_capacity(trials));
+    for turn in 0..2 * trials - 1 {
+        match turn % 2 {
+            0 => of_a.push(a()?),
+            _ => of_b.push(b()?),
+        }
+    }
+    Ok((median(of_a), median(of_b)))
 }
 
 /// Tasks a second through submission and ingest on a fresh cluster of
@@ -478,7 +498,10 @@ fn rl_loop(claims: &mut Vec<Claim>) -> Result<()> {
 }
 
 /// Fig. 2a: 12 windows of heterogeneous sensors (1..n ms) fused, one
-/// window at a time (batch) or all windows in flight (rtml stream).
+/// window at a time (batch) or all windows in flight (rtml stream): the
+/// ratio of the makespans' medians over alternating runs (stream,
+/// batch, stream, batch, stream). One run of each read 0.27 against
+/// the 0.25 bound now and then on a quiet 2-vCPU host.
 fn sensor_fusion(claims: &mut Vec<Claim>) -> Result<()> {
     let fuse_cost = Duration::from_micros(300);
     let cluster = Cluster::start(ClusterConfig::local(2, 6))?;
@@ -493,12 +516,23 @@ fn sensor_fusion(claims: &mut Vec<Claim>) -> Result<()> {
             windows: 12,
             ..SensorConfig::default()
         };
-        let batch = sensors::run_bsp(&config, &SerialEngine);
-        let stream = sensors::run_rtml(&config, &driver, &funcs)?;
-        off += differing(batch.checksum, &[stream.checksum]);
-        let name = format!("Fig. 2a {sensors_n} sensors: stream / batch makespan");
-        let share = ratio(stream.wall, batch.wall);
-        claims.push(Claim::at_most(&name, None, share, 0.25));
+        let mut checksums = (Vec::new(), Vec::new());
+        let (stream, batch) = alternating(
+            3,
+            || {
+                let stream = sensors::run_rtml(&config, &driver, &funcs)?;
+                checksums.0.push(stream.checksum);
+                Ok(stream.wall.as_secs_f64())
+            },
+            || {
+                let batch = sensors::run_bsp(&config, &SerialEngine);
+                checksums.1.push(batch.checksum);
+                Ok(batch.wall.as_secs_f64())
+            },
+        )?;
+        off += differing(checksums.1[0], &checksums.0) + differing(checksums.1[0], &checksums.1);
+        let name = format!("Fig. 2a {sensors_n} sensors: stream / batch makespan medians");
+        claims.push(Claim::at_most(&name, None, stream / batch, 0.25));
     }
     cluster.shutdown();
     claims.push(mismatches("Fig. 2a: stream checksums off batch's", off));

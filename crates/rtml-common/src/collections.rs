@@ -112,6 +112,9 @@ impl Hasher for IdHasher {
 /// A `HashMap` keyed by ids, hashed by their own bits ([`IdHasher`]).
 pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 
+/// A `HashSet` of ids, hashed by their own bits ([`IdHasher`]).
+pub type IdSet<T> = HashSet<T, BuildHasherDefault<IdHasher>>;
+
 /// A [`FastMap`] pre-sized for `capacity` entries (no rehash up to that
 /// size). `FastMap::with_capacity` is unavailable because the hasher is
 /// non-default-typed; this free function fills the gap.
@@ -161,6 +164,8 @@ mod tests {
         map.insert(object, 1);
         map.insert(id, 2);
         assert_eq!((map[&object], map[&id]), (1, 2));
+        let set: IdSet<ObjectId> = [object, id, object].into_iter().collect();
+        assert_eq!(set.len(), 2);
     }
 
     #[test]

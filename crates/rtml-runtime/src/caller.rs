@@ -400,6 +400,10 @@ impl Caller {
 
     /// Blocks until the future's value is available (deadline
     /// [`DEFAULT_GET_TIMEOUT`]), fetching or reconstructing as needed.
+    /// A value its own node is producing — its task queued or running
+    /// here — is waited for on the node's store alone, with no
+    /// object-table subscription; the rest as [`Caller::get_many`]
+    /// describes.
     ///
     /// A [`bytes::Bytes`] in the result (the result itself, or a field
     /// of it) is a view of the local store's buffer, not a copy: it
@@ -429,8 +433,13 @@ impl Caller {
     /// the values in input order (duplicates allowed).
     ///
     /// The batched `get`, and the same engine as [`Caller::get`] (which
-    /// is the batch of one): local hits resolve immediately; the
-    /// distinct missing objects are registered with **one** object-table
+    /// is the batch of one): local hits resolve immediately. A missing
+    /// object whose task this node's run queue holds waits at home: on
+    /// the node's store alone, and a call of only such objects sleeps
+    /// until the last of them seals — once for a burst, not once per
+    /// worker publish — moving an object to the path below only if its
+    /// producer is lost or its result evicted before it was read. The
+    /// other missing objects are registered with **one** object-table
     /// subscription, and as each seals it joins the pending group of the
     /// node holding it. A holder is sent one coalesced `FetchMany` at a
     /// time (answered by one chunked reply stream); whatever seals on it

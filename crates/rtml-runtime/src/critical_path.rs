@@ -20,8 +20,7 @@
 //! no boundary: their time folds into the enclosing bucket instead of
 //! unbalancing the sum.
 
-use std::collections::{HashMap, HashSet};
-
+use rtml_common::collections::{IdMap, IdSet};
 use rtml_common::event::{Event, EventKind};
 use rtml_common::ids::{NodeId, ObjectId, TaskId};
 use rtml_common::metrics::fmt_nanos;
@@ -111,7 +110,7 @@ pub fn critical_path(
     sink: TaskId,
 ) -> Option<CriticalPath> {
     let report = ProfileReport::from_events(events);
-    let profiles: HashMap<TaskId, &TaskProfile> = report
+    let profiles: IdMap<TaskId, &TaskProfile> = report
         .tasks
         .iter()
         .filter_map(|t| t.task.map(|id| (id, t)))
@@ -120,7 +119,7 @@ pub fn critical_path(
 
     // Last completed transfer of each object onto each node — the
     // "input still in flight" boundary for the transfer bucket.
-    let mut transfer_end: HashMap<(ObjectId, NodeId), u64> = HashMap::new();
+    let mut transfer_end: IdMap<(ObjectId, NodeId), u64> = IdMap::default();
     for event in events {
         if let EventKind::TransferFinished { object, to, .. } = &event.kind {
             let entry = transfer_end.entry((*object, *to)).or_insert(0);
@@ -132,7 +131,7 @@ pub fn critical_path(
     // finished last. A cycle is impossible in a real DAG but a
     // corrupted log must not hang us.
     let mut chain = vec![sink];
-    let mut visited: HashSet<TaskId> = HashSet::from([sink]);
+    let mut visited: IdSet<TaskId> = IdSet::from_iter([sink]);
     let mut current = sink;
     loop {
         let binding = deps(current)

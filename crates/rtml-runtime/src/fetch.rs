@@ -10,24 +10,54 @@
 //! count and a timeout, the primitive that lets applications trade
 //! stragglers for latency (R1).
 //!
-//! Neither decides anything. Whom to ask for an object, when to give up
-//! on a holder, when to nudge or force reconstruction, how answers are
-//! committed — all of that is the one [`rtml_sched::Resolver`], the
-//! engine the node's scheduler gates task dispatch with. This module is
-//! its **blocking shell**: build a resolver over the call's ids, register
-//! for local seals, and block on three channels — object-table records,
-//! local seals, fetch answers — feeding what arrives to the resolver and
-//! pumping it, until enough is complete or time is up. Both
-//! registrations end when the call returns. Remote pulls go through the
-//! node's persistent [`rtml_store::FetchAgent`], so concurrent `get`s of
-//! one object from any thread on the node share one transfer.
+//! # Work the caller's own node runs waits at home
+//!
+//! Most objects a driver blocks on are results of tasks its own node
+//! runs. The node's run queue knows which: a task it holds — queued, in
+//! a worker's batch, or run but not reported published — will seal its
+//! results in this node's store, or its loss will be announced
+//! ([`rtml_sched::RunQueue::split_held`]). Such an object **waits at
+//! home**: on the store's local-seal table alone, with no resolver slot
+//! and no object-table subscription, and a call that wants every object
+//! wakes once, when the last of them seals. Whether an object is home
+//! is decided subscribe-before-read: the queue's loss count is read,
+//! the seals are registered, then the queue is asked which producers it
+//! holds — so neither a seal nor a loss between those steps is missed.
+//! Each pass after that takes what fired, which re-arms the wake-up,
+//! before it reads the loss count again: a loss counted after that read
+//! announces itself to an armed registration.
+//!
+//! An object leaves home for the resolver when:
+//! - its producer is not held at the start: already published, still in
+//!   the node loop's mailbox, waiting on dependencies (it may still
+//!   spill), or placed on another node;
+//! - the queue reports a loss (a worker killed, the queue closed, a
+//!   result the store refused): the call wakes, and whatever the queue
+//!   no longer holds goes over;
+//! - it sealed but was evicted before the call took it: it is
+//!   reconstructed as any lost copy is.
+//!
+//! # The resolver, for everything else
+//!
+//! The rest decides nothing here either. Whom to ask for an object, when
+//! to give up on a holder, when to nudge or force reconstruction, how
+//! answers are committed — all of that is the one
+//! [`rtml_sched::Resolver`], the engine the node's scheduler gates task
+//! dispatch with. This module is its **blocking shell**: one loop feeds
+//! it object-table records, local seals and fetch answers and pumps it,
+//! until enough is complete or time is up. With any object at the
+//! resolver, every local seal wakes the call. Every registration ends
+//! when the call returns. Remote pulls go through the node's persistent
+//! [`rtml_store::FetchAgent`], so concurrent `get`s of one object from
+//! any thread on the node share one transfer.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use bytes::Bytes;
-use crossbeam::channel::unbounded;
+use crossbeam::channel::{unbounded, RecvTimeoutError};
 
+use rtml_common::collections::IdMap;
 use rtml_common::error::{Error, Result};
 use rtml_common::ids::{NodeId, ObjectId};
 use rtml_sched::{Goal, Replays, Resolver, Wiring, POLL_SLICE};
@@ -41,9 +71,11 @@ use crate::services::Services;
 ///
 /// Resolution per object:
 /// 1. local store hit;
-/// 2. remote copy exists → pulled through the node's fetch agent,
+/// 2. its producer is held by the node's run queue → waits for the
+///    local seal (see the module docs);
+/// 3. remote copy exists → pulled through the node's fetch agent,
 ///    batched per holder (and the new location recorded);
-/// 3. no copy exists → the reconstruction manager replays lineage, and
+/// 4. no copy exists → the reconstruction manager replays lineage, and
 ///    the call keeps waiting for the replayed task to seal the object.
 pub fn ensure_local(
     services: &Services,
@@ -53,21 +85,32 @@ pub fn ensure_local(
     deadline: Instant,
 ) -> Result<Vec<Bytes>> {
     let store = services.store(node).ok_or(Error::NodeDown(node))?;
-    let mut values: Vec<Option<Bytes>> = ids.iter().map(|&id| store.get(id)).collect();
-    if values.iter().any(Option::is_none) {
+    let mut values = store.get_many(ids);
+    let missing: Vec<ObjectId> = ids
+        .iter()
+        .zip(&values)
+        .filter_map(|(id, value)| value.is_none().then_some(*id))
+        .collect();
+    if !missing.is_empty() {
         let agent = services.fetch_agent(node).ok_or(Error::NodeDown(node))?;
-        let (resolver, outcome) = block_on(
+        let wanted = missing.len();
+        let store = Some(store);
+        let waited = block_on(
             services,
             recon,
             node,
-            Some(store),
+            store,
             Some(agent),
-            ids,
-            ids.len(),
+            missing,
+            wanted,
             deadline,
         );
-        outcome?;
-        values = ids.iter().map(|&id| resolver.bytes(id)).collect();
+        waited.outcome.clone()?;
+        for (value, &id) in values.iter_mut().zip(ids) {
+            if value.is_none() {
+                *value = waited.bytes(id);
+            }
+        }
     }
     Ok(values
         .into_iter()
@@ -90,20 +133,52 @@ pub fn wait_ready(
     node: NodeId,
     ids: &[ObjectId],
     num_ready: usize,
-    timeout: Duration,
+    timeout: std::time::Duration,
 ) -> (Vec<ObjectId>, Vec<ObjectId>) {
     let (wanted, deadline) = (num_ready.min(ids.len()), Instant::now() + timeout);
     let store = services.store(node);
     // Running out of time is an answer here, not an error.
-    let (resolver, _) = block_on(services, recon, node, store, None, ids, wanted, deadline);
-    ids.iter().partition(|id| resolver.is_done(**id))
+    let waited = block_on(
+        services,
+        recon,
+        node,
+        store,
+        None,
+        ids.to_vec(),
+        wanted,
+        deadline,
+    );
+    ids.iter().partition(|id| waited.is_done(**id))
+}
+
+/// What one blocking call resolved.
+struct Waited {
+    /// Objects complete in the local store, each with its bytes when the
+    /// call wants them.
+    sealed: IdMap<ObjectId, Option<Bytes>>,
+    /// The resolver of what did not wait at home, if anything did not.
+    away: Option<Resolver>,
+    outcome: Result<()>,
+}
+
+impl Waited {
+    fn is_done(&self, id: ObjectId) -> bool {
+        self.sealed.contains_key(&id) || self.away.as_ref().is_some_and(|r| r.is_done(id))
+    }
+
+    fn bytes(&self, id: ObjectId) -> Option<Bytes> {
+        match self.sealed.get(&id) {
+            Some(bytes) => bytes.clone(),
+            None => self.away.as_ref()?.bytes(id),
+        }
+    }
 }
 
 /// The one blocking loop: resolves `ids` — into the local store through
 /// `agent`, or with none only as far as "sealed somewhere" — until
 /// `wanted` of its positions are complete, the deadline passes, or the
-/// node turns out to be dead. Returns the resolver for the caller to
-/// read the outcome off.
+/// node turns out to be dead. What waits at home and when it moves to
+/// the resolver: the module docs.
 #[allow(clippy::too_many_arguments)]
 fn block_on(
     services: &Services,
@@ -111,83 +186,179 @@ fn block_on(
     node: NodeId,
     store: Option<Arc<ObjectStore>>,
     agent: Option<Arc<FetchAgent>>,
-    ids: &[ObjectId],
+    ids: Vec<ObjectId>,
     wanted: usize,
     deadline: Instant,
-) -> (Resolver, Result<()>) {
-    // Local seals, table updates and fetch answers: one channel each,
-    // however many objects are missing.
-    let (seal_tx, seal_rx) = unbounded();
-    let (done_tx, done_rx) = unbounded();
+) -> Waited {
     let started = Instant::now();
     let goal = match agent {
         Some(_) => Goal::Values,
         None => Goal::Count,
     };
-    let mut resolver = Resolver::new(
-        goal,
-        Wiring {
-            node,
-            objects: services.objects.clone(),
-            store: store.clone(),
-            agent: agent.clone(),
-            answers: done_tx,
-            health: services.health.clone(),
-            // A request is never given longer than the call itself has.
-            fetch_timeout: (services.config.fetch_timeout)
-                .min(deadline.saturating_duration_since(started)),
-        },
-    );
-    resolver.add(ids);
-    // What `add` did not find in the store is announced here when it
-    // seals (at once, if it sealed in between).
-    let missing: Vec<ObjectId> = ids
-        .iter()
-        .copied()
-        .filter(|id| !resolver.is_done(*id))
-        .collect();
-    let _local = (store.as_ref()).map(|store| store.subscribe_local_many(&missing, &seal_tx));
-    let updates = resolver.updates().clone();
+    // Wanting every object, a call that waits only at home is woken
+    // when the last one seals; with fewer wanted, or any object at the
+    // resolver, at each seal.
+    let every = wanted >= ids.len();
+    let mut waited = Waited {
+        sealed: IdMap::with_capacity_and_hasher(ids.len(), Default::default()),
+        away: None,
+        outcome: Ok(()),
+    };
+    let (wake_tx, wake) = unbounded();
+    // The store's registration holds a `get`'s only sender, so a store
+    // cleared under it (node crash) disconnects the call. A `wait`
+    // counts seals anywhere, and outlives its node's store.
+    let _open = (goal == Goal::Count).then(|| wake_tx.clone());
+    let queue = store.as_ref().and_then(|_| services.run_queue(node));
+    let mut losses = queue.as_ref().map(|queue| queue.losses());
+    let threshold = if every { ids.len() } else { 1 };
+    let mut seals =
+        (store.as_ref()).map(|store| store.subscribe_local_many(&ids, threshold, wake_tx));
+    // What the queue does not hold at the split and has not sealed by
+    // the first take after it is the resolver's: a seal before the split
+    // is in that take.
+    let (mut home, mut unheld) = match &queue {
+        Some(queue) => queue.split_held(ids),
+        None => (Vec::new(), ids),
+    };
+    // Home positions complete so far.
+    let mut home_done = 0;
+    let (done_tx, done_rx) = unbounded();
+    let mut done_tx = Some(done_tx);
+    let mut send_away = |waited: &mut Waited, ids: &[ObjectId]| {
+        let away = waited.away.get_or_insert_with(|| {
+            Resolver::new(
+                goal,
+                Wiring {
+                    node,
+                    objects: services.objects.clone(),
+                    store: store.clone(),
+                    agent: agent.clone(),
+                    answers: done_tx.take().expect("one resolver a call"),
+                    health: services.health.clone(),
+                    // A request is never given longer than the call itself has.
+                    fetch_timeout: (services.config.fetch_timeout)
+                        .min(deadline.saturating_duration_since(started)),
+                },
+            )
+        });
+        away.add(ids);
+    };
     let replay = |replays: &Replays| recon.replay(replays);
-    // Only a call that wants bytes in its store cares whether the store
-    // is still the node's.
-    let own_store = store.as_ref().filter(|_| goal == Goal::Values);
     let mut next_liveness_check = started + POLL_SLICE;
-    let outcome = loop {
-        // Whatever arrived is handled in the same pass, so one wake-up
-        // commits and dispatches for all of it.
-        seal_rx.try_iter().for_each(|id| resolver.on_sealed(id));
-        updates.try_iter().for_each(|raw| resolver.on_update(raw));
-        for (id, result) in done_rx.try_iter() {
-            resolver.on_fetched(id, result);
+    waited.outcome = loop {
+        // What sealed here since the last pass, under one store lock.
+        // The take re-arms the wake-up, so the loss count is read after
+        // it: a loss counted later wakes the call.
+        let mut evicted = Vec::new();
+        if let Some(seals) = &mut seals {
+            let threshold = match &waited.away {
+                None if every => home.len().max(1),
+                _ => 1,
+            };
+            let fired = match goal {
+                Goal::Values => seals.take_values(threshold),
+                Goal::Count => seals
+                    .take(threshold)
+                    .into_iter()
+                    .map(|id| (id, None))
+                    .collect(),
+            };
+            for (id, bytes) in fired {
+                if let Some(resolver) = &mut waited.away {
+                    resolver.on_sealed(id);
+                }
+                match (goal, bytes) {
+                    (Goal::Values, None) => evicted.push(id),
+                    (_, bytes) => {
+                        waited.sealed.insert(id, bytes);
+                    }
+                }
+            }
+        }
+        // A producer the queue held was lost: whatever it no longer
+        // holds is the resolver's from here on.
+        if let (Some(queue), Some(seen)) = (&queue, &mut losses) {
+            let count = queue.losses();
+            if count != *seen && !home.is_empty() {
+                *seen = count;
+                let (held, lost) = queue.split_held(std::mem::take(&mut home));
+                home = held;
+                unheld.extend(lost);
+            }
+        }
+        for waiting in [&mut home, &mut unheld] {
+            let before = waiting.len();
+            waiting.retain(|id| !waited.sealed.contains_key(id));
+            home_done += before - waiting.len();
+        }
+        let mut moved = std::mem::take(&mut unheld);
+        // Sealed and evicted before it was taken: reconstructed as any
+        // lost copy is, and registered again for its next seal.
+        if !evicted.is_empty() {
+            let (gone, stay) = home.into_iter().partition(|id| evicted.contains(id));
+            home = stay;
+            moved.extend::<Vec<ObjectId>>(gone);
+            if let Some(seals) = &mut seals {
+                seals.add(&evicted);
+            }
+        }
+        if !moved.is_empty() {
+            send_away(&mut waited, &moved);
+            // Taken again at once, now woken at each seal.
+            continue;
         }
         let now = Instant::now();
-        resolver.pump(now, &mut |_, _, _| true, &replay);
-        if resolver.satisfied() >= wanted {
+        if let Some(resolver) = &mut waited.away {
+            // Whatever arrived is handled in the same pass, so one
+            // wake-up commits and dispatches for all of it.
+            let updates = resolver.updates().clone();
+            updates.try_iter().for_each(|raw| resolver.on_update(raw));
+            for (id, result) in done_rx.try_iter() {
+                resolver.on_fetched(id, result);
+            }
+            resolver.pump(now, &mut |_, _, _| true, &replay);
+        }
+        let satisfied = home_done + waited.away.as_ref().map_or(0, Resolver::satisfied);
+        if satisfied >= wanted {
             break Ok(());
         }
         if now >= deadline {
             break Err(Error::Timeout);
         }
-        if let Some(store) = own_store.filter(|_| now >= next_liveness_check) {
-            // A crashed node's store is detached (and emptied): nothing
-            // will ever seal into it again.
-            let attached = services.store(node);
-            if !attached.is_some_and(|s| Arc::ptr_eq(&s, store)) {
-                break Err(Error::NodeDown(node));
+        services.blocked_waits.inc();
+        let Some(resolver) = &mut waited.away else {
+            // Only the store can wake a call that waits at home: a seal,
+            // a loss, or its clearing.
+            match wake.recv_timeout(deadline.saturating_duration_since(now)) {
+                Err(RecvTimeoutError::Disconnected) => break Err(Error::NodeDown(node)),
+                Ok(()) | Err(RecvTimeoutError::Timeout) => continue,
             }
-            next_liveness_check = now + POLL_SLICE;
+        };
+        // Only a call that wants bytes in its store cares whether the
+        // store is still the node's.
+        if let Some(store) = store.as_ref().filter(|_| goal == Goal::Values) {
+            if now >= next_liveness_check {
+                // A crashed node's store is detached (and emptied):
+                // nothing will ever seal into it again.
+                let attached = services.store(node);
+                if !attached.is_some_and(|s| Arc::ptr_eq(&s, store)) {
+                    break Err(Error::NodeDown(node));
+                }
+                next_liveness_check = now + POLL_SLICE;
+            }
         }
         // The resolver's tick keeps the loop turning once a poll slice.
         let wake_at = resolver.next_wake().min(deadline);
+        let updates = resolver.updates().clone();
         crossbeam::channel::select! {
             recv(updates) -> raw => match raw {
                 Ok(raw) => resolver.on_update(raw),
                 Err(_) => break Err(Error::ShuttingDown),
             },
-            recv(seal_rx) -> id => {
-                if let Ok(id) = id {
-                    resolver.on_sealed(id);
+            recv(wake) -> woken => {
+                if woken.is_err() {
+                    break Err(Error::NodeDown(node));
                 }
             }
             recv(done_rx) -> answer => {
@@ -203,11 +374,13 @@ fn block_on(
     // takes every answer sent so far — committed here — and leaves any
     // later one to the node's scheduler, so none is dropped unread with
     // the channel.
-    if let Some(agent) = agent.filter(|_| resolver.has_requested()) {
-        for (id, result) in agent.close(done_rx) {
-            resolver.on_fetched(id, result);
+    if let Some(resolver) = waited.away.as_mut().filter(|r| r.has_requested()) {
+        if let Some(agent) = &agent {
+            for (id, result) in agent.close(done_rx) {
+                resolver.on_fetched(id, result);
+            }
+            resolver.commit();
         }
-        resolver.commit();
     }
-    (resolver, outcome)
+    waited
 }

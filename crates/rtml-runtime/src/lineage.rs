@@ -10,13 +10,13 @@
 //! including recursively reconstructing the producer's own missing
 //! inputs.
 
-use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
+use rtml_common::collections::{IdMap, IdSet};
 use rtml_common::event::{Component, Event, EventKind};
 use rtml_common::ids::{ObjectId, TaskId};
 use rtml_common::metrics::{Counter, MetricsRegistry};
@@ -36,14 +36,14 @@ pub struct ReconstructionManager {
     services: Arc<Services>,
     /// Tasks between the resubmission decision and the Submitted state
     /// write (a very small window, but enough for duplicate triggers).
-    inflight: Mutex<HashSet<TaskId>>,
+    inflight: Mutex<IdSet<TaskId>>,
     /// Replays resubmitted and not yet observed back in a terminal
     /// state — the window [`RECONSTRUCTION_CAP`] counts — with the
     /// attempt each was resubmitted as.
-    active: Mutex<HashMap<TaskId, u32>>,
+    active: Mutex<IdMap<TaskId, u32>>,
     /// Producers observed blocking a consumer, for the stuck-task
     /// backstop: task -> (state when first seen, when first seen).
-    watch: Mutex<HashMap<TaskId, (TaskState, Instant)>>,
+    watch: Mutex<IdMap<TaskId, (TaskState, Instant)>>,
     /// Size at which watched producers that moved on are pruned; doubled
     /// past whatever survives, so pruning stays O(1) reads per insert
     /// however many are legitimately in flight at once. Out of reach
@@ -68,9 +68,9 @@ impl ReconstructionManager {
         let stuck_after = services.config.fetch_timeout.saturating_mul(4);
         Arc::new(ReconstructionManager {
             services,
-            inflight: Mutex::new(HashSet::new()),
-            active: Mutex::new(HashMap::new()),
-            watch: Mutex::new(HashMap::new()),
+            inflight: Mutex::new(IdSet::default()),
+            active: Mutex::new(IdMap::default()),
+            watch: Mutex::new(IdMap::default()),
             prune_at: AtomicUsize::new(256),
             stuck_after,
             reconstructions: Counter::new(),
@@ -308,7 +308,7 @@ impl ReconstructionManager {
     /// it, and an entry changed meanwhile stays.
     fn prune<V: Clone + PartialEq>(
         &self,
-        map: &Mutex<HashMap<TaskId, V>>,
+        map: &Mutex<IdMap<TaskId, V>>,
         in_flight: fn(&TaskState) -> bool,
     ) -> usize {
         let snapshot: Vec<(TaskId, V)> = map.lock().iter().map(|(t, v)| (*t, v.clone())).collect();

@@ -6,8 +6,7 @@
 //! scheduling latency, and exports a Chrome-trace JSON
 //! (`chrome://tracing` / Perfetto) of the whole run.
 
-use std::collections::HashMap;
-
+use rtml_common::collections::{IdMap, IdSet};
 use rtml_common::event::{Event, EventKind};
 use rtml_common::ids::{NodeId, TaskId, WorkerId};
 use rtml_common::metrics::{fmt_nanos, Histogram, MetricsRegistry};
@@ -143,13 +142,11 @@ pub struct ProfileReport {
 impl ProfileReport {
     /// Folds a (time-sorted) event stream into a report.
     pub fn from_events(events: &[Event]) -> ProfileReport {
-        let mut by_task: HashMap<TaskId, TaskProfile> = HashMap::new();
+        let mut by_task: IdMap<TaskId, TaskProfile> = IdMap::default();
         let mut report = ProfileReport::default();
-        let mut prefetched: std::collections::HashSet<(
-            rtml_common::ids::ObjectId,
-            rtml_common::ids::NodeId,
-        )> = std::collections::HashSet::new();
-        let mut fed_by: HashMap<(rtml_common::ids::ObjectId, NodeId), NodeId> = HashMap::new();
+        let mut prefetched: IdSet<(rtml_common::ids::ObjectId, rtml_common::ids::NodeId)> =
+            IdSet::default();
+        let mut fed_by: IdMap<(rtml_common::ids::ObjectId, NodeId), NodeId> = IdMap::default();
         for event in events {
             match &event.kind {
                 EventKind::ObjectSealed { .. } => report.seals += 1,

@@ -13,12 +13,12 @@ use parking_lot::RwLock;
 use rtml_common::error::{Error, Result};
 use rtml_common::event::{Component, Event, EventKind};
 use rtml_common::ids::{NodeId, ObjectId};
-use rtml_common::metrics::MetricsRegistry;
+use rtml_common::metrics::{Counter, MetricsRegistry};
 use rtml_common::resources::Resources;
 use rtml_common::task::TaskSpec;
 use rtml_kv::{EventLog, FunctionTable, Inbound, KvStore, ObjectTable, TaskTable};
 use rtml_net::{Fabric, FabricConfig};
-use rtml_sched::{HealthTracker, LocalSubmitter};
+use rtml_sched::{HealthTracker, LocalSubmitter, RunQueue};
 use rtml_store::{FetchAgent, ObjectStore, TransferDirectory};
 
 use crate::cluster::ClusterConfig;
@@ -58,6 +58,9 @@ pub struct Services {
     /// once for the whole cluster. Every node's telemetry sample records
     /// them beside its own registry's.
     pub metrics: Arc<MetricsRegistry>,
+    /// Times a blocking `get`, `get_many` or `wait` slept
+    /// (`runtime.blocked_waits`).
+    pub blocked_waits: Arc<Counter>,
     /// Live nodes, in id order: a node is in it whole or not at all.
     nodes: RwLock<BTreeMap<NodeId, LiveNode>>,
 }
@@ -94,6 +97,9 @@ impl Services {
         events.register_metrics(&metrics);
         objects.register_metrics(&metrics);
         tasks.register_metrics(&metrics);
+        let blocked_waits = Arc::new(Counter::new());
+        let counter = blocked_waits.clone();
+        metrics.register_value("runtime.blocked_waits", move || counter.get());
         Arc::new(Services {
             objects,
             tasks,
@@ -105,6 +111,7 @@ impl Services {
             health: HealthTracker::new(kv.clone()),
             config: config.clone(),
             metrics,
+            blocked_waits,
             nodes: RwLock::new(BTreeMap::new()),
             kv,
         })
@@ -144,6 +151,11 @@ impl Services {
     /// fetches and pushes for the node), if the node is alive.
     pub fn fetch_agent(&self, node: NodeId) -> Option<Arc<FetchAgent>> {
         Some(self.nodes.read().get(&node)?.agent.clone())
+    }
+
+    /// The node's run queue, if the node is alive.
+    pub fn run_queue(&self, node: NodeId) -> Option<Arc<RunQueue>> {
+        self.nodes.read().get(&node)?.sched.queue().cloned()
     }
 
     /// Seals each of `objects` into `store` and publishes the copies —

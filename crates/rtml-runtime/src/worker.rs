@@ -297,11 +297,16 @@ impl Outbox {
         let stats = self.queue.stats();
         // A result the store cannot take stays unsealed: its consumers
         // reconstruct (and likely hit the same wall — surfaced as
-        // timeouts, which is honest).
-        let _ = services.seal_and_publish(&store, results, |object, bytes| {
+        // timeouts, which is honest). A consumer waiting at home for any
+        // result of the batch is told, as of lost tasks, and looks for
+        // it elsewhere: it finds those that did seal here.
+        let refused = services.seal_and_publish(&store, results, |object, bytes| {
             let (_, to) = push_to.filter(|(task, _)| object.producer_task() == Some(*task))?;
             push_to_submitter(services, stats, &store, to, object, bytes)
         });
+        if refused.is_err() {
+            self.queue.unsealed(&tasks);
+        }
         if !finished.is_empty() {
             services
                 .tasks

@@ -143,6 +143,11 @@ impl LocalSubmitter {
         })
     }
 
+    /// The node's run queue, if this submitter admits batches itself.
+    pub fn queue(&self) -> Option<&Arc<RunQueue>> {
+        self.admission.as_ref().map(|admission| &admission.queue)
+    }
+
     /// Batches of this node's sent to its loop and not yet ingested.
     pub fn in_mailbox(&self) -> usize {
         let count = |a: &Arc<Admission>| a.in_mailbox.load(SeqCst);

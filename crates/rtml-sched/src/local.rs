@@ -53,7 +53,7 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 
 use rtml_common::codec::{decode_from_slice, encode_to_bytes};
-use rtml_common::collections::FastMap;
+use rtml_common::collections::IdMap;
 use rtml_common::event::{Component, Event, EventKind};
 use rtml_common::ids::{NodeId, ObjectId, TaskId, WorkerId};
 use rtml_common::metrics::{Counter, MetricsRegistry};
@@ -386,7 +386,7 @@ impl LocalScheduler {
         };
 
         let (seal_tx, seal_rx) = unbounded();
-        let seals = services.store.subscribe_local_many(&[], &seal_tx);
+        let seals = services.store.subscribe_local_many(&[], 1, seal_tx.clone());
         let (fetch_tx, fetch_rx) = unbounded();
         // What the agent seals with nobody left waiting for it (results
         // pushed here by their producers, replies that outlived their
@@ -414,9 +414,9 @@ impl LocalScheduler {
                     stats: stats2,
                     queue: queue2,
                     admission,
-                    waiting: FastMap::default(),
-                    watchers: FastMap::default(),
-                    seal_tx,
+                    waiting: IdMap::default(),
+                    watchers: IdMap::default(),
+                    _seal_tx: seal_tx,
                     seals,
                     resolver,
                     plane,
@@ -473,16 +473,16 @@ pub(crate) struct Core {
     /// What it admits batches with, shared with the node's submitters.
     pub(crate) admission: Arc<Admission>,
     /// Tasks short of a dependency.
-    pub(crate) waiting: FastMap<TaskId, Waiting>,
+    pub(crate) waiting: IdMap<TaskId, Waiting>,
     /// missing object → tasks waiting on it.
-    pub(crate) watchers: FastMap<ObjectId, Vec<TaskId>>,
-    /// Where the store announces the local seal of a key of `watchers`.
+    pub(crate) watchers: IdMap<ObjectId, Vec<TaskId>>,
+    /// Where the store wakes this loop when a key of `watchers` sealed.
     /// This loop keeps a sender, so the channel never disconnects.
-    pub(crate) seal_tx: Sender<ObjectId>,
+    pub(crate) _seal_tx: Sender<()>,
     /// The keys of `watchers`, registered in the store's local-seal table
     /// when they got their first waiter: each registration ends when its
-    /// object seals here, and what is left is withdrawn when the loop
-    /// exits and drops this.
+    /// object seals here (the loop takes what fired when woken), and
+    /// what is left is withdrawn when the loop exits and drops this.
     pub(crate) seals: LocalSealGuard,
     /// Resolves the keys of `watchers`: added when an object gets its
     /// first waiter, retired when it seals here. Its requests are
@@ -511,7 +511,7 @@ impl Core {
         &mut self,
         rx: &Receiver<LocalMsg>,
         endpoint: &rtml_net::Endpoint,
-        seal_rx: Receiver<ObjectId>,
+        seal_rx: Receiver<()>,
         fetch_rx: Receiver<(ObjectId, FetchResult)>,
     ) -> bool {
         let records = self.resolver.updates().clone();
@@ -550,8 +550,10 @@ impl Core {
                     }
                     Err(_) => break false,
                 },
-                recv(seal_rx) -> sealed => {
-                    for object in sealed.into_iter().chain(seal_rx.try_iter()) {
+                // One wake-up for every seal since the last turn took
+                // them.
+                recv(seal_rx) -> _ => {
+                    for object in self.seals.take(1) {
                         self.on_sealed(object);
                     }
                 }
@@ -690,7 +692,7 @@ impl Core {
         // *distinct* object replaces one lock round trip per task. An
         // object sealing mid-batch is caught downstream: registering it
         // below announces it at once.
-        let mut present_cache: FastMap<ObjectId, bool> = FastMap::default();
+        let mut present_cache: IdMap<ObjectId, bool> = IdMap::default();
         for spec in specs {
             let verdict = if !via_global {
                 self.judge(&pass, &spec)
@@ -761,7 +763,7 @@ impl Core {
         let _ = self
             .admission
             .admit(&queued, &left, runnable, started, false);
-        self.seals.add(&unresolved, &self.seal_tx);
+        self.seals.add(&unresolved);
         self.resolver.add(&unresolved);
         if !spilled.is_empty() {
             self.spill_batch(spilled);

@@ -45,7 +45,7 @@
 
 use std::collections::BTreeSet;
 
-use rtml_common::collections::{fast_map_with_capacity, fnv1a_64, FastMap};
+use rtml_common::collections::{fast_map_with_capacity, fnv1a_64, FastMap, IdMap};
 use rtml_common::ids::{NodeId, ObjectId, TaskId};
 use rtml_common::task::TaskSpec;
 use rtml_kv::ObjectTable;
@@ -108,7 +108,7 @@ pub struct LoadView {
     k: usize,
     /// Nodes each object is on its way to (see
     /// [`LoadView::note_inbound`]).
-    inbound: FastMap<ObjectId, Vec<NodeId>>,
+    inbound: IdMap<ObjectId, Vec<NodeId>>,
 }
 
 impl LoadView {
@@ -122,7 +122,7 @@ impl LoadView {
             reports,
             order,
             k,
-            inbound: FastMap::default(),
+            inbound: IdMap::default(),
         }
     }
 

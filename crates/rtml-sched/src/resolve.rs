@@ -63,7 +63,7 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use crossbeam::channel::{Receiver, Sender};
 
-use rtml_common::collections::FastMap;
+use rtml_common::collections::IdMap;
 use rtml_common::ids::{NodeId, ObjectId};
 use rtml_common::retry::MAX_ATTEMPTS;
 use rtml_kv::{ObjectInfo, ObjectInfoUpdates, ObjectTable};
@@ -181,7 +181,7 @@ pub struct Resolver {
     /// their table updates arrive under (never reused, so an update of a
     /// retired object finds nothing).
     slots: BTreeMap<usize, Slot>,
-    index: FastMap<ObjectId, usize>,
+    index: IdMap<ObjectId, usize>,
     next_seq: usize,
     /// Added positions complete so far.
     satisfied: usize,
@@ -208,7 +208,7 @@ impl Resolver {
             wiring,
             updates,
             slots: BTreeMap::new(),
-            index: FastMap::default(),
+            index: IdMap::default(),
             next_seq: 0,
             satisfied: 0,
             groups: BTreeMap::new(),

@@ -74,17 +74,37 @@
 //!    [`unblocked`](RunQueue::unblocked) (a resumed thread is not
 //!    paused; the surplus drains as batches finish);
 //! 4. when everything pushed has finished, no batch is left, `in_use`
-//!    is zero and no dependency pin is held.
+//!    is zero and no dependency pin is held;
+//! 5. the tasks it [`holds`](RunQueue::split_held) are those pushed or
+//!    reserved, less those reported published and those lost.
+//!
+//! # What it holds
+//!
+//! A blocked `get` on this node asks the queue which of the producers
+//! it waits for it holds: queued, in a worker's batch, or run but not
+//! reported published ([`RunQueue::split_held`]). A task leaves that
+//! set only once its results are sealed in the node's store — the
+//! worker reports it published ([`start`](RunQueue::start),
+//! [`blocked`](RunQueue::blocked), [`next`](RunQueue::next)) after its
+//! puts — or when it is lost: its worker detached, the queue closed
+//! (a reservation not pushed yet with it), or its results refused by
+//! the store ([`unsealed`](RunQueue::unsealed)). Every loss counts in
+//! [`losses`](RunQueue::losses) and wakes the store's local-seal
+//! subscribers ([`ObjectStore::wake_all`]), so such a `get` waits on
+//! the store alone and still learns at once that a result will not
+//! seal there. The set is kept under the lock each of those calls takes
+//! anyway.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::Ordering::Relaxed;
+use std::sync::atomic::AtomicU64;
+use std::sync::atomic::Ordering::{Relaxed, SeqCst};
 use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
 
-use rtml_common::collections::{FastSet, IdMap};
+use rtml_common::collections::{FastSet, IdMap, IdSet};
 use rtml_common::ids::{FunctionId, ObjectId, TaskId, WorkerId};
 use rtml_common::resources::Resources;
 use rtml_common::task::TaskSpec;
@@ -232,6 +252,8 @@ struct State {
     work_ns: u64,
     /// The backlog's tasks whose function has no mean yet.
     unmeasured: usize,
+    /// The tasks the queue holds (see the module docs).
+    holding: IdSet<TaskId>,
     /// A pool-growth request is outstanding.
     growing: bool,
     closed: bool,
@@ -397,13 +419,17 @@ impl State {
         }
     }
 
-    /// Ends `worker`'s batch: its grant goes back and any task it did
-    /// not start returns to the front of the queue. Returns the pins
-    /// of the task it ran last.
+    /// Ends `worker`'s batch, every task it ran published: its grant
+    /// goes back and any task it did not start returns to the front of
+    /// the queue. Returns the pins of the task it ran last.
     fn retire(&mut self, worker: WorkerId) -> Vec<ObjectId> {
         let Some(mut taken) = self.end(worker) else {
             return Vec::new();
         };
+        self.holding.remove(&taken.running);
+        for task in &taken.ran {
+            self.holding.remove(task);
+        }
         self.hand_back(&mut taken.held);
         taken.pins
     }
@@ -434,6 +460,8 @@ impl State {
 pub struct RunQueue {
     state: Mutex<State>,
     wake: Condvar,
+    /// Times tasks left `holding` unpublished, counted under the lock.
+    losses: AtomicU64,
     total: Resources,
     store: Arc<ObjectStore>,
     stats: Arc<LocalSchedulerStats>,
@@ -452,6 +480,7 @@ impl RunQueue {
         RunQueue {
             state: Mutex::new(State::default()),
             wake: Condvar::new(),
+            losses: AtomicU64::new(0),
             total,
             store,
             stats,
@@ -496,11 +525,13 @@ impl RunQueue {
             unpin.extend(taken.pins);
         }
         lost.sort();
+        let lost_here = self.lose(&mut st, &lost);
         self.publish(&st);
         drop(st);
         // Everyone: the dead worker must notice, and the grant it held
         // may fit what the others are waiting with.
         self.wake.notify_all();
+        self.announce(lost_here);
         self.unpin(&unpin);
         lost
     }
@@ -510,8 +541,68 @@ impl RunQueue {
     /// still queued stay `Queued(node)` in the task table for the kill
     /// repair.
     pub fn close(&self) {
-        self.state.lock().closed = true;
+        let mut st = self.state.lock();
+        st.closed = true;
+        let lost = !st.holding.is_empty();
+        if lost {
+            st.holding.clear();
+            self.losses.fetch_add(1, SeqCst);
+        }
+        drop(st);
         self.wake.notify_all();
+        self.announce(lost);
+    }
+
+    /// How many times tasks left the queue unpublished (see the module
+    /// docs). Read it before registering for the seals of results the
+    /// queue holds: a loss after that wakes the registration, and a
+    /// loss before it shows in [`split_held`](Self::split_held).
+    pub fn losses(&self) -> u64 {
+        self.losses.load(SeqCst)
+    }
+
+    /// Splits `objects` into those whose producer the queue holds — each
+    /// will seal in the node's store, or its loss will be announced —
+    /// and the rest, in order. One acquisition.
+    pub fn split_held(&self, objects: Vec<ObjectId>) -> (Vec<ObjectId>, Vec<ObjectId>) {
+        let st = self.state.lock();
+        let held = |object: &ObjectId| {
+            let producer = object.producer_task();
+            producer.is_some_and(|task| st.holding.contains(&task))
+        };
+        objects.into_iter().partition(held)
+    }
+
+    /// The store refused a result of a batch that published `tasks`:
+    /// they leave the queue's holding as losses, and a caller waiting
+    /// for their results looks for them elsewhere — finding at once
+    /// those that did seal here.
+    pub fn unsealed(&self, tasks: &[TaskId]) {
+        let mut st = self.state.lock();
+        let lost = self.lose(&mut st, tasks);
+        drop(st);
+        self.announce(lost);
+    }
+
+    /// Takes `tasks` out of the holding; whether any was in it, which is
+    /// counted as a loss.
+    fn lose(&self, st: &mut State, tasks: &[TaskId]) -> bool {
+        let mut lost = false;
+        for task in tasks {
+            lost |= st.holding.remove(task);
+        }
+        if lost {
+            self.losses.fetch_add(1, SeqCst);
+        }
+        lost
+    }
+
+    /// Wakes whoever waits for a seal in the node's store, once a loss
+    /// was counted and the lock dropped.
+    fn announce(&self, lost: bool) {
+        if lost {
+            self.store.wake_all();
+        }
     }
 
     /// Queues runnable tasks, in order, and wakes as many idle workers
@@ -546,6 +637,7 @@ impl RunQueue {
         st.reserved += specs.len();
         for spec in specs {
             st.enter(spec.function);
+            st.holding.insert(spec.task_id);
         }
         self.publish(&st);
         drop(st);
@@ -589,6 +681,10 @@ impl RunQueue {
         } else {
             for task in &tasks {
                 st.enter(task.spec.function);
+            }
+            if !st.closed {
+                st.holding
+                    .extend(tasks.iter().map(|task| task.spec.task_id));
             }
         }
         st.ready.extend(tasks);
@@ -679,6 +775,9 @@ impl RunQueue {
         let mut guard = self.state.lock();
         let st = &mut *guard;
         st.measure(ran);
+        for task in published {
+            st.holding.remove(task);
+        }
         let closed = st.closed;
         let taken = st.taken.get_mut(&worker)?;
         let next = if closed { None } else { taken.held.pop_front() };
@@ -709,6 +808,9 @@ impl RunQueue {
     /// out before blocking, as for [`start`](Self::start).
     pub fn blocked(&self, task: TaskId, published: &[TaskId]) {
         let mut st = self.state.lock();
+        for task in published {
+            st.holding.remove(task);
+        }
         let Some(taken) = st.batch_of(task).filter(|t| !t.released) else {
             return;
         };

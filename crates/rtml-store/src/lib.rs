@@ -15,8 +15,9 @@
 //!   ([`ObjectStore::wait_local`], a `get`) or a local scheduler whose
 //!   waiting task lacks it registers the object in the store's
 //!   per-object local-seal table ([`ObjectStore::subscribe_local_many`])
-//!   and hears of it on its own channel. There is no broadcast of every
-//!   seal.
+//!   and takes what fired when its channel wakes it — once per
+//!   threshold of seals it chose, not once per seal. There is no
+//!   broadcast of every seal.
 //! - The store is **capacity-bounded**; puts evict least-recently-used,
 //!   unpinned objects. Evicted objects are not gone from the system: the
 //!   object table keeps their lineage so they can be reconstructed

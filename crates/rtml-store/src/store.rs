@@ -5,12 +5,14 @@
 //! agent seals it here.
 //!
 //! A seal is heard only by whoever asked for that object: the per-object
-//! local-seal table ([`ObjectStore::subscribe_local_many`]) is the one way
-//! to learn of one. A blocked `get`, a local scheduler's waiting tasks and
+//! local-seal table ([`ObjectStore::subscribe_local_many`]) is the one way to
+//! learn of one. A blocked `get`, a local scheduler's waiting tasks and
 //! [`ObjectStore::wait_local`] all register there; a `put` nobody waits
-//! for wakes nobody.
+//! for wakes nobody. A registration keeps what fired for its caller to
+//! take under one lock ([`LocalSealGuard::take`]), and wakes the caller
+//! once per threshold of seals, not once per seal: a `get` of 256
+//! results its own node runs sleeps until the last of them seals.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -67,42 +69,109 @@ struct StoreState {
     /// evictable on demand.
     pinned_bytes: u64,
     access_clock: u64,
-    /// Per-object local-seal subscribers, `(subscription id, sender)`.
-    /// An entry goes when the object seals here, when the
-    /// [`LocalSealGuard`] that registered it drops (or `wait_local` gives
-    /// up), or on `clear`.
-    waiters: HashMap<ObjectId, Vec<(u64, Sender<ObjectId>)>>,
+    /// Per-object local-seal registrations: the subscriptions waiting
+    /// for it. An entry goes when the object seals here, when the
+    /// [`LocalSealGuard`] that registered it drops (or
+    /// `wait_local` gives up), or on `clear`.
+    waiters: IdMap<ObjectId, Vec<u64>>,
+    /// The live subscriptions, by id.
+    subscriptions: IdMap<u64, Subscription>,
+    /// The last subscription id given out; ids start at 1.
     next_subscription: u64,
 }
 
+/// One local-seal subscription ([`ObjectStore::subscribe_local_many`]).
+struct Subscription {
+    /// Its caller's wake-up. The subscription holds the caller's only
+    /// sender unless the caller kept one, so `clear` disconnects it.
+    wake: Sender<()>,
+    /// Objects that sealed (or were here when registered) since the
+    /// caller last took them.
+    fired: Vec<ObjectId>,
+    /// Objects registered that have not fired.
+    pending: usize,
+    /// How many untaken seals wake the caller.
+    threshold: usize,
+    /// A wake-up is out that no take has answered yet.
+    woken: bool,
+}
+
+impl Subscription {
+    /// Marks the caller woken if it is owed a wake-up — `threshold`
+    /// seals untaken, or every registered object fired — and returns
+    /// its sender to wake it with once the store's lock is dropped.
+    fn due(&mut self) -> Option<Sender<()>> {
+        let reached = self.fired.len() >= self.threshold || self.pending == 0;
+        let due = !self.woken && !self.fired.is_empty() && reached;
+        self.woken |= due;
+        due.then(|| self.wake.clone())
+    }
+
+    /// Wakes the caller whether or not anything fired.
+    fn nudge(&mut self) -> Option<Sender<()>> {
+        let due = !self.woken;
+        self.woken = true;
+        due.then(|| self.wake.clone())
+    }
+
+    /// What fired, handed over; woken next at `threshold` more.
+    fn take(&mut self, threshold: usize) -> Vec<ObjectId> {
+        self.threshold = threshold.max(1);
+        self.woken = false;
+        std::mem::take(&mut self.fired)
+    }
+}
+
 impl StoreState {
-    /// A fresh subscription id.
-    fn subscription(&mut self) -> u64 {
+    /// Opens a subscription woken on `wake` (see [`Subscription::due`]).
+    fn subscribe(&mut self, threshold: usize, wake: Sender<()>) -> u64 {
         self.next_subscription += 1;
-        self.next_subscription
+        let id = self.next_subscription;
+        let subscription = Subscription {
+            wake,
+            fired: Vec::new(),
+            pending: 0,
+            threshold: threshold.max(1),
+            woken: false,
+        };
+        self.subscriptions.insert(id, subscription);
+        id
     }
 
     /// Registers `object` for subscription `id`, unless it is here
-    /// already: then it is announced on `tx` at once. Returns whether it
-    /// was registered.
-    fn register(&mut self, id: u64, object: ObjectId, tx: &Sender<ObjectId>) -> bool {
-        if self.objects.contains_key(&object) {
-            let _ = tx.send(object);
+    /// already: then it fires at once. Returns whether it was
+    /// registered (`false` too for an object the subscription already
+    /// waits for, or a subscription `clear` ended).
+    fn register(&mut self, id: u64, object: ObjectId) -> bool {
+        let present = self.objects.contains_key(&object);
+        let Some(subscription) = self.subscriptions.get_mut(&id) else {
+            return false;
+        };
+        if present {
+            subscription.fired.push(object);
             return false;
         }
-        self.waiters
-            .entry(object)
-            .or_default()
-            .push((id, tx.clone()));
+        let waiters = self.waiters.entry(object).or_default();
+        if waiters.contains(&id) {
+            return false;
+        }
+        waiters.push(id);
+        subscription.pending += 1;
         true
     }
 
-    /// Withdraws subscription `id`'s registrations of `objects` that
-    /// have not fired.
-    fn withdraw(&mut self, id: u64, objects: &[ObjectId]) {
+    /// Ends subscription `id`, withdrawing its registrations of
+    /// `objects` that have not fired.
+    fn unsubscribe(&mut self, id: u64, objects: &[ObjectId]) {
+        let Some(subscription) = self.subscriptions.remove(&id) else {
+            return;
+        };
+        if subscription.pending == 0 {
+            return;
+        }
         for object in objects {
             if let Some(waiters) = self.waiters.get_mut(object) {
-                waiters.retain(|(subscription, _)| *subscription != id);
+                waiters.retain(|subscription| *subscription != id);
                 if waiters.is_empty() {
                     self.waiters.remove(object);
                 }
@@ -110,10 +179,29 @@ impl StoreState {
         }
     }
 
+    /// A read of `object`: its bytes if present, its recency bumped.
+    fn read(&mut self, object: ObjectId, stats: &StoreStats) -> Option<Bytes> {
+        self.access_clock += 1;
+        let Some(entry) = self.objects.get_mut(&object) else {
+            stats.misses.inc();
+            return None;
+        };
+        entry.last_access = self.access_clock;
+        stats.hits.inc();
+        Some(entry.data.clone())
+    }
+
     /// Whether subscription `id` still waits for `object`.
     fn is_registered(&self, id: u64, object: ObjectId) -> bool {
         let waiters = self.waiters.get(&object);
-        waiters.is_some_and(|w| w.iter().any(|(subscription, _)| *subscription == id))
+        waiters.is_some_and(|w| w.contains(&id))
+    }
+}
+
+/// Wakes each caller a critical section found due, its guard dropped.
+fn wake_callers(callers: impl IntoIterator<Item = Sender<()>>) {
+    for caller in callers {
+        let _ = caller.send(());
     }
 }
 
@@ -266,11 +354,18 @@ impl ObjectStore {
         self.stats.puts.inc();
 
         // Announce the seal to whoever registered for it, and nobody else.
-        let waiters = st.waiters.remove(&object);
-        drop(st);
-        for (_, tx) in waiters.into_iter().flatten() {
-            let _ = tx.send(object);
+        let mut due = Vec::new();
+        if let Some(waiters) = st.waiters.remove(&object) {
+            for id in waiters {
+                let subscription =
+                    (st.subscriptions.get_mut(&id)).expect("a waiter's subscription is live");
+                subscription.fired.push(object);
+                subscription.pending -= 1;
+                due.extend(subscription.due());
+            }
         }
+        drop(st);
+        wake_callers(due);
         Ok(PutOutcome {
             inserted: true,
             evicted,
@@ -279,20 +374,15 @@ impl ObjectStore {
 
     /// Fetches an object if present, bumping its recency.
     pub fn get(&self, object: ObjectId) -> Option<Bytes> {
+        self.state.lock().read(object, &self.stats)
+    }
+
+    /// [`get`](Self::get) of each of `objects`, in order, under one
+    /// lock.
+    pub fn get_many(&self, objects: &[ObjectId]) -> Vec<Option<Bytes>> {
         let mut st = self.state.lock();
-        st.access_clock += 1;
-        let clock = st.access_clock;
-        match st.objects.get_mut(&object) {
-            Some(entry) => {
-                entry.last_access = clock;
-                self.stats.hits.inc();
-                Some(entry.data.clone())
-            }
-            None => {
-                self.stats.misses.inc();
-                None
-            }
-        }
+        let read = |object: &ObjectId| st.read(*object, &self.stats);
+        objects.iter().map(read).collect()
     }
 
     /// Whether the object is present.
@@ -313,46 +403,54 @@ impl ObjectStore {
                     self.stats.hits.inc();
                     return Ok(entry.data.clone());
                 }
-                let id = st.subscription();
-                st.register(id, object, &tx);
+                let id = st.subscribe(1, tx.clone());
+                st.register(id, object);
                 id
             };
             let left = deadline.saturating_duration_since(Instant::now());
-            if rx.recv_timeout(left).is_err() {
-                // Given up on: withdrawn, unless it sealed meanwhile.
-                let mut st = self.state.lock();
-                st.withdraw(id, &[object]);
-                let entry = st.objects.get(&object);
-                return entry.map(|e| e.data.clone()).ok_or(Error::Timeout);
+            let woken = rx.recv_timeout(left).is_ok();
+            let mut st = self.state.lock();
+            st.unsubscribe(id, &[object]);
+            match st.objects.get(&object) {
+                Some(entry) => return Ok(entry.data.clone()),
+                // Given up on: withdrawn above.
+                None if !woken => return Err(Error::Timeout),
+                // Sealed and evicted meanwhile: wait again.
+                None => {}
             }
-            // Sealed, and its registration with it: take the bytes on
-            // the next pass (or wait again, if it was evicted meanwhile).
         }
     }
 
-    /// Asks for each of `objects` to be announced on `tx` (by id, once)
-    /// when it seals locally; objects already present are announced
-    /// immediately. One lock acquisition for the whole set, and every
-    /// object shares the caller's one channel. A registration ends when
-    /// its object seals here; the returned guard owns the rest, takes
-    /// more objects ([`LocalSealGuard::add`]) and withdraws what has not
-    /// fired when it drops, so a waiter that gives up (or is satisfied
-    /// some other way) leaves nothing behind. [`clear`] (node crash)
-    /// drops the registered senders: a caller that keeps no sender of
-    /// its own sees the channel disconnect.
+    /// Opens a local-seal subscription for `objects`, woken on `wake`:
+    /// each object fires once, when it seals here — at once, if it is
+    /// here already — and what fired is kept for the caller to take
+    /// ([`LocalSealGuard::take`]). The caller is woken once when
+    /// `threshold` untaken objects have fired, or when every object it
+    /// registered has (a `get` passes how many it waits for; a caller
+    /// that acts on each seal passes 1), and again only after it took
+    /// them; and when a producer this node held is lost
+    /// ([`ObjectStore::wake_all`]). One lock for the whole set. The
+    /// returned guard takes more objects ([`LocalSealGuard::add`]) and
+    /// ends the subscription when it drops, so a waiter that gives up
+    /// (or is satisfied some other way) leaves nothing behind.
+    /// [`clear`] (node crash) ends every subscription and drops its
+    /// sender: a caller that keeps no sender of its own sees the
+    /// channel disconnect.
     ///
     /// [`clear`]: ObjectStore::clear
     pub fn subscribe_local_many(
         self: &Arc<Self>,
         objects: &[ObjectId],
-        tx: &Sender<ObjectId>,
+        threshold: usize,
+        wake: Sender<()>,
     ) -> LocalSealGuard {
         let mut st = self.state.lock();
-        let id = st.subscription();
+        let id = st.subscribe(threshold, wake);
         let waiting = objects.iter().copied();
-        let waiting = waiting
-            .filter(|&object| st.register(id, object, tx))
-            .collect();
+        let waiting = waiting.filter(|&object| st.register(id, object)).collect();
+        let due = st.subscriptions.get_mut(&id).and_then(Subscription::due);
+        drop(st);
+        wake_callers(due);
         LocalSealGuard {
             store: self.clone(),
             id,
@@ -361,9 +459,24 @@ impl ObjectStore {
         }
     }
 
+    /// Wakes every subscription's caller, whether or not anything fired:
+    /// a producer this node's run queue held was lost, and a caller
+    /// waiting for its result here must look for it elsewhere.
+    pub fn wake_all(&self) {
+        let mut st = self.state.lock();
+        let due = st
+            .subscriptions
+            .values_mut()
+            .filter_map(Subscription::nudge);
+        let due: Vec<_> = due.collect();
+        drop(st);
+        wake_callers(due);
+    }
+
     /// Number of local-seal registrations currently held (leak detector).
     pub fn local_waiter_count(&self) -> usize {
-        self.state.lock().waiters.values().map(Vec::len).sum()
+        let st = self.state.lock();
+        st.waiters.values().map(Vec::len).sum()
     }
 
     /// Pins an object, excluding it from eviction while pinned. Returns
@@ -431,6 +544,7 @@ impl ObjectStore {
         st.used_bytes = 0;
         st.pinned_bytes = 0;
         st.waiters.clear();
+        st.subscriptions.clear();
         ids
     }
 
@@ -440,9 +554,9 @@ impl ObjectStore {
     }
 }
 
-/// The registrations of one [`ObjectStore::subscribe_local_many`] call
-/// and of every [`LocalSealGuard::add`] since: dropping it withdraws
-/// whatever has not fired yet.
+/// One [`ObjectStore::subscribe_local_many`] subscription: its
+/// registrations, and what fired for it. Dropping it ends the
+/// subscription.
 pub struct LocalSealGuard {
     store: Arc<ObjectStore>,
     id: u64,
@@ -453,8 +567,8 @@ pub struct LocalSealGuard {
 }
 
 impl LocalSealGuard {
-    /// Registers `objects` too, announced on `tx` like the first ones.
-    pub fn add(&mut self, objects: &[ObjectId], tx: &Sender<ObjectId>) {
+    /// Registers `objects` too.
+    pub fn add(&mut self, objects: &[ObjectId]) {
         if objects.is_empty() {
             return;
         }
@@ -468,16 +582,42 @@ impl LocalSealGuard {
             self.kept = self.waiting.len();
         }
         let fresh = objects.iter().copied();
-        let fresh = fresh.filter(|&object| st.register(id, object, tx));
-        self.waiting.extend(fresh);
+        self.waiting
+            .extend(fresh.filter(|&object| st.register(id, object)));
+        let due = st.subscriptions.get_mut(&id).and_then(Subscription::due);
+        drop(st);
+        wake_callers(due);
+    }
+
+    /// Hands over what fired since the last take, and arms the next
+    /// wake-up: when `threshold` more have fired, or everything still
+    /// registered has.
+    pub fn take(&mut self, threshold: usize) -> Vec<ObjectId> {
+        let mut st = self.store.state.lock();
+        st.subscriptions
+            .get_mut(&self.id)
+            .map(|subscription| subscription.take(threshold))
+            .unwrap_or_default()
+    }
+
+    /// [`take`](Self::take), each object with its bytes — read under the
+    /// same lock, as a [`ObjectStore::get`] would — or `None` if it was
+    /// evicted since it sealed.
+    pub fn take_values(&mut self, threshold: usize) -> Vec<(ObjectId, Option<Bytes>)> {
+        let mut st = self.store.state.lock();
+        let Some(subscription) = st.subscriptions.get_mut(&self.id) else {
+            return Vec::new();
+        };
+        let fired = subscription.take(threshold);
+        let stats = &self.store.stats;
+        let read = |object| (object, st.read(object, stats));
+        fired.into_iter().map(read).collect()
     }
 }
 
 impl Drop for LocalSealGuard {
     fn drop(&mut self) {
-        if !self.waiting.is_empty() {
-            self.store.state.lock().withdraw(self.id, &self.waiting);
-        }
+        self.store.state.lock().unsubscribe(self.id, &self.waiting);
     }
 }
 
@@ -624,22 +764,63 @@ mod tests {
         let s = store(1024);
         s.put(obj(1), Bytes::from_static(b"x")).unwrap();
         let (tx, rx) = unbounded();
-        let _guard = s.subscribe_local_many(&[obj(1), obj(2), obj(3)], &tx);
-        assert_eq!(rx.try_recv(), Ok(obj(1)));
+        let mut guard = s.subscribe_local_many(&[obj(1), obj(2), obj(3)], 1, tx);
+        assert_eq!(rx.try_recv(), Ok(()));
+        assert_eq!(guard.take(1), vec![obj(1)]);
         assert!(rx.try_recv().is_err());
+        // One wake-up until the caller takes, however many seal.
         s.put(obj(3), Bytes::from_static(b"z")).unwrap();
         s.put(obj(2), Bytes::from_static(b"y")).unwrap();
-        assert_eq!(rx.try_recv(), Ok(obj(3)));
-        assert_eq!(rx.try_recv(), Ok(obj(2)));
+        assert_eq!(rx.try_recv(), Ok(()));
+        assert!(rx.try_recv().is_err());
+        assert_eq!(guard.take(1), vec![obj(3), obj(2)]);
         assert_eq!(s.local_waiter_count(), 0);
+    }
+
+    #[test]
+    fn a_threshold_registration_wakes_its_caller_once_when_the_last_object_seals() {
+        let s = store(1024);
+        s.put(obj(1), Bytes::from_static(b"a")).unwrap();
+        let (tx, rx) = unbounded();
+        let objects: Vec<ObjectId> = (1..=4).map(obj).collect();
+        let mut guard = s.subscribe_local_many(&objects, objects.len(), tx);
+        // One of four here: no wake-up, and it is kept for the taking.
+        assert!(rx.try_recv().is_err());
+        assert_eq!(guard.take(3), vec![obj(1)]);
+        s.put(obj(2), Bytes::from_static(b"b")).unwrap();
+        s.put(obj(3), Bytes::from_static(b"c")).unwrap();
+        assert!(rx.try_recv().is_err(), "woken before the last seal");
+        s.put(obj(4), Bytes::from_static(b"d")).unwrap();
+        assert_eq!(rx.try_recv(), Ok(()));
+        assert!(rx.try_recv().is_err(), "woken more than once");
+        let values = guard.take_values(1);
+        let ids: Vec<ObjectId> = values.iter().map(|(id, _)| *id).collect();
+        assert_eq!(ids, vec![obj(2), obj(3), obj(4)]);
+        assert_eq!(values[2].1.as_deref(), Some(&b"d"[..]));
+        // Everything fired: nothing is left registered, and a loss
+        // nudge still wakes the caller.
+        assert_eq!(s.local_waiter_count(), 0);
+        s.wake_all();
+        assert_eq!(rx.try_recv(), Ok(()));
+        assert!(guard.take(1).is_empty());
+    }
+
+    #[test]
+    fn an_object_evicted_before_it_is_taken_is_handed_over_without_bytes() {
+        let s = store(100);
+        let (tx, _rx) = unbounded();
+        let mut guard = s.subscribe_local_many(&[obj(1)], 1, tx);
+        s.put(obj(1), Bytes::from(vec![1u8; 60])).unwrap();
+        s.put(obj(2), Bytes::from(vec![2u8; 60])).unwrap();
+        assert_eq!(guard.take_values(1), vec![(obj(1), None)]);
     }
 
     #[test]
     fn local_seal_guard_withdraws_unfired_registrations() {
         let s = store(1024);
         let (tx, _rx) = unbounded();
-        let guard = s.subscribe_local_many(&[obj(1), obj(2)], &tx);
-        let other = s.subscribe_local_many(&[obj(2)], &tx);
+        let guard = s.subscribe_local_many(&[obj(1), obj(2)], 1, tx.clone());
+        let other = s.subscribe_local_many(&[obj(2)], 1, tx);
         assert_eq!(s.local_waiter_count(), 3);
         drop(guard);
         assert_eq!(s.local_waiter_count(), 1);
@@ -651,8 +832,7 @@ mod tests {
     fn clear_disconnects_local_seal_channels() {
         let s = store(1024);
         let (tx, rx) = unbounded();
-        let _guard = s.subscribe_local_many(&[obj(1)], &tx);
-        drop(tx);
+        let _guard = s.subscribe_local_many(&[obj(1)], 1, tx);
         s.clear();
         assert_eq!(
             rx.recv_timeout(Duration::from_secs(1)),
@@ -664,21 +844,23 @@ mod tests {
     fn a_long_lived_guard_hears_only_its_objects_and_forgets_what_fired() {
         let s = store(1 << 20);
         let (tx, rx) = unbounded();
-        let mut guard = s.subscribe_local_many(&[], &tx);
+        let mut guard = s.subscribe_local_many(&[], 1, tx);
         // A put nobody registered for is announced to nobody.
         s.put(obj(0), Bytes::from_static(b"x")).unwrap();
         assert!(rx.try_recv().is_err());
         // One object at a time, each sealed before the next is added:
         // the guard never holds more than a few it no longer waits for.
         for i in 1..=1000 {
-            guard.add(&[obj(i)], &tx);
+            guard.add(&[obj(i)]);
             s.put(obj(i), Bytes::from_static(b"v")).unwrap();
-            assert_eq!(rx.try_recv(), Ok(obj(i)));
+            assert_eq!(rx.try_recv(), Ok(()));
+            assert_eq!(guard.take(1), vec![obj(i)]);
             assert!(guard.waiting.len() <= 3, "{} kept", guard.waiting.len());
         }
-        // An object already here is announced as it is added.
-        guard.add(&[obj(0), obj(2000)], &tx);
-        assert_eq!(rx.try_recv(), Ok(obj(0)));
+        // An object already here fires as it is added.
+        guard.add(&[obj(0), obj(2000)]);
+        assert_eq!(rx.try_recv(), Ok(()));
+        assert_eq!(guard.take(1), vec![obj(0)]);
         assert_eq!(s.local_waiter_count(), 1);
         drop(guard);
         assert_eq!(s.local_waiter_count(), 0);

@@ -12,6 +12,7 @@ use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::{Mutex, RwLock};
 
 use rtml_common::codec::{decode_from_slice, encode_to_bytes, Tagged};
+use rtml_common::collections::IdMap;
 use rtml_common::error::Error;
 use rtml_common::ids::{NodeId, ObjectId};
 use rtml_net::{Delivery, Endpoint, Fabric, NetAddress};
@@ -40,7 +41,7 @@ pub(super) struct Plane {
     /// or removes an entry. Locked before the store's own state and the
     /// fabric's routing (a chunk is passed on downstream under it),
     /// never after either.
-    pub(super) unsealed: Mutex<HashMap<ObjectId, Unsealed>>,
+    pub(super) unsealed: Mutex<IdMap<ObjectId, Unsealed>>,
 }
 
 /// A node's object plane, as its callers see it: the calls through
@@ -113,7 +114,7 @@ impl FetchAgent {
             directory,
             unclaimed: RwLock::new(None),
             stats: Arc::new(TransferStats::default()),
-            unsealed: Mutex::new(HashMap::new()),
+            unsealed: Mutex::new(IdMap::default()),
         });
         let core = PlaneCore {
             plane: plane.clone(),
@@ -297,7 +298,7 @@ impl FetchAgent {
         self.request_many(objects, holder, timeout, &done);
         drop(done);
         // Answers arrive by id, one per input position.
-        let mut positions: HashMap<ObjectId, Vec<usize>> = HashMap::new();
+        let mut positions: IdMap<ObjectId, Vec<usize>> = IdMap::default();
         for (i, &object) in objects.iter().enumerate().rev() {
             positions.entry(object).or_default().push(i);
         }

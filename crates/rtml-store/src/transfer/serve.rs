@@ -2,12 +2,12 @@
 //! sealed copy, by handing it on to an earlier reader it is still
 //! streaming the object to, or from a copy it is still receiving.
 
-use std::collections::HashMap;
 use std::time::Instant;
 
 use bytes::Bytes;
 
 use rtml_common::codec::encode_to_bytes;
+use rtml_common::collections::IdMap;
 use rtml_common::ids::{NodeId, ObjectId};
 use rtml_net::NetAddress;
 
@@ -25,7 +25,7 @@ struct Streaming {
 #[derive(Default)]
 pub(super) struct Server {
     /// Multi-chunk objects still leaving this node's egress link.
-    streaming: HashMap<ObjectId, Streaming>,
+    streaming: IdMap<ObjectId, Streaming>,
 }
 
 impl Server {

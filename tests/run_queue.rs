@@ -5,7 +5,7 @@
 //! and nothing where the scheduler would be: a worker that parks tells
 //! nobody — with real worker threads and random interleavings of push /
 //! finish-and-take / blocked / unblocked / worker removal, and checks
-//! the four invariants of the module docs at every point where the
+//! the five invariants of the module docs at every point where the
 //! threads have settled. A lost wake-up shows as "never settled" (a
 //! worker asleep beside a task that fits), a double run as "taken
 //! twice".
@@ -177,6 +177,10 @@ struct Harness {
     took: BTreeSet<TaskId>,
     /// Lost with a detached worker before they started.
     lost: BTreeSet<TaskId>,
+    /// Finished, and reported published by their worker.
+    published: BTreeSet<TaskId>,
+    /// Lost with a detached worker, started or not.
+    dead: BTreeSet<TaskId>,
     /// A resumed task has `in_use` above `total` until tasks finish.
     oversubscribed: bool,
 }
@@ -209,6 +213,8 @@ impl Harness {
             released: BTreeSet::new(),
             took: BTreeSet::new(),
             lost: BTreeSet::new(),
+            published: BTreeSet::new(),
+            dead: BTreeSet::new(),
             oversubscribed: false,
         }
     }
@@ -354,11 +360,24 @@ impl Harness {
         prop_assert_eq!(&load.available, &total().saturating_sub(&in_use));
         self.oversubscribed &= !total().fits(&in_use);
         prop_assert!(total().fits(&in_use) || self.oversubscribed, "{in_use:?}");
+        // The queue holds what was pushed, less what was reported
+        // published and what was lost.
+        let gone = |t: &TaskId| self.published.contains(t) || self.dead.contains(t);
+        let expected: BTreeSet<TaskId> = self.tasks.keys().copied().filter(|t| !gone(t)).collect();
+        prop_assert_eq!(self.held_by_queue(), expected);
         Ok(load)
+    }
+
+    /// The pushed tasks the queue says it holds.
+    fn held_by_queue(&self) -> BTreeSet<TaskId> {
+        let results = self.tasks.keys().map(|t| t.return_object(0)).collect();
+        let (held, _) = self.queue.split_held(results);
+        held.iter().filter_map(|o| o.producer_task()).collect()
     }
 
     fn finish(&mut self, worker: WorkerId) {
         let task = self.holding.remove(&worker).expect("holding");
+        self.published.insert(task);
         self.released.remove(&task);
         self.done[&worker].send(()).unwrap();
     }
@@ -419,7 +438,11 @@ proptest! {
                     // A worker dies: its batch is lost with it, the task
                     // it ran and the tasks it held.
                     let worker = *h.done.keys().nth(pick(h.done.len())).unwrap();
+                    let losses = h.queue.losses();
                     let lost = h.queue.detach(worker);
+                    // A loss is counted once a detach that lost anything.
+                    prop_assert_eq!(h.queue.losses(), losses + !lost.is_empty() as u64);
+                    h.dead.extend(lost.iter().copied());
                     let held = h.held.remove(&worker).unwrap_or_default();
                     let mut expected: Vec<TaskId> = h.holding.remove(&worker).into_iter().collect();
                     expected.extend(held.iter().copied());
@@ -451,8 +474,16 @@ proptest! {
             prop_assert_eq!((load.running, &load.available), (0, &total()));
             prop_assert_eq!(h.store.pinned_bytes(), 0);
         }
-        // Close: the threads exit, and what is queued stays queued.
+        // Close: the threads exit, and what is queued stays queued —
+        // but held no more, a loss the store's subscribers hear of.
+        let (wake_tx, wake_rx) = unbounded();
+        let _subscriber = h.store.subscribe_local_many(&[], 1, wake_tx);
+        let holds = !h.held_by_queue().is_empty();
+        let losses = h.queue.losses();
         h.queue.close();
+        prop_assert_eq!(h.queue.losses(), losses + holds as u64);
+        prop_assert_eq!(wake_rx.try_recv().is_ok(), holds);
+        prop_assert!(h.held_by_queue().is_empty());
         h.push(&[shape(0), shape(1)]);
         h.done.clear();
         for thread in h.threads.drain(..) {
