@@ -8,8 +8,11 @@
 //! requires:
 //!
 //! - exact-match get/set/delete on hashed keys,
-//! - atomic read-modify-write (for location sets and state transitions),
-//! - append-only logs (for lineage-ordered event streams),
+//! - atomic read-modify-write (for location sets),
+//! - append-only logs (for lineage-ordered event streams, and for the
+//!   task table: its spec segments and its one state log, where a
+//!   batch's transition is one record, read back through a lazily
+//!   folded index),
 //! - per-key publish-subscribe with *current value + subsequent updates*
 //!   semantics (no lost-update window): a [`Subscription`] carries any
 //!   number of keys on one channel, each update tagged with its key's

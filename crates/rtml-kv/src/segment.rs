@@ -1,5 +1,6 @@
-//! Append-only spec segments: group-committed batches of task specs with
-//! a lazily built per-task-id index.
+//! Append-only spec segments: group-committed batches of task specs —
+//! and the lazily folded index over an append-only log that they share
+//! with the task table's state log.
 //!
 //! The submit hot path used to pay one kv point-insert per spec (~0.3–0.6
 //! µs each — the dominant ingest cost at batch 4096). A *segment* instead
@@ -15,6 +16,12 @@
 //! sealed as failed — is appended as a segment of its own, and the
 //! latest segment holding a task wins: a lookup folds every segment
 //! appended since the last one before it answers.
+//!
+//! [`LogIndex`] is that fold, over any log whose records name tasks: it
+//! reads the records appended since it last looked
+//! ([`KvStore::read_log_range`]) and folds them in, in log order, so the
+//! latest record of a task wins. What it keeps of a record is its
+//! [`Fold`]'s choice: [`Specs`] here, the task table's states there.
 
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
@@ -28,8 +35,7 @@ use rtml_common::task::TaskSpec;
 
 use crate::store::KvStore;
 
-/// The kv log key under which every spec segment is appended. The `!`
-/// keeps it outside the `tstate:` point-key prefix.
+/// The kv log key under which every spec segment is appended.
 pub const SEGMENT_LOG_KEY: &[u8] = b"tseg!";
 
 fn log_key() -> Bytes {
@@ -58,81 +64,136 @@ pub fn commit(kv: &KvStore, specs: &[TaskSpec]) {
     kv.append(log_key(), encode_segment(specs));
 }
 
-struct IndexInner {
-    /// task unique id → zero-copy slice of the owning segment payload.
-    entries: FastMap<UniqueId, Bytes>,
-    /// How many segment records have been folded into `entries`.
+/// What a [`LogIndex`] keeps of the records of one append-only log.
+pub trait Fold: Default {
+    /// The kv log the records are appended to.
+    const KEY: &'static [u8];
+
+    /// Folds in one record, after every record before it. `false`: the
+    /// record is torn or corrupt and was skipped from the tear on.
+    fn fold(&mut self, record: &Bytes) -> bool;
+
+    /// How many tasks the fold holds an entry for.
+    fn len(&self) -> usize;
+}
+
+struct Folded<F> {
+    fold: F,
+    /// How many records of the log have been folded into `fold`.
     consumed: usize,
 }
 
-/// A lazily built index from task id to its encoded spec inside the
-/// segment log. Cheap to share ([`crate::TaskTable`] clones share one via
-/// `Arc`) and correct to rebuild from scratch: segments are immutable and
+/// A lazily folded index over the append-only log [`Fold::KEY`]. Cheap
+/// to share ([`crate::TaskTable`] clones share theirs via `Arc`) and
+/// correct to rebuild from scratch: records are immutable and
 /// append-only, so a fresh index over the same kv converges to the same
 /// entries.
-pub struct SegmentIndex {
-    inner: Mutex<IndexInner>,
-    /// `entries.len()` as of the last refresh, readable while a refresh
-    /// holds the lock: a telemetry sample must not wait out a fold.
+pub struct LogIndex<F> {
+    inner: Mutex<Folded<F>>,
+    /// The fold's `len()` as of the last refresh, readable while a
+    /// refresh holds the lock: a telemetry sample must not wait out a
+    /// fold.
     len: AtomicUsize,
+    /// Records skipped as torn or corrupt.
+    skipped: AtomicUsize,
 }
 
-impl Default for SegmentIndex {
+impl<F: Fold> Default for LogIndex<F> {
     fn default() -> Self {
-        SegmentIndex {
-            inner: Mutex::new(IndexInner {
-                entries: FastMap::default(),
+        LogIndex {
+            inner: Mutex::new(Folded {
+                fold: F::default(),
                 consumed: 0,
             }),
             len: AtomicUsize::new(0),
+            skipped: AtomicUsize::new(0),
         }
     }
 }
 
-impl SegmentIndex {
+impl<F: Fold> LogIndex<F> {
     /// Creates an empty index; entries materialize on first use.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Folds any segments appended since the last refresh into the
-    /// index (one kv lock; the log only grows).
-    fn refresh(&self, kv: &KvStore, inner: &mut IndexInner) {
-        let (records, total) = kv.read_log_range(SEGMENT_LOG_KEY, inner.consumed);
+    /// Folds any records appended since the last refresh into the index
+    /// (one kv lock; the log only grows).
+    fn refresh(&self, kv: &KvStore, inner: &mut Folded<F>) {
+        let (records, total) = kv.read_log_range(F::KEY, inner.consumed);
         inner.consumed = total;
-        for segment in records {
-            Self::fold_segment(&segment, &mut inner.entries);
+        for record in &records {
+            if !inner.fold.fold(record) {
+                self.skipped.fetch_add(1, Relaxed);
+            }
         }
-        self.len.store(inner.entries.len(), Relaxed);
+        self.len.store(inner.fold.len(), Relaxed);
     }
+
+    /// Runs `read` on the index once it has folded every record appended
+    /// so far.
+    pub fn read<R>(&self, kv: &KvStore, read: impl FnOnce(&F) -> R) -> R {
+        let mut inner = self.inner.lock();
+        self.refresh(kv, &mut inner);
+        read(&inner.fold)
+    }
+
+    /// How many tasks the index held after its last refresh; takes no
+    /// lock.
+    pub fn len(&self) -> usize {
+        self.len.load(Relaxed)
+    }
+
+    /// How many records were skipped as torn or corrupt.
+    pub fn skipped(&self) -> usize {
+        self.skipped.load(Relaxed)
+    }
+}
+
+/// The spec-segment fold: task unique id → a zero-copy slice of the
+/// latest segment payload that holds its spec.
+#[derive(Default)]
+pub struct Specs(FastMap<UniqueId, Bytes>);
+
+impl Fold for Specs {
+    const KEY: &'static [u8] = SEGMENT_LOG_KEY;
 
     /// Decodes one segment payload, inserting zero-copy spec slices.
     /// Segments are folded in log order, so a later segment's copy of a
     /// task replaces an earlier one.
-    fn fold_segment(segment: &Bytes, entries: &mut FastMap<UniqueId, Bytes>) {
+    fn fold(&mut self, segment: &Bytes) -> bool {
         let mut r = Reader::new(segment);
         let Ok(count) = r.take_varint() else {
-            return;
+            return false;
         };
         for _ in 0..count {
             let before = segment.len() - r.remaining();
             let Ok(spec) = TaskSpec::decode(&mut r) else {
                 // Torn or corrupt segment: drop its unread remainder
                 // rather than index garbage.
-                return;
+                return false;
             };
             let after = segment.len() - r.remaining();
-            entries.insert(spec.task_id.unique(), segment.slice(before..after));
+            self.0
+                .insert(spec.task_id.unique(), segment.slice(before..after));
         }
+        true
     }
 
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+}
+
+/// The index over the spec segments.
+pub type SegmentIndex = LogIndex<Specs>;
+
+impl LogIndex<Specs> {
     /// The encoded spec for `task` in the latest segment that holds it.
     /// Folds whatever was appended since the last refresh first: a copy
     /// this index served before may have been recorded again since.
     pub fn lookup_bytes(&self, kv: &KvStore, task: TaskId) -> Option<Bytes> {
-        let mut inner = self.inner.lock();
-        self.refresh(kv, &mut inner);
-        inner.entries.get(&task.unique()).cloned()
+        self.read(kv, |specs| specs.0.get(&task.unique()).cloned())
     }
 
     /// The decoded spec for `task` in the latest segment that holds it.
@@ -155,34 +216,24 @@ impl SegmentIndex {
         let mut inner = self.inner.lock();
         let mut out: Vec<bool> = tasks
             .iter()
-            .map(|t| inner.entries.contains_key(&t.unique()))
+            .map(|t| inner.fold.0.contains_key(&t.unique()))
             .collect();
         if out.iter().any(|hit| !hit) {
             self.refresh(kv, &mut inner);
             for (slot, task) in out.iter_mut().zip(tasks) {
                 if !*slot {
-                    *slot = inner.entries.contains_key(&task.unique());
+                    *slot = inner.fold.0.contains_key(&task.unique());
                 }
             }
         }
         out
     }
 
-    /// How many tasks the index held after its last refresh; takes no
-    /// lock.
-    pub fn len(&self) -> usize {
-        self.len.load(Relaxed)
-    }
-
     /// Every task id recorded in any segment (recovery/tooling scan).
     pub fn task_ids(&self, kv: &KvStore) -> Vec<TaskId> {
-        let mut inner = self.inner.lock();
-        self.refresh(kv, &mut inner);
-        inner
-            .entries
-            .keys()
-            .map(|&id| TaskId::from_unique(id))
-            .collect()
+        self.read(kv, |specs| {
+            specs.0.keys().map(|&id| TaskId::from_unique(id)).collect()
+        })
     }
 }
 
@@ -296,5 +347,6 @@ mod tests {
         let index = SegmentIndex::new();
         assert_eq!(index.lookup(&kv, good[0].task_id), Some(good[0].clone()));
         assert_eq!(index.task_ids(&kv).len(), 2);
+        assert_eq!(index.skipped(), 1);
     }
 }

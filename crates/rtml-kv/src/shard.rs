@@ -476,7 +476,7 @@ impl Shard {
     /// Appends a record to the log at `key`; notifies subscribers with the
     /// record.
     pub fn append(&self, key: Bytes, record: Bytes) {
-        self.append_many(key, vec![record], None);
+        self.append_bounded(key, std::slice::from_ref(&record), None);
     }
 
     /// Group-committed log appends: all `records` land on the log at
@@ -494,7 +494,7 @@ impl Shard {
             1
         }
         let cap = retention.map(|cap| (cap, one as Weight));
-        self.append_bounded(key, records, cap)
+        self.append_bounded(key, &records, cap)
     }
 
     /// [`Shard::append_many`] under a cap on the records' summed
@@ -508,13 +508,13 @@ impl Shard {
         cap: usize,
         weight: Weight,
     ) -> Vec<Bytes> {
-        self.append_bounded(key, records, Some((cap, weight)))
+        self.append_bounded(key, &records, Some((cap, weight)))
     }
 
     fn append_bounded(
         &self,
         key: Bytes,
-        records: Vec<Bytes>,
+        records: &[Bytes],
         retention: Option<(usize, Weight)>,
     ) -> Vec<Bytes> {
         if records.is_empty() {
@@ -529,7 +529,7 @@ impl Shard {
         // shared only when its own key has subscribers, and never copied
         // back out of a block for them.
         if let Some(subs) = (!st.subs.is_empty()).then(|| st.subs.get(&key)).flatten() {
-            for record in &records {
+            for record in records {
                 for sub in subs {
                     sub.send(record);
                 }
@@ -537,7 +537,7 @@ impl Shard {
         }
         let log = st.logs.entry(key).or_default();
         let weighed = log.weight.take();
-        for record in &records {
+        for record in records {
             log.push(record);
         }
         let mut dropped = Vec::new();
@@ -555,8 +555,8 @@ impl Shard {
         } else {
             log.weight = weighed;
         }
-        // `records` outlives the guard: the buffers of the packed ones
-        // are freed outside the lock.
+        // The caller's `records` outlive the guard: the buffers of the
+        // packed ones are freed outside the lock.
         drop(guard);
         dropped
     }

@@ -43,10 +43,3 @@ pub(crate) fn id_keys_arena(prefix: &[u8], ids: impl Iterator<Item = UniqueId>) 
         .map(|i| arena.slice(i * stride..(i + 1) * stride))
         .collect()
 }
-
-/// Inverse of [`id_key`]: recovers the ID from a namespaced key.
-pub(crate) fn parse_id_key(prefix: &[u8], key: &[u8]) -> Option<UniqueId> {
-    let suffix = key.strip_prefix(prefix)?;
-    let bytes: [u8; 16] = suffix.try_into().ok()?;
-    Some(UniqueId::from_u128(u128::from_le_bytes(bytes)))
-}

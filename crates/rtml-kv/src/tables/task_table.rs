@@ -1,26 +1,50 @@
-//! The task table: task ID → spec (the lineage record), kept in the
-//! append-only spec-segment log ([`crate::segment`]), and a
-//! separately-keyed mutable state.
+//! The task table: task ID → spec (the lineage record) and task ID →
+//! state, each kept in an append-only kv log.
 //!
 //! Storing the spec durably at submission time is the heart of the paper's
 //! fault-tolerance story: any finished-or-lost task can be re-executed
 //! from its spec alone, and the spec's argument list carries the lineage
-//! edges to *its* inputs, recursively.
+//! edges to *its* inputs, recursively. Specs go into the spec-segment log
+//! ([`crate::segment`]).
+//!
+//! States go into one state log, [`STATE_LOG_KEY`]. Every write appends
+//! one record — `varint(count)`, the state, then the `count` task ids,
+//! 16 bytes each — so a batch's transition costs one append (one shard
+//! lock) whatever its size, and the kv keeps its bytes, not a map entry
+//! per task. There is one log for the cluster, not one per node: a
+//! task's transitions come from several nodes (admission on its
+//! submitter's, `Running` and `Finished` on the one that ran it, `Lost`
+//! from a node death's repair), and the log's append order is the one
+//! order in which the latest record wins. Reads go through a
+//! [`LogIndex`] folded from the log on demand, which keeps each task's
+//! latest state in 32 bytes. A run that reads no state builds none, and
+//! neither does a fault-free one, whose only reads — a blocked wait's
+//! reconstruction nudges — find their in-flight producers among the
+//! log's newest records.
 
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 
-use rtml_common::codec::{decode_from_slice, encode_to_bytes};
-use rtml_common::ids::TaskId;
+use rtml_common::codec::{Codec, Reader, Writer};
+use rtml_common::collections::FastMap;
+use rtml_common::ids::{NodeId, TaskId, UniqueId, WorkerId};
 use rtml_common::metrics::MetricsRegistry;
 use rtml_common::task::{TaskSpec, TaskState};
 
-use crate::segment::{self, SegmentIndex};
+use crate::segment::{self, Fold, LogIndex, SegmentIndex};
 use crate::shard::Subscription;
 use crate::store::KvStore;
 
-const STATE_PREFIX: &[u8] = b"tstate:";
+/// The kv log key under which every state record is appended.
+pub const STATE_LOG_KEY: &[u8] = b"tstate!";
+
+/// How many of the state log's newest records a recorded-state read
+/// looks through before it builds the index. A 256-task burst on one
+/// node writes ≈ 33 (its `Queued`, and a `Running` and a `Finished` per
+/// worker batch), a lone task 3.
+pub const RECENT_RECORDS: usize = 256;
 
 /// Typed task-table handle.
 #[derive(Clone)]
@@ -32,6 +56,9 @@ pub struct TaskTable {
     /// (segments are immutable), so a fresh handle is a valid recovery
     /// path.
     segments: Arc<SegmentIndex>,
+    /// Lazily built index over the state log, shared and rebuilt the
+    /// same way.
+    states: Arc<LogIndex<States>>,
 }
 
 impl TaskTable {
@@ -40,11 +67,8 @@ impl TaskTable {
         TaskTable {
             kv,
             segments: Arc::new(SegmentIndex::new()),
+            states: Arc::new(LogIndex::new()),
         }
-    }
-
-    fn state_key(task: TaskId) -> Bytes {
-        super::id_key(STATE_PREFIX, task.unique())
     }
 
     /// Reads a task spec: the copy of the latest segment that holds it,
@@ -66,55 +90,56 @@ impl TaskTable {
     /// Group-commits a batch of task submissions: every spec is recorded
     /// durably as **one append-only segment** — a single shard-lock
     /// acquisition for the whole batch, not a per-entry insert — then
-    /// every task transitions to `state`. The segment append completes
-    /// before any state becomes visible, preserving the "durable lineage
-    /// first" submission invariant, and its atomicity means concurrent
-    /// readers see the whole batch's specs or none. The per-task-id
-    /// index over segments is built lazily (first `get_spec` miss or
-    /// recovery scan), so ingest pays nothing for it.
+    /// every task transitions to `state` in one state record. The
+    /// segment append completes before any state becomes visible,
+    /// preserving the "durable lineage first" submission invariant, and
+    /// its atomicity means concurrent readers see the whole batch's specs
+    /// or none. The per-task-id index over segments is built lazily
+    /// (first `get_spec` miss or recovery scan), so ingest pays nothing
+    /// for it.
     ///
     /// When `state` is [`TaskState::Submitted`] the state phase is
     /// skipped entirely: a task with a durable spec and no state record
     /// *is* `Submitted` by definition, and every state reader in this
-    /// table synthesizes that. One lock per batch instead of two writes
-    /// per task is what lets the driver-side hot path clear a million
-    /// records per second.
+    /// table synthesizes that. One lock per batch is what lets the
+    /// driver-side hot path clear a million records per second.
     pub fn record_many(&self, specs: &[TaskSpec], state: &TaskState) {
         if specs.is_empty() {
             return;
         }
         segment::commit(&self.kv, specs);
-        if matches!(state, TaskState::Submitted) {
-            return;
+        if !matches!(state, TaskState::Submitted) {
+            self.append(specs.iter().map(|s| s.task_id), state);
         }
-        let encoded = encode_to_bytes(state);
-        let keys = super::id_keys_arena(STATE_PREFIX, specs.iter().map(|s| s.task_id.unique()));
-        self.kv
-            .set_many(keys.into_iter().map(|key| (key, encoded.clone())).collect());
     }
 
     /// Transitions a task's state; notifies state subscribers.
     pub fn set_state(&self, task: TaskId, state: &TaskState) {
-        self.kv.set(Self::state_key(task), encode_to_bytes(state));
+        self.append(std::iter::once(task), state);
     }
 
-    /// Transitions many tasks to the same state with one group-committed
-    /// write (the batch-ingest path in the local scheduler). One task
-    /// takes [`TaskTable::set_state`]'s path: a lone task's commits cost
-    /// what they did before workers took batches.
+    /// Transitions many tasks to the same state with one state record
+    /// (the batch-ingest path in the local scheduler, a worker's batch).
     pub fn set_states_many(&self, tasks: &[TaskId], state: &TaskState) {
-        if let [task] = tasks {
-            return self.set_state(*task, state);
-        }
-        let encoded = encode_to_bytes(state);
-        let keys = super::id_keys_arena(STATE_PREFIX, tasks.iter().map(|t| t.unique()));
-        self.kv
-            .set_many(keys.into_iter().map(|key| (key, encoded.clone())).collect());
+        self.append(tasks.iter().copied(), state);
     }
 
-    /// Batched state reads (positional). The batch-submission replay
-    /// check uses this so a batch costs one lock per shard, not one per
-    /// task.
+    /// Appends one state record for `tasks` (nothing for none).
+    fn append(&self, tasks: impl ExactSizeIterator<Item = TaskId>, state: &TaskState) {
+        if tasks.len() == 0 {
+            return;
+        }
+        let mut w = Writer::with_capacity(8 + 16 * tasks.len());
+        w.put_varint(tasks.len() as u64);
+        state.encode(&mut w);
+        for task in tasks {
+            w.put_u128(task.unique().as_u128());
+        }
+        self.kv
+            .append(Bytes::from_static(STATE_LOG_KEY), w.into_bytes());
+    }
+
+    /// Batched state reads (positional), under one fold of the state log.
     ///
     /// A task with a durable spec but no state record yet reads as
     /// [`TaskState::Submitted`] — the submit fast path records only the
@@ -145,34 +170,69 @@ impl TaskTable {
     }
 
     /// Batched reads of explicit state records (positional): `None` where
-    /// a task has no `tstate:` record, whether it was submitted and not
-    /// yet queued or never submitted at all. Never synthesizes
-    /// `Submitted` and never touches the spec segments, so it builds no
-    /// segment index: the read of a reconstruction nudge, which runs on
-    /// every tick a wait is blocked.
+    /// a task has no state record, whether it was submitted and not yet
+    /// queued or never submitted at all. Never synthesizes `Submitted`
+    /// and never touches the spec segments, so it builds no segment
+    /// index: the read of a reconstruction nudge, which runs on every
+    /// tick a wait is blocked. Nor does it build the state index while
+    /// the log's [`RECENT_RECORDS`] newest records hold every task: the
+    /// producers a fault-free wait is nudged for are in flight, so their
+    /// latest records are recent.
     pub fn get_recorded_states_many(&self, tasks: &[TaskId]) -> Vec<Option<TaskState>> {
-        let decode = |bytes: Option<Bytes>| bytes.and_then(|b| decode_state(&b));
-        if let [task] = tasks {
-            return vec![decode(self.kv.get(&Self::state_key(*task)))];
+        if self.states.len() == 0 {
+            if let Some(states) = self.recent_states(tasks) {
+                return states;
+            }
         }
-        let keys = super::id_keys_arena(STATE_PREFIX, tasks.iter().map(|t| t.unique()));
-        self.kv.get_many(&keys).into_iter().map(decode).collect()
+        self.states.read(&self.kv, |states| {
+            tasks.iter().map(|&t| states.get(t)).collect()
+        })
+    }
+
+    /// The tasks' latest states, read newest first off the state log's
+    /// [`RECENT_RECORDS`] newest records, if every task is in one.
+    fn recent_states(&self, tasks: &[TaskId]) -> Option<Vec<Option<TaskState>>> {
+        let mut wanted: FastMap<UniqueId, Vec<usize>> = FastMap::default();
+        for (at, task) in tasks.iter().enumerate() {
+            wanted.entry(task.unique()).or_default().push(at);
+        }
+        let len = self.kv.log_len(STATE_LOG_KEY);
+        let start = len.saturating_sub(RECENT_RECORDS);
+        let (records, _) = self.kv.read_log_range(STATE_LOG_KEY, start);
+        let mut out = vec![None; tasks.len()];
+        for record in records.iter().rev() {
+            if wanted.is_empty() {
+                break;
+            }
+            let Some((state, ids)) = decode_record(record) else {
+                continue;
+            };
+            for id in ids.chunks_exact(16) {
+                for at in wanted.remove(&unique_id(id)).unwrap_or_default() {
+                    out[at] = Some(state.clone());
+                }
+            }
+        }
+        wanted.is_empty().then_some(out)
     }
 
     /// Registers how many tasks the spec-segment index holds
     /// (`kv.spec_index_entries`): 0 until a read needs a
     /// segment-committed spec (a replay's `get_spec`, a state read that
-    /// synthesizes `Submitted`, a recovery scan).
+    /// synthesizes `Submitted`, a recovery scan); and how many the state
+    /// index holds (`kv.state_index_entries`): 0 until a state is read.
     pub fn register_metrics(&self, registry: &MetricsRegistry) {
         let segments = self.segments.clone();
         registry.register_value("kv.spec_index_entries", move || segments.len() as u64);
+        let states = self.states.clone();
+        registry.register_value("kv.state_index_entries", move || states.len() as u64);
     }
 
     /// Reads a task's state. A task with a durable spec and no state
     /// record is `Submitted` (see [`TaskTable::get_states_many`]).
     pub fn get_state(&self, task: TaskId) -> Option<TaskState> {
-        if let Some(bytes) = self.kv.get(&Self::state_key(task)) {
-            return decode_state(&bytes);
+        if let Some(state) = self.states.read(&self.kv, |states| states.get(task)) {
+            return Some(state);
         }
         self.segments
             .contains(&self.kv, task)
@@ -186,10 +246,16 @@ impl TaskTable {
     /// it never synthesizes `Submitted`, so it reads no spec and builds
     /// no segment index. A caller that must tell those two apart reads
     /// `get_state`.
+    ///
+    /// It registers on the state log before it reads the index, so a
+    /// record appended in between is never lost between the two: it is
+    /// on the stream, and may be in the current state too. The stream
+    /// yields the task's records in log order from the registration on,
+    /// so it may first replay states the current one already reflects.
     pub fn subscribe_state(&self, task: TaskId) -> (Option<TaskState>, TaskStateStream) {
-        let (mut current, sub) = self.kv.subscribe_many(&[Self::state_key(task)]);
-        let current = current.pop().flatten().and_then(|b| decode_state(&b));
-        (current, TaskStateStream { sub })
+        let (_, sub) = self.kv.subscribe_many(&[Bytes::from_static(STATE_LOG_KEY)]);
+        let current = self.states.read(&self.kv, |states| states.get(task));
+        (current, TaskStateStream { sub, task })
     }
 
     /// Scans every task's current state. Recovery/tooling path (full
@@ -198,24 +264,42 @@ impl TaskTable {
     /// reported as `Submitted`, so failure repair sees the
     /// submitted-but-never-queued window.
     pub fn scan_states(&self) -> Vec<(TaskId, TaskState)> {
-        let mut out: Vec<(TaskId, TaskState)> = self
-            .kv
-            .scan_prefix(STATE_PREFIX)
+        let specs = self.segments.task_ids(&self.kv);
+        self.states.read(&self.kv, |states| {
+            let mut out: Vec<(TaskId, TaskState)> = states
+                .latest
+                .iter()
+                .map(|(&id, &held)| (TaskId::from_unique(id), states.state(held)))
+                .collect();
+            out.extend(
+                specs
+                    .into_iter()
+                    .filter(|task| !states.latest.contains_key(&task.unique()))
+                    .map(|task| (task, TaskState::Submitted)),
+            );
+            out
+        })
+    }
+
+    /// Marks `Lost` every task bound to `node`, which died: queued there,
+    /// running on one of its workers, or submitted from it and queued
+    /// nowhere yet — in one state record. Returns those tasks.
+    pub fn lose_node(&self, node: NodeId) -> Vec<TaskId> {
+        let lost: Vec<TaskId> = self
+            .scan_states()
             .into_iter()
-            .filter_map(|(k, v)| {
-                let id = super::parse_id_key(STATE_PREFIX, &k)?;
-                let state = decode_state(&v)?;
-                Some((TaskId::from_unique(id), state))
+            .filter(|(task, state)| match state {
+                TaskState::Queued(n) => *n == node,
+                TaskState::Running(w) => w.node == node,
+                TaskState::Submitted => self
+                    .get_spec(*task)
+                    .is_some_and(|s| s.submitter_node == node),
+                _ => false,
             })
+            .map(|(task, _)| task)
             .collect();
-        let mut seen: std::collections::HashSet<TaskId> =
-            out.iter().map(|(task, _)| *task).collect();
-        for task in self.segments.task_ids(&self.kv) {
-            if seen.insert(task) {
-                out.push((task, TaskState::Submitted));
-            }
-        }
-        out
+        self.set_states_many(&lost, &TaskState::Lost);
+        lost
     }
 
     /// Counts tasks currently recorded in each lifecycle state. Tooling
@@ -235,6 +319,95 @@ impl TaskTable {
         }
         census
     }
+}
+
+/// A task's latest state as the state index holds it: 12 bytes, so an
+/// entry is 32 with its id (48 with a [`TaskState`]). A `Failed`
+/// message is kept once per record, in [`States::failures`].
+#[derive(Clone, Copy)]
+enum Held {
+    Submitted,
+    Queued(NodeId),
+    Spilled,
+    Running(WorkerId),
+    Finished,
+    Failed(u32),
+    Lost,
+}
+
+/// The state-log fold: each task's latest state.
+#[derive(Default)]
+struct States {
+    latest: FastMap<UniqueId, Held>,
+    /// The messages of the `Failed` records, in log order.
+    failures: Vec<String>,
+}
+
+impl States {
+    /// `task`'s latest recorded state.
+    fn get(&self, task: TaskId) -> Option<TaskState> {
+        self.latest
+            .get(&task.unique())
+            .map(|&held| self.state(held))
+    }
+
+    fn state(&self, held: Held) -> TaskState {
+        match held {
+            Held::Submitted => TaskState::Submitted,
+            Held::Queued(node) => TaskState::Queued(node),
+            Held::Spilled => TaskState::Spilled,
+            Held::Running(worker) => TaskState::Running(worker),
+            Held::Finished => TaskState::Finished,
+            Held::Failed(i) => TaskState::Failed(self.failures[i as usize].clone()),
+            Held::Lost => TaskState::Lost,
+        }
+    }
+}
+
+impl Fold for States {
+    const KEY: &'static [u8] = STATE_LOG_KEY;
+
+    /// Folds one record in whole, or — torn or corrupt — not at all.
+    fn fold(&mut self, record: &Bytes) -> bool {
+        let Some((state, ids)) = decode_record(record) else {
+            return false;
+        };
+        let held = match state {
+            TaskState::Submitted => Held::Submitted,
+            TaskState::Queued(node) => Held::Queued(node),
+            TaskState::Spilled => Held::Spilled,
+            TaskState::Running(worker) => Held::Running(worker),
+            TaskState::Finished => Held::Finished,
+            TaskState::Failed(message) => {
+                self.failures.push(message);
+                Held::Failed(self.failures.len() as u32 - 1)
+            }
+            TaskState::Lost => Held::Lost,
+        };
+        for id in ids.chunks_exact(16) {
+            self.latest.insert(unique_id(id), held);
+        }
+        true
+    }
+
+    fn len(&self) -> usize {
+        self.latest.len()
+    }
+}
+
+/// A task id as a state record holds it.
+fn unique_id(bytes: &[u8]) -> UniqueId {
+    UniqueId::from_u128(u128::from_le_bytes(bytes.try_into().expect("16 bytes")))
+}
+
+/// Splits a state record into its state and its task ids (16 bytes
+/// each); `None` for a torn or corrupt one.
+fn decode_record(record: &[u8]) -> Option<(TaskState, &[u8])> {
+    let mut r = Reader::new(record);
+    let count = r.take_varint().ok()?;
+    let state = TaskState::decode(&mut r).ok()?;
+    let ids = &record[record.len() - r.remaining()..];
+    (Some(ids.len() as u64) == count.checked_mul(16)).then_some((state, ids))
 }
 
 /// Counts of tasks per lifecycle state (R7 debugging view).
@@ -269,23 +442,26 @@ impl TaskCensus {
     }
 }
 
-/// Decodes a stored state record; `None` for an undecodable one.
-fn decode_state(bytes: &[u8]) -> Option<TaskState> {
-    decode_from_slice(bytes).ok()
-}
-
-/// A decoded subscription stream of [`TaskState`] transitions.
+/// A decoded subscription stream of one task's [`TaskState`]
+/// transitions.
 pub struct TaskStateStream {
     sub: Subscription,
+    task: TaskId,
 }
 
 impl TaskStateStream {
-    /// Blocks until the next transition or `timeout`.
-    pub fn recv_timeout(&self, timeout: std::time::Duration) -> Option<TaskState> {
+    /// Blocks until the task's next transition or `timeout`; the state
+    /// log's records of other tasks are passed over.
+    pub fn recv_timeout(&self, timeout: Duration) -> Option<TaskState> {
+        let deadline = Instant::now() + timeout;
+        let id = self.task.unique().as_u128().to_le_bytes();
         loop {
-            let (_, bytes) = self.sub.recv_timeout(timeout).ok()?;
-            if let Some(state) = decode_state(&bytes) {
-                return Some(state);
+            let left = deadline.saturating_duration_since(Instant::now());
+            let (_, record) = self.sub.recv_timeout(left).ok()?;
+            if let Some((state, ids)) = decode_record(&record) {
+                if ids.chunks_exact(16).any(|other| other == id) {
+                    return Some(state);
+                }
             }
         }
     }
@@ -398,6 +574,35 @@ mod tests {
     }
 
     #[test]
+    fn a_recorded_read_of_recent_records_builds_no_index() {
+        let table = TaskTable::new(KvStore::new(4));
+        let root = TaskId::driver_root(DriverId::from_index(5));
+        let old = root.child(0);
+        table.set_state(old, &TaskState::Finished);
+        let ids: Vec<TaskId> = (1..=RECENT_RECORDS as u64).map(|i| root.child(i)).collect();
+        let queued = TaskState::Queued(NodeId(0));
+        for &task in &ids {
+            table.set_state(task, &queued);
+        }
+        let running = TaskState::Running(WorkerId::new(NodeId(0), 0));
+        table.set_states_many(&ids[..2], &running);
+        // The newest records hold them all: the latest wins, read off the
+        // log's tail, positionally.
+        assert_eq!(
+            table.get_recorded_states_many(&[ids[1], ids[2], ids[1]]),
+            [Some(running.clone()), Some(queued.clone()), Some(running)]
+        );
+        assert_eq!(table.states.len(), 0);
+        // `old`'s one record is older than the tail: the read folds the
+        // whole log, and reads the index from then on.
+        assert_eq!(
+            table.get_recorded_states_many(&[ids[2], old]),
+            [Some(queued), Some(TaskState::Finished)]
+        );
+        assert_eq!(table.states.len(), RECENT_RECORDS + 1);
+    }
+
+    #[test]
     fn subscribing_to_a_fresh_batch_reads_no_spec() {
         let table = TaskTable::new(KvStore::new(4));
         let root = TaskId::driver_root(DriverId::from_index(0));
@@ -419,6 +624,239 @@ mod tests {
         assert_eq!(
             table.get_state(specs[0].task_id),
             Some(TaskState::Submitted)
+        );
+    }
+
+    #[test]
+    fn a_batch_transition_is_one_append_and_folds_nothing() {
+        let kv = KvStore::new(8);
+        let table = TaskTable::new(kv.clone());
+        let root = TaskId::driver_root(DriverId::from_index(0));
+        let ids: Vec<TaskId> = (0..256).map(|i| root.child(i)).collect();
+        let before = kv.stats();
+        table.set_states_many(&ids, &TaskState::Queued(NodeId(0)));
+        table.set_states_many(&[], &TaskState::Lost);
+        let after = kv.stats();
+        assert_eq!(after.total_locks() - before.total_locks(), 1);
+        assert_eq!(after.total_ops() - before.total_ops(), 1);
+        assert_eq!(table.states.len(), 0);
+        assert_eq!(
+            table.get_state(ids[255]),
+            Some(TaskState::Queued(NodeId(0)))
+        );
+        assert_eq!(table.states.len(), 256);
+    }
+
+    #[test]
+    fn the_latest_record_wins_for_a_task_written_from_two_handles() {
+        let kv = KvStore::new(4);
+        let (a, b) = (TaskTable::new(kv.clone()), TaskTable::new(kv));
+        let s = spec();
+        let unknown = s.task_id.child(1);
+        a.record_many(std::slice::from_ref(&s), &TaskState::Queued(NodeId(0)));
+        let steps = [
+            (&b, TaskState::Running(WorkerId::new(NodeId(1), 0))),
+            (&a, TaskState::Finished),
+            (&b, TaskState::Lost),
+        ];
+        for (writer, state) in steps {
+            writer.set_state(s.task_id, &state);
+            for reader in [&a, &b] {
+                assert_eq!(reader.get_state(s.task_id), Some(state.clone()));
+                assert_eq!(
+                    reader.get_recorded_states_many(&[unknown, s.task_id]),
+                    [None, Some(state.clone())]
+                );
+            }
+        }
+        // Recorded again: `Submitted` is written, and wins over `Lost`.
+        a.record(&s, &TaskState::Submitted);
+        for reader in [&a, &b] {
+            assert_eq!(reader.get_state(s.task_id), Some(TaskState::Submitted));
+            assert_eq!(
+                reader.get_recorded_states_many(&[s.task_id]),
+                [Some(TaskState::Submitted)]
+            );
+        }
+    }
+
+    #[test]
+    fn a_fresh_table_over_the_same_kv_converges_on_the_same_states() {
+        let kv = KvStore::new(4);
+        let table = TaskTable::new(kv.clone());
+        let root = TaskId::driver_root(DriverId::from_index(2));
+        let specs: Vec<TaskSpec> = (0..64)
+            .map(|i| TaskSpec::simple(root.child(i), FunctionId::from_name("f"), vec![]))
+            .collect();
+        let ids: Vec<TaskId> = specs.iter().map(|s| s.task_id).collect();
+        table.record_many(&specs, &TaskState::Submitted);
+        table.set_states_many(&ids[..48], &TaskState::Queued(NodeId(0)));
+        // A read midway: the old handle's index folds in two steps.
+        assert_eq!(table.get_state(ids[0]), Some(TaskState::Queued(NodeId(0))));
+        let worker = WorkerId::new(NodeId(0), 1);
+        table.set_states_many(&ids[..32], &TaskState::Running(worker));
+        table.set_states_many(&ids[..16], &TaskState::Finished);
+        table.set_state(ids[20], &TaskState::Failed("boom".into()));
+        table.set_state(ids[40], &TaskState::Lost);
+        let sorted = |table: &TaskTable| {
+            let mut states = table.scan_states();
+            states.sort_by_key(|(task, _)| *task);
+            states
+        };
+        let fresh = TaskTable::new(kv);
+        assert_eq!(sorted(&fresh), sorted(&table));
+        assert_eq!(fresh.get_states_many(&ids), table.get_states_many(&ids));
+        assert_eq!(
+            fresh.get_state(ids[20]),
+            Some(TaskState::Failed("boom".into()))
+        );
+        assert_eq!(
+            fresh.state_census(),
+            TaskCensus {
+                submitted: 16,
+                queued: 15,
+                spilled: 0,
+                running: 15,
+                finished: 16,
+                failed: 1,
+                lost: 1,
+            }
+        );
+    }
+
+    #[test]
+    fn a_state_subscription_misses_no_record_of_its_task_and_sees_no_other() {
+        const LAST: u32 = 2_000;
+        let table = TaskTable::new(KvStore::new(4));
+        let root = TaskId::driver_root(DriverId::from_index(3));
+        let (task, other) = (root.child(0), root.child(1));
+        let writer = {
+            let table = table.clone();
+            std::thread::spawn(move || {
+                for n in 0..=LAST {
+                    let worker = WorkerId::new(NodeId(n), 0);
+                    table.set_state(other, &TaskState::Running(worker));
+                    table.set_states_many(&[other, task], &TaskState::Queued(NodeId(n)));
+                    table.set_state(other, &TaskState::Lost);
+                }
+            })
+        };
+        // Subscribe again after every transition seen, so that many
+        // subscriptions register while records land. Each stream starts
+        // where its registration did, so it may replay records its
+        // current state already reflects, in order, but must reach the
+        // next one without a gap.
+        let mut seen: Option<u32> = None;
+        while seen != Some(LAST) {
+            let (current, stream) = table.subscribe_state(task);
+            let current = current.map(|state| match state {
+                TaskState::Queued(n) => n.0,
+                other => panic!("{other:?} is another task's state"),
+            });
+            assert!(current >= seen, "the current state went back");
+            if current == Some(LAST) {
+                break;
+            }
+            let target = current.map_or(0, |n| n + 1);
+            let mut previous: Option<u32> = None;
+            while previous != Some(target) {
+                let next = match stream.recv_timeout(Duration::from_secs(10)) {
+                    Some(TaskState::Queued(n)) => n.0,
+                    other => panic!("{other:?} on the stream after {current:?}"),
+                };
+                assert!(
+                    next <= target && previous.is_none_or(|p| next == p + 1),
+                    "{next} came after {previous:?} (current {current:?}): a record was missed"
+                );
+                previous = Some(next);
+            }
+            seen = previous;
+        }
+        writer.join().unwrap();
+    }
+
+    #[test]
+    fn losing_a_node_marks_lost_exactly_the_tasks_bound_to_it() {
+        let table = TaskTable::new(KvStore::new(4));
+        let (dead, alive) = (NodeId(1), NodeId(0));
+        let root = TaskId::driver_root(DriverId::from_index(4));
+        let specs: Vec<TaskSpec> = (0..10)
+            .map(|i| {
+                let mut spec = TaskSpec::simple(root.child(i), FunctionId::from_name("f"), vec![]);
+                spec.submitter_node = if i == 8 { dead } else { alive };
+                spec
+            })
+            .collect();
+        table.record_many(&specs, &TaskState::Submitted);
+        let states = [
+            Some(TaskState::Queued(dead)),
+            Some(TaskState::Queued(alive)),
+            Some(TaskState::Running(WorkerId::new(dead, 1))),
+            Some(TaskState::Running(WorkerId::new(alive, 1))),
+            Some(TaskState::Spilled),
+            Some(TaskState::Finished),
+            Some(TaskState::Failed("boom".into())),
+            Some(TaskState::Lost),
+            // Submitted from the dead node, and from a live one.
+            None,
+            None,
+        ];
+        for (spec, state) in specs.iter().zip(&states) {
+            if let Some(state) = state {
+                table.set_state(spec.task_id, state);
+            }
+        }
+        let records = table.kv.log_len(STATE_LOG_KEY);
+        let mut lost = table.lose_node(dead);
+        lost.sort();
+        let bound = [0, 2, 8];
+        let mut expected = bound.map(|i| specs[i].task_id);
+        expected.sort();
+        assert_eq!(lost, expected);
+        assert_eq!(table.kv.log_len(STATE_LOG_KEY), records + 1);
+        for (i, (spec, state)) in specs.iter().zip(states).enumerate() {
+            let expected = match bound.contains(&i) {
+                true => TaskState::Lost,
+                false => state.unwrap_or(TaskState::Submitted),
+            };
+            assert_eq!(table.get_state(spec.task_id), Some(expected), "task {i}");
+        }
+    }
+
+    #[test]
+    fn an_undecodable_state_record_is_skipped_and_counted() {
+        let table = TaskTable::new(KvStore::new(4));
+        let task = spec().task_id;
+        let id = task.unique().as_u128();
+        let append = |record: Writer| {
+            table
+                .kv
+                .append(Bytes::from_static(STATE_LOG_KEY), record.into_bytes())
+        };
+        table.set_state(task, &TaskState::Queued(NodeId(0)));
+        let (current, stream) = table.subscribe_state(task);
+        assert_eq!(current, Some(TaskState::Queued(NodeId(0))));
+        // Torn: claims two ids, carries one.
+        let mut torn = Writer::new();
+        torn.put_varint(2);
+        TaskState::Finished.encode(&mut torn);
+        torn.put_u128(id);
+        append(torn);
+        // Corrupt: a state tag no state has.
+        let mut corrupt = Writer::new();
+        corrupt.put_varint(1);
+        corrupt.put_u8(99);
+        corrupt.put_u128(id);
+        append(corrupt);
+        assert_eq!(table.get_state(task), Some(TaskState::Queued(NodeId(0))));
+        assert_eq!(table.states.skipped(), 2);
+        table.set_state(task, &TaskState::Lost);
+        assert_eq!(table.get_state(task), Some(TaskState::Lost));
+        assert_eq!(table.states.skipped(), 2);
+        // The stream passes over both to the good record.
+        assert_eq!(
+            stream.recv_timeout(Duration::from_secs(5)),
+            Some(TaskState::Lost)
         );
     }
 

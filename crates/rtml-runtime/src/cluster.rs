@@ -29,7 +29,6 @@ use rtml_common::error::{Error, Result};
 use rtml_common::event::{Component, Event, EventKind};
 use rtml_common::ids::{DriverId, NodeId, WorkerId};
 use rtml_common::metrics::{Histogram, MetricsRegistry, Reading};
-use rtml_common::task::TaskState;
 use rtml_kv::FunctionInfo;
 use rtml_net::LatencyModel;
 use rtml_sched::{GlobalScheduler, GlobalSchedulerHandle, PlacementPolicy, SchedWire, SpillMode};
@@ -277,21 +276,7 @@ impl Cluster {
         runtime.kill(&self.services);
 
         // Repair the task table: anything bound to the dead node is lost.
-        for (task, state) in self.services.tasks.scan_states() {
-            let lost = match &state {
-                TaskState::Queued(n) => *n == node,
-                TaskState::Running(w) => w.node == node,
-                TaskState::Submitted => self
-                    .services
-                    .tasks
-                    .get_spec(task)
-                    .is_some_and(|s| s.submitter_node == node),
-                _ => false,
-            };
-            if lost {
-                self.services.tasks.set_state(task, &TaskState::Lost);
-            }
-        }
+        self.services.tasks.lose_node(node);
 
         // Tell the global scheduler via an ephemeral endpoint.
         if let Some(global) = self.global.lock().as_ref() {

@@ -16,11 +16,14 @@
 //! over, a take is a [`Batch`]: the worker's fair share of them, at most
 //! [`rtml_sched::MAX_BATCH`], run in order under one resource grant
 //! (see [`rtml_sched::runq`]). The worker commits the batch's `Running`
-//! states in one write and times that commit. It then runs the tasks in
-//! order and **holds** each result while the task ran for less time than
-//! the commit took — publishing it alone would cost more than running it
-//! did — and the next task runs the same function, so is expected to be
-//! as short. A longer task, a task of another function, or the batch's
+//! states in one write and times that commit, as it times each publish.
+//! It then runs the tasks in order and **holds** each result while the
+//! task ran for less time than the longer of the two took — publishing
+//! it alone would cost more than running it did — and the next task
+//! runs the same function, so is expected to be as short. (The `Running`
+//! commit is one append to the state log, a fraction of a publish's
+//! cost, so alone it would understate what holding saves.) A longer
+//! task, a task of another function, or the batch's
 //! end publishes what is held: the store puts, one location commit (what
 //! the puts evicted in one more), one `Finished` commit, and one event
 //! frame per component in which every `TaskStarted`, `TaskFinished` and
@@ -74,7 +77,7 @@
 //!   lost) — exactly what a process crash would look like to the rest
 //!   of the system.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -158,6 +161,7 @@ fn worker_loop(
         queue: queue.clone(),
         kill,
         held: Mutex::new(Vec::new()),
+        publish_nanos: AtomicU64::new(0),
     });
     let mut ran = None;
     while let Some(batch) = queue.next(id, ran.take()) {
@@ -191,6 +195,8 @@ pub(crate) struct Outbox {
     queue: Arc<RunQueue>,
     kill: Arc<AtomicBool>,
     held: Mutex<Vec<Ran>>,
+    /// How long the last publish of results took.
+    publish_nanos: AtomicU64,
 }
 
 impl Outbox {
@@ -239,6 +245,7 @@ impl Outbox {
     /// last task's results may be pushed to its submitter; the others
     /// have a task behind them. Returns the tasks published.
     fn publish(&self, push: bool) -> Vec<TaskId> {
+        let publishing = Instant::now();
         let held = std::mem::take(&mut *self.held.lock());
         let (id, services) = (self.worker, &*self.services);
         let node = id.node;
@@ -312,15 +319,22 @@ impl Outbox {
                 .tasks
                 .set_states_many(&finished, &TaskState::Finished);
         }
+        let took = publishing.elapsed().as_nanos() as u64;
+        self.publish_nanos.store(took, Ordering::Relaxed);
         tasks
+    }
+
+    /// How long the last publish of results took (zero before the first).
+    fn publish_took(&self) -> Duration {
+        Duration::from_nanos(self.publish_nanos.load(Ordering::Relaxed))
     }
 }
 
 /// Runs `batch` in order (see the module docs): one `Running` commit,
 /// each result held while its task ran for less time than that commit
-/// took and the next task runs the same function, and what is held
-/// published by a longer task, a task of another function, a task that
-/// blocks, or the batch's end. Each task's run time goes to the queue
+/// or the last publish took and the next task runs the same function,
+/// and what is held published by a longer task, a task of another
+/// function, a task that blocks, or the batch's end. Each task's run time goes to the queue
 /// with the `start` after it; a lone task's, which has none, is
 /// returned for the worker's next `next`. `None` if the worker crashed,
 /// with everything it held discarded.
@@ -335,7 +349,7 @@ fn run_batch(
     services
         .tasks
         .set_states_many(&batch.tasks(), &TaskState::Running(id));
-    let commit = committing.elapsed();
+    let hold_below = committing.elapsed().max(outbox.publish_took());
     if !batch.behind.is_empty() {
         queue.committed(id);
     }
@@ -353,7 +367,7 @@ fn run_batch(
         }
         let (function, took) = (ran.spec.function, ran.took);
         outbox.hold(ran);
-        if took >= commit {
+        if took >= hold_below {
             published.extend(outbox.publish(true));
         }
         let run_time = RunTime { function, took };

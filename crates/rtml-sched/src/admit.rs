@@ -22,7 +22,7 @@ use rtml_common::event::{Component, Event, EventKind};
 use rtml_common::ids::{NodeId, TaskId};
 use rtml_common::task::{TaskSpec, TaskState};
 use rtml_kv::{EventLog, TaskTable};
-use rtml_store::ObjectStore;
+use rtml_store::{ObjectStore, TransferDirectory};
 
 use crate::msg::LocalMsg;
 use crate::runq::{RunQueue, Runnable};
@@ -35,6 +35,8 @@ pub(crate) struct Admission {
     pub(crate) tasks: TaskTable,
     pub(crate) events: EventLog,
     pub(crate) store: Arc<ObjectStore>,
+    /// The node table: whether any other node is alive.
+    pub(crate) directory: Arc<TransferDirectory>,
     pub(crate) queue: Arc<RunQueue>,
     /// `SubmitBatch` messages sent to the loop and not yet ingested.
     pub(crate) in_mailbox: AtomicUsize,
@@ -121,7 +123,11 @@ impl LocalSubmitter {
         if own
             && self.in_mailbox() == 0
             && specs.iter().all(local)
-            && admission.queue.reserve(&specs, &admission.spill)
+            && admission.queue.reserve(
+                &specs,
+                &admission.spill,
+                !admission.directory.lists_other_than(admission.node),
+            )
         {
             let ids: Vec<TaskId> = specs.iter().map(|s| s.task_id).collect();
             let runnable = specs.into_iter().map(Runnable::from).collect();

@@ -377,6 +377,7 @@ impl LocalScheduler {
             tasks: services.tasks.clone(),
             events: services.events.clone(),
             store: services.store.clone(),
+            directory: services.directory.clone(),
             queue: queue.clone(),
             in_mailbox: AtomicUsize::new(0),
         });
@@ -894,6 +895,9 @@ mod tests {
             ..StoreConfig::default()
         }));
         let global_endpoint = fabric.register(NodeId(1000), "fake-global");
+        // A peer in the node table: a node alone would keep every task
+        // the tests send to the global scheduler.
+        directory.insert(NodeId(1000), global_endpoint.address());
         let services = SchedServices {
             kv: kv.clone(),
             objects: ObjectTable::new(kv.clone()),

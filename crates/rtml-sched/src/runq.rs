@@ -615,14 +615,15 @@ impl RunQueue {
     /// rule against the backlog (ready, held and reserved tasks and
     /// their measured work, advancing per task) and the node's measured
     /// round trip — decided under the lock, so concurrent submitters
-    /// cannot admit past it — and the queue is open.
-    pub fn reserve(&self, specs: &[TaskSpec], spill: &SpillMode) -> bool {
+    /// cannot admit past it — and the queue is open. `alone`: no other
+    /// node is alive (see [`SpillMode::decide`]).
+    pub fn reserve(&self, specs: &[TaskSpec], spill: &SpillMode, alone: bool) -> bool {
         let round_trip = self.stats.delay.round_trip();
         let mut st = self.state.lock();
         let mut ahead = st.backlog();
         let mut kept_short = 0;
         let mut keeps = |(at, spec): (usize, &TaskSpec)| {
-            let verdict = spill.decide(spec, &ahead, &self.total, round_trip);
+            let verdict = spill.decide(spec, &ahead, &self.total, round_trip, alone);
             kept_short += (verdict == Verdict::StayShort) as u64;
             // The last task has nobody behind it to count it.
             if at + 1 < specs.len() {
@@ -925,9 +926,9 @@ mod tests {
         let q = queue(2.0);
         q.stats.delay.fold(100_000);
         // Five places (the threshold plus one), then no more: `f` never ran.
-        assert!(!q.reserve(&specs("f", 0, 6), &THRESHOLD));
-        assert!(q.reserve(&specs("f", 0, 5), &THRESHOLD));
-        assert!(!q.reserve(&specs("f", 5, 1), &THRESHOLD));
+        assert!(!q.reserve(&specs("f", 0, 6), &THRESHOLD, false));
+        assert!(q.reserve(&specs("f", 0, 5), &THRESHOLD, false));
+        assert!(!q.reserve(&specs("f", 5, 1), &THRESHOLD, false));
         assert_eq!(q.stats.kept_short.get(), 0);
     }
 
@@ -936,10 +937,10 @@ mod tests {
         let q = queue(2.0);
         measure(&q, "f", 1);
         // No round trip measured yet: the count rule.
-        assert!(!q.reserve(&specs("f", 0, 6), &THRESHOLD));
+        assert!(!q.reserve(&specs("f", 0, 6), &THRESHOLD, false));
         q.stats.delay.fold(100_000);
         // 256 tasks of 1 µs on 2 slots drain within the 200 µs round trip.
-        assert!(q.reserve(&specs("f", 0, 256), &THRESHOLD));
+        assert!(q.reserve(&specs("f", 0, 256), &THRESHOLD, false));
         assert_eq!(q.stats.kept_short.get(), 256 - 5);
         let gauge = |g: &std::sync::atomic::AtomicU64| g.load(Relaxed);
         assert_eq!(gauge(&q.stats.ready_depth), 256);
@@ -952,12 +953,12 @@ mod tests {
         let q = queue(2.0);
         q.stats.delay.fold(100_000);
         measure(&q, "long", 2_000);
-        assert!(!q.reserve(&specs("long", 0, 6), &THRESHOLD));
+        assert!(!q.reserve(&specs("long", 0, 6), &THRESHOLD, false));
         measure(&q, "short", 1);
         // One task of a function that never ran here sits in front.
-        assert!(q.reserve(&specs("new", 0, 1), &THRESHOLD));
-        assert!(!q.reserve(&specs("short", 1, 8), &THRESHOLD));
-        assert!(q.reserve(&specs("short", 1, 4), &THRESHOLD));
+        assert!(q.reserve(&specs("new", 0, 1), &THRESHOLD, false));
+        assert!(!q.reserve(&specs("short", 1, 8), &THRESHOLD, false));
+        assert!(q.reserve(&specs("short", 1, 4), &THRESHOLD, false));
         assert_eq!(q.stats.kept_short.get(), 0);
     }
 
@@ -965,7 +966,7 @@ mod tests {
     fn a_mean_moves_a_quarter_of_the_way_and_reprices_the_backlog() {
         let q = queue(2.0);
         measure(&q, "f", 800);
-        assert!(q.reserve(&specs("f", 0, 3), &THRESHOLD));
+        assert!(q.reserve(&specs("f", 0, 3), &THRESHOLD, false));
         assert_eq!(q.mean_run_times()[&FunctionId::from_name("f")], 800_000);
         assert_eq!(q.stats.ready_work_ns.load(Relaxed), 3 * 800_000);
         measure(&q, "f", 1_600);

@@ -162,6 +162,10 @@ impl SpillMode {
     /// becomes runnable: direct admission, ingest and a last input
     /// sealing.
     ///
+    /// On a node `alone` — no other node is alive — the hybrid rule
+    /// keeps every task it can fit: the global scheduler could only
+    /// place it back here, a round trip for nothing.
+    ///
     /// Regardless of mode, a task whose demand can **never** be satisfied
     /// by this node (demand exceeds total capacity, e.g. a GPU task on a
     /// CPU-only node) must spill — only the global scheduler can see a
@@ -172,12 +176,13 @@ impl SpillMode {
         ahead: &Backlog,
         node_total: &Resources,
         round_trip: Option<Duration>,
+        alone: bool,
     ) -> Verdict {
         if !node_total.fits(&spec.resources) {
             return Verdict::Spill;
         }
         match self {
-            SpillMode::Hybrid { queue_threshold } if ahead.tasks <= *queue_threshold => {
+            SpillMode::Hybrid { queue_threshold } if alone || ahead.tasks <= *queue_threshold => {
                 Verdict::Stay
             }
             SpillMode::Hybrid { .. } if drains_within(ahead, node_total, round_trip) => {
@@ -210,6 +215,8 @@ pub(crate) struct SpillPass {
     ahead: Backlog,
     means: Option<IdMap<FunctionId, u64>>,
     round_trip: Option<Duration>,
+    /// No other node is listed in the node table.
+    alone: bool,
     kept_short: u64,
 }
 
@@ -244,9 +251,10 @@ impl Core {
             work_ns: stats.ready_work_ns.load(Relaxed),
             unmeasured: stats.ready_unmeasured.load(Relaxed) as usize,
         };
+        let alone = !self.services.directory.lists_other_than(self.config.node);
         let weighs = match self.config.spill {
             SpillMode::Hybrid { queue_threshold } => {
-                upto > 0 && ahead.tasks + upto > queue_threshold
+                !alone && upto > 0 && ahead.tasks + upto > queue_threshold
             }
             SpillMode::AlwaysSpill | SpillMode::NeverSpill => false,
         };
@@ -254,6 +262,7 @@ impl Core {
             ahead,
             means: weighs.then(|| self.queue.mean_run_times()),
             round_trip: stats.delay.round_trip(),
+            alone,
             kept_short: 0,
         }
     }
@@ -263,7 +272,7 @@ impl Core {
         let total = &self.config.total_resources;
         self.config
             .spill
-            .decide(spec, &pass.ahead, total, pass.round_trip)
+            .decide(spec, &pass.ahead, total, pass.round_trip, pass.alone)
     }
 
     /// Forwards a whole batch of spilling tasks to the global scheduler
@@ -354,8 +363,10 @@ mod tests {
             SpillMode::NeverSpill,
         ] {
             for (ahead, rt) in [(Backlog::default(), None), (backlog(8, 1, 0), RT)] {
-                let verdict = mode.decide(&gpu_task, &ahead, &node, rt);
-                assert_eq!(verdict, Verdict::Spill, "{mode:?}");
+                for alone in [false, true] {
+                    let verdict = mode.decide(&gpu_task, &ahead, &node, rt, alone);
+                    assert_eq!(verdict, Verdict::Spill, "{mode:?}");
+                }
             }
         }
     }
@@ -365,7 +376,7 @@ mod tests {
         let node = Resources::cpu(4.0);
         let task = spec(Resources::cpu(1.0));
         let mode = SpillMode::Hybrid { queue_threshold: 3 };
-        let by_count = |tasks| mode.decide(&task, &backlog(tasks, 1, tasks), &node, None);
+        let by_count = |tasks| mode.decide(&task, &backlog(tasks, 1, tasks), &node, None, false);
         assert_eq!(by_count(0), Verdict::Stay);
         assert_eq!(by_count(3), Verdict::Stay);
         assert_eq!(by_count(4), Verdict::Spill);
@@ -386,7 +397,7 @@ mod tests {
             let cold = [(backlog(tasks, 1, 0), None), (backlog(tasks, 1, tasks), RT)];
             for (ahead, rt) in cold {
                 assert_eq!(
-                    mode.decide(&task, &ahead, &node, rt),
+                    mode.decide(&task, &ahead, &node, rt, false),
                     count_rule,
                     "{ahead:?}"
                 );
@@ -401,13 +412,19 @@ mod tests {
         let mode = SpillMode::Hybrid { queue_threshold: 4 };
         // 256 tasks of 1 µs on 2 slots drain in 128 µs < 200 µs.
         let ahead = backlog(256, 1, 0);
-        assert_eq!(mode.decide(&task, &ahead, &node, RT), Verdict::StayShort);
+        assert_eq!(
+            mode.decide(&task, &ahead, &node, RT, false),
+            Verdict::StayShort
+        );
         // Exactly one round trip still drains within it: 400 × 1 µs / 2.
         let ahead = backlog(400, 1, 0);
-        assert_eq!(mode.decide(&task, &ahead, &node, RT), Verdict::StayShort);
+        assert_eq!(
+            mode.decide(&task, &ahead, &node, RT, false),
+            Verdict::StayShort
+        );
         // Up to the threshold the count rule keeps it, whatever it costs.
         let ahead = backlog(4, 10_000, 0);
-        assert_eq!(mode.decide(&task, &ahead, &node, RT), Verdict::Stay);
+        assert_eq!(mode.decide(&task, &ahead, &node, RT, false), Verdict::Stay);
     }
 
     #[test]
@@ -417,17 +434,38 @@ mod tests {
         let mode = SpillMode::Hybrid { queue_threshold: 4 };
         // One more µs of work than the round trip drains.
         let ahead = backlog(401, 1, 0);
-        assert_eq!(mode.decide(&task, &ahead, &node, RT), Verdict::Spill);
+        assert_eq!(mode.decide(&task, &ahead, &node, RT, false), Verdict::Spill);
         // Five 2 ms tasks on 2 slots: 5 ms against 200 µs.
         let ahead = backlog(5, 2_000, 0);
-        assert_eq!(mode.decide(&task, &ahead, &node, RT), Verdict::Spill);
+        assert_eq!(mode.decide(&task, &ahead, &node, RT, false), Verdict::Spill);
         // Short work, but one task ahead of a function never run here.
         let ahead = backlog(8, 1, 1);
-        assert_eq!(mode.decide(&task, &ahead, &node, RT), Verdict::Spill);
+        assert_eq!(mode.decide(&task, &ahead, &node, RT, false), Verdict::Spill);
         // More slots drain more: the same 401 µs on 4 slots.
         let ahead = backlog(401, 1, 0);
         let big = Resources::cpu(4.0);
-        assert_eq!(mode.decide(&task, &ahead, &big, RT), Verdict::StayShort);
+        assert_eq!(
+            mode.decide(&task, &ahead, &big, RT, false),
+            Verdict::StayShort
+        );
+    }
+
+    #[test]
+    fn a_node_alone_keeps_every_task_it_fits_under_the_hybrid_rule() {
+        let node = Resources::cpu(2.0);
+        let task = spec(Resources::cpu(1.0));
+        let hybrid = SpillMode::Hybrid { queue_threshold: 4 };
+        // Past the threshold, unmeasured, long, or with no round trip:
+        // the global scheduler could only place it back.
+        for ahead in [backlog(256, 1, 256), backlog(256, 10_000, 0)] {
+            for rt in [None, RT] {
+                assert_eq!(hybrid.decide(&task, &ahead, &node, rt, true), Verdict::Stay);
+            }
+        }
+        // The centralized baseline still spills everything.
+        let ahead = backlog(8, 1, 0);
+        let verdict = SpillMode::AlwaysSpill.decide(&task, &ahead, &node, RT, true);
+        assert_eq!(verdict, Verdict::Spill);
     }
 
     #[test]
@@ -436,12 +474,12 @@ mod tests {
         let task = spec(Resources::cpu(1.0));
         let mode = SpillMode::AlwaysSpill;
         assert_eq!(
-            mode.decide(&task, &Backlog::default(), &node, None),
+            mode.decide(&task, &Backlog::default(), &node, None, false),
             Verdict::Spill
         );
         // No exception: nothing is kept, however short.
         assert_eq!(
-            mode.decide(&task, &backlog(8, 1, 0), &node, RT),
+            mode.decide(&task, &backlog(8, 1, 0), &node, RT, false),
             Verdict::Spill
         );
     }
@@ -451,7 +489,7 @@ mod tests {
         let node = Resources::cpu(4.0);
         let task = spec(Resources::cpu(1.0));
         let ahead = backlog(10_000, 1_000, 0);
-        let verdict = SpillMode::NeverSpill.decide(&task, &ahead, &node, RT);
+        let verdict = SpillMode::NeverSpill.decide(&task, &ahead, &node, RT, false);
         assert_eq!(verdict, Verdict::Stay);
     }
 

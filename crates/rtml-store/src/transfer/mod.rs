@@ -159,6 +159,12 @@ impl TransferDirectory {
         self.map.write().remove(&node);
     }
 
+    /// Whether a node other than `node` is listed: `false` when `node`
+    /// is the only one alive.
+    pub fn lists_other_than(&self, node: NodeId) -> bool {
+        self.map.read().keys().any(|&other| other != node)
+    }
+
     /// Every node listed, ascending.
     pub fn nodes(&self) -> Vec<NodeId> {
         let mut nodes: Vec<NodeId> = self.map.read().keys().copied().collect();

@@ -1,6 +1,6 @@
 //! Per-operation budgets: what one operation may cost in counted units
-//! (kv locks, heap bytes retained, heap allocations, spec-index
-//! entries, node-loop wake-ups, fabric frames), checked on every
+//! (kv locks, heap bytes retained, heap allocations, spec- and
+//! state-index entries, node-loop wake-ups, fabric frames), checked on every
 //! `cargo test` rather than left to a benchmark. Real threads race, so
 //! a count jitters: each budget sits above the worst run seen, by the
 //! margin its constant states, and only ever goes down. A change that
@@ -28,6 +28,7 @@ use std::time::{Duration, Instant};
 use rtml::common::codec::encode_to_bytes;
 use rtml::common::ids::DriverId;
 use rtml::common::task::{ArgSpec, TaskState};
+use rtml::kv::tables::task_table::STATE_LOG_KEY;
 use rtml::prelude::*;
 use rtml::runtime::TaskRequest;
 
@@ -82,14 +83,16 @@ fn serial() -> MutexGuard<'static, ()> {
 }
 
 /// Most heap a lone round trip may leave live. 20 runs on a 2-vCPU host
-/// read 748–772 B (1 326–1 348 B before kv logs packed their records).
+/// read 748–772 B (1 326–1 348 B before kv logs packed their records),
+/// and 710–718 B in 20 more once task states were records of one log.
 const RETAINED_BYTES: f64 = 800.0;
 
 /// Most allocations a lone round trip may make: the worst of 20 runs on
 /// a 2-vCPU host (66.0; they read 63.7–66.0) plus 10 %. They read 75–87
 /// while a `get` that found the result missing built a resolver and an
-/// object-table subscription, and 60.9–67.2 in 20 more runs once the
-/// store's local-seal table kept a plain list per object.
+/// object-table subscription, 60.9–67.2 in 20 more runs once the
+/// store's local-seal table kept a plain list per object, and 58.5–65.1
+/// in 20 more once task states were appends to one log.
 const ALLOCS: f64 = 72.6;
 
 /// What `rounds` lone `submit1` + `get` round trips on a 1×2 cluster
@@ -140,13 +143,17 @@ fn kv_locks(cluster: &Cluster) -> u64 {
 }
 
 /// Most kv locks a task of a 256-task burst may cost on a 2×2 cluster:
-/// the worst of 20 runs on a 2-vCPU host (2.15 locks a task, read
-/// 1.77–2.15) plus 10 %. A burst whose measured work drains within a
-/// round trip stays on its node and skips the spill and placement
-/// commits; in a debug build only some do (2.08–2.13 when every burst
-/// spilled). Before workers took batches a task cost 8.6, and 2.45
+/// the worst of 20 runs on a 2-vCPU host (1.21 locks a task, read
+/// 1.00–1.21) plus 10 %. A burst's `Queued`, and each worker batch's
+/// `Running` and `Finished`, is one append to the state log; as point
+/// keys they took a lock per shard touched, and the budget was 2.37
+/// (1.77–2.15). With the appends, but a worker that held results
+/// against its `Running` commit's time alone, it read 1.15–1.48. A
+/// burst whose measured work drains within a round trip stays on its
+/// node and skips the spill and placement commits; in a debug build
+/// only some do. Before workers took batches a task cost 8.6, and 2.45
 /// before a wait stopped reading its producers' lineage.
-const BURST_LOCKS_PER_TASK: f64 = 2.37;
+const BURST_LOCKS_PER_TASK: f64 = 1.33;
 
 /// What a lone `submit1` + `get` of a sealed result costs in kv locks
 /// on one node of two workers. A lone task is a batch of one: it makes
@@ -154,7 +161,8 @@ const BURST_LOCKS_PER_TASK: f64 = 2.37;
 /// two worker events share a frame — the round trip cost 10 before. 20
 /// runs on a 2-vCPU host read 9 each: the submission's record, state and
 /// two event frames; the worker's `Running`, two event frames, location
-/// and `Finished`.
+/// and `Finished`. Its three states are three appends to the state log
+/// where they were three point writes, one lock each either way.
 const LONE_LOCKS: u64 = 9;
 
 /// What a lone `submit1` + `get` costs in kv locks when the `get` finds
@@ -336,6 +344,56 @@ fn a_burst_wakes_the_node_loop_for_none_of_its_worker_parks() {
     cluster.shutdown();
 }
 
+/// Most worker-stream frames — one a publish — a warm 256-task burst
+/// may write on one worker: its 16 batches publish once each, and a task
+/// the host preempts can run longer than a publish takes, so three more
+/// are allowed. Held against the batch's `Running` commit alone — one
+/// append to the state log — a debug build read 20–34.
+const BURST_PUBLISHES: usize = 19;
+
+/// The worker-stream frames in the event log: one per publish.
+fn worker_frames(cluster: &Cluster) -> usize {
+    let streams = cluster.services().kv.scan_logs_prefix(b"ev:");
+    let worker = streams.iter().filter(|(key, _)| key.last() == Some(&1));
+    worker.map(|(_, frames)| frames.len()).sum()
+}
+
+#[test]
+fn a_warm_worker_publishes_a_batch_of_short_tasks_once() {
+    let _serial = serial();
+    // One worker: a 256-task burst is 16 batches of 16. An `x + 1` runs
+    // shorter than a publish takes, so each batch's results are held to
+    // its end: one worker frame and one `Finished` append a batch.
+    let cluster = Cluster::start(ClusterConfig::local(1, 1)).unwrap();
+    let inc = cluster.register_fn1("publish_inc", |x: u64| Ok(x + 1));
+    let driver = cluster.driver();
+    let burst = |round: u64| {
+        let args = round * 256..(round + 1) * 256;
+        let futs = driver.submit_many(&inc, args.clone()).unwrap();
+        let values = driver.get_many(&futs).unwrap();
+        assert!(values.iter().zip(args).all(|(v, x)| *v == x + 1));
+    };
+    // Warm-up: the worker has timed a publish.
+    burst(0);
+    burst(1);
+    let kv = &cluster.services().kv;
+    let states = || kv.log_len(STATE_LOG_KEY);
+    let (frames, records) = (worker_frames(&cluster), states());
+    burst(2);
+    let frames = worker_frames(&cluster) - frames;
+    let records = states() - records;
+    println!("16 batches: {frames} worker frames, {records} state records");
+    assert!(
+        frames <= BURST_PUBLISHES,
+        "{frames} worker frames for 16 batches, budget {BURST_PUBLISHES}"
+    );
+    // The burst's `Queued`, each batch's `Running`, a `Finished` a
+    // publish, and the last `Finished` of the burst before, which lands
+    // after the seals its `get_many` returned on.
+    assert!(records <= 2 + 16 + frames, "{records} state records");
+    cluster.shutdown();
+}
+
 /// Most times a 256-task burst's `get_many` may put its caller to
 /// sleep when the burst was admitted on the driver's thread. Its tasks
 /// are then held by the node's run queue, so the call waits on the
@@ -344,24 +402,19 @@ fn a_burst_wakes_the_node_loop_for_none_of_its_worker_parks() {
 /// batch woke it (12–23 times a burst) while every result went through
 /// the resolver. A burst the spill rule sends through the node loop is
 /// not held when the call looks and still goes through the resolver:
-/// under the default `Hybrid` spill a 1×2 cluster, which measures no
-/// round trip, spills most of each burst to the global scheduler and
-/// back, and its worst burst read 2–3 blocks in 10 runs on a 2-vCPU
-/// host, 163 in an earlier one (ROADMAP item 5).
+/// under the default `Hybrid` spill a 1×2 cluster once spilled most of
+/// each burst to the global scheduler and back, and its worst burst
+/// read 2–3 blocks in 10 runs on a 2-vCPU host, 163 in an earlier one.
+/// A node alone now keeps every burst.
 const BURST_GET_BLOCKS: u64 = 2;
 
 #[test]
 fn a_burst_get_many_blocks_its_caller_at_most_twice() {
     let _serial = serial();
-    // Never spilling, every burst is admitted on the driver's thread.
-    // This counts the wait of a burst the node holds, not how often a
-    // spill rule keeps a burst whole: that depends on how long the host
-    // took to run its last tasks.
-    let config = ClusterConfig {
-        spill: SpillMode::NeverSpill,
-        ..ClusterConfig::local(1, 2)
-    };
-    let cluster = Cluster::start(config).unwrap();
+    // Under the default spill rule: a node with no other node alive
+    // keeps every burst whole, so each is admitted on the driver's
+    // thread.
+    let cluster = Cluster::start(ClusterConfig::local(1, 2)).unwrap();
     let inc = cluster.register_fn1("burst_block_inc", |x: u64| Ok(x + 1));
     let driver = cluster.driver();
     let blocks = || cluster.counters().get("runtime.blocked_waits").unwrap();
@@ -472,6 +525,7 @@ fn fault_free_waits_never_build_the_spec_index() {
     let fuse = cluster.register_fn2("index_fuse", |a: u64, b: u64| Ok(a.rotate_left(7) ^ b));
     let driver = cluster.driver();
     let entries = || cluster.counters().get("kv.spec_index_entries").unwrap();
+    let states = || cluster.counters().get("kv.state_index_entries").unwrap();
     // Stream-shaped windows: four sensor tasks fused by a tree of
     // futures, whose fusions wait on their inputs and whose result the
     // driver waits on.
@@ -487,6 +541,7 @@ fn fault_free_waits_never_build_the_spec_index() {
         assert_eq!(driver.get(&fused).unwrap(), expect);
     }
     assert_eq!(entries(), 0, "a fault-free wait read a spec");
+    assert_eq!(states(), 0, "a fault-free wait built the state index");
 
     // A copy lost with its node is replayed from its producer's spec. A
     // result over the push limit stays on the node that made it.
@@ -501,6 +556,46 @@ fn fault_free_waits_never_build_the_spec_index() {
     assert_eq!(driver.get(&lost).unwrap().len(), 64 * 1024);
     assert!(cluster.reconstructions() >= 1);
     assert!(entries() > 0, "the replay read no spec");
+    cluster.shutdown();
+}
+
+#[test]
+fn fault_free_bursts_and_round_trips_never_build_the_state_index() {
+    let _serial = serial();
+    // Only node 1 can run the pinned task.
+    let cluster = Cluster::start(ClusterConfig {
+        nodes: vec![
+            NodeConfig::cpu_only(2),
+            NodeConfig::cpu_only(2).with_custom("state_pin", 1.0),
+        ],
+        ..ClusterConfig::default()
+    })
+    .unwrap();
+    let inc = cluster.register_fn1("state_inc", |x: u64| Ok(x + 1));
+    let driver = cluster.driver();
+    let entries = || cluster.counters().get("kv.state_index_entries").unwrap();
+    // Every transition is appended to the state log, and nothing folds
+    // the log into the index: the one read here is a wait's nudge past a
+    // tick (a debug build's spilled burst can take that long), and it
+    // finds its in-flight producers among the log's newest records.
+    const TASKS: u64 = 256;
+    for round in 0..16 {
+        let args = round * TASKS..(round + 1) * TASKS;
+        let futs = driver.submit_many(&inc, args.clone()).unwrap();
+        let values = driver.get_many(&futs).unwrap();
+        assert!(values.iter().zip(args).all(|(v, x)| *v == x + 1));
+    }
+    let pinned = || TaskOptions::resources(Resources::cpu(1.0).with_custom("state_pin", 1.0));
+    for x in 0..500u64 {
+        let lone = driver.submit1(&inc, x).unwrap();
+        assert_eq!(driver.get(&lone).unwrap(), x + 1);
+        let remote = driver.submit1_opts(&inc, x, pinned()).unwrap();
+        assert_eq!(driver.get(&remote).unwrap(), x + 1);
+    }
+    assert_eq!(entries(), 0, "a fault-free run read a task state");
+    // A node death's repair reads every task's state.
+    cluster.kill_node(NodeId(1)).unwrap();
+    assert!(entries() > 0, "the repair read no state");
     cluster.shutdown();
 }
 

@@ -30,7 +30,8 @@ fn sequential_round_trips_are_admitted_on_the_submitters_thread() {
 
 #[test]
 fn a_batch_that_spills_goes_to_the_loop_whole() {
-    let cluster = Cluster::start(ClusterConfig::local(1, 2)).unwrap();
+    // Two nodes: a node alone keeps every task it can fit.
+    let cluster = Cluster::start(ClusterConfig::local(2, 2)).unwrap();
     let inc = cluster.register_fn1("direct_inc_many", |x: i64| Ok(x + 1));
     let driver = cluster.driver();
     // Past the default threshold of 4 ready tasks the loop would spill

@@ -3,7 +3,8 @@
 //! both their run time and its round trip to another node, and a burst
 //! of long ones still spreads through the global scheduler. It is a
 //! binary of its own, so no other test's cluster runs beside it: a run
-//! time measured beside another cluster is that cluster's too.
+//! time measured beside another cluster is that cluster's too. A node
+//! with no other node alive keeps every task it can fit.
 
 use std::time::Duration;
 
@@ -104,5 +105,27 @@ fn short_bursts_stay_on_their_node_and_long_ones_spread() {
         on_node_0 >= 16 && on_node_1 >= 16,
         "64 long tasks ran {on_node_0} on node 0 and {on_node_1} on node 1"
     );
+    cluster.shutdown();
+}
+
+#[test]
+fn a_node_alone_places_no_burst_through_the_global_scheduler() {
+    // One node: the global scheduler could only place a spilled task
+    // back where it came from. Even the first, cold burst — no run time
+    // and no round trip measured — stays, admitted on the driver's
+    // thread.
+    let cluster = Cluster::start(ClusterConfig::local(1, 2)).unwrap();
+    let inc = cluster.register_fn1("alone_inc", |x: u64| Ok(x + 1));
+    let driver = cluster.driver();
+    const ROUNDS: u64 = 8;
+    for round in 0..ROUNDS {
+        let args: Vec<u64> = (round * BURST..(round + 1) * BURST).collect();
+        let futs = driver.submit_many(&inc, args.iter().copied()).unwrap();
+        let got = driver.get_many(&futs).unwrap();
+        assert!(got.iter().zip(&args).all(|(v, x)| *v == x + 1));
+    }
+    assert_eq!(counter(&cluster, "global.spills"), 0);
+    assert_eq!(counter(&cluster, "global.placements"), 0);
+    assert_eq!(counter(&cluster, "sched.admitted_direct"), ROUNDS * BURST);
     cluster.shutdown();
 }
