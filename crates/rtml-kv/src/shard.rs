@@ -362,36 +362,6 @@ impl Shard {
         }
     }
 
-    /// Group-committed point writes: all entries land (and notify) under
-    /// a single lock acquisition. The batch is one linearization point —
-    /// readers observe either none or all of it per shard.
-    pub fn set_many(&self, entries: Vec<(Bytes, Bytes)>) {
-        if entries.is_empty() {
-            return;
-        }
-        self.ops.add(entries.len() as u64);
-        self.locks.inc();
-        let mut st = self.state.lock();
-        // Pre-size for the whole batch: without this a large group commit
-        // triggers a rehash-doubling series under the shard lock, which
-        // profiling showed dominating the submit hot path.
-        st.map.reserve(entries.len());
-        if st.subs.is_empty() {
-            // No subscriber anywhere on this shard: insert by move — no
-            // per-entry refcount traffic, no subscriber lookups. This is
-            // the common case for the submit hot path (subscriptions are
-            // per blocked `get`/resolver, not per write).
-            for (key, value) in entries {
-                st.map.insert(key, value);
-            }
-        } else {
-            for (key, value) in entries {
-                st.map.insert(key.clone(), value.clone());
-                Self::notify(&mut st, &key, &value);
-            }
-        }
-    }
-
     /// Batched point reads under a single lock acquisition. Results are
     /// positional: `out[i]` corresponds to `keys[i]`.
     pub fn get_many(&self, keys: &[Bytes]) -> Vec<Option<Bytes>> {
@@ -573,9 +543,17 @@ impl Shard {
             .unwrap_or_default()
     }
 
-    /// Length of the log at `key`.
-    pub fn log_len(&self, key: &[u8]) -> usize {
-        self.state.lock().logs.get(key).map_or(0, Log::len)
+    /// Reads the newest `n` records of the log at `key` (fewer if it
+    /// holds fewer), oldest first, under one lock.
+    pub fn read_log_tail(&self, key: &[u8], n: usize) -> Vec<Bytes> {
+        self.ops.inc();
+        self.locks.inc();
+        self.state
+            .lock()
+            .logs
+            .get(key)
+            .map(|log| log.records(log.len().saturating_sub(n)))
+            .unwrap_or_default()
     }
 
     /// Reads the suffix of the log at `key` starting at position
@@ -816,7 +794,7 @@ mod tests {
         s.append(b("log"), b("r1"));
         s.append(b("log"), b("r2"));
         assert_eq!(s.read_log(b"log".as_ref()), vec![b("r1"), b("r2")]);
-        assert_eq!(s.log_len(b"log".as_ref()), 2);
+        assert_eq!(s.read_log_tail(b"log".as_ref(), 1), vec![b("r2")]);
         assert_eq!(s.read_log(b"other".as_ref()), Vec::<Bytes>::new());
     }
 
@@ -838,16 +816,6 @@ mod tests {
         hits.sort();
         assert_eq!(hits.len(), 2);
         assert_eq!(hits[0].1, b("x"));
-    }
-
-    #[test]
-    fn set_many_commits_all_and_notifies() {
-        let s = shard();
-        let (_cur, rx) = subscribe(&s, b("k1"));
-        s.set_many(vec![(b("k1"), b("v1")), (b("k2"), b("v2"))]);
-        assert_eq!(s.get(b"k1".as_ref()), Some(b("v1")));
-        assert_eq!(s.get(b"k2".as_ref()), Some(b("v2")));
-        assert_eq!(next(&rx), b("v1"));
     }
 
     #[test]
@@ -894,7 +862,6 @@ mod tests {
             s.read_log(b"log".as_ref()),
             vec![b("r2"), b("r3"), b("r4"), b("r5")]
         );
-        assert_eq!(s.log_len(b"log".as_ref()), 4);
     }
 
     #[test]
@@ -957,6 +924,8 @@ mod tests {
         let (tail, total) = s.read_log_range(b"log".as_ref(), open - 5);
         assert_eq!((tail, total), (records[open - 5..].to_vec(), records.len()));
         assert_eq!(s.read_log_range(b"log".as_ref(), 0).0, records);
+        let tail = s.read_log_tail(b"log".as_ref(), PER_BLOCK);
+        assert_eq!(tail, records[records.len() - PER_BLOCK..].to_vec());
         let past_the_end = s.read_log_range(b"log".as_ref(), records.len() + 1);
         assert_eq!(past_the_end, (Vec::new(), records.len()));
     }

@@ -91,28 +91,6 @@ impl KvStore {
         self.shard_for(&key).set(key.clone(), value);
     }
 
-    /// Group-committed point writes. Entries are routed to their shards
-    /// and each shard's portion lands under a single lock acquisition —
-    /// a batch of N writes costs at most `num_shards` lock round trips
-    /// instead of N.
-    pub fn set_many(&self, entries: Vec<(Bytes, Bytes)>) {
-        if entries.len() <= 1 {
-            for (key, value) in entries {
-                self.set(key, value);
-            }
-            return;
-        }
-        let mut buckets: Vec<Vec<(Bytes, Bytes)>> = vec![Vec::new(); self.shards.len()];
-        for (key, value) in entries {
-            buckets[self.shard_index(&key)].push((key, value));
-        }
-        for (idx, bucket) in buckets.into_iter().enumerate() {
-            if !bucket.is_empty() {
-                self.shards[idx].set_many(bucket);
-            }
-        }
-    }
-
     /// Batched point reads, one lock acquisition per touched shard.
     /// Results are positional: `out[i]` corresponds to `keys[i]`.
     pub fn get_many(&self, keys: &[Bytes]) -> Vec<Option<Bytes>> {
@@ -209,9 +187,11 @@ impl KvStore {
         self.shard_for(key).read_log(key)
     }
 
-    /// Length of the log at `key`.
-    pub fn log_len(&self, key: &[u8]) -> usize {
-        self.shard_for(key).log_len(key)
+    /// Reads the newest `n` records of the log at `key` (fewer if it
+    /// holds fewer), oldest first, under one shard lock (see
+    /// [`Shard::read_log_tail`]).
+    pub fn read_log_tail(&self, key: &[u8], n: usize) -> Vec<Bytes> {
+        self.shard_for(key).read_log_tail(key, n)
     }
 
     /// Reads the records of the log at `key` from position `start`
@@ -424,12 +404,11 @@ mod tests {
     }
 
     #[test]
-    fn set_many_and_get_many_round_trip_across_shards() {
+    fn get_many_is_positional_across_shards() {
         let kv = KvStore::new(4);
-        let entries: Vec<(Bytes, Bytes)> = (0..100)
-            .map(|i| (key(i), Bytes::from(format!("v{i}"))))
-            .collect();
-        kv.set_many(entries);
+        for i in 0..100 {
+            kv.set(key(i), Bytes::from(format!("v{i}")));
+        }
         let keys: Vec<Bytes> = (0..110).map(key).collect();
         let got = kv.get_many(&keys);
         for (i, value) in got.iter().enumerate() {
@@ -517,7 +496,10 @@ mod tests {
         let kv = KvStore::new(4);
         kv.append(Bytes::from_static(b"l"), Bytes::from_static(b"a"));
         kv.append(Bytes::from_static(b"l"), Bytes::from_static(b"b"));
-        assert_eq!(kv.log_len(b"l"), 2);
         assert_eq!(kv.read_log(b"l").len(), 2);
+        let b = Bytes::from_static(b"b");
+        assert_eq!(kv.read_log_tail(b"l", 1), vec![b]);
+        assert_eq!(kv.read_log_tail(b"l", 5).len(), 2);
+        assert!(kv.read_log_tail(b"none", 5).is_empty());
     }
 }

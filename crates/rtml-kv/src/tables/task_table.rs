@@ -196,9 +196,7 @@ impl TaskTable {
         for (at, task) in tasks.iter().enumerate() {
             wanted.entry(task.unique()).or_default().push(at);
         }
-        let len = self.kv.log_len(STATE_LOG_KEY);
-        let start = len.saturating_sub(RECENT_RECORDS);
-        let (records, _) = self.kv.read_log_range(STATE_LOG_KEY, start);
+        let records = self.kv.read_log_tail(STATE_LOG_KEY, RECENT_RECORDS);
         let mut out = vec![None; tasks.len()];
         for record in records.iter().rev() {
             if wanted.is_empty() {
@@ -587,11 +585,13 @@ mod tests {
         let running = TaskState::Running(WorkerId::new(NodeId(0), 0));
         table.set_states_many(&ids[..2], &running);
         // The newest records hold them all: the latest wins, read off the
-        // log's tail, positionally.
+        // log's tail, positionally, under one counted lock.
+        let locks = table.kv.stats().total_locks();
         assert_eq!(
             table.get_recorded_states_many(&[ids[1], ids[2], ids[1]]),
             [Some(running.clone()), Some(queued.clone()), Some(running)]
         );
+        assert_eq!(table.kv.stats().total_locks(), locks + 1);
         assert_eq!(table.states.len(), 0);
         // `old`'s one record is older than the tail: the read folds the
         // whole log, and reads the index from then on.
@@ -806,14 +806,14 @@ mod tests {
                 table.set_state(spec.task_id, state);
             }
         }
-        let records = table.kv.log_len(STATE_LOG_KEY);
+        let records = table.kv.read_log(STATE_LOG_KEY).len();
         let mut lost = table.lose_node(dead);
         lost.sort();
         let bound = [0, 2, 8];
         let mut expected = bound.map(|i| specs[i].task_id);
         expected.sort();
         assert_eq!(lost, expected);
-        assert_eq!(table.kv.log_len(STATE_LOG_KEY), records + 1);
+        assert_eq!(table.kv.read_log(STATE_LOG_KEY).len(), records + 1);
         for (i, (spec, state)) in specs.iter().zip(states).enumerate() {
             let expected = match bound.contains(&i) {
                 true => TaskState::Lost,

@@ -184,10 +184,6 @@ pub struct FabricStats {
     pub dropped: Counter,
     /// Total payload bytes accepted.
     pub bytes: Counter,
-    /// Messages that crossed the wire inside a coalesced frame (a
-    /// [`Fabric::send_batch`] of more than one payload): they shared one
-    /// propagation-delay sample instead of paying per-message latency.
-    pub coalesced: Counter,
     /// Frames that crossed the wire as part of a chunked stream (a
     /// [`Fabric::send_chunks`] call): pieces of one logical transfer
     /// that pipelined over the link — one propagation-delay sample, each
@@ -217,8 +213,6 @@ pub struct FabricStats {
 enum FrameKind {
     /// A plain single-message `send`.
     Single,
-    /// Distinct messages coalesced to share a hop (`send_batch`).
-    Batch,
     /// Pieces of one streamed transfer (`send_chunks`).
     Chunked,
 }
@@ -293,8 +287,6 @@ impl Fabric {
         registry.register_value("fabric.dropped", move || f.stats.dropped.get());
         let f = self.clone();
         registry.register_value("fabric.bytes", move || f.stats.bytes.get());
-        let f = self.clone();
-        registry.register_value("fabric.coalesced", move || f.stats.coalesced.get());
         let f = self.clone();
         registry.register_value("fabric.chunk_frames", move || f.stats.chunk_frames.get());
         let f = self.clone();
@@ -397,35 +389,18 @@ impl Fabric {
         self.send_frames(from, to, vec![(payload, body)], FrameKind::Single)
     }
 
-    /// Sends several payloads from `from` to `to` as **one coalesced
-    /// frame**: the whole group pays a single propagation-delay sample
-    /// (plus the bandwidth term for its total size) and arrives
-    /// together, in order. The receiver still observes one [`Delivery`]
-    /// per payload — coalescing changes when messages cross the wire,
-    /// not how they are consumed.
-    ///
-    /// This preserves per-hop latency semantics: a batch costs exactly
-    /// what one message costs in latency, which is the point — queued
-    /// messages to the same destination should share hops.
-    pub fn send_batch(&self, from: NetAddress, to: NetAddress, payloads: Vec<Bytes>) -> Result<()> {
-        let frames = payloads.into_iter().map(|payload| (payload, Bytes::new()));
-        self.send_frames(from, to, frames.collect(), FrameKind::Batch)
-    }
-
     /// Sends the pieces of **one logical transfer** (e.g. a chunked
     /// object) as a pipelined stream: the stream draws a single
     /// propagation-delay sample and occupies the egress link for its
-    /// total size, like [`Fabric::send_batch`], but each chunk is due
-    /// when *its own* bytes have crossed — the last exactly when the
-    /// whole batch would be — so the receiver can work on (or pass on)
-    /// the head of an object while its tail is still on the wire. The
-    /// receiver observes one [`Delivery`] per chunk, in order. Streams
-    /// queue behind everything the link has accepted; a frame that is
-    /// not part of a stream waits only for the chunk on the wire, so a
-    /// control message can pass the bulk it refers to. Counted
-    /// separately ([`FabricStats::chunk_frames`]) so experiments can
-    /// distinguish "messages that shared a hop" from "frames of one
-    /// streamed object".
+    /// total size, and each chunk is due when *its own* bytes have
+    /// crossed — the last when the whole stream has — so the receiver
+    /// can work on (or pass on) the head of an object while its tail is
+    /// still on the wire. The receiver observes one [`Delivery`] per
+    /// chunk, in order. Streams queue behind everything the link has
+    /// accepted; a frame that is not part of a stream waits only for the
+    /// chunk on the wire, so a control message can pass the bulk it
+    /// refers to. Each chunk is counted in
+    /// [`FabricStats::chunk_frames`].
     pub fn send_chunks(&self, from: NetAddress, to: NetAddress, chunks: Vec<Bytes>) -> Result<()> {
         let frames = chunks.into_iter().map(|chunk| (chunk, Bytes::new()));
         self.send_frames(from, to, frames.collect(), FrameKind::Chunked)
@@ -475,9 +450,8 @@ impl Fabric {
         self.stats.sent.add(count);
         self.stats.bytes.add(total_bytes);
         match kind {
-            FrameKind::Batch if count > 1 => self.stats.coalesced.add(count),
             FrameKind::Chunked => self.stats.chunk_frames.add(count),
-            _ => {}
+            FrameKind::Single => {}
         }
 
         if routing.partitions.contains(&(from_node, to_node)) {
@@ -568,7 +542,7 @@ impl Fabric {
             starts = match (kind, egress.chunk_ends.front().copied()) {
                 // Cut in behind the chunk on the wire; the chunks still
                 // queued leave that much later.
-                (FrameKind::Single | FrameKind::Batch, Some(slot)) => {
+                (FrameKind::Single, Some(slot)) => {
                     let shift = wire(total_bytes);
                     egress.chunk_ends.iter_mut().for_each(|end| *end += shift);
                     slot
@@ -763,54 +737,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_pays_one_latency_for_all_frames() {
-        let fabric = fabric_with_latency(20_000); // 20 ms
-        let a = fabric.register(NodeId(0), "a");
-        let b = fabric.register(NodeId(1), "b");
-        let payloads: Vec<Bytes> = (0..10u32)
-            .map(|i| Bytes::from(i.to_le_bytes().to_vec()))
-            .collect();
-        let start = Instant::now();
-        fabric
-            .send_batch(a.address(), b.address(), payloads)
-            .unwrap();
-        for i in 0..10u32 {
-            let msg = b.receiver().recv_timeout(Duration::from_secs(5)).unwrap();
-            let mut arr = [0u8; 4];
-            arr.copy_from_slice(&msg.payload);
-            assert_eq!(u32::from_le_bytes(arr), i);
-        }
-        let elapsed = start.elapsed();
-        // One hop, not ten: well under 10 x 20 ms.
-        assert!(elapsed >= Duration::from_millis(20));
-        assert!(elapsed < Duration::from_millis(100), "elapsed {elapsed:?}");
-        assert_eq!(fabric.stats.coalesced.get(), 10);
-        assert_eq!(fabric.stats.delivered.get(), 10);
-    }
-
-    #[test]
-    fn batch_bandwidth_term_uses_total_size() {
-        let fabric = Fabric::new(FabricConfig {
-            latency: LatencyModel::Zero,
-            bandwidth_bytes_per_sec: Some(1_000_000), // 1 MB/s
-            jitter_seed: 0,
-            ..FabricConfig::default()
-        });
-        let a = fabric.register(NodeId(0), "a");
-        let b = fabric.register(NodeId(1), "b");
-        // 5 x 10 KB at 1 MB/s = 50 ms for the whole frame.
-        let payloads: Vec<Bytes> = (0..5).map(|_| Bytes::from(vec![0u8; 10_000])).collect();
-        let start = Instant::now();
-        fabric
-            .send_batch(a.address(), b.address(), payloads)
-            .unwrap();
-        for _ in 0..5 {
-            let _ = b.receiver().recv_timeout(Duration::from_secs(5)).unwrap();
-        }
-        assert!(start.elapsed() >= Duration::from_millis(45));
-    }
-
-    #[test]
     fn concurrent_transfers_serialize_on_source_egress() {
         // 1 MB/s, two 50 KB sends back to back from one node: the second
         // queues behind the first on the egress link, so the pair takes
@@ -873,7 +799,7 @@ mod tests {
         let b = fabric.register(NodeId(1), "b");
         fabric.partition(NodeId(0), NodeId(1));
         fabric
-            .send_batch(
+            .send_chunks(
                 a.address(),
                 b.address(),
                 vec![Bytes::from_static(b"x"), Bytes::from_static(b"y")],
@@ -891,7 +817,9 @@ mod tests {
         let fabric = fabric_with_latency(0);
         let a = fabric.register(NodeId(0), "a");
         let b = fabric.register(NodeId(0), "b");
-        fabric.send_batch(a.address(), b.address(), vec![]).unwrap();
+        fabric
+            .send_chunks(a.address(), b.address(), vec![])
+            .unwrap();
         assert_eq!(fabric.stats.sent.get(), 0);
     }
 
@@ -912,7 +840,6 @@ mod tests {
         assert!(elapsed >= Duration::from_millis(20));
         assert!(elapsed < Duration::from_millis(100), "elapsed {elapsed:?}");
         assert_eq!(fabric.stats.chunk_frames.get(), 8);
-        assert_eq!(fabric.stats.coalesced.get(), 0);
     }
 
     /// 10 MB/s, 1 ms hops: a 50 KB chunk occupies the link for 5 ms.

@@ -31,7 +31,7 @@ use rtml_common::ids::{DriverId, NodeId, WorkerId};
 use rtml_common::metrics::{Histogram, MetricsRegistry, Reading};
 use rtml_kv::FunctionInfo;
 use rtml_net::LatencyModel;
-use rtml_sched::{GlobalScheduler, GlobalSchedulerHandle, PlacementPolicy, SchedWire, SpillMode};
+use rtml_sched::{GlobalScheduler, GlobalSchedulerHandle, PlacementPolicy, SpillMode};
 
 use crate::actors::ActorHandle;
 use crate::caller::{Driver, TaskContext};
@@ -183,6 +183,7 @@ impl Cluster {
         let global = GlobalScheduler::spawn(
             config.placement,
             services.fabric.clone(),
+            services.directory.clone(),
             services.objects.clone(),
             services.events.clone(),
         );
@@ -205,9 +206,9 @@ impl Cluster {
         }
 
         // Formation barrier: do not hand out drivers until the global
-        // scheduler has heard every node's NodeUp (announcements pay the
-        // fabric's latency). Without this, an immediate submission burst
-        // would see a one-node cluster.
+        // scheduler has heard every node's first load report (it pays
+        // the fabric's latency). Without this, an immediate submission
+        // burst would see a one-node cluster.
         let expected = config.nodes.len();
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
         while global.stats().nodes_known.load(Ordering::Acquire) < expected {
@@ -265,8 +266,8 @@ impl Cluster {
     }
 
     /// Kills a whole node: store contents vanish, queued and running
-    /// tasks are marked lost (reconstructible), and the global scheduler
-    /// is told to stop placing there.
+    /// tasks are marked lost (reconstructible), and the node leaves the
+    /// node table, so the global scheduler stops placing there.
     pub fn kill_node(&self, node: NodeId) -> Result<()> {
         let runtime = self
             .nodes
@@ -277,17 +278,6 @@ impl Cluster {
 
         // Repair the task table: anything bound to the dead node is lost.
         self.services.tasks.lose_node(node);
-
-        // Tell the global scheduler via an ephemeral endpoint.
-        if let Some(global) = self.global.lock().as_ref() {
-            let from_node = self.services.any_alive().unwrap_or(NodeId(0));
-            let endpoint = self.services.fabric.register(from_node, "node-down");
-            let frame = rtml_common::codec::encode_to_bytes(&SchedWire::NodeDown { node });
-            let _ = self
-                .services
-                .fabric
-                .send(endpoint.address(), global.address(), frame);
-        }
         Ok(())
     }
 

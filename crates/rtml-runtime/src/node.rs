@@ -289,8 +289,9 @@ impl NodeRuntime {
 
     /// Simulates a whole-node crash: workers die (discarding in-flight
     /// effects), the store's contents vanish, and all registrations are
-    /// withdrawn. The caller (cluster) handles task-table repair and
-    /// notifying the global scheduler.
+    /// withdrawn — the node table's too, which is how the global
+    /// scheduler learns of it. The caller (cluster) handles task-table
+    /// repair.
     pub fn kill(self, services: &Arc<Services>) {
         // Throw the worker kill switches BEFORE detaching the node's
         // services: a worker that observes its own store missing must
@@ -310,9 +311,9 @@ impl NodeRuntime {
         // (telemetry outlives the node, like the event log).
         let mut this = self;
         this.sched.shutdown();
-        // Retract the kv-mirrored load report: a dead node leaves no
-        // frozen backlog behind for a reader of the mirror to trust.
-        services.kv.delete(&rtml_sched::load_key(this.node));
+        // Retract its load report: a dead node leaves no frozen backlog
+        // behind for a reader to trust (its failure evidence stays).
+        services.health.drop_report(this.node);
         // Drop the store contents and erase their locations from the
         // table as one group commit.
         let dropped = this.store.clear();
@@ -338,11 +339,12 @@ impl NodeRuntime {
         // node until the workers are joined. A worker still running may
         // ask for one more, so the pool is not held while they are.
         self.sched.close();
-        services.kv.delete(&rtml_sched::load_key(self.node));
         for mut runtime in self.take_workers() {
             runtime.join();
         }
         services.directory.remove(self.node);
         self.sched.shutdown();
+        // Once the loop is joined: it publishes no report after this.
+        services.health.drop_report(self.node);
     }
 }

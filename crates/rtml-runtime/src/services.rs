@@ -45,10 +45,12 @@ pub struct Services {
     pub registry: Arc<FunctionRegistry>,
     /// Simulated network.
     pub fabric: Arc<Fabric>,
-    /// Node → object-plane (transfer agent) address.
+    /// The node table: each live node's one fabric address, where its
+    /// object plane and its scheduler are reached. The global scheduler
+    /// places only on the nodes it lists.
     pub directory: Arc<TransferDirectory>,
-    /// Peer health view (heartbeat staleness + failure evidence),
-    /// steering holder rankings away from suspect nodes.
+    /// Peer health view (each node's last load report + failure
+    /// evidence), steering holder rankings away from suspect nodes.
     pub health: Arc<HealthTracker>,
     /// The configuration the cluster was started with.
     pub config: ClusterConfig,
@@ -108,7 +110,7 @@ impl Services {
             registry: FunctionRegistry::new(),
             fabric,
             directory: TransferDirectory::new(),
-            health: HealthTracker::new(kv.clone()),
+            health: HealthTracker::new(),
             config: config.clone(),
             metrics,
             blocked_waits,

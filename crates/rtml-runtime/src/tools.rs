@@ -1,22 +1,21 @@
 //! Cluster-state inspection: the textual equivalent of the paper's
 //! "Web UI / Debugging Tools / Error Diagnosis" box (Figure 3, R7).
 //!
-//! Everything here reads only the centralized control plane — which is
-//! the paper's point: because all system state lives in one
-//! (logically-centralized) place, tooling needs no cooperation from the
-//! data-path components.
+//! The task, function and control-plane sections read only the
+//! centralized control plane — which is the paper's point: because all
+//! system state lives in one (logically-centralized) place, tooling
+//! needs no cooperation from the data-path components. The node lines
+//! read each node's last load report where its scheduler hands it as
+//! it publishes: the health tracker.
 
 use std::fmt::Write as _;
 
-use rtml_common::codec::decode_from_slice;
 use rtml_common::task::TaskState;
-use rtml_sched::msg::load_key;
-use rtml_sched::LoadReport;
 
 use crate::services::Services;
 
-/// A point-in-time textual dump of cluster state, assembled purely from
-/// control-plane reads.
+/// A point-in-time textual dump of cluster state, assembled from
+/// control-plane reads and the health tracker's load reports.
 pub fn cluster_state(services: &Services) -> String {
     let mut out = String::new();
 
@@ -27,11 +26,7 @@ pub fn cluster_state(services: &Services) -> String {
         let _ = writeln!(out, "(no nodes alive)");
     }
     for node in &nodes {
-        match services
-            .kv
-            .get(&load_key(*node))
-            .and_then(|b| decode_from_slice::<LoadReport>(&b).ok())
-        {
+        match services.health.report(*node) {
             Some(load) => {
                 let _ = writeln!(
                     out,

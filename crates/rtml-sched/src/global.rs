@@ -11,6 +11,18 @@
 //! It is one thread at one fabric address, on node 0. Local schedulers
 //! handle the common case; only spillover reaches it.
 //!
+//! # Which nodes it places on
+//!
+//! Membership is the node table ([`TransferDirectory`]), which lists
+//! each live node at its one fabric address; no frame announces a node
+//! or its death. A node is a candidate while the table lists it at the
+//! address its last report carries ([`LoadReport::sched_address`]). A
+//! killed node is no longer listed; a report of a dead incarnation
+//! carries an address the table no longer lists (fabric addresses are
+//! never reused); and a restarted node is not placed on against its
+//! old report. A node's first `Load` announces it, and a report from a
+//! new address starts its in-flight count afresh.
+//!
 //! # What the scheduler sees of a node
 //!
 //! Its view of a node is what the node measured, plus what is still on
@@ -40,21 +52,23 @@
 //! started from ([`crate::policy`]).
 //!
 //! Tasks that currently fit no node (e.g. GPU demand while the only GPU
-//! node is down) are **parked** and retried whenever the cluster view
-//! changes (new load report, node up).
+//! node is down) are **parked** and retried whenever a load report
+//! arrives.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 
 use rtml_common::codec::{decode_from_slice, Codec};
-use rtml_common::collections::{fast_map_with_capacity, FastMap};
+use rtml_common::collections::FastMap;
 use rtml_common::event::{Component, Event, EventKind};
 use rtml_common::ids::{NodeId, ObjectId};
 use rtml_common::metrics::{Counter, MetricsRegistry};
 use rtml_common::task::TaskSpec;
 use rtml_kv::{EventLog, ObjectTable};
 use rtml_net::{Fabric, NetAddress};
+use rtml_store::TransferDirectory;
 
 use crate::msg::LoadReport;
 use crate::policy::{LoadView, PlacementPolicy, PolicyState, DEFAULT_TOP_K};
@@ -73,8 +87,8 @@ const MAX_INBOUND: usize = 64;
 const LOST_AFTER: u64 = 100_000_000;
 
 /// The scheduler's placements onto one node that the node has not
-/// reported ingesting. Counts are over the node's lifetime (reset when it comes
-/// up), because the node's own count is.
+/// reported ingesting. Counts are over the node's lifetime (reset when a
+/// report comes from a new address), because the node's own count is.
 #[derive(Debug, Default)]
 struct InFlight {
     /// Tasks sent in `PlaceBatch` frames.
@@ -139,7 +153,8 @@ pub struct GlobalStats {
     pub placements: Counter,
     /// Tasks currently or ever parked.
     pub parked: Counter,
-    /// Nodes currently known (NodeUp received, not NodeDown). Used by the
+    /// Placement candidates as of the last load report: nodes the node
+    /// table lists at the address their report carries. Used by the
     /// cluster to barrier on formation before accepting work.
     pub nodes_known: std::sync::atomic::AtomicUsize,
 }
@@ -153,7 +168,7 @@ pub struct GlobalSchedulerHandle {
     address: NetAddress,
     control: Sender<Control>,
     join: Option<std::thread::JoinHandle<()>>,
-    stats: std::sync::Arc<GlobalStats>,
+    stats: Arc<GlobalStats>,
 }
 
 impl GlobalSchedulerHandle {
@@ -200,25 +215,27 @@ impl Drop for GlobalSchedulerHandle {
 pub struct GlobalScheduler;
 
 impl GlobalScheduler {
-    /// Spawns the scheduler thread, placing by `policy`.
+    /// Spawns the scheduler thread, placing by `policy` on the nodes
+    /// `directory` lists.
     pub fn spawn(
         policy: PlacementPolicy,
-        fabric: std::sync::Arc<Fabric>,
+        fabric: Arc<Fabric>,
+        directory: Arc<TransferDirectory>,
         objects: ObjectTable,
         events: EventLog,
     ) -> GlobalSchedulerHandle {
         let endpoint = fabric.register(HOST, "global-sched");
         let address = endpoint.address();
         let (control_tx, control_rx) = unbounded();
-        let stats = std::sync::Arc::new(GlobalStats::default());
+        let stats = Arc::new(GlobalStats::default());
         let mut core = GlobalCore {
             policy,
             fabric,
+            directory,
             objects,
             events,
             address,
             loads: FastMap::default(),
-            scheds: FastMap::default(),
             in_flight: FastMap::default(),
             parked: VecDeque::new(),
             stats: stats.clone(),
@@ -238,20 +255,21 @@ impl GlobalScheduler {
 
 struct GlobalCore {
     policy: PlacementPolicy,
-    fabric: std::sync::Arc<Fabric>,
+    fabric: Arc<Fabric>,
+    /// The node table: who is alive, and at which address.
+    directory: Arc<TransferDirectory>,
     objects: ObjectTable,
     events: EventLog,
     address: NetAddress,
-    /// Per-node load and reachability. Deterministic FNV maps: layout is
-    /// a function of insertion history, and placement never iterates
+    /// Each node's last report. Deterministic FNV maps: layout is a
+    /// function of insertion history, and placement never iterates
     /// them without an explicit total order.
     loads: FastMap<NodeId, LoadReport>,
-    scheds: FastMap<NodeId, NetAddress>,
     /// Placements each node has not reported ingesting, folded into the
     /// view every batch.
     in_flight: FastMap<NodeId, InFlight>,
     parked: VecDeque<TaskSpec>,
-    stats: std::sync::Arc<GlobalStats>,
+    stats: Arc<GlobalStats>,
 }
 
 impl GlobalCore {
@@ -282,21 +300,6 @@ impl GlobalCore {
                 self.place_batch(specs);
             }
             Ok(SchedWire::Load { report, ingested }) => self.on_load(report, ingested),
-            Ok(SchedWire::NodeUp {
-                node,
-                sched_address,
-            }) => {
-                // A node (re)starting counts its ingests from zero.
-                self.in_flight.remove(&node);
-                self.scheds
-                    .insert(node, NetAddress::from_u64(sched_address));
-                self.update_known();
-                self.retry_parked();
-            }
-            Ok(SchedWire::NodeDown { node }) => {
-                self.forget(node);
-                self.update_known();
-            }
             Ok(SchedWire::PlaceBatch { .. }) | Err(_) => {}
         }
     }
@@ -305,12 +308,16 @@ impl GlobalCore {
     /// with how many of the scheduler's placements it has ingested.
     fn on_load(&mut self, report: LoadReport, ingested: u64) {
         let node = report.node;
-        if self
-            .loads
-            .get(&node)
-            .is_some_and(|last| last.at_nanos >= report.at_nanos)
-        {
-            return; // measured no later than the report already applied
+        match self.loads.get(&node) {
+            Some(last) if last.at_nanos >= report.at_nanos => {
+                return; // measured no later than the report already applied
+            }
+            // A node restarted at a new address counts its ingests from
+            // zero.
+            Some(last) if last.sched_address != report.sched_address => {
+                self.in_flight.remove(&node);
+            }
+            _ => {}
         }
         if let Some(flight) = self.in_flight.get_mut(&node) {
             flight.on_report(ingested, report.at_nanos);
@@ -320,27 +327,37 @@ impl GlobalCore {
         self.retry_parked();
     }
 
-    /// Drops everything known about `node` (it left, or vanished
-    /// mid-send).
+    /// Drops everything known about `node` (it vanished mid-send).
     fn forget(&mut self, node: NodeId) {
         self.loads.remove(&node);
-        self.scheds.remove(&node);
         self.in_flight.remove(&node);
     }
 
-    /// The view one batch starts from: reachable nodes' reports with
-    /// the in-flight placements and their inbound objects folded in.
+    /// The placement candidates' reports: nodes the node table lists at
+    /// the address their last report carries, read under one lock.
+    fn candidates(&self) -> impl Iterator<Item = (NodeId, &LoadReport)> {
+        self.directory
+            .entries()
+            .into_iter()
+            .filter_map(|(node, address)| {
+                let report = self.loads.get(&node)?;
+                (report.sched_address == address.as_u64()).then_some((node, report))
+            })
+    }
+
+    /// The view one batch starts from: the candidates' reports with the
+    /// in-flight placements and their inbound objects folded in.
     fn effective_view(&self) -> LoadView {
-        let mut effective: FastMap<NodeId, LoadReport> = fast_map_with_capacity(self.loads.len());
-        for (node, report) in &self.loads {
-            if self.scheds.contains_key(node) {
-                effective.insert(*node, report.clone());
-            }
-        }
+        let effective: FastMap<NodeId, LoadReport> = self
+            .candidates()
+            .map(|(node, report)| (node, report.clone()))
+            .collect();
         let mut view = LoadView::build(effective, DEFAULT_TOP_K);
         for (node, flight) in &self.in_flight {
-            let inbound = flight.inbound.iter().map(|(object, _)| *object);
-            view.note_queued(*node, flight.count() as u32, inbound);
+            if view.get(*node).is_some() {
+                let inbound = flight.inbound.iter().map(|(object, _)| *object);
+                view.note_queued(*node, flight.count() as u32, inbound);
+            }
         }
         view
     }
@@ -406,10 +423,13 @@ impl GlobalCore {
             flight.note_sent(group, at_nanos);
         }
         for (node, group) in groups {
-            let target = *self
-                .scheds
+            // The address the node table lists: the view holds only
+            // nodes listed where their report says.
+            let target = self
+                .loads
                 .get(&node)
-                .expect("the view holds reachable nodes only");
+                .map(|report| NetAddress::from_u64(report.sched_address))
+                .expect("the view holds listed nodes only");
             let count = group.len() as u64;
             let msg = SchedWire::PlaceBatch { specs: group };
             // Pre-size the frame encode: ~96 bytes per spec covers the
@@ -435,14 +455,9 @@ impl GlobalCore {
         }
     }
 
-    /// A node counts as known once it is both reachable (NodeUp) and has
-    /// reported load — i.e. it is a viable placement candidate.
+    /// A node counts as known while it is a placement candidate.
     fn update_known(&self) {
-        let known = self
-            .scheds
-            .keys()
-            .filter(|n| self.loads.contains_key(n))
-            .count();
+        let known = self.candidates().count();
         self.stats
             .nodes_known
             .store(known, std::sync::atomic::Ordering::Release);
@@ -471,21 +486,29 @@ mod tests {
     use std::time::Duration;
 
     struct Rig {
-        fabric: std::sync::Arc<Fabric>,
-        kv: std::sync::Arc<KvStore>,
+        fabric: Arc<Fabric>,
+        kv: Arc<KvStore>,
+        directory: Arc<TransferDirectory>,
         handle: GlobalSchedulerHandle,
     }
 
     fn rig() -> Rig {
         let fabric = Fabric::new(FabricConfig::default());
         let kv = KvStore::new(2);
+        let directory = TransferDirectory::new();
         let handle = GlobalScheduler::spawn(
             PlacementPolicy::LocalityAware,
             fabric.clone(),
+            directory.clone(),
             ObjectTable::new(kv.clone()),
             EventLog::new(kv.clone()),
         );
-        Rig { fabric, kv, handle }
+        Rig {
+            fabric,
+            kv,
+            directory,
+            handle,
+        }
     }
 
     /// A fake node's load: `queue` ready tasks on `total`, measured at
@@ -509,25 +532,21 @@ mod tests {
         }
     }
 
-    /// Announces a fake node (NodeUp + Load in one frame, exactly like a
-    /// real local scheduler). Its report is stamped 0.
+    /// Sends `report` from `from` in a `Load` frame that counts
+    /// `ingested` of the scheduler's placements.
+    fn send_load(rig: &Rig, from: &rtml_net::Endpoint, report: LoadReport, ingested: u64) {
+        let load = SchedWire::Load { report, ingested };
+        rig.fabric
+            .send(from.address(), rig.handle.address(), encode_to_bytes(&load))
+            .unwrap();
+    }
+
+    /// Announces a fake node exactly like a real local scheduler: lists
+    /// it in the node table, then sends its first `Load`, stamped 0.
     fn fake_node(rig: &Rig, node: NodeId, queue: u32, total: Resources) -> rtml_net::Endpoint {
         let endpoint = rig.fabric.register(node, "fake-local");
-        let up = SchedWire::NodeUp {
-            node,
-            sched_address: endpoint.address().as_u64(),
-        };
-        let load = SchedWire::Load {
-            report: report(&endpoint, queue, total, 0),
-            ingested: 0,
-        };
-        rig.fabric
-            .send_batch(
-                endpoint.address(),
-                rig.handle.address(),
-                vec![encode_to_bytes(&up), encode_to_bytes(&load)],
-            )
-            .unwrap();
+        rig.directory.insert(node, endpoint.address());
+        send_load(rig, &endpoint, report(&endpoint, queue, total, 0), 0);
         endpoint
     }
 
@@ -787,17 +806,7 @@ mod tests {
             gpu_tasks,
         );
         assert!(placements(&[&n1], 8).values().all(|n| *n == 0));
-        let before_arrival = SchedWire::Load {
-            report: report(&n1, 0, gpu.clone(), 2),
-            ingested: 0,
-        };
-        r.fabric
-            .send(
-                n1.address(),
-                r.handle.address(),
-                encode_to_bytes(&before_arrival),
-            )
-            .unwrap();
+        send_load(&r, &n1, report(&n1, 0, gpu.clone(), 2), 0);
         spill_batch(
             &r,
             &n1,
@@ -862,23 +871,61 @@ mod tests {
     }
 
     #[test]
-    fn node_down_removes_candidate() {
+    fn a_report_from_a_node_the_table_does_not_list_there_places_nothing_on_it() {
+        // Node 1 is idle and node 2 five deep, so node 1 would take every
+        // task while the table lists it where its report says.
         let mut r = rig();
         let n1 = fake_node(&r, NodeId(1), 0, Resources::cpu(4.0));
         let n2 = fake_node(&r, NodeId(2), 5, Resources::cpu(4.0));
         std::thread::sleep(Duration::from_millis(20));
-        r.fabric
-            .send(
-                n1.address(),
-                r.handle.address(),
-                encode_to_bytes(&SchedWire::NodeDown { node: NodeId(1) }),
-            )
-            .unwrap();
+        // Killed: the table no longer lists node 1, and a report it sent
+        // before it died arrives late.
+        r.directory.remove(NodeId(1));
+        send_load(&r, &n1, report(&n1, 0, Resources::cpu(4.0), 1), 0);
         std::thread::sleep(Duration::from_millis(20));
-        spill(&r, &n1, task(0, Resources::cpu(1.0)));
-        // Node 1 is gone; the busier node 2 must receive the task.
-        let placed = expect_place(&n2);
-        assert_eq!(placed.resources, Resources::cpu(1.0));
+        spill(&r, &n2, task(0, Resources::cpu(1.0)));
+        assert_eq!(placements(&[&n1, &n2], 1).values().next(), Some(&1));
+        // Restarted at a new address that has not reported yet: another
+        // late report of the dead incarnation still places nothing there,
+        // nor at the new address.
+        let reborn = r.fabric.register(NodeId(1), "fake-local");
+        r.directory.insert(NodeId(1), reborn.address());
+        send_load(&r, &n1, report(&n1, 0, Resources::cpu(4.0), 2), 0);
+        std::thread::sleep(Duration::from_millis(20));
+        spill(&r, &n2, task(1, Resources::cpu(1.0)));
+        assert_eq!(
+            placements(&[&n1, &n2, &reborn], 1).values().next(),
+            Some(&1)
+        );
+        r.handle.shutdown();
+    }
+
+    #[test]
+    fn a_relisted_node_is_placed_on_at_its_new_address_with_its_old_in_flight_forgotten() {
+        // Eight GPU tasks go to node 1, the only GPU node, and are never
+        // ingested: node 1 dies with them. Its restart lists it at a new
+        // address and reports idle, having ingested none. Those eight
+        // went with the dead incarnation, so node 1 is a wave shallower
+        // than node 2 at 4, and the next task goes to its new address.
+        let mut r = rig();
+        let gpu = Resources::new(4.0, 4.0);
+        let n1 = fake_node(&r, NodeId(1), 0, gpu.clone());
+        let n2 = fake_node(&r, NodeId(2), 4, Resources::cpu(4.0));
+        std::thread::sleep(Duration::from_millis(20));
+        let gpu_tasks: Vec<TaskSpec> = (0..8).map(|i| task(i, Resources::gpu(1.0))).collect();
+        let deep = report(&n2, 4, Resources::cpu(4.0), 1);
+        spill_batch(&r, &n2, deep, 0, gpu_tasks);
+        assert!(placements(&[&n1], 8).values().all(|n| *n == 0));
+        r.directory.remove(NodeId(1));
+        let reborn = r.fabric.register(NodeId(1), "fake-local");
+        r.directory.insert(NodeId(1), reborn.address());
+        send_load(&r, &reborn, report(&reborn, 0, gpu, 1), 0);
+        std::thread::sleep(Duration::from_millis(20));
+        spill(&r, &n2, task(100, Resources::cpu(1.0)));
+        assert_eq!(
+            placements(&[&n1, &n2, &reborn], 1).values().next(),
+            Some(&2)
+        );
         r.handle.shutdown();
     }
 

@@ -1,19 +1,20 @@
 //! Peer health tracking: heartbeat-derived suspicion.
 //!
-//! Every local scheduler already publishes a [`LoadReport`] into the
-//! kv mirror (and, since the chaos plane, republishes it periodically
-//! even when idle — the heartbeat). The [`HealthTracker`] reads those
-//! timestamps and combines them with *failure-derived* evidence
+//! Every local scheduler publishes its [`LoadReport`] at least every 16
+//! [`crate::local::LOAD_INTERVAL`]s, even when idle — the heartbeat —
+//! and hands each one to the [`HealthTracker`] as it sends it
+//! ([`HealthTracker::heard`]). The tracker keeps each node's last
+//! report and combines its timestamp with *failure-derived* evidence
 //! (fetch/pull attempts against a peer that timed out or errored) into
 //! a single question: *is this node suspect right now?*
 //!
 //! Suspicion **steers, never decides**: suspect nodes are moved to the
 //! back of holder rankings, never dropped from them. Correctness never
 //! depends on suspicion being right; lineage reconstruction remains the
-//! backstop. This matters because the kv mirror is shared memory in
-//! this simulated cluster: a fabric-partitioned node keeps
-//! heartbeating, so staleness alone cannot see partitions — the
-//! failure-derived half can.
+//! backstop. This matters because the tracker is shared memory in this
+//! simulated cluster: a fabric-partitioned node keeps heartbeating, so
+//! staleness alone cannot see partitions — the failure-derived half
+//! can.
 //!
 //! Failure evidence decays: a burst of recorded failures marks a node
 //! suspect for a quarantine window, after which it is trusted again
@@ -26,20 +27,14 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 
-use crate::msg::{load_key, LoadReport};
+use crate::msg::LoadReport;
 use rtml_common::ids::NodeId;
-use rtml_kv::KvStore;
 
 /// How old a node's newest load report may be before the health tracker
 /// calls the node suspect. Health is its only reader. A live scheduler
 /// republishes at least every 16 [`crate::local::LOAD_INTERVAL`]s (its
 /// heartbeat), so this much silence is decisive, not jitter.
 pub const REPORT_STALE_AFTER: Duration = Duration::from_millis(100);
-
-/// How long a cached verdict stays fresh: a sixteenth of
-/// [`REPORT_STALE_AFTER`], so a hot path pays a map lookup, not a kv
-/// read, and a verdict is never much older than the staleness it reads.
-const VERDICT_FRESH_FOR: Duration = Duration::from_nanos(REPORT_STALE_AFTER.as_nanos() as u64 / 16);
 
 /// Failures within this window accumulate toward suspicion; the window
 /// also serves as the quarantine period once the threshold is crossed.
@@ -55,24 +50,38 @@ struct PeerEvidence {
     last_failure_nanos: u64,
 }
 
-/// Shared peer-health view. Cheap to consult: verdicts are cached for
-/// a short interval so a hot path (holder ranking) pays a map lookup,
-/// not a kv read, per call.
+/// Shared peer-health view: each node's last load report and its
+/// failure evidence. A verdict reads two maps, so a hot path (holder
+/// ranking) can ask per call.
+#[derive(Default)]
 pub struct HealthTracker {
-    kv: Arc<KvStore>,
     evidence: Mutex<HashMap<NodeId, PeerEvidence>>,
-    /// Verdict cache: node -> (suspect, verdict timestamp nanos).
-    verdicts: Mutex<HashMap<NodeId, (bool, u64)>>,
+    /// Each node's last published load report: staleness reads its
+    /// timestamp, and the cluster-state dump its counts.
+    reports: Mutex<HashMap<NodeId, LoadReport>>,
 }
 
 impl HealthTracker {
-    /// A tracker reading the load reports mirrored in `kv`.
-    pub fn new(kv: Arc<KvStore>) -> Arc<Self> {
-        Arc::new(HealthTracker {
-            kv,
-            evidence: Mutex::new(HashMap::new()),
-            verdicts: Mutex::new(HashMap::new()),
-        })
+    /// A tracker that has heard nothing yet.
+    pub fn new() -> Arc<Self> {
+        Arc::new(HealthTracker::default())
+    }
+
+    /// Keeps `report` as its node's last load report (the local
+    /// scheduler calls this for each one it publishes).
+    pub fn heard(&self, report: &LoadReport) {
+        self.reports.lock().insert(report.node, report.clone());
+    }
+
+    /// `node`'s last published load report, if it has one.
+    pub fn report(&self, node: NodeId) -> Option<LoadReport> {
+        self.reports.lock().get(&node).cloned()
+    }
+
+    /// Drops `node`'s load report (the node was killed or shut down: it
+    /// leaves no frozen backlog behind). Its failure evidence stays.
+    pub fn drop_report(&self, node: NodeId) {
+        self.reports.lock().remove(&node);
     }
 
     /// Records a failed exchange with `node` (fetch timeout, pull
@@ -87,60 +96,38 @@ impl HealthTracker {
         }
         entry.failures += 1;
         entry.last_failure_nanos = now;
-        if entry.failures >= FAILURE_THRESHOLD {
-            self.verdicts.lock().insert(node, (true, now));
-        }
     }
 
     /// Records a successful exchange with `node`, clearing failure
     /// evidence (heartbeat staleness can still mark it suspect).
     pub fn record_success(&self, node: NodeId) {
         self.evidence.lock().remove(&node);
-        self.verdicts.lock().remove(&node);
     }
 
-    /// Whether `node` is currently suspect: either its failure count
-    /// crossed the threshold recently, or its newest load report is
-    /// stale. Verdicts are cached briefly to keep this callable from
-    /// hot paths.
+    /// Whether `node` is suspect now ([`HealthTracker::assess`]).
     pub fn is_suspect(&self, node: NodeId) -> bool {
-        let now = rtml_common::time::now_nanos();
-        if let Some((verdict, at)) = self.verdicts.lock().get(&node) {
-            if now.saturating_sub(*at) < VERDICT_FRESH_FOR.as_nanos() as u64 {
-                return *verdict;
-            }
-        }
-        let verdict = self.assess(node, now);
-        self.verdicts.lock().insert(node, (verdict, now));
-        verdict
+        self.assess(node, rtml_common::time::now_nanos())
     }
 
-    fn assess(&self, node: NodeId, now: u64) -> bool {
-        {
-            let evidence = self.evidence.lock();
-            if let Some(e) = evidence.get(&node) {
-                if e.failures >= FAILURE_THRESHOLD
-                    && now.saturating_sub(e.last_failure_nanos) < FAILURE_WINDOW.as_nanos() as u64
-                {
-                    return true;
-                }
+    /// Whether `node` is suspect at `now` (nanos since process epoch):
+    /// either its failure count crossed the threshold within the failure
+    /// window, or its last load report is older than
+    /// [`REPORT_STALE_AFTER`].
+    pub fn assess(&self, node: NodeId, now: u64) -> bool {
+        if let Some(e) = self.evidence.lock().get(&node) {
+            if e.failures >= FAILURE_THRESHOLD
+                && now.saturating_sub(e.last_failure_nanos) < FAILURE_WINDOW.as_nanos() as u64
+            {
+                return true;
             }
         }
         // Heartbeat half: a node that has published a load report but
         // not refreshed it within `REPORT_STALE_AFTER` has a wedged or dead
         // scheduler loop. A node with no report at all is either just
         // forming or already detached — not this tracker's call.
-        match self.kv.get(&load_key(node)) {
-            Some(bytes) => {
-                match rtml_common::codec::decode_from_slice::<LoadReport>(bytes.as_ref()) {
-                    Ok(report) => {
-                        now.saturating_sub(report.at_nanos) > REPORT_STALE_AFTER.as_nanos() as u64
-                    }
-                    Err(_) => false,
-                }
-            }
-            None => false,
-        }
+        self.reports.lock().get(&node).is_some_and(|report| {
+            now.saturating_sub(report.at_nanos) > REPORT_STALE_AFTER.as_nanos() as u64
+        })
     }
 
     /// Reorders `nodes` so non-suspect nodes come first, preserving
@@ -156,11 +143,11 @@ impl HealthTracker {
         healthy
     }
 
-    /// Forgets all evidence about `node` (restart lifecycle: a
-    /// rejoining node starts with a clean slate).
+    /// Forgets all evidence about `node` and its report (restart
+    /// lifecycle: a rejoining node starts with a clean slate).
     pub fn forget(&self, node: NodeId) {
         self.evidence.lock().remove(&node);
-        self.verdicts.lock().remove(&node);
+        self.reports.lock().remove(&node);
     }
 }
 
@@ -168,13 +155,24 @@ impl HealthTracker {
 mod tests {
     use super::*;
 
-    fn tracker() -> Arc<HealthTracker> {
-        HealthTracker::new(KvStore::new(1))
+    /// `node`'s report, measured at `at_nanos`.
+    fn report(node: NodeId, at_nanos: u64) -> LoadReport {
+        LoadReport {
+            node,
+            sched_address: 0,
+            ready: 0,
+            waiting: 0,
+            running: 0,
+            idle_workers: 1,
+            available: rtml_common::Resources::cpu(1.0),
+            total: rtml_common::Resources::cpu(1.0),
+            at_nanos,
+        }
     }
 
     #[test]
     fn failures_cross_threshold_and_successes_clear() {
-        let t = tracker();
+        let t = HealthTracker::new();
         let n = NodeId(1);
         assert!(!t.is_suspect(n));
         t.record_failure(n);
@@ -186,44 +184,53 @@ mod tests {
 
     #[test]
     fn stale_heartbeat_marks_suspect_and_fresh_clears() {
-        // The test ages a real report instead of forging timestamps
-        // (now_nanos is process-epoch-relative).
-        let t = tracker();
+        let t = HealthTracker::new();
         let n = NodeId(2);
-        let report = LoadReport {
-            node: n,
-            sched_address: 0,
-            ready: 0,
-            waiting: 0,
-            running: 0,
-            idle_workers: 1,
-            available: rtml_common::Resources::cpu(1.0),
-            total: rtml_common::Resources::cpu(1.0),
-            at_nanos: rtml_common::time::now_nanos(),
-        };
-        t.kv.set(load_key(n), rtml_common::codec::encode_to_bytes(&report));
-        assert!(!t.is_suspect(n));
-        std::thread::sleep(REPORT_STALE_AFTER * 2);
-        assert!(t.is_suspect(n));
-        // A fresh report clears it once the verdict cache expires.
-        let fresh = LoadReport {
-            at_nanos: rtml_common::time::now_nanos(),
-            ..report
-        };
-        t.kv.set(load_key(n), rtml_common::codec::encode_to_bytes(&fresh));
-        std::thread::sleep(VERDICT_FRESH_FOR * 2);
-        assert!(!t.is_suspect(n));
+        let at = 1_000_000_000;
+        let stale = REPORT_STALE_AFTER.as_nanos() as u64;
+        t.heard(&report(n, at));
+        assert!(!t.assess(n, at));
+        assert!(!t.assess(n, at + stale));
+        assert!(t.assess(n, at + stale + 1));
+        // A fresh report clears it at once.
+        t.heard(&report(n, at + stale));
+        assert!(!t.assess(n, at + stale + 1));
+        assert!(t.assess(n, at + 2 * stale + 1));
     }
 
     #[test]
     fn unknown_nodes_are_not_suspect() {
-        let t = tracker();
+        let t = HealthTracker::new();
         assert!(!t.is_suspect(NodeId(77)));
+        assert!(!t.assess(NodeId(77), u64::MAX));
+    }
+
+    #[test]
+    fn a_killed_nodes_report_goes_and_its_failures_stay_until_forgotten() {
+        let t = HealthTracker::new();
+        let n = NodeId(3);
+        let at = rtml_common::time::now_nanos();
+        t.heard(&report(n, at));
+        let later = at + REPORT_STALE_AFTER.as_nanos() as u64 + 1;
+        assert!(t.assess(n, later));
+        // Dropped on kill: a report no longer makes it suspect.
+        t.drop_report(n);
+        assert_eq!(t.report(n), None);
+        assert!(!t.assess(n, later));
+        // Failure evidence outlives the report.
+        t.record_failure(n);
+        t.record_failure(n);
+        assert!(t.is_suspect(n));
+        // A restart forgets both.
+        t.heard(&report(n, at));
+        t.forget(n);
+        assert_eq!(t.report(n), None);
+        assert!(!t.is_suspect(n));
     }
 
     #[test]
     fn steering_keeps_sets_nonempty() {
-        let t = tracker();
+        let t = HealthTracker::new();
         let bad = NodeId(1);
         t.record_failure(bad);
         t.record_failure(bad);

@@ -49,7 +49,7 @@ pub use health::{HealthTracker, REPORT_STALE_AFTER};
 pub use local::{
     LocalScheduler, LocalSchedulerConfig, LocalSchedulerHandle, LocalSchedulerStats, SchedServices,
 };
-pub use msg::{load_key, LoadReport, LocalMsg};
+pub use msg::{LoadReport, LocalMsg};
 pub use policy::{choose_victim, LoadView, PlacementPolicy, PolicyState, DEFAULT_TOP_K};
 pub use resolve::{Goal, Replay, Replays, Resolver, Wiring, POLL_SLICE};
 pub use runq::{Batch, QueueLoad, RunQueue, RunTime, Runnable, MAX_BATCH};

@@ -67,7 +67,7 @@ use rtml_store::{
 
 use crate::admit::{Admission, LocalSubmitter};
 use crate::health::HealthTracker;
-use crate::msg::{load_key, LoadReport, LocalMsg};
+use crate::msg::{LoadReport, LocalMsg};
 use crate::resolve::{Goal, Replays, Resolver, Wiring};
 use crate::runq::{RunQueue, Runnable};
 use crate::spill::{SpillMode, Verdict};
@@ -75,7 +75,11 @@ use crate::wire::SchedWire;
 
 /// How often an idle scheduler loop ticks, and the least time between
 /// two of its load publications; an unchanged load is republished every
-/// 16 intervals as a heartbeat.
+/// 16 intervals as a heartbeat. The heartbeat has two readers: the
+/// global scheduler, which writes off a `PlaceBatch` frame that a report
+/// measured long after it was sent still does not count, and the health
+/// tracker, which calls a node whose last report is older than
+/// [`crate::REPORT_STALE_AFTER`] suspect.
 pub const LOAD_INTERVAL: Duration = Duration::from_millis(1);
 
 /// Static configuration for one local scheduler.
@@ -116,13 +120,14 @@ pub struct SchedServices {
     pub events: EventLog,
     /// The simulated network.
     pub fabric: Arc<Fabric>,
-    /// Node → object-plane address map; the scheduler lists its node
-    /// there, at its own address, when it starts.
+    /// The node table: node → address map; the scheduler lists its node
+    /// there, at its own address, when it starts, and the global
+    /// scheduler places only on nodes it lists.
     pub directory: Arc<TransferDirectory>,
     /// This node's object store.
     pub store: Arc<ObjectStore>,
-    /// The global scheduler's address: spilled tasks, node lifecycle
-    /// and load reports go there.
+    /// The global scheduler's address: spilled tasks and load reports
+    /// go there.
     pub global: NetAddress,
     /// Peer health view: ranks the holders dependencies are pulled from
     /// and is told how each request went.
@@ -337,8 +342,8 @@ impl LocalScheduler {
     /// queue before this returns — so their threads, started after it,
     /// can never find themselves unknown; more can be attached later
     /// with [`RunQueue::attach`]. The scheduler registers its fabric
-    /// endpoint, announces itself to the global scheduler (`NodeUp`),
-    /// and publishes an initial load report.
+    /// endpoint, lists the node in the node table at it, and announces
+    /// itself to the global scheduler with its first load report.
     pub fn spawn(
         config: LocalSchedulerConfig,
         services: SchedServices,
@@ -599,35 +604,12 @@ impl Core {
         self.plane
     }
 
+    /// Announces the node: its first load report. The node table lists
+    /// it at this loop's address already, so the global scheduler places
+    /// on it from this report on.
     fn announce(&mut self) {
-        let up = SchedWire::NodeUp {
-            node: self.config.node,
-            sched_address: self.address.as_u64(),
-        };
         let report = self.load_report();
-        self.services
-            .kv
-            .set(load_key(self.config.node), encode_to_bytes(&report));
-        // NodeUp and the first load report travel as one coalesced
-        // frame: the global scheduler learns reachability and capacity
-        // together (one hop), so the formation barrier never observes a
-        // node that is reachable but loadless.
-        let frames = vec![encode_to_bytes(&up), self.load_frame(&report)];
-        let _ = self
-            .services
-            .fabric
-            .send_batch(self.address, self.services.global, frames);
-        self.published = Some((report, 0));
-        self.last_load = Instant::now();
-    }
-
-    /// `report` as a `Load` frame, with how many of the global
-    /// scheduler's placements it contains.
-    fn load_frame(&self, report: &LoadReport) -> bytes::Bytes {
-        encode_to_bytes(&SchedWire::Load {
-            report: report.clone(),
-            ingested: self.ingested,
-        })
+        self.publish_load(report);
     }
 
     fn on_local(&mut self, msg: LocalMsg) {
@@ -815,11 +797,15 @@ impl Core {
         }
     }
 
+    /// Hands `report` to the health tracker and sends it to the global
+    /// scheduler in a `Load` frame, with how many of the scheduler's
+    /// placements it contains.
     fn publish_load(&mut self, report: LoadReport) {
-        self.services
-            .kv
-            .set(load_key(self.config.node), encode_to_bytes(&report));
-        let load = self.load_frame(&report);
+        self.services.health.heard(&report);
+        let load = encode_to_bytes(&SchedWire::Load {
+            report: report.clone(),
+            ingested: self.ingested,
+        });
         let _ = self
             .services
             .fabric
@@ -907,7 +893,7 @@ mod tests {
             directory,
             store,
             global: global_endpoint.address(),
-            health: HealthTracker::new(kv.clone()),
+            health: HealthTracker::new(),
             reconstruct: Arc::new(|_| {}),
             request_worker: Arc::new(|| {}),
             periodic,
@@ -1327,19 +1313,21 @@ mod tests {
     }
 
     #[test]
-    fn load_report_published_to_kv() {
+    fn a_load_report_reaches_the_health_tracker_and_the_global_endpoint() {
         let mut r = rig(LocalSchedulerConfig::default());
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            if let Some(bytes) = r.services.kv.get(&load_key(NodeId(0))) {
-                let report: LoadReport = decode_from_slice(&bytes).unwrap();
-                assert_eq!(report.node, NodeId(0));
-                assert_eq!(report.total, Resources::cpu(4.0));
-                break;
-            }
-            assert!(Instant::now() < deadline, "no load report");
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        // The first report announces the node, at its one address.
+        let sent = next_load(&r);
+        assert_eq!(sent.node, NodeId(0));
+        assert_eq!(sent.sched_address, r.handle.address().as_u64());
+        assert_eq!(sent.total, Resources::cpu(4.0));
+        // The tracker heard each report as it went out: it holds this one
+        // or a later one.
+        let heard = r.services.health.report(NodeId(0)).expect("a report");
+        assert_eq!(heard.sched_address, sent.sched_address);
+        assert!(heard.at_nanos >= sent.at_nanos);
+        assert!(!r.services.health.is_suspect(NodeId(0)));
+        // No kv write carries it.
+        assert!(r.services.kv.scan_prefix(b"load:").is_empty());
         r.handle.shutdown();
     }
 
@@ -1371,7 +1359,7 @@ mod tests {
             directory,
             store: store0.clone(),
             global: global.address(),
-            health: HealthTracker::new(kv.clone()),
+            health: HealthTracker::new(),
             reconstruct: Arc::new(|_| {}),
             request_worker: Arc::new(|| {}),
             periodic: None,
@@ -1453,7 +1441,7 @@ mod tests {
             directory,
             store: store_local.clone(),
             global: global.address(),
-            health: HealthTracker::new(kv.clone()),
+            health: HealthTracker::new(),
             reconstruct: Arc::new(|_| {}),
             request_worker: Arc::new(|| {}),
             periodic: None,
@@ -1899,8 +1887,6 @@ mod tests {
     fn gated_batch(n: u64) -> (Rig, Vec<ObjectId>, usize, u64) {
         let r = quiet_rig();
         let subscribers = r.services.kv.subscriber_count();
-        // What was published before the count is not the batch's.
-        let _ = r.global_endpoint.receiver().try_iter().count();
         let locks = r.services.kv.stats().total_locks();
         let deps: Vec<ObjectId> = (0..n)
             .map(|i| {
@@ -1927,25 +1913,13 @@ mod tests {
     fn a_batch_of_unmet_dependencies_registers_once_per_kv_shard_and_starts_no_thread() {
         let (mut r, _, _, locks_before) = gated_batch(64);
         let locks = r.services.kv.stats().total_locks() - locks_before;
-        // The load tick went on meanwhile, and each publication is one
-        // kv `set` and one `Load` frame to the rig's global endpoint.
-        // Those measured before the count was read are its, once a
-        // later one shows that every earlier one has arrived.
-        let read_at = rtml_common::time::now_nanos();
-        let mut published = 0;
-        while next_load(&r).at_nanos <= read_at {
-            published += 1;
-        }
         // What ingesting the batch took from the control plane: the
         // tasks' state commit and the 64 registrations, each at most one
         // lock per kv shard, plus the batch's one event frame — not one
-        // lock, let alone four, per object.
+        // lock, let alone four, per object. The load tick went on
+        // meanwhile and wrote nothing there.
         let shards = r.services.kv.stats().locks_per_shard.len() as u64;
-        let locks = locks - published;
-        assert!(
-            locks <= 2 * shards + 1,
-            "{locks} kv locks for one batch, {published} load publications aside"
-        );
+        assert!(locks <= 2 * shards + 1, "{locks} kv locks for one batch");
         // And nobody was hired to watch them. (The name such threads
         // had, in two halves: a search for it should only ever find code
         // that starts one.)
@@ -1960,8 +1934,8 @@ mod tests {
     }
 
     /// The frames on node 0's `LocalScheduler` event stream, read off
-    /// the stream itself: load reports and other components' events
-    /// live under other keys.
+    /// the stream itself: other components' events live under other
+    /// keys.
     fn scheduler_frames(services: &SchedServices) -> Vec<Vec<Event>> {
         let streams = services.kv.scan_logs_prefix(b"ev:");
         let frames = streams.into_iter().flat_map(|(_key, records)| records);
@@ -2166,7 +2140,7 @@ mod tests {
             directory,
             store,
             global: global.address(),
-            health: HealthTracker::new(kv.clone()),
+            health: HealthTracker::new(),
             reconstruct: Arc::new(move |replays| {
                 for (obj, _) in replays {
                     let _ = hook_tx.send(*obj);

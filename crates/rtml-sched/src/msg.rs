@@ -27,8 +27,8 @@ pub enum LocalMsg {
     Close,
 }
 
-/// A node's load, as published to the global scheduler and control
-/// plane. This is the information basis for placement (paper §3.2.2:
+/// A node's load, as published to the global scheduler and the health
+/// tracker. This is the information basis for placement (paper §3.2.2:
 /// "global information about factors including object locality and
 /// resource availability").
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -36,8 +36,9 @@ pub struct LoadReport {
     /// Reporting node.
     pub node: NodeId,
     /// Raw fabric address of the node's local scheduler
-    /// ([`rtml_net::NetAddress::as_u64`]), for whoever reads the kv
-    /// mirror and wants to reach it.
+    /// ([`rtml_net::NetAddress::as_u64`]): the global scheduler places
+    /// on the node only while the node table lists it at this address,
+    /// so a report of a dead incarnation is never placed against.
     pub sched_address: u64,
     /// Tasks runnable now (dependencies satisfied) but not yet started.
     pub ready: u32,
@@ -77,13 +78,6 @@ rtml_common::impl_codec_struct!(LoadReport {
     at_nanos,
 });
 
-/// Key under which a node's load report is mirrored into the KV store:
-/// read by key by the health tracker and debugging tools (placement
-/// uses fabric messages).
-pub fn load_key(node: NodeId) -> bytes::Bytes {
-    bytes::Bytes::from(format!("load:{}", node.0))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -106,10 +100,5 @@ mod tests {
         let back: LoadReport = decode_from_slice(&bytes).unwrap();
         assert_eq!(report, back);
         assert_eq!(report.queue_depth(), 11);
-    }
-
-    #[test]
-    fn load_keys_are_distinct_per_node() {
-        assert_ne!(load_key(NodeId(0)), load_key(NodeId(1)));
     }
 }

@@ -773,7 +773,7 @@ mod tests {
             node: ME,
             ..StoreConfig::default()
         }));
-        let health = HealthTracker::new(kv.clone());
+        let health = HealthTracker::new();
         let (answers, _answers) = crossbeam::channel::unbounded();
         let wiring = Wiring {
             node: ME,

@@ -1,16 +1,20 @@
-//! Scheduler messages that cross node boundaries (over the fabric).
+//! Scheduler messages that cross node boundaries (over the fabric):
+//! work and load. Membership is not among them — it is the node table
+//! (`rtml_store::TransferDirectory`), which the global scheduler reads.
 
-use rtml_common::ids::NodeId;
 use rtml_common::task::TaskSpec;
 
 use crate::msg::LoadReport;
 
 /// Fabric-borne scheduler protocol. Tasks travel in batches only — one
 /// task is a batch of one — and only from a local scheduler to a global
-/// one and back: nothing moves work between two local schedulers. Tags
-/// 0–2 and 5–8 are retired, not reused. Tags 0–2 are the object
-/// plane's too: a node reads both protocols from one mailbox and tells
-/// them apart by the first byte (`rtml_store::PlaneCore::takes`).
+/// one and back: nothing moves work between two local schedulers. There
+/// is no membership message: the global scheduler reads who is alive,
+/// and at which address, from the node table, and a node's first
+/// `Load` announces it. Tags 0–8 are retired, not reused. Tags 0–2 are
+/// the object plane's too: a node reads both protocols from one mailbox
+/// and tells them apart by the first byte
+/// (`rtml_store::PlaneCore::takes`).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SchedWire {
     /// Local → global: periodic load report.
@@ -21,19 +25,6 @@ pub enum SchedWire {
         /// scheduler, ever — measured in the same turn as `report`, so
         /// every one of them is in it.
         ingested: u64,
-    },
-    /// A node joined or recovered; `sched_address` is the raw fabric
-    /// address of its local scheduler.
-    NodeUp {
-        /// The node.
-        node: NodeId,
-        /// Raw fabric address ([`rtml_net::NetAddress::as_u64`]).
-        sched_address: u64,
-    },
-    /// A node left the cluster (failure injection or shutdown).
-    NodeDown {
-        /// The node.
-        node: NodeId,
     },
     /// Local → global: "these tasks exceed my capacity or backlog" —
     /// a whole batch forwarded as one length-prefixed frame, so a burst
@@ -57,8 +48,6 @@ pub enum SchedWire {
 }
 
 rtml_common::impl_codec_enum!(SchedWire {
-    3 => NodeUp { node, sched_address },
-    4 => NodeDown { node },
     9 => Load { report, ingested },
     10 => SpillBatch { specs, load, ingested },
     11 => PlaceBatch { specs },
@@ -69,7 +58,7 @@ mod tests {
     use super::*;
     use rtml_common::codec::{decode_from_slice, encode_to_bytes, Codec, Writer};
     use rtml_common::event::EventKind;
-    use rtml_common::ids::{DriverId, FunctionId, ObjectId, TaskId, WorkerId};
+    use rtml_common::ids::{DriverId, FunctionId, NodeId, ObjectId, TaskId, WorkerId};
     use rtml_common::resources::Resources;
     use rtml_common::task::TaskState;
 
@@ -96,11 +85,6 @@ mod tests {
                 report: report.clone(),
                 ingested: 300,
             },
-            SchedWire::NodeUp {
-                node: NodeId(5),
-                sched_address: 99,
-            },
-            SchedWire::NodeDown { node: NodeId(5) },
             SchedWire::SpillBatch {
                 specs: vec![spec(), spec()],
                 load: report.clone(),
@@ -154,7 +138,16 @@ mod tests {
         place.put_u8(6);
         vec![spec(), spec()].encode(&mut place);
         place.put_u32(3);
-        let old = [load, spill, request, grant, place];
+        // And so do the membership frames: the node table says who is
+        // alive.
+        let mut up = Writer::with_capacity(64);
+        up.put_u8(3);
+        NodeId(5).encode(&mut up);
+        99u64.encode(&mut up);
+        let mut down = Writer::with_capacity(64);
+        down.put_u8(4);
+        NodeId(5).encode(&mut down);
+        let old = [load, spill, request, grant, place, up, down];
         for old in old.map(Writer::into_bytes) {
             assert!(decode_from_slice::<SchedWire>(&old).is_err());
         }
@@ -197,11 +190,6 @@ mod tests {
                 report: report.clone(),
                 ingested: 300,
             },
-            SchedWire::NodeUp {
-                node: NodeId(5),
-                sched_address: u64::MAX,
-            },
-            SchedWire::NodeDown { node: NodeId(5) },
             SchedWire::SpillBatch {
                 specs: vec![spec(), spec()],
                 load: report,

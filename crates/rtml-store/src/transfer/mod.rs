@@ -165,11 +165,13 @@ impl TransferDirectory {
         self.map.read().keys().any(|&other| other != node)
     }
 
-    /// Every node listed, ascending.
-    pub fn nodes(&self) -> Vec<NodeId> {
-        let mut nodes: Vec<NodeId> = self.map.read().keys().copied().collect();
-        nodes.sort_unstable();
-        nodes
+    /// Every node listed with its address, ascending by node, read
+    /// under one lock.
+    pub fn entries(&self) -> Vec<(NodeId, NetAddress)> {
+        let mut entries: Vec<(NodeId, NetAddress)> =
+            self.map.read().iter().map(|(&n, &a)| (n, a)).collect();
+        entries.sort_unstable_by_key(|&(node, _)| node);
+        entries
     }
 }
 

@@ -212,8 +212,8 @@ fn a_lone_round_trip_spends_no_more_kv_locks_than_before_batching() {
     let driver = cluster.driver();
     // The result is sealed by the time `get` asks (a `get` that finds it
     // missing registers for its record and waits for the seal), and
-    // background writes (load reports) land beside most round trips: the
-    // cost of one is the least any of them paid.
+    // background writes (the telemetry sample) land beside some round
+    // trips: the cost of one is the least any of them paid.
     let mut costs: Vec<u64> = (0..64u64)
         .map(|x| {
             let before = kv_locks(&cluster);
@@ -377,7 +377,7 @@ fn a_warm_worker_publishes_a_batch_of_short_tasks_once() {
     burst(0);
     burst(1);
     let kv = &cluster.services().kv;
-    let states = || kv.log_len(STATE_LOG_KEY);
+    let states = || kv.read_log(STATE_LOG_KEY).len();
     let (frames, records) = (worker_frames(&cluster), states());
     burst(2);
     let frames = worker_frames(&cluster) - frames;

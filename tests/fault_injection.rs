@@ -389,9 +389,9 @@ fn a_spilled_batch_survives_node_loss_mid_flight() {
 
 #[test]
 fn the_global_scheduler_keeps_placing_after_node_loss() {
-    // Losing a node must not wedge the global scheduler: it sees the
-    // NodeDown, drops the dead node from its view, and keeps placing
-    // fresh work on the survivors.
+    // Losing a node must not wedge the global scheduler: the node table
+    // no longer lists the dead node, so it leaves the scheduler's view,
+    // and fresh work keeps being placed on the survivors.
     let config = ClusterConfig {
         nodes: (0..3).map(|_| NodeConfig::cpu_only(2)).collect(),
         spill: SpillMode::Hybrid { queue_threshold: 0 },

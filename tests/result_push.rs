@@ -12,12 +12,10 @@ use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use rtml::common::codec::decode_from_slice;
 use rtml::common::event::EventKind;
 use rtml::kv::ObjectInfo;
 use rtml::prelude::*;
 use rtml::runtime::envelope::seal_value;
-use rtml::sched::{load_key, LoadReport};
 use rtml::store::PUSH_MAX_BYTES;
 
 const PIN: &str = "pin";
@@ -293,11 +291,10 @@ fn large_results_and_results_with_a_backlog_behind_them_are_pulled() {
     let futs: Vec<_> = (0..3u64)
         .map(|x| driver.submit1_opts(&inc, x, on(PIN)).unwrap())
         .collect();
-    // Node 1's published load report says so once they are on its run
-    // queue.
+    // Node 1's run queue says so once they are on it.
     eventually("two tasks ready behind the first", || {
-        let report = cluster.services().kv.get(&load_key(N1));
-        report.is_some_and(|bytes| decode_from_slice::<LoadReport>(&bytes).unwrap().ready == 2)
+        let queue = cluster.services().run_queue(N1);
+        queue.is_some_and(|queue| queue.load().ready == 2)
     });
     gate.wait();
     assert_eq!(driver.get_many(&futs).unwrap(), vec![1, 2, 3]);
@@ -472,8 +469,8 @@ fn a_batch_pushes_its_last_result_only() {
         .map(|x| driver.submit1_opts(&inc, x, on(PIN)).unwrap())
         .collect();
     eventually("three tasks ready behind the gate", || {
-        let report = cluster.services().kv.get(&load_key(N1));
-        report.is_some_and(|bytes| decode_from_slice::<LoadReport>(&bytes).unwrap().ready == 3)
+        let queue = cluster.services().run_queue(N1);
+        queue.is_some_and(|queue| queue.load().ready == 3)
     });
     gate.wait();
     assert_eq!(driver.get_many(&futs).unwrap(), vec![1, 2, 3]);

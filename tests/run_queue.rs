@@ -809,7 +809,7 @@ fn rig(workers: u32) -> Rig {
         directory,
         store,
         global: global.address(),
-        health: HealthTracker::new(kv.clone()),
+        health: HealthTracker::new(),
         reconstruct: Arc::new(|_| {}),
         request_worker: Arc::new(|| {}),
         periodic: None,

@@ -14,7 +14,6 @@ use rtml::common::codec::decode_from_slice;
 use rtml::common::event::{Event, EventKind};
 use rtml::common::ids::{NodeId, ObjectId, TaskId, WorkerId};
 use rtml::prelude::*;
-use rtml::sched::{load_key, LoadReport};
 
 /// The stream key prefix of the event log and the component byte of a
 /// worker stream (`EventLog`'s key layout: prefix, node, component).
@@ -175,8 +174,8 @@ fn a_task_that_gets_results_held_in_its_batch_finds_them() {
     let getter = driver.submit1(&sum, ids).unwrap();
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
-        let report = cluster.services().kv.get(&load_key(NodeId(0)));
-        let ready = report.map(|bytes| decode_from_slice::<LoadReport>(&bytes).unwrap().ready);
+        let queue = cluster.services().run_queue(NodeId(0));
+        let ready = queue.map(|queue| queue.load().ready);
         if ready == Some(16) {
             break;
         }
