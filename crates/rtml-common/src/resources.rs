@@ -182,8 +182,8 @@ impl Resources {
     pub fn slots_for(&self, demand: &Resources) -> u64 {
         let mut slots = u64::MAX;
         let mut fit = |have: u64, want: u64| {
-            if want > 0 {
-                slots = slots.min(have / want);
+            if let Some(fits) = have.checked_div(want) {
+                slots = slots.min(fits);
             }
         };
         fit(self.cpu_milli, demand.cpu_milli);

@@ -74,7 +74,7 @@ pub trait Fold: Default {
     fn fold(&mut self, record: &Bytes) -> bool;
 
     /// How many tasks the fold holds an entry for.
-    fn len(&self) -> usize;
+    fn entries(&self) -> usize;
 }
 
 struct Folded<F> {
@@ -127,7 +127,7 @@ impl<F: Fold> LogIndex<F> {
                 self.skipped.fetch_add(1, Relaxed);
             }
         }
-        self.len.store(inner.fold.len(), Relaxed);
+        self.len.store(inner.fold.entries(), Relaxed);
     }
 
     /// Runs `read` on the index once it has folded every record appended
@@ -142,6 +142,11 @@ impl<F: Fold> LogIndex<F> {
     /// lock.
     pub fn len(&self) -> usize {
         self.len.load(Relaxed)
+    }
+
+    /// Whether the index held no task after its last refresh.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 
     /// How many records were skipped as torn or corrupt.
@@ -180,7 +185,7 @@ impl Fold for Specs {
         true
     }
 
-    fn len(&self) -> usize {
+    fn entries(&self) -> usize {
         self.0.len()
     }
 }

@@ -20,15 +20,19 @@
 //! latest state in 32 bytes. A run that reads no state builds none, and
 //! neither does a fault-free one, whose only reads — a blocked wait's
 //! reconstruction nudges — find their in-flight producers among the
-//! log's newest records.
+//! log's newest records, or, for a producer not queued yet, read every
+//! record since its submission and find none.
 
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
+use parking_lot::Mutex;
 
 use rtml_common::codec::{Codec, Reader, Writer};
-use rtml_common::collections::FastMap;
+use rtml_common::collections::{FastMap, FastSet};
 use rtml_common::ids::{NodeId, TaskId, UniqueId, WorkerId};
 use rtml_common::metrics::MetricsRegistry;
 use rtml_common::task::{TaskSpec, TaskState};
@@ -46,6 +50,15 @@ pub const STATE_LOG_KEY: &[u8] = b"tstate!";
 /// worker batch), a lone task 3.
 pub const RECENT_RECORDS: usize = 256;
 
+/// How many first submissions a handle remembers the state log's length
+/// at: a task among them has no state record before that mark. 32 bytes
+/// each.
+const FRESH_TASKS: usize = 4096;
+
+/// The most records a recorded-state read scans for tasks the newest
+/// [`RECENT_RECORDS`] do not hold; past it the read builds the index.
+const FRESH_SPAN: usize = 16 * RECENT_RECORDS;
+
 /// Typed task-table handle.
 #[derive(Clone)]
 pub struct TaskTable {
@@ -59,6 +72,12 @@ pub struct TaskTable {
     /// Lazily built index over the state log, shared and rebuilt the
     /// same way.
     states: Arc<LogIndex<States>>,
+    /// State records appended through this handle and its clones: never
+    /// more than the log holds.
+    appended: Arc<AtomicUsize>,
+    /// The latest first submissions committed through this handle and
+    /// its clones.
+    fresh: Arc<Mutex<Fresh>>,
 }
 
 impl TaskTable {
@@ -68,6 +87,8 @@ impl TaskTable {
             kv,
             segments: Arc::new(SegmentIndex::new()),
             states: Arc::new(LogIndex::new()),
+            appended: Arc::default(),
+            fresh: Arc::default(),
         }
     }
 
@@ -107,7 +128,15 @@ impl TaskTable {
         if specs.is_empty() {
             return;
         }
+        // Read before the commit: every record about these tasks is
+        // appended after it, so at or past this position.
+        let mark = self.appended.load(Relaxed);
         segment::commit(&self.kv, specs);
+        let mut fresh = self.fresh.lock();
+        for spec in specs.iter().filter(|s| s.attempt == 0) {
+            fresh.add(spec.task_id.unique(), mark);
+        }
+        drop(fresh);
         if !matches!(state, TaskState::Submitted) {
             self.append(specs.iter().map(|s| s.task_id), state);
         }
@@ -137,6 +166,7 @@ impl TaskTable {
         }
         self.kv
             .append(Bytes::from_static(STATE_LOG_KEY), w.into_bytes());
+        self.appended.fetch_add(1, Relaxed);
     }
 
     /// Batched state reads (positional), under one fold of the state log.
@@ -175,11 +205,13 @@ impl TaskTable {
     /// and never touches the spec segments, so it builds no segment
     /// index: the read of a reconstruction nudge, which runs on every
     /// tick a wait is blocked. Nor does it build the state index while
-    /// the log's [`RECENT_RECORDS`] newest records hold every task: the
-    /// producers a fault-free wait is nudged for are in flight, so their
-    /// latest records are recent.
+    /// the log's [`RECENT_RECORDS`] newest records hold every task, or
+    /// the rest are first submissions lately made through this handle:
+    /// the producers a fault-free wait is nudged for are in flight, so
+    /// their latest records are recent, or they are not queued yet and
+    /// have none.
     pub fn get_recorded_states_many(&self, tasks: &[TaskId]) -> Vec<Option<TaskState>> {
-        if self.states.len() == 0 {
+        if self.states.is_empty() {
             if let Some(states) = self.recent_states(tasks) {
                 return states;
             }
@@ -190,28 +222,27 @@ impl TaskTable {
     }
 
     /// The tasks' latest states, read newest first off the state log's
-    /// [`RECENT_RECORDS`] newest records, if every task is in one.
+    /// [`RECENT_RECORDS`] newest records, if every task is in one; or,
+    /// if the rest are fresh first submissions, off every record since
+    /// the earliest of them, and `None` for one that is in none.
     fn recent_states(&self, tasks: &[TaskId]) -> Option<Vec<Option<TaskState>>> {
         let mut wanted: FastMap<UniqueId, Vec<usize>> = FastMap::default();
         for (at, task) in tasks.iter().enumerate() {
             wanted.entry(task.unique()).or_default().push(at);
         }
-        let records = self.kv.read_log_tail(STATE_LOG_KEY, RECENT_RECORDS);
         let mut out = vec![None; tasks.len()];
-        for record in records.iter().rev() {
-            if wanted.is_empty() {
-                break;
-            }
-            let Some((state, ids)) = decode_record(record) else {
-                continue;
-            };
-            for id in ids.chunks_exact(16) {
-                for at in wanted.remove(&unique_id(id)).unwrap_or_default() {
-                    out[at] = Some(state.clone());
-                }
-            }
+        let tail = self.kv.read_log_tail(STATE_LOG_KEY, RECENT_RECORDS);
+        take_latest(&tail, &mut wanted, &mut out);
+        if wanted.is_empty() {
+            return Some(out);
         }
-        wanted.is_empty().then_some(out)
+        let mark = self.fresh.lock().since(&wanted)?;
+        let (since, _) = self.kv.read_log_range(STATE_LOG_KEY, mark);
+        if since.len() > FRESH_SPAN {
+            return None;
+        }
+        take_latest(&since, &mut wanted, &mut out);
+        Some(out)
     }
 
     /// Registers how many tasks the spec-segment index holds
@@ -388,8 +419,69 @@ impl Fold for States {
         true
     }
 
-    fn len(&self) -> usize {
+    fn entries(&self) -> usize {
         self.latest.len()
+    }
+}
+
+/// Fills `out` with the latest state in `records` of each `wanted` task
+/// (by the positions it was asked at), and takes it off `wanted`.
+fn take_latest(
+    records: &[Bytes],
+    wanted: &mut FastMap<UniqueId, Vec<usize>>,
+    out: &mut [Option<TaskState>],
+) {
+    for record in records.iter().rev() {
+        if wanted.is_empty() {
+            break;
+        }
+        let Some((state, ids)) = decode_record(record) else {
+            continue;
+        };
+        for id in ids.chunks_exact(16) {
+            for at in wanted.remove(&unique_id(id)).unwrap_or_default() {
+                out[at] = Some(state.clone());
+            }
+        }
+    }
+}
+
+/// The [`FRESH_TASKS`] latest first submissions, each with the state log
+/// position its records all come at or after: a ring allocated once, so
+/// a submission allocates nothing for it.
+struct Fresh {
+    tasks: VecDeque<(UniqueId, usize)>,
+}
+
+impl Default for Fresh {
+    fn default() -> Self {
+        Fresh {
+            tasks: VecDeque::with_capacity(FRESH_TASKS),
+        }
+    }
+}
+
+impl Fresh {
+    fn add(&mut self, task: UniqueId, mark: usize) {
+        if self.tasks.len() == FRESH_TASKS {
+            self.tasks.pop_front();
+        }
+        self.tasks.push_back((task, mark));
+    }
+
+    /// The earliest mark of the `wanted` tasks, if every one is here.
+    fn since<V>(&self, wanted: &FastMap<UniqueId, V>) -> Option<usize> {
+        let mut left: FastSet<UniqueId> = wanted.keys().copied().collect();
+        let mut since = usize::MAX;
+        for (task, mark) in self.tasks.iter().rev() {
+            if left.remove(task) {
+                since = since.min(*mark);
+                if left.is_empty() {
+                    return Some(since);
+                }
+            }
+        }
+        None
     }
 }
 
@@ -600,6 +692,66 @@ mod tests {
             [Some(queued), Some(TaskState::Finished)]
         );
         assert_eq!(table.states.len(), RECENT_RECORDS + 1);
+    }
+
+    #[test]
+    fn a_recorded_read_of_fresh_submissions_reads_every_record_since_and_builds_no_index() {
+        let table = TaskTable::new(KvStore::new(4));
+        let root = TaskId::driver_root(DriverId::from_index(6));
+        let old = root.child(0);
+        table.set_state(old, &TaskState::Finished);
+        let specs: Vec<TaskSpec> = (1..=3)
+            .map(|i| TaskSpec::simple(root.child(i), FunctionId::from_name("f"), vec![]))
+            .collect();
+        let ids: Vec<TaskId> = specs.iter().map(|s| s.task_id).collect();
+        table.record_many(&specs, &TaskState::Submitted);
+        let queued = TaskState::Queued(NodeId(0));
+        table.set_state(ids[0], &queued);
+        for i in 0..RECENT_RECORDS as u64 {
+            table.set_state(root.child(100 + i), &TaskState::Finished);
+        }
+        // The queued task's record is older than the tail, and the other
+        // two are not queued yet: every record since their submission is
+        // read, the latest wins, and a task in none has no record.
+        assert_eq!(
+            table.get_recorded_states_many(&[ids[1], ids[0], ids[2]]),
+            [None, Some(queued.clone()), None]
+        );
+        assert_eq!(table.states.len(), 0);
+        // `old` was never submitted through this table: its record may be
+        // anywhere, so the read folds the whole log.
+        assert_eq!(
+            table.get_recorded_states_many(&[ids[1], old]),
+            [None, Some(TaskState::Finished)]
+        );
+        assert_eq!(table.states.len(), RECENT_RECORDS + 2);
+    }
+
+    #[test]
+    fn a_recorded_read_folds_past_the_fresh_ring_and_span() {
+        let root = TaskId::driver_root(DriverId::from_index(7));
+        let spec = |i: u64| TaskSpec::simple(root.child(i), FunctionId::from_name("f"), vec![]);
+        // A first submission FRESH_TASKS submissions back is forgotten.
+        let table = TaskTable::new(KvStore::new(4));
+        table.record_many(&[spec(0)], &TaskState::Submitted);
+        let later: Vec<TaskSpec> = (1..=FRESH_TASKS as u64).map(spec).collect();
+        table.record_many(&later, &TaskState::Submitted);
+        table.set_state(root.child(1), &TaskState::Finished);
+        assert_eq!(
+            table.get_recorded_states_many(&[root.child(1), root.child(2)]),
+            [Some(TaskState::Finished), None]
+        );
+        assert_eq!(table.states.len(), 0);
+        assert_eq!(table.get_recorded_states_many(&[root.child(0)]), [None]);
+        assert_eq!(table.states.len(), 1);
+        // A fresh task with more than FRESH_SPAN records since it.
+        let table = TaskTable::new(KvStore::new(4));
+        table.record_many(&[spec(0)], &TaskState::Submitted);
+        for i in 0..=FRESH_SPAN as u64 {
+            table.set_state(root.child(1 + i), &TaskState::Finished);
+        }
+        assert_eq!(table.get_recorded_states_many(&[root.child(0)]), [None]);
+        assert_eq!(table.states.len(), FRESH_SPAN + 1);
     }
 
     #[test]

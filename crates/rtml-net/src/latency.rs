@@ -4,21 +4,16 @@ use std::time::Duration;
 
 /// How long a cross-node message takes to propagate (excluding the
 /// bandwidth term).
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub enum LatencyModel {
     /// Instant delivery (still asynchronous, but no added delay).
+    #[default]
     Zero,
     /// Every cross-node message takes exactly this long.
     Constant(Duration),
     /// Uniformly-distributed latency in `[min, max]`, driven by a
     /// deterministic per-fabric RNG (reproducible runs).
     Uniform(Duration, Duration),
-}
-
-impl Default for LatencyModel {
-    fn default() -> Self {
-        LatencyModel::Zero
-    }
 }
 
 impl LatencyModel {

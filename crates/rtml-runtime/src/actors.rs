@@ -31,12 +31,15 @@ use crate::envelope;
 use crate::object_ref::ObjectRef;
 use crate::services::Services;
 
+/// A method call on an actor's state, returning its sealed result.
+type Method = Box<dyn FnOnce(&mut dyn std::any::Any) -> Result<Bytes> + Send>;
+
 enum ActorMsg {
     Call {
         task: TaskId,
         object: ObjectId,
         /// Runs the method and seals its result.
-        f: Box<dyn FnOnce(&mut dyn std::any::Any) -> Result<Bytes> + Send>,
+        f: Method,
     },
     Stop,
 }

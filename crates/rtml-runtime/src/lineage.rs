@@ -300,9 +300,11 @@ impl ReconstructionManager {
         self.inflight.lock().remove(&task);
     }
 
-    /// Drops the entries of `map` whose task's state no longer passes
-    /// `in_flight` and returns how many are left. The explicit state
-    /// records are read with one batched read with no lock held —
+    /// Drops the entries of `map` whose task's first result is available
+    /// or whose state no longer passes `in_flight`, and returns how many
+    /// are left. A task with an available result is done and reads no
+    /// state: its records are as old as it is. The explicit state records
+    /// of the rest are read with one batched read with no lock held —
     /// blocked `get`s and every node loop nudge through here — a task
     /// with none reads as `Submitted`, as [`Self::on_missing`] watches
     /// it, and an entry changed meanwhile stays.
@@ -312,12 +314,34 @@ impl ReconstructionManager {
         in_flight: fn(&TaskState) -> bool,
     ) -> usize {
         let snapshot: Vec<(TaskId, V)> = map.lock().iter().map(|(t, v)| (*t, v.clone())).collect();
-        let ids: Vec<TaskId> = snapshot.iter().map(|(task, _)| *task).collect();
-        let states = self.services.tasks.get_recorded_states_many(&ids);
+        let results: Vec<ObjectId> = snapshot
+            .iter()
+            .map(|(task, _)| task.return_object(0))
+            .collect();
+        let available: Vec<bool> = self
+            .services
+            .objects
+            .get_many(&results)
+            .into_iter()
+            .map(|info| info.is_some_and(|i| i.is_available()))
+            .collect();
+        let pending: Vec<TaskId> = snapshot
+            .iter()
+            .zip(&available)
+            .filter(|(_, available)| !**available)
+            .map(|((task, _), _)| *task)
+            .collect();
+        let mut states = match pending.is_empty() {
+            true => Vec::new(),
+            false => self.services.tasks.get_recorded_states_many(&pending),
+        }
+        .into_iter();
         let mut map = map.lock();
-        for ((task, seen), state) in snapshot.into_iter().zip(states) {
-            let state = state.unwrap_or(TaskState::Submitted);
-            if !in_flight(&state) && map.get(&task) == Some(&seen) {
+        for ((task, seen), available) in snapshot.into_iter().zip(available) {
+            // A state is taken for each entry whose result is not available.
+            let moved_on =
+                available || !in_flight(&states.next().flatten().unwrap_or(TaskState::Submitted));
+            if moved_on && map.get(&task) == Some(&seen) {
                 map.remove(&task);
             }
         }
@@ -452,6 +476,34 @@ mod tests {
         assert_eq!(services.tasks.get_spec(wedged).map(|s| s.attempt), Some(1));
         assert_eq!(services.tasks.get_state(wedged), Some(TaskState::Submitted));
         assert_eq!(services.tasks.get_state(unsubmitted), None);
+    }
+
+    #[test]
+    fn a_prune_drops_a_producer_whose_result_is_available_unread() {
+        let (services, recon) = manager();
+        // 300 producers finished long since, each result with a copy;
+        // their records are older than the state log's tail, and they
+        // were not submitted lately: a read of their states folds the log.
+        let root = TaskId::driver_root(DriverId::from_index(1));
+        let done: Vec<TaskId> = (0..300).map(|i| root.child(i)).collect();
+        for task in &done {
+            services.tasks.set_state(*task, &TaskState::Finished);
+            services
+                .objects
+                .add_location(task.return_object(0), NodeId(0), 5);
+        }
+        {
+            let mut watch = recon.watch.lock();
+            for task in &done {
+                watch.insert(*task, (TaskState::Queued(NodeId(0)), Instant::now()));
+            }
+        }
+        recon.prune_at.store(done.len(), Relaxed);
+        let waiting = submitted(&services, 300);
+        recon.handle_missing(&[waiting.return_object(0)]);
+        let watch = recon.watch.lock();
+        assert_eq!(watch.keys().collect::<Vec<_>>(), [&waiting]);
+        assert_eq!(services.metrics.get("kv.state_index_entries"), Some(0));
     }
 
     #[test]

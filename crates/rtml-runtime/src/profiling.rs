@@ -240,18 +240,14 @@ impl ProfileReport {
                 EventKind::TaskSubmitted { .. } => {
                     profile.submitted.get_or_insert(event.at_nanos);
                 }
-                EventKind::TaskQueuedLocal { node, .. } => {
-                    if profile.queued.is_none() {
-                        profile.queued = Some(event.at_nanos);
-                        profile.queued_node = Some(*node);
-                    }
+                EventKind::TaskQueuedLocal { node, .. } if profile.queued.is_none() => {
+                    profile.queued = Some(event.at_nanos);
+                    profile.queued_node = Some(*node);
                 }
                 EventKind::TaskSpilled { .. } => profile.spilled = true,
-                EventKind::TaskPlaced { node, .. } => {
-                    if profile.placed.is_none() {
-                        profile.placed = Some(event.at_nanos);
-                        profile.placed_node = Some(*node);
-                    }
+                EventKind::TaskPlaced { node, .. } if profile.placed.is_none() => {
+                    profile.placed = Some(event.at_nanos);
+                    profile.placed_node = Some(*node);
                 }
                 EventKind::TaskStarted { worker, .. } => {
                     profile.started.get_or_insert(event.at_nanos);

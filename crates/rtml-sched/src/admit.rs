@@ -4,8 +4,8 @@
 //! own thread for a batch the loop would accept whole and runnable —
 //! every task keeps the spill rule, every argument is in the local
 //! store — and skips the hop to the loop. It makes the loop's decisions:
-//! the spill rule is met, all or nothing, against the loop's backlog
-//! under the run queue's lock ([`RunQueue::reserve`]); `Queued(node)` is
+//! the spill rule is met, all or nothing, in the run queue's one walk
+//! over the node's backlog ([`RunQueue::reserve`]); `Queued(node)` is
 //! committed before the push, so a worker's `Running` is never
 //! overwritten; while a batch of the node's is in the loop's mailbox the
 //! next ones follow it, so none is overtaken; and a queue closed
@@ -26,12 +26,10 @@ use rtml_store::{ObjectStore, TransferDirectory};
 
 use crate::msg::LocalMsg;
 use crate::runq::{RunQueue, Runnable};
-use crate::spill::SpillMode;
 
 /// What a node admits with, shared by its loop and its submitters.
 pub(crate) struct Admission {
     pub(crate) node: NodeId,
-    pub(crate) spill: SpillMode,
     pub(crate) tasks: TaskTable,
     pub(crate) events: EventLog,
     pub(crate) store: Arc<ObjectStore>,
@@ -43,6 +41,13 @@ pub(crate) struct Admission {
 }
 
 impl Admission {
+    /// No other node is listed in the node table: the spill rule then
+    /// keeps every task the node fits ([`crate::SpillMode::decide`]).
+    /// Read before the run queue's lock is taken.
+    pub(crate) fn alone(&self) -> bool {
+        !self.directory.lists_other_than(self.node)
+    }
+
     /// Commits `Queued(node)` for `queued`, writes the batch's one event
     /// frame (where each task went — `queued`, then `spilled` — and the
     /// span since `started`), and pushes `runnable`. A `reserved` push
@@ -123,11 +128,7 @@ impl LocalSubmitter {
         if own
             && self.in_mailbox() == 0
             && specs.iter().all(local)
-            && admission.queue.reserve(
-                &specs,
-                &admission.spill,
-                !admission.directory.lists_other_than(admission.node),
-            )
+            && admission.queue.reserve(&specs, admission.alone())
         {
             let ids: Vec<TaskId> = specs.iter().map(|s| s.task_id).collect();
             let runnable = specs.into_iter().map(Runnable::from).collect();

@@ -23,8 +23,7 @@ use rtml_common::ids::{NodeId, ObjectId};
 use rtml_store::FetchResult;
 
 use crate::local::{Core, Waiting};
-use crate::runq::Runnable;
-use crate::spill::Verdict;
+use crate::runq::{Candidate, Runnable};
 
 impl Core {
     /// Runs the resolver's decisions for this loop turn (see the module
@@ -133,8 +132,7 @@ impl Core {
             return;
         };
         self.resolver.retire(object);
-        let mut pass = self.spill_pass(tasks.len());
-        let (mut runnable, mut spilled) = (Vec::new(), Vec::new());
+        let mut ready: Vec<Waiting> = Vec::new();
         for task in tasks {
             let Some(waiting) = self.waiting.get_mut(&task) else {
                 continue;
@@ -147,20 +145,24 @@ impl Core {
                 waiting.pins.push(object);
             }
             waiting.missing -= 1;
-            if waiting.missing > 0 {
-                continue;
+            if waiting.missing == 0 {
+                ready.push(self.waiting.remove(&task).expect("present"));
             }
-            let Waiting {
-                spec,
-                pins,
-                via_global,
-                ..
-            } = self.waiting.remove(&task).expect("present");
-            let verdict = if via_global {
-                Verdict::Stay
-            } else {
-                self.judge(&pass, &spec)
-            };
+        }
+        if ready.is_empty() {
+            return;
+        }
+        let candidates: Vec<Candidate> = ready
+            .iter()
+            .map(|waiting| Candidate {
+                spec: &waiting.spec,
+                runnable: true,
+                placed: waiting.via_global,
+            })
+            .collect();
+        let verdicts = self.queue.judge(&candidates, self.admission.alone());
+        let (mut runnable, mut spilled) = (Vec::new(), Vec::new());
+        for (Waiting { spec, pins, .. }, verdict) in ready.into_iter().zip(verdicts) {
             if verdict.spills() {
                 // It leaves unrun: nothing here reads its inputs.
                 for pin in pins {
@@ -168,11 +170,9 @@ impl Core {
                 }
                 spilled.push(spec);
             } else {
-                pass.keep(&spec, verdict);
                 runnable.push(Runnable { spec, pins });
             }
         }
-        pass.finish(&self.stats);
         self.queue.push(runnable);
         if !spilled.is_empty() {
             let (node, at_nanos) = (self.config.node, rtml_common::time::now_nanos());

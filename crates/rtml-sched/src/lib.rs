@@ -52,6 +52,6 @@ pub use local::{
 pub use msg::{LoadReport, LocalMsg};
 pub use policy::{choose_victim, LoadView, PlacementPolicy, PolicyState, DEFAULT_TOP_K};
 pub use resolve::{Goal, Replay, Replays, Resolver, Wiring, POLL_SLICE};
-pub use runq::{Batch, QueueLoad, RunQueue, RunTime, Runnable, MAX_BATCH};
+pub use runq::{Batch, Candidate, QueueLoad, RunQueue, RunTime, Runnable, MAX_BATCH};
 pub use spill::{Backlog, SpillMode, Verdict};
 pub use wire::SchedWire;

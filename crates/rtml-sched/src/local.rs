@@ -69,8 +69,8 @@ use crate::admit::{Admission, LocalSubmitter};
 use crate::health::HealthTracker;
 use crate::msg::{LoadReport, LocalMsg};
 use crate::resolve::{Goal, Replays, Resolver, Wiring};
-use crate::runq::{RunQueue, Runnable};
-use crate::spill::{SpillMode, Verdict};
+use crate::runq::{Candidate, RunQueue, Runnable};
+use crate::spill::SpillMode;
 use crate::wire::SchedWire;
 
 /// How often an idle scheduler loop ticks, and the least time between
@@ -175,31 +175,24 @@ pub struct LocalSchedulerStats {
     /// tasks submitted earlier consumed the pass's budget first.
     /// Deferred objects are offered again every tick.
     pub prefetch_deferred_priority: Counter,
-    /// Gauge: tasks in the ready queue or reserved for it
-    /// ([`RunQueue::reserve`]) — the backlog the spill rule reads —
-    /// written by the run queue inside every critical section that
-    /// changes it: exact, not "as of the last dispatch pass". The node's
-    /// workers read it when they
-    /// seal a result: one with nothing queued behind it is pushed to its
-    /// submitter's node, one of a backlog is left to the batched pull
-    /// that moves a burst's results in a few frames. It publishes no
-    /// other data, so it is read and written relaxed.
+    /// Gauge: tasks in the ready queue, held in a worker's batch or
+    /// reserved for it ([`RunQueue::reserve`]), written by the run queue
+    /// inside every critical section that changes them: exact, not "as
+    /// of the last dispatch pass". The node's workers read it without a
+    /// lock when they seal a result: one with nothing queued behind it
+    /// is pushed to its submitter's node, one of a backlog is left to
+    /// the batched pull that moves a burst's results in a few frames.
+    /// The spill rule reads the queue itself ([`RunQueue::backlog`]). It
+    /// publishes no other data, so it is read and written relaxed.
     pub ready_depth: std::sync::atomic::AtomicU64,
-    /// Gauge: the mean run times of the tasks `ready_depth` counts,
-    /// summed, in nanoseconds — those whose function has run here; the
-    /// spill rule's measured work ahead. Written beside `ready_depth`.
-    pub ready_work_ns: std::sync::atomic::AtomicU64,
-    /// Gauge: the tasks `ready_depth` counts whose function has not run
-    /// here yet, so that `ready_work_ns` leaves them out. Written beside
-    /// `ready_depth`.
-    pub ready_unmeasured: std::sync::atomic::AtomicU64,
     /// The delay of the cross-node frames the node's endpoint received
     /// ([`rtml_net::Endpoint::delay`]): twice it is the round trip the
     /// spill rule weighs the work ahead against.
     pub delay: Arc<rtml_net::DelayEstimate>,
-    /// Tasks kept on the node past the spill rule's count threshold,
-    /// because the measured work ahead of them drained within one
-    /// measured round trip.
+    /// Runnable tasks kept on the node past the spill rule's count
+    /// threshold, because the measured work ahead of them drained within
+    /// one measured round trip: counted by the run queue's walk, for a
+    /// reservation only once it succeeds.
     pub kept_short: Counter,
     /// Times a worker found nothing to take and went idle. A park
     /// sends nothing: a burst moves this by about the number of
@@ -368,6 +361,7 @@ impl LocalScheduler {
         let stats2 = stats.clone();
         let queue = Arc::new(RunQueue::new(
             config.total_resources.clone(),
+            config.spill.clone(),
             services.store.clone(),
             stats.clone(),
             services.request_worker.clone(),
@@ -378,7 +372,6 @@ impl LocalScheduler {
         let queue2 = queue.clone();
         let admission = Arc::new(Admission {
             node,
-            spill: config.spill.clone(),
             tasks: services.tasks.clone(),
             events: services.events.clone(),
             store: services.store.clone(),
@@ -624,16 +617,13 @@ impl Core {
     }
 
     fn on_net(&mut self, from: NetAddress, payload: bytes::Bytes) {
-        match decode_from_slice::<SchedWire>(&payload) {
-            Ok(SchedWire::PlaceBatch { specs }) => {
-                // Counted before the ingest, which may spill an infeasible
-                // task on: the count and the spill's report then agree.
-                if from == self.services.global {
-                    self.ingested += specs.len() as u64;
-                }
-                self.on_submit_batch(specs, true)
+        if let Ok(SchedWire::PlaceBatch { specs }) = decode_from_slice(&payload) {
+            // Counted before the ingest, which may spill an infeasible
+            // task on: the count and the spill's report then agree.
+            if from == self.services.global {
+                self.ingested += specs.len() as u64;
             }
-            Ok(_) | Err(_) => {}
+            self.on_submit_batch(specs, true)
         }
     }
 
@@ -662,84 +652,78 @@ impl Core {
     /// never satisfy the demand — stale capacity information).
     pub(crate) fn on_submit_batch(&mut self, specs: Vec<TaskSpec>, via_global: bool) {
         let started = Instant::now();
-        // Single pass: spill decision plus dependency gating. The pass's
-        // backlog advances as runnable tasks are accepted, so the spill
-        // rule sees exactly the queue depths a sequential loop would. A
-        // placed task meets no rule but feasibility.
-        let mut pass = self.spill_pass(if via_global { 0 } else { specs.len() });
-        let mut accepted: Vec<(TaskSpec, Vec<ObjectId>)> = Vec::with_capacity(specs.len());
-        let mut spilled: Vec<TaskSpec> = Vec::new();
-        // Batch-local store-presence cache: `store.contains` takes the
-        // object store's lock, and batches overwhelmingly share
-        // dependencies (fan-out from one input), so one lookup per
-        // *distinct* object replaces one lock round trip per task. An
-        // object sealing mid-batch is caught downstream: registering it
-        // below announces it at once.
-        let mut present_cache: IdMap<ObjectId, bool> = IdMap::default();
-        for spec in specs {
-            let verdict = if !via_global {
-                self.judge(&pass, &spec)
-            } else if self.config.total_resources.fits(&spec.resources) {
-                Verdict::Stay
-            } else {
-                Verdict::Spill
-            };
-            if verdict.spills() {
-                spilled.push(spec);
-                continue;
-            }
-            // A task's distinct unmet dependencies. Arg lists are short,
-            // so a Vec with a linear dedup beats a hash set per task on
-            // the ingest hot path.
-            let mut missing: Vec<ObjectId> = Vec::new();
-            for object in spec.dependencies() {
-                if missing.contains(&object) {
-                    continue;
+        // Each task's distinct unmet dependencies, found before the spill
+        // rule's walk, which calls nothing under the queue's lock. Arg
+        // lists are short, so a Vec with a linear dedup beats a hash set
+        // per task. `store.contains` takes the object store's lock, and
+        // batches overwhelmingly share dependencies (fan-out from one
+        // input), so it is asked once per *distinct* object. An object
+        // sealing mid-batch is caught downstream: registering it below
+        // announces it at once.
+        let (store, mut present) = (&self.services.store, IdMap::default());
+        let tasks: Vec<(TaskSpec, Vec<ObjectId>)> = specs
+            .into_iter()
+            .map(|spec| {
+                let mut missing = Vec::new();
+                for object in spec.dependencies() {
+                    let here = *present
+                        .entry(object)
+                        .or_insert_with(|| store.contains(object));
+                    if !here && !missing.contains(&object) {
+                        missing.push(object);
+                    }
                 }
-                let present = *present_cache
-                    .entry(object)
-                    .or_insert_with(|| self.services.store.contains(object));
-                if !present {
-                    missing.push(object);
-                }
-            }
-            if missing.is_empty() {
-                pass.keep(&spec, verdict);
-            }
-            accepted.push((spec, missing));
-        }
-        pass.finish(&self.stats);
+                (spec, missing)
+            })
+            .collect();
+        // One walk of the spill rule, whose backlog advances as runnable
+        // tasks are kept: the queue depths a sequential loop would see.
+        let candidates: Vec<Candidate> = tasks
+            .iter()
+            .map(|(spec, missing)| Candidate {
+                spec,
+                runnable: missing.is_empty(),
+                placed: via_global,
+            })
+            .collect();
+        let verdicts = self.queue.judge(&candidates, self.admission.alone());
 
-        // Gate each task on its dependencies, collecting the objects
+        // Gate each kept task on its dependencies, collecting the objects
         // nobody here waited for yet, in submission order, so the store
         // and the resolver take the batch's whole set at once (one
         // local-seal registration, which announces at once an object
         // that sealed since the presence check above; one table
         // registration; one request per holder when this turn's pump
         // runs). What needs nothing goes to the workers as one push.
-        let queued: Vec<TaskId> = accepted.iter().map(|(s, _)| s.task_id).collect();
+        let mut queued: Vec<TaskId> = Vec::with_capacity(tasks.len());
+        let mut spilled: Vec<TaskSpec> = Vec::new();
         let mut unresolved: Vec<ObjectId> = Vec::new();
         let mut runnable: Vec<Runnable> = Vec::new();
-        for (spec, missing) in accepted {
+        for ((spec, missing), verdict) in tasks.into_iter().zip(verdicts) {
+            if verdict.spills() {
+                spilled.push(spec);
+                continue;
+            }
+            queued.push(spec.task_id);
             if missing.is_empty() {
                 runnable.push(spec.into());
-            } else {
-                let count = missing.len();
-                for object in missing {
-                    let waiters = self.watchers.entry(object).or_default();
-                    if waiters.is_empty() {
-                        unresolved.push(object);
-                    }
-                    waiters.push(spec.task_id);
-                }
-                let waiting = Waiting {
-                    spec,
-                    missing: count,
-                    pins: Vec::new(),
-                    via_global,
-                };
-                self.waiting.insert(waiting.spec.task_id, waiting);
+                continue;
             }
+            let count = missing.len();
+            for object in missing {
+                let waiters = self.watchers.entry(object).or_default();
+                if waiters.is_empty() {
+                    unresolved.push(object);
+                }
+                waiters.push(spec.task_id);
+            }
+            let waiting = Waiting {
+                spec,
+                missing: count,
+                pins: Vec::new(),
+                via_global,
+            };
+            self.waiting.insert(waiting.spec.task_id, waiting);
         }
         // The loop pushes only while its queue is open: nothing comes back.
         let left: Vec<TaskId> = spilled.iter().map(|s| s.task_id).collect();
@@ -1107,6 +1091,38 @@ mod tests {
             r.services.tasks.get_state(spec.task_id),
             Some(TaskState::Spilled)
         );
+        r.handle.shutdown();
+    }
+
+    #[test]
+    fn a_spill_nobody_receives_keeps_what_fits_in_one_commit_and_one_push() {
+        let mut r = rig(LocalSchedulerConfig {
+            total_resources: Resources::cpu(1.0),
+            spill: SpillMode::AlwaysSpill,
+            ..LocalSchedulerConfig::default()
+        });
+        // No global scheduler at its address: every spill send fails.
+        r.services.fabric.unregister(r.global_endpoint.address());
+        const FEASIBLE: u64 = 8;
+        let mut specs: Vec<TaskSpec> = (0..FEASIBLE).map(|i| spec_with(vec![], i)).collect();
+        let mut gpu = spec_with(vec![], FEASIBLE);
+        gpu.resources = Resources::gpu(1.0);
+        specs.insert(4, gpu.clone());
+        let state_log = rtml_kv::tables::task_table::STATE_LOG_KEY;
+        let records = || r.services.kv.read_log(state_log).len();
+        let before = records();
+        r.handle.submit_batch(specs.clone());
+        // What the node fits runs here, in order, as one push: the one
+        // worker takes it as one batch.
+        for spec in specs.iter().filter(|s| s.task_id != gpu.task_id) {
+            assert_eq!(recv_run(&r.worker_rx).task_id, spec.task_id);
+            r.worker_done.send(()).unwrap();
+        }
+        let lost = r.services.tasks.get_state(gpu.task_id);
+        assert_eq!(lost, Some(TaskState::Lost));
+        // One `Spilled` commit for the batch, then one for what stays
+        // and one for what is lost: not one a task.
+        assert!(records() - before <= 3, "{} records", records() - before);
         r.handle.shutdown();
     }
 

@@ -27,9 +27,10 @@
 //! grant** — the first task's demand, charged once — which moves to each
 //! task as it [`start`](RunQueue::start)s and releases the finished
 //! task's pins. Tasks taken but not started are still the node's ready
-//! backlog: they count in [`QueueLoad::ready`] and in the
-//! [`ready_depth`](LocalSchedulerStats::ready_depth) gauge the spill and
-//! push rules read, [`detach`](RunQueue::detach) hands them back with
+//! backlog: they count in [`QueueLoad::ready`], in the backlog the spill
+//! rule walks and in the
+//! [`ready_depth`](LocalSchedulerStats::ready_depth) gauge the push rule
+//! reads, [`detach`](RunQueue::detach) hands them back with
 //! the rest of a dead worker's tasks, and a task that blocks in
 //! `get`/`wait` gives them back to the queue with its grant, so no task
 //! waits behind a blocked one. Nor does one wait behind a long one while
@@ -46,8 +47,15 @@
 //! under the lock it takes anyway. It keeps a moving average per
 //! function and, beside the backlog's depth, the sum of its tasks'
 //! averages and the count of its tasks whose function has none yet: the
-//! spill rule's work ahead ([`crate::spill`]), published with
-//! `ready_depth` as the `ready_work_ns` and `ready_unmeasured` gauges.
+//! spill rule's work ahead ([`crate::spill`]).
+//!
+//! The queue holds the node's [`SpillMode`] and meets the rule in one
+//! walk over tasks in order, against that backlog under its lock,
+//! advancing by each task kept runnable: a submitter's
+//! [`reserve`](RunQueue::reserve) (all or nothing) and the loop's
+//! [`judge`](RunQueue::judge) (a batch ingested, the tasks a seal made
+//! runnable). A placed task meets feasibility only: walking placed tasks
+//! takes no lock.
 //!
 //! # Lock discipline
 //!
@@ -144,6 +152,20 @@ pub struct RunTime {
     pub function: FunctionId,
     /// From taking its arguments to its return.
     pub took: Duration,
+}
+
+/// A task the loop hands [`RunQueue::judge`], tagged with the two facts
+/// that decide what the walk does with it.
+#[derive(Clone, Copy, Debug)]
+pub struct Candidate<'a> {
+    /// The task.
+    pub spec: &'a TaskSpec,
+    /// Every input is in the node's store: kept, it is backlog for the
+    /// tasks behind it. One kept waiting for an input is not, and meets
+    /// the rule again when its last input seals.
+    pub runnable: bool,
+    /// Placed here by the global scheduler: it meets feasibility only.
+    pub placed: bool,
 }
 
 /// What the queue knows of one function's run time and backlog.
@@ -463,16 +485,19 @@ pub struct RunQueue {
     /// Times tasks left `holding` unpublished, counted under the lock.
     losses: AtomicU64,
     total: Resources,
+    spill: SpillMode,
     store: Arc<ObjectStore>,
     stats: Arc<LocalSchedulerStats>,
     grow: Arc<dyn Fn() + Send + Sync>,
 }
 
 impl RunQueue {
-    /// An empty queue for a node of capacity `total`. Pins are released
-    /// through `store`; `grow` asks the node for one more worker.
+    /// An empty queue for a node of capacity `total` whose tasks meet
+    /// `spill`'s rule. Pins are released through `store`; `grow` asks the
+    /// node for one more worker.
     pub fn new(
         total: Resources,
+        spill: SpillMode,
         store: Arc<ObjectStore>,
         stats: Arc<LocalSchedulerStats>,
         grow: Arc<dyn Fn() + Send + Sync>,
@@ -482,6 +507,7 @@ impl RunQueue {
             wake: Condvar::new(),
             losses: AtomicU64::new(0),
             total,
+            spill,
             store,
             stats,
             grow,
@@ -611,27 +637,23 @@ impl RunQueue {
         let _ = self.enqueue(tasks, false);
     }
 
-    /// Holds places for `specs`, all or none, if each keeps `spill`'s
-    /// rule against the backlog (ready, held and reserved tasks and
-    /// their measured work, advancing per task) and the node's measured
-    /// round trip — decided under the lock, so concurrent submitters
-    /// cannot admit past it — and the queue is open. `alone`: no other
-    /// node is alive (see [`SpillMode::decide`]).
-    pub fn reserve(&self, specs: &[TaskSpec], spill: &SpillMode, alone: bool) -> bool {
-        let round_trip = self.stats.delay.round_trip();
+    /// Holds places for `specs`, all or none, if each keeps the spill
+    /// rule in the queue's walk (see the module docs) — decided under the
+    /// lock, so concurrent submitters cannot admit past it — and the
+    /// queue is open. `alone`: no other node is alive (see
+    /// [`SpillMode::decide`]).
+    pub fn reserve(&self, specs: &[TaskSpec], alone: bool) -> bool {
         let mut st = self.state.lock();
-        let mut ahead = st.backlog();
-        let mut kept_short = 0;
-        let mut keeps = |(at, spec): (usize, &TaskSpec)| {
-            let verdict = spill.decide(spec, &ahead, &self.total, round_trip, alone);
-            kept_short += (verdict == Verdict::StayShort) as u64;
-            // The last task has nobody behind it to count it.
-            if at + 1 < specs.len() {
-                ahead.add(st.mean_ns(spec.function));
-            }
-            !verdict.spills()
-        };
-        let reserved = !st.closed && specs.iter().enumerate().all(&mut keeps);
+        let tasks = specs.iter().map(|spec| Candidate {
+            spec,
+            runnable: true,
+            placed: false,
+        });
+        let mut reserved = !st.closed;
+        let kept_short = self.walk(Some(&st), tasks, alone, |verdict| {
+            reserved &= !verdict.spills();
+            reserved
+        });
         if !reserved {
             return false;
         }
@@ -642,20 +664,69 @@ impl RunQueue {
         }
         self.publish(&st);
         drop(st);
-        if kept_short > 0 {
-            self.stats.kept_short.add(kept_short);
-        }
+        self.count_kept_short(kept_short);
         true
     }
 
-    /// The mean run time of every function that has run here, in
-    /// nanoseconds.
-    pub fn mean_run_times(&self) -> IdMap<FunctionId, u64> {
-        let st = self.state.lock();
-        let measured = st.costs.iter();
-        measured
-            .filter_map(|(function, cost)| Some((*function, cost.mean_ns?)))
-            .collect()
+    /// The spill rule's verdict on each of `tasks`, in order: the walk
+    /// [`reserve`](Self::reserve) makes, for tasks the loop pushes
+    /// itself. It holds no places. `alone` as for `reserve`.
+    pub fn judge(&self, tasks: &[Candidate<'_>], alone: bool) -> Vec<Verdict> {
+        let st = tasks.iter().any(|t| !t.placed).then(|| self.state.lock());
+        let mut verdicts = Vec::with_capacity(tasks.len());
+        let kept_short = self.walk(st.as_deref(), tasks.iter().copied(), alone, |verdict| {
+            verdicts.push(verdict);
+            true
+        });
+        drop(st);
+        self.count_kept_short(kept_short);
+        verdicts
+    }
+
+    fn count_kept_short(&self, kept_short: u64) {
+        if kept_short > 0 {
+            self.stats.kept_short.add(kept_short);
+        }
+    }
+
+    /// The one caller of [`SpillMode::decide`]: walks `tasks` in order
+    /// against the backlog of `st` (locked; `None` if every task is
+    /// placed, whose verdicts read none), handing `each` every verdict
+    /// until it returns `false`. Returns the runnable tasks kept short.
+    fn walk<'t>(
+        &self,
+        st: Option<&State>,
+        tasks: impl IntoIterator<Item = Candidate<'t>>,
+        alone: bool,
+        mut each: impl FnMut(Verdict) -> bool,
+    ) -> u64 {
+        let mut ahead = st.map(State::backlog).unwrap_or_default();
+        let (round_trip, total) = (self.stats.delay.round_trip(), &self.total);
+        let mut kept_short = 0;
+        for task in tasks {
+            let spec = task.spec;
+            let verdict = if !task.placed {
+                self.spill.decide(spec, &ahead, total, round_trip, alone)
+            } else if total.fits(&spec.resources) {
+                Verdict::Stay
+            } else {
+                Verdict::Spill
+            };
+            if let Some(st) = st.filter(|_| task.runnable && !verdict.spills()) {
+                kept_short += (verdict == Verdict::StayShort) as u64;
+                ahead.add(st.mean_ns(spec.function));
+            }
+            if !each(verdict) {
+                break;
+            }
+        }
+        kept_short
+    }
+
+    /// The backlog the spill rule reads: ready, held and reserved tasks,
+    /// their functions' summed means and those not measured yet.
+    pub fn backlog(&self) -> Backlog {
+        self.state.lock().backlog()
     }
 
     /// Pushes the tasks a [`reserve`](Self::reserve) held places for, or
@@ -850,13 +921,10 @@ impl RunQueue {
         }
     }
 
-    /// Writes the backlog gauges the spill and push rules read: its
-    /// depth, measured work and unmeasured tasks.
+    /// Writes the backlog depth the worker's push rule reads without the
+    /// lock.
     fn publish(&self, st: &State) {
         self.stats.ready_depth.store(st.depth() as u64, Relaxed);
-        self.stats.ready_work_ns.store(st.work_ns, Relaxed);
-        let unmeasured = st.unmeasured as u64;
-        self.stats.ready_unmeasured.store(unmeasured, Relaxed);
     }
 
     /// What a critical section decided, done once its guard is gone.
@@ -882,10 +950,38 @@ mod tests {
     use rtml_common::ids::DriverId;
     use rtml_store::StoreConfig;
 
+    const THRESHOLD: SpillMode = SpillMode::Hybrid { queue_threshold: 4 };
+
     fn queue(cpus: f64) -> RunQueue {
         let store = Arc::new(ObjectStore::new(StoreConfig::default()));
         let stats = Arc::new(LocalSchedulerStats::default());
-        RunQueue::new(Resources::cpu(cpus), store, stats, Arc::new(|| {}))
+        let total = Resources::cpu(cpus);
+        RunQueue::new(total, THRESHOLD, store, stats, Arc::new(|| {}))
+    }
+
+    /// Reserves places for `specs`, after the loop's walk over the same
+    /// queue ([`RunQueue::judge`]) is checked to keep exactly the
+    /// batches `reserve` admits and to count the same tasks kept short.
+    /// The walk's count is taken back, so `kept_short` reads what the
+    /// reservations counted.
+    fn reserve(q: &RunQueue, specs: &[TaskSpec]) -> bool {
+        let tasks: Vec<Candidate> = specs
+            .iter()
+            .map(|spec| Candidate {
+                spec,
+                runnable: true,
+                placed: false,
+            })
+            .collect();
+        let before = q.stats.kept_short.get();
+        let verdicts = q.judge(&tasks, false);
+        let judged_short = q.stats.kept_short.get() - before;
+        q.stats.kept_short.sub(judged_short);
+        let reserved = q.reserve(specs, false);
+        assert_eq!(reserved, verdicts.iter().all(|v| !v.spills()));
+        let reserved_short = q.stats.kept_short.get() - before;
+        assert_eq!(reserved_short, if reserved { judged_short } else { 0 });
+        reserved
     }
 
     fn specs(function: &str, from: u64, count: u64) -> Vec<TaskSpec> {
@@ -903,8 +999,6 @@ mod tests {
             took: Duration::from_micros(micros),
         }
     }
-
-    const THRESHOLD: SpillMode = SpillMode::Hybrid { queue_threshold: 4 };
 
     /// Worker 0 takes a batch and reports its first task ran for `micros`.
     fn measure(q: &RunQueue, function: &str, micros: u64) {
@@ -926,9 +1020,9 @@ mod tests {
         let q = queue(2.0);
         q.stats.delay.fold(100_000);
         // Five places (the threshold plus one), then no more: `f` never ran.
-        assert!(!q.reserve(&specs("f", 0, 6), &THRESHOLD, false));
-        assert!(q.reserve(&specs("f", 0, 5), &THRESHOLD, false));
-        assert!(!q.reserve(&specs("f", 5, 1), &THRESHOLD, false));
+        assert!(!reserve(&q, &specs("f", 0, 6)));
+        assert!(reserve(&q, &specs("f", 0, 5)));
+        assert!(!reserve(&q, &specs("f", 5, 1)));
         assert_eq!(q.stats.kept_short.get(), 0);
     }
 
@@ -937,15 +1031,18 @@ mod tests {
         let q = queue(2.0);
         measure(&q, "f", 1);
         // No round trip measured yet: the count rule.
-        assert!(!q.reserve(&specs("f", 0, 6), &THRESHOLD, false));
+        assert!(!reserve(&q, &specs("f", 0, 6)));
         q.stats.delay.fold(100_000);
         // 256 tasks of 1 µs on 2 slots drain within the 200 µs round trip.
-        assert!(q.reserve(&specs("f", 0, 256), &THRESHOLD, false));
+        assert!(reserve(&q, &specs("f", 0, 256)));
         assert_eq!(q.stats.kept_short.get(), 256 - 5);
-        let gauge = |g: &std::sync::atomic::AtomicU64| g.load(Relaxed);
-        assert_eq!(gauge(&q.stats.ready_depth), 256);
-        assert_eq!(gauge(&q.stats.ready_work_ns), 256 * 1_000);
-        assert_eq!(gauge(&q.stats.ready_unmeasured), 0);
+        assert_eq!(q.stats.ready_depth.load(Relaxed), 256);
+        let backlog = Backlog {
+            tasks: 256,
+            work_ns: 256 * 1_000,
+            unmeasured: 0,
+        };
+        assert_eq!(q.backlog(), backlog);
     }
 
     #[test]
@@ -953,12 +1050,12 @@ mod tests {
         let q = queue(2.0);
         q.stats.delay.fold(100_000);
         measure(&q, "long", 2_000);
-        assert!(!q.reserve(&specs("long", 0, 6), &THRESHOLD, false));
+        assert!(!reserve(&q, &specs("long", 0, 6)));
         measure(&q, "short", 1);
         // One task of a function that never ran here sits in front.
-        assert!(q.reserve(&specs("new", 0, 1), &THRESHOLD, false));
-        assert!(!q.reserve(&specs("short", 1, 8), &THRESHOLD, false));
-        assert!(q.reserve(&specs("short", 1, 4), &THRESHOLD, false));
+        assert!(reserve(&q, &specs("new", 0, 1)));
+        assert!(!reserve(&q, &specs("short", 1, 8)));
+        assert!(reserve(&q, &specs("short", 1, 4)));
         assert_eq!(q.stats.kept_short.get(), 0);
     }
 
@@ -966,15 +1063,55 @@ mod tests {
     fn a_mean_moves_a_quarter_of_the_way_and_reprices_the_backlog() {
         let q = queue(2.0);
         measure(&q, "f", 800);
-        assert!(q.reserve(&specs("f", 0, 3), &THRESHOLD, false));
-        assert_eq!(q.mean_run_times()[&FunctionId::from_name("f")], 800_000);
-        assert_eq!(q.stats.ready_work_ns.load(Relaxed), 3 * 800_000);
+        assert!(reserve(&q, &specs("f", 0, 3)));
+        // Three tasks of `f` ahead: the backlog's work is three means.
+        let backlog = |mean_ns: u64| Backlog {
+            tasks: 3,
+            work_ns: 3 * mean_ns,
+            unmeasured: 0,
+        };
+        assert_eq!(q.backlog(), backlog(800_000));
         measure(&q, "f", 1_600);
-        assert_eq!(q.mean_run_times()[&FunctionId::from_name("f")], 1_000_000);
-        assert_eq!(q.stats.ready_work_ns.load(Relaxed), 3 * 1_000_000);
+        assert_eq!(q.backlog(), backlog(1_000_000));
         // One stalled task counts four means, not a hundred.
         measure(&q, "f", 100_000);
-        assert_eq!(q.mean_run_times()[&FunctionId::from_name("f")], 1_750_000);
-        assert_eq!(q.stats.ready_work_ns.load(Relaxed), 3 * 1_750_000);
+        assert_eq!(q.backlog(), backlog(1_750_000));
+    }
+
+    #[test]
+    fn the_loops_walk_advances_by_kept_runnable_tasks_only() {
+        let q = queue(2.0);
+        let gpu = |mut spec: TaskSpec| {
+            spec.resources = Resources::gpu(1.0);
+            spec
+        };
+        let waiting = specs("f", 0, 6);
+        let runnable = specs("f", 6, 6);
+        let placed = [
+            specs("f", 12, 1).remove(0),
+            gpu(specs("f", 13, 1).remove(0)),
+        ];
+        let tag = |runnable, placed| {
+            move |spec| Candidate {
+                spec,
+                runnable,
+                placed,
+            }
+        };
+        // Six tasks waiting for an input find nothing ahead: kept, and
+        // not backlog. Five runnable ones are kept by count, the sixth
+        // spills. Placed tasks behind them meet feasibility only.
+        let tasks: Vec<Candidate> = waiting
+            .iter()
+            .map(tag(false, false))
+            .chain(runnable.iter().map(tag(true, false)))
+            .chain(placed.iter().map(tag(true, true)))
+            .collect();
+        let verdicts = q.judge(&tasks, false);
+        let mut expected = vec![Verdict::Stay; 11];
+        expected.extend([Verdict::Spill, Verdict::Stay, Verdict::Spill]);
+        assert_eq!(verdicts, expected);
+        // It held no places.
+        assert_eq!(q.backlog(), Backlog::default());
     }
 }

@@ -41,8 +41,10 @@
 //!   ([`RunQueue::start`](crate::RunQueue::start) or
 //!   [`next`](crate::RunQueue::next)); the queue keeps a per-function
 //!   moving average and the backlog's sum beside its depth, under its
-//!   one lock ([`Backlog`]; the `ready_work_ns` and `ready_unmeasured`
-//!   gauges).
+//!   one lock ([`Backlog`]), and walks the rule over it there: one walk
+//!   for all three places a task becomes runnable
+//!   ([`RunQueue::reserve`](crate::RunQueue::reserve) and
+//!   [`judge`](crate::RunQueue::judge)).
 //! - *Round trip* is twice the moving average of the delay of the
 //!   cross-node frames the node's endpoint received, from when a
 //!   frame's last byte left its sender's link to its receipt
@@ -68,16 +70,15 @@
 //! a burst home; `rl_broadcast`'s 2–2.6 ms rollouts are long next to a
 //! round trip, and the lone tasks of `rtt_*` never pass the threshold.
 
-use std::sync::atomic::Ordering::Relaxed;
 use std::time::Duration;
 
 use rtml_common::codec::Codec;
-use rtml_common::collections::IdMap;
-use rtml_common::ids::{FunctionId, TaskId};
+use rtml_common::ids::TaskId;
 use rtml_common::resources::Resources;
 use rtml_common::task::{TaskSpec, TaskState};
 
-use crate::local::{Core, LocalSchedulerStats};
+use crate::local::Core;
+use crate::runq::Runnable;
 use crate::wire::SchedWire;
 
 /// The spillover decision rule.
@@ -159,8 +160,9 @@ impl SpillMode {
     /// `ahead` backlog on a node of capacity `node_total` and the node's
     /// measured `round_trip` to another node (`None` before any frame
     /// has crossed to it). The one rule of all three places a task
-    /// becomes runnable: direct admission, ingest and a last input
-    /// sealing.
+    /// becomes runnable — direct admission, ingest and a last input
+    /// sealing — met in the run queue's one walk over its backlog
+    /// ([`RunQueue::judge`](crate::RunQueue::judge)).
     ///
     /// On a node `alone` — no other node is alive — the hybrid rule
     /// keeps every task it can fit: the global scheduler could only
@@ -206,75 +208,8 @@ fn drains_within(ahead: &Backlog, node_total: &Resources, round_trip: Option<Dur
     ahead.work_ns as u128 * 1_000 <= round_trip.as_nanos() * slots_milli
 }
 
-/// The spill rule over the tasks one loop turn makes runnable (a batch
-/// ingested, the waiters of an object sealed): the backlog is read off
-/// the run queue's gauges once and advances by each task kept, and the
-/// functions' mean run times are read from the queue — one lock — only
-/// when the tasks could take the backlog past the count threshold.
-pub(crate) struct SpillPass {
-    ahead: Backlog,
-    means: Option<IdMap<FunctionId, u64>>,
-    round_trip: Option<Duration>,
-    /// No other node is listed in the node table.
-    alone: bool,
-    kept_short: u64,
-}
-
-impl SpillPass {
-    /// `spec`, kept with `verdict`, is runnable now: it joins the
-    /// backlog the pass's later tasks find ahead of them. (One kept
-    /// waiting for an input meets the rule again when it becomes
-    /// runnable.)
-    pub(crate) fn keep(&mut self, spec: &TaskSpec, verdict: Verdict) {
-        self.kept_short += (verdict == Verdict::StayShort) as u64;
-        let means = self.means.as_ref();
-        self.ahead
-            .add(means.and_then(|m| m.get(&spec.function).copied()));
-    }
-
-    /// Counts what the pass kept short. The tasks it kept the loop
-    /// pushes itself.
-    pub(crate) fn finish(self, stats: &LocalSchedulerStats) {
-        if self.kept_short > 0 {
-            stats.kept_short.add(self.kept_short);
-        }
-    }
-}
-
 /// The scheduler's side of a spill decision.
 impl Core {
-    /// A spill pass over at most `upto` tasks the rule judges.
-    pub(crate) fn spill_pass(&self, upto: usize) -> SpillPass {
-        let stats = &self.stats;
-        let ahead = Backlog {
-            tasks: stats.ready_depth.load(Relaxed) as usize,
-            work_ns: stats.ready_work_ns.load(Relaxed),
-            unmeasured: stats.ready_unmeasured.load(Relaxed) as usize,
-        };
-        let alone = !self.services.directory.lists_other_than(self.config.node);
-        let weighs = match self.config.spill {
-            SpillMode::Hybrid { queue_threshold } => {
-                !alone && upto > 0 && ahead.tasks + upto > queue_threshold
-            }
-            SpillMode::AlwaysSpill | SpillMode::NeverSpill => false,
-        };
-        SpillPass {
-            ahead,
-            means: weighs.then(|| self.queue.mean_run_times()),
-            round_trip: stats.delay.round_trip(),
-            alone,
-            kept_short: 0,
-        }
-    }
-
-    /// The rule's verdict on `spec` behind the backlog of `pass`.
-    pub(crate) fn judge(&self, pass: &SpillPass, spec: &TaskSpec) -> Verdict {
-        let total = &self.config.total_resources;
-        self.config
-            .spill
-            .decide(spec, &pass.ahead, total, pass.round_trip, pass.alone)
-    }
-
     /// Forwards a whole batch of spilling tasks to the global scheduler
     /// as one `SpillBatch` frame: one state group commit, one fabric
     /// hop. The tasks' `TaskSpilled` events are in the frame
@@ -308,22 +243,24 @@ impl Core {
             return;
         }
         // No global scheduler (shutdown race). Keep whatever work this
-        // node can possibly run rather than losing it.
+        // node can possibly run rather than losing it: one commit for
+        // what stays, one for what is lost, one push.
         let SchedWire::SpillBatch { specs, .. } = msg else {
             unreachable!("constructed above")
         };
-        for spec in specs {
-            if self.config.total_resources.fits(&spec.resources) {
-                self.services
-                    .tasks
-                    .set_state(spec.task_id, &TaskState::Queued(node));
-                self.queue.push(vec![spec.into()]);
-            } else {
-                self.services
-                    .tasks
-                    .set_state(spec.task_id, &TaskState::Lost);
+        let total = &self.config.total_resources;
+        let (kept, lost): (Vec<TaskSpec>, Vec<TaskSpec>) = specs
+            .into_iter()
+            .partition(|spec| total.fits(&spec.resources));
+        let tasks = &self.services.tasks;
+        for (specs, state) in [(&kept, TaskState::Queued(node)), (&lost, TaskState::Lost)] {
+            if !specs.is_empty() {
+                let ids: Vec<TaskId> = specs.iter().map(|s| s.task_id).collect();
+                tasks.set_states_many(&ids, &state);
             }
         }
+        self.queue
+            .push(kept.into_iter().map(Runnable::from).collect());
     }
 }
 

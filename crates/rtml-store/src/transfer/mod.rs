@@ -942,11 +942,12 @@ mod tests {
 
     #[test]
     fn a_relayed_object_is_the_holders_buffer_on_every_reader() {
-        // 8 MB/s: the 64 KiB object's four chunks hold the origin's link
-        // for 8 ms, so the second and third request are handed on.
+        // 1 MB/s: the 64 KiB object's four chunks hold the origin's link
+        // for 65 ms, so the second and third request are handed on even
+        // when a loaded host wakes the planes late.
         let config = FabricConfig {
             latency: LatencyModel::Constant(Duration::from_micros(100)),
-            bandwidth_bytes_per_sec: Some(8_000_000),
+            bandwidth_bytes_per_sec: Some(1_000_000),
             ..FabricConfig::default()
         };
         let (_fabric, _directory, p) = peers(4, config, 16 << 10);
@@ -1136,11 +1137,14 @@ mod tests {
         // Every stream is delivered twice and half of them draw a 3 ms
         // spike. A direct stream is one fault decision, so the reordering
         // happens on the relay hop, where every chunk is passed on as a
-        // stream of its own.
+        // stream of its own. At 1 MB/s the object is 65 ms on the
+        // origin's link: the second request is handed on, and reaches the
+        // relay before its last chunk, though a loaded host wakes the
+        // planes tens of milliseconds late.
         use rtml_net::{FaultPlan, LinkFault, LinkMatch};
         let config = FabricConfig {
             latency: LatencyModel::Constant(Duration::from_micros(100)),
-            bandwidth_bytes_per_sec: Some(8_000_000),
+            bandwidth_bytes_per_sec: Some(1_000_000),
             faults: FaultPlan {
                 seed: 0xd0_0b1e,
                 links: vec![LinkFault {
@@ -1172,9 +1176,11 @@ mod tests {
         assert!(answers.recv_timeout(Duration::from_millis(50)).is_err());
         assert!(fabric.stats.injected_dups.get() >= 16);
         assert!(fabric.stats.injected_delays.get() > 0);
-        // Let the copies still in flight land: a chunk of an object
-        // that is already sealed starts no second assembly.
-        std::thread::sleep(Duration::from_millis(20));
+        // Let the copies still in flight land (every link drained, then
+        // a spiked flight): a chunk of an object that is already sealed
+        // starts no second assembly.
+        let drained = (0..3).map(|n| fabric.egress_backlog(NodeId(n))).max();
+        std::thread::sleep(drained.unwrap_or_default() + Duration::from_millis(20));
         for reader in &p[1..] {
             assert_eq!(reader.agent.stats().objects_fetched.get(), 1);
             assert_eq!(reader.store.stats.puts.get(), 1);

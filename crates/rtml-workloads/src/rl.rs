@@ -330,9 +330,7 @@ pub fn run_rtml(
     let mut sim_tasks = 0;
     for iter in 0..config.iterations {
         let sim_futs: Vec<ObjectRef<SimOutput>> = (0..config.rollouts)
-            .map(|rollout| {
-                driver.submit2(&funcs.sim, config.sim_params(iter, rollout), &policy_ref)
-            })
+            .map(|rollout| driver.submit2(&funcs.sim, config.sim_params(iter, rollout), policy_ref))
             .collect::<Result<_>>()?;
         sim_tasks += sim_futs.len();
         // Gather in index order (same float order as the baselines).
@@ -344,7 +342,7 @@ pub fn run_rtml(
         total_reward += reward;
         policy_ref = driver.submit4_opts(
             &funcs.update,
-            &policy_ref,
+            policy_ref,
             agg,
             reward,
             kernel.clone(),
@@ -374,7 +372,7 @@ pub fn run_rtml_pipelined(
     let policy = LinearPolicy::new(config.obs_dim, config.n_actions, config.seed);
     let policy_ref = driver.put(&policy)?;
     let sim_futs: Vec<ObjectRef<SimOutput>> = (0..config.rollouts)
-        .map(|rollout| driver.submit2(&funcs.sim, config.sim_params(0, rollout), &policy_ref))
+        .map(|rollout| driver.submit2(&funcs.sim, config.sim_params(0, rollout), policy_ref))
         .collect::<Result<_>>()?;
 
     // As each simulation finishes, immediately submit its scoring task:
@@ -391,7 +389,7 @@ pub fn run_rtml_pipelined(
                 .expect("known future");
             let score = driver.submit2_opts(
                 &funcs.score,
-                &fut,
+                fut,
                 kernel.clone(),
                 config.policy_options(cluster_has_gpu),
             )?;
@@ -421,7 +419,7 @@ pub fn run_rtml_batched(
     let policy = LinearPolicy::new(config.obs_dim, config.n_actions, config.seed);
     let policy_ref = driver.put(&policy)?;
     let sim_futs: Vec<ObjectRef<SimOutput>> = (0..config.rollouts)
-        .map(|rollout| driver.submit2(&funcs.sim, config.sim_params(0, rollout), &policy_ref))
+        .map(|rollout| driver.submit2(&funcs.sim, config.sim_params(0, rollout), policy_ref))
         .collect::<Result<_>>()?;
     // Barrier: all sims first.
     let (ready, pending) = driver.wait(&sim_futs, sim_futs.len(), Duration::from_secs(120));

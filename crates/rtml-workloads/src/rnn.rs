@@ -288,8 +288,8 @@ pub fn run_rtml(config: &RnnConfig, driver: &Driver, funcs: &RnnFuncs) -> Result
         }
     }
     let mut outputs = Vec::with_capacity(timesteps);
-    for t in 0..timesteps {
-        outputs.push(driver.get(&futures[layers - 1][t].expect("top row"))?);
+    for fut in &futures[layers - 1] {
+        outputs.push(driver.get(&fut.expect("top row"))?);
     }
     Ok(RnnResult {
         checksum: fold_outputs(outputs),

@@ -211,9 +211,9 @@ pub fn run_rtml(
                 None => {
                     // Seed the fold with acc = 0 fused with the first
                     // feature, matching the BSP order exactly.
-                    driver.submit2(&funcs.fuse, 0u64, &feature)?
+                    driver.submit2(&funcs.fuse, 0u64, feature)?
                 }
-                Some(prev) => driver.submit2(&funcs.fuse, &prev, &feature)?,
+                Some(prev) => driver.submit2(&funcs.fuse, prev, feature)?,
             });
         }
         fusion_futs.push(acc.expect("at least one sensor"));

@@ -86,7 +86,7 @@ fn bare_queue(store: &Arc<ObjectStore>) -> (Arc<RunQueue>, Arc<AtomicUsize>) {
             grows.fetch_add(1, SeqCst);
         })
     };
-    let queue = RunQueue::new(total(), store.clone(), stats, grow);
+    let queue = RunQueue::new(total(), SpillMode::default(), store.clone(), stats, grow);
     (Arc::new(queue), grows)
 }
 
@@ -349,11 +349,14 @@ impl Harness {
         let stats = self.queue.stats();
         let gauge = |g: &std::sync::atomic::AtomicU64| g.load(std::sync::atomic::Ordering::Relaxed);
         prop_assert_eq!(gauge(&stats.ready_depth), self.ready.len() as u64);
-        // So are their run times: each task is measured at the one mean,
-        // or counted unmeasured until a task of its function finished.
-        let measured = self.ready.len() as u64 - gauge(&stats.ready_unmeasured);
+        // So are their run times, in the backlog the spill rule walks:
+        // each task is measured at the one mean, or counted unmeasured
+        // until a task of its function finished.
+        let backlog = self.queue.backlog();
+        prop_assert_eq!(backlog.tasks, self.ready.len());
+        let measured = (backlog.tasks - backlog.unmeasured) as u64;
         let mean = TOOK.as_nanos() as u64;
-        prop_assert_eq!(gauge(&stats.ready_work_ns), measured * mean);
+        prop_assert_eq!(backlog.work_ns, measured * mean);
         // `in_use` is the unreleased batches' grants, and is within
         // `total` unless a blocked task resumed.
         let in_use = self.in_use();
