@@ -529,7 +529,7 @@ mod tests {
 
     #[test]
     fn buckets_cover_range() {
-        let mut hit = vec![false; 8];
+        let mut hit = [false; 8];
         for i in 0..1024u64 {
             let id = UniqueId::hash_bytes(&i.to_le_bytes());
             let b = id.bucket(8);

@@ -415,7 +415,7 @@ mod tests {
         assert_eq!(s.count(), 1000);
         // p50 of uniform 1k..1M should be within 2x of 500k.
         let p50 = s.p50();
-        assert!(p50 >= 250_000 && p50 <= 1_000_000, "p50={p50}");
+        assert!((250_000..=1_000_000).contains(&p50), "p50={p50}");
         assert!(s.p99() >= s.p50());
         assert_eq!(s.max(), 1_000_000);
         let mean = s.mean();

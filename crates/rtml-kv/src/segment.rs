@@ -29,7 +29,7 @@ use bytes::Bytes;
 use parking_lot::Mutex;
 
 use rtml_common::codec::{Codec, Reader, Writer};
-use rtml_common::collections::FastMap;
+use rtml_common::collections::IdMap;
 use rtml_common::ids::{TaskId, UniqueId};
 use rtml_common::task::TaskSpec;
 
@@ -158,7 +158,7 @@ impl<F: Fold> LogIndex<F> {
 /// The spec-segment fold: task unique id → a zero-copy slice of the
 /// latest segment payload that holds its spec.
 #[derive(Default)]
-pub struct Specs(FastMap<UniqueId, Bytes>);
+pub struct Specs(IdMap<UniqueId, Bytes>);
 
 impl Fold for Specs {
     const KEY: &'static [u8] = SEGMENT_LOG_KEY;

@@ -543,19 +543,6 @@ impl Shard {
             .unwrap_or_default()
     }
 
-    /// Reads the newest `n` records of the log at `key` (fewer if it
-    /// holds fewer), oldest first, under one lock.
-    pub fn read_log_tail(&self, key: &[u8], n: usize) -> Vec<Bytes> {
-        self.ops.inc();
-        self.locks.inc();
-        self.state
-            .lock()
-            .logs
-            .get(key)
-            .map(|log| log.records(log.len().saturating_sub(n)))
-            .unwrap_or_default()
-    }
-
     /// Reads the suffix of the log at `key` starting at position
     /// `start`, plus the log's total length, under one lock — the
     /// incremental-catch-up primitive for lazily built indexes over
@@ -794,7 +781,6 @@ mod tests {
         s.append(b("log"), b("r1"));
         s.append(b("log"), b("r2"));
         assert_eq!(s.read_log(b"log".as_ref()), vec![b("r1"), b("r2")]);
-        assert_eq!(s.read_log_tail(b"log".as_ref(), 1), vec![b("r2")]);
         assert_eq!(s.read_log(b"other".as_ref()), Vec::<Bytes>::new());
     }
 
@@ -924,8 +910,6 @@ mod tests {
         let (tail, total) = s.read_log_range(b"log".as_ref(), open - 5);
         assert_eq!((tail, total), (records[open - 5..].to_vec(), records.len()));
         assert_eq!(s.read_log_range(b"log".as_ref(), 0).0, records);
-        let tail = s.read_log_tail(b"log".as_ref(), PER_BLOCK);
-        assert_eq!(tail, records[records.len() - PER_BLOCK..].to_vec());
         let past_the_end = s.read_log_range(b"log".as_ref(), records.len() + 1);
         assert_eq!(past_the_end, (Vec::new(), records.len()));
     }

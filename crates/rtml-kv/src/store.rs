@@ -187,13 +187,6 @@ impl KvStore {
         self.shard_for(key).read_log(key)
     }
 
-    /// Reads the newest `n` records of the log at `key` (fewer if it
-    /// holds fewer), oldest first, under one shard lock (see
-    /// [`Shard::read_log_tail`]).
-    pub fn read_log_tail(&self, key: &[u8], n: usize) -> Vec<Bytes> {
-        self.shard_for(key).read_log_tail(key, n)
-    }
-
     /// Reads the records of the log at `key` from position `start`
     /// onward, plus the log's total length, under one shard lock (see
     /// [`Shard::read_log_range`]).
@@ -497,9 +490,5 @@ mod tests {
         kv.append(Bytes::from_static(b"l"), Bytes::from_static(b"a"));
         kv.append(Bytes::from_static(b"l"), Bytes::from_static(b"b"));
         assert_eq!(kv.read_log(b"l").len(), 2);
-        let b = Bytes::from_static(b"b");
-        assert_eq!(kv.read_log_tail(b"l", 1), vec![b]);
-        assert_eq!(kv.read_log_tail(b"l", 5).len(), 2);
-        assert!(kv.read_log_tail(b"none", 5).is_empty());
     }
 }

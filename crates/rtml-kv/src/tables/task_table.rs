@@ -18,13 +18,10 @@
 //! order in which the latest record wins. Reads go through a
 //! [`LogIndex`] folded from the log on demand, which keeps each task's
 //! latest state in 32 bytes. A run that reads no state builds none, and
-//! neither does a fault-free one, whose only reads — a blocked wait's
-//! reconstruction nudges — find their in-flight producers among the
-//! log's newest records, or, for a producer not queued yet, read every
-//! record since its submission and find none.
+//! neither does a fault-free one: a blocked wait's reconstruction nudge
+//! asks only [`TaskTable::marked_lost`], which the handle answers from
+//! the tasks it wrote `Lost` for, with no kv read.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -32,7 +29,7 @@ use bytes::Bytes;
 use parking_lot::Mutex;
 
 use rtml_common::codec::{Codec, Reader, Writer};
-use rtml_common::collections::{FastMap, FastSet};
+use rtml_common::collections::{IdMap, IdSet};
 use rtml_common::ids::{NodeId, TaskId, UniqueId, WorkerId};
 use rtml_common::metrics::MetricsRegistry;
 use rtml_common::task::{TaskSpec, TaskState};
@@ -43,21 +40,6 @@ use crate::store::KvStore;
 
 /// The kv log key under which every state record is appended.
 pub const STATE_LOG_KEY: &[u8] = b"tstate!";
-
-/// How many of the state log's newest records a recorded-state read
-/// looks through before it builds the index. A 256-task burst on one
-/// node writes ≈ 33 (its `Queued`, and a `Running` and a `Finished` per
-/// worker batch), a lone task 3.
-pub const RECENT_RECORDS: usize = 256;
-
-/// How many first submissions a handle remembers the state log's length
-/// at: a task among them has no state record before that mark. 32 bytes
-/// each.
-const FRESH_TASKS: usize = 4096;
-
-/// The most records a recorded-state read scans for tasks the newest
-/// [`RECENT_RECORDS`] do not hold; past it the read builds the index.
-const FRESH_SPAN: usize = 16 * RECENT_RECORDS;
 
 /// Typed task-table handle.
 #[derive(Clone)]
@@ -72,12 +54,12 @@ pub struct TaskTable {
     /// Lazily built index over the state log, shared and rebuilt the
     /// same way.
     states: Arc<LogIndex<States>>,
-    /// State records appended through this handle and its clones: never
-    /// more than the log holds.
-    appended: Arc<AtomicUsize>,
-    /// The latest first submissions committed through this handle and
-    /// its clones.
-    fresh: Arc<Mutex<Fresh>>,
+    /// The tasks this handle and its clones wrote `Lost` for and have not
+    /// recorded again since (see [`TaskTable::marked_lost`]). Every write
+    /// that changes it holds its lock across the kv append, so it follows
+    /// the log's order. A fresh handle over an existing kv starts with it
+    /// empty: it is not folded from the log.
+    lost: Arc<Mutex<IdSet<TaskId>>>,
 }
 
 impl TaskTable {
@@ -87,8 +69,7 @@ impl TaskTable {
             kv,
             segments: Arc::new(SegmentIndex::new()),
             states: Arc::new(LogIndex::new()),
-            appended: Arc::default(),
-            fresh: Arc::default(),
+            lost: Arc::default(),
         }
     }
 
@@ -103,9 +84,11 @@ impl TaskTable {
     /// earlier copy, then writes `state`. Unlike
     /// [`TaskTable::record_many`] it writes `Submitted` too: a task
     /// recorded again may have a state record that must not outlive it.
+    /// It is no longer [marked lost](TaskTable::marked_lost), unless
+    /// `state` is `Lost`.
     pub fn record(&self, spec: &TaskSpec, state: &TaskState) {
         segment::commit(&self.kv, std::slice::from_ref(spec));
-        self.set_state(spec.task_id, state);
+        self.append(std::iter::once(spec.task_id), state, true);
     }
 
     /// Group-commits a batch of task submissions: every spec is recorded
@@ -128,45 +111,71 @@ impl TaskTable {
         if specs.is_empty() {
             return;
         }
-        // Read before the commit: every record about these tasks is
-        // appended after it, so at or past this position.
-        let mark = self.appended.load(Relaxed);
         segment::commit(&self.kv, specs);
-        let mut fresh = self.fresh.lock();
-        for spec in specs.iter().filter(|s| s.attempt == 0) {
-            fresh.add(spec.task_id.unique(), mark);
-        }
-        drop(fresh);
         if !matches!(state, TaskState::Submitted) {
-            self.append(specs.iter().map(|s| s.task_id), state);
+            self.append(specs.iter().map(|s| s.task_id), state, false);
         }
     }
 
     /// Transitions a task's state; notifies state subscribers.
     pub fn set_state(&self, task: TaskId, state: &TaskState) {
-        self.append(std::iter::once(task), state);
+        self.append(std::iter::once(task), state, false);
     }
 
     /// Transitions many tasks to the same state with one state record
     /// (the batch-ingest path in the local scheduler, a worker's batch).
     pub fn set_states_many(&self, tasks: &[TaskId], state: &TaskState) {
-        self.append(tasks.iter().copied(), state);
+        self.append(tasks.iter().copied(), state, false);
     }
 
-    /// Appends one state record for `tasks` (nothing for none).
-    fn append(&self, tasks: impl ExactSizeIterator<Item = TaskId>, state: &TaskState) {
+    /// Appends one state record for `tasks` (nothing for none). A `Lost`
+    /// record marks them lost; one that records them `again` unmarks them
+    /// first. Either holds the lost set's lock across the append, so the
+    /// set changes in the log's order; any other record takes no lock
+    /// but the kv's.
+    fn append(
+        &self,
+        tasks: impl ExactSizeIterator<Item = TaskId> + Clone,
+        state: &TaskState,
+        again: bool,
+    ) {
         if tasks.len() == 0 {
             return;
         }
         let mut w = Writer::with_capacity(8 + 16 * tasks.len());
         w.put_varint(tasks.len() as u64);
         state.encode(&mut w);
-        for task in tasks {
+        for task in tasks.clone() {
             w.put_u128(task.unique().as_u128());
         }
-        self.kv
-            .append(Bytes::from_static(STATE_LOG_KEY), w.into_bytes());
-        self.appended.fetch_add(1, Relaxed);
+        let key = Bytes::from_static(STATE_LOG_KEY);
+        let lost = matches!(state, TaskState::Lost);
+        if !lost && !again {
+            self.kv.append(key, w.into_bytes());
+            return;
+        }
+        let mut marked = self.lost.lock();
+        for task in tasks {
+            match lost {
+                true => marked.insert(task),
+                false => marked.remove(&task),
+            };
+        }
+        self.kv.append(key, w.into_bytes());
+    }
+
+    /// Which of `tasks` this handle and its clones wrote `Lost` for and
+    /// have not recorded again since (positional), read with no kv read:
+    /// the question a reconstruction nudge for an object that never
+    /// sealed asks. It never misses a task whose latest record is `Lost`
+    /// written through this table; it may name one whose latest record
+    /// is no longer `Lost` (a killed worker's thread that ran on and
+    /// published `Finished`), which a full state read tells apart. A
+    /// fresh handle over an existing kv starts with no task marked: the
+    /// set is not folded from the log.
+    pub fn marked_lost(&self, tasks: &[TaskId]) -> Vec<bool> {
+        let lost = self.lost.lock();
+        tasks.iter().map(|task| lost.contains(task)).collect()
     }
 
     /// Batched state reads (positional), under one fold of the state log.
@@ -199,50 +208,15 @@ impl TaskTable {
         out
     }
 
-    /// Batched reads of explicit state records (positional): `None` where
-    /// a task has no state record, whether it was submitted and not yet
-    /// queued or never submitted at all. Never synthesizes `Submitted`
-    /// and never touches the spec segments, so it builds no segment
-    /// index: the read of a reconstruction nudge, which runs on every
-    /// tick a wait is blocked. Nor does it build the state index while
-    /// the log's [`RECENT_RECORDS`] newest records hold every task, or
-    /// the rest are first submissions lately made through this handle:
-    /// the producers a fault-free wait is nudged for are in flight, so
-    /// their latest records are recent, or they are not queued yet and
-    /// have none.
+    /// Batched reads of explicit state records (positional), through the
+    /// state index: `None` where a task has no state record, whether it
+    /// was submitted and not yet queued or never submitted at all. Never
+    /// synthesizes `Submitted` and never touches the spec segments, so it
+    /// builds no segment index.
     pub fn get_recorded_states_many(&self, tasks: &[TaskId]) -> Vec<Option<TaskState>> {
-        if self.states.is_empty() {
-            if let Some(states) = self.recent_states(tasks) {
-                return states;
-            }
-        }
         self.states.read(&self.kv, |states| {
             tasks.iter().map(|&t| states.get(t)).collect()
         })
-    }
-
-    /// The tasks' latest states, read newest first off the state log's
-    /// [`RECENT_RECORDS`] newest records, if every task is in one; or,
-    /// if the rest are fresh first submissions, off every record since
-    /// the earliest of them, and `None` for one that is in none.
-    fn recent_states(&self, tasks: &[TaskId]) -> Option<Vec<Option<TaskState>>> {
-        let mut wanted: FastMap<UniqueId, Vec<usize>> = FastMap::default();
-        for (at, task) in tasks.iter().enumerate() {
-            wanted.entry(task.unique()).or_default().push(at);
-        }
-        let mut out = vec![None; tasks.len()];
-        let tail = self.kv.read_log_tail(STATE_LOG_KEY, RECENT_RECORDS);
-        take_latest(&tail, &mut wanted, &mut out);
-        if wanted.is_empty() {
-            return Some(out);
-        }
-        let mark = self.fresh.lock().since(&wanted)?;
-        let (since, _) = self.kv.read_log_range(STATE_LOG_KEY, mark);
-        if since.len() > FRESH_SPAN {
-            return None;
-        }
-        take_latest(&since, &mut wanted, &mut out);
-        Some(out)
     }
 
     /// Registers how many tasks the spec-segment index holds
@@ -367,7 +341,7 @@ enum Held {
 /// The state-log fold: each task's latest state.
 #[derive(Default)]
 struct States {
-    latest: FastMap<UniqueId, Held>,
+    latest: IdMap<UniqueId, Held>,
     /// The messages of the `Failed` records, in log order.
     failures: Vec<String>,
 }
@@ -421,67 +395,6 @@ impl Fold for States {
 
     fn entries(&self) -> usize {
         self.latest.len()
-    }
-}
-
-/// Fills `out` with the latest state in `records` of each `wanted` task
-/// (by the positions it was asked at), and takes it off `wanted`.
-fn take_latest(
-    records: &[Bytes],
-    wanted: &mut FastMap<UniqueId, Vec<usize>>,
-    out: &mut [Option<TaskState>],
-) {
-    for record in records.iter().rev() {
-        if wanted.is_empty() {
-            break;
-        }
-        let Some((state, ids)) = decode_record(record) else {
-            continue;
-        };
-        for id in ids.chunks_exact(16) {
-            for at in wanted.remove(&unique_id(id)).unwrap_or_default() {
-                out[at] = Some(state.clone());
-            }
-        }
-    }
-}
-
-/// The [`FRESH_TASKS`] latest first submissions, each with the state log
-/// position its records all come at or after: a ring allocated once, so
-/// a submission allocates nothing for it.
-struct Fresh {
-    tasks: VecDeque<(UniqueId, usize)>,
-}
-
-impl Default for Fresh {
-    fn default() -> Self {
-        Fresh {
-            tasks: VecDeque::with_capacity(FRESH_TASKS),
-        }
-    }
-}
-
-impl Fresh {
-    fn add(&mut self, task: UniqueId, mark: usize) {
-        if self.tasks.len() == FRESH_TASKS {
-            self.tasks.pop_front();
-        }
-        self.tasks.push_back((task, mark));
-    }
-
-    /// The earliest mark of the `wanted` tasks, if every one is here.
-    fn since<V>(&self, wanted: &FastMap<UniqueId, V>) -> Option<usize> {
-        let mut left: FastSet<UniqueId> = wanted.keys().copied().collect();
-        let mut since = usize::MAX;
-        for (task, mark) in self.tasks.iter().rev() {
-            if left.remove(task) {
-                since = since.min(*mark);
-                if left.is_empty() {
-                    return Some(since);
-                }
-            }
-        }
-        None
     }
 }
 
@@ -661,97 +574,6 @@ mod tests {
         let states = table.get_states_many(&ids);
         assert_eq!(states, [Some(TaskState::Submitted), Some(queued), None]);
         assert_eq!(table.segments.len(), 2);
-    }
-
-    #[test]
-    fn a_recorded_read_of_recent_records_builds_no_index() {
-        let table = TaskTable::new(KvStore::new(4));
-        let root = TaskId::driver_root(DriverId::from_index(5));
-        let old = root.child(0);
-        table.set_state(old, &TaskState::Finished);
-        let ids: Vec<TaskId> = (1..=RECENT_RECORDS as u64).map(|i| root.child(i)).collect();
-        let queued = TaskState::Queued(NodeId(0));
-        for &task in &ids {
-            table.set_state(task, &queued);
-        }
-        let running = TaskState::Running(WorkerId::new(NodeId(0), 0));
-        table.set_states_many(&ids[..2], &running);
-        // The newest records hold them all: the latest wins, read off the
-        // log's tail, positionally, under one counted lock.
-        let locks = table.kv.stats().total_locks();
-        assert_eq!(
-            table.get_recorded_states_many(&[ids[1], ids[2], ids[1]]),
-            [Some(running.clone()), Some(queued.clone()), Some(running)]
-        );
-        assert_eq!(table.kv.stats().total_locks(), locks + 1);
-        assert_eq!(table.states.len(), 0);
-        // `old`'s one record is older than the tail: the read folds the
-        // whole log, and reads the index from then on.
-        assert_eq!(
-            table.get_recorded_states_many(&[ids[2], old]),
-            [Some(queued), Some(TaskState::Finished)]
-        );
-        assert_eq!(table.states.len(), RECENT_RECORDS + 1);
-    }
-
-    #[test]
-    fn a_recorded_read_of_fresh_submissions_reads_every_record_since_and_builds_no_index() {
-        let table = TaskTable::new(KvStore::new(4));
-        let root = TaskId::driver_root(DriverId::from_index(6));
-        let old = root.child(0);
-        table.set_state(old, &TaskState::Finished);
-        let specs: Vec<TaskSpec> = (1..=3)
-            .map(|i| TaskSpec::simple(root.child(i), FunctionId::from_name("f"), vec![]))
-            .collect();
-        let ids: Vec<TaskId> = specs.iter().map(|s| s.task_id).collect();
-        table.record_many(&specs, &TaskState::Submitted);
-        let queued = TaskState::Queued(NodeId(0));
-        table.set_state(ids[0], &queued);
-        for i in 0..RECENT_RECORDS as u64 {
-            table.set_state(root.child(100 + i), &TaskState::Finished);
-        }
-        // The queued task's record is older than the tail, and the other
-        // two are not queued yet: every record since their submission is
-        // read, the latest wins, and a task in none has no record.
-        assert_eq!(
-            table.get_recorded_states_many(&[ids[1], ids[0], ids[2]]),
-            [None, Some(queued.clone()), None]
-        );
-        assert_eq!(table.states.len(), 0);
-        // `old` was never submitted through this table: its record may be
-        // anywhere, so the read folds the whole log.
-        assert_eq!(
-            table.get_recorded_states_many(&[ids[1], old]),
-            [None, Some(TaskState::Finished)]
-        );
-        assert_eq!(table.states.len(), RECENT_RECORDS + 2);
-    }
-
-    #[test]
-    fn a_recorded_read_folds_past_the_fresh_ring_and_span() {
-        let root = TaskId::driver_root(DriverId::from_index(7));
-        let spec = |i: u64| TaskSpec::simple(root.child(i), FunctionId::from_name("f"), vec![]);
-        // A first submission FRESH_TASKS submissions back is forgotten.
-        let table = TaskTable::new(KvStore::new(4));
-        table.record_many(&[spec(0)], &TaskState::Submitted);
-        let later: Vec<TaskSpec> = (1..=FRESH_TASKS as u64).map(spec).collect();
-        table.record_many(&later, &TaskState::Submitted);
-        table.set_state(root.child(1), &TaskState::Finished);
-        assert_eq!(
-            table.get_recorded_states_many(&[root.child(1), root.child(2)]),
-            [Some(TaskState::Finished), None]
-        );
-        assert_eq!(table.states.len(), 0);
-        assert_eq!(table.get_recorded_states_many(&[root.child(0)]), [None]);
-        assert_eq!(table.states.len(), 1);
-        // A fresh task with more than FRESH_SPAN records since it.
-        let table = TaskTable::new(KvStore::new(4));
-        table.record_many(&[spec(0)], &TaskState::Submitted);
-        for i in 0..=FRESH_SPAN as u64 {
-            table.set_state(root.child(1 + i), &TaskState::Finished);
-        }
-        assert_eq!(table.get_recorded_states_many(&[root.child(0)]), [None]);
-        assert_eq!(table.states.len(), FRESH_SPAN + 1);
     }
 
     #[test]
@@ -972,6 +794,78 @@ mod tests {
                 false => state.unwrap_or(TaskState::Submitted),
             };
             assert_eq!(table.get_state(spec.task_id), Some(expected), "task {i}");
+        }
+    }
+
+    #[test]
+    fn a_lost_write_marks_its_tasks_lost_until_they_are_recorded_again() {
+        let table = TaskTable::new(KvStore::new(4));
+        let (dead, alive) = (NodeId(1), NodeId(0));
+        let root = TaskId::driver_root(DriverId::from_index(8));
+        let specs: Vec<TaskSpec> = (0..4)
+            .map(|i| TaskSpec::simple(root.child(i), FunctionId::from_name("f"), vec![]))
+            .collect();
+        let ids: Vec<TaskId> = specs.iter().map(|s| s.task_id).collect();
+        table.record_many(&specs, &TaskState::Queued(alive));
+        table.set_state(ids[2], &TaskState::Queued(dead));
+        assert_eq!(table.marked_lost(&ids), [false; 4]);
+        // Each writer of `Lost` marks: one task, a batch, a node's repair.
+        table.set_state(ids[0], &TaskState::Lost);
+        table.set_states_many(&ids[1..2], &TaskState::Lost);
+        assert_eq!(table.lose_node(dead), [ids[2]]);
+        assert_eq!(table.marked_lost(&ids), [true, true, true, false]);
+        // Recorded again, it is no longer lost; a later state of another
+        // kind leaves the mark, which a full read tells apart.
+        table.record(&specs[0], &TaskState::Submitted);
+        table.set_state(ids[1], &TaskState::Finished);
+        assert_eq!(table.marked_lost(&ids), [false, true, true, false]);
+        // Clones share the set; the reads took no kv lock.
+        let locks = table.kv.stats().total_locks();
+        assert_eq!(table.clone().marked_lost(&ids[2..3]), [true]);
+        assert_eq!(table.kv.stats().total_locks(), locks);
+    }
+
+    #[test]
+    fn the_lost_set_follows_the_log() {
+        const ROUNDS: u64 = 40;
+        let table = TaskTable::new(KvStore::new(4));
+        let root = TaskId::driver_root(DriverId::from_index(9));
+        let specs: Vec<TaskSpec> = (0..8)
+            .map(|i| TaskSpec::simple(root.child(i), FunctionId::from_name("f"), vec![]))
+            .collect();
+        let ids: Vec<TaskId> = specs.iter().map(|s| s.task_id).collect();
+        for round in 0..ROUNDS {
+            // One thread writes `Lost` one task and a batch at a time,
+            // the other records the same tasks again, in turns that
+            // interleave however the threads are scheduled.
+            let loser = {
+                let (table, ids) = (table.clone(), ids.clone());
+                std::thread::spawn(move || {
+                    for i in 0..64 {
+                        match (i + round) % 3 {
+                            0 => table.set_states_many(&ids[..4], &TaskState::Lost),
+                            1 => table.set_states_many(&ids[4..], &TaskState::Lost),
+                            _ => table.set_state(ids[(i % 8) as usize], &TaskState::Lost),
+                        }
+                    }
+                })
+            };
+            let recorder = {
+                let (table, specs) = (table.clone(), specs.clone());
+                std::thread::spawn(move || {
+                    for i in 0..64 {
+                        let spec = &specs[((i + round) % 8) as usize];
+                        table.record(spec, &TaskState::Submitted);
+                    }
+                })
+            };
+            loser.join().unwrap();
+            recorder.join().unwrap();
+            let latest = TaskTable::new(table.kv.clone()).get_recorded_states_many(&ids);
+            for ((task, state), marked) in ids.iter().zip(latest).zip(table.marked_lost(&ids)) {
+                let lost = state == Some(TaskState::Lost);
+                assert_eq!(marked, lost, "round {round}: {task} reads {state:?}");
+            }
         }
     }
 

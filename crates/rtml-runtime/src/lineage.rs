@@ -42,16 +42,17 @@ pub struct ReconstructionManager {
     /// attempt each was resubmitted as.
     active: Mutex<IdMap<TaskId, u32>>,
     /// Producers observed blocking a consumer, for the stuck-task
-    /// backstop: task -> (state when first seen, when first seen).
-    watch: Mutex<IdMap<TaskId, (TaskState, Instant)>>,
+    /// backstop: task -> when it was first nudged (or last seen running).
+    watch: Mutex<IdMap<TaskId, Instant>>,
     /// Size at which watched producers that moved on are pruned; doubled
     /// past whatever survives, so pruning stays O(1) reads per insert
     /// however many are legitimately in flight at once. Out of reach
     /// while a prune runs, so one runs at a time.
     prune_at: AtomicUsize,
-    /// A watched producer wedged in the *same* pre-running state this
-    /// long (its queue message swallowed by a partition, its spill
-    /// placement dropped on the wire) is declared lost and replayed.
+    /// How long a producer is watched before the backstop reads its
+    /// state: one still pre-running this long (its queue message
+    /// swallowed by a partition, its spill placement dropped on the
+    /// wire) is declared lost and replayed.
     stuck_after: Duration,
     /// Total reconstructions performed (for experiments).
     pub reconstructions: Counter,
@@ -109,16 +110,21 @@ impl ReconstructionManager {
     /// resubmits a producer that terminated without leaving a copy (node
     /// failure, eviction); seals error envelopes for an object that can
     /// never be produced (failed producer, broken lineage). The records
-    /// and the producers' explicit state records are each read in one
-    /// batched call — a `get` of a whole burst nudges every result's
-    /// producer at once — and no spec is read unless a producer is
-    /// replayed or failed: a producer with no state record is watched as
-    /// `Submitted` without looking its spec up.
+    /// are read in one batched call — a `get` of a whole burst nudges
+    /// every result's producer at once — and split by what they say:
+    ///
+    /// - an object that never sealed asks the task table only which
+    ///   producers it [marked lost](rtml_kv::TaskTable::marked_lost),
+    ///   with no kv read, replays those and watches the rest;
+    /// - an object sealed once whose copies are all gone reads its
+    ///   producer's state through the state index, in one batch.
+    ///
+    /// No spec is read unless a producer is replayed or failed.
     pub fn handle_missing(&self, objects: &[ObjectId]) {
         if objects.is_empty() {
             return;
         }
-        let mut producers = Vec::with_capacity(objects.len());
+        let (mut unsealed, mut gone) = (Vec::new(), Vec::new());
         for (object, info) in objects.iter().zip(self.services.objects.get_many(objects)) {
             if info.as_ref().is_some_and(|i| i.is_available()) {
                 continue;
@@ -133,27 +139,37 @@ impl ReconstructionManager {
             let producer = object
                 .producer_task()
                 .or_else(|| info.as_ref().and_then(|i| i.producer));
-            match producer {
-                Some(producer) => producers.push((*object, producer)),
+            let sealed = info.is_some_and(|i| i.sealed);
+            match (producer, sealed) {
+                (Some(producer), false) => unsealed.push((*object, producer)),
+                (Some(producer), true) => gone.push((*object, producer)),
                 // No producing task (a `put` or an actor result). If it
-                // has never been sealed it is simply not produced yet —
-                // keep waiting. If it *was* sealed and now has no
-                // copies, the value is gone for good: no lineage to
-                // replay.
-                None if info.is_some_and(|i| i.sealed) => self.seal_missing_as_error(
+                // was sealed and now has no copies, the value is gone
+                // for good: no lineage to replay. Otherwise it is simply
+                // not produced yet — keep waiting.
+                (None, true) => self.seal_missing_as_error(
                     &[*object],
                     "lineage broken: object has no producing task and its last copy was lost",
                 ),
-                None => {}
+                (None, false) => {}
             }
         }
-        if producers.is_empty() {
-            return;
+        if !unsealed.is_empty() {
+            let tasks: Vec<TaskId> = unsealed.iter().map(|(_, task)| *task).collect();
+            let lost = self.services.tasks.marked_lost(&tasks);
+            for ((object, producer), lost) in unsealed.into_iter().zip(lost) {
+                match lost {
+                    true => self.on_missing(object, producer, Some(TaskState::Lost)),
+                    false => self.note_inflight(object, producer),
+                }
+            }
         }
-        let tasks: Vec<TaskId> = producers.iter().map(|(_, task)| *task).collect();
-        let states = self.services.tasks.get_recorded_states_many(&tasks);
-        for ((object, producer), state) in producers.into_iter().zip(states) {
-            self.on_missing(object, producer, state);
+        if !gone.is_empty() {
+            let tasks: Vec<TaskId> = gone.iter().map(|(_, task)| *task).collect();
+            let states = self.services.tasks.get_recorded_states_many(&tasks);
+            for ((object, producer), state) in gone.into_iter().zip(states) {
+                self.on_missing(object, producer, state);
+            }
         }
     }
 
@@ -161,24 +177,17 @@ impl ReconstructionManager {
     /// explicit state record (`None`: it has none).
     fn on_missing(&self, object: ObjectId, producer: TaskId, state: Option<TaskState>) {
         match state {
-            // No record: submitted and not yet queued (the submit path
-            // writes only the spec) or not submitted at all. Watched as
-            // `Submitted`; the backstop's full state read tells the two
-            // apart if it ever wedges.
-            None => self.note_inflight(producer, TaskState::Submitted),
-            Some(state @ (TaskState::Submitted | TaskState::Queued(_) | TaskState::Spilled)) => {
-                // In flight: the seal will come — unless the message
-                // moving it forward was swallowed by a partition or an
-                // injected drop, which is what the stuck-task backstop
-                // below watches for.
-                self.note_inflight(producer, state);
-            }
-            Some(TaskState::Running(_)) => {
-                // Executing: the seal will come. Running tasks are not
-                // backstopped — dispatch is node-local (no wire to drop
-                // it on) and a node death repairs their state
-                // explicitly.
-            }
+            // No record (submitted and not yet queued, or not submitted
+            // at all), or in flight: the seal will come — unless the
+            // message moving it forward was swallowed by a partition or
+            // an injected drop, which the stuck-task backstop watches for.
+            None
+            | Some(
+                TaskState::Submitted
+                | TaskState::Queued(_)
+                | TaskState::Spilled
+                | TaskState::Running(_),
+            ) => self.note_inflight(object, producer),
             Some(TaskState::Failed(message)) => {
                 // The producer ran and failed; its error envelopes should
                 // exist, but a node death may have taken them. Re-seal.
@@ -207,37 +216,35 @@ impl ReconstructionManager {
     /// to exist — called after fetches to every listed holder failed
     /// (network partition, silently dead node). The evidence bar is
     /// high (a full fetch timeout elapsed), so the occasional redundant
-    /// replay is an acceptable price for liveness.
+    /// replay is an acceptable price for liveness. [`Self::resubmit`]
+    /// replays only a producer that finished or was lost.
     pub fn force_replay(&self, object: ObjectId) {
         let producer = object
             .producer_task()
             .or_else(|| self.services.objects.get(object).and_then(|i| i.producer));
-        let Some(producer) = producer else {
-            return; // A put or actor result: nothing to replay.
-        };
-        match self.services.tasks.get_state(producer) {
-            Some(TaskState::Finished) | Some(TaskState::Lost) => self.resubmit(producer),
-            _ => {}
+        if let Some(producer) = producer {
+            self.resubmit(producer);
         }
     }
 
-    /// A producer observed in the same pre-running state for longer
-    /// than `stuck_after` had its forward-progress message lost (a spill
-    /// or a placement dropped by the fault plan or swallowed by a
-    /// partition). Declare it lost and replay; a redundant
-    /// replay racing the original is safe — task and object IDs are
-    /// deterministic, so both executions seal identical values.
-    fn note_inflight(&self, task: TaskId, state: TaskState) {
-        let (wedged, watched) = {
+    /// The stuck-task backstop. Watches `producer` from its first nudge;
+    /// once it has been watched `stuck_after`, reads its state once and
+    /// decides:
+    ///
+    /// - submitted, queued or spilled: its forward-progress message was
+    ///   lost (a spill or a placement dropped by the fault plan or
+    ///   swallowed by a partition), so it is declared lost and replayed —
+    ///   a redundant replay racing the original is safe, because task and
+    ///   object IDs are deterministic and both executions seal identical
+    ///   values;
+    /// - running: watched afresh;
+    /// - finished, failed or lost: decided as for a lost copy;
+    /// - never submitted: no longer watched.
+    fn note_inflight(&self, object: ObjectId, producer: TaskId) {
+        let (stuck, watched) = {
             let mut watch = self.watch.lock();
-            let wedged = match watch.get_mut(&task) {
-                Some((seen, since)) if *seen == state => since.elapsed() >= self.stuck_after,
-                _ => {
-                    watch.insert(task, (state.clone(), Instant::now()));
-                    false
-                }
-            };
-            (wedged, watch.len())
+            let since = *watch.entry(producer).or_insert_with(Instant::now);
+            (since.elapsed() >= self.stuck_after, watch.len())
         };
         let at = self.prune_at.load(Relaxed);
         if watched > at
@@ -246,45 +253,39 @@ impl ReconstructionManager {
                 .compare_exchange(at, usize::MAX, Relaxed, Relaxed)
                 .is_ok()
         {
-            let left = self.prune(&self.watch, |state| {
-                matches!(
-                    state,
-                    TaskState::Submitted | TaskState::Queued(_) | TaskState::Spilled
-                )
-            });
+            let left = self.prune_watch();
             self.prune_at.store((2 * left).max(256), Relaxed);
         }
-        if !wedged {
+        if !stuck {
             return;
         }
-        self.watch.lock().remove(&task);
-        // Narrow the race: only declare Lost if the state is still the
-        // one we watched wedge. The full read synthesizes `Submitted`
-        // from the spec, so a producer that was never submitted is not
-        // declared lost.
-        if self.services.tasks.get_state(task) == Some(state) {
-            self.services.tasks.set_state(task, &TaskState::Lost);
-            self.resubmit(task);
+        // The full read synthesizes `Submitted` from the spec, so a
+        // producer that was never submitted reads `None`.
+        let state = self.services.tasks.get_state(producer);
+        if let Some(TaskState::Running(_)) = state {
+            self.watch.lock().insert(producer, Instant::now());
+            return;
+        }
+        self.watch.lock().remove(&producer);
+        match state {
+            None => {}
+            Some(TaskState::Submitted | TaskState::Queued(_) | TaskState::Spilled) => {
+                self.services.tasks.set_state(producer, &TaskState::Lost);
+                self.resubmit(producer);
+            }
+            terminal => self.on_missing(object, producer, terminal),
         }
     }
 
     /// Resubmits `task` from its durable spec, bumping the attempt
-    /// counter. No-op if another trigger beat us to it, deferred if the
-    /// reconstruction cap is reached (callers' poll loops re-trigger).
+    /// counter. No-op if another trigger beat us to it or it is not
+    /// finished or lost, deferred if the reconstruction cap is reached
+    /// (callers' poll loops re-trigger).
     pub fn resubmit(&self, task: TaskId) {
         // Replays that have since reached a terminal state are pruned
         // before the cap is declared hit.
-        let in_flight = |state: &TaskState| {
-            matches!(
-                state,
-                TaskState::Submitted
-                    | TaskState::Queued(_)
-                    | TaskState::Spilled
-                    | TaskState::Running(_)
-            )
-        };
         let full = self.active.lock().len() >= RECONSTRUCTION_CAP;
-        if full && self.prune(&self.active, in_flight) >= RECONSTRUCTION_CAP {
+        if full && self.prune_active() >= RECONSTRUCTION_CAP {
             self.deferred.inc();
             return;
         }
@@ -300,52 +301,39 @@ impl ReconstructionManager {
         self.inflight.lock().remove(&task);
     }
 
-    /// Drops the entries of `map` whose task's first result is available
-    /// or whose state no longer passes `in_flight`, and returns how many
-    /// are left. A task with an available result is done and reads no
-    /// state: its records are as old as it is. The explicit state records
-    /// of the rest are read with one batched read with no lock held —
-    /// blocked `get`s and every node loop nudge through here — a task
-    /// with none reads as `Submitted`, as [`Self::on_missing`] watches
-    /// it, and an entry changed meanwhile stays.
-    fn prune<V: Clone + PartialEq>(
-        &self,
-        map: &Mutex<IdMap<TaskId, V>>,
-        in_flight: fn(&TaskState) -> bool,
-    ) -> usize {
-        let snapshot: Vec<(TaskId, V)> = map.lock().iter().map(|(t, v)| (*t, v.clone())).collect();
-        let results: Vec<ObjectId> = snapshot
-            .iter()
-            .map(|(task, _)| task.return_object(0))
-            .collect();
-        let available: Vec<bool> = self
-            .services
-            .objects
-            .get_many(&results)
-            .into_iter()
-            .map(|info| info.is_some_and(|i| i.is_available()))
-            .collect();
-        let pending: Vec<TaskId> = snapshot
-            .iter()
-            .zip(&available)
-            .filter(|(_, available)| !**available)
-            .map(|((task, _), _)| *task)
-            .collect();
-        let mut states = match pending.is_empty() {
-            true => Vec::new(),
-            false => self.services.tasks.get_recorded_states_many(&pending),
-        }
-        .into_iter();
-        let mut map = map.lock();
-        for ((task, seen), available) in snapshot.into_iter().zip(available) {
-            // A state is taken for each entry whose result is not available.
-            let moved_on =
-                available || !in_flight(&states.next().flatten().unwrap_or(TaskState::Submitted));
-            if moved_on && map.get(&task) == Some(&seen) {
-                map.remove(&task);
+    /// Drops the watched producers whose first result is available, and
+    /// returns how many are left. One batched read of their results'
+    /// records, with no lock held — blocked `get`s and every node loop
+    /// nudge through here — and no task state: a producer whose result
+    /// is not available stays watched until the backstop reads it.
+    fn prune_watch(&self) -> usize {
+        let tasks: Vec<TaskId> = self.watch.lock().keys().copied().collect();
+        let results: Vec<ObjectId> = tasks.iter().map(|task| task.return_object(0)).collect();
+        let infos = self.services.objects.get_many(&results);
+        let mut watch = self.watch.lock();
+        for (task, info) in tasks.iter().zip(infos) {
+            if info.is_some_and(|i| i.is_available()) {
+                watch.remove(task);
             }
         }
-        map.len()
+        watch.len()
+    }
+
+    /// Drops the replays that reached a terminal state, read in one batch
+    /// through the state index with no lock held, and returns how many
+    /// are left. A replay resubmitted again meanwhile stays.
+    fn prune_active(&self) -> usize {
+        let snapshot: Vec<(TaskId, u32)> =
+            self.active.lock().iter().map(|(t, a)| (*t, *a)).collect();
+        let tasks: Vec<TaskId> = snapshot.iter().map(|(task, _)| *task).collect();
+        let states = self.services.tasks.get_recorded_states_many(&tasks);
+        let mut active = self.active.lock();
+        for ((task, attempt), state) in snapshot.into_iter().zip(states) {
+            if state.is_some_and(|s| s.is_terminal()) && active.get(&task) == Some(&attempt) {
+                active.remove(&task);
+            }
+        }
+        active.len()
     }
 
     /// Resubmits `task`; the attempt it went out as, or `None` if there
@@ -406,7 +394,7 @@ impl ReconstructionManager {
 mod tests {
     use super::*;
     use crate::cluster::ClusterConfig;
-    use rtml_common::ids::{DriverId, FunctionId, NodeId};
+    use rtml_common::ids::{DriverId, FunctionId, NodeId, WorkerId};
     use rtml_common::task::TaskSpec;
 
     /// A manager over a cluster's services with no nodes, whose stuck
@@ -435,13 +423,49 @@ mod tests {
         let task = submitted(&services, 1);
         recon.handle_missing(&[task.return_object(0)]);
         assert_eq!(services.metrics.get("kv.spec_index_entries"), Some(0));
-        let watched = recon
-            .watch
-            .lock()
-            .get(&task)
-            .map(|(state, _)| state.clone());
-        assert_eq!(watched, Some(TaskState::Submitted));
+        assert!(recon.watch.lock().contains_key(&task));
         assert_eq!(recon.reconstructions.get(), 0);
+    }
+
+    #[test]
+    fn a_nudge_of_an_object_that_never_sealed_reads_no_task_state() {
+        let services = Services::create(&ClusterConfig {
+            kv_shards: 1,
+            fetch_timeout: Duration::from_millis(5),
+            ..ClusterConfig::default()
+        });
+        let recon = ReconstructionManager::new(services.clone());
+        let root = TaskId::driver_root(DriverId::from_index(2));
+        // One producer with no record; one queued by a `set_state` that
+        // 256 newer records have followed since.
+        let (unrecorded, queued) = (root.child(0), root.child(1));
+        services
+            .tasks
+            .set_state(queued, &TaskState::Queued(NodeId(0)));
+        for i in 0..256 {
+            services
+                .tasks
+                .set_state(root.child(100 + i), &TaskState::Finished);
+        }
+        let locks = services.kv.stats().total_locks();
+        recon.handle_missing(&[unrecorded.return_object(0), queued.return_object(0)]);
+        // One lock, for the objects' records, and no index folded.
+        assert_eq!(services.kv.stats().total_locks(), locks + 1);
+        assert_eq!(services.metrics.get("kv.state_index_entries"), Some(0));
+        assert_eq!(services.metrics.get("kv.spec_index_entries"), Some(0));
+        let watch = recon.watch.lock();
+        assert!(watch.contains_key(&unrecorded) && watch.contains_key(&queued));
+        drop(watch);
+        assert_eq!(recon.reconstructions.get(), 0);
+        // One queued on a node that died: a node death's repair marks it
+        // lost, and its first nudge replays it.
+        let dead = NodeId(3);
+        let lost = submitted(&services, 2);
+        services.tasks.set_state(lost, &TaskState::Queued(dead));
+        assert_eq!(services.tasks.lose_node(dead), [lost]);
+        recon.handle_missing(&[lost.return_object(0)]);
+        assert_eq!(recon.reconstructions.get(), 1);
+        assert_eq!(services.tasks.get_spec(lost).map(|s| s.attempt), Some(1));
     }
 
     #[test]
@@ -479,11 +503,68 @@ mod tests {
     }
 
     #[test]
+    fn a_producer_that_moved_between_pre_running_states_is_replayed_at_stuck_after() {
+        let (services, recon) = manager();
+        let task = submitted(&services, 1);
+        services
+            .tasks
+            .set_state(task, &TaskState::Queued(NodeId(0)));
+        recon.handle_missing(&[task.return_object(0)]);
+        std::thread::sleep(recon.stuck_after + Duration::from_millis(5));
+        // A move that came and went: the clock runs from the first nudge.
+        services.tasks.set_state(task, &TaskState::Spilled);
+        recon.handle_missing(&[task.return_object(0)]);
+        assert_eq!(recon.reconstructions.get(), 1);
+        assert_eq!(services.tasks.get_spec(task).map(|s| s.attempt), Some(1));
+        assert!(recon.watch.lock().is_empty());
+    }
+
+    #[test]
+    fn a_running_producer_past_stuck_after_is_watched_afresh_not_replayed() {
+        let (services, recon) = manager();
+        let task = submitted(&services, 1);
+        let running = TaskState::Running(WorkerId::new(NodeId(0), 0));
+        services.tasks.set_state(task, &running);
+        recon.handle_missing(&[task.return_object(0)]);
+        std::thread::sleep(recon.stuck_after + Duration::from_millis(5));
+        let rearmed = Instant::now();
+        recon.handle_missing(&[task.return_object(0)]);
+        assert_eq!(recon.reconstructions.get(), 0);
+        assert_eq!(services.tasks.get_state(task), Some(running));
+        let since = recon.watch.lock().get(&task).copied();
+        assert!(since.is_some_and(|since| since >= rearmed), "{since:?}");
+    }
+
+    #[test]
+    fn a_never_submitted_producer_past_stuck_after_is_dropped_from_the_watch() {
+        let (services, recon) = manager();
+        let task = TaskId::driver_root(DriverId::from_index(0)).child(7);
+        recon.handle_missing(&[task.return_object(0)]);
+        assert!(recon.watch.lock().contains_key(&task));
+        std::thread::sleep(recon.stuck_after + Duration::from_millis(5));
+        recon.handle_missing(&[task.return_object(0)]);
+        assert!(recon.watch.lock().is_empty());
+        assert_eq!(recon.reconstructions.get(), 0);
+        assert_eq!(services.tasks.get_state(task), None);
+    }
+
+    #[test]
+    fn a_watched_producer_that_finished_without_a_copy_is_replayed_at_stuck_after() {
+        let (services, recon) = manager();
+        let task = submitted(&services, 1);
+        recon.handle_missing(&[task.return_object(0)]);
+        services.tasks.set_state(task, &TaskState::Finished);
+        std::thread::sleep(recon.stuck_after + Duration::from_millis(5));
+        recon.handle_missing(&[task.return_object(0)]);
+        assert_eq!(recon.reconstructions.get(), 1);
+        assert_eq!(services.tasks.get_spec(task).map(|s| s.attempt), Some(1));
+    }
+
+    #[test]
     fn a_prune_drops_a_producer_whose_result_is_available_unread() {
         let (services, recon) = manager();
-        // 300 producers finished long since, each result with a copy;
-        // their records are older than the state log's tail, and they
-        // were not submitted lately: a read of their states folds the log.
+        // 300 producers finished long since, each result with a copy: a
+        // read of their states would fold the log.
         let root = TaskId::driver_root(DriverId::from_index(1));
         let done: Vec<TaskId> = (0..300).map(|i| root.child(i)).collect();
         for task in &done {
@@ -495,7 +576,7 @@ mod tests {
         {
             let mut watch = recon.watch.lock();
             for task in &done {
-                watch.insert(*task, (TaskState::Queued(NodeId(0)), Instant::now()));
+                watch.insert(*task, Instant::now());
             }
         }
         recon.prune_at.store(done.len(), Relaxed);
@@ -507,7 +588,7 @@ mod tests {
     }
 
     #[test]
-    fn a_prune_of_the_watch_reads_its_states_in_one_batch() {
+    fn a_prune_of_the_watch_reads_no_task_state() {
         const SHARDS: usize = 4;
         let services = Services::create(&ClusterConfig {
             kv_shards: SHARDS,
@@ -517,26 +598,32 @@ mod tests {
         let root = TaskId::driver_root(DriverId::from_index(0));
         let tasks: Vec<TaskId> = (0..1000).map(|i| root.child(i)).collect();
         let queued = TaskState::Queued(NodeId(0));
-        // Every other producer has finished since it was watched.
+        // Every other producer has finished since it was watched, its
+        // result sealed.
         for (i, task) in tasks.iter().enumerate() {
-            let state = if i % 2 == 0 {
-                &TaskState::Finished
+            if i % 2 == 0 {
+                services.tasks.set_state(*task, &TaskState::Finished);
+                services
+                    .objects
+                    .add_location(task.return_object(0), NodeId(0), 5);
             } else {
-                &queued
-            };
-            services.tasks.set_state(*task, state);
+                services.tasks.set_state(*task, &queued);
+            }
         }
         {
             let mut watch = recon.watch.lock();
             for task in &tasks {
-                watch.insert(*task, (queued.clone(), Instant::now()));
+                watch.insert(*task, Instant::now());
             }
         }
         recon.prune_at.store(tasks.len() - 1, Relaxed);
         let before = services.kv.stats().total_locks();
-        recon.note_inflight(tasks[1], queued.clone());
+        recon.note_inflight(tasks[1].return_object(0), tasks[1]);
+        // One batched read of the results' records, a lock a shard.
         let locks = services.kv.stats().total_locks() - before;
-        assert!(locks <= 2 * SHARDS as u64 + 2, "{locks} kv locks");
+        assert!(locks <= SHARDS as u64, "{locks} kv locks");
+        assert_eq!(services.metrics.get("kv.state_index_entries"), Some(0));
+        assert_eq!(services.metrics.get("kv.spec_index_entries"), Some(0));
         let watch = recon.watch.lock();
         assert_eq!(watch.len(), tasks.len() / 2);
         assert!(tasks

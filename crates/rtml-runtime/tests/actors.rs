@@ -47,7 +47,7 @@ fn actor_results_compose_with_tasks() {
             Ok(*c)
         })
         .unwrap();
-    let doubled = driver.submit1(&double, &fut).unwrap();
+    let doubled = driver.submit1(&double, fut).unwrap();
     assert_eq!(driver.get(&doubled).unwrap(), 42);
     actor.stop();
     cluster.shutdown();

@@ -36,8 +36,8 @@ fn get_many_returns_values_in_order_with_duplicates() {
         .collect();
     // Input order preserved, duplicates allowed.
     let mut query = futs.clone();
-    query.push(futs[3].clone());
-    query.push(futs[3].clone());
+    query.push(futs[3]);
+    query.push(futs[3]);
     let values = driver.get_many(&query).unwrap();
     let expect: Vec<i64> = (0..16).map(|i| i * i).chain([9, 9]).collect();
     assert_eq!(values, expect);
@@ -114,7 +114,7 @@ fn futures_compose_into_dags() {
     // Diamond: d = (a+b) + (a+c).
     let ab = driver.submit2(&add, 1, 2).unwrap();
     let ac = driver.submit2(&add, 1, 3).unwrap();
-    let d = driver.submit2(&add, &ab, &ac).unwrap();
+    let d = driver.submit2(&add, ab, ac).unwrap();
     assert_eq!(driver.get(&d).unwrap(), 7);
     cluster.shutdown();
 }
@@ -126,7 +126,7 @@ fn deep_chain_executes_in_order() {
     let driver = cluster.driver();
     let mut fut = driver.submit1(&inc, 0).unwrap();
     for _ in 0..49 {
-        fut = driver.submit1(&inc, &fut).unwrap();
+        fut = driver.submit1(&inc, fut).unwrap();
     }
     assert_eq!(driver.get(&fut).unwrap(), 50);
     cluster.shutdown();
@@ -274,7 +274,7 @@ fn put_then_pass_as_argument() {
     let sum = cluster.register_fn1("sum_vec", |v: Vec<i64>| Ok(v.iter().sum::<i64>()));
     let driver = cluster.driver();
     let data = driver.put(&vec![1i64, 2, 3, 4]).unwrap();
-    let fut = driver.submit1(&sum, &data).unwrap();
+    let fut = driver.submit1(&sum, data).unwrap();
     assert_eq!(driver.get(&fut).unwrap(), 10);
     // put objects can also be fetched directly.
     assert_eq!(driver.get(&data).unwrap(), vec![1, 2, 3, 4]);
@@ -340,7 +340,7 @@ fn errors_cascade_through_dataflow() {
     let inc = cluster.register_fn1("inc2", |x: i64| Ok(x + 1));
     let driver = cluster.driver();
     let bad = driver.submit0(&fail).unwrap();
-    let downstream = driver.submit1(&inc, &bad).unwrap();
+    let downstream = driver.submit1(&inc, bad).unwrap();
     match driver.get(&downstream) {
         Err(Error::TaskFailed { message, .. }) => {
             assert!(message.contains("root cause"), "{message}");

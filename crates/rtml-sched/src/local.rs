@@ -135,10 +135,11 @@ pub struct SchedServices {
     /// Runtime hook into lineage reconstruction, invoked when a watched
     /// object has no live copy ([`Replay::Missing`](crate::Replay::Missing):
     /// once a tick while it is waited for, which also feeds the
-    /// runtime's stuck-producer backstop, and at once when it is first
-    /// waited for with its last copy already lost — a dependency that
-    /// has not sealed yet reads no lineage on ingest) or a whole sweep
-    /// of its listed holders failed to deliver it
+    /// runtime's stuck-producer backstop and, for an object that never
+    /// sealed, reads its record and no task state; and at once when it
+    /// is first waited for with its last copy already lost — a
+    /// dependency that has not sealed yet reads no lineage on ingest) or
+    /// a whole sweep of its listed holders failed to deliver it
     /// ([`Replay::Forced`](crate::Replay::Forced)) — everything one
     /// resolver pass found, in one call. The runtime deduplicates and
     /// resubmits producing tasks. The hook runs **on the scheduler
@@ -630,9 +631,8 @@ impl Core {
     /// A worker died (failure injection): whatever it had taken from
     /// the queue, started or not, is lost with it.
     fn remove_worker(&mut self, worker: WorkerId) {
-        for task in self.queue.detach(worker) {
-            self.services.tasks.set_state(task, &TaskState::Lost);
-        }
+        let lost = self.queue.detach(worker);
+        self.services.tasks.set_states_many(&lost, &TaskState::Lost);
         self.services.events.append(
             self.config.node,
             Event::now(Component::LocalScheduler, EventKind::WorkerLost { worker }),

@@ -92,8 +92,10 @@ pub enum Goal {
 pub enum Replay {
     /// No sealed copy is known: replay the producer unless it is still
     /// on its way (the hook decides; asked every tick, so a producer
-    /// seen stuck in one state tick after tick is noticed, and at once
-    /// for an object added after its last copy was lost).
+    /// watched past the backstop's bound is noticed, and at once for an
+    /// object added after its last copy was lost). For an object that
+    /// never sealed the hook asks only whether the producer was marked
+    /// lost, which reads no task state.
     Missing,
     /// Copies are listed but a whole sweep of holders failed to deliver:
     /// replay the producer although copies appear to exist.

@@ -31,7 +31,7 @@ fn main() -> Result<()> {
 
     // 3. Futures are arguments: this creates dataflow edges, no get
     //    needed in between.
-    let c = driver.submit2(&add, &a, &b)?;
+    let c = driver.submit2(&add, a, b)?;
 
     // 4. get blocks until the value is ready (fetching across nodes if
     //    the task ran elsewhere).
@@ -51,7 +51,7 @@ fn main() -> Result<()> {
     // put stores a value directly; tasks can consume it by reference.
     let big = driver.put(&vec![1i64; 1024])?;
     let sum = cluster.register_fn1("sum", |v: Vec<i64>| Ok(v.iter().sum::<i64>()));
-    let total = driver.submit1(&sum, &big)?;
+    let total = driver.submit1(&sum, big)?;
     println!("sum of 1024 ones = {}", driver.get(&total)?);
 
     // R7: the event log knows what happened.

@@ -533,9 +533,9 @@ fn fault_free_waits_never_build_the_spec_index() {
         let s: Vec<_> = (0..4)
             .map(|k| driver.submit1(&sensor, w * 4 + k).unwrap())
             .collect();
-        let left = driver.submit2(&fuse, &s[0], &s[1]).unwrap();
-        let right = driver.submit2(&fuse, &s[2], &s[3]).unwrap();
-        let fused = driver.submit2(&fuse, &left, &right).unwrap();
+        let left = driver.submit2(&fuse, s[0], s[1]).unwrap();
+        let right = driver.submit2(&fuse, s[2], s[3]).unwrap();
+        let fused = driver.submit2(&fuse, left, right).unwrap();
         let x = |k: u64| sense(w * 4 + k, 0);
         let expect = (x(0).rotate_left(7) ^ x(1)).rotate_left(7) ^ (x(2).rotate_left(7) ^ x(3));
         assert_eq!(driver.get(&fused).unwrap(), expect);
@@ -575,9 +575,9 @@ fn fault_free_bursts_and_round_trips_never_build_the_state_index() {
     let driver = cluster.driver();
     let entries = || cluster.counters().get("kv.state_index_entries").unwrap();
     // Every transition is appended to the state log, and nothing folds
-    // the log into the index: the one read here is a wait's nudge past a
-    // tick (a debug build's spilled burst can take that long), and it
-    // finds its in-flight producers among the log's newest records.
+    // the log into the index: a wait's nudge past a tick (a debug build's
+    // spilled burst can take that long) asks the task table only whether
+    // the producer was marked lost, and reads no task state.
     const TASKS: u64 = 256;
     for round in 0..16 {
         let args = round * TASKS..(round + 1) * TASKS;

@@ -53,7 +53,7 @@ fn a_task_whose_argument_is_not_sealed_takes_the_loop() {
     let inc = cluster.register_fn1("direct_inc_dep", |x: i64| Ok(x + 1));
     let driver = cluster.driver();
     let first = driver.submit1(&slow, 41).unwrap();
-    let second = driver.submit1(&inc, &first).unwrap();
+    let second = driver.submit1(&inc, first).unwrap();
     assert_eq!(driver.get(&second).unwrap(), 42);
     // The first was runnable; the second waited for the first's result.
     assert_eq!(admitted_direct(&cluster), 1);

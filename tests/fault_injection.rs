@@ -19,7 +19,7 @@ fn chain_survives_mid_chain_node_loss() {
     let driver = cluster.driver();
     let mut fut = driver.submit1(&inc, 0).unwrap();
     for _ in 0..9 {
-        fut = driver.submit1(&inc, &fut).unwrap();
+        fut = driver.submit1(&inc, fut).unwrap();
     }
     assert_eq!(driver.get(&fut).unwrap(), 10);
     // Now lose node 1 (and whatever intermediates it held).
@@ -127,7 +127,7 @@ fn killing_holders_leaves_reads_and_lineage_correct() {
         .into_iter()
         .map(|i| {
             let on = TaskOptions::resources(Resources::cpu(1.0).with_custom(&pinned(i), 1.0));
-            driver.submit1_opts(&read, &fut, on).unwrap()
+            driver.submit1_opts(&read, fut, on).unwrap()
         })
         .collect();
     for reader in &readers {

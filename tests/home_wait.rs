@@ -165,7 +165,7 @@ fn two_losses_in_a_row_under_a_home_wait_both_reach_it() {
     let (ours, expected): (Vec<_>, Vec<u64>) = (futs.iter().zip(1u64..))
         .zip(&held)
         .filter(|(_, holder)| **holder != Some(first))
-        .map(|((fut, value), _)| (fut.clone(), value))
+        .map(|((fut, value), _)| (*fut, value))
         .unzip();
     let waiting = std::thread::spawn(move || driver.get_many(&ours));
     until("the get never slept", || blocked_waits(&cluster) == 1);

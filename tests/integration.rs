@@ -128,7 +128,7 @@ fn control_plane_sharding_preserves_semantics() {
         let f = cluster.register_fn2("mul", |a: i64, b: i64| Ok(a * b));
         let driver = cluster.driver();
         let x = driver.submit2(&f, 6, 7).unwrap();
-        let y = driver.submit2(&f, &x, 2i64).unwrap();
+        let y = driver.submit2(&f, x, 2i64).unwrap();
         assert_eq!(driver.get(&y).unwrap(), 84, "shards {shards}");
         cluster.shutdown();
     }
