@@ -72,7 +72,7 @@ fn main() -> Result<()> {
 
 /// §4.1: the four latencies, p50 over `SAMPLES` runs after `WARMUP`.
 fn latency(claims: &mut Vec<Claim>) -> Result<()> {
-    let cluster = Cluster::start(ClusterConfig::local(1, 2).without_event_log())?;
+    let cluster = Cluster::start(ClusterConfig::local(1, 2))?;
     let nop = cluster.register_fn0("paper_nop", || Ok(0u64));
     let driver = cluster.driver();
     let submit = p50_us(|| {
@@ -100,7 +100,7 @@ fn latency(claims: &mut Vec<Claim>) -> Result<()> {
         ],
         ..ClusterConfig::default()
     };
-    let cluster = Cluster::start(config.without_event_log())?;
+    let cluster = Cluster::start(config)?;
     let nop = cluster.register_fn0("paper_remote_nop", || Ok(0u64));
     let driver = cluster.driver();
     let pinned = TaskOptions::resources(Resources::cpu(1.0).with_custom("pin", 1.0));
@@ -371,8 +371,7 @@ fn submit_rate(
     let mut config = ClusterConfig {
         spill: SpillMode::NeverSpill,
         ..ClusterConfig::local(1, 2)
-    }
-    .with_event_log_retention(4096);
+    };
     if !telemetry {
         config = config.without_telemetry();
     }
@@ -434,8 +433,8 @@ fn queued(driver: &Driver, returns: &[ObjectId]) -> Result<()> {
 /// R2: bursts of trivial tasks through execution on one node of two
 /// workers, each timed from its submission to its last value; the p50
 /// of the bursts' rates, in tasks/s, against the paper's "millions of
-/// tasks per second". A 2-vCPU VM reads ≈ 95 k (≈ 75 k before workers
-/// took batches); the bound is about half of that.
+/// tasks per second". A 2-vCPU VM reads ≈ 250 k; the bound is about
+/// half of that.
 fn throughput(claims: &mut Vec<Claim>) -> Result<()> {
     const BURST: u64 = 16_384;
     const BURSTS: usize = 5;
@@ -458,7 +457,7 @@ fn throughput(claims: &mut Vec<Claim>) -> Result<()> {
             "R2 trivial tasks on one node, tasks/s",
             Some(1e6),
             rates[BURSTS / 2],
-            45_000.0,
+            120_000.0,
         ),
         mismatches("R2: values off their tasks'", off),
     ]);

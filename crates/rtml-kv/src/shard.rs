@@ -105,7 +105,8 @@ struct Log {
     whole: VecDeque<Bytes>,
     first_whole: u32,
     /// The records' summed weight, once a capped append has weighed
-    /// them, so the cap costs O(1) a record.
+    /// them, so the cap costs O(1) a record; an unbounded append
+    /// forgets it.
     weight: Option<usize>,
 }
 
@@ -449,28 +450,13 @@ impl Shard {
         self.append_bounded(key, std::slice::from_ref(&record), None);
     }
 
-    /// Group-committed log appends: all `records` land on the log at
-    /// `key` (and notify) under a single lock acquisition. When
-    /// `retention` is set the log behaves as a ring buffer bounded to
-    /// that many records; the records dropped from the front to enforce
-    /// the cap are returned (popping is O(1) per record).
-    pub fn append_many(
-        &self,
-        key: Bytes,
-        records: Vec<Bytes>,
-        retention: Option<usize>,
-    ) -> Vec<Bytes> {
-        fn one(_: &[u8]) -> usize {
-            1
-        }
-        let cap = retention.map(|cap| (cap, one as Weight));
-        self.append_bounded(key, &records, cap)
-    }
-
-    /// [`Shard::append_many`] under a cap on the records' summed
-    /// `weight` rather than their number: the oldest records are dropped
-    /// until the log weighs at most `cap`, except that the newest record
-    /// is always kept. Returns the dropped records.
+    /// Group-committed, bounded log appends: all `records` land on the
+    /// log at `key` (and notify) under a single lock acquisition, and
+    /// the log is a ring buffer under a cap on its records' summed
+    /// `weight` (a weight of 1 caps their number): the oldest records
+    /// are dropped until the log weighs at most `cap`, except that the
+    /// newest record is always kept. Returns the dropped records
+    /// (popping is O(1) per record).
     pub fn append_many_capped(
         &self,
         key: Bytes,
@@ -522,8 +508,6 @@ impl Shard {
                 dropped.push(record);
             }
             log.weight = Some(total);
-        } else {
-            log.weight = weighed;
         }
         // The caller's `records` outlive the guard: the buffers of the
         // packed ones are freed outside the lock.
@@ -683,6 +667,18 @@ mod tests {
         sub.recv().unwrap().1
     }
 
+    /// Weighs every record 1: a cap on their number.
+    fn one(_: &[u8]) -> usize {
+        1
+    }
+
+    /// Appends `records` to the unbounded log `log`, one at a time.
+    fn append_all(s: &Shard, records: &[Bytes]) {
+        for record in records {
+            s.append(b("log"), record.clone());
+        }
+    }
+
     #[test]
     fn get_set_delete() {
         let s = shard();
@@ -831,7 +827,7 @@ mod tests {
     fn append_many_is_ordered_and_notifies() {
         let s = shard();
         let (_cur, rx) = subscribe(&s, b("log"));
-        let dropped = s.append_many(b("log"), vec![b("r1"), b("r2"), b("r3")], None);
+        let dropped = s.append_many_capped(b("log"), vec![b("r1"), b("r2"), b("r3")], 3, one);
         assert!(dropped.is_empty());
         assert_eq!(s.read_log(b"log".as_ref()), vec![b("r1"), b("r2"), b("r3")]);
         assert_eq!(next(&rx), b("r1"));
@@ -841,8 +837,8 @@ mod tests {
     #[test]
     fn bounded_append_drops_oldest() {
         let s = shard();
-        s.append_many(b("log"), vec![b("r1"), b("r2")], Some(4));
-        let dropped = s.append_many(b("log"), vec![b("r3"), b("r4"), b("r5")], Some(4));
+        s.append_many_capped(b("log"), vec![b("r1"), b("r2")], 4, one);
+        let dropped = s.append_many_capped(b("log"), vec![b("r3"), b("r4"), b("r5")], 4, one);
         assert_eq!(dropped, vec![b("r1")]);
         assert_eq!(
             s.read_log(b"log".as_ref()),
@@ -866,6 +862,11 @@ mod tests {
         let dropped = s.append_many_capped(b("log"), vec![b("e"), b("f")], 4, len);
         assert_eq!(dropped, vec![b("ddddd")]);
         assert_eq!(s.read_log(b"log".as_ref()), vec![b("e"), b("f")]);
+        // A record appended unbounded still counts at the next cap.
+        s.append(b("log"), b("ggg"));
+        let dropped = s.append_many_capped(b("log"), vec![b("h")], 4, len);
+        assert_eq!(dropped, vec![b("e"), b("f")]);
+        assert_eq!(s.read_log(b"log".as_ref()), vec![b("ggg"), b("h")]);
     }
 
     /// `n` distinct records of `len` bytes each (`len` ≥ 6).
@@ -882,7 +883,7 @@ mod tests {
     fn a_sealed_blocks_record_is_a_window_of_one_shared_buffer() {
         let s = shard();
         let records = numbered(PER_BLOCK + 10, 46);
-        s.append_many(b("log"), records.clone(), None);
+        append_all(&s, &records);
         let (first, second) = (s.read_log(b"log".as_ref()), s.read_log(b"log".as_ref()));
         assert_eq!(first, records);
         assert_eq!(second, records);
@@ -902,11 +903,11 @@ mod tests {
         let s = shard();
         let records = numbered(PER_BLOCK + 50, 46);
         let open = PER_BLOCK - 10;
-        s.append_many(b("log"), records[..open].to_vec(), None);
+        append_all(&s, &records[..open]);
         let (tail, total) = s.read_log_range(b"log".as_ref(), open - 5);
         assert_eq!((tail, total), (records[open - 5..open].to_vec(), open));
         // This append seals the first block and opens a second.
-        s.append_many(b("log"), records[open..].to_vec(), None);
+        append_all(&s, &records[open..]);
         let (tail, total) = s.read_log_range(b"log".as_ref(), open - 5);
         assert_eq!((tail, total), (records[open - 5..].to_vec(), records.len()));
         assert_eq!(s.read_log_range(b"log".as_ref(), 0).0, records);
@@ -922,7 +923,7 @@ mod tests {
         let mut dropped = Vec::new();
         let mut appended = 0;
         for chunk in records.chunks(50) {
-            dropped.extend(s.append_many(b("log"), chunk.to_vec(), Some(100)));
+            dropped.extend(s.append_many_capped(b("log"), chunk.to_vec(), 100, one));
             appended += chunk.len();
             assert_eq!(dropped, records[..appended.saturating_sub(100)]);
             assert_eq!(
@@ -944,7 +945,7 @@ mod tests {
         let s = shard();
         let big = Bytes::from(vec![7u8; PACKED_MAX + 1]);
         let edge = Bytes::from(vec![8u8; PACKED_MAX]);
-        s.append_many(b("log"), vec![b("before"), big.clone(), edge.clone()], None);
+        append_all(&s, &[b("before"), big.clone(), edge.clone()]);
         let log = s.read_log(b"log".as_ref());
         assert_eq!(log, vec![b("before"), big.clone(), edge.clone()]);
         assert_eq!(log[1].as_ptr(), big.as_ptr());
@@ -965,7 +966,7 @@ mod tests {
             .collect();
         let mut dropped = Vec::new();
         for (i, record) in records.iter().enumerate() {
-            dropped.extend(s.append_many(b("log"), vec![record.clone()], Some(30)));
+            dropped.extend(s.append_many_capped(b("log"), vec![record.clone()], 30, one));
             let kept = (i + 1).saturating_sub(30);
             assert_eq!(dropped, records[..kept]);
             assert_eq!(s.read_log(b"log".as_ref()), records[kept..=i]);
@@ -983,9 +984,7 @@ mod tests {
         const RECORDS: usize = 100_000;
         const LEN: usize = 46;
         let s = shard();
-        for chunk in numbered(RECORDS, LEN).chunks(64) {
-            s.append_many(b("log"), chunk.to_vec(), None);
-        }
+        append_all(&s, &numbered(RECORDS, LEN));
         let st = s.state.lock();
         let log = &st.logs[b"log".as_ref()];
         assert_eq!(log.len(), RECORDS);

@@ -153,24 +153,12 @@ impl KvStore {
         self.shard_for(&key).append(key.clone(), record);
     }
 
-    /// Group-committed log appends: all records land on `key`'s log
-    /// under one shard lock acquisition. With `retention` set the log is
-    /// a ring buffer bounded to that many records; the records dropped
-    /// from the front to enforce the cap are returned.
-    pub fn append_many(
-        &self,
-        key: Bytes,
-        records: Vec<Bytes>,
-        retention: Option<usize>,
-    ) -> Vec<Bytes> {
-        self.shard_for(&key)
-            .append_many(key.clone(), records, retention)
-    }
-
-    /// [`KvStore::append_many`] under a cap on the records' summed
-    /// `weight` rather than their number: the oldest records are dropped
-    /// until the log weighs at most `cap`, except that the newest record
-    /// is always kept. Returns the dropped records.
+    /// Group-committed, bounded log appends: all records land on `key`'s
+    /// log under one shard lock acquisition, and the log is a ring
+    /// buffer under a cap on its records' summed `weight` (a weight of 1
+    /// caps their number): the oldest records are dropped until the log
+    /// weighs at most `cap`, except that the newest record is always
+    /// kept. Returns the dropped records (see [`Shard::append_many_capped`]).
     pub fn append_many_capped(
         &self,
         key: Bytes,
@@ -435,11 +423,11 @@ mod tests {
     }
 
     #[test]
-    fn append_many_with_retention_through_facade() {
+    fn append_many_capped_through_facade() {
         let kv = KvStore::new(4);
         let k = Bytes::from_static(b"log");
         let records: Vec<Bytes> = (0..10u8).map(|i| Bytes::from(vec![i])).collect();
-        let dropped = kv.append_many(k.clone(), records, Some(6));
+        let dropped = kv.append_many_capped(k.clone(), records, 6, |_| 1);
         assert_eq!(dropped.len(), 4);
         assert_eq!(&dropped[0][..], &[0u8]);
         let log = kv.read_log(&k);

@@ -7,13 +7,14 @@
 //! from the emitting node and component, so high-rate logging scales with
 //! the shard count like every other control-plane write.
 //!
-//! Two throughput provisions keep logging off the hot path's back:
-//! batched submission appends a whole batch of events with one shard
-//! lock acquisition ([`EventLog::append_many`]), and a configurable
-//! **retention cap** turns each stream into a ring buffer so sustained
-//! throughput runs do not grow control-plane memory without bound. The
-//! number of records dropped to enforce the cap is counted and exposed,
-//! so profiling output can state when its view is partial.
+//! The log is always on. Two provisions keep it off the hot path's
+//! back: batched submission appends a whole batch of events with one
+//! shard lock acquisition ([`EventLog::append_many`]), and a constant
+//! **retention cap** ([`EventLog::RETENTION`]) turns each stream into a
+//! ring buffer so sustained throughput runs do not grow control-plane
+//! memory without bound. The number of events dropped to enforce the
+//! cap is counted and exposed, so profiling output can state when its
+//! view is partial.
 
 use std::sync::Arc;
 
@@ -32,10 +33,6 @@ const PREFIX: &[u8] = b"ev:";
 #[derive(Clone)]
 pub struct EventLog {
     kv: Arc<KvStore>,
-    enabled: bool,
-    /// Maximum events kept per (node, component) stream; `None` means
-    /// unbounded (the seed behaviour).
-    retention: Option<usize>,
     /// Events dropped across all streams to enforce the retention cap.
     /// Shared across clones so every handle reports the same total.
     dropped: Arc<Counter>,
@@ -44,48 +41,22 @@ pub struct EventLog {
 }
 
 impl EventLog {
-    /// Creates an enabled, unbounded event log over `kv`.
+    /// Maximum events kept per (node, component) stream, ring-buffer
+    /// style: the oldest frames are dropped as new ones land, and the
+    /// events they contained are counted in [`EventLog::dropped_count`].
+    /// A frame is dropped whole, and the newest is always kept, so a
+    /// stream exceeds the cap only while its newest frame alone does.
+    /// A lone task writes at most 2 events to any one stream, so a
+    /// stream holds the last ≈ 32 k tasks' history.
+    pub const RETENTION: usize = 1 << 16;
+
+    /// Creates an event log over `kv`.
     pub fn new(kv: Arc<KvStore>) -> Self {
         EventLog {
             kv,
-            enabled: true,
-            retention: None,
             dropped: Arc::new(Counter::new()),
             undecodable: Arc::new(Counter::new()),
         }
-    }
-
-    /// Creates a disabled log: appends become no-ops. Used by benchmarks
-    /// that want to exclude logging cost from a measurement.
-    pub fn disabled(kv: Arc<KvStore>) -> Self {
-        EventLog {
-            kv,
-            enabled: false,
-            retention: None,
-            dropped: Arc::new(Counter::new()),
-            undecodable: Arc::new(Counter::new()),
-        }
-    }
-
-    /// Bounds every stream to at most `cap` events, ring-buffer style:
-    /// the oldest frames are dropped as new ones land, and the events
-    /// they contained are counted in [`EventLog::dropped_count`]. A
-    /// frame is dropped whole, and the newest is always kept, so a
-    /// stream exceeds `cap` only while its newest frame alone does.
-    /// `None` removes the bound.
-    pub fn with_retention(mut self, cap: Option<usize>) -> Self {
-        self.retention = cap;
-        self
-    }
-
-    /// Whether appends are recorded.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// The per-stream retention cap, if any.
-    pub fn retention(&self) -> Option<usize> {
-        self.retention
     }
 
     /// Total events dropped to enforce the retention cap, across all
@@ -123,9 +94,6 @@ impl EventLog {
 
     /// Appends an event attributed to `node` (a frame of one).
     pub fn append(&self, node: NodeId, event: Event) {
-        if !self.enabled {
-            return;
-        }
         self.append_frame(
             Self::key(node, event.component),
             std::slice::from_ref(&event),
@@ -138,7 +106,7 @@ impl EventLog {
     /// cost of logging a batch submission collapses into a shared buffer
     /// append. Readers decode frames transparently.
     pub fn append_many(&self, node: NodeId, events: Vec<Event>) {
-        if !self.enabled || events.is_empty() {
+        if events.is_empty() {
             return;
         }
         // Batches are almost always single-component (one submitter);
@@ -165,10 +133,9 @@ impl EventLog {
             event.encode(&mut w);
         }
         let frame = vec![w.into_bytes()];
-        let evicted = match self.retention {
-            Some(cap) => self.kv.append_many_capped(key, frame, cap, Self::frame_len),
-            None => self.kv.append_many(key, frame, None),
-        };
+        let evicted = self
+            .kv
+            .append_many_capped(key, frame, Self::RETENTION, Self::frame_len);
         if !evicted.is_empty() {
             let events: u64 = evicted.iter().map(|r| self.events_in(r)).sum();
             self.dropped.add(events);
@@ -199,16 +166,6 @@ impl EventLog {
             self.undecodable.inc();
             Vec::new()
         })
-    }
-
-    /// Reads all events from one (node, component) stream, in append
-    /// order.
-    pub fn read(&self, node: NodeId, component: Component) -> Vec<Event> {
-        self.kv
-            .read_log(&Self::key(node, component))
-            .iter()
-            .flat_map(|b| self.decode_frame(b))
-            .collect()
     }
 
     /// Reads every event in the system, sorted by timestamp. Tooling path.
@@ -246,6 +203,16 @@ mod tests {
     use rtml_common::event::EventKind;
     use rtml_common::ids::{DriverId, TaskId};
 
+    /// The timestamps of one (node, component) stream, in append order.
+    fn stream(log: &EventLog, node: NodeId, component: Component) -> Vec<u64> {
+        log.kv
+            .read_log(&EventLog::key(node, component))
+            .iter()
+            .flat_map(|b| log.decode_frame(b))
+            .map(|e| e.at_nanos)
+            .collect()
+    }
+
     fn ev(component: Component, nanos: u64) -> Event {
         let root = TaskId::driver_root(DriverId::from_index(0));
         Event {
@@ -264,11 +231,9 @@ mod tests {
         log.append(NodeId(0), ev(Component::Worker, 1));
         log.append(NodeId(0), ev(Component::Worker, 2));
         log.append(NodeId(1), ev(Component::Worker, 3));
-        let events = log.read(NodeId(0), Component::Worker);
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[0].at_nanos, 1);
-        assert_eq!(log.read(NodeId(1), Component::Worker).len(), 1);
-        assert!(log.read(NodeId(2), Component::Worker).is_empty());
+        assert_eq!(stream(&log, NodeId(0), Component::Worker), vec![1, 2]);
+        assert_eq!(stream(&log, NodeId(1), Component::Worker), vec![3]);
+        assert!(stream(&log, NodeId(2), Component::Worker).is_empty());
     }
 
     #[test]
@@ -286,16 +251,6 @@ mod tests {
     }
 
     #[test]
-    fn disabled_log_drops_appends() {
-        let kv = KvStore::new(4);
-        let log = EventLog::disabled(kv);
-        assert!(!log.is_enabled());
-        log.append(NodeId(0), ev(Component::Worker, 1));
-        log.append_many(NodeId(0), vec![ev(Component::Worker, 2)]);
-        assert!(log.is_empty());
-    }
-
-    #[test]
     fn append_many_preserves_order_and_components() {
         let kv = KvStore::new(4);
         let log = EventLog::new(kv);
@@ -308,13 +263,8 @@ mod tests {
                 ev(Component::Driver, 4),
             ],
         );
-        let driver: Vec<u64> = log
-            .read(NodeId(0), Component::Driver)
-            .iter()
-            .map(|e| e.at_nanos)
-            .collect();
-        assert_eq!(driver, vec![1, 2, 4]);
-        assert_eq!(log.read(NodeId(0), Component::Worker).len(), 1);
+        assert_eq!(stream(&log, NodeId(0), Component::Driver), vec![1, 2, 4]);
+        assert_eq!(stream(&log, NodeId(0), Component::Worker), vec![3]);
         assert_eq!(log.len(), 4);
     }
 
@@ -339,12 +289,7 @@ mod tests {
         let garbage = Bytes::from_static(b"\x03\x01\xffgarbage");
         kv.append(EventLog::key(NodeId(0), Component::Worker), garbage);
         log.append_many(NodeId(0), vec![ev(Component::Worker, 2)]);
-        let times: Vec<u64> = log
-            .read(NodeId(0), Component::Worker)
-            .iter()
-            .map(|e| e.at_nanos)
-            .collect();
-        assert_eq!(times, vec![1, 2]);
+        assert_eq!(stream(&log, NodeId(0), Component::Worker), vec![1, 2]);
         assert_eq!(log.undecodable_count(), 1);
         assert_eq!(registry.get("events.undecodable"), Some(1));
         assert_eq!(registry.get("events.dropped"), Some(0));
@@ -352,36 +297,34 @@ mod tests {
 
     #[test]
     fn retention_caps_streams_and_counts_drops() {
+        const CAP: u64 = EventLog::RETENTION as u64;
         let kv = KvStore::new(4);
-        let log = EventLog::new(kv).with_retention(Some(5));
-        assert_eq!(log.retention(), Some(5));
-        for i in 0..12 {
-            log.append(NodeId(0), ev(Component::Worker, i));
-        }
-        let events = log.read(NodeId(0), Component::Worker);
-        assert_eq!(events.len(), 5);
-        // The survivors are the newest five, in order.
-        let times: Vec<u64> = events.iter().map(|e| e.at_nanos).collect();
-        assert_eq!(times, vec![7, 8, 9, 10, 11]);
-        assert_eq!(log.dropped_count(), 7);
+        let log = EventLog::new(kv);
+        let frame = |times: std::ops::Range<u64>| times.map(|i| ev(Component::Worker, i)).collect();
+        let worker = |log: &EventLog| stream(log, NodeId(0), Component::Worker);
+        // Two half-cap frames fill the stream exactly.
+        log.append_many(NodeId(0), frame(0..CAP / 2));
+        log.append_many(NodeId(0), frame(CAP / 2..CAP));
+        assert_eq!(worker(&log).len(), CAP as usize);
+        assert_eq!(log.dropped_count(), 0);
+        // One more event evicts the oldest frame whole: the survivors
+        // are the newest, in order.
+        log.append(NodeId(0), ev(Component::Worker, CAP));
+        assert_eq!(worker(&log), (CAP / 2..=CAP).collect::<Vec<_>>());
+        assert_eq!(log.dropped_count(), CAP / 2);
         // Clones share the drop counter. A batch lands as one frame
-        // record, and the cap counts its three events: it evicts three
-        // single-event records here.
+        // record, and the cap counts its events: it evicts the other
+        // half-cap frame and keeps the single event.
         let clone = log.clone();
-        clone.append_many(
-            NodeId(0),
-            (12..15).map(|i| ev(Component::Worker, i)).collect(),
-        );
-        assert_eq!(log.dropped_count(), 10);
-        let events = log.read(NodeId(0), Component::Worker);
-        assert_eq!(events.len(), 5); // 2 surviving singles + 3 framed
-        assert_eq!(events.last().unwrap().at_nanos, 14);
+        clone.append_many(NodeId(0), frame(CAP + 1..CAP + 1 + CAP / 2));
+        assert_eq!(log.dropped_count(), CAP);
+        let times = worker(&log);
+        assert_eq!(times.len() as u64, 1 + CAP / 2);
+        assert_eq!((times[0], *times.last().unwrap()), (CAP, CAP + CAP / 2));
         // A frame larger than the cap is kept whole, alone.
-        clone.append_many(
-            NodeId(0),
-            (15..22).map(|i| ev(Component::Worker, i)).collect(),
-        );
-        assert_eq!(log.dropped_count(), 15);
-        assert_eq!(log.read(NodeId(0), Component::Worker).len(), 7);
+        let start = CAP + 1 + CAP / 2;
+        clone.append_many(NodeId(0), frame(start..start + CAP + 1));
+        assert_eq!(log.dropped_count(), CAP + CAP / 2 + 1);
+        assert_eq!(worker(&log), (start..start + CAP + 1).collect::<Vec<_>>());
     }
 }

@@ -8,7 +8,7 @@
 //! interval, so the sensing plane costs the control plane a few locks
 //! per second per node regardless of how many metrics are registered.
 //!
-//! Every stream is a ring bounded by the table's retention, so a
+//! Every stream is a ring of [`TelemetryTable::RETENTION`] records, so a
 //! long-running cluster holds a sliding window of recent samples
 //! without unbounded control-plane memory.
 
@@ -42,32 +42,16 @@ rtml_common::impl_codec_struct!(TelemetryRecord { at_nanos, samples });
 #[derive(Clone)]
 pub struct TelemetryTable {
     kv: Arc<KvStore>,
-    /// Maximum records kept per node stream (ring-buffer style).
-    retention: usize,
 }
 
 impl TelemetryTable {
-    /// Default per-node ring capacity: at the default 10ms sampling
+    /// Records kept per node ring: at the default 10ms sampling
     /// interval this holds the trailing ~10 seconds.
-    pub const DEFAULT_RETENTION: usize = 1024;
+    pub const RETENTION: usize = 1024;
 
-    /// Creates a table with the default retention.
+    /// Creates a table over `kv`.
     pub fn new(kv: Arc<KvStore>) -> Self {
-        Self::with_retention(kv, Self::DEFAULT_RETENTION)
-    }
-
-    /// Creates a table bounding each node's ring to `retention` records
-    /// (minimum 1).
-    pub fn with_retention(kv: Arc<KvStore>, retention: usize) -> Self {
-        TelemetryTable {
-            kv,
-            retention: retention.max(1),
-        }
-    }
-
-    /// The per-node ring capacity.
-    pub fn retention(&self) -> usize {
-        self.retention
+        TelemetryTable { kv }
     }
 
     fn key(node: NodeId) -> Bytes {
@@ -81,10 +65,11 @@ impl TelemetryTable {
     /// returns how many old records the ring evicted to stay bounded.
     pub fn append(&self, node: NodeId, record: &TelemetryRecord) -> usize {
         self.kv
-            .append_many(
+            .append_many_capped(
                 Self::key(node),
                 vec![encode_to_bytes(record)],
-                Some(self.retention),
+                Self::RETENTION,
+                |_| 1,
             )
             .len()
     }
@@ -179,17 +164,15 @@ mod tests {
 
     #[test]
     fn ring_stays_bounded_and_keeps_newest() {
+        const CAP: u64 = TelemetryTable::RETENTION as u64;
         let kv = KvStore::new(4);
-        let table = TelemetryTable::with_retention(kv, 4);
-        assert_eq!(table.retention(), 4);
+        let table = TelemetryTable::new(kv);
         let mut evicted = 0;
-        for i in 0..10u64 {
+        for i in 0..CAP + 6 {
             evicted += table.append(NodeId(0), &record(i, i));
         }
         assert_eq!(evicted, 6);
-        let series = table.read(NodeId(0));
-        assert_eq!(series.len(), 4);
-        let times: Vec<u64> = series.iter().map(|r| r.at_nanos).collect();
-        assert_eq!(times, vec![6, 7, 8, 9]);
+        let times: Vec<u64> = table.read(NodeId(0)).iter().map(|r| r.at_nanos).collect();
+        assert_eq!(times, (6..CAP + 6).collect::<Vec<_>>());
     }
 }

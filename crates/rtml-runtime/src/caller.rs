@@ -747,7 +747,6 @@ pub mod test_support {
             kv_shards: 1,
             latency: rtml_net::LatencyModel::Zero,
             seed: 0,
-            event_logging: false,
             ..ClusterConfig::default()
         });
         let recon = ReconstructionManager::new(services.clone());

@@ -56,14 +56,6 @@ pub struct ClusterConfig {
     pub spill: SpillMode,
     /// Global placement policy. The global scheduler runs on node 0.
     pub placement: PlacementPolicy,
-    /// Whether to record events (R7). Benchmarks may disable it.
-    pub event_logging: bool,
-    /// Retention cap per event-log stream, in events (`None` =
-    /// unbounded). With a cap, each stream is a ring buffer of frames:
-    /// long throughput runs stop growing control-plane memory, profiling
-    /// keeps working over the retained window, and the number of dropped
-    /// events is reported.
-    pub event_log_retention: Option<usize>,
     /// Per-attempt timeout for cross-node object fetches.
     pub fetch_timeout: Duration,
     /// Seed for the fabric's jitter.
@@ -93,8 +85,6 @@ impl Default for ClusterConfig {
             bandwidth_bytes_per_sec: None,
             spill: SpillMode::default(),
             placement: PlacementPolicy::LocalityAware,
-            event_logging: true,
-            event_log_retention: None,
             fetch_timeout: Duration::from_secs(2),
             seed: 0x5eed,
             telemetry: true,
@@ -130,19 +120,6 @@ impl ClusterConfig {
     /// Replaces the shard count builder-style.
     pub fn with_kv_shards(mut self, shards: usize) -> Self {
         self.kv_shards = shards;
-        self
-    }
-
-    /// Disables event logging builder-style (for overhead-sensitive
-    /// benchmarks).
-    pub fn without_event_log(mut self) -> Self {
-        self.event_logging = false;
-        self
-    }
-
-    /// Bounds each event-log stream to `cap` events builder-style.
-    pub fn with_event_log_retention(mut self, cap: usize) -> Self {
-        self.event_log_retention = Some(cap);
         self
     }
 
@@ -383,7 +360,7 @@ impl Cluster {
 
     /// Reads the telemetry time-series: every node's ring of sampled
     /// metric snapshots, sorted by node. Rings are bounded (see
-    /// [`rtml_kv::TelemetryTable::DEFAULT_RETENTION`]) and survive node
+    /// [`rtml_kv::TelemetryTable::RETENTION`]) and survive node
     /// death — a killed node's history stays readable, like its events.
     /// Empty when the telemetry plane is disabled.
     pub fn timeseries(&self) -> Vec<(NodeId, Vec<rtml_kv::TelemetryRecord>)> {

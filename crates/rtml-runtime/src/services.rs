@@ -80,11 +80,7 @@ impl Services {
     /// a cluster started with `config`.
     pub fn create(config: &ClusterConfig) -> Arc<Self> {
         let kv = KvStore::new(config.kv_shards);
-        let events = if config.event_logging {
-            EventLog::new(kv.clone()).with_retention(config.event_log_retention)
-        } else {
-            EventLog::disabled(kv.clone())
-        };
+        let events = EventLog::new(kv.clone());
         let objects = ObjectTable::new(kv.clone());
         let tasks = TaskTable::new(kv.clone());
         let fabric = Fabric::new(FabricConfig {

@@ -13,7 +13,7 @@
 //! once more when the loop exits, so the series ends on the node's final
 //! counts ([`rtml_sched::SchedServices::periodic`]). The per-node rings are
 //! bounded, so a long-running cluster holds a sliding window of recent
-//! samples ([`TelemetryTable::DEFAULT_RETENTION`] records each): a
+//! samples ([`TelemetryTable::RETENTION`] records each): a
 //! column-aligned time-series per node, not just end-of-run totals.
 
 use std::sync::Arc;
@@ -25,7 +25,7 @@ use rtml_common::time::now_nanos;
 use rtml_kv::{TelemetryRecord, TelemetryTable};
 
 /// How often a node samples: its ring of
-/// [`TelemetryTable::DEFAULT_RETENTION`] records then holds the
+/// [`TelemetryTable::RETENTION`] records then holds the
 /// trailing ~10 seconds.
 pub const INTERVAL: Duration = Duration::from_millis(10);
 
@@ -60,16 +60,21 @@ mod tests {
         registry.register_value("x", move || x.get());
         let shared = Arc::new(MetricsRegistry::new());
         shared.register_value("w", || 9);
-        let table = TelemetryTable::with_retention(kv.clone(), 8);
+        let table = TelemetryTable::new(kv.clone());
         let registries = [registry, shared];
-        for _ in 0..12 {
+        for _ in 0..TelemetryTable::RETENTION + 4 {
             sample(NodeId(5), &registries, &table);
         }
         c.add(1);
         // The exit run.
         sample(NodeId(5), &registries, &table);
         let series = table.read(NodeId(5));
-        assert_eq!(series.len(), 8, "the ring keeps the newest 8");
+        assert_eq!(
+            series.len(),
+            TelemetryTable::RETENTION,
+            "the ring keeps the newest {}",
+            TelemetryTable::RETENTION
+        );
         // Timestamps rise; the shape is stable; the final snapshot saw
         // the last increment.
         for pair in series.windows(2) {

@@ -653,7 +653,7 @@ fn many_drivers_do_not_collide() {
 
 #[test]
 fn throughput_thousand_tasks() {
-    let cluster = Cluster::start(ClusterConfig::local(2, 4).without_event_log()).unwrap();
+    let cluster = Cluster::start(ClusterConfig::local(2, 4)).unwrap();
     let f = cluster.register_fn1("tiny", |x: u64| Ok(x));
     let driver = cluster.driver();
     let futs: Vec<_> = (0..1000u64)

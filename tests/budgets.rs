@@ -607,13 +607,10 @@ fn a_4096_task_batch_is_ingested_for_a_hundredth_of_a_kv_lock_a_task() {
     // ingest alone, up to the last task reading `Queued`.
     const BATCH: usize = 4096;
     const BATCHES: usize = 4;
-    let cluster = Cluster::start(
-        ClusterConfig {
-            spill: SpillMode::NeverSpill,
-            ..ClusterConfig::local(1, 2)
-        }
-        .with_event_log_retention(BATCH),
-    )
+    let cluster = Cluster::start(ClusterConfig {
+        spill: SpillMode::NeverSpill,
+        ..ClusterConfig::local(1, 2)
+    })
     .unwrap();
     let gated = cluster.register_fn2("budget_gated", |x: u64, _gate: u64| Ok(x));
     let driver = cluster.driver();

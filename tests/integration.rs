@@ -168,8 +168,6 @@ fn every_config_field_is_a_user_choice_named_here() {
         bandwidth_bytes_per_sec,
         spill,
         placement,
-        event_logging,
-        event_log_retention,
         fetch_timeout,
         seed,
         telemetry,
@@ -198,8 +196,7 @@ fn every_config_field_is_a_user_choice_named_here() {
     assert_eq!(bandwidth_bytes_per_sec, None);
     assert_eq!(spill, SpillMode::Hybrid { queue_threshold: 4 });
     assert_eq!(placement, PlacementPolicy::LocalityAware);
-    assert!(event_logging && telemetry);
-    assert_eq!(event_log_retention, None);
+    assert!(telemetry);
     assert_eq!(fetch_timeout, Duration::from_secs(2));
     assert_eq!((workers, cpus, gpus), (4, 4.0, 0.0));
     assert!(custom.is_empty());
@@ -228,48 +225,83 @@ fn batched_submission_runs_end_to_end_under_every_spill_mode() {
 }
 
 #[test]
-fn event_log_retention_bounds_memory_and_profiling_survives() {
-    // A capped event log must stop growing, report what it dropped, and
-    // keep `cluster.profile()` working over the retained window.
-    let cluster = Cluster::start(ClusterConfig::local(1, 2).with_event_log_retention(64)).unwrap();
-    let f = cluster.register_fn1("noop_ret", |x: u64| Ok(x));
+fn event_streams_are_capped_and_profiling_survives() {
+    use rtml::common::codec::{decode_from_slice, encode_to_bytes};
+    use rtml::common::event::Event;
+    use rtml::common::ids::DriverId;
+    use rtml::common::task::{ArgSpec, TaskState};
+    use rtml::kv::EventLog;
+    use rtml::runtime::TaskRequest;
+    // 17 batches of 4 096 tasks gated on an object that never seals: the
+    // driver's stream takes ≈ 69 600 events, past the log's cap, while
+    // nothing runs. The log must drop its oldest frames, report them,
+    // and keep `cluster.profile()` working over the retained window.
+    const BATCH: usize = 4096;
+    const BATCHES: usize = 17;
+    let cluster = Cluster::start(ClusterConfig {
+        spill: SpillMode::NeverSpill,
+        ..ClusterConfig::local(1, 2)
+    })
+    .unwrap();
+    let gated = cluster.register_fn2("capped_gated", |x: u64, _gate: u64| Ok(x));
     let driver = cluster.driver();
-    let futs = driver.submit_many(&f, 0..50u64).unwrap();
-    for fut in &futs {
-        driver.get(fut).unwrap();
-    }
-    let events = driver.services().events.clone();
-    assert_eq!(events.retention(), Some(64));
-    // The profile still builds and sees recent tasks at the cap.
-    let report = cluster.profile();
-    assert!(!report.tasks.is_empty());
-    // Push far past the cap with single submissions: every stream is a
-    // ring of at most 64 events, so the total is bounded by streams x
-    // cap no matter how many tasks ran.
-    for chunk in 0..20u64 {
-        let futs: Vec<_> = (0..100u64)
-            .map(|i| driver.submit1(&f, chunk * 100 + i).unwrap())
+    let never = TaskId::driver_root(DriverId::from_index(u64::MAX))
+        .child(0)
+        .return_object(0);
+    let payload = encode_to_bytes(&0u64);
+    let mut last = Vec::new();
+    for _ in 0..BATCHES {
+        let batch = (0..BATCH)
+            .map(|_| TaskRequest {
+                function: gated.id(),
+                args: vec![ArgSpec::Value(payload.clone()), ArgSpec::ObjectRef(never)],
+                num_returns: 1,
+                resources: Resources::cpu(1.0),
+            })
             .collect();
-        let (ready, _) = driver.wait(&futs, futs.len(), Duration::from_secs(60));
-        assert_eq!(ready.len(), 100);
+        last = driver.submit_raw_batch(batch).unwrap().pop().unwrap();
     }
-    assert!(events.dropped_count() > 0, "expected dropped events");
-    // Generous bound: (node streams + global + supervisor) x cap.
-    assert!(
-        events.len() <= 64 * 12,
-        "log unbounded: {} events",
-        events.len()
-    );
+    // Batches are ingested in order: once the last task is queued every
+    // stream has taken all it will.
+    let task = last[0].producer_task().unwrap();
+    let (current, updates) = driver.services().tasks.subscribe_state(task);
+    let deadline = std::time::Instant::now() + Duration::from_secs(60);
+    let mut state = current;
+    while !matches!(state, Some(TaskState::Queued(_))) {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "never queued: {state:?}"
+        );
+        state = updates.recv_timeout(Duration::from_secs(1)).or(state);
+    }
+    let dropped = driver.services().events.dropped_count();
+    assert!(dropped > 0, "expected dropped events");
+    // Every stream holds at most the cap, unless its one newest frame
+    // alone is larger: frames are dropped whole.
+    let streams = driver.services().kv.scan_logs_prefix(b"ev:");
+    assert!(!streams.is_empty());
+    for (key, frames) in &streams {
+        let held: usize = frames
+            .iter()
+            .map(|f| decode_from_slice::<Vec<Event>>(f).unwrap().len())
+            .sum();
+        assert!(
+            held <= EventLog::RETENTION || frames.len() == 1,
+            "stream {key:?} holds {held} events in {} frames",
+            frames.len()
+        );
+    }
     let report = cluster.profile();
     assert!(!report.tasks.is_empty());
+    assert!(report.partial && report.dropped_records >= dropped);
     cluster.shutdown();
 }
 
 #[test]
 fn telemetry_timeseries_is_bounded_and_column_stable() {
     use rtml::kv::TelemetryTable;
-    // The ring's bound at a small retention is the table's own test;
-    // here the cluster's rings hold at most the default.
+    // The ring's eviction is the table's own test; here the cluster's
+    // rings hold at most its constant.
     const RECORDS: usize = 4;
     let cluster = Cluster::start(ClusterConfig::local(2, 2)).unwrap();
     let f = cluster.register_fn1("tel_echo", |x: i64| Ok(x));
@@ -298,7 +330,7 @@ fn telemetry_timeseries_is_bounded_and_column_stable() {
     let series = cluster.timeseries();
     for (node, records) in &series {
         // Bounded ring per node.
-        let bound = TelemetryTable::DEFAULT_RETENTION;
+        let bound = TelemetryTable::RETENTION;
         assert!(records.len() <= bound, "{node}: {} records", records.len());
         // Column shape is identical across every record of a stream,
         // timestamps rise, and every registered metric has a value in
@@ -449,18 +481,6 @@ fn never_spill_keeps_every_feasible_task_where_it_was_submitted() {
     for (task, node) in &started {
         assert_eq!(*node, NodeId(0), "{task} ran on {node}");
     }
-    cluster.shutdown();
-}
-
-#[test]
-fn event_log_disabled_still_works() {
-    let cluster = Cluster::start(ClusterConfig::local(1, 2).without_event_log()).unwrap();
-    let f = cluster.register_fn1("noop", |x: u64| Ok(x));
-    let driver = cluster.driver();
-    let fut = driver.submit1(&f, 1u64).unwrap();
-    assert_eq!(driver.get(&fut).unwrap(), 1);
-    // No events recorded.
-    assert!(cluster.profile().tasks.is_empty());
     cluster.shutdown();
 }
 
