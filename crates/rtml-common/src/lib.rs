@@ -23,6 +23,8 @@
 //!   benchmark harness.
 //! - [`retry`] — the one retry discipline (bounded attempts) adopted by
 //!   every plane.
+//! - [`spin`] — the bounded spin a waiter takes before it sleeps at a
+//!   hand-off, while its recent waits were short.
 //! - [`error`] — the error type shared across the workspace.
 
 pub mod codec;
@@ -33,6 +35,7 @@ pub mod ids;
 pub mod metrics;
 pub mod resources;
 pub mod retry;
+pub mod spin;
 pub mod task;
 pub mod time;
 

@@ -51,15 +51,17 @@
 //! [`rtml_store::FetchAgent`], so concurrent `get`s of one object from
 //! any thread on the node share one transfer.
 
+use std::cell::Cell;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, RecvTimeoutError};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, TryRecvError};
 
 use rtml_common::collections::IdMap;
 use rtml_common::error::{Error, Result};
 use rtml_common::ids::{NodeId, ObjectId};
+use rtml_common::spin::{self, SpinStats, Waits, SPIN};
 use rtml_sched::{Goal, Replays, Resolver, Wiring, POLL_SLICE};
 use rtml_store::{FetchAgent, ObjectStore};
 
@@ -172,6 +174,41 @@ impl Waited {
             None => self.away.as_ref()?.bytes(id),
         }
     }
+}
+
+thread_local! {
+    /// How long this thread's waits at home lasted of late.
+    static HOME_WAITS: Cell<Waits> = Cell::new(Waits::default());
+}
+
+/// Waits for the store to wake a call that waits at home, for at most
+/// `timeout`: first spinning on the channel ([`rtml_common::spin`]),
+/// while this thread's recent waits at home were short and the call has
+/// longer than a spin left, then asleep. A seal that comes within the
+/// spin costs neither side a thread wake-up.
+fn wait_at_home(
+    stats: &SpinStats,
+    wake: &Receiver<()>,
+    timeout: Duration,
+) -> std::result::Result<(), RecvTimeoutError> {
+    let started = Instant::now();
+    let mut woken = None;
+    if timeout > SPIN && HOME_WAITS.get().spins() {
+        spin::spin(stats, || {
+            woken = match wake.try_recv() {
+                Err(TryRecvError::Empty) => return false,
+                Ok(()) => Some(Ok(())),
+                Err(TryRecvError::Disconnected) => Some(Err(RecvTimeoutError::Disconnected)),
+            };
+            true
+        });
+    }
+    let woken =
+        woken.unwrap_or_else(|| wake.recv_timeout(timeout.saturating_sub(started.elapsed())));
+    let mut waits = HOME_WAITS.get();
+    waits.record(started.elapsed());
+    HOME_WAITS.set(waits);
+    woken
 }
 
 /// The one blocking loop: resolves `ids` — into the local store through
@@ -330,7 +367,8 @@ fn block_on(
         let Some(resolver) = &mut waited.away else {
             // Only the store can wake a call that waits at home: a seal,
             // a loss, or its clearing.
-            match wake.recv_timeout(deadline.saturating_duration_since(now)) {
+            let timeout = deadline.saturating_duration_since(now);
+            match wait_at_home(&services.get_spin, &wake, timeout) {
                 Err(RecvTimeoutError::Disconnected) => break Err(Error::NodeDown(node)),
                 Ok(()) | Err(RecvTimeoutError::Timeout) => continue,
             }

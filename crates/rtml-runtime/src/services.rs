@@ -15,6 +15,7 @@ use rtml_common::event::{Component, Event, EventKind};
 use rtml_common::ids::{NodeId, ObjectId};
 use rtml_common::metrics::{Counter, MetricsRegistry};
 use rtml_common::resources::Resources;
+use rtml_common::spin::SpinStats;
 use rtml_common::task::TaskSpec;
 use rtml_kv::{EventLog, FunctionTable, Inbound, KvStore, ObjectTable, TaskTable};
 use rtml_net::{Fabric, FabricConfig};
@@ -60,9 +61,15 @@ pub struct Services {
     /// once for the whole cluster. Every node's telemetry sample records
     /// them beside its own registry's.
     pub metrics: Arc<MetricsRegistry>,
-    /// Times a blocking `get`, `get_many` or `wait` slept
-    /// (`runtime.blocked_waits`).
+    /// Times a blocking `get`, `get_many` or `wait` went to wait
+    /// (`runtime.blocked_waits`), whether or not a spin then caught its
+    /// wake-up.
     pub blocked_waits: Arc<Counter>,
+    /// What spins before a wait at home caught and cost
+    /// (`runtime.get_spin_hits`, `runtime.get_spin_misses`,
+    /// `runtime.get_spin_ns`). Every blocked wait a spin did not catch
+    /// slept: `blocked_waits − get_spin_hits`.
+    pub get_spin: Arc<SpinStats>,
     /// Live nodes, in id order: a node is in it whole or not at all.
     nodes: RwLock<BTreeMap<NodeId, LiveNode>>,
 }
@@ -98,6 +105,17 @@ impl Services {
         let blocked_waits = Arc::new(Counter::new());
         let counter = blocked_waits.clone();
         metrics.register_value("runtime.blocked_waits", move || counter.get());
+        let get_spin = Arc::new(SpinStats::default());
+        type Read = fn(&SpinStats) -> &Counter;
+        let spins: [(&str, Read); 3] = [
+            ("runtime.get_spin_hits", |s| &s.hits),
+            ("runtime.get_spin_misses", |s| &s.misses),
+            ("runtime.get_spin_ns", |s| &s.spin_ns),
+        ];
+        for (name, read) in spins {
+            let stats = get_spin.clone();
+            metrics.register_value(name, move || read(&stats).get());
+        }
         Arc::new(Services {
             objects,
             tasks,
@@ -110,6 +128,7 @@ impl Services {
             config: config.clone(),
             metrics,
             blocked_waits,
+            get_spin,
             nodes: RwLock::new(BTreeMap::new()),
             kv,
         })

@@ -58,6 +58,7 @@ use rtml_common::event::{Component, Event, EventKind};
 use rtml_common::ids::{NodeId, ObjectId, TaskId, WorkerId};
 use rtml_common::metrics::{Counter, MetricsRegistry};
 use rtml_common::resources::Resources;
+use rtml_common::spin::SpinStats;
 use rtml_common::task::{TaskSpec, TaskState};
 use rtml_kv::{EventLog, KvStore, ObjectTable, TaskTable};
 use rtml_net::{Fabric, NetAddress};
@@ -199,6 +200,14 @@ pub struct LocalSchedulerStats {
     /// sends nothing: a burst moves this by about the number of
     /// workers, and [`turns`](Self::turns) not at all.
     pub worker_parks: Counter,
+    /// What idle workers' spins before sleeping caught and cost
+    /// (`sched.spin_hits`, `sched.spin_misses`, `sched.spin_ns`; see
+    /// [`crate::runq`]).
+    pub spin: SpinStats,
+    /// Condvar waits workers actually took: a park that a spin or a
+    /// re-check ends sleeps none, a worker woken for a task another
+    /// took sleeps again.
+    pub worker_sleeps: Counter,
     /// Turns of the scheduler loop: one per wake-up, whatever woke it —
     /// a message, a frame, a seal or fetch answer it waits for, or its
     /// tick. A seal no waiting task needs does not move it, nor does a
@@ -215,12 +224,13 @@ pub struct LocalSchedulerStats {
 
 impl LocalSchedulerStats {
     /// Registers the counters some reader reads: prefetch admission,
-    /// direct admission, tasks kept short, loop turns and ticks, and
-    /// worker parks (`sched.*`), and the `sched.round_trip_us` gauge
-    /// (0 until a cross-node frame has arrived).
+    /// direct admission, tasks kept short, loop turns and ticks, worker
+    /// parks, spins and sleeps (`sched.*`), and the
+    /// `sched.round_trip_us` gauge (0 until a cross-node frame has
+    /// arrived).
     pub fn register_metrics(self: &Arc<Self>, registry: &MetricsRegistry) {
         type Read = fn(&LocalSchedulerStats) -> &Counter;
-        let counters: [(&str, Read); 7] = [
+        let counters: [(&str, Read); 11] = [
             ("sched.prefetch_skipped_capacity", |s| {
                 &s.prefetch_skipped_capacity
             }),
@@ -232,6 +242,10 @@ impl LocalSchedulerStats {
             ("sched.turns", |s| &s.turns),
             ("sched.ticks", |s| &s.ticks),
             ("sched.worker_parks", |s| &s.worker_parks),
+            ("sched.spin_hits", |s| &s.spin.hits),
+            ("sched.spin_misses", |s| &s.spin.misses),
+            ("sched.spin_ns", |s| &s.spin.spin_ns),
+            ("sched.worker_sleeps", |s| &s.worker_sleeps),
         ];
         for (name, read) in counters {
             let stats = self.clone();

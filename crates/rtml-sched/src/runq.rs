@@ -59,14 +59,20 @@
 //!
 //! # Lock discipline
 //!
-//! One mutex, one condvar. **Nothing else is called while the mutex is
-//! held**: no kv call, event append, store call, fabric or channel send,
-//! no condvar notify. A critical section decides; what it decided —
-//! dependency pins to release, workers to wake, the pool to grow —
-//! happens after the guard is dropped. Waiters check
-//! for work under the mutex before they sleep and every change that can
-//! make a task fit is followed by a wake while a worker is idle, so a
-//! notify that finds nobody asleep loses nothing.
+//! One mutex, one condvar, one wake epoch. **Nothing else is called
+//! while the mutex is held**: no kv call, event append, store call,
+//! fabric or channel send, no condvar notify. A critical section
+//! decides; what it decided — dependency pins to release, workers to
+//! wake, the pool to grow — happens after the guard is dropped. Waiters
+//! check for work under the mutex before they sleep and every change
+//! that can make a task fit is followed by a wake while a worker is
+//! idle, so a notify that finds nobody asleep loses nothing.
+//!
+//! A worker that finds nothing to take first spins ([`rtml_common::spin`]),
+//! unlocked, while idle spells were short ([`Waits`]), one a queue: it
+//! watches the epoch every wake moves, from its value at the last check,
+//! and checks again before it sleeps. Wakes notify the condvar only for
+//! idle workers beyond it: a push the spinner takes makes no futex call.
 //!
 //! # Invariants
 //!
@@ -106,15 +112,16 @@
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::AtomicU64;
-use std::sync::atomic::Ordering::{Relaxed, SeqCst};
+use std::sync::atomic::Ordering::{Acquire, Relaxed, Release, SeqCst};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
 use rtml_common::collections::{FastSet, IdMap, IdSet};
 use rtml_common::ids::{FunctionId, ObjectId, TaskId, WorkerId};
 use rtml_common::resources::Resources;
+use rtml_common::spin::{self, Waits};
 use rtml_common::task::TaskSpec;
 use rtml_store::ObjectStore;
 
@@ -266,8 +273,12 @@ struct State {
     in_use: Resources,
     workers: FastSet<WorkerId>,
     /// Attached workers inside [`RunQueue::next`] that found nothing to
-    /// take.
+    /// take, the spinner among them.
     idle: usize,
+    /// One of them spins, the lock dropped (see the module docs).
+    spinning: bool,
+    /// How long idle spells lasted of late.
+    waits: Waits,
     /// Per function: its mean run time and its tasks in the backlog.
     costs: IdMap<FunctionId, Cost>,
     /// The backlog's measured means, summed: `Σ queued × mean_ns`.
@@ -346,6 +357,15 @@ impl State {
 
     fn available(&self, total: &Resources) -> Resources {
         total.saturating_sub(&self.in_use)
+    }
+
+    /// Waking `wanted` idle workers: the spinner, if any, is one of them
+    /// and needs no notify.
+    fn wake(&self, wanted: usize) -> Wake {
+        Wake {
+            epoch: wanted > 0,
+            notifies: wanted.saturating_sub(self.spinning as usize),
+        }
     }
 
     /// Whether a wake-up would find something to take.
@@ -478,10 +498,20 @@ impl State {
     }
 }
 
+/// The wake-ups a critical section decided: an epoch move for a
+/// spinning worker, and condvar notifies for sleeping ones.
+struct Wake {
+    epoch: bool,
+    notifies: usize,
+}
+
 /// The shared dispatch state of one node (see the module docs).
 pub struct RunQueue {
     state: Mutex<State>,
     wake: Condvar,
+    /// Moved (`Release`) by every wake, watched (`Acquire`) by a spinning
+    /// worker; it publishes nothing: the queue is read under the mutex.
+    epoch: AtomicU64,
     /// Times tasks left `holding` unpublished, counted under the lock.
     losses: AtomicU64,
     total: Resources,
@@ -505,6 +535,7 @@ impl RunQueue {
         RunQueue {
             state: Mutex::new(State::default()),
             wake: Condvar::new(),
+            epoch: AtomicU64::new(0),
             losses: AtomicU64::new(0),
             total,
             spill,
@@ -516,8 +547,7 @@ impl RunQueue {
 
     /// The counters this queue writes: the exact
     /// [`ready_depth`](LocalSchedulerStats::ready_depth) gauge (ready,
-    /// held and reserved tasks) and
-    /// [`worker_parks`](LocalSchedulerStats::worker_parks).
+    /// held and reserved tasks), worker parks, spins and sleeps.
     pub fn stats(&self) -> &Arc<LocalSchedulerStats> {
         &self.stats
     }
@@ -556,7 +586,7 @@ impl RunQueue {
         drop(st);
         // Everyone: the dead worker must notice, and the grant it held
         // may fit what the others are waiting with.
-        self.wake.notify_all();
+        self.wake_all();
         self.announce(lost_here);
         self.unpin(&unpin);
         lost
@@ -575,7 +605,7 @@ impl RunQueue {
             self.losses.fetch_add(1, SeqCst);
         }
         drop(st);
-        self.wake.notify_all();
+        self.wake_all();
         self.announce(lost);
     }
 
@@ -760,11 +790,11 @@ impl RunQueue {
             }
         }
         st.ready.extend(tasks);
-        let wakes = if st.closed { 0 } else { pushed.min(st.idle) };
+        let wake = st.wake(if st.closed { 0 } else { pushed.min(st.idle) });
         let grow = st.must_grow();
         self.publish(&st);
         drop(st);
-        self.follow_up(wakes, grow);
+        self.follow_up(wake, grow);
         Ok(())
     }
 
@@ -774,17 +804,18 @@ impl RunQueue {
     /// admit is taken for `worker`, its first task started — one
     /// critical section, so nobody sees the freed grant before this
     /// worker has had first pick. With nothing to take the worker goes
-    /// idle and sleeps until there is, telling nobody. `ran` is the run
-    /// time of the batch's last task, if [`start`](Self::start) did not
-    /// report it. `None` means exit: the queue closed or the worker was
-    /// detached.
+    /// idle, telling nobody, and spins (see the module docs) or sleeps
+    /// until there is. `ran` is the run time of the batch's last task,
+    /// if [`start`](Self::start) did not report it. `None` means exit:
+    /// the queue closed or the worker was detached.
     pub fn next(&self, worker: WorkerId, ran: Option<RunTime>) -> Option<Batch> {
         let mut st = self.state.lock();
         if let Some(ran) = ran {
             st.measure(ran);
         }
         let mut unpin = st.retire(worker);
-        let mut idle = false;
+        let mut idle_since = None;
+        let mut spun = false;
         let taken = loop {
             if st.closed || !st.workers.contains(&worker) {
                 break None;
@@ -792,12 +823,12 @@ impl RunQueue {
             if let Some(batch) = st.take(worker, &self.total) {
                 break Some(batch);
             }
-            if !idle {
+            if idle_since.is_none() {
                 // Running dry: counted idle from here on, so a push
                 // wakes it and the pool does not grow past it. The
                 // finished batch's pins go back with the lock dropped,
                 // and the queue is looked at once more before sleeping.
-                idle = true;
+                idle_since = Some(Instant::now());
                 st.idle += 1;
                 self.stats.worker_parks.inc();
                 if !unpin.is_empty() {
@@ -807,17 +838,29 @@ impl RunQueue {
                     continue;
                 }
             }
+            if !spun && !st.spinning && st.waits.spins() {
+                // Read under the lock of the last check: a wake since moves it.
+                (spun, st.spinning) = (true, true);
+                let seen = self.epoch.load(Acquire);
+                drop(st);
+                spin::spin(&self.stats.spin, || self.epoch.load(Acquire) != seen);
+                st = self.state.lock();
+                st.spinning = false;
+                continue;
+            }
+            self.stats.worker_sleeps.inc();
             self.wake.wait(&mut st);
         };
-        if idle {
+        if let Some(since) = idle_since {
             st.idle -= 1;
+            st.waits.record(since.elapsed());
         }
         // The freed grant may admit more than the one batch taken.
-        let pass_on = st.wakes_someone(&self.total);
+        let pass_on = st.wake(st.wakes_someone(&self.total) as usize);
         let grow = st.must_grow();
         self.publish(&st);
         drop(st);
-        self.follow_up(pass_on as usize, grow);
+        self.follow_up(pass_on, grow);
         self.unpin(&unpin);
         taken
     }
@@ -830,9 +873,9 @@ impl RunQueue {
             return;
         };
         taken.committed = true;
-        let wake = st.wakes_someone(&self.total);
+        let wake = st.wake(st.wakes_someone(&self.total) as usize);
         drop(st);
-        self.follow_up(wake as usize, false);
+        self.follow_up(wake, false);
     }
 
     /// Starts the next task of `worker`'s batch: the grant moves to it
@@ -892,10 +935,10 @@ impl RunQueue {
         let mut held = std::mem::take(&mut taken.held);
         st.hand_back(&mut held);
         st.in_use = st.in_use.saturating_sub(&grant);
-        let wake = st.wakes_someone(&self.total);
+        let wake = st.wake(st.wakes_someone(&self.total) as usize);
         let grow = st.must_grow();
         drop(st);
-        self.follow_up(wake as usize, grow);
+        self.follow_up(wake, grow);
     }
 
     /// A blocked task resumed: its batch takes its grant back (transient
@@ -928,13 +971,22 @@ impl RunQueue {
     }
 
     /// What a critical section decided, done once its guard is gone.
-    fn follow_up(&self, wakes: usize, grow: bool) {
-        for _ in 0..wakes {
+    fn follow_up(&self, wake: Wake, grow: bool) {
+        if wake.epoch {
+            self.epoch.fetch_add(1, Release);
+        }
+        for _ in 0..wake.notifies {
             self.wake.notify_one();
         }
         if grow {
             (self.grow)();
         }
+    }
+
+    /// Wakes every worker, spinning or asleep.
+    fn wake_all(&self) {
+        self.epoch.fetch_add(1, Release);
+        self.wake.notify_all();
     }
 
     fn unpin(&self, pins: &[ObjectId]) {
@@ -1013,6 +1065,101 @@ mod tests {
         let batch = q.next(worker, None).expect("a task");
         assert!(batch.behind.is_empty());
         assert!(q.start(worker, &[], ran(function, micros)).is_none());
+    }
+
+    const W0: WorkerId = WorkerId::new(rtml_common::ids::NodeId(0), 0);
+
+    /// Runs `round` on a fresh queue until one lands its call inside
+    /// W0's 50 µs spin, for up to 10 s. A call lands only while the
+    /// test's thread and the spinner both have a CPU, so a round that
+    /// missed waits 5 ms for other tests' threads to let one go.
+    fn until_a_call_lands_in_a_spin(what: &str, mut round: impl FnMut(Arc<RunQueue>) -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while Instant::now() < deadline {
+            let q = Arc::new(queue(1.0));
+            q.attach(W0);
+            if round(q) {
+                return;
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        panic!("no {what} landed inside a spin in 10 s");
+    }
+
+    fn until(what: &str, mut done: impl FnMut() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !done() {
+            assert!(Instant::now() < deadline, "never: {what}");
+            std::hint::spin_loop();
+        }
+    }
+
+    /// `W0` in [`RunQueue::next`] on a thread of its own, once it is
+    /// spinning or asleep; whether it is spinning.
+    fn idle_w0(q: &Arc<RunQueue>) -> (std::thread::JoinHandle<Option<Batch>>, bool) {
+        let sleeps = q.stats.worker_sleeps.get();
+        let worker = {
+            let q = q.clone();
+            std::thread::spawn(move || q.next(W0, None))
+        };
+        let mut spinning = false;
+        until("W0 spins or sleeps", || {
+            spinning = q.state.lock().spinning;
+            spinning || q.stats.worker_sleeps.get() > sleeps
+        });
+        (worker, spinning)
+    }
+
+    #[test]
+    fn a_push_to_a_spinning_worker_notifies_nobody_and_the_spinner_takes_it() {
+        let task = specs("f", 0, 1).remove(0);
+        until_a_call_lands_in_a_spin("push", |q| {
+            let (worker, spinning) = idle_w0(&q);
+            if spinning {
+                // The only idle worker spins: a push wakes it through the
+                // epoch alone.
+                let st = q.state.lock();
+                assert!(!st.spinning || st.wake(st.idle).notifies == 0);
+            }
+            q.push(vec![task.clone().into()]);
+            let batch = worker.join().unwrap().expect("W0 takes the push");
+            assert_eq!(batch.first.task_id, task.task_id);
+            q.stats.spin.hits.get() == 1 && q.stats.worker_sleeps.get() == 0
+        });
+    }
+
+    #[test]
+    fn a_spin_that_runs_out_sleeps_and_a_later_push_still_wakes_it() {
+        let q = Arc::new(queue(1.0));
+        q.attach(W0);
+        let worker = {
+            let q = q.clone();
+            std::thread::spawn(move || q.next(W0, None))
+        };
+        until("W0 sleeps", || q.stats.worker_sleeps.get() == 1);
+        assert_eq!((q.stats.spin.hits.get(), q.stats.spin.misses.get()), (0, 1));
+        assert!(q.stats.spin.spin_ns.get() >= spin::SPIN.as_nanos() as u64);
+        assert_eq!(q.load().idle, 1);
+        q.push(specs("f", 0, 1).into_iter().map(Runnable::from).collect());
+        let batch = worker.join().unwrap().expect("the push wakes W0");
+        assert_eq!(batch.first.task_id, specs("f", 0, 1)[0].task_id);
+        assert_eq!(q.stats.worker_sleeps.get(), 1);
+    }
+
+    #[test]
+    fn a_close_or_a_detach_during_a_spin_ends_next() {
+        for close in [true, false] {
+            until_a_call_lands_in_a_spin(if close { "close" } else { "detach" }, |q| {
+                let (worker, spinning) = idle_w0(&q);
+                if close {
+                    q.close();
+                } else {
+                    assert!(q.detach(W0).is_empty());
+                }
+                assert!(worker.join().unwrap().is_none());
+                spinning && q.stats.spin.hits.get() == 1 && q.stats.worker_sleeps.get() == 0
+            });
+        }
     }
 
     #[test]

@@ -307,6 +307,50 @@ fn a_lone_round_trip_wakes_the_node_loop_a_tenth_of_a_time_at_most() {
     cluster.shutdown();
 }
 
+/// Most threads a lone `submit1` + `get` may put to sleep: worker
+/// condvar waits (`sched.worker_sleeps`) plus a `get`'s sleeps at home
+/// (its blocked waits no spin caught). The worst of 20 runs of this
+/// debug build on a 2-vCPU host (1.571) plus 10 %; they read 1.048,
+/// 1.049, 1.052, 1.075, 1.079, 1.089, 1.113, 1.114, 1.115, 1.127,
+/// 1.156, 1.159, 1.174, 1.178, 1.200, 1.238, 1.266, 1.359, 1.532 and
+/// 1.571. With no spin both sides sleep on each round trip: 1.86–2.19
+/// in 6 of 7 runs, 1.66 in one. A release build reads ≈ 0.08. The
+/// debug reading stays near 1 because the driver resubmits while the
+/// worker that ran the last task is still publishing, so the push goes
+/// to the other worker, asleep, and the two workers take turns: each
+/// idle spell is two round trips long, past what the queue spins for.
+const LONE_SLEEPS: f64 = 1.73;
+
+/// Worker and `get` sleeps on `cluster`, summed.
+fn sleeps(cluster: &Cluster) -> u64 {
+    let counters = cluster.counters();
+    let count = |name| counters.get(name).unwrap();
+    count("sched.worker_sleeps") + count("runtime.blocked_waits") - count("runtime.get_spin_hits")
+}
+
+#[test]
+fn a_lone_round_trip_puts_few_threads_to_sleep() {
+    let _serial = serial();
+    let cluster = Cluster::start(ClusterConfig::local(1, 2)).unwrap();
+    let inc = cluster.register_fn1("sleep_inc", |x: u64| Ok(x + 1));
+    let driver = cluster.driver();
+    let round_trip = |x: u64| {
+        let fut = driver.submit1(&inc, x).unwrap();
+        assert_eq!(driver.get(&fut).unwrap(), x + 1);
+    };
+    (0..200).for_each(round_trip);
+    const ROUNDS: u64 = 2_000;
+    let before = sleeps(&cluster);
+    (200..200 + ROUNDS).for_each(round_trip);
+    let per_round_trip = (sleeps(&cluster) - before) as f64 / ROUNDS as f64;
+    println!("a lone round trip: {per_round_trip:.3} sleeps");
+    assert!(
+        per_round_trip <= LONE_SLEEPS,
+        "{per_round_trip:.3} sleeps a round trip, budget {LONE_SLEEPS}"
+    );
+    cluster.shutdown();
+}
+
 #[test]
 fn a_burst_wakes_the_node_loop_for_none_of_its_worker_parks() {
     let _serial = serial();
