@@ -76,6 +76,21 @@ impl Writer {
         self.buf
     }
 
+    /// The bytes written so far.
+    pub fn as_slice(&self) -> &[u8] {
+        &self.buf
+    }
+
+    /// Bytes the writer can hold before it grows.
+    pub fn capacity(&self) -> usize {
+        self.buf.capacity()
+    }
+
+    /// Forgets what was written, keeping the allocation.
+    pub fn clear(&mut self) {
+        self.buf.clear();
+    }
+
     /// Appends a single byte.
     pub fn put_u8(&mut self, v: u8) {
         self.buf.push(v);

@@ -95,8 +95,9 @@ pub enum EventKind {
     /// One submission batch's specs were group-committed as an
     /// append-only segment (the control-plane commit point of
     /// pipelined submission). `seq` is the submitter's batch counter;
-    /// `micros` covers the segment commit call, so the span runs
-    /// backwards from this event's timestamp.
+    /// `micros` covers the routing call that commits it (with the
+    /// admission it rides, for a batch admitted on its submitter's
+    /// thread), so the span runs backwards from this event's timestamp.
     SpecSegmentCommitted {
         node: NodeId,
         seq: u64,

@@ -11,6 +11,12 @@
 //! first read that needs a spec, or on a recovery scan — so ingest pays
 //! nothing for it.
 //!
+//! A segment may also carry the state its tasks were admitted with — a
+//! batch its submitter admitted on its own thread is `Queued(node)` as
+//! it becomes durable — so the spec and that first transition are one
+//! append. It is the tasks' state only until the task table's state log
+//! holds a record for them (see [`crate::TaskTable::record_many`]).
+//!
 //! The log is the one record of every spec. A task recorded again — a
 //! resubmission with a bumped attempt counter, an unschedulable task
 //! sealed as failed — is appended as a segment of its own, and the
@@ -31,7 +37,7 @@ use parking_lot::Mutex;
 use rtml_common::codec::{Codec, Reader, Writer};
 use rtml_common::collections::IdMap;
 use rtml_common::ids::{TaskId, UniqueId};
-use rtml_common::task::TaskSpec;
+use rtml_common::task::{TaskSpec, TaskState};
 
 use crate::store::KvStore;
 
@@ -43,25 +49,29 @@ fn log_key() -> Bytes {
 }
 
 /// Encodes a batch of specs as one immutable segment payload:
-/// `varint(count)` followed by each spec's self-delimiting encoding.
-pub fn encode_segment(specs: &[TaskSpec]) -> Bytes {
+/// `varint(count)` followed by each spec's self-delimiting encoding,
+/// then the state the tasks were admitted with, if any.
+pub fn encode_segment(specs: &[TaskSpec], admitted: Option<&TaskState>) -> Bytes {
     let mut w = Writer::with_capacity(16 + specs.len() * 96);
     w.put_varint(specs.len() as u64);
     for spec in specs {
         spec.encode(&mut w);
     }
+    if let Some(state) = admitted {
+        state.encode(&mut w);
+    }
     w.into_bytes()
 }
 
-/// Group-commits `specs` as one segment: a single log append, hence a
-/// single shard-lock acquisition, for the entire batch. The commit is
-/// atomic — concurrent readers observe either the whole batch's specs or
-/// none of them.
-pub fn commit(kv: &KvStore, specs: &[TaskSpec]) {
+/// Group-commits `specs` as one segment, with the state they were
+/// `admitted` with: a single log append, hence a single shard-lock
+/// acquisition, for the entire batch. The commit is atomic — concurrent
+/// readers observe either the whole batch's specs or none of them.
+pub fn commit(kv: &KvStore, specs: &[TaskSpec], admitted: Option<&TaskState>) {
     if specs.is_empty() {
         return;
     }
-    kv.append(log_key(), encode_segment(specs));
+    kv.append(log_key(), encode_segment(specs, admitted));
 }
 
 /// What a [`LogIndex`] keeps of the records of one append-only log.
@@ -156,21 +166,39 @@ impl<F: Fold> LogIndex<F> {
 }
 
 /// The spec-segment fold: task unique id → a zero-copy slice of the
-/// latest segment payload that holds its spec.
+/// latest segment payload that holds its spec, and the state that
+/// segment admitted it with, if it carried one.
 #[derive(Default)]
-pub struct Specs(IdMap<UniqueId, Bytes>);
+pub struct Specs {
+    specs: IdMap<UniqueId, Bytes>,
+    admitted: IdMap<UniqueId, TaskState>,
+}
+
+impl Specs {
+    /// The state `task`'s latest segment gives it: the state it was
+    /// admitted with, else `Submitted`; `None` if no segment holds it.
+    fn state(&self, task: TaskId) -> Option<TaskState> {
+        let id = task.unique();
+        let admitted = || self.admitted.get(&id).cloned();
+        self.specs
+            .contains_key(&id)
+            .then(|| admitted().unwrap_or(TaskState::Submitted))
+    }
+}
 
 impl Fold for Specs {
     const KEY: &'static [u8] = SEGMENT_LOG_KEY;
 
     /// Decodes one segment payload, inserting zero-copy spec slices.
     /// Segments are folded in log order, so a later segment's copy of a
-    /// task replaces an earlier one.
+    /// task replaces an earlier one, and its admitted state (or the lack
+    /// of one) the earlier one's.
     fn fold(&mut self, segment: &Bytes) -> bool {
         let mut r = Reader::new(segment);
         let Ok(count) = r.take_varint() else {
             return false;
         };
+        let mut ids = Vec::with_capacity(count as usize);
         for _ in 0..count {
             let before = segment.len() - r.remaining();
             let Ok(spec) = TaskSpec::decode(&mut r) else {
@@ -179,14 +207,28 @@ impl Fold for Specs {
                 return false;
             };
             let after = segment.len() - r.remaining();
-            self.0
-                .insert(spec.task_id.unique(), segment.slice(before..after));
+            let id = spec.task_id.unique();
+            self.specs.insert(id, segment.slice(before..after));
+            ids.push(id);
+        }
+        let admitted = match r.remaining() {
+            0 => None,
+            _ => match TaskState::decode(&mut r) {
+                Ok(state) if r.remaining() == 0 => Some(state),
+                _ => return false,
+            },
+        };
+        for id in ids {
+            match &admitted {
+                Some(state) => self.admitted.insert(id, state.clone()),
+                None => self.admitted.remove(&id),
+            };
         }
         true
     }
 
     fn entries(&self) -> usize {
-        self.0.len()
+        self.specs.len()
     }
 }
 
@@ -198,7 +240,7 @@ impl LogIndex<Specs> {
     /// Folds whatever was appended since the last refresh first: a copy
     /// this index served before may have been recorded again since.
     pub fn lookup_bytes(&self, kv: &KvStore, task: TaskId) -> Option<Bytes> {
-        self.read(kv, |specs| specs.0.get(&task.unique()).cloned())
+        self.read(kv, |specs| specs.specs.get(&task.unique()).cloned())
     }
 
     /// The decoded spec for `task` in the latest segment that holds it.
@@ -208,36 +250,37 @@ impl LogIndex<Specs> {
         TaskSpec::decode(&mut r).ok()
     }
 
-    /// Whether any segment holds a spec for `task`. Membership never
-    /// changes once true (the log only grows), so a hit reads no kv.
-    pub fn contains(&self, kv: &KvStore, task: TaskId) -> bool {
-        self.contains_many(kv, &[task])[0]
-    }
-
-    /// Positional membership for a batch, refreshing the index at most
-    /// once, and only on a miss (the batched implicit-`Submitted` read
-    /// path).
-    pub fn contains_many(&self, kv: &KvStore, tasks: &[TaskId]) -> Vec<bool> {
+    /// Positional: the state each task's latest segment gives it (its
+    /// admitted state, else `Submitted`), `None` where no segment holds
+    /// it. Refreshes the index at most once, and only on a miss: a
+    /// task's segment state changes only when it is recorded again,
+    /// which writes it a state record that outranks the segment's.
+    pub fn states_many(&self, kv: &KvStore, tasks: &[TaskId]) -> Vec<Option<TaskState>> {
         let mut inner = self.inner.lock();
-        let mut out: Vec<bool> = tasks
-            .iter()
-            .map(|t| inner.fold.0.contains_key(&t.unique()))
-            .collect();
-        if out.iter().any(|hit| !hit) {
+        let mut out: Vec<Option<TaskState>> = tasks.iter().map(|&t| inner.fold.state(t)).collect();
+        if out.iter().any(Option::is_none) {
             self.refresh(kv, &mut inner);
-            for (slot, task) in out.iter_mut().zip(tasks) {
-                if !*slot {
-                    *slot = inner.fold.0.contains_key(&task.unique());
+            for (slot, &task) in out.iter_mut().zip(tasks) {
+                if slot.is_none() {
+                    *slot = inner.fold.state(task);
                 }
             }
         }
         out
     }
 
-    /// Every task id recorded in any segment (recovery/tooling scan).
-    pub fn task_ids(&self, kv: &KvStore) -> Vec<TaskId> {
+    /// Every task recorded in any segment, with the state its latest
+    /// segment gives it (recovery/tooling scan).
+    pub fn states(&self, kv: &KvStore) -> Vec<(TaskId, TaskState)> {
         self.read(kv, |specs| {
-            specs.0.keys().map(|&id| TaskId::from_unique(id)).collect()
+            let task = |&id: &UniqueId| TaskId::from_unique(id);
+            let state = |t: TaskId| specs.state(t).expect("a task the fold holds");
+            specs
+                .specs
+                .keys()
+                .map(task)
+                .map(|t| (t, state(t)))
+                .collect()
         })
     }
 }
@@ -259,7 +302,7 @@ mod tests {
     fn commit_is_one_lock_per_batch() {
         let kv = KvStore::new(4);
         let before = kv.stats().total_locks();
-        commit(&kv, &specs(0, 100));
+        commit(&kv, &specs(0, 100), None);
         assert_eq!(kv.stats().total_locks() - before, 1);
     }
 
@@ -267,7 +310,7 @@ mod tests {
     fn lazy_index_returns_bit_identical_specs() {
         let kv = KvStore::new(4);
         let batch = specs(0, 16);
-        commit(&kv, &batch);
+        commit(&kv, &batch, None);
         let index = SegmentIndex::new();
         for spec in &batch {
             assert_eq!(
@@ -284,41 +327,74 @@ mod tests {
     fn index_catches_up_across_segments_and_prefers_latest() {
         let kv = KvStore::new(4);
         let first = specs(0, 4);
-        commit(&kv, &first);
+        commit(&kv, &first, None);
         // A later segment re-records the same task with a bumped attempt.
         let mut bumped = first[1].clone();
         bumped.attempt += 1;
-        commit(&kv, std::slice::from_ref(&bumped));
-        commit(&kv, &specs(100, 4));
+        commit(&kv, std::slice::from_ref(&bumped), None);
+        commit(&kv, &specs(100, 4), None);
         // Folding all three segments resolves the duplicate to the
         // latest copy.
         let index = SegmentIndex::new();
         assert_eq!(index.lookup(&kv, bumped.task_id), Some(bumped));
         let root = TaskId::driver_root(DriverId::from_index(7));
-        assert!(index.contains(&kv, root.child(103)));
-        assert_eq!(index.task_ids(&kv).len(), 8);
+        assert!(index.states_many(&kv, &[root.child(103)])[0].is_some());
+        assert_eq!(index.states(&kv).len(), 8);
         // An index that is already caught up folds only the new tail.
-        commit(&kv, &specs(200, 2));
-        assert!(index.contains(&kv, root.child(201)));
-        assert_eq!(index.task_ids(&kv).len(), 10);
+        commit(&kv, &specs(200, 2), None);
+        assert!(index.states_many(&kv, &[root.child(201)])[0].is_some());
+        assert_eq!(index.states(&kv).len(), 10);
     }
 
     #[test]
-    fn contains_many_is_positional_and_refreshes_once() {
+    fn states_many_is_positional_and_refreshes_once() {
         let kv = KvStore::new(4);
         let batch = specs(0, 3);
-        commit(&kv, &batch);
+        commit(&kv, &batch, None);
         let index = SegmentIndex::new();
         let root = TaskId::driver_root(DriverId::from_index(7));
-        let hits = index.contains_many(&kv, &[batch[2].task_id, root.child(999), batch[0].task_id]);
-        assert_eq!(hits, vec![true, false, true]);
+        let locks = kv.stats().total_locks();
+        let tasks = [batch[2].task_id, root.child(999), batch[0].task_id];
+        let states = index.states_many(&kv, &tasks);
+        let submitted = Some(TaskState::Submitted);
+        assert_eq!(states, vec![submitted.clone(), None, submitted]);
+        assert_eq!(kv.stats().total_locks() - locks, 1);
+    }
+
+    #[test]
+    fn a_segment_carries_its_admitted_state_until_the_task_is_recorded_again() {
+        let kv = KvStore::new(4);
+        let batch = specs(0, 2);
+        let queued = TaskState::Queued(rtml_common::ids::NodeId(3));
+        let locks = kv.stats().total_locks();
+        commit(&kv, &batch, Some(&queued));
+        assert_eq!(kv.stats().total_locks() - locks, 1);
+        let index = SegmentIndex::new();
+        let ids = [batch[0].task_id, batch[1].task_id];
+        let states = index.states_many(&kv, &ids);
+        assert_eq!(states, vec![Some(queued.clone()), Some(queued.clone())]);
+        assert_eq!(index.lookup(&kv, ids[1]), Some(batch[1].clone()));
+        // A copy recorded again in a plain segment is `Submitted` there;
+        // its batch-mate keeps the admitted state.
+        let mut bumped = batch[0].clone();
+        bumped.attempt += 1;
+        commit(&kv, std::slice::from_ref(&bumped), None);
+        let states = SegmentIndex::new().states(&kv);
+        let of = |task| {
+            states
+                .iter()
+                .find(|(t, _)| *t == task)
+                .map(|(_, s)| s.clone())
+        };
+        assert_eq!(of(ids[0]), Some(TaskState::Submitted));
+        assert_eq!(of(ids[1]), Some(queued));
     }
 
     #[test]
     fn a_handle_that_served_a_spec_serves_the_copy_a_later_segment_records() {
         let kv = KvStore::new(4);
         let batch = specs(0, 4);
-        commit(&kv, &batch);
+        commit(&kv, &batch, None);
         let index = SegmentIndex::new();
         assert_eq!(index.lookup(&kv, batch[2].task_id), Some(batch[2].clone()));
         // A resubmission records the task again, attempt bumped, as a
@@ -326,7 +402,7 @@ mod tests {
         // serves the bumped one, and a fresh index agrees.
         let mut bumped = batch[2].clone();
         bumped.attempt += 1;
-        commit(&kv, std::slice::from_ref(&bumped));
+        commit(&kv, std::slice::from_ref(&bumped), None);
         assert_eq!(index.lookup(&kv, bumped.task_id), Some(bumped.clone()));
         assert_eq!(
             index.lookup_bytes(&kv, bumped.task_id),
@@ -338,7 +414,7 @@ mod tests {
         );
         // The rest of the first segment is untouched.
         assert_eq!(index.lookup(&kv, batch[1].task_id), Some(batch[1].clone()));
-        assert_eq!(index.task_ids(&kv).len(), 4);
+        assert_eq!(index.states(&kv).len(), 4);
     }
 
     #[test]
@@ -348,10 +424,10 @@ mod tests {
         w.put_varint(3); // claims 3 specs, carries none
         kv.append(Bytes::from_static(SEGMENT_LOG_KEY), w.into_bytes());
         let good = specs(0, 2);
-        commit(&kv, &good);
+        commit(&kv, &good, None);
         let index = SegmentIndex::new();
         assert_eq!(index.lookup(&kv, good[0].task_id), Some(good[0].clone()));
-        assert_eq!(index.task_ids(&kv).len(), 2);
+        assert_eq!(index.states(&kv).len(), 2);
         assert_eq!(index.skipped(), 1);
     }
 }

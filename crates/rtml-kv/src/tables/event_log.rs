@@ -7,18 +7,30 @@
 //! from the emitting node and component, so high-rate logging scales with
 //! the shard count like every other control-plane write.
 //!
-//! The log is always on. Two provisions keep it off the hot path's
-//! back: batched submission appends a whole batch of events with one
-//! shard lock acquisition ([`EventLog::append_many`]), and a constant
-//! **retention cap** ([`EventLog::RETENTION`]) turns each stream into a
-//! ring buffer so sustained throughput runs do not grow control-plane
-//! memory without bound. The number of events dropped to enforce the
-//! cap is counted and exposed, so profiling output can state when its
-//! view is partial.
+//! The log is always on, and off the per-task path: an event is pushed
+//! to its node's **buffer** under one uncontended lock, encoded in place
+//! — no kv call, and no key or frame allocated per event. The node's
+//! loop appends the buffer on its load tick ([`EventLog::flush`]), one
+//! frame per stream, so the log groups writes by time as batched
+//! submission groups them by batch. A pusher that fills a buffer to
+//! [`EventLog::BUFFER`] events flushes it itself, so a log with no loop
+//! ticking holds no more; a batch that large lands as frames of its own.
+//! Every reader ([`EventLog::read_all`], [`EventLog::len`],
+//! [`EventLog::dropped_count`]) flushes every buffer first, so it sees
+//! every event pushed before it asked, each stream in push order. A
+//! killed node's unflushed events are dropped ([`EventLog::discard`])
+//! and counted ([`EventLog::lost_count`]).
+//!
+//! A constant **retention cap** ([`EventLog::RETENTION`]) turns each
+//! stream into a ring buffer so sustained throughput runs do not grow
+//! control-plane memory without bound. The number of events dropped to
+//! enforce the cap is counted and exposed, so profiling output can state
+//! when its view is partial.
 
 use std::sync::Arc;
 
 use bytes::Bytes;
+use parking_lot::Mutex;
 
 use rtml_common::codec::{decode_from_slice, Codec, Reader, Writer};
 use rtml_common::event::{Component, Event};
@@ -29,15 +41,66 @@ use crate::store::KvStore;
 
 const PREFIX: &[u8] = b"ev:";
 
+/// Buffers per log: node `n` pushes to buffer `n % SLOTS`, so a
+/// cluster of up to this many nodes gives each node its own.
+const SLOTS: usize = 64;
+
 /// Typed event-log handle.
 #[derive(Clone)]
 pub struct EventLog {
     kv: Arc<KvStore>,
+    /// The nodes' event buffers, shared across clones.
+    buffers: Arc<[Mutex<Buffer>]>,
     /// Events dropped across all streams to enforce the retention cap.
     /// Shared across clones so every handle reports the same total.
     dropped: Arc<Counter>,
     /// Frames a reader met that did not decode, shared like `dropped`.
     undecodable: Arc<Counter>,
+    /// Events a killed node had buffered and never flushed, shared like
+    /// `dropped`.
+    lost: Arc<Counter>,
+}
+
+/// One buffer's events, a stream each, not yet appended.
+#[derive(Default)]
+struct Buffer {
+    streams: Vec<Stream>,
+    /// Events held across `streams`.
+    held: usize,
+}
+
+/// The buffered tail of one (node, component) stream.
+struct Stream {
+    node: NodeId,
+    component: Component,
+    /// The stream's kv key, made once.
+    key: Bytes,
+    /// How many events `body` holds.
+    count: usize,
+    /// The events' encodings, back to back: a frame's body. Cleared, not
+    /// freed, by a flush.
+    body: Writer,
+}
+
+impl Buffer {
+    /// The stream of `node`'s `component`, made on first use.
+    fn stream(&mut self, node: NodeId, component: Component) -> &mut Stream {
+        let at = self
+            .streams
+            .iter()
+            .position(|s| s.node == node && s.component == component);
+        let at = at.unwrap_or_else(|| {
+            self.streams.push(Stream {
+                node,
+                component,
+                key: EventLog::key(node, component),
+                count: 0,
+                body: Writer::new(),
+            });
+            self.streams.len() - 1
+        });
+        &mut self.streams[at]
+    }
 }
 
 impl EventLog {
@@ -50,18 +113,31 @@ impl EventLog {
     /// stream holds the last ≈ 32 k tasks' history.
     pub const RETENTION: usize = 1 << 16;
 
+    /// Most events a node's buffer holds: a push that would take it past
+    /// this flushes it first. A node's loop flushes it every
+    /// [load tick](EventLog::flush): ≈ 700 events' worth at a lone
+    /// round trip's release-build rate (7 events a task, ≈ 100 tasks a
+    /// millisecond), so the bound is met only by a log no loop ticks
+    /// for or a loop held up for several ticks, and keeps a buffer's
+    /// allocation to about a hundred KiB.
+    pub const BUFFER: usize = 4096;
+
     /// Creates an event log over `kv`.
     pub fn new(kv: Arc<KvStore>) -> Self {
         EventLog {
             kv,
+            buffers: (0..SLOTS).map(|_| Mutex::new(Buffer::default())).collect(),
             dropped: Arc::new(Counter::new()),
             undecodable: Arc::new(Counter::new()),
+            lost: Arc::new(Counter::new()),
         }
     }
 
     /// Total events dropped to enforce the retention cap, across all
-    /// streams and all clones of this handle.
+    /// streams and all clones of this handle. A reader: flushes every
+    /// buffer first.
     pub fn dropped_count(&self) -> u64 {
+        self.drain();
         self.dropped.get()
     }
 
@@ -73,13 +149,25 @@ impl EventLog {
         self.undecodable.get()
     }
 
-    /// Registers the retention drop count (`events.dropped`) and the
-    /// undecodable frame count (`events.undecodable`).
+    /// Events that killed nodes had buffered and never flushed
+    /// ([`EventLog::discard`]), across all clones of this handle.
+    pub fn lost_count(&self) -> u64 {
+        self.lost.get()
+    }
+
+    /// Registers the retention drop count (`events.dropped`), the
+    /// undecodable frame count (`events.undecodable`) and the count of
+    /// events lost with their node (`events.lost`).
     pub fn register_metrics(&self, registry: &MetricsRegistry) {
-        let dropped = self.dropped.clone();
-        registry.register_value("events.dropped", move || dropped.get());
-        let undecodable = self.undecodable.clone();
-        registry.register_value("events.undecodable", move || undecodable.get());
+        let counters = [
+            ("events.dropped", &self.dropped),
+            ("events.undecodable", &self.undecodable),
+            ("events.lost", &self.lost),
+        ];
+        for (name, counter) in counters {
+            let counter = counter.clone();
+            registry.register_value(name, move || counter.get());
+        }
     }
 
     /// The stream key: the prefix, the node's id (4 bytes, little-endian)
@@ -92,47 +180,119 @@ impl EventLog {
         w.into_bytes()
     }
 
-    /// Appends an event attributed to `node` (a frame of one).
-    pub fn append(&self, node: NodeId, event: Event) {
-        self.append_frame(
-            Self::key(node, event.component),
-            std::slice::from_ref(&event),
-        );
+    fn buffer(&self, node: NodeId) -> &Mutex<Buffer> {
+        &self.buffers[node.0 as usize % SLOTS]
     }
 
-    /// Group-commits a batch of events attributed to `node`: events for
-    /// the same component are encoded into **one frame record** and land
-    /// on their stream with one shard lock acquisition — the per-event
-    /// cost of logging a batch submission collapses into a shared buffer
-    /// append. Readers decode frames transparently.
+    /// Logs an event attributed to `node`: pushes it to the node's
+    /// buffer.
+    pub fn append(&self, node: NodeId, event: Event) {
+        self.push(node, std::slice::from_ref(&event));
+    }
+
+    /// Logs a batch of events attributed to `node`, in order, under one
+    /// lock of the node's buffer; each lands on its component's stream.
+    /// A batch of [`EventLog::BUFFER`] events or more is appended at
+    /// once, as one frame per run of equal components.
     pub fn append_many(&self, node: NodeId, events: Vec<Event>) {
+        self.push(node, &events);
+    }
+
+    fn push(&self, node: NodeId, events: &[Event]) {
         if events.is_empty() {
             return;
         }
-        // Batches are almost always single-component (one submitter);
-        // frame runs of equal components so mixed batches still commit
-        // in per-stream order.
-        let mut run_start = 0;
-        for i in 1..=events.len() {
-            if i == events.len() || events[i].component != events[run_start].component {
-                let component = events[run_start].component;
-                self.append_frame(Self::key(node, component), &events[run_start..i]);
-                run_start = i;
+        let mut buffer = self.buffer(node).lock();
+        if buffer.held + events.len() > Self::BUFFER {
+            self.flush_buffer(&mut buffer);
+            if events.len() >= Self::BUFFER {
+                // Framed whole, as a batch's events always were: runs
+                // of equal components, each in its stream's order.
+                for run in events.chunk_by(|a, b| a.component == b.component) {
+                    let mut body = Writer::with_capacity(40 * run.len());
+                    run.iter().for_each(|event| event.encode(&mut body));
+                    let key = Self::key(node, run[0].component);
+                    self.append_frame(key, run.len(), body.as_slice());
+                }
+                return;
             }
+        }
+        for event in events {
+            let stream = buffer.stream(node, event.component);
+            event.encode(&mut stream.body);
+            stream.count += 1;
+        }
+        buffer.held += events.len();
+    }
+
+    /// Appends what `node`'s buffer holds (with any other node's that
+    /// shares it): one frame per stream. The node's loop calls this on
+    /// its load tick, and once more when it closes.
+    pub fn flush(&self, node: NodeId) {
+        self.flush_buffer(&mut self.buffer(node).lock());
+    }
+
+    /// Drops what `node`'s buffer holds of its events, unflushed, and
+    /// counts them lost: the node was killed, and a crash takes what
+    /// it had not written with it.
+    pub fn discard(&self, node: NodeId) {
+        let mut buffer = self.buffer(node).lock();
+        let mut lost = 0;
+        for stream in buffer.streams.iter_mut().filter(|s| s.node == node) {
+            lost += std::mem::take(&mut stream.count);
+            stream.body.clear();
+        }
+        buffer.held -= lost;
+        self.lost.add(lost as u64);
+    }
+
+    /// Events held in buffers, not yet appended.
+    pub fn buffered(&self) -> usize {
+        self.buffers.iter().map(|b| b.lock().held).sum()
+    }
+
+    /// Bytes the buffers' allocations hold: what their streams' bodies
+    /// have grown to. A flush keeps them, so this is the buffers' high
+    /// water mark, not their contents.
+    pub fn buffered_bytes(&self) -> usize {
+        let bytes = |b: &Mutex<Buffer>| -> usize {
+            b.lock().streams.iter().map(|s| s.body.capacity()).sum()
+        };
+        self.buffers.iter().map(bytes).sum()
+    }
+
+    /// Flushes every buffer: what every reader does first.
+    fn drain(&self) {
+        for buffer in self.buffers.iter() {
+            self.flush_buffer(&mut buffer.lock());
         }
     }
 
-    /// Encodes `events` as one length-prefixed frame record and appends
-    /// it, charging any frames the retention cap evicted to the dropped
+    /// Appends each stream's buffered events as one frame, under the
+    /// buffer's lock, so two flushes of a stream land in push order.
+    fn flush_buffer(&self, buffer: &mut Buffer) {
+        if buffer.held == 0 {
+            return;
+        }
+        for stream in buffer.streams.iter_mut().filter(|s| s.count > 0) {
+            let count = std::mem::take(&mut stream.count);
+            self.append_frame(stream.key.clone(), count, stream.body.as_slice());
+            stream.body.clear();
+        }
+        buffer.held = 0;
+    }
+
+    /// Appends `count` encoded events, `body`, as one frame record —
+    /// their count's varint, then `body` — allocated to its exact size,
+    /// charging any frames the retention cap evicted to the dropped
     /// counter (by their event counts, read from the frame headers — the
     /// weight the cap is counted in).
-    fn append_frame(&self, key: Bytes, events: &[Event]) {
-        let mut w = Writer::with_capacity(24 * events.len() + 4);
-        w.put_varint(events.len() as u64);
-        for event in events {
-            event.encode(&mut w);
-        }
-        let frame = vec![w.into_bytes()];
+    fn append_frame(&self, key: Bytes, count: usize, body: &[u8]) {
+        let head = (usize::BITS - count.leading_zeros()).max(1).div_ceil(7) as usize;
+        let mut frame = Writer::with_capacity(head + body.len());
+        frame.put_varint(count as u64);
+        frame.put_raw(body);
+        let frame = vec![frame.into_bytes()];
         let evicted = self
             .kv
             .append_many_capped(key, frame, Self::RETENTION, Self::frame_len);
@@ -168,8 +328,11 @@ impl EventLog {
         })
     }
 
-    /// Reads every event in the system, sorted by timestamp. Tooling path.
+    /// Reads every event in the system, sorted by timestamp (a stable
+    /// sort: a stream's events of one instant keep their push order).
+    /// Tooling path; flushes every buffer first.
     pub fn read_all(&self) -> Vec<Event> {
+        self.drain();
         let mut events: Vec<Event> = self
             .kv
             .scan_logs_prefix(PREFIX)
@@ -181,8 +344,9 @@ impl EventLog {
         events
     }
 
-    /// Total number of events recorded.
+    /// Total number of events recorded; flushes every buffer first.
     pub fn len(&self) -> usize {
+        self.drain();
         self.kv
             .scan_logs_prefix(PREFIX)
             .iter()
@@ -203,8 +367,10 @@ mod tests {
     use rtml_common::event::EventKind;
     use rtml_common::ids::{DriverId, TaskId};
 
-    /// The timestamps of one (node, component) stream, in append order.
+    /// The timestamps of one (node, component) stream, in append order,
+    /// every buffer flushed first.
     fn stream(log: &EventLog, node: NodeId, component: Component) -> Vec<u64> {
+        log.drain();
         log.kv
             .read_log(&EventLog::key(node, component))
             .iter()
@@ -285,6 +451,7 @@ mod tests {
         let registry = MetricsRegistry::new();
         log.register_metrics(&registry);
         log.append(NodeId(0), ev(Component::Worker, 1));
+        log.flush(NodeId(0));
         // Claims three events; the second byte is no component's tag.
         let garbage = Bytes::from_static(b"\x03\x01\xffgarbage");
         kv.append(EventLog::key(NodeId(0), Component::Worker), garbage);
@@ -326,5 +493,91 @@ mod tests {
         clone.append_many(NodeId(0), frame(start..start + CAP + 1));
         assert_eq!(log.dropped_count(), CAP + CAP / 2 + 1);
         assert_eq!(worker(&log), (start..start + CAP + 1).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn events_pushed_on_two_nodes_with_no_tick_between_read_back_in_push_order() {
+        let kv = KvStore::new(4);
+        let log = EventLog::new(kv.clone());
+        // Interleaved across two nodes and two components, timestamps
+        // out of order within a stream: nothing reaches the kv until a
+        // reader asks, and each stream reads back in push order.
+        let pushes = [
+            (0, Component::Worker, 5),
+            (1, Component::Worker, 9),
+            (0, Component::Driver, 2),
+            (0, Component::Worker, 3),
+            (1, Component::Worker, 7),
+            (0, Component::Worker, 4),
+        ];
+        let locks = kv.stats().total_locks();
+        for (node, component, at) in pushes {
+            log.append(NodeId(node), ev(component, at));
+        }
+        assert_eq!(kv.stats().total_locks(), locks, "a push took a kv lock");
+        assert_eq!(log.buffered(), pushes.len());
+        assert_eq!(log.read_all().len(), pushes.len());
+        assert_eq!(log.buffered(), 0);
+        assert_eq!(stream(&log, NodeId(0), Component::Worker), vec![5, 3, 4]);
+        assert_eq!(stream(&log, NodeId(1), Component::Worker), vec![9, 7]);
+        assert_eq!(stream(&log, NodeId(0), Component::Driver), vec![2]);
+        // One flush wrote one frame per stream.
+        let frames = kv.scan_logs_prefix(PREFIX);
+        assert!(frames.iter().all(|(_, records)| records.len() == 1));
+    }
+
+    #[test]
+    fn a_discarded_buffer_counts_its_events_lost_and_spares_other_nodes() {
+        let kv = KvStore::new(4);
+        let log = EventLog::new(kv);
+        let registry = MetricsRegistry::new();
+        log.register_metrics(&registry);
+        log.append(NodeId(1), ev(Component::Worker, 1));
+        log.flush(NodeId(1));
+        log.append(NodeId(1), ev(Component::Worker, 2));
+        log.append(NodeId(1), ev(Component::ObjectStore, 3));
+        // Node 65 shares node 1's buffer and is not the one killed.
+        log.append(NodeId(1 + SLOTS as u32), ev(Component::Worker, 4));
+        log.discard(NodeId(1));
+        assert_eq!(log.lost_count(), 2);
+        assert_eq!(registry.get("events.lost"), Some(2));
+        let times: Vec<u64> = log.read_all().iter().map(|e| e.at_nanos).collect();
+        assert_eq!(times, vec![1, 4]);
+        assert_eq!(log.dropped_count(), 0);
+    }
+
+    #[test]
+    fn a_log_no_loop_flushes_never_holds_more_than_its_bound() {
+        // The shape of a bare handle with nothing ticking: single
+        // appends and 256-event batches, past the bound many times.
+        let kv = KvStore::new(4);
+        let log = EventLog::new(kv);
+        let batch = |base: u64| {
+            (base..base + 256)
+                .map(|i| ev(Component::Driver, i))
+                .collect()
+        };
+        let mut pushed = 0;
+        for round in 0..40u64 {
+            log.append(NodeId(0), ev(Component::Worker, round));
+            log.append_many(NodeId(0), batch(1_000 * round));
+            pushed += 257;
+            assert!(log.buffered() <= EventLog::BUFFER, "{}", log.buffered());
+        }
+        // Under 32 B an event here, and an allocation at most double
+        // its use.
+        let bytes = log.buffered_bytes();
+        assert!(bytes < 64 * EventLog::BUFFER, "{bytes} B buffered");
+        // A batch past the bound lands whole, in order after what the
+        // buffer held.
+        let big: Vec<Event> = (0..EventLog::BUFFER as u64 + 1)
+            .map(|i| ev(Component::Worker, 100_000 + i))
+            .collect();
+        log.append_many(NodeId(0), big);
+        assert_eq!(log.buffered(), 0);
+        assert_eq!(log.len(), pushed + EventLog::BUFFER + 1);
+        let worker = stream(&log, NodeId(0), Component::Worker);
+        assert_eq!(&worker[..40], &(0..40).collect::<Vec<_>>()[..]);
+        assert_eq!(worker[40], 100_000);
     }
 }

@@ -17,7 +17,11 @@
 //! from a node death's repair), and the log's append order is the one
 //! order in which the latest record wins. Reads go through a
 //! [`LogIndex`] folded from the log on demand, which keeps each task's
-//! latest state in 32 bytes. A run that reads no state builds none, and
+//! latest state in 32 bytes. A batch admitted on its submitter's thread
+//! records its spec segment and `Queued(node)` as one append: the state
+//! rides the segment ([`TaskTable::record_many`]) and is the tasks'
+//! state until the state log holds a record for them, as a spec with no
+//! state record is `Submitted`. A run that reads no state builds none, and
 //! neither does a fault-free one: a blocked wait's reconstruction nudge
 //! asks only [`TaskTable::marked_lost`], which the handle answers from
 //! the tasks it wrote `Lost` for, with no kv read.
@@ -87,7 +91,7 @@ impl TaskTable {
     /// It is no longer [marked lost](TaskTable::marked_lost), unless
     /// `state` is `Lost`.
     pub fn record(&self, spec: &TaskSpec, state: &TaskState) {
-        segment::commit(&self.kv, std::slice::from_ref(spec));
+        segment::commit(&self.kv, std::slice::from_ref(spec), None);
         self.append(std::iter::once(spec.task_id), state, true);
     }
 
@@ -105,15 +109,27 @@ impl TaskTable {
     /// When `state` is [`TaskState::Submitted`] the state phase is
     /// skipped entirely: a task with a durable spec and no state record
     /// *is* `Submitted` by definition, and every state reader in this
-    /// table synthesizes that. One lock per batch is what lets the
-    /// driver-side hot path clear a million records per second.
+    /// table synthesizes that. Any other state but `Lost` rides the
+    /// segment — the state a batch was admitted with, `Queued(node)` —
+    /// and readers synthesize it the same way: it is the tasks' state
+    /// until the state log holds a record for them, so it is for tasks
+    /// recorded for the first time (a task recorded again goes through
+    /// [`TaskTable::record`]), and [`TaskTable::subscribe_state`] does
+    /// not see it. Either way a batch costs one lock, which is what lets
+    /// the driver-side hot path clear a million records per second. A
+    /// `Lost` batch is marked lost as [`TaskTable::set_states_many`]
+    /// marks it, with a state record of its own.
     pub fn record_many(&self, specs: &[TaskSpec], state: &TaskState) {
         if specs.is_empty() {
             return;
         }
-        segment::commit(&self.kv, specs);
-        if !matches!(state, TaskState::Submitted) {
-            self.append(specs.iter().map(|s| s.task_id), state, false);
+        match state {
+            TaskState::Submitted => segment::commit(&self.kv, specs, None),
+            TaskState::Lost => {
+                segment::commit(&self.kv, specs, None);
+                self.append(specs.iter().map(|s| s.task_id), state, false);
+            }
+            admitted => segment::commit(&self.kv, specs, Some(admitted)),
         }
     }
 
@@ -180,10 +196,12 @@ impl TaskTable {
 
     /// Batched state reads (positional), under one fold of the state log.
     ///
-    /// A task with a durable spec but no state record yet reads as
-    /// [`TaskState::Submitted`] — the submit fast path records only the
-    /// spec, so "spec exists, no explicit state" *means* submitted. One
-    /// task takes [`TaskTable::get_state`]'s path.
+    /// A task with a durable spec but no state record yet reads as the
+    /// state its segment gives it: [`TaskState::Submitted`] — the submit
+    /// fast path records only the spec, so "spec exists, no explicit
+    /// state" *means* submitted — or the state it was admitted with
+    /// ([`TaskTable::record_many`]). One task takes
+    /// [`TaskTable::get_state`]'s path.
     pub fn get_states_many(&self, tasks: &[TaskId]) -> Vec<Option<TaskState>> {
         if let [task] = tasks {
             return vec![self.get_state(*task)];
@@ -196,13 +214,11 @@ impl TaskTable {
             .collect();
         if !missing.is_empty() {
             let ids: Vec<TaskId> = missing.iter().map(|&i| tasks[i]).collect();
-            for (&i, hit) in missing
+            for (&i, state) in missing
                 .iter()
-                .zip(self.segments.contains_many(&self.kv, &ids))
+                .zip(self.segments.states_many(&self.kv, &ids))
             {
-                if hit {
-                    out[i] = Some(TaskState::Submitted);
-                }
+                out[i] = state;
             }
         }
         out
@@ -232,23 +248,22 @@ impl TaskTable {
     }
 
     /// Reads a task's state. A task with a durable spec and no state
-    /// record is `Submitted` (see [`TaskTable::get_states_many`]).
+    /// record reads as its segment gives it: `Submitted`, or the state
+    /// it was admitted with (see [`TaskTable::get_states_many`]).
     pub fn get_state(&self, task: TaskId) -> Option<TaskState> {
         if let Some(state) = self.states.read(&self.kv, |states| states.get(task)) {
             return Some(state);
         }
-        self.segments
-            .contains(&self.kv, task)
-            .then_some(TaskState::Submitted)
+        self.segments.states_many(&self.kv, &[task]).pop().flatten()
     }
 
     /// Subscribes to recorded state transitions: the current state
     /// record, if any, plus the stream of the ones written after it.
     /// `None` where the task has no state record yet — submitted and not
-    /// yet queued, or never submitted: unlike [`TaskTable::get_state`]
-    /// it never synthesizes `Submitted`, so it reads no spec and builds
-    /// no segment index. A caller that must tell those two apart reads
-    /// `get_state`.
+    /// yet queued, admitted by a segment, or never submitted: unlike
+    /// [`TaskTable::get_state`] it never reads a segment's state, so it
+    /// reads no spec and builds no segment index. A caller that must
+    /// tell those apart reads `get_state`.
     ///
     /// It registers on the state log before it reads the index, so a
     /// record appended in between is never lost between the two: it is
@@ -263,11 +278,12 @@ impl TaskTable {
 
     /// Scans every task's current state. Recovery/tooling path (full
     /// scan); the data path never calls this. Tasks whose only record is
-    /// their spec (the submit fast path writes no explicit state) are
-    /// reported as `Submitted`, so failure repair sees the
-    /// submitted-but-never-queued window.
+    /// their spec are reported as their segment gives them — `Submitted`
+    /// (the submit fast path writes no explicit state), so failure
+    /// repair sees the submitted-but-never-queued window, or the state
+    /// they were admitted with.
     pub fn scan_states(&self) -> Vec<(TaskId, TaskState)> {
-        let specs = self.segments.task_ids(&self.kv);
+        let specs = self.segments.states(&self.kv);
         self.states.read(&self.kv, |states| {
             let mut out: Vec<(TaskId, TaskState)> = states
                 .latest
@@ -277,8 +293,7 @@ impl TaskTable {
             out.extend(
                 specs
                     .into_iter()
-                    .filter(|task| !states.latest.contains_key(&task.unique()))
-                    .map(|task| (task, TaskState::Submitted)),
+                    .filter(|(task, _)| !states.latest.contains_key(&task.unique())),
             );
             out
         })
@@ -551,6 +566,39 @@ mod tests {
         let mixed = table.get_states_many(&[ids[0], root.child(999)]);
         assert_eq!(mixed[0], Some(TaskState::Queued(NodeId(1))));
         assert_eq!(mixed[1], None);
+    }
+
+    #[test]
+    fn an_admitted_batch_is_one_append_and_reads_queued_until_a_state_record_lands() {
+        let kv = KvStore::new(4);
+        let table = TaskTable::new(kv.clone());
+        let root = TaskId::driver_root(DriverId::from_index(0));
+        let specs: Vec<TaskSpec> = (0..3)
+            .map(|i| TaskSpec::simple(root.child(i), FunctionId::from_name("f"), vec![]))
+            .collect();
+        let ids: Vec<TaskId> = specs.iter().map(|s| s.task_id).collect();
+        let queued = TaskState::Queued(NodeId(1));
+        let locks = kv.stats().total_locks();
+        table.record_many(&specs, &queued);
+        assert_eq!(kv.stats().total_locks() - locks, 1);
+        assert_eq!(table.get_spec(ids[0]), Some(specs[0].clone()));
+        assert_eq!(table.get_state(ids[0]), Some(queued.clone()));
+        assert!(table
+            .get_states_many(&ids)
+            .iter()
+            .all(|s| *s == Some(queued.clone())));
+        // Not a state record: the explicit reads do not see it.
+        assert_eq!(table.get_recorded_states_many(&ids), vec![None; 3]);
+        // A later record outranks it, and a node's death repair finds
+        // the tasks still queued there.
+        table.set_state(ids[0], &TaskState::Running(WorkerId::new(NodeId(1), 0)));
+        table.set_state(ids[1], &TaskState::Finished);
+        let lost = table.lose_node(NodeId(1));
+        assert_eq!(lost.len(), 2, "{lost:?}");
+        let states = table.get_states_many(&ids);
+        assert_eq!(states[0], Some(TaskState::Lost));
+        assert_eq!(states[1], Some(TaskState::Finished));
+        assert_eq!(states[2], Some(TaskState::Lost));
     }
 
     #[test]

@@ -300,15 +300,13 @@ impl Caller {
             return Ok(results);
         }
 
-        // Durable lineage first, then visibility, then routing — each
-        // phase one group-committed control-plane call for the whole
-        // batch. Nothing can observe these tasks until the final routing
-        // send, so the inter-phase windows are private to this call.
-        // No object records are written at all: every return object's
-        // lineage edge rides inside its ID (`ObjectId::producer_task`).
-        let commit_started = Instant::now();
-        services.tasks.record_many(&fresh, &TaskState::Submitted);
-        let commit_micros = commit_started.elapsed().as_micros() as u64;
+        // Durable lineage first, then routing: the routing step records
+        // the batch — its spec segment, with `Queued(node)` when the
+        // batch is admitted on this thread — before any scheduler or
+        // worker can see it, one group-committed control-plane call for
+        // the whole batch. No object records are written at all: every
+        // return object's lineage edge rides inside its ID
+        // (`ObjectId::producer_task`).
         let at_nanos = now_nanos();
         let mut events: Vec<Event> = fresh
             .iter()
@@ -318,25 +316,28 @@ impl Caller {
                 kind: EventKind::TaskSubmitted { task: spec.task_id },
             })
             .collect();
-        // The segment-commit span rides the same frame as the per-task
-        // submission events. `base` (this submitter's child counter) is
-        // monotonic per caller, so it doubles as the batch seq.
-        events.push(Event {
-            at_nanos,
-            component: inner.component,
-            kind: EventKind::SpecSegmentCommitted {
-                node: inner.home,
-                seq: base,
-                tasks: fresh.len() as u32,
-                micros: commit_micros,
-            },
-        });
-        services.events.append_many(inner.home, events);
+        let tasks = fresh.len() as u32;
         // Every batch ingests at home, where its submitter's objects
         // live. `submitter_node` names it, so the kill-node repair scan
         // covers a batch lost in its mailbox; a batch that fails over
         // to another node is covered by the stuck-task backstop.
-        services.submit_batch_home(inner.home, fresh)?;
+        let commit_started = Instant::now();
+        let routed = services.submit_batch_home(inner.home, fresh);
+        // The segment-commit span — the routing call that commits it —
+        // rides the same buffer push as the per-task submission events.
+        // `base` (this submitter's child counter) is monotonic per
+        // caller, so it doubles as the batch seq.
+        events.push(Event::now(
+            inner.component,
+            EventKind::SpecSegmentCommitted {
+                node: inner.home,
+                seq: base,
+                tasks,
+                micros: commit_started.elapsed().as_micros() as u64,
+            },
+        ));
+        services.events.append_many(inner.home, events);
+        routed?;
         Ok(results)
     }
 

@@ -293,9 +293,11 @@ impl Cluster {
     /// Builds a profiling report from the event log (R7), with the live
     /// counters of the whole cluster ([`Cluster::counters`]).
     pub fn profile(&self) -> ProfileReport {
-        let mut report = ProfileReport::from_events(&self.services.events.read_all());
-        report.dropped_records = self.services.events.dropped_count();
-        report.partial = report.dropped_records > 0;
+        let events = &self.services.events;
+        let mut report = ProfileReport::from_events(&events.read_all());
+        report.dropped_records = events.dropped_count();
+        report.lost_records = events.lost_count();
+        report.partial = report.dropped_records + report.lost_records > 0;
         report.counters = self.counters();
         report
     }
@@ -368,8 +370,9 @@ impl Cluster {
     }
 
     /// One node's metrics registry: the live counters its own
-    /// components count (its telemetry sample records them beside
-    /// [`Services::metrics`]). `None` if the node is not alive.
+    /// components count (its telemetry sample records them, and the
+    /// lowest live node's records [`Services::metrics`] beside them).
+    /// `None` if the node is not alive.
     pub fn node_registry(&self, node: NodeId) -> Option<Arc<MetricsRegistry>> {
         self.nodes
             .lock()

@@ -170,19 +170,27 @@ impl NodeRuntime {
         };
 
         // The sensing plane: every component registers its own live
-        // counters once, and the scheduler's loop records them, beside
-        // the cluster-wide ones, into the kv-backed telemetry ring every
-        // interval — one group-committed record per node per interval.
-        // The scheduler's counters exist only once it runs, so the sample
-        // waits for the full set: every record has every column.
+        // counters once, and the scheduler's loop records them into the
+        // kv-backed telemetry ring every interval — one group-committed
+        // record per node per interval. The cluster-wide counters ride
+        // the lowest live node's record alone, so they are recorded
+        // once, not once a node. The scheduler's counters exist only
+        // once it runs, and the node is live only once it is attached,
+        // so the sample waits for both: every record has every column.
         let registry = Arc::new(MetricsRegistry::new());
         store.register_metrics(&registry);
         let columns = Arc::new(OnceLock::<[Arc<MetricsRegistry>; 2]>::new());
         let periodic = cluster.telemetry.then(|| {
-            let columns = columns.clone();
+            let (columns, services) = (columns.clone(), services.clone());
             let table = rtml_kv::TelemetryTable::new(services.kv.clone());
             let sample: Arc<dyn Fn() + Send + Sync> = Arc::new(move || {
                 if let Some(registries) = columns.get() {
+                    let lowest = services.any_alive() == Some(node);
+                    let registries = if lowest {
+                        &registries[..]
+                    } else {
+                        &registries[..1]
+                    };
                     crate::telemetry::sample(node, registries, &table);
                 }
             });
@@ -219,7 +227,6 @@ impl NodeRuntime {
 
         sched.agent().stats().register_metrics(&registry);
         sched.stats().register_metrics(&registry);
-        let _ = columns.set([registry.clone(), services.metrics.clone()]);
 
         // The scheduler attached them to its run queue before `spawn`
         // returned, so no thread can come up unknown to it.
@@ -242,6 +249,7 @@ impl NodeRuntime {
             sched.submitter(),
             config.total_resources(),
         );
+        let _ = columns.set([registry.clone(), services.metrics.clone()]);
 
         NodeRuntime {
             node,
@@ -311,6 +319,9 @@ impl NodeRuntime {
         // (telemetry outlives the node, like the event log).
         let mut this = self;
         this.sched.shutdown();
+        // What the node had logged and its loop had not yet flushed dies
+        // with it, counted.
+        services.events.discard(this.node);
         // Retract its load report: a dead node leaves no frozen backlog
         // behind for a reader to trust (its failure evidence stays).
         services.health.drop_report(this.node);

@@ -135,7 +135,13 @@ pub struct ProfileReport {
     /// folds). When nonzero the report is partial: timelines may be
     /// missing their oldest edges.
     pub dropped_records: u64,
-    /// Whether retention dropped anything (`dropped_records > 0`).
+    /// Events killed nodes had buffered and never flushed to the log
+    /// (populated by [`crate::Cluster::profile`]; zero for raw event
+    /// folds). When nonzero the report is partial: those nodes'
+    /// timelines end early.
+    pub lost_records: u64,
+    /// Whether retention dropped anything or a node's death lost
+    /// anything (`dropped_records + lost_records > 0`).
     pub partial: bool,
 }
 
@@ -332,8 +338,8 @@ impl ProfileReport {
         let count = |name: &str| self.counters.get(name).unwrap_or(0);
         let retention = if self.partial {
             format!(
-                "\nevent log: PARTIAL — {} records dropped by retention; oldest timeline edges may be missing",
-                self.dropped_records
+                "\nevent log: PARTIAL — {} records dropped by retention, {} lost with killed nodes; timeline edges may be missing",
+                self.dropped_records, self.lost_records
             )
         } else {
             String::new()

@@ -16,7 +16,7 @@ use rtml_common::ids::{NodeId, ObjectId};
 use rtml_common::metrics::{Counter, MetricsRegistry};
 use rtml_common::resources::Resources;
 use rtml_common::spin::SpinStats;
-use rtml_common::task::TaskSpec;
+use rtml_common::task::{TaskSpec, TaskState};
 use rtml_kv::{EventLog, FunctionTable, Inbound, KvStore, ObjectTable, TaskTable};
 use rtml_net::{Fabric, FabricConfig};
 use rtml_sched::{HealthTracker, LocalSubmitter, RunQueue};
@@ -58,8 +58,8 @@ pub struct Services {
     /// The counters of cluster-wide state — the fabric, the control
     /// plane, the event log, the object and task tables, and (registered
     /// by the cluster) the global scheduler and lineage replay — named
-    /// once for the whole cluster. Every node's telemetry sample records
-    /// them beside its own registry's.
+    /// once for the whole cluster. The lowest live node's telemetry sample
+    /// records them beside its own registry's; the others' do not.
     pub metrics: Arc<MetricsRegistry>,
     /// Times a blocking `get`, `get_many` or `wait` went to wait
     /// (`runtime.blocked_waits`), whether or not a spin then caught its
@@ -244,22 +244,27 @@ impl Services {
             .map_err(|(_specs, err)| err)
     }
 
-    /// [`Self::submit_batch_to`] for a submitter on `home` itself (its
-    /// driver or one of its workers): a batch the node's loop would
-    /// accept whole and runnable is admitted on the calling thread
+    /// [`Self::submit_batch_to`] for a fresh batch of a submitter on
+    /// `home` itself (its driver or one of its workers), which this
+    /// records: a batch the node's loop would accept whole and runnable
+    /// is recorded `Queued` and admitted on the calling thread, anything
+    /// else recorded `Submitted` before it is sent
     /// ([`LocalSubmitter::submit`]). If `home`'s scheduler dies
     /// mid-send, the batch goes again to a loop — the lowest alive
     /// node's once `home` has left the node table — up to
     /// [`rtml_common::retry::MAX_ATTEMPTS`] attempts; each failed send
-    /// hands the specs back, so none is lost.
+    /// hands the specs back, so none is lost, and none is recorded
+    /// twice.
     pub fn submit_batch_home(&self, home: NodeId, specs: Vec<TaskSpec>) -> Result<()> {
-        let mut specs = specs;
+        let (mut specs, mut fresh) = (specs, true);
         let mut last = Error::ShuttingDown;
-        for attempt in 0..rtml_common::retry::MAX_ATTEMPTS {
-            match self.try_submit_batch_to(home, specs, attempt == 0) {
+        for _ in 0..rtml_common::retry::MAX_ATTEMPTS {
+            match self.try_submit_batch_to(home, specs, fresh) {
                 Ok(()) => return Ok(()),
                 Err((returned, err)) => {
                     specs = returned;
+                    // No node took them: still unrecorded.
+                    fresh &= matches!(err, Error::ShuttingDown);
                     last = err;
                 }
             }
@@ -273,23 +278,28 @@ impl Services {
     }
 
     /// The one routing step under every submission: `node`'s scheduler,
-    /// or the lowest alive node's when it is gone. `own` lets a batch be
-    /// admitted on the calling thread, on `node` itself only. Hands the
-    /// specs back on failure so the caller can fail over without losing
-    /// the batch.
+    /// or the lowest alive node's when it is gone. A `fresh` batch is not
+    /// recorded yet: on `node` itself its submitter records it (and may
+    /// admit it on the calling thread), elsewhere it is recorded
+    /// `Submitted` here before it is sent. Hands the specs back on
+    /// failure so the caller can fail over without losing the batch;
+    /// with [`Error::ShuttingDown`] when no node took them.
     fn try_submit_batch_to(
         &self,
         node: NodeId,
         specs: Vec<TaskSpec>,
-        own: bool,
+        fresh: bool,
     ) -> std::result::Result<(), (Vec<TaskSpec>, Error)> {
         let nodes = self.nodes.read();
         let lowest = || nodes.values().next().map(|live| (live, false));
-        let Some((target, own)) = nodes.get(&node).map(|live| (live, own)).or_else(lowest) else {
+        let Some((target, own)) = nodes.get(&node).map(|live| (live, fresh)).or_else(lowest) else {
             return Err((specs, Error::ShuttingDown));
         };
         let target = target.sched.clone();
         drop(nodes);
+        if fresh && !own {
+            self.tasks.record_many(&specs, &TaskState::Submitted);
+        }
         target
             .submit(specs, own)
             .map_err(|specs| (specs, Error::Disconnected("local scheduler")))

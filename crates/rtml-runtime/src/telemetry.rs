@@ -5,7 +5,9 @@
 //! (object plane, scheduler, store) register their live
 //! counters at build time; cluster-wide state (fabric, kv, event log,
 //! object table, global scheduler, lineage replay) is registered once,
-//! on the services' registry. [`sample`] reads both and group-commits
+//! on the services' registry, and only the lowest live node's sample
+//! records it, so it is recorded once, not once a node. [`sample`] reads
+//! the registries it is given and group-commits
 //! the snapshot to the kv-backed [`TelemetryTable`] as **one record on
 //! one key** — one control-plane lock per node per interval, independent
 //! of how many metrics are registered. No thread of its own takes it:

@@ -25,9 +25,12 @@
 //! cost, so alone it would understate what holding saves.) A longer
 //! task, a task of another function, or the batch's
 //! end publishes what is held: the store puts, one location commit (what
-//! the puts evicted in one more), one `Finished` commit, and one event
-//! frame per component in which every `TaskStarted`, `TaskFinished` and
-//! `ObjectSealed` keeps its own task's instant. So does a task that
+//! the puts evicted in one more), one `Finished` commit, and one push per
+//! component to the node's event buffer, in which every `TaskStarted`,
+//! `TaskFinished` and `ObjectSealed` keeps its own task's instant. The
+//! pushes take no kv lock: the node's loop appends the buffer on its
+//! load tick ([`rtml_kv::EventLog`]), so a publish's kv calls are its
+//! location and `Finished` commits alone. So does a task that
 //! blocks in `get`/`wait` — what it waits for may be held — before it
 //! hands its grant back: the held results live in the worker's
 //! `Outbox`, which the task's context reaches. A task's start is
@@ -237,8 +240,9 @@ impl Outbox {
     }
 
     /// Publishes what is held, in order: the tasks' worker events as one
-    /// frame, each at its own instant — logged before any result is, so
-    /// a local reader woken by a seal finds them — then every result,
+    /// push to the node's event buffer, each at its own instant — logged
+    /// before any result is, so a reader woken by a seal finds them (a
+    /// reader flushes every buffer first) — then every result,
     /// sealed and published as one ([`Services::seal_and_publish`]; a
     /// failed task's as error envelopes, so consumers unblock with the
     /// propagated error), then one `Finished` commit. With `push` the

@@ -11,6 +11,14 @@
 //! next ones follow it, so none is overtaken; and a queue closed
 //! meanwhile (node killed or shutting down) hands the batch back for
 //! failover, like a failed send to the loop.
+//!
+//! A submitter's own batch arrives unrecorded, and the submitter makes
+//! it durable: admitted on its thread, the batch's spec segment carries
+//! `Queued(node)` ([`TaskTable::record_many`]), one kv append for both,
+//! in the order reserve, record, push — so a spec is durable before any
+//! worker can take its task; sent to the mailbox, it is recorded
+//! `Submitted` before the send. Either way its events go to the node's
+//! event buffer, not to the kv ([`EventLog`]).
 
 use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
 use std::sync::Arc;
@@ -48,21 +56,22 @@ impl Admission {
         !self.directory.lists_other_than(self.node)
     }
 
-    /// Commits `Queued(node)` for `queued`, writes the batch's one event
-    /// frame (where each task went — `queued`, then `spilled` — and the
-    /// span since `started`), and pushes `runnable`. A `reserved` push
-    /// takes the places [`RunQueue::reserve`] held, and hands the tasks
-    /// back if the queue closed meanwhile.
+    /// Commits `Queued(node)` for `queued`, logs the batch's events
+    /// (where each task went — `queued`, then `spilled` — and the span
+    /// since `started`), and pushes `runnable`. A `direct` batch was
+    /// reserved ([`RunQueue::reserve`]) and recorded `Queued(node)` with
+    /// its specs on its submitter's thread: its push takes the places
+    /// reserved, and hands the tasks back if the queue closed meanwhile.
     pub(crate) fn admit(
         &self,
         queued: &[TaskId],
         spilled: &[TaskId],
         runnable: Vec<Runnable>,
         started: Instant,
-        reserved: bool,
+        direct: bool,
     ) -> Result<(), Vec<Runnable>> {
         let node = self.node;
-        if !queued.is_empty() {
+        if !direct && !queued.is_empty() {
             self.tasks.set_states_many(queued, &TaskState::Queued(node));
         }
         let here = queued
@@ -86,7 +95,7 @@ impl Admission {
             kind,
         });
         self.events.append_many(node, frame.collect());
-        if !reserved {
+        if !direct {
             self.queue.push(runnable);
             return Ok(());
         }
@@ -103,7 +112,8 @@ pub struct LocalSubmitter {
 }
 
 impl From<Sender<LocalMsg>> for LocalSubmitter {
-    /// A submitter that only sends: every batch goes to the mailbox.
+    /// A submitter that only sends: every batch goes to the mailbox, and
+    /// it records none.
     fn from(tx: Sender<LocalMsg>) -> LocalSubmitter {
         LocalSubmitter {
             tx,
@@ -113,12 +123,14 @@ impl From<Sender<LocalMsg>> for LocalSubmitter {
 }
 
 impl LocalSubmitter {
-    /// Submits `specs`. With `own` — the caller is on this node: one of
-    /// its workers, or the driver whose home it is — a batch the loop
-    /// would accept whole and runnable is admitted on the calling thread
-    /// (see the module docs); anything else goes to the loop's mailbox as
-    /// one message. The specs come back when the node is gone, for the
-    /// caller to fail over.
+    /// Submits `specs`. With `own` — the caller is on this node (one of
+    /// its workers, or the driver whose home it is) and the specs are
+    /// not recorded yet — a batch the loop would accept whole and
+    /// runnable is recorded `Queued(node)` and admitted on the calling
+    /// thread, and anything else is recorded `Submitted` and goes to the
+    /// loop's mailbox as one message (see the module docs). Without it
+    /// the specs are recorded already, and go to the mailbox. The specs
+    /// come back when the node is gone, for the caller to fail over.
     pub fn submit(&self, specs: Vec<TaskSpec>, own: bool) -> Result<(), Vec<TaskSpec>> {
         let Some(admission) = &self.admission else {
             return self.send(specs);
@@ -130,6 +142,8 @@ impl LocalSubmitter {
             && specs.iter().all(local)
             && admission.queue.reserve(&specs, admission.alone())
         {
+            let queued = TaskState::Queued(admission.node);
+            admission.tasks.record_many(&specs, &queued);
             let ids: Vec<TaskId> = specs.iter().map(|s| s.task_id).collect();
             let runnable = specs.into_iter().map(Runnable::from).collect();
             let admitted = admission.admit(&ids, &[], runnable, started, true);
@@ -141,6 +155,9 @@ impl LocalSubmitter {
                     .add(ids.len() as u64);
             }
             return admitted.map_err(|back| back.into_iter().map(|r| r.spec).collect());
+        }
+        if own {
+            admission.tasks.record_many(&specs, &TaskState::Submitted);
         }
         // Counted before it can be ingested, so no batch of this node is
         // admitted beside the loop until this one has been.

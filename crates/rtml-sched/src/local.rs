@@ -436,15 +436,21 @@ impl LocalScheduler {
                     plane,
                     published: None,
                     last_load: Instant::now() - Duration::from_secs(1),
+                    last_flush: Instant::now(),
                     ingested: 0,
                 };
                 core.announce();
+                let events = core.services.events.clone();
                 let closed = core.run(&rx, &endpoint, seal_rx, fetch_rx);
                 // The scheduling state goes; a closed loop's plane serves
-                // on until the handle withdraws the endpoint.
+                // on until the handle withdraws the endpoint, and the
+                // node's last events, its workers' included, go to the
+                // log. A loop stopped without a close (a killed node)
+                // flushes nothing more.
                 let mut plane = core.into_plane();
                 if closed {
                     plane.run(&endpoint);
+                    events.flush(node);
                 }
             })
             .expect("spawn local scheduler");
@@ -511,6 +517,8 @@ pub(crate) struct Core {
     /// when the loop did something.
     pub(crate) published: Option<(LoadReport, u64)>,
     pub(crate) last_load: Instant,
+    /// When the loop last appended the node's event buffer.
+    pub(crate) last_flush: Instant,
     /// `PlaceBatch` tasks ingested from the global scheduler, ever: each
     /// load frame — and each spill — carries the count, so the scheduler
     /// knows which of its placements the report beside it contains.
@@ -589,6 +597,12 @@ impl Core {
             self.resolve_dependencies();
             self.maybe_publish_load();
             let now = Instant::now();
+            // The node's events reach the log on the load tick: one
+            // frame per stream, off every submitter's and worker's path.
+            if now - self.last_flush >= LOAD_INTERVAL {
+                self.services.events.flush(self.config.node);
+                self.last_flush = now;
+            }
             self.plane.tick(now);
             if let (Some((every, hook)), Some(due)) = (&self.services.periodic, due.as_mut()) {
                 if now >= *due {
@@ -1963,28 +1977,28 @@ mod tests {
         r.handle.shutdown();
     }
 
-    /// The frames on node 0's `LocalScheduler` event stream, read off
-    /// the stream itself: other components' events live under other
-    /// keys.
-    fn scheduler_frames(services: &SchedServices) -> Vec<Vec<Event>> {
-        let streams = services.kv.scan_logs_prefix(b"ev:");
-        let frames = streams.into_iter().flat_map(|(_key, records)| records);
-        let frames = frames.map(|r| decode_from_slice::<Vec<Event>>(&r).expect("a frame"));
-        frames
-            .filter(|frame| frame[0].component == Component::LocalScheduler)
+    /// The events on node 0's `LocalScheduler` stream, in push order
+    /// (the log's reader sorts stably by time, and a batch's events
+    /// share one instant).
+    fn scheduler_events(services: &SchedServices) -> Vec<Event> {
+        let events = services.events.read_all().into_iter();
+        events
+            .filter(|e| e.component == Component::LocalScheduler)
             .collect()
     }
 
     #[test]
-    fn each_batch_is_ingested_in_the_turn_that_received_it_and_writes_one_frame() {
-        // Its load ticks write no event: each frame below is a batch's
-        // ingest. One worker, which takes the first task and keeps it.
+    fn each_batch_is_ingested_in_the_turn_that_received_it_and_logs_one_span() {
+        // Its load ticks log no event: each run below is a batch's
+        // ingest — its tasks' `TaskQueuedLocal`, then one
+        // `BatchIngested`, pushed together. One worker, which takes the
+        // first task and keeps it.
         let mut r = rig(LocalSchedulerConfig {
             total_resources: Resources::cpu(8.0),
             spill: SpillMode::NeverSpill,
             ..LocalSchedulerConfig::default()
         });
-        let before = scheduler_frames(&r.services).len();
+        let before = scheduler_events(&r.services).len();
         let queue = r.handle.queue().clone();
         let ready_reaches = |depth: usize| {
             let deadline = Instant::now() + Duration::from_secs(5);
@@ -2013,13 +2027,16 @@ mod tests {
             .send(from, r.handle.address(), encode_to_bytes(&place));
         sent.unwrap();
         ready_reaches(64 + 3);
-        // The thread has exited: what it wrote is all there will be.
+        // The thread has exited: what it logged is all there will be.
         r.handle.shutdown();
-        let frames = scheduler_frames(&r.services);
+        let events = scheduler_events(&r.services);
+        let runs: Vec<&[Event]> = events[before..]
+            .split_inclusive(|e| matches!(e.kind, EventKind::BatchIngested { .. }))
+            .collect();
         let batches = [vec![one], many, placed];
-        assert_eq!(frames.len() - before, batches.len(), "{frames:?}");
-        for (frame, batch) in frames[before..].iter().zip(&batches) {
-            let (span, queued) = frame.split_last().expect("never empty");
+        assert_eq!(runs.len(), batches.len(), "{runs:?}");
+        for (run, batch) in runs.iter().zip(&batches) {
+            let (span, queued) = run.split_last().expect("never empty");
             let queued: Vec<TaskId> = queued
                 .iter()
                 .map(|e| match e.kind {
@@ -2036,7 +2053,7 @@ mod tests {
                 EventKind::BatchIngested { node, tasks, .. } => {
                     assert_eq!((node, tasks as usize), (NodeId(0), batch.len()))
                 }
-                ref other => panic!("the frame ends with {other:?}"),
+                ref other => panic!("the run ends with {other:?}"),
             }
         }
     }

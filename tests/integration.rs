@@ -225,6 +225,53 @@ fn batched_submission_runs_end_to_end_under_every_spill_mode() {
 }
 
 #[test]
+fn a_killed_nodes_unflushed_events_are_counted_lost_and_the_profile_is_partial() {
+    use rtml::common::event::{Component, Event, EventKind};
+    use rtml::common::ids::DriverId;
+    // Events logged on node 1 reach the log on its loop's next load
+    // tick; a kill before it drops them, counted. The loop ticks every
+    // millisecond, so a kill right after the pushes can follow a tick
+    // that took them: the node is restarted and the pushes repeated
+    // until a kill catches some unflushed.
+    const PUSHES: u64 = 100;
+    let cluster = Cluster::start(ClusterConfig::local(2, 1)).unwrap();
+    let events = cluster.services().events.clone();
+    let object = TaskId::driver_root(DriverId::from_index(0))
+        .child(0)
+        .return_object(0);
+    let mut pushed = 0;
+    for _ in 0..20 {
+        for _ in 0..PUSHES {
+            let kind = EventKind::PrefetchIssued {
+                object,
+                node: NodeId(1),
+            };
+            events.append(NodeId(1), Event::now(Component::FetchAgent, kind));
+        }
+        pushed += PUSHES;
+        cluster.kill_node(NodeId(1)).unwrap();
+        if events.lost_count() > 0 {
+            break;
+        }
+        cluster
+            .restart_node(NodeId(1), NodeConfig::cpu_only(1))
+            .unwrap();
+    }
+    let lost = events.lost_count();
+    assert!(lost > 0 && lost <= PUSHES, "{lost} events lost");
+    assert_eq!(cluster.counters().get("events.lost"), Some(lost));
+    let report = cluster.profile();
+    assert!(report.partial, "a profile missing lost events reads whole");
+    assert_eq!((report.lost_records, report.dropped_records), (lost, 0));
+    // The rest reached the log; the node's death was logged after the
+    // discard, and is not lost.
+    assert_eq!(report.prefetches_issued as u64, pushed - lost);
+    assert!(report.nodes_lost >= 1);
+    assert!(report.summary().contains("lost with killed nodes"));
+    cluster.shutdown();
+}
+
+#[test]
 fn event_streams_are_capped_and_profiling_survives() {
     use rtml::common::codec::{decode_from_slice, encode_to_bytes};
     use rtml::common::event::Event;
@@ -328,6 +375,7 @@ fn telemetry_timeseries_is_bounded_and_column_stable() {
         std::thread::sleep(Duration::from_millis(2));
     }
     let series = cluster.timeseries();
+    let cluster_columns = cluster.services().metrics.sample_names();
     for (node, records) in &series {
         // Bounded ring per node.
         let bound = TelemetryTable::RETENTION;
@@ -338,11 +386,14 @@ fn telemetry_timeseries_is_bounded_and_column_stable() {
         let names: Vec<&str> = records[0].samples.iter().map(|(n, _)| n.as_str()).collect();
         assert!(names.contains(&"fetch.transfers"), "{names:?}");
         assert!(names.contains(&"sched.prefetch_skipped_capacity"));
-        assert!(names.contains(&"fabric.sent"));
-        assert!(names.contains(&"kv.locks"));
-        // The columns are the node's registry and the cluster's, whole.
+        // The columns are the node's registry, whole, and on the lowest
+        // live node alone the cluster's, whole: each cluster column is
+        // recorded in one stream.
         let mut registered = cluster.node_registry(*node).unwrap().sample_names();
-        registered.extend(cluster.services().metrics.sample_names());
+        if *node == NodeId(0) {
+            assert!(names.contains(&"fabric.sent") && names.contains(&"kv.locks"));
+            registered.extend(cluster_columns.iter().cloned());
+        }
         registered.sort();
         assert_eq!(names, registered, "{node} samples another column set");
         for pair in records.windows(2) {
@@ -350,6 +401,12 @@ fn telemetry_timeseries_is_bounded_and_column_stable() {
             let next: Vec<&str> = pair[1].samples.iter().map(|(n, _)| n.as_str()).collect();
             assert_eq!(names, next, "column shape drifted on {node}");
         }
+    }
+    for column in &cluster_columns {
+        let streams = series
+            .iter()
+            .filter(|(_, records)| records[0].samples.iter().any(|(name, _)| name == column));
+        assert_eq!(streams.count(), 1, "{column} is not in exactly one stream");
     }
     // The node registries the samplers read are exposed too.
     assert!(cluster

@@ -21,8 +21,11 @@ const EVENTS: &[u8] = b"ev:";
 const WORKER_STREAM: u8 = 1;
 
 /// Every worker-stream frame in the log, decoded, in append order per
-/// stream.
+/// stream, once node 0's event buffer is flushed. A flush writes one
+/// frame per stream, and a batch's events go to the buffer in one push,
+/// so no frame splits a batch.
 fn worker_frames(cluster: &Cluster) -> Vec<Vec<Event>> {
+    cluster.services().events.flush(NodeId(0));
     let streams = cluster.services().kv.scan_logs_prefix(EVENTS);
     let worker = streams
         .into_iter()
